@@ -20,7 +20,7 @@ Three lifecycle properties are measured and gated:
 Profiles: ``quick`` (CI smoke) or ``full``; as a script
 (``python benchmarks/bench_p4_lifecycle.py --profile quick --export out.json``)
 it prints the lifecycle report tables and writes the combined
-registry+telemetry export the ``lifecycle-smoke`` CI job diffs across two
+registry+telemetry export the ``bench-smoke`` (p4) CI job diffs across two
 runs.
 """
 

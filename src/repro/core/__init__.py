@@ -10,8 +10,10 @@ method registry that regenerates the paper's Table 1
 """
 
 from repro.core.interfaces import (
+    Backend,
     CardinalityEstimator,
     CostEstimator,
+    Decision,
     InjectedCardinalities,
     LatencyPredictor,
     Retrainable,
@@ -26,8 +28,10 @@ from repro.core.framework import (
 from repro.core.registry import MethodInfo, registry
 
 __all__ = [
+    "Backend",
     "CardinalityEstimator",
     "CostEstimator",
+    "Decision",
     "InjectedCardinalities",
     "LatencyPredictor",
     "Retrainable",

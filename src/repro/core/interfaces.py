@@ -10,6 +10,8 @@ one of these small protocols:
 - :class:`CostEstimator` -- ``cost(plan) -> float`` (planner cost units).
 - :class:`LatencyPredictor` -- ``predict_latency(plan) -> float`` (ms);
   the interface of learned cost models and risk models.
+- :class:`Backend` -- ``serve(query) -> Decision``: what the serving core
+  (:class:`repro.serve.ServingRuntime`) drives.
 
 Two generic wrappers give the planner its tuning knobs:
 
@@ -28,6 +30,7 @@ the estimator's answers may change.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -40,6 +43,8 @@ __all__ = [
     "CostEstimator",
     "LatencyPredictor",
     "Retrainable",
+    "Decision",
+    "Backend",
     "InjectedCardinalities",
     "ScaledCardinalities",
     "subquery_key",
@@ -129,6 +134,37 @@ class LatencyPredictor(Protocol):
     """Anything that can predict plan execution latency in milliseconds."""
 
     def predict_latency(self, plan: Plan) -> float:
+        ...
+
+
+@dataclass(frozen=True)
+class Decision:
+    """What a serving backend did with one query."""
+
+    stage: str  # deployment stage at serve time
+    plan_source: str  # winning candidate source, or "native"
+    latency_ms: float  # simulated latency of the plan actually served
+    cardinality: int
+
+
+@runtime_checkable
+class Backend(Protocol):
+    """Anything the serving core can drive.
+
+    Every member is present on every backend; ``telemetry``,
+    ``plan_cache`` and the result of ``cache_stats()`` are ``None`` when
+    the backend has no bus / plan cache / cardinality cache of its own.
+    """
+
+    name: str
+    telemetry: object  # TelemetryBus | None
+    plan_cache: object  # PlanCache | None
+
+    def serve(self, query: Query) -> Decision:
+        ...
+
+    def cache_stats(self) -> dict | None:
+        """Cumulative cardinality-cache counters (``hits`` / ``misses``)."""
         ...
 
 

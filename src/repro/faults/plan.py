@@ -320,10 +320,10 @@ class FaultyDriver(_FaultyBase):
 class FaultyBackend(_FaultyBase):
     """Serving-backend wrapper: failures and latency spikes on ``serve``.
 
-    Wraps anything with the serving surface (``serve(query)`` returning a
-    decision with ``latency_ms``) -- a shard's deployment manager or a
-    synthetic backend -- so fault plans can target individual fabric
-    shards by name (``target="shard03"``).  Non-latency faults raise
+    Wraps any :class:`~repro.core.interfaces.Backend` -- a shard's
+    deployment manager or a synthetic backend -- and is one itself, so
+    fault plans can target individual fabric shards by name
+    (``target="shard03"``).  Non-latency faults raise
     :class:`~repro.core.errors.InjectedDriverError`, which the shard
     records as a breaker failure; latency faults serve correctly but
     slower.
@@ -331,7 +331,12 @@ class FaultyBackend(_FaultyBase):
 
     def __init__(self, inner, injector: FaultInjector, target: str) -> None:
         super().__init__(inner, injector, target)
-        self.name = f"{getattr(inner, 'name', type(inner).__name__)}+chaos"
+        self.name = f"{inner.name}+chaos"
+        self.telemetry = inner.telemetry
+        self.plan_cache = inner.plan_cache
+
+    def cache_stats(self):
+        return self.inner.cache_stats()
 
     def serve(self, query):
         n = self.calls

@@ -110,10 +110,18 @@ class CircuitBreaker:
         if to is BreakerState.CLOSED:
             self.consecutive_failures = 0
 
+    def would_allow(self, at_ms: float) -> bool:
+        """Non-mutating peek: would :meth:`allow` admit a call at virtual
+        ``at_ms``?  True unless OPEN with the cooldown still running."""
+        return (
+            self.state is not BreakerState.OPEN
+            or at_ms - self._opened_at_ms >= self.cooldown_ms
+        )
+
     def allow(self) -> bool:
         """May the guarded call proceed right now?"""
         if self.state is BreakerState.OPEN:
-            if self.clock.now_ms() - self._opened_at_ms >= self.cooldown_ms:
+            if self.would_allow(self.clock.now_ms()):
                 self._transition(BreakerState.HALF_OPEN, "cooldown_elapsed")
             else:
                 self.calls_denied += 1

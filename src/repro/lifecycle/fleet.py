@@ -24,34 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.workloads import apply_drift
-from repro.cardest.drift import DDUpDetector, Warper
-from repro.cardest.querydriven import GBDTQueryEstimator
-from repro.engine.executor import CardinalityExecutor
-from repro.engine.simulator import ExecutionSimulator
-from repro.faults.clock import VirtualClock
-from repro.faults.resilience import CircuitBreaker
-from repro.lifecycle.experience import ExperienceStore
-from repro.lifecycle.gates import EvalGate
-from repro.lifecycle.registry import ModelRegistry
-from repro.lifecycle.scenario import EstimatorSteeredOptimizer, LifecycleBackend
-from repro.lifecycle.scheduler import (
-    DriftTrigger,
-    QErrorTrigger,
-    RetrainingScheduler,
-    clone_model,
-)
-from repro.optimizer.planner import Optimizer
-from repro.serve.deployment import DeploymentManager, Stage
+from repro.lifecycle.scenario import LifecycleStack, lifecycle_stack
 from repro.serve.fabric.fabric import FabricConfig, FabricRequest, ServingFabric
 from repro.serve.fabric.router import ShardRouter
-from repro.serve.fabric.shard import ShardRuntime
+from repro.serve.fabric.shard import guarded_shard
 from repro.serve.fabric.tenants import TenantRegistry, TenantSpec
 from repro.serve.runtime import Request, RuntimeConfig
-from repro.serve.telemetry import TelemetryBus
 from repro.sql.generator import WorkloadGenerator
 from repro.sql.query import Query
-from repro.storage.catalog import Database
 from repro.storage.schemagen import (
     SchemaGenConfig,
     database_fingerprint,
@@ -66,37 +46,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class SchemaTenant:
+@dataclass(kw_only=True)
+class SchemaTenant(LifecycleStack):
     """One schema's complete lifecycle stack, mounted on one shard."""
 
     tenant_id: str
-    db: Database
     fingerprint: str
-    native: Optimizer
-    simulator: ExecutionSimulator
-    executor: CardinalityExecutor
-    detector: DDUpDetector
-    store: ExperienceStore
-    registry: ModelRegistry
-    gate: EvalGate
-    deployment: DeploymentManager
-    scheduler: RetrainingScheduler
-    backend: LifecycleBackend
-    holdout: list[Query]
-
-    def holdout_qerror(self, *, quantile: float = 0.9) -> float:
-        """Deployed model's q-error quantile on held-out queries vs
-        *current* (post-drift) data."""
-        estimator = getattr(
-            self.deployment.learned, "estimator", self.deployment.learned
-        )
-        errs = []
-        for q in self.holdout:
-            e = max(float(estimator.estimate(q)), 1.0)
-            t = max(float(self.executor.cardinality(q)), 1.0)
-            errs.append(max(e / t, t / e))
-        return float(np.quantile(np.array(errs), quantile))
 
 
 @dataclass
@@ -120,12 +75,7 @@ class TransferFleet:
     def apply_drift(self) -> None:
         """Drift every schema's data and invalidate derived state."""
         for i, tenant in enumerate(self.tenants):
-            apply_drift(
-                tenant.db, fraction=self.drift_fraction, seed=self.seed + i
-            )
-            tenant.native.stats.refresh(tenant.db)
-            tenant.native.cache.clear()
-            tenant.executor.clear_cache()
+            tenant.apply_drift(self.drift_fraction, self.seed + i)
         self.fabric.telemetry.event(
             "fleet_drift",
             at_request=self.drift_at,
@@ -215,152 +165,6 @@ def build_fleet_schedule(
     return schedule
 
 
-def _schema_stack(
-    index: int,
-    db: Database,
-    *,
-    seed: int,
-    n_train: int,
-    n_holdout: int,
-    closed_loop: bool,
-    drift_check_every: int,
-    qerror_degradation: float,
-    cooldown_queries: int,
-    shard_config: RuntimeConfig | None,
-) -> tuple[SchemaTenant, ShardRuntime]:
-    """One schema's lifecycle stack + the shard serving it (mirrors
-    :func:`~repro.lifecycle.scenario.drift_recovery_scenario`, minus the
-    per-database runtime -- the fabric drives the shard instead)."""
-    native = Optimizer(db)
-    simulator = ExecutionSimulator(db)
-    executor = CardinalityExecutor(db)
-    bus = TelemetryBus()
-    shared = (db, native, simulator, executor, native.stats, native.cache)
-
-    gen = WorkloadGenerator(db, seed=seed + 1)
-    max_tables = min(3, gen.max_component_size)
-    train_queries = gen.workload(n_train, 1, max_tables, require_predicate=True)
-    train_cards = np.array(
-        [float(executor.cardinality(q)) for q in train_queries]
-    )
-    estimator = GBDTQueryEstimator(db, seed=seed).fit(train_queries, train_cards)
-    champion = EstimatorSteeredOptimizer(
-        native, estimator, name=f"steered-{db.name}"
-    )
-
-    store = ExperienceStore(2_000, seed=seed)
-    registry = ModelRegistry(shared=shared, telemetry=bus)
-    v0 = registry.register(
-        champion, trigger="initial", snapshot_id=store.snapshot_id()
-    )
-    detector = DDUpDetector(db, seed=seed, telemetry=bus)
-    holdout = WorkloadGenerator(db, seed=seed + 2).workload(
-        n_holdout, 1, max_tables, require_predicate=True
-    )
-    gate = EvalGate(
-        holdout,
-        simulator=simulator,
-        executor=executor,
-        telemetry=bus,
-        max_p50_ratio=1.15,
-        max_p95_ratio=1.30,
-        max_qerror_ratio=1.25,
-        max_regression_rate=0.25,
-    )
-    deployment = DeploymentManager(
-        champion,
-        native,
-        simulator,
-        telemetry=bus,
-        stage=Stage.LIVE,
-        canary_fraction=0.5,
-        window=12,
-        min_samples=6,
-        regression_threshold=5.0,
-        auto_promote=True,
-        experience=store,
-        registry=registry,
-        model_version=v0.version_id,
-    )
-    registry.record_stage(v0.version_id, "live", reason="initial")
-
-    history = list(zip(train_queries, train_cards.tolist()))
-
-    def retrainer(current, exp_store, action: str):
-        challenger = clone_model(current, shared=shared)
-        warper = Warper(
-            db,
-            challenger.estimator,
-            detector=detector,
-            queries_per_table=30,
-            keep_old=len(history),
-            seed=seed + 3,
-            telemetry=bus,
-            experience=exp_store,
-            history=history,
-        )
-        warper.adapt()
-        return challenger
-
-    triggers: list = []
-    if closed_loop:
-        triggers.append(
-            DriftTrigger(detector, check_every=drift_check_every, store=store)
-        )
-        triggers.append(
-            QErrorTrigger(
-                degradation=qerror_degradation,
-                window=32,
-                min_samples=16,
-                quantile=0.9,
-            )
-        )
-    scheduler = RetrainingScheduler(
-        registry,
-        store,
-        retrainer,
-        triggers=triggers,
-        gate=gate,
-        deployment=deployment,
-        telemetry=bus,
-        cooldown_queries=cooldown_queries,
-    )
-    backend = LifecycleBackend(deployment, scheduler)
-    clock = VirtualClock()
-    breaker = CircuitBreaker(
-        failure_threshold=3,
-        cooldown_ms=500.0,
-        clock=clock,
-        name=f"shard{index:02d}",
-    )
-    shard = ShardRuntime(
-        index,
-        backend,
-        n_workers=1,
-        config=shard_config,
-        telemetry=bus,
-        breaker=breaker,
-        clock=clock,
-    )
-    tenant = SchemaTenant(
-        tenant_id=db.name,
-        db=db,
-        fingerprint=database_fingerprint(db),
-        native=native,
-        simulator=simulator,
-        executor=executor,
-        detector=detector,
-        store=store,
-        registry=registry,
-        gate=gate,
-        deployment=deployment,
-        scheduler=scheduler,
-        backend=backend,
-        holdout=holdout,
-    )
-    return tenant, shard
-
-
 def transfer_fleet_scenario(
     *,
     n_schemas: int = 8,
@@ -393,23 +197,33 @@ def transfer_fleet_scenario(
         if shard_config is not None
         else RuntimeConfig(timeout_ms=None, queue_capacity=None, max_in_flight=None)
     )
-    tenants: list[SchemaTenant] = []
-    shards: list[ShardRuntime] = []
-    for i, db in enumerate(databases):
-        tenant, shard = _schema_stack(
-            i,
-            db,
-            seed=seed + 10 * i,
-            n_train=n_train,
-            n_holdout=n_holdout,
-            closed_loop=closed_loop,
-            drift_check_every=drift_check_every,
-            qerror_degradation=qerror_degradation,
-            cooldown_queries=cooldown_queries,
-            shard_config=config,
+    tenants = [
+        SchemaTenant(
+            **vars(
+                lifecycle_stack(
+                    db,
+                    seed=seed + 10 * i,
+                    n_train=n_train,
+                    n_holdout=n_holdout,
+                    closed_loop=closed_loop,
+                    drift_check_every=drift_check_every,
+                    qerror_degradation=qerror_degradation,
+                    cooldown_queries=cooldown_queries,
+                    champion_name=f"steered-{db.name}",
+                    warp_queries_per_table=30,
+                    qerror_window=32,
+                )
+            ),
+            tenant_id=db.name,
+            fingerprint=database_fingerprint(db),
         )
-        tenants.append(tenant)
-        shards.append(shard)
+        for i, db in enumerate(databases)
+    ]
+    # One shard per schema, on the schema's own bus.
+    shards = [
+        guarded_shard(i, t.backend, config=config, telemetry=t.telemetry)
+        for i, t in enumerate(tenants)
+    ]
     specs = tuple(
         TenantSpec(tenant_id=t.tenant_id, qos="interactive") for t in tenants
     )
@@ -425,20 +239,15 @@ def transfer_fleet_scenario(
         config=FabricConfig(seed=seed, route_mode="pinned"),
         router=router,
     )
-    tenant_queries = []
-    for i, t in enumerate(tenants):
-        gen = WorkloadGenerator(t.db, seed=seed + 4 + i)
-        tenant_queries.append(
-            (
-                t.tenant_id,
-                gen.workload(
-                    queries_per_tenant,
-                    1,
-                    min(3, gen.max_component_size),
-                    require_predicate=True,
-                ),
-            )
+    tenant_queries = [
+        (
+            t.tenant_id,
+            WorkloadGenerator(t.db, seed=seed + 4 + i).workload(
+                queries_per_tenant, 1, 3, require_predicate=True
+            ),
         )
+        for i, t in enumerate(tenants)
+    ]
     schedule = build_fleet_schedule(
         tenant_queries, seed=seed, mean_interarrival_ms=mean_interarrival_ms
     )

@@ -21,7 +21,7 @@ bookkeeping that makes that possible:
   :meth:`repro.serve.deployment.DeploymentManager.deploy` / promote /
   rollback);
 - :meth:`to_json` exports the whole registry deterministically (the
-  artifact the ``lifecycle-smoke`` CI job diffs across two runs).
+  artifact the ``bench-smoke`` (p4) CI job diffs across two runs).
 
 Nothing wall-clock enters the registry: ``created_at_ms`` is the
 scheduler's *virtual* time, and ordering is by registration sequence.

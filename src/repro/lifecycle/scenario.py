@@ -31,7 +31,7 @@ export byte-identical registry and telemetry JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from repro.lifecycle.scheduler import (
     clone_model,
 )
 from repro.optimizer.planner import Optimizer
-from repro.serve.deployment import DeploymentManager, Stage
+from repro.serve.deployment import DeploymentManager, ServeDecision, Stage
 from repro.serve.runtime import (
     Request,
     RunReport,
@@ -69,7 +69,9 @@ from repro.storage.datasets import make_stats_lite
 __all__ = [
     "EstimatorSteeredOptimizer",
     "LifecycleBackend",
+    "LifecycleStack",
     "LifecycleScenario",
+    "lifecycle_stack",
     "drift_recovery_scenario",
     "lifecycle_stats",
 ]
@@ -107,14 +109,15 @@ class LifecycleBackend:
     serve it feeds the (estimate, true cardinality) pair to the
     scheduler's q-error trigger and advances the scheduler's virtual clock
     by the served latency -- so retraining fires at deterministic stream
-    positions.  Exposes the deployment's telemetry/cache surfaces, making
-    it a drop-in :class:`~repro.serve.runtime.ServingRuntime` backend.
+    positions.  The rest of the :class:`~repro.core.interfaces.Backend`
+    surface is the deployment's.
     """
 
     def __init__(self, deployment: DeploymentManager, scheduler) -> None:
         self.deployment = deployment
         self.scheduler = scheduler
         self.telemetry = deployment.telemetry
+        self.plan_cache = deployment.plan_cache
 
     @property
     def name(self) -> str:
@@ -123,7 +126,7 @@ class LifecycleBackend:
     def cache_stats(self):
         return self.deployment.cache_stats()
 
-    def serve(self, query: Query):
+    def serve(self, query: Query) -> ServeDecision:
         decision = self.deployment.serve(query)
         estimator = getattr(self.deployment.learned, "estimator", None)
         if estimator is not None and self.scheduler is not None:
@@ -135,11 +138,15 @@ class LifecycleBackend:
         return decision
 
 
-@dataclass
-class LifecycleScenario:
-    """The fully-assembled closed loop: run it, then inspect every part."""
+@dataclass(kw_only=True)
+class LifecycleStack:
+    """One database's complete lifecycle stack: inspect every part.
 
-    name: str
+    What :func:`lifecycle_stack` assembles; :class:`LifecycleScenario`
+    drives it through a :class:`~repro.serve.runtime.ServingRuntime`, the
+    transfer fleet (:mod:`repro.lifecycle.fleet`) mounts one per shard.
+    """
+
     db: Database
     native: Optimizer
     simulator: ExecutionSimulator
@@ -151,18 +158,9 @@ class LifecycleScenario:
     gate: EvalGate
     deployment: DeploymentManager
     scheduler: RetrainingScheduler
-    runtime: ServingRuntime
-    schedule: list[list[Request]]
+    backend: LifecycleBackend
     holdout: list[Query]
-    drift_at: int  # global_seq of the drift hook (-1 when no drift)
-    shared: tuple = field(default_factory=tuple)
-
-    def run(self) -> RunReport:
-        return self.runtime.run(self.schedule)
-
-    @property
-    def n_requests(self) -> int:
-        return sum(len(s) for s in self.schedule)
+    shared: tuple
 
     def holdout_qerror(self, model=None, *, quantile: float = 0.9) -> float:
         """Current q-error quantile of ``model`` (default: the deployed
@@ -176,8 +174,32 @@ class LifecycleScenario:
             errs.append(max(e / t, t / e))
         return float(np.quantile(np.array(errs), quantile))
 
+    def apply_drift(self, fraction: float, seed: int) -> None:
+        """Drift the data and invalidate everything derived from it."""
+        apply_drift(self.db, fraction=fraction, seed=seed)
+        self.native.stats.refresh(self.db)
+        self.native.cache.clear()
+        self.executor.clear_cache()
 
-def lifecycle_stats(scenario: LifecycleScenario) -> dict[str, dict]:
+
+@dataclass(kw_only=True)
+class LifecycleScenario(LifecycleStack):
+    """The closed loop behind a serving runtime: run it, then inspect."""
+
+    name: str
+    runtime: ServingRuntime
+    schedule: list[list[Request]]
+    drift_at: int  # global_seq of the drift hook
+
+    def run(self) -> RunReport:
+        return self.runtime.run(self.schedule)
+
+    @property
+    def n_requests(self) -> int:
+        return sum(len(s) for s in self.schedule)
+
+
+def lifecycle_stats(scenario: LifecycleStack) -> dict[str, dict]:
     """The stat block :func:`repro.bench.report.render_lifecycle_stats`
     renders: one dict per lifecycle component."""
     return {
@@ -187,31 +209,30 @@ def lifecycle_stats(scenario: LifecycleScenario) -> dict[str, dict]:
     }
 
 
-def drift_recovery_scenario(
+def lifecycle_stack(
+    db: Database,
     *,
-    scale: float = 0.3,
-    seed: int = 0,
-    n_queries: int = 240,
-    n_sessions: int = 6,
-    n_train: int = 120,
-    n_holdout: int = 40,
-    drift_fraction: float = 0.45,
-    closed_loop: bool = True,
+    seed: int,
+    n_train: int,
+    n_holdout: int,
+    closed_loop: bool,
+    drift_check_every: int,
+    qerror_degradation: float,
+    cooldown_queries: int,
+    champion_name: str = "steered-gbdt",
     store_capacity: int = 2_000,
-    drift_check_every: int = 20,
-    qerror_degradation: float = 3.0,
+    warp_queries_per_table: int = 40,
+    qerror_window: int = 48,
     cadence_queries: int | None = None,
-    cooldown_queries: int = 40,
     gate_kwargs: dict | None = None,
-    config: RuntimeConfig | None = None,
-) -> LifecycleScenario:
-    """Assemble the drift-then-recover closed loop described above.
+) -> LifecycleStack:
+    """Train a champion on ``db`` and wire the whole loop around it.
 
-    ``closed_loop=False`` builds the *frozen baseline*: the identical
-    stack and stream but with no retraining triggers, so the champion
-    stays stale after the drift -- the control arm of the benchmark.
+    A GBDT query-driven estimator steering the native planner, registered
+    and deployed LIVE; an experience store fed by every serve; drift and
+    q-error (and optionally cadence) triggers when ``closed_loop``; a
+    clone-then-Warper retrainer; the eval gate on a held-out workload.
     """
-    db = make_stats_lite(scale=scale, seed=seed)
     native = Optimizer(db)
     simulator = ExecutionSimulator(db)
     executor = CardinalityExecutor(db)
@@ -220,19 +241,20 @@ def drift_recovery_scenario(
     # across clones and excluded from registry fingerprints.
     shared = (db, native, simulator, executor, native.stats, native.cache)
 
-    # -- initial training ----------------------------------------------------
-    gen = WorkloadGenerator(db, seed=seed + 1)
-    train_queries = gen.workload(n_train, 1, 3, require_predicate=True)
+    train_queries = WorkloadGenerator(db, seed=seed + 1).workload(
+        n_train, 1, 3, require_predicate=True
+    )
     train_cards = np.array(
         [float(executor.cardinality(q)) for q in train_queries]
     )
     estimator = GBDTQueryEstimator(db, seed=seed).fit(train_queries, train_cards)
-    champion = EstimatorSteeredOptimizer(native, estimator, name="steered-gbdt")
+    champion = EstimatorSteeredOptimizer(native, estimator, name=champion_name)
 
-    # -- lifecycle components ------------------------------------------------
     store = ExperienceStore(store_capacity, seed=seed)
     registry = ModelRegistry(shared=shared, telemetry=telemetry)
-    v0 = registry.register(champion, trigger="initial", snapshot_id=store.snapshot_id())
+    v0 = registry.register(
+        champion, trigger="initial", snapshot_id=store.snapshot_id()
+    )
     detector = DDUpDetector(db, seed=seed, telemetry=telemetry)
     holdout = WorkloadGenerator(db, seed=seed + 2).workload(
         n_holdout, 1, 3, require_predicate=True
@@ -272,18 +294,17 @@ def drift_recovery_scenario(
 
     def retrainer(current, exp_store, action: str):
         challenger = clone_model(current, shared=shared)
-        warper = Warper(
+        Warper(
             db,
             challenger.estimator,
             detector=detector,
-            queries_per_table=40,
+            queries_per_table=warp_queries_per_table,
             keep_old=len(history),
             seed=seed + 3,
             telemetry=telemetry,
             experience=exp_store,
             history=history,
-        )
-        warper.adapt()
+        ).adapt()
         return challenger
 
     triggers: list = []
@@ -293,7 +314,10 @@ def drift_recovery_scenario(
         )
         triggers.append(
             QErrorTrigger(
-                degradation=qerror_degradation, window=48, min_samples=24, quantile=0.9
+                degradation=qerror_degradation,
+                window=qerror_window,
+                min_samples=qerror_window // 2,
+                quantile=0.9,
             )
         )
         if cadence_queries is not None:
@@ -308,25 +332,7 @@ def drift_recovery_scenario(
         telemetry=telemetry,
         cooldown_queries=cooldown_queries,
     )
-
-    # -- scheduled workload with the mid-stream drift hook -------------------
-    queries = WorkloadGenerator(db, seed=seed + 4).workload(
-        n_queries, 1, 3, require_predicate=True
-    )
-    schedule = build_schedule(queries, n_sessions, seed=seed)
-    backend = LifecycleBackend(deployment, scheduler)
-    drift_at = sum(len(s) for s in schedule) // 2
-
-    def _drift() -> None:
-        apply_drift(db, fraction=drift_fraction, seed=seed)
-        native.stats.refresh(db)
-        native.cache.clear()
-        executor.clear_cache()
-        telemetry.event("data_drift", at_request=drift_at, fraction=drift_fraction)
-
-    runtime = ServingRuntime(backend, config=config, hooks={drift_at: _drift})
-    return LifecycleScenario(
-        name="drift_recovery" if closed_loop else "drift_frozen",
+    return LifecycleStack(
         db=db,
         native=native,
         simulator=simulator,
@@ -338,9 +344,68 @@ def drift_recovery_scenario(
         gate=gate,
         deployment=deployment,
         scheduler=scheduler,
-        runtime=runtime,
-        schedule=schedule,
+        backend=LifecycleBackend(deployment, scheduler),
         holdout=holdout,
-        drift_at=drift_at,
         shared=shared,
+    )
+
+
+def drift_recovery_scenario(
+    *,
+    scale: float = 0.3,
+    seed: int = 0,
+    n_queries: int = 240,
+    n_sessions: int = 6,
+    n_train: int = 120,
+    n_holdout: int = 40,
+    drift_fraction: float = 0.45,
+    closed_loop: bool = True,
+    store_capacity: int = 2_000,
+    drift_check_every: int = 20,
+    qerror_degradation: float = 3.0,
+    cadence_queries: int | None = None,
+    cooldown_queries: int = 40,
+    gate_kwargs: dict | None = None,
+    config: RuntimeConfig | None = None,
+) -> LifecycleScenario:
+    """Assemble the drift-then-recover closed loop described above.
+
+    ``closed_loop=False`` builds the *frozen baseline*: the identical
+    stack and stream but with no retraining triggers, so the champion
+    stays stale after the drift -- the control arm of the benchmark.
+    """
+    db = make_stats_lite(scale=scale, seed=seed)
+    stack = lifecycle_stack(
+        db,
+        seed=seed,
+        n_train=n_train,
+        n_holdout=n_holdout,
+        closed_loop=closed_loop,
+        drift_check_every=drift_check_every,
+        qerror_degradation=qerror_degradation,
+        cooldown_queries=cooldown_queries,
+        store_capacity=store_capacity,
+        cadence_queries=cadence_queries,
+        gate_kwargs=gate_kwargs,
+    )
+    queries = WorkloadGenerator(db, seed=seed + 4).workload(
+        n_queries, 1, 3, require_predicate=True
+    )
+    schedule = build_schedule(queries, n_sessions, seed=seed)
+    drift_at = len(queries) // 2
+
+    def _drift() -> None:
+        stack.apply_drift(drift_fraction, seed)
+        stack.telemetry.event(
+            "data_drift", at_request=drift_at, fraction=drift_fraction
+        )
+
+    return LifecycleScenario(
+        **vars(stack),
+        name="drift_recovery" if closed_loop else "drift_frozen",
+        runtime=ServingRuntime(
+            stack.backend, config=config, hooks={drift_at: _drift}
+        ),
+        schedule=schedule,
+        drift_at=drift_at,
     )

@@ -5,11 +5,12 @@ of the repo builds (optimizers, estimators, guards) assumed a
 run-to-completion loop; this package serves a sustained concurrent
 workload and manages a learned optimizer's production lifecycle:
 
-- :mod:`repro.serve.runtime` -- :class:`ServingRuntime`: N concurrent
-  client sessions with admission control (timeouts, per-session queue
-  bounds, a global in-flight ceiling) and typed :class:`Rejected`
-  outcomes, deterministic given a schedule (see the module docstring for
-  how the turn gate buys byte-identical reruns);
+- :mod:`repro.serve.runtime` -- :class:`ServingRuntime`: the one serving
+  core.  ``submit(request)`` is the per-request path (admission control
+  with typed :class:`Rejected` outcomes, optional breaker, any
+  :class:`repro.core.interfaces.Backend`, telemetry); ``run(schedule)``
+  loops a multi-session workload through it in deterministic order (see
+  the module docstring for the admission table);
 - :mod:`repro.serve.deployment` -- :class:`DeploymentManager`: stages a
   learned optimizer through SHADOW -> CANARY -> LIVE with a rolling
   regression window that demotes it to ROLLED_BACK automatically,
@@ -24,8 +25,8 @@ workload and manages a learned optimizer's production lifecycle:
   and the tests;
 - :mod:`repro.serve.fabric` -- the horizontally sharded, multi-tenant
   serving fabric (:class:`ServingFabric`, :class:`ShardRouter`,
-  :class:`TenantRegistry`, :class:`TelemetryAggregator`) scaling the
-  runtime out to N shards with QoS-aware routing.
+  :class:`TenantRegistry`, :class:`TelemetryAggregator`): N serving
+  cores (:class:`ShardRuntime`) behind QoS-aware routing.
 """
 
 from repro.serve.deployment import DeploymentManager, ServeDecision, Stage

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from statistics import fmean
 
 from repro.core.errors import ConfigError
-from repro.core.interfaces import estimator_cache_tag
+from repro.core.interfaces import Decision, estimator_cache_tag
 from repro.e2e.loop import EpisodeResult
 from repro.engine.plans import Plan
 from repro.engine.simulator import ExecutionSimulator
@@ -60,15 +60,12 @@ _PROMOTIONS = {Stage.SHADOW: Stage.CANARY, Stage.CANARY: Stage.LIVE}
 
 
 @dataclass(frozen=True)
-class ServeDecision:
-    """What the deployment did with one query."""
+class ServeDecision(Decision):
+    """What the deployment did with one query: the backend
+    :class:`~repro.core.interfaces.Decision` plus the rollout detail."""
 
     query: Query
-    stage: str
     served_learned: bool
-    plan_source: str  # winning candidate source, or "native"
-    latency_ms: float  # latency of the plan actually served
-    cardinality: int
     native_latency_ms: float | None  # None when the baseline was not run
     shadow_latency_ms: float | None  # learned plan's off-path latency (SHADOW)
 

@@ -20,15 +20,16 @@ Request lifecycle, in order:
 3. **QoS shed** -- ``background`` tenants are shed when the target
    shard's backlog exceeds a low watermark, ``batch`` at a higher one
    (``"qos_shed"``); ``interactive`` is never shed here;
-4. **shard admission + service** -- the shard's own virtual-time
-   admission control (timeout / queue_full / overload / shard_open /
-   error) and backend.
+4. **shard admission + service** -- the shard's
+   :meth:`~repro.serve.runtime.ServingRuntime.submit`: the one admission
+   path (timeout / queue_full / overload / shard_open / error) and the
+   backend.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
 from repro.serve.deployment import query_hash
@@ -36,7 +37,7 @@ from repro.serve.fabric.aggregate import TelemetryAggregator
 from repro.serve.fabric.router import ShardRouter
 from repro.serve.fabric.shard import ShardRuntime
 from repro.serve.fabric.tenants import TenantRegistry, TenantSpec
-from repro.serve.runtime import Rejected, Request, Served
+from repro.serve.runtime import Rejected, Request, RunReport, Served
 from repro.serve.telemetry import TelemetryBus
 from repro.sql.query import Query
 
@@ -86,52 +87,29 @@ class FabricConfig:
 
 
 @dataclass(frozen=True)
-class FabricReport:
-    """Aggregate outcome of one :meth:`ServingFabric.run`."""
+class FabricReport(RunReport):
+    """Aggregate outcome of one :meth:`ServingFabric.run`: a
+    :class:`~repro.serve.runtime.RunReport` (``rejected`` counts fabric-
+    and shard-level reasons alike; ``outcomes`` is in arrival order)
+    plus the per-shard and per-tenant breakdowns."""
 
-    n_requests: int
-    n_served: int
-    rejected: dict[str, int]  # reason -> count, fabric- and shard-level
-    wall_seconds: float
-    simulated_span_ms: float
     shard_served: list[int]
-    tenant_latency: dict[str, dict[str, float]]  # tenant -> summary
-    outcomes: list = field(default_factory=list)
-
-    @property
-    def simulated_qps(self) -> float:
-        span_s = self.simulated_span_ms / 1_000.0
-        return self.n_served / span_s if span_s else 0.0
-
-    @property
-    def wall_qps(self) -> float:
-        return self.n_served / self.wall_seconds if self.wall_seconds else 0.0
+    #: tenant -> end-to-end (wait + service) latency summary
+    tenant_latency: dict[str, dict[str, float]]
 
 
-class _BacklogView:
-    """Lazy per-shard backlog, indexed by the router on the hot path."""
+class _ShardView:
+    """Lazy per-shard peek (backlog or health) at the current arrival
+    time, indexed by the router on the hot path."""
 
-    __slots__ = ("shards", "at_ms")
+    __slots__ = ("peeks", "at_ms")
 
-    def __init__(self, shards: list[ShardRuntime]) -> None:
-        self.shards = shards
+    def __init__(self, peeks: list) -> None:
+        self.peeks = peeks
         self.at_ms = 0.0
 
-    def __getitem__(self, i: int) -> int:
-        return self.shards[i].backlog(self.at_ms)
-
-
-class _HealthView:
-    """Lazy per-shard breaker health, indexed by the router."""
-
-    __slots__ = ("shards", "at_ms")
-
-    def __init__(self, shards: list[ShardRuntime]) -> None:
-        self.shards = shards
-        self.at_ms = 0.0
-
-    def __getitem__(self, i: int) -> bool:
-        return self.shards[i].healthy(self.at_ms)
+    def __getitem__(self, i: int):
+        return self.peeks[i](self.at_ms)
 
 
 class ServingFabric:
@@ -177,8 +155,8 @@ class ServingFabric:
         bus = self.telemetry
         config = self.config
         qos_of = self.tenants.qos
-        backlogs = _BacklogView(self.shards)
-        health = _HealthView(self.shards)
+        backlogs = _ShardView([s.backlog for s in self.shards])
+        health = _ShardView([s.healthy for s in self.shards])
         outcomes: list = []
         rejected: dict[str, int] = {}
         n_served = 0
@@ -236,28 +214,12 @@ class ServingFabric:
             wall_seconds=wall,
             simulated_span_ms=span,
             shard_served=[s.served for s in self.shards],
-            tenant_latency=self._tenant_latency(),
+            tenant_latency={
+                tid: bus.histogram_summary(f"tenant.{tid}.response_ms")
+                for tid in self.tenants.tenant_ids()
+            },
             outcomes=outcomes,
         )
-
-    def _tenant_latency(self) -> dict[str, dict[str, float]]:
-        """Per-tenant end-to-end (wait + service) latency summaries."""
-        out: dict[str, dict[str, float]] = {}
-        for tid in self.tenants.tenant_ids():
-            hist = self.telemetry._hists.get(f"tenant.{tid}.response_ms")
-            out[tid] = (
-                hist.summary()
-                if hist is not None
-                else {
-                    "count": 0,
-                    "mean": 0.0,
-                    "p50": 0.0,
-                    "p95": 0.0,
-                    "p99": 0.0,
-                    "max": 0.0,
-                }
-            )
-        return out
 
     # -- export -------------------------------------------------------------------
 

@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cardest.bounds import MCVJoinBoundEstimator
+from repro.core.interfaces import Decision
 from repro.e2e.bao import BaoOptimizer
 from repro.engine.simulator import ExecutionSimulator
-from repro.faults import CircuitBreaker, FaultInjector, FaultPlan
-from repro.faults.clock import VirtualClock
+from repro.faults import BoundGuard, FaultInjector, FaultPlan
 from repro.optimizer.plancache import PlanCache
 from repro.optimizer.planner import Optimizer
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
@@ -39,7 +39,7 @@ from repro.serve.fabric.fabric import (
     ServingFabric,
     build_fabric_schedule,
 )
-from repro.serve.fabric.shard import ShardRuntime
+from repro.serve.fabric.shard import ShardRuntime, guarded_shard
 from repro.serve.fabric.tenants import TenantRegistry, TenantSpec
 from repro.serve.runtime import RuntimeConfig
 from repro.serve.telemetry import TelemetryBus
@@ -61,14 +61,6 @@ __all__ = [
 _MIX = 0x9E3779B97F4A7C15
 
 
-@dataclass(frozen=True)
-class _SyntheticDecision:
-    stage: str
-    plan_source: str
-    latency_ms: float
-    cardinality: int
-
-
 class SyntheticBackend:
     """A deterministic constant-time serving backend for scale runs.
 
@@ -79,6 +71,9 @@ class SyntheticBackend:
     runs are byte-identical.  No planner, no simulator: the fabric layer
     is the system under test.
     """
+
+    telemetry = None
+    plan_cache = None
 
     def __init__(
         self,
@@ -93,12 +88,15 @@ class SyntheticBackend:
         self.name = "synthetic"
         self.calls = 0
 
-    def serve(self, query: Query) -> _SyntheticDecision:
+    def cache_stats(self) -> None:
+        return None
+
+    def serve(self, query: Query) -> Decision:
         self.calls += 1
         h = int(query_hash(query), 16)
         mixed = (h ^ (self.seed * _MIX)) & 0xFFFFFFFFFFFF
         u = mixed / float(1 << 48)
-        return _SyntheticDecision(
+        return Decision(
             stage="live",
             plan_source="synthetic",
             latency_ms=self.base_latency_ms + self.spread_ms * u,
@@ -197,66 +195,50 @@ def synthetic_fabric(
     """Assemble a synthetic-backend fabric (no schedule attached yet --
     pair with :func:`synthetic_queries` + :func:`build_fabric_schedule`,
     or use the returned scenario's empty schedule slot)."""
-    config = (
-        fabric_config
-        if fabric_config is not None
-        else FabricConfig(seed=seed)
-    )
-    injector = (
-        FaultInjector(fault_plan) if fault_plan is not None else None
-    )
-    shards: list[ShardRuntime] = []
-    for i in range(n_shards):
-        clock = VirtualClock()
-        breaker = CircuitBreaker(
+    injector = FaultInjector(fault_plan) if fault_plan is not None else None
+    shards = [
+        guarded_shard(
+            i,
+            SyntheticBackend(
+                seed=seed, base_latency_ms=base_latency_ms, spread_ms=spread_ms
+            ),
+            injector=injector,
             failure_threshold=breaker_failure_threshold,
             cooldown_ms=breaker_cooldown_ms,
-            clock=clock,
-            name=f"shard{i:02d}",
+            n_workers=n_workers,
+            config=shard_config,
+            telemetry=TelemetryBus(trace_capacity=trace_capacity),
         )
-        backend = SyntheticBackend(
-            seed=seed,
-            base_latency_ms=base_latency_ms,
-            spread_ms=spread_ms,
-        )
-        if injector is not None:
-            backend = injector.wrap_backend(backend, target=f"shard{i:02d}")
-        shards.append(
-            ShardRuntime(
-                i,
-                backend,
-                n_workers=n_workers,
-                config=shard_config,
-                telemetry=TelemetryBus(trace_capacity=trace_capacity),
-                breaker=breaker,
-                clock=clock,
-            )
-        )
-    fabric = ServingFabric(
-        shards, TenantRegistry(specs), config=config
+        for i in range(n_shards)
+    ]
+    return _scenario(
+        f"synthetic:{n_shards}shards",
+        shards,
+        specs,
+        fabric_config if fabric_config is not None else FabricConfig(seed=seed),
+        injector,
     )
+
+
+def _scenario(
+    name: str,
+    shards: list[ShardRuntime],
+    specs,
+    config: FabricConfig,
+    injector: FaultInjector | None,
+    schedule: list[FabricRequest] | None = None,
+    db=None,
+) -> FabricScenario:
+    fabric = ServingFabric(shards, TenantRegistry(specs), config=config)
     if injector is not None:
         fabric.telemetry.attach_gauge("fault_injector", injector.stats)
     return FabricScenario(
-        name=f"synthetic:{n_shards}shards",
+        name=name,
         fabric=fabric,
-        schedule=[],
+        schedule=schedule if schedule is not None else [],
         specs=tuple(specs),
         injector=injector,
-    )
-
-
-def _make_bound_guard(db, native, bus):
-    """One shard's bound guard: the native estimator certified against a
-    pessimistic MCV-join bound, histogram fallback, no private breaker
-    (the shard breaker owns routing health)."""
-    from repro.faults.boundguard import BoundGuard
-
-    return BoundGuard(
-        native.estimator,
-        MCVJoinBoundEstimator(db),
-        TraditionalCardinalityEstimator(db),
-        telemetry=bus,
+        db=db,
     )
 
 
@@ -291,19 +273,17 @@ def sharded_fabric_scenario(
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     shards: list[ShardRuntime] = []
     for i in range(n_shards):
-        clock = VirtualClock()
-        breaker = CircuitBreaker(
-            failure_threshold=3,
-            cooldown_ms=500.0,
-            clock=clock,
-            name=f"shard{i:02d}",
-        )
         bus = TelemetryBus()
         native = Optimizer(db)
-        guard = _make_bound_guard(db, native, bus)
-        learned = BaoOptimizer(native.with_estimator(guard), seed=seed + i)
+        # No private breaker: the shard breaker owns routing health.
+        guard = BoundGuard(
+            native.estimator,
+            MCVJoinBoundEstimator(db),
+            TraditionalCardinalityEstimator(db),
+            telemetry=bus,
+        )
         deployment = DeploymentManager(
-            learned,
+            BaoOptimizer(native.with_estimator(guard), seed=seed + i),
             native,
             ExecutionSimulator(db),
             telemetry=bus,
@@ -315,42 +295,22 @@ def sharded_fabric_scenario(
             plan_cache=PlanCache(),
             bound_guard=guard,
         )
-        backend = deployment
-        if injector is not None:
-            backend = injector.wrap_backend(
-                deployment, target=f"shard{i:02d}"
-            )
         shards.append(
-            ShardRuntime(
-                i,
-                backend,
-                n_workers=1,
-                config=shard_config,
-                telemetry=bus,
-                breaker=breaker,
-                clock=clock,
+            guarded_shard(
+                i, deployment, injector=injector, config=shard_config, telemetry=bus
             )
         )
-    fabric = ServingFabric(
-        shards,
-        TenantRegistry(specs),
-        config=(
-            fabric_config if fabric_config is not None else FabricConfig(seed=seed)
-        ),
-    )
-    if injector is not None:
-        fabric.telemetry.attach_gauge("fault_injector", injector.stats)
     queries = WorkloadGenerator(db, seed=seed + 1).workload(
         n_queries, 2, 4, require_predicate=True
     )
-    schedule = build_fabric_schedule(
-        queries, specs, seed=seed, mean_interarrival_ms=mean_interarrival_ms
-    )
-    return FabricScenario(
-        name=f"sharded:{n_shards}shards",
-        fabric=fabric,
-        schedule=schedule,
-        specs=tuple(specs),
-        injector=injector,
-        db=db,
+    return _scenario(
+        f"sharded:{n_shards}shards",
+        shards,
+        specs,
+        fabric_config if fabric_config is not None else FabricConfig(seed=seed),
+        injector,
+        build_fabric_schedule(
+            queries, specs, seed=seed, mean_interarrival_ms=mean_interarrival_ms
+        ),
+        db,
     )

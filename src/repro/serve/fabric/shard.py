@@ -1,108 +1,37 @@
-"""One serving shard: an incremental, breaker-guarded runtime slice.
+"""One serving shard: the serving core plus what the router reads.
 
-A :class:`ShardRuntime` is a :class:`~repro.serve.runtime.ServingRuntime`
-reshaped for the fabric's single-threaded event loop.  The parent runtime
-owns a whole scheduled workload and drains it with one thread per session
-behind a turn gate; a shard instead exposes :meth:`submit`, which the
-fabric calls once per routed request *in global arrival order*.  Because
-the fabric loop is already a deterministic total order, no gate or
-threads are needed -- the shard just advances its own virtual state
-(per-worker busy-until clocks, an in-flight heap, its circuit breaker's
-clock) request by request.  Admission control mirrors the parent's
-semantics shard-locally: client timeout on queueing delay, a queue bound
-on the shard's in-flight backlog, an optional in-flight ceiling -- plus
-two shard-specific outcomes, ``"shard_open"`` (the shard's breaker is
-open) and ``"error"`` (the backend raised; the failure feeds the
-breaker).
-
-Telemetry is filed through the inherited
-:meth:`~repro.serve.runtime.ServingRuntime._file_telemetry`, so per-shard
-buses export exactly the shapes the single-runtime bus does and
-:meth:`repro.serve.TelemetryBus.merged` can compose them fabric-wide.
+A :class:`ShardRuntime` *is* a :class:`~repro.serve.runtime.ServingRuntime`
+-- admission, breaker, backend, telemetry and audit are the inherited
+:meth:`~repro.serve.runtime.ServingRuntime.submit`, which the fabric calls
+once per routed request in global arrival order (no lane: the request
+takes the earliest-free worker).  The subclass adds only a shard id/name,
+the ``shard`` / ``shard_breaker`` gauges and the router's non-mutating
+:meth:`healthy` peek, so per-shard buses export exactly the shapes a
+single runtime's bus does and :meth:`repro.serve.TelemetryBus.merged` can
+compose them fabric-wide.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from repro.core.interfaces import Backend
+from repro.faults.plan import FaultInjector
+from repro.faults.resilience import CircuitBreaker
+from repro.serve.runtime import ServingRuntime
 
-from repro.core.errors import ConfigError, DriverError
-from repro.faults.clock import VirtualClock
-from repro.faults.resilience import BreakerState, CircuitBreaker
-from repro.serve.runtime import (
-    Rejected,
-    Request,
-    RuntimeConfig,
-    Served,
-    ServingRuntime,
-)
-from repro.serve.telemetry import TelemetryBus
-
-__all__ = ["ShardRuntime"]
+__all__ = ["ShardRuntime", "guarded_shard"]
 
 
 class ShardRuntime(ServingRuntime):
-    """A fabric shard: incremental admission + serving over virtual time.
+    """A fabric shard; ``core`` are :class:`ServingRuntime`'s keywords
+    (``n_workers`` models the shard's service parallelism)."""
 
-    ``backend`` has the usual serving surface (``serve(query)`` returning
-    stage/plan_source/latency_ms/cardinality) -- a per-shard
-    :class:`~repro.serve.deployment.DeploymentManager` in the full stack,
-    or a synthetic backend in scale benchmarks.  ``n_workers`` models the
-    shard's service parallelism: each worker serves one request at a time
-    in virtual time, and an arriving request is placed on the
-    earliest-free worker (ties to the lower worker id -- deterministic).
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        backend,
-        *,
-        n_workers: int = 1,
-        config: RuntimeConfig | None = None,
-        telemetry: TelemetryBus | None = None,
-        breaker: CircuitBreaker | None = None,
-        clock: VirtualClock | None = None,
-        auditor=None,
-    ) -> None:
-        if n_workers < 1:
-            raise ConfigError("shard needs at least one worker")
-        super().__init__(
-            backend, config=config, telemetry=telemetry, auditor=auditor
-        )
+    def __init__(self, shard_id: int, backend: Backend, **core) -> None:
+        super().__init__(backend, **core)
         self.shard_id = shard_id
         self.name = f"shard{shard_id:02d}"
-        self.n_workers = n_workers
-        self.breaker = breaker
-        self.clock = (
-            clock
-            if clock is not None
-            else (breaker.clock if breaker is not None else VirtualClock())
-        )
-        self._busy_until = [0.0] * n_workers
-        self._in_flight: list[float] = []  # finish-time min-heap
-        self.submitted = 0
-        self.served = 0
-        self.errors = 0
-        self.span_ms = 0.0  # latest virtual finish on this shard
-        self._cache_fn = getattr(backend, "cache_stats", None)
         self.telemetry.attach_gauge("shard", self.stats)
-        if breaker is not None:
-            self.telemetry.attach_gauge("shard_breaker", breaker.stats)
-
-    # -- state the router reads ---------------------------------------------------
-
-    def backlog(self, at_ms: float) -> int:
-        """Requests still in flight on this shard at virtual ``at_ms``.
-
-        The router's load signal and the fabric's QoS shed signal.  Pops
-        finished entries from the heap as a side effect -- safe because
-        the fabric only ever asks about the current (monotone) arrival
-        time.
-        """
-        heap = self._in_flight
-        while heap and heap[0] <= at_ms:
-            heappop(heap)
-        return len(heap)
+        if self.breaker is not None:
+            self.telemetry.attach_gauge("shard_breaker", self.breaker.stats)
 
     def healthy(self, at_ms: float) -> bool:
         """Routing-time health peek: would this shard accept traffic?
@@ -112,87 +41,7 @@ class ShardRuntime(ServingRuntime):
         actual OPEN -> HALF_OPEN transition happens when the routed
         request reaches :meth:`submit`.
         """
-        breaker = self.breaker
-        if breaker is None or breaker.state is not BreakerState.OPEN:
-            return True
-        return at_ms - breaker._opened_at_ms >= breaker.cooldown_ms
-
-    # -- the per-request path -----------------------------------------------------
-
-    def submit(self, req: Request):
-        """Admit and (virtually) execute one routed request.
-
-        Called in global arrival order.  Returns :class:`Served` or
-        :class:`Rejected` and files the outcome on this shard's bus.
-        """
-        self.submitted += 1
-        arrival = req.arrival_ms
-        now = self.clock.now_ms()
-        if arrival > now:
-            # Breaker cooldowns elapse with traffic, not wall clock.
-            self.clock.advance(arrival - now)
-        backlog = self.backlog(arrival)
-        worker = min(
-            range(self.n_workers), key=lambda w: (self._busy_until[w], w)
-        )
-        start = max(self._busy_until[worker], arrival)
-        wait = start - arrival
-        config = self.config
-        outcome = None
-        if config.timeout_ms is not None and wait > config.timeout_ms:
-            outcome = Rejected(request=req, reason="timeout", wait_ms=wait)
-        elif (
-            config.queue_capacity is not None
-            and backlog > config.queue_capacity
-        ):
-            outcome = Rejected(request=req, reason="queue_full", wait_ms=wait)
-        elif (
-            config.max_in_flight is not None
-            and backlog >= config.max_in_flight
-        ):
-            outcome = Rejected(request=req, reason="overload", wait_ms=wait)
-        elif self.breaker is not None and not self.breaker.allow():
-            outcome = Rejected(request=req, reason="shard_open", wait_ms=wait)
-        if outcome is not None:
-            self._file_telemetry(outcome, None, None)
-            return outcome
-        before = self._cache_fn() if self._cache_fn is not None else None
-        try:
-            decision = self.backend.serve(req.query)
-        except DriverError:
-            self.errors += 1
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            outcome = Rejected(request=req, reason="error", wait_ms=wait)
-            self._file_telemetry(outcome, None, None)
-            return outcome
-        after = self._cache_fn() if self._cache_fn is not None else None
-        if self.breaker is not None:
-            self.breaker.record_success()
-        finish = start + decision.latency_ms
-        self._busy_until[worker] = finish
-        heappush(self._in_flight, finish)
-        if finish > self.span_ms:
-            self.span_ms = finish
-        self.served += 1
-        outcome = Served(
-            request=req,
-            stage=decision.stage,
-            plan_source=decision.plan_source,
-            latency_ms=decision.latency_ms,
-            wait_ms=wait,
-            cardinality=decision.cardinality,
-        )
-        audit = ""
-        if self.auditor is not None:
-            audit = self.auditor.observe(
-                req.query, decision.cardinality, bus=self.telemetry
-            )
-        self.telemetry.observe("latency_ms", decision.latency_ms)
-        self._file_telemetry(outcome, before, after, audit)
-        return outcome
-
-    # -- reporting ---------------------------------------------------------------
+        return self.breaker is None or self.breaker.would_allow(at_ms)
 
     def stats(self) -> dict[str, float]:
         """Gauge-friendly shard summary (numbers only)."""
@@ -206,3 +55,24 @@ class ShardRuntime(ServingRuntime):
                 self.breaker.trips if self.breaker is not None else 0
             ),
         }
+
+
+def guarded_shard(
+    shard_id: int,
+    backend: Backend,
+    *,
+    injector: FaultInjector | None = None,
+    failure_threshold: int = 3,
+    cooldown_ms: float = 500.0,
+    **core,
+) -> ShardRuntime:
+    """A shard behind its own circuit breaker on its own virtual clock --
+    and, given a fault ``injector``, with its backend wrapped under the
+    shard-named target (``"shard03"``) fault plans address."""
+    name = f"shard{shard_id:02d}"
+    if injector is not None:
+        backend = injector.wrap_backend(backend, target=name)
+    breaker = CircuitBreaker(
+        failure_threshold=failure_threshold, cooldown_ms=cooldown_ms, name=name
+    )
+    return ShardRuntime(shard_id, backend, breaker=breaker, **core)

@@ -1,38 +1,53 @@
-"""The serving runtime: N concurrent client sessions over one backend.
+"""The serving core: admission, breaker, backend, telemetry -- one path.
 
-:class:`ServingRuntime` turns the run-to-completion workbench into a
-long-lived server: a workload is partitioned into per-session request
-queues with seeded arrival times (:func:`build_schedule`), one thread per
-session drains its queue, and admission control sheds work that a real
-front-end would refuse -- requests that waited past ``timeout_ms``, that
-arrived behind a too-deep session queue, or that hit the global
-``max_in_flight`` ceiling -- each returning a typed :class:`Rejected`
-outcome instead of a result.
+Every request takes :meth:`ServingRuntime.submit`: admission control
+sheds work a real front-end would refuse (a typed :class:`Rejected`
+instead of a result), the optional circuit breaker guards the backend,
+the backend serves, and the outcome is filed on the telemetry bus.  The
+two drivers differ only in the *lane* a request occupies while it
+(virtually) executes: :meth:`ServingRuntime.run` drains a
+:func:`build_schedule` workload in ``global_seq`` order with each request
+pinned to its session's lane; the fabric calls :meth:`submit` with no
+lane, which takes the earliest-free of the core's ``n_workers`` lanes
+(:class:`repro.serve.fabric.ShardRuntime` is this class plus a name).
 
-**Determinism.** The optimizer/model stack underneath is stateful and not
-thread-safe, and learned components train on the feedback stream, so the
-order queries reach the backend changes every later decision.  The runtime
-therefore runs a *single-writer execution core*: all requests carry a
-global sequence number (schedule order: arrival time, then session id) and
-a turn gate admits exactly one session thread at a time, in that order.
-Threads give real queueing behaviour; the gate guarantees that two runs
-with the same schedule and seeds produce byte-identical telemetry
-snapshots -- the property the serving smoke test asserts.  Time inside the
-core is *virtual* (arrival offsets plus simulated latencies), so admission
-decisions are reproducible and independent of host load; wall-clock
-figures are reported separately in :class:`RunReport` and never enter the
-telemetry bus.
+**Admission semantics.**  At a request's arrival, ``in_flight`` is the
+number of requests admitted on this core whose virtual finish is later
+than the arrival, and ``wait`` is how long the request's lane stays busy
+past the arrival.  Checked in order:
+
+=============  ================================  ==========================
+reason         condition                         knob (``None`` disables)
+=============  ================================  ==========================
+``timeout``    ``wait > timeout_ms``             ``RuntimeConfig.timeout_ms``
+``queue_full`` ``in_flight > queue_capacity``    ``.queue_capacity``
+``overload``   ``in_flight >= max_in_flight``    ``.max_in_flight``
+``shard_open`` the core's breaker denies         ``breaker=``
+``error``      backend raised ``DriverError``    (feeds the breaker)
+=============  ================================  ==========================
+
+Any other exception propagates to the caller as itself.
+
+**Determinism.**  The model stack underneath is stateful and trains on
+the feedback stream, so the order queries reach the backend changes every
+later decision: requests are processed strictly in arrival order by one
+plain loop.  Time inside the core is *virtual* (arrival offsets plus
+simulated latencies), so admission is reproducible and independent of
+host load; wall-clock figures are reported separately in
+:class:`RunReport` and never enter the telemetry bus.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable
 
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, DriverError
+from repro.core.interfaces import Backend, Decision
+from repro.faults.resilience import CircuitBreaker
 from repro.pilotscope.console import PilotScopeConsole
 from repro.serve.deployment import query_hash
 from repro.serve.telemetry import TelemetryBus, TraceRecord
@@ -75,12 +90,12 @@ class Served:
 
 @dataclass(frozen=True)
 class Rejected:
-    """A request shed by admission control.
+    """A request the core refused.
 
-    ``reason`` is one of ``"timeout"`` (waited longer than the client
-    timeout before service could start), ``"queue_full"`` (the session's
-    backlog exceeded ``queue_capacity`` when its turn came) or
-    ``"overload"`` (too many sessions busy: the global in-flight ceiling).
+    ``reason`` is ``"timeout"``, ``"queue_full"``, ``"overload"``,
+    ``"shard_open"`` or ``"error"`` -- see the admission table in the
+    module docstring -- or, for requests a fabric refused before any
+    shard saw them, ``"quota"``, ``"unavailable"`` or ``"qos_shed"``.
     """
 
     request: Request
@@ -90,10 +105,14 @@ class Rejected:
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """Admission-control knobs.
+    """Admission-control knobs; ``None`` disables the corresponding check.
 
-    ``None`` disables the corresponding check.  ``max_in_flight`` counts
-    sessions whose (virtual) execution overlaps a request's start time.
+    ``timeout_ms`` bounds a request's queueing delay.  ``queue_capacity``
+    and ``max_in_flight`` are two thresholds on the same count -- requests
+    admitted on the core and not yet (virtually) finished at the arrival:
+    ``queue_full`` when it *exceeds* ``queue_capacity``, ``overload`` when
+    it has *reached* ``max_in_flight`` (so ``max_in_flight=0`` refuses
+    everything).
     """
 
     timeout_ms: float | None = 2_000.0
@@ -168,19 +187,26 @@ def build_schedule(
 
 
 class ConsoleBackend:
-    """Adapt a :class:`PilotScopeConsole` to the runtime's backend surface.
+    """Adapt a :class:`PilotScopeConsole` to the :class:`Backend` protocol.
 
     The console's transparent driver routing becomes the serving path;
     there is no deployment stage, so every decision reports ``live``.
     """
 
+    name = ""  # no model behind it: traces carry an empty estimator tag
+    telemetry = None
+
     def __init__(self, console: PilotScopeConsole) -> None:
         self.console = console
+        self.plan_cache = console.plan_cache
 
-    def serve(self, query: Query):
+    def cache_stats(self) -> None:
+        return None
+
+    def serve(self, query: Query) -> Decision:
         outcome = self.console.execute(query)
         entry = self.console.query_log[-1]
-        return _ConsoleDecision(
+        return Decision(
             stage="live",
             plan_source=entry.served_by,
             latency_ms=outcome.latency_ms,
@@ -188,255 +214,210 @@ class ConsoleBackend:
         )
 
 
-@dataclass(frozen=True)
-class _ConsoleDecision:
-    stage: str
-    plan_source: str
-    latency_ms: float
-    cardinality: int
-
-
-class _TurnGate:
-    """Admits threads one at a time, in global-sequence order."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._next = 0
-
-    def wait_turn(self, turn: int) -> None:
-        with self._cond:
-            while self._next != turn:
-                self._cond.wait()
-
-    def advance(self) -> None:
-        with self._cond:
-            self._next += 1
-            self._cond.notify_all()
-
-
 class ServingRuntime:
-    """Run a scheduled workload through a backend with admission control.
+    """The serving core: one admission path over one :class:`Backend`.
 
-    ``backend`` needs ``serve(query)`` returning an object with
-    ``stage``, ``plan_source``, ``latency_ms`` and ``cardinality`` --
-    satisfied by :class:`repro.serve.deployment.DeploymentManager` and by
-    :class:`ConsoleBackend`.  ``hooks`` maps a global sequence number to a
-    callable run (inside the execution core, so deterministically) just
-    before that request is processed -- the drift scenario uses this to
-    mutate the database mid-stream.
+    ``hooks`` maps a global sequence number to a callable :meth:`run`
+    calls just before that request is submitted -- the drift scenarios use
+    this to mutate the database mid-stream.  ``n_workers`` is the number
+    of lanes :meth:`submit` places un-pinned requests on; ``breaker``
+    optionally guards the backend, its virtual clock advanced to each
+    arrival so cooldowns elapse with traffic, not wall time.
 
     ``auditor`` optionally attaches a sampled online correctness audit
     (see :class:`repro.oracle.OnlineAuditor`): each served request passes
-    through ``auditor.observe(query, cardinality, bus=...)`` inside the
-    single-writer core (so sampling stays deterministic) and the returned
-    tag lands on the request's :class:`~repro.serve.telemetry.TraceRecord`.
+    through ``auditor.observe(query, cardinality, bus=...)`` and the
+    returned tag lands on the request's
+    :class:`~repro.serve.telemetry.TraceRecord`.
     """
 
     def __init__(
         self,
-        backend,
+        backend: Backend,
         *,
         config: RuntimeConfig | None = None,
         telemetry: TelemetryBus | None = None,
         hooks: dict[int, Callable[[], None]] | None = None,
         auditor=None,
+        n_workers: int = 1,
+        breaker: CircuitBreaker | None = None,
     ) -> None:
+        if n_workers < 1:
+            raise ConfigError("need at least one worker")
         self.backend = backend
         self.config = config if config is not None else RuntimeConfig()
         self.telemetry = (
             telemetry
             if telemetry is not None
-            else getattr(backend, "telemetry", None) or TelemetryBus()
+            else backend.telemetry or TelemetryBus()
         )
         self.hooks = dict(hooks) if hooks else {}
         self.auditor = auditor
-        # Surface the backend's plan cache (deployment manager or console)
-        # in every telemetry snapshot, like the cardinality cache.
-        plan_cache = getattr(backend, "plan_cache", None)
-        if plan_cache is None:
-            console = getattr(backend, "console", None)
-            plan_cache = getattr(console, "plan_cache", None)
-        if plan_cache is not None and hasattr(plan_cache, "stats"):
-            self.telemetry.attach_gauge("plan_cache", plan_cache.stats)
+        self.n_workers = n_workers
+        self.breaker = breaker
+        self.submitted = 0
+        self.served = 0
+        self.errors = 0
+        self._reset(n_workers)
+        if backend.plan_cache is not None:
+            self.telemetry.attach_gauge("plan_cache", backend.plan_cache.stats)
 
-    # -- the execution core (always entered in global_seq order) -----------------
+    def _reset(self, n_lanes: int) -> None:
+        """Start a fresh virtual timeline with ``n_lanes`` idle lanes."""
+        self._busy_until = [0.0] * n_lanes
+        self._in_flight: list[float] = []  # finish-time min-heap
+        self.span_ms = 0.0  # latest virtual finish on this core
 
-    def _process(
-        self,
-        req: Request,
-        arrivals: list[list[float]],
-        session_clock: list[float],
-        busy_until: list[float],
-    ):
+    def backlog(self, at_ms: float) -> int:
+        """Admitted requests still in flight at virtual ``at_ms``.
+
+        Pops finished entries from the heap as a side effect -- safe
+        because callers only ever ask about the current (monotone)
+        arrival time.
+        """
+        heap = self._in_flight
+        while heap and heap[0] <= at_ms:
+            heappop(heap)
+        return len(heap)
+
+    # -- the per-request path -----------------------------------------------------
+
+    def submit(self, req: Request, lane: int | None = None):
+        """Admit and (virtually) execute one request.
+
+        Must be called in arrival order.  ``lane=None`` places the request
+        on the earliest-free worker lane (ties to the lower id).  Returns
+        :class:`Served` or :class:`Rejected` and files it on the bus.
+        """
+        self.submitted += 1
+        arrival = req.arrival_ms
+        breaker = self.breaker
+        if breaker is not None:
+            now = breaker.clock.now_ms()
+            if arrival > now:
+                breaker.clock.advance(arrival - now)
+        in_flight = self.backlog(arrival)
+        busy = self._busy_until
+        if lane is None:
+            lane = min(range(len(busy)), key=busy.__getitem__)
+        start = max(busy[lane], arrival)
+        wait = start - arrival
         config = self.config
-        start = max(session_clock[req.session_id], req.arrival_ms)
-        wait = start - req.arrival_ms
+        backend = self.backend
+        bus = self.telemetry
+        reason = None
         if config.timeout_ms is not None and wait > config.timeout_ms:
-            return Rejected(request=req, reason="timeout", wait_ms=wait)
-        # Session backlog when service could start: requests of this
-        # session that have arrived (arrival <= start) but not yet started.
-        backlog = (
-            bisect_right(arrivals[req.session_id], start) - req.seq
-        )
-        if config.queue_capacity is not None and backlog > config.queue_capacity:
-            return Rejected(request=req, reason="queue_full", wait_ms=wait)
-        if config.max_in_flight is not None:
-            in_flight = sum(
-                1
-                for sid, until in enumerate(busy_until)
-                if sid != req.session_id and until > start
+            reason = "timeout"
+        elif (
+            config.queue_capacity is not None
+            and in_flight > config.queue_capacity
+        ):
+            reason = "queue_full"
+        elif (
+            config.max_in_flight is not None
+            and in_flight >= config.max_in_flight
+        ):
+            reason = "overload"
+        elif breaker is not None and not breaker.allow():
+            reason = "shard_open"
+        else:
+            before = backend.cache_stats()
+            try:
+                decision = backend.serve(req.query)
+            except DriverError:
+                self.errors += 1
+                if breaker is not None:
+                    breaker.record_failure()
+                reason = "error"
+        if reason is not None:
+            bus.incr(f"runtime.rejected.{reason}")
+            bus.trace(
+                TraceRecord(
+                    session_id=req.session_id,
+                    seq=req.seq,
+                    query_hash=query_hash(req.query),
+                    outcome=reason,
+                    stage="",
+                    plan_source="",
+                    estimator_tag=backend.name,
+                    latency_ms=0.0,
+                    wait_ms=wait,
+                )
             )
-            if in_flight >= config.max_in_flight:
-                return Rejected(request=req, reason="overload", wait_ms=wait)
-        decision = self.backend.serve(req.query)
-        finish = start + decision.latency_ms
-        session_clock[req.session_id] = finish
-        busy_until[req.session_id] = finish
+            return Rejected(request=req, reason=reason, wait_ms=wait)
+        after = backend.cache_stats()
+        if breaker is not None:
+            breaker.record_success()
+        latency = decision.latency_ms
+        finish = start + latency
+        busy[lane] = finish
+        heappush(self._in_flight, finish)
+        if finish > self.span_ms:
+            self.span_ms = finish
+        self.served += 1
+        audit = ""
+        if self.auditor is not None:
+            audit = self.auditor.observe(
+                req.query, decision.cardinality, bus=bus
+            )
+        if backend.telemetry is not bus:
+            # A backend on the core's own bus files its latency itself.
+            bus.observe("latency_ms", latency)
+        bus.incr("runtime.served")
+        bus.observe("wait_ms", wait)
+        hits = misses = 0
+        if before is not None and after is not None:
+            hits = int(after["hits"] - before["hits"])
+            misses = int(after["misses"] - before["misses"])
+        bus.trace(
+            TraceRecord(
+                session_id=req.session_id,
+                seq=req.seq,
+                query_hash=query_hash(req.query),
+                outcome="served",
+                stage=decision.stage,
+                plan_source=decision.plan_source,
+                estimator_tag=backend.name,
+                latency_ms=latency,
+                wait_ms=wait,
+                cache_hits=hits,
+                cache_misses=misses,
+                audit=audit,
+            )
+        )
         return Served(
             request=req,
             stage=decision.stage,
             plan_source=decision.plan_source,
-            latency_ms=decision.latency_ms,
+            latency_ms=latency,
             wait_ms=wait,
             cardinality=decision.cardinality,
         )
 
-    def _file_telemetry(
-        self, outcome, cache_before, cache_after, audit: str = ""
-    ) -> None:
-        bus = self.telemetry
-        req = outcome.request
-        if isinstance(outcome, Served):
-            bus.incr("runtime.served")
-            bus.observe("wait_ms", outcome.wait_ms)
-            hits = misses = 0
-            if cache_before is not None and cache_after is not None:
-                hits = int(cache_after["hits"] - cache_before["hits"])
-                misses = int(cache_after["misses"] - cache_before["misses"])
-            bus.trace(
-                TraceRecord(
-                    session_id=req.session_id,
-                    seq=req.seq,
-                    query_hash=query_hash(req.query),
-                    outcome="served",
-                    stage=outcome.stage,
-                    plan_source=outcome.plan_source,
-                    estimator_tag=getattr(self.backend, "name", ""),
-                    latency_ms=outcome.latency_ms,
-                    wait_ms=outcome.wait_ms,
-                    cache_hits=hits,
-                    cache_misses=misses,
-                    audit=audit,
-                )
-            )
-        else:
-            bus.incr(f"runtime.rejected.{outcome.reason}")
-            bus.trace(
-                TraceRecord(
-                    session_id=req.session_id,
-                    seq=req.seq,
-                    query_hash=query_hash(req.query),
-                    outcome=outcome.reason,
-                    stage="",
-                    plan_source="",
-                    estimator_tag=getattr(self.backend, "name", ""),
-                    latency_ms=0.0,
-                    wait_ms=outcome.wait_ms,
-                )
-            )
-
-    # -- session workers -----------------------------------------------------------
-
-    def _run_session(
-        self,
-        requests: list[Request],
-        gate: _TurnGate,
-        arrivals: list[list[float]],
-        session_clock: list[float],
-        busy_until: list[float],
-        outcomes: list,
-        errors: list,
-    ) -> None:
-        cache_fn = getattr(self.backend, "cache_stats", None)
-        for req in requests:
-            gate.wait_turn(req.global_seq)
-            try:
-                # After any session failed, the remaining turns still must
-                # advance (other sessions block on them) but do no work.
-                if not errors:
-                    hook = self.hooks.get(req.global_seq)
-                    if hook is not None:
-                        hook()
-                    before = cache_fn() if cache_fn is not None else None
-                    outcome = self._process(
-                        req, arrivals, session_clock, busy_until
-                    )
-                    after = cache_fn() if cache_fn is not None else None
-                    audit = ""
-                    if self.auditor is not None and isinstance(outcome, Served):
-                        audit = self.auditor.observe(
-                            req.query,
-                            outcome.cardinality,
-                            bus=self.telemetry,
-                        )
-                    self._file_telemetry(outcome, before, after, audit)
-                    outcomes[req.global_seq] = outcome
-            except BaseException as exc:  # surface worker failures to run()
-                errors.append(exc)
-            finally:
-                gate.advance()
+    # -- the schedule driver ------------------------------------------------------
 
     def run(self, schedule: list[list[Request]]) -> RunReport:
-        """Execute one scheduled workload; blocks until all sessions drain."""
-        n_sessions = len(schedule)
-        n_requests = sum(len(s) for s in schedule)
-        arrivals = [[r.arrival_ms for r in sess] for sess in schedule]
-        session_clock = [0.0] * n_sessions
-        busy_until = [0.0] * n_sessions
-        outcomes: list = [None] * n_requests
-        errors: list = []
-        gate = _TurnGate()
-        t0 = time.perf_counter()
-        threads = [
-            threading.Thread(
-                target=self._run_session,
-                args=(
-                    sess,
-                    gate,
-                    arrivals,
-                    session_clock,
-                    busy_until,
-                    outcomes,
-                    errors,
-                ),
-                name=f"serve-session-{sid}",
-                daemon=True,
-            )
-            for sid, sess in enumerate(schedule)
-            if sess
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        wall = time.perf_counter() - t0
-        if errors:
-            raise errors[0]
-        served = [o for o in outcomes if isinstance(o, Served)]
-        rejected: dict[str, int] = {}
-        for o in outcomes:
-            if isinstance(o, Rejected):
-                rejected[o.reason] = rejected.get(o.reason, 0) + 1
-        span = max(busy_until) if served else 0.0
-        ordered = sorted(
-            (o for o in outcomes if o is not None),
-            key=lambda o: (o.request.session_id, o.request.seq),
+        """Drain one scheduled workload on a fresh virtual timeline: one
+        lane per session, requests submitted in ``global_seq`` order."""
+        requests = sorted(
+            (r for sess in schedule for r in sess), key=lambda r: r.global_seq
         )
+        self._reset(len(schedule))
+        outcomes = []
+        t0 = time.perf_counter()
+        for req in requests:
+            hook = self.hooks.get(req.global_seq)
+            if hook is not None:
+                hook()
+            outcomes.append(self.submit(req, lane=req.session_id))
+        wall = time.perf_counter() - t0
+        rejected = Counter(o.reason for o in outcomes if isinstance(o, Rejected))
+        outcomes.sort(key=lambda o: (o.request.session_id, o.request.seq))
         return RunReport(
-            n_requests=n_requests,
-            n_served=len(served),
+            n_requests=len(requests),
+            n_served=len(requests) - sum(rejected.values()),
             rejected=dict(sorted(rejected.items())),
             wall_seconds=wall,
-            simulated_span_ms=span,
-            outcomes=ordered,
+            simulated_span_ms=self.span_ms,
+            outcomes=outcomes,
         )

@@ -179,65 +179,59 @@ class ServingScenario:
         return sum(len(s) for s in self.schedule)
 
 
+def _native(scale: float, seed: int) -> tuple[Database, Optimizer]:
+    db = make_stats_lite(scale=scale, seed=seed)
+    return db, Optimizer(db)
+
+
 def _assemble(
-    *,
     name: str,
-    scale: float,
+    db: Database,
+    native: Optimizer,
+    learned,
+    *,
     seed: int,
     n_queries: int,
     n_sessions: int,
-    stage: Stage,
-    canary_fraction: float,
-    regression_threshold: float,
-    window: int,
-    min_samples: int,
     config: RuntimeConfig | None,
-    learned_wrap=None,
-    hooks: dict | None = None,
+    queries: list[Query] | None = None,
     audit_every: int | None = None,
-    plan_cache: PlanCache | None = None,
-    workload_fn=None,
+    injector: FaultInjector | None = None,
+    **deployment_kwargs,
 ) -> ServingScenario:
-    db = make_stats_lite(scale=scale, seed=seed)
-    native = Optimizer(db)
+    """Stage ``learned`` over ``native`` behind a deployment manager and a
+    serving runtime, with a seeded ``n_sessions``-session schedule of
+    ``queries`` (default: ``n_queries`` generated 2-4 table joins) and,
+    given ``audit_every``, the online auditor (feeding the deployment's
+    bound guard when it has one)."""
     simulator = ExecutionSimulator(db)
-    learned = BaoOptimizer(native, seed=seed)
-    if learned_wrap is not None:
-        learned = learned_wrap(learned, native)
     deployment = DeploymentManager(
         learned,
         native,
         simulator,
-        stage=stage,
-        canary_fraction=canary_fraction,
-        regression_threshold=regression_threshold,
-        window=window,
-        min_samples=min_samples,
-        plan_cache=plan_cache,
+        **{"window": 40, "min_samples": 15, **deployment_kwargs},
     )
-    if workload_fn is not None:
-        queries = workload_fn(db)
-    else:
+    if queries is None:
         queries = WorkloadGenerator(db, seed=seed + 1).workload(
             n_queries, 2, 4, require_predicate=True
         )
-    schedule = build_schedule(queries, n_sessions, seed=seed)
-    auditor = (
-        OnlineAuditor(db, every=audit_every) if audit_every is not None else None
-    )
-    runtime = ServingRuntime(
-        deployment, config=config, hooks=hooks, auditor=auditor
-    )
+    auditor = None
+    if audit_every is not None:
+        auditor = OnlineAuditor(
+            db, every=audit_every, bound_guard=deployment.bound_guard
+        )
     return ServingScenario(
         name=name,
         db=db,
         native=native,
         simulator=simulator,
         deployment=deployment,
-        runtime=runtime,
-        schedule=schedule,
+        runtime=ServingRuntime(deployment, config=config, auditor=auditor),
+        schedule=build_schedule(queries, n_sessions, seed=seed),
+        injector=injector,
         auditor=auditor,
-        plan_cache=plan_cache,
+        plan_cache=deployment.plan_cache,
+        bound_guard=deployment.bound_guard,
     )
 
 
@@ -258,19 +252,20 @@ def steady_state_scenario(
     that many served queries is re-verified against the independent
     reference count, with outcomes reported through the telemetry bus.
     """
+    db, native = _native(scale, seed)
     return _assemble(
-        name="steady_state",
-        scale=scale,
+        "steady_state",
+        db,
+        native,
+        BaoOptimizer(native, seed=seed),
         seed=seed,
         n_queries=n_queries,
         n_sessions=n_sessions,
+        config=config,
+        audit_every=audit_every,
         stage=stage,
         canary_fraction=canary_fraction,
         regression_threshold=2.5,
-        window=40,
-        min_samples=15,
-        config=config,
-        audit_every=audit_every,
     )
 
 
@@ -291,19 +286,14 @@ def drift_scenario(
     native statistics refresh changes) -- so the second half of the stream
     runs against genuinely different data.
     """
-    scenario = _assemble(
-        name="drift_midstream",
+    scenario = steady_state_scenario(
         scale=scale,
         seed=seed,
         n_queries=n_queries,
         n_sessions=n_sessions,
-        stage=Stage.CANARY,
-        canary_fraction=0.5,
-        regression_threshold=2.5,
-        window=40,
-        min_samples=15,
         config=config,
     )
+    scenario.name = "drift_midstream"
 
     def _drift() -> None:
         apply_drift(scenario.db, fraction=drift_fraction, seed=seed)
@@ -336,25 +326,24 @@ def parameterized_scenario(
     binding replays the cached plan.  Expected hit rate:
     ``1 - 1/bindings_per_template`` -- 90% at the defaults.
     """
-    cache = plan_cache if plan_cache is not None else PlanCache()
+    db, native = _native(scale, seed)
+    queries = WorkloadGenerator(db, seed=seed + 1).parameterized_workload(
+        n_templates, bindings_per_template, 2, 4, require_predicate=True
+    )
     return _assemble(
-        name="parameterized",
-        scale=scale,
+        "parameterized",
+        db,
+        native,
+        BaoOptimizer(native, seed=seed),
         seed=seed,
-        n_queries=n_templates * bindings_per_template,
+        n_queries=len(queries),
         n_sessions=n_sessions,
+        config=config,
+        queries=queries,
         stage=Stage.SHADOW,
         canary_fraction=0.5,
         regression_threshold=2.5,
-        window=40,
-        min_samples=15,
-        config=config,
-        plan_cache=cache,
-        workload_fn=lambda db: WorkloadGenerator(
-            db, seed=seed + 1
-        ).parameterized_workload(
-            n_templates, bindings_per_template, 2, 4, require_predicate=True
-        ),
+        plan_cache=plan_cache if plan_cache is not None else PlanCache(),
     )
 
 
@@ -371,21 +360,23 @@ def injected_regression_scenario(
     config: RuntimeConfig | None = None,
 ) -> ServingScenario:
     """A canary that goes bad and must be rolled back automatically."""
+    db, native = _native(scale, seed)
     return _assemble(
-        name="injected_regression",
-        scale=scale,
+        "injected_regression",
+        db,
+        native,
+        RegressionInjector(
+            BaoOptimizer(native, seed=seed), native, trigger_at=trigger_at
+        ),
         seed=seed,
         n_queries=n_queries,
         n_sessions=n_sessions,
+        config=config,
         stage=Stage.CANARY,
         canary_fraction=1.0,
         regression_threshold=regression_threshold,
         window=window,
         min_samples=min_samples,
-        config=config,
-        learned_wrap=lambda learned, native: RegressionInjector(
-            learned, native, trigger_at=trigger_at
-        ),
     )
 
 
@@ -438,19 +429,13 @@ def chaos_scenario(
     benchmarks exercise the whole ladder all run long); pass an int to
     demonstrate the trip-triggered rollback instead.
     """
-    db = make_stats_lite(scale=scale, seed=seed)
-    native = Optimizer(db)
-    simulator = ExecutionSimulator(db)
+    db, native = _native(scale, seed)
     bus = TelemetryBus()
     injector = FaultInjector(
         plan if plan is not None else default_chaos_plan(seed), telemetry=bus
     )
     estimator_breaker = CircuitBreaker(
-        failure_threshold=3,
-        cooldown_ms=500.0,
-        clock=injector.clock,
-        name="estimator",
-        telemetry=bus,
+        cooldown_ms=500.0, clock=injector.clock, name="estimator", telemetry=bus
     )
     resilient = FallbackEstimator(
         injector.wrap_estimator(native.estimator),
@@ -459,46 +444,30 @@ def chaos_scenario(
         telemetry=bus,
         name="estimator",
     )
-    learned = injector.wrap_learned(
-        BaoOptimizer(native.with_estimator(resilient), seed=seed)
-    )
-    deployment = DeploymentManager(
-        learned,
+    bus.attach_gauge("fault_injector", injector.stats)
+    bus.attach_gauge("fallback_estimator", resilient.stats)
+    bus.attach_gauge("breaker_estimator", estimator_breaker.stats)
+    return _assemble(
+        "chaos",
+        db,
         native,
-        simulator,
+        injector.wrap_learned(
+            BaoOptimizer(native.with_estimator(resilient), seed=seed)
+        ),
+        seed=seed,
+        n_queries=n_queries,
+        n_sessions=n_sessions,
+        config=config,
+        injector=injector,
         telemetry=bus,
         stage=stage,
         canary_fraction=canary_fraction,
         regression_threshold=3.0,
-        window=40,
-        min_samples=15,
         breaker=CircuitBreaker(
-            failure_threshold=3,
-            cooldown_ms=400.0,
-            clock=injector.clock,
-            name="learned",
-            telemetry=bus,
+            cooldown_ms=400.0, clock=injector.clock, name="learned", telemetry=bus
         ),
         call_timeout_ms=call_timeout_ms,
         rollback_after_trips=rollback_after_trips,
-    )
-    bus.attach_gauge("fault_injector", injector.stats)
-    bus.attach_gauge("fallback_estimator", resilient.stats)
-    bus.attach_gauge("breaker_estimator", estimator_breaker.stats)
-    queries = WorkloadGenerator(db, seed=seed + 1).workload(
-        n_queries, 2, 4, require_predicate=True
-    )
-    schedule = build_schedule(queries, n_sessions, seed=seed)
-    runtime = ServingRuntime(deployment, config=config)
-    return ServingScenario(
-        name="chaos",
-        db=db,
-        native=native,
-        simulator=simulator,
-        deployment=deployment,
-        runtime=runtime,
-        schedule=schedule,
-        injector=injector,
     )
 
 
@@ -546,62 +515,43 @@ def bound_guard_scenario(
     ``bound_violation_rollback`` optionally arms the deployment's
     rate-triggered rollback.
     """
-    db = make_stats_lite(scale=scale, seed=seed)
-    native = Optimizer(db)
-    simulator = ExecutionSimulator(db)
+    db, native = _native(scale, seed)
     bus = TelemetryBus()
     injector = FaultInjector(
         plan if plan is not None else default_bound_fault_plan(seed),
         telemetry=bus,
     )
-    bounds = MCVJoinBoundEstimator(db)
-    guard_breaker = CircuitBreaker(
-        failure_threshold=3,
-        cooldown_ms=500.0,
-        clock=injector.clock,
-        name="bound_guard",
-        telemetry=bus,
-    )
     guard = BoundGuard(
         injector.wrap_estimator(native.estimator),
-        bounds,
+        MCVJoinBoundEstimator(db),
         TraditionalCardinalityEstimator(db),
-        breaker=guard_breaker,
+        breaker=CircuitBreaker(
+            cooldown_ms=500.0,
+            clock=injector.clock,
+            name="bound_guard",
+            telemetry=bus,
+        ),
         telemetry=bus,
         tolerance=tolerance,
     )
-    learned = BaoOptimizer(native.with_estimator(guard), seed=seed)
-    deployment = DeploymentManager(
-        learned,
+    bus.attach_gauge("fault_injector", injector.stats)
+    return _assemble(
+        "bound_guard",
+        db,
         native,
-        simulator,
+        BaoOptimizer(native.with_estimator(guard), seed=seed),
+        seed=seed,
+        n_queries=n_queries,
+        n_sessions=n_sessions,
+        config=config,
+        audit_every=audit_every,
+        injector=injector,
         telemetry=bus,
         stage=Stage.CANARY,
         canary_fraction=0.5,
         regression_threshold=3.0,
-        window=40,
-        min_samples=15,
         bound_guard=guard,
         bound_violation_rollback=bound_violation_rollback,
-    )
-    bus.attach_gauge("fault_injector", injector.stats)
-    queries = WorkloadGenerator(db, seed=seed + 1).workload(
-        n_queries, 2, 4, require_predicate=True
-    )
-    schedule = build_schedule(queries, n_sessions, seed=seed)
-    auditor = OnlineAuditor(db, every=audit_every, bound_guard=guard)
-    runtime = ServingRuntime(deployment, config=config, auditor=auditor)
-    return ServingScenario(
-        name="bound_guard",
-        db=db,
-        native=native,
-        simulator=simulator,
-        deployment=deployment,
-        runtime=runtime,
-        schedule=schedule,
-        injector=injector,
-        auditor=auditor,
-        bound_guard=guard,
     )
 
 
@@ -641,29 +591,15 @@ def adversarial_drift_scenario(
     differs, which is what makes the p99 comparison in
     ``bench_p8_bounds.py`` an apples-to-apples gate.
     """
-    db = make_stats_lite(scale=scale, seed=seed)
-    point = TraditionalCardinalityEstimator(db)
+    db, native = _native(scale, seed)
     bounds = MCVJoinBoundEstimator(db)
     subject = Optimizer(
         db,
-        estimator=point,
+        estimator=TraditionalCardinalityEstimator(db),
         bound_estimator=bounds,
         risk="worst_case" if pessimistic else "expected",
     )
-    native = Optimizer(db)
-    simulator = ExecutionSimulator(db)
     name = "pessimistic" if pessimistic else "optimistic"
-    deployment = DeploymentManager(
-        PlannerBackend(subject, name=name),
-        native,
-        simulator,
-        stage=Stage.LIVE,
-        monitor_native=False,
-        regression_threshold=1e9,
-        window=40,
-        min_samples=15,
-        rollback_after_trips=None,
-    )
     targets = hot_key_targets(db)
     probes = hot_key_probe_queries(db, targets)
     queries = WorkloadGenerator(db, seed=seed + 1).workload(
@@ -673,15 +609,20 @@ def adversarial_drift_scenario(
     # (to-be-)hot keys: every third request cycles through the probe set.
     for i in range(2, len(queries), 3):
         queries[i] = probes[(i // 3) % len(probes)]
-    schedule = build_schedule(queries, n_sessions, seed=seed)
-    scenario = ServingScenario(
-        name=f"adversarial_drift:{name}",
-        db=db,
-        native=native,
-        simulator=simulator,
-        deployment=deployment,
-        runtime=ServingRuntime(deployment, config=config),
-        schedule=schedule,
+    scenario = _assemble(
+        f"adversarial_drift:{name}",
+        db,
+        native,
+        PlannerBackend(subject, name=name),
+        seed=seed,
+        n_queries=n_queries,
+        n_sessions=n_sessions,
+        config=config,
+        queries=queries,
+        stage=Stage.LIVE,
+        monitor_native=False,
+        regression_threshold=1e9,
+        rollback_after_trips=None,
     )
 
     def _drift() -> None:

@@ -119,7 +119,9 @@ class TraceRecord:
     session_id: int
     seq: int
     query_hash: str
-    outcome: str  # "served" | "timeout" | "overload" | "queue_full"
+    #: "served", or the :class:`~repro.serve.runtime.Rejected` reason
+    #: ("timeout" | "queue_full" | "overload" | "shard_open" | "error")
+    outcome: str
     stage: str  # deployment stage at serve time ("" for rejections)
     plan_source: str  # winning candidate source or "native"
     estimator_tag: str
@@ -141,7 +143,7 @@ class TelemetryBus:
         self.trace_capacity = trace_capacity
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
-        self._hists: dict[str, Histogram] = {}
+        self._histograms: dict[str, Histogram] = {}
         self._traces: list[TraceRecord] = []
         self._traces_dropped = 0
         self._events: list[dict] = []
@@ -155,9 +157,9 @@ class TelemetryBus:
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
-            hist = self._hists.get(name)
+            hist = self._histograms.get(name)
             if hist is None:
-                hist = self._hists[name] = Histogram()
+                hist = self._histograms[name] = Histogram()
             hist.record(value)
 
     def trace(self, record: TraceRecord) -> None:
@@ -226,10 +228,10 @@ class TelemetryBus:
                 out._traces_dropped += bus._traces_dropped
                 for gname, fn in bus._gauges.items():
                     out._gauges[f"{name}.{gname}"] = fn
-        hist_names = sorted({n for _, b in items for n in b._hists})
+        hist_names = sorted({n for _, b in items for n in b._histograms})
         for hname in hist_names:
-            out._hists[hname] = Histogram.merged(
-                [b._hists[hname] for _, b in items if hname in b._hists]
+            out._histograms[hname] = Histogram.merged(
+                [b._histograms[hname] for _, b in items if hname in b._histograms]
             )
         return out
 
@@ -239,6 +241,12 @@ class TelemetryBus:
         with self._lock:
             return [e for e in self._events if kind is None or e["kind"] == kind]
 
+    def histogram_summary(self, name: str) -> dict[str, float]:
+        """One histogram's summary (the all-zero summary when nothing was
+        observed under ``name``)."""
+        with self._lock:
+            return (self._histograms.get(name) or Histogram()).summary()
+
     def snapshot(self) -> dict:
         """Deterministic state dump: counters, histogram summaries, gauges,
         lifecycle events in occurrence order and traces sorted by identity."""
@@ -247,8 +255,8 @@ class TelemetryBus:
             return {
                 "counters": dict(sorted(self._counters.items())),
                 "histograms": {
-                    name: self._hists[name].summary()
-                    for name in sorted(self._hists)
+                    name: self._histograms[name].summary()
+                    for name in sorted(self._histograms)
                 },
                 "gauges": {
                     name: dict(self._gauges[name]())

@@ -1,26 +1,37 @@
 """Tests for repro.serve: telemetry, deployment lifecycle, runtime."""
 
+import dataclasses
 import json
-from dataclasses import dataclass
 
 import pytest
 
+from repro.core.errors import DriverError
 from repro.core.framework import CandidatePlan
+from repro.core.interfaces import Backend, Decision
 from repro.e2e import BaoOptimizer
+from repro.engine import ExecutionSimulator
+from repro.faults import CircuitBreaker, FaultInjector, FaultPlan, FaultSpec
+from repro.lifecycle import LifecycleBackend
+from repro.optimizer import Optimizer, PlanCache
+from repro.pilotscope import PilotScopeConsole, SimulatedPostgreSQL
 from repro.serve import (
     ConsoleBackend,
     DeploymentManager,
     Histogram,
     Rejected,
+    Request,
     RuntimeConfig,
     Served,
     ServingRuntime,
+    ShardRuntime,
     Stage,
     TelemetryBus,
     build_schedule,
     injected_regression_scenario,
+    sharded_fabric_scenario,
     steady_state_scenario,
 )
+from repro.serve.fabric import SyntheticBackend
 from repro.serve.deployment import query_hash
 
 
@@ -273,26 +284,23 @@ class TestDeploymentLifecycle:
 # -- runtime ----------------------------------------------------------------------
 
 
-@dataclass
-class _FixedDecision:
-    stage: str
-    plan_source: str
-    latency_ms: float
-    cardinality: int
-
-
 class FixedBackend:
     """Constant-latency backend for admission-control unit tests."""
 
     name = "fixed"
+    telemetry = None
+    plan_cache = None
 
     def __init__(self, latency_ms: float) -> None:
         self.latency_ms = latency_ms
         self.served = 0
 
+    def cache_stats(self):
+        return None
+
     def serve(self, query):
         self.served += 1
-        return _FixedDecision("live", "native", self.latency_ms, 1)
+        return Decision("live", "native", self.latency_ms, 1)
 
 
 class TestBuildSchedule:
@@ -400,12 +408,12 @@ class TestServingRuntime:
         assert any(t["outcome"] == "timeout" for t in snap["traces"])
 
     def test_backend_errors_propagate(self, stats_workload):
-        class Exploding:
+        class Exploding(FixedBackend):
             def serve(self, query):
                 raise RuntimeError("boom")
 
         runtime = ServingRuntime(
-            Exploding(), config=RuntimeConfig(timeout_ms=None)
+            Exploding(1.0), config=RuntimeConfig(timeout_ms=None)
         )
         with pytest.raises(RuntimeError, match="boom"):
             runtime.run(build_schedule(stats_workload[:4], 2, seed=0))
@@ -438,6 +446,231 @@ class TestServingRuntime:
         assert console.queries_served == 12
         served = [o for o in report.outcomes if isinstance(o, Served)]
         assert all(o.plan_source == "native" for o in served)
+
+
+# -- one admission contract, both drivers ------------------------------------------
+
+
+def _requests(query, arrivals):
+    return [
+        Request(session_id=0, seq=i, global_seq=i, arrival_ms=float(a), query=query)
+        for i, a in enumerate(arrivals)
+    ]
+
+
+def _drive_run(backend, requests, **core):
+    """Pinned lanes: the requests as a one-session schedule through run()."""
+    runtime = ServingRuntime(backend, **core)
+    return runtime, lambda: runtime.run([requests]).outcomes
+
+
+def _drive_submit(backend, requests, **core):
+    """Earliest-free lane: a one-worker shard, one submit() per request."""
+    shard = ShardRuntime(0, backend, n_workers=1, **core)
+    return shard, lambda: [shard.submit(r) for r in requests]
+
+
+def _reasons(outcomes):
+    return [getattr(o, "reason", "served") for o in outcomes]
+
+
+@pytest.mark.parametrize("drive", [_drive_run, _drive_submit])
+class TestAdmissionContract:
+    """Every rule of the admission table, through both drivers."""
+
+    def test_timeout_boundary(self, drive, stats_workload):
+        # 10 ms service: waits are 0, 6 (== timeout: admitted), 7 (> timeout)
+        _, go = drive(
+            FixedBackend(10.0),
+            _requests(stats_workload[0], [0, 4, 13]),
+            config=RuntimeConfig(timeout_ms=6.0, queue_capacity=None),
+        )
+        outcomes = go()
+        assert _reasons(outcomes) == ["served", "served", "timeout"]
+        assert [o.wait_ms for o in outcomes] == [0.0, 6.0, 7.0]
+
+    def test_queue_capacity_boundary(self, drive, stats_workload):
+        # in_flight at arrival is 0, 1 (== capacity: admitted), 2 (> capacity)
+        _, go = drive(
+            FixedBackend(10.0),
+            _requests(stats_workload[0], [0, 1, 2]),
+            config=RuntimeConfig(timeout_ms=None, queue_capacity=1),
+        )
+        assert _reasons(go()) == ["served", "served", "queue_full"]
+
+    def test_max_in_flight_boundary(self, drive, stats_workload):
+        # in_flight at arrival is 0, 1, 2 (== max_in_flight: refused), and
+        # the request after the backlog drains is admitted again
+        _, go = drive(
+            FixedBackend(10.0),
+            _requests(stats_workload[0], [0, 1, 2, 50]),
+            config=RuntimeConfig(
+                timeout_ms=None, queue_capacity=None, max_in_flight=2
+            ),
+        )
+        assert _reasons(go()) == ["served", "served", "overload", "served"]
+
+    def test_max_in_flight_zero_refuses_everything(self, drive, stats_workload):
+        backend = FixedBackend(10.0)
+        runtime, go = drive(
+            backend,
+            _requests(stats_workload[0], [0, 100, 200]),
+            config=RuntimeConfig(max_in_flight=0),
+        )
+        assert _reasons(go()) == ["overload"] * 3
+        assert backend.served == 0 and runtime.served == 0
+
+    def test_driver_error_is_typed_and_feeds_breaker(self, drive, stats_workload):
+        class Flaky(FixedBackend):
+            def serve(self, query):
+                raise DriverError("connection lost")
+
+        breaker = CircuitBreaker(failure_threshold=2, cooldown_ms=1_000.0)
+        runtime, go = drive(
+            Flaky(1.0),
+            _requests(stats_workload[0], [0, 1, 2]),
+            config=RuntimeConfig(timeout_ms=None, queue_capacity=None),
+            breaker=breaker,
+        )
+        # two failures trip the breaker; the third request meets it open
+        assert _reasons(go()) == ["error", "error", "shard_open"]
+        assert runtime.errors == 2 and breaker.trips == 1
+        counters = runtime.telemetry.snapshot()["counters"]
+        assert counters["runtime.rejected.error"] == 2
+        assert counters["runtime.rejected.shard_open"] == 1
+
+    def test_open_breaker_sheds_until_cooldown(self, drive, stats_workload):
+        breaker = CircuitBreaker(failure_threshold=1, cooldown_ms=100.0)
+        breaker.record_failure()  # OPEN at virtual t=0
+        backend = FixedBackend(1.0)
+        _, go = drive(
+            backend,
+            _requests(stats_workload[0], [10, 99, 100]),
+            config=RuntimeConfig(timeout_ms=None, queue_capacity=None),
+            breaker=breaker,
+        )
+        # the breaker's clock follows arrivals: cooldown elapses at t=100
+        assert _reasons(go()) == ["shard_open", "shard_open", "served"]
+        assert backend.served == 1 and breaker.would_allow(100.0)
+
+    def test_other_exceptions_propagate_as_themselves(self, drive, stats_workload):
+        class ThirdTimeUnlucky(FixedBackend):
+            def serve(self, query):
+                if self.served == 2:
+                    raise RuntimeError("boom")
+                return super().serve(query)
+
+        runtime, go = drive(
+            ThirdTimeUnlucky(1.0),
+            _requests(stats_workload[0], [0, 10, 20, 30]),
+            config=RuntimeConfig(timeout_ms=None, queue_capacity=None),
+        )
+        with pytest.raises(RuntimeError, match="boom"):
+            go()
+        # everything before the failure is on the bus; nothing after it ran
+        snap = runtime.telemetry.snapshot()
+        assert snap["counters"] == {"runtime.served": 2}
+        assert [t["seq"] for t in snap["traces"]] == [0, 1]
+
+
+class TestOneCore:
+    def test_run_and_submit_are_the_same_path(self, stats_workload):
+        """A one-session schedule through run() and the same requests
+        through submit() on a one-worker shard: equal outcomes, equal
+        trace records (a mix of served, timeout and queue_full)."""
+        (session,) = build_schedule(
+            stats_workload, 1, seed=3, mean_interarrival_ms=4.0
+        )
+        config = RuntimeConfig(timeout_ms=20.0, queue_capacity=2, max_in_flight=6)
+        runtime, run = _drive_run(FixedBackend(9.0), session, config=config)
+        shard, submit = _drive_submit(FixedBackend(9.0), session, config=config)
+        outcomes = run()
+        assert outcomes == submit()
+        assert {"served", "timeout", "queue_full"} <= set(_reasons(outcomes))
+        traces = runtime.telemetry.snapshot()["traces"]
+        assert traces == shard.telemetry.snapshot()["traces"]
+        assert len(traces) == len(session)
+
+    def test_latency_filed_once_per_served_request(self, stats_workload):
+        """The core files ``latency_ms`` unless the backend already does so
+        on the same bus -- never twice, never zero times."""
+
+        class SelfReporting(FixedBackend):
+            def __init__(self, latency_ms, bus):
+                super().__init__(latency_ms)
+                self.telemetry = bus
+
+            def serve(self, query):
+                self.telemetry.observe("latency_ms", self.latency_ms)
+                return super().serve(query)
+
+        requests = _requests(stats_workload[0], range(0, 60, 10))
+        config = RuntimeConfig(timeout_ms=None, queue_capacity=None)
+        for backend, bus in (
+            (FixedBackend(2.0), None),  # backend has no bus: the core files
+            (SelfReporting(2.0, TelemetryBus()), None),  # shared: backend files
+            (SelfReporting(2.0, TelemetryBus()), TelemetryBus()),  # separate
+        ):
+            runtime = ServingRuntime(backend, config=config, telemetry=bus)
+            runtime.run([requests])
+            summary = runtime.telemetry.histogram_summary("latency_ms")
+            assert summary["count"] == runtime.served == len(requests)
+
+    def test_full_stack_shard_latency_count(self):
+        """Regression: a shard sharing its bus with a DeploymentManager
+        used to hold 2x served samples in ``latency_ms``."""
+        scenario = sharded_fabric_scenario(
+            n_shards=2, scale=0.2, seed=1, n_queries=24
+        )
+        report = scenario.run()
+        assert report.n_served > 0
+        for shard in scenario.fabric.shards:
+            count = shard.telemetry.histogram_summary("latency_ms")["count"]
+            assert count == shard.served
+
+
+# -- Backend protocol conformance --------------------------------------------------
+
+
+def _deployment(db):
+    native = Optimizer(db)
+    return DeploymentManager(
+        BaoOptimizer(native, seed=0), native, ExecutionSimulator(db)
+    )
+
+
+_BACKENDS = {
+    "deployment": _deployment,
+    "console": lambda db: ConsoleBackend(PilotScopeConsole(SimulatedPostgreSQL(db))),
+    "synthetic": lambda db: SyntheticBackend(seed=1),
+    "lifecycle": lambda db: LifecycleBackend(_deployment(db), None),
+    "faulty": lambda db: FaultInjector(
+        FaultPlan((FaultSpec(kind="latency", rate=1.0, magnitude=7.0),))
+    ).wrap_backend(SyntheticBackend(seed=1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKENDS))
+def test_backend_conformance(kind, stats_db, stats_workload):
+    backend = _BACKENDS[kind](stats_db)
+    assert isinstance(backend, Backend)
+    assert isinstance(backend.name, str)
+    assert backend.telemetry is None or isinstance(backend.telemetry, TelemetryBus)
+    assert backend.plan_cache is None or isinstance(backend.plan_cache, PlanCache)
+    stats = backend.cache_stats()
+    assert stats is None or {"hits", "misses"} <= set(stats)
+    decision = backend.serve(stats_workload[0])
+    assert isinstance(decision, Decision)
+    assert decision.latency_ms >= 0 and decision.cardinality >= 0
+    # FaultyBackend rewrites decisions with dataclasses.replace
+    slower = dataclasses.replace(decision, latency_ms=decision.latency_ms + 1.0)
+    assert type(slower) is type(decision)
+    assert slower.cardinality == decision.cardinality
+    # and any backend drops into the core as-is
+    runtime = ServingRuntime(backend, config=RuntimeConfig(timeout_ms=None))
+    assert _reasons(runtime.run([_requests(stats_workload[1], [0])]).outcomes) == [
+        "served"
+    ]
 
 
 class TestAcceptanceDeterminism:
