@@ -12,6 +12,8 @@ one of these small protocols:
   the interface of learned cost models and risk models.
 - :class:`Backend` -- ``serve(query) -> Decision``: what the serving core
   (:class:`repro.serve.ServingRuntime`) drives.
+- :class:`ServePolicy` -- what follows a deployment's serve path: sees
+  every decision and every stage change, may demand a rollback.
 
 Two generic wrappers give the planner its tuning knobs:
 
@@ -45,6 +47,7 @@ __all__ = [
     "Retrainable",
     "Decision",
     "Backend",
+    "ServePolicy",
     "InjectedCardinalities",
     "ScaledCardinalities",
     "subquery_key",
@@ -166,6 +169,27 @@ class Backend(Protocol):
     def cache_stats(self) -> dict | None:
         """Cumulative cardinality-cache counters (``hits`` / ``misses``)."""
         ...
+
+
+class ServePolicy:
+    """Anything that follows a deployment's serve path.
+
+    :class:`repro.serve.DeploymentManager` holds an ordered list of these
+    and knows nothing else about them; a policy overrides the hooks it
+    needs.  All it may do to the stage is ``deployment.auto_rollback(reason)``.
+    """
+
+    def attach(self, deployment) -> None:
+        """Once, on joining ``deployment``: adopt ``deployment.telemetry``
+        if the policy has no bus of its own and register its gauge there."""
+
+    def on_decision(self, deployment, decision) -> None:
+        """After every served query, in list order, inside the
+        single-writer core (so deterministically)."""
+
+    def on_transition(self, deployment, stage, reason: str) -> None:
+        """After every stage change (promotion, rollback, ``deploy``),
+        with the stage just entered."""
 
 
 def subquery_key(query: Query) -> str:

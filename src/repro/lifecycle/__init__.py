@@ -39,7 +39,6 @@ from repro.lifecycle.gates import EvalGate, GateReport
 from repro.lifecycle.registry import ModelRegistry, ModelVersion, model_fingerprint
 from repro.lifecycle.scenario import (
     EstimatorSteeredOptimizer,
-    LifecycleBackend,
     LifecycleScenario,
     drift_recovery_scenario,
     lifecycle_stats,
@@ -64,7 +63,6 @@ __all__ = [
     "ModelVersion",
     "model_fingerprint",
     "EstimatorSteeredOptimizer",
-    "LifecycleBackend",
     "LifecycleScenario",
     "drift_recovery_scenario",
     "lifecycle_stats",

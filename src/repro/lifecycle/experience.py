@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import ConfigError
+from repro.core.interfaces import ServePolicy
 from repro.sql.query import Query, query_hash
 
 __all__ = ["ExperienceRecord", "ExperienceStore"]
@@ -65,7 +66,7 @@ class ExperienceRecord:
     hits: int = 1
 
 
-class ExperienceStore:
+class ExperienceStore(ServePolicy):
     """Deduplicating, bounded, seeded store of execution feedback."""
 
     def __init__(self, capacity: int = 5_000, *, seed: int = 0) -> None:
@@ -170,6 +171,13 @@ class ExperienceStore:
             true_cardinality=float(decision.cardinality),
             drift=self.drift_tag if drift is None else drift,
         )
+
+    def attach(self, deployment) -> None:
+        deployment.telemetry.attach_gauge("experience_store", self.stats)
+
+    def on_decision(self, deployment, decision) -> None:
+        """The retraining loop sees exactly what production saw."""
+        self.add_decision(decision)
 
     def add_drift_queries(self, queries, cards=None) -> None:
         """Ingest Warper-generated drift queries (always drift-tagged)."""

@@ -221,7 +221,7 @@ def transfer_fleet_scenario(
     ]
     # One shard per schema, on the schema's own bus.
     shards = [
-        guarded_shard(i, t.backend, config=config, telemetry=t.telemetry)
+        guarded_shard(i, t.deployment, config=config, telemetry=t.telemetry)
         for i, t in enumerate(tenants)
     ]
     specs = tuple(

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import ConfigError
+from repro.core.interfaces import ServePolicy
 
 __all__ = ["ModelVersion", "ModelRegistry", "model_fingerprint"]
 
@@ -147,7 +148,7 @@ class ModelVersion:
         }
 
 
-class ModelRegistry:
+class ModelRegistry(ServePolicy):
     """Registry of model versions with lineage, gating and stage history."""
 
     def __init__(self, *, shared=(), telemetry=None) -> None:
@@ -282,6 +283,16 @@ class ModelRegistry:
         )
         if stage == "live":
             self.set_champion(version_id, reason=f"promoted_live:{reason}")
+
+    def on_transition(self, deployment, stage, reason: str) -> None:
+        """File every stage change under the deployed model's version."""
+        if deployment.model_version is not None:
+            self.record_stage(
+                deployment.model_version,
+                stage.value,
+                reason=reason,
+                at_query=deployment.queries_served,
+            )
 
     def record_gate(self, version_id: str, report) -> None:
         """Attach an :class:`~repro.lifecycle.gates.GateReport` to a version."""

@@ -7,9 +7,11 @@ training loop end to end, and the subject of
 1. a GBDT query-driven estimator is trained on an initial workload and
    deployed LIVE steering the native planner
    (:class:`EstimatorSteeredOptimizer`), registered as the champion;
-2. traffic flows through the :class:`~repro.serve.runtime.ServingRuntime`;
-   every serve feeds the experience store, the q-error trigger and the
-   scheduler's virtual clock (:class:`LifecycleBackend`);
+2. traffic flows through the :class:`~repro.serve.runtime.ServingRuntime`
+   straight into the :class:`~repro.serve.deployment.DeploymentManager`,
+   whose ordered policy list is ``[store, registry, scheduler]``: every
+   serve feeds the experience store, then the q-error trigger and the
+   scheduler's virtual clock; every stage change is filed in the registry;
 3. halfway through the stream the runtime's deterministic hook mutates
    the database (:func:`repro.bench.workloads.apply_drift`) -- the frozen
    estimator's q-error degrades because its estimates describe data that
@@ -52,7 +54,7 @@ from repro.lifecycle.scheduler import (
     clone_model,
 )
 from repro.optimizer.planner import Optimizer
-from repro.serve.deployment import DeploymentManager, ServeDecision, Stage
+from repro.serve.deployment import DeploymentManager, Stage
 from repro.serve.runtime import (
     Request,
     RunReport,
@@ -68,7 +70,6 @@ from repro.storage.datasets import make_stats_lite
 
 __all__ = [
     "EstimatorSteeredOptimizer",
-    "LifecycleBackend",
     "LifecycleStack",
     "LifecycleScenario",
     "lifecycle_stack",
@@ -102,42 +103,6 @@ class EstimatorSteeredOptimizer:
         pass  # the estimator learns via the lifecycle loop, not per-query
 
 
-class LifecycleBackend:
-    """Serving backend that drives the lifecycle on every request.
-
-    Wraps a :class:`~repro.serve.deployment.DeploymentManager`; after each
-    serve it feeds the (estimate, true cardinality) pair to the
-    scheduler's q-error trigger and advances the scheduler's virtual clock
-    by the served latency -- so retraining fires at deterministic stream
-    positions.  The rest of the :class:`~repro.core.interfaces.Backend`
-    surface is the deployment's.
-    """
-
-    def __init__(self, deployment: DeploymentManager, scheduler) -> None:
-        self.deployment = deployment
-        self.scheduler = scheduler
-        self.telemetry = deployment.telemetry
-        self.plan_cache = deployment.plan_cache
-
-    @property
-    def name(self) -> str:
-        return self.deployment.name
-
-    def cache_stats(self):
-        return self.deployment.cache_stats()
-
-    def serve(self, query: Query) -> ServeDecision:
-        decision = self.deployment.serve(query)
-        estimator = getattr(self.deployment.learned, "estimator", None)
-        if estimator is not None and self.scheduler is not None:
-            self.scheduler.observe_qerror(
-                float(estimator.estimate(query)), float(decision.cardinality)
-            )
-        if self.scheduler is not None:
-            self.scheduler.step(decision.latency_ms)
-        return decision
-
-
 @dataclass(kw_only=True)
 class LifecycleStack:
     """One database's complete lifecycle stack: inspect every part.
@@ -158,7 +123,6 @@ class LifecycleStack:
     gate: EvalGate
     deployment: DeploymentManager
     scheduler: RetrainingScheduler
-    backend: LifecycleBackend
     holdout: list[Query]
     shared: tuple
 
@@ -284,9 +248,8 @@ def lifecycle_stack(
         min_samples=6,
         regression_threshold=5.0,
         auto_promote=True,
-        experience=store,
-        registry=registry,
         model_version=v0.version_id,
+        policies=[store, registry],
     )
     registry.record_stage(v0.version_id, "live", reason="initial")
 
@@ -332,6 +295,8 @@ def lifecycle_stack(
         telemetry=telemetry,
         cooldown_queries=cooldown_queries,
     )
+    # Last: it reads what the store ingested and may re-enter deploy().
+    deployment.add_policy(scheduler)
     return LifecycleStack(
         db=db,
         native=native,
@@ -344,7 +309,6 @@ def lifecycle_stack(
         gate=gate,
         deployment=deployment,
         scheduler=scheduler,
-        backend=LifecycleBackend(deployment, scheduler),
         holdout=holdout,
         shared=shared,
     )
@@ -404,7 +368,7 @@ def drift_recovery_scenario(
         **vars(stack),
         name="drift_recovery" if closed_loop else "drift_frozen",
         runtime=ServingRuntime(
-            stack.backend, config=config, hooks={drift_at: _drift}
+            stack.deployment, config=config, hooks={drift_at: _drift}
         ),
         schedule=schedule,
         drift_at=drift_at,

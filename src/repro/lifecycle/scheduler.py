@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import ConfigError
+from repro.core.interfaces import ServePolicy
 
 __all__ = [
     "TriggerDecision",
@@ -262,7 +263,7 @@ def default_retrainer(*, shared=()):
     return retrain
 
 
-class RetrainingScheduler:
+class RetrainingScheduler(ServePolicy):
     """Composes triggers into a clone-retrain-gate-deploy policy.
 
     Parameters
@@ -291,7 +292,8 @@ class RetrainingScheduler:
         gate-passing challenger enters it at SHADOW via
         :meth:`~repro.serve.deployment.DeploymentManager.deploy`.  A
         failing challenger is registered (lineage keeps the failure) but
-        never deployed.
+        never deployed.  Add the scheduler to that deployment's policies
+        *last*: it reads what the sinks before it ingested.
     cooldown_queries:
         Minimum queries between retrainings, preventing trigger thrash.
     """
@@ -329,6 +331,18 @@ class RetrainingScheduler:
         """Feed a per-query (estimate, true cardinality) pair to triggers."""
         for t in self.triggers:
             t.observe(estimate, truth)
+
+    def on_decision(self, deployment, decision) -> None:
+        """Feed the (estimate, true cardinality) pair to the triggers and
+        advance the virtual clock by the served latency, so retraining
+        fires at deterministic stream positions."""
+        estimator = getattr(deployment.learned, "estimator", None)
+        if self.triggers and estimator is not None:
+            self.observe_qerror(
+                float(estimator.estimate(decision.query)),
+                float(decision.cardinality),
+            )
+        self.step(decision.latency_ms)
 
     # -- stepping --------------------------------------------------------------
 

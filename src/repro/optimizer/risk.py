@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
+from repro.core.interfaces import ServePolicy
 from repro.optimizer.cost import PlanCoster
 
 __all__ = ["RiskCard", "RiskCoster", "RiskLambdaTuner", "RISK_MODES"]
@@ -136,7 +137,7 @@ class RiskCoster:
         return self._blend(self.expected.cost(plan), self.bound.cost(plan))
 
 
-class RiskLambdaTuner:
+class RiskLambdaTuner(ServePolicy):
     """Closed-loop ``risk_lambda`` control from observed bound violations.
 
     The blend weight in risk-bounded planning is a trust dial: how much
@@ -152,9 +153,10 @@ class RiskLambdaTuner:
     cost planning).  The planner reads ``risk_lambda`` per ``plan()``
     call, so adjustments take effect on the very next planning.
 
-    Deterministic: state advances only on :meth:`tick` (the deployment
-    calls it once per served query, inside the single-writer core), and
-    every adjustment is a pure function of the guard's counters.
+    Deterministic: state advances only on :meth:`tick` (as a deployment
+    policy it ticks once per served query, inside the single-writer
+    core), and every adjustment is a pure function of the guard's
+    counters.
     """
 
     def __init__(
@@ -195,6 +197,14 @@ class RiskLambdaTuner:
 
     def _guard_checks(self) -> int:
         return self.bound_guard.checked + self.bound_guard.counts_observed
+
+    def attach(self, deployment) -> None:
+        if self.telemetry is None:
+            self.telemetry = deployment.telemetry
+        deployment.telemetry.attach_gauge("risk_tuner", self.stats)
+
+    def on_decision(self, deployment, decision) -> None:
+        self.tick()
 
     def tick(self) -> float:
         """Advance the control loop; returns the current ``risk_lambda``.

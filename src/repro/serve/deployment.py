@@ -25,6 +25,11 @@ window mean breaches ``regression_threshold`` the manager rolls back and
 records the event on the telemetry bus.  Promotion is manual
 (:meth:`promote`) or automatic (``auto_promote=True``) once a full window
 stays healthy.
+
+Everything else that follows the serve path (experience store, model
+registry, bound-violation rule, risk tuner, retraining scheduler) is a
+:class:`repro.core.interfaces.ServePolicy` in the ordered ``policies``
+list; a policy demotes the model only through :meth:`auto_rollback`.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from statistics import fmean
 
 from repro.core.errors import ConfigError
-from repro.core.interfaces import Decision, estimator_cache_tag
+from repro.core.interfaces import Decision, ServePolicy, estimator_cache_tag
 from repro.e2e.loop import EpisodeResult
 from repro.engine.plans import Plan
 from repro.engine.simulator import ExecutionSimulator
@@ -57,6 +62,8 @@ class Stage(enum.Enum):
 
 #: the transitions promote()/rollback() are allowed to make
 _PROMOTIONS = {Stage.SHADOW: Stage.CANARY, Stage.CANARY: Stage.LIVE}
+#: the stages in which the learned model is on the serving path
+_SERVING = (Stage.CANARY, Stage.LIVE)
 
 
 @dataclass(frozen=True)
@@ -112,14 +119,9 @@ class DeploymentManager:
         breaker: CircuitBreaker | None = None,
         call_timeout_ms: float | None = None,
         rollback_after_trips: int | None = 3,
-        experience=None,
-        registry=None,
         model_version: str | None = None,
         plan_cache: PlanCache | None = None,
-        bound_guard=None,
-        bound_violation_rollback: float | None = None,
-        min_bound_checks: int = 20,
-        risk_tuner=None,
+        policies=(),
     ) -> None:
         """``breaker`` guards the learned optimizer: exceptions and
         latency-budget blow-outs from ``choose_plan`` are recorded as
@@ -132,13 +134,9 @@ class DeploymentManager:
         ``last_call_latency_ms`` when it reports one (the fault injector's
         wrappers do).
 
-        ``experience`` is an optional
-        :class:`repro.lifecycle.ExperienceStore`: every serve decision is
-        ingested so the retraining loop sees exactly what production saw.
-        ``registry`` is an optional :class:`repro.lifecycle.ModelRegistry`
-        and ``model_version`` the registry version id of ``learned``; when
-        both are set, every stage transition (promotion, rollback,
-        :meth:`deploy`) is recorded back into the version's lineage.
+        ``model_version`` is the registry version id of ``learned`` (what
+        a :class:`repro.lifecycle.ModelRegistry` policy files stage
+        changes under); :meth:`deploy` replaces it.
 
         ``plan_cache`` is an optional :class:`repro.optimizer.PlanCache`
         serving the *native* plannings (the serving baseline, the shadow
@@ -148,30 +146,15 @@ class DeploymentManager:
         and plans cached under the previous stage must not leak into the
         next one's comparisons.
 
-        ``bound_guard`` is an optional :class:`repro.faults.BoundGuard`
-        watching the estimator feeding the learned side.  When
-        ``bound_violation_rollback`` is set, a CANARY/LIVE deployment
-        whose guard reports a violation rate above that threshold (after
-        at least ``min_bound_checks`` checks) is rolled back -- a model
-        whose estimates routinely exceed their certified upper bounds is
-        broken even if its plans happen to run fast so far.
-
-        ``risk_tuner`` is an optional :class:`repro.optimizer.
-        RiskLambdaTuner`: it is ticked once per served query (inside the
-        single-writer core, so deterministically), auto-tuning the
-        planner's ``risk_lambda`` from the guard's violation rate."""
+        ``policies`` are attached in order (see :meth:`add_policy`): each
+        one's ``on_decision`` runs in list order after every served query,
+        each one's ``on_transition`` after every stage change."""
         if not 0.0 < canary_fraction <= 1.0:
             raise ConfigError("canary_fraction must be in (0, 1]")
         if min_samples < 1 or window < min_samples:
             raise ConfigError("need window >= min_samples >= 1")
         if rollback_after_trips is not None and rollback_after_trips < 1:
             raise ConfigError("rollback_after_trips must be >= 1 or None")
-        if bound_violation_rollback is not None and not (
-            0.0 < bound_violation_rollback <= 1.0
-        ):
-            raise ConfigError("bound_violation_rollback must be in (0, 1] or None")
-        if min_bound_checks < 1:
-            raise ConfigError("min_bound_checks must be >= 1")
         self.learned = learned
         self.native = native
         self.simulator = simulator
@@ -186,40 +169,24 @@ class DeploymentManager:
         self.regression_threshold = regression_threshold
         self.auto_promote = auto_promote
         self.monitor_native = monitor_native
-        self.name = name or getattr(learned, "name", type(learned).__name__)
+        self.name = name or learned.name
         self.breaker = breaker
         self.call_timeout_ms = call_timeout_ms
         self.rollback_after_trips = rollback_after_trips
-        self.experience = experience
-        self.registry = registry
         self.model_version = model_version
         self.plan_cache = plan_cache
-        self.bound_guard = bound_guard
-        self.bound_violation_rollback = bound_violation_rollback
-        self.min_bound_checks = min_bound_checks
-        self.risk_tuner = risk_tuner
+        self.policies: list[ServePolicy] = []
         self.queries_served = 0
         self.learned_failures = 0
         self.degraded_serves = 0
         self._regressions: list[float] = []  # rolling, len <= window
-        if hasattr(native, "cache_stats"):
-            self.telemetry.attach_gauge("cardinality_cache", native.cache_stats)
+        self.telemetry.attach_gauge("cardinality_cache", native.cache_stats)
         if plan_cache is not None:
             self.telemetry.attach_gauge("plan_cache", plan_cache.stats)
-        if experience is not None and hasattr(experience, "stats"):
-            self.telemetry.attach_gauge("experience_store", experience.stats)
         if breaker is not None:
             if breaker.telemetry is None:
                 breaker.telemetry = self.telemetry
             self.telemetry.attach_gauge(f"breaker_{breaker.name}", breaker.stats)
-        if bound_guard is not None:
-            if bound_guard.telemetry is None:
-                bound_guard.telemetry = self.telemetry
-            self.telemetry.attach_gauge("bound_guard", bound_guard.stats)
-        if risk_tuner is not None:
-            if risk_tuner.telemetry is None:
-                risk_tuner.telemetry = self.telemetry
-            self.telemetry.attach_gauge("risk_tuner", risk_tuner.stats)
         for i, g in enumerate(guards):
             if hasattr(g, "intervention_rate"):
                 self.telemetry.attach_gauge(
@@ -230,6 +197,13 @@ class DeploymentManager:
                         "intervention_rate": g.intervention_rate,
                     }),
                 )
+        for policy in policies:
+            self.add_policy(policy)
+
+    def add_policy(self, policy: ServePolicy) -> None:
+        """Append ``policy`` to the end of the list and attach it."""
+        self.policies.append(policy)
+        policy.attach(self)
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -247,6 +221,14 @@ class DeploymentManager:
         self._transition(Stage.ROLLED_BACK, reason=reason)
         return self.stage
 
+    def auto_rollback(self, reason: str) -> None:
+        """Demote a model that is on the serving path (CANARY/LIVE) and
+        count it -- the one thing a policy may do to the stage.  No-op in
+        SHADOW (the model serves nothing) and ROLLED_BACK (terminal)."""
+        if self.stage in _SERVING:
+            self.telemetry.incr("deployment.auto_rollbacks")
+            self._transition(Stage.ROLLED_BACK, reason=reason)
+
     def _transition(self, to: Stage, *, reason: str) -> None:
         self.telemetry.event(
             "stage_transition",
@@ -256,18 +238,17 @@ class DeploymentManager:
             reason=reason,
             at_query=self.queries_served,
         )
-        self.stage = to
+        self._enter(to, reason)
+
+    def _enter(self, stage: Stage, reason: str) -> None:
+        """What every stage change does, :meth:`deploy` included."""
+        self.stage = stage
         self._regressions.clear()
         if self.plan_cache is not None:
-            self.plan_cache.invalidate(reason=f"stage:{to.value}")
+            self.plan_cache.invalidate(reason=f"stage:{stage.value}")
             self.telemetry.incr("plan_cache.invalidations")
-        if self.registry is not None and self.model_version is not None:
-            self.registry.record_stage(
-                self.model_version,
-                to.value,
-                reason=reason,
-                at_query=self.queries_served,
-            )
+        for policy in self.policies:
+            policy.on_transition(self, stage, reason)
 
     def deploy(
         self,
@@ -288,7 +269,7 @@ class DeploymentManager:
         ROLLED_BACK deployment (the recovery path the lifecycle loop
         exists to provide)."""
         self.learned = model
-        self.name = getattr(model, "name", type(model).__name__)
+        self.name = model.name
         self.model_version = version
         self.telemetry.incr("deployment.deploys")
         self.telemetry.event(
@@ -299,12 +280,7 @@ class DeploymentManager:
             reason=reason,
             at_query=self.queries_served,
         )
-        self.stage = stage
-        self._regressions.clear()
-        if self.registry is not None and version is not None:
-            self.registry.record_stage(
-                version, stage.value, reason=reason, at_query=self.queries_served
-            )
+        self._enter(stage, reason)
 
     # -- regression window ------------------------------------------------------------
 
@@ -315,15 +291,9 @@ class DeploymentManager:
         if len(self._regressions) < self.min_samples:
             return
         mean = fmean(self._regressions)
-        if mean > self.regression_threshold and self.stage in (
-            Stage.CANARY,
-            Stage.LIVE,
-        ):
-            self.telemetry.incr("deployment.auto_rollbacks")
-            self._transition(
-                Stage.ROLLED_BACK,
-                reason=f"regression_window mean={mean:.3f}"
-                f">{self.regression_threshold:g}",
+        if mean > self.regression_threshold and self.stage in _SERVING:
+            self.auto_rollback(
+                f"regression_window mean={mean:.3f}>{self.regression_threshold:g}"
             )
         elif (
             self.auto_promote
@@ -338,28 +308,6 @@ class DeploymentManager:
 
     def window_mean(self) -> float | None:
         return fmean(self._regressions) if self._regressions else None
-
-    def _check_bound_violation_rate(self) -> None:
-        """Roll back a serving-path model whose bound-violation rate is
-        above threshold -- the bound certificate, not latency, is the
-        signal here, so this fires even while plans still look fast."""
-        if (
-            self.bound_guard is None
-            or self.bound_violation_rollback is None
-            or self.stage not in (Stage.CANARY, Stage.LIVE)
-        ):
-            return
-        checks = self.bound_guard.checked + self.bound_guard.counts_observed
-        if checks < self.min_bound_checks:
-            return
-        rate = self.bound_guard.violation_rate()
-        if rate > self.bound_violation_rollback:
-            self.telemetry.incr("deployment.auto_rollbacks")
-            self._transition(
-                Stage.ROLLED_BACK,
-                reason=f"bound_violation_rate={rate:.3f}"
-                f">{self.bound_violation_rollback:g}",
-            )
 
     # -- serving -----------------------------------------------------------------------
 
@@ -399,9 +347,16 @@ class DeploymentManager:
             # cooldowns elapse deterministically with traffic.
             self.breaker.clock.advance(decision.latency_ms)
         self._record(decision)
+        # A policy may re-enter deploy() or auto_rollback() here (the
+        # retraining scheduler does): safe, because nothing below reads
+        # self.learned or self.stage again for this query.
+        for policy in self.policies:
+            policy.on_decision(self, decision)
         return decision
 
-    def _serve_native(self, query: Query, stage: Stage) -> ServeDecision:
+    def _serve_native(
+        self, query: Query, stage: Stage, plan_source: str = "native"
+    ) -> ServeDecision:
         native_plan = self._native_plan(query)
         result = self.simulator.execute(native_plan)
         shadow_latency = None
@@ -434,7 +389,7 @@ class DeploymentManager:
             query=query,
             stage=stage.value,
             served_learned=False,
-            plan_source="native",
+            plan_source=plan_source,
             latency_ms=result.latency_ms,
             cardinality=result.cardinality,
             native_latency_ms=result.latency_ms if stage is Stage.SHADOW else None,
@@ -455,32 +410,18 @@ class DeploymentManager:
             if (
                 self.rollback_after_trips is not None
                 and self.breaker.trips >= self.rollback_after_trips
-                and self.stage in (Stage.CANARY, Stage.LIVE)
             ):
-                self.telemetry.incr("deployment.auto_rollbacks")
-                self._transition(
-                    Stage.ROLLED_BACK,
-                    reason=f"breaker_trips={self.breaker.trips}"
-                    f">={self.rollback_after_trips}",
+                self.auto_rollback(
+                    f"breaker_trips={self.breaker.trips}>={self.rollback_after_trips}"
                 )
 
     def _serve_degraded(self, query: Query, stage: Stage) -> ServeDecision:
         """Bottom of the degradation ladder: serve natively, skip the
-        learned path entirely (no feedback -- the model is suspect)."""
+        learned path entirely (no feedback -- the model is suspect).
+        Only reached from CANARY/LIVE, so no shadow evaluation runs."""
         self.degraded_serves += 1
         self.telemetry.incr("deployment.degraded")
-        native_plan = self._native_plan(query)
-        result = self.simulator.execute(native_plan)
-        return ServeDecision(
-            query=query,
-            stage=stage.value,
-            served_learned=False,
-            plan_source="native:degraded",
-            latency_ms=result.latency_ms,
-            cardinality=result.cardinality,
-            native_latency_ms=None,
-            shadow_latency_ms=None,
-        )
+        return self._serve_native(query, stage, "native:degraded")
 
     def _serve_learned(self, query: Query, stage: Stage) -> ServeDecision:
         if self.breaker is not None and not self.breaker.allow():
@@ -537,8 +478,6 @@ class DeploymentManager:
     # -- telemetry ---------------------------------------------------------------------
 
     def _record(self, decision: ServeDecision) -> None:
-        if self.experience is not None:
-            self.experience.add_decision(decision)
         bus = self.telemetry
         bus.incr(f"serve.stage.{decision.stage}")
         bus.incr(
@@ -549,9 +488,6 @@ class DeploymentManager:
             bus.observe("learned_latency_ms", decision.latency_ms)
         if decision.regression is not None:
             bus.observe("regression_ratio", decision.regression)
-        self._check_bound_violation_rate()
-        if self.risk_tuner is not None:
-            self.risk_tuner.tick()
 
-    def cache_stats(self) -> dict | None:
-        return self.native.cache_stats() if hasattr(self.native, "cache_stats") else None
+    def cache_stats(self) -> dict:
+        return self.native.cache_stats()

@@ -293,7 +293,7 @@ def sharded_fabric_scenario(
             window=40,
             min_samples=15,
             plan_cache=PlanCache(),
-            bound_guard=guard,
+            policies=[guard],
         )
         shards.append(
             guarded_shard(

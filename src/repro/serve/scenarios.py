@@ -197,18 +197,20 @@ def _assemble(
     queries: list[Query] | None = None,
     audit_every: int | None = None,
     injector: FaultInjector | None = None,
+    bound_guard: BoundGuard | None = None,
     **deployment_kwargs,
 ) -> ServingScenario:
     """Stage ``learned`` over ``native`` behind a deployment manager and a
     serving runtime, with a seeded ``n_sessions``-session schedule of
     ``queries`` (default: ``n_queries`` generated 2-4 table joins) and,
-    given ``audit_every``, the online auditor (feeding the deployment's
-    bound guard when it has one)."""
+    given ``audit_every``, the online auditor.  A ``bound_guard`` becomes
+    a deployment policy and is fed by the auditor."""
     simulator = ExecutionSimulator(db)
     deployment = DeploymentManager(
         learned,
         native,
         simulator,
+        policies=[bound_guard] if bound_guard is not None else [],
         **{"window": 40, "min_samples": 15, **deployment_kwargs},
     )
     if queries is None:
@@ -217,9 +219,7 @@ def _assemble(
         )
     auditor = None
     if audit_every is not None:
-        auditor = OnlineAuditor(
-            db, every=audit_every, bound_guard=deployment.bound_guard
-        )
+        auditor = OnlineAuditor(db, every=audit_every, bound_guard=bound_guard)
     return ServingScenario(
         name=name,
         db=db,
@@ -231,7 +231,7 @@ def _assemble(
         injector=injector,
         auditor=auditor,
         plan_cache=deployment.plan_cache,
-        bound_guard=deployment.bound_guard,
+        bound_guard=bound_guard,
     )
 
 
@@ -512,8 +512,8 @@ def bound_guard_scenario(
     (capped at the bound); the online auditor feeds observed exact counts
     back into the same guard, so a violated *bound* also surfaces.  With
     ``plan=FaultPlan(())`` the same stack must record zero violations.
-    ``bound_violation_rollback`` optionally arms the deployment's
-    rate-triggered rollback.
+    ``bound_violation_rollback`` optionally arms the guard's
+    rate-triggered rollback (``BoundGuard(rollback_rate=...)``).
     """
     db, native = _native(scale, seed)
     bus = TelemetryBus()
@@ -533,6 +533,7 @@ def bound_guard_scenario(
         ),
         telemetry=bus,
         tolerance=tolerance,
+        rollback_rate=bound_violation_rollback,
     )
     bus.attach_gauge("fault_injector", injector.stats)
     return _assemble(
@@ -551,7 +552,6 @@ def bound_guard_scenario(
         canary_fraction=0.5,
         regression_threshold=3.0,
         bound_guard=guard,
-        bound_violation_rollback=bound_violation_rollback,
     )
 
 

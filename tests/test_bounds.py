@@ -194,6 +194,15 @@ class TestBoundGuard:
                 tolerance=0.5,
             )
 
+    @pytest.mark.parametrize("rate", [0.0, -0.1, 1.5])
+    def test_rollback_rate_outside_unit_interval_rejected(self, stats_db, rate):
+        with pytest.raises(ConfigError):
+            self._guard(
+                stats_db,
+                TraditionalCardinalityEstimator(stats_db),
+                rollback_rate=rate,
+            )
+
     def test_observed_count_over_bound_trips(self):
         """Unrefreshed drift voids the certificate; the auditor's truth
         must trip the guard -- and a refresh must restore coverage."""
@@ -403,8 +412,7 @@ class TestRiskLambdaTuner:
             regression_threshold=3.0,
             window=40,
             min_samples=15,
-            bound_guard=guard,
-            risk_tuner=tuner,
+            policies=[guard, tuner],
         )
         queries = WorkloadGenerator(db, seed=8).workload(
             24, 2, 4, require_predicate=True

@@ -328,6 +328,33 @@ def test_scheduler_composes_triggers_with_cooldown():
     assert sched.stats()["retrains"] == 2
 
 
+def test_scheduler_policy_estimates_only_for_its_triggers():
+    """The per-query estimate feeds the triggers; with none (the frozen
+    arm) the scheduler still keeps time but never asks for it."""
+    from types import SimpleNamespace
+
+    class CountingEstimator:
+        calls = 0
+
+        def estimate(self, query):
+            self.calls += 1
+            return 7.0
+
+    estimator = CountingEstimator()
+    deployment = SimpleNamespace(learned=SimpleNamespace(estimator=estimator))
+    decision = _FakeDecision(query=None)
+    frozen = RetrainingScheduler(ModelRegistry(), ExperienceStore(8), default_retrainer())
+    frozen.on_decision(deployment, decision)
+    assert estimator.calls == 0 and frozen.ctx.queries == 1
+    watching = RetrainingScheduler(
+        ModelRegistry(), ExperienceStore(8), default_retrainer(),
+        triggers=[QErrorTrigger()],
+    )
+    watching.on_decision(deployment, decision)
+    assert estimator.calls == 1 and watching.ctx.queries == 1
+    assert watching.ctx.virtual_ms == decision.latency_ms
+
+
 def test_scheduler_rejects_mutating_retrainer():
     registry = ModelRegistry()
     store = ExperienceStore(capacity=4, seed=0)
@@ -389,8 +416,8 @@ def test_gate_passes_equivalent_challenger_into_shadow(gate_stack):
         simulator,
         telemetry=telemetry,
         stage=Stage.LIVE,
-        registry=registry,
         model_version=v0.version_id,
+        policies=[registry],
     )
     sched = RetrainingScheduler(
         registry,
@@ -430,8 +457,8 @@ def test_gate_failure_never_reaches_deployment(gate_stack):
         native,
         simulator,
         stage=Stage.LIVE,
-        registry=registry,
         model_version=v0.version_id,
+        policies=[registry],
     )
     sched = RetrainingScheduler(
         registry,
@@ -491,7 +518,7 @@ def test_deployment_manager_feeds_experience(stats_db, stats_simulator):
         native,
         stats_simulator,
         stage=Stage.LIVE,
-        experience=store,
+        policies=[store],
     )
     queries = WorkloadGenerator(stats_db, seed=14).workload(
         5, 1, 2, require_predicate=True
@@ -567,6 +594,39 @@ def test_e2e_drift_recovery_is_seed_reproducible():
     stats = lifecycle_stats(a)
     rendered = render_lifecycle_stats(stats)
     assert "scheduler" in rendered and "registry" in rendered
+
+
+def test_scheduler_as_policy_matches_scheduler_as_wrapper():
+    """``policies=[store, registry]`` + ``add_policy(scheduler)`` is the
+    loop the wrapper backend used to drive.  The wrapper's ``serve`` is
+    kept here as the reference: serve, then observe the q-error, then
+    step the scheduler, all outside the deployment."""
+    as_policy, as_wrapper = _tiny_scenario(seed=5), _tiny_scenario(seed=5)
+    assert as_policy.deployment.policies == [
+        as_policy.store,
+        as_policy.registry,
+        as_policy.scheduler,
+    ]
+    deployment, scheduler = as_wrapper.deployment, as_wrapper.scheduler
+    deployment.policies.remove(scheduler)
+    serve = deployment.serve
+
+    def serve_then_step(query):
+        decision = serve(query)
+        scheduler.observe_qerror(
+            float(deployment.learned.estimator.estimate(query)),
+            float(decision.cardinality),
+        )
+        scheduler.step(decision.latency_ms)
+        return decision
+
+    deployment.serve = serve_then_step
+    as_policy.run()
+    as_wrapper.run()
+    # deploy() was re-entered from inside the policy loop at least once
+    assert as_policy.scheduler.stats()["deploys"] >= 1
+    assert as_policy.telemetry.to_json() == as_wrapper.telemetry.to_json()
+    assert as_policy.registry.to_json() == as_wrapper.registry.to_json()
 
 
 # ---------------------------------------------------------------------------

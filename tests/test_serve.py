@@ -4,14 +4,21 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
-from repro.core.errors import DriverError
+from repro.core.errors import ConfigError, DriverError
 from repro.core.framework import CandidatePlan
-from repro.core.interfaces import Backend, Decision
+from repro.core.interfaces import Backend, Decision, ServePolicy
 from repro.e2e import BaoOptimizer
 from repro.engine import ExecutionSimulator
 from repro.faults import CircuitBreaker, FaultInjector, FaultPlan, FaultSpec
-from repro.lifecycle import LifecycleBackend
 from repro.optimizer import Optimizer, PlanCache
 from repro.pilotscope import PilotScopeConsole, SimulatedPostgreSQL
 from repro.serve import (
@@ -32,7 +39,7 @@ from repro.serve import (
     steady_state_scenario,
 )
 from repro.serve.fabric import SyntheticBackend
-from repro.serve.deployment import query_hash
+from repro.serve.deployment import _PROMOTIONS, query_hash
 
 
 # -- telemetry --------------------------------------------------------------------
@@ -138,6 +145,21 @@ def deployment(stats_db, stats_optimizer, stats_simulator):
         min_samples=4,
         regression_threshold=1.3,
     )
+
+
+class MirrorNative:
+    """A 'learned' model that always proposes the native plan."""
+
+    name = "mirror"
+
+    def __init__(self, optimizer):
+        self.optimizer = optimizer
+
+    def choose_plan(self, query):
+        return CandidatePlan(self.optimizer.plan(query), "mirror")
+
+    def record_feedback(self, query, candidate, latency_ms):
+        pass
 
 
 class TestDeploymentLifecycle:
@@ -256,19 +278,8 @@ class TestDeploymentLifecycle:
     def test_auto_promote_on_healthy_window(
         self, stats_optimizer, stats_simulator, stats_workload
     ):
-        class MirrorNative:
-            """A 'learned' model that always proposes the native plan."""
-
-            name = "mirror"
-
-            def choose_plan(self, query):
-                return CandidatePlan(stats_optimizer.plan(query), "mirror")
-
-            def record_feedback(self, query, candidate, latency_ms):
-                pass
-
         manager = DeploymentManager(
-            MirrorNative(),
+            MirrorNative(stats_optimizer),
             stats_optimizer,
             stats_simulator,
             stage=Stage.SHADOW,
@@ -279,6 +290,205 @@ class TestDeploymentLifecycle:
         for q in stats_workload[:12]:
             manager.serve(q)
         assert manager.stage in (Stage.CANARY, Stage.LIVE)
+
+
+    def test_deploy_invalidates_plan_cache(
+        self, stats_optimizer, stats_simulator, stats_workload
+    ):
+        """deploy() is a stage change like any other: plans cached under
+        the previous model's stage must not serve the next one's."""
+        cache = PlanCache()
+        manager = DeploymentManager(
+            BaoOptimizer(stats_optimizer, seed=0),
+            stats_optimizer,
+            stats_simulator,
+            stage=Stage.LIVE,
+            plan_cache=cache,
+        )
+        query = stats_workload[0]
+        manager.serve(query)
+        manager.serve(query)
+        warm = cache.stats()
+        assert warm["entries"] >= 1 and warm["hits"] >= 1
+        manager.deploy(BaoOptimizer(stats_optimizer, seed=1))
+        assert manager.stage is Stage.SHADOW
+        assert cache.stats()["invalidations"] == warm["invalidations"] + 1
+        manager.serve(query)
+        after = cache.stats()
+        assert after["misses"] == warm["misses"] + 1
+        assert after["hits"] == warm["hits"]
+
+
+# -- serve-path policies ----------------------------------------------------------
+
+
+class RecordingPolicy(ServePolicy):
+    """A policy the deployment module has never heard of."""
+
+    def __init__(self, name, log, rollback_at=None):
+        self.name = name
+        self.log = log  # shared across policies: (policy, queries_served)
+        self.rollback_at = rollback_at
+        self.decisions = 0
+        self.transitions = []
+
+    def attach(self, deployment):
+        deployment.telemetry.attach_gauge(
+            self.name, lambda: {"decisions": self.decisions}
+        )
+
+    def on_decision(self, deployment, decision):
+        self.decisions += 1
+        self.log.append((self.name, deployment.queries_served))
+        if self.decisions == self.rollback_at:
+            deployment.auto_rollback(f"{self.name} says so")
+
+    def on_transition(self, deployment, stage, reason):
+        assert deployment.stage is stage
+        self.transitions.append((stage, reason))
+
+
+class TestServePolicies:
+    def test_every_decision_once_in_list_order(self, deployment, stats_workload):
+        log = []
+        first, second = RecordingPolicy("first", log), RecordingPolicy("second", log)
+        deployment.add_policy(first)
+        deployment.add_policy(second)
+        for q in stats_workload[:4]:
+            deployment.serve(q)
+        assert log == [(p, n) for n in (1, 2, 3, 4) for p in ("first", "second")]
+
+    def test_on_transition_sees_every_stage_change(self, deployment, stats_optimizer):
+        policy = RecordingPolicy("p", [])
+        deployment.add_policy(policy)
+        deployment.promote()
+        deployment.promote()
+        deployment.auto_rollback("monitor")
+        deployment.deploy(BaoOptimizer(stats_optimizer, seed=1), reason="retrained")
+        deployment.rollback("operator")
+        assert policy.transitions == [
+            (Stage.CANARY, "promote"),
+            (Stage.LIVE, "promote"),
+            (Stage.ROLLED_BACK, "monitor"),
+            (Stage.SHADOW, "retrained"),
+            (Stage.ROLLED_BACK, "operator"),
+        ]
+        counters = deployment.telemetry.snapshot()["counters"]
+        assert counters["deployment.auto_rollbacks"] == 1
+
+    def test_policy_rolls_back_and_later_policies_still_run(
+        self, deployment, stats_workload
+    ):
+        log = []
+        monitor = RecordingPolicy("monitor", log, rollback_at=2)
+        after = RecordingPolicy("after", log)
+        deployment.add_policy(monitor)
+        deployment.add_policy(after)
+        deployment.promote()
+        decisions = [deployment.serve(q) for q in stats_workload[:4]]
+        assert deployment.stage is Stage.ROLLED_BACK
+        assert [d.stage for d in decisions] == [
+            "canary", "canary", "rolled_back", "rolled_back"
+        ]
+        snap = deployment.telemetry.snapshot()
+        assert snap["counters"]["deployment.auto_rollbacks"] == 1
+        assert after.decisions == 4
+        assert after.transitions[-1] == (Stage.ROLLED_BACK, "monitor says so")
+
+    def test_auto_rollback_only_demotes_a_serving_model(self, deployment):
+        deployment.auto_rollback("nothing is served learned in shadow")
+        assert deployment.stage is Stage.SHADOW
+        assert "deployment.auto_rollbacks" not in (
+            deployment.telemetry.snapshot()["counters"]
+        )
+
+    def test_add_policy_after_construction_attaches_gauge(
+        self, deployment, stats_workload
+    ):
+        deployment.add_policy(RecordingPolicy("late", []))
+        deployment.serve(stats_workload[0])
+        assert deployment.telemetry.snapshot()["gauges"]["late"] == {"decisions": 1}
+
+
+def test_stage_only_moves_along_declared_edges(
+    stats_optimizer, stats_simulator, stats_workload
+):
+    """No sequence of operator calls, policy rollbacks, redeployments and
+    traffic reaches an undeclared stage transition, and none bypasses
+    ``on_transition``."""
+
+    class Crashing(MirrorNative):
+        """Trips the breaker: the manager's own auto-rollback (the mirror
+        model's healthy window drives auto-promotion)."""
+
+        name = "crashing"
+
+        def choose_plan(self, query):
+            raise RuntimeError("model down")
+
+    class EdgeChecker(ServePolicy):
+        def __init__(self, start):
+            self.at = start
+            self.deploying_to = None
+
+        def on_transition(self, deployment, stage, reason):
+            allowed = {_PROMOTIONS.get(self.at), Stage.ROLLED_BACK, self.deploying_to}
+            assert stage in allowed, (self.at, stage, reason)
+            self.at = stage
+
+    class StageMachine(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            self.checker = EdgeChecker(Stage.SHADOW)
+            self.manager = DeploymentManager(
+                MirrorNative(stats_optimizer),
+                stats_optimizer,
+                stats_simulator,
+                window=3,
+                min_samples=2,
+                auto_promote=True,
+                breaker=CircuitBreaker(failure_threshold=1, cooldown_ms=0.0),
+                rollback_after_trips=1,
+                policies=[self.checker],
+            )
+
+        @rule()
+        def promote(self):
+            if self.manager.stage in _PROMOTIONS:
+                self.manager.promote()
+            else:
+                with pytest.raises(ConfigError):
+                    self.manager.promote()
+
+        @rule()
+        def rollback(self):
+            self.manager.rollback("operator")
+
+        @rule()
+        def auto_rollback(self):
+            self.manager.auto_rollback("monitor")
+
+        @rule(
+            model=st.sampled_from([MirrorNative, Crashing]),
+            stage=st.sampled_from([Stage.SHADOW, Stage.CANARY, Stage.LIVE]),
+        )
+        def deploy(self, model, stage):
+            self.checker.deploying_to = stage
+            self.manager.deploy(model(stats_optimizer), stage=stage)
+            self.checker.deploying_to = None
+
+        @rule(i=st.integers(0, 7))
+        def serve(self, i):
+            self.manager.serve(stats_workload[i])
+
+        @invariant()
+        def every_change_went_through_the_hook(self):
+            assert self.checker.at is self.manager.stage
+
+    run_state_machine_as_test(
+        StageMachine,
+        settings=settings(max_examples=40, stateful_step_count=25, deadline=None),
+    )
 
 
 # -- runtime ----------------------------------------------------------------------
@@ -643,7 +853,6 @@ _BACKENDS = {
     "deployment": _deployment,
     "console": lambda db: ConsoleBackend(PilotScopeConsole(SimulatedPostgreSQL(db))),
     "synthetic": lambda db: SyntheticBackend(seed=1),
-    "lifecycle": lambda db: LifecycleBackend(_deployment(db), None),
     "faulty": lambda db: FaultInjector(
         FaultPlan((FaultSpec(kind="latency", rate=1.0, magnitude=7.0),))
     ).wrap_backend(SyntheticBackend(seed=1)),
