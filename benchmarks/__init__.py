@@ -3,15 +3,40 @@
 One entry per ``bench_*.py`` module: the E-series reproduces the paper's
 tables/figures (see EXPERIMENTS.md), the T-series is the taxonomy sweep,
 and the P-series benchmarks this repo's own performance layers (batching /
-caching, serving).  The registry is plain data -- importing this package
-must stay free of ``repro`` imports so pytest can collect benchmark
-modules before the conftest path bootstrap runs; use :func:`load` to
-import one benchmark's module lazily.
+caching, serving).  The registry is plain data and importing this package
+imports nothing from ``repro``: it only puts ``src/`` on ``sys.path`` so
+pytest and ``python -m benchmarks <key>`` both work from a plain checkout;
+use :func:`load` to import one benchmark's module lazily.
+
+P-bench profiles are selected in one place: ``BENCH_PROFILE=quick|full``
+(default ``quick``), read through :func:`profile`.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
+import sys
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
+
+#: the profile every P-bench runs at unless a caller names one
+PROFILE = os.environ.get("BENCH_PROFILE", "quick")
+
+
+def profile(profiles: dict, name: str | None = None):
+    """``profiles[name]``, defaulting to ``BENCH_PROFILE``; names the valid ones."""
+    name = name or PROFILE
+    if name not in profiles:
+        raise ValueError(
+            f"unknown bench profile {name!r} (BENCH_PROFILE / --profile); "
+            f"valid: {sorted(profiles)}"
+        )
+    return profiles[name]
+
 
 #: registry key -> (module name, one-line description)
 BENCHMARKS: dict[str, tuple[str, str]] = {

@@ -19,19 +19,18 @@ Three properties are measured and gated:
    merged telemetry and identical schema fingerprints.
 
 Profiles: ``quick`` (CI smoke: 8 schemas, 6-source/2-target split) or
-``full`` (12 schemas, 9/3); as a script
-(``python benchmarks/bench_p10_transfer.py --profile quick --export out.json``)
-it prints the gate tables and writes the deterministic export CI diffs
-across two runs.
+``full`` (12 schemas, 9/3).  Gates: ``python -m pytest`` on this file
+(``BENCH_PROFILE=full`` for the larger profile); deterministic export:
+``python -m benchmarks p10 --export out.json``.
 """
 
-import argparse
 import json
-import os
 
 import numpy as np
 from scipy.stats import spearmanr
 
+import benchmarks
+from benchmarks import PROFILE
 from repro.bench import render_table
 from repro.costmodel import PlanFeaturizer, ZeroShotCostModel
 from repro.engine import ExecutionSimulator
@@ -56,7 +55,6 @@ _PROFILES = {
         "fleet_queries": 48,
     },
 }
-PROFILE = os.environ.get("TRANSFER_PROFILE", "quick")
 #: gate 1a: random-baseline geomean q-error must exceed zero-shot's by this factor
 _MIN_RANDOM_ADVANTAGE = 2.0
 #: gate 1b: zero-shot geomean q-error within this factor of the ceiling's
@@ -65,10 +63,6 @@ _MAX_CEILING_GAP = 3.0
 _TRANSFER_CONFIG = SchemaGenConfig(
     n_tables=(4, 7), rows=(200, 1000), attr_cols=(1, 2)
 )
-
-
-def _profile(profile: str | None) -> dict:
-    return _PROFILES[profile or PROFILE]
 
 
 def _corpus(db, n_queries: int, seed: int = 5):
@@ -112,7 +106,7 @@ def transfer_pass(seed: int = 0, profile: str | None = None) -> dict:
     baseline -- predicting a random other plan's latency -- is reported
     as an ungated reference).
     """
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     dbs = schema_family(p["n_schemas"], seed=seed, config=_TRANSFER_CONFIG)
     corpora = [_corpus(db, p["n_queries"], seed=5) for db in dbs]
     sources = corpora[: p["n_sources"]]
@@ -203,7 +197,7 @@ def fleet_pass(seed: int = 0, profile: str | None = None) -> dict:
     Two arms over identical schemas, streams and drift: ``closed`` (the
     full trigger/retrain/gate/deploy loop per schema) and ``frozen`` (no
     triggers -- the model that was live at t=0 stays live)."""
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     out = {}
     for label, closed in (("closed", True), ("frozen", False)):
         fleet = transfer_fleet_scenario(
@@ -224,7 +218,7 @@ def fleet_pass(seed: int = 0, profile: str | None = None) -> dict:
 
 def determinism_pass(seed: int = 0, profile: str | None = None) -> dict:
     """Gate 3: two fresh same-seed fleets export identical bytes."""
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     exports, fingerprints = [], []
     for _ in range(2):
         fleet = transfer_fleet_scenario(
@@ -244,7 +238,7 @@ def determinism_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def transfer_export(seed: int = 0, profile: str | None = None) -> str:
+def export(seed: int = 0, profile: str | None = None) -> str:
     """The full deterministic report: all three gates, one JSON blob."""
     payload = {
         "profile": profile or PROFILE,
@@ -345,40 +339,3 @@ def test_p10_determinism_byte_identical_exports():
     out = determinism_pass(seed=3)
     assert out["byte_identical"], "same-seed fleet exports diverged"
     assert out["fingerprints_identical"], "same-seed schema fingerprints diverged"
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--profile", choices=sorted(_PROFILES), default="quick")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--export", metavar="PATH",
-        help="write the deterministic transfer report (JSON) here",
-    )
-    args = parser.parse_args(argv)
-    blob = transfer_export(seed=args.seed, profile=args.profile)
-    payload = json.loads(blob)
-    print(
-        _transfer_table(
-            payload["transfer"],
-            f"P10: zero-shot transfer ({args.profile}), seed={args.seed}",
-        )
-    )
-    print(_fleet_table(payload["fleet"], "P10: fleet drift recovery"))
-    transfer, fleet = payload["transfer"], payload["fleet"]
-    ok = transfer["random_advantage"] >= _MIN_RANDOM_ADVANTAGE
-    ok = ok and transfer["ceiling_gap"] <= _MAX_CEILING_GAP
-    ok = ok and (
-        fleet["closed"]["holdout_qerror_geomean"]
-        <= fleet["frozen"]["holdout_qerror_geomean"]
-    )
-    ok = ok and payload["determinism"]["byte_identical"]
-    if args.export:
-        with open(args.export, "w") as fh:
-            fh.write(blob)
-        print(f"transfer report written to {args.export}")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -15,12 +15,13 @@ Three serving properties are measured and gated:
 3. **Lifecycle under fire**: the injected-regression scenario must end
    rolled back, with the rollback visible as a telemetry event.
 
-Profiles: ``SERVING_PROFILE=quick`` (default; CI smoke, well under 60 s)
-or ``full`` (larger database and workload for stable shapes).
+Profiles: ``quick`` (CI smoke, well under 60 s) or ``full`` (larger database
+and workload for stable shapes).  Gates: ``python -m pytest`` on this file
+(``BENCH_PROFILE=full`` for the larger profile); deterministic export:
+``python -m benchmarks p2 --export out.json``.
 """
 
-import os
-
+import benchmarks
 from repro.bench import render_cache_stats, render_table
 from repro.serve import (
     RuntimeConfig,
@@ -28,20 +29,31 @@ from repro.serve import (
     steady_state_scenario,
 )
 
-_FULL = os.environ.get("SERVING_PROFILE", "quick") == "full"
-SCALE = 0.5 if _FULL else 0.3
-N_QUERIES = 400 if _FULL else 160
+_PROFILES = {
+    "quick": {"scale": 0.3, "n_queries": 160},
+    "full": {"scale": 0.5, "n_queries": 400},
+}
+_P = benchmarks.profile(_PROFILES)
+SCALE, N_QUERIES = _P["scale"], _P["n_queries"]
 N_SESSIONS = 8
 
 
-def _steady(seed: int = 0):
+def _steady(seed: int = 0, profile: str | None = None):
+    p = benchmarks.profile(_PROFILES, profile)
     return steady_state_scenario(
-        scale=SCALE,
+        scale=p["scale"],
         seed=seed,
-        n_queries=N_QUERIES,
+        n_queries=p["n_queries"],
         n_sessions=N_SESSIONS,
         config=RuntimeConfig(timeout_ms=None, queue_capacity=None),
     )
+
+
+def export(seed: int = 0, profile: str | None = None) -> str:
+    """The deterministic telemetry export CI diffs across two processes."""
+    scenario = _steady(seed, profile)
+    scenario.run()
+    return scenario.deployment.telemetry.to_json()
 
 
 def test_p2_steady_state_throughput(benchmark):
@@ -86,13 +98,9 @@ def test_p2_steady_state_throughput(benchmark):
 
 def test_p2_determinism_same_seed_same_snapshot():
     """Byte-identical telemetry across two same-seed concurrent runs."""
-    first = _steady(seed=3)
-    first.run()
-    second = _steady(seed=3)
-    second.run()
-    a = first.deployment.telemetry.to_json()
-    b = second.deployment.telemetry.to_json()
-    assert a == b, "same-seed serving runs diverged (determinism broken)"
+    assert export(seed=3) == export(seed=3), (
+        "same-seed serving runs diverged (determinism broken)"
+    )
 
 
 def test_p2_admission_control_sheds_deterministically():

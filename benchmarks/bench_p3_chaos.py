@@ -16,15 +16,13 @@ Three resilience properties are measured and gated:
    telemetry exports.  Faults, breaker transitions and fallbacks are part
    of the reproducible record, not noise.
 
-Profiles: ``quick`` (CI smoke) or ``full``; as a script
-(``python benchmarks/bench_p3_chaos.py --profile quick --export out.json``)
-it prints the report tables and writes the deterministic telemetry export
-CI diffs across two runs.
+Profiles: ``quick`` (CI smoke) or ``full``.  Gates: ``python -m pytest`` on
+this file (``BENCH_PROFILE=full`` for the larger profile); deterministic
+export: ``python -m benchmarks p3 --export out.json``.
 """
 
-import argparse
-import os
-
+import benchmarks
+from benchmarks import PROFILE
 from repro.bench import render_bounds_stats, render_fault_stats, render_table
 from repro.serve import bound_guard_scenario, chaos_scenario
 
@@ -32,17 +30,23 @@ _PROFILES = {
     "quick": {"scale": 0.3, "n_queries": 160, "n_sessions": 8},
     "full": {"scale": 0.5, "n_queries": 400, "n_sessions": 8},
 }
-PROFILE = os.environ.get("CHAOS_PROFILE", "quick")
 
 
 def _chaos(seed: int = 0, profile: str | None = None):
-    p = _PROFILES[profile or PROFILE]
+    p = benchmarks.profile(_PROFILES, profile)
     return chaos_scenario(
         scale=p["scale"],
         seed=seed,
         n_queries=p["n_queries"],
         n_sessions=p["n_sessions"],
     )
+
+
+def export(seed: int = 0, profile: str | None = None) -> str:
+    """The deterministic telemetry export CI diffs across two processes."""
+    scenario = _chaos(seed, profile)
+    scenario.run()
+    return scenario.deployment.telemetry.to_json()
 
 
 def _fault_counters_from_bus(snapshot: dict) -> dict:
@@ -113,7 +117,7 @@ def test_p3_fault_counters_reach_telemetry():
 def test_p3_bound_guard_absorbs_fault_storm():
     """The bound-guard rung of the ladder under its own fault storm:
     every query answered, every certificate crossing routed to fallback."""
-    p = _PROFILES[PROFILE]
+    p = benchmarks.profile(_PROFILES)
     scenario = bound_guard_scenario(
         scale=p["scale"], seed=0, n_queries=min(p["n_queries"], 160)
     )
@@ -126,63 +130,6 @@ def test_p3_bound_guard_absorbs_fault_storm():
 
 
 def test_p3_determinism_same_seed_same_export():
-    exports = []
-    for _ in range(2):
-        scenario = _chaos(seed=3)
-        scenario.run()
-        exports.append(scenario.deployment.telemetry.to_json())
-    assert exports[0] == exports[1], (
+    assert export(seed=3) == export(seed=3), (
         "same-seed chaos runs diverged (fault injection is not deterministic)"
     )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--profile", choices=sorted(_PROFILES), default="quick")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--export", metavar="PATH",
-        help="write the deterministic telemetry export (JSON) here",
-    )
-    args = parser.parse_args(argv)
-    scenario = _chaos(seed=args.seed, profile=args.profile)
-    report = scenario.run()
-    deployment = scenario.deployment
-    snap = deployment.telemetry.snapshot()
-    lat = snap["histograms"]["latency_ms"]
-    print(
-        render_table(
-            f"P3: chaos serving ({args.profile}), seed={args.seed}",
-            ["served", "requests", "faults", "learned_failures",
-             "degraded", "breaker_trips", "p50_ms", "p99_ms"],
-            [(
-                report.n_served,
-                report.n_requests,
-                scenario.injector.total_injected(),
-                deployment.learned_failures,
-                deployment.degraded_serves,
-                deployment.breaker.trips,
-                lat["p50"],
-                lat["p99"],
-            )],
-        )
-    )
-    print(render_fault_stats(scenario.injector.stats()))
-    guarded = bound_guard_scenario(
-        scale=_PROFILES[args.profile]["scale"], seed=args.seed
-    )
-    guarded.run()
-    print(
-        render_bounds_stats(
-            guarded.bound_guard.stats(), title="P3: bound guard under chaos"
-        )
-    )
-    if args.export:
-        with open(args.export, "w") as fh:
-            fh.write(deployment.telemetry.to_json())
-        print(f"telemetry export written to {args.export}")
-    return 0 if report.n_served == report.n_requests else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -17,17 +17,16 @@ Three lifecycle properties are measured and gated:
    registry *and* telemetry JSON exports.  Retraining is part of the
    reproducible record.
 
-Profiles: ``quick`` (CI smoke) or ``full``; as a script
-(``python benchmarks/bench_p4_lifecycle.py --profile quick --export out.json``)
-it prints the lifecycle report tables and writes the combined
-registry+telemetry export the ``bench-smoke`` (p4) CI job diffs across two
-runs.
+Profiles: ``quick`` (CI smoke) or ``full``.  Gates: ``python -m pytest`` on
+this file (``BENCH_PROFILE=full`` for the larger profile); deterministic
+export (closed-loop arm, registry + telemetry):
+``python -m benchmarks p4 --export out.json``.
 """
 
-import argparse
 import json
-import os
 
+import benchmarks
+from benchmarks import PROFILE
 from repro.bench import render_lifecycle_stats, render_table
 from repro.lifecycle import drift_recovery_scenario, lifecycle_stats
 
@@ -35,11 +34,10 @@ _PROFILES = {
     "quick": {"scale": 0.2, "n_queries": 160, "n_train": 80, "n_holdout": 24},
     "full": {"scale": 0.35, "n_queries": 320, "n_train": 140, "n_holdout": 40},
 }
-PROFILE = os.environ.get("LIFECYCLE_PROFILE", "quick")
 
 
 def _scenario(seed: int = 0, profile: str | None = None, **overrides):
-    p = _PROFILES[profile or PROFILE]
+    p = benchmarks.profile(_PROFILES, profile)
     kwargs = dict(
         scale=p["scale"],
         seed=seed,
@@ -53,8 +51,10 @@ def _scenario(seed: int = 0, profile: str | None = None, **overrides):
     return drift_recovery_scenario(**kwargs)
 
 
-def _export_blob(scenario) -> str:
+def export(seed: int = 0, profile: str | None = None) -> str:
     """The deterministic artifact CI diffs: registry + telemetry, sorted."""
+    scenario = _scenario(seed, profile)
+    scenario.run()
     return json.dumps(
         {
             "registry": json.loads(scenario.registry.to_json()),
@@ -148,59 +148,6 @@ def test_p4_gate_blocks_bad_challenger():
 
 
 def test_p4_determinism_same_seed_same_exports():
-    exports = []
-    for _ in range(2):
-        scenario = _scenario(seed=3)
-        scenario.run()
-        exports.append(_export_blob(scenario))
-    assert exports[0] == exports[1], (
+    assert export(seed=3) == export(seed=3), (
         "same-seed lifecycle runs diverged (retraining is not deterministic)"
     )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--profile", choices=sorted(_PROFILES), default="quick")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--export", metavar="PATH",
-        help="write the deterministic registry+telemetry export (JSON) here",
-    )
-    args = parser.parse_args(argv)
-    closed = _scenario(seed=args.seed, profile=args.profile)
-    closed.run()
-    frozen = _scenario(seed=args.seed, profile=args.profile, closed_loop=False)
-    frozen.run()
-    closed_q = closed.holdout_qerror()
-    frozen_q = frozen.holdout_qerror()
-    sched = closed.scheduler.stats()
-    print(
-        render_table(
-            f"P4: lifecycle drift recovery ({args.profile}), seed={args.seed}",
-            ["arm", "holdout_qerror_p90", "p50_ms", "retrains", "deploys",
-             "versions"],
-            [
-                ("closed_loop", round(closed_q, 2), _served_p50(closed),
-                 sched["retrains"], sched["deploys"], len(closed.registry)),
-                ("frozen", round(frozen_q, 2), _served_p50(frozen), 0, 0,
-                 len(frozen.registry)),
-            ],
-            note=f"drift at request {closed.drift_at} of {closed.n_requests}",
-        )
-    )
-    print(render_lifecycle_stats(lifecycle_stats(closed)))
-    for v in closed.registry.versions():
-        stages = "->".join(s["stage"] for s in closed.registry.stage_history(
-            v.version_id
-        ))
-        print(f"  {v.version_id}  parent={v.parent or '-':>12}  "
-              f"trigger={v.trigger[:40]:<40}  stages={stages or '-'}")
-    if args.export:
-        with open(args.export, "w") as fh:
-            fh.write(_export_blob(closed))
-        print(f"lifecycle export written to {args.export}")
-    return 0 if closed_q < frozen_q else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -17,18 +17,15 @@ Three properties are measured and gated:
 3. **Determinism**: two same-seed oracle passes must export byte-identical
    reports (and the audited serving run byte-identical telemetry).
 
-Profiles: ``quick`` (CI smoke) or ``full``; as a script
-(``python benchmarks/bench_p5_oracle.py --profile quick --export out.json``)
-it prints the per-layer tables and writes the deterministic export that
-CI diffs across two runs.
+Profiles: ``quick`` (CI smoke) or ``full``.  Gates: ``python -m pytest`` on
+this file (``BENCH_PROFILE=full`` for the larger profile); deterministic
+export: ``python -m benchmarks p5 --export out.json``.
 """
-
-import argparse
-import json
-import os
 
 import numpy as np
 
+import benchmarks
+from benchmarks import PROFILE
 from repro.bench import render_table
 from repro.cardest.bounds import MCVJoinBoundEstimator
 from repro.cardest.querydriven import LinearQueryEstimator
@@ -65,7 +62,6 @@ _PROFILES = {
         "audit_every": 8,
     },
 }
-PROFILE = os.environ.get("ORACLE_PROFILE", "quick")
 
 
 def _workload(db, seed: int, n: int):
@@ -75,7 +71,7 @@ def _workload(db, seed: int, n: int):
 
 def oracle_pass(seed: int = 0, profile: str | None = None) -> OracleReport:
     """One full oracle pass; all layers merged into a single report."""
-    p = _PROFILES[profile or PROFILE]
+    p = benchmarks.profile(_PROFILES, profile)
     db = make_stats_lite(scale=p["scale"], seed=seed)
     queries = _workload(db, seed + 17, p["n_queries"])
     report = OracleReport()
@@ -176,6 +172,11 @@ def oracle_pass(seed: int = 0, profile: str | None = None) -> OracleReport:
     return report
 
 
+def export(seed: int = 0, profile: str | None = None) -> str:
+    """The deterministic oracle report CI diffs across two processes."""
+    return oracle_pass(seed, profile).to_json()
+
+
 def test_p5_clean_run_zero_violations():
     report = oracle_pass(seed=0)
     assert report.clean, "clean code produced oracle violations:\n" + "\n".join(
@@ -225,8 +226,7 @@ def test_p5_mutation_catch_rate():
 def test_p5_determinism_same_seed_same_export():
     exports, telemetry = [], []
     for _ in range(2):
-        report = oracle_pass(seed=3)
-        exports.append(report.to_json())
+        exports.append(export(seed=3))
         scenario = steady_state_scenario(
             scale=0.2, seed=3, n_queries=32, n_sessions=4, audit_every=8
         )
@@ -236,38 +236,3 @@ def test_p5_determinism_same_seed_same_export():
     assert telemetry[0] == telemetry[1], (
         "same-seed audited serving runs diverged"
     )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--profile", choices=sorted(_PROFILES), default="quick")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--export", metavar="PATH",
-        help="write the deterministic oracle report (JSON) here",
-    )
-    args = parser.parse_args(argv)
-    report = oracle_pass(seed=args.seed, profile=args.profile)
-    by_layer = report.by_layer()
-    print(
-        render_table(
-            f"P5: oracle pass ({args.profile}), seed={args.seed}",
-            ["layer", "checks", "violations"],
-            [
-                (layer, count, by_layer.get(layer, 0))
-                for layer, count in sorted(report.checks.items())
-            ],
-            note="zero violations expected on clean code",
-        )
-    )
-    for v in report.violations:
-        print(str(v))
-    if args.export:
-        with open(args.export, "w") as fh:
-            fh.write(report.to_json())
-        print(f"oracle report written to {args.export}")
-    return 0 if report.clean else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -20,18 +20,18 @@ Four properties are measured and gated:
    exceeds 2**53 (where float64 silently rounds), and two same-seed
    cache-enabled serving runs must export byte-identical telemetry.
 
-Profiles: ``quick`` (CI smoke) or ``full``; as a script
-(``python benchmarks/bench_p6_fastpath.py --profile quick --export out.json``)
-it prints the speedup/hit-rate tables and writes the deterministic export
-(counts, cache stats, telemetry -- no timings) that CI diffs across runs.
+Profiles: ``quick`` (CI smoke) or ``full``.  Gates: ``python -m pytest`` on
+this file (``BENCH_PROFILE=full`` for the larger profile); deterministic
+export (counts, cache stats, telemetry -- no timings):
+``python -m benchmarks p6 --export out.json``.
 """
 
-import argparse
 import json
-import os
 import time
 from collections import defaultdict
 
+import benchmarks
+from benchmarks import PROFILE
 from repro.bench import render_cache_stats, render_table
 from repro.engine import CardinalityExecutor
 from repro.engine.plans import JoinNode, ScanNode
@@ -63,13 +63,8 @@ _PROFILES = {
         "n_sessions": 8,
     },
 }
-PROFILE = os.environ.get("FASTPATH_PROFILE", "quick")
 SPEEDUP_GATE = 10.0
 HIT_RATE_GATE = 0.8
-
-
-def _profile(profile: str | None) -> dict:
-    return _PROFILES[profile or PROFILE]
 
 
 def _workload(db, seed: int, n: int):
@@ -143,7 +138,7 @@ def interpreted_plan_count(db, plan) -> int:
 
 def executor_pass(seed: int = 0, profile: str | None = None) -> dict:
     """Vectorized executor vs the pure-Python reference, same workload."""
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     db = make_stats_lite(scale=p["scale"], seed=seed)
     queries = _workload(db, seed + 17, p["exec_queries"])
 
@@ -168,7 +163,7 @@ def executor_pass(seed: int = 0, profile: str | None = None) -> dict:
 
 def interpreter_pass(seed: int = 0, profile: str | None = None) -> dict:
     """Vectorized plan interpreter vs the row-at-a-time walker, same plans."""
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     db = make_stats_lite(scale=p["scale"], seed=seed)
     queries = _workload(db, seed + 29, p["interp_queries"])
     optimizer = Optimizer(db)
@@ -195,7 +190,7 @@ def interpreter_pass(seed: int = 0, profile: str | None = None) -> dict:
 
 def serving_pass(seed: int = 0, profile: str | None = None):
     """One cache-enabled parameterized serving run; returns the scenario."""
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     scenario = parameterized_scenario(
         scale=p["scale"],
         seed=seed,
@@ -209,7 +204,7 @@ def serving_pass(seed: int = 0, profile: str | None = None):
 
 def fixture_counts(seed: int = 0, profile: str | None = None) -> list[dict]:
     """Exactness rows: executor vs reference (and closed form) per fixture."""
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     rows = []
 
     db = make_stats_lite(scale=p["scale"], seed=seed)
@@ -233,6 +228,25 @@ def fixture_counts(seed: int = 0, profile: str | None = None) -> list[dict]:
         }
     )
     return rows
+
+
+def export(seed: int = 0, profile: str | None = None) -> str:
+    """Deterministic content only: no wall-clock timings or speedups."""
+    scenario, report = serving_pass(seed, profile)
+    blob = {
+        "profile": profile or PROFILE,
+        "seed": seed,
+        "executor_counts": executor_pass(seed, profile)["counts"],
+        "interpreter_counts": interpreter_pass(seed, profile)["counts"],
+        "fixtures": [
+            {k: str(v) for k, v in row.items()}
+            for row in fixture_counts(seed, profile)
+        ],
+        "plan_cache": scenario.plan_cache.stats(),
+        "n_served": report.n_served,
+        "telemetry": json.loads(scenario.deployment.telemetry.to_json()),
+    }
+    return json.dumps(blob, indent=2, sort_keys=True, default=str) + "\n"
 
 
 # -- gates (pytest-collectable) -----------------------------------------------------
@@ -321,95 +335,3 @@ def test_p6_determinism_same_seed_exports():
         cache_stats.append(scenario.plan_cache.stats())
     assert exports[0] == exports[1], "same-seed cache-enabled runs diverged"
     assert cache_stats[0] == cache_stats[1]
-
-
-# -- script entry point -------------------------------------------------------------
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--profile", choices=sorted(_PROFILES), default="quick")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--export", metavar="PATH",
-        help="write the deterministic export (counts, cache stats, "
-        "telemetry; no timings) here",
-    )
-    args = parser.parse_args(argv)
-
-    exec_result = executor_pass(seed=args.seed, profile=args.profile)
-    interp_result = interpreter_pass(seed=args.seed, profile=args.profile)
-    scenario, report = serving_pass(seed=args.seed, profile=args.profile)
-    rows = fixture_counts(seed=args.seed, profile=args.profile)
-    stats = scenario.plan_cache.stats()
-
-    print(
-        render_table(
-            f"P6: fast path ({args.profile}), seed={args.seed}",
-            ["stage", "work", "baseline_s", "vectorized_s", "speedup"],
-            [
-                (
-                    "executor",
-                    f"{exec_result['n_queries']} queries",
-                    f"{exec_result['t_baseline_s']:.3f}",
-                    f"{exec_result['t_vectorized_s']:.3f}",
-                    f"{exec_result['speedup']:.1f}x",
-                ),
-                (
-                    "interpreter",
-                    f"{interp_result['n_plans']} plans",
-                    f"{interp_result['t_baseline_s']:.3f}",
-                    f"{interp_result['t_vectorized_s']:.3f}",
-                    f"{interp_result['speedup']:.1f}x",
-                ),
-            ],
-            note=f"gate: >= {SPEEDUP_GATE:.0f}x each",
-        )
-    )
-    print(
-        render_cache_stats(
-            stats,
-            title="P6: parameterized plan cache",
-            note=f"{report.n_served}/{scenario.n_requests} served; "
-            f"gate: hit rate > {HIT_RATE_GATE:.0%}",
-        )
-    )
-
-    exact = all(
-        r["count"] == r["reference"]
-        and r["count"] == r.get("closed_form", r["count"])
-        for r in rows
-    )
-    ok = (
-        exec_result["speedup"] >= SPEEDUP_GATE
-        and interp_result["speedup"] >= SPEEDUP_GATE
-        and stats["hit_rate"] > HIT_RATE_GATE
-        and report.n_served == scenario.n_requests
-        and exact
-        and exec_result["counts"] == exec_result["baseline_counts"]
-        and interp_result["counts"] == interp_result["baseline_counts"]
-    )
-
-    if args.export:
-        # Deterministic content only: no wall-clock timings or speedups.
-        export = {
-            "profile": args.profile,
-            "seed": args.seed,
-            "executor_counts": exec_result["counts"],
-            "interpreter_counts": interp_result["counts"],
-            "fixtures": [
-                {k: str(v) for k, v in row.items()} for row in rows
-            ],
-            "plan_cache": stats,
-            "n_served": report.n_served,
-            "telemetry": json.loads(scenario.deployment.telemetry.to_json()),
-        }
-        with open(args.export, "w") as fh:
-            json.dump(export, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
-        print(f"fast-path report written to {args.export}")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -23,18 +23,17 @@ predicates, redundant / mergeable range pairs -- all drawn from
 4. **Determinism**: two same-seed runs export byte-identical leaderboard
    snapshots and telemetry.
 
-Profiles: ``quick`` (CI smoke) or ``full``; as a script
-(``python benchmarks/bench_p7_rewrite.py --profile quick --export out.json``)
-it prints the promotion-funnel tables and writes the deterministic export
-(leaderboard snapshot, store examples, telemetry -- virtual latencies
-only, no wall-clock) that CI diffs across runs.
+Profiles: ``quick`` (CI smoke) or ``full``.  Gates: ``python -m pytest`` on
+this file (``BENCH_PROFILE=full`` for the larger profile); deterministic
+export (leaderboard snapshot, store examples, telemetry -- virtual
+latencies only, no wall-clock): ``python -m benchmarks p7 --export out.json``.
 """
 
-import argparse
 import json
-import os
 from collections import Counter
 
+import benchmarks
+from benchmarks import PROFILE
 from repro.bench import render_rewrite_stats, render_table
 from repro.e2e.loop import OptimizationLoop
 from repro.engine.simulator import ExecutionSimulator
@@ -53,13 +52,8 @@ _PROFILES = {
     "quick": {"scale": 0.15, "n_queries": 30, "n_clusters": 4},
     "full": {"scale": 0.3, "n_queries": 60, "n_clusters": 6},
 }
-PROFILE = os.environ.get("REWRITE_PROFILE", "quick")
 GEOMEAN_GATE = 1.05
 REGRESSION_FLOOR = 0.9
-
-
-def _profile(profile: str | None) -> dict:
-    return _PROFILES[profile or PROFILE]
 
 
 # -- measured passes --------------------------------------------------------------
@@ -72,7 +66,7 @@ def leaderboard_pass(seed: int = 0, profile: str | None = None) -> dict:
     values relations to the live database, and the generator reads the
     live table list.
     """
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     db = make_stats_lite(scale=p["scale"], seed=seed)
     workload = WorkloadGenerator(db, seed=seed + 11).rewrite_susceptible_workload(
         p["n_queries"]
@@ -185,6 +179,22 @@ def full_run(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
+def export(seed: int = 0, profile: str | None = None) -> str:
+    """Deterministic content only: virtual latencies, no wall-clock."""
+    run = full_run(seed, profile)
+    blob = {
+        "profile": profile or PROFILE,
+        "seed": seed,
+        "leaderboard": json.loads(run["leaderboard_json"]),
+        "store": run["store_export"],
+        "oracle": run["oracle"],
+        "serving": run["serving"],
+        "feedback": feedback_pass(seed, profile),
+        "telemetry": json.loads(run["telemetry_json"]),
+    }
+    return json.dumps(blob, indent=2, sort_keys=True, default=str) + "\n"
+
+
 # -- gates (pytest-collectable) -----------------------------------------------------
 
 
@@ -269,89 +279,3 @@ def test_p7_determinism_same_seed_exports():
         "same-seed telemetry exports diverged"
     )
     assert a["store_export"] == b["store_export"]
-
-
-# -- script entry point -------------------------------------------------------------
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--profile", choices=sorted(_PROFILES), default="quick")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--export", metavar="PATH",
-        help="write the deterministic export (leaderboard snapshot, store "
-        "examples, telemetry; virtual latencies only) here",
-    )
-    args = parser.parse_args(argv)
-
-    run = full_run(seed=args.seed, profile=args.profile)
-    feedback = feedback_pass(seed=args.seed, profile=args.profile)
-    leaderboard = run["ctx"]["leaderboard"]
-    stats = leaderboard.stats()
-
-    print(
-        render_rewrite_stats(
-            stats,
-            title=f"P7: promotion funnel ({args.profile}), seed={args.seed}",
-            note=f"oracle: {run['oracle']['recount_mismatches']} recount "
-            f"mismatches, {run['oracle']['plan_violations']} plan violations "
-            f"over {run['oracle']['plans_checked']} plan shapes",
-        )
-    )
-    per_rule = Counter((e.rule, e.status) for e in leaderboard.entries)
-    print(
-        render_table(
-            "P7: per-rule outcomes",
-            ["rule", "status", "count"],
-            [(r, s, c) for (r, s), c in sorted(per_rule.items())],
-        )
-    )
-    print(
-        render_table(
-            "P7: shipping",
-            ["geomean", "min_speedup", "live_rewrites", "stage"],
-            [(
-                f"{leaderboard.geomean_promoted():.3f}x",
-                f"{run['serving']['min_speedup']:.3f}x",
-                run["serving"]["live_rewrites"],
-                run["serving"]["final_stage"],
-            )],
-            note=f"gates: geomean >= {GEOMEAN_GATE}x, "
-            f"min >= {REGRESSION_FLOOR}x",
-        )
-    )
-
-    ok = (
-        run["oracle"]["promotions_checked"] > 0
-        and stats["mismatches"] == 0
-        and run["oracle"]["recount_mismatches"] == 0
-        and run["oracle"]["plan_violations"] == 0
-        and leaderboard.geomean_promoted() >= GEOMEAN_GATE
-        and run["serving"]["min_speedup"] >= REGRESSION_FLOOR
-        and run["serving"]["live_rewrites"] > 0
-        and feedback["skipped_by_weight"] > 0
-        and feedback["mix_warm"] != feedback["mix_cold"]
-    )
-
-    if args.export:
-        # Deterministic content only: virtual latencies, no wall-clock.
-        export = {
-            "profile": args.profile,
-            "seed": args.seed,
-            "leaderboard": json.loads(run["leaderboard_json"]),
-            "store": run["store_export"],
-            "oracle": run["oracle"],
-            "serving": run["serving"],
-            "feedback": feedback,
-            "telemetry": json.loads(run["telemetry_json"]),
-        }
-        with open(args.export, "w") as fh:
-            json.dump(export, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
-        print(f"rewrite report written to {args.export}")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

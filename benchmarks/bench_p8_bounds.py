@@ -21,18 +21,17 @@ Four properties are measured and gated:
 4. **Determinism**: two same-seed runs must export byte-identical
    reports and telemetry.
 
-Profiles: ``quick`` (CI smoke) or ``full``; as a script
-(``python benchmarks/bench_p8_bounds.py --profile quick --export out.json``)
-it prints the gate tables and writes the deterministic export that CI
-diffs across two runs.
+Profiles: ``quick`` (CI smoke) or ``full``.  Gates: ``python -m pytest`` on
+this file (``BENCH_PROFILE=full`` for the larger profile); deterministic export:
+``python -m benchmarks p8 --export out.json``.
 """
 
-import argparse
 import json
-import os
 
 import numpy as np
 
+import benchmarks
+from benchmarks import PROFILE
 from repro.bench import render_bounds_stats, render_table
 from repro.cardest.bounds import AGMSketchBoundEstimator, MCVJoinBoundEstimator
 from repro.engine import CardinalityExecutor
@@ -59,20 +58,15 @@ _PROFILES = {
         "drift_queries": 120,
     },
 }
-PROFILE = os.environ.get("BOUNDS_PROFILE", "quick")
 # Histogram interpolation on narrow ranges can put the point estimate a
 # few percent above the (near-exact) sketch bound; a real undercounting
 # bug (e.g. the /8 bound_undercounts mutation) blows well past this.
 _DOMINATES_SLACK = 1.1
 
 
-def _profile(profile: str | None) -> dict:
-    return _PROFILES[profile or PROFILE]
-
-
 def soundness_pass(seed: int = 0, profile: str | None = None) -> dict:
     """Gate 1: zero bound violations for both pessimistic estimators."""
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     db = make_stats_lite(scale=p["scale"], seed=seed)
     queries = WorkloadGenerator(db, seed=seed + 17).workload(
         p["n_queries"], 1, 3, require_predicate=True
@@ -96,7 +90,7 @@ def soundness_pass(seed: int = 0, profile: str | None = None) -> dict:
 
 def guard_pass(seed: int = 0, profile: str | None = None) -> dict:
     """Gate 2: faulted run trips visibly; clean run stays silent."""
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     results = {}
     for label, plan in (("faulted", None), ("clean", FaultPlan(()))):
         scenario = bound_guard_scenario(
@@ -126,7 +120,7 @@ def guard_pass(seed: int = 0, profile: str | None = None) -> dict:
 
 def drift_pass(seed: int = 0, profile: str | None = None) -> dict:
     """Gate 3: p99 latency, optimistic vs pessimistic, same drift."""
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     out = {}
     for arm, pessimistic in (("optimistic", False), ("pessimistic", True)):
         scenario = adversarial_drift_scenario(
@@ -150,7 +144,7 @@ def drift_pass(seed: int = 0, profile: str | None = None) -> dict:
     return out
 
 
-def bounds_export(seed: int = 0, profile: str | None = None) -> str:
+def export(seed: int = 0, profile: str | None = None) -> str:
     """The full deterministic report: all three gates, one JSON blob."""
     payload = {
         "profile": profile or PROFILE,
@@ -228,7 +222,7 @@ def test_p8_pessimistic_p99_beats_optimistic_under_drift():
 def test_p8_determinism_same_seed_same_export():
     exports, telemetry = [], []
     for _ in range(2):
-        exports.append(bounds_export(seed=3))
+        exports.append(export(seed=3))
         scenario = bound_guard_scenario(
             scale=0.2, seed=3, n_queries=48, n_sessions=4
         )
@@ -236,57 +230,3 @@ def test_p8_determinism_same_seed_same_export():
         telemetry.append(scenario.runtime.telemetry.to_json())
     assert exports[0] == exports[1], "same-seed bound reports diverged"
     assert telemetry[0] == telemetry[1], "same-seed guard telemetry diverged"
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--profile", choices=sorted(_PROFILES), default="quick")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--export", metavar="PATH",
-        help="write the deterministic bounds report (JSON) here",
-    )
-    args = parser.parse_args(argv)
-    blob = bounds_export(seed=args.seed, profile=args.profile)
-    payload = json.loads(blob)
-    ok = True
-    rows = []
-    for name, res in sorted(payload["soundness"].items()):
-        rows.append((name, res["checks"], len(res["violations"])))
-        ok = ok and not res["violations"]
-    print(
-        render_table(
-            f"P8: bound soundness ({args.profile}), seed={args.seed}",
-            ["estimator", "checks", "violations"],
-            rows,
-            note="zero violations expected on clean code",
-        )
-    )
-    print(
-        render_bounds_stats(
-            payload["guard"]["faulted"]["stats"], title="P8: guard under faults"
-        )
-    )
-    drift = payload["drift"]
-    print(
-        render_table(
-            "P8: adversarial drift p99",
-            ["arm", "served", "rejected", "p50_ms", "p99_ms", "max_ms"],
-            [
-                (arm, r["served"], r["rejected"], r["p50_ms"], r["p99_ms"], r["max_ms"])
-                for arm, r in sorted(drift.items())
-            ],
-        )
-    )
-    ok = ok and payload["guard"]["faulted"]["stats"]["estimate_violations"] > 0
-    ok = ok and payload["guard"]["clean"]["stats"]["estimate_violations"] == 0
-    ok = ok and drift["pessimistic"]["p99_ms"] < drift["optimistic"]["p99_ms"]
-    if args.export:
-        with open(args.export, "w") as fh:
-            fh.write(blob)
-        print(f"bounds report written to {args.export}")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -20,16 +20,15 @@ Four properties are measured and gated:
    identical router assignments.
 
 Profiles: ``quick`` (CI smoke, 10^5 x 16 shards) or ``full`` (2x10^5 x
-32 shards); as a script
-(``python benchmarks/bench_p9_fabric.py --profile quick --export out.json``)
-it prints the gate tables and writes the deterministic export that CI
-diffs across two runs.
+32 shards).  Gates: ``python -m pytest`` on this file
+(``BENCH_PROFILE=full`` for the larger profile); deterministic export:
+``python -m benchmarks p9 --export out.json``.
 """
 
-import argparse
 import json
-import os
 
+import benchmarks
+from benchmarks import PROFILE
 from repro.bench import render_shard_stats, render_table
 from repro.serve import RuntimeConfig
 from repro.serve.fabric import (
@@ -55,7 +54,6 @@ _PROFILES = {
         "fairness_shards": 8,
     },
 }
-PROFILE = os.environ.get("FABRIC_PROFILE", "quick")
 #: gate 2: minimum simulated-throughput efficiency vs the ideal N-shard speedup
 _MIN_EFFICIENCY = 0.7
 #: gate 3: max victim-tenant p99 inflation under the hot-tenant flood
@@ -64,10 +62,6 @@ _MAX_VICTIM_P99_RATIO = 3.0
 _N_VICTIMS = 3
 _HOT_WEIGHT = 8.0
 _FAIR_INTERARRIVAL_MS = 0.6
-
-
-def _profile(profile: str | None) -> dict:
-    return _PROFILES[profile or PROFILE]
 
 
 def _open_config() -> RuntimeConfig:
@@ -99,7 +93,7 @@ def _scale_run(n_shards: int, n_requests: int, seed: int):
 
 def scaling_pass(seed: int = 0, profile: str | None = None) -> dict:
     """Gates 1+2: 10^5+ requests over 16+ shards at >= 0.7x ideal."""
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     out = {"n_requests": p["scale_requests"], "n_shards": p["scale_shards"]}
     for label, shards in (("single", 1), ("sharded", p["scale_shards"])):
         scenario, report = _scale_run(shards, p["scale_requests"], seed)
@@ -172,7 +166,7 @@ def fairness_pass(seed: int = 0, profile: str | None = None) -> dict:
     flood, absorbed by QoS shedding) and ``skew_quota`` (same flood with
     a per-tenant token-bucket quota on the hot tenant as well).
     """
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     n, shards = p["fairness_requests"], p["fairness_shards"]
     fair_specs = hot_tenant_specs(n_victims=_N_VICTIMS, hot_weight=1.0)
     skew_specs = hot_tenant_specs(n_victims=_N_VICTIMS, hot_weight=_HOT_WEIGHT)
@@ -200,7 +194,7 @@ def fairness_pass(seed: int = 0, profile: str | None = None) -> dict:
 
 def determinism_pass(seed: int = 0, profile: str | None = None) -> dict:
     """Gate 4: two fresh same-seed fabrics export identical bytes."""
-    p = _profile(profile)
+    p = benchmarks.profile(_PROFILES, profile)
     exports, assignments = [], []
     for _ in range(2):
         scenario, _report = _scale_run(
@@ -216,7 +210,7 @@ def determinism_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def fabric_export(seed: int = 0, profile: str | None = None) -> str:
+def export(seed: int = 0, profile: str | None = None) -> str:
     """The full deterministic report: all four gates, one JSON blob."""
     scaling = scaling_pass(seed=seed, profile=profile)
     scaling = {k: v for k, v in scaling.items() if k != "shard_table"}
@@ -300,62 +294,3 @@ def test_p9_determinism_byte_identical_exports():
     out = determinism_pass(seed=3)
     assert out["byte_identical"], "same-seed fabric exports diverged"
     assert out["assignments_identical"], "same-seed router assignments diverged"
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--profile", choices=sorted(_PROFILES), default="quick")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--export", metavar="PATH",
-        help="write the deterministic fabric report (JSON) here",
-    )
-    args = parser.parse_args(argv)
-    blob = fabric_export(seed=args.seed, profile=args.profile)
-    payload = json.loads(blob)
-    scaling, fairness = payload["scaling"], payload["fairness"]
-    print(
-        render_table(
-            f"P9: horizontal scaling ({args.profile}), seed={args.seed}",
-            ["arm", "shards", "served", "simulated_qps"],
-            [
-                (
-                    label,
-                    scaling[label]["shards"],
-                    scaling[label]["served"],
-                    scaling[label]["simulated_qps"],
-                )
-                for label in ("single", "sharded")
-            ],
-            note=f"efficiency={scaling['efficiency']}",
-        )
-    )
-    print(
-        render_table(
-            "P9: hot-tenant drill",
-            ["arm", "served", "shed", "victim_p99", "ratio"],
-            [
-                (
-                    arm,
-                    fairness[arm]["served"],
-                    sum(fairness[arm]["rejected"].values()),
-                    fairness[arm]["victim_p99_ms"],
-                    fairness[arm].get("victim_p99_ratio", 1.0),
-                )
-                for arm in ("fair", "skew", "skew_quota")
-            ],
-        )
-    )
-    ok = scaling["efficiency"] >= _MIN_EFFICIENCY
-    ok = ok and payload["determinism"]["byte_identical"]
-    for arm in ("skew", "skew_quota"):
-        ok = ok and fairness[arm]["victim_p99_ratio"] <= _MAX_VICTIM_P99_RATIO
-    if args.export:
-        with open(args.export, "w") as fh:
-            fh.write(blob)
-        print(f"fabric report written to {args.export}")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,22 +1,12 @@
 """Shared benchmark fixtures.
 
 Benchmarks use larger databases than the unit tests (scale 0.6-0.8) so the
-reported shapes are stable; everything stays laptop-scale.
-
-The ``sys.path`` bootstrap below makes ``python -m pytest benchmarks/...``
-work from a plain checkout, exactly like ``tests/``: without it the
-``repro`` package is only importable with ``PYTHONPATH=src`` or after
-``pip install -e .``.
+reported shapes are stable; everything stays laptop-scale.  ``repro`` is
+importable from a plain checkout because ``benchmarks/__init__.py`` puts
+``src/`` on ``sys.path`` before pytest imports this file.
 """
 
 from __future__ import annotations
-
-import sys
-from pathlib import Path
-
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
 
 import numpy as np
 import pytest

@@ -4,10 +4,10 @@ A :class:`FaultPlan` is a pure function from ``(target, call_index)`` to
 an optional :class:`FaultSpec`: every decision is derived from a sha256
 hash of ``(seed, target, kind, spec_index, call_index)``, so the same
 plan produces byte-identical fault sequences on every run, regardless of
-host, thread timing or dict ordering.  Because the serving runtime's turn
-gate serializes the execution core, per-target call counters advance in
-the same order across same-seed runs -- which is what makes whole chaos
-scenarios reproducible end to end.
+host or dict ordering.  Because the serving runtime is a single ``submit``
+loop over the schedule in ``global_seq`` order, per-target call counters
+advance in the same order across same-seed runs -- which is what makes
+whole chaos scenarios reproducible end to end.
 
 A :class:`FaultInjector` binds a plan to a :class:`~repro.faults.clock.
 VirtualClock` and a set of counters, and wraps concrete components:

@@ -3,7 +3,7 @@
 Counters, latency histograms (p50/p95/p99) and per-query trace records,
 collected while requests are in flight and exported as one deterministic
 ``snapshot()`` dict.  Determinism is load-bearing: the serving smoke test
-asserts that two same-seed runs with 8 concurrent sessions produce
+asserts that two same-seed runs of an 8-session schedule produce
 byte-identical snapshots, so nothing wall-clock (timestamps, rates) may
 enter the bus -- the runtime reports those separately -- and the snapshot
 orders everything canonically (counters by name, traces by

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 # Make `python -m pytest` work from a plain checkout (no PYTHONPATH=src,
-# no editable install) -- benchmarks/conftest.py does the same.
+# no editable install) -- benchmarks/__init__.py does the same.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)

@@ -1,8 +1,15 @@
 """Tests for the registry (Table 1), advisor extensions and bench support."""
 
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import benchmarks
 from repro.bench import (
     apply_drift,
     build_estimator,
@@ -18,6 +25,20 @@ from repro.core import registry
 from repro.core.registry import cardinality_estimator_rows
 from repro.sql import WorkloadGenerator
 from repro.storage import make_stats_lite, make_tpch_lite
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_cli(*args, **env):
+    """Run ``python -m benchmarks`` from a plain checkout (no PYTHONPATH)."""
+    dropped = ("PYTHONPATH", "BENCH_PROFILE")
+    clean = {k: v for k, v in os.environ.items() if k not in dropped}
+    return subprocess.run(
+        [sys.executable, "-m", "benchmarks", *args],
+        cwd=_ROOT,
+        env={**clean, **env},
+        capture_output=True,
+    )
 
 
 class TestRegistry:
@@ -150,3 +171,55 @@ class TestSuiteBuilders:
         fit_estimator(est, *stats_train_data)
         q = stats_train_data[0][0]
         assert est.estimate(q) >= 0
+
+
+class TestBenchEntryPoint:
+    """The benchmarks registry, the ``export`` contract and the one CLI."""
+
+    def test_registry_and_directory_agree(self):
+        files = {p.stem for p in (_ROOT / "benchmarks").glob("bench_*.py")}
+        assert files == {module for module, _ in benchmarks.BENCHMARKS.values()}
+
+    def test_export_contract(self):
+        exporting = set()
+        for key in benchmarks.BENCHMARKS:
+            module = benchmarks.load(key)
+            if not hasattr(module, "export"):
+                continue
+            exporting.add(key)
+            assert list(inspect.signature(module.export).parameters) == [
+                "seed",
+                "profile",
+            ], key
+            assert set(module._PROFILES) == {"quick", "full"}, key
+        assert exporting == {f"p{n}" for n in range(2, 11)}
+
+    def test_profile_selector_names_valid_profiles(self):
+        table = {"quick": 1, "full": 2}
+        assert benchmarks.profile(table) == table[benchmarks.PROFILE]
+        assert benchmarks.profile(table, "full") == 2
+        with pytest.raises(ValueError, match="full.*quick"):
+            benchmarks.profile(table, "bogus")
+
+    def test_cli_export_matches_stdout_and_function(self, tmp_path):
+        out = tmp_path / "p5.json"
+        to_file = _bench_cli("p5", "--export", str(out))
+        to_stdout = _bench_cli("p5")
+        assert to_file.returncode == 0 and to_file.stdout == b""
+        assert to_stdout.returncode == 0
+        expected = benchmarks.load("p5").export(seed=0, profile="quick")
+        assert out.read_bytes() == to_stdout.stdout == expected.encode()
+
+    @pytest.mark.parametrize("key", ["nope", "e1"])
+    def test_cli_rejects_keys_without_an_export(self, key):
+        assert _bench_cli(key).returncode == 2
+
+    def test_cli_bad_bench_profile_names_the_valid_ones(self):
+        result = _bench_cli("p5", BENCH_PROFILE="bogus")
+        assert result.returncode != 0
+        assert b"quick" in result.stderr and b"full" in result.stderr
+
+    def test_readme_names_every_registered_module(self):
+        readme = (_ROOT / "README.md").read_text()
+        for module, _ in benchmarks.BENCHMARKS.values():
+            assert f"{module}.py" in readme, module
