@@ -1,6 +1,6 @@
 """P6: vectorized kernels + parameterized plan-cache fast path, gated.
 
-Four properties are measured and gated:
+Five properties are measured and gated:
 
 1. **Executor throughput**: the vectorized :class:`CardinalityExecutor`
    (shared sort-merge/expand kernels, key-index cache) must be >= 10x
@@ -15,7 +15,12 @@ Four properties are measured and gated:
 3. **Plan-cache hit rate**: the parameterized serving scenario (few
    templates, many literal bindings) must serve every request and see a
    > 80% plan-cache hit rate.
-4. **Exactness + determinism**: counts stay byte-equal to the independent
+4. **Tree-conv training kernel**: ``TreeConvNet.fit`` over one flat
+   plan-tree corpus (segment max-pool, scatter-free backward, one flat
+   Adam update) must be >= 1.5x faster than the loop + ``np.add.at``
+   kernel it replaced (``tests/treeconv_reference.py``) on Bao-shaped
+   plan trees, with every trained parameter ``array_equal``.
+5. **Exactness + determinism**: counts stay byte-equal to the independent
    reference on every fixture including the deep chain whose count
    exceeds 2**53 (where float64 silently rounds), and two same-seed
    cache-enabled serving runs must export byte-identical telemetry.
@@ -30,18 +35,24 @@ import json
 import time
 from collections import defaultdict
 
+import numpy as np
+
 import benchmarks
 from benchmarks import PROFILE
 from repro.bench import render_cache_stats, render_table
+from repro.costmodel import PlanFeaturizer
+from repro.costmodel.features import plan_to_tree_arrays
 from repro.engine import CardinalityExecutor
 from repro.engine.plans import JoinNode, ScanNode
-from repro.optimizer import Optimizer
+from repro.ml.treeconv import TreeConvNet
+from repro.optimizer import HintSet, Optimizer
 from repro.oracle.fixtures import make_deep_chain
 from repro.oracle.planexec import PlanInterpreter
 from repro.oracle.reference import _holds, reference_count
 from repro.serve.scenarios import parameterized_scenario
 from repro.sql import WorkloadGenerator
 from repro.storage.datasets import make_stats_lite
+from tests.treeconv_reference import ReferenceTreeConvNet
 
 _PROFILES = {
     "quick": {
@@ -49,6 +60,8 @@ _PROFILES = {
         "exec_queries": 10,
         "interp_queries": 6,
         "chain_tables": 8,
+        "fit_queries": 50,
+        "fit_epochs": 30,
         "n_templates": 8,
         "bindings_per_template": 10,
         "n_sessions": 4,
@@ -58,12 +71,15 @@ _PROFILES = {
         "exec_queries": 24,
         "interp_queries": 12,
         "chain_tables": 10,
+        "fit_queries": 200,
+        "fit_epochs": 30,
         "n_templates": 12,
         "bindings_per_template": 12,
         "n_sessions": 8,
     },
 }
 SPEEDUP_GATE = 10.0
+FIT_SPEEDUP_GATE = 1.5
 HIT_RATE_GATE = 0.8
 
 
@@ -188,6 +204,58 @@ def interpreter_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
+def treeconv_fit_pass(seed: int = 0, profile: str | None = None) -> dict:
+    """Corpus training kernel vs the loop kernel it replaced, same trees.
+
+    The trees are what Bao's risk model sees: three arms' plans per query,
+    featurized; the nets are its ensemble member's shape.  Best of three
+    fits each, interleaved, so a slow moment on the box hits both sides.
+    """
+    p = benchmarks.profile(_PROFILES, profile)
+    db = make_stats_lite(scale=p["scale"], seed=seed)
+    optimizer = Optimizer(db)
+    featurizer = PlanFeaturizer(db, optimizer.estimator)
+    queries = WorkloadGenerator(db, seed=seed + 41).workload(
+        p["fit_queries"], 2, 4, require_predicate=True
+    )
+    trees = [
+        plan_to_tree_arrays(optimizer.plan(q, hints=arm), featurizer)
+        for q in queries
+        for arm in HintSet.bao_arms()[:3]
+    ]
+    y = np.random.default_rng(seed).normal(size=len(trees))
+
+    def timed_fit(kernel):
+        net = kernel(
+            featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed
+        )
+        t0 = time.perf_counter()
+        net.fit(trees, y, epochs=p["fit_epochs"], seed=seed)
+        return time.perf_counter() - t0, net
+
+    t_base = t_vec = float("inf")
+    for _ in range(3):
+        t, baseline = timed_fit(ReferenceTreeConvNet)
+        t_base = min(t_base, t)
+        t, net = timed_fit(TreeConvNet)
+        t_vec = min(t_vec, t)
+
+    return {
+        "n_trees": len(trees),
+        "n_steps": p["fit_epochs"] * ((len(trees) + 31) // 32),  # batch_size 32
+        "parameters_equal": all(
+            np.array_equal(a, b)
+            for a, b in zip(baseline.parameters(), net.parameters())
+        ),
+        "predictions_equal": np.array_equal(
+            baseline.predict(trees), net.predict(trees)
+        ),
+        "t_baseline_s": t_base,
+        "t_vectorized_s": t_vec,
+        "speedup": t_base / max(t_vec, 1e-9),
+    }
+
+
 def serving_pass(seed: int = 0, profile: str | None = None):
     """One cache-enabled parameterized serving run; returns the scenario."""
     p = benchmarks.profile(_PROFILES, profile)
@@ -293,6 +361,31 @@ def test_p6_interpreter_speedup_and_exactness():
     assert result["speedup"] >= SPEEDUP_GATE, (
         f"interpreter speedup {result['speedup']:.1f}x below the "
         f"{SPEEDUP_GATE:.0f}x gate"
+    )
+
+
+def test_p6_treeconv_fit_speedup_and_exactness():
+    result = treeconv_fit_pass(seed=0)
+    assert result["parameters_equal"], "trained parameters differ from the loop kernel's"
+    assert result["predictions_equal"]
+    print(
+        render_table(
+            f"P6: tree-conv fit, corpus kernel vs loop kernel ({PROFILE})",
+            ["trees", "steps", "baseline_s", "vectorized_s", "us/step", "speedup"],
+            [(
+                result["n_trees"],
+                result["n_steps"],
+                f"{result['t_baseline_s']:.3f}",
+                f"{result['t_vectorized_s']:.3f}",
+                f"{1e6 * result['t_vectorized_s'] / result['n_steps']:.0f}",
+                f"{result['speedup']:.1f}x",
+            )],
+            note=f"gate: >= {FIT_SPEEDUP_GATE:.1f}x, parameters array_equal",
+        )
+    )
+    assert result["speedup"] >= FIT_SPEEDUP_GATE, (
+        f"tree-conv fit speedup {result['speedup']:.1f}x below the "
+        f"{FIT_SPEEDUP_GATE:.1f}x gate"
     )
 
 

@@ -21,7 +21,8 @@ framework, which is also what the E11 ablation benchmark sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.core.interfaces import Retrainable
@@ -29,12 +30,17 @@ from repro.engine.plans import Plan
 from repro.sql.query import Query
 
 __all__ = [
+    "OBSERVATION_WINDOW",
     "CandidatePlan",
     "PlanExplorationStrategy",
     "RiskModel",
     "Experience",
     "LearnedOptimizer",
 ]
+
+# Bao's sliding window: a learned arm keeps (and refits on) only its most
+# recent observations, so one retrain costs O(window), not O(queries served).
+OBSERVATION_WINDOW = 2000
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ class LearnedOptimizer:
         self.risk_model = risk_model
         self.retrain_every = retrain_every
         self.name = name
-        self.history: list[Experience] = []
+        self.history: deque[Experience] = deque(maxlen=OBSERVATION_WINDOW)
         self._since_retrain = 0
 
     def choose_plan(self, query: Query) -> CandidatePlan:

@@ -27,7 +27,7 @@ import numpy as np
 from repro.costmodel.features import PlanFeaturizer, plan_to_tree_arrays
 from repro.engine.plans import Plan
 from repro.ml.nn import Adam
-from repro.ml.treeconv import PlanTreeBatch, TreeConvNet
+from repro.ml.treeconv import PlanTreeBatch, PlanTreeCorpus, TreeConvNet
 
 __all__ = ["UnifiedTransferableModel"]
 
@@ -75,7 +75,9 @@ class UnifiedTransferableModel:
             raise ValueError("plans/latencies/cardinalities must align")
         if not plans:
             raise ValueError("empty pre-training corpus")
-        trees = [plan_to_tree_arrays(p, self.featurizer) for p in plans]
+        corpus = PlanTreeCorpus.from_trees(
+            [plan_to_tree_arrays(p, self.featurizer) for p in plans]
+        )
         y = np.column_stack(
             [
                 np.log1p(np.maximum(np.asarray(latencies_ms, float), 0.0)),
@@ -83,20 +85,21 @@ class UnifiedTransferableModel:
             ]
         )
         opt = Adam(lr=lr)
+        params, grads = [self.net.flat_params], [self.net.flat_grads]
         losses: list[float] = []
-        n = len(trees)
+        n = len(corpus)
         for _ in range(epochs):
             order = self._rng.permutation(n)
+            y_epoch = y[order]
             total, batches = 0.0, 0
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                batch = PlanTreeBatch.from_trees([trees[i] for i in idx])
+            for batch in corpus.batches(order, batch_size):
+                start = batches * batch_size
                 pred = self.net.forward(batch)
-                diff = pred - y[idx]
+                diff = pred - y_epoch[start : start + batch_size]
                 loss = float((diff**2).mean())
                 grad = 2.0 * diff / max(diff.size, 1)
                 self.net._backward(batch, grad)
-                opt.step(self.net.parameters(), self.net.gradients())
+                opt.step(params, grads)
                 total += loss
                 batches += 1
             losses.append(total / max(batches, 1))
@@ -124,27 +127,25 @@ class UnifiedTransferableModel:
             raise RuntimeError("fine_tune called before pretrain")
         if len(plans) != len(targets):
             raise ValueError("plans/targets must align")
-        trees = [plan_to_tree_arrays(p, self.featurizer) for p in plans]
+        corpus = PlanTreeCorpus.from_trees(
+            [plan_to_tree_arrays(p, self.featurizer) for p in plans]
+        )
         y = np.log1p(np.maximum(np.asarray(targets, float), 0.0))
         # Head parameters = everything after the conv trunk.
-        head_params: list[np.ndarray] = []
-        for layer in self.net.head:
-            head_params.extend(layer.parameters())
+        head = self.net.head_offset
+        params, grads = [self.net.flat_params[head:]], [self.net.flat_grads[head:]]
         opt = Adam(lr=lr)
-        n = len(trees)
+        n = len(corpus)
         for _ in range(epochs):
             order = self._rng.permutation(n)
-            for start in range(0, n, 32):
-                idx = order[start : start + 32]
-                batch = PlanTreeBatch.from_trees([trees[i] for i in idx])
+            y_epoch = y[order]
+            for k, batch in enumerate(corpus.batches(order, 32)):
+                y_b = y_epoch[32 * k : 32 * (k + 1)]
                 pred = self.net.forward(batch)
                 grad = np.zeros_like(pred)
-                grad[:, col] = 2.0 * (pred[:, col] - y[idx]) / max(idx.size, 1)
+                grad[:, col] = 2.0 * (pred[:, col] - y_b) / max(y_b.size, 1)
                 self.net._backward(batch, grad)
-                head_grads: list[np.ndarray] = []
-                for layer in self.net.head:
-                    head_grads.extend(layer.gradients())
-                opt.step(head_params, head_grads)
+                opt.step(params, grads)
 
     # -- task predictions ---------------------------------------------------------------
 

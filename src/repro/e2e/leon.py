@@ -11,9 +11,10 @@ pairs (LEON's exploration).
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
-from repro.core.framework import CandidatePlan, Experience
+from repro.core.framework import OBSERVATION_WINDOW, CandidatePlan, Experience
 from repro.costmodel.features import PlanFeaturizer
 from repro.e2e.risk_models import PairwisePlanComparator
 from repro.engine.plans import Plan, PlanNode
@@ -55,7 +56,7 @@ class LeonOptimizer:
         self.shadow_executor = shadow_executor
         featurizer = PlanFeaturizer(optimizer.db, optimizer.estimator)
         self.comparator = PairwisePlanComparator(featurizer, seed=seed)
-        self.history: list[Experience] = []
+        self.history: deque[Experience] = deque(maxlen=OBSERVATION_WINDOW)
         self._queries_seen = 0
         self._since_retrain = 0
 

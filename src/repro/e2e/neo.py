@@ -15,10 +15,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
-from repro.core.framework import CandidatePlan, Experience
+from repro.core.framework import OBSERVATION_WINDOW, CandidatePlan, Experience
 from repro.costmodel.features import PlanFeaturizer, plan_to_tree_arrays
 from repro.engine.plans import JoinNode, Plan, PlanNode, ScanNode
 from repro.joinorder.env import JoinOrderEnv, plan_from_order
@@ -54,9 +55,10 @@ class _ValueGuidedOptimizer:
         self.retrain_every = retrain_every
         self.search_budget = search_budget
         self.beam_width = beam_width  # 0 = best-first (Neo), >0 = beam (Balsa)
-        self.history: list[Experience] = []
-        self._trees: list[tuple] = []
-        self._targets: list[float] = []
+        self.history: deque[Experience] = deque(maxlen=OBSERVATION_WINDOW)
+        # Training states (several per observation); the fit uses all of them.
+        self._trees: deque[tuple] = deque(maxlen=3000)
+        self._targets: deque[float] = deque(maxlen=3000)
         self._trained = False
         self._since_retrain = 0
         self._counter = itertools.count()
@@ -200,12 +202,7 @@ class _ValueGuidedOptimizer:
         self._since_retrain = 0
         if len(self._targets) < 20:
             return
-        self.net.fit(
-            self._trees[-3000:],
-            np.array(self._targets[-3000:]),
-            epochs=25,
-            lr=1e-3,
-        )
+        self.net.fit(self._trees, np.array(self._targets), epochs=25, lr=1e-3)
         self._trained = True
 
 

@@ -18,14 +18,15 @@ cold-start behaviour safe.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.framework import CandidatePlan
+from repro.core.framework import OBSERVATION_WINDOW, CandidatePlan
 from repro.costmodel.features import PlanFeaturizer, plan_to_tree_arrays
 from repro.ml.nn import Adam
-from repro.ml.treeconv import PlanTreeBatch, TreeConvNet
+from repro.ml.treeconv import PlanTreeCorpus, TreeConvNet
 
 __all__ = [
     "TreeConvLatencyModel",
@@ -68,8 +69,8 @@ class TreeConvLatencyModel:
             for i in range(max(n_members, 1))
         ]
         self._rng = np.random.default_rng(seed + 100)
-        self._trees: list[tuple] = []
-        self._latencies: list[float] = []
+        self._trees: deque[tuple] = deque(maxlen=OBSERVATION_WINDOW)
+        self._latencies: deque[float] = deque(maxlen=OBSERVATION_WINDOW)
         self._trained = False
 
     @property
@@ -85,15 +86,12 @@ class TreeConvLatencyModel:
         if n < self.min_observations:
             return
         y = np.log1p(np.maximum(np.array(self._latencies), 0.0))
+        corpus = PlanTreeCorpus.from_trees(self._trees)
         for i, member in enumerate(self._members):
             # Bootstrap resample per member (Bao's approximate posterior).
             idx = self._rng.integers(0, n, size=n)
             member.fit(
-                [self._trees[j] for j in idx],
-                y[idx],
-                epochs=self.epochs,
-                lr=self.lr,
-                seed=i,
+                corpus.resample(idx), y[idx], epochs=self.epochs, lr=self.lr, seed=i
             )
         self._trained = True
 
@@ -150,48 +148,60 @@ class PairwisePlanComparator:
         tree = plan_to_tree_arrays(candidate.plan, self.featurizer)
         self._by_query.setdefault(key, []).append((tree, float(latency_ms)))
 
-    def _pairs(self) -> list[tuple[tuple, tuple, float]]:
-        """(tree_a, tree_b, label) with label = 1 when a is faster."""
-        pairs = []
-        for entries in self._by_query.values():
-            for i in range(len(entries)):
-                for j in range(i + 1, len(entries)):
-                    (ta, la), (tb, lb) = entries[i], entries[j]
-                    if abs(la - lb) / max(la, lb, 1e-9) < 0.05:
-                        continue  # ties teach nothing
-                    pairs.append((ta, tb, 1.0 if la < lb else 0.0))
-        return pairs
+    @staticmethod
+    def _informative(latencies: Sequence[float]):
+        """Index pairs ``(i, j)``, ``i < j``, whose latencies differ by >= 5%."""
+        lat = np.asarray(latencies, dtype=float)
+        i, j = np.triu_indices(len(lat), k=1)
+        la, lb = lat[i], lat[j]
+        keep = ~(np.abs(la - lb) / np.maximum(np.maximum(la, lb), 1e-9) < 0.05)
+        return i[keep], j[keep]  # ties teach nothing
 
     @property
     def n_pairs(self) -> int:
-        return len(self._pairs())
+        return sum(
+            len(self._informative([lat for _, lat in entries])[0])
+            for entries in self._by_query.values()
+        )
+
+    def _pairs(self) -> tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray]:
+        """``(trees, a, b, label)``: pair ``k`` is ``trees[a[k]]`` against
+        ``trees[b[k]]`` with label = 1 when a is faster."""
+        trees: list[tuple] = []
+        a, b, labels = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+        for entries in self._by_query.values():
+            lat = np.array([lat for _, lat in entries])
+            i, j = self._informative(lat)
+            a.append(i + len(trees))
+            b.append(j + len(trees))
+            labels.append((lat[i] < lat[j]).astype(float))
+            trees.extend(tree for tree, _ in entries)
+        return trees, np.concatenate(a), np.concatenate(b), np.concatenate(labels)
 
     def retrain(self) -> None:
-        pairs = self._pairs()
-        if len(pairs) < self.min_pairs:
+        trees, a, b, labels = self._pairs()
+        if len(labels) < max(self.min_pairs, 1):
             return
+        corpus = PlanTreeCorpus.from_trees(trees)
         opt = Adam(lr=self.lr)
-        n = len(pairs)
+        params, grads = [self.net.flat_params], [self.net.flat_grads]
+        n = len(labels)
         for _ in range(self.epochs):
             order = self._rng.permutation(n)
-            for start in range(0, n, 16):
-                chunk = [pairs[k] for k in order[start : start + 16]]
-                trees = []
-                labels = []
-                for ta, tb, y in chunk:
-                    trees.extend([ta, tb])
-                    labels.append(y)
-                batch = PlanTreeBatch.from_trees(trees)
+            y_epoch = labels[order]
+            # Trees interleaved a0, b0, a1, b1, ...: 16 pairs to a batch.
+            interleaved = np.stack([a[order], b[order]], axis=1).ravel()
+            for k, batch in enumerate(corpus.batches(interleaved, 32)):
+                y_arr = y_epoch[16 * k : 16 * (k + 1)]
                 scores = self.net.forward(batch)[:, 0]
                 diff = scores[1::2] - scores[0::2]  # s(b) - s(a)
                 prob = 1.0 / (1.0 + np.exp(-np.clip(diff, -60, 60)))
-                y_arr = np.array(labels)
-                d_diff = (prob - y_arr) / max(len(chunk), 1)
-                grad = np.zeros((len(trees), 1))
+                d_diff = (prob - y_arr) / max(len(y_arr), 1)
+                grad = np.zeros((batch.n_trees, 1))
                 grad[1::2, 0] = d_diff
                 grad[0::2, 0] = -d_diff
                 self.net._backward(batch, grad)
-                opt.step(self.net.parameters(), self.net.gradients())
+                opt.step(params, grads)
         self._trained = True
 
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:

@@ -32,7 +32,7 @@ from repro.ml.nn import (
 )
 from repro.ml.gbdt import GradientBoostedTrees
 from repro.ml.cluster import KMeans
-from repro.ml.treeconv import TreeConvNet, PlanTreeBatch
+from repro.ml.treeconv import TreeConvNet, PlanTreeBatch, PlanTreeCorpus
 from repro.ml.setconv import SetConvNet
 from repro.ml.autoregressive import MaskedAutoregressiveNetwork
 from repro.ml.chowliu import chow_liu_tree
@@ -52,6 +52,7 @@ __all__ = [
     "KMeans",
     "TreeConvNet",
     "PlanTreeBatch",
+    "PlanTreeCorpus",
     "SetConvNet",
     "MaskedAutoregressiveNetwork",
     "chow_liu_tree",

@@ -11,20 +11,26 @@ prediction (cost / latency / preference score).
 Trees of different shapes are batched by flattening all nodes of all trees
 into one array with a shared "null" row at index 0 standing in for missing
 children, which lets both the forward and the backward pass be fully
-vectorized with numpy gather/scatter operations.
+vectorized with numpy gather operations.
+
+Training never re-stacks trees: a :class:`PlanTreeCorpus` holds every node
+of every tree once, an epoch is one gather from it, and a minibatch is a
+set of views into that epoch (see DESIGN.md §7, "training kernel").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.ml.nn import Adam, mse_loss, binary_cross_entropy_loss
 
-__all__ = ["PlanTreeBatch", "TreeConvNet"]
+__all__ = ["PlanTreeBatch", "PlanTreeCorpus", "TreeConvNet"]
+
+Tree = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -39,64 +45,170 @@ class PlanTreeBatch:
     left, right:
         ``[total_nodes]`` int arrays indexing into ``features`` (0 = null).
     tree_slices:
-        per-tree ``(start, stop)`` ranges into rows ``1..total_nodes`` of
-        ``features`` (offsets already include the +1 null-row shift).
+        ``[n_trees, 2]`` int array of per-tree ``(start, stop)`` ranges into
+        rows ``1..total_nodes`` of ``features`` (offsets already include the
+        +1 null-row shift).  Trees are contiguous and in order, so
+        ``tree_slices[i, 1] == tree_slices[i + 1, 0]``.
     """
 
     features: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    tree_slices: list[tuple[int, int]]
+    tree_slices: np.ndarray
 
     @property
     def n_trees(self) -> int:
         return len(self.tree_slices)
 
     @classmethod
-    def from_trees(
-        cls, trees: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ) -> "PlanTreeBatch":
+    def from_trees(cls, trees: Sequence[Tree]) -> "PlanTreeBatch":
         """Build a batch from ``(features, left, right)`` triples.
 
         Each tree supplies node ``features`` of shape ``[n, d]`` and per-node
         child indices ``left``/``right`` in ``[-1, n)``, where ``-1`` means
-        "no child".
+        "no child"; a node may be the child of at most one node.
         """
-        if not trees:
-            raise ValueError("cannot batch zero trees")
-        node_dim = np.asarray(trees[0][0]).shape[1]
-        all_feats = [np.zeros((1, node_dim))]
-        all_left: list[np.ndarray] = []
-        all_right: list[np.ndarray] = []
-        slices: list[tuple[int, int]] = []
-        offset = 1  # row 0 is the null node
-        for feats, left, right in trees:
-            feats = np.asarray(feats, dtype=float)
-            left = np.asarray(left, dtype=int)
-            right = np.asarray(right, dtype=int)
-            n = feats.shape[0]
-            if feats.ndim != 2 or feats.shape[1] != node_dim:
-                raise ValueError("inconsistent node feature dimensions in batch")
-            if left.shape != (n,) or right.shape != (n,):
-                raise ValueError("child index arrays must have one entry per node")
-            if n == 0:
-                raise ValueError("cannot batch an empty tree")
-            # Shift child indices into the global array; -1 becomes the null row.
-            all_left.append(np.where(left >= 0, left + offset, 0))
-            all_right.append(np.where(right >= 0, right + offset, 0))
-            all_feats.append(feats)
-            slices.append((offset, offset + n))
-            offset += n
+        # ``corpus.take(arange(n))`` without the gather: storage order is
+        # batch order, so only the null row and the +1 shift are missing.
+        corpus = PlanTreeCorpus.from_trees(trees)
+        first = corpus.starts + 1
+        shift = np.repeat(first, corpus.sizes)
+        null = np.zeros((1, corpus.features.shape[1]))
         return cls(
-            features=np.concatenate(all_feats, axis=0),
-            left=np.concatenate(all_left),
-            right=np.concatenate(all_right),
-            tree_slices=slices,
+            np.concatenate([null, corpus.features]),
+            np.where(corpus.left >= 0, corpus.left + shift, 0),
+            np.where(corpus.right >= 0, corpus.right + shift, 0),
+            np.stack([first, first + corpus.sizes], axis=1),
         )
 
 
+@dataclass
+class PlanTreeCorpus:
+    """Every node of a set of trees, stored once; batches are gathers from it.
+
+    Attributes
+    ----------
+    features:
+        ``[total_nodes, node_dim]`` node features of all trees, concatenated
+        (no null row).
+    left, right:
+        ``[total_nodes]`` child indices *local to the node's own tree*
+        (``-1`` = no child).
+    starts, sizes:
+        ``[n_trees]`` first node row and node count of each tree.  A
+        resample (:meth:`resample`) is a new ``starts``/``sizes`` pair over
+        the same node arrays: trees may repeat and need not be in storage
+        order.
+    """
+
+    features: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    @classmethod
+    def from_trees(cls, trees: Sequence[Tree]) -> "PlanTreeCorpus":
+        """Concatenate and validate ``(features, left, right)`` triples.
+
+        Raises ``ValueError`` (naming the tree) unless every child index is
+        in ``[-1, n)`` and every node is the child of at most one node --
+        the invariant the scatter-free backward pass relies on.
+        """
+        if len(trees) == 0:
+            raise ValueError("cannot batch zero trees")
+        feats = [np.asarray(t[0], dtype=float) for t in trees]
+        lefts = [np.asarray(t[1], dtype=int) for t in trees]
+        rights = [np.asarray(t[2], dtype=int) for t in trees]
+        node_dim = feats[0].shape[1] if feats[0].ndim == 2 else -1
+        for f, l, r in zip(feats, lefts, rights):
+            if f.ndim != 2 or f.shape[1] != node_dim:
+                raise ValueError("inconsistent node feature dimensions in batch")
+            if l.shape != f.shape[:1] or r.shape != f.shape[:1]:
+                raise ValueError("child index arrays must have one entry per node")
+            if f.shape[0] == 0:
+                raise ValueError("cannot batch an empty tree")
+        sizes = np.array([f.shape[0] for f in feats])
+        starts = np.cumsum(sizes) - sizes
+        total = int(starts[-1] + sizes[-1])
+        both = np.concatenate(lefts + rights)  # all left columns, then all right
+        tree_of = np.tile(np.repeat(np.arange(len(sizes)), sizes), 2)
+        bad = (both < -1) | (both >= sizes[tree_of])
+        if bad.any():
+            raise ValueError(
+                f"tree {tree_of[bad.argmax()]}: child index outside [-1, n)"
+            )
+        is_child = both >= 0
+        parents = np.bincount((both + starts[tree_of])[is_child], minlength=total)
+        if (parents > 1).any():
+            raise ValueError(
+                f"tree {tree_of[(parents > 1).argmax()]}: a node is the child "
+                "of more than one node"
+            )
+        left, right = both[:total], both[total:]
+        return cls(np.concatenate(feats, axis=0), left, right, starts, sizes)
+
+    def resample(self, idx: np.ndarray) -> "PlanTreeCorpus":
+        """The corpus of trees ``idx`` (repeats allowed); copies no node."""
+        return PlanTreeCorpus(
+            self.features, self.left, self.right, self.starts[idx], self.sizes[idx]
+        )
+
+    def take(self, idx: np.ndarray) -> PlanTreeBatch:
+        """One batch holding trees ``idx`` in that order."""
+        if len(idx) == 0:
+            raise ValueError("cannot batch zero trees")
+        return next(self.batches(idx, len(idx)))
+
+    def batches(self, order: np.ndarray, batch_size: int) -> Iterator[PlanTreeBatch]:
+        """Yield trees ``order`` as consecutive batches of ``batch_size``.
+
+        All batches are gathered at once into one array (a null row, then a
+        batch's nodes, for each batch); every yielded batch is views into it.
+        """
+        order = np.asarray(order, dtype=int)
+        n = len(order)
+        if n == 0:
+            return
+        sizes = self.sizes[order]
+        ends = np.cumsum(sizes)
+        begins = ends - sizes
+        total = int(ends[-1])
+        cuts = np.arange(0, n, batch_size)  # first tree of each batch
+        batch_of = np.arange(n) // batch_size
+        # Row of each tree's first node inside its own batch (row 0 = null).
+        local = begins - begins[cuts][batch_of] + 1
+        rows = np.arange(total)
+        src = np.repeat(self.starts[order] - begins, sizes) + rows
+        shift = np.repeat(local, sizes)
+        left, right = self.left[src], self.right[src]
+        left = np.where(left >= 0, left + shift, 0)
+        right = np.where(right >= 0, right + shift, 0)
+        features = np.zeros((total + len(cuts), self.features.shape[1]))
+        features[np.repeat(batch_of + 1, sizes) + rows] = self.features[src]
+        slices = np.stack([local, local + sizes], axis=1)
+        row_cuts = begins[cuts].tolist() + [total]
+        tree_cuts = cuts.tolist() + [n]
+        for b in range(len(cuts)):
+            r0, r1 = row_cuts[b], row_cuts[b + 1]
+            yield PlanTreeBatch(
+                features[r0 + b : r1 + b + 1],
+                left[r0:r1],
+                right[r0:r1],
+                slices[tree_cuts[b] : tree_cuts[b + 1]],
+            )
+
+
 class _TreeConvLayer:
-    """One tree-convolution layer: ``h_v = relu([x_v ; x_l ; x_r] W + b)``."""
+    """One tree-convolution layer: ``h_v = relu([x_v ; x_l ; x_r] W + b)``.
+
+    ``w``/``b``/``dw``/``db`` are rebound by :class:`TreeConvNet` to views
+    into its flat parameter and gradient buffers; ``backward`` writes the
+    gradients in place.
+    """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator) -> None:
         scale = math.sqrt(2.0 / (3 * in_dim))
@@ -116,17 +228,21 @@ class _TreeConvLayer:
         out[1:] = pre * self._mask
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, *, input_grad: bool = True):
         # grad_out: [1+N, out_dim]; row 0 is ignored (null node has no grad).
         g = grad_out[1:] * self._mask
-        self.dw = self._concat.T @ g
-        self.db = g.sum(axis=0)
+        np.matmul(self._concat.T, g, out=self.dw)
+        g.sum(axis=0, out=self.db)
+        if not input_grad:
+            return None
         d_concat = g @ self.w.T
         d = self.in_dim
         grad_in = np.zeros((grad_out.shape[0], d))
         grad_in[1:] += d_concat[:, :d]
-        np.add.at(grad_in, self._left, d_concat[:, d : 2 * d])
-        np.add.at(grad_in, self._right, d_concat[:, 2 * d :])
+        # A node has at most one parent, so apart from the null row (zeroed
+        # below) no index repeats across the two adds: no scatter needed.
+        grad_in[self._left] += d_concat[:, d : 2 * d]
+        grad_in[self._right] += d_concat[:, 2 * d :]
         grad_in[0] = 0.0
         return grad_in
 
@@ -138,7 +254,7 @@ class _TreeConvLayer:
 
 
 class _DenseRelu:
-    """Dense + optional ReLU used in the pooled head."""
+    """Dense + optional ReLU used in the pooled head (buffers as above)."""
 
     def __init__(
         self, in_dim: int, out_dim: int, rng: np.random.Generator, relu: bool = True
@@ -161,8 +277,8 @@ class _DenseRelu:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self.relu:
             grad = grad * self._mask
-        self.dw = self._x.T @ grad
-        self.db = grad.sum(axis=0)
+        np.matmul(self._x.T, grad, out=self.dw)
+        grad.sum(axis=0, out=self.db)
         return grad @ self.w.T
 
     def parameters(self) -> list[np.ndarray]:
@@ -188,6 +304,11 @@ class TreeConvNet:
     sigmoid_output:
         If True the output is passed through a sigmoid (used for pairwise
         preference models such as Lero's plan comparator).
+
+    All parameters live in one flat buffer, ``flat_params`` (conv stack
+    first, head from ``head_offset`` on), all gradients in ``flat_grads``;
+    the layers' ``w``/``b``/``dw``/``db`` are views into them, so one
+    optimizer update over the flat pair steps every layer.
     """
 
     def __init__(
@@ -214,6 +335,27 @@ class TreeConvNet:
             self.head.append(_DenseRelu(prev, width, rng, relu=True))
             prev = width
         self.head.append(_DenseRelu(prev, out_dim, rng, relu=False))
+        self.flat_params = np.concatenate([p.ravel() for p in self.parameters()])
+        self.flat_grads = np.zeros_like(self.flat_params)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Point every layer's arrays at its slice of the flat buffers."""
+        offset = 0
+        for layer in [*self.conv_layers, *self.head]:
+            if layer is self.head[0]:
+                self.head_offset = offset
+            for name in ("w", "b"):
+                shape = getattr(layer, name).shape
+                stop = offset + math.prod(shape)
+                setattr(layer, name, self.flat_params[offset:stop].reshape(shape))
+                setattr(layer, "d" + name, self.flat_grads[offset:stop].reshape(shape))
+                offset = stop
+
+    def __setstate__(self, state: dict) -> None:
+        # copy / pickle duplicate a view as an independent array: re-bind.
+        self.__dict__.update(state)
+        self._bind()
 
     # -- forward / backward ---------------------------------------------------
 
@@ -222,13 +364,15 @@ class TreeConvNet:
         x = batch.features
         for layer in self.conv_layers:
             x = layer.forward(x, batch.left, batch.right)
-        pooled = np.empty((batch.n_trees, x.shape[1]))
-        self._argmax: list[np.ndarray] = []
-        for i, (start, stop) in enumerate(batch.tree_slices):
-            rows = x[start:stop]
-            arg = rows.argmax(axis=0)
-            self._argmax.append(arg + start)
-            pooled[i] = rows[arg, np.arange(rows.shape[1])]
+        starts = batch.tree_slices[:, 0]
+        sizes = batch.tree_slices[:, 1] - starts
+        last = x.shape[0] - 1
+        # Segment max over each tree's rows, then the first row attaining it
+        # (``argmax`` semantics; ``last`` keeps the index valid under NaN).
+        pooled = np.maximum.reduceat(x, starts, axis=0)
+        hit = x[1:] == np.repeat(pooled, sizes, axis=0)
+        rows = np.where(hit, np.arange(1, last + 1)[:, None], last)
+        self._argmax = np.minimum.reduceat(rows, starts - 1, axis=0)
         self._last_x_shape = x.shape
         return pooled
 
@@ -247,14 +391,13 @@ class TreeConvNet:
             grad = grad * self._sig * (1.0 - self._sig)
         for layer in reversed(self.head):
             grad = layer.backward(grad)
-        # Un-pool: route each pooled gradient to the argmax node.
-        grad_nodes = np.zeros(self._last_x_shape)
-        for i in range(batch.n_trees):
-            cols = np.arange(grad_nodes.shape[1])
-            np.add.at(grad_nodes, (self._argmax[i], cols), grad[i])
-        g = grad_nodes
-        for layer in reversed(self.conv_layers):
-            g = layer.backward(g)
+        # Un-pool: each (tree, channel) has exactly one argmax row, so routing
+        # the pooled gradient there is an assignment.
+        g = np.zeros(self._last_x_shape)
+        g[self._argmax, np.arange(g.shape[1])] = grad
+        # Nothing consumes the gradient w.r.t. the input features.
+        for i in reversed(range(len(self.conv_layers))):
+            g = self.conv_layers[i].backward(g, input_grad=i > 0)
 
     def parameters(self) -> list[np.ndarray]:
         params: list[np.ndarray] = []
@@ -276,7 +419,7 @@ class TreeConvNet:
 
     def fit(
         self,
-        trees: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        trees: Sequence[Tree] | PlanTreeCorpus,
         y: np.ndarray,
         *,
         epochs: int = 60,
@@ -294,21 +437,25 @@ class TreeConvNet:
             raise ValueError("number of trees and targets differ")
         if len(trees) == 0:
             raise ValueError("cannot fit on an empty corpus")
+        corpus = (
+            trees if isinstance(trees, PlanTreeCorpus) else PlanTreeCorpus.from_trees(trees)
+        )
         loss_fn = {"mse": mse_loss, "bce": binary_cross_entropy_loss}[loss]
         rng = np.random.default_rng(seed)
         opt = Adam(lr=lr)
+        params, grads = [self.flat_params], [self.flat_grads]
         losses: list[float] = []
-        n = len(trees)
+        n = len(corpus)
         for epoch in range(epochs):
             order = rng.permutation(n)
+            y_epoch = y[order]
             total, batches = 0.0, 0
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                batch = PlanTreeBatch.from_trees([trees[i] for i in idx])
+            for batch in corpus.batches(order, batch_size):
+                start = batches * batch_size
                 pred = self.forward(batch)
-                value, grad = loss_fn(pred, y[idx])
+                value, grad = loss_fn(pred, y_epoch[start : start + batch_size])
                 self._backward(batch, grad)
-                opt.step(self.parameters(), self.gradients())
+                opt.step(params, grads)
                 total += value
                 batches += 1
             losses.append(total / max(batches, 1))
@@ -316,9 +463,7 @@ class TreeConvNet:
                 print(f"treeconv epoch {epoch}: loss={losses[-1]:.6f}")
         return losses
 
-    def predict(
-        self, trees: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ) -> np.ndarray:
+    def predict(self, trees: Sequence[Tree]) -> np.ndarray:
         if not trees:
             return np.zeros((0, self.out_dim))
         out = self.forward(PlanTreeBatch.from_trees(trees))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.framework import CandidatePlan, LearnedOptimizer
+from repro.core.framework import OBSERVATION_WINDOW, CandidatePlan, LearnedOptimizer
+from repro.costmodel.features import plan_to_tree_arrays
 from repro.costmodel import PlanFeaturizer
 from repro.e2e import (
     AutoSteerOptimizer,
@@ -158,6 +159,22 @@ class TestLearnedOptimizerFramework:
             bao.record_feedback(q, cand, 1.0)
         assert calls["retrain"] == 1
         assert len(bao.history) == 5
+
+    def test_learned_arm_keeps_a_sliding_window(self, imdb_optimizer, workload):
+        bao = BaoOptimizer(imdb_optimizer, retrain_every=0, seed=0)
+        model = bao.risk_model
+        cands = [CandidatePlan(imdb_optimizer.plan(q), "default") for q in workload[:5]]
+        for i in range(2500):
+            bao.record_feedback(workload[i % 5], cands[i % 5], float(i))
+        assert OBSERVATION_WINDOW == 2000
+        assert len(bao.history) == model.n_observations == len(model._trees) == 2000
+        # The retained window is the newest 2,000, oldest first.
+        assert [e.latency_ms for e in bao.history] == list(map(float, range(500, 2500)))
+        assert list(model._latencies) == list(map(float, range(500, 2500)))
+        oldest = plan_to_tree_arrays(cands[500 % 5].plan, model.featurizer)
+        assert np.array_equal(model._trees[0][0], oldest[0])
+        for other in (NeoOptimizer(imdb_optimizer), LeonOptimizer(imdb_optimizer)):
+            assert other.history.maxlen == OBSERVATION_WINDOW
 
 
 def run_loop(learned, imdb_optimizer, imdb_simulator, workload, guard=None):

@@ -149,13 +149,26 @@ def _numeric_grad(f, param, eps=1e-5):
 
 class TestStructuredGradients:
     def test_treeconv_gradient_matches_numerical(self):
+        # Ragged batch (bushy, single-node, chain, left-deep) through a
+        # two-layer conv stack: the second layer's backward is the one that
+        # routes gradient to children.
         rng = np.random.default_rng(0)
         trees = [
+            (
+                rng.normal(size=(5, 4)),
+                np.array([1, 2, -1, -1, -1]),
+                np.array([4, 3, -1, -1, -1]),
+            ),
+            (rng.normal(size=(1, 4)), np.array([-1]), np.array([-1])),
             (rng.normal(size=(3, 4)), np.array([1, 2, -1]), np.array([-1, -1, -1])),
-            (rng.normal(size=(2, 4)), np.array([1, -1]), np.array([-1, -1])),
+            (
+                rng.normal(size=(7, 4)),
+                np.array([1, 2, 3, -1, -1, -1, -1]),
+                np.array([6, 5, 4, -1, -1, -1, -1]),
+            ),
         ]
-        target = np.array([[1.0], [2.0]])
-        net = TreeConvNet(4, (5,), (3,), seed=1)
+        target = np.array([[1.0], [2.0], [-1.0], [0.5]])
+        net = TreeConvNet(4, (5, 4), (3,), seed=1)
         batch = PlanTreeBatch.from_trees(trees)
 
         def loss():

@@ -1,0 +1,318 @@
+"""The corpus training kernel reproduces the loop kernel bit for bit.
+
+``tests/treeconv_reference.py`` holds the kernel as it stood before the
+rewrite (per-batch re-stacking, per-tree arg-max loop, ``np.add.at``
+scatters, eight-array Adam).  Every comparison here is ``np.array_equal``:
+the rewrite keeps each floating-point operation's operands and order, so
+there is no tolerance to set.
+"""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.costmodel import PlanFeaturizer, UnifiedTransferableModel
+from repro.costmodel.features import plan_to_tree_arrays
+from repro.e2e import PairwisePlanComparator
+from repro.ml.nn import Adam
+from repro.ml.treeconv import PlanTreeBatch, PlanTreeCorpus, TreeConvNet
+from repro.sql import WorkloadGenerator
+from tests.treeconv_reference import ReferencePlanTreeBatch, ReferenceTreeConvNet
+
+
+def random_binary_tree(rng, dim, n_leaves):
+    """Pre-order ``(features, left, right)`` of a random full binary tree."""
+    feats, left, right = [], [], []
+
+    def build(k):
+        i = len(feats)
+        feats.append(rng.normal(size=dim))
+        left.append(-1)
+        right.append(-1)
+        if k > 1:
+            split = int(rng.integers(1, k))
+            left[i] = build(split)
+            right[i] = build(k - split)
+        return i
+
+    build(n_leaves)
+    return np.stack(feats), np.array(left), np.array(right)
+
+
+def ragged_forest(seed, n, dim=6, max_leaves=6):
+    """Ragged sizes with single-node trees mixed in."""
+    rng = np.random.default_rng(seed)
+    return [
+        random_binary_tree(rng, dim, int(rng.integers(1, max_leaves + 1)))
+        for _ in range(n)
+    ]
+
+
+def nets(dim, **kwargs):
+    args = dict(conv_channels=(8, 8), head_hidden=(4,), seed=3, **kwargs)
+    return ReferenceTreeConvNet(dim, **args), TreeConvNet(dim, **args)
+
+
+def assert_same_bits(ref, new, trees):
+    for p, q in zip(ref.parameters(), new.parameters()):
+        assert np.array_equal(p, q)
+    assert np.array_equal(ref.predict(trees), new.predict(trees))
+
+
+class TestSameBits:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("batch_size", [32, 7])  # 7 does not divide 45
+    def test_fit_on_ragged_forest(self, seed, batch_size):
+        trees = ragged_forest(seed, 45)
+        y = np.random.default_rng(seed).normal(size=45)
+        ref, new = nets(6)
+        kw = dict(epochs=4, batch_size=batch_size, seed=seed)
+        assert ref.fit(trees, y, **kw) == new.fit(trees, y, **kw)
+        assert_same_bits(ref, new, trees)
+
+    def test_single_node_trees_only(self):
+        rng = np.random.default_rng(4)
+        trees = [random_binary_tree(rng, 5, 1) for _ in range(20)]
+        y = rng.normal(size=20)
+        ref, new = nets(5)
+        assert ref.fit(trees, y, epochs=3) == new.fit(trees, y, epochs=3)
+        assert_same_bits(ref, new, trees)
+
+    def test_argmax_ties_resolve_to_first_row(self):
+        # All-negative features through non-negative weights: every post-ReLU
+        # row is zero, so every (tree, channel) arg-max is a tie.
+        rng = np.random.default_rng(5)
+        trees = [
+            (-np.abs(f) - 1.0, l, r)
+            for f, l, r in (random_binary_tree(rng, 4, 3) for _ in range(12))
+        ]
+        y = rng.normal(size=12)
+        ref, new = nets(4)
+        for net in (ref, new):
+            for layer in net.conv_layers:
+                layer.w[...] = np.abs(layer.w)
+        batch = PlanTreeBatch.from_trees(trees)
+        assert not new.embed(batch).any()
+        assert np.array_equal(
+            new._argmax, np.repeat(batch.tree_slices[:, :1], 8, axis=1)
+        )
+        assert ref.fit(trees, y, epochs=3) == new.fit(trees, y, epochs=3)
+        assert_same_bits(ref, new, trees)
+
+    def test_bootstrap_resample_with_duplicates(self):
+        trees = ragged_forest(6, 30)
+        rng = np.random.default_rng(6)
+        y = rng.normal(size=30)
+        idx = rng.integers(0, 30, size=30)
+        assert len(set(idx.tolist())) < 30
+        ref, new = nets(6)
+        a = ref.fit([trees[i] for i in idx], y[idx], epochs=4, seed=1)
+        b = new.fit(
+            PlanTreeCorpus.from_trees(trees).resample(idx), y[idx], epochs=4, seed=1
+        )
+        assert a == b
+        assert_same_bits(ref, new, trees)
+
+    def test_sigmoid_output_with_bce(self):
+        trees = ragged_forest(7, 40)
+        y = (np.random.default_rng(7).random(40) > 0.5).astype(float)
+        ref, new = nets(6, sigmoid_output=True)
+        kw = dict(epochs=4, batch_size=16, loss="bce")
+        assert ref.fit(trees, y, **kw) == new.fit(trees, y, **kw)
+        assert_same_bits(ref, new, trees)
+
+    def test_copied_and_unpickled_nets_still_train(self):
+        # The layers hold views into the flat buffers; a copy must re-bind
+        # them or the optimizer would step a buffer nobody reads.
+        trees = ragged_forest(8, 25)
+        y = np.random.default_rng(8).normal(size=25)
+        ref, new = nets(6)
+        ref.fit(trees, y, epochs=4)
+        for clone in (copy.deepcopy(new), pickle.loads(pickle.dumps(new))):
+            clone.fit(trees, y, epochs=4)
+            assert_same_bits(ref, clone, trees)
+            assert np.shares_memory(clone.conv_layers[0].w, clone.flat_params)
+        assert not np.array_equal(new.flat_params, clone.flat_params)
+
+
+class TestCorpus:
+    @given(
+        st.integers(0, 10_000),
+        st.lists(st.integers(0, 11), min_size=1, max_size=30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_take_equals_restacking(self, seed, idx):
+        trees = ragged_forest(seed, 12, dim=3)
+        got = PlanTreeCorpus.from_trees(trees).take(np.array(idx))
+        want = ReferencePlanTreeBatch.from_trees([trees[i] for i in idx])
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.left, want.left)
+        assert np.array_equal(got.right, want.right)
+        assert got.tree_slices.tolist() == [list(s) for s in want.tree_slices]
+        restacked = PlanTreeBatch.from_trees([trees[i] for i in idx])
+        assert np.array_equal(got.features, restacked.features)
+        assert np.array_equal(got.tree_slices, restacked.tree_slices)
+
+    def test_batches_are_consecutive_takes(self):
+        trees = ragged_forest(9, 23)
+        corpus = PlanTreeCorpus.from_trees(trees)
+        order = np.random.default_rng(9).permutation(23)
+        batches = list(corpus.batches(order, 5))
+        assert [b.n_trees for b in batches] == [5, 5, 5, 5, 3]
+        for k, batch in enumerate(batches):
+            want = corpus.take(order[5 * k : 5 * k + 5])
+            assert np.array_equal(batch.features, want.features)
+            assert np.array_equal(batch.left, want.left)
+            assert np.array_equal(batch.right, want.right)
+            assert np.array_equal(batch.tree_slices, want.tree_slices)
+
+    @staticmethod
+    def _forest_with(bad_tree):
+        good = (np.ones((3, 2)), np.array([1, -1, -1]), np.array([2, -1, -1]))
+        return [good, good, bad_tree, good]
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ([3, -1, -1], [2, -1, -1]),  # >= n: would index the next tree
+            ([1, -1, -1], [-2, -1, -1]),  # < -1: would wrap
+        ],
+    )
+    def test_rejects_child_index_out_of_range(self, left, right):
+        bad = (np.ones((3, 2)), np.array(left), np.array(right))
+        with pytest.raises(ValueError, match=r"tree 2: child index"):
+            PlanTreeBatch.from_trees(self._forest_with(bad))
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ([1, -1, -1], [1, -1, -1]),  # both children of one node
+            ([1, 2, -1], [2, -1, -1]),  # children of two different nodes
+        ],
+    )
+    def test_rejects_a_node_with_two_parents(self, left, right):
+        bad = (np.ones((3, 2)), np.array(left), np.array(right))
+        with pytest.raises(ValueError, match=r"tree 2: .*more than one"):
+            PlanTreeCorpus.from_trees(self._forest_with(bad))
+
+    def test_take_rejects_zero_trees(self):
+        corpus = PlanTreeCorpus.from_trees(ragged_forest(0, 3))
+        with pytest.raises(ValueError):
+            corpus.take(np.array([], dtype=int))
+
+
+# -- the hand-rolled minibatch loops that were folded onto the corpus -----------
+
+
+def _old_comparator_retrain(by_query, net, rng, *, epochs, lr):
+    """``PairwisePlanComparator.retrain`` as it stood: pairs materialised as
+    tuples, re-stacked per batch, eight-array Adam."""
+    pairs = []
+    for entries in by_query.values():
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                (ta, la), (tb, lb) = entries[i], entries[j]
+                if abs(la - lb) / max(la, lb, 1e-9) < 0.05:
+                    continue
+                pairs.append((ta, tb, 1.0 if la < lb else 0.0))
+    opt = Adam(lr=lr)
+    for _ in range(epochs):
+        order = rng.permutation(len(pairs))
+        for start in range(0, len(pairs), 16):
+            chunk = [pairs[k] for k in order[start : start + 16]]
+            trees = [t for ta, tb, _ in chunk for t in (ta, tb)]
+            batch = ReferencePlanTreeBatch.from_trees(trees)
+            scores = net.forward(batch)[:, 0]
+            diff = scores[1::2] - scores[0::2]
+            prob = 1.0 / (1.0 + np.exp(-np.clip(diff, -60, 60)))
+            d_diff = (prob - np.array([y for _, _, y in chunk])) / max(len(chunk), 1)
+            grad = np.zeros((len(trees), 1))
+            grad[1::2, 0] = d_diff
+            grad[0::2, 0] = -d_diff
+            net._backward(batch, grad)
+            opt.step(net.parameters(), net.gradients())
+    return len(pairs)
+
+
+def _old_multitask_loops(net, rng, trees, y, tune_trees, tune_y, *, epochs):
+    """``UnifiedTransferableModel.pretrain`` then ``.fine_tune("latency")``."""
+    opt = Adam(lr=1e-3)
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(trees))
+        total, batches = 0.0, 0
+        for start in range(0, len(trees), 32):
+            idx = order[start : start + 32]
+            batch = ReferencePlanTreeBatch.from_trees([trees[i] for i in idx])
+            diff = net.forward(batch) - y[idx]
+            net._backward(batch, 2.0 * diff / max(diff.size, 1))
+            opt.step(net.parameters(), net.gradients())
+            total += float((diff**2).mean())
+            batches += 1
+        losses.append(total / max(batches, 1))
+    head_params = [p for layer in net.head for p in layer.parameters()]
+    opt = Adam(lr=2e-3)
+    for _ in range(epochs):
+        order = rng.permutation(len(tune_trees))
+        for start in range(0, len(tune_trees), 32):
+            idx = order[start : start + 32]
+            batch = ReferencePlanTreeBatch.from_trees([tune_trees[i] for i in idx])
+            pred = net.forward(batch)
+            grad = np.zeros_like(pred)
+            grad[:, 0] = 2.0 * (pred[:, 0] - tune_y[idx]) / max(idx.size, 1)
+            net._backward(batch, grad)
+            opt.step(head_params, [g for layer in net.head for g in layer.gradients()])
+    return losses
+
+
+class TestFoldedLoops:
+    def test_comparator_retrain_and_pair_count(self, imdb_db, imdb_optimizer):
+        featurizer = PlanFeaturizer(imdb_db, imdb_optimizer.estimator)
+        rng = np.random.default_rng(10)
+        model = PairwisePlanComparator(featurizer, seed=2, epochs=3)
+        for q in range(14):  # 1..4 plans a query, some latencies within 5%
+            entries = model._by_query.setdefault(f"q{q}", [])
+            for _ in range(int(rng.integers(1, 5))):
+                tree = random_binary_tree(rng, featurizer.node_dim, int(rng.integers(1, 5)))
+                entries.append((tree, float(rng.choice([10.0, 10.2, 30.0, 80.0]))))
+        ref = ReferenceTreeConvNet(
+            featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=2
+        )
+        n_pairs = _old_comparator_retrain(
+            model._by_query, ref, np.random.default_rng(2 + 5), epochs=3, lr=1e-3
+        )
+        assert model.n_pairs == n_pairs >= model.min_pairs
+        model.retrain()
+        assert model._trained
+        for p, q in zip(ref.parameters(), model.net.parameters()):
+            assert np.array_equal(p, q)
+
+    def test_multitask_pretrain_and_fine_tune(self, imdb_db, imdb_optimizer):
+        featurizer = PlanFeaturizer(imdb_db, imdb_optimizer.estimator)
+        queries = WorkloadGenerator(imdb_db, seed=11).workload(45, 2, 4)
+        plans = [imdb_optimizer.plan(q) for q in queries]
+        rng = np.random.default_rng(11)
+        lats, cards = rng.uniform(1, 500, size=45), rng.uniform(1, 1e5, size=45)
+        model = UnifiedTransferableModel(featurizer, seed=4)
+        losses = model.pretrain(plans, lats, cards, epochs=3)
+        model.fine_tune("latency", plans[:40], lats[:40] * 3.0, epochs=3)
+
+        trees = [plan_to_tree_arrays(p, featurizer) for p in plans]
+        ref = ReferenceTreeConvNet(
+            featurizer.node_dim, (48, 48), (24,), out_dim=2, seed=4
+        )
+        want = _old_multitask_loops(
+            ref,
+            np.random.default_rng(4),
+            trees,
+            np.column_stack([np.log1p(lats), np.log1p(cards)]),
+            trees[:40],
+            np.log1p(lats[:40] * 3.0),
+            epochs=3,
+        )
+        assert losses == want
+        for p, q in zip(ref.parameters(), model.net.parameters()):
+            assert np.array_equal(p, q)
