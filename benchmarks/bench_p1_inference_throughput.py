@@ -9,9 +9,11 @@ measures the two mechanisms that make that affordable:
    estimators (MLP, MSCN) must show a >= 5x speedup; loop-fallback
    estimators (histogram, sampling) are included as the "no batch
    implementation" reference and are only required not to regress.
-2. ``CardinalityCache`` -- the shared cross-plan sub-query cache.  Bao
-   re-plans every query once per hint-set arm; after the first arm almost
-   every DP-subset estimate is a hit, so the hit rate on an arm sweep must
+2. ``CardinalityCache`` -- the shared cross-plan sub-query cache.  A
+   caller that re-plans one query once per hint set (PilotScope's Bao
+   driver pushes one hint set, pulls one plan; the in-process Bao sweeps
+   all arms in one DP pass instead) finds almost every DP-subset estimate
+   cached after the first planning, so the hit rate on such a loop must
    exceed 50%.
 
 Expected shape: MLP/MSCN batch at 5-10x their sequential throughput
@@ -106,8 +108,8 @@ def test_p1_planner_cache_hit_rate(benchmark, stats_db):
     arms = HintSet.bao_arms()
 
     def run():
-        # Fresh optimizer = fresh cache; the Bao-style sweep re-plans every
-        # query once per arm, exactly like HintSetExploration.candidates.
+        # Fresh optimizer = fresh cache; one planning per (query, arm), the
+        # way PilotScope's BaoDriver pulls plans.
         optimizer = Optimizer(stats_db)
         for q in queries:
             for arm in arms:

@@ -1,6 +1,6 @@
 """P6: vectorized kernels + parameterized plan-cache fast path, gated.
 
-Five properties are measured and gated:
+Six properties are measured and gated:
 
 1. **Executor throughput**: the vectorized :class:`CardinalityExecutor`
    (shared sort-merge/expand kernels, key-index cache) must be >= 10x
@@ -20,7 +20,11 @@ Five properties are measured and gated:
    Adam update) must be >= 1.5x faster than the loop + ``np.add.at``
    kernel it replaced (``tests/treeconv_reference.py``) on Bao-shaped
    plan trees, with every trained parameter ``array_equal``.
-5. **Exactness + determinism**: counts stay byte-equal to the independent
+5. **Arm-sweep planning kernel**: ``Optimizer.plan_arms`` over Bao's 12
+   hint sets (one DP pass, per-arm best entries in one table) must be
+   >= 3x faster than one full DP per arm (``tests/planner_reference.py``)
+   with every arm's ``Plan`` ``==`` the reference's.
+6. **Exactness + determinism**: counts stay byte-equal to the independent
    reference on every fixture including the deep chain whose count
    exceeds 2**53 (where float64 silently rounds), and two same-seed
    cache-enabled serving runs must export byte-identical telemetry.
@@ -52,6 +56,7 @@ from repro.oracle.reference import _holds, reference_count
 from repro.serve.scenarios import parameterized_scenario
 from repro.sql import WorkloadGenerator
 from repro.storage.datasets import make_stats_lite
+from tests.planner_reference import reference_plan_arms
 from tests.treeconv_reference import ReferenceTreeConvNet
 
 _PROFILES = {
@@ -62,6 +67,7 @@ _PROFILES = {
         "chain_tables": 8,
         "fit_queries": 50,
         "fit_epochs": 30,
+        "sweep_queries": 100,
         "n_templates": 8,
         "bindings_per_template": 10,
         "n_sessions": 4,
@@ -73,6 +79,7 @@ _PROFILES = {
         "chain_tables": 10,
         "fit_queries": 200,
         "fit_epochs": 30,
+        "sweep_queries": 600,
         "n_templates": 12,
         "bindings_per_template": 12,
         "n_sessions": 8,
@@ -80,6 +87,7 @@ _PROFILES = {
 }
 SPEEDUP_GATE = 10.0
 FIT_SPEEDUP_GATE = 1.5
+SWEEP_SPEEDUP_GATE = 3.0
 HIT_RATE_GATE = 0.8
 
 
@@ -256,6 +264,41 @@ def treeconv_fit_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
+def arm_sweep_pass(seed: int = 0, profile: str | None = None) -> dict:
+    """One sweep per query vs one DP per arm, Bao's 12 arms, same coster.
+
+    Best of three passes each, interleaved; the shared cardinality cache
+    is warm for both sides after the first pass, so what is timed is
+    enumeration, not estimation.
+    """
+    p = benchmarks.profile(_PROFILES, profile)
+    db = make_stats_lite(scale=p["scale"], seed=seed)
+    optimizer = Optimizer(db)
+    arms = HintSet.bao_arms()
+    queries = WorkloadGenerator(db, seed=seed + 53).workload(
+        p["sweep_queries"], 2, 6, require_predicate=True
+    )
+
+    t_base = t_sweep = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        baseline = [reference_plan_arms(q, optimizer.coster, arms) for q in queries]
+        t_base = min(t_base, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        plans = [optimizer.plan_arms(q, arms) for q in queries]
+        t_sweep = min(t_sweep, time.perf_counter() - t0)
+
+    return {
+        "n_queries": len(queries),
+        "n_arms": len(arms),
+        "plans_equal": plans == baseline,
+        "distinct_plans": sum(len({id(p) for p in per_query}) for per_query in plans),
+        "t_baseline_s": t_base,
+        "t_sweep_s": t_sweep,
+        "speedup": t_base / max(t_sweep, 1e-9),
+    }
+
+
 def serving_pass(seed: int = 0, profile: str | None = None):
     """One cache-enabled parameterized serving run; returns the scenario."""
     p = benchmarks.profile(_PROFILES, profile)
@@ -386,6 +429,30 @@ def test_p6_treeconv_fit_speedup_and_exactness():
     assert result["speedup"] >= FIT_SPEEDUP_GATE, (
         f"tree-conv fit speedup {result['speedup']:.1f}x below the "
         f"{FIT_SPEEDUP_GATE:.1f}x gate"
+    )
+
+
+def test_p6_arm_sweep_speedup_and_identity():
+    result = arm_sweep_pass(seed=0)
+    assert result["plans_equal"], "a swept arm's plan differs from its own DP's"
+    print(
+        render_table(
+            f"P6: arm sweep, one DP pass vs one DP per arm ({PROFILE})",
+            ["queries", "arms", "distinct", "baseline_s", "sweep_s", "speedup"],
+            [(
+                result["n_queries"],
+                result["n_arms"],
+                result["distinct_plans"],
+                f"{result['t_baseline_s']:.3f}",
+                f"{result['t_sweep_s']:.3f}",
+                f"{result['speedup']:.1f}x",
+            )],
+            note=f"gate: >= {SWEEP_SPEEDUP_GATE:.0f}x, plans ==",
+        )
+    )
+    assert result["speedup"] >= SWEEP_SPEEDUP_GATE, (
+        f"arm-sweep speedup {result['speedup']:.1f}x below the "
+        f"{SWEEP_SPEEDUP_GATE:.0f}x gate"
     )
 
 

@@ -12,8 +12,10 @@ Three representations:
   models [16] train on one database and predict on another).
 
 Node features use the *optimizer's estimated* cardinalities (what a
-deployed model would see at plan time), obtained from any
-:class:`repro.core.CardinalityEstimator`.
+deployed model would see at plan time), read through a
+:class:`repro.optimizer.cost.PlanCoster` -- sanitized centrally, and
+answered from the planner's cardinality cache when the coster is the
+optimizer's own.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from repro.core.interfaces import CardinalityEstimator
 from repro.engine.plans import JoinMethod, JoinNode, Plan, PlanNode, ScanMethod, ScanNode
+from repro.optimizer.cost import PlanCoster
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
 from repro.storage.catalog import Database
 
@@ -39,19 +42,31 @@ _OPS = [
 
 
 class PlanFeaturizer:
-    """Featurizes plans against one database + estimator."""
+    """Featurizes plans against one database + estimator.
+
+    Pass ``coster=optimizer.coster`` to featurize with the cardinalities
+    the planner already estimated (and cached) while enumerating; the bare
+    ``(db, estimator)`` form wraps the estimator in an uncached coster.
+    """
 
     def __init__(
         self,
         db: Database,
         estimator: CardinalityEstimator | None = None,
+        *,
+        coster: PlanCoster | None = None,
     ) -> None:
+        if coster is not None and estimator is not None:
+            raise ValueError("pass an estimator or a coster, not both")
+        if coster is None:
+            coster = PlanCoster(
+                db,
+                estimator
+                if estimator is not None
+                else TraditionalCardinalityEstimator(db),
+            )
         self.db = db
-        self.estimator = (
-            estimator
-            if estimator is not None
-            else TraditionalCardinalityEstimator(db)
-        )
+        self.coster = coster
         self.tables = list(db.table_names)
         self._table_pos = {t: i for i, t in enumerate(self.tables)}
         self._log_total = math.log1p(max(db.total_rows(), 1))
@@ -70,8 +85,12 @@ class PlanFeaturizer:
                 onehot[i] = 1.0
         return onehot
 
+    def _card(self, plan: Plan, node: PlanNode) -> float:
+        """Estimated output cardinality of ``node``: finite and >= 0."""
+        return self.coster.estimate_cardinality(plan.node_subquery(node))
+
     def node_features(self, plan: Plan, node: PlanNode) -> np.ndarray:
-        est_card = max(self.estimator.estimate(plan.node_subquery(node)), 0.0)
+        est_card = self._card(plan, node)
         table_onehot = np.zeros(len(self.tables))
         n_preds = 0.0
         if isinstance(node, ScanNode):
@@ -92,16 +111,14 @@ class PlanFeaturizer:
 
     def transferable_node(self, plan: Plan, node: PlanNode) -> np.ndarray:
         """Database-agnostic node features (zero-shot style [16])."""
-        est_card = max(self.estimator.estimate(plan.node_subquery(node)), 0.0)
+        est_card = self._card(plan, node)
         if isinstance(node, ScanNode):
             base = self.db.table(node.table).n_rows
             in_card = float(base)
             n_preds = len(node.predicates) / 4.0
         else:
             assert isinstance(node, JoinNode)
-            left = max(self.estimator.estimate(plan.node_subquery(node.left)), 0.0)
-            right = max(self.estimator.estimate(plan.node_subquery(node.right)), 0.0)
-            in_card = left + right
+            in_card = self._card(plan, node.left) + self._card(plan, node.right)
             n_preds = 0.0
         sel = est_card / max(in_card, 1.0)
         extra = np.array(
@@ -125,8 +142,7 @@ class PlanFeaturizer:
         log_cards = []
         for node in plan.walk():
             counts += self._op_onehot(node)
-            est = max(self.estimator.estimate(plan.node_subquery(node)), 0.0)
-            log_cards.append(math.log1p(est))
+            log_cards.append(math.log1p(self._card(plan, node)))
         log_cards_arr = np.array(log_cards)
         depth = _tree_depth(plan.root)
         extra = np.array(

@@ -29,21 +29,19 @@ def discover_hint_sets(
     """
     if not probe_queries:
         raise ValueError("need at least one probe query")
+    # Every single-flag switch is a valid hint set on its own (another join
+    # / scan method stays enabled), so one sweep per probe query plans the
+    # default and all the switches together.
     flag_names = [f.name for f in fields(HintSet)]
-    defaults = [optimizer.plan(q).signature() for q in probe_queries]
-
-    impactful: list[str] = []
-    for flag in flag_names:
-        try:
-            hint = HintSet(**{flag: False})
-        except ValueError:
-            continue  # switching this off alone is invalid
-        changed = any(
-            optimizer.plan(q, hints=hint).signature() != sig
-            for q, sig in zip(probe_queries, defaults)
+    probes = [HintSet.default()] + [HintSet(**{flag: False}) for flag in flag_names]
+    changed: set[str] = set()
+    for q in probe_queries:
+        default, *switched = optimizer.plan_arms(q, probes)
+        # arms that agree share one Plan object
+        changed.update(
+            flag for flag, plan in zip(flag_names, switched) if plan is not default
         )
-        if changed:
-            impactful.append(flag)
+    impactful = [flag for flag in flag_names if flag in changed]
 
     arms: list[HintSet] = [HintSet.default()]
     for flag in impactful:

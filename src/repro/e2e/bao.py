@@ -31,7 +31,7 @@ class BaoOptimizer(LearnedOptimizer):
         thompson: bool = True,
         seed: int = 0,
     ) -> None:
-        featurizer = PlanFeaturizer(optimizer.db, optimizer.estimator)
+        featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         super().__init__(
             exploration=HintSetExploration(optimizer, arms),
             risk_model=TreeConvLatencyModel(
@@ -43,10 +43,11 @@ class BaoOptimizer(LearnedOptimizer):
         self.optimizer = optimizer
 
     def cache_stats(self) -> dict[str, float]:
-        """Cardinality-cache counters accumulated across the arm sweeps.
+        """Counters of the cardinality cache shared with the optimizer.
 
-        Every arm re-plans the same query, so after the first arm almost
-        every sub-query estimate is a cache hit -- the cache is what keeps
-        Bao's steering overhead near a single planning.
+        The arm sweep is one DP pass (:meth:`Optimizer.plan_arms`), so it
+        looks each sub-query up once; the hits are the featurizer reading
+        the node cardinalities that pass primed, and sub-queries repeated
+        across requests.
         """
         return self.optimizer.cache_stats()

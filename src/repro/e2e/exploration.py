@@ -38,12 +38,13 @@ class HintSetExploration:
             raise ValueError("need at least one hint-set arm")
 
     def candidates(self, query: Query) -> list[CandidatePlan]:
-        out = []
-        for i, arm in enumerate(self.arms):
-            plan = self.optimizer.plan(query, hints=arm)
-            source = "default" if i == 0 else arm.name()
-            out.append(CandidatePlan(plan=plan, source=source))
-        return _dedup(out)
+        plans = self.optimizer.plan_arms(query, self.arms)
+        return _dedup(
+            [
+                CandidatePlan(plan=plan, source="default" if i == 0 else arm.name())
+                for i, (arm, plan) in enumerate(zip(self.arms, plans))
+            ]
+        )
 
 
 class CardinalityScalingExploration:

@@ -26,7 +26,7 @@ class HyperQOOptimizer(LearnedOptimizer):
         retrain_every: int = 25,
         seed: int = 0,
     ) -> None:
-        featurizer = PlanFeaturizer(optimizer.db, optimizer.estimator)
+        featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         super().__init__(
             exploration=LeadingTableExploration(optimizer, max_leading=max_leading),
             risk_model=EnsembleLatencyModel(

@@ -54,7 +54,7 @@ class LeonOptimizer:
         self.explore_every = explore_every
         self.retrain_every = retrain_every
         self.shadow_executor = shadow_executor
-        featurizer = PlanFeaturizer(optimizer.db, optimizer.estimator)
+        featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         self.comparator = PairwisePlanComparator(featurizer, seed=seed)
         self.history: deque[Experience] = deque(maxlen=OBSERVATION_WINDOW)
         self._queries_seen = 0

@@ -33,7 +33,7 @@ class LeroOptimizer(LearnedOptimizer):
                 "the first factor must be 1.0 so the native plan is the "
                 "default candidate"
             )
-        featurizer = PlanFeaturizer(optimizer.db, optimizer.estimator)
+        featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         super().__init__(
             exploration=CardinalityScalingExploration(optimizer, factors),
             risk_model=PairwisePlanComparator(featurizer, seed=seed),

@@ -45,7 +45,7 @@ class _ValueGuidedOptimizer:
         seed: int = 0,
     ) -> None:
         self.optimizer = optimizer
-        self.featurizer = PlanFeaturizer(optimizer.db, optimizer.estimator)
+        self.featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         self.net = TreeConvNet(
             self.featurizer.node_dim,
             conv_channels=(32, 32),

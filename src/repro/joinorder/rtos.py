@@ -38,7 +38,7 @@ class RTOSJoinOrderSearch:
     ) -> None:
         self.optimizer = optimizer
         self.coster = optimizer.coster
-        self.featurizer = PlanFeaturizer(optimizer.db, optimizer.estimator)
+        self.featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         self.epsilon = epsilon
         self.refit_every = refit_every
         self._rng = np.random.default_rng(seed)

@@ -1,12 +1,16 @@
 """Cross-plan cardinality cache.
 
-Plan enumeration asks the cardinality estimator about the same sub-queries
-over and over: the DP enumerator visits every connected subset once per
-planning, and the e2e methods re-plan the *same* query many times -- once
-per hint-set arm in Bao, once per scaling factor in Lero.  The sub-query
-cardinalities do not change across those plannings, so a shared
-:class:`CardinalityCache` turns all but the first estimation of each
-(estimator-state, sub-query) pair into a dictionary lookup.
+The same sub-queries are estimated over and over: the DP enumerator
+visits every connected subset once per planning; the plan featurizer then
+asks for the cardinality of every node of every candidate plan the
+enumerator just costed; Lero's per-factor wrappers (recreated every
+planning) and PilotScope's one-hint-set-at-a-time Bao driver re-plan
+queries they have planned before; and a query stream repeats sub-queries
+across requests.  A shared :class:`CardinalityCache` turns all but the
+first estimation of each (estimator-state, sub-query) pair into a
+dictionary lookup.  The in-process Bao does not come here once per
+hint-set arm: :func:`repro.optimizer.planner.enumerate_dp_arms` plans all
+arms in one pass and looks each subset up once.
 
 Keys pair :func:`repro.core.interfaces.estimator_cache_tag` (instance +
 ``estimates_version``, unwrapping steering wrappers) with the query's

@@ -129,9 +129,14 @@ class PlanCoster:
         left_rows: float,
         right_rows: float,
         out_rows: float,
-        right_node: PlanNode,
+        right_node: PlanNode | None,
     ) -> float:
-        """Cost of one join operator given (estimated) input/output sizes."""
+        """Cost of one join operator given (estimated) input/output sizes.
+
+        ``right_node`` is read only for "is the inner side a base-table
+        scan, and of which table" (index nested loop); ``None`` stands for
+        any inner side that is not one.
+        """
         if method is JoinMethod.HASH:
             return self.ops.hash_join(left_rows, right_rows, out_rows)
         if method is JoinMethod.MERGE:

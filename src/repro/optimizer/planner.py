@@ -4,7 +4,9 @@ Enumeration algorithms (§2, plan enumerator component):
 
 - **Dynamic programming** over connected subsets (DPsub, the PostgreSQL /
   Volcano classic): optimal w.r.t. the estimated cost model, considering
-  bushy trees, all enabled join methods and both join orientations.
+  bushy trees, all enabled join methods and both join orientations.  One
+  kernel (:func:`enumerate_dp_arms`) plans a whole list of hint sets in a
+  single pass; a single planning is its one-arm case.
 - **Greedy**: repeatedly joins the cheapest pair -- the fast fallback
   traditional systems use for large queries.
 - **Left-deep DP**: restricts to left-deep trees (the search space the RL
@@ -16,7 +18,9 @@ the two steering surfaces (estimator swap, hint sets).
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
+from typing import Sequence
 
 from repro.core.interfaces import CardinalityEstimator
 from repro.engine.cost_formulas import CostConstants
@@ -37,7 +41,7 @@ from repro.optimizer.traditional import TraditionalCardinalityEstimator
 from repro.sql.query import Join, Query
 from repro.storage.catalog import Database
 
-__all__ = ["Optimizer", "enumerate_dp", "enumerate_greedy"]
+__all__ = ["Optimizer", "enumerate_dp", "enumerate_dp_arms", "enumerate_greedy"]
 
 
 def _join_conditions_between(
@@ -51,21 +55,27 @@ def _join_conditions_between(
     )
 
 
+def _scan_methods(hints: HintSet, preds: tuple) -> list[ScanMethod]:
+    """Scan methods ``hints`` allows on a table filtered by ``preds``, in
+    tie-break order.
+
+    Index scans need a driving predicate; index-only hints on a
+    predicate-less table fall back to a seq scan, as real systems do
+    rather than failing the query.
+    """
+    return [
+        m for m in hints.scan_methods if preds or m is ScanMethod.SEQ
+    ] or [ScanMethod.SEQ]
+
+
 def _best_scan(
     query: Query, table: str, coster: PlanCoster, hints: HintSet
 ) -> tuple[ScanNode, float]:
     """Cheapest allowed scan for one table."""
     preds = query.predicates_on(table)
     candidates = []
-    for method in hints.scan_methods:
-        if method is ScanMethod.INDEX and not preds:
-            continue  # index scans need a driving predicate
+    for method in _scan_methods(hints, preds):
         node = ScanNode(table=table, method=method, predicates=preds)
-        candidates.append((node, coster.scan_cost(node)))
-    if not candidates:
-        # Index-only hints on a predicate-less table: fall back to seq scan,
-        # as real systems do rather than failing the query.
-        node = ScanNode(table=table, method=ScanMethod.SEQ, predicates=preds)
         candidates.append((node, coster.scan_cost(node)))
     return min(candidates, key=lambda c: c[1])
 
@@ -100,15 +110,30 @@ def _best_join(
     return best
 
 
-def enumerate_dp(
+def enumerate_dp_arms(
     query: Query,
     coster: PlanCoster,
-    hints: HintSet | None = None,
+    arms: Sequence[HintSet],
     *,
     left_deep_only: bool = False,
-) -> Plan:
-    """Optimal plan under the estimated cost model (DP over subsets)."""
-    hints = hints if hints is not None else HintSet.default()
+) -> list[Plan]:
+    """Optimal plan per hint set, from one DP pass over the subsets.
+
+    Hint sets only restrict *which operators are allowed*, so everything
+    an arm's DP computes except its ``min`` is the same for every arm:
+    the connected subsets, their estimated cardinalities (one batched
+    :meth:`PlanCoster.subquery_cardinalities` call), the partitions, the
+    join conditions, the <= 2 scan costs per table and the <= 3 join
+    operator costs per (partition, orientation).  Each table cell keeps
+    one ``(cost, choice)`` per distinct arm, updated by strict ``<`` in a
+    fixed order -- partition, orientation, then the arm's
+    ``HintSet.join_methods`` (scans: SEQ before INDEX) -- so every arm
+    gets exactly the plan, ties included, that a DP run for it alone
+    would.  Plan nodes are built only for the winners and interned, so
+    arms whose plans are equal return the same :class:`Plan` object.
+    """
+    if not arms:
+        raise ValueError("need at least one hint set")
     tables = list(query.tables)
     n = len(tables)
 
@@ -116,9 +141,8 @@ def enumerate_dp(
     # cardinalities in one batched call: cache hits are answered directly
     # and the misses go through the estimator's ``estimate_batch`` as a
     # single featurization + forward pass instead of one call per subset.
-    singles = [frozenset((t,)) for t in tables]
     by_size: dict[int, list[frozenset[str]]] = {}
-    connected: list[frozenset[str]] = list(singles)
+    connected: list[frozenset[str]] = [frozenset((t,)) for t in tables]
     for size in range(2, n + 1):
         sized: list[frozenset[str]] = []
         for combo in combinations(tables, size):
@@ -129,16 +153,42 @@ def enumerate_dp(
         connected.extend(sized)
     card_of = coster.subquery_cardinalities(query, connected)
 
-    best: dict[frozenset[str], tuple[PlanNode, float]] = {}
+    # One lane per distinct arm; ``costs[subset][lane]`` / ``choices[subset]
+    # [lane]`` are the DP table.  A scan choice is its (shared) ScanNode, a
+    # join choice is ``(left set, right set, method, conditions)``.
+    lane_of: dict[HintSet, int] = {}
+    for arm in arms:
+        lane_of.setdefault(arm, len(lane_of))
+    distinct = list(lane_of)
+    lanes = range(len(distinct))
+    costs: dict[frozenset[str], list[float]] = {}
+    choices: dict[frozenset[str], list] = {}
+
     for t in tables:
-        best[frozenset((t,))] = _best_scan(query, t, coster, hints)
+        preds = query.predicates_on(t)
+        priced: dict[ScanMethod, tuple[ScanNode, float]] = {}
+        lane_costs, lane_nodes = [], []
+        for arm in distinct:
+            best: tuple[ScanNode, float] | None = None
+            for method in _scan_methods(arm, preds):
+                if method not in priced:
+                    node = ScanNode(table=t, method=method, predicates=preds)
+                    priced[method] = (node, coster.scan_cost(node))
+                if best is None or priced[method][1] < best[1]:
+                    best = priced[method]
+            lane_nodes.append(best[0])
+            lane_costs.append(best[1])
+        costs[frozenset((t,))] = lane_costs
+        choices[frozenset((t,))] = lane_nodes
 
-    if n == 1:
-        return Plan(query, best[frozenset(tables)][0])
-
+    allowed = [arm.join_methods for arm in distinct]
+    methods = [m for m in JoinMethod if any(m in ms for ms in allowed)]
+    lane_methods = [[methods.index(m) for m in ms] for ms in allowed]
     for size in range(2, n + 1):
         for subset in by_size[size]:
-            champion: tuple[PlanNode, float] | None = None
+            best_cost = [math.inf] * len(distinct)
+            best_choice: list = [None] * len(distinct)
+            out_card = card_of[subset]
             # All partitions into two connected, joined halves.
             members = sorted(subset)
             for r in range(1, size):
@@ -147,32 +197,79 @@ def enumerate_dp(
                     right_set = subset - left_set
                     if left_deep_only and len(right_set) != 1:
                         continue
-                    if left_set not in best or right_set not in best:
+                    if left_set not in costs or right_set not in costs:
                         continue
                     conditions = _join_conditions_between(query, left_set, right_set)
                     if not conditions:
                         continue
-                    cand = _best_join(
-                        query,
-                        best[left_set],
-                        best[right_set],
-                        conditions,
-                        coster,
-                        hints,
-                        card_of,
-                        allow_swap=not left_deep_only,
+                    # Left-deep pins the orientation: the inner/right side
+                    # must stay a base relation.
+                    orientations = (
+                        ((left_set, right_set),)
+                        if left_deep_only
+                        else ((left_set, right_set), (right_set, left_set))
                     )
-                    if cand is not None and (
-                        champion is None or cand[1] < champion[1]
-                    ):
-                        champion = cand
-            if champion is not None:
-                best[subset] = champion
+                    for a, b in orientations:
+                        # The operator cost depends on the inner side only
+                        # through "is it a base-table scan, of which table".
+                        inner = choices[b][0] if len(b) == 1 else None
+                        op_costs = [
+                            coster.join_operator_cost(
+                                m, card_of[a], card_of[b], out_card, inner
+                            )
+                            for m in methods
+                        ]
+                        cost_a, cost_b = costs[a], costs[b]
+                        for lane in lanes:
+                            inputs = cost_a[lane] + cost_b[lane]
+                            for i in lane_methods[lane]:
+                                total = inputs + op_costs[i]
+                                # The first candidate wins whatever it costs.
+                                if best_choice[lane] is None or total < best_cost[lane]:
+                                    best_cost[lane] = total
+                                    best_choice[lane] = (a, b, methods[i], conditions)
+            if best_choice[0] is not None:
+                costs[subset] = best_cost
+                choices[subset] = best_choice
 
     full = frozenset(tables)
-    if full not in best:
+    if full not in costs:
         raise ValueError(f"no connected plan covers all tables of {query}")
-    return Plan(query, best[full][0])
+
+    joins: dict[tuple[int, int, JoinMethod], JoinNode] = {}
+
+    def build(subset: frozenset[str], lane: int) -> PlanNode:
+        choice = choices[subset][lane]
+        if isinstance(choice, ScanNode):
+            return choice
+        a, b, method, conditions = choice
+        left, right = build(a, lane), build(b, lane)
+        key = (id(left), id(right), method)
+        if key not in joins:
+            joins[key] = JoinNode(left, right, method, conditions)
+        return joins[key]
+
+    plans: dict[int, Plan] = {}
+    lane_plans = []
+    for lane in lanes:
+        root = build(full, lane)
+        if id(root) not in plans:
+            plans[id(root)] = Plan(query, root)
+        lane_plans.append(plans[id(root)])
+    return [lane_plans[lane_of[arm]] for arm in arms]
+
+
+def enumerate_dp(
+    query: Query,
+    coster: PlanCoster,
+    hints: HintSet | None = None,
+    *,
+    left_deep_only: bool = False,
+) -> Plan:
+    """Optimal plan under the estimated cost model (DP over subsets):
+    the one-arm case of :func:`enumerate_dp_arms`."""
+    hints = hints if hints is not None else HintSet.default()
+    return enumerate_dp_arms(query, coster, [hints], left_deep_only=left_deep_only)[0]
 
 
 def enumerate_greedy(
@@ -229,9 +326,11 @@ class Optimizer:
     cache:
         Cross-plan :class:`CardinalityCache`; a fresh one is created when
         not given.  The cache persists across plannings (and across
-        estimator swaps via :meth:`with_estimator`), which is what makes
-        Bao's per-hint-set re-planning and Lero's factor sweep estimate
-        each sub-plan once instead of once per enumeration.
+        estimator swaps via :meth:`with_estimator`): it serves sub-queries
+        repeated across queries, plan featurization (``PlanFeaturizer(db,
+        coster=optimizer.coster)`` reads the node cardinalities the DP
+        just primed) and Lero's per-factor re-plannings.  Bao's arms do
+        not lean on it: :meth:`plan_arms` plans them all in one DP pass.
     bound_estimator:
         Optional pessimistic upper-bound estimator (:mod:`repro.cardest.
         bounds`) enabling the risk-bounded planner modes.  It gets its
@@ -342,6 +441,23 @@ class Optimizer:
         if algorithm == "left_deep":
             return enumerate_dp(query, coster, hints, left_deep_only=True)
         raise ValueError(f"unknown algorithm {algorithm!r}")
+
+    def plan_arms(
+        self,
+        query: Query,
+        arms: Sequence[HintSet],
+        *,
+        risk: str | None = None,
+        risk_lambda: float | None = None,
+    ) -> list[Plan]:
+        """The DP plan of every hint set in ``arms``, from one enumeration.
+
+        ``plan_arms(q, arms)[i] == plan(q, hints=arms[i])`` for every arm;
+        arms whose plans are equal get the same :class:`Plan` object.  This
+        is Bao's and AutoSteer's sweep (:func:`enumerate_dp_arms`)."""
+        return enumerate_dp_arms(
+            query, self._planning_coster(risk, risk_lambda), arms
+        )
 
     def cost(self, plan: Plan) -> float:
         """Estimated cost of an arbitrary plan under the current estimator."""

@@ -95,7 +95,7 @@ class _SteeringDriverBase(Driver):
         # Featurization metadata (schema, statistics) is catalog
         # information pulled from the attached database.
         host = self.interactor
-        featurizer = PlanFeaturizer(host.db, host.optimizer.estimator)  # type: ignore[attr-defined]
+        featurizer = PlanFeaturizer(host.db, coster=host.optimizer.coster)  # type: ignore[attr-defined]
         self.risk_model = self._build_risk_model(featurizer)
 
     def _build_risk_model(self, featurizer: PlanFeaturizer):

@@ -332,7 +332,7 @@ class Query:
         Used to enumerate the sub-queries the cardinality estimator is asked
         about during plan costing.  Results are memoized per table set: the
         enumerator and the coster ask for the same sub-queries many times
-        per planning (and once per hint-set arm on top of that).
+        per planning.
         """
         keep = frozenset(tables)
         cache = self.__dict__.get("_subqueries")

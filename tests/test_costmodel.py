@@ -16,6 +16,7 @@ from repro.costmodel import (
     plan_to_tree_arrays,
 )
 from repro.ml.treeconv import PlanTreeBatch
+from repro.optimizer import Optimizer
 from repro.sql import WorkloadGenerator
 
 
@@ -66,6 +67,37 @@ class TestPlanFeaturizer:
             assert vec.shape == (featurizer.transferable_dim,)
         # Dim must not depend on the number of tables.
         assert featurizer.transferable_dim < featurizer.node_dim
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_pathological_estimates_never_reach_the_features(
+        self, imdb_db, imdb_plan_corpus, bad
+    ):
+        """``max(nan, 0.0)`` is nan: every node cardinality has to come
+        through ``sanitize_estimate``, in all three featurizations."""
+
+        class Broken:
+            def estimate(self, query):
+                return bad
+
+        feat = PlanFeaturizer(imdb_db, Broken())
+        plans, _ = imdb_plan_corpus
+        plan = next(p for p in plans if p.join_nodes())
+        assert np.isfinite(plan_to_tree_arrays(plan, feat)[0]).all()
+        assert np.isfinite(plan_to_tree_arrays(plan, feat, transferable=True)[0]).all()
+        assert np.isfinite(feat.flat(plan)).all()
+
+    def test_coster_form_reads_the_planners_cache(self, imdb_db, imdb_plan_corpus):
+        optimizer = Optimizer(imdb_db)
+        plans, _ = imdb_plan_corpus
+        plan = optimizer.plan(plans[0].query)
+        cached = PlanFeaturizer(imdb_db, coster=optimizer.coster)
+        misses = optimizer.cache.misses
+        feats = plan_to_tree_arrays(plan, cached)[0]
+        assert optimizer.cache.misses == misses  # the DP primed every node
+        bare = PlanFeaturizer(imdb_db, optimizer.estimator)
+        assert np.array_equal(feats, plan_to_tree_arrays(plan, bare)[0])
+        with pytest.raises(ValueError):
+            PlanFeaturizer(imdb_db, optimizer.estimator, coster=optimizer.coster)
 
 
 class TestPointwiseCostModels:
