@@ -1,15 +1,21 @@
 """E11: ablation of the unified framework (paper §2.2).
 
-Crosses the plan-exploration strategies (hint sets / cardinality scaling /
-leading-table hints) with the risk models (pointwise tree-conv, pairwise
-comparator, variance-filtered ensemble): 9 learned optimizers, each given
-the same offline warm-up (observe up to 3 executed candidates for 30
+Crosses the steering exploration strategies (hint sets / cardinality
+scaling / leading-table hints) with the risk models (pointwise tree-conv,
+pairwise comparator, variance-filtered ensemble), and adds the other two
+§2.2 categories, whose exploration consults the model it is paired with:
+learned search from scratch (value search x value network) and ML-aided
+enumeration (top-k DP x pairwise comparator).  11 learned optimizers, each
+given the same offline warm-up (observe up to 3 executed candidates for 30
 training queries) and the same 150-query evaluation workload.
 
 Expected shape: every combination is viable (the framework claim); hint
 sets + pointwise reproduces Bao, scaling + pairwise reproduces Lero;
 pairwise/ensemble risk models have smaller regression tails than the
-pointwise model at similar or slightly lower speedup.
+pointwise model at similar or slightly lower speedup; search stays near
+the native plan at this training budget, and the aided DP *is* the native
+plan: one shadow pair every 7th query leaves the comparator below its
+15-pair floor, so it ranks by cost throughout.
 """
 
 import numpy as np
@@ -24,7 +30,10 @@ from repro.e2e import (
     LeadingTableExploration,
     OptimizationLoop,
     PairwisePlanComparator,
+    PlanValueModel,
+    TopKDPExploration,
     TreeConvLatencyModel,
+    ValueSearchExploration,
 )
 from repro.sql import WorkloadGenerator
 
@@ -49,36 +58,54 @@ def test_e11_framework_ablation(benchmark, imdb_db, imdb_optimizer, imdb_simulat
         "variance": lambda: EnsembleLatencyModel(featurizer, seed=0),
     }
 
+    def combinations():
+        for s_name, make_strategy in strategies.items():
+            for r_name, make_risk in risk_models.items():
+                yield s_name, r_name, make_strategy(), make_risk()
+        # From-scratch search and aided enumeration consult the model they
+        # are paired with while exploring, so each comes with its own.
+        value = PlanValueModel(featurizer, seed=0)
+        yield (
+            "value_search", "value",
+            ValueSearchExploration(imdb_optimizer, value, seed=0), value,
+        )
+        # shadow executions of the DP runner-up are where the pairs come from
+        comparator = PairwisePlanComparator(featurizer, seed=0)
+        yield (
+            "topk_dp", "pairwise",
+            TopKDPExploration(
+                imdb_optimizer, comparator, shadow_executor=imdb_simulator.latency
+            ),
+            comparator,
+        )
+
     def run():
         rows = []
         outcomes = {}
-        for s_name, make_strategy in strategies.items():
-            for r_name, make_risk in risk_models.items():
-                strategy = make_strategy()
-                risk = make_risk()
-                # Shared offline warm-up: observe executed candidates.
-                for q in warmup:
-                    for cand in strategy.candidates(q)[:3]:
-                        risk.observe(
-                            cand, imdb_simulator.execute(cand.plan).latency_ms
-                        )
-                risk.retrain()
-                learned = LearnedOptimizer(
-                    strategy, risk, retrain_every=30, name=f"{s_name}+{r_name}"
-                )
-                loop = OptimizationLoop(learned, imdb_simulator, imdb_optimizer)
-                loop.run(workload)
-                s = loop.summary(tail=75)
-                outcomes[(s_name, r_name)] = s
-                rows.append(
-                    (
-                        s_name,
-                        r_name,
-                        s["workload_speedup"],
-                        s["n_regressions"],
-                        s["worst_regression"],
+        for s_name, r_name, strategy, risk in combinations():
+            # Shared offline warm-up: observe executed candidates.
+            for q in warmup:
+                for cand in strategy.candidates(q)[:3]:
+                    risk.observe(
+                        cand, imdb_simulator.execute(cand.plan).latency_ms
                     )
+            risk.retrain()
+            learned = LearnedOptimizer(
+                strategy, risk, retrain_every=30, name=f"{s_name}+{r_name}"
+            )
+            loop = OptimizationLoop(learned, imdb_simulator, imdb_optimizer)
+            loop.run(workload)
+            s = loop.summary(tail=75)
+            outcomes[(s_name, r_name)] = s
+            rows.append(
+                (
+                    s_name,
+                    r_name,
+                    s["workload_speedup"],
+                    s["n_regressions"],
+                    s["worst_regression"],
                 )
+            )
         return rows, outcomes
 
     rows, outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -87,7 +114,9 @@ def test_e11_framework_ablation(benchmark, imdb_db, imdb_optimizer, imdb_simulat
             "E11: exploration strategy x risk model (tail of 75 queries)",
             ["exploration", "risk model", "speedup", "regressions", "worst"],
             rows,
-            note="hints+pointwise ~ Bao; card_scale+pairwise ~ Lero; leading+variance ~ HyperQO",
+            note="hints+pointwise ~ Bao; card_scale+pairwise ~ Lero; "
+            "leading+variance ~ HyperQO; value_search+value ~ Neo (from scratch); "
+            "topk_dp+pairwise ~ LEON (aided)",
         )
     )
     speedups = [s["workload_speedup"] for s in outcomes.values()]

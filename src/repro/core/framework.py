@@ -8,15 +8,21 @@ This module encodes that two-step structure directly:
 
 - :class:`PlanExplorationStrategy` -- produces candidate plans for a query
   (hint-set steering for Bao, cardinality scaling for Lero, learned plan
-  search for Neo/Balsa, DP-with-model for LEON, leading hints for HyperQO);
+  search for Neo/Balsa/LOGER, DP-with-model for LEON, leading hints for
+  HyperQO);
 - :class:`RiskModel` -- scores candidates and learns from execution
   feedback (pointwise latency regression for Neo/Bao, pairwise preference
   for Lero/LEON);
 - :class:`LearnedOptimizer` -- the generic loop combining the two, with an
-  experience buffer and (re)training hooks.
+  experience buffer and (re)training hooks.  It is the only class that
+  owns choose -> feedback -> retrain cadence -> history: every system in
+  :mod:`repro.e2e` and both PilotScope steering drivers are an
+  ``(exploration, risk_model)`` pair handed to it.
 
-The concrete systems in :mod:`repro.e2e` are instantiations of this
-framework, which is also what the E11 ablation benchmark sweeps.
+A search-based system fills both slots with one model: the network that
+guides the exploration (Neo's value net, LEON's comparator) is the risk
+model refit from feedback, and its strategy returns the single plan the
+search produced.  The E11 ablation benchmark sweeps the pairs.
 """
 
 from __future__ import annotations

@@ -19,7 +19,11 @@ All implement ``predict_latency(plan) -> float`` (milliseconds) plus
 optimizers' risk models.
 """
 
-from repro.costmodel.features import PlanFeaturizer, plan_to_tree_arrays
+from repro.costmodel.features import (
+    PlanFeaturizer,
+    plan_to_tree_arrays,
+    prefix_to_tree_arrays,
+)
 from repro.costmodel.linear_cost import LinearPlanCostModel
 from repro.costmodel.treeconv_cost import TreeConvCostModel
 from repro.costmodel.recurrent_cost import TreeRecurrentCostModel
@@ -35,6 +39,7 @@ __all__ = [
     "PlanAutoencoder",
     "PlanFeaturizer",
     "plan_to_tree_arrays",
+    "prefix_to_tree_arrays",
     "LinearPlanCostModel",
     "TreeConvCostModel",
     "TreeRecurrentCostModel",

@@ -4,7 +4,9 @@ Three representations:
 
 - **tree arrays** (:func:`plan_to_tree_arrays`): per-node feature vectors
   plus left/right child indices, consumed by tree-convolution and
-  tree-recurrent models;
+  tree-recurrent models; :func:`prefix_to_tree_arrays` is the same layout
+  for a *partial* left-deep plan (the state a value network scores during
+  plan search);
 - **flat vectors** (:meth:`PlanFeaturizer.flat`): operator counts +
   cardinality aggregates for linear/GBDT models;
 - **transferable vectors** (:meth:`PlanFeaturizer.transferable_node`):
@@ -28,9 +30,10 @@ from repro.core.interfaces import CardinalityEstimator
 from repro.engine.plans import JoinMethod, JoinNode, Plan, PlanNode, ScanMethod, ScanNode
 from repro.optimizer.cost import PlanCoster
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
+from repro.sql.query import Query
 from repro.storage.catalog import Database
 
-__all__ = ["PlanFeaturizer", "plan_to_tree_arrays"]
+__all__ = ["PlanFeaturizer", "plan_to_tree_arrays", "prefix_to_tree_arrays"]
 
 _OPS = [
     ("seq", ScanMethod.SEQ),
@@ -197,3 +200,39 @@ def plan_to_tree_arrays(
 
     visit(plan.root)
     return np.stack(features), np.array(left), np.array(right)
+
+
+def prefix_to_tree_arrays(
+    query: Query, prefix: list[str], featurizer: PlanFeaturizer
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tree arrays of the partial left-deep plan joining ``prefix`` in order.
+
+    The state encoding of the value-guided searches (Neo / Balsa / LOGER,
+    RTOS): physical operators are not chosen yet, so scans fill the ``seq``
+    slot and joins the ``hash`` slot, and cardinalities are scaled by a
+    fixed ``/ 20`` instead of the database's log-total.  Pre-order of a
+    left-deep tree is its joins top-down, then its scans left to right, so
+    no plan nodes are built.  Cardinalities come through
+    ``featurizer.coster``: sanitized, and cached when the planner's own.
+    """
+    m, n_tables = len(prefix), len(featurizer.tables)
+    base = len(_OPS) + n_tables
+    subsets = [frozenset(prefix[: m - i]) for i in range(m - 1)]  # joins, top-down
+    subsets += [frozenset((table,)) for table in prefix]  # then the scans
+    feats = np.zeros((2 * m - 1, featurizer.node_dim))
+    for row, tables in zip(feats, subsets):
+        card = featurizer.coster.subquery_cardinality(query, tables)
+        row[base] = math.log1p(card) / 20.0
+        row[base + 1] = len(tables) / max(n_tables, 1)
+    feats[: m - 1, 2] = 1.0
+    feats[m - 1 :, 0] = 1.0
+    for row, table in zip(feats[m - 1 :], prefix):
+        row[len(_OPS) + featurizer._table_pos[table]] = 1.0
+        row[base + 2] = len(query.predicates_on(table)) / 4.0
+    # Join i's left child is the next join down (the first scan, for the
+    # last join); its right child is the scan of the table it adds.
+    left = np.full(2 * m - 1, -1)
+    right = np.full(2 * m - 1, -1)
+    left[: m - 1] = np.arange(1, m)
+    right[: m - 1] = np.arange(2 * m - 2, m - 1, -1)
+    return feats, left, right

@@ -4,7 +4,8 @@ Balsa's difference from Neo is the bootstrap: instead of imitating the
 native optimizer's executed plans, it first trains its value network in
 *simulation* -- against the (cheap, imperfect) cost model -- and only then
 fine-tunes on real execution latencies.  Search is beam search rather than
-best-first.
+best-first.  Untrained, it ships the native plan: executing a random plan
+on a production system is not a realistic deployment mode.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import math
 
 import numpy as np
 
-from repro.core.framework import CandidatePlan
-from repro.e2e.neo import _ValueGuidedOptimizer
+from repro.e2e.neo import _ValueSearchOptimizer
 from repro.joinorder.env import JoinOrderEnv, plan_from_order
 from repro.optimizer.planner import Optimizer
 from repro.sql.query import Query
@@ -22,7 +22,7 @@ from repro.sql.query import Query
 __all__ = ["BalsaOptimizer"]
 
 
-class BalsaOptimizer(_ValueGuidedOptimizer):
+class BalsaOptimizer(_ValueSearchOptimizer):
     """Balsa: beam search + sim-to-real bootstrapping."""
 
     name = "balsa"
@@ -53,25 +53,5 @@ class BalsaOptimizer(_ValueGuidedOptimizer):
                     env.step(actions[self._rng.integers(len(actions))])
                 plan = plan_from_order(query, env.prefix, self.optimizer.coster)
                 pseudo_latency = max(self.optimizer.cost(plan), 0.0) * 0.05
-                target = math.log1p(pseudo_latency)
-                from repro.costmodel.features import plan_to_tree_arrays
-
-                self._trees.append(plan_to_tree_arrays(plan, self.featurizer))
-                self._targets.append(target)
-                order = plan.join_order()
-                for k in range(1, len(order)):
-                    prefix = order[:k]
-                    if not query.subquery(prefix).is_connected():
-                        break
-                    self._trees.append(self._partial_tree(query, prefix))
-                    self._targets.append(target)
+                self.risk_model.add_target(plan, math.log1p(pseudo_latency))
         self.retrain()
-
-    def choose_plan(self, query: Query) -> CandidatePlan:
-        if not self._trained:
-            # Balsa has no expert: before any training it can only guess.
-            # We keep the safe default (native plan) as its untrained
-            # fallback, since executing a random plan on a production
-            # system is not a realistic deployment mode.
-            return CandidatePlan(plan=self.optimizer.plan(query), source="default")
-        return CandidatePlan(plan=self._search_plan(query), source="search")

@@ -1,19 +1,42 @@
-"""Plan exploration strategies (the first half of the §2.2 framework)."""
+"""Plan exploration strategies (the first half of the §2.2 framework).
+
+The three §2.2 categories: *steering* the native optimizer
+(:class:`HintSetExploration`, :class:`CardinalityScalingExploration`,
+:class:`LeadingTableExploration` -- several candidates for the risk model
+to choose among), learned search *from scratch*
+(:class:`ValueSearchExploration`) and ML-*aided* enumeration
+(:class:`TopKDPExploration`).  The last two consult their model while
+exploring, so they hand the risk model the one plan that search produced.
+"""
 
 from __future__ import annotations
 
+import heapq
+from itertools import combinations, count
+from operator import itemgetter
+
+import numpy as np
+
 from repro.core.framework import CandidatePlan
 from repro.core.interfaces import ScaledCardinalities
-from repro.engine.plans import Plan
-from repro.joinorder.env import plan_from_order
+from repro.e2e.risk_models import PairwisePlanComparator, PlanValueModel
+from repro.engine.plans import Plan, PlanNode
+from repro.joinorder.env import JoinOrderEnv, plan_from_order
 from repro.optimizer.hints import HintSet
-from repro.optimizer.planner import Optimizer
+from repro.optimizer.planner import (
+    Optimizer,
+    _best_join,
+    _best_scan,
+    _join_conditions_between,
+)
 from repro.sql.query import Query
 
 __all__ = [
     "HintSetExploration",
     "CardinalityScalingExploration",
     "LeadingTableExploration",
+    "ValueSearchExploration",
+    "TopKDPExploration",
 ]
 
 
@@ -118,3 +141,208 @@ class LeadingTableExploration:
             order.append(best)
             remaining.discard(best)
         return plan_from_order(query, order, coster)
+
+
+class ValueSearchExploration:
+    """Neo / Balsa / LOGER's strategy [38, 69, 3]: search left-deep join
+    orders guided by a value network.
+
+    ``beam_width == 0`` is Neo's best-first search (at most
+    ``search_budget`` expansions, then a greedy completion); ``> 0`` is
+    beam search, Balsa's at ``epsilon == 0`` and LOGER's epsilon-beam
+    otherwise (with probability ``epsilon`` per level the worst kept entry
+    gives way to a random non-kept one, so the model keeps seeing plans
+    outside its current preference).  Until ``value_model`` is trained the
+    native plan is the only candidate.
+    """
+
+    def __init__(
+        self,
+        optimizer: Optimizer,
+        value_model: PlanValueModel,
+        *,
+        beam_width: int = 0,
+        epsilon: float = 0.0,
+        search_budget: int = 80,
+        seed: int = 0,
+    ) -> None:
+        if not 0.0 <= epsilon < 1.0:
+            raise ValueError("epsilon must be in [0, 1)")
+        self.optimizer = optimizer
+        self.value_model = value_model
+        self.beam_width = beam_width
+        self.epsilon = epsilon
+        self.search_budget = search_budget
+        self._eps_rng = np.random.default_rng(seed + 77)
+
+    def candidates(self, query: Query) -> list[CandidatePlan]:
+        if not self.value_model.trained:
+            # Cold start: the expert demonstration (native plan).
+            return [CandidatePlan(self.optimizer.plan(query), "default")]
+        if query.n_tables == 1:
+            return [CandidatePlan(self.optimizer.plan(query), "search")]
+        order = self._beam(query) if self.beam_width > 0 else self._best_first(query)
+        plan = plan_from_order(query, order, self.optimizer.coster)
+        return [CandidatePlan(plan, "search")]
+
+    def _best_first(self, query: Query) -> list[str]:
+        value = self.value_model.value
+        counter = count()  # heap tie-break: insertion order
+        heap = [(value(query, [t]), next(counter), [t]) for t in query.tables]
+        heapq.heapify(heap)
+        env = JoinOrderEnv(query)
+        for _ in range(self.search_budget):
+            _, _, prefix = heapq.heappop(heap)
+            if len(prefix) == len(query.tables):
+                return prefix  # best-first: first completed state is the answer
+            env.prefix = list(prefix)
+            for action in env.valid_actions():
+                nxt = prefix + [action]
+                heapq.heappush(heap, (value(query, nxt), next(counter), nxt))
+        # Budget exhausted: greedily complete the most promising prefix.
+        env.prefix = list(heap[0][2])
+        while not env.done:
+            env.step(
+                min(env.valid_actions(), key=lambda a: value(query, env.prefix + [a]))
+            )
+        return env.prefix
+
+    def _beam(self, query: Query) -> list[str]:
+        value = self.value_model.value
+        beam = sorted(((value(query, [t]), [t]) for t in query.tables), key=itemgetter(0))
+        beam = beam[: self.beam_width]
+        env = JoinOrderEnv(query)
+        while len(beam[0][1]) < len(query.tables):
+            expanded = []
+            for _, prefix in beam:
+                env.prefix = list(prefix)
+                for action in env.valid_actions():
+                    nxt = prefix + [action]
+                    expanded.append((value(query, nxt), nxt))
+            expanded.sort(key=itemgetter(0))
+            beam, rest = expanded[: self.beam_width], expanded[self.beam_width :]
+            if self.epsilon and rest and self._eps_rng.random() < self.epsilon:
+                beam[-1] = rest[int(self._eps_rng.integers(len(rest)))]
+        return beam[0][1]
+
+
+class TopKDPExploration:
+    """LEON's strategy [4]: the native DP keeping the top-``keep_k``
+    sub-plans per subset, ranked by the comparator once it is trained.
+
+    Every ``explore_every``-th query the full-set runner-up is executed
+    too, so the comparator receives labelled same-query pairs: out-of-band
+    through ``shadow_executor(plan) -> latency_ms`` when one is given, else
+    by serving the runner-up (source ``"explore"``) in place of the
+    favourite (``"dp"``).  The pick is returned as the single candidate:
+    the comparator already ranked the survivors inside the DP.
+    """
+
+    def __init__(
+        self,
+        optimizer: Optimizer,
+        comparator: PairwisePlanComparator,
+        *,
+        keep_k: int = 2,
+        explore_every: int = 7,
+        shadow_executor=None,
+    ) -> None:
+        self.optimizer = optimizer
+        self.comparator = comparator
+        self.keep_k = keep_k
+        self.explore_every = explore_every
+        self.shadow_executor = shadow_executor
+        self._queries_seen = 0
+
+    def _rank(self, query: Query, entries: list[tuple[PlanNode, float]]):
+        """Order candidate (node, cost) entries best-first.
+
+        Without a trained comparator, rank purely by estimated cost; with
+        one, rank by the comparator's score over the *completed fragments*
+        (treated as plans of their sub-query), breaking ties by cost.
+        """
+        if not self.comparator.trained or len(entries) == 1:
+            return sorted(entries, key=lambda e: e[1])
+        plans = [Plan(query.subquery(node.tables), node) for node, _ in entries]
+        scores = self.comparator.scores(
+            [CandidatePlan(p, "dp") for p in plans]
+        )
+        order = sorted(range(len(entries)), key=lambda i: (scores[i], entries[i][1]))
+        return [entries[i] for i in order]
+
+    def dp_candidates(self, query: Query) -> list[tuple[PlanNode, float]]:
+        """The up-to-``keep_k`` surviving full-set ``(root, cost)`` entries."""
+        hints = HintSet.default()
+        coster = self.optimizer.coster
+        tables = list(query.tables)
+        best: dict[frozenset[str], list[tuple[PlanNode, float]]] = {}
+        card_of: dict[frozenset[str], float] = {}
+        for t in tables:
+            key = frozenset((t,))
+            best[key] = [_best_scan(query, t, coster, hints)]
+            card_of[key] = coster.subquery_cardinality(query, key)
+        n = len(tables)
+        for size in range(2, n + 1):
+            for combo in combinations(tables, size):
+                subset = frozenset(combo)
+                sub = query.subquery(subset)
+                if not sub.is_connected():
+                    continue
+                card_of[subset] = coster.subquery_cardinality(query, subset)
+                entries: list[tuple[PlanNode, float]] = []
+                members = sorted(subset)
+                for r in range(1, size):
+                    for left_combo in combinations(members[1:], r - 1):
+                        left_set = frozenset((members[0],) + left_combo)
+                        right_set = subset - left_set
+                        if left_set not in best or right_set not in best:
+                            continue
+                        conditions = _join_conditions_between(
+                            query, left_set, right_set
+                        )
+                        if not conditions:
+                            continue
+                        for lcand in best[left_set]:
+                            for rcand in best[right_set]:
+                                cand = _best_join(
+                                    query, lcand, rcand, conditions,
+                                    coster, hints, card_of,
+                                )
+                                if cand is not None:
+                                    entries.append(cand)
+                if entries:
+                    # Dedup by signature, keep top-k by learned ranking.
+                    seen: set[str] = set()
+                    unique = []
+                    for node, cost in sorted(entries, key=lambda e: e[1]):
+                        sig = node.signature()
+                        if sig not in seen:
+                            seen.add(sig)
+                            unique.append((node, cost))
+                    best[subset] = self._rank(query, unique)[: self.keep_k]
+        full = frozenset(tables)
+        if full not in best:
+            raise ValueError(f"no connected plan covers {query}")
+        return best[full]
+
+    def candidates(self, query: Query) -> list[CandidatePlan]:
+        self._queries_seen += 1
+        if query.n_tables == 1:
+            return [CandidatePlan(self.optimizer.plan(query), "default")]
+        entries = self.dp_candidates(query)
+        explore = (
+            len(entries) > 1
+            and self.explore_every
+            and self._queries_seen % self.explore_every == 0
+        )
+        if explore and self.shadow_executor is not None:
+            # Shadow-execute the runner-up so a labelled same-query pair
+            # exists once the favourite's latency is fed back.
+            runner_up = CandidatePlan(Plan(query, entries[1][0]), "shadow")
+            self.comparator.observe(
+                runner_up, self.shadow_executor(runner_up.plan)
+            )
+        pick = 1 if (explore and self.shadow_executor is None) else 0
+        node, _ = entries[pick]
+        source = "dp" if pick == 0 else "explore"
+        return [CandidatePlan(Plan(query, node), source)]

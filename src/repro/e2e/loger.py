@@ -10,18 +10,13 @@ predicates).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.framework import CandidatePlan
-from repro.e2e.neo import _ValueGuidedOptimizer
-from repro.joinorder.env import JoinOrderEnv
+from repro.e2e.neo import _ValueSearchOptimizer
 from repro.optimizer.planner import Optimizer
-from repro.sql.query import Query
 
 __all__ = ["LogerOptimizer"]
 
 
-class LogerOptimizer(_ValueGuidedOptimizer):
+class LogerOptimizer(_ValueSearchOptimizer):
     """Value-guided epsilon-beam search optimizer (LOGER-lite)."""
 
     name = "loger"
@@ -35,45 +30,6 @@ class LogerOptimizer(_ValueGuidedOptimizer):
         seed: int = 0,
         **kwargs,
     ) -> None:
-        super().__init__(optimizer, beam_width=beam_width, seed=seed, **kwargs)
-        if not 0.0 <= epsilon < 1.0:
-            raise ValueError("epsilon must be in [0, 1)")
-        self.epsilon = epsilon
-        self._eps_rng = np.random.default_rng(seed + 77)
-
-    def _beam_search(self, query: Query) -> list[str]:
-        """Beam search keeping one epsilon-random slot per level."""
-        beam: list[tuple[float, list[str]]] = [
-            (self._value(query, [t]), [t]) for t in query.tables
-        ]
-        beam.sort(key=lambda e: e[0])
-        beam = beam[: self.beam_width]
-        env = JoinOrderEnv(query)
-        while len(beam[0][1]) < len(query.tables):
-            expanded: list[tuple[float, list[str]]] = []
-            for _, prefix in beam:
-                env.prefix = list(prefix)
-                for action in env.valid_actions():
-                    nxt = prefix + [action]
-                    expanded.append((self._value(query, nxt), nxt))
-            expanded.sort(key=lambda e: e[0])
-            keep = expanded[: self.beam_width]
-            # Epsilon slot: replace the worst kept entry with a random
-            # non-kept candidate so exploration never dies out.
-            rest = expanded[self.beam_width :]
-            if rest and self._eps_rng.random() < self.epsilon:
-                keep[-1] = rest[int(self._eps_rng.integers(len(rest)))]
-            beam = keep
-        return beam[0][1]
-
-    def choose_plan(self, query: Query) -> CandidatePlan:
-        if not self._trained:
-            return CandidatePlan(plan=self.optimizer.plan(query), source="default")
-        return CandidatePlan(plan=self._search_plan(query), source="search")
-
-    def bootstrap_from_expert(self, queries: list[Query], executor) -> None:
-        """Seed the value network from executed native plans."""
-        for q in queries:
-            plan = self.optimizer.plan(q)
-            self.record_feedback(q, CandidatePlan(plan, "expert"), executor(plan))
-        self.retrain()
+        super().__init__(
+            optimizer, beam_width=beam_width, epsilon=epsilon, seed=seed, **kwargs
+        )

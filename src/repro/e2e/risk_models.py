@@ -6,7 +6,10 @@
 - :class:`PairwisePlanComparator` -- Lero/LEON-style learning-to-rank:
   a tree-conv scorer trained with BCE on same-query plan pairs [79, 4];
 - :class:`EnsembleLatencyModel` -- HyperQO's multi-head predictor with a
-  variance filter over candidates [72].
+  variance filter over candidates [72];
+- :class:`PlanValueModel` -- Neo/Balsa/LOGER's value network over partial
+  *and* complete plans [38, 69, 3]; the same object guides
+  :class:`repro.e2e.exploration.ValueSearchExploration`.
 
 All satisfy :class:`repro.core.framework.RiskModel` (``scores`` /
 ``observe`` / ``retrain``).  Until the first retrain every model falls
@@ -24,14 +27,21 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.framework import OBSERVATION_WINDOW, CandidatePlan
-from repro.costmodel.features import PlanFeaturizer, plan_to_tree_arrays
+from repro.costmodel.features import (
+    PlanFeaturizer,
+    plan_to_tree_arrays,
+    prefix_to_tree_arrays,
+)
+from repro.engine.plans import Plan
 from repro.ml.nn import Adam
 from repro.ml.treeconv import PlanTreeCorpus, TreeConvNet
+from repro.sql.query import Query
 
 __all__ = [
     "TreeConvLatencyModel",
     "PairwisePlanComparator",
     "EnsembleLatencyModel",
+    "PlanValueModel",
 ]
 
 
@@ -142,6 +152,11 @@ class PairwisePlanComparator:
         # query_key -> list of (tree, latency)
         self._by_query: dict[str, list[tuple[tuple, float]]] = {}
         self._trained = False
+
+    @property
+    def trained(self) -> bool:
+        """Whether a retrain has fitted the scorer (else: default wins)."""
+        return self._trained
 
     def observe(self, candidate: CandidatePlan, latency_ms: float) -> None:
         key = candidate.plan.query.to_sql()
@@ -274,3 +289,60 @@ class EnsembleLatencyModel:
             else:
                 out.append(float(means[i]))
         return out
+
+
+class PlanValueModel:
+    """Neo's value network [38]: best achievable latency from a plan state.
+
+    One tree-conv net over complete plans *and* partial left-deep prefixes
+    (:func:`repro.costmodel.features.prefix_to_tree_arrays`), trained on
+    ``log1p(latency)``.  It fills both framework slots: :meth:`value`
+    guides :class:`repro.e2e.exploration.ValueSearchExploration`, and
+    ``scores`` / ``observe`` / ``retrain`` make it the risk model refit
+    from execution feedback.
+    """
+
+    def __init__(self, featurizer: PlanFeaturizer, *, seed: int = 0) -> None:
+        self.featurizer = featurizer
+        self.net = TreeConvNet(
+            featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed
+        )
+        # Training states (several per observation); the fit uses all of them.
+        self._trees: deque[tuple] = deque(maxlen=3000)
+        self._targets: deque[float] = deque(maxlen=3000)
+        self.trained = False
+
+    def observe(self, candidate: CandidatePlan, latency_ms: float) -> None:
+        self.add_target(candidate.plan, math.log1p(max(latency_ms, 0.0)))
+
+    def add_target(self, plan: Plan, target: float) -> None:
+        """Label ``plan`` and the connected left-deep prefixes of its leaf
+        order with ``target``: partial states share the final value."""
+        self._trees.append(plan_to_tree_arrays(plan, self.featurizer))
+        self._targets.append(target)
+        order = plan.join_order()
+        for k in range(1, len(order)):
+            prefix = order[:k]
+            if not plan.query.subquery(prefix).is_connected():
+                break
+            self._trees.append(
+                prefix_to_tree_arrays(plan.query, prefix, self.featurizer)
+            )
+            self._targets.append(target)
+
+    def retrain(self) -> None:
+        if len(self._targets) < 20:
+            return
+        self.net.fit(self._trees, np.array(self._targets), epochs=25, lr=1e-3)
+        self.trained = True
+
+    def value(self, query: Query, prefix: list[str]) -> float:
+        """Predicted final ``log1p(latency)`` of the best completion."""
+        tree = prefix_to_tree_arrays(query, prefix, self.featurizer)
+        return float(self.net.predict([tree])[0])
+
+    def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
+        if not self.trained:
+            return _default_scores(candidates)
+        trees = [plan_to_tree_arrays(c.plan, self.featurizer) for c in candidates]
+        return list(self.net.predict(trees))

@@ -14,11 +14,10 @@ import math
 
 import numpy as np
 
-from repro.costmodel.features import PlanFeaturizer
-from repro.engine.plans import JoinNode, PlanNode, ScanNode
+from repro.costmodel.features import PlanFeaturizer, prefix_to_tree_arrays
 from repro.joinorder.env import JoinOrderEnv, plan_from_order
 from repro.ml.treeconv import TreeConvNet
-from repro.optimizer.planner import Optimizer, _join_conditions_between
+from repro.optimizer.planner import Optimizer
 from repro.sql.query import Query
 
 __all__ = ["RTOSJoinOrderSearch"]
@@ -50,54 +49,6 @@ class RTOSJoinOrderSearch:
         self._episodes = 0
         self._trained = False
 
-    # -- state encoding -------------------------------------------------------------
-
-    def _partial_tree(self, query: Query, prefix: list[str]):
-        """Tree arrays of the partial left-deep plan over ``prefix``."""
-        node: PlanNode = ScanNode(
-            table=prefix[0], predicates=query.predicates_on(prefix[0])
-        )
-        for t in prefix[1:]:
-            right = ScanNode(table=t, predicates=query.predicates_on(t))
-            conditions = _join_conditions_between(query, node.tables, right.tables)
-            node = JoinNode(node, right, conditions=conditions)
-        feats, left, right_idx = [], [], []
-
-        def visit(n: PlanNode) -> int:
-            my = len(feats)
-            sub = query.subquery(n.tables)
-            est = max(self.optimizer.estimator.estimate(sub), 0.0)
-            vec = self._node_vec(n, est)
-            feats.append(vec)
-            left.append(-1)
-            right_idx.append(-1)
-            if isinstance(n, JoinNode):
-                left[my] = visit(n.left)
-                right_idx[my] = visit(n.right)
-            return my
-
-        visit(node)
-        return np.stack(feats), np.array(left), np.array(right_idx)
-
-    def _node_vec(self, node: PlanNode, est_card: float) -> np.ndarray:
-        # Reuse the cost-model featurizer layout via a synthetic encoding:
-        # operator one-hot slots (scan/join generic), table one-hot, extras.
-        n_ops = 5
-        tables = self.featurizer.tables
-        vec = np.zeros(self.featurizer.node_dim)
-        if isinstance(node, ScanNode):
-            vec[0] = 1.0
-            vec[n_ops + tables.index(node.table)] = 1.0
-            n_preds = len(node.predicates) / 4.0
-        else:
-            vec[2] = 1.0  # generic join slot
-            n_preds = 0.0
-        base = n_ops + len(tables)
-        vec[base] = math.log1p(est_card) / 20.0
-        vec[base + 1] = len(node.tables) / max(len(tables), 1)
-        vec[base + 2] = n_preds
-        return vec
-
     # -- training ------------------------------------------------------------------
 
     def train_episode(self, query: Query) -> float:
@@ -108,13 +59,10 @@ class RTOSJoinOrderSearch:
             if self._rng.random() < self.epsilon or not self._trained:
                 choice = actions[self._rng.integers(len(actions))]
             else:
-                values = [
-                    self._net.predict([self._partial_tree(query, env.prefix + [a])])[0]
-                    for a in actions
-                ]
+                values = [self._value(query, env.prefix + [a]) for a in actions]
                 choice = actions[int(np.argmax(values))]
             env.step(choice)
-            states.append(self._partial_tree(query, list(env.prefix)))
+            states.append(prefix_to_tree_arrays(query, env.prefix, self.featurizer))
         plan = plan_from_order(query, env.prefix, self.coster)
         reward = -math.log1p(max(self.optimizer.cost(plan), 0.0))
         for s in states:
@@ -140,6 +88,10 @@ class RTOSJoinOrderSearch:
         self._net.fit(trees, y, epochs=25, lr=1e-3)
         self._trained = True
 
+    def _value(self, query: Query, prefix: list[str]) -> float:
+        tree = prefix_to_tree_arrays(query, prefix, self.featurizer)
+        return self._net.predict([tree])[0]
+
     # -- inference -----------------------------------------------------------------
 
     def search(self, query: Query):
@@ -147,10 +99,7 @@ class RTOSJoinOrderSearch:
         while not env.done:
             actions = env.valid_actions()
             if self._trained:
-                values = [
-                    self._net.predict([self._partial_tree(query, env.prefix + [a])])[0]
-                    for a in actions
-                ]
+                values = [self._value(query, env.prefix + [a]) for a in actions]
                 choice = actions[int(np.argmax(values))]
             else:
                 choice = actions[0]

@@ -7,16 +7,21 @@
 - :class:`BaoDriver` / :class:`LeroDriver`: the two end-to-end optimizer
   drivers, assembled purely from push/pull operators: Bao pushes hint
   sets, Lero pushes cardinality scales, both pull the resulting candidate
-  plans, select with their risk model, execute, and feed latencies back.
+  plans; that sweep is the exploration strategy of a
+  :class:`repro.core.framework.LearnedOptimizer`, which selects with the
+  driver's risk model and learns from the pulled latencies.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.cardest.base import sanitize_estimate
-from repro.core.framework import CandidatePlan
+from repro.core.framework import CandidatePlan, LearnedOptimizer
 from repro.costmodel.features import PlanFeaturizer
+from repro.e2e.exploration import _dedup
 from repro.e2e.risk_models import PairwisePlanComparator, TreeConvLatencyModel
 from repro.optimizer.hints import HintSet
 from repro.pilotscope.driver import Driver
@@ -80,7 +85,12 @@ class CardinalityInjectionDriver(Driver):
 
 
 class _SteeringDriverBase(Driver):
-    """Shared plumbing for the Bao and Lero drivers."""
+    """Shared plumbing for the Bao and Lero drivers.
+
+    The driver is its own :class:`PlanExplorationStrategy`: ``candidates``
+    is the subclass's push/pull sweep on the session it currently holds
+    open.
+    """
 
     injection_type = "query_optimizer"
 
@@ -88,34 +98,45 @@ class _SteeringDriverBase(Driver):
         super().__init__()
         self.retrain_every = retrain_every
         self.seed = seed
-        self._since_retrain = 0
-        self.risk_model = None  # set in _prepare
+        self.learned: LearnedOptimizer | None = None  # set in _prepare
+        self._session = None  # set while _open_session is entered
+
+    @property
+    def risk_model(self):
+        return self.learned.risk_model
 
     def _prepare(self) -> None:
         # Featurization metadata (schema, statistics) is catalog
         # information pulled from the attached database.
         host = self.interactor
         featurizer = PlanFeaturizer(host.db, coster=host.optimizer.coster)  # type: ignore[attr-defined]
-        self.risk_model = self._build_risk_model(featurizer)
+        self.learned = LearnedOptimizer(
+            self,
+            self._build_risk_model(featurizer),
+            retrain_every=self.retrain_every,
+            name=self.name,
+        )
 
     def _build_risk_model(self, featurizer: PlanFeaturizer):
         raise NotImplementedError
 
-    def _candidates(self, session, query: Query) -> list[CandidatePlan]:
+    def candidates(self, query: Query) -> list[CandidatePlan]:
         raise NotImplementedError
 
+    @contextmanager
+    def _open_session(self):
+        with self._require_started().open_session() as session:
+            self._session = session
+            try:
+                yield session
+            finally:
+                self._session = None
+
     def algo(self, query: Query) -> ExecutionOutcome:
-        interactor = self._require_started()
-        with interactor.open_session() as session:
-            candidates = self._candidates(session, query)
-            scores = self.risk_model.scores(candidates)
-            best = candidates[int(np.argmin(scores))]
+        with self._open_session() as session:
+            best = self.learned.choose_plan(query)
             result = session.pull_execution(best.plan)
-        self.risk_model.observe(best, result.latency_ms)
-        self._since_retrain += 1
-        if self._since_retrain >= self.retrain_every:
-            self._since_retrain = 0
-            self.risk_model.retrain()
+        self.learned.record_feedback(query, best, result.latency_ms)
         return ExecutionOutcome(
             cardinality=result.cardinality,
             latency_ms=result.latency_ms,
@@ -123,6 +144,8 @@ class _SteeringDriverBase(Driver):
         )
 
     def background_update(self) -> None:
+        # Not ``learned.retrain()``: a background refit must not restart
+        # the in-band ``retrain_every`` count.
         self.risk_model.retrain()
 
 
@@ -143,20 +166,16 @@ class BaoDriver(_SteeringDriverBase):
     def _build_risk_model(self, featurizer: PlanFeaturizer):
         return TreeConvLatencyModel(featurizer, thompson=True, seed=self.seed)
 
-    def _candidates(self, session, query: Query) -> list[CandidatePlan]:
-        out, seen = [], set()
+    def candidates(self, query: Query) -> list[CandidatePlan]:
+        session, out = self._session, []
         for i, arm in enumerate(self.arms):
             session.reset_pushes()
             session.push_hint_set(arm)
             plan = session.pull_plan(query)
-            sig = plan.signature()
-            if sig in seen:
-                continue
-            seen.add(sig)
             out.append(
                 CandidatePlan(plan=plan, source="default" if i == 0 else arm.name())
             )
-        return out
+        return _dedup(out)
 
 
 class LeroDriver(_SteeringDriverBase):
@@ -178,30 +197,25 @@ class LeroDriver(_SteeringDriverBase):
     def _build_risk_model(self, featurizer: PlanFeaturizer):
         return PairwisePlanComparator(featurizer, seed=self.seed)
 
-    def _candidates(self, session, query: Query) -> list[CandidatePlan]:
-        out, seen = [], set()
+    def candidates(self, query: Query) -> list[CandidatePlan]:
+        session, out = self._session, []
         for f in self.factors:
             session.reset_pushes()
             if f != 1.0:
                 session.push_cardinality_scale(f)
             plan = session.pull_plan(query)
-            sig = plan.signature()
-            if sig in seen:
-                continue
-            seen.add(sig)
             out.append(
                 CandidatePlan(
                     plan=plan, source="default" if f == 1.0 else f"scale={f:g}"
                 )
             )
-        return out
+        return _dedup(out)
 
     def collect_training_data(self, queries: list[Query]) -> None:
         """Lero's pair-collection phase: execute candidates per query."""
-        interactor = self._require_started()
-        with interactor.open_session() as session:
+        with self._open_session() as session:
             for query in queries:
-                candidates = self._candidates(session, query)[:3]
+                candidates = self.candidates(query)[:3]
                 if len(candidates) < 2:
                     continue
                 for cand in candidates:

@@ -22,6 +22,12 @@ from repro.bench import (
 from repro.bench.suite import fit_estimator, traditional_estimators
 from repro.cardest.advisor import AutoCE, DatasetFeatures, flow_loss_weights
 from repro.core import registry
+from repro.core.framework import (
+    OBSERVATION_WINDOW,
+    LearnedOptimizer,
+    PlanExplorationStrategy,
+    RiskModel,
+)
 from repro.core.registry import cardinality_estimator_rows
 from repro.sql import WorkloadGenerator
 from repro.storage import make_stats_lite, make_tpch_lite
@@ -68,6 +74,21 @@ class TestRegistry:
         for expected in ("MSCN", "Naru", "DeepDB", "FLAT", "FactorJoin",
                          "Bao", "Lero", "Neo", "Balsa", "LEON", "Eraser"):
             assert expected in methods
+
+    def test_every_end_to_end_system_instantiates_the_framework(self, imdb_optimizer):
+        """§2.2: a plan-exploration strategy plus a learned risk model, in
+        the one loop that owns the (windowed) history."""
+        systems = registry("end_to_end")
+        assert len(systems) == 7
+        for m in systems:
+            cls = m.resolve()
+            assert issubclass(cls, LearnedOptimizer), m.method
+            learned = cls(imdb_optimizer)
+            assert isinstance(learned.exploration, PlanExplorationStrategy), m.method
+            assert isinstance(learned.risk_model, RiskModel), m.method
+            assert learned.history.maxlen == OBSERVATION_WINDOW
+            for loop in ("choose_plan", "record_feedback", "retrain"):
+                assert getattr(cls, loop) is getattr(LearnedOptimizer, loop), m.method
 
 
 class TestAdvisor:

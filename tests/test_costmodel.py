@@ -14,7 +14,9 @@ from repro.costmodel import (
     TreeRecurrentCostModel,
     ZeroShotCostModel,
     plan_to_tree_arrays,
+    prefix_to_tree_arrays,
 )
+from repro.joinorder.env import JoinOrderEnv
 from repro.ml.treeconv import PlanTreeBatch
 from repro.optimizer import Optimizer
 from repro.sql import WorkloadGenerator
@@ -73,7 +75,8 @@ class TestPlanFeaturizer:
         self, imdb_db, imdb_plan_corpus, bad
     ):
         """``max(nan, 0.0)`` is nan: every node cardinality has to come
-        through ``sanitize_estimate``, in all three featurizations."""
+        through ``sanitize_estimate``, in all three featurizations and in
+        the partial-plan encoder the value networks read."""
 
         class Broken:
             def estimate(self, query):
@@ -85,6 +88,8 @@ class TestPlanFeaturizer:
         assert np.isfinite(plan_to_tree_arrays(plan, feat)[0]).all()
         assert np.isfinite(plan_to_tree_arrays(plan, feat, transferable=True)[0]).all()
         assert np.isfinite(feat.flat(plan)).all()
+        prefix = plan.join_order()[:2]
+        assert np.isfinite(prefix_to_tree_arrays(plan.query, prefix, feat)[0]).all()
 
     def test_coster_form_reads_the_planners_cache(self, imdb_db, imdb_plan_corpus):
         optimizer = Optimizer(imdb_db)
@@ -93,7 +98,12 @@ class TestPlanFeaturizer:
         cached = PlanFeaturizer(imdb_db, coster=optimizer.coster)
         misses = optimizer.cache.misses
         feats = plan_to_tree_arrays(plan, cached)[0]
-        assert optimizer.cache.misses == misses  # the DP primed every node
+        env = JoinOrderEnv(plan.query)
+        while not env.done:
+            env.step(env.valid_actions()[0])
+        prefix_to_tree_arrays(plan.query, env.prefix, cached)
+        # the DP primed every connected subset: plan nodes and prefixes alike
+        assert optimizer.cache.misses == misses
         bare = PlanFeaturizer(imdb_db, optimizer.estimator)
         assert np.array_equal(feats, plan_to_tree_arrays(plan, bare)[0])
         with pytest.raises(ValueError):

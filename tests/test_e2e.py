@@ -173,8 +173,6 @@ class TestLearnedOptimizerFramework:
         assert list(model._latencies) == list(map(float, range(500, 2500)))
         oldest = plan_to_tree_arrays(cands[500 % 5].plan, model.featurizer)
         assert np.array_equal(model._trees[0][0], oldest[0])
-        for other in (NeoOptimizer(imdb_optimizer), LeonOptimizer(imdb_optimizer)):
-            assert other.history.maxlen == OBSERVATION_WINDOW
 
 
 def run_loop(learned, imdb_optimizer, imdb_simulator, workload, guard=None):
@@ -209,7 +207,7 @@ class TestEndToEndOptimizers:
     def test_neo_bootstrap_then_search(self, imdb_optimizer, imdb_simulator, workload):
         neo = NeoOptimizer(imdb_optimizer, seed=0, retrain_every=0)
         neo.bootstrap_from_expert(workload[:15], imdb_simulator.latency)
-        assert neo._trained
+        assert neo.risk_model.trained
         cand = neo.choose_plan(workload[20])
         assert cand.source == "search"
         assert cand.plan.root.tables == frozenset(workload[20].tables)
@@ -221,15 +219,15 @@ class TestEndToEndOptimizers:
     def test_balsa_sim_bootstrap(self, imdb_optimizer, workload):
         balsa = BalsaOptimizer(imdb_optimizer, seed=0, retrain_every=0)
         balsa.bootstrap_from_simulation(workload[:10], episodes_per_query=2)
-        assert balsa._trained
+        assert balsa.risk_model.trained
         cand = balsa.choose_plan(workload[20])
         assert cand.source == "search"
 
     def test_leon_dp_candidates(self, imdb_optimizer, workload):
         leon = LeonOptimizer(imdb_optimizer, seed=0)
         q = next(q for q in workload if q.n_tables >= 3)
-        entries = leon._dp_candidates(q)
-        assert 1 <= len(entries) <= leon.keep_k
+        entries = leon.exploration.dp_candidates(q)
+        assert 1 <= len(entries) <= leon.exploration.keep_k
         for node, cost in entries:
             assert node.tables == frozenset(q.tables)
             assert cost > 0
@@ -242,7 +240,7 @@ class TestEndToEndOptimizers:
             explore_every=2, seed=0,
         )
         loop = run_loop(leon, imdb_optimizer, imdb_simulator, workload[:20])
-        assert leon.comparator.n_pairs > 0
+        assert leon.risk_model.n_pairs > 0
 
     def test_hyperqo_runs_safely(self, imdb_optimizer, imdb_simulator, workload):
         hq = HyperQOOptimizer(imdb_optimizer, seed=0)

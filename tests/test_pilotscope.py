@@ -199,6 +199,27 @@ class TestSteeringDrivers:
             out = driver.algo(q)
             assert out.latency_ms > 0
 
+    @pytest.mark.parametrize("retrain_every, retrains", [(0, 0), (10, 1)])
+    def test_retrain_cadence_follows_the_framework(
+        self, pg, workload, retrain_every, retrains
+    ):
+        """``retrain_every=0`` disables in-band retraining; the hand-rolled
+        driver loop lacked the guard and refit on every query."""
+        calls = []
+
+        class Counting(BaoDriver):
+            def _build_risk_model(self, featurizer):
+                model = super()._build_risk_model(featurizer)
+                model.retrain = lambda: calls.append(1)
+                return model
+
+        driver = Counting(seed=0, retrain_every=retrain_every)
+        driver.init(pg)
+        for q in workload[:12]:
+            driver.algo(q)
+        assert len(calls) == retrains
+        assert len(driver.learned.history) == 12
+
     def test_lero_driver_training_phase(self, pg, workload):
         driver = LeroDriver(seed=0)
         driver.init(pg)
