@@ -6,9 +6,9 @@ measures the two mechanisms that make that affordable:
 
 1. ``estimate_batch`` -- one featurization + one model forward pass for a
    whole workload, versus the per-query ``estimate`` loop.  Model-backed
-   estimators (MLP, MSCN) must show a >= 5x speedup; loop-fallback
-   estimators (histogram, sampling) are included as the "no batch
-   implementation" reference and are only required not to regress.
+   estimators (linear, GBDT, MLP, MSCN) must show a >= 5x speedup;
+   loop-fallback estimators (histogram, sampling) are included as the "no
+   batch implementation" reference and are only required not to regress.
 2. ``CardinalityCache`` -- the shared cross-plan sub-query cache.  A
    caller that re-plans one query once per hint set (PilotScope's Bao
    driver pushes one hint set, pulls one plan; the in-process Bao sweeps
@@ -91,7 +91,7 @@ def test_p1_batch_throughput(benchmark, stats_db, stats_train, stats_test):
             rows,
         )
     )
-    for name in ["mlp", "mscn"]:
+    for name in BATCHED_METHODS:
         assert ratios[name] >= BATCH_SPEEDUP_MIN, (
             f"{name}: batched speedup {ratios[name]:.1f}x below "
             f"{BATCH_SPEEDUP_MIN}x"

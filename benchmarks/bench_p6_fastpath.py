@@ -1,6 +1,6 @@
 """P6: vectorized kernels + parameterized plan-cache fast path, gated.
 
-Six properties are measured and gated:
+Seven properties are measured and gated:
 
 1. **Executor throughput**: the vectorized :class:`CardinalityExecutor`
    (shared sort-merge/expand kernels, key-index cache) must be >= 10x
@@ -24,7 +24,13 @@ Six properties are measured and gated:
    hint sets (one DP pass, per-arm best entries in one table) must be
    >= 3x faster than one full DP per arm (``tests/planner_reference.py``)
    with every arm's ``Plan`` ``==`` the reference's.
-6. **Exactness + determinism**: counts stay byte-equal to the independent
+6. **GBDT kernel**: ``GradientBoostedTrees`` as flat node arrays (every
+   feature sorted once per fit, all features of a node scored in one
+   pass, level-wise ensemble predict) against the object-graph model it
+   replaced (``tests/gbdt_reference.py``) on a query-feature-shaped
+   matrix: ``fit`` >= 2.5x, 400-row ``predict`` >= 8x, one-row ``predict``
+   >= 3x, with every tree and every prediction ``==``.
+7. **Exactness + determinism**: counts stay byte-equal to the independent
    reference on every fixture including the deep chain whose count
    exceeds 2**53 (where float64 silently rounds), and two same-seed
    cache-enabled serving runs must export byte-identical telemetry.
@@ -48,6 +54,7 @@ from repro.costmodel import PlanFeaturizer
 from repro.costmodel.features import plan_to_tree_arrays
 from repro.engine import CardinalityExecutor
 from repro.engine.plans import JoinNode, ScanNode
+from repro.ml.gbdt import GradientBoostedTrees
 from repro.ml.treeconv import TreeConvNet
 from repro.optimizer import HintSet, Optimizer
 from repro.oracle.fixtures import make_deep_chain
@@ -56,6 +63,7 @@ from repro.oracle.reference import _holds, reference_count
 from repro.serve.scenarios import parameterized_scenario
 from repro.sql import WorkloadGenerator
 from repro.storage.datasets import make_stats_lite
+from tests.gbdt_reference import ReferenceGradientBoostedTrees, reference_node_table
 from tests.planner_reference import reference_plan_arms
 from tests.treeconv_reference import ReferenceTreeConvNet
 
@@ -68,6 +76,7 @@ _PROFILES = {
         "fit_queries": 50,
         "fit_epochs": 30,
         "sweep_queries": 100,
+        "gbdt_rows": 350,
         "n_templates": 8,
         "bindings_per_template": 10,
         "n_sessions": 4,
@@ -80,6 +89,7 @@ _PROFILES = {
         "fit_queries": 200,
         "fit_epochs": 30,
         "sweep_queries": 600,
+        "gbdt_rows": 1400,
         "n_templates": 12,
         "bindings_per_template": 12,
         "n_sessions": 8,
@@ -88,6 +98,7 @@ _PROFILES = {
 SPEEDUP_GATE = 10.0
 FIT_SPEEDUP_GATE = 1.5
 SWEEP_SPEEDUP_GATE = 3.0
+GBDT_SPEEDUP_GATES = {"fit": 2.5, "predict 400 rows": 8.0, "predict 1 row": 3.0}
 HIT_RATE_GATE = 0.8
 
 
@@ -299,6 +310,66 @@ def arm_sweep_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
+def gbdt_kernel_pass(seed: int = 0, profile: str | None = None) -> dict:
+    """Array GBDT kernel vs the object-graph model it replaced, same matrix.
+
+    The matrix has the shape ``FlatQueryFeaturizer`` gives the drift
+    scenario's estimator: 90 columns, 28 of them never set, 50 indicator
+    columns, 12 range bounds that are zero when the column is not
+    filtered; the model is ``GBDTQueryEstimator``'s (60 stages, depth 5).
+    Best of three each, interleaved; the one-row figure is per call over
+    200 calls.
+    """
+    p = benchmarks.profile(_PROFILES, profile)
+    rng = np.random.default_rng(seed)
+    n = p["gbdt_rows"]
+    x = np.zeros((n + 400, 90))
+    x[:, 28:78] = rng.random((n + 400, 50)) < rng.uniform(0.03, 0.5, 50)
+    x[:, 78:] = (rng.random((n + 400, 12)) < 0.5) * rng.random((n + 400, 12))
+    x, batch = x[:n], x[n:]
+    y = 3 + 2 * x[:, 30] - x[:, 40] + 4 * x[:, 80] + rng.normal(scale=0.5, size=n)
+
+    def timed(fn, repeat=1):
+        t0 = time.perf_counter()
+        for _ in range(repeat):
+            fn()
+        return (time.perf_counter() - t0) / repeat
+
+    kernels = {"baseline": ReferenceGradientBoostedTrees, "kernel": GradientBoostedTrees}
+    times = defaultdict(lambda: float("inf"))
+    models = {}
+    for _ in range(3):
+        for side, kernel in kernels.items():
+            model = kernel(n_estimators=60, max_depth=5, learning_rate=0.15, seed=seed)
+            models[side] = model
+            for call, t in (
+                ("fit", timed(lambda: model.fit(x, y))),
+                ("predict 400 rows", timed(lambda: model.predict(batch))),
+                ("predict 1 row", timed(lambda: model.predict(batch[:1]), repeat=200)),
+            ):
+                times[call, side] = min(times[call, side], t)
+
+    baseline, model = models["baseline"], models["kernel"]
+    table = reference_node_table(baseline.trees_)
+    return {
+        "shape": x.shape,
+        "n_nodes": model.feature_.shape[0],
+        "trees_equal": baseline.base_ == model.base_
+        and all(
+            np.array_equal(table[name], getattr(model, f"{name}_")) for name in table
+        ),
+        "predictions_equal": np.array_equal(
+            baseline.predict(batch), model.predict(batch)
+        )
+        and np.array_equal(baseline.staged_predict(x), model.staged_predict(x)),
+        "times": dict(times),
+        "speedup": {
+            call: times[call, "baseline"] / max(times[call, "kernel"], 1e-9)
+            for call in GBDT_SPEEDUP_GATES
+        },
+    }
+
+
 def serving_pass(seed: int = 0, profile: str | None = None):
     """One cache-enabled parameterized serving run; returns the scenario."""
     p = benchmarks.profile(_PROFILES, profile)
@@ -454,6 +525,35 @@ def test_p6_arm_sweep_speedup_and_identity():
         f"arm-sweep speedup {result['speedup']:.1f}x below the "
         f"{SWEEP_SPEEDUP_GATE:.0f}x gate"
     )
+
+
+def test_p6_gbdt_kernel_speedup_and_identity():
+    result = gbdt_kernel_pass(seed=0)
+    assert result["trees_equal"], "a fitted tree differs from the object-graph model's"
+    assert result["predictions_equal"]
+    print(
+        render_table(
+            f"P6: GBDT, array kernel vs object graph, {result['shape'][0]} x "
+            f"{result['shape'][1]}, {result['n_nodes']} nodes ({PROFILE})",
+            ["call", "baseline_ms", "kernel_ms", "speedup", "gate"],
+            [
+                (
+                    call,
+                    f"{1e3 * result['times'][call, 'baseline']:.3f}",
+                    f"{1e3 * result['times'][call, 'kernel']:.3f}",
+                    f"{result['speedup'][call]:.1f}x",
+                    f">= {gate:.1f}x",
+                )
+                for call, gate in GBDT_SPEEDUP_GATES.items()
+            ],
+            note="trees, base_, predict and staged_predict ==",
+        )
+    )
+    for call, gate in GBDT_SPEEDUP_GATES.items():
+        assert result["speedup"][call] >= gate, (
+            f"GBDT {call} speedup {result['speedup'][call]:.1f}x below the "
+            f"{gate:.1f}x gate"
+        )
 
 
 def test_p6_plan_cache_hit_rate():

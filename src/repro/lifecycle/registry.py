@@ -41,13 +41,21 @@ from repro.core.interfaces import ServePolicy
 __all__ = ["ModelVersion", "ModelRegistry", "model_fingerprint"]
 
 #: object-graph walk bounds; generous for every model in the repo while
-#: keeping a pathological cycle-free but huge graph from stalling.
+#: keeping a pathological cycle-free but huge graph from stalling.  Running
+#: out of steps is an error, never a digest: a hash that stopped early is
+#: equal for models that differ past the stopping point.
 _MAX_NODES = 200_000
 _MAX_DEPTH = 16
 
 
+class _BudgetExhausted(Exception):
+    """The walk used up its ``_MAX_NODES`` steps."""
+
+
 def _walk(obj, h, seen: set[int], budget: list[int], depth: int, skip: dict) -> None:
-    if budget[0] <= 0 or depth > _MAX_DEPTH:
+    if budget[0] <= 0:
+        raise _BudgetExhausted
+    if depth > _MAX_DEPTH:
         h.update(b"~cap")
         return
     budget[0] -= 1
@@ -111,16 +119,27 @@ def model_fingerprint(model, *, shared=()) -> str:
     a frozen model's fingerprint.  Two structurally identical models
     fingerprint identically in any process, which is what makes version
     ids content-derived rather than wall-clock-derived.
+
+    Raises :class:`~repro.core.errors.ConfigError` when the model's graph
+    is larger than ``_MAX_NODES`` steps: the digest would not cover all of
+    it, so two different models could share a version id.
     """
     h = hashlib.sha256()
-    _walk(
-        model,
-        h,
-        seen=set(),
-        budget=[_MAX_NODES],
-        depth=0,
-        skip={id(o): o for o in shared},
-    )
+    try:
+        _walk(
+            model,
+            h,
+            seen=set(),
+            budget=[_MAX_NODES],
+            depth=0,
+            skip={id(o): o for o in shared},
+        )
+    except _BudgetExhausted:
+        raise ConfigError(
+            f"model_fingerprint: {type(model).__name__} is an object graph of "
+            f"more than {_MAX_NODES} nodes, too large to hash in full; keep "
+            "its parameters in arrays or list its infrastructure in `shared`"
+        ) from None
     return h.hexdigest()[:16]
 
 

@@ -13,7 +13,9 @@ Public surface:
 - :class:`repro.ml.setconv.SetConvNet` -- MSCN-style multi-set convolution
 - :class:`repro.ml.autoregressive.MaskedAutoregressiveNetwork` -- MADE-style
   masked network used by Naru-style estimators
-- :class:`repro.ml.gbdt.GradientBoostedTrees` -- regression GBDT
+- :class:`repro.ml.gbdt.GradientBoostedTrees` -- regression GBDT held as one
+  flat node table (``feature_`` / ``threshold_`` / ``children_`` / ``value_``
+  + ``roots_``), fit from one presort, predicted level by level
 - :class:`repro.ml.cluster.KMeans` -- k-means (used by Eraser plan clustering)
 - :func:`repro.ml.chowliu.chow_liu_tree` -- Chow-Liu dependency tree
 """

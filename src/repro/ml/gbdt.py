@@ -2,135 +2,259 @@
 
 Used for the lightweight query-driven selectivity models of Dutt et al.
 [9, 10] and as a general tabular regressor throughout the repo.  Squared
-loss, depth-limited trees, shrinkage, optional feature/row subsampling.
+loss, depth-limited trees, shrinkage, optional row subsampling.
+
+A fitted tree is four flat arrays in pre-order -- ``feature`` (``-1`` marks
+a leaf), ``threshold``, ``children`` (``[nodes, 2]``; a leaf points at
+itself on both sides) and ``value`` -- and an ensemble is the same four
+arrays stacked over all its trees plus one root index per tree.  Fitting
+stable-sorts every feature once, hands the sorted row lists down the tree
+by stable partition and scores all features of a node in one 2-D pass;
+prediction walks all rows through all trees one level per step.  The
+arithmetic, its order and every tie-break are those of the per-node,
+per-feature, per-row loops this replaced (kept as
+``tests/gbdt_reference.py``; ``tests/test_gbdt_kernel.py`` holds the two to
+``==``).  DESIGN.md section 7, "GBDT kernel", has the reasoning.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["RegressionTree", "GradientBoostedTrees"]
 
+_MIN_GAIN = 1e-12
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    value: float = 0.0
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+def _check_non_negative(**params: int) -> None:
+    for name, value in params.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("x must be 2-D")
+    if y.shape != x.shape[:1]:
+        raise ValueError("x/y length mismatch: y must hold one target per row of x")
+    if x.shape[0] == 0:
+        raise ValueError("cannot fit on empty data")
+    return x, y
+
+
+def _check_rows(x: np.ndarray, n_features: int | None) -> np.ndarray:
+    """``x`` as a ``[rows, n_features]`` float matrix (1-D = one row)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError("x must be 1-D or 2-D")
+    if n_features is not None and x.shape[1] != n_features:
+        raise ValueError(
+            f"x has {x.shape[1]} features, the model was fit on {n_features}"
+        )
+    return x
+
+
+def _no_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The node arrays (and depth) of no tree at all: the unfitted state."""
+    return (
+        np.empty(0, dtype=np.intp),
+        np.empty(0),
+        np.empty((0, 2), dtype=np.intp),
+        np.empty(0),
+        0,
+    )
+
+
+def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x.T`` (contiguous) and, per feature, its rows in stable value order."""
+    xt = np.ascontiguousarray(x.T)
+    return xt, np.argsort(xt, axis=1, kind="stable")
+
+
+def _grow(
+    xt: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    order: np.ndarray,
+    max_depth: int,
+    min_samples_leaf: int,
+    min_gain: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Grow one tree on ``rows`` and return its pre-order node arrays.
+
+    ``xt`` is ``[features, all rows]``, ``y`` is indexed by the same row
+    ids, ``rows`` are the tree's row ids ascending and ``order`` is
+    ``[features, len(rows)]``: the same ids in each feature's stable value
+    order.  Returns ``(feature, threshold, children, value, depth)``.
+    """
+    feature: list[int] = []
+    threshold: list[float] = []
+    children: list[list[int]] = []
+    value: list[float] = []
+    reached = 0
+    flag = np.zeros(xt.shape[1], dtype=bool)
+    # A cut needs a row on each side, whatever min_samples_leaf says.
+    lo = max(min_samples_leaf, 1)
+    # Pre-order with an explicit stack: right is pushed first, so the left
+    # subtree is numbered before it.  An entry owns its sorted lists; they
+    # are dropped as soon as the node has handed them to its children.
+    stack = [(rows, order, np.arange(xt.shape[0]), 0, -1, 0)]
+    while stack:
+        rows, order, feats, depth, parent, side = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            children[parent][side] = node
+        y_sub = y[rows]
+        feature.append(-1)
+        threshold.append(0.0)
+        children.append([node, node])
+        value.append(float(y_sub.mean()))
+        reached = max(reached, depth)
+        n = rows.shape[0]
+        hi = n - lo
+        if depth >= max_depth or hi < lo or feats.size == 0:
+            continue
+        # Every cut k in [lo, hi] of every live feature in one pass; column
+        # i of the slices below is the cut after sorted position lo - 1 + i.
+        values = xt[feats[:, None], order[:, lo - 1 : hi + 1]]
+        valid = values[:, :-1] < values[:, 1:]
+        alive = valid.any(axis=1)
+        if not alive.any():
+            continue
+        if not alive.all():
+            # No cut here means none below: the rows on either side of a
+            # value boundary only get fewer going down.
+            feats, order = feats[alive], order[alive]
+            values, valid = values[alive], valid[alive]
+        total_sum = y_sub.sum()
+        total_sq = (y_sub**2).sum()
+        base_sse = total_sq - total_sum**2 / n
+        y_sorted = y[order]
+        k = np.arange(lo, hi + 1)
+        csum = np.cumsum(y_sorted, axis=1)[:, lo - 1 : hi]
+        csq = np.cumsum(y_sorted**2, axis=1)[:, lo - 1 : hi]
+        left_sse = csq - csum**2 / k
+        right_sum = total_sum - csum
+        right_sq = total_sq - csq
+        right_sse = right_sq - right_sum**2 / (n - k)
+        gains = np.where(valid, base_sse - left_sse - right_sse, -np.inf)
+        # First maximum per feature, then the first feature that beats
+        # min_gain with the strictly largest one.
+        cut = gains.argmax(axis=1)
+        best_gain = gains[np.arange(feats.size), cut]
+        best_gain = np.where(best_gain > min_gain, best_gain, -np.inf)
+        f = int(best_gain.argmax())
+        if best_gain[f] == -np.inf:
+            continue
+        thr = float(0.5 * (values[f, cut[f]] + values[f, cut[f] + 1]))
+        go_left = xt[feats[f], rows] <= thr
+        left_rows, right_rows = rows[go_left], rows[~go_left]
+        if left_rows.size == 0 or right_rows.size == 0:
+            continue
+        feature[node] = int(feats[f])
+        threshold[node] = thr
+        flag[rows] = go_left
+        to_left = flag[order]
+        right_order = order[~to_left].reshape(feats.size, right_rows.size)
+        left_order = order[to_left].reshape(feats.size, left_rows.size)
+        stack.append((right_rows, right_order, feats, depth + 1, node, 1))
+        stack.append((left_rows, left_order, feats, depth + 1, node, 0))
+    return (
+        np.array(feature, dtype=np.intp),
+        np.array(threshold, dtype=float),
+        np.array(children, dtype=np.intp).reshape(-1, 2),
+        np.array(value, dtype=float),
+        reached,
+    )
+
+
+def _descend(
+    x: np.ndarray,
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    children: np.ndarray,
+    node: np.ndarray,
+    depth: int,
+) -> np.ndarray:
+    """Walk ``node`` (``[rows]`` or ``[rows, trees]``) down ``depth`` levels.
+
+    A row goes left when ``x <= threshold`` and right otherwise, so NaN goes
+    right; a leaf is its own child on both sides and reads a column that
+    does not matter.
+    """
+    cells = x.ravel()
+    first = np.arange(x.shape[0]) * x.shape[1]
+    if node.ndim == 2:
+        first = first[:, None]
+    child = children.ravel()
+    for _ in range(depth):
+        go_right = ~(cells[first + feature[node]] <= threshold[node])
+        node = child[2 * node + go_right]
+    return node
 
 
 class RegressionTree:
-    """CART regression tree with exact greedy variance-reduction splits."""
+    """CART regression tree with exact greedy variance-reduction splits.
+
+    After :meth:`fit` the tree is ``feature`` / ``threshold`` / ``children``
+    / ``value`` in pre-order (see the module docstring); ``depth_`` is the
+    deepest node and ``n_features_`` the width it was fit on.
+    """
 
     def __init__(
         self,
         max_depth: int = 4,
         min_samples_leaf: int = 5,
-        min_gain: float = 1e-12,
+        min_gain: float = _MIN_GAIN,
     ) -> None:
+        _check_non_negative(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_gain = min_gain
-        self.nodes: list[_Node] = []
+        self.feature, self.threshold, self.children, self.value, self.depth_ = (
+            _no_nodes()
+        )
+        self.n_features_: int | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RegressionTree":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 2:
-            raise ValueError("x must be 2-D")
-        if x.shape[0] != y.shape[0]:
-            raise ValueError("x/y length mismatch")
-        if x.shape[0] == 0:
-            raise ValueError("cannot fit a tree on empty data")
-        self.nodes = []
-        self._build(x, y, np.arange(x.shape[0]), depth=0)
+        x, y = _check_xy(x, y)
+        xt, order = _presort(x)
+        self.feature, self.threshold, self.children, self.value, self.depth_ = _grow(
+            xt,
+            y,
+            np.arange(x.shape[0]),
+            order,
+            self.max_depth,
+            self.min_samples_leaf,
+            self.min_gain,
+        )
+        self.n_features_ = x.shape[1]
         return self
 
-    def _best_split(
-        self, x: np.ndarray, y: np.ndarray, idx: np.ndarray
-    ) -> tuple[int, float, float] | None:
-        """Return (feature, threshold, gain) or None if no valid split."""
-        n = idx.shape[0]
-        if n < 2 * self.min_samples_leaf:
-            return None
-        y_sub = y[idx]
-        total_sum = y_sub.sum()
-        total_sq = (y_sub**2).sum()
-        base_sse = total_sq - total_sum**2 / n
-        best: tuple[int, float, float] | None = None
-        for f in range(x.shape[1]):
-            vals = x[idx, f]
-            order = np.argsort(vals, kind="stable")
-            v_sorted = vals[order]
-            y_sorted = y_sub[order]
-            csum = np.cumsum(y_sorted)
-            csq = np.cumsum(y_sorted**2)
-            # Candidate split positions: between distinct consecutive values,
-            # respecting the min-samples-per-leaf constraint.
-            k = np.arange(self.min_samples_leaf, n - self.min_samples_leaf + 1)
-            if k.size == 0:
-                continue
-            valid = v_sorted[k - 1] < v_sorted[np.minimum(k, n - 1)]
-            k = k[valid[: k.size]]
-            if k.size == 0:
-                continue
-            left_sse = csq[k - 1] - csum[k - 1] ** 2 / k
-            right_sum = total_sum - csum[k - 1]
-            right_sq = total_sq - csq[k - 1]
-            right_sse = right_sq - right_sum**2 / (n - k)
-            gains = base_sse - left_sse - right_sse
-            j = int(gains.argmax())
-            if gains[j] > self.min_gain and (best is None or gains[j] > best[2]):
-                thr = 0.5 * (v_sorted[k[j] - 1] + v_sorted[k[j]])
-                best = (f, float(thr), float(gains[j]))
-        return best
-
-    def _build(self, x: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> int:
-        node_id = len(self.nodes)
-        self.nodes.append(_Node(value=float(y[idx].mean())))
-        if depth >= self.max_depth:
-            return node_id
-        split = self._best_split(x, y, idx)
-        if split is None:
-            return node_id
-        feature, threshold, _ = split
-        go_left = x[idx, feature] <= threshold
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        if left_idx.size == 0 or right_idx.size == 0:
-            return node_id
-        node = self.nodes[node_id]
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(x, y, left_idx, depth + 1)
-        node.right = self._build(x, y, right_idx, depth + 1)
-        return node_id
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        out = np.empty(x.shape[0])
-        for i in range(x.shape[0]):
-            node = self.nodes[0]
-            while not node.is_leaf:
-                node = self.nodes[node.left if x[i, node.feature] <= node.threshold else node.right]
-            out[i] = node.value
-        return out
+        if self.n_features_ is None:
+            raise ValueError("RegressionTree.predict called before fit")
+        x = _check_rows(x, self.n_features_)
+        root = np.zeros(x.shape[0], dtype=np.intp)
+        leaf = _descend(
+            x, self.feature, self.threshold, self.children, root, self.depth_
+        )
+        return self.value[leaf]
 
 
 class GradientBoostedTrees:
-    """Boosted ensemble of :class:`RegressionTree` with squared loss.
+    """Boosted ensemble of regression trees with squared loss.
 
     Parameters mirror the usual GBDT knobs; with squared loss each stage fits
-    the residuals of the running prediction.
+    the residuals of the running prediction.  After :meth:`fit` the ensemble
+    is one node table -- ``feature_`` / ``threshold_`` / ``children_`` /
+    ``value_`` over the nodes of all trees, child ids global -- with
+    ``roots_[t]`` the first node of tree ``t``; nothing the size of the
+    training set is kept.
     """
 
     def __init__(
@@ -144,6 +268,11 @@ class GradientBoostedTrees:
     ) -> None:
         if not 0.0 < subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
+        _check_non_negative(
+            n_estimators=n_estimators,
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+        )
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.learning_rate = learning_rate
@@ -151,52 +280,81 @@ class GradientBoostedTrees:
         self.subsample = subsample
         self.seed = seed
         self.base_: float = 0.0
-        self.trees_: list[RegressionTree] = []
+        self.n_features_: int | None = None
+        self.roots_ = np.empty(0, dtype=np.intp)
+        self.feature_, self.threshold_, self.children_, self.value_, self.depth_ = (
+            _no_nodes()
+        )
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape[0] == 0:
-            raise ValueError("cannot fit on empty data")
+        x, y = _check_xy(x, y)
         rng = np.random.default_rng(self.seed)
         self.base_ = float(y.mean())
-        self.trees_ = []
-        pred = np.full(y.shape[0], self.base_)
         n = x.shape[0]
+        pred = np.full(n, self.base_)
+        # Every stage splits the same matrix, so it is sorted once; a
+        # subsampled stage filters the sorted lists (a stable sort of a
+        # subset is the subset of the stable sort).
+        xt, order = _presort(x)
+        all_rows = np.arange(n)
+        root = np.zeros(n, dtype=np.intp)
+        # Stacked with global child ids; the leading empty block lets zero
+        # estimators concatenate like any other count.
+        blocks = [_no_nodes()]
+        roots = []
+        n_nodes = 0
         for _ in range(self.n_estimators):
             residual = y - pred
+            rows, stage_order = all_rows, order
             if self.subsample < 1.0:
                 take = rng.random(n) < self.subsample
-                if take.sum() < max(2 * self.min_samples_leaf, 2):
-                    take = np.ones(n, dtype=bool)
-            else:
-                take = np.ones(n, dtype=bool)
-            tree = RegressionTree(
-                max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
+                if take.sum() >= max(2 * self.min_samples_leaf, 2):
+                    rows = all_rows[take]
+                    stage_order = order[take[order]].reshape(x.shape[1], rows.size)
+            feature, threshold, children, value, depth = _grow(
+                xt,
+                residual,
+                rows,
+                stage_order,
+                self.max_depth,
+                self.min_samples_leaf,
+                _MIN_GAIN,
             )
-            tree.fit(x[take], residual[take])
-            update = tree.predict(x)
-            pred += self.learning_rate * update
-            self.trees_.append(tree)
+            leaf = _descend(x, feature, threshold, children, root, depth)
+            pred += self.learning_rate * value[leaf]
+            roots.append(n_nodes)
+            blocks.append((feature, threshold, children + n_nodes, value, depth))
+            n_nodes += feature.shape[0]
+        feature, threshold, children, value, depth = zip(*blocks)
+        self.roots_ = np.array(roots, dtype=np.intp)
+        self.feature_ = np.concatenate(feature)
+        self.threshold_ = np.concatenate(threshold)
+        self.children_ = np.concatenate(children)
+        self.value_ = np.concatenate(value)
+        self.depth_ = max(depth)
+        self.n_features_ = x.shape[1]
         return self
 
+    def _stages(self, x: np.ndarray) -> np.ndarray:
+        """``[rows, 1 + trees]`` running prediction: ``base_``, then each stage.
+
+        The running total is a ``cumsum`` because that adds strictly left to
+        right, as the stage-by-stage loop did; ``sum`` adds pairwise and
+        lands on different low bits.
+        """
+        x = _check_rows(x, self.n_features_)
+        node = np.broadcast_to(self.roots_, (x.shape[0], self.roots_.shape[0]))
+        leaf = _descend(
+            x, self.feature_, self.threshold_, self.children_, node, self.depth_
+        )
+        steps = np.empty((x.shape[0], self.roots_.shape[0] + 1))
+        steps[:, 0] = self.base_
+        steps[:, 1:] = self.learning_rate * self.value_[leaf]
+        return np.cumsum(steps, axis=1, out=steps)
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        out = np.full(x.shape[0], self.base_)
-        for tree in self.trees_:
-            out += self.learning_rate * tree.predict(x)
-        return out
+        return self._stages(x)[:, -1].copy()
 
     def staged_predict(self, x: np.ndarray) -> np.ndarray:
         """Predictions after each boosting stage, ``[n_estimators, n]``."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        out = np.full(x.shape[0], self.base_)
-        stages = np.empty((len(self.trees_), x.shape[0]))
-        for i, tree in enumerate(self.trees_):
-            out = out + self.learning_rate * tree.predict(x)
-            stages[i] = out
-        return stages
+        return np.ascontiguousarray(self._stages(x)[:, 1:].T)

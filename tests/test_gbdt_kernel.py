@@ -1,0 +1,276 @@
+"""The array GBDT kernel reproduces the object-graph GBDT bit for bit.
+
+``tests/gbdt_reference.py`` holds the model as it stood before the rewrite
+(``_Node`` objects, a recursive build that argsorts every (node, feature)
+pair, a per-row Python walk).  Every comparison here is ``np.array_equal``
+or ``==``: the kernel keeps each floating-point operation's operands and
+order and every tie-break, so there is no tolerance to set.
+"""
+
+import copy
+import pickle
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.lifecycle import model_fingerprint
+from repro.ml.gbdt import GradientBoostedTrees, RegressionTree
+from tests.gbdt_reference import (
+    ReferenceGradientBoostedTrees,
+    ReferenceRegressionTree,
+    reference_node_table,
+)
+
+FAMILIES = ["continuous", "ties", "constant_columns", "one_hot"]
+
+
+def make_x(rng, n, d, family):
+    """``[n, d]`` features of one family; the same call draws unseen rows."""
+    x = rng.normal(size=(n, d))
+    if family == "ties":
+        # A handful of distinct values per column: most sorted neighbours tie.
+        x = np.round(x * 1.5)
+    elif family == "constant_columns":
+        x[:, ::2] = 1.0
+    elif family == "one_hot":
+        # The flat query featurizer's shape: mostly 0/1 indicator columns
+        # (the first two are complements -- equal partitions, so the winner
+        # is decided by low bits and by first-wins), some never set.
+        x = (rng.random((n, d)) < np.linspace(0.05, 0.6, d)).astype(float)
+        x[:, 2::3] = 0.0
+        if d >= 2:
+            x[:, 1] = 1.0 - x[:, 0]
+    return x
+
+
+def make_y(rng, x):
+    d = x.shape[1]
+    return 2.0 * x[:, 0] + (x[:, d // 2] > 0.3) + rng.normal(size=x.shape[0])
+
+
+def assert_same_trees(ref_trees, table):
+    """``table`` = the kernel's (roots, feature, threshold, children, value)."""
+    expect = reference_node_table(ref_trees)
+    for (name, want), got in zip(expect.items(), table):
+        assert np.array_equal(want, got), name
+        assert want.dtype == got.dtype, name
+
+
+def assert_same_model(ref, new, inputs):
+    assert ref.base_ == new.base_
+    assert_same_trees(
+        ref.trees_,
+        (new.roots_, new.feature_, new.threshold_, new.children_, new.value_),
+    )
+    for x in inputs:
+        assert np.array_equal(ref.predict(x), new.predict(x))
+        assert np.array_equal(ref.staged_predict(x), new.staged_predict(x))
+
+
+def tree_table(tree):
+    """A lone :class:`RegressionTree` as a one-root table."""
+    root = np.zeros(1, dtype=np.intp)
+    return root, tree.feature, tree.threshold, tree.children, tree.value
+
+
+def fit_pair(x, y, **kwargs):
+    return (
+        ReferenceGradientBoostedTrees(**kwargs).fit(x, y),
+        GradientBoostedTrees(**kwargs).fit(x, y),
+    )
+
+
+class TestDifferential:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 400),
+        d=st.integers(1, 12),
+        max_depth=st.integers(0, 6),
+        min_samples_leaf=st.integers(0, 7),
+        subsample=st.sampled_from([1.0, 0.7]),
+        family=st.sampled_from(FAMILIES),
+    )
+    def test_ensemble_and_tree_match_the_reference(
+        self, seed, n, d, max_depth, min_samples_leaf, subsample, family
+    ):
+        rng = np.random.default_rng(seed)
+        x = make_x(rng, n, d, family)
+        y = make_y(rng, x)
+        unseen = make_x(rng, 23, d, family)
+        kwargs = dict(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        ref, new = fit_pair(
+            x,
+            y,
+            n_estimators=6,
+            learning_rate=0.3,
+            subsample=subsample,
+            seed=seed,
+            **kwargs,
+        )
+        # 2-D train rows, 2-D unseen rows, one 1-D row.
+        assert_same_model(ref, new, [x, unseen, unseen[0]])
+        ref_tree = ReferenceRegressionTree(**kwargs).fit(x, y)
+        tree = RegressionTree(**kwargs).fit(x, y)
+        assert_same_trees([ref_tree], tree_table(tree))
+        for rows in (x, unseen, unseen[0]):
+            assert np.array_equal(ref_tree.predict(rows), tree.predict(rows))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_query_feature_shape_at_serving_size(self, seed):
+        """90 columns, 28 never set, median two distinct values, 60 stages of
+        depth 5: the matrix ``GBDTQueryEstimator`` fits in the drift scenario."""
+        rng = np.random.default_rng(seed)
+        n, d = 347, 90
+        x = (rng.random((n, d)) < rng.uniform(0.03, 0.5, d)).astype(float)
+        x[:, :28] = 0.0
+        x[:, 29] = 1.0 - x[:, 28]
+        x[:, 78:] *= rng.random((n, 12))
+        y = 3 + 2 * x[:, 30] - x[:, 40] + 4 * x[:, 80] + rng.normal(scale=0.5, size=n)
+        assert np.median([np.unique(col).size for col in x.T]) == 2
+        ref, new = fit_pair(
+            x, y, n_estimators=60, max_depth=5, learning_rate=0.15, seed=seed
+        )
+        assert_same_model(ref, new, [x, x[:40] * 0.5, x[7]])
+
+    @pytest.mark.parametrize("min_samples_leaf", [0, 1, 3])
+    def test_constant_target_and_no_warning_from_unfiltered_cuts(
+        self, min_samples_leaf
+    ):
+        # The reference drops invalid cuts before it divides by k and n - k;
+        # scoring every cut at once must not divide by zero at the two ends.
+        rng = np.random.default_rng(5)
+        x = make_x(rng, 60, 4, "ties")
+        for y in (np.full(60, 7.0), make_y(rng, x)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ref, new = fit_pair(
+                    x, y, n_estimators=4, max_depth=3, min_samples_leaf=min_samples_leaf
+                )
+            assert_same_model(ref, new, [x])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_fewer_rows_than_two_leaves(self, n):
+        rng = np.random.default_rng(n)
+        x = make_x(rng, n, 3, "continuous")
+        ref, new = fit_pair(x, make_y(rng, x), n_estimators=3, min_samples_leaf=5)
+        assert_same_model(ref, new, [x])
+        assert (new.feature_ == -1).all()  # 2 * 5 > n: every tree is its root
+
+    def test_zero_estimators_and_zero_depth(self):
+        rng = np.random.default_rng(0)
+        x = make_x(rng, 40, 3, "continuous")
+        y = make_y(rng, x)
+        for kwargs in (dict(n_estimators=0), dict(n_estimators=3, max_depth=0)):
+            ref, new = fit_pair(x, y, **kwargs)
+            assert_same_model(ref, new, [x, x[0]])
+
+    def test_equal_gains_take_the_first_cut_of_the_first_feature(self):
+        # Cutting off the low pair or the high pair scores the same to the
+        # bit (base - 0 - 1 and base - 1 - 0); column 1 repeats column 0.
+        x = np.repeat([0.0, 1.0, 2.0], 2)[:, None] * np.ones((1, 2))
+        y = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        ref_tree = ReferenceRegressionTree(max_depth=1, min_samples_leaf=1).fit(x, y)
+        tree = RegressionTree(max_depth=1, min_samples_leaf=1).fit(x, y)
+        assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+        assert_same_trees([ref_tree], tree_table(tree))
+
+    def test_a_valid_cut_only_in_the_sibling_keeps_the_feature_there(self):
+        """Column 1 varies only where column 0 is high.  The root splits on
+        column 0; the low child has no cut on column 1 and drops it, the
+        high child must still split on it -- dropping per level would not."""
+        rng = np.random.default_rng(3)
+        x = np.zeros((80, 2))
+        x[40:, 0] = 1.0
+        x[40:, 1] = rng.random(40)
+        y = 10.0 * x[:, 0] + 5.0 * (x[:, 1] > 0.5) + 0.01 * rng.normal(size=80)
+        ref_tree = ReferenceRegressionTree(max_depth=3).fit(x, y)
+        tree = RegressionTree(max_depth=3).fit(x, y)
+        assert tree.feature[0] == 0
+        assert 1 in tree.feature[tree.children[0, 1] :]
+        assert_same_trees([ref_tree], tree_table(tree))
+
+
+class TestPredict:
+    def fitted(self, **kwargs):
+        rng = np.random.default_rng(11)
+        x = make_x(rng, 150, 5, "continuous")
+        y = make_y(rng, x)
+        args = dict(n_estimators=12, max_depth=4, seed=1, **kwargs)
+        return (*fit_pair(x, y, **args), x)
+
+    def test_nan_in_a_predict_row_goes_right(self):
+        ref, new, x = self.fitted()
+        rows = x[:30].copy()
+        rows[::2, 0] = np.nan
+        rows[::3, 2] = np.nan
+        rows[5] = np.nan
+        assert np.array_equal(ref.predict(rows), new.predict(rows))
+        assert np.array_equal(ref.staged_predict(rows), new.staged_predict(rows))
+        # All-NaN row: right at every split of every tree.
+        node = new.roots_.copy()
+        for _ in range(new.depth_):
+            node = new.children_[node, 1]
+        expect = np.cumsum(np.r_[new.base_, new.learning_rate * new.value_[node]])[-1]
+        assert new.predict(rows[5])[0] == expect
+
+    def test_threshold_is_the_midpoint_and_equal_goes_left(self):
+        x = np.array([[0.0], [0.0], [1.0], [1.0]])
+        y = np.array([0.0, 0.0, 4.0, 4.0])
+        tree = RegressionTree(max_depth=1, min_samples_leaf=1).fit(x, y)
+        assert tree.threshold[0] == 0.5
+        at, above = np.array([[0.5]]), np.array([[np.nextafter(0.5, 1.0)]])
+        assert tree.predict(at)[0] == 0.0
+        assert tree.predict(above)[0] == 4.0
+        ref = ReferenceRegressionTree(max_depth=1, min_samples_leaf=1).fit(x, y)
+        assert ref.predict(at)[0] == 0.0 and ref.predict(above)[0] == 4.0
+
+    def test_running_total_adds_stage_by_stage(self):
+        """The low bits of the total depend on the order of addition; the
+        ensemble's must be base, then tree 0, then tree 1, ..."""
+        ref, new, x = self.fitted(learning_rate=0.137)
+        total = np.full(x.shape[0], new.base_)
+        stages = new.staged_predict(x)
+        for t, tree in enumerate(ref.trees_):
+            total = total + new.learning_rate * tree.predict(x)
+            assert np.array_equal(total, stages[t])
+        assert np.array_equal(total, new.predict(x))
+        assert new.predict(x[3])[0] == total[3]
+
+    def test_copies_predict_identically(self):
+        _, new, x = self.fitted(subsample=0.7)
+        want = new.predict(x)
+        for clone in (copy.deepcopy(new), pickle.loads(pickle.dumps(new))):
+            assert np.array_equal(clone.predict(x), want)
+            assert model_fingerprint(clone) == model_fingerprint(new)
+
+
+class TestWhatAModelHolds:
+    def test_equal_fits_fingerprint_equal_and_a_changed_leaf_does_not(self):
+        rng = np.random.default_rng(2)
+        x = make_x(rng, 120, 6, "one_hot")
+        y = make_y(rng, x)
+        a = GradientBoostedTrees(n_estimators=10, seed=4).fit(x, y)
+        b = GradientBoostedTrees(n_estimators=10, seed=4).fit(x.copy(), y.copy())
+        assert model_fingerprint(a) == model_fingerprint(b)
+        b.value_[-1] += 1.0
+        assert model_fingerprint(a) != model_fingerprint(b)
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.7])
+    def test_nothing_the_size_of_the_training_set_survives_fit(self, subsample):
+        rng = np.random.default_rng(7)
+        n = 211  # prime, so no node-table shape can contain it by accident
+        x = make_x(rng, n, 5, "continuous")
+        y = make_y(rng, x)
+        models = [
+            GradientBoostedTrees(n_estimators=4, max_depth=2, subsample=subsample).fit(x, y),
+            RegressionTree(max_depth=2).fit(x, y),
+        ]
+        for model in models:
+            for name, attr in vars(model).items():
+                if isinstance(attr, np.ndarray):
+                    assert n not in attr.shape, name
+                else:
+                    assert isinstance(attr, (int, float, type(None))), name

@@ -215,6 +215,40 @@ def test_model_fingerprint_content_not_identity():
     assert model_fingerprint(a, shared=(infra,)) == fp
 
 
+def test_fingerprint_sees_the_last_tree_of_a_large_ensemble(monkeypatch):
+    """A digest that ran out of steps part-way through an ensemble was equal
+    for models differing only in a late tree.  (The walk budget is scaled
+    down with the model: 60 trees against 2,000 steps stands in for 700
+    trees against 200,000.)"""
+    from repro.lifecycle import registry
+    from repro.ml.gbdt import GradientBoostedTrees
+
+    monkeypatch.setattr(registry, "_MAX_NODES", 2_000)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(200, 4))
+    y = x[:, 0] * 2 + np.sin(3 * x[:, 1]) + rng.normal(scale=0.1, size=200)
+    a = GradientBoostedTrees(n_estimators=60, max_depth=4, seed=0).fit(x, y)
+    b = copy.deepcopy(a)
+    assert model_fingerprint(a) == model_fingerprint(b)
+    b.value_[-1] += 1.0  # a leaf of the last tree
+    assert not np.array_equal(a.predict(x), b.predict(x))
+    assert model_fingerprint(a) != model_fingerprint(b)
+
+
+def test_fingerprint_that_cannot_cover_the_model_raises(monkeypatch):
+    from repro.lifecycle import registry
+
+    monkeypatch.setattr(registry, "_MAX_NODES", 50)
+    model = _ToyModel([1.0])
+    model.history = [[float(i)] for i in range(40)]  # 80+ steps of plain objects
+    with pytest.raises(ConfigError, match="_ToyModel"):
+        model_fingerprint(model)
+    with pytest.raises(ConfigError, match="_ToyModel"):
+        ModelRegistry().register(model)
+    model.history = np.arange(40.0)  # the same content as one array: 3 steps
+    assert model_fingerprint(model)
+
+
 def test_registry_export_is_deterministic():
     def build():
         r = ModelRegistry()

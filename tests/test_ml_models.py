@@ -225,6 +225,50 @@ class TestGBDT:
         model = GradientBoostedTrees(n_estimators=5, seed=0).fit(x, np.full(50, 7.0))
         assert np.allclose(model.predict(x), 7.0, atol=1e-9)
 
+    @pytest.mark.parametrize("model", [GradientBoostedTrees, RegressionTree])
+    def test_fit_rejects_mismatched_shapes(self, model):
+        x = np.random.default_rng(0).normal(size=(30, 3))
+        y = x[:, 0]
+        with pytest.raises(ValueError, match="length mismatch"):
+            model().fit(x, y[:10])
+        with pytest.raises(ValueError, match="2-D"):
+            model().fit(x[:, 0], y)
+        with pytest.raises(ValueError, match="2-D"):
+            model().fit(x[:, :, None], y)
+
+    @pytest.mark.parametrize("model", [GradientBoostedTrees, RegressionTree])
+    def test_predict_rejects_a_wrong_feature_count(self, model):
+        x = np.random.default_rng(0).normal(size=(30, 3))
+        fitted = model().fit(x, x[:, 0])
+        assert fitted.n_features_ == 3
+        for wrong in (x[:, :2], np.column_stack([x, x]), x[0, :2], x[:, :, None]):
+            with pytest.raises(ValueError):
+                fitted.predict(wrong)
+        with pytest.raises(ValueError, match="2 features.*fit on 3"):
+            fitted.predict(x[:, :2])
+        assert fitted.predict(x[0]).shape == (1,)
+        if model is GradientBoostedTrees:
+            with pytest.raises(ValueError, match="6 features.*fit on 3"):
+                fitted.staged_predict(np.column_stack([x, x]))
+
+    def test_negative_parameters_are_rejected_and_zero_is_not(self):
+        for bad in (dict(max_depth=-1), dict(min_samples_leaf=-3)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                RegressionTree(**bad)
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                GradientBoostedTrees(**bad)
+        with pytest.raises(ValueError, match="n_estimators"):
+            GradientBoostedTrees(n_estimators=-1)
+        x = np.random.default_rng(0).normal(size=(30, 2))
+        y = x[:, 0]
+        stump = RegressionTree(max_depth=0, min_samples_leaf=0).fit(x, y)
+        assert np.array_equal(stump.predict(x), np.full(30, y.mean()))
+        empty = GradientBoostedTrees(n_estimators=0).fit(x, y)
+        assert np.array_equal(empty.predict(x), np.full(30, y.mean()))
+        assert empty.staged_predict(x).shape == (0, 30)
+        loose = GradientBoostedTrees(n_estimators=3, min_samples_leaf=0).fit(x, y)
+        assert np.isfinite(loose.predict(x)).all()
+
 
 class TestKMeans:
     def test_separates_clear_clusters(self):
