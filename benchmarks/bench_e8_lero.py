@@ -16,6 +16,7 @@ problem the E9 guards address.
 import numpy as np
 
 from repro.bench import render_table
+from repro.core import PlannerModel
 from repro.e2e import (
     BaoOptimizer,
     LeroOptimizer,
@@ -37,16 +38,11 @@ def test_e8_lero_vs_bao(benchmark, imdb_db, imdb_optimizer, imdb_simulator):
     def run():
         results = {}
 
-        class Native:
-            def choose_plan(self, query):
-                from repro.core.framework import CandidatePlan
-
-                return CandidatePlan(imdb_optimizer.plan(query), "default")
-
-            def record_feedback(self, *a):
-                pass
-
-        native_loop = OptimizationLoop(Native(), imdb_simulator, imdb_optimizer)
+        native_loop = OptimizationLoop(
+            PlannerModel(imdb_optimizer, name="default"),
+            imdb_simulator,
+            imdb_optimizer,
+        )
         native_loop.run(workload)
         results["native"] = native_loop.summary(tail=100)
 

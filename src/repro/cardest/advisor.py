@@ -99,14 +99,6 @@ class AutoCE:
         self._features.append(DatasetFeatures.of(db).vector())
         self._labels.append(best_method)
 
-    def record_features(self, features: DatasetFeatures, best_method: str) -> None:
-        self._features.append(features.vector())
-        self._labels.append(best_method)
-
-    @property
-    def n_profiles(self) -> int:
-        return len(self._labels)
-
     def recommend(self, db: Database, k: int = 1) -> str:
         if not self._labels:
             raise RuntimeError("AutoCE has no recorded profiles")

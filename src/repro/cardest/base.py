@@ -9,6 +9,7 @@ from repro.storage.catalog import Database
 
 __all__ = [
     "BaseCardinalityEstimator",
+    "cross_product_rows",
     "q_error",
     "q_error_summary",
     "sanitize_bound",
@@ -20,6 +21,15 @@ __all__ = [
 #: never clip a legitimate estimate, small enough to keep cost arithmetic
 #: finite.  Shared by the scalar and batched sanitizers.
 NONFINITE_FALLBACK = 1e30
+
+
+def cross_product_rows(db: Database, query: Query) -> float:
+    """Rows of the unfiltered cross product of ``query``'s tables (empty
+    tables count as one row): no valid SPJ result exceeds it."""
+    upper = 1.0
+    for t in query.tables:
+        upper *= max(db.table(t).n_rows, 1)
+    return upper
 
 
 def sanitize_estimate(value: float, upper: float | None = None) -> float:
@@ -146,10 +156,7 @@ class BaseCardinalityEstimator:
         self._estimates_version = self.estimates_version + 1
 
     def _upper_bound(self, query: Query) -> float:
-        upper = 1.0
-        for t in query.tables:
-            upper *= max(self.db.table(t).n_rows, 1)
-        return upper
+        return cross_product_rows(self.db, query)
 
     def _estimate(self, query: Query) -> float:
         raise NotImplementedError

@@ -524,9 +524,7 @@ class RobustMSCNEstimator(MSCNEstimator):
             raise RuntimeError("estimate_masked called before fit")
         sample = self.featurizer.featurize(query, drop_bitmaps=True)
         pred = self.net.predict([sample])[0]
-        upper = 1.0
-        for t in query.tables:
-            upper *= max(self.db.table(t).n_rows, 1)
+        upper = self._upper_bound(query)
         return float(min(max(np.expm1(pred * self._max_log), 0.0), upper))
 
 

@@ -23,6 +23,7 @@ from repro.core.framework import (
     CandidatePlan,
     LearnedOptimizer,
     PlanExplorationStrategy,
+    PlannerModel,
     RiskModel,
 )
 from repro.core.registry import MethodInfo, registry
@@ -39,6 +40,7 @@ __all__ = [
     "CandidatePlan",
     "LearnedOptimizer",
     "PlanExplorationStrategy",
+    "PlannerModel",
     "RiskModel",
     "MethodInfo",
     "registry",

@@ -17,11 +17,8 @@ __all__ = [
     "ReproError",
     "ConfigError",
     "EstimationError",
-    "PlanningError",
     "DriverError",
     "SessionClosedError",
-    "AdmissionRejected",
-    "LatencyBudgetExceeded",
     "InjectedFault",
     "InjectedEstimationError",
     "InjectedDriverError",
@@ -40,10 +37,6 @@ class EstimationError(ReproError, RuntimeError):
     """A cardinality/cost estimator failed to produce an estimate."""
 
 
-class PlanningError(ReproError, ValueError):
-    """The planner could not produce a plan (disconnected join graph, ...)."""
-
-
 class DriverError(ReproError, RuntimeError):
     """A PilotScope driver or its database connection failed.
 
@@ -54,19 +47,6 @@ class DriverError(ReproError, RuntimeError):
 
 class SessionClosedError(DriverError):
     """An operation was attempted on a closed interactor session."""
-
-
-class AdmissionRejected(ReproError, RuntimeError):
-    """A request was shed by serving admission control."""
-
-    def __init__(self, reason: str, wait_ms: float = 0.0) -> None:
-        super().__init__(f"admission rejected: {reason}")
-        self.reason = reason
-        self.wait_ms = wait_ms
-
-
-class LatencyBudgetExceeded(ReproError, RuntimeError):
-    """A call finished but blew its (virtual) per-call latency budget."""
 
 
 class InjectedFault(ReproError, RuntimeError):

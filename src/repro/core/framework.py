@@ -23,21 +23,31 @@ A search-based system fills both slots with one model: the network that
 guides the exploration (Neo's value net, LEON's comparator) is the risk
 model refit from feedback, and its strategy returns the single plan the
 search produced.  The E11 ablation benchmark sweeps the pairs.
+
+:class:`PlannerModel` is the degenerate case -- no exploration, no risk
+model: a plain :class:`~repro.optimizer.planner.Optimizer` on the same
+``choose_plan`` / ``record_feedback`` surface, so the native arm of a
+comparison, a risk-bounded planner and an estimator-steered planner deploy
+through the same staged machinery as any learned model.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from repro.core.interfaces import Retrainable
 from repro.engine.plans import Plan
 from repro.sql.query import Query
 
+if TYPE_CHECKING:
+    from repro.optimizer.planner import Optimizer
+
 __all__ = [
     "OBSERVATION_WINDOW",
     "CandidatePlan",
+    "PlannerModel",
     "PlanExplorationStrategy",
     "RiskModel",
     "Experience",
@@ -60,6 +70,33 @@ class CandidatePlan:
 
     plan: Plan
     source: str
+
+
+class PlannerModel:
+    """A plain planner on the learned-optimizer surface.
+
+    ``choose_plan`` is ``optimizer.plan``; feedback is discarded, so the
+    model carries no per-query state and a registered version's fingerprint
+    stays stable while it serves.  What there is to learn lives in the
+    optimizer's cardinality estimator, which :attr:`estimator` exposes:
+    retraining this model means refitting that estimator on a clone.
+    """
+
+    def __init__(self, optimizer: Optimizer, *, name: str = "planner") -> None:
+        self.optimizer = optimizer
+        self.name = name
+
+    @property
+    def estimator(self):
+        return self.optimizer.estimator
+
+    def choose_plan(self, query: Query) -> CandidatePlan:
+        return CandidatePlan(plan=self.optimizer.plan(query), source=self.name)
+
+    def record_feedback(
+        self, query: Query, candidate: CandidatePlan, latency_ms: float
+    ) -> None:
+        pass
 
 
 @runtime_checkable

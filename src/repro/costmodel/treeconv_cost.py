@@ -60,10 +60,3 @@ class TreeConvCostModel:
             raise RuntimeError("predict_latency called before fit")
         pred = self.net.predict(self._trees([plan]))[0]
         return float(max(np.expm1(pred), 0.0))
-
-    def predict_batch(self, plans: list[Plan]) -> np.ndarray:
-        if not self._fitted:
-            raise RuntimeError("predict_batch called before fit")
-        if not plans:
-            return np.zeros(0)
-        return np.maximum(np.expm1(self.net.predict(self._trees(plans))), 0.0)

@@ -10,13 +10,12 @@ of the stack survivable:
 - :mod:`repro.faults.plan` -- :class:`FaultPlan` / :class:`FaultInjector`:
   seeded, hash-scheduled fault injection (exceptions, NaN/Inf/garbage
   predictions, latency spikes, stale snapshots, transient disconnects)
-  wrapping estimators, learned optimizers, PilotScope drivers and the
-  execution simulator, byte-for-byte reproducible per seed;
+  wrapping estimators, learned optimizers and serving backends,
+  byte-for-byte reproducible per seed;
 - :mod:`repro.faults.resilience` -- the primitives the serving stack uses
   to degrade gracefully: :class:`CircuitBreaker` (closed -> open ->
   half-open over virtual time), :class:`RetryPolicy` (deterministic
-  backoff), :class:`FallbackEstimator` / :class:`FallbackCostModel`
-  (learned -> histogram/analytic);
+  backoff), :class:`FallbackEstimator` (learned -> histogram);
 - :mod:`repro.faults.boundguard` -- :class:`BoundGuard`: certifies every
   served estimate against a pessimistic upper bound
   (:mod:`repro.cardest.bounds`); violations trip the breaker, route to
@@ -26,45 +25,30 @@ of the stack survivable:
 
 ``benchmarks/bench_p3_chaos.py`` and the chaos scenario in
 :mod:`repro.serve.scenarios` drive the whole ladder end to end.
+
+Exported here: the names some module outside this package imports through
+it (``tests/test_census.py`` holds that line); anything else is imported
+from the module that defines it.
 """
 
 from repro.faults.boundguard import BoundGuard
 from repro.faults.clock import VirtualClock
-from repro.faults.plan import (
-    FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    FaultyBackend,
-    FaultyDriver,
-    FaultyEstimator,
-    FaultyLearnedOptimizer,
-    FaultySimulator,
-    shard_fault_plan,
-)
+from repro.faults.plan import FaultInjector, FaultPlan, FaultSpec, shard_fault_plan
 from repro.faults.resilience import (
     BreakerState,
     CircuitBreaker,
-    FallbackCostModel,
     FallbackEstimator,
     RetryPolicy,
 )
 
 __all__ = [
-    "FAULT_KINDS",
     "BoundGuard",
     "BreakerState",
     "CircuitBreaker",
-    "FallbackCostModel",
     "FallbackEstimator",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "FaultyBackend",
-    "FaultyDriver",
-    "FaultyEstimator",
-    "FaultyLearnedOptimizer",
-    "FaultySimulator",
     "RetryPolicy",
     "VirtualClock",
     "shard_fault_plan",

@@ -34,20 +34,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cardest.base import NONFINITE_FALLBACK, sanitize_bound
+from repro.cardest.base import (
+    NONFINITE_FALLBACK,
+    cross_product_rows,
+    sanitize_bound,
+)
 from repro.core.errors import ConfigError
 from repro.core.interfaces import ServePolicy
 from repro.faults.resilience import CircuitBreaker
 from repro.sql.query import query_hash
 
 __all__ = ["BoundGuard"]
-
-
-def _cross_product(db, query) -> float:
-    upper = 1.0
-    for t in query.tables:
-        upper *= max(db.table(t).n_rows, 1)
-    return upper
 
 
 #: checks the guard must have made before ``rollback_rate`` is trusted
@@ -128,7 +125,7 @@ class BoundGuard(ServePolicy):
 
     def certified_bound(self, query) -> float:
         """The sanitized upper bound the guard enforces for one query."""
-        cross = _cross_product(self.db, query)
+        cross = cross_product_rows(self.db, query)
         try:
             raw = float(self.bounds.estimate(query))
         except Exception:

@@ -19,8 +19,8 @@ __all__ = ["VirtualClock"]
 class VirtualClock:
     """A monotonically advancing virtual-millisecond clock."""
 
-    def __init__(self, start_ms: float = 0.0) -> None:
-        self._now_ms = float(start_ms)
+    def __init__(self) -> None:
+        self._now_ms = 0.0
 
     def now_ms(self) -> float:
         return self._now_ms

@@ -17,10 +17,8 @@ VirtualClock` and a set of counters, and wraps concrete components:
   stale-snapshot answers into any cardinality estimator;
 - :meth:`~FaultInjector.wrap_learned` -- injects crashes and slow
   inference into a learned optimizer's ``choose_plan``;
-- :meth:`~FaultInjector.wrap_driver` -- injects transient
-  driver/connection failures into a PilotScope driver's ``algo``;
-- :meth:`~FaultInjector.wrap_simulator` -- injects executor failures and
-  latency spikes into the execution simulator.
+- :meth:`~FaultInjector.wrap_backend` -- injects failures and latency
+  spikes into a serving backend's ``serve`` (one fabric shard by name).
 
 Injected exceptions are typed (:class:`repro.core.errors.InjectedFault`
 subclasses of the matching domain error), so the resilience layer treats
@@ -46,8 +44,6 @@ __all__ = [
     "FaultInjector",
     "FaultyEstimator",
     "FaultyLearnedOptimizer",
-    "FaultyDriver",
-    "FaultySimulator",
     "FaultyBackend",
     "shard_fault_plan",
 ]
@@ -174,12 +170,6 @@ class FaultInjector:
     def wrap_learned(self, learned, target: str = "learned"):
         return FaultyLearnedOptimizer(learned, self, target)
 
-    def wrap_driver(self, driver, target: str = "driver"):
-        return FaultyDriver(driver, self, target)
-
-    def wrap_simulator(self, simulator, target: str = "simulator"):
-        return FaultySimulator(simulator, self, target)
-
     def wrap_backend(self, backend, target: str = "backend"):
         return FaultyBackend(backend, self, target)
 
@@ -285,38 +275,6 @@ class FaultyLearnedOptimizer(_FaultyBase):
         return getattr(self.inner, attr)
 
 
-class FaultyDriver(_FaultyBase):
-    """PilotScope driver wrapper: transient failures and latency spikes on
-    ``algo``.  Everything else (init, lifecycle, training phases)
-    delegates to the wrapped driver."""
-
-    def __init__(self, inner, injector: FaultInjector, target: str) -> None:
-        super().__init__(inner, injector, target)
-        self.name = f"{inner.name}+chaos"
-
-    @property
-    def injection_type(self) -> str:
-        return self.inner.injection_type
-
-    def algo(self, query):
-        n = self.calls
-        spec = self._next_fault()
-        if spec is not None and spec.kind != "latency":
-            raise InjectedDriverError(
-                f"injected {spec.kind} in driver {self.inner.name!r} at call {n}"
-            )
-        outcome = self.inner.algo(query)
-        if spec is not None:  # latency spike: slow, but correct
-            self.injector.clock.advance(spec.magnitude)
-            outcome = replace(
-                outcome, latency_ms=outcome.latency_ms + spec.magnitude
-            )
-        return outcome
-
-    def __getattr__(self, attr):
-        return getattr(self.inner, attr)
-
-
 class FaultyBackend(_FaultyBase):
     """Serving-backend wrapper: failures and latency spikes on ``serve``.
 
@@ -385,28 +343,3 @@ def shard_fault_plan(
         for target, rate in sorted(shard_targets.items())
     )
     return FaultPlan(specs, seed=seed)
-
-
-class FaultySimulator(_FaultyBase):
-    """Execution-simulator wrapper: executor failures and latency spikes."""
-
-    def execute(self, plan):
-        n = self.calls
-        spec = self._next_fault()
-        if spec is not None and spec.kind != "latency":
-            raise InjectedDriverError(
-                f"injected {spec.kind} in simulator at call {n}"
-            )
-        result = self.inner.execute(plan)
-        if spec is not None:
-            self.injector.clock.advance(spec.magnitude)
-            result = replace(
-                result, latency_ms=result.latency_ms + spec.magnitude
-            )
-        return result
-
-    def latency(self, plan) -> float:
-        return self.execute(plan).latency_ms
-
-    def __getattr__(self, attr):
-        return getattr(self.inner, attr)

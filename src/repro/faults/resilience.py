@@ -5,10 +5,9 @@ These are used by the *real* code paths, not just tests: the
 optimizer with a :class:`CircuitBreaker` and treats trips as rollback
 triggers; :class:`~repro.pilotscope.console.PilotScopeConsole` retries
 driver dispatch with a deterministic :class:`RetryPolicy` and degrades to
-native execution; :class:`FallbackEstimator` /
-:class:`FallbackCostModel` implement the bottom rungs of the degradation
-ladder (learned -> histogram/analytic) whenever the learned side throws,
-returns non-finite garbage, or sits behind an open breaker.
+native execution; :class:`FallbackEstimator` is the bottom rung of the
+degradation ladder (learned -> histogram) whenever the learned side
+throws, returns non-finite garbage, or sits behind an open breaker.
 
 Everything is deterministic: cooldowns are virtual milliseconds on a
 :class:`~repro.faults.clock.VirtualClock`, backoff is a pure function of
@@ -29,7 +28,6 @@ __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
     "FallbackEstimator",
-    "FallbackCostModel",
 ]
 
 
@@ -278,71 +276,4 @@ class FallbackEstimator:
             "primary_errors": float(self.primary_errors),
             "nonfinite_outputs": float(self.nonfinite_outputs),
             "breaker_denied": float(self.breaker_denied),
-        }
-
-
-class FallbackCostModel:
-    """Learned -> analytic degradation for plan costing / latency
-    prediction.  Same contract as :class:`FallbackEstimator`, over the
-    :class:`repro.core.CostEstimator` / ``predict_latency`` surfaces."""
-
-    def __init__(
-        self,
-        primary,
-        fallback,
-        *,
-        breaker: CircuitBreaker | None = None,
-        telemetry=None,
-        name: str | None = None,
-    ) -> None:
-        self.primary = primary
-        self.fallback = fallback
-        self.breaker = breaker
-        self.telemetry = telemetry
-        self.name = name or (
-            f"{type(primary).__name__}->{type(fallback).__name__}"
-        )
-        self.calls = 0
-        self.fallback_served = 0
-        self.primary_errors = 0
-        self.nonfinite_outputs = 0
-
-    def _guarded(self, method: str, plan) -> float:
-        self.calls += 1
-        fb = getattr(self.fallback, method)
-        if self.breaker is not None and not self.breaker.allow():
-            self.fallback_served += 1
-            return float(fb(plan))
-        try:
-            value = float(getattr(self.primary, method)(plan))
-        except Exception:
-            self.primary_errors += 1
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            if self.telemetry is not None:
-                self.telemetry.incr("fallback.costmodel.primary_errors")
-            self.fallback_served += 1
-            return float(fb(plan))
-        if not _finite_nonnegative(value):
-            self.nonfinite_outputs += 1
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            self.fallback_served += 1
-            return float(fb(plan))
-        if self.breaker is not None:
-            self.breaker.record_success()
-        return value
-
-    def cost(self, plan) -> float:
-        return self._guarded("cost", plan)
-
-    def predict_latency(self, plan) -> float:
-        return self._guarded("predict_latency", plan)
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "calls": float(self.calls),
-            "fallback_served": float(self.fallback_served),
-            "primary_errors": float(self.primary_errors),
-            "nonfinite_outputs": float(self.nonfinite_outputs),
         }

@@ -26,56 +26,38 @@ honest as data and workloads drift:
   *fleet* (:func:`transfer_fleet_scenario`): one lifecycle stack per
   generated schema, one schema per shard of the sharded serving fabric,
   drifting and recovering concurrently.
+
+Exported here: the names some module outside this package imports through
+it (``tests/test_census.py`` holds that line); anything else is imported
+from the module that defines it.
 """
 
-from repro.lifecycle.experience import ExperienceRecord, ExperienceStore
-from repro.lifecycle.fleet import (
-    SchemaTenant,
-    TransferFleet,
-    build_fleet_schedule,
-    transfer_fleet_scenario,
-)
-from repro.lifecycle.gates import EvalGate, GateReport
-from repro.lifecycle.registry import ModelRegistry, ModelVersion, model_fingerprint
-from repro.lifecycle.scenario import (
-    EstimatorSteeredOptimizer,
-    LifecycleScenario,
-    drift_recovery_scenario,
-    lifecycle_stats,
-)
+from repro.lifecycle.experience import ExperienceStore
+from repro.lifecycle.fleet import transfer_fleet_scenario
+from repro.lifecycle.gates import EvalGate
+from repro.lifecycle.registry import ModelRegistry, model_fingerprint
+from repro.lifecycle.scenario import drift_recovery_scenario, lifecycle_stats
 from repro.lifecycle.scheduler import (
     CadenceTrigger,
     DriftTrigger,
     QErrorTrigger,
-    RetrainOutcome,
     RetrainingScheduler,
-    TriggerDecision,
     clone_model,
     default_retrainer,
 )
 
 __all__ = [
-    "ExperienceRecord",
     "ExperienceStore",
     "EvalGate",
-    "GateReport",
     "ModelRegistry",
-    "ModelVersion",
     "model_fingerprint",
-    "EstimatorSteeredOptimizer",
-    "LifecycleScenario",
     "drift_recovery_scenario",
     "lifecycle_stats",
-    "SchemaTenant",
-    "TransferFleet",
-    "build_fleet_schedule",
     "transfer_fleet_scenario",
     "CadenceTrigger",
     "DriftTrigger",
     "QErrorTrigger",
-    "RetrainOutcome",
     "RetrainingScheduler",
-    "TriggerDecision",
     "clone_model",
     "default_retrainer",
 ]

@@ -181,7 +181,8 @@ class ExperienceStore(ServePolicy):
 
     def add_drift_queries(self, queries, cards=None) -> None:
         """Ingest Warper-generated drift queries (always drift-tagged)."""
-        cards = list(cards) if cards is not None else [None] * len(list(queries))
+        queries = list(queries)  # once: ``queries`` may be an iterator
+        cards = list(cards) if cards is not None else [None] * len(queries)
         for query, card in zip(queries, cards):
             self._ingest(
                 "drift_query",

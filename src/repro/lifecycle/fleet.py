@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.lifecycle.scenario import LifecycleStack, lifecycle_stack
+from repro.lifecycle.scenario import DRIFT_FRACTION, LifecycleStack, lifecycle_stack
 from repro.serve.fabric.fabric import FabricConfig, FabricRequest, ServingFabric
 from repro.serve.fabric.router import ShardRouter
 from repro.serve.fabric.shard import guarded_shard
@@ -63,7 +63,6 @@ class TransferFleet:
     fabric: ServingFabric
     schedule: list[FabricRequest]
     drift_at: int  # schedule index where the fleet-wide drift lands
-    drift_fraction: float
     seed: int
     closed_loop: bool
     reports: list = field(default_factory=list)
@@ -75,11 +74,11 @@ class TransferFleet:
     def apply_drift(self) -> None:
         """Drift every schema's data and invalidate derived state."""
         for i, tenant in enumerate(self.tenants):
-            tenant.apply_drift(self.drift_fraction, self.seed + i)
+            tenant.apply_drift(DRIFT_FRACTION, self.seed + i)
         self.fabric.telemetry.event(
             "fleet_drift",
             at_request=self.drift_at,
-            fraction=self.drift_fraction,
+            fraction=DRIFT_FRACTION,
             n_schemas=len(self.tenants),
         )
 
@@ -169,13 +168,10 @@ def transfer_fleet_scenario(
     *,
     n_schemas: int = 8,
     seed: int = 0,
-    schema_config: SchemaGenConfig | None = None,
     queries_per_tenant: int = 36,
     n_train: int = 40,
     n_holdout: int = 14,
-    drift_fraction: float = 0.45,
     drift_check_every: int = 8,
-    qerror_degradation: float = 3.0,
     cooldown_queries: int = 12,
     mean_interarrival_ms: float = 25.0,
     closed_loop: bool = True,
@@ -187,11 +183,11 @@ def transfer_fleet_scenario(
     schemas, streams and drift, but no retraining triggers -- whose
     post-drift q-error the transfer benchmark compares against.
     """
-    if schema_config is None:
-        schema_config = SchemaGenConfig(
-            n_tables=(3, 5), rows=(150, 450), attr_cols=(1, 2)
-        )
-    databases = schema_family(n_schemas, seed=seed, config=schema_config)
+    databases = schema_family(
+        n_schemas,
+        seed=seed,
+        config=SchemaGenConfig(n_tables=(3, 5), rows=(150, 450), attr_cols=(1, 2)),
+    )
     config = (
         shard_config
         if shard_config is not None
@@ -207,7 +203,6 @@ def transfer_fleet_scenario(
                     n_holdout=n_holdout,
                     closed_loop=closed_loop,
                     drift_check_every=drift_check_every,
-                    qerror_degradation=qerror_degradation,
                     cooldown_queries=cooldown_queries,
                     champion_name=f"steered-{db.name}",
                     warp_queries_per_table=30,
@@ -257,7 +252,6 @@ def transfer_fleet_scenario(
         fabric=fabric,
         schedule=schedule,
         drift_at=len(schedule) // 2,
-        drift_fraction=drift_fraction,
         seed=seed,
         closed_loop=closed_loop,
     )

@@ -14,12 +14,12 @@ Guarded axes (each with an explicit threshold):
 
 - **latency quantiles** -- challenger p50/p95 plan latency must stay
   within ``max_p50_ratio`` / ``max_p95_ratio`` of the champion's;
-- **estimation accuracy** -- challenger q-error quantile must stay within
+- **estimation accuracy** -- challenger p90 q-error must stay within
   ``max_qerror_ratio`` of the champion's;
 - **per-query regressions** -- the fraction of held-out queries where the
-  challenger's plan is more than ``regression_margin`` slower than the
-  champion's must stay below ``max_regression_rate`` (the tail-latency
-  axis aggregate ratios hide).
+  challenger's plan is more than :data:`REGRESSION_MARGIN` times slower
+  than the champion's must stay below ``max_regression_rate`` (the
+  tail-latency axis aggregate ratios hide).
 
 Everything is recomputed at evaluation time with the deterministic
 simulator/executor, so the gate's verdict is reproducible.
@@ -31,9 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cardest.base import q_error
 from repro.core.errors import ConfigError
 
 __all__ = ["GateReport", "EvalGate"]
+
+#: the q-error quantile the accuracy axis compares
+QERROR_QUANTILE = 0.9
+#: a held-out query counts as regressed past this challenger/champion ratio
+REGRESSION_MARGIN = 1.25
 
 
 @dataclass(frozen=True)
@@ -91,9 +97,7 @@ class EvalGate:
         max_p50_ratio: float = 1.10,
         max_p95_ratio: float = 1.20,
         max_qerror_ratio: float = 1.25,
-        qerror_quantile: float = 0.9,
         max_regression_rate: float = 0.20,
-        regression_margin: float = 1.25,
         telemetry=None,
     ) -> None:
         self.queries = list(queries)
@@ -106,9 +110,7 @@ class EvalGate:
         self.max_p50_ratio = max_p50_ratio
         self.max_p95_ratio = max_p95_ratio
         self.max_qerror_ratio = max_qerror_ratio
-        self.qerror_quantile = qerror_quantile
         self.max_regression_rate = max_regression_rate
-        self.regression_margin = regression_margin
         self.telemetry = telemetry
         self.evaluations = 0
 
@@ -125,12 +127,12 @@ class EvalGate:
         est = _estimator_of(model)
         if est is None:
             return None
-        errs = []
-        for q in self.queries:
-            e = max(float(est.estimate(q)), 1.0)
-            t = max(float(self.executor.cardinality(q)), 1.0)
-            errs.append(max(e / t, t / e))
-        return np.array(errs)
+        return np.array(
+            [
+                q_error(est.estimate(q), self.executor.cardinality(q))
+                for q in self.queries
+            ]
+        )
 
     def _metrics(self, model) -> tuple[dict, np.ndarray | None]:
         metrics: dict = {"n_queries": len(self.queries)}
@@ -143,7 +145,7 @@ class EvalGate:
             qerrs = self._qerrors(model)
             if qerrs is not None:
                 metrics["qerror_q"] = round(
-                    float(np.quantile(qerrs, self.qerror_quantile)), 6
+                    float(np.quantile(qerrs, QERROR_QUANTILE)), 6
                 )
                 metrics["qerror_max"] = round(float(qerrs.max()), 6)
         return metrics, lats
@@ -169,7 +171,7 @@ class EvalGate:
         ratio_check("p95_latency_ms", self.max_p95_ratio, "p95 latency")
         ratio_check("qerror_q", self.max_qerror_ratio, "q-error")
         if champ_lats is not None and chall_lats is not None:
-            regressed = chall_lats > champ_lats * self.regression_margin
+            regressed = chall_lats > champ_lats * REGRESSION_MARGIN
             rate = float(regressed.mean())
             chall_metrics["regression_rate"] = round(rate, 6)
             if rate > self.max_regression_rate:

@@ -270,11 +270,6 @@ class ModelRegistry(ServePolicy):
     def champion(self) -> ModelVersion | None:
         return self._versions.get(self.champion_id) if self.champion_id else None
 
-    def champion_model(self):
-        if self.champion_id is None:
-            raise ConfigError("registry has no champion")
-        return self._models[self.champion_id]
-
     def set_champion(self, version_id: str, *, reason: str = "") -> None:
         self.version(version_id)
         previous = self.champion_id

@@ -5,8 +5,13 @@ training loop end to end, and the subject of
 ``benchmarks/bench_p4_lifecycle.py``:
 
 1. a GBDT query-driven estimator is trained on an initial workload and
-   deployed LIVE steering the native planner
-   (:class:`EstimatorSteeredOptimizer`), registered as the champion;
+   deployed LIVE steering the native planner (a
+   :class:`~repro.core.framework.PlannerModel` over
+   ``native.with_estimator(estimator)``), registered as the champion.
+   Retraining this model means refitting its estimator -- exactly what the
+   Warper does -- and it carries no feedback state of its own, so a
+   registered version's fingerprint stays stable while it serves
+   (:meth:`~repro.lifecycle.registry.ModelRegistry.verify` holds);
 2. traffic flows through the :class:`~repro.serve.runtime.ServingRuntime`
    straight into the :class:`~repro.serve.deployment.DeploymentManager`,
    whose ordered policy list is ``[store, registry, scheduler]``: every
@@ -38,9 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bench.workloads import apply_drift
+from repro.cardest.base import q_error
 from repro.cardest.drift import DDUpDetector, Warper
 from repro.cardest.querydriven import GBDTQueryEstimator
-from repro.core.framework import CandidatePlan
+from repro.core.framework import PlannerModel
 from repro.engine.executor import CardinalityExecutor
 from repro.engine.simulator import ExecutionSimulator
 from repro.lifecycle.experience import ExperienceStore
@@ -69,7 +75,7 @@ from repro.storage.catalog import Database
 from repro.storage.datasets import make_stats_lite
 
 __all__ = [
-    "EstimatorSteeredOptimizer",
+    "DRIFT_FRACTION",
     "LifecycleStack",
     "LifecycleScenario",
     "lifecycle_stack",
@@ -78,29 +84,9 @@ __all__ = [
 ]
 
 
-class EstimatorSteeredOptimizer:
-    """A learned optimizer that *is* its cardinality model.
-
-    The deployable unit of the lifecycle scenario: the native planner
-    steered by a learned (query-driven) estimator.  Retraining this model
-    means refitting :attr:`estimator` -- exactly what the Warper does --
-    and the model carries no feedback state of its own, so a registered
-    version's fingerprint stays stable while it serves
-    (:meth:`~repro.lifecycle.registry.ModelRegistry.verify` holds).
-    """
-
-    def __init__(
-        self, native: Optimizer, estimator, *, name: str = "steered"
-    ) -> None:
-        self.estimator = estimator
-        self.steered = native.with_estimator(estimator)
-        self.name = name
-
-    def choose_plan(self, query: Query) -> CandidatePlan:
-        return CandidatePlan(plan=self.steered.plan(query), source=self.name)
-
-    def record_feedback(self, query, candidate, latency_ms: float) -> None:
-        pass  # the estimator learns via the lifecycle loop, not per-query
+#: share of each table's rows the mid-stream drift appends (the fleet
+#: drifts every schema by the same share)
+DRIFT_FRACTION = 0.45
 
 
 @dataclass(kw_only=True)
@@ -131,11 +117,10 @@ class LifecycleStack:
         model) on the held-out workload against *current* data."""
         model = model if model is not None else self.deployment.learned
         estimator = getattr(model, "estimator", model)
-        errs = []
-        for q in self.holdout:
-            e = max(float(estimator.estimate(q)), 1.0)
-            t = max(float(self.executor.cardinality(q)), 1.0)
-            errs.append(max(e / t, t / e))
+        errs = [
+            q_error(estimator.estimate(q), self.executor.cardinality(q))
+            for q in self.holdout
+        ]
         return float(np.quantile(np.array(errs), quantile))
 
     def apply_drift(self, fraction: float, seed: int) -> None:
@@ -181,10 +166,8 @@ def lifecycle_stack(
     n_holdout: int,
     closed_loop: bool,
     drift_check_every: int,
-    qerror_degradation: float,
     cooldown_queries: int,
     champion_name: str = "steered-gbdt",
-    store_capacity: int = 2_000,
     warp_queries_per_table: int = 40,
     qerror_window: int = 48,
     cadence_queries: int | None = None,
@@ -212,9 +195,9 @@ def lifecycle_stack(
         [float(executor.cardinality(q)) for q in train_queries]
     )
     estimator = GBDTQueryEstimator(db, seed=seed).fit(train_queries, train_cards)
-    champion = EstimatorSteeredOptimizer(native, estimator, name=champion_name)
+    champion = PlannerModel(native.with_estimator(estimator), name=champion_name)
 
-    store = ExperienceStore(store_capacity, seed=seed)
+    store = ExperienceStore(2_000, seed=seed)
     registry = ModelRegistry(shared=shared, telemetry=telemetry)
     v0 = registry.register(
         champion, trigger="initial", snapshot_id=store.snapshot_id()
@@ -277,7 +260,7 @@ def lifecycle_stack(
         )
         triggers.append(
             QErrorTrigger(
-                degradation=qerror_degradation,
+                degradation=3.0,
                 window=qerror_window,
                 min_samples=qerror_window // 2,
                 quantile=0.9,
@@ -322,11 +305,8 @@ def drift_recovery_scenario(
     n_sessions: int = 6,
     n_train: int = 120,
     n_holdout: int = 40,
-    drift_fraction: float = 0.45,
     closed_loop: bool = True,
-    store_capacity: int = 2_000,
     drift_check_every: int = 20,
-    qerror_degradation: float = 3.0,
     cadence_queries: int | None = None,
     cooldown_queries: int = 40,
     gate_kwargs: dict | None = None,
@@ -346,9 +326,7 @@ def drift_recovery_scenario(
         n_holdout=n_holdout,
         closed_loop=closed_loop,
         drift_check_every=drift_check_every,
-        qerror_degradation=qerror_degradation,
         cooldown_queries=cooldown_queries,
-        store_capacity=store_capacity,
         cadence_queries=cadence_queries,
         gate_kwargs=gate_kwargs,
     )
@@ -359,9 +337,9 @@ def drift_recovery_scenario(
     drift_at = len(queries) // 2
 
     def _drift() -> None:
-        stack.apply_drift(drift_fraction, seed)
+        stack.apply_drift(DRIFT_FRACTION, seed)
         stack.telemetry.event(
-            "data_drift", at_request=drift_at, fraction=drift_fraction
+            "data_drift", at_request=drift_at, fraction=DRIFT_FRACTION
         )
 
     return LifecycleScenario(

@@ -15,8 +15,8 @@ latency), so two same-seed runs fire at identical points:
   (estimate vs. post-execution true cardinality); fires when the window
   quantile degrades past a threshold.  Pure accuracy watchdog: catches
   decay the drift detector's table statistics miss.
-- :class:`CadenceTrigger` -- fixed every-N-queries / every-T-virtual-ms
-  fallback, the "retrain nightly regardless" policy.
+- :class:`CadenceTrigger` -- fixed every-N-queries fallback, the "retrain
+  nightly regardless" policy.
 
 When any trigger fires (outside the cooldown), the scheduler **clones the
 champion** (:func:`clone_model` -- the live model is never mutated),
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cardest.base import q_error
 from repro.core.errors import ConfigError
 from repro.core.interfaces import ServePolicy
 
@@ -73,41 +74,26 @@ class TriggerDecision:
 
 
 class CadenceTrigger:
-    """Fires every ``every_queries`` served or ``every_ms`` virtual time."""
+    """Fires every ``every_queries`` served queries."""
 
     name = "cadence"
 
-    def __init__(
-        self, *, every_queries: int | None = None, every_ms: float | None = None
-    ) -> None:
-        if every_queries is None and every_ms is None:
-            raise ConfigError("cadence trigger needs every_queries or every_ms")
+    def __init__(self, *, every_queries: int) -> None:
         self.every_queries = every_queries
-        self.every_ms = every_ms
         self._last_queries = 0
-        self._last_ms = 0.0
 
     def observe(self, estimate: float, truth: float) -> None:  # uniform surface
         pass
 
     def check(self, ctx: "SchedulerContext") -> TriggerDecision:
-        if (
-            self.every_queries is not None
-            and ctx.queries - self._last_queries >= self.every_queries
-        ):
+        if ctx.queries - self._last_queries >= self.every_queries:
             self._last_queries = ctx.queries
-            self._last_ms = ctx.virtual_ms
             return TriggerDecision(True, f"cadence:{self.every_queries}q", "fine_tune")
-        if self.every_ms is not None and ctx.virtual_ms - self._last_ms >= self.every_ms:
-            self._last_queries = ctx.queries
-            self._last_ms = ctx.virtual_ms
-            return TriggerDecision(True, f"cadence:{self.every_ms}ms", "fine_tune")
         return TriggerDecision(False, "cadence:idle")
 
     def reset(self, ctx: "SchedulerContext") -> None:
         """Re-arm after any retraining (cadence counts from the last one)."""
         self._last_queries = ctx.queries
-        self._last_ms = ctx.virtual_ms
 
 
 class QErrorTrigger:
@@ -145,9 +131,7 @@ class QErrorTrigger:
         self.baseline: float | None = None
 
     def observe(self, estimate: float, truth: float) -> None:
-        e = max(estimate, 1.0)
-        t = max(truth, 1.0)
-        self._errors.append(max(e / t, t / e))
+        self._errors.append(q_error(estimate, truth))
         if len(self._errors) > self.window:
             del self._errors[: len(self._errors) - self.window]
 
@@ -275,7 +259,7 @@ class RetrainingScheduler(ServePolicy):
         training data.  The registry must have a champion before
         :meth:`step` can retrain.
     retrainer:
-        ``retrainer(champion_model, store, action) -> challenger`` --
+        ``retrainer(champion, store, action) -> challenger`` --
         MUST NOT mutate the champion (the registry's immutability check
         will catch it if it does).  See :func:`default_retrainer`.
     triggers:

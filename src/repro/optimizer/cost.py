@@ -164,10 +164,3 @@ class PlanCoster:
                     node.right,
                 )
         return total
-
-    def node_cardinalities(self, plan: Plan) -> dict[PlanNode, float]:
-        """Estimated output cardinality of every node (for featurization)."""
-        return {
-            node: self.subquery_cardinality(plan.query, node.tables)
-            for node in plan.walk()
-        }

@@ -101,12 +101,6 @@ class RiskCoster:
         wor = self.bound.subquery_cardinalities(query, subsets)
         return {tables: RiskCard(exp[tables], wor[tables]) for tables in exp}
 
-    def node_cardinalities(self, plan) -> dict:
-        return {
-            node: self.subquery_cardinality(plan.query, node.tables)
-            for node in plan.walk()
-        }
-
     # -- costs (blended) --------------------------------------------------------------
 
     def scan_cost(self, node) -> float:

@@ -94,6 +94,9 @@ class PilotScopeConsole:
         self.query_log: deque[QueryLogEntry] = deque(maxlen=max_log_entries)
         self.queries_served = 0
         self.served_by_counts: dict[str, int] = {}
+        #: who served the most recent query (driver name or "native"); kept
+        #: outside ``query_log`` so it survives any log cap
+        self.last_served_by: str | None = None
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
@@ -124,9 +127,9 @@ class PilotScopeConsole:
         self, name: str, config: DriverConfig | None = None
     ) -> None:
         slot = self._slot(name)
-        slot.driver.init(self.interactor, config)
         # Only one optimizer-replacing driver may be active at a time --
-        # they would fight over the same injection point.
+        # they would fight over the same injection point.  Checked before
+        # init, so a refused driver is left exactly as it was.
         if slot.driver.injection_type == "query_optimizer":
             for other_name, other in self._drivers.items():
                 if (
@@ -138,6 +141,7 @@ class PilotScopeConsole:
                         f"cannot start {name!r}: optimizer driver "
                         f"{other_name!r} is already active"
                     )
+        slot.driver.init(self.interactor, config)
         slot.active = True
 
     def stop_driver(self, name: str) -> None:
@@ -259,6 +263,7 @@ class PilotScopeConsole:
             )
         )
         self.queries_served += 1
+        self.last_served_by = served_by
         self.served_by_counts[served_by] = (
             self.served_by_counts.get(served_by, 0) + 1
         )
@@ -269,13 +274,3 @@ class PilotScopeConsole:
                 if slot.active:
                     slot.driver.background_update()
         return outcome
-
-    def resilience_stats(self) -> dict[str, float]:
-        """Gauge-friendly dispatch counters for telemetry snapshots."""
-        return {
-            "driver_errors": float(self.driver_errors),
-            "retries": float(self.retries),
-            "native_fallbacks": float(self.native_fallbacks),
-            "timeouts": float(self.timeouts),
-            "retry_backoff_total_ms": self.retry_backoff_total_ms,
-        }

@@ -101,10 +101,6 @@ class GoldExampleStore:
     def __len__(self) -> int:
         return len(self._examples)
 
-    @property
-    def examples(self) -> tuple[RewriteExample, ...]:
-        return tuple(self._examples)
-
     # -- retrieval --------------------------------------------------------------
 
     def fit(self) -> bool:

@@ -19,51 +19,34 @@ workload and manages a learned optimizer's production lifecycle:
   p50/p95/p99 histograms, per-query traces (plan source, estimator tag,
   cardinality-cache hit/miss deltas) and lifecycle events, exported as a
   deterministic ``snapshot()``;
-- :mod:`repro.serve.scenarios` -- canned steady-state / mid-stream-drift /
-  injected-regression / chaos setups used by
-  ``benchmarks/bench_p2_serving.py``, ``benchmarks/bench_p3_chaos.py``
-  and the tests;
+- :mod:`repro.serve.scenarios` -- canned steady-state / injected-regression
+  / prepared-statement / chaos / bound-guard / adversarial-drift setups
+  used by ``benchmarks/bench_p2_serving.py``, ``bench_p3_chaos.py``,
+  ``bench_p8_bounds.py`` and the tests;
 - :mod:`repro.serve.fabric` -- the horizontally sharded, multi-tenant
-  serving fabric (:class:`ServingFabric`, :class:`ShardRouter`,
-  :class:`TenantRegistry`, :class:`TelemetryAggregator`): N serving
-  cores (:class:`ShardRuntime`) behind QoS-aware routing.
+  serving fabric: N serving cores (:class:`ShardRuntime`) behind QoS-aware
+  routing.  Import fabric names from that package.
+
+Exported here: the names some module outside this package imports through
+it (``tests/test_census.py`` holds that line); anything else is imported
+from the module that defines it.
 """
 
-from repro.serve.deployment import DeploymentManager, ServeDecision, Stage
-from repro.serve.fabric import (
-    FabricConfig,
-    FabricReport,
-    FabricRequest,
-    ServingFabric,
-    ShardRouter,
-    ShardRuntime,
-    TelemetryAggregator,
-    TenantRegistry,
-    TenantSpec,
-    build_fabric_schedule,
-    sharded_fabric_scenario,
-    synthetic_fabric,
-)
+from repro.serve.deployment import DeploymentManager, Stage
+from repro.serve.fabric import ShardRuntime, sharded_fabric_scenario
 from repro.serve.runtime import (
     ConsoleBackend,
     Rejected,
     Request,
-    RunReport,
     RuntimeConfig,
     Served,
     ServingRuntime,
     build_schedule,
 )
 from repro.serve.scenarios import (
-    PlannerBackend,
-    RegressionInjector,
-    ServingScenario,
     adversarial_drift_scenario,
     bound_guard_scenario,
     chaos_scenario,
-    default_bound_fault_plan,
-    default_chaos_plan,
-    drift_scenario,
     injected_regression_scenario,
     parameterized_scenario,
     steady_state_scenario,
@@ -73,40 +56,22 @@ from repro.serve.telemetry import Histogram, TelemetryBus, TraceRecord
 __all__ = [
     "ConsoleBackend",
     "DeploymentManager",
-    "FabricConfig",
-    "FabricReport",
-    "FabricRequest",
-    "PlannerBackend",
     "Histogram",
-    "ServingFabric",
-    "ShardRouter",
-    "ShardRuntime",
-    "TelemetryAggregator",
-    "TenantRegistry",
-    "TenantSpec",
     "Rejected",
-    "RegressionInjector",
     "Request",
-    "RunReport",
     "RuntimeConfig",
-    "ServeDecision",
     "Served",
     "ServingRuntime",
-    "ServingScenario",
+    "ShardRuntime",
     "Stage",
     "TelemetryBus",
     "TraceRecord",
     "adversarial_drift_scenario",
     "bound_guard_scenario",
-    "build_fabric_schedule",
     "build_schedule",
     "chaos_scenario",
-    "default_bound_fault_plan",
-    "default_chaos_plan",
-    "drift_scenario",
     "injected_regression_scenario",
     "parameterized_scenario",
     "sharded_fabric_scenario",
     "steady_state_scenario",
-    "synthetic_fabric",
 ]

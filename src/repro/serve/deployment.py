@@ -20,7 +20,7 @@ stages production ML systems use:
   native again.
 
 Demotion is automatic: learned-served queries feed a rolling window of
-:attr:`repro.e2e.loop.EpisodeResult.regression` ratios, and when the
+learned / native latency ratios (>1 is a regression), and when the
 window mean breaches ``regression_threshold`` the manager rolls back and
 records the event on the telemetry bus.  Promotion is manual
 (:meth:`promote`) or automatic (``auto_promote=True``) once a full window
@@ -40,7 +40,6 @@ from statistics import fmean
 
 from repro.core.errors import ConfigError
 from repro.core.interfaces import Decision, ServePolicy, estimator_cache_tag
-from repro.e2e.loop import EpisodeResult
 from repro.engine.plans import Plan
 from repro.engine.simulator import ExecutionSimulator
 from repro.faults.resilience import BreakerState, CircuitBreaker
@@ -50,7 +49,7 @@ from repro.regression import GuardChain
 from repro.serve.telemetry import TelemetryBus
 from repro.sql.query import Query, query_hash
 
-__all__ = ["Stage", "ServeDecision", "DeploymentManager", "query_hash"]
+__all__ = ["Stage", "ServeDecision", "DeploymentManager"]
 
 
 class Stage(enum.Enum):
@@ -378,13 +377,9 @@ class DeploymentManager:
                         candidate.plan
                     ).latency_ms
                 self.learned.record_feedback(query, candidate, shadow_latency)
-                episode = EpisodeResult(
-                    query=query,
-                    source=candidate.source,
-                    latency_ms=shadow_latency,
-                    native_latency_ms=result.latency_ms,
+                self._observe_regression(
+                    shadow_latency / max(result.latency_ms, 1e-9)
                 )
-                self._observe_regression(episode.regression)
         return ServeDecision(
             query=query,
             stage=stage.value,
@@ -457,13 +452,7 @@ class DeploymentManager:
             if candidate.plan.signature() != native_plan.signature():
                 self.guard.record_native(query, native_plan, native_latency)
         if native_latency is not None:
-            episode = EpisodeResult(
-                query=query,
-                source=candidate.source,
-                latency_ms=result.latency_ms,
-                native_latency_ms=native_latency,
-            )
-            self._observe_regression(episode.regression)
+            self._observe_regression(result.latency_ms / max(native_latency, 1e-9))
         return ServeDecision(
             query=query,
             stage=stage.value,

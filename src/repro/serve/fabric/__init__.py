@@ -26,19 +26,15 @@ repo's core invariant: same seed, byte-identical telemetry export.
   and full-stack (per-shard deployment manager / plan cache / bound
   guard / breaker) assemblies used by ``benchmarks/bench_p9_fabric.py``
   and the tests.
+
+Exported here: the names some module outside this package imports through
+it (``tests/test_census.py`` holds that line); anything else is imported
+from the module that defines it.
 """
 
-from repro.serve.fabric.aggregate import TelemetryAggregator
-from repro.serve.fabric.fabric import (
-    FabricConfig,
-    FabricReport,
-    FabricRequest,
-    ServingFabric,
-    build_fabric_schedule,
-)
-from repro.serve.fabric.router import ROUTE_MODES, ShardRouter
+from repro.serve.fabric.fabric import FabricConfig, build_fabric_schedule
+from repro.serve.fabric.router import ShardRouter
 from repro.serve.fabric.scenarios import (
-    FabricScenario,
     SyntheticBackend,
     default_tenant_specs,
     hot_tenant_specs,
@@ -47,26 +43,13 @@ from repro.serve.fabric.scenarios import (
     synthetic_queries,
 )
 from repro.serve.fabric.shard import ShardRuntime
-from repro.serve.fabric.tenants import (
-    QOS_CLASSES,
-    QOS_PRIORITY,
-    TenantRegistry,
-    TenantSpec,
-)
+from repro.serve.fabric.tenants import TenantRegistry, TenantSpec
 
 __all__ = [
-    "QOS_CLASSES",
-    "QOS_PRIORITY",
-    "ROUTE_MODES",
     "FabricConfig",
-    "FabricReport",
-    "FabricRequest",
-    "FabricScenario",
-    "ServingFabric",
     "ShardRouter",
     "ShardRuntime",
     "SyntheticBackend",
-    "TelemetryAggregator",
     "TenantRegistry",
     "TenantSpec",
     "build_fabric_schedule",

@@ -32,14 +32,13 @@ import time
 from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
-from repro.serve.deployment import query_hash
 from repro.serve.fabric.aggregate import TelemetryAggregator
 from repro.serve.fabric.router import ShardRouter
 from repro.serve.fabric.shard import ShardRuntime
 from repro.serve.fabric.tenants import TenantRegistry, TenantSpec
 from repro.serve.runtime import Rejected, Request, RunReport, Served
 from repro.serve.telemetry import TelemetryBus
-from repro.sql.query import Query
+from repro.sql.query import Query, query_hash
 
 __all__ = [
     "FabricRequest",

@@ -32,7 +32,7 @@ from repro.faults import BoundGuard, FaultInjector, FaultPlan
 from repro.optimizer.plancache import PlanCache
 from repro.optimizer.planner import Optimizer
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
-from repro.serve.deployment import DeploymentManager, Stage, query_hash
+from repro.serve.deployment import DeploymentManager, Stage
 from repro.serve.fabric.fabric import (
     FabricConfig,
     FabricRequest,
@@ -44,7 +44,7 @@ from repro.serve.fabric.tenants import TenantRegistry, TenantSpec
 from repro.serve.runtime import RuntimeConfig
 from repro.serve.telemetry import TelemetryBus
 from repro.sql.generator import WorkloadGenerator
-from repro.sql.query import Query
+from repro.sql.query import Query, query_hash
 from repro.storage.datasets import make_stats_lite
 
 __all__ = [
@@ -189,8 +189,6 @@ def synthetic_fabric(
     fabric_config: FabricConfig | None = None,
     trace_capacity: int = 256,
     fault_plan: FaultPlan | None = None,
-    breaker_failure_threshold: int = 3,
-    breaker_cooldown_ms: float = 500.0,
 ) -> FabricScenario:
     """Assemble a synthetic-backend fabric (no schedule attached yet --
     pair with :func:`synthetic_queries` + :func:`build_fabric_schedule`,
@@ -203,8 +201,6 @@ def synthetic_fabric(
                 seed=seed, base_latency_ms=base_latency_ms, spread_ms=spread_ms
             ),
             injector=injector,
-            failure_threshold=breaker_failure_threshold,
-            cooldown_ms=breaker_cooldown_ms,
             n_workers=n_workers,
             config=shard_config,
             telemetry=TelemetryBus(trace_capacity=trace_capacity),

@@ -62,8 +62,6 @@ def guarded_shard(
     backend: Backend,
     *,
     injector: FaultInjector | None = None,
-    failure_threshold: int = 3,
-    cooldown_ms: float = 500.0,
     **core,
 ) -> ShardRuntime:
     """A shard behind its own circuit breaker on its own virtual clock --
@@ -72,7 +70,5 @@ def guarded_shard(
     name = f"shard{shard_id:02d}"
     if injector is not None:
         backend = injector.wrap_backend(backend, target=name)
-    breaker = CircuitBreaker(
-        failure_threshold=failure_threshold, cooldown_ms=cooldown_ms, name=name
-    )
+    breaker = CircuitBreaker(failure_threshold=3, cooldown_ms=500.0, name=name)
     return ShardRuntime(shard_id, backend, breaker=breaker, **core)

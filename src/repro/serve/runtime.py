@@ -49,9 +49,8 @@ from repro.core.errors import ConfigError, DriverError
 from repro.core.interfaces import Backend, Decision
 from repro.faults.resilience import CircuitBreaker
 from repro.pilotscope.console import PilotScopeConsole
-from repro.serve.deployment import query_hash
 from repro.serve.telemetry import TelemetryBus, TraceRecord
-from repro.sql.query import Query
+from repro.sql.query import Query, query_hash
 
 __all__ = [
     "Request",
@@ -205,10 +204,9 @@ class ConsoleBackend:
 
     def serve(self, query: Query) -> Decision:
         outcome = self.console.execute(query)
-        entry = self.console.query_log[-1]
         return Decision(
             stage="live",
-            plan_source=entry.served_by,
+            plan_source=self.console.last_served_by,
             latency_ms=outcome.latency_ms,
             cardinality=outcome.cardinality,
         )

@@ -8,13 +8,12 @@ ready to :meth:`~ServingScenario.run`:
 
 - :func:`steady_state_scenario`: a healthy canary deployment under
   sustained concurrent traffic (the throughput benchmark's subject);
-- :func:`drift_scenario`: the same deployment, but halfway through the
-  stream the database mutates (:func:`repro.bench.apply_drift`) under the
-  runtime's deterministic mid-stream hook;
 - :func:`injected_regression_scenario`: the staged model turns adversarial
   after ``trigger_at`` decisions (it starts proposing nested-loop-only
   plans), which must trip the deployment's rolling regression window and
-  roll the model back automatically.
+  roll the model back automatically;
+- :func:`parameterized_scenario`: a prepared-statement stream served in
+  SHADOW through the plan-cache fast path;
 - :func:`chaos_scenario`: the full degradation ladder under a seeded
   :class:`~repro.faults.FaultPlan` -- the estimator throws / returns
   NaN / serves stale statistics behind a :class:`~repro.faults.
@@ -38,12 +37,11 @@ from dataclasses import dataclass
 
 from repro.bench.workloads import (
     adversarial_hot_key_drift,
-    apply_drift,
     hot_key_probe_queries,
     hot_key_targets,
 )
 from repro.cardest.bounds import MCVJoinBoundEstimator
-from repro.core.framework import CandidatePlan
+from repro.core.framework import CandidatePlan, PlannerModel
 from repro.e2e.bao import BaoOptimizer
 from repro.engine.simulator import ExecutionSimulator
 from repro.faults import (
@@ -74,11 +72,9 @@ from repro.storage.catalog import Database
 from repro.storage.datasets import make_stats_lite
 
 __all__ = [
-    "PlannerBackend",
     "RegressionInjector",
     "ServingScenario",
     "steady_state_scenario",
-    "drift_scenario",
     "injected_regression_scenario",
     "parameterized_scenario",
     "default_chaos_plan",
@@ -89,23 +85,11 @@ __all__ = [
 ]
 
 
-class PlannerBackend:
-    """The minimal learned-optimizer surface over a plain :class:`Optimizer`.
-
-    Lets a deployment serve straight planner output -- e.g. a risk-bounded
-    ``Optimizer(..., risk="worst_case")`` -- through the same staged
-    machinery as any learned model.  Stateless: feedback is discarded.
-    """
-
-    def __init__(self, optimizer: Optimizer, *, name: str = "planner") -> None:
-        self.optimizer = optimizer
-        self.name = name
-
-    def choose_plan(self, query: Query) -> CandidatePlan:
-        return CandidatePlan(plan=self.optimizer.plan(query), source=self.name)
-
-    def record_feedback(self, query, candidate, latency_ms) -> None:
-        pass
+#: share of its rows each child table grows by at the adversarial drift,
+#: every new foreign key on the hot parent key
+ADVERSARIAL_DRIFT_FRACTION = 0.5
+#: what the injected regression proposes: nested-loop-only plans
+_BAD_HINTS = HintSet(enable_hash_join=False, enable_merge_join=False)
 
 
 class RegressionInjector:
@@ -118,29 +102,17 @@ class RegressionInjector:
     sabotaged.  Feedback keeps flowing to the wrapped model either way.
     """
 
-    def __init__(
-        self,
-        inner,
-        optimizer: Optimizer,
-        *,
-        trigger_at: int,
-        bad_hints: HintSet | None = None,
-    ) -> None:
+    def __init__(self, inner, optimizer: Optimizer, *, trigger_at: int) -> None:
         self.inner = inner
         self.optimizer = optimizer
         self.trigger_at = trigger_at
-        self.bad_hints = (
-            bad_hints
-            if bad_hints is not None
-            else HintSet(enable_hash_join=False, enable_merge_join=False)
-        )
         self.decisions = 0
         self.name = f"{getattr(inner, 'name', 'learned')}+injected"
 
     def choose_plan(self, query: Query) -> CandidatePlan:
         self.decisions += 1
         if self.decisions > self.trigger_at:
-            plan = self.optimizer.plan(query, hints=self.bad_hints)
+            plan = self.optimizer.plan(query, hints=_BAD_HINTS)
             return CandidatePlan(plan=plan, source="injected")
         return self.inner.choose_plan(query)
 
@@ -267,44 +239,6 @@ def steady_state_scenario(
         canary_fraction=canary_fraction,
         regression_threshold=2.5,
     )
-
-
-def drift_scenario(
-    *,
-    scale: float = 0.3,
-    seed: int = 0,
-    n_queries: int = 120,
-    n_sessions: int = 8,
-    drift_fraction: float = 0.3,
-    config: RuntimeConfig | None = None,
-) -> ServingScenario:
-    """Canary serving while the data distribution shifts mid-stream.
-
-    At the workload's halfway request the hook appends
-    distribution-shifted rows to every table and drops the planner's
-    cardinality cache (its entries are keyed by estimator state, which the
-    native statistics refresh changes) -- so the second half of the stream
-    runs against genuinely different data.
-    """
-    scenario = steady_state_scenario(
-        scale=scale,
-        seed=seed,
-        n_queries=n_queries,
-        n_sessions=n_sessions,
-        config=config,
-    )
-    scenario.name = "drift_midstream"
-
-    def _drift() -> None:
-        apply_drift(scenario.db, fraction=drift_fraction, seed=seed)
-        estimator = scenario.native.estimator
-        if hasattr(estimator, "refresh"):
-            estimator.refresh()
-        if hasattr(scenario.native, "cache") and scenario.native.cache is not None:
-            scenario.native.cache.clear()
-
-    scenario.runtime.hooks[scenario.n_requests // 2] = _drift
-    return scenario
 
 
 def parameterized_scenario(
@@ -562,7 +496,6 @@ def adversarial_drift_scenario(
     seed: int = 0,
     n_queries: int = 120,
     n_sessions: int = 8,
-    drift_fraction: float = 0.5,
     min_tables: int = 2,
     max_tables: int = 4,
     config: RuntimeConfig | None = None,
@@ -570,7 +503,7 @@ def adversarial_drift_scenario(
     """Optimistic vs pessimistic serving while join fan-out explodes.
 
     A LIVE deployment serves straight planner output
-    (:class:`PlannerBackend`); halfway through the stream
+    (:class:`~repro.core.framework.PlannerModel`); halfway through the stream
     :func:`repro.bench.adversarial_hot_key_drift` piles new child rows
     onto a previously-cold parent key per parent table, so true join
     sizes through those keys explode while the *point* estimator keeps
@@ -613,7 +546,7 @@ def adversarial_drift_scenario(
         f"adversarial_drift:{name}",
         db,
         native,
-        PlannerBackend(subject, name=name),
+        PlannerModel(subject, name=name),
         seed=seed,
         n_queries=n_queries,
         n_sessions=n_sessions,
@@ -627,7 +560,7 @@ def adversarial_drift_scenario(
 
     def _drift() -> None:
         adversarial_hot_key_drift(
-            db, fraction=drift_fraction, seed=seed, targets=targets
+            db, fraction=ADVERSARIAL_DRIFT_FRACTION, seed=seed, targets=targets
         )
         if pessimistic:
             bounds.refresh()

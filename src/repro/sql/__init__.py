@@ -23,7 +23,6 @@ from repro.sql.transforms import (
     ResultPreservingTransform,
     TRANSFORM_REGISTRY,
     VerifyOutcome,
-    apply_transform,
     exact_count,
     verify_transform,
     verify_union,
@@ -43,7 +42,6 @@ __all__ = [
     "ResultPreservingTransform",
     "TRANSFORM_REGISTRY",
     "VerifyOutcome",
-    "apply_transform",
     "exact_count",
     "verify_transform",
     "verify_union",

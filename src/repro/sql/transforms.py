@@ -30,7 +30,6 @@ from repro.sql.query import (
     OrPredicate,
     Predicate,
     Query,
-    query_hash,
 )
 from repro.storage.catalog import Database
 
@@ -38,7 +37,6 @@ __all__ = [
     "ResultPreservingTransform",
     "TRANSFORM_REGISTRY",
     "VerifyOutcome",
-    "apply_transform",
     "exact_count",
     "verify_transform",
     "verify_union",
@@ -160,11 +158,6 @@ TRANSFORM_REGISTRY: dict[str, ResultPreservingTransform] = {
 }
 
 
-def apply_transform(name: str, db: Database, query: Query) -> Query | None:
-    """Apply the named registry transform (None when inapplicable)."""
-    return TRANSFORM_REGISTRY[name].apply(db, query)
-
-
 def exact_count(db: Database, query: Query, executor=None) -> int | None:
     """Exact COUNT(*) via the vectorized executor; None when intractable.
 
@@ -269,8 +262,3 @@ def verify_union(
             f"branch counts sum to {total}, expected {expected}",
         )
     return VerifyOutcome(True, False, expected, total)
-
-
-def hash_preserved(original: Query, transformed: Query) -> bool:
-    """True when the transform left the canonical query identity unchanged."""
-    return query_hash(original) == query_hash(transformed)

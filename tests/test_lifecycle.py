@@ -157,6 +157,19 @@ def test_store_drift_tagging_and_labels():
         ExperienceStore(capacity=0)
 
 
+@pytest.mark.parametrize("cards", [None, [1.0, 2.0, 3.0, 4.0]])
+def test_store_ingests_drift_queries_from_an_iterator(cards):
+    """A generator is consumed once, not counted and then zipped empty."""
+    qs = _store_queries(4)
+    from_list = ExperienceStore(capacity=32, seed=0)
+    from_list.add_drift_queries(qs, cards)
+    from_iter = ExperienceStore(capacity=32, seed=0)
+    from_iter.add_drift_queries((q for q in qs), iter(cards) if cards else None)
+    assert from_iter.ingested == 4
+    assert from_iter.snapshot_id() == from_list.snapshot_id()
+    assert len(from_iter.labelled()[0]) == (4 if cards else 0)
+
+
 # -- registry (tentpole) ---------------------------------------------------------
 
 
@@ -213,6 +226,47 @@ def test_model_fingerprint_content_not_identity():
     fp = model_fingerprint(a, shared=(infra,))
     infra["rows"] = np.arange(50)
     assert model_fingerprint(a, shared=(infra,)) == fp
+
+
+def _steered_champion(db, native, seed=0):
+    """The lifecycle scenario's deployable unit: the native planner steered
+    by a fitted GBDT estimator, on the learned-optimizer surface."""
+    from repro.cardest.querydriven import GBDTQueryEstimator
+    from repro.core.framework import PlannerModel
+    from repro.engine import CardinalityExecutor
+    from repro.sql import WorkloadGenerator
+
+    queries = WorkloadGenerator(db, seed=seed + 1).workload(
+        30, 1, 2, require_predicate=True
+    )
+    executor = CardinalityExecutor(db)
+    cards = np.array([float(executor.cardinality(q)) for q in queries])
+    estimator = GBDTQueryEstimator(db, seed=seed).fit(queries, cards)
+    return PlannerModel(native.with_estimator(estimator), name="steered"), queries
+
+
+def test_planner_model_fingerprint_is_its_estimators_content(stats_db):
+    from repro.optimizer import Optimizer
+
+    native = Optimizer(stats_db)
+    shared = (stats_db, native, native.stats, native.cache)
+    a, queries = _steered_champion(stats_db, native)
+    b, _ = _steered_champion(stats_db, native)
+    # The estimator is the optimizer's, not a second reference to keep in step.
+    assert a.estimator is a.optimizer.estimator is a.optimizer.coster.estimator
+    with pytest.raises(AttributeError):
+        a.estimator = b.estimator
+    assert a.estimator is not b.estimator
+    fp = model_fingerprint(a, shared=shared)
+    assert fp == model_fingerprint(b, shared=shared)  # equal content, equal id
+    # Stateless on the serving path: planning and feedback leave no trace.
+    candidate = a.choose_plan(queries[0])
+    assert candidate.source == "steered"
+    a.record_feedback(queries[0], candidate, 1.0)
+    assert model_fingerprint(a, shared=shared) == fp
+    # What it learned is in the fingerprint: refit b and the ids part.
+    b.estimator.fit(queries[:20], np.ones(20))
+    assert model_fingerprint(b, shared=shared) != fp
 
 
 def test_fingerprint_sees_the_last_tree_of_a_large_ensemble(monkeypatch):
@@ -414,6 +468,32 @@ def test_clone_model_shares_infrastructure():
     assert clone.db is infra  # shared, not copied
     clone.retrain()
     assert model.weights[0] == 1.0  # champion untouched
+
+
+def test_clone_of_a_planner_model_owns_its_estimator(stats_db):
+    from repro.optimizer import Optimizer
+
+    native = Optimizer(stats_db)
+    shared = (stats_db, native, native.stats, native.cache)
+    champion, queries = _steered_champion(stats_db, native)
+    fp = model_fingerprint(champion, shared=shared)
+    clone = clone_model(champion, shared=shared)
+    assert model_fingerprint(clone, shared=shared) == fp
+    # Infrastructure is referenced, the learned part is copied -- and the
+    # clone's planner costs with the clone's estimator, not the champion's.
+    assert clone.optimizer is not champion.optimizer
+    assert clone.optimizer.db is stats_db
+    assert clone.optimizer.stats is native.stats
+    assert clone.optimizer.cache is native.cache
+    assert clone.estimator is not champion.estimator
+    assert clone.estimator is clone.optimizer.coster.estimator
+    # Retraining the clone (what the Warper retrainer does) leaves the
+    # registered champion bit-for-bit what it was.
+    before = champion.estimator.estimate(queries[0])
+    clone.estimator.fit(queries[:20], np.ones(20))
+    assert model_fingerprint(clone, shared=shared) != fp
+    assert model_fingerprint(champion, shared=shared) == fp
+    assert champion.estimator.estimate(queries[0]) == before
 
 
 # -- gates (tentpole): pass -> SHADOW, fail -> never deployed --------------------

@@ -133,13 +133,25 @@ class TestConsole:
         with pytest.raises(ValueError):
             console.register_driver(BaoDriver())
 
-    def test_two_optimizer_drivers_conflict(self, pg):
+    def test_two_optimizer_drivers_conflict(self, pg, workload):
         console = PilotScopeConsole(pg)
+        lero = LeroDriver()
         console.register_driver(BaoDriver())
-        console.register_driver(LeroDriver())
+        console.register_driver(lero)
         console.start_driver("bao_driver")
         with pytest.raises(ValueError, match="already active"):
             console.start_driver("lero_driver")
+        # Refused before init: the driver is exactly as it was registered ...
+        assert not lero.started
+        assert lero.interactor is None and lero.learned is None
+        assert console.active_drivers() == ["bao_driver"]
+        # ... and starts normally once the other one is stopped.
+        console.stop_driver("bao_driver")
+        console.start_driver("lero_driver")
+        assert lero.started and lero.learned is not None
+        assert console.active_drivers() == ["lero_driver"]
+        console.execute(workload[0])
+        assert console.last_served_by == "lero_driver"
 
     def test_driver_before_init_raises(self, pg, workload):
         driver = BaoDriver()

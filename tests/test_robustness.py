@@ -192,7 +192,6 @@ class TestSanitizeEstimate:
 class TestTypedErrors:
     def test_hierarchy(self):
         from repro.core.errors import (
-            AdmissionRejected,
             ConfigError,
             DriverError,
             EstimationError,
@@ -208,7 +207,6 @@ class TestTypedErrors:
         assert issubclass(DriverError, RuntimeError)
         assert issubclass(SessionClosedError, DriverError)
         assert issubclass(EstimationError, ReproError)
-        assert issubclass(AdmissionRejected, ReproError)
         assert issubclass(InjectedEstimationError, InjectedFault)
         assert issubclass(InjectedEstimationError, EstimationError)
         assert issubclass(InjectedDriverError, DriverError)

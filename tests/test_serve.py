@@ -657,6 +657,33 @@ class TestServingRuntime:
         served = [o for o in report.outcomes if isinstance(o, Served)]
         assert all(o.plan_source == "native" for o in served)
 
+    def test_console_backend_does_not_read_the_bounded_log(self, stats_db):
+        """``plan_source`` is who served the query, whatever the console's
+        log retention: ``max_log_entries=0`` keeps no entry to read back."""
+        from repro.cardest import HistogramEstimator
+        from repro.pilotscope import CardinalityInjectionDriver
+        from repro.sql import WorkloadGenerator
+
+        queries = WorkloadGenerator(stats_db, seed=2).workload(
+            4, 1, 3, require_predicate=True
+        )
+
+        def serve(console):
+            runtime = ServingRuntime(
+                ConsoleBackend(console),
+                config=RuntimeConfig(timeout_ms=None, queue_capacity=None),
+            )
+            report = runtime.run(build_schedule(queries, 2, seed=0))
+            assert report.n_served == 4 and len(console.query_log) == 0
+            return {o.plan_source for o in report.outcomes}
+
+        console = PilotScopeConsole(SimulatedPostgreSQL(stats_db), max_log_entries=0)
+        assert serve(console) == {"native"}
+        driver = CardinalityInjectionDriver(HistogramEstimator(stats_db))
+        console.register_driver(driver)
+        console.start_driver(driver.name)
+        assert serve(console) == {driver.name}
+
 
 # -- one admission contract, both drivers ------------------------------------------
 
