@@ -26,7 +26,6 @@ from repro.cardest import (
 )
 from repro.cardest.base import q_error_summary
 from repro.core.interfaces import InjectedCardinalities
-from repro.pilotscope.interactor import enumerate_subqueries
 from repro.sql import WorkloadGenerator
 
 
@@ -66,7 +65,7 @@ def test_e4_injection(benchmark, stats_db, stats_executor, stats_optimizer,
             sub_preds, sub_truth = [], []
             for q in workload:
                 injected.clear()
-                for sub in enumerate_subqueries(q):
+                for sub in q.connected_subqueries():
                     guess = max(est.estimate(sub), 0.0)
                     injected.inject(sub, guess)
                     sub_preds.append(guess)

@@ -10,7 +10,6 @@ Run:  python examples/quickstart.py
 from repro import ExecutionSimulator, HintSet, Optimizer, quickstart_database
 from repro.core.interfaces import InjectedCardinalities
 from repro.engine import CardinalityExecutor
-from repro.pilotscope.interactor import enumerate_subqueries
 from repro.sql import parse_query
 
 
@@ -46,7 +45,7 @@ def main() -> None:
     # 3. Inject exact cardinalities (PilotScope's knob): the oracle plan.
     exact = CardinalityExecutor(db)
     injected = InjectedCardinalities(optimizer.estimator)
-    for sub in enumerate_subqueries(query):
+    for sub in query.connected_subqueries():
         injected.inject(sub, exact.cardinality(sub))
     oracle_plan = optimizer.with_estimator(injected).plan(query)
     print("plan under exact cardinalities:")

@@ -41,10 +41,6 @@ from repro.storage.catalog import Database
 
 __all__ = [
     "build_estimator",
-    "query_driven_estimators",
-    "data_driven_estimators",
-    "hybrid_estimators",
-    "traditional_estimators",
     "registered_estimators",
     "fit_estimator",
     "estimate_workload",
@@ -55,22 +51,6 @@ _SUPERVISED = {
     "linear", "gbdt", "mlp", "mscn", "pooled_mscn", "robust_mscn",
     "quicksel", "lpce", "alece", "crn", "gl_plus",
 }
-
-
-def traditional_estimators() -> list[str]:
-    return ["histogram", "sampling"]
-
-
-def query_driven_estimators() -> list[str]:
-    return ["linear", "gbdt", "mlp", "mscn", "robust_mscn"]
-
-
-def data_driven_estimators() -> list[str]:
-    return ["kde", "naru", "bayesnet", "spn", "fspn", "factorjoin"]
-
-
-def hybrid_estimators() -> list[str]:
-    return ["uae", "glue", "alece"]
 
 
 def _estimator_factories(db: Database, *, full: bool, seed: int) -> dict:
@@ -121,6 +101,8 @@ def build_estimator(name: str, db: Database, *, budget: str = "fast", seed: int 
     ``budget`` is ``"fast"`` (test-suite scale) or ``"full"`` (benchmark
     scale: more epochs / samples).
     """
+    if budget not in ("fast", "full"):
+        raise ValueError(f"unknown budget {budget!r}; valid: ('fast', 'full')")
     factories = _estimator_factories(db, full=budget == "full", seed=seed)
     if name not in factories:
         raise ValueError(f"unknown estimator {name!r}; valid: {sorted(factories)}")

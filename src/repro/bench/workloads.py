@@ -1,77 +1,30 @@
-"""Canonical workload recipes and the data-drift generator."""
+"""The data-drift generators of the dynamic experiments."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.sql.generator import WorkloadGenerator
 from repro.sql.query import ColumnRef, Join, Op, Predicate, Query
 from repro.storage.catalog import Database
 
 __all__ = [
-    "WorkloadSpec",
     "adversarial_hot_key_drift",
     "apply_drift",
     "hot_key_probe_queries",
     "hot_key_targets",
-    "make_workloads",
 ]
-
-
-@dataclass
-class WorkloadSpec:
-    """A reproducible train/test workload pair over one database."""
-
-    train: list[Query]
-    test: list[Query]
-
-
-def make_workloads(
-    db: Database,
-    *,
-    n_train: int = 300,
-    n_test: int = 80,
-    min_tables: int = 1,
-    max_tables: int = 4,
-    train_seed: int = 1,
-    test_seed: int = 97,
-    single_table: str | None = None,
-) -> WorkloadSpec:
-    """Standard workload recipe used across experiments.
-
-    ``single_table`` switches to the [61]-style single-table range
-    workload over the named table.
-    """
-    train_gen = WorkloadGenerator(db, seed=train_seed)
-    test_gen = WorkloadGenerator(db, seed=test_seed)
-    if single_table is not None:
-        return WorkloadSpec(
-            train=train_gen.single_table_workload(single_table, n_train),
-            test=test_gen.single_table_workload(single_table, n_test),
-        )
-    return WorkloadSpec(
-        train=train_gen.workload(
-            n_train, min_tables, max_tables, require_predicate=True
-        ),
-        test=test_gen.workload(
-            n_test, min_tables, max_tables, require_predicate=True
-        ),
-    )
 
 
 def apply_drift(
     db: Database,
     *,
     fraction: float = 0.2,
-    shift_quantile: float = 0.75,
     seed: int = 0,
 ) -> list[str]:
     """Append distribution-shifted rows to every table (dynamic-data tests).
 
-    New rows take non-key column values from the top ``shift_quantile``
-    tail of the existing distribution (so the data's shape genuinely
+    New rows take non-key column values from the top quartile of the
+    existing distribution (so the data's shape genuinely
     changes), foreign keys resample uniformly over existing parents (which
     flattens the fan-out skew), and primary keys continue the sequence.
     Returns the list of modified tables.
@@ -118,9 +71,7 @@ def apply_drift(
                     pool = db.table(other_t).values(other_c)
                 rows[cname] = rng.choice(pool, size=n_new).astype(col.values.dtype)
             else:
-                hi_vals = col.values[
-                    col.values >= np.quantile(col.values, shift_quantile)
-                ]
+                hi_vals = col.values[col.values >= np.quantile(col.values, 0.75)]
                 if hi_vals.size == 0:
                     hi_vals = col.values
                 rows[cname] = rng.choice(hi_vals, size=n_new).astype(col.values.dtype)

@@ -22,19 +22,7 @@ ones add ``fit(queries, cards)``; all are interchangeable inside
 :class:`repro.optimizer.Optimizer`.
 """
 
-from repro.cardest.base import (
-    BaseCardinalityEstimator,
-    q_error,
-    sanitize_bound,
-    sanitize_estimate,
-    sanitize_estimates,
-)
-from repro.cardest.bounds import (
-    AGMSketchBoundEstimator,
-    BoundSketch,
-    BoundSketchEstimator,
-    MCVJoinBoundEstimator,
-)
+from repro.cardest.base import q_error
 from repro.cardest.traditional import HistogramEstimator, SamplingEstimator
 from repro.cardest.querydriven import (
     CRNEstimator,
@@ -59,23 +47,11 @@ from repro.cardest.datadriven import (
     SPNEstimator,
 )
 from repro.cardest.hybrid import ALECEEstimator, GLUEEstimator, UAEEstimator
-from repro.cardest.advisor import (
-    AutoCE,
-    EnsembleEstimator,
-    flow_loss_weights,
-)
-from repro.cardest.drift import DDUpDetector, DriftReport, Warper
+from repro.cardest.advisor import EnsembleEstimator
+from repro.cardest.drift import DDUpDetector, Warper
 
 __all__ = [
-    "AGMSketchBoundEstimator",
-    "BaseCardinalityEstimator",
-    "BoundSketch",
-    "BoundSketchEstimator",
-    "MCVJoinBoundEstimator",
     "q_error",
-    "sanitize_bound",
-    "sanitize_estimate",
-    "sanitize_estimates",
     "HistogramEstimator",
     "SamplingEstimator",
     "LinearQueryEstimator",
@@ -99,10 +75,7 @@ __all__ = [
     "UAEEstimator",
     "GLUEEstimator",
     "ALECEEstimator",
-    "AutoCE",
     "EnsembleEstimator",
-    "flow_loss_weights",
     "DDUpDetector",
-    "DriftReport",
     "Warper",
 ]

@@ -91,9 +91,10 @@ class BoundSketch:
     bucket_counts: np.ndarray | None = field(repr=False, default=None)
 
     @classmethod
-    def build(
-        cls, values: np.ndarray, *, top_k: int = 16, n_buckets: int = 64
-    ) -> "BoundSketch":
+    def build(cls, values: np.ndarray) -> "BoundSketch":
+        """Sketch a column: its 16 most frequent values exactly, the rest
+        under 64 equi-width buckets."""
+        top_k, n_buckets = 16, 64
         values = np.asarray(values)
         n = int(values.shape[0])
         if n == 0:
@@ -178,10 +179,8 @@ class BoundSketchEstimator(BaseCardinalityEstimator):
     #: subclass switch: refine the first join edge with top-k composition
     use_mcv_pairs = False
 
-    def __init__(self, db, *, top_k: int = 16, n_buckets: int = 64) -> None:
+    def __init__(self, db) -> None:
         super().__init__(db)
-        self.top_k = int(top_k)
-        self.n_buckets = int(n_buckets)
         self._sketches: dict[str, dict[str, BoundSketch]] = {}
         self._sketch_rows: dict[str, int] = {}
         self.refresh()
@@ -192,11 +191,7 @@ class BoundSketchEstimator(BaseCardinalityEstimator):
             table = self.db.table(tname)
             self._sketch_rows[tname] = table.n_rows
             self._sketches[tname] = {
-                cname: BoundSketch.build(
-                    table.values(cname),
-                    top_k=self.top_k,
-                    n_buckets=self.n_buckets,
-                )
+                cname: BoundSketch.build(table.values(cname))
                 for cname in table.column_names
             }
         self._bump_estimates_version()

@@ -82,10 +82,48 @@ class PerTableModelEstimator(BaseCardinalityEstimator):
     def _table_selectivity(self, query: Query, table: str) -> float:
         raise NotImplementedError
 
+    def _model_columns(self, table: str) -> list[str]:
+        """The columns a table's model covers: its non-key columns."""
+        tbl = self.db.table(table)
+        columns = [c for c in tbl.column_names if not tbl.column(c).is_key]
+        return columns or tbl.column_names[:1]
+
     def _estimate(self, query: Query) -> float:
         return uniform_join_estimate(
             query, self._join_sizes, lambda t: self._table_selectivity(query, t)
         )
+
+
+class _BinnedModelEstimator(PerTableModelEstimator):
+    """Per-table models over a :class:`DiscretizedTable`.
+
+    Subclasses set ``max_bins`` and implement :meth:`_fit_binned`; the model
+    it returns exposes ``disc`` and ``box_probability(allowed)``.
+    """
+
+    max_bins: int
+
+    def _fit_binned(self, disc: DiscretizedTable):
+        raise NotImplementedError
+
+    def _build_table_model(self, table: str):
+        disc = DiscretizedTable.build(
+            self.db.table(table),
+            max_bins=self.max_bins,
+            columns=self._model_columns(table),
+        )
+        return self._fit_binned(disc)
+
+    def _table_selectivity(self, query: Query, table: str) -> float:
+        preds = query.predicates_on(table)
+        if not preds:
+            return 1.0
+        model = self._models[table]
+        usable = tuple(p for p in preds if p.column.column in model.disc.column_names)
+        if not usable:
+            return 1.0
+        allowed, correction = predicate_bins(model.disc, usable)
+        return model.box_probability(allowed) * correction
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +181,9 @@ class KDEEstimator(PerTableModelEstimator):
         super().__init__(db)
 
     def _build_table_model(self, table: str) -> _TableKDE:
-        tbl = self.db.table(table)
-        columns = [c for c in tbl.column_names if not tbl.column(c).is_key]
-        if not columns:
-            columns = tbl.column_names[:1]
+        columns = self._model_columns(table)
         rng = np.random.default_rng(self.seed + hash(table) % 1000)
-        return _TableKDE(tbl.matrix(columns), columns, self.sample, rng)
+        return _TableKDE(self.db.table(table).matrix(columns), columns, self.sample, rng)
 
     def _table_selectivity(self, query: Query, table: str) -> float:
         preds = query.predicates_on(table)
@@ -245,6 +280,7 @@ class _TableNaru:
         disc: DiscretizedTable,
         hidden: tuple[int, ...],
         epochs: int,
+        n_samples: int,
         seed: int,
     ) -> None:
         self.disc = disc
@@ -252,37 +288,14 @@ class _TableNaru:
             disc.domain_sizes, hidden=hidden, seed=seed
         )
         self.net.fit(disc.codes, epochs=epochs)
+        self.n_samples = n_samples
         self._rng = np.random.default_rng(seed + 1)
 
-    def box_probability(
-        self, allowed: list[np.ndarray | None], n_samples: int = 128
-    ) -> float:
-        """Progressive sampling estimate of P(X in box) (Naru's algorithm)."""
-        n_cols = len(self.disc.column_names)
-        rows = np.zeros((n_samples, n_cols), dtype=int)
-        mass = np.ones(n_samples)
-        for col in range(n_cols):
-            probs = self.net.conditional_distribution(rows, col)
-            if allowed[col] is not None:
-                bins = allowed[col]
-                if bins.size == 0:
-                    return 0.0
-                mask = np.zeros(probs.shape[1])
-                mask[bins] = 1.0
-                probs = probs * mask[None, :]
-            col_mass = probs.sum(axis=1)
-            mass *= col_mass
-            # Renormalize and sample the next prefix value; dead paths
-            # (zero mass) sample from anything, their weight is already 0.
-            safe = np.where(col_mass[:, None] > 0, probs, 1.0 / probs.shape[1])
-            safe = safe / safe.sum(axis=1, keepdims=True)
-            cdf = safe.cumsum(axis=1)
-            u = self._rng.random((n_samples, 1))
-            rows[:, col] = (u > cdf).sum(axis=1)
-        return float(mass.mean())
+    def box_probability(self, allowed: list[np.ndarray | None]) -> float:
+        return self.net.box_probability(allowed, self.n_samples, self._rng)
 
 
-class NaruEstimator(PerTableModelEstimator):
+class NaruEstimator(_BinnedModelEstimator):
     """Deep autoregressive estimator with progressive sampling (Naru [71])."""
 
     name = "naru"
@@ -303,26 +316,8 @@ class NaruEstimator(PerTableModelEstimator):
         self.seed = seed
         super().__init__(db)
 
-    def _build_table_model(self, table: str) -> _TableNaru:
-        tbl = self.db.table(table)
-        columns = [c for c in tbl.column_names if not tbl.column(c).is_key]
-        if not columns:
-            columns = tbl.column_names[:1]
-        disc = DiscretizedTable.build(tbl, max_bins=self.max_bins, columns=columns)
-        return _TableNaru(disc, self.hidden, self.epochs, self.seed)
-
-    def _table_selectivity(self, query: Query, table: str) -> float:
-        preds = query.predicates_on(table)
-        if not preds:
-            return 1.0
-        model: _TableNaru = self._models[table]  # type: ignore[assignment]
-        usable = tuple(
-            p for p in preds if p.column.column in model.disc.column_names
-        )
-        if not usable:
-            return 1.0
-        allowed, correction = predicate_bins(model.disc, usable)
-        return model.box_probability(allowed, self.n_samples) * correction
+    def _fit_binned(self, disc: DiscretizedTable) -> _TableNaru:
+        return _TableNaru(disc, self.hidden, self.epochs, self.n_samples, self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +376,7 @@ class _TableBayesNet:
         return float((self.root_prob * message(self.root)).sum())
 
 
-class BayesNetEstimator(PerTableModelEstimator):
+class BayesNetEstimator(_BinnedModelEstimator):
     """Chow-Liu Bayesian network estimator (Tzoumas et al. [57] /
     BayesCard [65]); per-table exact tree inference, join uniformity."""
 
@@ -392,21 +387,5 @@ class BayesNetEstimator(PerTableModelEstimator):
         self.alpha = alpha
         super().__init__(db)
 
-    def _build_table_model(self, table: str) -> _TableBayesNet:
-        tbl = self.db.table(table)
-        columns = [c for c in tbl.column_names if not tbl.column(c).is_key]
-        if not columns:
-            columns = tbl.column_names[:1]
-        disc = DiscretizedTable.build(tbl, max_bins=self.max_bins, columns=columns)
+    def _fit_binned(self, disc: DiscretizedTable) -> _TableBayesNet:
         return _TableBayesNet(disc, alpha=self.alpha)
-
-    def _table_selectivity(self, query: Query, table: str) -> float:
-        preds = query.predicates_on(table)
-        if not preds:
-            return 1.0
-        model: _TableBayesNet = self._models[table]  # type: ignore[assignment]
-        usable = tuple(p for p in preds if p.column.column in model.disc.column_names)
-        if not usable:
-            return 1.0
-        allowed, correction = predicate_bins(model.disc, usable)
-        return model.box_probability(allowed) * correction

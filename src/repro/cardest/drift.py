@@ -65,13 +65,15 @@ class DDUpDetector:
     snapshot without storing raw data (only summaries and histograms).
     """
 
+    #: stage-2 divergence below which a stage-1 alarm is dismissed
+    fine_tune_js = 0.008
+
     def __init__(
         self,
         db: Database,
         *,
         n_bins: int = 24,
         stage1_z: float = 3.0,
-        fine_tune_js: float = 0.008,
         retrain_js: float = 0.06,
         sample: int = 2000,
         seed: int = 0,
@@ -85,7 +87,6 @@ class DDUpDetector:
         self.db = db
         self.n_bins = n_bins
         self.stage1_z = stage1_z
-        self.fine_tune_js = fine_tune_js
         self.retrain_js = retrain_js
         self.sample = sample
         self.telemetry = telemetry

@@ -36,17 +36,16 @@ class FactorJoinEstimator(BaseCardinalityEstimator):
     """Binned join-histogram estimator in the style of FactorJoin [64]."""
 
     name = "factorjoin"
+    key_bins = 64  # join-key histogram resolution
 
     def __init__(
         self,
         db: Database,
         sample_rows: int = 1500,
-        key_bins: int = 64,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
         self.sample_rows = sample_rows
-        self.key_bins = key_bins
         self.seed = seed
         self._build()
 

@@ -134,20 +134,18 @@ class ALECEEstimator(BaseCardinalityEstimator):
     """
 
     name = "alece"
+    hist_bins = 16  # histogram resolution of a data token
 
     def __init__(
         self,
         db: Database,
-        attn_dim: int = 32,
         head_hidden: int = 64,
-        hist_bins: int = 16,
         epochs: int = 120,
         lr: float = 2e-3,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
         self.featurizer = FlatQueryFeaturizer(db)
-        self.hist_bins = hist_bins
         self.epochs = epochs
         self.lr = lr
         rng = np.random.default_rng(seed)
@@ -158,13 +156,12 @@ class ALECEEstimator(BaseCardinalityEstimator):
             lo, hi = float(values.min()), float(values.max())
             if hi <= lo:
                 hi = lo + 1.0
-            self._edges[(t, c)] = np.linspace(lo, hi, hist_bins + 1)
+            self._edges[(t, c)] = np.linspace(lo, hi, self.hist_bins + 1)
         self.tokens = self._build_tokens()
 
         f_dim = self.featurizer.dim
         t_dim = self.tokens.shape[1]
-        k = attn_dim
-        self.k = k
+        k = self.k = 32  # attention width
         s = lambda d: math.sqrt(1.0 / d)  # noqa: E731
         self.wq = rng.normal(0, s(f_dim), (k, f_dim))
         self.wk = rng.normal(0, s(t_dim), (k, t_dim))

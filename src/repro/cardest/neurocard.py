@@ -249,33 +249,20 @@ class _TemplateModel:
                 allowed[i] = bins
             else:
                 allowed[i] = np.intersect1d(allowed[i], bins)
+        # Checked before the walk rather than left to it: an empty box must
+        # not draw from the generator (Naru's per-table walk does).
         for bins in allowed:
             if bins is not None and bins.size == 0:
                 return 0.0
-        # Progressive sampling over the MADE.
-        n_cols = len(self.columns)
-        rows = np.zeros((n_samples, n_cols), dtype=int)
-        mass = np.ones(n_samples)
-        for col in range(n_cols):
-            probs = self.net.conditional_distribution(rows, col)
-            if allowed[col] is not None:
-                mask = np.zeros(probs.shape[1])
-                mask[allowed[col]] = 1.0
-                probs = probs * mask[None, :]
-            col_mass = probs.sum(axis=1)
-            mass *= col_mass
-            safe = np.where(col_mass[:, None] > 0, probs, 1.0 / probs.shape[1])
-            safe = safe / safe.sum(axis=1, keepdims=True)
-            cdf = safe.cumsum(axis=1)
-            u = self._rng.random((n_samples, 1))
-            rows[:, col] = (u > cdf).sum(axis=1)
-        return float(mass.mean()) * correction * self.join_size
+        box = self.net.box_probability(allowed, n_samples, self._rng)
+        return box * correction * self.join_size
 
 
 class NeuroCardEstimator(BaseCardinalityEstimator):
     """One autoregressive model per join template (NeuroCard [70])."""
 
     name = "neurocard"
+    inference_samples = 128  # progressive-sampling paths per estimate
 
     def __init__(
         self,
@@ -284,7 +271,6 @@ class NeuroCardEstimator(BaseCardinalityEstimator):
         max_bins: int = 24,
         hidden: tuple[int, ...] = (64,),
         epochs: int = 10,
-        inference_samples: int = 128,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
@@ -292,7 +278,6 @@ class NeuroCardEstimator(BaseCardinalityEstimator):
         self.max_bins = max_bins
         self.hidden = hidden
         self.epochs = epochs
-        self.inference_samples = inference_samples
         self.seed = seed
         self._executor = CardinalityExecutor(db)
         self._templates: dict[tuple, _TemplateModel] = {}

@@ -90,10 +90,10 @@ class LinearQueryEstimator(_SupervisedFlatEstimator):
     """Ridge regression on flat query features (Malik et al. [36])."""
 
     name = "linear"
+    l2 = 1.0  # ridge strength
 
-    def __init__(self, db: Database, l2: float = 1.0) -> None:
+    def __init__(self, db: Database) -> None:
         super().__init__(db)
-        self.l2 = l2
         self._w: np.ndarray | None = None
 
     def _fit_impl(self, x: np.ndarray, y: np.ndarray) -> None:
@@ -179,10 +179,10 @@ class QuickSelEstimator(BaseCardinalityEstimator):
     """
 
     name = "quicksel"
+    l2 = 0.05  # identity trust term of the quadratic program
 
-    def __init__(self, db: Database, l2: float = 0.05) -> None:
+    def __init__(self, db: Database) -> None:
         super().__init__(db)
-        self.l2 = l2
         self._featurizer = FlatQueryFeaturizer(db)
         self._join_sizes = UnfilteredJoinSizes(db)
         # per table: (boxes [m, d, 2], weights [m+1], column order)
@@ -313,13 +313,10 @@ class MSCNEstimator(BaseCardinalityEstimator):
         self._bump_estimates_version()
         return self
 
-    def _featurize_inference(self, query: Query) -> dict:
-        return self.featurizer.featurize(query)
-
     def _estimate(self, query: Query) -> float:
         if not self._fitted:
             raise RuntimeError("MSCN.estimate called before fit")
-        pred = self.net.predict([self._featurize_inference(query)])[0]
+        pred = self.net.predict([self.featurizer.featurize(query)])[0]
         return float(np.expm1(pred * self._max_log))
 
     def _estimate_batch(self, queries: list[Query]) -> np.ndarray:
@@ -372,22 +369,20 @@ class CRNEstimator(BaseCardinalityEstimator):
     """
 
     name = "crn"
+    anchors_per_template = 4
+    max_pairs = 1500  # cap on (anchor, query) training pairs
 
     def __init__(
         self,
         db: Database,
         hidden: tuple[int, ...] = (64, 64),
         epochs: int = 80,
-        anchors_per_template: int = 4,
-        max_pairs: int = 1500,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
         self.featurizer = FlatQueryFeaturizer(db)
         self.hidden = hidden
         self.epochs = epochs
-        self.anchors_per_template = anchors_per_template
-        self.max_pairs = max_pairs
         self.seed = seed
         self._net: MLP | None = None
         # template key -> list of (anchor query, its true cardinality)
@@ -480,23 +475,22 @@ class RobustMSCNEstimator(MSCNEstimator):
     """MSCN trained with query masking (Negi et al. [45]).
 
     Random predicate masking and bitmap dropping during training make the
-    model robust to workload drift: at inference time unseen-looking
-    queries are featurized without sample bitmaps, which [45] shows avoids
-    the catastrophic errors vanilla MSCN makes off-distribution.
+    model lean on schema features, which [45] shows avoids the
+    catastrophic errors vanilla MSCN makes off-distribution.  Inference
+    featurizes exactly as MSCN does.
     """
 
     name = "robust_mscn"
+    train_drop_fraction = 0.3  # share of training queries masked
 
     def __init__(
         self,
         db: Database,
         mask_rate: float = 0.25,
-        train_drop_fraction: float = 0.3,
         **kwargs,
     ) -> None:
         super().__init__(db, **kwargs)
         self.mask_rate = mask_rate
-        self.train_drop_fraction = train_drop_fraction
         self._mask_rng = np.random.default_rng(kwargs.get("seed", 0) + 17)
 
     def _featurize_training(self, queries: list[Query]) -> list[dict]:
@@ -512,11 +506,6 @@ class RobustMSCNEstimator(MSCNEstimator):
                 )
             )
         return samples
-
-    def _featurize_inference(self, query: Query) -> dict:
-        # Masked inference path: rely on schema features only, which
-        # generalizes across distribution shift.
-        return self.featurizer.featurize(query, drop_bitmaps=False)
 
     def estimate_masked(self, query: Query) -> float:
         """Estimate with bitmaps dropped (the drifted-workload path)."""

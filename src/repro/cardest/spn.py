@@ -146,21 +146,21 @@ def _correlation_components(
 class _SPNBuilder:
     """Recursive DeepDB-style structure learner."""
 
+    #: columns correlated above this stay in one component
+    corr_threshold = 0.3
+    #: below this many rows, stop looking for dependence
+    min_rows = 200
+
     def __init__(
         self,
         disc: DiscretizedTable,
-        *,
-        corr_threshold: float,
         factorize_threshold: float | None,
-        min_rows: int,
         max_depth: int,
         alpha: float,
         seed: int,
     ) -> None:
         self.disc = disc
-        self.corr_threshold = corr_threshold
         self.factorize_threshold = factorize_threshold
-        self.min_rows = min_rows
         self.max_depth = max_depth
         self.alpha = alpha
         self.seed = seed
@@ -237,16 +237,12 @@ class _SPNFamilyEstimator(BaseCardinalityEstimator):
         self,
         db: Database,
         max_bins: int = 32,
-        corr_threshold: float = 0.3,
-        min_rows: int = 200,
         max_depth: int = 6,
         alpha: float = 0.1,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
         self.max_bins = max_bins
-        self.corr_threshold = corr_threshold
-        self.min_rows = min_rows
         self.max_depth = max_depth
         self.alpha = alpha
         self.seed = seed
@@ -262,13 +258,7 @@ class _SPNFamilyEstimator(BaseCardinalityEstimator):
                 columns = tbl.column_names[:1]
             disc = DiscretizedTable.build(tbl, max_bins=self.max_bins, columns=columns)
             builder = _SPNBuilder(
-                disc,
-                corr_threshold=self.corr_threshold,
-                factorize_threshold=self._factorize_threshold,
-                min_rows=self.min_rows,
-                max_depth=self.max_depth,
-                alpha=self.alpha,
-                seed=self.seed,
+                disc, self._factorize_threshold, self.max_depth, self.alpha, self.seed
             )
             root = builder.build(
                 np.arange(disc.codes.shape[0]), list(range(len(disc.column_names)))
@@ -317,7 +307,3 @@ class FSPNEstimator(_SPNFamilyEstimator):
 
     name = "fspn"
     _factorize_threshold = 0.6
-
-    def __init__(self, db: Database, factorize_threshold: float = 0.6, **kwargs) -> None:
-        self._factorize_threshold = factorize_threshold
-        super().__init__(db, **kwargs)

@@ -81,14 +81,10 @@ class StringColumn:
         """Exact COUNT(*) of rows matching the predicate."""
         return sum(1 for v in self.values if pred.matches(v))
 
-    def sample_patterns(
-        self,
-        n: int,
-        rng: np.random.Generator,
-        min_len: int = 2,
-        max_len: int = 6,
-    ) -> list[StringPredicate]:
-        """Patterns drawn from the data's own substrings (non-vacuous)."""
+    def sample_patterns(self, n: int, rng: np.random.Generator) -> list[StringPredicate]:
+        """Patterns drawn from the data's own substrings (non-vacuous):
+        2 to 6 characters long, exact matches aside."""
+        min_len, max_len = 2, 6
         kinds = list(StringMatchKind)
         out: list[StringPredicate] = []
         while len(out) < n:
@@ -117,16 +113,17 @@ _SYLLABLES = [
 ]
 
 
-def generate_names(n: int, seed: int = 0, max_syllables: int = 3) -> list[str]:
-    """Synthetic name-like strings with realistic substring frequencies
-    (Zipf-weighted syllables compose into skewed n-gram statistics)."""
+def generate_names(n: int, seed: int = 0) -> list[str]:
+    """Synthetic name-like strings of one to three syllables with realistic
+    substring frequencies (Zipf-weighted syllables compose into skewed
+    n-gram statistics)."""
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, len(_SYLLABLES) + 1, dtype=float)
     probs = ranks**-1.1
     probs /= probs.sum()
     names = []
     for _ in range(n):
-        k = int(rng.integers(1, max_syllables + 1))
+        k = int(rng.integers(1, 3 + 1))
         parts = rng.choice(len(_SYLLABLES), size=k, p=probs)
         names.append("".join(_SYLLABLES[i] for i in parts))
     return names
@@ -136,20 +133,18 @@ class AstridEstimator:
     """Learned string-predicate selectivity (Astrid-lite)."""
 
     name = "astrid"
+    ngram = 3
+    feature_dim = 128  # hashed n-gram buckets
 
     def __init__(
         self,
         column: StringColumn,
         *,
-        ngram: int = 3,
-        feature_dim: int = 128,
         hidden: tuple[int, ...] = (64, 64),
         epochs: int = 120,
         seed: int = 0,
     ) -> None:
         self.column = column
-        self.ngram = ngram
-        self.feature_dim = feature_dim
         self.hidden = hidden
         self.epochs = epochs
         self.seed = seed

@@ -29,31 +29,29 @@ class PlanAutoencoder:
     """Traversal-sequence autoencoder over plans (Saturn-lite)."""
 
     name = "plan_autoencoder"
+    max_nodes = 12  # traversal prefix kept per plan
+    latent_dim = 8
 
     def __init__(
         self,
         featurizer: PlanFeaturizer,
         *,
-        max_nodes: int = 12,
-        latent_dim: int = 8,
         hidden: int = 64,
         seed: int = 0,
     ) -> None:
         self.featurizer = featurizer
-        self.max_nodes = max_nodes
-        self.latent_dim = latent_dim
-        self._in_dim = max_nodes * featurizer.node_dim
+        self._in_dim = self.max_nodes * featurizer.node_dim
         rng = np.random.default_rng(seed)
         self.encoder = Sequential(
             [
                 Dense(self._in_dim, hidden, rng=rng),
                 ReLU(),
-                Dense(hidden, latent_dim, init="xavier", rng=rng),
+                Dense(hidden, self.latent_dim, init="xavier", rng=rng),
             ]
         )
         self.decoder = Sequential(
             [
-                Dense(latent_dim, hidden, rng=rng),
+                Dense(self.latent_dim, hidden, rng=rng),
                 ReLU(),
                 Dense(hidden, self._in_dim, init="xavier", rng=rng),
             ]

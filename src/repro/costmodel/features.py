@@ -108,10 +108,6 @@ class PlanFeaturizer:
         )
         return np.concatenate([self._op_onehot(node), table_onehot, extra])
 
-    @property
-    def transferable_dim(self) -> int:
-        return len(_OPS) + 4
-
     def transferable_node(self, plan: Plan, node: PlanNode) -> np.ndarray:
         """Database-agnostic node features (zero-shot style [16])."""
         est_card = self._card(plan, node)
@@ -135,10 +131,6 @@ class PlanFeaturizer:
         return np.concatenate([self._op_onehot(node), extra])
 
     # -- flat ---------------------------------------------------------------------
-
-    @property
-    def flat_dim(self) -> int:
-        return len(_OPS) + 5
 
     def flat(self, plan: Plan) -> np.ndarray:
         counts = np.zeros(len(_OPS))

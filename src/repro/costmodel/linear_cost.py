@@ -14,10 +14,10 @@ class LinearPlanCostModel:
     """Ridge regression from flat plan features to log latency."""
 
     name = "linear_cost"
+    l2 = 1.0  # ridge strength
 
-    def __init__(self, featurizer: PlanFeaturizer, l2: float = 1.0) -> None:
+    def __init__(self, featurizer: PlanFeaturizer) -> None:
         self.featurizer = featurizer
-        self.l2 = l2
         self._w: np.ndarray | None = None
 
     def fit(self, plans: list[Plan], latencies_ms: np.ndarray) -> "LinearPlanCostModel":

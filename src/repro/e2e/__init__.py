@@ -49,7 +49,7 @@ from repro.e2e.leon import LeonOptimizer
 from repro.e2e.hyperqo import HyperQOOptimizer
 from repro.e2e.autosteer import AutoSteerOptimizer
 from repro.e2e.loger import LogerOptimizer
-from repro.e2e.loop import EpisodeResult, OptimizationLoop
+from repro.e2e.loop import OptimizationLoop
 
 __all__ = [
     "HintSetExploration",
@@ -70,5 +70,4 @@ __all__ = [
     "AutoSteerOptimizer",
     "LogerOptimizer",
     "OptimizationLoop",
-    "EpisodeResult",
 ]

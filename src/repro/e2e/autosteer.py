@@ -18,14 +18,16 @@ from repro.sql.query import Query
 __all__ = ["discover_hint_sets", "AutoSteerOptimizer"]
 
 
-def discover_hint_sets(
-    optimizer: Optimizer, probe_queries: list[Query], max_arms: int = 12
-) -> list[HintSet]:
+#: cap on discovered arms (Bao's hand-curated list is this long too)
+MAX_ARMS = 12
+
+
+def discover_hint_sets(optimizer: Optimizer, probe_queries: list[Query]) -> list[HintSet]:
     """Find operator switches that change plans, build arms from them.
 
     A switch is *impactful* when disabling it alters the plan signature of
     at least one probe query.  Arms = default + each impactful single
-    switch + each valid pair of impactful switches, capped at ``max_arms``.
+    switch + each valid pair of impactful switches, capped at ``MAX_ARMS``.
     """
     if not probe_queries:
         raise ValueError("need at least one probe query")
@@ -48,13 +50,13 @@ def discover_hint_sets(
         arms.append(HintSet(**{flag: False}))
     for i in range(len(impactful)):
         for j in range(i + 1, len(impactful)):
-            if len(arms) >= max_arms:
+            if len(arms) >= MAX_ARMS:
                 break
             try:
                 arms.append(HintSet(**{impactful[i]: False, impactful[j]: False}))
             except ValueError:
                 continue
-    return arms[:max_arms]
+    return arms[:MAX_ARMS]
 
 
 class AutoSteerOptimizer(BaoOptimizer):
@@ -64,11 +66,9 @@ class AutoSteerOptimizer(BaoOptimizer):
         self,
         optimizer: Optimizer,
         probe_queries: list[Query],
-        *,
-        max_arms: int = 12,
         **bao_kwargs,
     ) -> None:
-        arms = discover_hint_sets(optimizer, probe_queries, max_arms=max_arms)
+        arms = discover_hint_sets(optimizer, probe_queries)
         super().__init__(optimizer, arms=arms, **bao_kwargs)
         self.name = "autosteer"
         self.discovered_arms = arms

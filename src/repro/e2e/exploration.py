@@ -103,9 +103,10 @@ class CardinalityScalingExploration:
 class LeadingTableExploration:
     """HyperQO's strategy [72]: leading hints forcing the first table."""
 
-    def __init__(self, optimizer: Optimizer, max_leading: int = 6) -> None:
+    max_leading = 6  # tables tried as the leading one
+
+    def __init__(self, optimizer: Optimizer) -> None:
         self.optimizer = optimizer
-        self.max_leading = max_leading
 
     def candidates(self, query: Query) -> list[CandidatePlan]:
         out = [CandidatePlan(plan=self.optimizer.plan(query), source="default")]
@@ -274,53 +275,47 @@ class TopKDPExploration:
         """The up-to-``keep_k`` surviving full-set ``(root, cost)`` entries."""
         hints = HintSet.default()
         coster = self.optimizer.coster
-        tables = list(query.tables)
         best: dict[frozenset[str], list[tuple[PlanNode, float]]] = {}
         card_of: dict[frozenset[str], float] = {}
-        for t in tables:
-            key = frozenset((t,))
-            best[key] = [_best_scan(query, t, coster, hints)]
-            card_of[key] = coster.subquery_cardinality(query, key)
-        n = len(tables)
-        for size in range(2, n + 1):
-            for combo in combinations(tables, size):
-                subset = frozenset(combo)
-                sub = query.subquery(subset)
-                if not sub.is_connected():
-                    continue
-                card_of[subset] = coster.subquery_cardinality(query, subset)
-                entries: list[tuple[PlanNode, float]] = []
-                members = sorted(subset)
-                for r in range(1, size):
-                    for left_combo in combinations(members[1:], r - 1):
-                        left_set = frozenset((members[0],) + left_combo)
-                        right_set = subset - left_set
-                        if left_set not in best or right_set not in best:
-                            continue
-                        conditions = _join_conditions_between(
-                            query, left_set, right_set
-                        )
-                        if not conditions:
-                            continue
-                        for lcand in best[left_set]:
-                            for rcand in best[right_set]:
-                                cand = _best_join(
-                                    query, lcand, rcand, conditions,
-                                    coster, hints, card_of,
-                                )
-                                if cand is not None:
-                                    entries.append(cand)
-                if entries:
-                    # Dedup by signature, keep top-k by learned ranking.
-                    seen: set[str] = set()
-                    unique = []
-                    for node, cost in sorted(entries, key=lambda e: e[1]):
-                        sig = node.signature()
-                        if sig not in seen:
-                            seen.add(sig)
-                            unique.append((node, cost))
-                    best[subset] = self._rank(query, unique)[: self.keep_k]
-        full = frozenset(tables)
+        for sub in query.connected_subqueries():
+            subset = frozenset(sub.tables)
+            size = len(subset)
+            if size == 1:
+                best[subset] = [_best_scan(query, sub.tables[0], coster, hints)]
+            card_of[subset] = coster.subquery_cardinality(query, subset)
+            # A single table has no partition: the loops below do not run.
+            entries: list[tuple[PlanNode, float]] = []
+            members = sorted(subset)
+            for r in range(1, size):
+                for left_combo in combinations(members[1:], r - 1):
+                    left_set = frozenset((members[0],) + left_combo)
+                    right_set = subset - left_set
+                    if left_set not in best or right_set not in best:
+                        continue
+                    conditions = _join_conditions_between(
+                        query, left_set, right_set
+                    )
+                    if not conditions:
+                        continue
+                    for lcand in best[left_set]:
+                        for rcand in best[right_set]:
+                            cand = _best_join(
+                                query, lcand, rcand, conditions,
+                                coster, hints, card_of,
+                            )
+                            if cand is not None:
+                                entries.append(cand)
+            if entries:
+                # Dedup by signature, keep top-k by learned ranking.
+                seen: set[str] = set()
+                unique = []
+                for node, cost in sorted(entries, key=lambda e: e[1]):
+                    sig = node.signature()
+                    if sig not in seen:
+                        seen.add(sig)
+                        unique.append((node, cost))
+                best[subset] = self._rank(query, unique)[: self.keep_k]
+        full = frozenset(query.tables)
         if full not in best:
             raise ValueError(f"no connected plan covers {query}")
         return best[full]

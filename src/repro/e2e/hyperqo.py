@@ -21,17 +21,13 @@ class HyperQOOptimizer(LearnedOptimizer):
         self,
         optimizer: Optimizer,
         *,
-        max_leading: int = 6,
-        variance_quantile: float = 0.7,
         retrain_every: int = 25,
         seed: int = 0,
     ) -> None:
         featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         super().__init__(
-            exploration=LeadingTableExploration(optimizer, max_leading=max_leading),
-            risk_model=EnsembleLatencyModel(
-                featurizer, variance_quantile=variance_quantile, seed=seed
-            ),
+            exploration=LeadingTableExploration(optimizer),
+            risk_model=EnsembleLatencyModel(featurizer, seed=seed),
             retrain_every=retrain_every,
             name="hyperqo",
         )

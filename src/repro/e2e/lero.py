@@ -52,20 +52,13 @@ class LeroOptimizer(LearnedOptimizer):
         """
         return self.optimizer.cache_stats()
 
-    def train_offline(
-        self,
-        queries,
-        executor,
-        max_candidates_per_query: int = 3,
-    ) -> int:
-        """Lero's pair-collection phase: execute several candidate plans
-        per training query so the comparator sees labelled same-query
+    def train_offline(self, queries, executor) -> int:
+        """Lero's pair-collection phase: execute up to three candidate
+        plans per training query so the comparator sees labelled same-query
         pairs.  ``executor(plan) -> latency_ms``.  Returns the number of
         pairs available after training."""
         for query in queries:
-            candidates = self.exploration.candidates(query)[
-                :max_candidates_per_query
-            ]
+            candidates = self.exploration.candidates(query)[:3]
             if len(candidates) < 2:
                 continue
             for cand in candidates:

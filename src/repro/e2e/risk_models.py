@@ -53,20 +53,20 @@ def _default_scores(candidates: Sequence[CandidatePlan]) -> list[float]:
 class TreeConvLatencyModel:
     """Pointwise tree-conv latency model with optional Thompson sampling."""
 
+    min_observations = 20  # retrain is a no-op below this
+
     def __init__(
         self,
         featurizer: PlanFeaturizer,
-        *,
         n_members: int = 3,
+        *,
         thompson: bool = True,
-        min_observations: int = 20,
         epochs: int = 30,
         lr: float = 1e-3,
         seed: int = 0,
     ) -> None:
         self.featurizer = featurizer
         self.thompson = thompson
-        self.min_observations = min_observations
         self.epochs = epochs
         self.lr = lr
         self._members = [
@@ -245,25 +245,19 @@ class EnsembleLatencyModel:
     are pushed behind the default plan (treated as too risky to pick).
     """
 
+    variance_quantile = 0.7
+
     def __init__(
         self,
         featurizer: PlanFeaturizer,
         *,
-        n_members: int = 4,
-        variance_quantile: float = 0.7,
-        min_observations: int = 20,
         epochs: int = 30,
         seed: int = 0,
     ) -> None:
+        # four heads, one more than Bao's bootstrap ensemble
         self.inner = TreeConvLatencyModel(
-            featurizer,
-            n_members=n_members,
-            thompson=False,
-            min_observations=min_observations,
-            epochs=epochs,
-            seed=seed,
+            featurizer, 4, thompson=False, epochs=epochs, seed=seed
         )
-        self.variance_quantile = variance_quantile
 
     def observe(self, candidate: CandidatePlan, latency_ms: float) -> None:
         self.inner.observe(candidate, latency_ms)

@@ -15,22 +15,17 @@ This package is the stand-in for PostgreSQL's executor.  It provides:
 """
 
 from repro.engine.executor import CardinalityExecutor, execute_cardinality
-from repro.engine.kernels import GroupIndex, KeyIndexCache
-from repro.engine.plans import JoinMethod, JoinNode, Plan, PlanNode, ScanMethod, ScanNode
-from repro.engine.simulator import ExecutionResult, ExecutionSimulator, SimulatorConfig
+from repro.engine.plans import JoinMethod, JoinNode, Plan, ScanMethod, ScanNode
+from repro.engine.simulator import ExecutionSimulator, SimulatorConfig
 
 __all__ = [
     "CardinalityExecutor",
     "execute_cardinality",
-    "GroupIndex",
-    "KeyIndexCache",
     "JoinMethod",
     "JoinNode",
     "Plan",
-    "PlanNode",
     "ScanMethod",
     "ScanNode",
-    "ExecutionResult",
     "ExecutionSimulator",
     "SimulatorConfig",
 ]

@@ -29,10 +29,9 @@ cardinalities (and under serving the query stream is unbounded).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
+from repro.core.lru import BoundedLRU
 from repro.engine.kernels import (
     _INT64_PROMOTE_LIMIT,
     KeyIndexCache,
@@ -138,13 +137,9 @@ class CardinalityExecutor:
             raise ValueError(f"cache_capacity must be positive, got {cache_capacity}")
         self.db = db
         self.max_intermediate_rows = max_intermediate_rows
-        self.cache_capacity = cache_capacity
         self.key_index = key_index if key_index is not None else KeyIndexCache()
-        self._cache: "OrderedDict[Query, int]" = OrderedDict()
+        self._cache = BoundedLRU(cache_capacity)
         self._cache_version = db.data_version
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     def cardinality(self, query: Query) -> int:
         """Exact COUNT(*) of the query.
@@ -158,10 +153,7 @@ class CardinalityExecutor:
             self._cache_version = version
         cached = self._cache.get(query)
         if cached is not None:
-            self._hits += 1
-            self._cache.move_to_end(query)
             return cached
-        self._misses += 1
         if not query.is_connected():
             raise ValueError(
                 f"query join graph is disconnected (cross join unsupported): {query}"
@@ -172,10 +164,7 @@ class CardinalityExecutor:
             result = self._tree_count(query)
         else:
             result = self._materialized_count(query)
-        self._cache[query] = result
-        while len(self._cache) > self.cache_capacity:
-            self._cache.popitem(last=False)
-            self._evictions += 1
+        self._cache.put(query, result)
         return result
 
     def clear_cache(self) -> None:
@@ -185,14 +174,7 @@ class CardinalityExecutor:
 
     def cache_stats(self) -> dict[str, float]:
         """Memo stats in the shape ``render_cache_stats`` expects."""
-        total = self._hits + self._misses
-        return {
-            "entries": len(self._cache),
-            "hits": self._hits,
-            "misses": self._misses,
-            "evictions": self._evictions,
-            "hit_rate": self._hits / total if total else 0.0,
-        }
+        return self._cache.stats()
 
     # -- acyclic: message passing --------------------------------------------------
 

@@ -21,7 +21,8 @@ This module is the single implementation all of them now share:
   past the int64/float64 limits;
 - :func:`compile_predicates` -- predicate conjunctions compiled once into a
   boolean-mask evaluator closure (no per-row, per-call ``Op`` dispatch);
-- :class:`KeyIndexCache` -- a bounded LRU of *full-column* group indexes
+- :class:`KeyIndexCache` -- a bounded LRU (:class:`repro.core.lru.BoundedLRU`,
+  which also backs the executor's memo) of *full-column* group indexes
   keyed by ``(table, column, data_version)``, with :meth:`~KeyIndexCache.
   restricted` deriving the index of any filtered row subset in O(n) from
   the cached O(n log n) sort.  Data mutations bump ``data_version``, so
@@ -34,12 +35,12 @@ kernels honest.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from repro.core.lru import BoundedLRU
 from repro.sql.query import Op
 from repro.storage.table import Table
 
@@ -105,10 +106,6 @@ class GroupIndex:
         start = np.concatenate(([0], boundary)).astype(np.int64)
         length = np.diff(np.append(start, sorted_keys.shape[0])).astype(np.int64)
         return cls(sorted_keys[start], start, length, perm.astype(np.int64))
-
-    @property
-    def n_keys(self) -> int:
-        return int(self.uniq.shape[0])
 
 
 def match_counts(
@@ -254,7 +251,7 @@ def compile_predicates(predicates) -> Callable[[Table], np.ndarray] | None:
 # -- the key-index cache ------------------------------------------------------------
 
 
-class KeyIndexCache:
+class KeyIndexCache(BoundedLRU):
     """Bounded LRU of full-column :class:`GroupIndex` objects.
 
     Keys are ``(table_name, column, data_version)``: the ``argsort`` of a
@@ -262,32 +259,20 @@ class KeyIndexCache:
     per join per plan.  :meth:`restricted` then derives the group index of
     any *filtered* row subset from the cached full-column sort in linear
     time -- the filtered rows are walked in cached key order, so no new
-    sort is ever needed on the hot path.
+    sort is ever needed on the hot path.  Eviction, counters and
+    ``stats()`` are :class:`~repro.core.lru.BoundedLRU`'s.
     """
 
     def __init__(self, capacity: int = 512) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[tuple, GroupIndex]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(capacity)
 
     def full(self, table: Table, column: str) -> GroupIndex:
         """The (cached) group index over the whole column."""
         key = (table.name, column, table.data_version)
-        index = self._entries.get(key)
-        if index is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return index
-        self.misses += 1
-        index = GroupIndex.from_keys(table.values(column))
-        self._entries[key] = index
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        index = self.get(key)
+        if index is None:
+            index = GroupIndex.from_keys(table.values(column))
+            self.put(key, index)
         return index
 
     def restricted(self, table: Table, column: str, rows: np.ndarray) -> GroupIndex:
@@ -318,20 +303,3 @@ class KeyIndexCache:
         perm = position_of[rows_in_key_order]
         sorted_keys = table.values(column)[rows_in_key_order]
         return GroupIndex._from_sorted(sorted_keys, perm)
-
-    def stats(self) -> dict[str, float]:
-        total = self.hits + self.misses
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hits / total if total else 0.0,
-        }
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept; they describe the session)."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)

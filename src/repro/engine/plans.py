@@ -140,18 +140,7 @@ class Plan:
 
     def join_order(self) -> list[str]:
         """Base tables in left-to-right leaf order."""
-        order: list[str] = []
-
-        def visit(node: PlanNode) -> None:
-            if isinstance(node, ScanNode):
-                order.append(node.table)
-            else:
-                assert isinstance(node, JoinNode)
-                visit(node.left)
-                visit(node.right)
-
-        visit(self.root)
-        return order
+        return [scan.table for scan in self.scan_nodes()]
 
     def scan_nodes(self) -> list[ScanNode]:
         return [n for n in self.walk() if isinstance(n, ScanNode)]
@@ -180,8 +169,3 @@ class Plan:
 
         visit(self.root, 0)
         return "\n".join(lines)
-
-
-def scan_for(query: Query, table: str, method: ScanMethod = ScanMethod.SEQ) -> ScanNode:
-    """Build a scan node with the query's predicates on ``table`` pushed down."""
-    return ScanNode(table=table, method=method, predicates=query.predicates_on(table))

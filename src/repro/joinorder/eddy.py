@@ -33,7 +33,6 @@ class EddyJoinOrderSearch:
         self,
         optimizer: Optimizer,
         *,
-        chunk_size: int = 64,
         n_chunks: int = 12,
         alpha: float = 0.4,
         epsilon: float = 0.25,
@@ -41,7 +40,6 @@ class EddyJoinOrderSearch:
     ) -> None:
         self.optimizer = optimizer
         self.executor = CardinalityExecutor(optimizer.db)
-        self.chunk_size = chunk_size
         self.n_chunks = n_chunks
         self.alpha = alpha
         self.epsilon = epsilon

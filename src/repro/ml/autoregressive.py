@@ -16,8 +16,9 @@ property is enforced with MADE-style binary masks on the dense layers:
   (strict, so block ``i`` never sees column ``i`` or later).
 
 Training maximizes the exact data log-likelihood (sum of per-column
-cross-entropies).  Inference for range queries is done by the caller via
-progressive sampling (see ``repro.cardest.datadriven``).
+cross-entropies).  Inference for range queries is progressive sampling
+(:meth:`MaskedAutoregressiveNetwork.box_probability`), the one loop the
+Naru, NeuroCard and UAE estimators share.
 """
 
 from __future__ import annotations
@@ -157,19 +158,6 @@ class MaskedAutoregressiveNetwork:
         logits = self.forward(self.encode(rows))
         return _softmax(self.column_logits(logits, col))
 
-    def log_prob(self, rows: np.ndarray) -> np.ndarray:
-        """Exact log P(row) for each integer row, ``[n]``."""
-        rows = np.asarray(rows, dtype=int)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        logits = self.forward(self.encode(rows))
-        n = rows.shape[0]
-        total = np.zeros(n)
-        for i in range(self.n_cols):
-            block = _log_softmax(self.column_logits(logits, i))
-            total += block[np.arange(n), rows[:, i]]
-        return total
-
     # -- training -------------------------------------------------------------------
 
     def _loss_and_backward(self, rows: np.ndarray) -> float:
@@ -208,7 +196,6 @@ class MaskedAutoregressiveNetwork:
         epochs: int = 20,
         batch_size: int = 256,
         lr: float = 8e-3,
-        verbose: bool = False,
     ) -> list[float]:
         """Maximum-likelihood training on integer-coded rows."""
         rows = np.asarray(rows, dtype=int)
@@ -220,7 +207,7 @@ class MaskedAutoregressiveNetwork:
         params = self.weights + self.biases
         losses: list[float] = []
         n = rows.shape[0]
-        for epoch in range(epochs):
+        for _ in range(epochs):
             order = self._rng.permutation(n)
             total, batches = 0.0, 0
             for start in range(0, n, batch_size):
@@ -230,19 +217,43 @@ class MaskedAutoregressiveNetwork:
                 opt.step(params, grads)
                 batches += 1
             losses.append(total / max(batches, 1))
-            if verbose:
-                print(f"made epoch {epoch}: nll={losses[-1]:.4f}")
         return losses
 
-    # -- sampling ------------------------------------------------------------------
+    # -- inference ----------------------------------------------------------------
 
-    def sample(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Draw ``n`` rows from the learned joint distribution."""
-        rng = rng if rng is not None else self._rng
-        rows = np.zeros((n, self.n_cols), dtype=int)
+    def box_probability(
+        self,
+        allowed: Sequence[np.ndarray | None],
+        n_samples: int,
+        rng: np.random.Generator,
+    ) -> float:
+        """Progressive-sampling estimate of ``P(X in box)`` (Naru [71]).
+
+        ``allowed[col]`` holds the admissible values of column ``col``, or
+        None for an unconstrained column.  Columns are walked in
+        factorization order, ``n_samples`` prefixes at a time, each drawing
+        its next value from the conditional restricted to the box.  An empty
+        ``allowed[col]`` returns 0.0 when the walk *reaches* that column,
+        after ``rng`` has been drawn from for the earlier ones.
+        """
+        rows = np.zeros((n_samples, self.n_cols), dtype=int)
+        mass = np.ones(n_samples)
         for col in range(self.n_cols):
             probs = self.conditional_distribution(rows, col)
-            cdf = probs.cumsum(axis=1)
-            u = rng.random((n, 1))
+            bins = allowed[col]
+            if bins is not None:
+                if bins.size == 0:
+                    return 0.0
+                mask = np.zeros(probs.shape[1])
+                mask[bins] = 1.0
+                probs = probs * mask[None, :]
+            col_mass = probs.sum(axis=1)
+            mass *= col_mass
+            # Renormalize and sample the next prefix value; dead paths
+            # (zero mass) sample from anything, their weight is already 0.
+            safe = np.where(col_mass[:, None] > 0, probs, 1.0 / probs.shape[1])
+            safe = safe / safe.sum(axis=1, keepdims=True)
+            cdf = safe.cumsum(axis=1)
+            u = rng.random((n_samples, 1))
             rows[:, col] = (u > cdf).sum(axis=1)
-        return rows
+        return float(mass.mean())

@@ -14,11 +14,12 @@ class KMeans:
     point farthest from its assigned centroid.
     """
 
-    def __init__(self, n_clusters: int, max_iter: int = 100, seed: int = 0) -> None:
+    max_iter = 100
+
+    def __init__(self, n_clusters: int, seed: int = 0) -> None:
         if n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         self.n_clusters = n_clusters
-        self.max_iter = max_iter
         self.seed = seed
         self.centroids_: np.ndarray | None = None
         self.labels_: np.ndarray | None = None

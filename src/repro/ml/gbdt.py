@@ -82,7 +82,6 @@ def _grow(
     order: np.ndarray,
     max_depth: int,
     min_samples_leaf: int,
-    min_gain: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Grow one tree on ``rows`` and return its pre-order node arrays.
 
@@ -143,10 +142,10 @@ def _grow(
         right_sse = right_sq - right_sum**2 / (n - k)
         gains = np.where(valid, base_sse - left_sse - right_sse, -np.inf)
         # First maximum per feature, then the first feature that beats
-        # min_gain with the strictly largest one.
+        # _MIN_GAIN with the strictly largest one.
         cut = gains.argmax(axis=1)
         best_gain = gains[np.arange(feats.size), cut]
-        best_gain = np.where(best_gain > min_gain, best_gain, -np.inf)
+        best_gain = np.where(best_gain > _MIN_GAIN, best_gain, -np.inf)
         f = int(best_gain.argmax())
         if best_gain[f] == -np.inf:
             continue
@@ -209,12 +208,10 @@ class RegressionTree:
         self,
         max_depth: int = 4,
         min_samples_leaf: int = 5,
-        min_gain: float = _MIN_GAIN,
     ) -> None:
         _check_non_negative(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.min_gain = min_gain
         self.feature, self.threshold, self.children, self.value, self.depth_ = (
             _no_nodes()
         )
@@ -230,7 +227,6 @@ class RegressionTree:
             order,
             self.max_depth,
             self.min_samples_leaf,
-            self.min_gain,
         )
         self.n_features_ = x.shape[1]
         return self
@@ -318,7 +314,6 @@ class GradientBoostedTrees:
                 stage_order,
                 self.max_depth,
                 self.min_samples_leaf,
-                _MIN_GAIN,
             )
             leaf = _descend(x, feature, threshold, children, root, depth)
             pred += self.learning_rate * value[leaf]

@@ -2,8 +2,8 @@
 
 Implements exactly what the learned-query-optimizer models in this repository
 need: dense layers, common activations, dropout, the Adam optimizer, and a
-convenience :class:`MLP` wrapper with mini-batch training, early stopping and
-both MSE and q-error-style losses.
+convenience :class:`MLP` wrapper (ReLU hidden layers, standardized inputs)
+with mini-batch training, early stopping and MSE / MAE / BCE losses.
 
 The design follows the classic layer protocol: each layer exposes
 ``forward(x, training)`` and ``backward(grad)``; ``backward`` must be called
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,18 +23,14 @@ __all__ = [
     "Layer",
     "Dense",
     "ReLU",
-    "LeakyReLU",
     "Sigmoid",
     "Tanh",
     "Dropout",
-    "LayerNorm",
     "Sequential",
     "Adam",
-    "SGD",
     "MLP",
     "mse_loss",
     "mae_loss",
-    "q_error_loss",
     "binary_cross_entropy_loss",
 ]
 
@@ -112,18 +108,6 @@ class ReLU(Layer):
         return grad * self._mask
 
 
-class LeakyReLU(Layer):
-    def __init__(self, alpha: float = 0.01) -> None:
-        self.alpha = alpha
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.alpha * x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad, self.alpha * grad)
-
-
 class Sigmoid(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # Numerically stable sigmoid.
@@ -172,42 +156,6 @@ class Dropout(Layer):
         return grad * self._mask
 
 
-class LayerNorm(Layer):
-    """Layer normalization over the feature axis."""
-
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
-        self.gamma = np.ones(dim)
-        self.beta = np.zeros(dim)
-        self.dgamma = np.zeros(dim)
-        self.dbeta = np.zeros(dim)
-        self.eps = eps
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mu = x.mean(axis=-1, keepdims=True)
-        self._var = x.var(axis=-1, keepdims=True)
-        self._xhat = (x - self._mu) / np.sqrt(self._var + self.eps)
-        return self.gamma * self._xhat + self.beta
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        xhat, var = self._xhat, self._var
-        n = xhat.shape[-1]
-        self.dgamma = (grad * xhat).sum(axis=tuple(range(grad.ndim - 1)))
-        self.dbeta = grad.sum(axis=tuple(range(grad.ndim - 1)))
-        dxhat = grad * self.gamma
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        return (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        ) * inv_std
-
-    def parameters(self) -> list[np.ndarray]:
-        return [self.gamma, self.beta]
-
-    def gradients(self) -> list[np.ndarray]:
-        return [self.dgamma, self.dbeta]
-
-
 class Sequential(Layer):
     """A simple container running layers in order."""
 
@@ -231,37 +179,19 @@ class Sequential(Layer):
         return [g for layer in self.layers for g in layer.gradients()]
 
 
-class SGD:
-    """Plain SGD with optional momentum."""
-
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: list[np.ndarray] | None = None
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if self._velocity is None:
-            self._velocity = [np.zeros_like(p) for p in params]
-        for p, g, v in zip(params, grads, self._velocity):
-            v *= self.momentum
-            v -= self.lr * g
-            p += v
-
-
 class Adam:
     """Adam optimizer (Kingma & Ba) operating in-place on parameter arrays."""
+
+    beta1 = 0.9
+    beta2 = 0.999
 
     def __init__(
         self,
         lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
         self._m: list[np.ndarray] | None = None
@@ -302,16 +232,6 @@ def mae_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.abs(diff).mean()), np.sign(diff) / n
 
 
-def q_error_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Symmetric log-space loss: MSE on values already in log space.
-
-    Minimizing squared error in log space directly minimizes
-    ``log(q_error)^2`` when both pred and target are log-cardinalities, which
-    is the standard training objective for learned cardinality estimators.
-    """
-    return mse_loss(pred, target)
-
-
 def binary_cross_entropy_loss(
     pred: np.ndarray, target: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -327,7 +247,6 @@ def binary_cross_entropy_loss(
 _LOSSES: dict[str, Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]] = {
     "mse": mse_loss,
     "mae": mae_loss,
-    "q_error": q_error_loss,
     "bce": binary_cross_entropy_loss,
 }
 
@@ -356,16 +275,11 @@ class MLP:
         Sizes of hidden layers, e.g. ``(64, 64)``.
     out_dim:
         Output dimension (1 for scalar regression).
-    activation:
-        ``"relu"``, ``"tanh"`` or ``"sigmoid"``.
     output_activation:
-        Optional activation on the output layer (``"sigmoid"`` for
-        probabilities, ``None`` for regression).
-    dropout:
-        Dropout rate applied after each hidden activation.
+        ``"sigmoid"`` for probabilities, ``None`` for regression.
     seed:
-        Seed for weight init, batching and dropout; training is deterministic
-        for a fixed seed.
+        Seed for weight init and batching; training is deterministic for a
+        fixed seed.
     """
 
     def __init__(
@@ -374,30 +288,23 @@ class MLP:
         hidden: Sequence[int] = (64, 64),
         out_dim: int = 1,
         *,
-        activation: str = "relu",
         output_activation: str | None = None,
-        dropout: float = 0.0,
         seed: int = 0,
     ) -> None:
         self.in_dim = in_dim
         self.out_dim = out_dim
         rng = np.random.default_rng(seed)
-        acts = {"relu": ReLU, "tanh": Tanh, "sigmoid": Sigmoid, "leaky_relu": LeakyReLU}
-        if activation not in acts:
-            raise ValueError(f"unknown activation {activation!r}")
         layers: list[Layer] = []
         prev = in_dim
         for width in hidden:
             layers.append(Dense(prev, width, rng=rng))
-            layers.append(acts[activation]())
-            if dropout > 0.0:
-                layers.append(Dropout(dropout, rng=rng))
+            layers.append(ReLU())
             prev = width
         layers.append(Dense(prev, out_dim, init="xavier", rng=rng))
-        if output_activation is not None:
-            if output_activation not in acts:
-                raise ValueError(f"unknown output activation {output_activation!r}")
-            layers.append(acts[output_activation]())
+        if output_activation == "sigmoid":
+            layers.append(Sigmoid())
+        elif output_activation is not None:
+            raise ValueError(f"unknown output activation {output_activation!r}")
         self.net = Sequential(layers)
         self._rng = rng
         self._x_mean: np.ndarray | None = None
@@ -431,8 +338,6 @@ class MLP:
         val_fraction: float = 0.0,
         patience: int = 10,
         sample_weight: np.ndarray | None = None,
-        normalize: bool = True,
-        verbose: bool = False,
     ) -> TrainLog:
         """Train with Adam and mini-batches; returns a :class:`TrainLog`.
 
@@ -451,8 +356,7 @@ class MLP:
             raise ValueError(f"unknown loss {loss!r}; choose from {sorted(_LOSSES)}")
         loss_fn = _LOSSES[loss]
 
-        if normalize:
-            self._fit_normalizer(x)
+        self._fit_normalizer(x)
         x = self._normalize(x)
 
         if sample_weight is not None:
@@ -478,7 +382,7 @@ class MLP:
         best_params: list[np.ndarray] | None = None
         bad_epochs = 0
 
-        for epoch in range(epochs):
+        for _ in range(epochs):
             order = self._rng.permutation(n)
             epoch_loss = 0.0
             n_batches = 0
@@ -509,8 +413,6 @@ class MLP:
                     if bad_epochs >= patience:
                         log.stopped_early = True
                         break
-            if verbose and epoch % 10 == 0:
-                print(f"epoch {epoch}: loss={log.train_losses[-1]:.6f}")
 
         if best_params is not None:
             for p, best in zip(self.net.parameters(), best_params):
@@ -526,20 +428,3 @@ class MLP:
         if self.out_dim == 1:
             out = out[:, 0]
         return out[0] if single else out
-
-    # -- (de)serialization ---------------------------------------------------
-
-    def get_weights(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.net.parameters()]
-
-    def set_weights(self, weights: Iterable[np.ndarray]) -> None:
-        params = self.net.parameters()
-        weights = list(weights)
-        if len(weights) != len(params):
-            raise ValueError(
-                f"expected {len(params)} weight arrays, got {len(weights)}"
-            )
-        for p, w in zip(params, weights):
-            if p.shape != w.shape:
-                raise ValueError(f"shape mismatch: {p.shape} vs {w.shape}")
-            p[...] = w

@@ -255,7 +255,6 @@ class SetConvNet:
         batch_size: int = 64,
         lr: float = 1e-3,
         seed: int = 0,
-        verbose: bool = False,
     ) -> list[float]:
         """Train on per-query set dicts with targets ``y`` in ``[0, 1]``."""
         y = np.asarray(y, dtype=float)
@@ -269,7 +268,7 @@ class SetConvNet:
         opt = Adam(lr=lr)
         losses: list[float] = []
         n = len(samples)
-        for epoch in range(epochs):
+        for _ in range(epochs):
             order = rng.permutation(n)
             total, batches = 0.0, 0
             for start in range(0, n, batch_size):
@@ -284,8 +283,6 @@ class SetConvNet:
                 total += value
                 batches += 1
             losses.append(total / max(batches, 1))
-            if verbose and epoch % 10 == 0:
-                print(f"setconv epoch {epoch}: loss={losses[-1]:.6f}")
         return losses
 
     def predict(self, samples: Sequence[Mapping[str, np.ndarray]]) -> np.ndarray:

@@ -228,7 +228,7 @@ class _TreeConvLayer:
         out[1:] = pre * self._mask
         return out
 
-    def backward(self, grad_out: np.ndarray, *, input_grad: bool = True):
+    def backward(self, grad_out: np.ndarray, input_grad: bool):
         # grad_out: [1+N, out_dim]; row 0 is ignored (null node has no grad).
         g = grad_out[1:] * self._mask
         np.matmul(self._concat.T, g, out=self.dw)
@@ -257,7 +257,7 @@ class _DenseRelu:
     """Dense + optional ReLU used in the pooled head (buffers as above)."""
 
     def __init__(
-        self, in_dim: int, out_dim: int, rng: np.random.Generator, relu: bool = True
+        self, in_dim: int, out_dim: int, rng: np.random.Generator, relu: bool
     ) -> None:
         scale = math.sqrt(2.0 / in_dim) if relu else math.sqrt(1.0 / in_dim)
         self.w = rng.normal(0.0, scale, size=(in_dim, out_dim))
@@ -427,7 +427,6 @@ class TreeConvNet:
         lr: float = 1e-3,
         loss: str = "mse",
         seed: int = 0,
-        verbose: bool = False,
     ) -> list[float]:
         """Train on a corpus of trees; returns per-epoch losses."""
         y = np.asarray(y, dtype=float)
@@ -446,7 +445,7 @@ class TreeConvNet:
         params, grads = [self.flat_params], [self.flat_grads]
         losses: list[float] = []
         n = len(corpus)
-        for epoch in range(epochs):
+        for _ in range(epochs):
             order = rng.permutation(n)
             y_epoch = y[order]
             total, batches = 0.0, 0
@@ -459,8 +458,6 @@ class TreeConvNet:
                 total += value
                 batches += 1
             losses.append(total / max(batches, 1))
-            if verbose and epoch % 10 == 0:
-                print(f"treeconv epoch {epoch}: loss={losses[-1]:.6f}")
         return losses
 
     def predict(self, trees: Sequence[Tree]) -> np.ndarray:

@@ -14,28 +14,21 @@ The planner accepts two steering surfaces used by every learned method:
   (Bao's steering knob).
 """
 
-from repro.optimizer.statistics import ColumnStats, DatabaseStats, TableStats
+from repro.optimizer.statistics import DatabaseStats
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
 from repro.optimizer.cardcache import CardinalityCache
-from repro.optimizer.cost import PlanCoster
 from repro.optimizer.hints import HintSet
 from repro.optimizer.plancache import PlanCache, rebind_plan
 from repro.optimizer.planner import Optimizer
-from repro.optimizer.risk import RISK_MODES, RiskCard, RiskCoster, RiskLambdaTuner
+from repro.optimizer.risk import RiskLambdaTuner
 
 __all__ = [
-    "RISK_MODES",
-    "RiskCard",
-    "RiskCoster",
     "RiskLambdaTuner",
-    "ColumnStats",
-    "TableStats",
     "DatabaseStats",
     "TraditionalCardinalityEstimator",
     "CardinalityCache",
     "PlanCache",
     "rebind_plan",
-    "PlanCoster",
     "HintSet",
     "Optimizer",
 ]

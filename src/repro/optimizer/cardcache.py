@@ -19,19 +19,21 @@ deployment manager's canary split and the experience store's dedup use, so
 the repository has exactly one query-identity scheme.  Refits, feedback,
 injected overrides and data drift all invalidate naturally -- stale
 entries are simply never looked up again and age out of the LRU ring.
+The ring itself -- eviction order, the hit / miss / eviction counters and the
+``stats()`` dict -- is :class:`repro.core.lru.BoundedLRU`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable
 
+from repro.core.lru import BoundedLRU
 from repro.sql.query import Query, query_hash
 
 __all__ = ["CardinalityCache"]
 
 
-class CardinalityCache:
+class CardinalityCache(BoundedLRU):
     """Bounded LRU map from (estimator tag, sub-query) to cardinality.
 
     Parameters
@@ -43,32 +45,14 @@ class CardinalityCache:
     """
 
     def __init__(self, capacity: int = 100_000) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[tuple, float]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(capacity)
 
     def lookup(self, tag: tuple, query: Query) -> float | None:
         """Cached cardinality, or None; counts a hit or a miss either way."""
-        key = (tag, query_hash(query))
-        value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return value
+        return self.get((tag, query_hash(query)))
 
     def insert(self, tag: tuple, query: Query, value: float) -> None:
-        key = (tag, query_hash(query))
-        self._entries[key] = float(value)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        self.put((tag, query_hash(query)), float(value))
 
     def get_or_compute(
         self, tag: tuple, query: Query, compute: Callable[[Query], float]
@@ -79,30 +63,9 @@ class CardinalityCache:
             self.insert(tag, query, value)
         return value
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept; they describe the session)."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __repr__(self) -> str:
         return (
-            f"CardinalityCache(entries={len(self._entries)}, "
+            f"CardinalityCache(entries={len(self)}, "
             f"hits={self.hits}, misses={self.misses}, "
             f"evictions={self.evictions})"
         )

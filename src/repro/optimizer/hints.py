@@ -8,7 +8,7 @@ Bao-style optimizer chooses among.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.engine.plans import JoinMethod, ScanMethod
 
@@ -100,7 +100,3 @@ class HintSet:
         arms.append(cls(enable_merge_join=False, enable_seq_scan=False))
         arms.append(cls(enable_hash_join=False, enable_index_scan=False))
         return arms
-
-    def without(self, **flags: bool) -> "HintSet":
-        """Return a copy with the given flags replaced."""
-        return replace(self, **flags)

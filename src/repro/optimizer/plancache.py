@@ -18,13 +18,17 @@ invalidates naturally).  Deployment-stage changes call
 :meth:`PlanCache.invalidate` explicitly -- a stage flip swaps which
 optimizer serves, and plans chosen by the previous stage must not leak
 into the next one's measurements.
+
+The LRU, its counters and ``stats()`` are :class:`repro.core.lru.BoundedLRU`;
+:meth:`repro.optimizer.Optimizer.plan_cached` is the one caller that builds
+the key and goes through :meth:`PlanCache.get_or_plan`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable
 
+from repro.core.lru import BoundedLRU
 from repro.engine.plans import JoinNode, Plan, PlanNode, ScanNode
 from repro.sql.query import Query
 
@@ -65,23 +69,18 @@ def rebind_plan(plan: Plan, query: Query) -> Plan:
     return Plan(query=query, root=rebuild(plan.root))
 
 
-class PlanCache:
+class PlanCache(BoundedLRU):
     """Bounded LRU from (template, optimizer tag, data version) to plans.
 
-    Follows the :class:`~repro.optimizer.cardcache.CardinalityCache`
-    reporting idiom: hit/miss/eviction counters, a ``stats()`` dict in
-    ``render_cache_stats`` shape (plus ``invalidations``), counters that
-    survive :meth:`clear`/:meth:`invalidate`.
+    The LRU and its hit/miss/eviction counters are
+    :class:`~repro.core.lru.BoundedLRU`'s, as for the
+    :class:`~repro.optimizer.cardcache.CardinalityCache`; ``stats()`` adds
+    ``invalidations``, and every counter survives
+    :meth:`clear`/:meth:`invalidate`.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[tuple, Plan]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(capacity)
         self.invalidations = 0
         self.last_invalidation_reason: str | None = None
 
@@ -91,22 +90,11 @@ class PlanCache:
 
     def lookup(self, query: Query, tag: tuple, data_version: int) -> Plan | None:
         """Cached plan rebound to ``query``, or None; counts hit or miss."""
-        key = self._key(query, tag, data_version)
-        plan = self._entries.get(key)
-        if plan is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return rebind_plan(plan, query)
+        plan = self.get(self._key(query, tag, data_version))
+        return None if plan is None else rebind_plan(plan, query)
 
     def insert(self, query: Query, tag: tuple, data_version: int, plan: Plan) -> None:
-        key = self._key(query, tag, data_version)
-        self._entries[key] = plan
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        self.put(self._key(query, tag, data_version), plan)
 
     def get_or_plan(
         self,
@@ -125,34 +113,15 @@ class PlanCache:
 
     def invalidate(self, reason: str | None = None) -> None:
         """Drop every entry (stage change, manual flush); keep counters."""
-        self._entries.clear()
+        self.clear()
         self.invalidations += 1
         self.last_invalidation_reason = reason
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict[str, float]:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-            "invalidations": self.invalidations,
-        }
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept; they describe the session)."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return {**super().stats(), "invalidations": self.invalidations}
 
     def __repr__(self) -> str:
         return (
-            f"PlanCache(entries={len(self._entries)}, hits={self.hits}, "
+            f"PlanCache(entries={len(self)}, hits={self.hits}, "
             f"misses={self.misses}, evictions={self.evictions})"
         )

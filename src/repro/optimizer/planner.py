@@ -22,7 +22,7 @@ import math
 from itertools import combinations
 from typing import Sequence
 
-from repro.core.interfaces import CardinalityEstimator
+from repro.core.interfaces import CardinalityEstimator, estimator_cache_tag
 from repro.engine.cost_formulas import CostConstants
 from repro.engine.plans import (
     JoinMethod,
@@ -35,6 +35,7 @@ from repro.engine.plans import (
 from repro.optimizer.cardcache import CardinalityCache
 from repro.optimizer.cost import PlanCoster
 from repro.optimizer.hints import HintSet
+from repro.optimizer.plancache import PlanCache
 from repro.optimizer.risk import RISK_MODES, RiskCoster
 from repro.optimizer.statistics import DatabaseStats
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
@@ -88,18 +89,11 @@ def _best_join(
     coster: PlanCoster,
     hints: HintSet,
     card_of: dict[frozenset[str], float],
-    *,
-    allow_swap: bool = True,
 ) -> tuple[JoinNode, float] | None:
-    """Cheapest allowed join combining the two sub-plans.
-
-    ``allow_swap=False`` pins the orientation (needed by left-deep
-    enumeration, where the inner/right side must stay a base relation).
-    """
+    """Cheapest allowed join combining the two sub-plans, either way round."""
     best: tuple[JoinNode, float] | None = None
     out_card = card_of[left[0].tables | right[0].tables]
-    orientations = ((left, right), (right, left)) if allow_swap else ((left, right),)
-    for (a, ca), (b, cb) in orientations:
+    for (a, ca), (b, cb) in ((left, right), (right, left)):
         for method in hints.join_methods:
             op_cost = coster.join_operator_cost(
                 method, card_of[a.tables], card_of[b.tables], out_card, b
@@ -135,22 +129,12 @@ def enumerate_dp_arms(
     if not arms:
         raise ValueError("need at least one hint set")
     tables = list(query.tables)
-    n = len(tables)
 
-    # Enumerate every connected subset up front and prime their estimated
-    # cardinalities in one batched call: cache hits are answered directly
-    # and the misses go through the estimator's ``estimate_batch`` as a
-    # single featurization + forward pass instead of one call per subset.
-    by_size: dict[int, list[frozenset[str]]] = {}
-    connected: list[frozenset[str]] = [frozenset((t,)) for t in tables]
-    for size in range(2, n + 1):
-        sized: list[frozenset[str]] = []
-        for combo in combinations(tables, size):
-            subset = frozenset(combo)
-            if query.subquery(subset).is_connected():
-                sized.append(subset)
-        by_size[size] = sized
-        connected.extend(sized)
+    # Prime the estimated cardinalities of every connected subset in one
+    # batched call: cache hits are answered directly and the misses go
+    # through the estimator's ``estimate_batch`` as a single featurization
+    # + forward pass instead of one call per subset.
+    connected = [frozenset(sub.tables) for sub in query.connected_subqueries()]
     card_of = coster.subquery_cardinalities(query, connected)
 
     # One lane per distinct arm; ``costs[subset][lane]`` / ``choices[subset]
@@ -184,53 +168,55 @@ def enumerate_dp_arms(
     allowed = [arm.join_methods for arm in distinct]
     methods = [m for m in JoinMethod if any(m in ms for ms in allowed)]
     lane_methods = [[methods.index(m) for m in ms] for ms in allowed]
-    for size in range(2, n + 1):
-        for subset in by_size[size]:
-            best_cost = [math.inf] * len(distinct)
-            best_choice: list = [None] * len(distinct)
-            out_card = card_of[subset]
-            # All partitions into two connected, joined halves.
-            members = sorted(subset)
-            for r in range(1, size):
-                for left_combo in combinations(members[1:], r - 1):
-                    left_set = frozenset((members[0],) + left_combo)
-                    right_set = subset - left_set
-                    if left_deep_only and len(right_set) != 1:
-                        continue
-                    if left_set not in costs or right_set not in costs:
-                        continue
-                    conditions = _join_conditions_between(query, left_set, right_set)
-                    if not conditions:
-                        continue
-                    # Left-deep pins the orientation: the inner/right side
-                    # must stay a base relation.
-                    orientations = (
-                        ((left_set, right_set),)
-                        if left_deep_only
-                        else ((left_set, right_set), (right_set, left_set))
-                    )
-                    for a, b in orientations:
-                        # The operator cost depends on the inner side only
-                        # through "is it a base-table scan, of which table".
-                        inner = choices[b][0] if len(b) == 1 else None
-                        op_costs = [
-                            coster.join_operator_cost(
-                                m, card_of[a], card_of[b], out_card, inner
-                            )
-                            for m in methods
-                        ]
-                        cost_a, cost_b = costs[a], costs[b]
-                        for lane in lanes:
-                            inputs = cost_a[lane] + cost_b[lane]
-                            for i in lane_methods[lane]:
-                                total = inputs + op_costs[i]
-                                # The first candidate wins whatever it costs.
-                                if best_choice[lane] is None or total < best_cost[lane]:
-                                    best_cost[lane] = total
-                                    best_choice[lane] = (a, b, methods[i], conditions)
-            if best_choice[0] is not None:
-                costs[subset] = best_cost
-                choices[subset] = best_choice
+    # Sizes ascending, so both halves of a partition are priced already;
+    # the singletons come first and were priced above.
+    for subset in connected[len(tables) :]:
+        size = len(subset)
+        best_cost = [math.inf] * len(distinct)
+        best_choice: list = [None] * len(distinct)
+        out_card = card_of[subset]
+        # All partitions into two connected, joined halves.
+        members = sorted(subset)
+        for r in range(1, size):
+            for left_combo in combinations(members[1:], r - 1):
+                left_set = frozenset((members[0],) + left_combo)
+                right_set = subset - left_set
+                if left_deep_only and len(right_set) != 1:
+                    continue
+                if left_set not in costs or right_set not in costs:
+                    continue
+                conditions = _join_conditions_between(query, left_set, right_set)
+                if not conditions:
+                    continue
+                # Left-deep pins the orientation: the inner/right side
+                # must stay a base relation.
+                orientations = (
+                    ((left_set, right_set),)
+                    if left_deep_only
+                    else ((left_set, right_set), (right_set, left_set))
+                )
+                for a, b in orientations:
+                    # The operator cost depends on the inner side only
+                    # through "is it a base-table scan, of which table".
+                    inner = choices[b][0] if len(b) == 1 else None
+                    op_costs = [
+                        coster.join_operator_cost(
+                            m, card_of[a], card_of[b], out_card, inner
+                        )
+                        for m in methods
+                    ]
+                    cost_a, cost_b = costs[a], costs[b]
+                    for lane in lanes:
+                        inputs = cost_a[lane] + cost_b[lane]
+                        for i in lane_methods[lane]:
+                            total = inputs + op_costs[i]
+                            # The first candidate wins whatever it costs.
+                            if best_choice[lane] is None or total < best_cost[lane]:
+                                best_cost[lane] = total
+                                best_choice[lane] = (a, b, methods[i], conditions)
+        if best_choice[0] is not None:
+            costs[subset] = best_cost
+            choices[subset] = best_choice
 
     full = frozenset(tables)
     if full not in costs:
@@ -441,6 +427,16 @@ class Optimizer:
         if algorithm == "left_deep":
             return enumerate_dp(query, coster, hints, left_deep_only=True)
         raise ValueError(f"unknown algorithm {algorithm!r}")
+
+    def plan_cached(self, query: Query, plan_cache: PlanCache) -> tuple[Plan, bool]:
+        """``(plan, was_hit)``: the default plan, through ``plan_cache``.
+
+        The entry is keyed on the query's template, this optimizer's
+        estimator state and the database's ``data_version``; a hit is the
+        cached plan rebound to ``query``'s literals."""
+        return plan_cache.get_or_plan(
+            query, estimator_cache_tag(self.estimator), self.db.data_version, self.plan
+        )
 
     def plan_arms(
         self,

@@ -21,8 +21,8 @@ oracle gate (``benchmarks/bench_p5_oracle.py``) validates itself against.
 from repro.oracle.audit import OnlineAuditor
 from repro.oracle.contracts import EstimatorContractChecker
 from repro.oracle.equivalence import PlanEquivalenceChecker
-from repro.oracle.metamorphic import MetamorphicSuite, TRANSFORMS
-from repro.oracle.mutations import MUTATIONS, apply_mutation, mutation_names
+from repro.oracle.metamorphic import MetamorphicSuite
+from repro.oracle.mutations import apply_mutation, mutation_names
 from repro.oracle.planexec import PlanInterpreter, PlanResultTooLarge
 from repro.oracle.reference import ReferenceTooLarge, reference_count
 from repro.oracle.report import OracleReport, Violation
@@ -32,8 +32,6 @@ __all__ = [
     "EstimatorContractChecker",
     "PlanEquivalenceChecker",
     "MetamorphicSuite",
-    "TRANSFORMS",
-    "MUTATIONS",
     "apply_mutation",
     "mutation_names",
     "PlanInterpreter",

@@ -141,10 +141,6 @@ class OnlineAuditor:
     # -- reporting ---------------------------------------------------------------
 
     @property
-    def n_observed(self) -> int:
-        return self._observed
-
-    @property
     def n_violations(self) -> int:
         return self.report.n_violations
 

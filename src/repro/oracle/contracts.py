@@ -44,9 +44,14 @@ class EstimatorContractChecker:
     ``monotonic`` enables the predicate-tightening checks (on by default;
     turn off for learned estimators that only satisfy it approximately).
     ``tolerance`` is the multiplicative slack tightened estimates may gain
-    before we call it a violation; ``zero_tolerance`` is the absolute row
-    count an out-of-domain estimate may report and still count as "zero".
+    before we call it a violation.
     """
+
+    #: absolute row count an out-of-domain estimate may report and still
+    #: count as "zero"
+    zero_tolerance = 0.5
+    #: cap on the connected sub-queries checked per query
+    max_subqueries = 64
 
     def __init__(
         self,
@@ -56,16 +61,12 @@ class EstimatorContractChecker:
         name: str | None = None,
         monotonic: bool = True,
         tolerance: float = 1.001,
-        zero_tolerance: float = 0.5,
-        max_subqueries: int = 64,
     ) -> None:
         self.db = db
         self.estimator = estimator
         self.name = name if name is not None else type(estimator).__name__
         self.monotonic = monotonic
         self.tolerance = tolerance
-        self.zero_tolerance = zero_tolerance
-        self.max_subqueries = max_subqueries
         self.checks_run = 0
 
     # -- helpers -----------------------------------------------------------------

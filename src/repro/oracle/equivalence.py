@@ -27,7 +27,9 @@ from repro.storage.catalog import Database
 __all__ = ["PlanEquivalenceChecker"]
 
 #: the Lero-style estimate-scaling factors swept for extra plan diversity
-DEFAULT_SCALING_FACTORS: tuple[float, ...] = (0.01, 0.1, 10.0, 100.0)
+SCALING_FACTORS: tuple[float, ...] = (0.01, 0.1, 10.0, 100.0)
+#: intermediate-row guard of the pure-Python reference cross-check
+REFERENCE_MAX_ROWS = 200_000
 
 
 class PlanEquivalenceChecker:
@@ -35,7 +37,7 @@ class PlanEquivalenceChecker:
 
     Parameters mirror the serving stack: ``optimizer`` is the native
     optimizer whose enumerator produces the plans (a fresh one is built
-    when omitted); ``scaling_factors`` adds Lero-arm plan diversity via
+    when omitted); ``SCALING_FACTORS`` adds Lero-arm plan diversity via
     :class:`~repro.core.interfaces.ScaledCardinalities`.  ``max_rows``
     guards the literal interpreter; plans whose true intermediates exceed
     it are skipped (counted in :attr:`skipped`), not failed.
@@ -48,19 +50,15 @@ class PlanEquivalenceChecker:
         *,
         algorithms: tuple[str, ...] = ("dp", "greedy", "left_deep"),
         arms: list[HintSet] | None = None,
-        scaling_factors: tuple[float, ...] = DEFAULT_SCALING_FACTORS,
         max_rows: int = 2_000_000,
-        reference_max_rows: int = 200_000,
         check_reference: bool = True,
     ) -> None:
         self.db = db
         self.optimizer = optimizer if optimizer is not None else Optimizer(db)
         self.algorithms = algorithms
         self.arms = arms if arms is not None else HintSet.bao_arms()
-        self.scaling_factors = scaling_factors
         self.interpreter = PlanInterpreter(db, max_rows=max_rows)
         self.executor = CardinalityExecutor(db)
-        self.reference_max_rows = reference_max_rows
         self.check_reference = check_reference
         self.plans_checked = 0
         self.skipped = 0
@@ -78,7 +76,7 @@ class PlanEquivalenceChecker:
             labelled.append(
                 (f"arm:{arm.name()}", self.optimizer.plan(query, hints=arm))
             )
-        for factor in self.scaling_factors:
+        for factor in SCALING_FACTORS:
             scaled = self.optimizer.with_estimator(
                 ScaledCardinalities(self.optimizer.estimator, factor)
             )
@@ -105,9 +103,7 @@ class PlanEquivalenceChecker:
             return violations
         if self.check_reference:
             try:
-                ref = reference_count(
-                    self.db, query, max_rows=self.reference_max_rows
-                )
+                ref = reference_count(self.db, query, max_rows=REFERENCE_MAX_ROWS)
             except ReferenceTooLarge:
                 self.skipped += 1
             else:

@@ -22,7 +22,6 @@ An AI4DB middleware decoupling ML drivers from database internals:
   push/pull operators.
 """
 
-from repro.pilotscope.interactor import DBInteractor, PilotSession
 from repro.pilotscope.postgres_sim import SimulatedPostgreSQL
 from repro.pilotscope.driver import Driver, DriverConfig
 from repro.pilotscope.console import PilotScopeConsole
@@ -33,8 +32,6 @@ from repro.pilotscope.drivers import (
 )
 
 __all__ = [
-    "DBInteractor",
-    "PilotSession",
     "SimulatedPostgreSQL",
     "Driver",
     "DriverConfig",

@@ -25,7 +25,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.errors import ConfigError, DriverError, EstimationError
-from repro.core.interfaces import estimator_cache_tag
 from repro.faults.resilience import RetryPolicy
 from repro.pilotscope.driver import DriverConfig
 from repro.pilotscope.interactor import DBInteractor, ExecutionOutcome
@@ -86,9 +85,8 @@ class PilotScopeConsole:
         active driver, or a driver that degraded) reuse compiled plans
         across literal bindings of the same template instead of
         re-planning, keyed on optimizer state and the database's
-        ``data_version``.  It engages only when the interactor exposes
-        the simulated-PostgreSQL surface (``optimizer`` / ``simulator`` /
-        ``db``); other interactors keep their ``execute_default``."""
+        ``data_version``.  It needs the simulated-PostgreSQL surface
+        (``optimizer`` / ``simulator``) on the interactor."""
         self.interactor = interactor
         self._drivers: dict[str, _DriverSlot] = {}
         self.query_log: deque[QueryLogEntry] = deque(maxlen=max_log_entries)
@@ -220,18 +218,11 @@ class PilotScopeConsole:
         query's literals substituted into the scans (prepared-statement
         semantics); a miss plans normally and populates the cache.
         """
-        cache = self.plan_cache
-        optimizer = getattr(self.interactor, "optimizer", None)
-        simulator = getattr(self.interactor, "simulator", None)
-        db = getattr(self.interactor, "db", None)
-        if cache is None or optimizer is None or simulator is None or db is None:
+        if self.plan_cache is None:
             return self.interactor.execute_default(query)
-        tag = estimator_cache_tag(optimizer.estimator)
-        plan, hit = cache.get_or_plan(
-            query, tag, db.data_version, optimizer.plan
-        )
+        plan, hit = self.interactor.optimizer.plan_cached(query, self.plan_cache)
         self._incr("plan_cache.hits" if hit else "plan_cache.misses")
-        result = simulator.execute(plan)
+        result = self.interactor.simulator.execute(plan)
         return ExecutionOutcome(
             cardinality=result.cardinality,
             latency_ms=result.latency_ms,

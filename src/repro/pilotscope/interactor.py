@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from itertools import combinations
 
 from repro.core.errors import SessionClosedError
 from repro.engine.plans import Plan
@@ -119,19 +118,3 @@ class DBInteractor(abc.ABC):
     @abc.abstractmethod
     def execute_default(self, query: Query) -> ExecutionOutcome:
         """Run a query entirely natively (no driver involvement)."""
-
-
-def enumerate_subqueries(query: Query) -> list[Query]:
-    """Connected sub-queries of a query, smallest first.
-
-    This is what the cardinality-injection interface iterates: every
-    subset the DP enumerator can ask about.
-    """
-    out: list[Query] = []
-    tables = list(query.tables)
-    for size in range(1, len(tables) + 1):
-        for combo in combinations(tables, size):
-            sub = query.subquery(combo)
-            if sub.is_connected():
-                out.append(sub)
-    return out

@@ -18,7 +18,6 @@ from repro.pilotscope.interactor import (
     DBInteractor,
     ExecutionOutcome,
     PilotSession,
-    enumerate_subqueries,
 )
 from repro.sql.query import Query
 from repro.storage.catalog import Database
@@ -69,7 +68,7 @@ class _SimSession(PilotSession):
 
     def pull_subqueries(self, query: Query) -> list[Query]:
         self._check_open()
-        return enumerate_subqueries(query)
+        return query.connected_subqueries()
 
     def pull_plan(self, query: Query) -> Plan:
         self._check_open()

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.framework import CandidatePlan
 from repro.costmodel.features import PlanFeaturizer
-from repro.engine.plans import JoinNode, Plan, PlanNode, ScanNode
+from repro.engine.plans import Plan
 from repro.ml.cluster import KMeans
 from repro.sql.query import Query
 
@@ -33,18 +33,17 @@ __all__ = ["Eraser"]
 
 def _plan_features(plan: Plan) -> set[str]:
     """Structural feature signatures: per-node operator + table set."""
-    feats: set[str] = set()
-    for node in plan.walk():
-        if isinstance(node, ScanNode):
-            feats.add(f"{node.method.value}:{node.table}")
-        else:
-            assert isinstance(node, JoinNode)
-            feats.add(f"{node.method.value}:{'+'.join(sorted(node.tables))}")
-    return feats
+    scans = {f"{n.method.value}:{n.table}" for n in plan.scan_nodes()}
+    joins = {
+        f"{n.method.value}:{'+'.join(sorted(n.tables))}" for n in plan.join_nodes()
+    }
+    return scans | joins
 
 
 class Eraser:
     """Two-stage regression eliminator; use as an OptimizationLoop guard."""
+
+    min_cluster_history = 3  # observations before a cluster may veto
 
     def __init__(
         self,
@@ -54,14 +53,12 @@ class Eraser:
         n_clusters: int = 8,
         regression_threshold: float = 1.4,
         recluster_every: int = 30,
-        min_cluster_history: int = 3,
     ) -> None:
         self.featurizer = featurizer
         self.min_feature_count = min_feature_count
         self.n_clusters = n_clusters
         self.regression_threshold = regression_threshold
         self.recluster_every = recluster_every
-        self.min_cluster_history = min_cluster_history
         self._feature_counts: dict[str, int] = {}
         self._vectors: list[np.ndarray] = []
         self._regressions: list[float] = []  # log(candidate / native)

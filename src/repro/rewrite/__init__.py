@@ -21,27 +21,18 @@ retrieve -> rewrite -> validate -> promote loop:
   driver.
 """
 
-from repro.rewrite.leaderboard import LeaderboardEntry, PromotionLeaderboard
+from repro.rewrite.leaderboard import PromotionLeaderboard
 from repro.rewrite.optimizer import RewriteDriver, RewritingOptimizer
-from repro.rewrite.retrieval import GoldExampleStore, RewriteExample
-from repro.rewrite.rules import (
-    REWRITE_RULES,
-    RewriteCandidate,
-    RewriteRule,
-)
-from repro.rewrite.validate import RewriteValidator, ValidationResult
+from repro.rewrite.retrieval import GoldExampleStore
+from repro.rewrite.rules import REWRITE_RULES
+from repro.rewrite.validate import RewriteValidator
 from repro.rewrite.values import ValuesCatalog
 
 __all__ = [
     "REWRITE_RULES",
-    "RewriteCandidate",
-    "RewriteRule",
     "ValuesCatalog",
     "GoldExampleStore",
-    "RewriteExample",
     "RewriteValidator",
-    "ValidationResult",
-    "LeaderboardEntry",
     "PromotionLeaderboard",
     "RewritingOptimizer",
     "RewriteDriver",

@@ -90,6 +90,13 @@ class PromotionLeaderboard:
         ``rewrite.*`` counters and events.
     """
 
+    #: measured speedup at or above which a validated rewrite is promoted,
+    #: at or below which it is recorded as an anti-pattern
+    promote_threshold = 1.05
+    demote_threshold = 0.95
+    #: rules whose retrieval weight falls below this are not attempted
+    selection_cutoff = 0.5
+
     def __init__(
         self,
         db: Database,
@@ -101,12 +108,7 @@ class PromotionLeaderboard:
         telemetry=None,
         catalog: ValuesCatalog | None = None,
         rules=None,
-        promote_threshold: float = 1.05,
-        demote_threshold: float = 0.95,
-        selection_cutoff: float = 0.5,
     ) -> None:
-        if promote_threshold <= demote_threshold:
-            raise ValueError("promote_threshold must exceed demote_threshold")
         self.db = db
         self.optimizer = optimizer if optimizer is not None else Optimizer(db)
         self.validator = (
@@ -126,9 +128,6 @@ class PromotionLeaderboard:
             else ValuesCatalog(db, stats=self.optimizer.stats)
         )
         self.rules = dict(rules) if rules is not None else dict(REWRITE_RULES)
-        self.promote_threshold = promote_threshold
-        self.demote_threshold = demote_threshold
-        self.selection_cutoff = selection_cutoff
         self._entries: list[LeaderboardEntry] = []
         self._by_query: dict[str, list[LeaderboardEntry]] = {}
         self._promoted: dict[str, tuple[RewriteCandidate, LeaderboardEntry]] = {}
@@ -276,15 +275,6 @@ class PromotionLeaderboard:
             self._incr("stale_invalidations")
             return None
         return hit
-
-    def resubmit(self, query: Query) -> list[LeaderboardEntry]:
-        """Forget the cached verdicts for one query and re-run the rules."""
-        qh = query_hash(query)
-        stale = self._by_query.pop(qh, None)
-        if stale is not None:
-            self._entries = [e for e in self._entries if e.query_hash != qh]
-        self._promoted.pop(qh, None)
-        return self.submit(query)
 
     def observe_served(self, query: Query, rule: str, latency_ms: float) -> None:
         """Account one production serve of a promoted rewrite."""

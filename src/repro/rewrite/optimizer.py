@@ -43,19 +43,16 @@ class RewritingOptimizer:
         leaderboard: PromotionLeaderboard,
         inner=None,
         *,
-        auto_submit: bool = True,
         name: str | None = None,
     ) -> None:
         """``inner`` optionally handles queries with no promoted rewrite
         (any ``choose_plan``/``record_feedback`` model, e.g. Bao); without
         one they are served with the leaderboard optimizer's native plan.
 
-        ``auto_submit`` runs the full candidate/validate/promote pipeline
-        the first time each query is seen (submission is idempotent);
-        disable it to serve strictly from prior leaderboard state."""
+        The full candidate/validate/promote pipeline runs the first time
+        each query is seen (submission is idempotent)."""
         self.leaderboard = leaderboard
         self.inner = inner
-        self.auto_submit = auto_submit
         inner_name = getattr(inner, "name", None) if inner is not None else None
         self.name = name or (
             f"rewrite+{inner_name}" if inner_name else "rewrite"
@@ -64,8 +61,7 @@ class RewritingOptimizer:
         self.delegated = 0
 
     def choose_plan(self, query: Query) -> CandidatePlan:
-        if self.auto_submit:
-            self.leaderboard.submit(query)
+        self.leaderboard.submit(query)
         hit = self.leaderboard.promoted_for(query)
         if hit is not None:
             candidate, entry = hit
@@ -109,18 +105,14 @@ class RewriteDriver(Driver):
     injection_type = "query_rewrite"
     name = "rewrite"
 
-    def __init__(
-        self, leaderboard: PromotionLeaderboard, *, auto_submit: bool = True
-    ) -> None:
+    def __init__(self, leaderboard: PromotionLeaderboard) -> None:
         super().__init__()
         self.leaderboard = leaderboard
-        self.auto_submit = auto_submit
         self.rewrites_served = 0
 
     def algo(self, query: Query) -> ExecutionOutcome:
         interactor = self._require_started()
-        if self.auto_submit:
-            self.leaderboard.submit(query)
+        self.leaderboard.submit(query)
         hit = self.leaderboard.promoted_for(query)
         target = query
         if hit is not None:

@@ -52,28 +52,18 @@ class GoldExampleStore:
         only original -- pre-rewrite -- queries).
     n_clusters / seed:
         KMeans configuration; fixed seed makes retrieval deterministic.
-    gold_boost / anti_penalty:
-        Additive weight delta per same-cluster example of each kind.
-    min_weight:
-        Floor so a heavily-penalized rule never goes negative.
     """
 
-    def __init__(
-        self,
-        db: Database,
-        *,
-        n_clusters: int = 4,
-        seed: int = 0,
-        gold_boost: float = 0.25,
-        anti_penalty: float = 0.6,
-        min_weight: float = 0.05,
-    ) -> None:
+    #: additive weight delta per same-cluster example of each kind
+    gold_boost = 0.25
+    anti_penalty = 0.6
+    #: floor so a heavily-penalized rule never goes negative
+    min_weight = 0.05
+
+    def __init__(self, db: Database, *, n_clusters: int = 4, seed: int = 0) -> None:
         self.featurizer = FlatQueryFeaturizer(db)
         self.n_clusters = n_clusters
         self.seed = seed
-        self.gold_boost = gold_boost
-        self.anti_penalty = anti_penalty
-        self.min_weight = min_weight
         self._examples: list[RewriteExample] = []
         self._vectors: list[np.ndarray] = []
         self._kmeans: KMeans | None = None

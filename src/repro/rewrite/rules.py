@@ -253,9 +253,10 @@ class PredicatePushdown(RewriteRule):
 class InToJoin(RewriteRule):
     """Rewrite the widest IN list as a join against a literals relation."""
 
-    def __init__(self, min_width: int = 4) -> None:
+    min_width = 4  # narrower IN lists stay predicates
+
+    def __init__(self) -> None:
         self.name = "in_to_join"
-        self.min_width = min_width
 
     def apply(
         self, db: Database, query: Query, *, catalog=None

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from statistics import fmean
 
 from repro.core.errors import ConfigError
-from repro.core.interfaces import Decision, ServePolicy, estimator_cache_tag
+from repro.core.interfaces import Decision, ServePolicy
 from repro.engine.plans import Plan
 from repro.engine.simulator import ExecutionSimulator
 from repro.faults.resilience import BreakerState, CircuitBreaker
@@ -326,10 +326,7 @@ class DeploymentManager:
         """Native planning, through the plan cache when one is wired."""
         if self.plan_cache is None:
             return self.native.plan(query)
-        tag = estimator_cache_tag(self.native.estimator)
-        plan, hit = self.plan_cache.get_or_plan(
-            query, tag, self.native.db.data_version, self.native.plan
-        )
+        plan, hit = self.native.plan_cached(query, self.plan_cache)
         self.telemetry.incr("plan_cache.hits" if hit else "plan_cache.misses")
         return plan
 

@@ -15,18 +15,10 @@ from repro.sql.query import (
     OrPredicate,
     Predicate,
     Query,
-    query_hash,
 )
 from repro.sql.parser import parse_query, SQLSyntaxError
 from repro.sql.generator import WorkloadGenerator
-from repro.sql.transforms import (
-    ResultPreservingTransform,
-    TRANSFORM_REGISTRY,
-    VerifyOutcome,
-    exact_count,
-    verify_transform,
-    verify_union,
-)
+from repro.sql.transforms import TRANSFORM_REGISTRY, exact_count
 
 __all__ = [
     "ColumnRef",
@@ -35,14 +27,9 @@ __all__ = [
     "OrPredicate",
     "Predicate",
     "Query",
-    "query_hash",
     "parse_query",
     "SQLSyntaxError",
     "WorkloadGenerator",
-    "ResultPreservingTransform",
     "TRANSFORM_REGISTRY",
-    "VerifyOutcome",
     "exact_count",
-    "verify_transform",
-    "verify_union",
 ]

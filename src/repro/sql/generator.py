@@ -423,40 +423,27 @@ class WorkloadGenerator:
         max_tables: int = 4,
         *,
         or_heavy_rate: float = 0.35,
-        or_parts: tuple[int, int] = (3, 5),
-        wide_in_rate: float = 0.35,
-        in_width: tuple[int, int] = (8, 16),
-        pushdown_rate: float = 0.5,
-        redundant_rate: float = 0.3,
-        mergeable_rate: float = 0.3,
     ) -> list[Query]:
         """Queries deliberately shaped for the rewrite rule library.
 
-        Each knob is the per-query probability of injecting one shape:
+        Each shape is injected with a per-query probability:
 
-        - ``or_heavy_rate``: a same-column disjunction of ``or_parts``
+        - ``or_heavy_rate``: a same-column disjunction of 3-5
           pairwise-disjoint parts (OR -> UNION split fodder);
-        - ``wide_in_rate``: an IN list of ``in_width`` distinct values
-          (IN -> join against a literal values relation);
-        - ``pushdown_rate``: a range predicate on a join column of one side
-          only (transitive predicate pushdown);
-        - ``redundant_rate``: a subsumed same-column conjunct pair
-          (redundant-predicate elimination);
-        - ``mergeable_rate``: a GE/LE pair on one column (range merging).
+        - 0.35: an IN list of 8-16 distinct values (IN -> join against a
+          literal values relation);
+        - 0.5: a range predicate on a join column of one side only
+          (transitive predicate pushdown);
+        - 0.3: a subsumed same-column conjunct pair (redundant-predicate
+          elimination);
+        - 0.3: a GE/LE pair on one column (range merging).
 
         Every query is guaranteed at least one susceptible shape, and
         generation is fully driven by the seeded RNG -- same seed, same
         workload.
         """
-        for name, rate in (
-            ("or_heavy_rate", or_heavy_rate),
-            ("wide_in_rate", wide_in_rate),
-            ("pushdown_rate", pushdown_rate),
-            ("redundant_rate", redundant_rate),
-            ("mergeable_rate", mergeable_rate),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0.0 <= or_heavy_rate <= 1.0:
+            raise ValueError("or_heavy_rate must be in [0, 1]")
         out: list[Query] = []
         for _ in range(n_queries):
             cap = self.max_component_size
@@ -493,10 +480,10 @@ class WorkloadGenerator:
                     return False
                 t, c = spot
                 if shape == "or_heavy":
-                    k = int(self.rng.integers(or_parts[0], or_parts[1] + 1))
+                    k = int(self.rng.integers(3, 5 + 1))
                     built = self._disjoint_or_predicate(t, c, k)
                 elif shape == "wide_in":
-                    w = int(self.rng.integers(in_width[0], in_width[1] + 1))
+                    w = int(self.rng.integers(8, 16 + 1))
                     built = self._wide_in_predicate(t, c, w)
                 elif shape == "redundant":
                     built = self._redundant_pair(t, c)
@@ -508,11 +495,11 @@ class WorkloadGenerator:
                 return True
 
             shapes = (
-                ("pushdown", pushdown_rate),
+                ("pushdown", 0.5),
                 ("or_heavy", or_heavy_rate),
-                ("wide_in", wide_in_rate),
-                ("redundant", redundant_rate),
-                ("mergeable", mergeable_rate),
+                ("wide_in", 0.35),
+                ("redundant", 0.3),
+                ("mergeable", 0.3),
             )
             injected = 0
             for shape, rate in shapes:

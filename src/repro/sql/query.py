@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -354,6 +355,21 @@ class Query:
         sub = Query(tuple(sorted(keep)), joins, preds)
         cache[keep] = sub
         return sub
+
+    def connected_subqueries(self) -> list["Query"]:
+        """Every connected sub-query, sizes ascending and in
+        ``itertools.combinations`` order over ``tables`` within a size.
+
+        The one subset enumeration: the DP kernel, LEON's top-k DP and the
+        cardinality-injection interface all walk exactly these, in this
+        order.
+        """
+        return [
+            sub
+            for size in range(1, len(self.tables) + 1)
+            for combo in combinations(self.tables, size)
+            if (sub := self.subquery(combo)).is_connected()
+        ]
 
     def is_connected(self) -> bool:
         """True when the join graph over the query's tables is connected."""

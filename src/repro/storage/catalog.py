@@ -100,9 +100,6 @@ class Database:
     def edges_for(self, table: str) -> list[JoinEdge]:
         return [e for e in self.joins if e.involves(table)]
 
-    def edges_between(self, a: str, b: str) -> list[JoinEdge]:
-        return [e for e in self.joins if e.involves(a) and e.involves(b) and a != b]
-
     def neighbors(self, table: str) -> set[str]:
         return {e.other(table) for e in self.edges_for(table)}
 

@@ -281,17 +281,13 @@ def schema_family(
     *,
     seed: int = 0,
     config: SchemaGenConfig | None = None,
-    name_prefix: str = "gen",
 ) -> list[Database]:
     """``n`` databases from one family seed (member i uses ``seed*1000+i``
     -- disjoint from other families' member seeds for any base < 1000)."""
     if n < 1:
         raise ConfigError("need at least one schema")
     return [
-        generate_database(
-            seed * 1000 + i, config, name=f"{name_prefix}{i:02d}"
-        )
-        for i in range(n)
+        generate_database(seed * 1000 + i, config, name=f"gen{i:02d}") for i in range(n)
     ]
 
 

@@ -52,7 +52,9 @@ from repro.core.interfaces import (
     batch_estimate,
     estimator_cache_tag,
 )
-from repro.optimizer import CardinalityCache, HintSet, Optimizer
+from repro.engine import CardinalityExecutor
+from repro.engine.kernels import KeyIndexCache
+from repro.optimizer import CardinalityCache, HintSet, Optimizer, PlanCache
 from repro.optimizer.cost import PlanCoster
 from repro.sql import WorkloadGenerator
 from repro.storage import make_stats_lite
@@ -194,6 +196,98 @@ def test_cache_get_or_compute(stats_db, stats_workload):
     assert cache.get_or_compute(("b",), q, compute) == 99.0
     assert len(calls) == 2
     assert 0.0 < cache.hit_rate < 1.0
+
+
+# -- one contract for the four bounded LRUs ------------------------------------
+#
+# CardinalityCache, PlanCache, KeyIndexCache and the exact executor's memo
+# share repro.core.lru.BoundedLRU.  Each adapter below is ``(build(capacity),
+# use(cache, i), stats(cache), clear(cache), capacity parameter)``, where
+# ``use`` looks key ``i`` up through the cache's own front door, filling it on
+# a miss.
+
+
+def _distinct_queries(db, n):
+    seen, out = set(), []
+    for q in WorkloadGenerator(db, seed=77).workload(40, 1, 2, require_predicate=True):
+        if q not in seen:
+            seen.add(q)
+            out.append(q)
+    return out[:n]
+
+
+def _cardinality_cache(db):
+    queries = _distinct_queries(db, 3)
+    return (
+        lambda capacity: CardinalityCache(capacity=capacity),
+        lambda cache, i: cache.get_or_compute(("t",), queries[i], lambda q: 5.0),
+        lambda cache: cache.stats(),
+        lambda cache: cache.clear(),
+        "capacity",
+    )
+
+
+def _plan_cache(db):
+    query = _distinct_queries(db, 1)[0]
+    plan = Optimizer(db).plan(query)
+    return (
+        lambda capacity: PlanCache(capacity=capacity),
+        lambda cache, i: cache.get_or_plan(query, (i,), 0, lambda q: plan),
+        lambda cache: cache.stats(),
+        lambda cache: cache.clear(),
+        "capacity",
+    )
+
+
+def _key_index_cache(db):
+    table = db.table("posts")
+    columns = table.column_names[:3]
+    return (
+        lambda capacity: KeyIndexCache(capacity=capacity),
+        lambda cache, i: cache.full(table, columns[i]),
+        lambda cache: cache.stats(),
+        lambda cache: cache.clear(),
+        "capacity",
+    )
+
+
+def _executor_memo(db):
+    queries = _distinct_queries(db, 3)
+    return (
+        lambda capacity: CardinalityExecutor(db, cache_capacity=capacity),
+        lambda executor, i: executor.cardinality(queries[i]),
+        lambda executor: executor.cache_stats(),
+        lambda executor: executor.clear_cache(),
+        "cache_capacity",
+    )
+
+
+@pytest.mark.parametrize(
+    "adapter", [_cardinality_cache, _plan_cache, _key_index_cache, _executor_memo]
+)
+def test_bounded_lru_contract(adapter, stats_db):
+    build, use, stats, clear, parameter = adapter(stats_db)
+    cache = build(2)
+    use(cache, 0)
+    use(cache, 1)
+    assert (stats(cache)["hits"], stats(cache)["misses"]) == (0, 2)
+    use(cache, 0)  # a hit makes 0 the most recently used
+    assert stats(cache)["hits"] == 1
+    use(cache, 2)  # over capacity: 1 goes, though 0 was inserted first
+    assert stats(cache)["evictions"] == 1
+    assert stats(cache)["entries"] == 2
+    use(cache, 0)
+    assert stats(cache)["hits"] == 2
+    use(cache, 1)
+    assert stats(cache)["misses"] == 4
+    got = stats(cache)
+    assert set(got) >= {"entries", "hits", "misses", "evictions", "hit_rate"}
+    assert got["hit_rate"] == got["hits"] / (got["hits"] + got["misses"])
+    clear(cache)
+    assert stats(cache) == {**got, "entries": 0}  # the counters describe the session
+    for capacity in (0, -1):
+        with pytest.raises(ValueError, match=rf"^{parameter} must be positive"):
+            build(capacity)
 
 
 def test_cache_key_distinguishes_equal_text_different_tag(stats_db, stats_workload):

@@ -34,6 +34,8 @@ from repro.cardest import (
 )
 from repro.sql import Query, WorkloadGenerator
 
+from tests.sampler_reference import naru_box_probability, neurocard_box_probability
+
 
 @pytest.fixture(scope="module")
 def test_workload(stats_db, stats_executor):
@@ -200,6 +202,82 @@ class TestNeuroCard:
             rows[join.right.table]
         ]
         assert np.array_equal(lv, rv)
+
+
+class TestProgressiveSamplingPinned:
+    """Naru and NeuroCard share one progressive-sampling loop
+    (``MaskedAutoregressiveNetwork.box_probability``); their estimates,
+    and the generator draws behind them, are those of the two loops they
+    used to carry (``tests/sampler_reference.py``)."""
+
+    @staticmethod
+    def _queries(db):
+        """Four single-table queries plus one whose box is provably empty on
+        the *last* modelled column, with a live predicate on the first."""
+        from repro.sql import ColumnRef, Op, Predicate
+
+        users = db.table("users")
+        columns = [c for c in users.column_names if not users.column(c).is_key]
+        first, last = columns[0], columns[-1]
+        empty = Query(
+            ("users",),
+            (),
+            (
+                Predicate(ColumnRef("users", first), Op.GE, float(users.values(first).min())),
+                Predicate(ColumnRef("users", last), Op.GT, float(users.values(last).max()) + 10),
+            ),
+        )
+        live = WorkloadGenerator(db, seed=51).single_table_workload("users", 4)
+        return live, empty
+
+    @staticmethod
+    def _nets(estimator):
+        if isinstance(estimator, NaruEstimator):
+            return [m.net for m in estimator._models.values()]
+        return [m.net for m in estimator._templates.values()]
+
+    @pytest.mark.parametrize(
+        "build, reference, empty_box_draws",
+        [
+            (
+                lambda db: NaruEstimator(db, hidden=(16,), epochs=1, seed=3),
+                naru_box_probability,
+                True,
+            ),
+            (
+                lambda db: NeuroCardEstimator(db, epochs=1, n_samples=200, seed=3),
+                neurocard_box_probability,
+                False,
+            ),
+        ],
+        ids=["naru", "neurocard"],
+    )
+    def test_estimates_and_draws_match_the_reference_loops(
+        self, stats_db, build, reference, empty_box_draws
+    ):
+        import copy
+
+        live, empty = self._queries(stats_db)
+        ours = build(stats_db)
+        if isinstance(ours, NeuroCardEstimator):
+            ours.prebuild(live[:1])
+        theirs = copy.deepcopy(ours)
+        for net in self._nets(theirs):
+            net.box_probability = (
+                lambda allowed, n, rng, net=net: reference(net, rng, allowed, n)
+            )
+        skipped = copy.deepcopy(ours)  # same walk, never shown the empty box
+
+        sequence = [live[0], live[1], empty, live[0], live[0], live[2], live[3]]
+        got = [ours.estimate(q) for q in sequence]
+        assert got == [theirs.estimate(q) for q in sequence]  # to the last bit
+        assert got[2] == 0.0
+        # the generator is stateful: the same query twice differs
+        assert got[3] != got[4] and got[0] != got[3]
+        # Naru reaches the empty column after drawing for the earlier ones;
+        # NeuroCard's caller answers 0 before any draw.
+        without_empty = [skipped.estimate(q) for q in sequence if q is not empty]
+        assert (got[3:] != without_empty[2:]) == empty_box_draws
 
 
 class TestSPNFamily:

@@ -1,24 +1,29 @@
 """The census as a test: no caller, no code.
 
-On the platform layers (``serve``, ``serve.fabric``, ``lifecycle``,
-``faults`` and the helpers they grew in ``core``, ``e2e``, ``pilotscope``
-and ``optimizer``) four things must hold.  (a), (b) and (d) only read source
-files -- nothing is imported from ``repro`` or ``perf``, and an absent
-directory is skipped; (c) imports the examples:
+Over every package and every module under ``src/repro`` four things must
+hold.  (a), (b) and (d) only read source files -- nothing is imported from
+``repro`` or ``perf``, and an absent directory is skipped; (c) imports the
+examples:
 
 (a) every name a package ``__init__`` exports is imported *through that
-    package* by some file outside it;
-(b) every public class, function and method defined there is referenced by
-    code outside ``tests/`` -- somewhere other than its own ``def`` and
-    ``__init__`` re-export lines -- or is on the commented allow-list below;
+    package* by some file outside it (the top-level ``repro`` facade is the
+    documented entry point and is exempt);
+(b) every public class, function and method is referenced by code outside
+    ``tests/`` -- somewhere other than its own ``def`` and ``__init__``
+    re-export lines -- or by a ``"module:Class"`` row of
+    ``core/registry.py`` (the paper's Table 1 is the product: a row names
+    the class and its public methods), or is on the commented allow-list;
 (c) every ``examples/*.py`` still imports (without running it), which is
     what catches a pruned re-export or a renamed class an example uses;
-(d) every keyword parameter defined there is named by some file that does
-    not define it: a knob only its own definers mention has had one value.
+(d) every keyword parameter is named by some file that does not define it:
+    a knob only its own definers mention has had one value.  A kept
+    reference copy (``tests/*_reference.py``) re-defines what it copies and
+    this file names what it seeds, so neither counts as naming a parameter.
 
 A failure names the file and the symbol.  The fix is to delete the code (or
 the export), not to grow the allow-list: that list is the backlog of
-features only tests exercise.
+features only tests exercise.  The ``test_seeded_*`` cases re-run the rules
+over the tree with one file's text replaced, to show each rule bites.
 """
 
 from __future__ import annotations
@@ -35,26 +40,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 CODE_TREES = ("src", "benchmarks", "perf", "examples")
 
-#: package -> its directory; (a) is checked for each ``__all__``
-PACKAGES = {
-    "repro.serve": SRC / "serve",
-    "repro.serve.fabric": SRC / "serve" / "fabric",
-    "repro.lifecycle": SRC / "lifecycle",
-    "repro.faults": SRC / "faults",
-}
-
-#: modules outside those packages that (b) also covers
-HELPER_MODULES = (
-    "core/errors.py",
-    "core/framework.py",
-    "core/interfaces.py",
-    "e2e/loop.py",
-    "pilotscope/console.py",
-    "optimizer/cost.py",
-    "optimizer/risk.py",
-    "optimizer/plancache.py",
-)
-
 #: declared interfaces: implemented structurally, never named by a caller
 PROTOCOLS = {"CostEstimator", "LatencyPredictor"}
 
@@ -70,126 +55,190 @@ TEST_ONLY = {
     "lineage",  # registry ancestry walk
     "stop_driver",  # console driver lifecycle
     "enable_background_updates",  # console periodic background_update
+    # -- the paper library (PR 20) --
+    "execute_cardinality",  # one-shot exact count: the engine tests' seam (20 asserts)
+    "RegressionTree",  # the GBDT kernel test's unit: a lone tree as a one-root table
+    "push_config",  # paper section 3.1's push operator list
+    "pull_native_estimate",  # ... and its pull operator list
+    "generate_names",  # Astrid's synthetic string column (Astrid is registry-only)
+    "ConcurrentWorkload",  # interference simulator labelling ConcurrentCostModel's mixes
+    "AutoSteerOptimizer",  # AutoSteer [1]; benches run discover_hint_sets only
+    "RewriteDriver",  # PilotScope form of the rewrite layer; scenarios use RewritingOptimizer
+    "flow_loss_weights",  # Flow-Loss [44] sample weighting
+    "pac_learning_curve",  # PAC learnability diagnostic [19]
+    "interval_coverage",  # prediction-interval diagnostic [55]
+    "registered_estimators",  # lets the batch test prove it covers every build_estimator name
+    "Tanh",  # toolkit layer, gradient-checked; MLP builds ReLU and Sigmoid only
+    "Dropout",  # toolkit layer with tests; no model configures it
+}
+
+#: passed positionally by every caller that sets it, so never *named*
+#: outside its definer
+POSITIONAL = {
+    "n_tenants",
+    "n_members",  # EnsembleLatencyModel: TreeConvLatencyModel(featurizer, 4, ...)
 }
 
 
 @lru_cache(maxsize=None)
-def _text(path: Path) -> str:
+def _read(path: Path) -> str:
     return path.read_text()
 
 
 @lru_cache(maxsize=None)
-def _parse(path: Path) -> ast.Module:
-    return ast.parse(_text(path), filename=str(path))
+def _parse_text(text: str, filename: str) -> ast.Module:
+    return ast.parse(text, filename=filename)
 
 
-def _files(*trees: str) -> list[Path]:
-    return [p for t in trees if (ROOT / t).is_dir() for p in sorted((ROOT / t).rglob("*.py"))]
+@lru_cache(maxsize=None)
+def _file_facts(text: str, filename: str, reexport: bool):
+    """``(from-imports, identifiers, words)`` of one file's text.
+
+    Identifiers are names, attributes and imported names (a package
+    ``__init__``'s re-export imports are not a use)."""
+    imports, names = [], set()
+    for node in ast.walk(_parse_text(text, filename)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                imports.extend((node.module, alias.name) for alias in node.names)
+            if not reexport:
+                names.update(alias.name for alias in node.names)
+    return imports, frozenset(names), frozenset(re.findall(r"\w+", text))
 
 
-def _is_reexport_file(path: Path) -> bool:
-    return path.name == "__init__.py" and SRC in path.parents
+@lru_cache(maxsize=None)
+def _files(*trees: str) -> tuple[Path, ...]:
+    return tuple(
+        p for t in trees if (ROOT / t).is_dir() for p in sorted((ROOT / t).rglob("*.py"))
+    )
 
 
-def _exports(init: Path) -> list[str]:
-    for node in _parse(init).body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return [ast.literal_eval(e) for e in node.value.elts]
-    raise AssertionError(f"{init} defines no __all__")
+class Sources:
+    """The repository's Python files; ``patched`` replaces the text of some
+    (that is how the seeded cases plant what each rule must catch)."""
+
+    def __init__(self, patched: dict[Path, str] | None = None) -> None:
+        self.patched = patched or {}
+
+    def text(self, path: Path) -> str:
+        return self.patched[path] if path in self.patched else _read(path)
+
+    def parse(self, path: Path) -> ast.Module:
+        return _parse_text(self.text(path), str(path))
+
+    def facts(self, path: Path):
+        reexport = path.name == "__init__.py" and SRC in path.parents
+        return _file_facts(self.text(path), str(path), reexport)
+
+    def references(self, *trees: str) -> set[str]:
+        return set().union(*(self.facts(p)[1] for p in _files(*trees)))
 
 
 # -- (a) every export has an importer -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _from_imports() -> list[tuple[str, str, Path]]:
-    """Every ``from <module> import <name>`` in the repo: (module, name, file)."""
-    return [
-        (node.module, alias.name, path)
-        for path in _files(*CODE_TREES, "tests")
-        for node in ast.walk(_parse(path))
-        if isinstance(node, ast.ImportFrom) and node.level == 0
-        for alias in node.names
-    ]
+def _exports(sources: Sources, init: Path) -> list[str] | None:
+    for node in sources.parse(init).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return None
 
 
-@pytest.mark.parametrize("package", sorted(PACKAGES))
-def test_every_export_is_imported_through_the_package(package):
-    directory = PACKAGES[package]
+#: every package under ``src/repro`` that declares an ``__all__``
+PACKAGE_INITS = {
+    ".".join(init.parent.relative_to(SRC.parent).parts): init
+    for init in sorted(SRC.rglob("__init__.py"))
+    if init.parent != SRC and _exports(Sources(), init) is not None
+}
+
+
+def unused_exports(sources: Sources, package: str) -> list[str]:
+    """Names the package's ``__all__`` exports that no file outside its
+    directory imports through it."""
+    directory = PACKAGE_INITS[package].parent
     imported = {
         name
-        for module, name, path in _from_imports()
-        if module == package and directory not in path.parents
+        for path in _files(*CODE_TREES, "tests")
+        if directory not in path.parents
+        for module, name in sources.facts(path)[0]
+        if module == package
     }
-    unused = [name for name in _exports(directory / "__init__.py") if name not in imported]
+    return [n for n in _exports(sources, PACKAGE_INITS[package]) if n not in imported]
+
+
+@pytest.mark.parametrize("package", sorted(PACKAGE_INITS))
+def test_every_export_is_imported_through_the_package(package):
+    unused = unused_exports(Sources(), package)
     assert not unused, (
-        f"{package}.__all__ exports names nothing outside {directory.relative_to(ROOT)} "
-        f"imports through it: {unused} -- drop the re-export; callers that need the "
-        "name import it from the module that defines it"
+        f"{package}.__all__ exports names nothing outside the package imports "
+        f"through it: {unused} -- drop the re-export; callers that need the name "
+        "import it from the module that defines it"
     )
 
 
 # -- (b) every public definition has a reference --------------------------------------
 
 
-def _references(paths: list[Path]) -> set[str]:
-    """Identifiers those files use: names, attributes and imported names
-    (a package ``__init__``'s re-export imports are not a use)."""
-    names: set[str] = set()
-    for path in paths:
-        reexport = _is_reexport_file(path)
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and not reexport:
-                names.update(alias.name for alias in node.names)
-    return names
-
-
-def _census_modules() -> list[Path]:
-    return [
-        p
-        for directory in PACKAGES.values()
-        for p in sorted(directory.glob("*.py"))
-        if p.name != "__init__.py"
-    ] + [SRC / m for m in HELPER_MODULES]
-
-
-def _public_definitions() -> list[tuple[str, str]]:
-    """``(file, symbol)`` of every public top-level class / function, and
-    every public method of those classes, in the census modules."""
-    out = []
-    for path in _census_modules():
+def _public_definitions(sources: Sources):
+    """``[(file, symbol)]`` of every public top-level class / function and
+    public method under ``src/repro``, and ``{class: its public methods}``."""
+    definitions, methods = [], {}
+    for path in _files("src"):
+        if path.name == "__init__.py":
+            continue
         where = str(path.relative_to(ROOT))
-        for node in _parse(path).body:
+        for node in sources.parse(path).body:
             if not isinstance(node, (ast.ClassDef, ast.FunctionDef)) or node.name.startswith("_"):
                 continue
-            out.append((where, node.name))
+            definitions.append((where, node.name))
             for sub in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    out.append((where, sub.name))
-    return out
+                    definitions.append((where, sub.name))
+                    methods.setdefault(node.name, set()).add(sub.name)
+    return definitions, methods
+
+
+def _registry_references(sources: Sources, methods: dict[str, set[str]]) -> set[str]:
+    """Classes named by a ``"module:Class"`` string in the method registry,
+    and their public methods."""
+    classes = {
+        match.group(1)
+        for node in ast.walk(sources.parse(SRC / "core" / "registry.py"))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for match in [re.search(r":(\w+)$", node.value)]
+        if match
+    }
+    return classes.union(*(methods.get(c, ()) for c in classes))
+
+
+def unreferenced_definitions(sources: Sources):
+    """``(dead, stale, untested)``: definitions nothing but tests uses, and
+    allow-list entries that stopped being true."""
+    definitions, methods = _public_definitions(sources)
+    used = sources.references(*CODE_TREES) | _registry_references(sources, methods)
+    allowed = PROTOCOLS | TEST_ONLY
+    dead = [d for d in definitions if d[1] not in used and d[1] not in allowed]
+    defined = {symbol for _, symbol in definitions}
+    stale = sorted(n for n in allowed if n not in defined or n in used)
+    used_by_tests = sources.references("tests")
+    untested = sorted(n for n in TEST_ONLY if n not in used_by_tests)
+    return dead, stale, untested
 
 
 def test_every_public_definition_is_referenced():
-    used_by_code = _references(_files(*CODE_TREES))
-    used_by_tests = _references(_files("tests"))
-    allowed = PROTOCOLS | TEST_ONLY
-    definitions = _public_definitions()
-    dead = [d for d in definitions if d[1] not in used_by_code and d[1] not in allowed]
+    dead, stale, untested = unreferenced_definitions(Sources())
     assert not dead, (
         f"defined but referenced by nothing under {CODE_TREES}: {dead} -- delete them "
         "(with their __all__ entries and docs), or, for a feature only tests "
         "exercise, list it in TEST_ONLY with a reason"
     )
-    defined = {symbol for _, symbol in definitions}
-    stale = sorted(n for n in allowed if n not in defined or n in used_by_code)
     assert not stale, f"allow-listed but gone, or no longer test-only: {stale}"
-    untested = sorted(n for n in TEST_ONLY if n not in used_by_tests)
     assert not untested, f"TEST_ONLY names no test references either: {untested}"
 
 
@@ -207,28 +256,96 @@ def test_example_imports(example):
 
 # -- (d) every keyword parameter has a second value somewhere --------------------------
 
-#: passed positionally by every caller, so never *named* outside its definer
-POSITIONAL = {"n_tenants"}
 
-
-def test_every_keyword_parameter_is_named_outside_its_definers():
+def never_set_keywords(sources: Sources) -> list[tuple[str, list[str]]]:
+    """``[(parameter, its defining files)]`` for every defaulted or
+    keyword-only parameter under ``src/repro`` no other file names."""
     definers: dict[str, set[Path]] = {}
-    for path in _census_modules():
-        for node in ast.walk(_parse(path)):
+    for path in _files("src"):
+        for node in ast.walk(sources.parse(path)):
             if isinstance(node, ast.FunctionDef):
                 args = node.args
                 positional = args.posonlyargs + args.args
                 defaulted = positional[len(positional) - len(args.defaults) :]
                 for arg in defaulted + args.kwonlyargs:
                     definers.setdefault(arg.arg, set()).add(path)
-    words = {p: set(re.findall(r"\w+", _text(p))) for p in _files(*CODE_TREES, "tests")}
-    never_set = sorted(
+    naming = [
+        p
+        for p in _files(*CODE_TREES, "tests")
+        if not (p.parent.name == "tests" and p.name.endswith("_reference.py"))
+        and p != Path(__file__).resolve()
+    ]
+    return sorted(
         (name, sorted(str(p.relative_to(ROOT)) for p in paths))
         for name, paths in definers.items()
         if name not in POSITIONAL
-        and not any(name in found for p, found in words.items() if p not in paths)
+        and not any(name in sources.facts(p)[2] for p in naming if p not in paths)
     )
+
+
+def test_every_keyword_parameter_is_named_outside_its_definers():
+    never_set = never_set_keywords(Sources())
     assert not never_set, (
         f"keyword parameters no file but their definers names: {never_set} -- one "
         "value has ever been in use; make it the constant it is"
     )
+
+
+# -- the rules bite: one planted violation each ---------------------------------------
+
+
+def _patched(relative: str, old: str, new: str) -> Sources:
+    path = SRC / relative
+    text = _read(path)
+    assert text.count(old) == 1, f"{relative}: seed anchor {old!r} not found exactly once"
+    return Sources({path: text.replace(old, new)})
+
+
+def test_seeded_reexport_without_an_importer_is_caught():
+    sources = _patched(
+        "ml/__init__.py",
+        "__all__ = [\n",
+        'from repro.ml.nn import Adam\n\n__all__ = [\n    "Adam",\n',
+    )
+    assert unused_exports(sources, "repro.ml") == ["Adam"]
+
+
+def test_seeded_unused_public_definition_is_caught():
+    sources = _patched(
+        "cardest/theory.py",
+        "\ndef interval_coverage(",
+        "\ndef seeded_unused_helper():\n    return None\n\n\ndef interval_coverage(",
+    )
+    dead, stale, untested = unreferenced_definitions(sources)
+    assert dead == [("src/repro/cardest/theory.py", "seeded_unused_helper")]
+    assert not stale and not untested
+
+
+def test_seeded_keyword_nothing_passes_is_caught():
+    sources = _patched(
+        "ml/setconv.py",
+        "        seed: int = 0,\n    ) -> list[float]:",
+        "        seed: int = 0,\n        verbose: bool = False,\n    ) -> list[float]:",
+    )
+    assert never_set_keywords(sources) == [("verbose", ["src/repro/ml/setconv.py"])]
+
+
+def test_seeded_registry_row_is_a_reference_to_the_class_and_its_methods():
+    planted = "\nclass SeededMethod:\n    def diagnose(self):\n        return None\n"
+    theory = SRC / "cardest" / "theory.py"
+    registry = SRC / "core" / "registry.py"
+    anchor = "_REGISTRY: list[MethodInfo] = [\n"
+    assert _read(registry).count(anchor) == 1
+    row = '    MethodInfo("cardinality", "Seeded", "Seeded", "-", "-", "repro.cardest.theory:SeededMethod"),\n'
+    without_row = Sources({theory: _read(theory) + planted})
+    assert unreferenced_definitions(without_row)[0] == [
+        ("src/repro/cardest/theory.py", "SeededMethod"),
+        ("src/repro/cardest/theory.py", "diagnose"),
+    ]
+    with_row = Sources(
+        {
+            theory: _read(theory) + planted,
+            registry: _read(registry).replace(anchor, anchor + row),
+        }
+    )
+    assert unreferenced_definitions(with_row) == ([], [], [])

@@ -10,16 +10,8 @@ import numpy as np
 import pytest
 
 import benchmarks
-from repro.bench import (
-    apply_drift,
-    build_estimator,
-    data_driven_estimators,
-    hybrid_estimators,
-    make_workloads,
-    query_driven_estimators,
-    render_table,
-)
-from repro.bench.suite import fit_estimator, traditional_estimators
+from repro.bench import apply_drift, build_estimator, render_table
+from repro.bench.suite import fit_estimator
 from repro.cardest.advisor import AutoCE, DatasetFeatures, flow_loss_weights
 from repro.core import registry
 from repro.core.framework import (
@@ -138,16 +130,6 @@ class TestRenderTable:
 
 
 class TestWorkloadRecipes:
-    def test_make_workloads_split(self, stats_db):
-        spec = make_workloads(stats_db, n_train=20, n_test=10)
-        assert len(spec.train) == 20
-        assert len(spec.test) == 10
-        assert spec.train != spec.test
-
-    def test_single_table_recipe(self, stats_db):
-        spec = make_workloads(stats_db, n_train=5, n_test=5, single_table="posts")
-        assert all(q.tables == ("posts",) for q in spec.train + spec.test)
-
     def test_apply_drift_grows_tables_and_shifts(self):
         db = make_stats_lite(0.2, seed=2)
         before_rows = db.table("posts").n_rows
@@ -173,18 +155,12 @@ class TestWorkloadRecipes:
 
 
 class TestSuiteBuilders:
-    def test_name_lists_disjoint(self):
-        all_names = (
-            traditional_estimators()
-            + query_driven_estimators()
-            + data_driven_estimators()
-            + hybrid_estimators()
-        )
-        assert len(all_names) == len(set(all_names))
-
     def test_build_unknown_estimator(self, stats_db):
         with pytest.raises(ValueError):
             build_estimator("oracle", stats_db)
+        # a misspelt budget used to train at the small one without a word
+        with pytest.raises(ValueError, match=r"\('fast', 'full'\)"):
+            build_estimator("histogram", stats_db, budget="Full")
 
     @pytest.mark.parametrize("name", ["histogram", "gbdt", "spn"])
     def test_build_and_fit(self, name, stats_db, stats_train_data):

@@ -58,17 +58,17 @@ class TestPlanFeaturizer:
     def test_flat_features(self, featurizer, imdb_plan_corpus):
         plans, _ = imdb_plan_corpus
         vec = featurizer.flat(plans[0])
-        assert vec.shape == (featurizer.flat_dim,)
-        assert featurizer.flat_batch(plans[:4]).shape == (4, featurizer.flat_dim)
+        assert vec.ndim == 1
+        assert featurizer.flat_batch(plans[:4]).shape == (4, vec.shape[0])
 
     def test_transferable_has_no_table_identity(self, featurizer, imdb_plan_corpus):
         plans, _ = imdb_plan_corpus
         plan = plans[0]
-        for node in plan.walk():
-            vec = featurizer.transferable_node(plan, node)
-            assert vec.shape == (featurizer.transferable_dim,)
+        shapes = {featurizer.transferable_node(plan, n).shape for n in plan.walk()}
+        assert len(shapes) == 1
         # Dim must not depend on the number of tables.
-        assert featurizer.transferable_dim < featurizer.node_dim
+        (dim,) = shapes.pop()
+        assert dim < featurizer.node_dim
 
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
     def test_pathological_estimates_never_reach_the_features(

@@ -21,7 +21,6 @@ from repro.engine import (
     execute_cardinality,
 )
 from repro.engine.executor import IntermediateTooLarge
-from repro.engine.plans import scan_for
 from repro.sql import ColumnRef, Join, Op, Predicate, Query, WorkloadGenerator
 from repro.storage import Column, Database, JoinEdge, Table
 
@@ -419,7 +418,8 @@ class TestPlans:
             (Predicate(ColumnRef("users", "age"), Op.LE, 2.0),),
         )
         join = Join(ColumnRef("posts", "uid"), ColumnRef("users", "id"))
-        node = JoinNode(scan_for(q, "posts"), scan_for(q, "users"), method, (join,))
+        users = ScanNode(table="users", predicates=q.predicates_on("users"))
+        node = JoinNode(ScanNode(table="posts"), users, method, (join,))
         return Plan(q, node)
 
     def test_plan_must_cover_query(self):

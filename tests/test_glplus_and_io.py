@@ -1,9 +1,8 @@
-"""Tests for GL+ segmentation [52] and workload save/load."""
+"""Tests for GL+ segmentation [52]."""
 
 import numpy as np
 import pytest
 
-from repro.bench import load_workload, save_workload
 from repro.cardest import GLPlusEstimator, q_error
 from repro.sql import Query, WorkloadGenerator
 
@@ -48,36 +47,3 @@ class TestGLPlus:
         rows = [m for m in registry("cardinality") if m.method == "GL+"]
         assert len(rows) == 1
         assert rows[0].resolve() is GLPlusEstimator
-
-
-class TestWorkloadIO:
-    def test_roundtrip(self, tmp_path, stats_db):
-        gen = WorkloadGenerator(stats_db, seed=191, or_rate=0.3)
-        workload = gen.workload(25, 1, 4, require_predicate=True)
-        path = tmp_path / "workload.sql"
-        save_workload(path, workload, header="test workload\nseed=191")
-        loaded = load_workload(path)
-        assert loaded == workload
-
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        path = tmp_path / "w.sql"
-        path.write_text(
-            "-- a comment\n\nSELECT COUNT(*) FROM t WHERE t.x > 1\n\n",
-            encoding="utf-8",
-        )
-        loaded = load_workload(path)
-        assert len(loaded) == 1
-
-    def test_broken_line_reports_lineno(self, tmp_path):
-        path = tmp_path / "w.sql"
-        path.write_text(
-            "SELECT COUNT(*) FROM t\nSELECT nonsense\n", encoding="utf-8"
-        )
-        with pytest.raises(ValueError, match=":2:"):
-            load_workload(path)
-
-    def test_header_in_file(self, tmp_path, stats_db):
-        gen = WorkloadGenerator(stats_db, seed=192)
-        path = tmp_path / "w.sql"
-        save_workload(path, gen.workload(3), header="frozen")
-        assert path.read_text().startswith("-- frozen")

@@ -45,12 +45,12 @@ class TestGroupIndex:
 
     def test_empty_keys(self):
         index = GroupIndex.from_keys(np.zeros(0, dtype=np.int64))
-        assert index.n_keys == 0
+        assert index.uniq.size == 0
         assert index.perm.size == 0
 
     def test_single_group(self):
         index = GroupIndex.from_keys(np.full(7, 3.0))
-        assert index.n_keys == 1
+        assert index.uniq.size == 1
         assert int(index.length[0]) == 7
 
     def test_float_keys(self):
@@ -259,7 +259,7 @@ class TestKeyIndexCache:
         cache = KeyIndexCache()
         tbl = self._table()
         index = cache.restricted(tbl, "k", np.zeros(0, dtype=np.int64))
-        assert index.n_keys == 0
+        assert index.uniq.size == 0
         # No full index needs to be built for an empty subset.
         assert len(cache) == 0
 

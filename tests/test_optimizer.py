@@ -222,10 +222,6 @@ class TestHintSet:
     def test_name_readable(self):
         assert HintSet.default().name() == "hash+nlj+merge/seq+idx"
 
-    def test_without(self):
-        h = HintSet.default().without(enable_hash_join=False)
-        assert JoinMethod.HASH not in h.join_methods
-
 
 class TestPlanner:
     def test_dp_at_most_greedy_cost(self, stats_optimizer, stats_db):

@@ -346,7 +346,7 @@ class TestServingIntegration:
             auditor=auditor,
         )
         loop.run(queries)
-        assert auditor.n_observed == 12
+        assert auditor.stats()["observed"] == 12
         assert auditor.stats()["audited"] == 3
         assert auditor.n_violations == 0
 

@@ -13,7 +13,6 @@ from repro.pilotscope import (
     PilotScopeConsole,
     SimulatedPostgreSQL,
 )
-from repro.pilotscope.interactor import enumerate_subqueries
 from repro.sql import Query, WorkloadGenerator
 
 
@@ -32,7 +31,7 @@ def workload(stats_db):
 class TestSubqueryEnumeration:
     def test_covers_connected_subsets(self, workload):
         q = next(q for q in workload if q.n_tables >= 2)
-        subs = enumerate_subqueries(q)
+        subs = q.connected_subqueries()
         assert Query(q.tables, q.joins, q.predicates) in subs
         for t in q.tables:
             assert any(s.tables == (t,) for s in subs)

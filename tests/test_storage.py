@@ -91,8 +91,6 @@ class TestDatabase:
     def test_edges_lookup(self):
         db = self._db()
         assert db.neighbors("a") == {"b"}
-        assert len(db.edges_between("a", "b")) == 1
-        assert db.edges_between("a", "a") == []
 
     def test_validates_edges(self):
         a = Table("a", [Column("id", np.arange(3), is_key=True)])
