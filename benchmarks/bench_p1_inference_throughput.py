@@ -28,7 +28,7 @@ import numpy as np
 from repro.bench import (
     build_estimator,
     estimate_workload,
-    render_cache_stats,
+    render_stats,
     render_table,
 )
 from repro.bench.suite import fit_estimator
@@ -118,7 +118,7 @@ def test_p1_planner_cache_hit_rate(benchmark, stats_db):
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
     print(
-        render_cache_stats(
+        render_stats(
             stats,
             title=(
                 f"P1: cardinality-cache stats, {len(queries)} queries x "

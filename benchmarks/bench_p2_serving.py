@@ -22,7 +22,7 @@ and workload for stable shapes).  Gates: ``python -m pytest`` on this file
 """
 
 import benchmarks
-from repro.bench import render_cache_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.serve import (
     RuntimeConfig,
     injected_regression_scenario,
@@ -91,7 +91,7 @@ def test_p2_steady_state_throughput(benchmark):
             )],
         )
     )
-    print(render_cache_stats(snap["gauges"]["cardinality_cache"]))
+    print(render_stats(snap["gauges"]["cardinality_cache"], title="cardinality cache"))
     assert lat["count"] == report.n_served
     assert lat["p50"] <= lat["p95"] <= lat["p99"] <= lat["max"]
 

@@ -23,7 +23,7 @@ export: ``python -m benchmarks p3 --export out.json``.
 
 import benchmarks
 from benchmarks import PROFILE
-from repro.bench import render_bounds_stats, render_fault_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.serve import bound_guard_scenario, chaos_scenario
 
 _PROFILES = {
@@ -85,7 +85,7 @@ def test_p3_chaos_workload_completes():
             )],
         )
     )
-    print(render_fault_stats(scenario.injector.stats()))
+    print(render_stats(scenario.injector.stats(), title="fault injection"))
 
 
 def test_p3_fault_counters_reach_telemetry():
@@ -126,7 +126,7 @@ def test_p3_bound_guard_absorbs_fault_storm():
     stats = scenario.bound_guard.stats()
     assert stats["estimate_violations"] > 0, "fault storm never crossed a bound"
     assert stats["fallback_served"] > 0
-    print(render_bounds_stats(stats, title="P3: bound guard under chaos"))
+    print(render_stats(stats, title="P3: bound guard under chaos"))
 
 
 def test_p3_determinism_same_seed_same_export():

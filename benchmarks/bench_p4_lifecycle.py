@@ -27,7 +27,7 @@ import json
 
 import benchmarks
 from benchmarks import PROFILE
-from repro.bench import render_lifecycle_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.lifecycle import drift_recovery_scenario, lifecycle_stats
 
 _PROFILES = {
@@ -107,7 +107,7 @@ def test_p4_drift_recovery_beats_frozen_baseline():
             note=f"drift at request {closed.drift_at} of {closed.n_requests}",
         )
     )
-    print(render_lifecycle_stats(lifecycle_stats(closed)))
+    print(render_stats(lifecycle_stats(closed), title="model lifecycle"))
 
 
 def test_p4_gate_blocks_bad_challenger():

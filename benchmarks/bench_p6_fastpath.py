@@ -49,7 +49,7 @@ import numpy as np
 
 import benchmarks
 from benchmarks import PROFILE
-from repro.bench import render_cache_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.costmodel import PlanFeaturizer
 from repro.costmodel.features import plan_to_tree_arrays
 from repro.engine import CardinalityExecutor
@@ -559,7 +559,7 @@ def test_p6_gbdt_kernel_speedup_and_identity():
 def test_p6_plan_cache_hit_rate():
     scenario, report = serving_pass(seed=0)
     stats = scenario.plan_cache.stats()
-    print(render_cache_stats(stats, title=f"P6: plan cache ({PROFILE})"))
+    print(render_stats(stats, title=f"P6: plan cache ({PROFILE})"))
     assert report.n_served == scenario.n_requests, "requests were dropped"
     assert stats["hit_rate"] > HIT_RATE_GATE, (
         f"plan-cache hit rate {stats['hit_rate']:.2f} below the "

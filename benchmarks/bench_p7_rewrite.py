@@ -34,7 +34,7 @@ from collections import Counter
 
 import benchmarks
 from benchmarks import PROFILE
-from repro.bench import render_rewrite_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.e2e.loop import OptimizationLoop
 from repro.engine.simulator import ExecutionSimulator
 from repro.oracle.equivalence import PlanEquivalenceChecker
@@ -203,7 +203,7 @@ def test_p7_promoted_rewrites_oracle_clean():
     oracle = oracle_pass(ctx)
     stats = ctx["leaderboard"].stats()
     print(
-        render_rewrite_stats(
+        render_stats(
             stats,
             title=f"P7: promotion funnel ({PROFILE})",
             note=f"{oracle['plans_checked']} plan shapes re-executed over "

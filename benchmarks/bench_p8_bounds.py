@@ -32,7 +32,7 @@ import numpy as np
 
 import benchmarks
 from benchmarks import PROFILE
-from repro.bench import render_bounds_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.cardest.bounds import AGMSketchBoundEstimator, MCVJoinBoundEstimator
 from repro.engine import CardinalityExecutor
 from repro.faults import FaultPlan
@@ -192,12 +192,8 @@ def test_p8_guard_trips_are_visible():
     assert clean["stats"]["bound_violations"] == 0
     assert clean["stats"]["breaker_trips"] == 0
     assert clean["events"] == 0
-    print(render_bounds_stats(stats, title=f"P8: guard under faults ({PROFILE})"))
-    print(
-        render_bounds_stats(
-            clean["stats"], title="P8: guard on clean serving"
-        )
-    )
+    print(render_stats(stats, title=f"P8: guard under faults ({PROFILE})"))
+    print(render_stats(clean["stats"], title="P8: guard on clean serving"))
 
 
 def test_p8_pessimistic_p99_beats_optimistic_under_drift():

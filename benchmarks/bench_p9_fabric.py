@@ -29,7 +29,7 @@ import json
 
 import benchmarks
 from benchmarks import PROFILE
-from repro.bench import render_shard_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.serve import RuntimeConfig
 from repro.serve.fabric import (
     FabricConfig,
@@ -106,8 +106,8 @@ def scaling_pass(seed: int = 0, profile: str | None = None) -> dict:
             "shard_served": list(report.shard_served),
         }
         if label == "sharded":
-            out["shard_table"] = render_shard_stats(
-                scenario.fabric,
+            out["shard_table"] = render_stats(
+                scenario.fabric.shard_stats(),
                 title=f"P9: {shards}-shard fabric, {p['scale_requests']:,} requests",
             )
     out["efficiency"] = round(

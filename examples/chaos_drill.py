@@ -12,7 +12,7 @@ noise.
 Run:  python examples/chaos_drill.py
 """
 
-from repro.bench import render_fault_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.faults import FaultPlan, FaultSpec
 from repro.serve import chaos_scenario
 
@@ -63,7 +63,7 @@ def main() -> None:
             note="every query answered; failures absorbed by the ladder",
         )
     )
-    print(render_fault_stats(scenario.injector.stats()))
+    print(render_stats(scenario.injector.stats(), title="fault injection"))
 
     transitions = deployment.telemetry.events("breaker_transition")
     if transitions:

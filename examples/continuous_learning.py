@@ -12,7 +12,7 @@ baseline running the identical stream shows what that machinery bought.
 Run:  python examples/continuous_learning.py
 """
 
-from repro.bench import render_lifecycle_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.lifecycle import drift_recovery_scenario, lifecycle_stats
 
 
@@ -59,7 +59,7 @@ def main() -> None:
             f"{closed.n_requests}",
         )
     )
-    print(render_lifecycle_stats(lifecycle_stats(closed)))
+    print(render_stats(lifecycle_stats(closed), title="model lifecycle"))
 
     # The registry keeps the whole story: who was trained from whom, why,
     # on which data snapshot, and how deployment went.

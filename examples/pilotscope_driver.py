@@ -14,12 +14,12 @@ LPCE-flavoured loop built only from middleware primitives).
 Run:  python examples/pilotscope_driver.py
 """
 
+from repro.engine.simulator import ExecutionResult
 from repro.pilotscope import (
     Driver,
     PilotScopeConsole,
     SimulatedPostgreSQL,
 )
-from repro.pilotscope.interactor import ExecutionOutcome
 from repro.sql import Query, WorkloadGenerator
 from repro.storage import make_stats_lite
 
@@ -35,7 +35,7 @@ class FeedbackDriver(Driver):
         self.observed: dict[str, float] = {}
         self.corrections = 0
 
-    def algo(self, query: Query) -> ExecutionOutcome:
+    def algo(self, query: Query) -> ExecutionResult:
         interactor = self._require_started()
         with interactor.open_session() as session:
             # Push everything we have observed about this query's
@@ -55,11 +55,7 @@ class FeedbackDriver(Driver):
             for node, card in result.node_cards.items():
                 sub = plan.node_subquery(node)
                 self.observed[sub.to_sql()] = float(card)
-        return ExecutionOutcome(
-            cardinality=result.cardinality,
-            latency_ms=result.latency_ms,
-            plan=plan,
-        )
+        return result
 
 
 def main() -> None:

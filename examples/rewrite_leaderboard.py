@@ -25,7 +25,7 @@ Run:  python examples/rewrite_leaderboard.py
 
 from collections import Counter
 
-from repro.bench import render_rewrite_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.e2e.loop import OptimizationLoop
 from repro.engine.simulator import ExecutionSimulator
 from repro.rewrite import (
@@ -45,7 +45,7 @@ def main() -> None:
     store = GoldExampleStore(db, n_clusters=4, seed=0)
     leaderboard = PromotionLeaderboard(db, store=store)
     leaderboard.submit_workload(workload)
-    print(render_rewrite_stats(leaderboard.stats(), title="cold pass"))
+    print(render_stats(leaderboard.stats(), title="cold pass"))
 
     outcomes = Counter((e.rule, e.status) for e in leaderboard.entries)
     print(
@@ -83,7 +83,7 @@ def main() -> None:
         leaderboard.optimizer,
     )
     results = loop.run(workload)
-    served = [r for r in results if r.source.startswith("rewrite:")]
+    served = [r for r in results if r.plan_source.startswith("rewrite:")]
     print(
         render_table(
             "serving",

@@ -25,7 +25,7 @@ Run:  python examples/risk_bounded_serving.py
 
 import numpy as np
 
-from repro.bench import render_bounds_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.serve import adversarial_drift_scenario, bound_guard_scenario
 
 
@@ -62,7 +62,7 @@ def guard_drill(seed: int = 0) -> None:
     scenario.run()
     guard = scenario.bound_guard
     print(
-        render_bounds_stats(
+        render_stats(
             guard.stats(),
             title="bound guard under the default fault storm",
             note="every violation is also a bound_violation telemetry event",

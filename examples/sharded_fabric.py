@@ -23,7 +23,7 @@ determinism gate, extended to the fabric).
 Run:  python examples/sharded_fabric.py
 """
 
-from repro.bench import render_shard_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.serve import RuntimeConfig
 from repro.serve.fabric import (
     FabricConfig,
@@ -78,7 +78,11 @@ def scale_out(seed: int = 0) -> None:
             note=f"efficiency = {qps[16] / (16 * qps[1]):.3f} of ideal 16x",
         )
     )
-    print(render_shard_stats(last.fabric, title="16-shard balance (two-choice)"))
+    print(
+        render_stats(
+            last.fabric.shard_stats(), title="16-shard balance (two-choice)"
+        )
+    )
 
 
 def hot_tenant_drill(seed: int = 0) -> None:

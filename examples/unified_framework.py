@@ -79,7 +79,7 @@ def main() -> None:
     ))
     sources = {}
     for r in loop.results[-100:]:
-        sources[r.source] = sources.get(r.source, 0) + 1
+        sources[r.plan_source] = sources.get(r.plan_source, 0) + 1
     print("\nwinning candidate sources on the tail:", sources)
 
 

@@ -11,26 +11,13 @@ EXPERIMENTS.md); this package provides their shared machinery:
   experiment constructs methods consistently.
 """
 
-from repro.bench.report import (
-    render_bounds_stats,
-    render_cache_stats,
-    render_fault_stats,
-    render_lifecycle_stats,
-    render_rewrite_stats,
-    render_shard_stats,
-    render_table,
-)
+from repro.bench.report import render_stats, render_table
 from repro.bench.workloads import apply_drift
 from repro.bench.suite import build_estimator, estimate_workload
 
 __all__ = [
     "render_table",
-    "render_bounds_stats",
-    "render_cache_stats",
-    "render_fault_stats",
-    "render_lifecycle_stats",
-    "render_rewrite_stats",
-    "render_shard_stats",
+    "render_stats",
     "apply_drift",
     "build_estimator",
     "estimate_workload",

@@ -4,15 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = [
-    "render_table",
-    "render_bounds_stats",
-    "render_cache_stats",
-    "render_fault_stats",
-    "render_lifecycle_stats",
-    "render_rewrite_stats",
-    "render_shard_stats",
-]
+__all__ = ["render_table", "render_stats"]
 
 
 def _fmt(value) -> str:
@@ -55,155 +47,22 @@ def render_table(
     return "\n".join(out)
 
 
-def render_cache_stats(
-    stats: dict, *, title: str = "cardinality cache", note: str | None = None
-) -> str:
-    """Render :meth:`repro.optimizer.cardcache.CardinalityCache.stats`.
+def render_stats(stats: dict, *, title: str, note: str | None = None) -> str:
+    """Render any ``stats()`` dict, in the dict's own order.
 
-    One shared shape for every report that surfaces the planner cache's
-    hit/miss/eviction counters (P1/P2 benchmarks, serving summaries).
+    A flat dict (a cache's, guard's, injector's or leaderboard's counters)
+    becomes one ``(stat, value)`` row per key; a dict of dicts (a
+    lifecycle's components, a fabric's shards) one ``(component, stat,
+    value)`` row per inner key.
     """
-    return render_table(
-        title,
-        ["entries", "hits", "misses", "evictions", "hit_rate"],
-        [(
-            int(stats["entries"]),
-            int(stats["hits"]),
-            int(stats["misses"]),
-            int(stats["evictions"]),
-            f"{stats['hit_rate']:.3f}",
-        )],
-        note=note,
-    )
-
-
-def render_fault_stats(
-    counters: dict, *, title: str = "fault injection", note: str | None = None
-) -> str:
-    """Render per-fault-class counters (``{"target.kind": count}``) from a
-    :class:`repro.faults.FaultInjector` or the matching ``faults.*``
-    telemetry counters.  Meta keys (``total``, ``clock_ms``) are split out
-    into the note line so the table stays one row per fault class.
-    """
-    meta = {k: v for k, v in counters.items() if "." not in k}
-    rows = [
-        (k.split(".", 1)[0], k.split(".", 1)[1], int(v))
-        for k, v in sorted(counters.items())
-        if "." in k
-    ]
-    if not rows:
-        rows = [("-", "-", 0)]
-    extras = ", ".join(f"{k}={_fmt(float(v))}" for k, v in sorted(meta.items()))
-    return render_table(
-        title,
-        ["target", "kind", "injected"],
-        rows,
-        note=", ".join(x for x in (extras, note) if x) or None,
-    )
-
-
-def render_bounds_stats(
-    stats: dict, *, title: str = "bound guard", note: str | None = None
-) -> str:
-    """Render :meth:`repro.faults.BoundGuard.stats` output.
-
-    Three row groups in one table: the check/violation funnel (checked,
-    observed counts, estimate vs observed-count violations, violation
-    rate), the fallback routing counters (fallback served, breaker
-    denials, primary/bound errors, breaker trips) and the bound/estimate
-    ratio percentiles (how loose the certificates ran).
-    """
-    order = [
-        "checked",
-        "counts_observed",
-        "estimate_violations",
-        "bound_violations",
-        "violation_rate",
-        "fallback_served",
-        "breaker_denied",
-        "primary_errors",
-        "bound_errors",
-        "breaker_trips",
-        "ratio_p50",
-        "ratio_p90",
-        "ratio_p99",
-    ]
-    rows = [(key, stats[key]) for key in order if key in stats]
-    rows.extend((key, stats[key]) for key in sorted(stats) if key not in order)
-    if not rows:
-        rows = [("-", 0)]
-    return render_table(title, ["stat", "value"], rows, note=note)
-
-
-def render_lifecycle_stats(
-    stats: dict, *, title: str = "model lifecycle", note: str | None = None
-) -> str:
-    """Render :func:`repro.lifecycle.lifecycle_stats` output: a nested
-    ``{"scheduler": {...}, "registry": {...}, "store": {...}}`` block as
-    one (component, stat, value) row per counter, in sorted order."""
-    rows = [
-        (component, key, stats[component][key])
-        for component in sorted(stats)
-        for key in sorted(stats[component])
-    ]
-    if not rows:
-        rows = [("-", "-", 0)]
-    return render_table(title, ["component", "stat", "value"], rows, note=note)
-
-
-def render_rewrite_stats(
-    stats: dict, *, title: str = "rewrite leaderboard", note: str | None = None
-) -> str:
-    """Render :meth:`repro.rewrite.PromotionLeaderboard.stats` output.
-
-    The promotion funnel (submitted -> candidates -> validated ->
-    promoted / demoted / rejected) plus the learning-side counters
-    (anti-patterns, weight-based skips) as one (stat, value) row each, in
-    sorted order -- the same shape as the cache / fault / lifecycle
-    renderers.
-    """
-    rows = [(key, stats[key]) for key in sorted(stats)]
-    if not rows:
-        rows = [("-", 0)]
-    return render_table(title, ["stat", "value"], rows, note=note)
-
-
-def render_shard_stats(
-    fabric, *, title: str = "fabric shards", note: str | None = None
-) -> str:
-    """Render a :class:`repro.serve.ServingFabric`'s per-shard summary.
-
-    One row per shard -- router assignments, admission funnel (submitted
-    -> served, backend errors), virtual span and breaker trips -- plus a
-    totals row, so benchmark output shows load balance and failover at a
-    glance.  Used by ``benchmarks/bench_p9_fabric.py``.
-    """
-    router_stats = fabric.router.stats()
-    rows = []
-    totals = [0, 0, 0, 0, 0.0, 0]
-    for shard in fabric.shards:
-        st = shard.stats()
-        assigned = int(router_stats.get(f"assigned.{shard.name}", 0))
-        row = (
-            shard.name,
-            assigned,
-            int(st["submitted"]),
-            int(st["served"]),
-            int(st["errors"]),
-            st["span_ms"],
-            int(st["breaker_trips"]),
-        )
-        rows.append(row)
-        totals[0] += assigned
-        totals[1] += row[2]
-        totals[2] += row[3]
-        totals[3] += row[4]
-        totals[4] = max(totals[4], row[5])
-        totals[5] += row[6]
-    rows.append(("total", *totals))
-    return render_table(
-        title,
-        ["shard", "assigned", "submitted", "served", "errors", "span_ms", "trips"],
-        rows,
-        note=note,
-    )
+    if stats and all(isinstance(block, dict) for block in stats.values()):
+        headers = ["component", "stat", "value"]
+        rows = [
+            (component, key, value)
+            for component, block in stats.items()
+            for key, value in block.items()
+        ]
+    else:
+        headers = ["stat", "value"]
+        rows = list(stats.items())
+    return render_table(title, headers, rows, note=note)

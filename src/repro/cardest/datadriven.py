@@ -24,6 +24,7 @@ differentiates.
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
 
@@ -182,7 +183,7 @@ class KDEEstimator(PerTableModelEstimator):
 
     def _build_table_model(self, table: str) -> _TableKDE:
         columns = self._model_columns(table)
-        rng = np.random.default_rng(self.seed + hash(table) % 1000)
+        rng = np.random.default_rng(self.seed + zlib.crc32(table.encode()) % 1000)
         return _TableKDE(self.db.table(table).matrix(columns), columns, self.sample, rng)
 
     def _table_selectivity(self, query: Query, table: str) -> float:

@@ -20,6 +20,7 @@ also how Astrid builds its workloads.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -158,7 +159,7 @@ class AstridEstimator:
         padded = f"^{pred.pattern}$"
         for i in range(max(len(padded) - self.ngram + 1, 1)):
             gram = padded[i : i + self.ngram]
-            vec[hash(gram) % self.feature_dim] += 1.0
+            vec[zlib.crc32(gram.encode()) % self.feature_dim] += 1.0
         vec[self.feature_dim + self._kinds.index(pred.kind)] = 1.0
         vec[-2] = len(pred.pattern) / 12.0
         vec[-1] = 1.0  # bias-ish slot

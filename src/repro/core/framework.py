@@ -13,11 +13,12 @@ This module encodes that two-step structure directly:
 - :class:`RiskModel` -- scores candidates and learns from execution
   feedback (pointwise latency regression for Neo/Bao, pairwise preference
   for Lero/LEON);
-- :class:`LearnedOptimizer` -- the generic loop combining the two, with an
-  experience buffer and (re)training hooks.  It is the only class that
-  owns choose -> feedback -> retrain cadence -> history: every system in
-  :mod:`repro.e2e` and both PilotScope steering drivers are an
-  ``(exploration, risk_model)`` pair handed to it.
+- :class:`LearnedOptimizer` -- the generic loop combining the two.  It is
+  the only class that owns choose -> feedback -> retrain cadence: every
+  system in :mod:`repro.e2e` and both PilotScope steering drivers are an
+  ``(exploration, risk_model)`` pair handed to it.  The experience itself
+  -- the windowed (plan, latency) pairs a refit trains on -- is the risk
+  model's; the loop keeps no second copy.
 
 A search-based system fills both slots with one model: the network that
 guides the exploration (Neo's value net, LEON's comparator) is the risk
@@ -33,7 +34,6 @@ through the same staged machinery as any learned model.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
@@ -50,7 +50,6 @@ __all__ = [
     "PlannerModel",
     "PlanExplorationStrategy",
     "RiskModel",
-    "Experience",
     "LearnedOptimizer",
 ]
 
@@ -124,15 +123,6 @@ class RiskModel(Retrainable, Protocol):
         ...
 
 
-@dataclass
-class Experience:
-    """One executed (query, plan, latency) triple."""
-
-    query: Query
-    candidate: CandidatePlan
-    latency_ms: float
-
-
 class LearnedOptimizer:
     """Generic explore-then-select learned optimizer.
 
@@ -155,7 +145,6 @@ class LearnedOptimizer:
         self.risk_model = risk_model
         self.retrain_every = retrain_every
         self.name = name
-        self.history: deque[Experience] = deque(maxlen=OBSERVATION_WINDOW)
         self._since_retrain = 0
 
     def choose_plan(self, query: Query) -> CandidatePlan:
@@ -176,7 +165,6 @@ class LearnedOptimizer:
         self, query: Query, candidate: CandidatePlan, latency_ms: float
     ) -> None:
         """Feed an execution outcome back into the risk model."""
-        self.history.append(Experience(query, candidate, latency_ms))
         self.risk_model.observe(candidate, latency_ms)
         self._since_retrain += 1
         if self.retrain_every and self._since_retrain >= self.retrain_every:

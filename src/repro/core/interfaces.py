@@ -142,12 +142,43 @@ class LatencyPredictor(Protocol):
 
 @dataclass(frozen=True)
 class Decision:
-    """What a serving backend did with one query."""
+    """What was decided for one query: which plan source won, in which
+    stage, what it cost and what the native plan would have cost.
+
+    The one record of the deciding boundary: every :class:`Backend`
+    returns it from ``serve``, :class:`repro.e2e.OptimizationLoop` from
+    ``run_query`` (stage ``"offline"``), and policies and
+    :class:`repro.lifecycle.ExperienceStore` read it.  A backend with no
+    rollout behind it fills the first four fields and leaves the rest.
+    """
 
     stage: str  # deployment stage at serve time
     plan_source: str  # winning candidate source, or "native"
     latency_ms: float  # simulated latency of the plan actually served
     cardinality: int
+    query: Query | None = None
+    served_learned: bool = False
+    native_latency_ms: float | None = None  # None when the baseline was not run
+    shadow_latency_ms: float | None = None  # learned plan's off-path latency (SHADOW)
+
+    @property
+    def regression(self) -> float | None:
+        """Served/native latency ratio where the baseline exists (>1 is a
+        regression); in SHADOW the *hypothetical* learned regression."""
+        if self.native_latency_ms is None:
+            return None
+        observed = (
+            self.shadow_latency_ms
+            if self.shadow_latency_ms is not None
+            else self.latency_ms
+        )
+        return observed / max(self.native_latency_ms, 1e-9)
+
+    @property
+    def speedup(self) -> float:
+        """Native / served latency (>1 means the served plan won); only
+        where the baseline was run."""
+        return self.native_latency_ms / max(self.latency_ms, 1e-9)
 
 
 @runtime_checkable

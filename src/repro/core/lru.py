@@ -3,7 +3,7 @@
 The cardinality cache, the plan cache, the key-index cache and the exact
 executor's memo are all the same structure: at most ``capacity`` entries,
 the least-recently-*used* one evicted first, and hit / miss / eviction
-counters reported in the five-key shape ``render_cache_stats`` prints.
+counters reported in one five-key shape.
 They differ only in how they build a key and what they do on a miss, so
 that is all they define; this class is the rest.
 

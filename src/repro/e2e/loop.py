@@ -9,36 +9,15 @@ share it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.framework import CandidatePlan
+from repro.core.interfaces import Decision
 from repro.engine.simulator import ExecutionSimulator
 from repro.optimizer.planner import Optimizer
 from repro.sql.query import Query
 
-__all__ = ["EpisodeResult", "OptimizationLoop"]
-
-
-@dataclass(frozen=True)
-class EpisodeResult:
-    """Outcome of one query through the loop."""
-
-    query: Query
-    source: str  # which candidate source won (e.g. hint-set name)
-    latency_ms: float
-    native_latency_ms: float
-
-    @property
-    def speedup(self) -> float:
-        """Native / learned latency (>1 means the learned plan won)."""
-        return self.native_latency_ms / max(self.latency_ms, 1e-9)
-
-    @property
-    def regression(self) -> float:
-        """Learned / native latency (>1 means a regression)."""
-        return self.latency_ms / max(self.native_latency_ms, 1e-9)
+__all__ = ["OptimizationLoop"]
 
 
 class OptimizationLoop:
@@ -74,8 +53,9 @@ class OptimizationLoop:
 
         ``experience`` is an optional
         :class:`repro.lifecycle.ExperienceStore`; every
-        :class:`EpisodeResult` is ingested into it, which is how offline
-        training loops feed the continuous-retraining pipeline.
+        :class:`~repro.core.interfaces.Decision` is ingested into it
+        under ``kind="episode"``, which is how offline training loops
+        feed the continuous-retraining pipeline.
 
         ``auditor`` is an optional :class:`repro.oracle.OnlineAuditor`:
         a deterministic sample of served plans is re-executed literally
@@ -89,11 +69,14 @@ class OptimizationLoop:
         self.degrade_on_error = degrade_on_error
         self.experience = experience
         self.auditor = auditor
-        self.results: list[EpisodeResult] = []
+        self.results: list[Decision] = []
         self.fallbacks = 0  # learned failures served natively
         self.guard_errors = 0  # contained guard exceptions
 
-    def run_query(self, query: Query) -> EpisodeResult:
+    def run_query(self, query: Query) -> Decision:
+        """One query through choose -> guard -> execute -> feedback; the
+        native plan is always executed too, so every decision carries its
+        baseline (stage ``"offline"``: no rollout decides who serves)."""
         try:
             candidate = self.learned.choose_plan(query)
         except Exception:
@@ -111,11 +94,13 @@ class OptimizationLoop:
                 if not self.degrade_on_error:
                     raise
                 self.guard_errors += 1  # guard abstains, candidate stands
-        latency = self.simulator.execute(candidate.plan).latency_ms
+        executed = self.simulator.execute(candidate.plan)
+        latency = executed.latency_ms
         native_latency = self.simulator.execute(native_plan).latency_ms
         if self.auditor is not None:
             self.auditor.observe_plan(query, candidate.plan)
-        if candidate.source != "native:fallback":
+        learned = candidate.source != "native:fallback"
+        if learned:
             self.learned.record_feedback(query, candidate, latency)
         if self.guard is not None and hasattr(self.guard, "record"):
             try:
@@ -128,18 +113,21 @@ class OptimizationLoop:
                 if not self.degrade_on_error:
                     raise
                 self.guard_errors += 1  # feedback lost, loop keeps serving
-        result = EpisodeResult(
-            query=query,
-            source=candidate.source,
+        result = Decision(
+            stage="offline",
+            plan_source=candidate.source,
             latency_ms=latency,
+            cardinality=executed.cardinality,
+            query=query,
+            served_learned=learned,
             native_latency_ms=native_latency,
         )
         self.results.append(result)
         if self.experience is not None:
-            self.experience.add_episode(result)
+            self.experience.add_decision(result, kind="episode")
         return result
 
-    def run(self, queries: list[Query]) -> list[EpisodeResult]:
+    def run(self, queries: list[Query]) -> list[Decision]:
         return [self.run_query(q) for q in queries]
 
     # -- summaries ---------------------------------------------------------------

@@ -173,7 +173,7 @@ class CardinalityExecutor:
         self.key_index.clear()
 
     def cache_stats(self) -> dict[str, float]:
-        """Memo stats in the shape ``render_cache_stats`` expects."""
+        """Memo stats in the shape every cache reports."""
         return self._cache.stats()
 
     # -- acyclic: message passing --------------------------------------------------

@@ -3,12 +3,13 @@
 Neo's core observation (Marcus et al., VLDB 2019) is that a learned
 optimizer only stays competitive if execution feedback continuously flows
 back into training.  :class:`ExperienceStore` is where that feedback
-accumulates: the e2e :class:`~repro.e2e.loop.OptimizationLoop` ingests its
-:class:`~repro.e2e.loop.EpisodeResult`\\ s, the
-:class:`~repro.serve.deployment.DeploymentManager` ingests its
-:class:`~repro.serve.deployment.ServeDecision`\\ s, and the
-:class:`~repro.cardest.drift.Warper` deposits the drift-targeted training
-queries it generated (with their exact labels).
+accumulates: the e2e :class:`~repro.e2e.loop.OptimizationLoop` and the
+:class:`~repro.serve.deployment.DeploymentManager` both ingest the
+:class:`~repro.core.interfaces.Decision` they produce per query, through
+the one :meth:`ExperienceStore.add_decision` (``kind="episode"`` and
+``kind="serve"``), and the :class:`~repro.cardest.drift.Warper` deposits
+the drift-targeted training queries it generated (with their exact
+labels).
 
 Three properties the lifecycle determinism contract needs:
 
@@ -144,22 +145,14 @@ class ExperienceStore(ServePolicy):
         self._records[key] = record
         self._slots[j] = key
 
-    def add_episode(self, episode, *, drift: bool | None = None) -> None:
-        """Ingest an :class:`repro.e2e.loop.EpisodeResult`."""
+    def add_decision(
+        self, decision, *, kind: str = "serve", drift: bool | None = None
+    ) -> None:
+        """Ingest a :class:`repro.core.interfaces.Decision` that carries
+        its ``query``: ``kind="serve"`` from a deployment,
+        ``kind="episode"`` from the offline loop."""
         self._ingest(
-            "episode",
-            episode.query,
-            source=episode.source,
-            latency_ms=float(episode.latency_ms),
-            native_latency_ms=float(episode.native_latency_ms),
-            true_cardinality=None,
-            drift=self.drift_tag if drift is None else drift,
-        )
-
-    def add_decision(self, decision, *, drift: bool | None = None) -> None:
-        """Ingest a :class:`repro.serve.deployment.ServeDecision`."""
-        self._ingest(
-            "serve",
+            kind,
             decision.query,
             source=decision.plan_source,
             latency_ms=float(decision.latency_ms),

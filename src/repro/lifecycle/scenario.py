@@ -149,7 +149,7 @@ class LifecycleScenario(LifecycleStack):
 
 
 def lifecycle_stats(scenario: LifecycleStack) -> dict[str, dict]:
-    """The stat block :func:`repro.bench.report.render_lifecycle_stats`
+    """The stat block :func:`repro.bench.report.render_stats`
     renders: one dict per lifecycle component."""
     return {
         "scheduler": scenario.scheduler.stats(),

@@ -432,10 +432,6 @@ class RetrainingScheduler(ServePolicy):
             )
         return outcome
 
-    def force_retrain(self, *, reason: str = "manual", action: str = "retrain"):
-        """Bypass triggers and cooldown (operational escape hatch)."""
-        return self._retrain(action=action, reason=reason)
-
     # -- reporting -------------------------------------------------------------
 
     def stats(self) -> dict[str, float]:

@@ -25,9 +25,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.errors import ConfigError, DriverError, EstimationError
+from repro.engine.simulator import ExecutionResult
 from repro.faults.resilience import RetryPolicy
 from repro.pilotscope.driver import DriverConfig
-from repro.pilotscope.interactor import DBInteractor, ExecutionOutcome
+from repro.pilotscope.interactor import DBInteractor
 from repro.sql.parser import parse_query
 from repro.sql.query import Query
 
@@ -174,7 +175,7 @@ class PilotScopeConsole:
                 return slot.driver
         return None
 
-    def _dispatch(self, driver, query: Query) -> ExecutionOutcome | None:
+    def _dispatch(self, driver, query: Query) -> ExecutionResult | None:
         """One driver dispatch with retries and the latency budget.
 
         Returns ``None`` when the driver could not serve the query within
@@ -211,7 +212,7 @@ class PilotScopeConsole:
             return None
         return outcome
 
-    def _execute_native(self, query: Query) -> ExecutionOutcome:
+    def _execute_native(self, query: Query) -> ExecutionResult:
         """Native execution, through the plan cache when one is wired.
 
         A cache hit replays the template's compiled plan with this
@@ -222,14 +223,9 @@ class PilotScopeConsole:
             return self.interactor.execute_default(query)
         plan, hit = self.interactor.optimizer.plan_cached(query, self.plan_cache)
         self._incr("plan_cache.hits" if hit else "plan_cache.misses")
-        result = self.interactor.simulator.execute(plan)
-        return ExecutionOutcome(
-            cardinality=result.cardinality,
-            latency_ms=result.latency_ms,
-            plan=plan,
-        )
+        return self.interactor.simulator.execute(plan)
 
-    def execute(self, sql_or_query: str | Query) -> ExecutionOutcome:
+    def execute(self, sql_or_query: str | Query) -> ExecutionResult:
         """Execute user SQL, transparently through the active driver."""
         query = (
             parse_query(sql_or_query)

@@ -17,7 +17,8 @@ import abc
 from dataclasses import dataclass, field
 
 from repro.core.errors import DriverError
-from repro.pilotscope.interactor import DBInteractor, ExecutionOutcome
+from repro.engine.simulator import ExecutionResult
+from repro.pilotscope.interactor import DBInteractor
 from repro.sql.query import Query
 
 __all__ = ["DriverConfig", "Driver"]
@@ -72,7 +73,7 @@ class Driver(abc.ABC):
     # -- the algorithm -----------------------------------------------------------------
 
     @abc.abstractmethod
-    def algo(self, query: Query) -> ExecutionOutcome:
+    def algo(self, query: Query) -> ExecutionResult:
         """Serve one user query, interacting via push/pull operators."""
 
     # -- optional workflow phases ----------------------------------------------------

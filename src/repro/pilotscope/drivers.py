@@ -23,9 +23,9 @@ from repro.core.framework import CandidatePlan, LearnedOptimizer
 from repro.costmodel.features import PlanFeaturizer
 from repro.e2e.exploration import _dedup
 from repro.e2e.risk_models import PairwisePlanComparator, TreeConvLatencyModel
+from repro.engine.simulator import ExecutionResult
 from repro.optimizer.hints import HintSet
 from repro.pilotscope.driver import Driver
-from repro.pilotscope.interactor import ExecutionOutcome
 from repro.sql.query import Query
 
 __all__ = ["CardinalityInjectionDriver", "BaoDriver", "LeroDriver"]
@@ -44,7 +44,7 @@ class CardinalityInjectionDriver(Driver):
         self.estimator = estimator
         self._collected: list[tuple[Query, float]] = []
 
-    def algo(self, query: Query) -> ExecutionOutcome:
+    def algo(self, query: Query) -> ExecutionResult:
         interactor = self._require_started()
         with interactor.open_session() as session:
             subqueries = session.pull_subqueries(query)
@@ -53,13 +53,7 @@ class CardinalityInjectionDriver(Driver):
                 for sub in subqueries
             }
             session.push_cardinalities(cards)
-            plan = session.pull_plan(query)
-            result = session.pull_execution(plan)
-        return ExecutionOutcome(
-            cardinality=result.cardinality,
-            latency_ms=result.latency_ms,
-            plan=plan,
-        )
+            return session.pull_execution(session.pull_plan(query))
 
     # -- workflow phases --------------------------------------------------------------
 
@@ -132,16 +126,12 @@ class _SteeringDriverBase(Driver):
             finally:
                 self._session = None
 
-    def algo(self, query: Query) -> ExecutionOutcome:
+    def algo(self, query: Query) -> ExecutionResult:
         with self._open_session() as session:
             best = self.learned.choose_plan(query)
             result = session.pull_execution(best.plan)
         self.learned.record_feedback(query, best, result.latency_ms)
-        return ExecutionOutcome(
-            cardinality=result.cardinality,
-            latency_ms=result.latency_ms,
-            plan=best.plan,
-        )
+        return result
 
     def background_update(self) -> None:
         # Not ``learned.retrain()``: a background refit must not restart

@@ -14,12 +14,17 @@ Every concrete database (here: the simulated PostgreSQL) implements
 :class:`DBInteractor` by returning its own :class:`PilotSession`
 subclass; drivers only ever touch the abstract surface, which is what
 lets one driver steer any database.
+
+Executing a plan yields one record, the engine's
+:class:`~repro.engine.simulator.ExecutionResult` (plan, latency,
+cardinality, per-node feedback): ``pull_execution`` and
+``execute_default`` return it, and so do ``Driver.algo`` and
+``PilotScopeConsole.execute`` above them -- nothing re-wraps it.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 from repro.core.errors import SessionClosedError
 from repro.engine.plans import Plan
@@ -27,16 +32,7 @@ from repro.engine.simulator import ExecutionResult
 from repro.optimizer.hints import HintSet
 from repro.sql.query import Query
 
-__all__ = ["DBInteractor", "PilotSession", "ExecutionOutcome"]
-
-
-@dataclass(frozen=True)
-class ExecutionOutcome:
-    """What a session's execute returns to the database user."""
-
-    cardinality: int
-    latency_ms: float
-    plan: Plan
+__all__ = ["DBInteractor", "PilotSession"]
 
 
 class PilotSession(abc.ABC):
@@ -116,5 +112,5 @@ class DBInteractor(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def execute_default(self, query: Query) -> ExecutionOutcome:
+    def execute_default(self, query: Query) -> ExecutionResult:
         """Run a query entirely natively (no driver involvement)."""

@@ -14,11 +14,7 @@ from repro.engine.plans import Plan
 from repro.engine.simulator import ExecutionResult, ExecutionSimulator
 from repro.optimizer.hints import HintSet
 from repro.optimizer.planner import Optimizer
-from repro.pilotscope.interactor import (
-    DBInteractor,
-    ExecutionOutcome,
-    PilotSession,
-)
+from repro.pilotscope.interactor import DBInteractor, PilotSession
 from repro.sql.query import Query
 from repro.storage.catalog import Database
 
@@ -113,11 +109,5 @@ class SimulatedPostgreSQL(DBInteractor):
     def open_session(self) -> PilotSession:
         return _SimSession(self)
 
-    def execute_default(self, query: Query) -> ExecutionOutcome:
-        plan = self.optimizer.plan(query)
-        result = self.simulator.execute(plan)
-        return ExecutionOutcome(
-            cardinality=result.cardinality,
-            latency_ms=result.latency_ms,
-            plan=plan,
-        )
+    def execute_default(self, query: Query) -> ExecutionResult:
+        return self.simulator.execute(self.optimizer.plan(query))

@@ -26,8 +26,8 @@ values-relation statistics are registered where ``pull_plan`` plans.
 from __future__ import annotations
 
 from repro.core.framework import CandidatePlan
+from repro.engine.simulator import ExecutionResult
 from repro.pilotscope.driver import Driver
-from repro.pilotscope.interactor import ExecutionOutcome
 from repro.sql.query import Query
 
 from repro.rewrite.leaderboard import PromotionLeaderboard
@@ -110,7 +110,7 @@ class RewriteDriver(Driver):
         self.leaderboard = leaderboard
         self.rewrites_served = 0
 
-    def algo(self, query: Query) -> ExecutionOutcome:
+    def algo(self, query: Query) -> ExecutionResult:
         interactor = self._require_started()
         self.leaderboard.submit(query)
         hit = self.leaderboard.promoted_for(query)
@@ -125,8 +125,4 @@ class RewriteDriver(Driver):
             self.leaderboard.observe_served(
                 query, hit[1].rule, result.latency_ms
             )
-        return ExecutionOutcome(
-            cardinality=result.cardinality,
-            latency_ms=result.latency_ms,
-            plan=plan,
-        )
+        return result

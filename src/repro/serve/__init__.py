@@ -6,19 +6,22 @@ run-to-completion loop; this package serves a sustained concurrent
 workload and manages a learned optimizer's production lifecycle:
 
 - :mod:`repro.serve.runtime` -- :class:`ServingRuntime`: the one serving
-  core.  ``submit(request)`` is the per-request path (admission control
-  with typed :class:`Rejected` outcomes, optional breaker, any
-  :class:`repro.core.interfaces.Backend`, telemetry); ``run(schedule)``
-  loops a multi-session workload through it in deterministic order (see
-  the module docstring for the admission table);
+  core.  ``submit(request)`` is the per-request path (admission control,
+  optional breaker, any :class:`repro.core.interfaces.Backend`,
+  telemetry) and yields one :class:`Served` or typed :class:`Rejected`
+  per request -- the object the caller gets is the trace the bus keeps;
+  ``run(schedule)`` loops a multi-session workload through it in
+  deterministic order (see the module docstring for the admission table);
 - :mod:`repro.serve.deployment` -- :class:`DeploymentManager`: stages a
   learned optimizer through SHADOW -> CANARY -> LIVE with a rolling
   regression window that demotes it to ROLLED_BACK automatically,
-  reusing :mod:`repro.regression` guards on the serving path;
+  reusing :mod:`repro.regression` guards on the serving path; ``serve``
+  returns the one :class:`repro.core.interfaces.Decision` per query;
 - :mod:`repro.serve.telemetry` -- :class:`TelemetryBus`: counters,
-  p50/p95/p99 histograms, per-query traces (plan source, estimator tag,
-  cardinality-cache hit/miss deltas) and lifecycle events, exported as a
-  deterministic ``snapshot()``;
+  p50/p95/p99 histograms, per-request traces (the runtime's outcomes,
+  exported as rows of plan source, estimator tag, cardinality-cache
+  hit/miss deltas) and lifecycle events, as a deterministic
+  ``snapshot()``;
 - :mod:`repro.serve.scenarios` -- canned steady-state / injected-regression
   / prepared-statement / chaos / bound-guard / adversarial-drift setups
   used by ``benchmarks/bench_p2_serving.py``, ``bench_p3_chaos.py``,
@@ -51,7 +54,7 @@ from repro.serve.scenarios import (
     parameterized_scenario,
     steady_state_scenario,
 )
-from repro.serve.telemetry import Histogram, TelemetryBus, TraceRecord
+from repro.serve.telemetry import Histogram, TelemetryBus
 
 __all__ = [
     "ConsoleBackend",
@@ -65,7 +68,6 @@ __all__ = [
     "ShardRuntime",
     "Stage",
     "TelemetryBus",
-    "TraceRecord",
     "adversarial_drift_scenario",
     "bound_guard_scenario",
     "build_schedule",

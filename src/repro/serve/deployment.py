@@ -35,7 +35,6 @@ list; a policy demotes the model only through :meth:`auto_rollback`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from statistics import fmean
 
 from repro.core.errors import ConfigError
@@ -49,7 +48,7 @@ from repro.regression import GuardChain
 from repro.serve.telemetry import TelemetryBus
 from repro.sql.query import Query, query_hash
 
-__all__ = ["Stage", "ServeDecision", "DeploymentManager"]
+__all__ = ["Stage", "DeploymentManager"]
 
 
 class Stage(enum.Enum):
@@ -59,34 +58,10 @@ class Stage(enum.Enum):
     ROLLED_BACK = "rolled_back"
 
 
-#: the transitions promote()/rollback() are allowed to make
+#: the transitions promote() / auto_promote are allowed to make
 _PROMOTIONS = {Stage.SHADOW: Stage.CANARY, Stage.CANARY: Stage.LIVE}
 #: the stages in which the learned model is on the serving path
 _SERVING = (Stage.CANARY, Stage.LIVE)
-
-
-@dataclass(frozen=True)
-class ServeDecision(Decision):
-    """What the deployment did with one query: the backend
-    :class:`~repro.core.interfaces.Decision` plus the rollout detail."""
-
-    query: Query
-    served_learned: bool
-    native_latency_ms: float | None  # None when the baseline was not run
-    shadow_latency_ms: float | None  # learned plan's off-path latency (SHADOW)
-
-    @property
-    def regression(self) -> float | None:
-        """Served/native latency ratio where the baseline exists (>1 is a
-        regression); in SHADOW the *hypothetical* learned regression."""
-        if self.native_latency_ms is None:
-            return None
-        observed = (
-            self.shadow_latency_ms
-            if self.shadow_latency_ms is not None
-            else self.latency_ms
-        )
-        return observed / max(self.native_latency_ms, 1e-9)
 
 
 class DeploymentManager:
@@ -214,12 +189,6 @@ class DeploymentManager:
         self._transition(nxt, reason="promote")
         return self.stage
 
-    def rollback(self, reason: str = "manual") -> Stage:
-        if self.stage is Stage.ROLLED_BACK:
-            return self.stage
-        self._transition(Stage.ROLLED_BACK, reason=reason)
-        return self.stage
-
     def auto_rollback(self, reason: str) -> None:
         """Demote a model that is on the serving path (CANARY/LIVE) and
         count it -- the one thing a policy may do to the stage.  No-op in
@@ -330,7 +299,7 @@ class DeploymentManager:
         self.telemetry.incr("plan_cache.hits" if hit else "plan_cache.misses")
         return plan
 
-    def serve(self, query: Query) -> ServeDecision:
+    def serve(self, query: Query) -> Decision:
         """Serve one query according to the current stage."""
         stage = self.stage  # snapshot: transitions below affect later queries
         if self._learned_serves(query):
@@ -352,7 +321,7 @@ class DeploymentManager:
 
     def _serve_native(
         self, query: Query, stage: Stage, plan_source: str = "native"
-    ) -> ServeDecision:
+    ) -> Decision:
         native_plan = self._native_plan(query)
         result = self.simulator.execute(native_plan)
         shadow_latency = None
@@ -377,7 +346,7 @@ class DeploymentManager:
                 self._observe_regression(
                     shadow_latency / max(result.latency_ms, 1e-9)
                 )
-        return ServeDecision(
+        return Decision(
             query=query,
             stage=stage.value,
             served_learned=False,
@@ -407,7 +376,7 @@ class DeploymentManager:
                     f"breaker_trips={self.breaker.trips}>={self.rollback_after_trips}"
                 )
 
-    def _serve_degraded(self, query: Query, stage: Stage) -> ServeDecision:
+    def _serve_degraded(self, query: Query, stage: Stage) -> Decision:
         """Bottom of the degradation ladder: serve natively, skip the
         learned path entirely (no feedback -- the model is suspect).
         Only reached from CANARY/LIVE, so no shadow evaluation runs."""
@@ -415,7 +384,7 @@ class DeploymentManager:
         self.telemetry.incr("deployment.degraded")
         return self._serve_native(query, stage, "native:degraded")
 
-    def _serve_learned(self, query: Query, stage: Stage) -> ServeDecision:
+    def _serve_learned(self, query: Query, stage: Stage) -> Decision:
         if self.breaker is not None and not self.breaker.allow():
             self.telemetry.incr("deployment.degraded.breaker_open")
             return self._serve_degraded(query, stage)
@@ -450,7 +419,7 @@ class DeploymentManager:
                 self.guard.record_native(query, native_plan, native_latency)
         if native_latency is not None:
             self._observe_regression(result.latency_ms / max(native_latency, 1e-9))
-        return ServeDecision(
+        return Decision(
             query=query,
             stage=stage.value,
             served_learned=True,
@@ -463,7 +432,7 @@ class DeploymentManager:
 
     # -- telemetry ---------------------------------------------------------------------
 
-    def _record(self, decision: ServeDecision) -> None:
+    def _record(self, decision: Decision) -> None:
         bus = self.telemetry
         bus.incr(f"serve.stage.{decision.stage}")
         bus.incr(

@@ -222,6 +222,15 @@ class ServingFabric:
 
     # -- export -------------------------------------------------------------------
 
+    def shard_stats(self) -> dict[str, dict[str, float]]:
+        """Each shard's ``stats()`` behind the router's assignment count,
+        by shard name in shard order -- load balance and failover at a
+        glance (``repro.bench.render_stats`` prints it)."""
+        return {
+            shard.name: {"assigned": float(assigned), **shard.stats()}
+            for shard, assigned in zip(self.shards, self.router.assignments)
+        }
+
     def export_json(self, *, include_traces: bool = False) -> str:
         """The fabric-wide merged telemetry export (deterministic bytes)."""
         return self.aggregator.export_json(include_traces=include_traces)
@@ -241,7 +250,7 @@ def build_fabric_schedule(
     the same seeded generator, so the schedule is a pure function of
     ``(queries, specs, seed, mean_interarrival_ms)``.  Per-request
     identity (``session_id`` = tenant index in ``specs``, ``seq`` =
-    per-tenant ordinal) is what trace records sort by fabric-wide.
+    per-tenant ordinal) is what traces sort by fabric-wide.
     """
     import numpy as np
 

@@ -3,7 +3,9 @@
 Every request takes :meth:`ServingRuntime.submit`: admission control
 sheds work a real front-end would refuse (a typed :class:`Rejected`
 instead of a result), the optional circuit breaker guards the backend,
-the backend serves, and the outcome is filed on the telemetry bus.  The
+the backend serves, and the one outcome object -- :class:`Served` or
+:class:`Rejected` -- is both returned to the caller and filed on the
+telemetry bus, which renders its trace row from it at export time.  The
 two drivers differ only in the *lane* a request occupies while it
 (virtually) executes: :meth:`ServingRuntime.run` drains a
 :func:`build_schedule` workload in ``global_seq`` order with each request
@@ -49,7 +51,7 @@ from repro.core.errors import ConfigError, DriverError
 from repro.core.interfaces import Backend, Decision
 from repro.faults.resilience import CircuitBreaker
 from repro.pilotscope.console import PilotScopeConsole
-from repro.serve.telemetry import TelemetryBus, TraceRecord
+from repro.serve.telemetry import TelemetryBus
 from repro.sql.query import Query, query_hash
 
 __all__ = [
@@ -77,14 +79,44 @@ class Request:
 
 @dataclass(frozen=True)
 class Served:
-    """A request that made it through admission and was executed."""
+    """A request that made it through admission and was executed.
+
+    ``cache_hits`` / ``cache_misses`` are the deltas of the planner's
+    cardinality-cache counters around this request; ``audit`` is the
+    online-oracle outcome: ``""`` (not sampled), ``"ok"``,
+    ``"violation"`` or ``"skipped"`` (re-verification exceeded the
+    auditor's row guard).
+    """
 
     request: Request
-    stage: str
-    plan_source: str
+    stage: str  # deployment stage at serve time
+    plan_source: str  # winning candidate source or "native"
     latency_ms: float
     wait_ms: float
     cardinality: int
+    estimator_tag: str = ""  # the backend's name
+    cache_hits: int = 0
+    cache_misses: int = 0
+    audit: str = ""
+
+    def trace_row(self) -> dict:
+        """This request as the telemetry export writes it; ``session_id``
+        / ``seq`` are the deterministic identity the snapshot sorts by."""
+        request = self.request
+        return {
+            "session_id": request.session_id,
+            "seq": request.seq,
+            "query_hash": query_hash(request.query),
+            "outcome": "served",
+            "stage": self.stage,
+            "plan_source": self.plan_source,
+            "estimator_tag": self.estimator_tag,
+            "latency_ms": self.latency_ms,
+            "wait_ms": self.wait_ms,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "audit": self.audit,
+        }
 
 
 @dataclass(frozen=True)
@@ -100,6 +132,26 @@ class Rejected:
     request: Request
     reason: str
     wait_ms: float
+    estimator_tag: str = ""  # the refusing core's backend ("": the fabric)
+
+    def trace_row(self) -> dict:
+        """The same twelve keys as :meth:`Served.trace_row`: the reason is
+        the outcome; nothing was staged, planned, executed or audited."""
+        request = self.request
+        return {
+            "session_id": request.session_id,
+            "seq": request.seq,
+            "query_hash": query_hash(request.query),
+            "outcome": self.reason,
+            "stage": "",
+            "plan_source": "",
+            "estimator_tag": self.estimator_tag,
+            "latency_ms": 0.0,
+            "wait_ms": self.wait_ms,
+            "cache_hits": 0,
+            "cache_misses": 0,
+            "audit": "",
+        }
 
 
 @dataclass(frozen=True)
@@ -225,8 +277,7 @@ class ServingRuntime:
     ``auditor`` optionally attaches a sampled online correctness audit
     (see :class:`repro.oracle.OnlineAuditor`): each served request passes
     through ``auditor.observe(query, cardinality, bus=...)`` and the
-    returned tag lands on the request's
-    :class:`~repro.serve.telemetry.TraceRecord`.
+    returned tag lands on the request's :class:`Served`.
     """
 
     def __init__(
@@ -285,7 +336,8 @@ class ServingRuntime:
 
         Must be called in arrival order.  ``lane=None`` places the request
         on the earliest-free worker lane (ties to the lower id).  Returns
-        :class:`Served` or :class:`Rejected` and files it on the bus.
+        :class:`Served` or :class:`Rejected`, the same object it files
+        on the bus as the request's trace.
         """
         self.submitted += 1
         arrival = req.arrival_ms
@@ -329,20 +381,14 @@ class ServingRuntime:
                 reason = "error"
         if reason is not None:
             bus.incr(f"runtime.rejected.{reason}")
-            bus.trace(
-                TraceRecord(
-                    session_id=req.session_id,
-                    seq=req.seq,
-                    query_hash=query_hash(req.query),
-                    outcome=reason,
-                    stage="",
-                    plan_source="",
-                    estimator_tag=backend.name,
-                    latency_ms=0.0,
-                    wait_ms=wait,
-                )
+            outcome = Rejected(
+                request=req,
+                reason=reason,
+                wait_ms=wait,
+                estimator_tag=backend.name,
             )
-            return Rejected(request=req, reason=reason, wait_ms=wait)
+            bus.trace(outcome)
+            return outcome
         after = backend.cache_stats()
         if breaker is not None:
             breaker.record_success()
@@ -367,30 +413,20 @@ class ServingRuntime:
         if before is not None and after is not None:
             hits = int(after["hits"] - before["hits"])
             misses = int(after["misses"] - before["misses"])
-        bus.trace(
-            TraceRecord(
-                session_id=req.session_id,
-                seq=req.seq,
-                query_hash=query_hash(req.query),
-                outcome="served",
-                stage=decision.stage,
-                plan_source=decision.plan_source,
-                estimator_tag=backend.name,
-                latency_ms=latency,
-                wait_ms=wait,
-                cache_hits=hits,
-                cache_misses=misses,
-                audit=audit,
-            )
-        )
-        return Served(
+        outcome = Served(
             request=req,
             stage=decision.stage,
             plan_source=decision.plan_source,
             latency_ms=latency,
             wait_ms=wait,
             cardinality=decision.cardinality,
+            estimator_tag=backend.name,
+            cache_hits=hits,
+            cache_misses=misses,
+            audit=audit,
         )
+        bus.trace(outcome)
+        return outcome
 
     # -- the schedule driver ------------------------------------------------------
 

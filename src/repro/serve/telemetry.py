@@ -1,6 +1,6 @@
 """Telemetry bus for the serving runtime.
 
-Counters, latency histograms (p50/p95/p99) and per-query trace records,
+Counters, latency histograms (p50/p95/p99) and per-request traces,
 collected while requests are in flight and exported as one deterministic
 ``snapshot()`` dict.  Determinism is load-bearing: the serving smoke test
 asserts that two same-seed runs of an 8-session schedule produce
@@ -8,6 +8,12 @@ byte-identical snapshots, so nothing wall-clock (timestamps, rates) may
 enter the bus -- the runtime reports those separately -- and the snapshot
 orders everything canonically (counters by name, traces by
 ``(session_id, seq)``).
+
+A trace is the outcome object the runtime returned for the request
+(:class:`repro.serve.runtime.Served` or ``Rejected``), kept as is: the
+bus only needs its ``request.session_id`` / ``request.seq`` to order it
+and its ``trace_row()`` to export it, so this module imports nothing from
+the runtime.
 
 External stat sources (the optimizer's :class:`~repro.optimizer.cardcache.
 CardinalityCache`, guard intervention counters) attach as gauges: zero-arg
@@ -20,23 +26,27 @@ from __future__ import annotations
 
 import json
 import threading
-
-from repro.core.errors import ConfigError
-from dataclasses import dataclass, field
 from typing import Callable
 
-__all__ = ["Histogram", "TraceRecord", "TelemetryBus"]
+from repro.core.errors import ConfigError
+
+__all__ = ["Histogram", "TelemetryBus"]
 
 
 class Histogram:
-    """Exact-percentile histogram over recorded values.
+    """Percentile histogram over recorded values: exact below
+    ``capacity``, approximate past it.
 
     Values are kept (bounded by ``capacity``) and percentiles computed from
-    the sorted sample at summary time -- exact for serving-scale runs, and
-    deterministic regardless of recording order.  Past ``capacity`` the
-    sample is decimated by keeping every other value (again deterministic:
-    depends only on the multiset of values recorded so far, not on wall
-    clock), while ``count``/``total`` keep describing the full stream.
+    the sorted sample at summary time -- exact while at most ``capacity``
+    values have been recorded, and deterministic regardless of recording
+    order.  Past ``capacity`` the sample is halved by keeping every other
+    value (again deterministic: depends only on the multiset of values
+    recorded so far, not on wall clock), so percentiles become those of a
+    thinned sample with no stated error bound, while ``count`` / ``total``
+    / ``max`` keep describing the full stream.  :meth:`merged` pools
+    samples of different halving depths at equal weight, which biases the
+    merged percentiles toward the less-halved inputs.
     """
 
     def __init__(self, capacity: int = 65_536) -> None:
@@ -107,35 +117,20 @@ class Histogram:
         }
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One served (or shed) request, as the telemetry bus remembers it.
-
-    ``session_id``/``seq`` form the deterministic identity the snapshot
-    sorts by; ``cache_hits``/``cache_misses`` are the per-query deltas of
-    the planner's cardinality cache counters around this request.
-    """
-
-    session_id: int
-    seq: int
-    query_hash: str
-    #: "served", or the :class:`~repro.serve.runtime.Rejected` reason
-    #: ("timeout" | "queue_full" | "overload" | "shard_open" | "error")
-    outcome: str
-    stage: str  # deployment stage at serve time ("" for rejections)
-    plan_source: str  # winning candidate source or "native"
-    estimator_tag: str
-    latency_ms: float
-    wait_ms: float
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: online-oracle audit outcome: "" (not sampled), "ok", "violation",
-    #: or "skipped" (re-verification exceeded the auditor's row guard)
-    audit: str = ""
+def _trace_order(outcome) -> tuple[int, int]:
+    """The deterministic identity traces are exported in."""
+    request = outcome.request
+    return (request.session_id, request.seq)
 
 
 class TelemetryBus:
-    """Thread-safe counters + histograms + traces + deployment events."""
+    """Thread-safe counters + histograms + traces + deployment events.
+
+    A retained trace keeps its outcome object, and through it the
+    ``Request`` and ``Query``, alive until the bus goes -- not a flat row
+    of strings -- so trace memory is ``trace_capacity`` outcomes, whatever
+    a query weighs; traces past the capacity are counted and dropped.
+    """
 
     def __init__(self, trace_capacity: int = 100_000) -> None:
         if trace_capacity < 1:
@@ -144,7 +139,7 @@ class TelemetryBus:
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._traces: list[TraceRecord] = []
+        self._traces: list = []  # Served | Rejected outcomes
         self._traces_dropped = 0
         self._events: list[dict] = []
         self._gauges: dict[str, Callable[[], dict]] = {}
@@ -162,12 +157,13 @@ class TelemetryBus:
                 hist = self._histograms[name] = Histogram()
             hist.record(value)
 
-    def trace(self, record: TraceRecord) -> None:
+    def trace(self, outcome) -> None:
+        """Keep one request's outcome (see the module docstring)."""
         with self._lock:
             if len(self._traces) >= self.trace_capacity:
                 self._traces_dropped += 1
             else:
-                self._traces.append(record)
+                self._traces.append(outcome)
 
     def event(self, kind: str, **fields) -> None:
         """Record a deployment-lifecycle event (promotion, rollback, ...)."""
@@ -218,9 +214,7 @@ class TelemetryBus:
                     out._counters[cname] = out._counters.get(cname, 0) + value
                 for ev in bus._events:
                     out._events.append({**ev, "source": name})
-                for trace in sorted(
-                    bus._traces, key=lambda t: (t.session_id, t.seq)
-                ):
+                for trace in sorted(bus._traces, key=_trace_order):
                     if len(out._traces) >= out.trace_capacity:
                         out._traces_dropped += 1
                     else:
@@ -251,7 +245,7 @@ class TelemetryBus:
         """Deterministic state dump: counters, histogram summaries, gauges,
         lifecycle events in occurrence order and traces sorted by identity."""
         with self._lock:
-            traces = sorted(self._traces, key=lambda t: (t.session_id, t.seq))
+            traces = sorted(self._traces, key=_trace_order)
             return {
                 "counters": dict(sorted(self._counters.items())),
                 "histograms": {
@@ -263,7 +257,7 @@ class TelemetryBus:
                     for name in sorted(self._gauges)
                 },
                 "events": [dict(e) for e in self._events],
-                "traces": [vars(t).copy() for t in traces],
+                "traces": [t.trace_row() for t in traces],
                 "traces_dropped": self._traces_dropped,
             }
 

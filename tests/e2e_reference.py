@@ -20,13 +20,15 @@ import itertools
 import math
 from collections import deque
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.framework import OBSERVATION_WINDOW, CandidatePlan, Experience
+from repro.core.framework import OBSERVATION_WINDOW, CandidatePlan
 from repro.costmodel.features import PlanFeaturizer, plan_to_tree_arrays
 from repro.e2e.risk_models import PairwisePlanComparator, TreeConvLatencyModel
 from repro.engine.plans import JoinNode, Plan, PlanNode, ScanNode
+from repro.engine.simulator import ExecutionResult
 from repro.joinorder.env import JoinOrderEnv, plan_from_order
 from repro.ml.treeconv import TreeConvNet
 from repro.optimizer.hints import HintSet
@@ -37,7 +39,6 @@ from repro.optimizer.planner import (
     _join_conditions_between,
 )
 from repro.pilotscope.driver import Driver
-from repro.pilotscope.interactor import ExecutionOutcome
 from repro.sql.query import Query
 
 __all__ = [
@@ -49,6 +50,14 @@ __all__ = [
     "LeroDriver",
     "RTOSPartialTree",
 ]
+
+
+class Experience(NamedTuple):
+    """One executed (query, plan, latency) triple, as the old loops kept it."""
+
+    query: Query
+    candidate: CandidatePlan
+    latency_ms: float
 
 
 class _ValueGuidedOptimizer:
@@ -532,7 +541,7 @@ class _SteeringDriverBase(Driver):
     def _candidates(self, session, query: Query) -> list[CandidatePlan]:
         raise NotImplementedError
 
-    def algo(self, query: Query) -> ExecutionOutcome:
+    def algo(self, query: Query) -> ExecutionResult:
         interactor = self._require_started()
         with interactor.open_session() as session:
             candidates = self._candidates(session, query)
@@ -544,11 +553,7 @@ class _SteeringDriverBase(Driver):
         if self._since_retrain >= self.retrain_every:
             self._since_retrain = 0
             self.risk_model.retrain()
-        return ExecutionOutcome(
-            cardinality=result.cardinality,
-            latency_ms=result.latency_ms,
-            plan=best.plan,
-        )
+        return result
 
     def background_update(self) -> None:
         self.risk_model.retrain()

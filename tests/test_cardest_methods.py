@@ -348,3 +348,58 @@ class TestEnsemble:
     def test_rejects_empty(self, stats_db):
         with pytest.raises(ValueError):
             EnsembleEstimator(stats_db, [])
+
+
+def _hash_seeded_numbers() -> dict:
+    """What used to depend on the process's string-hash salt: KDE's
+    per-table sample seed and Astrid's n-gram buckets."""
+    from repro import quickstart_database
+    from repro.cardest.strings import (
+        AstridEstimator,
+        StringColumn,
+        StringMatchKind,
+        StringPredicate,
+    )
+
+    db = quickstart_database()
+    queries = WorkloadGenerator(db, seed=5).workload(3, 1, 2, require_predicate=True)
+    kde = KDEEstimator(db, seed=0)
+    astrid = AstridEstimator(StringColumn("name", ["anna", "hannah", "joan"]))
+    features = astrid._featurize(StringPredicate(StringMatchKind.SUBSTRING, "anna"))
+    return {
+        "kde": [float(kde.estimate(q)) for q in queries],
+        "astrid": features.tolist(),
+    }
+
+
+def test_kde_and_astrid_do_not_depend_on_the_hash_seed():
+    """Two fresh processes with random string-hash salts and this one
+    agree: both seed from a CRC of the text, not from ``hash()``."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import json\n"
+        "from tests.test_cardest_methods import _hash_seeded_numbers\n"
+        "print(json.dumps(_hash_seeded_numbers()))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+    )
+    env["PYTHONHASHSEED"] = "random"
+    runs = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, check=True, cwd=root,
+            ).stdout
+        )
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1] == _hash_seeded_numbers()
+    assert sum(runs[0]["astrid"]) > 3  # the n-grams landed in buckets

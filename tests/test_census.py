@@ -1,9 +1,9 @@
 """The census as a test: no caller, no code.
 
-Over every package and every module under ``src/repro`` four things must
-hold.  (a), (b) and (d) only read source files -- nothing is imported from
-``repro`` or ``perf``, and an absent directory is skipped; (c) imports the
-examples:
+Over every package and every module under ``src/repro`` five things must
+hold.  (a), (b), (d) and (e) only read source files -- nothing is imported
+from ``repro`` or ``perf``, and an absent directory is skipped; (c) imports
+the examples:
 
 (a) every name a package ``__init__`` exports is imported *through that
     package* by some file outside it (the top-level ``repro`` facade is the
@@ -18,7 +18,10 @@ examples:
 (d) every keyword parameter is named by some file that does not define it:
     a knob only its own definers mention has had one value.  A kept
     reference copy (``tests/*_reference.py``) re-defines what it copies and
-    this file names what it seeds, so neither counts as naming a parameter.
+    this file names what it seeds, so neither counts as naming a parameter;
+(e) every ``@dataclass`` that declares or inherits a ``latency_ms`` field is
+    one of the listed records, one per boundary a query crosses: a class
+    that re-labels the previous layer's record has nowhere to hide.
 
 A failure names the file and the symbol.  The fix is to delete the code (or
 the export), not to grow the allow-list: that list is the backlog of
@@ -50,8 +53,6 @@ TEST_ONLY = {
     "sharded_fabric_scenario",  # full per-shard stack at test scale
     "shard_fault_plan",  # its reroute drills' fault plans
     "default_retrainer",  # Retrainable-surface retrainer; scenarios use Warper
-    "force_retrain",  # operator escape hatch past triggers and cooldown
-    "rollback",  # manual demotion; every scenario demotes via auto_rollback
     "lineage",  # registry ancestry walk
     "stop_driver",  # console driver lifecycle
     "enable_background_updates",  # console periodic background_update
@@ -291,6 +292,67 @@ def test_every_keyword_parameter_is_named_outside_its_definers():
     )
 
 
+# -- (e) one record per boundary ------------------------------------------------------
+
+#: every dataclass that may carry a query's ``latency_ms``, with the
+#: boundary it records (``Rejected``, the sixth record, has no latency)
+RECORDS = {
+    "ExecutionResult": "a plan was executed (engine/simulator.py)",
+    "Decision": "a query was decided, by a backend or the offline loop (core/interfaces.py)",
+    "Served": "a request was admitted and served (serve/runtime.py)",
+    "QueryLogEntry": "what the database user sees: rendered SQL, bounded log (pilotscope/console.py)",
+    "ExperienceRecord": "a store's unit: mutable, de-duplicated, sampled (lifecycle/experience.py)",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def latency_records(sources: Sources) -> list[str]:
+    """Every ``@dataclass`` under ``src/repro`` with a ``latency_ms`` field
+    of its own or of a base class (bases resolved by name)."""
+    classes = {
+        node.name: node
+        for path in _files("src")
+        for node in ast.walk(sources.parse(path))
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def has_field(node: ast.ClassDef, seen=()) -> bool:
+        if any(
+            isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and stmt.target.id == "latency_ms"
+            for stmt in node.body
+        ):
+            return True
+        return any(
+            isinstance(base, ast.Name)
+            and base.id in classes
+            and base.id not in seen
+            and has_field(classes[base.id], (*seen, node.name))
+            for base in node.bases
+        )
+
+    return sorted(n for n, node in classes.items() if _is_dataclass(node) and has_field(node))
+
+
+def test_every_latency_record_is_a_listed_boundary():
+    found = latency_records(Sources())
+    extra = [n for n in found if n not in RECORDS]
+    assert not extra, (
+        f"dataclasses with a latency_ms field that are not a listed record: {extra} -- "
+        f"return or extend the record of that boundary instead: {RECORDS}"
+    )
+    assert found == sorted(RECORDS), f"listed but gone: {sorted(set(RECORDS) - set(found))}"
+
+
 # -- the rules bite: one planted violation each ---------------------------------------
 
 
@@ -349,3 +411,14 @@ def test_seeded_registry_row_is_a_reference_to_the_class_and_its_methods():
         }
     )
     assert unreferenced_definitions(with_row) == ([], [], [])
+
+
+def test_seeded_relabelled_record_is_caught():
+    sources = _patched(
+        "pilotscope/interactor.py",
+        "\nclass PilotSession(abc.ABC):",
+        "\nfrom dataclasses import dataclass\n\n\n@dataclass(frozen=True)\n"
+        "class ExecutionOutcome:\n    cardinality: int\n    latency_ms: float\n"
+        "    plan: Plan\n\n\nclass PilotSession(abc.ABC):",
+    )
+    assert [n for n in latency_records(sources) if n not in RECORDS] == ["ExecutionOutcome"]

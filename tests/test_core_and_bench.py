@@ -15,7 +15,6 @@ from repro.bench.suite import fit_estimator
 from repro.cardest.advisor import AutoCE, DatasetFeatures, flow_loss_weights
 from repro.core import registry
 from repro.core.framework import (
-    OBSERVATION_WINDOW,
     LearnedOptimizer,
     PlanExplorationStrategy,
     RiskModel,
@@ -69,7 +68,7 @@ class TestRegistry:
 
     def test_every_end_to_end_system_instantiates_the_framework(self, imdb_optimizer):
         """§2.2: a plan-exploration strategy plus a learned risk model, in
-        the one loop that owns the (windowed) history."""
+        the one loop that owns choose -> feedback -> retrain cadence."""
         systems = registry("end_to_end")
         assert len(systems) == 7
         for m in systems:
@@ -78,7 +77,6 @@ class TestRegistry:
             learned = cls(imdb_optimizer)
             assert isinstance(learned.exploration, PlanExplorationStrategy), m.method
             assert isinstance(learned.risk_model, RiskModel), m.method
-            assert learned.history.maxlen == OBSERVATION_WINDOW
             for loop in ("choose_plan", "record_feedback", "retrain"):
                 assert getattr(cls, loop) is getattr(LearnedOptimizer, loop), m.method
 

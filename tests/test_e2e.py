@@ -158,7 +158,7 @@ class TestLearnedOptimizerFramework:
             cand = bao.choose_plan(q)
             bao.record_feedback(q, cand, 1.0)
         assert calls["retrain"] == 1
-        assert len(bao.history) == 5
+        assert bao.risk_model.n_observations == 5
 
     def test_learned_arm_keeps_a_sliding_window(self, imdb_optimizer, workload):
         bao = BaoOptimizer(imdb_optimizer, retrain_every=0, seed=0)
@@ -167,9 +167,8 @@ class TestLearnedOptimizerFramework:
         for i in range(2500):
             bao.record_feedback(workload[i % 5], cands[i % 5], float(i))
         assert OBSERVATION_WINDOW == 2000
-        assert len(bao.history) == model.n_observations == len(model._trees) == 2000
+        assert model.n_observations == len(model._trees) == 2000
         # The retained window is the newest 2,000, oldest first.
-        assert [e.latency_ms for e in bao.history] == list(map(float, range(500, 2500)))
         assert list(model._latencies) == list(map(float, range(500, 2500)))
         oldest = plan_to_tree_arrays(cands[500 % 5].plan, model.featurizer)
         assert np.array_equal(model._trees[0][0], oldest[0])

@@ -303,13 +303,13 @@ class TestExecutorMemoLRU:
         assert stats["hit_rate"] == pytest.approx(2 / 3)
 
     def test_stats_render(self, tiny_db):
-        # The dict must be consumable by the shared cache-stats renderer.
-        from repro.bench import render_cache_stats
+        # The dict must be consumable by the shared stats renderer.
+        from repro.bench import render_stats
 
         ex = CardinalityExecutor(tiny_db)
         ex.cardinality(self._query(1.0))
-        text = render_cache_stats(ex.cache_stats())
-        assert "hit" in text.lower()
+        text = render_stats(ex.cache_stats(), title="executor memo")
+        assert "hit_rate" in text and "component" not in text
 
     def test_invalid_capacity(self, tiny_db):
         with pytest.raises(ValueError, match="cache_capacity"):

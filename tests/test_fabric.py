@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.errors import ConfigError
 from repro.faults import BreakerState, FaultPlan, FaultSpec, shard_fault_plan
-from repro.serve import RuntimeConfig, Served
+from repro.serve import Request, RuntimeConfig, Served
 from repro.serve.fabric import (
     FabricConfig,
     ShardRouter,
@@ -21,12 +21,18 @@ from repro.serve.fabric import (
     synthetic_fabric,
     synthetic_queries,
 )
-from repro.serve.telemetry import Histogram, TelemetryBus, TraceRecord
+from repro.serve.telemetry import Histogram, TelemetryBus
+from repro.sql import Query
 
 
 # ---------------------------------------------------------------------------
 # satellite 1: mergeable telemetry exports
 # ---------------------------------------------------------------------------
+
+
+def _served(session_id: int, seq: int, tag: str, latency_ms: float) -> Served:
+    request = Request(session_id, seq, seq, 0.0, Query((f"{tag}{seq}",)))
+    return Served(request, "live", "native", latency_ms, 0.0, 0, estimator_tag=tag)
 
 
 def _make_bus(name: str, values, *, n_traces: int = 3) -> TelemetryBus:
@@ -38,19 +44,7 @@ def _make_bus(name: str, values, *, n_traces: int = 3) -> TelemetryBus:
     bus.event("stage_transition", deployment=name, to_stage="canary")
     bus.attach_gauge("g", lambda name=name: {"x": float(len(name))})
     for i in range(n_traces):
-        bus.trace(
-            TraceRecord(
-                session_id=hash(name) % 7,
-                seq=i,
-                query_hash=f"{name}{i}",
-                outcome="served",
-                stage="live",
-                plan_source="native",
-                estimator_tag=name,
-                latency_ms=float(i),
-                wait_ms=0.0,
-            )
-        )
+        bus.trace(_served(hash(name) % 7, i, name, float(i)))
     return bus
 
 
@@ -106,19 +100,7 @@ class TestTelemetryMerge:
         for i in range(10):
             bus.incr("runtime.served")
             bus.observe("latency_ms", float(i))
-            bus.trace(
-                TraceRecord(
-                    session_id=0,
-                    seq=i,
-                    query_hash=str(i),
-                    outcome="served",
-                    stage="live",
-                    plan_source="native",
-                    estimator_tag="t",
-                    latency_ms=float(i),
-                    wait_ms=0.0,
-                )
-            )
+            bus.trace(_served(0, i, "t", float(i)))
         merged = TelemetryBus.merged({"a": bus})
         snap = merged.snapshot()
         assert snap["counters"]["runtime.served"] == 10

@@ -4,8 +4,8 @@
 PilotScope steering drivers and RTOS's state encoder as they stood when
 each owned its own feedback / retrain loop.  The ``LearnedOptimizer``
 instances that replaced them must make the same decisions from the same
-seed -- ``(source, plan, latency)`` per query, the same ``history`` -- and
-end with bit-equal network weights.
+seed -- ``(source, plan, latency)`` per query, the same feedback stream --
+and end with bit-equal network weights.
 """
 
 import numpy as np
@@ -46,23 +46,27 @@ def stack(request, imdb_db, imdb_optimizer, imdb_simulator,
 
 def _decisions(learned, stack, prepare):
     """``prepare`` the optimizer, serve the workload through
-    ``OptimizationLoop``; return what was served and the final ``history``."""
+    ``OptimizationLoop``; return what was served and everything fed back
+    (a spy on ``record_feedback``, the same on either side)."""
     optimizer, simulator, train, serve = stack
     prepare(learned, train, simulator)
+    history = []
+    record_feedback = learned.record_feedback
+
+    def spy(query, candidate, latency_ms):
+        history.append(
+            (query, candidate.source, candidate.plan.signature(), latency_ms)
+        )
+        record_feedback(query, candidate, latency_ms)
+
+    learned.record_feedback = spy
     loop = OptimizationLoop(learned, simulator, optimizer, degrade_on_error=False)
     served = []
     for q in serve:
-        before = len(learned.history)
+        before = len(history)
         result = loop.run_query(q)
-        assert len(learned.history) == before + 1
-        served.append(
-            (result.source, learned.history[-1].candidate.plan.signature(),
-             result.latency_ms)
-        )
-    history = [
-        (e.query, e.candidate.source, e.candidate.plan.signature(), e.latency_ms)
-        for e in learned.history
-    ]
+        assert len(history) == before + 1
+        served.append((result.plan_source, history[-1][2], result.latency_ms))
     return served, history
 
 
@@ -202,7 +206,6 @@ def test_steering_drivers_through_the_console(stats_db, old_cls, new_cls):
     assert new.risk_model._trained and old.risk_model._trained
     for model_new, model_old in zip(_nets(new.risk_model), _nets(old.risk_model)):
         assert np.array_equal(model_new.flat_params, model_old.flat_params)
-    assert len(new.learned.history) == len(serve)
 
 
 def _nets(risk_model):

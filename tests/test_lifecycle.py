@@ -8,11 +8,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.bench import render_lifecycle_stats
+from repro.bench import render_stats
 from repro.cardest.drift import DDUpDetector, DriftReport
 from repro.bench.workloads import apply_drift
 from repro.core.errors import ConfigError
-from repro.core.interfaces import Retrainable
+from repro.core.interfaces import Decision, Retrainable
 from repro.e2e.bao import BaoOptimizer
 from repro.e2e.loop import OptimizationLoop
 from repro.e2e.risk_models import (
@@ -98,20 +98,30 @@ def _store_queries(n: int) -> list[Query]:
     ]
 
 
-class _FakeDecision:
-    def __init__(self, query, latency=3.0, card=10):
-        self.query = query
-        self.plan_source = "learned"
-        self.latency_ms = latency
-        self.native_latency_ms = 4.0
-        self.cardinality = card
+def _decision(query, latency=3.0, card=10) -> Decision:
+    return Decision(
+        "live", "learned", latency, card,
+        query=query, served_learned=True, native_latency_ms=4.0,
+    )
+
+
+class _KindLog(ExperienceStore):
+    """Notes the ``kind`` of every ``add_decision`` call."""
+
+    def __init__(self, capacity: int, *, seed: int = 0) -> None:
+        super().__init__(capacity, seed=seed)
+        self.kinds: list[str] = []
+
+    def add_decision(self, decision, *, kind="serve", drift=None) -> None:
+        self.kinds.append(kind)
+        super().add_decision(decision, kind=kind, drift=drift)
 
 
 def test_store_dedup_updates_in_place():
     store = ExperienceStore(capacity=10, seed=0)
     (q,) = _store_queries(1)
-    store.add_decision(_FakeDecision(q, latency=3.0, card=10))
-    store.add_decision(_FakeDecision(q, latency=5.0, card=12))
+    store.add_decision(_decision(q, latency=3.0, card=10))
+    store.add_decision(_decision(q, latency=5.0, card=12))
     assert len(store) == 1
     rec = store.records()[0]
     assert rec.hits == 2
@@ -124,7 +134,7 @@ def test_store_eviction_is_bounded_and_deterministic():
     def run():
         store = ExperienceStore(capacity=8, seed=11)
         for q in _store_queries(50):
-            store.add_decision(_FakeDecision(q))
+            store.add_decision(_decision(q))
         return store
 
     a, b = run(), run()
@@ -135,16 +145,16 @@ def test_store_eviction_is_bounded_and_deterministic():
     assert ExperienceStore(capacity=8, seed=12).seed != a.seed  # distinct knob
     c = ExperienceStore(capacity=8, seed=12)
     for q in _store_queries(50):
-        c.add_decision(_FakeDecision(q))
+        c.add_decision(_decision(q))
     assert c.snapshot_id() != a.snapshot_id()  # the seed matters
 
 
 def test_store_drift_tagging_and_labels():
     store = ExperienceStore(capacity=32, seed=0)
     qs = _store_queries(6)
-    store.add_decision(_FakeDecision(qs[0]))
+    store.add_decision(_decision(qs[0]))
     store.mark_drift(True)
-    store.add_decision(_FakeDecision(qs[1]))
+    store.add_decision(_decision(qs[1]))
     store.mark_drift(False)
     store.add_drift_queries(qs[2:4], [7.0, 8.0])
     assert {r.drift for r in store.records(kind="serve")} == {False, True}
@@ -430,7 +440,7 @@ def test_scheduler_policy_estimates_only_for_its_triggers():
 
     estimator = CountingEstimator()
     deployment = SimpleNamespace(learned=SimpleNamespace(estimator=estimator))
-    decision = _FakeDecision(query=None)
+    decision = _decision(None)
     frozen = RetrainingScheduler(ModelRegistry(), ExperienceStore(8), default_retrainer())
     frozen.on_decision(deployment, decision)
     assert estimator.calls == 0 and frozen.ctx.queries == 1
@@ -538,10 +548,11 @@ def test_gate_passes_equivalent_challenger_into_shadow(gate_stack):
         store,
         default_retrainer(shared=shared),
         gate=gate,
+        triggers=[CadenceTrigger(every_queries=1)],
         deployment=deployment,
         telemetry=telemetry,
     )
-    outcome = sched.force_retrain(reason="test")
+    outcome = sched.step()
     assert outcome.gate_passed and outcome.deployed
     # The challenger entered at SHADOW -- never straight to LIVE.
     assert deployment.stage is Stage.SHADOW
@@ -579,9 +590,10 @@ def test_gate_failure_never_reaches_deployment(gate_stack):
         store,
         default_retrainer(shared=shared),
         gate=gate,
+        triggers=[CadenceTrigger(every_queries=1)],
         deployment=deployment,
     )
-    outcome = sched.force_retrain(reason="test")
+    outcome = sched.step()
     assert not outcome.gate_passed and not outcome.deployed
     # Hard constraint: the failing challenger never touched the deployment.
     assert deployment.learned is champion
@@ -603,7 +615,7 @@ def test_optimization_loop_feeds_experience(stats_db, stats_simulator):
     from repro.optimizer import Optimizer
 
     native = Optimizer(stats_db)
-    store = ExperienceStore(capacity=32, seed=0)
+    store = _KindLog(capacity=32, seed=0)
     loop = OptimizationLoop(
         BaoOptimizer(native, seed=0),
         stats_simulator,
@@ -615,9 +627,12 @@ def test_optimization_loop_feeds_experience(stats_db, stats_simulator):
     queries = WorkloadGenerator(stats_db, seed=13).workload(
         5, 1, 2, require_predicate=True
     )
-    loop.run(queries)
+    results = loop.run(queries)
+    assert store.kinds == ["episode"] * 5
     episodes = store.records(kind="episode")
-    assert episodes and all(r.latency_ms is not None for r in episodes)
+    assert len(episodes) == len(store) and all(r.latency_ms is not None for r in episodes)
+    # An episode carries the exact count its execution returned.
+    assert [r.true_cardinality for r in episodes] == [float(d.cardinality) for d in results]
     assert store.stats()["ingested"] == 5
 
 
@@ -626,7 +641,7 @@ def test_deployment_manager_feeds_experience(stats_db, stats_simulator):
     from repro.sql import WorkloadGenerator
 
     native = Optimizer(stats_db)
-    store = ExperienceStore(capacity=32, seed=0)
+    store = _KindLog(capacity=32, seed=0)
     deployment = DeploymentManager(
         BaoOptimizer(native, seed=0),
         native,
@@ -639,8 +654,9 @@ def test_deployment_manager_feeds_experience(stats_db, stats_simulator):
     )
     for q in queries:
         deployment.serve(q)
+    assert store.kinds == ["serve"] * 5
     serves = store.records(kind="serve")
-    assert serves and all(r.true_cardinality is not None for r in serves)
+    assert len(serves) == len(store) and all(r.true_cardinality is not None for r in serves)
     # The store's counters are exported as a telemetry gauge.
     snap = deployment.telemetry.snapshot()
     assert snap["gauges"]["experience_store"]["records"] == len(store)
@@ -706,7 +722,8 @@ def test_e2e_drift_recovery_is_seed_reproducible():
     assert chain[0].trigger == "initial" and chain[-1] is last
     assert last.snapshot_id  # training-data snapshot recorded
     stats = lifecycle_stats(a)
-    rendered = render_lifecycle_stats(stats)
+    rendered = render_stats(stats, title="model lifecycle")
+    assert "component" in rendered  # a dict of dicts: one row per (component, stat)
     assert "scheduler" in rendered and "registry" in rendered
 
 

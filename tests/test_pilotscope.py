@@ -229,7 +229,7 @@ class TestSteeringDrivers:
         for q in workload[:12]:
             driver.algo(q)
         assert len(calls) == retrains
-        assert len(driver.learned.history) == 12
+        assert driver.risk_model.n_observations == 12
 
     def test_lero_driver_training_phase(self, pg, workload):
         driver = LeroDriver(seed=0)

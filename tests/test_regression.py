@@ -242,7 +242,7 @@ class TestGuardChain:
         results = loop.run(workload[:60])
         # Both guards were consulted for every query, in chain order.
         assert eraser.decisions == perfguard.decisions == len(results)
-        guarded = [r for r in results if r.source.startswith("eraser")]
+        guarded = [r for r in results if r.plan_source.startswith("eraser")]
         assert guarded, "Eraser never intervened on the risky chooser"
         for r in guarded:
             # The fallback genuinely served the native plan.

@@ -449,7 +449,7 @@ def test_rewriting_optimizer_in_optimization_loop():
     assert lb.counters["served"] == rewriter.rewrites_served
     # non-rewritten queries serve the native plan itself: no regression
     assert min(r.speedup for r in results) >= 1.0
-    rewritten = [r for r in results if r.source.startswith("rewrite:")]
+    rewritten = [r for r in results if r.plan_source.startswith("rewrite:")]
     assert all(r.speedup >= lb.promote_threshold for r in rewritten)
 
 

@@ -557,7 +557,7 @@ class TestGuardChainContainment:
         assert len(results) == 12
         assert loop.fallbacks == 4  # every 3rd choose_plan crashed
         assert loop.guard_errors == 24  # 12 decision + 12 feedback crashes
-        assert sum(r.source == "native:fallback" for r in results) == 4
+        assert sum(r.plan_source == "native:fallback" for r in results) == 4
 
     def test_degrade_disabled_propagates(self, stats_db, stats_optimizer):
         class Crashing:

@@ -38,7 +38,14 @@ from repro.serve import (
     sharded_fabric_scenario,
     steady_state_scenario,
 )
-from repro.serve.fabric import SyntheticBackend
+from repro.serve.fabric import (
+    FabricConfig,
+    SyntheticBackend,
+    build_fabric_schedule,
+    default_tenant_specs,
+    synthetic_fabric,
+    synthetic_queries,
+)
 from repro.serve.deployment import _PROMOTIONS, query_hash
 
 
@@ -91,24 +98,11 @@ class TestTelemetryBus:
         snap = json.loads(text)
         assert list(snap["counters"]) == ["a", "z"]
 
-    def test_trace_capacity(self):
-        from repro.serve import TraceRecord
-
+    def test_trace_capacity(self, stats_workload):
         bus = TelemetryBus(trace_capacity=2)
         for i in range(4):
-            bus.trace(
-                TraceRecord(
-                    session_id=0,
-                    seq=i,
-                    query_hash="x",
-                    outcome="served",
-                    stage="live",
-                    plan_source="native",
-                    estimator_tag="t",
-                    latency_ms=1.0,
-                    wait_ms=0.0,
-                )
-            )
+            request = Request(0, i, i, 0.0, stats_workload[0])
+            bus.trace(Served(request, "live", "native", 1.0, 0.0, 0))
         snap = bus.snapshot()
         assert len(snap["traces"]) == 2
         assert snap["traces_dropped"] == 2
@@ -169,11 +163,13 @@ class TestDeploymentLifecycle:
         assert deployment.promote() is Stage.LIVE
         with pytest.raises(ValueError):
             deployment.promote()
-        assert deployment.rollback("done") is Stage.ROLLED_BACK
+        deployment.auto_rollback("done")
+        assert deployment.stage is Stage.ROLLED_BACK
         with pytest.raises(ValueError):
             deployment.promote()
         # Rolling back again is a no-op, not an error.
-        assert deployment.rollback() is Stage.ROLLED_BACK
+        deployment.auto_rollback("again")
+        assert deployment.stage is Stage.ROLLED_BACK
         events = deployment.telemetry.events("stage_transition")
         assert [e["to_stage"] for e in events] == [
             "canary",
@@ -196,7 +192,7 @@ class TestDeploymentLifecycle:
             ).latency_ms
             assert decision.latency_ms == pytest.approx(native_latency)
             assert decision.shadow_latency_ms is not None
-        assert len(deployment.learned.history) == 20
+        assert deployment.learned.risk_model.n_observations == 20
 
     def test_canary_split_is_deterministic_by_query_hash(
         self, deployment, stats_workload
@@ -365,13 +361,11 @@ class TestServePolicies:
         deployment.promote()
         deployment.auto_rollback("monitor")
         deployment.deploy(BaoOptimizer(stats_optimizer, seed=1), reason="retrained")
-        deployment.rollback("operator")
         assert policy.transitions == [
             (Stage.CANARY, "promote"),
             (Stage.LIVE, "promote"),
             (Stage.ROLLED_BACK, "monitor"),
             (Stage.SHADOW, "retrained"),
-            (Stage.ROLLED_BACK, "operator"),
         ]
         counters = deployment.telemetry.snapshot()["counters"]
         assert counters["deployment.auto_rollbacks"] == 1
@@ -413,9 +407,10 @@ class TestServePolicies:
 def test_stage_only_moves_along_declared_edges(
     stats_optimizer, stats_simulator, stats_workload
 ):
-    """No sequence of operator calls, policy rollbacks, redeployments and
+    """No sequence of promotions, policy rollbacks, redeployments and
     traffic reaches an undeclared stage transition, and none bypasses
-    ``on_transition``."""
+    ``on_transition``: promotion one step up, demotion only from a stage
+    that serves learned plans, ``deploy`` to the stage it names."""
 
     class Crashing(MirrorNative):
         """Trips the breaker: the manager's own auto-rollback (the mirror
@@ -432,7 +427,9 @@ def test_stage_only_moves_along_declared_edges(
             self.deploying_to = None
 
         def on_transition(self, deployment, stage, reason):
-            allowed = {_PROMOTIONS.get(self.at), Stage.ROLLED_BACK, self.deploying_to}
+            allowed = {_PROMOTIONS.get(self.at), self.deploying_to}
+            if self.at in (Stage.CANARY, Stage.LIVE):
+                allowed.add(Stage.ROLLED_BACK)
             assert stage in allowed, (self.at, stage, reason)
             self.at = stage
 
@@ -459,10 +456,6 @@ def test_stage_only_moves_along_declared_edges(
             else:
                 with pytest.raises(ConfigError):
                     self.manager.promote()
-
-        @rule()
-        def rollback(self):
-            self.manager.rollback("operator")
 
         @rule()
         def auto_rollback(self):
@@ -902,6 +895,11 @@ def test_backend_conformance(kind, stats_db, stats_workload):
     slower = dataclasses.replace(decision, latency_ms=decision.latency_ms + 1.0)
     assert type(slower) is type(decision)
     assert slower.cardinality == decision.cardinality
+    # ... and perf/'s checker self-test corrupts one the same way
+    wrong = dataclasses.replace(decision, cardinality=decision.cardinality + 1)
+    assert (wrong.cardinality, wrong.latency_ms) == (
+        decision.cardinality + 1, decision.latency_ms
+    )
     # and any backend drops into the core as-is
     runtime = ServingRuntime(backend, config=RuntimeConfig(timeout_ms=None))
     assert _reasons(runtime.run([_requests(stats_workload[1], [0])]).outcomes) == [
@@ -919,6 +917,101 @@ class TestAcceptanceDeterminism:
             return scenario.deployment.telemetry.to_json()
 
         assert run_once() == run_once()
+
+
+def _expected_row(outcome) -> dict:
+    """The export row of an outcome, written out from its fields."""
+    request = outcome.request
+    row = {
+        "session_id": request.session_id,
+        "seq": request.seq,
+        "query_hash": query_hash(request.query),
+        "estimator_tag": outcome.estimator_tag,
+        "wait_ms": outcome.wait_ms,
+    }
+    if isinstance(outcome, Served):
+        row.update(
+            outcome="served",
+            stage=outcome.stage,
+            plan_source=outcome.plan_source,
+            latency_ms=outcome.latency_ms,
+            cache_hits=outcome.cache_hits,
+            cache_misses=outcome.cache_misses,
+            audit=outcome.audit,
+        )
+    else:
+        # What perf/run.py tells the two classes apart by.
+        assert not hasattr(outcome, "cardinality")
+        row.update(
+            outcome=outcome.reason, stage="", plan_source="", latency_ms=0.0,
+            cache_hits=0, cache_misses=0, audit="",
+        )
+    return row
+
+
+class TestTheOutcomeIsTheTrace:
+    """What ``submit`` returned is what the bus keeps and exports."""
+
+    def test_submit_files_the_object_it_returns(self, stats_workload):
+        class Recording(TelemetryBus):
+            def __init__(self):
+                super().__init__()
+                self.traced = []
+
+            def trace(self, outcome):
+                self.traced.append(outcome)
+                super().trace(outcome)
+
+        bus = Recording()
+        runtime = ServingRuntime(
+            FixedBackend(latency_ms=200.0),
+            config=RuntimeConfig(timeout_ms=50.0),
+            telemetry=bus,
+        )
+        schedule = build_schedule(stats_workload[:24], 2, seed=0, mean_interarrival_ms=2.0)
+        by_arrival = sorted(runtime.run(schedule).outcomes, key=lambda o: o.request.global_seq)
+        assert {type(o) for o in by_arrival} == {Served, Rejected}
+        assert len(bus.traced) == len(by_arrival)
+        assert all(a is b for a, b in zip(bus.traced, by_arrival))
+
+    def test_runtime_export_rows_are_the_returned_outcomes(self):
+        scenario = steady_state_scenario(
+            n_queries=64,
+            n_sessions=8,
+            seed=7,
+            config=RuntimeConfig(timeout_ms=10.0, queue_capacity=2, max_in_flight=4),
+            audit_every=4,
+        )
+        report = scenario.run()
+        assert report.rejected and report.n_served
+        exported = json.loads(scenario.runtime.telemetry.to_json())["traces"]
+        assert exported == [_expected_row(o) for o in report.outcomes]
+        assert {row["estimator_tag"] for row in exported} == {scenario.deployment.name}
+        assert any(row["audit"] for row in exported)
+        assert any(row["cache_hits"] or row["cache_misses"] for row in exported)
+
+    def test_fabric_export_rows_are_the_outcomes_that_reached_a_shard(self):
+        specs = default_tenant_specs(6)
+        scenario = synthetic_fabric(
+            4,
+            specs,
+            seed=5,
+            n_workers=1,
+            shard_config=RuntimeConfig(timeout_ms=20.0, queue_capacity=2),
+            fabric_config=FabricConfig(seed=5, background_shed_backlog=1, batch_shed_backlog=2),
+        )
+        schedule = build_fabric_schedule(
+            synthetic_queries(200, seed=5), specs, seed=5, mean_interarrival_ms=0.5
+        )
+        report = scenario.fabric.run(schedule)
+        at_fabric = {"quota", "unavailable", "qos_shed"}
+        reached = [o for o in report.outcomes if getattr(o, "reason", "") not in at_fabric]
+        assert len(reached) < len(report.outcomes)  # some never reached a shard
+        assert {type(o) for o in reached} == {Served, Rejected}
+        export = json.loads(scenario.fabric.export_json(include_traces=True))
+        assert export["traces_dropped"] == 0
+        reached.sort(key=lambda o: (o.request.session_id, o.request.seq))
+        assert export["traces"] == [_expected_row(o) for o in reached]
 
 
 class TestQueryHash:
