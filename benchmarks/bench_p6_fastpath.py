@@ -1,6 +1,6 @@
 """P6: vectorized kernels + parameterized plan-cache fast path, gated.
 
-Seven properties are measured and gated:
+Eight properties are measured and gated:
 
 1. **Executor throughput**: the vectorized :class:`CardinalityExecutor`
    (shared sort-merge/expand kernels, key-index cache) must be >= 10x
@@ -30,7 +30,16 @@ Seven properties are measured and gated:
    replaced (``tests/gbdt_reference.py``) on a query-feature-shaped
    matrix: ``fit`` >= 2.5x, 400-row ``predict`` >= 8x, one-row ``predict``
    >= 3x, with every tree and every prediction ``==``.
-7. **Exactness + determinism**: counts stay byte-equal to the independent
+7. **Plan execution**: ``ExecutionSimulator.execute`` as one
+   ``CardinalityExecutor.plan_cardinalities`` pass (each node counted
+   once, each base table filtered once per plan, implicit unit weights,
+   dense-key group sums, hash-once query / plan values) against the
+   per-node loop and sort-only kernels it replaced
+   (``tests/executor_reference.py``) on a prepared-mix-shaped plan
+   stream (hot templates x bindings through the plan cache, shuffled
+   with one-off queries), cold memo on both sides: >= 1.3x, with every
+   node cardinality ``==`` and every cost and latency bit-equal.
+8. **Exactness + determinism**: counts stay byte-equal to the independent
    reference on every fixture including the deep chain whose count
    exceeds 2**53 (where float64 silently rounds), and two same-seed
    cache-enabled serving runs must export byte-identical telemetry.
@@ -52,17 +61,18 @@ from benchmarks import PROFILE
 from repro.bench import render_stats, render_table
 from repro.costmodel import PlanFeaturizer
 from repro.costmodel.features import plan_to_tree_arrays
-from repro.engine import CardinalityExecutor
+from repro.engine import CardinalityExecutor, ExecutionSimulator
 from repro.engine.plans import JoinNode, ScanNode
 from repro.ml.gbdt import GradientBoostedTrees
 from repro.ml.treeconv import TreeConvNet
-from repro.optimizer import HintSet, Optimizer
+from repro.optimizer import HintSet, Optimizer, PlanCache
 from repro.oracle.fixtures import make_deep_chain
 from repro.oracle.planexec import PlanInterpreter
 from repro.oracle.reference import _holds, reference_count
 from repro.serve.scenarios import parameterized_scenario
 from repro.sql import WorkloadGenerator
 from repro.storage.datasets import make_stats_lite
+from tests.executor_reference import reference_execute, reference_simulator
 from tests.gbdt_reference import ReferenceGradientBoostedTrees, reference_node_table
 from tests.planner_reference import reference_plan_arms
 from tests.treeconv_reference import ReferenceTreeConvNet
@@ -77,6 +87,8 @@ _PROFILES = {
         "fit_epochs": 30,
         "sweep_queries": 100,
         "gbdt_rows": 350,
+        "exec_templates": 16,
+        "exec_adhoc": 60,
         "n_templates": 8,
         "bindings_per_template": 10,
         "n_sessions": 4,
@@ -90,6 +102,8 @@ _PROFILES = {
         "fit_epochs": 30,
         "sweep_queries": 600,
         "gbdt_rows": 1400,
+        "exec_templates": 64,
+        "exec_adhoc": 240,
         "n_templates": 12,
         "bindings_per_template": 12,
         "n_sessions": 8,
@@ -98,6 +112,7 @@ _PROFILES = {
 SPEEDUP_GATE = 10.0
 FIT_SPEEDUP_GATE = 1.5
 SWEEP_SPEEDUP_GATE = 3.0
+PLAN_EXECUTION_SPEEDUP_GATE = 1.3
 GBDT_SPEEDUP_GATES = {"fit": 2.5, "predict 400 rows": 8.0, "predict 1 row": 3.0}
 HIT_RATE_GATE = 0.8
 
@@ -370,6 +385,57 @@ def gbdt_kernel_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
+def plan_execution_pass(seed: int = 0, profile: str | None = None) -> dict:
+    """One pass per plan vs the per-node loop, same plan stream.
+
+    The stream has the shape of ``perf/``'s ``native_prepared_mix``: hot
+    templates x 15 bindings through a plan cache, shuffled with one-off
+    queries, 2-4 tables.  Plans are built first; what is timed is
+    ``execute`` on a fresh simulator (cold memo, as each serving round
+    starts) -- best of three each, interleaved.
+    """
+    p = benchmarks.profile(_PROFILES, profile)
+    db = make_stats_lite(scale=p["scale"], seed=seed)
+    queries = WorkloadGenerator(db, seed=seed + 61).parameterized_workload(
+        p["exec_templates"], 15, 2, 4, require_predicate=True
+    ) + WorkloadGenerator(db, seed=seed + 62).workload(
+        p["exec_adhoc"], 2, 4, require_predicate=True
+    )
+    order = np.random.default_rng(seed + 63).permutation(len(queries))
+    optimizer, cache = Optimizer(db), PlanCache(256)
+    plans = [optimizer.plan_cached(queries[i], cache)[0] for i in order]
+
+    t_base = t_pass = float("inf")
+    for _ in range(3):
+        reference = reference_simulator(db)
+        t0 = time.perf_counter()
+        baseline = [reference_execute(reference, plan) for plan in plans]
+        t_base = min(t_base, time.perf_counter() - t0)
+        simulator = ExecutionSimulator(db)
+        t0 = time.perf_counter()
+        results = [simulator.execute(plan) for plan in plans]
+        t_pass = min(t_pass, time.perf_counter() - t0)
+
+    return {
+        "n_plans": len(plans),
+        "n_nodes": sum(plan.root.n_nodes for plan in plans),
+        "cardinality_calls": {
+            "baseline": reference.executor.cache_stats(),
+            "one_pass": simulator.executor.cache_stats(),
+        },
+        "cards_equal": all(
+            r.node_cards == b.node_cards for r, b in zip(results, baseline)
+        ),
+        "costs_equal": all(
+            r.node_costs == b.node_costs and r.latency_ms == b.latency_ms
+            for r, b in zip(results, baseline)
+        ),
+        "t_baseline_s": t_base,
+        "t_pass_s": t_pass,
+        "speedup": t_base / max(t_pass, 1e-9),
+    }
+
+
 def serving_pass(seed: int = 0, profile: str | None = None):
     """One cache-enabled parameterized serving run; returns the scenario."""
     p = benchmarks.profile(_PROFILES, profile)
@@ -554,6 +620,38 @@ def test_p6_gbdt_kernel_speedup_and_identity():
             f"GBDT {call} speedup {result['speedup'][call]:.1f}x below the "
             f"{gate:.1f}x gate"
         )
+
+
+def test_p6_plan_execution_speedup_and_identity():
+    result = plan_execution_pass(seed=0)
+    assert result["cards_equal"], "a node cardinality differs from the per-node loop's"
+    assert result["costs_equal"], "a node cost or latency is not bit-equal"
+    lookups = {
+        side: int(stats["hits"] + stats["misses"])
+        for side, stats in result["cardinality_calls"].items()
+    }
+    print(
+        render_table(
+            f"P6: plan execution, one pass per plan vs per-node loop ({PROFILE})",
+            ["plans", "nodes", "lookups base", "lookups pass", "baseline_s", "pass_s", "speedup"],
+            [(
+                result["n_plans"],
+                result["n_nodes"],
+                lookups["baseline"],
+                lookups["one_pass"],
+                f"{result['t_baseline_s']:.3f}",
+                f"{result['t_pass_s']:.3f}",
+                f"{result['speedup']:.2f}x",
+            )],
+            note=f"gate: >= {PLAN_EXECUTION_SPEEDUP_GATE:.1f}x, cards ==, costs and "
+            "latencies bit-equal; the lookups that went away were memo hits",
+        )
+    )
+    assert lookups["one_pass"] < lookups["baseline"]
+    assert result["speedup"] >= PLAN_EXECUTION_SPEEDUP_GATE, (
+        f"plan-execution speedup {result['speedup']:.2f}x below the "
+        f"{PLAN_EXECUTION_SPEEDUP_GATE:.1f}x gate"
+    )
 
 
 def test_p6_plan_cache_hit_rate():

@@ -4,10 +4,11 @@ Two strategies, picked automatically:
 
 - **Message passing** for acyclic join graphs: the classic
   variable-elimination / semijoin-program trick.  Each filtered table starts
-  with per-row weight 1; leaves send ``groupby(join_key) -> sum(weight)``
-  messages toward a root, parents multiply the message into their row
-  weights, and the root's weight sum is the exact join cardinality.  Runs in
-  near-linear time and never materializes the join.
+  with per-row weight 1 (implicitly: no array until a message arrives);
+  leaves send ``groupby(join_key) -> sum(weight)`` messages toward a root,
+  parents multiply the message into their row weights, and the root's
+  weight sum is the exact join cardinality.  Runs in near-linear time and
+  never materializes the join.
 
 - **Materializing hash join** for cyclic graphs: builds the intermediate
   result table-by-table with hash joins, applying extra (cycle-closing)
@@ -25,6 +26,12 @@ actually dispatches through.
 A :class:`CardinalityExecutor` instance memoizes results per query in a
 bounded LRU, since optimizers repeatedly ask for the same sub-query
 cardinalities (and under serving the query stream is unbounded).
+
+Executing a plan needs every node's count;
+:meth:`CardinalityExecutor.plan_cardinalities` produces them in one pass
+(one ``data_version`` check, one ``cardinality()`` per node, one filter
+evaluation per base table).  The per-node loop it replaced is kept as
+``tests/executor_reference.py`` (DESIGN.md §7, "Exact executor").
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from repro.engine.kernels import (
     lookup_sums,
     match_counts,
 )
+from repro.engine.plans import Plan, PlanNode
 from repro.sql.query import Query
 from repro.storage.catalog import Database
 
@@ -140,6 +148,16 @@ class CardinalityExecutor:
         self.key_index = key_index if key_index is not None else KeyIndexCache()
         self._cache = BoundedLRU(cache_capacity)
         self._cache_version = db.data_version
+        # (table, predicates on it) -> filtered row ids, for the duration of
+        # one plan_cardinalities pass; None outside a pass.
+        self._plan_rows: dict[tuple, np.ndarray] | None = None
+
+    def _sync_version(self) -> None:
+        """Drop the memo when a table has mutated since it was filled."""
+        version = self.db.data_version
+        if version != self._cache_version:
+            self._cache.clear()
+            self._cache_version = version
 
     def cardinality(self, query: Query) -> int:
         """Exact COUNT(*) of the query.
@@ -147,10 +165,8 @@ class CardinalityExecutor:
         Disconnected join graphs are rejected (the surveyed systems never
         produce cross joins); single-table queries count filtered rows.
         """
-        version = self.db.data_version
-        if version != self._cache_version:
-            self._cache.clear()
-            self._cache_version = version
+        if self._plan_rows is None:  # a plan pass has checked already
+            self._sync_version()
         cached = self._cache.get(query)
         if cached is not None:
             return cached
@@ -159,13 +175,44 @@ class CardinalityExecutor:
                 f"query join graph is disconnected (cross join unsupported): {query}"
             )
         if query.n_tables == 1:
-            result = int(_filtered_indices(self.db, query, query.tables[0]).size)
+            result = int(self._filtered(query, query.tables[0]).size)
         elif _join_graph_is_tree(query):
             result = self._tree_count(query)
         else:
             result = self._materialized_count(query)
         self._cache.put(query, result)
         return result
+
+    def plan_cardinalities(self, plan: Plan) -> dict[PlanNode, int]:
+        """Exact output cardinality of every node of ``plan``, children first.
+
+        One pass: ``data_version`` is checked once, each node is counted
+        once (through :meth:`cardinality`, so the memo still answers
+        repeated sub-queries), and each base table's filter runs once -- a
+        node's sub-query keeps all of the plan query's predicates on its
+        tables, so row sets are shared under ``(table, predicates)``.
+        """
+        self._sync_version()
+        query = plan.query
+        self._plan_rows = {}
+        try:
+            return {
+                node: self.cardinality(query.subquery(node.tables))
+                for node in reversed(tuple(plan.walk()))
+            }
+        finally:
+            self._plan_rows = None
+
+    def _filtered(self, query: Query, table: str) -> np.ndarray:
+        """``_filtered_indices``, shared within a plan pass."""
+        shared = self._plan_rows
+        if shared is None:
+            return _filtered_indices(self.db, query, table)
+        key = (table, query.predicates_on(table))
+        rows = shared.get(key)
+        if rows is None:
+            rows = shared[key] = _filtered_indices(self.db, query, table)
+        return rows
 
     def clear_cache(self) -> None:
         """Drop memoized results (counters survive; they describe the session)."""
@@ -185,12 +232,10 @@ class CardinalityExecutor:
             adj[j.left.table].append((j.right.table, j.left.column, j.right.column))
             adj[j.right.table].append((j.left.table, j.right.column, j.left.column))
 
-        rows = {
-            t: _filtered_indices(self.db, query, t) for t in query.tables
-        }
-        weights = {
-            t: np.ones(rows[t].shape[0], dtype=np.int64) for t in query.tables
-        }
+        rows = {t: self._filtered(query, t) for t in query.tables}
+        # Unit weights are implicit: a table that has received no message
+        # carries None, and its first message *is* its weight vector.
+        weights: dict[str, np.ndarray | None] = dict.fromkeys(query.tables)
 
         root = query.tables[0]
         # Post-order traversal (iterative).
@@ -215,11 +260,17 @@ class CardinalityExecutor:
             if parent is None:
                 continue
             keys = self.db.table(table).values(my_col)[rows[table]]
-            uniq, sums = _group_sum(keys, weights[table])
+            own = weights[table]
+            if own is None:
+                own = np.ones(keys.shape[0], dtype=np.int64)
+            uniq, sums = _group_sum(keys, own)
             parent_keys = self.db.table(parent).values(parent_col)[rows[parent]]
-            weights[parent] = _weight_product(
-                weights[parent], _lookup(uniq, sums, parent_keys)
+            message = _lookup(uniq, sums, parent_keys)
+            held = weights[parent]
+            weights[parent] = (
+                message if held is None else _weight_product(held, message)
             )
+        # A join query's root has at least one neighbor, hence a message.
         return _weight_total(weights[root])
 
     # -- cyclic: guarded materialization ---------------------------------------------
@@ -230,7 +281,7 @@ class CardinalityExecutor:
         # side.  (Declaration order used to decide ties among frontier
         # edges, which could force a huge table in before a tiny one and
         # trip the intermediate guard on queries a better order completes.)
-        rows = {t: _filtered_indices(self.db, query, t) for t in query.tables}
+        rows = {t: self._filtered(query, t) for t in query.tables}
         remaining = set(query.tables)
         start = min(remaining, key=lambda t: rows[t].size)
         inter: dict[str, np.ndarray] = {start: rows[start]}

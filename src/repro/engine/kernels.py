@@ -120,8 +120,7 @@ def match_counts(
     if index.uniq.size == 0:
         zeros = np.zeros(probe_keys.shape[0], dtype=np.int64)
         return zeros, zeros
-    pos = np.searchsorted(index.uniq, probe_keys)
-    pos = np.clip(pos, 0, index.uniq.shape[0] - 1)
+    pos = np.minimum(np.searchsorted(index.uniq, probe_keys), index.uniq.shape[0] - 1)
     hit = index.uniq[pos] == probe_keys
     counts = np.where(hit, index.length[pos], 0).astype(np.int64)
     return pos, counts
@@ -149,6 +148,41 @@ def expand_matches(
     return index.perm[starts[probe_of_idx] + offset]
 
 
+#: Dense group-by cut: ``np.bincount`` over the key span beats the sort up
+#: to ~8 slots per key, and under ~4k slots costs only call overhead.
+_DENSE_SLOTS_PER_KEY = 8
+_DENSE_SLOTS_FLOOR = 4096
+
+#: float64 represents every integer below this exactly.
+_FLOAT64_EXACT_LIMIT = 2**53
+
+
+def _dense_grouped_sums(
+    keys: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``grouped_sums`` by ``np.bincount`` over the key span, or ``None``
+    when the keys are not dense non-negative integers or a float64
+    accumulator could round.
+
+    ``np.bincount`` accumulates weights in float64.  With non-negative
+    integer weights and ``n * max(weights) < 2**53`` every weight and every
+    partial sum is an integer below 2**53, hence exactly representable:
+    the float sums *are* the integer sums, and casting back loses nothing.
+    """
+    if keys.dtype.kind != "i" or weights.dtype != np.int64:
+        return None
+    n = keys.shape[0]
+    if int(keys.min()) < 0 or int(keys.max()) >= (
+        _DENSE_SLOTS_PER_KEY * n + _DENSE_SLOTS_FLOOR
+    ):
+        return None
+    if int(weights.min()) < 0 or n * int(weights.max()) >= _FLOAT64_EXACT_LIMIT:
+        return None
+    slots = np.bincount(keys).nonzero()[0]
+    sums = np.bincount(keys, weights)[slots]
+    return slots.astype(keys.dtype, copy=False), sums.astype(np.int64)
+
+
 def grouped_sums(
     keys: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -158,12 +192,17 @@ def grouped_sums(
     promoted).  Accumulating them in float64 silently rounds past 2**53 --
     and long multiply chains well before that -- so sums stay in integer
     arithmetic, promoting to arbitrary-precision Python ints when a float64
-    shadow shows the int64 range is at risk.  Uses one stable sort plus
-    ``np.add.reduceat`` over group extents (faster than the historical
-    ``np.unique`` + ``np.add.at`` formulation, same results).
+    shadow shows the int64 range is at risk.  Join keys are mostly small
+    non-negative ids, which :func:`_dense_grouped_sums` counts without
+    sorting where that is provably exact; everything else takes one stable
+    sort plus ``np.add.reduceat`` over group extents.  Both paths return
+    the same ``(uniq, sums)``, value for value and dtype for dtype.
     """
     if keys.size == 0:
         return keys, weights
+    dense = _dense_grouped_sums(keys, weights)
+    if dense is not None:
+        return dense
     index = GroupIndex.from_keys(keys)
     ordered = weights[index.perm]
     if ordered.dtype != object:
@@ -180,10 +219,8 @@ def lookup_sums(
     """Semi-join lookup: map each key to its summed weight (0 when absent)."""
     if uniq.size == 0:
         return np.zeros(keys.shape[0], dtype=sums.dtype if sums.size else np.int64)
-    pos = np.searchsorted(uniq, keys)
-    pos = np.clip(pos, 0, uniq.shape[0] - 1)
-    hit = uniq[pos] == keys
-    return np.where(hit, sums[pos], 0)
+    pos = np.minimum(np.searchsorted(uniq, keys), uniq.shape[0] - 1)
+    return np.where(uniq[pos] == keys, sums[pos], 0)
 
 
 # -- compiled predicate evaluators -------------------------------------------------

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.sql.query import Join, Predicate, Query
+from repro.sql.query import Join, Predicate, Query, hash_once, state_without_hash
 
 __all__ = ["ScanMethod", "JoinMethod", "PlanNode", "ScanNode", "JoinNode", "Plan"]
 
@@ -31,11 +31,24 @@ class JoinMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class PlanNode:
-    """Base class for plan nodes; concrete nodes define ``tables``."""
+    """Base class for plan nodes; concrete nodes define ``_covered``.
+
+    Nodes are immutable and key every per-node dict, so the table set and
+    the hash are memoized on the instance, outside the dataclass fields.
+    """
 
     @property
     def tables(self) -> frozenset[str]:
+        tables = self.__dict__.get("_tables")
+        if tables is None:
+            tables = self._covered()
+            object.__setattr__(self, "_tables", tables)
+        return tables
+
+    def _covered(self) -> frozenset[str]:
         raise NotImplementedError
+
+    __getstate__ = state_without_hash
 
     def walk(self) -> Iterator["PlanNode"]:
         """Pre-order traversal of the subtree rooted here."""
@@ -58,9 +71,10 @@ class ScanNode(PlanNode):
     method: ScanMethod = ScanMethod.SEQ
     predicates: tuple[Predicate, ...] = ()
 
-    @property
-    def tables(self) -> frozenset[str]:
+    def _covered(self) -> frozenset[str]:
         return frozenset((self.table,))
+
+    __hash__ = hash_once
 
     def signature(self) -> str:
         return f"{self.method.value}({self.table})"
@@ -96,9 +110,10 @@ class JoinNode(PlanNode):
             if not spans:
                 raise ValueError(f"condition {cond} does not span the two join sides")
 
-    @property
-    def tables(self) -> frozenset[str]:
+    def _covered(self) -> frozenset[str]:
         return self.left.tables | self.right.tables
+
+    __hash__ = hash_once
 
     def walk(self) -> Iterator[PlanNode]:
         yield self

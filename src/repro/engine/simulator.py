@@ -1,9 +1,12 @@
 """Deterministic plan-execution simulator (the repo's "PostgreSQL executor").
 
 Executing a plan means: compute the *true* cardinality of every plan node
-(via the exact executor), feed those cardinalities through the shared
-operator cost formulas, sum, and convert to milliseconds.  Optionally a
-small signature-seeded lognormal noise term models run-to-run variance.
+(one :meth:`~repro.engine.executor.CardinalityExecutor.plan_cardinalities`
+pass of the exact executor: each node counted once, a join reading its
+children's counts from the same dict), feed those cardinalities through the
+shared operator cost formulas, sum in plan pre-order, and convert to
+milliseconds.  Optionally a small signature-seeded lognormal noise term
+models run-to-run variance.
 
 Because true cardinalities are exact, a plan picked using bad estimates
 genuinely runs slower here -- the feedback loop every learned optimizer in
@@ -77,10 +80,7 @@ class ExecutionSimulator:
         self.queries_executed = 0
         self.total_latency_ms = 0.0
 
-    # -- node cardinalities -------------------------------------------------------
-
-    def _node_cardinality(self, plan: Plan, node: PlanNode) -> int:
-        return self.executor.cardinality(plan.node_subquery(node))
+    # -- node costs ---------------------------------------------------------------
 
     def _index_fetched(self, node: ScanNode) -> int:
         """Rows fetched by the index predicate (first predicate by
@@ -116,21 +116,18 @@ class ExecutionSimulator:
 
     def execute(self, plan: Plan) -> ExecutionResult:
         """Run the plan; returns latency, result cardinality and per-node stats."""
+        cards = self.executor.plan_cardinalities(plan)
         node_cards: dict[PlanNode, int] = {}
         node_costs: dict[PlanNode, float] = {}
         total = 0.0
         for node in plan.walk():
-            card = self._node_cardinality(plan, node)
-            node_cards[node] = card
+            card = node_cards[node] = cards[node]
             if isinstance(node, ScanNode):
                 cost = self._scan_cost(node, card)
             else:
                 assert isinstance(node, JoinNode)
                 cost = self._join_cost(
-                    node,
-                    self._node_cardinality(plan, node.left),
-                    self._node_cardinality(plan, node.right),
-                    card,
+                    node, cards[node.left], cards[node.right], card
                 )
             node_costs[node] = cost
             total += cost

@@ -243,7 +243,7 @@ class PilotScopeConsole:
             outcome = self._execute_native(query)
         self.query_log.append(
             QueryLogEntry(
-                sql=query.to_sql(),
+                sql=query.cache_key,  # the memoized to_sql() text
                 served_by=served_by,
                 cardinality=outcome.cardinality,
                 latency_ms=outcome.latency_ms,

@@ -28,6 +28,31 @@ __all__ = [
 ]
 
 
+def hash_once(self) -> int:
+    """``__hash__`` of a frozen value dataclass: the field-tuple hash
+    ``@dataclass`` generates, memoized outside the fields.  Queries,
+    predicates and plan nodes key every memo and per-node dict, and the
+    generated hash walks the whole value on each lookup.  Opt in with
+    ``__hash__ = hash_once`` in the class body (the decorator replaces an
+    inherited one) beside ``__getstate__ = state_without_hash``.
+    """
+    state = self.__dict__
+    h = state.get("_hash")
+    if h is None:
+        h = hash(tuple(map(state.__getitem__, self.__dataclass_fields__)))
+        state["_hash"] = h
+    return h
+
+
+def state_without_hash(self) -> dict:
+    """``__getstate__`` beside :func:`hash_once`: all but ``_hash``.  ``str``
+    hashes are salted per process, so the memo must not travel in a pickle
+    (``deepcopy`` shares the protocol and recomputes)."""
+    state = self.__dict__.copy()
+    state.pop("_hash", None)
+    return state
+
+
 class Op(enum.Enum):
     """Comparison operators supported in predicates."""
 
@@ -82,6 +107,9 @@ class Predicate:
         else:
             if not isinstance(self.value, (int, float)):
                 raise ValueError(f"{self.op} needs a scalar value")
+
+    __hash__ = hash_once
+    __getstate__ = state_without_hash
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Boolean mask of rows satisfying the predicate."""
@@ -287,12 +315,15 @@ class Query:
         return len(self.tables)
 
     # Queries are immutable, so derived views (per-table predicate lists,
-    # the join adjacency, the canonical SQL text, sub-queries) are computed
-    # once and memoized on the instance.  The planner's inner loop and the
-    # executor ask for these repeatedly -- DP enumeration alone calls
+    # the join adjacency, the canonical SQL text, sub-queries, the hash) are
+    # computed once and memoized on the instance.  The planner's inner loop
+    # and the executor ask for these repeatedly -- DP enumeration alone calls
     # ``predicates_on`` O(2^n) times per query -- which made the previous
     # linear re-scans a measurable cost.  The memo attributes live outside
     # the dataclass fields, so equality/hashing are unaffected.
+
+    __hash__ = hash_once
+    __getstate__ = state_without_hash
 
     def predicates_on(self, table: str) -> tuple[Predicate, ...]:
         cache = self.__dict__.get("_preds_on")
@@ -346,13 +377,19 @@ class Query:
         missing = keep - set(self.tables)
         if missing:
             raise ValueError(f"subquery tables not in query: {sorted(missing)}")
-        joins = tuple(
-            j
-            for j in self.joins
-            if j.left.table in keep and j.right.table in keep
+        if not keep:
+            raise ValueError("query must reference at least one table")
+        # A restriction of a canonical query is canonical -- a subsequence of
+        # sorted, validated members is sorted and valid -- so the fields are
+        # set directly instead of re-validating and re-sorting by ``str``.
+        sub = object.__new__(Query)
+        sub.__dict__.update(
+            tables=tuple(t for t in self.tables if t in keep),
+            joins=tuple(
+                j for j in self.joins if j.left.table in keep and j.right.table in keep
+            ),
+            predicates=tuple(p for p in self.predicates if p.column.table in keep),
         )
-        preds = tuple(p for p in self.predicates if p.column.table in keep)
-        sub = Query(tuple(sorted(keep)), joins, preds)
         cache[keep] = sub
         return sub
 

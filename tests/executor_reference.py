@@ -1,0 +1,202 @@
+"""The per-node plan executor, kept as the reference.
+
+This is plan execution as it stood before ``CardinalityExecutor.
+plan_cardinalities``: :func:`reference_execute` is
+``ExecutionSimulator.execute`` with its per-node loop (one
+``executor.cardinality(plan.node_subquery(node))`` per node, and two more
+per join for the children it had already counted), and
+:class:`ReferenceCardinalityExecutor` is the exact executor of that time --
+``data_version`` summed on every call, every base table's filter
+re-evaluated by every node that contains the table, ``np.ones`` unit
+weights multiplied through ``_weight_product``'s float shadow at every
+leaf, and the sort-based :func:`reference_grouped_sums` /
+``np.clip``-ed :func:`reference_lookup_sums`.  The one-pass executor must
+return equal ``node_cards`` and bit-equal ``node_costs`` / ``latency_ms``;
+``tests/test_plan_execution.py`` asserts that and
+``benchmarks/bench_p6_fastpath.py`` uses :func:`reference_execute` as the
+baseline.  Do not optimise this file.
+
+The oracle's seeded mutations patch names in ``repro.engine.executor``
+(``_filtered_indices``, ``_group_sum``, ``_lookup``, ``_weight_product``,
+``_weight_total``, ``CardinalityExecutor._materialized_count``).  The
+reference dispatches through the same names, looked up on the module at
+call time; the two kernels kept below stand in for ``_group_sum`` and
+``_lookup`` only while those names still hold the functions they held when
+this module was imported -- once a mutation replaces one, the replacement
+is called, exactly as the live executor would.  The cyclic materializer is
+not copied: a reference instance runs the live one, which outside a plan
+pass evaluates its own filters as it always did.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+import repro.engine.executor as live
+from repro.engine.executor import CardinalityExecutor
+from repro.engine.kernels import _INT64_PROMOTE_LIMIT, GroupIndex
+from repro.engine.plans import JoinNode, Plan, PlanNode, ScanNode
+from repro.engine.simulator import ExecutionResult, ExecutionSimulator, SimulatorConfig
+from repro.sql.query import Query
+from repro.storage.catalog import Database
+
+__all__ = [
+    "ReferenceCardinalityExecutor",
+    "reference_execute",
+    "reference_grouped_sums",
+    "reference_lookup_sums",
+    "reference_simulator",
+]
+
+
+def reference_grouped_sums(
+    keys: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``kernels.grouped_sums`` with the sort path only."""
+    if keys.size == 0:
+        return keys, weights
+    index = GroupIndex.from_keys(keys)
+    ordered = weights[index.perm]
+    if ordered.dtype != object:
+        shadow = np.add.reduceat(ordered.astype(np.float64), index.start)
+        if np.max(shadow, initial=0.0) < _INT64_PROMOTE_LIMIT:
+            return index.uniq, np.add.reduceat(ordered, index.start)
+        ordered = ordered.astype(object)
+    return index.uniq, np.add.reduceat(ordered, index.start)
+
+
+def reference_lookup_sums(
+    uniq: np.ndarray, sums: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    if uniq.size == 0:
+        return np.zeros(keys.shape[0], dtype=sums.dtype if sums.size else np.int64)
+    pos = np.searchsorted(uniq, keys)
+    pos = np.clip(pos, 0, uniq.shape[0] - 1)
+    hit = uniq[pos] == keys
+    return np.where(hit, sums[pos], 0)
+
+
+_KEPT = {"_group_sum": reference_grouped_sums, "_lookup": reference_lookup_sums}
+_PRISTINE = {name: getattr(live, name) for name in _KEPT}
+
+
+def _patch_point(name: str):
+    """The mutation installed on ``name``, or the kept body when none is."""
+    fn = getattr(live, name)
+    return _KEPT[name] if fn is _PRISTINE[name] else fn
+
+
+class ReferenceCardinalityExecutor(CardinalityExecutor):
+    """The exact executor, one sub-query at a time."""
+
+    def cardinality(self, query: Query) -> int:
+        version = self.db.data_version
+        if version != self._cache_version:
+            self._cache.clear()
+            self._cache_version = version
+        cached = self._cache.get(query)
+        if cached is not None:
+            return cached
+        if not query.is_connected():
+            raise ValueError(
+                f"query join graph is disconnected (cross join unsupported): {query}"
+            )
+        if query.n_tables == 1:
+            result = int(live._filtered_indices(self.db, query, query.tables[0]).size)
+        elif live._join_graph_is_tree(query):
+            result = self._tree_count(query)
+        else:
+            result = self._materialized_count(query)
+        self._cache.put(query, result)
+        return result
+
+    def _tree_count(self, query: Query) -> int:
+        group_sum, lookup = _patch_point("_group_sum"), _patch_point("_lookup")
+        adj: dict[str, list[tuple[str, str, str]]] = {t: [] for t in query.tables}
+        for j in query.joins:
+            adj[j.left.table].append((j.right.table, j.left.column, j.right.column))
+            adj[j.right.table].append((j.left.table, j.right.column, j.left.column))
+
+        rows = {t: live._filtered_indices(self.db, query, t) for t in query.tables}
+        weights = {
+            t: np.ones(rows[t].shape[0], dtype=np.int64) for t in query.tables
+        }
+
+        root = query.tables[0]
+        order: list[tuple[str, str | None, str | None, str | None]] = []
+        stack: list[tuple[str, str | None, str | None, str | None]] = [
+            (root, None, None, None)
+        ]
+        visited = {root}
+        while stack:
+            entry = stack.pop()
+            order.append(entry)
+            table = entry[0]
+            for neighbor, my_col, their_col in adj[table]:
+                if neighbor not in visited:
+                    visited.add(neighbor)
+                    stack.append((neighbor, table, their_col, my_col))
+
+        for table, parent, my_col, parent_col in reversed(order):
+            if parent is None:
+                continue
+            keys = self.db.table(table).values(my_col)[rows[table]]
+            uniq, sums = group_sum(keys, weights[table])
+            parent_keys = self.db.table(parent).values(parent_col)[rows[parent]]
+            weights[parent] = live._weight_product(
+                weights[parent], lookup(uniq, sums, parent_keys)
+            )
+        return live._weight_total(weights[root])
+
+
+def reference_simulator(
+    db: Database, config: SimulatorConfig | None = None
+) -> ExecutionSimulator:
+    """A simulator over its own :class:`ReferenceCardinalityExecutor`."""
+    return ExecutionSimulator(db, config, executor=ReferenceCardinalityExecutor(db))
+
+
+def reference_execute(simulator: ExecutionSimulator, plan: Plan) -> ExecutionResult:
+    """``ExecutionSimulator.execute`` with the per-node cardinality loop."""
+
+    def node_cardinality(node: PlanNode) -> int:
+        return simulator.executor.cardinality(plan.node_subquery(node))
+
+    node_cards: dict[PlanNode, int] = {}
+    node_costs: dict[PlanNode, float] = {}
+    total = 0.0
+    for node in plan.walk():
+        card = node_cardinality(node)
+        node_cards[node] = card
+        if isinstance(node, ScanNode):
+            cost = simulator._scan_cost(node, card)
+        else:
+            assert isinstance(node, JoinNode)
+            cost = simulator._join_cost(
+                node,
+                node_cardinality(node.left),
+                node_cardinality(node.right),
+                card,
+            )
+        node_costs[node] = cost
+        total += cost
+
+    latency = total * simulator.config.ms_per_cost_unit
+    if simulator.config.noise_sigma > 0:
+        digest = hashlib.sha256(
+            f"{plan.signature()}|{simulator.config.noise_seed}".encode()
+        ).digest()
+        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+        latency *= float(np.exp(rng.normal(0.0, simulator.config.noise_sigma)))
+    simulator.queries_executed += 1
+    simulator.total_latency_ms += latency
+    return ExecutionResult(
+        plan=plan,
+        latency_ms=latency,
+        cardinality=node_cards[plan.root],
+        total_cost=total,
+        node_cards=node_cards,
+        node_costs=node_costs,
+    )

@@ -4,6 +4,12 @@ The executor is cross-checked against a brute-force nested-loop reference
 on randomly generated queries (property-based), including cyclic joins.
 """
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +26,9 @@ from repro.engine import (
     SimulatorConfig,
     execute_cardinality,
 )
+from repro.core.lru import BoundedLRU
 from repro.engine.executor import IntermediateTooLarge
+from repro.optimizer import Optimizer
 from repro.sql import ColumnRef, Join, Op, Predicate, Query, WorkloadGenerator
 from repro.storage import Column, Database, JoinEdge, Table
 
@@ -467,6 +475,81 @@ class TestPlans:
         plan = self._two_table_plan()
         sub = plan.node_subquery(plan.root.left)
         assert sub.tables == ("posts",)
+
+
+#: runs in a process with another ``PYTHONHASHSEED``: load, hash (which
+#: memoizes ``_hash`` under *that* process's salt), dump back
+_REHASH_ELSEWHERE = """
+import pickle, sys
+objects = pickle.load(sys.stdin.buffer)
+hashes = [hash(o) for o in objects]
+query, plan = objects
+assert "_hash" in query.__dict__ and "_hash" in plan.root.__dict__
+sys.stdout.buffer.write(pickle.dumps((objects, hashes)))
+"""
+
+
+class TestHashOnce:
+    """``Query``, ``Predicate``, ``ScanNode`` and ``JoinNode`` memoize their
+    hash; a ``str``-derived hash is per-process, so the memo must stay home."""
+
+    @staticmethod
+    def _memoizing(plan):
+        return [plan.query, *plan.query.predicates, *plan.walk()]
+
+    def _plan(self, db):
+        q = WorkloadGenerator(db, seed=21).workload(1, 3, 3, require_predicate=True)[0]
+        return Optimizer(db).plan(q)
+
+    def test_hash_is_the_field_hash_computed_once(self, stats_db):
+        plan = self._plan(stats_db)
+        q, root = plan.query, plan.root
+        assert hash(q) == hash((q.tables, q.joins, q.predicates)) == q.__dict__["_hash"]
+        assert hash(root) == hash((root.left, root.right, root.method, root.conditions))
+        scan = plan.scan_nodes()[0]
+        assert hash(scan) == hash((scan.table, scan.method, scan.predicates))
+        p = q.predicates[0]
+        assert hash(p) == hash((p.column, p.op, p.value))
+        assert q == Query(q.tables, q.joins, q.predicates)
+        assert hash(q) == hash(Query(q.tables, q.joins, q.predicates))
+
+    def test_pickle_and_deepcopy_drop_only_the_hash(self, stats_db):
+        plan = self._plan(stats_db)
+        hash(plan)
+        plan.query.subquery(plan.query.tables[:2])  # another memo, which must survive
+        assert all("_hash" in o.__dict__ for o in self._memoizing(plan))
+        for clone in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
+            assert clone == plan and clone is not plan
+            assert not any("_hash" in o.__dict__ for o in self._memoizing(clone))
+            assert set(clone.query.__dict__) == set(plan.query.__dict__) - {"_hash"}
+            assert clone.root.__dict__["_tables"] == plan.root.tables
+            assert hash(clone) == hash(plan) and {plan: 1}[clone] == 1
+
+    def test_memo_does_not_travel_to_a_process_with_another_salt(self, stats_db):
+        plan = self._plan(stats_db)
+        query = plan.query
+        # ship a memo-free payload whatever __getstate__ does, so that the
+        # only hashes that could come back are the child's
+        for obj in self._memoizing(plan):
+            obj.__dict__.pop("_hash", None)
+        payload = pickle.dumps((query, plan))
+        by_dict = {query: "query", plan: "plan"}
+        by_lru = BoundedLRU(4)
+        by_lru.put(query, "query")
+        by_lru.put(plan, "plan")
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        child = subprocess.run(
+            [sys.executable, "-c", _REHASH_ELSEWHERE],
+            input=payload,
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        (their_query, their_plan), their_hashes = pickle.loads(child.stdout)
+        assert their_hashes != [hash(query), hash(plan)], "the child shared our salt"
+        assert by_dict[their_query] == "query" and by_dict[their_plan] == "plan"
+        assert by_lru.get(their_query) == "query" and by_lru.get(their_plan) == "plan"
 
 
 class TestSimulator:

@@ -7,8 +7,13 @@ interpreter, so a silent off-by-one here corrupts every count downstream.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.kernels import (
+    _DENSE_SLOTS_FLOOR,
+    _DENSE_SLOTS_PER_KEY,
+    _dense_grouped_sums,
     GroupIndex,
     KeyIndexCache,
     compile_predicates,
@@ -20,6 +25,7 @@ from repro.engine.kernels import (
 )
 from repro.sql import ColumnRef, Op, OrPredicate, Predicate
 from repro.storage import Column, Table
+from tests.executor_reference import reference_grouped_sums
 
 
 def naive_groups(keys):
@@ -140,6 +146,79 @@ class TestGroupedSums:
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.array([1, 2])
         )
         assert out.tolist() == [0, 0]
+
+
+def assert_same_groups(keys, weights, *, dense: bool | None = None):
+    """``grouped_sums`` (dense path where it applies) == the sort-only
+    reference, value for value and dtype for dtype."""
+    uniq, sums = grouped_sums(keys, weights)
+    ref_uniq, ref_sums = reference_grouped_sums(keys, weights)
+    assert uniq.dtype == ref_uniq.dtype and uniq.tolist() == ref_uniq.tolist()
+    assert sums.dtype == ref_sums.dtype and sums.tolist() == ref_sums.tolist()
+    if dense is not None and keys.size:
+        assert (_dense_grouped_sums(keys, weights) is not None) == dense
+
+
+class TestDenseGroupedSums:
+    @given(
+        st.data(),
+        st.sampled_from([np.int64, np.int32]),
+        st.sampled_from([3, 900, _DENSE_SLOTS_FLOOR + 8 * 40, 2**40]),
+        st.sampled_from([1, 50, 2**40, 2**53, 2**62 - 1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dense_and_sort_paths_agree(self, data, key_dtype, key_max, weight_max):
+        key_max = min(key_max, np.iinfo(key_dtype).max)
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, key_max), st.integers(0, weight_max)),
+                max_size=40,
+            )
+        )
+        keys = np.array([k for k, _ in pairs], dtype=key_dtype)
+        weights = np.array([w for _, w in pairs], dtype=np.int64)
+        assert_same_groups(keys, weights)
+
+    def test_zero_weight_keys_are_still_groups(self):
+        keys = np.array([4, 2, 4, 7])
+        weights = np.array([0, 0, 0, 3], dtype=np.int64)
+        assert_same_groups(keys, weights, dense=True)
+        assert grouped_sums(keys, weights)[0].tolist() == [2, 4, 7]
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_density_cut(self, n):
+        cut = _DENSE_SLOTS_PER_KEY * n + _DENSE_SLOTS_FLOOR
+        weights = np.arange(1, n + 1, dtype=np.int64)
+        keys = np.arange(n, dtype=np.int64)
+        keys[-1] = cut - 1  # span just under the cut
+        assert_same_groups(keys, weights, dense=True)
+        keys[-1] = cut  # just over
+        assert_same_groups(keys, weights, dense=False)
+
+    def test_exactness_cut_at_2_53(self):
+        key = np.array([5])
+        assert_same_groups(key, np.array([2**53 - 1], dtype=np.int64), dense=True)
+        assert_same_groups(key, np.array([2**53], dtype=np.int64), dense=False)
+        # the bound is n * max(w): conservative for a sum spread over rows
+        keys = np.array([1, 1, 1, 2])
+        for total in (2**53 - 1, 2**53):
+            weights = np.array([total - 2, 1, 1, total], dtype=np.int64)
+            assert_same_groups(keys, weights, dense=False)
+            assert grouped_sums(keys, weights)[1].tolist() == [total, total]
+        small = np.array([(2**53 - 1) // 4] * 4, dtype=np.int64)
+        assert_same_groups(keys, small, dense=True)
+
+    def test_inputs_the_dense_path_declines(self):
+        weights = np.array([3, 4, 5], dtype=np.int64)
+        assert_same_groups(np.array([2, -1, 2]), weights, dense=False)  # negative key
+        assert_same_groups(np.array([2.0, 1.0, 2.0]), weights, dense=False)  # float keys
+        assert_same_groups(
+            np.array([2, 1, 2]), np.array([2**70, 1, 1], dtype=object), dense=False
+        )
+        assert_same_groups(np.array([2, 1, 2]), np.array([3, -4, 5]), dense=False)
+        assert_same_groups(np.array([2, 1, 2]), weights.astype(np.int32), dense=False)
+        empty = np.zeros(0, dtype=np.int64)
+        assert_same_groups(empty, empty)
 
 
 class TestCompiledPredicates:
