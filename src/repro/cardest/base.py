@@ -1,4 +1,8 @@
-"""Base class and shared utilities for cardinality estimators."""
+"""Base class and shared utilities for cardinality estimators.
+
+:class:`BaseCardinalityEstimator` owns the life-cycle every bench, driver
+and drift loop runs -- ``fit`` / ``refresh`` and the version bump.
+"""
 
 from __future__ import annotations
 
@@ -136,10 +140,16 @@ class BaseCardinalityEstimator:
     Clamping is applied vectorized either way, with the same semantics as
     the scalar path.
 
+    **Life-cycle.**  Every caller uses :meth:`fit` and :meth:`refresh` on
+    every estimator; subclasses override the :meth:`_fit` / :meth:`_refresh`
+    hooks, whose defaults are "nothing to learn from that side" (query-
+    driven models override the first, data-driven the second, hybrids both).
+
     **Estimate versioning.**  ``estimates_version`` increments whenever the
-    estimator's answers may change (refit, refresh, execution feedback).
-    The planner's :class:`repro.optimizer.CardinalityCache` includes it in
-    cache keys so stale entries are never served.
+    estimator's answers may change: in :meth:`fit` and :meth:`refresh`
+    (here, not in the hooks) and on execution feedback.  The planner's
+    :class:`repro.optimizer.CardinalityCache` includes it in cache keys so
+    stale entries are never served.
     """
 
     name: str = "base"
@@ -154,6 +164,30 @@ class BaseCardinalityEstimator:
 
     def _bump_estimates_version(self) -> None:
         self._estimates_version = self.estimates_version + 1
+
+    def fit(self, queries: list[Query], cards: np.ndarray) -> "BaseCardinalityEstimator":
+        """Learn from a labelled workload; returns ``self``."""
+        if len(queries) == 0:
+            raise ValueError("training workload is empty")
+        self._fit(queries, cards)
+        self._bump_estimates_version()
+        return self
+
+    def _fit(self, queries: list[Query], cards: np.ndarray) -> None:
+        """Hook: what the model learns from ``(queries, true cards)``."""
+
+    def refresh(self) -> None:
+        """Re-read the current data (after inserts / drift)."""
+        self._refresh()
+        self._bump_estimates_version()
+
+    def _refresh(self) -> None:
+        """Hook: rebuild whatever was derived from the table contents."""
+
+    @classmethod
+    def learns_from_queries(cls) -> bool:
+        """Whether the class overrides :meth:`_fit`: labelled queries teach it."""
+        return cls._fit is not BaseCardinalityEstimator._fit
 
     def _upper_bound(self, query: Query) -> float:
         return cross_product_rows(self.db, query)

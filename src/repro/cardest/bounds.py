@@ -183,9 +183,9 @@ class BoundSketchEstimator(BaseCardinalityEstimator):
         super().__init__(db)
         self._sketches: dict[str, dict[str, BoundSketch]] = {}
         self._sketch_rows: dict[str, int] = {}
-        self.refresh()
+        self._refresh()
 
-    def refresh(self) -> None:
+    def _refresh(self) -> None:
         """Rebuild every sketch from the current data (cheap ANALYZE)."""
         for tname in self.db.table_names:
             table = self.db.table(tname)
@@ -194,7 +194,6 @@ class BoundSketchEstimator(BaseCardinalityEstimator):
                 cname: BoundSketch.build(table.values(cname))
                 for cname in table.column_names
             }
-        self._bump_estimates_version()
 
     # -- per-table and per-edge bounds ---------------------------------------------
 

@@ -71,11 +71,10 @@ class PerTableModelEstimator(BaseCardinalityEstimator):
         for name in self.db.table_names:
             self._models[name] = self._build_table_model(name)
 
-    def refresh(self) -> None:
+    def _refresh(self) -> None:
         """Rebuild the per-table models and join-size cache from the data."""
         self._join_sizes.invalidate()
         self._build_all()
-        self._bump_estimates_version()
 
     def _build_table_model(self, table: str) -> object:
         raise NotImplementedError

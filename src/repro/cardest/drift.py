@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cardest.base import BaseCardinalityEstimator
 from repro.engine.executor import CardinalityExecutor
 from repro.sql.generator import WorkloadGenerator
 from repro.sql.query import ColumnRef, Op, Predicate, Query
@@ -176,7 +177,8 @@ class DDUpDetector:
 class Warper:
     """Targeted query generation + model update on drift (Warper [29]).
 
-    Wraps a supervised (query-driven) estimator.  :meth:`adapt` generates
+    Wraps an estimator that learns from queries (query-driven or hybrid;
+    anything else is a ``TypeError``).  :meth:`adapt` generates
     extra training queries whose predicate constants are drawn from the
     *drifted tables' current data* (so the new regions are covered),
     labels them with the exact executor, and refits the estimator on the
@@ -204,8 +206,11 @@ class Warper:
         ``history`` seeds the retained-example buffer without an initial
         :meth:`fit_initial` (used when adapting a cloned estimator that
         was trained elsewhere)."""
-        if not hasattr(estimator, "fit"):
-            raise TypeError("Warper needs a supervised estimator with .fit")
+        if not (
+            isinstance(estimator, BaseCardinalityEstimator)
+            and estimator.learns_from_queries()
+        ):
+            raise TypeError("Warper needs an estimator that learns from queries")
         self.db = db
         self.estimator = estimator
         self.detector = (

@@ -79,7 +79,7 @@ class FactorJoinEstimator(BaseCardinalityEstimator):
                     ndv[b] = max(np.unique(in_bin).size, 1)
                 self._bin_ndv[(tname, key_col)] = ndv
 
-    def refresh(self) -> None:
+    def _refresh(self) -> None:
         """Rebuild samples and key histograms from current data."""
         self._build()
 

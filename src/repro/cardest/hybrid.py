@@ -44,10 +44,8 @@ class UAEEstimator(BaseCardinalityEstimator):
         self._featurizer = FlatQueryFeaturizer(db)
         self.seed = seed
 
-    def fit_queries(self, queries: list[Query], cards: np.ndarray) -> "UAEEstimator":
+    def _fit(self, queries: list[Query], cards: np.ndarray) -> None:
         """Inject workload supervision: fit the residual correction."""
-        if len(queries) == 0:
-            raise ValueError("empty query feedback")
         cards = np.asarray(cards, dtype=float)
         x = self._featurizer.featurize_batch(queries)
         data_logs = np.array(
@@ -57,12 +55,9 @@ class UAEEstimator(BaseCardinalityEstimator):
         self._correction = GradientBoostedTrees(
             n_estimators=40, max_depth=4, seed=self.seed
         ).fit(x, true_logs - data_logs)
-        self._bump_estimates_version()
-        return self
 
-    def refresh(self) -> None:
+    def _refresh(self) -> None:
         self._data_model.refresh()
-        self._bump_estimates_version()
 
     def _estimate(self, query: Query) -> float:
         base = max(self._data_model.estimate(query), 0.0)
@@ -92,17 +87,25 @@ class GLUEEstimator(BaseCardinalityEstimator):
     Wraps any inner estimator that can answer *single-table* queries and
     lifts it to joins: ``card = |unfiltered join| * prod_t sel_t`` where
     each ``sel_t`` comes from the inner estimator on the table's
-    single-table sub-query.
+    single-table sub-query.  Both life-cycle calls pass through to the
+    inner model, whichever side it learns from.
     """
 
     name = "glue"
 
     def __init__(self, db: Database, single_table_estimator) -> None:
         super().__init__(db)
-        if not hasattr(single_table_estimator, "estimate"):
-            raise TypeError("single_table_estimator must expose .estimate(query)")
+        if not isinstance(single_table_estimator, BaseCardinalityEstimator):
+            raise TypeError("single_table_estimator must be a BaseCardinalityEstimator")
         self.inner = single_table_estimator
         self._join_sizes = UnfilteredJoinSizes(db)
+
+    def _fit(self, queries: list[Query], cards: np.ndarray) -> None:
+        self.inner.fit(queries, cards)
+
+    def _refresh(self) -> None:
+        self.inner.refresh()
+        self._join_sizes.invalidate()
 
     def _table_selectivity(self, query: Query, table: str) -> float:
         preds = query.predicates_on(table)
@@ -192,10 +195,9 @@ class ALECEEstimator(BaseCardinalityEstimator):
             tokens[i, -1] = math.log1p(self.db.table(t).n_rows) / 20.0
         return tokens
 
-    def refresh(self) -> None:
+    def _refresh(self) -> None:
         """Recompute data tokens from the live data (no retraining)."""
         self.tokens = self._build_tokens()
-        self._bump_estimates_version()
 
     # -- forward / backward -------------------------------------------------------
 
@@ -241,9 +243,7 @@ class ALECEEstimator(BaseCardinalityEstimator):
 
     # -- training / inference --------------------------------------------------------
 
-    def fit(self, queries: list[Query], cards: np.ndarray) -> "ALECEEstimator":
-        if len(queries) == 0:
-            raise ValueError("training workload is empty")
+    def _fit(self, queries: list[Query], cards: np.ndarray) -> None:
         x = self.featurizer.featurize_batch(queries)
         y = np.log1p(np.maximum(np.asarray(cards, dtype=float), 0.0))[:, None]
         opt = Adam(lr=self.lr)
@@ -258,8 +258,6 @@ class ALECEEstimator(BaseCardinalityEstimator):
                 grads = self._backward(grad)
                 opt.step(self._params, grads)
         self._fitted = True
-        self._bump_estimates_version()
-        return self
 
     def _estimate(self, query: Query) -> float:
         if not self._fitted:

@@ -302,12 +302,13 @@ class NeuroCardEstimator(BaseCardinalityEstimator):
             self._templates[key] = model
         return model
 
-    def prebuild(self, queries: list[Query]) -> None:
-        """Train models for every distinct template in a workload upfront."""
+    def _fit(self, queries: list[Query], cards: np.ndarray) -> None:
+        """Train models for every distinct template in a workload upfront
+        (the labels go unused: the models learn from join samples)."""
         for q in queries:
             self._model_for(q)
 
-    def refresh(self) -> None:
+    def _refresh(self) -> None:
         """Drop cached templates (after data change); they rebuild lazily."""
         self._templates.clear()
         self._executor.clear_cache()

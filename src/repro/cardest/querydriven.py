@@ -55,15 +55,11 @@ class _SupervisedFlatEstimator(BaseCardinalityEstimator):
         self.featurizer = FlatQueryFeaturizer(db)
         self._fitted = False
 
-    def fit(self, queries: list[Query], cards: np.ndarray) -> "_SupervisedFlatEstimator":
-        if len(queries) == 0:
-            raise ValueError("training workload is empty")
+    def _fit(self, queries: list[Query], cards: np.ndarray) -> None:
         x = self.featurizer.featurize_batch(queries)
         y = _log_card(np.asarray(cards))
         self._fit_impl(x, y)
         self._fitted = True
-        self._bump_estimates_version()
-        return self
 
     def _fit_impl(self, x: np.ndarray, y: np.ndarray) -> None:
         raise NotImplementedError
@@ -213,7 +209,7 @@ class QuickSelEstimator(BaseCardinalityEstimator):
             frac *= max(hi - lo, 0.0) / width_b
         return frac
 
-    def fit(self, queries: list[Query], cards: np.ndarray) -> "QuickSelEstimator":
+    def _fit(self, queries: list[Query], cards: np.ndarray) -> None:
         """Fit per-table mixtures from the single-table training queries."""
         cards = np.asarray(cards, dtype=float)
         per_table: dict[str, list[tuple[Query, float]]] = {}
@@ -247,8 +243,6 @@ class QuickSelEstimator(BaseCardinalityEstimator):
             raise ValueError(
                 "QuickSel needs single-table training queries with predicates"
             )
-        self._bump_estimates_version()
-        return self
 
     def _table_selectivity(self, query: Query, table: str) -> float:
         if not query.predicates_on(table):
@@ -303,15 +297,11 @@ class MSCNEstimator(BaseCardinalityEstimator):
     def _featurize_training(self, queries: list[Query]) -> list[dict]:
         return [self.featurizer.featurize(q) for q in queries]
 
-    def fit(self, queries: list[Query], cards: np.ndarray) -> "MSCNEstimator":
-        if len(queries) == 0:
-            raise ValueError("training workload is empty")
+    def _fit(self, queries: list[Query], cards: np.ndarray) -> None:
         samples = self._featurize_training(queries)
         y = self._targets(np.asarray(cards))
         self.net.fit(samples, y, epochs=self.epochs, lr=self.lr, seed=self.seed)
         self._fitted = True
-        self._bump_estimates_version()
-        return self
 
     def _estimate(self, query: Query) -> float:
         if not self._fitted:
@@ -397,7 +387,7 @@ class CRNEstimator(BaseCardinalityEstimator):
         """a AND b (same template): union of predicates."""
         return Query(a.tables, a.joins, tuple(set(a.predicates) | set(b.predicates)))
 
-    def fit(self, queries: list[Query], cards: np.ndarray) -> "CRNEstimator":
+    def _fit(self, queries: list[Query], cards: np.ndarray) -> None:
         """Build anchors and train the containment-rate network.
 
         Exact conjunction cardinalities (the labels) come from the data,
@@ -407,8 +397,6 @@ class CRNEstimator(BaseCardinalityEstimator):
         from repro.engine.executor import CardinalityExecutor
 
         cards = np.asarray(cards, dtype=float)
-        if len(queries) == 0:
-            raise ValueError("training workload is empty")
         executor = CardinalityExecutor(self.db)
         by_template: dict[tuple, list[tuple[Query, float]]] = {}
         for q, c in zip(queries, cards):
@@ -444,8 +432,6 @@ class CRNEstimator(BaseCardinalityEstimator):
         )
         self._net.fit(x, y, epochs=self.epochs, lr=2e-3, loss="mse")
         del rng
-        self._bump_estimates_version()
-        return self
 
     def _estimate(self, query: Query) -> float:
         if self._net is None:
@@ -550,11 +536,9 @@ class GLPlusEstimator(BaseCardinalityEstimator):
         self._global: MLP | None = None
         self._local: dict[int, MLP] = {}
 
-    def fit(self, queries: list[Query], cards: np.ndarray) -> "GLPlusEstimator":
+    def _fit(self, queries: list[Query], cards: np.ndarray) -> None:
         from repro.ml.cluster import KMeans
 
-        if len(queries) == 0:
-            raise ValueError("training workload is empty")
         x = self.featurizer.featurize_batch(queries)
         y = _log_card(np.asarray(cards))
         self._global = MLP(x.shape[1], self.hidden, 1, seed=self.seed)
@@ -569,8 +553,6 @@ class GLPlusEstimator(BaseCardinalityEstimator):
                 local = MLP(x.shape[1], self.hidden, 1, seed=self.seed + seg + 1)
                 local.fit(x[members], y[members], epochs=self.epochs, lr=2e-3)
                 self._local[seg] = local
-        self._bump_estimates_version()
-        return self
 
     @property
     def n_local_models(self) -> int:
@@ -621,10 +603,8 @@ class LPCEEstimator(BaseCardinalityEstimator):
         self._since_refit = 0
         self.seed = seed
 
-    def fit(self, queries: list[Query], cards: np.ndarray) -> "LPCEEstimator":
+    def _fit(self, queries: list[Query], cards: np.ndarray) -> None:
         self._initial.fit(queries, cards)
-        self._bump_estimates_version()
-        return self
 
     def observe(self, query: Query, true_card: float) -> None:
         """Feed back the true cardinality of an executed (sub-)query."""

@@ -265,7 +265,7 @@ class _SPNFamilyEstimator(BaseCardinalityEstimator):
             )
             self._models[name] = (disc, root)
 
-    def refresh(self) -> None:
+    def _refresh(self) -> None:
         """Rebuild from current data (drift recovery)."""
         self._join_sizes.invalidate()
         self._build_all()

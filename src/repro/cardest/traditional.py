@@ -39,6 +39,10 @@ class HistogramEstimator(BaseCardinalityEstimator):
         super().__init__(db)
         self._inner = TraditionalCardinalityEstimator(db, stats)
 
+    def _refresh(self) -> None:
+        """Re-ANALYZE into statistics of its own (a ``stats`` passed in may be shared)."""
+        self._inner = TraditionalCardinalityEstimator(self.db)
+
     def _estimate(self, query: Query) -> float:
         return self._inner.estimate(query)
 

@@ -1,18 +1,35 @@
-"""Method registry regenerating the paper's Table 1 (and beyond).
+"""The method table: the paper's Table 1 (and beyond), with how to build it.
 
 Table 1 of the tutorial lists the learned cardinality estimators by
 category, method name and applied ML technique.  This registry holds those
 rows *plus* the cost-model / join-order / end-to-end methods of §2.1.2-2.2,
-each mapped to its implementation in this repository.  The T1 benchmark
-renders the cardinality-estimator rows back into the paper's table.
+each mapped to its implementation in this repository.
+
+For cardinality estimators it is also the one name -> constructor table: a
+row's ``key`` is the name :func:`repro.bench.build_estimator` accepts and
+``args`` are the constructor's keyword arguments per budget.  A row with
+an empty key has no constructor from ``(db, budget, seed)`` yet (it needs
+member models, a string column, ...); the T1 benchmark builds, fits and
+scores every keyed row and prints the others as the backlog.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-__all__ = ["MethodInfo", "registry", "cardinality_estimator_rows"]
+__all__ = ["MethodInfo", "SEED", "Keyed", "registry", "cardinality_estimator_rows"]
+
+#: constructor-argument value standing for the caller's ``seed``
+SEED = object()
+
+
+@dataclass(frozen=True)
+class Keyed:
+    """A constructor argument that is itself a keyed estimator, built at
+    the same budget and seed (GLUE's single-table model)."""
+
+    key: str
 
 
 @dataclass(frozen=True)
@@ -25,6 +42,10 @@ class MethodInfo:
     technique: str  # "Applied ML Techniques" column
     paper_ref: str  # citation key in the tutorial, e.g. "[23]"
     impl: str  # "module:ClassName" inside this repo
+    key: str = ""  # build_estimator name; rows sharing an implementation share it
+    #: constructor keyword arguments after ``db``: a value, :data:`SEED`, a
+    #: :class:`Keyed` or a ``{"fast": ..., "full": ...}`` per-budget pair
+    args: dict = field(default_factory=dict)
 
     def resolve(self) -> type:
         """Import and return the implementing class."""
@@ -44,60 +65,95 @@ _JOIN = "repro.joinorder"
 _E2E = "repro.e2e"
 _REG = "repro.regression"
 
+#: per-budget training epochs: the query-driven networks, the autoregressive models
+_EPOCHS_NN = {"fast": 30, "full": 80}
+_EPOCHS_AR = {"fast": 5, "full": 12}
+_SEEDED = {"seed": SEED}
+
 _REGISTRY: list[MethodInfo] = [
     # ---- Table 1: learned cardinality estimators --------------------------------
     MethodInfo("cardinality", "Query-Driven (Statistical Model)", "Malik et al.",
-               "Linear Model", "[36]", f"{_CARD}.querydriven:LinearQueryEstimator"),
+               "Linear Model", "[36]", f"{_CARD}.querydriven:LinearQueryEstimator", "linear"),
     MethodInfo("cardinality", "Query-Driven (Statistical Model)", "Dutt et al.",
-               "Tree-based Ensembles", "[10]", f"{_CARD}.querydriven:GBDTQueryEstimator"),
+               "Tree-based Ensembles", "[10]", f"{_CARD}.querydriven:GBDTQueryEstimator",
+               "gbdt", _SEEDED),
     MethodInfo("cardinality", "Query-Driven (Statistical Model)", "Dutt et al.",
-               "XGBoost", "[9]", f"{_CARD}.querydriven:GBDTQueryEstimator"),
+               "XGBoost", "[9]", f"{_CARD}.querydriven:GBDTQueryEstimator",
+               "gbdt", _SEEDED),
     MethodInfo("cardinality", "Query-Driven (Statistical Model)", "QuickSel",
-               "Mixture Model", "[47]", f"{_CARD}.querydriven:QuickSelEstimator"),
+               "Mixture Model", "[47]", f"{_CARD}.querydriven:QuickSelEstimator", "quicksel"),
     MethodInfo("cardinality", "Query-Driven (DNN-Based Model)", "Liu et al.",
-               "Fully Connected Neural Network", "[32]", f"{_CARD}.querydriven:MLPQueryEstimator"),
+               "Fully Connected Neural Network", "[32]", f"{_CARD}.querydriven:MLPQueryEstimator",
+               "mlp", {"epochs": _EPOCHS_NN, "seed": SEED}),
     MethodInfo("cardinality", "Query-Driven (DNN-Based Model)", "MSCN",
-               "Multi-Set Convolutional Network", "[23]", f"{_CARD}.querydriven:MSCNEstimator"),
+               "Multi-Set Convolutional Network", "[23]", f"{_CARD}.querydriven:MSCNEstimator",
+               "mscn", {"epochs": _EPOCHS_NN, "seed": SEED}),
     MethodInfo("cardinality", "Query-Driven (DNN-Based Model)", "Kim et al.",
-               "Adding Pooling Layers", "[22]", f"{_CARD}.querydriven:PooledMSCNEstimator"),
+               "Adding Pooling Layers", "[22]", f"{_CARD}.querydriven:PooledMSCNEstimator",
+               "pooled_mscn", {"epochs": _EPOCHS_NN, "seed": SEED}),
     MethodInfo("cardinality", "Query-Driven (DNN-Based Model)", "CRN",
-               "Learning Containment Rate", "[13]", f"{_CARD}.querydriven:CRNEstimator"),
+               "Learning Containment Rate", "[13]", f"{_CARD}.querydriven:CRNEstimator",
+               "crn", {"epochs": _EPOCHS_NN, "seed": SEED}),
     MethodInfo("cardinality", "Query-Driven (DNN-Based Model)", "Robust-MSCN",
-               "Query Masking", "[45]", f"{_CARD}.querydriven:RobustMSCNEstimator"),
+               "Query Masking", "[45]", f"{_CARD}.querydriven:RobustMSCNEstimator",
+               "robust_mscn", {"epochs": _EPOCHS_NN, "seed": SEED}),
     MethodInfo("cardinality", "Query-Driven (DNN-Based Model)", "GL+",
-               "Segmentation Technique", "[52]", f"{_CARD}.querydriven:GLPlusEstimator"),
+               "Segmentation Technique", "[52]", f"{_CARD}.querydriven:GLPlusEstimator",
+               "gl_plus", {"epochs": _EPOCHS_NN, "seed": SEED}),
+    # Unkeyed: an ensemble is built from already-fitted member models.
     MethodInfo("cardinality", "Query-Driven (DNN-Based Model)", "Fauce",
                "Ensemble of Deep Models", "[33]", f"{_CARD}.advisor:EnsembleEstimator"),
     MethodInfo("cardinality", "Query-Driven (DNN-Based Model)", "NNGP",
                "Bayesian Deep Learning (ensemble posterior)", "[75]", f"{_CARD}.advisor:EnsembleEstimator"),
     MethodInfo("cardinality", "Query-Driven (DNN-Based Model)", "LPCE",
-               "Query Re-Optimization", "[59]", f"{_CARD}.querydriven:LPCEEstimator"),
+               "Query Re-Optimization", "[59]", f"{_CARD}.querydriven:LPCEEstimator",
+               "lpce", _SEEDED),
     MethodInfo("cardinality", "Data-Driven (Kernel-Based)", "Heimel et al.",
-               "Kernel Density Function", "[14]", f"{_CARD}.datadriven:KDEEstimator"),
+               "Kernel Density Function", "[14]", f"{_CARD}.datadriven:KDEEstimator",
+               "kde", _SEEDED),
     MethodInfo("cardinality", "Data-Driven (Kernel-Based)", "Kiefer et al.",
-               "Kernel Density Function", "[21]", f"{_CARD}.datadriven:JoinKDEEstimator"),
+               "Kernel Density Function", "[21]", f"{_CARD}.datadriven:JoinKDEEstimator",
+               "join_kde", _SEEDED),
     MethodInfo("cardinality", "Data-Driven (Auto-Regression Model)", "Naru",
-               "Single Table", "[71]", f"{_CARD}.datadriven:NaruEstimator"),
+               "Single Table", "[71]", f"{_CARD}.datadriven:NaruEstimator",
+               "naru", {"epochs": _EPOCHS_AR, "seed": SEED}),
     MethodInfo("cardinality", "Data-Driven (Auto-Regression Model)", "NeuroCard",
-               "Multi-Tables", "[70]", f"{_CARD}.datadriven:NeuroCardEstimator"),
+               "Multi-Tables", "[70]", f"{_CARD}.datadriven:NeuroCardEstimator",
+               "neurocard", {"epochs": _EPOCHS_AR, "n_samples": {"fast": 700, "full": 1500},
+                             "seed": SEED}),
     MethodInfo("cardinality", "Data-Driven (Probabilistic Graphical Model)", "BayesNet",
-               "Bayesian Networks", "[57]", f"{_CARD}.datadriven:BayesNetEstimator"),
+               "Bayesian Networks", "[57]", f"{_CARD}.datadriven:BayesNetEstimator", "bayesnet"),
     MethodInfo("cardinality", "Data-Driven (Probabilistic Graphical Model)", "BayesCard",
-               "Revitalized Bayesian networks", "[65]", f"{_CARD}.datadriven:BayesNetEstimator"),
+               "Revitalized Bayesian networks", "[65]", f"{_CARD}.datadriven:BayesNetEstimator", "bayesnet"),
     MethodInfo("cardinality", "Data-Driven (Probabilistic Graphical Model)", "DeepDB",
-               "Sum-Product Network", "[17]", f"{_CARD}.datadriven:SPNEstimator"),
+               "Sum-Product Network", "[17]", f"{_CARD}.datadriven:SPNEstimator",
+               "spn", _SEEDED),
     MethodInfo("cardinality", "Data-Driven (Probabilistic Graphical Model)", "FLAT",
-               "FSPN", "[81]", f"{_CARD}.datadriven:FSPNEstimator"),
+               "FSPN", "[81]", f"{_CARD}.datadriven:FSPNEstimator",
+               "fspn", _SEEDED),
     MethodInfo("cardinality", "Data-Driven (Probabilistic Graphical Model)", "FactorJoin",
-               "Factor Graph and Join Histogram", "[64]", f"{_CARD}.datadriven:FactorJoinEstimator"),
+               "Factor Graph and Join Histogram", "[64]", f"{_CARD}.datadriven:FactorJoinEstimator",
+               "factorjoin", _SEEDED),
+    # Absolute per-table sample sizes (100 rows fast / 150 full), NOT a
+    # sampling rate: large enough to be a serious baseline, small enough
+    # that its selective-predicate tail blow-ups (the behaviour the
+    # benchmark papers report) are visible at this scale.
     MethodInfo("cardinality", "Data-Driven", "Sampling",
-               "Uniform Row Sampling (baseline)", "-", f"{_CARD}.traditional:SamplingEstimator"),
+               "Uniform Row Sampling (baseline)", "-", f"{_CARD}.traditional:SamplingEstimator",
+               "sampling", {"sample_rows": {"fast": 100, "full": 150}, "seed": SEED}),
+    MethodInfo("cardinality", "Data-Driven", "Histogram",
+               "Histograms + MCVs (baseline)", "-", f"{_CARD}.traditional:HistogramEstimator", "histogram"),
     MethodInfo("cardinality", "Hybrid", "UAE",
-               "Deep Auto-Regression Model", "[63]", f"{_CARD}.hybrid:UAEEstimator"),
+               "Deep Auto-Regression Model", "[63]", f"{_CARD}.hybrid:UAEEstimator",
+               "uae", {"epochs": _EPOCHS_AR, "seed": SEED}),
     MethodInfo("cardinality", "Hybrid", "GLUE",
-               "Merging Single Table Results", "[82]", f"{_CARD}.hybrid:GLUEEstimator"),
+               "Merging Single Table Results", "[82]", f"{_CARD}.hybrid:GLUEEstimator",
+               "glue", {"single_table_estimator": Keyed("fspn")}),
     MethodInfo("cardinality", "Hybrid", "ALECE",
-               "Attention on Transformer Model", "[30]", f"{_CARD}.hybrid:ALECEEstimator"),
+               "Attention on Transformer Model", "[30]", f"{_CARD}.hybrid:ALECEEstimator",
+               "alece", {"epochs": {"fast": 60, "full": 160}, "seed": SEED}),
+    # Unkeyed: Astrid estimates over a string column, not a Query; the
+    # mixed-predicate row is a featurization, not an estimator class.
     MethodInfo("cardinality", "Extensions (String Predicates)", "Astrid",
                "NLP n-gram features + deep model", "[48]", f"{_CARD}.strings:AstridEstimator"),
     MethodInfo("cardinality", "Extensions (Mixed Predicates)", "Mueller et al.",

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.cardest.base import sanitize_estimate
+from repro.cardest.base import BaseCardinalityEstimator, sanitize_estimate
 from repro.core.framework import CandidatePlan, LearnedOptimizer
 from repro.costmodel.features import PlanFeaturizer
 from repro.e2e.exploration import _dedup
@@ -39,8 +39,8 @@ class CardinalityInjectionDriver(Driver):
 
     def __init__(self, estimator) -> None:
         super().__init__()
-        if not hasattr(estimator, "estimate"):
-            raise TypeError("estimator must expose .estimate(query)")
+        if not isinstance(estimator, BaseCardinalityEstimator):
+            raise TypeError("estimator must be a BaseCardinalityEstimator")
         self.estimator = estimator
         self._collected: list[tuple[Query, float]] = []
 
@@ -65,17 +65,13 @@ class CardinalityInjectionDriver(Driver):
             self._collected.append((q, float(outcome.cardinality)))
 
     def train(self) -> None:
-        if not self._collected:
-            return
-        if hasattr(self.estimator, "fit"):
-            queries = [q for q, _ in self._collected]
-            cards = np.array([c for _, c in self._collected])
-            self.estimator.fit(queries, cards)
+        if self._collected:
+            queries, cards = zip(*self._collected)
+            self.estimator.fit(list(queries), np.array(cards))
 
     def background_update(self) -> None:
-        """Refresh data-driven models against the current data."""
-        if hasattr(self.estimator, "refresh"):
-            self.estimator.refresh()
+        """Refresh the estimator against the current data."""
+        self.estimator.refresh()
 
 
 class _SteeringDriverBase(Driver):

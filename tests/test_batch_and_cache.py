@@ -20,7 +20,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.bench.suite import fit_estimator, registered_estimators
+from repro.bench.suite import fit_estimator
 from repro.cardest import (
     ALECEEstimator,
     BayesNetEstimator,
@@ -46,6 +46,7 @@ from repro.cardest import (
     SamplingEstimator,
     UAEEstimator,
 )
+from repro.core import registry
 from repro.core.interfaces import (
     InjectedCardinalities,
     ScaledCardinalities,
@@ -59,9 +60,9 @@ from repro.optimizer.cost import PlanCoster
 from repro.sql import WorkloadGenerator
 from repro.storage import make_stats_lite
 
-# Test-budget constructors: same registry as bench.suite, minimal epochs
-# (parity does not need accuracy).  Kept in lockstep with the registry by
-# test_registry_is_fully_covered below.
+# Test-budget constructors: the keys of the method table, minimal epochs
+# (parity does not need accuracy; a test budget is the test's business).
+# Kept in lockstep with the table by test_registry_is_fully_covered below.
 _FAST_FACTORIES = {
     "histogram": lambda db: HistogramEstimator(db),
     "sampling": lambda db: SamplingEstimator(db, 80, seed=0),
@@ -92,7 +93,7 @@ _FAST_FACTORIES = {
 
 
 def test_registry_is_fully_covered():
-    assert set(_FAST_FACTORIES) == set(registered_estimators())
+    assert set(_FAST_FACTORIES) == {m.key for m in registry("cardinality") if m.key}
 
 
 @pytest.mark.parametrize("name", sorted(_FAST_FACTORIES))

@@ -260,7 +260,7 @@ class TestProgressiveSamplingPinned:
         live, empty = self._queries(stats_db)
         ours = build(stats_db)
         if isinstance(ours, NeuroCardEstimator):
-            ours.prebuild(live[:1])
+            ours.fit(live[:1], np.zeros(1))
         theirs = copy.deepcopy(ours)
         for net in self._nets(theirs):
             net.box_probability = (
@@ -312,7 +312,7 @@ class TestHybrid:
     def test_uae_correction_learns(self, stats_db, stats_executor, stats_train_data):
         est = UAEEstimator(stats_db, epochs=3)
         queries, cards = stats_train_data
-        est.fit_queries(queries[:60], cards[:60])
+        est.fit(queries[:60], cards[:60])
         assert est._correction is not None
 
     def test_glue_wraps_any_single_table_estimator(self, stats_db, test_workload):

@@ -68,7 +68,6 @@ TEST_ONLY = {
     "flow_loss_weights",  # Flow-Loss [44] sample weighting
     "pac_learning_curve",  # PAC learnability diagnostic [19]
     "interval_coverage",  # prediction-interval diagnostic [55]
-    "registered_estimators",  # lets the batch test prove it covers every build_estimator name
     "Tanh",  # toolkit layer, gradient-checked; MLP builds ReLU and Sigmoid only
     "Dropout",  # toolkit layer with tests; no model configures it
 }
