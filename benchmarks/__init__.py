@@ -3,13 +3,18 @@
 One entry per ``bench_*.py`` module: the E-series reproduces the paper's
 tables/figures (see EXPERIMENTS.md), the T-series is the taxonomy sweep,
 and the P-series benchmarks this repo's own performance layers (batching /
-caching, serving).  The registry is plain data and importing this package
-imports nothing from ``repro``: it only puts ``src/`` on ``sys.path`` so
-pytest and ``python -m benchmarks <key>`` both work from a plain checkout;
-use :func:`load` to import one benchmark's module lazily.
+caching, serving).  Every module has a top-level ``export(seed=0,
+profile=None) -> str`` -- the deterministic bytes ``python -m benchmarks
+<key>`` writes and CI diffs across two fresh processes -- and ``test_*``
+gates for pytest; T1, E1-E13 and P1 build both from a ``measure(seed)``
+(:mod:`benchmarks.contract`).  The registry is plain data and importing
+this package imports nothing from ``repro``: it only puts ``src/`` on
+``sys.path`` so pytest and the CLI work from a plain checkout; use
+:func:`load` to import one benchmark's module lazily.
 
-P-bench profiles are selected in one place: ``BENCH_PROFILE=quick|full``
-(default ``quick``), read through :func:`profile`.
+Profiles are selected in one place: ``BENCH_PROFILE=quick|full`` (default
+``quick``; P2-P10 have both, the rest one size), read through
+:func:`profile`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-#: the profile every P-bench runs at unless a caller names one
+#: the profile every bench runs at unless a caller names one
 PROFILE = os.environ.get("BENCH_PROFILE", "quick")
 
 

@@ -16,17 +16,15 @@ from benchmarks import BENCHMARKS, load
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m benchmarks", description=__doc__)
     parser.add_argument("key", choices=sorted(BENCHMARKS), metavar="key",
-                        help="registry key of a bench with an export, e.g. p5")
+                        help="registry key, e.g. e7 or p5")
     parser.add_argument("--profile", choices=("quick", "full"),
-                        help="default: BENCH_PROFILE, else quick")
+                        help="default: BENCH_PROFILE, else quick; t1, e1-e13 and p1 "
+                             "have the one size, quick")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--export", metavar="PATH",
                         help="write the export here instead of stdout")
     args = parser.parse_args(argv)
-    export = getattr(load(args.key), "export", None)
-    if export is None:
-        parser.error(f"benchmark {args.key!r} has no deterministic export")
-    blob = export(seed=args.seed, profile=args.profile)
+    blob = load(args.key).export(seed=args.seed, profile=args.profile)
     if args.export:
         with open(args.export, "w") as fh:
             fh.write(blob)

@@ -14,9 +14,7 @@ middleware overhead stays in the low-millisecond range per query.
 
 import time
 
-import numpy as np
-
-from repro.bench import render_table
+from benchmarks.contract import Table, stats_db, table_export
 from repro.cardest import FSPNEstimator
 from repro.engine import CardinalityExecutor
 from repro.pilotscope import (
@@ -29,70 +27,72 @@ from repro.pilotscope import (
 from repro.sql import WorkloadGenerator
 
 
-def test_e10_pilotscope_deployments(benchmark, stats_db):
-    pg = SimulatedPostgreSQL(stats_db)
-    truth = CardinalityExecutor(stats_db)
-    gen = WorkloadGenerator(stats_db, seed=61)
+def measure(seed=0):
+    db = stats_db()
+    pg = SimulatedPostgreSQL(db)
+    truth = CardinalityExecutor(db)
+    gen = WorkloadGenerator(db, seed=61 + seed)
     train = gen.workload(60, 1, 4, require_predicate=True)
-    workload = WorkloadGenerator(stats_db, seed=62).workload(
+    workload = WorkloadGenerator(db, seed=62 + seed).workload(
         120, 1, 4, require_predicate=True
     )
     expected = [truth.cardinality(q) for q in workload]
+    rows = []
 
-    def run():
-        rows = []
+    def replay(name, setup):
+        console = PilotScopeConsole(pg)
+        setup(console)
+        wall0 = time.perf_counter()
+        outs = [console.execute(q) for q in workload]
+        wall = time.perf_counter() - wall0
+        for out, want in zip(outs, expected):
+            assert out.cardinality == want, f"{name} broke correctness"
+        served_lat = sum(o.latency_ms for o in outs)
+        overhead_ms = max(wall * 1000, 0.0) / len(workload)
+        rows.append((name, served_lat, overhead_ms))
 
-        def replay(name, setup):
-            console = PilotScopeConsole(pg)
-            setup(console)
-            sim_before = pg.simulator.total_latency_ms
-            wall0 = time.perf_counter()
-            outs = [console.execute(q) for q in workload]
-            wall = time.perf_counter() - wall0
-            sim_ms = pg.simulator.total_latency_ms - sim_before
-            for out, want in zip(outs, expected):
-                assert out.cardinality == want, f"{name} broke correctness"
-            served_lat = sum(o.latency_ms for o in outs)
-            overhead_ms = max(wall * 1000, 0.0) / len(workload)
-            rows.append((name, served_lat, overhead_ms))
-            return served_lat
+    replay("native", lambda c: None)
 
-        native_lat = replay("native", lambda c: None)
+    def setup_cardest(console):
+        driver = CardinalityInjectionDriver(FSPNEstimator(db))
+        console.register_driver(driver)
+        console.start_driver("cardinality_injection")
 
-        def setup_cardest(console):
-            driver = CardinalityInjectionDriver(FSPNEstimator(stats_db))
-            console.register_driver(driver)
-            console.start_driver("cardinality_injection")
+    replay("fspn via injection driver", setup_cardest)
 
-        replay("fspn via injection driver", setup_cardest)
+    def setup_bao(console):
+        driver = BaoDriver(seed=seed)
+        console.register_driver(driver)
+        console.start_driver("bao_driver")
 
-        def setup_bao(console):
-            driver = BaoDriver(seed=0)
-            console.register_driver(driver)
-            console.start_driver("bao_driver")
+    replay("bao driver", setup_bao)
 
-        replay("bao driver", setup_bao)
+    def setup_lero(console):
+        driver = LeroDriver(seed=seed)
+        console.register_driver(driver)
+        console.start_driver("lero_driver")
+        driver.collect_training_data(train[:25])
+        driver.train()
 
-        def setup_lero(console):
-            driver = LeroDriver(seed=0)
-            console.register_driver(driver)
-            console.start_driver("lero_driver")
-            driver.collect_training_data(train[:25])
-            driver.train()
-
-        replay("lero driver", setup_lero)
-        return rows, native_lat
-
-    rows, native_lat = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(
-        render_table(
+    replay("lero driver", setup_lero)
+    return [
+        Table(
             "E10: PilotScope deployments (120 queries; correctness asserted per query)",
             ["deployment", "workload_latency_ms", "middleware_ms/query"],
             rows,
+            timing=("middleware_ms/query",),
             note="latency is simulated execution; overhead is real wall-clock planning cost",
         )
-    )
+    ]
+
+
+export = table_export(measure)
+
+
+def test_e10_pilotscope_deployments():
+    (table,) = measure()
+    print(table.render())
     # Every deployment answered every query correctly (asserted inline);
     # the middleware's planning overhead stays modest.
-    for name, _, overhead in rows:
-        assert overhead < 500, f"{name} overhead too high"
+    for r in table.records():
+        assert r["middleware_ms/query"] < 500, f"{r['deployment']} overhead too high"

@@ -18,9 +18,7 @@ plan: one shadow pair every 7th query leaves the comparator below its
 15-pair floor, so it ranks by cost throughout.
 """
 
-import numpy as np
-
-from repro.bench import render_table
+from benchmarks.contract import Table, imdb_db, imdb_optimizer, imdb_simulator, table_export
 from repro.core.framework import LearnedOptimizer
 from repro.costmodel import PlanFeaturizer
 from repro.e2e import (
@@ -38,24 +36,25 @@ from repro.e2e import (
 from repro.sql import WorkloadGenerator
 
 
-def test_e11_framework_ablation(benchmark, imdb_db, imdb_optimizer, imdb_simulator):
-    warmup = WorkloadGenerator(imdb_db, seed=71).workload(
+def measure(seed=0):
+    db, optimizer, simulator = imdb_db(), imdb_optimizer(), imdb_simulator()
+    warmup = WorkloadGenerator(db, seed=71 + seed).workload(
         30, 2, 5, require_predicate=True
     )
-    workload = WorkloadGenerator(imdb_db, seed=72).workload(
+    workload = WorkloadGenerator(db, seed=72 + seed).workload(
         150, 2, 5, require_predicate=True
     )
-    featurizer = PlanFeaturizer(imdb_db, imdb_optimizer.estimator)
+    featurizer = PlanFeaturizer(db, optimizer.estimator)
 
     strategies = {
-        "hints": lambda: HintSetExploration(imdb_optimizer),
-        "card_scale": lambda: CardinalityScalingExploration(imdb_optimizer),
-        "leading": lambda: LeadingTableExploration(imdb_optimizer),
+        "hints": lambda: HintSetExploration(optimizer),
+        "card_scale": lambda: CardinalityScalingExploration(optimizer),
+        "leading": lambda: LeadingTableExploration(optimizer),
     }
     risk_models = {
-        "pointwise": lambda: TreeConvLatencyModel(featurizer, thompson=False, seed=0),
-        "pairwise": lambda: PairwisePlanComparator(featurizer, seed=0),
-        "variance": lambda: EnsembleLatencyModel(featurizer, seed=0),
+        "pointwise": lambda: TreeConvLatencyModel(featurizer, thompson=False, seed=seed),
+        "pairwise": lambda: PairwisePlanComparator(featurizer, seed=seed),
+        "variance": lambda: EnsembleLatencyModel(featurizer, seed=seed),
     }
 
     def combinations():
@@ -64,53 +63,45 @@ def test_e11_framework_ablation(benchmark, imdb_db, imdb_optimizer, imdb_simulat
                 yield s_name, r_name, make_strategy(), make_risk()
         # From-scratch search and aided enumeration consult the model they
         # are paired with while exploring, so each comes with its own.
-        value = PlanValueModel(featurizer, seed=0)
+        value = PlanValueModel(featurizer, seed=seed)
         yield (
             "value_search", "value",
-            ValueSearchExploration(imdb_optimizer, value, seed=0), value,
+            ValueSearchExploration(optimizer, value, seed=seed), value,
         )
         # shadow executions of the DP runner-up are where the pairs come from
-        comparator = PairwisePlanComparator(featurizer, seed=0)
+        comparator = PairwisePlanComparator(featurizer, seed=seed)
         yield (
             "topk_dp", "pairwise",
             TopKDPExploration(
-                imdb_optimizer, comparator, shadow_executor=imdb_simulator.latency
+                optimizer, comparator, shadow_executor=simulator.latency
             ),
             comparator,
         )
 
-    def run():
-        rows = []
-        outcomes = {}
-        for s_name, r_name, strategy, risk in combinations():
-            # Shared offline warm-up: observe executed candidates.
-            for q in warmup:
-                for cand in strategy.candidates(q)[:3]:
-                    risk.observe(
-                        cand, imdb_simulator.execute(cand.plan).latency_ms
-                    )
-            risk.retrain()
-            learned = LearnedOptimizer(
-                strategy, risk, retrain_every=30, name=f"{s_name}+{r_name}"
+    rows = []
+    for s_name, r_name, strategy, risk in combinations():
+        # Shared offline warm-up: observe executed candidates.
+        for q in warmup:
+            for cand in strategy.candidates(q)[:3]:
+                risk.observe(cand, simulator.execute(cand.plan).latency_ms)
+        risk.retrain()
+        learned = LearnedOptimizer(
+            strategy, risk, retrain_every=30, name=f"{s_name}+{r_name}"
+        )
+        loop = OptimizationLoop(learned, simulator, optimizer)
+        loop.run(workload)
+        s = loop.summary(tail=75)
+        rows.append(
+            (
+                s_name,
+                r_name,
+                s["workload_speedup"],
+                s["n_regressions"],
+                s["worst_regression"],
             )
-            loop = OptimizationLoop(learned, imdb_simulator, imdb_optimizer)
-            loop.run(workload)
-            s = loop.summary(tail=75)
-            outcomes[(s_name, r_name)] = s
-            rows.append(
-                (
-                    s_name,
-                    r_name,
-                    s["workload_speedup"],
-                    s["n_regressions"],
-                    s["worst_regression"],
-                )
-            )
-        return rows, outcomes
-
-    rows, outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(
-        render_table(
+        )
+    return [
+        Table(
             "E11: exploration strategy x risk model (tail of 75 queries)",
             ["exploration", "risk model", "speedup", "regressions", "worst"],
             rows,
@@ -118,7 +109,15 @@ def test_e11_framework_ablation(benchmark, imdb_db, imdb_optimizer, imdb_simulat
             "leading+variance ~ HyperQO; value_search+value ~ Neo (from scratch); "
             "topk_dp+pairwise ~ LEON (aided)",
         )
-    )
-    speedups = [s["workload_speedup"] for s in outcomes.values()]
+    ]
+
+
+export = table_export(measure)
+
+
+def test_e11_framework_ablation():
+    (table,) = measure()
+    print(table.render())
+    speedups = [r["speedup"] for r in table.records()]
     assert all(sp > 0.7 for sp in speedups), "every combination must stay viable"
     assert max(speedups) > 1.1, "the framework should find real wins"

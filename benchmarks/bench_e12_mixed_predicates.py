@@ -14,7 +14,8 @@ workload; retraining on mixed examples recovers accuracy.
 
 import numpy as np
 
-from repro.bench import estimate_workload, render_table
+from benchmarks.contract import Table, stats_db, stats_executor, table_export
+from repro.bench import estimate_workload
 from repro.cardest import (
     FSPNEstimator,
     GBDTQueryEstimator,
@@ -25,66 +26,63 @@ from repro.cardest.base import q_error_summary
 from repro.sql import WorkloadGenerator
 
 
-def test_e12_mixed_predicates(benchmark, stats_db, stats_executor):
-    conj_train_gen = WorkloadGenerator(stats_db, seed=1)
-    mixed_train_gen = WorkloadGenerator(stats_db, seed=1, or_rate=0.5)
-    conj_train = conj_train_gen.workload(350, 1, 3, require_predicate=True)
-    mixed_train = mixed_train_gen.workload(350, 1, 3, require_predicate=True)
-    conj_cards = np.array([stats_executor.cardinality(q) for q in conj_train])
-    mixed_cards = np.array([stats_executor.cardinality(q) for q in mixed_train])
+def measure(seed=0):
+    db, executor = stats_db(), stats_executor()
 
-    conj_test = WorkloadGenerator(stats_db, seed=97).workload(
-        100, 1, 3, require_predicate=True
-    )
-    mixed_test = WorkloadGenerator(stats_db, seed=97, or_rate=0.5).workload(
-        100, 1, 3, require_predicate=True
-    )
-    conj_truth = np.array([stats_executor.cardinality(q) for q in conj_test])
-    mixed_truth = np.array([stats_executor.cardinality(q) for q in mixed_test])
+    def labelled(gen, n):
+        queries = gen.workload(n, 1, 3, require_predicate=True)
+        return queries, np.array([executor.cardinality(q) for q in queries])
+
+    conj_train, conj_cards = labelled(WorkloadGenerator(db, seed=1 + seed), 350)
+    mixed_train, mixed_cards = labelled(WorkloadGenerator(db, seed=1 + seed, or_rate=0.5), 350)
+    conj_test, conj_truth = labelled(WorkloadGenerator(db, seed=97 + seed), 100)
+    mixed_test, mixed_truth = labelled(WorkloadGenerator(db, seed=97 + seed, or_rate=0.5), 100)
 
     def gmq(est, queries, truth):
         return q_error_summary(estimate_workload(est, queries), truth)["gmq"]
 
-    def run():
-        rows = []
-        results = {}
-        # Non-learned / data-driven: one model serves both workloads.
-        for name, est in (
-            ("histogram", HistogramEstimator(stats_db)),
-            ("fspn", FSPNEstimator(stats_db)),
-        ):
-            conj = gmq(est, conj_test, conj_truth)
-            mixed = gmq(est, mixed_test, mixed_truth)
-            results[name] = (conj, mixed, mixed)
-            rows.append((name, conj, mixed, mixed))
-        # Supervised: conjunctive-only training vs mixed training.
-        for name, factory in (
-            ("gbdt", lambda: GBDTQueryEstimator(stats_db)),
-            ("mscn", lambda: MSCNEstimator(stats_db, epochs=60)),
-        ):
-            conj_model = factory().fit(conj_train, conj_cards)
-            mixed_model = factory().fit(mixed_train, mixed_cards)
-            conj = gmq(conj_model, conj_test, conj_truth)
-            naive = gmq(conj_model, mixed_test, mixed_truth)
-            aware = gmq(mixed_model, mixed_test, mixed_truth)
-            results[name] = (conj, naive, aware)
-            rows.append((name, conj, naive, aware))
-        return rows, results
-
-    rows, results = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(
-        render_table(
+    rows = []
+    # Non-learned / data-driven: one model serves both workloads.
+    for name, est in (
+        ("histogram", HistogramEstimator(db)),
+        ("fspn", FSPNEstimator(db)),
+    ):
+        conj = gmq(est, conj_test, conj_truth)
+        mixed = gmq(est, mixed_test, mixed_truth)
+        rows.append((name, conj, mixed, mixed))
+    # Supervised: conjunctive-only training vs mixed training.
+    for name, factory in (
+        ("gbdt", lambda: GBDTQueryEstimator(db)),
+        ("mscn", lambda: MSCNEstimator(db, epochs=60)),
+    ):
+        conj_model = factory().fit(conj_train, conj_cards)
+        mixed_model = factory().fit(mixed_train, mixed_cards)
+        conj = gmq(conj_model, conj_test, conj_truth)
+        naive = gmq(conj_model, mixed_test, mixed_truth)
+        aware = gmq(mixed_model, mixed_test, mixed_truth)
+        rows.append((name, conj, naive, aware))
+    return [
+        Table(
             "E12: gmq on conjunctive vs 50%-disjunctive workloads (stats_lite)",
             ["method", "conj-only", "mixed (conj-trained)", "mixed (mixed-trained)"],
             rows,
             note="supervised models need disjunctive training examples; data-driven do not",
         )
-    )
+    ]
+
+
+export = table_export(measure)
+
+
+def test_e12_mixed_predicates():
+    (table,) = measure()
+    print(table.render())
+    results = {r["method"]: r for r in table.records()}
     for name in ("gbdt", "mscn"):
-        conj, naive, aware = results[name]
         # Training on the mixed workload must not be worse than pretending
         # disjunctions do not exist.
+        naive, aware = results[name]["mixed (conj-trained)"], results[name]["mixed (mixed-trained)"]
         assert aware <= naive * 1.1, name
     # The data-driven model handles disjunctions without any retraining.
-    fspn_conj, fspn_mixed, _ = results["fspn"]
-    assert fspn_mixed <= fspn_conj * 2.5
+    fspn = results["fspn"]
+    assert fspn["mixed (conj-trained)"] <= fspn["conj-only"] * 2.5

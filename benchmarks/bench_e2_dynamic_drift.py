@@ -16,7 +16,8 @@ import time
 
 import numpy as np
 
-from repro.bench import apply_drift, estimate_workload, render_table
+from benchmarks.contract import Table, stats_db, table_export
+from repro.bench import apply_drift, estimate_workload
 from repro.cardest import (
     BayesNetEstimator,
     FSPNEstimator,
@@ -31,108 +32,107 @@ from repro.cardest.base import q_error_summary
 from repro.engine import CardinalityExecutor
 from repro.optimizer import DatabaseStats
 from repro.sql import WorkloadGenerator
-from repro.storage import make_stats_lite
 
 
-def test_e2_drift(benchmark):
-    def run():
-        db = make_stats_lite(scale=0.6, seed=0)
-        executor = CardinalityExecutor(db)
-        train_gen = WorkloadGenerator(db, seed=1)
-        train_q = train_gen.workload(350, 1, 3, require_predicate=True)
-        train_c = np.array([executor.cardinality(q) for q in train_q])
+def measure(seed=0):
+    db = stats_db.__wrapped__()  # a private copy: the drift below mutates it
+    executor = CardinalityExecutor(db)
+    train_gen = WorkloadGenerator(db, seed=1 + seed)
+    train_q = train_gen.workload(350, 1, 3, require_predicate=True)
+    train_c = np.array([executor.cardinality(q) for q in train_q])
 
-        stale_stats = DatabaseStats.build(db)
-        methods = {
-            "histogram": HistogramEstimator(db, stale_stats),
-            "mscn": MSCNEstimator(db, epochs=60).fit(train_q, train_c),
-            "robust_mscn": RobustMSCNEstimator(db, epochs=60).fit(train_q, train_c),
-            "bayesnet": BayesNetEstimator(db),
-            "spn": SPNEstimator(db),
-            "fspn": FSPNEstimator(db),
-        }
+    stale_stats = DatabaseStats.build(db)
+    methods = {
+        "histogram": HistogramEstimator(db, stale_stats),
+        "mscn": MSCNEstimator(db, epochs=60).fit(train_q, train_c),
+        "robust_mscn": RobustMSCNEstimator(db, epochs=60).fit(train_q, train_c),
+        "bayesnet": BayesNetEstimator(db),
+        "spn": SPNEstimator(db),
+        "fspn": FSPNEstimator(db),
+    }
 
-        apply_drift(db, fraction=0.25, seed=5)
-        executor.clear_cache()
-        test_gen = WorkloadGenerator(db, seed=97)
-        test_q = test_gen.workload(120, 1, 3, require_predicate=True)
-        test_c = np.array([executor.cardinality(q) for q in test_q])
-        fresh_q = WorkloadGenerator(db, seed=11).workload(
-            350, 1, 3, require_predicate=True
-        )
-        fresh_c = np.array([executor.cardinality(q) for q in fresh_q])
+    apply_drift(db, fraction=0.25, seed=5 + seed)
+    executor.clear_cache()
+    test_gen = WorkloadGenerator(db, seed=97 + seed)
+    test_q = test_gen.workload(120, 1, 3, require_predicate=True)
+    test_c = np.array([executor.cardinality(q) for q in test_q])
+    fresh_q = WorkloadGenerator(db, seed=11 + seed).workload(
+        350, 1, 3, require_predicate=True
+    )
+    fresh_c = np.array([executor.cardinality(q) for q in fresh_q])
 
-        rows = []
-        results = {}
-        for name, est in methods.items():
-            stale = q_error_summary(estimate_workload(est, test_q), test_c)
-            # Each side is a no-op for the family that does not learn from
-            # it: refresh re-ANALYZEs / rebuilds the data models, fit refits
-            # the supervised ones on post-drift feedback.
-            t0 = time.perf_counter()
-            est.refresh()
-            est.fit(fresh_q, fresh_c)
-            update_s = time.perf_counter() - t0
-            fresh = q_error_summary(estimate_workload(est, test_q), test_c)
-            results[name] = (stale, fresh)
-            rows.append(
-                (name, stale["gmq"], stale["p90"], fresh["gmq"], fresh["p90"], update_s)
-            )
-        # Robust-MSCN's no-update masked path.
-        masked_est = methods["robust_mscn"]
-        masked = q_error_summary(
-            np.array([masked_est.estimate_masked(q) for q in test_q]), test_c
-        )
-        rows.append(("robust_mscn(masked)", masked["gmq"], masked["p90"], "-", "-", "-"))
-
-        # Warper [29]: automatic drift-triggered adaptation of a supervised
-        # estimator via targeted query regeneration (detector included).
-        # Snapshot semantics: build on pre-drift data would be ideal, but
-        # the drift already happened above; emulate by snapshotting a fresh
-        # detector on a clean replica, then pointing it at the drifted db.
-        from repro.storage import make_stats_lite as _mk
-
-        clean = _mk(scale=0.6, seed=0)
-        gbdt = GBDTQueryEstimator(clean)
-        warper = Warper(clean, gbdt, seed=0)
-        clean_gen = WorkloadGenerator(clean, seed=1)
-        clean_q = clean_gen.workload(250, 1, 3, require_predicate=True)
-        clean_exec = CardinalityExecutor(clean)
-        warper.fit_initial(
-            clean_q, np.array([clean_exec.cardinality(q) for q in clean_q])
-        )
-        apply_drift(clean, fraction=0.25, seed=5)
-        clean_exec.clear_cache()
-        c_test = WorkloadGenerator(clean, seed=97).workload(
-            120, 1, 3, require_predicate=True
-        )
-        c_truth = np.array([clean_exec.cardinality(q) for q in c_test])
-        stale_w = q_error_summary(
-            estimate_workload(gbdt, c_test), c_truth
-        )
+    rows = []
+    for name, est in methods.items():
+        stale = q_error_summary(estimate_workload(est, test_q), test_c)
+        # Each side is a no-op for the family that does not learn from
+        # it: refresh re-ANALYZEs / rebuilds the data models, fit refits
+        # the supervised ones on post-drift feedback.
         t0 = time.perf_counter()
-        warper.adapt()
+        est.refresh()
+        est.fit(fresh_q, fresh_c)
         update_s = time.perf_counter() - t0
-        fresh_w = q_error_summary(
-            estimate_workload(gbdt, c_test), c_truth
-        )
-        results["warper(gbdt)"] = (stale_w, fresh_w)
+        fresh = q_error_summary(estimate_workload(est, test_q), test_c)
         rows.append(
-            ("warper(gbdt) [29]", stale_w["gmq"], stale_w["p90"],
-             fresh_w["gmq"], fresh_w["p90"], update_s)
+            (name, stale["gmq"], stale["p90"], fresh["gmq"], fresh["p90"], update_s)
         )
-        return rows, results
+    # Robust-MSCN's no-update masked path.
+    masked_est = methods["robust_mscn"]
+    masked = q_error_summary(
+        np.array([masked_est.estimate_masked(q) for q in test_q]), test_c
+    )
+    rows.append(("robust_mscn(masked)", masked["gmq"], masked["p90"], "-", "-", "-"))
 
-    rows, results = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(
-        render_table(
+    # Warper [29]: automatic drift-triggered adaptation of a supervised
+    # estimator via targeted query regeneration (detector included).
+    # Snapshot semantics: build on pre-drift data would be ideal, but
+    # the drift already happened above; emulate by snapshotting a fresh
+    # detector on a clean replica, then pointing it at the drifted db.
+    clean = stats_db.__wrapped__()
+    gbdt = GBDTQueryEstimator(clean)
+    warper = Warper(clean, gbdt, seed=seed)
+    clean_gen = WorkloadGenerator(clean, seed=1 + seed)
+    clean_q = clean_gen.workload(250, 1, 3, require_predicate=True)
+    clean_exec = CardinalityExecutor(clean)
+    warper.fit_initial(
+        clean_q, np.array([clean_exec.cardinality(q) for q in clean_q])
+    )
+    apply_drift(clean, fraction=0.25, seed=5 + seed)
+    clean_exec.clear_cache()
+    c_test = WorkloadGenerator(clean, seed=97 + seed).workload(
+        120, 1, 3, require_predicate=True
+    )
+    c_truth = np.array([clean_exec.cardinality(q) for q in c_test])
+    stale_w = q_error_summary(
+        estimate_workload(gbdt, c_test), c_truth
+    )
+    t0 = time.perf_counter()
+    warper.adapt()
+    update_s = time.perf_counter() - t0
+    fresh_w = q_error_summary(
+        estimate_workload(gbdt, c_test), c_truth
+    )
+    rows.append(
+        ("warper(gbdt) [29]", stale_w["gmq"], stale_w["p90"],
+         fresh_w["gmq"], fresh_w["p90"], update_s)
+    )
+    return [
+        Table(
             "E2: q-error under 25% shifted inserts (stale vs refreshed)",
             ["method", "stale_gmq", "stale_p90", "fresh_gmq", "fresh_p90", "update_s"],
             rows,
+            timing=("update_s",),
             note="refresh restores accuracy; staleness costs most where models memorized old data",
         )
-    )
-    improved = sum(
-        1 for stale, fresh in results.values() if fresh["gmq"] <= stale["gmq"] * 1.05
-    )
-    assert improved >= len(results) - 1, "refresh should (almost) never hurt"
+    ]
+
+
+export = table_export(measure)
+
+
+def test_e2_drift():
+    (table,) = measure()
+    print(table.render())
+    # the masked path has no update, so no fresh side to compare
+    updated = [r for r in table.records() if r["fresh_gmq"] != "-"]
+    improved = sum(1 for r in updated if r["fresh_gmq"] <= r["stale_gmq"] * 1.05)
+    assert improved >= len(updated) - 1, "refresh should (almost) never hurt"

@@ -10,51 +10,61 @@ Expected shape: ~1x during warm-up (Bao ships native plans), rising past
 at least as much as the median.
 """
 
-import numpy as np
-
-from repro.bench import render_table
+from benchmarks.contract import Table, imdb_db, imdb_optimizer, imdb_simulator, table_export
 from repro.e2e import BaoOptimizer, OptimizationLoop
 from repro.sql import WorkloadGenerator
 
 
-def test_e7_bao_learning_curve(benchmark, imdb_db, imdb_optimizer, imdb_simulator):
-    workload = WorkloadGenerator(imdb_db, seed=21).workload(
+def measure(seed=0):
+    optimizer, simulator = imdb_optimizer(), imdb_simulator()
+    workload = WorkloadGenerator(imdb_db(), seed=21 + seed).workload(
         300, 2, 5, require_predicate=True
     )
-
-    def run():
-        bao = BaoOptimizer(imdb_optimizer, seed=0)
-        loop = OptimizationLoop(bao, imdb_simulator, imdb_optimizer)
-        loop.run(workload)
-        windows = []
-        for start in range(0, len(workload), 50):
-            chunk = loop.results[start : start + 50]
-            lat = sum(r.latency_ms for r in chunk)
-            nat = sum(r.native_latency_ms for r in chunk)
-            reg = sum(1 for r in chunk if r.regression > 1.1)
-            windows.append((f"{start}-{start+50}", nat / max(lat, 1e-9), reg))
-        return windows, loop.summary(tail=100)
-
-    windows, tail = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(
-        render_table(
+    bao = BaoOptimizer(optimizer, seed=seed)
+    loop = OptimizationLoop(bao, simulator, optimizer)
+    loop.run(workload)
+    windows = []
+    for start in range(0, len(workload), 50):
+        chunk = loop.results[start : start + 50]
+        lat = sum(r.latency_ms for r in chunk)
+        nat = sum(r.native_latency_ms for r in chunk)
+        reg = sum(1 for r in chunk if r.regression > 1.1)
+        windows.append((f"{start}-{start+50}", nat / max(lat, 1e-9), reg))
+    tail = loop.summary(tail=100)
+    return [
+        Table(
             "E7: Bao workload-speedup learning curve (windows of 50 queries)",
             ["queries", "speedup (native/bao)", "regressions"],
             windows,
-            note=(
-                f"final-tail summary: speedup={tail['workload_speedup']:.2f}, "
-                f"p99 {tail['native_p99_latency_ms']:.1f} -> {tail['p99_latency_ms']:.1f} ms, "
-                f"worst regression {tail['worst_regression']:.2f}x"
-            ),
-        )
-    )
+        ),
+        Table(
+            "E7b: final tail of 100 queries, Bao vs native",
+            ["speedup", "native_p99_ms", "bao_p99_ms", "worst_regression"],
+            [(
+                tail["workload_speedup"],
+                tail["native_p99_latency_ms"],
+                tail["p99_latency_ms"],
+                tail["worst_regression"],
+            )],
+        ),
+    ]
+
+
+export = table_export(measure)
+
+
+def test_e7_bao_learning_curve():
+    curve, tail = measure()
+    print(curve.render())
+    print(tail.render())
+    windows = curve.records()
     # Early windows pay Thompson-sampling exploration cost; later windows
     # must recover it and beat native (the Bao learning-curve shape).
-    first_window_speedup = windows[0][1]
-    last_window_speedup = windows[-1][1]
+    first_window_speedup = windows[0]["speedup (native/bao)"]
+    last_window_speedup = windows[-1]["speedup (native/bao)"]
     assert last_window_speedup > first_window_speedup
     assert last_window_speedup > 1.1, "Bao should beat native after training"
-    assert tail["workload_speedup"] > 1.1
-    early_regressions = windows[0][2]
-    late_regressions = windows[-1][2]
+    assert tail.records()[0]["speedup"] > 1.1
+    early_regressions = windows[0]["regressions"]
+    late_regressions = windows[-1]["regressions"]
     assert late_regressions <= early_regressions, "regressions should fade with training"

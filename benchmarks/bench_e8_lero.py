@@ -13,9 +13,7 @@ misrank unfamiliar plan shapes, which is exactly the residual-regression
 problem the E9 guards address.
 """
 
-import numpy as np
-
-from repro.bench import render_table
+from benchmarks.contract import Table, imdb_db, imdb_optimizer, imdb_simulator, table_export
 from repro.core import PlannerModel
 from repro.e2e import (
     BaoOptimizer,
@@ -27,76 +25,66 @@ from repro.e2e import (
 from repro.sql import WorkloadGenerator
 
 
-def test_e8_lero_vs_bao(benchmark, imdb_db, imdb_optimizer, imdb_simulator):
-    train = WorkloadGenerator(imdb_db, seed=31).workload(
+def measure(seed=0):
+    db, optimizer, simulator = imdb_db(), imdb_optimizer(), imdb_simulator()
+    train = WorkloadGenerator(db, seed=31 + seed).workload(
         60, 2, 5, require_predicate=True
     )
-    workload = WorkloadGenerator(imdb_db, seed=32).workload(
+    workload = WorkloadGenerator(db, seed=32 + seed).workload(
         200, 2, 5, require_predicate=True
     )
 
-    def run():
-        results = {}
-
-        native_loop = OptimizationLoop(
-            PlannerModel(imdb_optimizer, name="default"),
-            imdb_simulator,
-            imdb_optimizer,
+    lero = LeroOptimizer(optimizer, seed=seed)
+    # The from-scratch searchers, expert-bootstrapped on the training
+    # workload.
+    neo = NeoOptimizer(optimizer, seed=seed)
+    loger = LogerOptimizer(optimizer, seed=seed)
+    systems = {
+        "native": (PlannerModel(optimizer, name="default"), None),
+        "bao [37]": (BaoOptimizer(optimizer, seed=seed), None),
+        "lero [79]": (lero, lero.train_offline),
+        "neo [38]": (neo, neo.bootstrap_from_expert),
+        "loger [3]": (loger, loger.bootstrap_from_expert),
+    }
+    rows = []
+    for name, (system, pretrain) in systems.items():
+        if pretrain is not None:
+            pretrain(train, simulator.latency)
+        loop = OptimizationLoop(system, simulator, optimizer)
+        loop.run(workload)
+        s = loop.summary(tail=100)
+        rows.append(
+            (
+                name,
+                s["total_latency_ms"],
+                s["workload_speedup"],
+                s["p50_latency_ms"],
+                s["p99_latency_ms"],
+                s["n_regressions"],
+                s["worst_regression"],
+            )
         )
-        native_loop.run(workload)
-        results["native"] = native_loop.summary(tail=100)
-
-        bao = BaoOptimizer(imdb_optimizer, seed=0)
-        bao_loop = OptimizationLoop(bao, imdb_simulator, imdb_optimizer)
-        bao_loop.run(workload)
-        results["bao [37]"] = bao_loop.summary(tail=100)
-
-        lero = LeroOptimizer(imdb_optimizer, seed=0)
-        lero.train_offline(train, imdb_simulator.latency)
-        lero_loop = OptimizationLoop(lero, imdb_simulator, imdb_optimizer)
-        lero_loop.run(workload)
-        results["lero [79]"] = lero_loop.summary(tail=100)
-
-        # The from-scratch searchers, expert-bootstrapped on the training
-        # workload.
-        neo = NeoOptimizer(imdb_optimizer, seed=0)
-        neo.bootstrap_from_expert(train, imdb_simulator.latency)
-        neo_loop = OptimizationLoop(neo, imdb_simulator, imdb_optimizer)
-        neo_loop.run(workload)
-        results["neo [38]"] = neo_loop.summary(tail=100)
-
-        loger = LogerOptimizer(imdb_optimizer, seed=0)
-        loger.bootstrap_from_expert(train, imdb_simulator.latency)
-        loger_loop = OptimizationLoop(loger, imdb_simulator, imdb_optimizer)
-        loger_loop.run(workload)
-        results["loger [3]"] = loger_loop.summary(tail=100)
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        (
-            name,
-            s["total_latency_ms"],
-            s["workload_speedup"],
-            s["p50_latency_ms"],
-            s["p99_latency_ms"],
-            s["n_regressions"],
-            s["worst_regression"],
-        )
-        for name, s in results.items()
-    ]
-    print(
-        render_table(
+    return [
+        Table(
             "E8: native vs learned optimizers (200 queries, post-warm-up tail of 100)",
             ["system", "latency_ms", "speedup", "p50", "p99", "regressions", "worst"],
             rows,
             note="Lero pair-collected offline; Neo/LOGER expert-bootstrapped on 60 queries",
         )
-    )
-    assert results["bao [37]"]["workload_speedup"] > 1.05
-    assert results["lero [79]"]["workload_speedup"] > 0.95
-    assert results["native"]["workload_speedup"] == 1.0
+    ]
+
+
+export = table_export(measure)
+
+
+def test_e8_lero_vs_bao():
+    (table,) = measure()
+    print(table.render())
+    speedup = {r["system"]: r["speedup"] for r in table.records()}
+    assert speedup["bao [37]"] > 1.05
+    assert speedup["lero [79]"] > 0.95
+    assert speedup["native"] == 1.0
     # From-scratch searchers are viable after bootstrap, though typically
     # below Bao at this feedback budget (the Neo/Balsa training-cost story).
-    assert results["neo [38]"]["workload_speedup"] > 0.7
-    assert results["loger [3]"]["workload_speedup"] > 0.7
+    assert speedup["neo [38]"] > 0.7
+    assert speedup["loger [3]"] > 0.7

@@ -10,73 +10,75 @@ keeping a meaningful share of the improvement; PerfGuard is the
 conservative extreme -- near-zero regressions, little improvement kept.
 """
 
-import numpy as np
-
-from repro.bench import render_table
+from benchmarks.contract import Table, imdb_db, imdb_optimizer, imdb_simulator, table_export
 from repro.costmodel import PlanFeaturizer
 from repro.e2e import BaoOptimizer, LeroOptimizer, OptimizationLoop
 from repro.regression import Eraser, PerfGuard
 from repro.sql import WorkloadGenerator
 
 
-def test_e9_regression_elimination(benchmark, imdb_db, imdb_optimizer, imdb_simulator):
-    workload = WorkloadGenerator(imdb_db, seed=41).workload(
+def measure(seed=0):
+    db, optimizer, simulator = imdb_db(), imdb_optimizer(), imdb_simulator()
+    workload = WorkloadGenerator(db, seed=41 + seed).workload(
         220, 2, 5, require_predicate=True
     )
-    train = WorkloadGenerator(imdb_db, seed=42).workload(
+    train = WorkloadGenerator(db, seed=42 + seed).workload(
         50, 2, 5, require_predicate=True
     )
-    featurizer = PlanFeaturizer(imdb_db, imdb_optimizer.estimator)
+    featurizer = PlanFeaturizer(db, optimizer.estimator)
 
     def make_learned(kind):
         if kind == "bao":
-            return BaoOptimizer(imdb_optimizer, seed=0)
-        lero = LeroOptimizer(imdb_optimizer, seed=0)
-        lero.train_offline(train, imdb_simulator.latency)
+            return BaoOptimizer(optimizer, seed=seed)
+        lero = LeroOptimizer(optimizer, seed=seed)
+        lero.train_offline(train, simulator.latency)
         return lero
 
-    def run():
-        rows = []
-        outcomes = {}
-        for kind in ("bao", "lero"):
-            for guard_name in ("none", "eraser", "perfguard"):
-                guard = None
-                if guard_name == "eraser":
-                    guard = Eraser(featurizer)
-                elif guard_name == "perfguard":
-                    guard = PerfGuard(featurizer)
-                loop = OptimizationLoop(
-                    make_learned(kind), imdb_simulator, imdb_optimizer, guard=guard
+    rows = []
+    for kind in ("bao", "lero"):
+        for guard_name in ("none", "eraser", "perfguard"):
+            guard = None
+            if guard_name == "eraser":
+                guard = Eraser(featurizer)
+            elif guard_name == "perfguard":
+                guard = PerfGuard(featurizer)
+            loop = OptimizationLoop(
+                make_learned(kind), simulator, optimizer, guard=guard
+            )
+            loop.run(workload)
+            s = loop.summary(tail=110)
+            rows.append(
+                (
+                    kind,
+                    guard_name,
+                    s["workload_speedup"],
+                    s["n_regressions"],
+                    s["worst_regression"],
+                    guard.intervention_rate if guard else 0.0,
                 )
-                loop.run(workload)
-                s = loop.summary(tail=110)
-                outcomes[(kind, guard_name)] = s
-                rows.append(
-                    (
-                        kind,
-                        guard_name,
-                        s["workload_speedup"],
-                        s["n_regressions"],
-                        s["worst_regression"],
-                        guard.intervention_rate if guard else 0.0,
-                    )
-                )
-        return rows, outcomes
-
-    rows, outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(
-        render_table(
+            )
+    return [
+        Table(
             "E9: learned optimizers x regression guards (tail of 110 queries)",
             ["optimizer", "guard", "speedup", "regressions", "worst", "intervention"],
             rows,
             note="guards trade improvement for tail safety; perfguard is the conservative extreme",
         )
-    )
+    ]
+
+
+export = table_export(measure)
+
+
+def test_e9_regression_elimination():
+    (table,) = measure()
+    print(table.render())
+    outcomes = {(r["optimizer"], r["guard"]): r for r in table.records()}
     for kind in ("bao", "lero"):
         none = outcomes[(kind, "none")]
         eraser = outcomes[(kind, "eraser")]
         pg = outcomes[(kind, "perfguard")]
         # PerfGuard's contract: (almost) no regressions left.
-        assert pg["worst_regression"] <= max(none["worst_regression"], 1.3)
+        assert pg["worst"] <= max(none["worst"], 1.3)
         # Eraser keeps a working optimizer (not a catastrophic one).
-        assert eraser["workload_speedup"] > 0.85
+        assert eraser["speedup"] > 0.85

@@ -25,12 +25,8 @@ import time
 
 import numpy as np
 
-from repro.bench import (
-    build_estimator,
-    estimate_workload,
-    render_stats,
-    render_table,
-)
+from benchmarks.contract import Table, stats_db, stats_test, stats_train, table_export
+from repro.bench import build_estimator, estimate_workload
 from repro.bench.suite import fit_estimator
 from repro.optimizer import HintSet, Optimizer
 from repro.sql import WorkloadGenerator
@@ -63,34 +59,54 @@ def _throughput_row(name, est, queries):
     return single_us, batch_us, single_us / batch_us, batch
 
 
-def test_p1_batch_throughput(benchmark, stats_db, stats_train, stats_test):
-    train_q, train_c = stats_train
-    test_q, test_c = stats_test
-
-    def run():
-        rows = []
-        ratios = {}
-        for name in BATCHED_METHODS + FALLBACK_METHODS:
-            est = build_estimator(name, stats_db, budget="fast")
-            fit_estimator(est, train_q, train_c)
-            single_us, batch_us, ratio, batch = _throughput_row(
-                name, est, test_q
-            )
-            # The batch path must agree with the sequential path.
-            seq = np.array([est.estimate(q) for q in test_q])
-            assert np.allclose(batch, seq, rtol=1e-9, atol=1e-6), name
-            ratios[name] = ratio
-            rows.append((name, single_us, batch_us, ratio))
-        return rows, ratios
-
-    rows, ratios = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(
-        render_table(
-            "P1: sequential vs batched inference (stats_lite, 120 queries)",
-            ["method", "single_us_q", "batch_us_q", "speedup_x"],
-            rows,
-        )
+def _throughput(seed=0) -> Table:
+    train_q, train_c = stats_train(seed)
+    test_q, _ = stats_test(seed)
+    rows = []
+    for name in BATCHED_METHODS + FALLBACK_METHODS:
+        est = build_estimator(name, stats_db(), budget="fast", seed=seed)
+        fit_estimator(est, train_q, train_c)
+        single_us, batch_us, ratio, batch = _throughput_row(name, est, test_q)
+        # The batch path must agree with the sequential path.
+        seq = np.array([est.estimate(q) for q in test_q])
+        assert np.allclose(batch, seq, rtol=1e-9, atol=1e-6), name
+        rows.append((name, single_us, batch_us, ratio))
+    return Table(
+        "P1: sequential vs batched inference (stats_lite, 120 queries)",
+        ["method", "single_us_q", "batch_us_q", "speedup_x"],
+        rows,
+        timing=("single_us_q", "batch_us_q", "speedup_x"),
     )
+
+
+def _cache_stats(seed=0) -> Table:
+    gen = WorkloadGenerator(stats_db(), seed=11 + seed)
+    queries = gen.workload(20, 3, 5, require_predicate=True)
+    arms = HintSet.bao_arms()
+    # Fresh optimizer = fresh cache; one planning per (query, arm), the
+    # way PilotScope's BaoDriver pulls plans.
+    optimizer = Optimizer(stats_db())
+    for q in queries:
+        for arm in arms:
+            optimizer.plan(q, hints=arm)
+    return Table(
+        f"P1: cardinality-cache stats, {len(queries)} queries x {len(arms)} Bao arms",
+        ["stat", "value"],
+        list(optimizer.cache_stats().items()),
+    )
+
+
+def measure(seed=0):
+    return [_throughput(seed), _cache_stats(seed)]
+
+
+export = table_export(measure)
+
+
+def test_p1_batch_throughput():
+    table = _throughput()
+    print(table.render())
+    ratios = {r["method"]: r["speedup_x"] for r in table.records()}
     for name in BATCHED_METHODS:
         assert ratios[name] >= BATCH_SPEEDUP_MIN, (
             f"{name}: batched speedup {ratios[name]:.1f}x below "
@@ -102,43 +118,22 @@ def test_p1_batch_throughput(benchmark, stats_db, stats_train, stats_test):
         assert ratios[name] > 0.5, f"{name}: fallback regressed ({ratios[name]:.2f}x)"
 
 
-def test_p1_planner_cache_hit_rate(benchmark, stats_db):
-    gen = WorkloadGenerator(stats_db, seed=11)
-    queries = gen.workload(20, 3, 5, require_predicate=True)
-    arms = HintSet.bao_arms()
-
-    def run():
-        # Fresh optimizer = fresh cache; one planning per (query, arm), the
-        # way PilotScope's BaoDriver pulls plans.
-        optimizer = Optimizer(stats_db)
-        for q in queries:
-            for arm in arms:
-                optimizer.plan(q, hints=arm)
-        return optimizer.cache_stats()
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(
-        render_stats(
-            stats,
-            title=(
-                f"P1: cardinality-cache stats, {len(queries)} queries x "
-                f"{len(arms)} Bao arms"
-            ),
-        )
-    )
-    assert stats["hit_rate"] > CACHE_HIT_RATE_MIN, (
-        f"planner cache hit rate {stats['hit_rate']:.3f} below "
-        f"{CACHE_HIT_RATE_MIN}"
+def test_p1_planner_cache_hit_rate():
+    table = _cache_stats()
+    print(table.render())
+    hit_rate = dict(table.rows)["hit_rate"]
+    assert hit_rate > CACHE_HIT_RATE_MIN, (
+        f"planner cache hit rate {hit_rate:.3f} below {CACHE_HIT_RATE_MIN}"
     )
 
 
-def test_p1_estimate_workload_matches_loop(stats_db, stats_train, stats_test):
+def test_p1_estimate_workload_matches_loop():
     """The bench-suite choke point agrees with the scalar loop for a
     batched estimator and a fallback estimator alike."""
-    train_q, train_c = stats_train
-    test_q, _ = stats_test
+    train_q, train_c = stats_train()
+    test_q, _ = stats_test()
     for name in ["mlp", "histogram"]:
-        est = build_estimator(name, stats_db, budget="fast")
+        est = build_estimator(name, stats_db(), budget="fast")
         fit_estimator(est, train_q, train_c)
         batch = estimate_workload(est, test_q)
         seq = np.array([est.estimate(q) for q in test_q])

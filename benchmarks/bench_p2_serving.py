@@ -56,13 +56,9 @@ def export(seed: int = 0, profile: str | None = None) -> str:
     return scenario.deployment.telemetry.to_json()
 
 
-def test_p2_steady_state_throughput(benchmark):
+def test_p2_steady_state_throughput():
     scenario = _steady()
-
-    def run():
-        return scenario.run()
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = scenario.run()
     assert report.n_served + sum(report.rejected.values()) == report.n_requests
     assert report.n_served == report.n_requests  # no shedding when healthy
     snap = scenario.deployment.telemetry.snapshot()

@@ -32,6 +32,8 @@ state change.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from repro.cardest.base import (
@@ -49,6 +51,10 @@ __all__ = ["BoundGuard"]
 
 #: checks the guard must have made before ``rollback_rate`` is trusted
 MIN_BOUND_CHECKS = 20
+
+#: most recent bound / estimate ratios kept for the gauge's percentiles
+#: (the bus ``Histogram``'s capacity): a guard lives as long as its server
+RATIO_WINDOW = 65_536
 
 
 class BoundGuard(ServePolicy):
@@ -100,7 +106,8 @@ class BoundGuard(ServePolicy):
         self.breaker_denied = 0
         self.primary_errors = 0
         self.bound_errors = 0
-        self._ratios: list[float] = []  # bound / max(estimate, 1)
+        # bound / max(estimate, 1), newest RATIO_WINDOW
+        self._ratios: deque[float] = deque(maxlen=RATIO_WINDOW)
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -240,8 +247,9 @@ class BoundGuard(ServePolicy):
         return self.violations / max(self.checked + self.counts_observed, 1)
 
     def stats(self) -> dict[str, float]:
-        """Gauge-friendly snapshot (numbers only), incl. ratio percentiles."""
-        ratios = np.asarray(self._ratios, dtype=float)
+        """Gauge-friendly snapshot (numbers only), incl. percentiles of the
+        most recent :data:`RATIO_WINDOW` bound / estimate ratios."""
+        ratios = np.fromiter(self._ratios, dtype=float, count=len(self._ratios))
         pct = (
             np.percentile(ratios, [50, 90, 99])
             if ratios.size

@@ -19,6 +19,7 @@ from repro.faults import (
     FaultSpec,
 )
 from repro.core.errors import ConfigError
+from repro.faults.boundguard import RATIO_WINDOW
 from repro.optimizer import (
     Optimizer,
     RiskLambdaTuner,
@@ -185,6 +186,38 @@ class TestBoundGuard:
         for _ in range(3):
             guard.breaker.record_failure()
         assert guard.estimates_version != v1
+
+    def test_ratio_window_is_bounded_to_the_newest_estimates(self, stats_db, bound_workload):
+        """A guard lives as long as its server: the gauge's percentiles are
+        over the most recent RATIO_WINDOW ratios, not every one ever seen."""
+
+        class Constant:
+            db = stats_db
+
+            def estimate(self, query):
+                return 1e6
+
+        class Counting:
+            served = 0
+
+            def estimate(self, query):
+                self.served += 1
+                return float(self.served)
+
+        bounds = Constant()
+        guard = BoundGuard(Counting(), bounds, bounds)
+        q = bound_workload[0]
+        bound = guard.certified_bound(q)
+        n = RATIO_WINDOW + 4_464  # 70,000
+        for _ in range(n):
+            guard.estimate(q)
+        stats = guard.stats()
+        assert stats["checked"] == n
+        assert len(guard._ratios) == RATIO_WINDOW
+        newest = bound / np.arange(n - RATIO_WINDOW + 1, n + 1, dtype=float)
+        expected = np.percentile(newest, [50, 90, 99])
+        got = [stats["ratio_p50"], stats["ratio_p90"], stats["ratio_p99"]]
+        assert got == [float(v) for v in expected]
 
     def test_tolerance_below_one_rejected(self, stats_db):
         with pytest.raises(ValueError):

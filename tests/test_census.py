@@ -1,9 +1,9 @@
 """The census as a test: no caller, no code.
 
 Over every package and every module under ``src/repro`` five things must
-hold.  (a), (b), (d) and (e) only read source files -- nothing is imported
-from ``repro`` or ``perf``, and an absent directory is skipped; (c) imports
-the examples:
+hold, and a sixth over ``benchmarks/``.  (a), (b), (d), (e) and (f) only
+read source files -- nothing is imported from ``repro`` or ``perf``, and an
+absent directory is skipped; (c) imports the examples:
 
 (a) every name a package ``__init__`` exports is imported *through that
     package* by some file outside it (the top-level ``repro`` facade is the
@@ -21,7 +21,13 @@ the examples:
     this file names what it seeds, so neither counts as naming a parameter;
 (e) every ``@dataclass`` that declares or inherits a ``latency_ms`` field is
     one of the listed records, one per boundary a query crosses: a class
-    that re-labels the previous layer's record has nowhere to hide.
+    that re-labels the previous layer's record has nowhere to hide;
+(f) there is one bench contract: every module ``benchmarks.BENCHMARKS``
+    names defines a top-level ``export``, every T / E bench and P1 a
+    top-level ``measure``, no function under ``benchmarks/`` takes
+    the ``benchmark`` timing fixture, and no function of a T / E /
+    P1 module that takes a ``seed`` passes a literal ``seed=<int>`` on (it
+    is ``<int> + seed``, or the input comes from a seed-free builder).
 
 A failure names the file and the symbol.  The fix is to delete the code (or
 the export), not to grow the allow-list: that list is the backlog of
@@ -352,11 +358,69 @@ def test_every_latency_record_is_a_listed_boundary():
     assert found == sorted(RECORDS), f"listed but gone: {sorted(set(RECORDS) - set(found))}"
 
 
+# -- (f) one bench contract ------------------------------------------------------------
+
+BENCH = ROOT / "benchmarks"
+
+
+def _parameters(function: ast.FunctionDef) -> set[str]:
+    args = function.args
+    return {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+
+
+def bench_contract_violations(sources: Sources) -> list[str]:
+    """What under ``benchmarks/`` has left the ``measure(seed)`` -> ``export``
+    -> gates contract, one line each."""
+    found = []
+    registry = next(
+        ast.literal_eval(node.value)
+        for node in sources.parse(BENCH / "__init__.py").body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "BENCHMARKS"
+    )
+    for key, (module, _) in registry.items():
+        tree = sources.parse(BENCH / f"{module}.py")
+        top = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                top.add(node.name)
+            elif isinstance(node, ast.Assign):
+                top.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        tabled = not re.fullmatch(r"p([2-9]|10)", key)
+        needed = ["export", "measure"] if tabled else ["export"]
+        found += [f"{module}.py defines no top-level {n}" for n in needed if n not in top]
+        found += [
+            f"{module}.py:{keyword.value.lineno}: {function.name}(seed) pins seed={keyword.value.value}"
+            for function in ast.walk(tree)
+            if tabled and isinstance(function, ast.FunctionDef) and "seed" in _parameters(function)
+            for call in ast.walk(function)
+            if isinstance(call, ast.Call)
+            for keyword in call.keywords
+            if keyword.arg == "seed"
+            and isinstance(keyword.value, ast.Constant)
+            and isinstance(keyword.value.value, int)
+        ]
+    found += [
+        f"{path.name}: {function.name} takes the benchmark fixture"
+        for path in _files("benchmarks")
+        for function in ast.walk(sources.parse(path))
+        if isinstance(function, ast.FunctionDef) and "benchmark" in _parameters(function)
+    ]
+    return found
+
+
+def test_every_bench_is_measure_export_gates():
+    found = bench_contract_violations(Sources())
+    assert not found, (
+        f"outside the one bench contract (benchmarks/contract.py): {found} -- every "
+        "bench exports; a T/E/P1 bench measures with every seed offset by its argument"
+    )
+
+
 # -- the rules bite: one planted violation each ---------------------------------------
 
 
-def _patched(relative: str, old: str, new: str) -> Sources:
-    path = SRC / relative
+def _patched(relative: str, old: str, new: str, root: Path = SRC) -> Sources:
+    path = root / relative
     text = _read(path)
     assert text.count(old) == 1, f"{relative}: seed anchor {old!r} not found exactly once"
     return Sources({path: text.replace(old, new)})
@@ -421,3 +485,38 @@ def test_seeded_relabelled_record_is_caught():
         "    plan: Plan\n\n\nclass PilotSession(abc.ABC):",
     )
     assert [n for n in latency_records(sources) if n not in RECORDS] == ["ExecutionOutcome"]
+
+
+@pytest.mark.parametrize(
+    "relative, old, new, caught",
+    [
+        (
+            "bench_e7_bao.py",
+            "\nexport = table_export(measure)\n",
+            "\n",
+            ["bench_e7_bao.py defines no top-level export"],
+        ),
+        (
+            "bench_e7_bao.py",
+            "\ndef measure(seed=0):",
+            "\ndef run(seed=0):",
+            ["bench_e7_bao.py defines no top-level measure"],
+        ),
+        (
+            "bench_p2_serving.py",
+            "def test_p2_steady_state_throughput():",
+            "def test_p2_steady_state_throughput(benchmark):",
+            ["bench_p2_serving.py: test_p2_steady_state_throughput takes the benchmark fixture"],
+        ),
+        (
+            "bench_e7_bao.py",
+            "BaoOptimizer(optimizer, seed=seed)",
+            "BaoOptimizer(optimizer, seed=0)",
+            ["bench_e7_bao.py: measure(seed) pins seed=0"],
+        ),
+    ],
+)
+def test_seeded_bench_outside_the_contract_is_caught(relative, old, new, caught):
+    sources = _patched(relative, old, new, root=BENCH)
+    found = [re.sub(r":\d+:", ":", f) for f in bench_contract_violations(sources)]
+    assert found == caught

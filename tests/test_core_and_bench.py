@@ -1,6 +1,7 @@
 """Tests for the registry (Table 1), advisor extensions and bench support."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import benchmarks
+from benchmarks import experiments_md
+from benchmarks.contract import Table, table_export, to_json
 from repro.bench import apply_drift, build_estimator, render_table
 from repro.bench.suite import fit_estimator
 from repro.cardest.advisor import AutoCE, DatasetFeatures, flow_loss_weights
@@ -168,6 +171,76 @@ class TestSuiteBuilders:
         assert est.estimate(q) >= 0
 
 
+class TestTableContract:
+    """The shared helper under every T/E/P1 bench: no bench is run."""
+
+    TABLES = [
+        Table(
+            "T: accuracy and cost",
+            ["method", "gmq", "rows", "build_s", "key"],
+            [
+                ("mscn", 0.1 + 0.2, 12_000, 1.25, "—"),
+                ("kde", np.float64(1234.5678), np.int64(7), 0.0, None),
+                ("masked", "-", 0, 33.3, "x"),
+            ],
+            timing=("build_s",),
+            note="shape check",
+        ),
+        Table("Tb: the second table", ["component", "n"], [("cost", 1)]),
+    ]
+
+    def test_export_bytes_are_canonical_and_round_trip(self):
+        blob = to_json(self.TABLES, seed=3)
+        payload = json.loads(blob)
+        assert json.dumps(payload, sort_keys=True, indent=1) + "\n" == blob
+        assert "0.30000000000000004" in blob and "1234.5678" in blob  # floats by repr
+        first = payload["tables"][0]
+        assert first["rows"][0] == ["mscn", 0.1 + 0.2, 12_000, "—"]
+        assert first["rows"][1] == ["kde", 1234.5678, 7, None]
+        assert payload["seed"] == 3
+        assert to_json(self.TABLES, seed=3) == blob
+
+    def test_timing_columns_are_rendered_but_never_exported(self):
+        table = self.TABLES[0]
+        assert "build_s" in table.render() and "33.3" in table.render()
+        exported = json.loads(to_json([table], seed=0))["tables"][0]
+        assert exported["headers"] == ["method", "gmq", "rows", "key"]
+        assert all(len(row) == 4 for row in exported["rows"])
+        with pytest.raises(ValueError, match="infer_ms"):
+            Table("t", ["a"], [(1,)], timing=("infer_ms",)).deterministic()
+
+    def test_two_tables_keep_their_order(self):
+        titles = [t["title"] for t in json.loads(to_json(self.TABLES, seed=0))["tables"]]
+        assert titles == ["T: accuracy and cost", "Tb: the second table"]
+        assert titles[::-1] == [
+            t["title"] for t in json.loads(to_json(self.TABLES[::-1], seed=0))["tables"]
+        ]
+
+    def test_generated_markdown_is_render_table_cell_for_cell(self):
+        text = "intro\n\n  <!-- measured:x -->\n  stale\n  <!-- /measured:x -->\n\n- verdict\n"
+        out = experiments_md.rewrite(text, "x", self.TABLES)
+        assert out.startswith("intro\n\n  <!-- measured:x -->\n")
+        assert out.endswith("  <!-- /measured:x -->\n\n- verdict\n") and "stale" not in out
+        assert experiments_md.rewrite(out, "x", self.TABLES) == out
+        assert "build_s" not in out and "*note: shape check*" in out
+
+        def cells(line):
+            return [c.strip() for c in line.strip().strip("|").split("|")]
+
+        table = self.TABLES[0].deterministic()
+        rendered = render_table("", table.headers, table.rows).splitlines()[1:]
+        start = out.splitlines().index("  *T: accuracy and cost*") + 2
+        written = out.splitlines()[start : start + len(rendered)]
+        assert all(line.startswith("  |") for line in written)
+        assert set(written[1]) == {" ", "|", "-"}
+        for md, plain in zip(written[:1] + written[2:], rendered[:1] + rendered[2:]):
+            assert cells(md) == cells(plain)
+        assert cells(written[2]) == ["mscn", "0.30", "12000", "—"]
+        assert cells(written[3]) == ["kde", "1,235", "7", "None"]
+        with pytest.raises(SystemExit, match="measured:y"):
+            experiments_md.rewrite(text, "y", self.TABLES)
+
+
 class TestBenchEntryPoint:
     """The benchmarks registry, the ``export`` contract and the one CLI."""
 
@@ -176,18 +249,16 @@ class TestBenchEntryPoint:
         assert files == {module for module, _ in benchmarks.BENCHMARKS.values()}
 
     def test_export_contract(self):
-        exporting = set()
         for key in benchmarks.BENCHMARKS:
             module = benchmarks.load(key)
-            if not hasattr(module, "export"):
-                continue
-            exporting.add(key)
             assert list(inspect.signature(module.export).parameters) == [
                 "seed",
                 "profile",
             ], key
-            assert set(module._PROFILES) == {"quick", "full"}, key
-        assert exporting == {f"p{n}" for n in range(2, 11)}
+            if hasattr(module, "measure"):  # one size: the table contract
+                assert list(inspect.signature(module.measure).parameters) == ["seed"], key
+            else:
+                assert set(module._PROFILES) == {"quick", "full"}, key
 
     def test_profile_selector_names_valid_profiles(self):
         table = {"quick": 1, "full": 2}
@@ -205,9 +276,14 @@ class TestBenchEntryPoint:
         expected = benchmarks.load("p5").export(seed=0, profile="quick")
         assert out.read_bytes() == to_stdout.stdout == expected.encode()
 
-    @pytest.mark.parametrize("key", ["nope", "e1"])
-    def test_cli_rejects_keys_without_an_export(self, key):
-        assert _bench_cli(key).returncode == 2
+    def test_cli_rejects_an_unknown_key(self):
+        assert _bench_cli("nope").returncode == 2
+
+    def test_one_size_bench_names_its_one_profile(self):
+        export = table_export(lambda seed: [])
+        assert json.loads(export(seed=4, profile="quick")) == {"seed": 4, "tables": []}
+        with pytest.raises(ValueError, match=r"valid: \['quick'\]"):
+            export(profile="full")
 
     def test_cli_bad_bench_profile_names_the_valid_ones(self):
         result = _bench_cli("p5", BENCH_PROFILE="bogus")
