@@ -140,7 +140,7 @@ class LatencyPredictor(Protocol):
         ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """What was decided for one query: which plan source won, in which
     stage, what it cost and what the native plan would have cost.

@@ -52,7 +52,7 @@ class SimulatorConfig:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionResult:
     """Outcome of executing one plan."""
 

@@ -38,7 +38,7 @@ __all__ = ["PilotScopeConsole", "QueryLogEntry"]
 _RETRYABLE = (DriverError, EstimationError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryLogEntry:
     """One executed user query, for audit / experiments."""
 

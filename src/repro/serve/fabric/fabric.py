@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FabricRequest:
     """One scheduled request, tagged with the tenant that issued it."""
 
@@ -153,9 +153,10 @@ class ServingFabric:
         """Drain a fabric schedule in global arrival order."""
         bus = self.telemetry
         config = self.config
-        qos_of = self.tenants.qos
-        backlogs = _ShardView([s.backlog for s in self.shards])
-        health = _ShardView([s.healthy for s in self.shards])
+        shards, router = self.shards, self.router
+        admit, qos_of = self.tenants.admit, self.tenants.qos
+        backlogs = _ShardView([s.backlog for s in shards])
+        health = _ShardView([s.healthy for s in shards])
         outcomes: list = []
         rejected: dict[str, int] = {}
         n_served = 0
@@ -164,14 +165,12 @@ class ServingFabric:
             req = freq.request
             tenant = freq.tenant_id
             arrival = req.arrival_ms
-            reason = self.tenants.admit(tenant, arrival)
+            reason = admit(tenant, arrival)
             if reason is None:
                 backlogs.at_ms = arrival
                 health.at_ms = arrival
-                key = self.router.routing_key(query_hash(req.query), tenant)
-                shard_id = self.router.route(
-                    key, loads=backlogs, healthy=health
-                )
+                key = router.routing_key(query_hash(req.query), tenant)
+                shard_id = router.route(key, loads=backlogs, healthy=health)
                 if shard_id is None:
                     reason = "unavailable"
                 else:
@@ -182,14 +181,14 @@ class ServingFabric:
                             if qos == "background"
                             else config.batch_shed_backlog
                         )
-                        if self.shards[shard_id].backlog(arrival) > watermark:
+                        if shards[shard_id].backlog(arrival) > watermark:
                             reason = "qos_shed"
             if reason is not None:
                 outcome = Rejected(request=req, reason=reason, wait_ms=0.0)
                 bus.incr(f"fabric.rejected.{reason}")
                 bus.incr(f"tenant.{tenant}.rejected")
             else:
-                outcome = self.shards[shard_id].submit(req)
+                outcome = shards[shard_id].submit(req)
                 if isinstance(outcome, Served):
                     n_served += 1
                     bus.incr("fabric.served")
@@ -205,14 +204,14 @@ class ServingFabric:
             if config.keep_outcomes:
                 outcomes.append(outcome)
         wall = time.perf_counter() - t0
-        span = max((s.span_ms for s in self.shards), default=0.0)
+        span = max((s.span_ms for s in shards), default=0.0)
         return FabricReport(
             n_requests=len(schedule),
             n_served=n_served,
             rejected=dict(sorted(rejected.items())),
             wall_seconds=wall,
             simulated_span_ms=span,
-            shard_served=[s.served for s in self.shards],
+            shard_served=[s.served for s in shards],
             tenant_latency={
                 tid: bus.histogram_summary(f"tenant.{tid}.response_ms")
                 for tid in self.tenants.tenant_ids()

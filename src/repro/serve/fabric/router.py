@@ -27,11 +27,16 @@ from __future__ import annotations
 import hashlib
 
 from repro.core.errors import ConfigError
+from repro.core.lru import BoundedLRU
 
 __all__ = ["ROUTE_MODES", "ShardRouter"]
 
 #: accepted partitioning modes
 ROUTE_MODES = ("query_hash", "tenant", "pinned")
+
+#: keys whose candidate pair stays memoized; an evicted key's pair is
+#: derived again, identically (it is a pure function of ``(seed, key)``)
+PAIR_CAPACITY = 65_536
 
 
 class ShardRouter:
@@ -71,7 +76,7 @@ class ShardRouter:
         self.assignments = [0] * n_shards
         self.reroutes = 0  # served off the primary candidate (health)
         self.unroutable = 0  # every shard unhealthy
-        self._pairs: dict[str, tuple[int, int]] = {}
+        self._pairs = BoundedLRU(PAIR_CAPACITY)
 
     # -- candidate derivation ----------------------------------------------------
 
@@ -81,7 +86,8 @@ class ShardRouter:
         Derived from one sha256 over ``(seed, key)``: the first 8 bytes
         pick the primary, the next 8 pick the secondary from the
         remaining shards (guaranteed distinct when ``n_shards > 1``).
-        Memoized per key -- workloads reuse query hashes heavily.
+        Memoized for the :data:`PAIR_CAPACITY` most recently used keys --
+        workloads reuse query hashes heavily.
         """
         pair = self._pairs.get(key)
         if pair is None:
@@ -98,7 +104,7 @@ class ShardRouter:
                 if second >= first:
                     second += 1
                 pair = (first, second)
-            self._pairs[key] = pair
+            self._pairs.put(key, pair)
         return pair
 
     # -- routing -----------------------------------------------------------------

@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """One scheduled client request."""
 
@@ -77,7 +77,7 @@ class Request:
     query: Query
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Served:
     """A request that made it through admission and was executed.
 
@@ -119,7 +119,7 @@ class Served:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rejected:
     """A request the core refused.
 
@@ -349,7 +349,7 @@ class ServingRuntime:
         in_flight = self.backlog(arrival)
         busy = self._busy_until
         if lane is None:
-            lane = min(range(len(busy)), key=busy.__getitem__)
+            lane = busy.index(min(busy))
         start = max(busy[lane], arrival)
         wait = start - arrival
         config = self.config

@@ -9,6 +9,9 @@ enter the bus -- the runtime reports those separately -- and the snapshot
 orders everything canonically (counters by name, traces by
 ``(session_id, seq)``).
 
+The bus is single-writer: one loop records every request in arrival order
+(the order that makes the snapshot deterministic), so nothing here locks.
+
 A trace is the outcome object the runtime returned for the request
 (:class:`repro.serve.runtime.Served` or ``Rejected``), kept as is: the
 bus only needs its ``request.session_id`` / ``request.seq`` to order it
@@ -25,7 +28,6 @@ planner.
 from __future__ import annotations
 
 import json
-import threading
 from typing import Callable
 
 from repro.core.errors import ConfigError
@@ -69,14 +71,6 @@ class Histogram:
             self._values.sort()
             self._values = self._values[::2]
 
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile of the retained sample (0 when empty)."""
-        if not self._values:
-            return 0.0
-        ordered = sorted(self._values)
-        rank = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
-
     @classmethod
     def merged(
         cls, histograms: "list[Histogram]", capacity: int | None = None
@@ -107,14 +101,23 @@ class Histogram:
         return out
 
     def summary(self) -> dict[str, float]:
+        ordered = sorted(self._values)
         return {
             "count": self.count,
             "mean": self.total / self.count if self.count else 0.0,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
+            "p50": _nearest_rank(ordered, 50),
+            "p95": _nearest_rank(ordered, 95),
+            "p99": _nearest_rank(ordered, 99),
             "max": self._max if self.count else 0.0,
         }
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """Nearest-rank ``q``-th percentile of a sorted sample (0 when empty)."""
+    if not ordered:
+        return 0.0
+    rank = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
+    return ordered[rank]
 
 
 def _trace_order(outcome) -> tuple[int, int]:
@@ -124,7 +127,7 @@ def _trace_order(outcome) -> tuple[int, int]:
 
 
 class TelemetryBus:
-    """Thread-safe counters + histograms + traces + deployment events.
+    """Single-writer counters + histograms + traces + deployment events.
 
     A retained trace keeps its outcome object, and through it the
     ``Request`` and ``Query``, alive until the bus goes -- not a flat row
@@ -136,7 +139,6 @@ class TelemetryBus:
         if trace_capacity < 1:
             raise ConfigError("trace capacity must be >= 1")
         self.trace_capacity = trace_capacity
-        self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
         self._traces: list = []  # Served | Rejected outcomes
@@ -147,33 +149,28 @@ class TelemetryBus:
     # -- recording ---------------------------------------------------------------
 
     def incr(self, name: str, by: float = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + by
+        self._counters[name] = self._counters.get(name, 0) + by
 
     def observe(self, name: str, value: float) -> None:
-        with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = self._histograms[name] = Histogram()
-            hist.record(value)
+        hist = self._histograms.get(name)
+        if hist is None:
+            hist = self._histograms[name] = Histogram()
+        hist.record(value)
 
     def trace(self, outcome) -> None:
         """Keep one request's outcome (see the module docstring)."""
-        with self._lock:
-            if len(self._traces) >= self.trace_capacity:
-                self._traces_dropped += 1
-            else:
-                self._traces.append(outcome)
+        if len(self._traces) >= self.trace_capacity:
+            self._traces_dropped += 1
+        else:
+            self._traces.append(outcome)
 
     def event(self, kind: str, **fields) -> None:
         """Record a deployment-lifecycle event (promotion, rollback, ...)."""
-        with self._lock:
-            self._events.append({"kind": kind, **fields})
+        self._events.append({"kind": kind, **fields})
 
     def attach_gauge(self, name: str, stats_fn: Callable[[], dict]) -> None:
         """Register an external stats source sampled at snapshot time."""
-        with self._lock:
-            self._gauges[name] = stats_fn
+        self._gauges[name] = stats_fn
 
     # -- merging -----------------------------------------------------------------
 
@@ -209,19 +206,18 @@ class TelemetryBus:
             )
         out = cls(trace_capacity=trace_capacity)
         for name, bus in items:
-            with bus._lock:
-                for cname, value in bus._counters.items():
-                    out._counters[cname] = out._counters.get(cname, 0) + value
-                for ev in bus._events:
-                    out._events.append({**ev, "source": name})
-                for trace in sorted(bus._traces, key=_trace_order):
-                    if len(out._traces) >= out.trace_capacity:
-                        out._traces_dropped += 1
-                    else:
-                        out._traces.append(trace)
-                out._traces_dropped += bus._traces_dropped
-                for gname, fn in bus._gauges.items():
-                    out._gauges[f"{name}.{gname}"] = fn
+            for cname, value in bus._counters.items():
+                out._counters[cname] = out._counters.get(cname, 0) + value
+            for ev in bus._events:
+                out._events.append({**ev, "source": name})
+            for trace in sorted(bus._traces, key=_trace_order):
+                if len(out._traces) >= out.trace_capacity:
+                    out._traces_dropped += 1
+                else:
+                    out._traces.append(trace)
+            out._traces_dropped += bus._traces_dropped
+            for gname, fn in bus._gauges.items():
+                out._gauges[f"{name}.{gname}"] = fn
         hist_names = sorted({n for _, b in items for n in b._histograms})
         for hname in hist_names:
             out._histograms[hname] = Histogram.merged(
@@ -232,34 +228,30 @@ class TelemetryBus:
     # -- export ------------------------------------------------------------------
 
     def events(self, kind: str | None = None) -> list[dict]:
-        with self._lock:
-            return [e for e in self._events if kind is None or e["kind"] == kind]
+        return [e for e in self._events if kind is None or e["kind"] == kind]
 
     def histogram_summary(self, name: str) -> dict[str, float]:
         """One histogram's summary (the all-zero summary when nothing was
         observed under ``name``)."""
-        with self._lock:
-            return (self._histograms.get(name) or Histogram()).summary()
+        return (self._histograms.get(name) or Histogram()).summary()
 
     def snapshot(self) -> dict:
         """Deterministic state dump: counters, histogram summaries, gauges,
         lifecycle events in occurrence order and traces sorted by identity."""
-        with self._lock:
-            traces = sorted(self._traces, key=_trace_order)
-            return {
-                "counters": dict(sorted(self._counters.items())),
-                "histograms": {
-                    name: self._histograms[name].summary()
-                    for name in sorted(self._histograms)
-                },
-                "gauges": {
-                    name: dict(self._gauges[name]())
-                    for name in sorted(self._gauges)
-                },
-                "events": [dict(e) for e in self._events],
-                "traces": [t.trace_row() for t in traces],
-                "traces_dropped": self._traces_dropped,
-            }
+        traces = sorted(self._traces, key=_trace_order)
+        return {
+            "counters": dict(sorted(self._counters.items())),
+            "histograms": {
+                name: self._histograms[name].summary()
+                for name in sorted(self._histograms)
+            },
+            "gauges": {
+                name: dict(self._gauges[name]()) for name in sorted(self._gauges)
+            },
+            "events": [dict(e) for e in self._events],
+            "traces": [t.trace_row() for t in traces],
+            "traces_dropped": self._traces_dropped,
+        }
 
     def to_json(self, *, include_traces: bool = True) -> str:
         snap = self.snapshot()

@@ -1,9 +1,10 @@
 """The census as a test: no caller, no code.
 
-Over every package and every module under ``src/repro`` five things must
-hold, and a sixth over ``benchmarks/``.  (a), (b), (d), (e) and (f) only
-read source files -- nothing is imported from ``repro`` or ``perf``, and an
-absent directory is skipped; (c) imports the examples:
+Over every package and every module under ``src/repro`` six things must
+hold, and a seventh over ``benchmarks/``.  (a), (b), (d), (e), (f) and (g)
+only read source files -- nothing is imported from ``repro`` or ``perf``,
+and an absent directory is skipped; (c) imports the examples, and one
+case of (g) builds the records it names:
 
 (a) every name a package ``__init__`` exports is imported *through that
     package* by some file outside it (the top-level ``repro`` facade is the
@@ -27,7 +28,12 @@ absent directory is skipped; (c) imports the examples:
     top-level ``measure``, no function under ``benchmarks/`` takes
     the ``benchmark`` timing fixture, and no function of a T / E /
     P1 module that takes a ``seed`` passes a literal ``seed=<int>`` on (it
-    is ``<int> + seed``, or the input comes from a seed-free builder).
+    is ``<int> + seed``, or the input comes from a seed-free builder);
+(g) the request path is single-writer: no module imports ``threading``,
+    and every record built once per request -- each frozen record of (e)
+    plus ``Request``, ``Rejected`` and ``FabricRequest`` -- is
+    ``slots=True`` (no per-instance ``__dict__`` to build); slotting keeps
+    pickling, copying, ``dataclasses.replace``, equality and immutability.
 
 A failure names the file and the symbol.  The fix is to delete the code (or
 the export), not to grow the allow-list: that list is the backlog of
@@ -38,7 +44,10 @@ over the tree with one file's text replaced, to show each rule bites.
 from __future__ import annotations
 
 import ast
+import copy
+import dataclasses
 import importlib.util
+import pickle
 import re
 from functools import lru_cache
 from pathlib import Path
@@ -416,6 +425,98 @@ def test_every_bench_is_measure_export_gates():
     )
 
 
+# -- (g) the request path is single-writer --------------------------------------------
+
+#: the records built once per request that carry no latency; with every
+#: frozen record of (e) they must be slotted
+REQUEST_RECORDS = {"Request", "Rejected", "FabricRequest"}
+
+
+def _dataclass_flags(node: ast.ClassDef) -> dict:
+    """The constant keywords of a class's ``@dataclass(...)`` decorator."""
+    return {
+        keyword.arg: keyword.value.value
+        for decorator in node.decorator_list
+        if isinstance(decorator, ast.Call)
+        for keyword in decorator.keywords
+        if isinstance(keyword.value, ast.Constant)
+    }
+
+
+def single_writer_violations(sources: Sources) -> list[str]:
+    """Per-request records that are not slotted, and modules under
+    ``src/repro`` that import ``threading``, one line each."""
+    found = []
+    flags = {}
+    for path in _files("src"):
+        for node in ast.walk(sources.parse(path)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                flags[node.name] = _dataclass_flags(node)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = (
+                    [alias.name for alias in node.names]
+                    if isinstance(node, ast.Import)
+                    else [node.module or ""]
+                )
+                found += [
+                    f"{path.relative_to(ROOT)}:{node.lineno} imports threading"
+                    for module in modules
+                    if module.split(".")[0] == "threading"
+                ]
+    slotted = {n for n in RECORDS if flags.get(n, {}).get("frozen")} | REQUEST_RECORDS
+    found += [
+        f"{name} is not slots=True"
+        for name in sorted(slotted)
+        if not flags.get(name, {}).get("slots")
+    ]
+    return found
+
+
+def test_request_path_is_single_writer():
+    found = single_writer_violations(Sources())
+    assert not found, (
+        f"{found} -- one loop writes the bus and builds every per-request record: "
+        "no lock, no thread, and each record a frozen, slotted dataclass"
+    )
+
+
+def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simulator):
+    """One instance of each record (g) slots: it has no ``__dict__`` and
+    still pickles, deep-copies, ``replace``-s and compares by value."""
+    from repro.core.interfaces import Decision
+    from repro.pilotscope.console import QueryLogEntry
+    from repro.serve.fabric.fabric import FabricRequest
+    from repro.serve.runtime import Rejected, Request, Served
+
+    query = stats_workload[0]
+    request = Request(session_id=1, seq=2, global_seq=3, arrival_ms=4.5, query=query)
+    executed = stats_simulator.execute(stats_optimizer.plan(query))
+    served = Served(request, "live", "native", 1.25, 0.5, 7, estimator_tag="t", cache_hits=1)
+    records = [
+        request,
+        served,
+        Rejected(request, "quota", 0.0),
+        FabricRequest("tenant0", request),
+        Decision("canary", "bao", 2.0, 7, query=query, native_latency_ms=3.0),
+        executed,
+        QueryLogEntry(query.to_sql(), "native", executed.cardinality, executed.latency_ms),
+    ]
+    mutable = {"ExperienceRecord"}
+    assert {type(r).__name__ for r in records} == (set(RECORDS) - mutable) | REQUEST_RECORDS
+    for record in records:
+        name = type(record).__name__
+        assert not hasattr(record, "__dict__"), name
+        for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(clone) is type(record) and clone == record, name
+        fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        assert dataclasses.replace(record, **fields) == record, name
+        for field, value in fields.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, value)
+    slower = dataclasses.replace(served, latency_ms=9.0)
+    assert slower.latency_ms == 9.0 and slower != served and served.latency_ms == 1.25
+
+
 # -- the rules bite: one planted violation each ---------------------------------------
 
 
@@ -519,4 +620,39 @@ def test_seeded_relabelled_record_is_caught():
 def test_seeded_bench_outside_the_contract_is_caught(relative, old, new, caught):
     sources = _patched(relative, old, new, root=BENCH)
     found = [re.sub(r":\d+:", ":", f) for f in bench_contract_violations(sources)]
+    assert found == caught
+
+
+@pytest.mark.parametrize(
+    "relative, old, new, caught",
+    [
+        (
+            "serve/runtime.py",
+            "@dataclass(frozen=True, slots=True)\nclass Served:",
+            "@dataclass(frozen=True)\nclass Served:",
+            ["Served is not slots=True"],
+        ),
+        (
+            "serve/fabric/fabric.py",
+            "@dataclass(frozen=True, slots=True)\nclass FabricRequest:",
+            "@dataclass(frozen=True)\nclass FabricRequest:",
+            ["FabricRequest is not slots=True"],
+        ),
+        (
+            "serve/telemetry.py",
+            "import json\n",
+            "import json\nimport threading\n",
+            ["src/repro/serve/telemetry.py imports threading"],
+        ),
+        (
+            "faults/resilience.py",
+            "import enum\n",
+            "import enum\nfrom threading import Lock\n",
+            ["src/repro/faults/resilience.py imports threading"],
+        ),
+    ],
+)
+def test_seeded_second_writer_is_caught(relative, old, new, caught):
+    sources = _patched(relative, old, new)
+    found = [re.sub(r":\d+ ", " ", f) for f in single_writer_violations(sources)]
     assert found == caught

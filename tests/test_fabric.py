@@ -5,9 +5,26 @@ gate."""
 import json
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.core.errors import ConfigError
-from repro.faults import BreakerState, FaultPlan, FaultSpec, shard_fault_plan
+from repro.core.lru import BoundedLRU
+from repro.faults import (
+    BreakerState,
+    CircuitBreaker,
+    FaultPlan,
+    FaultSpec,
+    VirtualClock,
+    shard_fault_plan,
+)
 from repro.serve import Request, RuntimeConfig, Served
 from repro.serve.fabric import (
     FabricConfig,
@@ -21,6 +38,7 @@ from repro.serve.fabric import (
     synthetic_fabric,
     synthetic_queries,
 )
+from repro.serve.fabric.router import PAIR_CAPACITY
 from repro.serve.telemetry import Histogram, TelemetryBus
 from repro.sql import Query
 
@@ -59,7 +77,7 @@ class TestTelemetryMerge:
         assert merged.count == 5
         assert merged.total == pytest.approx(21.0)
         assert merged.summary()["max"] == 9.0
-        assert merged.percentile(50) == 4.0
+        assert merged.summary()["p50"] == 4.0
 
     def test_histogram_merge_order_independent_after_decimation(self):
         hists = []
@@ -174,6 +192,34 @@ class TestShardRouter:
         healthy[:] = [False] * 4
         assert router.route(key, loads=L(), healthy=H()) is None
         assert router.unroutable == 1
+
+    def test_pair_memo_is_bounded_and_decides_as_unbounded(self):
+        """Past ``PAIR_CAPACITY`` distinct keys the memo stays at capacity,
+        and every decision -- keys evicted and derived again included --
+        equals an unbounded memo's: a pair is a pure function of
+        ``(seed, key)``."""
+        keys = [f"q{i}" for i in range(PAIR_CAPACITY + 1_000)]
+        # the first 1,000 were evicted; derived again, each evicts the
+        # least recently used of the next 1,000, so all 2,000 miss
+        keys += keys[:2_000]
+
+        def decisions(router):
+            return [
+                router.route(
+                    key,
+                    loads=[(i * i + step) % 5 for i in range(16)],
+                    healthy=[(i + step) % 11 != 0 for i in range(16)],
+                )
+                for step, key in enumerate(keys)
+            ]
+
+        bounded, unbounded = ShardRouter(16, seed=3), ShardRouter(16, seed=3)
+        unbounded._pairs = BoundedLRU(2 * len(keys))
+        assert decisions(bounded) == decisions(unbounded)
+        assert bounded.stats()["keys"] == PAIR_CAPACITY
+        assert unbounded.stats()["keys"] == PAIR_CAPACITY + 1_000
+        assert bounded._pairs.evictions == 1_000 + 2_000
+        assert bounded.reroutes == unbounded.reroutes > 0
 
     def test_mode_validation(self):
         with pytest.raises(ConfigError):
@@ -310,6 +356,142 @@ class TestTenantRegistry:
             t: by_tenant_served[t] / offered[t] for t in ("bat", "bg")
         }
         assert frac["bg"] < frac["bat"] <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the fabric's two state machines: shard breaker and tenant token bucket
+# ---------------------------------------------------------------------------
+
+#: the breaker's declared transitions, by the call allowed to make them
+_BREAKER_EDGES = {
+    "allow": {(BreakerState.OPEN, BreakerState.HALF_OPEN)},
+    "record_success": {(BreakerState.HALF_OPEN, BreakerState.CLOSED)},
+    "record_failure": {
+        (BreakerState.CLOSED, BreakerState.OPEN),
+        (BreakerState.HALF_OPEN, BreakerState.OPEN),
+    },
+}
+
+
+def test_breaker_only_moves_along_declared_edges():
+    """No sequence of calls and clock advances takes an undeclared
+    transition; ``epoch`` counts every transition and ``trips`` every
+    entry into OPEN; ``would_allow`` never mutates and agrees with the
+    ``allow`` that follows it."""
+
+    class BreakerMachine(RuleBasedStateMachine):
+        @initialize(
+            threshold=st.integers(1, 3),
+            cooldown_ms=st.sampled_from([0.0, 5.0, 20.0]),
+            successes=st.integers(1, 3),
+        )
+        def build(self, threshold, cooldown_ms, successes):
+            self.clock = VirtualClock()
+            self.bus = TelemetryBus()
+            self.breaker = CircuitBreaker(
+                failure_threshold=threshold,
+                cooldown_ms=cooldown_ms,
+                half_open_successes=successes,
+                clock=self.clock,
+                telemetry=self.bus,
+            )
+            self.transitions = self.trips = self.allow_calls = 0
+
+        def _call(self, name):
+            before = self.breaker.state
+            result = getattr(self.breaker, name)()
+            after = self.breaker.state
+            if after is not before:
+                assert (before, after) in _BREAKER_EDGES[name], (name, before, after)
+                self.transitions += 1
+                self.trips += after is BreakerState.OPEN
+            return result
+
+        @rule(ms=st.sampled_from([0.0, 1.0, 5.0, 25.0]))
+        def advance(self, ms):
+            self.clock.advance(ms)
+
+        @rule()
+        def allow(self):
+            peek = self.breaker.would_allow(self.clock.now_ms())
+            self.allow_calls += 1
+            assert self._call("allow") == peek
+
+        @rule()
+        def record_success(self):
+            self._call("record_success")
+
+        @rule()
+        def record_failure(self):
+            self._call("record_failure")
+
+        @rule(ahead_ms=st.sampled_from([-5.0, 0.0, 5.0, 50.0]))
+        def peek(self, ahead_ms):
+            before = dict(vars(self.breaker))
+            self.breaker.would_allow(self.clock.now_ms() + ahead_ms)
+            assert vars(self.breaker) == before
+
+        @invariant()
+        def counters_follow_the_transitions(self):
+            breaker = self.breaker
+            events = self.bus.events("breaker_transition")
+            assert breaker.epoch == self.transitions == len(events)
+            assert breaker.trips == self.trips
+            assert breaker.calls_allowed + breaker.calls_denied == self.allow_calls
+            if breaker.state is BreakerState.CLOSED:
+                assert breaker.consecutive_failures < breaker.failure_threshold
+
+    run_state_machine_as_test(
+        BreakerMachine,
+        settings=settings(max_examples=60, stateful_step_count=40, deadline=None),
+    )
+
+
+def test_token_bucket_stays_within_its_quota():
+    """Over any arrival sequence: tokens stay in ``[0, burst]``, admitted +
+    rejected counts every call, a metered tenant is never admitted past
+    its burst plus what its rate refilled, and an unmetered tenant is
+    never refused."""
+
+    class BucketMachine(RuleBasedStateMachine):
+        @initialize(
+            rate=st.sampled_from([0.5, 10.0, 250.0]),
+            burst=st.sampled_from([1.0, 2.5, 8.0]),
+        )
+        def build(self, rate, burst):
+            self.specs = {
+                "metered": TenantSpec("metered", rate_per_s=rate, burst=burst),
+                "free": TenantSpec("free", qos="background", burst=burst),
+            }
+            self.registry = TenantRegistry(list(self.specs.values()))
+            self.now_ms = 0.0
+            self.calls = dict.fromkeys(self.specs, 0)
+
+        @rule(ms=st.sampled_from([0.0, 0.3, 4.0, 100.0, 2_500.0]))
+        def advance(self, ms):
+            self.now_ms += ms
+
+        @rule(tenant=st.sampled_from(["metered", "free"]))
+        def admit(self, tenant):
+            self.calls[tenant] += 1
+            reason = self.registry.admit(tenant, self.now_ms)
+            assert reason in (None, "quota")
+            assert reason is None or tenant == "metered"
+
+        @invariant()
+        def within_the_quota(self):
+            registry = self.registry
+            for tid, spec in self.specs.items():
+                assert 0.0 <= registry._tokens[tid] <= spec.burst
+                assert registry.admitted[tid] + registry.rejected[tid] == self.calls[tid]
+            metered = self.specs["metered"]
+            refilled = metered.rate_per_s * self.now_ms / 1_000.0
+            assert registry.admitted["metered"] <= metered.burst + refilled + 1e-9
+
+    run_state_machine_as_test(
+        BucketMachine,
+        settings=settings(max_examples=60, stateful_step_count=40, deadline=None),
+    )
 
 
 # ---------------------------------------------------------------------------
