@@ -65,7 +65,7 @@ _TRANSFER_CONFIG = SchemaGenConfig(
 )
 
 
-def _corpus(db, n_queries: int, seed: int = 5):
+def _corpus(db, n_queries: int, seed: int):
     """Executed (plan, latency) pairs for one schema: every query is
     planned under the first four Bao hint arms so latencies spread."""
     opt = Optimizer(db)
@@ -108,7 +108,7 @@ def transfer_pass(seed: int = 0, profile: str | None = None) -> dict:
     """
     p = benchmarks.profile(_PROFILES, profile)
     dbs = schema_family(p["n_schemas"], seed=seed, config=_TRANSFER_CONFIG)
-    corpora = [_corpus(db, p["n_queries"], seed=5) for db in dbs]
+    corpora = [_corpus(db, p["n_queries"], seed=seed + 5) for db in dbs]
     sources = corpora[: p["n_sources"]]
     targets = corpora[p["n_sources"] :]
 

@@ -1,6 +1,6 @@
 """P6: vectorized kernels + parameterized plan-cache fast path, gated.
 
-Eight properties are measured and gated:
+Nine properties are measured and gated:
 
 1. **Executor throughput**: the vectorized :class:`CardinalityExecutor`
    (shared sort-merge/expand kernels, key-index cache) must be >= 10x
@@ -39,7 +39,12 @@ Eight properties are measured and gated:
    stream (hot templates x bindings through the plan cache, shuffled
    with one-off queries), cold memo on both sides: >= 1.3x, with every
    node cardinality ``==`` and every cost and latency bit-equal.
-8. **Exactness + determinism**: counts stay byte-equal to the independent
+8. **Planning estimates**: the native estimator's ``estimate_batch`` over
+   the DP's batches (one table selectivity per distinct predicate set per
+   batch, array-op histogram) against the scalar loop it replaced
+   (``tests/statistics_reference.py``) on stats-lite queries: >= 1.5x,
+   with every estimate ``==``.  Timing only, so not in the export.
+9. **Exactness + determinism**: counts stay byte-equal to the independent
    reference on every fixture including the deep chain whose count
    exceeds 2**53 (where float64 silently rounds), and two same-seed
    cache-enabled serving runs must export byte-identical telemetry.
@@ -66,6 +71,7 @@ from repro.engine.plans import JoinNode, ScanNode
 from repro.ml.gbdt import GradientBoostedTrees
 from repro.ml.treeconv import TreeConvNet
 from repro.optimizer import HintSet, Optimizer, PlanCache
+from repro.optimizer.traditional import TraditionalCardinalityEstimator
 from repro.oracle.fixtures import make_deep_chain
 from repro.oracle.planexec import PlanInterpreter
 from repro.oracle.reference import _holds, reference_count
@@ -75,6 +81,7 @@ from repro.storage.datasets import make_stats_lite
 from tests.executor_reference import reference_execute, reference_simulator
 from tests.gbdt_reference import ReferenceGradientBoostedTrees, reference_node_table
 from tests.planner_reference import reference_plan_arms
+from tests.statistics_reference import ReferenceTraditionalEstimator
 from tests.treeconv_reference import ReferenceTreeConvNet
 
 _PROFILES = {
@@ -113,6 +120,7 @@ SPEEDUP_GATE = 10.0
 FIT_SPEEDUP_GATE = 1.5
 SWEEP_SPEEDUP_GATE = 3.0
 PLAN_EXECUTION_SPEEDUP_GATE = 1.3
+PLANNING_SPEEDUP_GATE = 1.5
 GBDT_SPEEDUP_GATES = {"fit": 2.5, "predict 400 rows": 8.0, "predict 1 row": 3.0}
 HIT_RATE_GATE = 0.8
 
@@ -436,6 +444,47 @@ def plan_execution_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
+def planning_pass(seed: int = 0, profile: str | None = None) -> dict:
+    """The DP's estimate batches: ``estimate_batch`` vs the scalar loop.
+
+    Each batch is what one plan-cache miss hands the native estimator --
+    every connected sub-query of a 2-5 table stats-lite query.  The
+    baseline is ``tests/statistics_reference.py``'s estimator (no
+    selectivity memo, the per-bucket histogram loop) over the same
+    statistics; texts and hashes are warm on both sides.  Best of three
+    each, interleaved.
+    """
+    p = benchmarks.profile(_PROFILES, profile)
+    db = make_stats_lite(scale=p["scale"], seed=seed)
+    estimator = TraditionalCardinalityEstimator(db)
+    reference = ReferenceTraditionalEstimator(db, estimator.stats)
+    queries = WorkloadGenerator(db, seed=seed + 71).workload(
+        p["sweep_queries"], 2, 5, require_predicate=True
+    )
+    batches = [q.connected_subqueries() for q in queries]
+
+    t_base = t_batch = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        baseline = [[reference.estimate(q) for q in batch] for batch in batches]
+        t_base = min(t_base, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        values = [estimator.estimate_batch(batch) for batch in batches]
+        t_batch = min(t_batch, time.perf_counter() - t0)
+
+    return {
+        "n_batches": len(batches),
+        "n_estimates": sum(map(len, batches)),
+        "values_equal": all(
+            v.tobytes() == np.array(b, dtype=float).tobytes()
+            for v, b in zip(values, baseline)
+        ),
+        "t_baseline_s": t_base,
+        "t_batch_s": t_batch,
+        "speedup": t_base / max(t_batch, 1e-9),
+    }
+
+
 def serving_pass(seed: int = 0, profile: str | None = None):
     """One cache-enabled parameterized serving run; returns the scenario."""
     p = benchmarks.profile(_PROFILES, profile)
@@ -651,6 +700,29 @@ def test_p6_plan_execution_speedup_and_identity():
     assert result["speedup"] >= PLAN_EXECUTION_SPEEDUP_GATE, (
         f"plan-execution speedup {result['speedup']:.2f}x below the "
         f"{PLAN_EXECUTION_SPEEDUP_GATE:.1f}x gate"
+    )
+
+
+def test_p6_planning_speedup_and_identity():
+    result = planning_pass(seed=0)
+    assert result["values_equal"], "a batched estimate differs from the scalar loop's"
+    print(
+        render_table(
+            f"P6: DP estimate batches, estimate_batch vs scalar loop ({PROFILE})",
+            ["batches", "estimates", "baseline_s", "batch_s", "speedup"],
+            [(
+                result["n_batches"],
+                result["n_estimates"],
+                f"{result['t_baseline_s']:.3f}",
+                f"{result['t_batch_s']:.3f}",
+                f"{result['speedup']:.2f}x",
+            )],
+            note=f"gate: >= {PLANNING_SPEEDUP_GATE:.1f}x, estimates ==",
+        )
+    )
+    assert result["speedup"] >= PLANNING_SPEEDUP_GATE, (
+        f"planning-estimate speedup {result['speedup']:.2f}x below the "
+        f"{PLANNING_SPEEDUP_GATE:.1f}x gate"
     )
 
 

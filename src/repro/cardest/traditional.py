@@ -9,10 +9,12 @@
   the inverse sampling fractions.  Unbiased but with the well-known
   variance blow-up on selective predicates and multi-way joins.
 
-Both support :meth:`estimate_batch` through the base-class fallback: their
-cost is histogram lookups / sample execution per query (not featurization
-or model forward passes), so there is nothing to amortize across a
-workload and the scalar loop is already the fast path.
+Neither has a featurization or model forward pass to amortize across a
+workload.  :class:`HistogramEstimator` still batches: its inner
+``estimate_batch`` derives each table's selectivity once per distinct
+predicate set in the batch, which the DP's connected subsets of one query
+share.  :class:`SamplingEstimator` executes every query on its sample and
+takes the base-class scalar loop.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ class HistogramEstimator(BaseCardinalityEstimator):
 
     def _estimate(self, query: Query) -> float:
         return self._inner.estimate(query)
+
+    def _estimate_batch(self, queries: list[Query]) -> np.ndarray:
+        return self._inner.estimate_batch(queries)
 
 
 class SamplingEstimator(BaseCardinalityEstimator):

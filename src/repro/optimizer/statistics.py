@@ -109,36 +109,33 @@ class ColumnStats:
         if lo > hi or (lo == hi and not (inclusive_lo and inclusive_hi)):
             return 0.0
 
-        def point_in_range(p: np.ndarray | float):
-            above = (p > lo) | ((p == lo) & inclusive_lo)
-            below = (p < hi) | ((p == hi) & inclusive_hi)
-            return above & below
+        def point_in_range(p: np.ndarray):
+            above = p >= lo if inclusive_lo else p > lo
+            return above & (p <= hi if inclusive_hi else p < hi)
 
         sel = 0.0
         # MCV contribution: exact point masses.
         if self.mcv_values.size:
-            in_range = point_in_range(self.mcv_values)
-            sel += float(self.mcv_freqs[in_range].sum())
-        # Histogram contribution: linear interpolation within buckets.
+            sel += float(self.mcv_freqs[point_in_range(self.mcv_values)].sum())
+        # Histogram contribution: linear interpolation within buckets.  A
+        # bucket the range misses covers max(negative, 0) = 0 of itself.
         bounds = self.histogram_bounds
         if bounds.size >= 2 and self.non_mcv_fraction > 0:
             n_bins = bounds.size - 1
-            frac = 0.0
-            for b in range(n_bins):
-                b_lo, b_hi = bounds[b], bounds[b + 1]
-                if b_hi < lo or b_lo > hi:
-                    continue
-                if b_hi == b_lo:
-                    # Degenerate bucket: a point mass at b_lo.  It counts
-                    # only when that point actually satisfies the (possibly
-                    # open) interval -- merely touching an excluded
-                    # endpoint contributes nothing.
-                    if bool(point_in_range(float(b_lo))):
-                        frac += 1.0
-                    continue
-                covered_lo = max(b_lo, lo)
-                covered_hi = min(b_hi, hi)
-                frac += max(covered_hi - covered_lo, 0.0) / (b_hi - b_lo)
+            b_lo, b_hi = bounds[:-1], bounds[1:]
+            point = b_hi == b_lo
+            covered = np.minimum(b_hi, hi) - np.maximum(b_lo, lo)
+            terms = np.maximum(covered, 0.0) / np.where(point, 1.0, b_hi - b_lo)
+            if point.any():
+                # Degenerate bucket: a point mass at b_lo.  It counts only
+                # when that point actually satisfies the (possibly open)
+                # interval -- merely touching an excluded endpoint
+                # contributes nothing.
+                terms[point] = point_in_range(b_lo[point])
+            # Added bucket by bucket, left to right, as the scalar loop this
+            # replaced did: np.sum (pairwise) and sum (compensated on 3.12+)
+            # would move the low bits of every estimate.
+            frac = np.cumsum(terms)[-1]
             sel += (frac / n_bins) * self.non_mcv_fraction
         return min(max(sel, 0.0), 1.0)
 

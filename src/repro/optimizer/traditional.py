@@ -10,6 +10,8 @@ experiments compare against.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.optimizer.statistics import DatabaseStats
 from repro.sql.query import Op, OrPredicate, Predicate, Query
 from repro.storage.catalog import Database
@@ -52,12 +54,41 @@ class TraditionalCardinalityEstimator:
 
     def table_selectivity(self, query: Query, table: str) -> float:
         """Combined selectivity of all predicates on ``table`` (independence)."""
+        preds = query.predicates_on(table)
+        memo = self._selectivities
+        if memo is not None:
+            sel = memo.get((table, preds))
+            if sel is not None:
+                return sel
         sel = 1.0
-        for pred in query.predicates_on(table):
+        for pred in preds:
             sel *= self.predicate_selectivity(pred)
+        if memo is not None:
+            memo[table, preds] = sel
         return sel
 
     # -- cardinality ----------------------------------------------------------
+
+    #: ``(table, predicates on it) -> selectivity`` while an
+    #: :meth:`estimate_batch` call runs, else None
+    _selectivities: dict | None = None
+
+    def estimate_batch(self, queries: list[Query]) -> np.ndarray:
+        """``[self.estimate(q) for q in queries]``, each table's selectivity
+        derived once per distinct predicate set.
+
+        The DP asks for every connected subset of a query in one batch, so
+        a table's predicates recur in every subset that contains it.  The
+        memo lives for this call only: statistics refreshed between two
+        batches are read by the second, and there is nothing to invalidate.
+        Deleting it afterwards leaves ``vars(self)`` as it was, so
+        ``model_fingerprint`` cannot tell whether a batch ever ran.
+        """
+        self._selectivities = {}
+        try:
+            return np.array([self.estimate(q) for q in queries], dtype=float)
+        finally:
+            del self._selectivities
 
     def estimate(self, query: Query) -> float:
         """Estimated COUNT(*) of the (sub-)query.

@@ -53,6 +53,23 @@ def state_without_hash(self) -> dict:
     return state
 
 
+def str_once(render):
+    """``__str__`` of a frozen value dataclass, memoized outside the fields
+    like :func:`hash_once`.  Every ``Query`` sorts its joins and predicates
+    by their text, and ``cache_key`` / ``template_key`` render them again.
+    The text is the same in every process, so it may travel in a pickle;
+    ``dataclasses.replace`` builds a new instance, which renders afresh."""
+
+    def __str__(self) -> str:
+        state = self.__dict__
+        text = state.get("_str")
+        if text is None:
+            text = state["_str"] = render(self)
+        return text
+
+    return __str__
+
+
 class Op(enum.Enum):
     """Comparison operators supported in predicates."""
 
@@ -184,6 +201,7 @@ class Predicate:
         values = sorted(self.value)  # type: ignore[arg-type]
         return (float(values[0]), float(values[-1]), True, True)
 
+    @str_once
     def __str__(self) -> str:
         if self.op is Op.BETWEEN:
             lo, hi = self.value  # type: ignore[misc]
@@ -264,6 +282,7 @@ class Join:
     def involves(self, table: str) -> bool:
         return table in (self.left.table, self.right.table)
 
+    @str_once
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"
 

@@ -26,8 +26,8 @@ case of (g) builds the records it names:
 (f) there is one bench contract: every module ``benchmarks.BENCHMARKS``
     names defines a top-level ``export``, every T / E bench and P1 a
     top-level ``measure``, no function under ``benchmarks/`` takes
-    the ``benchmark`` timing fixture, and no function of a T / E /
-    P1 module that takes a ``seed`` passes a literal ``seed=<int>`` on (it
+    the ``benchmark`` timing fixture, and no function of a registered
+    bench that takes a ``seed`` passes a literal ``seed=<int>`` on (it
     is ``<int> + seed``, or the input comes from a seed-free builder);
 (g) the request path is single-writer: no module imports ``threading``,
     and every record built once per request -- each frozen record of (e)
@@ -400,7 +400,7 @@ def bench_contract_violations(sources: Sources) -> list[str]:
         found += [
             f"{module}.py:{keyword.value.lineno}: {function.name}(seed) pins seed={keyword.value.value}"
             for function in ast.walk(tree)
-            if tabled and isinstance(function, ast.FunctionDef) and "seed" in _parameters(function)
+            if isinstance(function, ast.FunctionDef) and "seed" in _parameters(function)
             for call in ast.walk(function)
             if isinstance(call, ast.Call)
             for keyword in call.keywords
@@ -421,7 +421,8 @@ def test_every_bench_is_measure_export_gates():
     found = bench_contract_violations(Sources())
     assert not found, (
         f"outside the one bench contract (benchmarks/contract.py): {found} -- every "
-        "bench exports; a T/E/P1 bench measures with every seed offset by its argument"
+        "bench exports, a T/E/P1 bench measures, and every bench offsets each seed "
+        "by its argument"
     )
 
 
@@ -614,6 +615,12 @@ def test_seeded_relabelled_record_is_caught():
             "BaoOptimizer(optimizer, seed=seed)",
             "BaoOptimizer(optimizer, seed=0)",
             ["bench_e7_bao.py: measure(seed) pins seed=0"],
+        ),
+        (
+            "bench_p10_transfer.py",
+            'p["n_queries"], seed=seed + 5)',
+            'p["n_queries"], seed=5)',
+            ["bench_p10_transfer.py: transfer_pass(seed) pins seed=5"],
         ),
     ],
 )
