@@ -27,6 +27,11 @@ A :class:`CardinalityExecutor` instance memoizes results per query in a
 bounded LRU, since optimizers repeatedly ask for the same sub-query
 cardinalities (and under serving the query stream is unbounded).
 
+A message between two join columns of non-negative integer ids is a
+direct-address table (``np.bincount`` over the key span, read back by
+``table[parent_keys]``) instead of a sort and a ``searchsorted``; the span
+is read off both columns' cached full-column indexes.
+
 Executing a plan needs every node's count;
 :meth:`CardinalityExecutor.plan_cardinalities` produces them in one pass
 (one ``data_version`` check, one ``cardinality()`` per node, one filter
@@ -42,6 +47,7 @@ from repro.core.lru import BoundedLRU
 from repro.engine.kernels import (
     _INT64_PROMOTE_LIMIT,
     KeyIndexCache,
+    direct_span,
     expand_matches,
     grouped_sums,
     lookup_sums,
@@ -73,12 +79,16 @@ def _filtered_indices(db: Database, query: Query, table: str) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _group_sum(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (unique_keys, summed_weights), integer-exact (see kernels)."""
-    return grouped_sums(keys, weights)
+def _group_sum(
+    keys: np.ndarray, weights: np.ndarray | None, span: int | None
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Return (unique_keys, summed_weights), integer-exact, or ``(None,
+    table)`` for a direct-address message; ``None`` weights are unit
+    weights (see kernels)."""
+    return grouped_sums(keys, weights, span)
 
 
-def _lookup(uniq: np.ndarray, sums: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _lookup(uniq: np.ndarray | None, sums: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Map each key to its summed weight (0 when absent)."""
     return lookup_sums(uniq, sums, keys)
 
@@ -128,10 +138,15 @@ class CardinalityExecutor:
     pinned to ``db.data_version`` and drops itself whenever a table
     mutates -- an exact oracle that answers from pre-mutation data is
     worse than a slow one, and the drift scenarios mutate mid-stream.
-    Join-column sort indexes are shared through a
-    :class:`~repro.engine.kernels.KeyIndexCache` so repeated cyclic-join
-    materializations never re-sort an unchanged column (that cache keys
-    on ``data_version`` natively).
+    The memo is keyed by the query's field tuple ``(tables, joins,
+    predicates)`` -- equal exactly when the queries are -- so it keeps no
+    ``Query`` (nor the memos a ``Query`` carries) alive.  Join-column sort
+    indexes live in this executor's own
+    :class:`~repro.engine.kernels.KeyIndexCache`, so repeated cyclic-join
+    materializations never re-sort an unchanged column and every message
+    reads its key span off the same cached index (that cache keys on
+    ``(table, column, data_version)``, which is why it is never shared
+    across databases).
     """
 
     def __init__(
@@ -139,13 +154,12 @@ class CardinalityExecutor:
         db: Database,
         max_intermediate_rows: int = 50_000_000,
         cache_capacity: int = 100_000,
-        key_index: KeyIndexCache | None = None,
     ) -> None:
         if cache_capacity <= 0:
             raise ValueError(f"cache_capacity must be positive, got {cache_capacity}")
         self.db = db
         self.max_intermediate_rows = max_intermediate_rows
-        self.key_index = key_index if key_index is not None else KeyIndexCache()
+        self.key_index = KeyIndexCache()
         self._cache = BoundedLRU(cache_capacity)
         self._cache_version = db.data_version
         # (table, predicates on it) -> filtered row ids, for the duration of
@@ -167,7 +181,8 @@ class CardinalityExecutor:
         """
         if self._plan_rows is None:  # a plan pass has checked already
             self._sync_version()
-        cached = self._cache.get(query)
+        key = (query.tables, query.joins, query.predicates)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
         if not query.is_connected():
@@ -180,7 +195,7 @@ class CardinalityExecutor:
             result = self._tree_count(query)
         else:
             result = self._materialized_count(query)
-        self._cache.put(query, result)
+        self._cache.put(key, result)
         return result
 
     def plan_cardinalities(self, plan: Plan) -> dict[PlanNode, int]:
@@ -190,14 +205,16 @@ class CardinalityExecutor:
         once (through :meth:`cardinality`, so the memo still answers
         repeated sub-queries), and each base table's filter runs once -- a
         node's sub-query keeps all of the plan query's predicates on its
-        tables, so row sets are shared under ``(table, predicates)``.
+        tables, so row sets are shared under ``(table, predicates)``.  The
+        sub-queries are built by ``Query.restrict``, outside the plan
+        query's ``subquery`` memo, so none outlives the pass.
         """
         self._sync_version()
         query = plan.query
         self._plan_rows = {}
         try:
             return {
-                node: self.cardinality(query.subquery(node.tables))
+                node: self.cardinality(query.restrict(node.tables))
                 for node in reversed(tuple(plan.walk()))
             }
         finally:
@@ -256,15 +273,15 @@ class CardinalityExecutor:
                     stack.append((neighbor, table, their_col, my_col))
 
         # Process children before parents.
+        full = self.key_index.full
         for table, parent, my_col, parent_col in reversed(order):
             if parent is None:
                 continue
-            keys = self.db.table(table).values(my_col)[rows[table]]
-            own = weights[table]
-            if own is None:
-                own = np.ones(keys.shape[0], dtype=np.int64)
-            uniq, sums = _group_sum(keys, own)
-            parent_keys = self.db.table(parent).values(parent_col)[rows[parent]]
+            child_tbl, parent_tbl = self.db.table(table), self.db.table(parent)
+            span = direct_span(full(child_tbl, my_col), full(parent_tbl, parent_col))
+            keys = child_tbl.values(my_col)[rows[table]]
+            uniq, sums = _group_sum(keys, weights[table], span)
+            parent_keys = parent_tbl.values(parent_col)[rows[parent]]
             message = _lookup(uniq, sums, parent_keys)
             held = weights[parent]
             weights[parent] = (

@@ -18,7 +18,8 @@ This module is the single implementation all of them now share:
   interpreter alike;
 - :func:`grouped_sums` / :func:`lookup_sums` -- the group-by-sum and
   semi-join lookup primitives of the tree-count message pass, integer-exact
-  past the int64/float64 limits;
+  past the int64/float64 limits, direct-address tables where
+  :func:`direct_span` bounds the keys;
 - :func:`compile_predicates` -- predicate conjunctions compiled once into a
   boolean-mask evaluator closure (no per-row, per-call ``Op`` dispatch);
 - :class:`KeyIndexCache` -- a bounded LRU (:class:`repro.core.lru.BoundedLRU`,
@@ -49,6 +50,7 @@ __all__ = [
     "KeyIndexCache",
     "match_counts",
     "expand_matches",
+    "direct_span",
     "grouped_sums",
     "lookup_sums",
     "compile_predicates",
@@ -148,61 +150,68 @@ def expand_matches(
     return index.perm[starts[probe_of_idx] + offset]
 
 
-#: Dense group-by cut: ``np.bincount`` over the key span beats the sort up
+#: Direct-address cut: ``np.bincount`` over the key span beats the sort up
 #: to ~8 slots per key, and under ~4k slots costs only call overhead.
-_DENSE_SLOTS_PER_KEY = 8
-_DENSE_SLOTS_FLOOR = 4096
+_DIRECT_SLOTS_PER_KEY = 8
+_DIRECT_SLOTS_FLOOR = 4096
 
 #: float64 represents every integer below this exactly.
 _FLOAT64_EXACT_LIMIT = 2**53
 
 
-def _dense_grouped_sums(
-    keys: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """``grouped_sums`` by ``np.bincount`` over the key span, or ``None``
-    when the keys are not dense non-negative integers or a float64
-    accumulator could round.
-
-    ``np.bincount`` accumulates weights in float64.  With non-negative
-    integer weights and ``n * max(weights) < 2**53`` every weight and every
-    partial sum is an integer below 2**53, hence exactly representable:
-    the float sums *are* the integer sums, and casting back loses nothing.
-    """
-    if keys.dtype.kind != "i" or weights.dtype != np.int64:
-        return None
-    n = keys.shape[0]
-    if int(keys.min()) < 0 or int(keys.max()) >= (
-        _DENSE_SLOTS_PER_KEY * n + _DENSE_SLOTS_FLOOR
-    ):
-        return None
-    if int(weights.min()) < 0 or n * int(weights.max()) >= _FLOAT64_EXACT_LIMIT:
-        return None
-    slots = np.bincount(keys).nonzero()[0]
-    sums = np.bincount(keys, weights)[slots]
-    return slots.astype(keys.dtype, copy=False), sums.astype(np.int64)
+def direct_span(*columns: GroupIndex) -> int | None:
+    """Length of a direct-address table covering every key of ``columns``
+    (full-column indexes, so ``uniq`` is sorted): one past the largest key,
+    or ``None`` unless every column holds non-negative integer ids."""
+    span = 0
+    for column in columns:
+        uniq = column.uniq
+        if uniq.dtype.kind != "i":
+            return None
+        if uniq.size:
+            if uniq[0] < 0:
+                return None
+            span = max(span, int(uniq[-1]) + 1)
+    return span
 
 
 def grouped_sums(
-    keys: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    keys: np.ndarray, weights: np.ndarray | None, span: int | None
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Group-by-sum ``(unique_keys, summed_weights)``, integer-exact.
 
     Weights are integer counts (int64, or object-dtype Python ints once
-    promoted).  Accumulating them in float64 silently rounds past 2**53 --
-    and long multiply chains well before that -- so sums stay in integer
-    arithmetic, promoting to arbitrary-precision Python ints when a float64
-    shadow shows the int64 range is at risk.  Join keys are mostly small
-    non-negative ids, which :func:`_dense_grouped_sums` counts without
-    sorting where that is provably exact; everything else takes one stable
-    sort plus ``np.add.reduceat`` over group extents.  Both paths return
-    the same ``(uniq, sums)``, value for value and dtype for dtype.
+    promoted); ``None`` stands for unit weights.  Accumulating them in
+    float64 silently rounds past 2**53 -- and long multiply chains well
+    before that -- so sums stay in integer arithmetic, promoting to
+    arbitrary-precision Python ints when a float64 shadow shows the int64
+    range is at risk.
+
+    ``span`` is ``None`` or a bound every key here and every key later
+    looked up lies below (:func:`direct_span`).  Within the slots-per-key
+    cut the sums come back as a *direct-address table*, ``(None, table)``
+    with ``table[k]`` the sum of key ``k``: ``np.bincount`` of int64 counts
+    for unit weights, and of float64 sums, cast back, for int64 weights
+    with ``min >= 0`` and ``n * max(w) < 2**53`` (every partial sum is then
+    an integer below 2**53, so the float sums *are* the integer sums).
+    Everything else takes one stable sort plus ``np.add.reduceat`` over
+    group extents.  :func:`lookup_sums` reads either form, and both give
+    the same value and dtype for every looked-up key.
     """
-    if keys.size == 0:
-        return keys, weights
-    dense = _dense_grouped_sums(keys, weights)
-    if dense is not None:
-        return dense
+    n = keys.shape[0]
+    if n == 0:
+        return keys, _EMPTY_I64 if weights is None else weights
+    if span is not None and span <= _DIRECT_SLOTS_PER_KEY * n + _DIRECT_SLOTS_FLOOR:
+        if weights is None:
+            return None, np.bincount(keys, minlength=span)
+        if (
+            weights.dtype == np.int64
+            and int(weights.min()) >= 0
+            and n * int(weights.max()) < _FLOAT64_EXACT_LIMIT
+        ):
+            return None, np.bincount(keys, weights, minlength=span).astype(np.int64)
+    if weights is None:
+        weights = np.ones(n, dtype=np.int64)
     index = GroupIndex.from_keys(keys)
     ordered = weights[index.perm]
     if ordered.dtype != object:
@@ -214,9 +223,16 @@ def grouped_sums(
 
 
 def lookup_sums(
-    uniq: np.ndarray, sums: np.ndarray, keys: np.ndarray
+    uniq: np.ndarray | None, sums: np.ndarray, keys: np.ndarray
 ) -> np.ndarray:
-    """Semi-join lookup: map each key to its summed weight (0 when absent)."""
+    """Semi-join lookup: map each key to its summed weight (0 when absent).
+
+    ``uniq is None`` marks a direct-address table from :func:`grouped_sums`:
+    the lookup is ``sums[keys]``, and an absent key reads the 0 its slot
+    was never incremented from.
+    """
+    if uniq is None:
+        return sums[keys]
     if uniq.size == 0:
         return np.zeros(keys.shape[0], dtype=sums.dtype if sums.size else np.int64)
     pos = np.minimum(np.searchsorted(uniq, keys), uniq.shape[0] - 1)

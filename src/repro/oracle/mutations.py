@@ -49,12 +49,15 @@ def tree_count_float64():
     """Message-passing sums/products accumulate in float64 again (rounds
     past 2**53)."""
 
-    def group_sum(keys, weights):
+    def group_sum(keys, weights, span):
+        weights = (
+            np.ones(keys.shape[0]) if weights is None else weights.astype(np.float64)
+        )
         if keys.size == 0:
-            return keys, weights.astype(np.float64)
+            return keys, weights
         uniq, inverse = np.unique(keys, return_inverse=True)
         sums = np.zeros(uniq.shape[0])
-        np.add.at(sums, inverse, weights.astype(np.float64))
+        np.add.at(sums, inverse, weights)
         return uniq, sums
 
     def weight_product(a, b):
@@ -77,6 +80,9 @@ def lookup_missing_counts_one():
     """Join keys with no partner count as one match instead of zero."""
 
     def lookup(uniq, sums, keys):
+        if uniq is None:  # direct-address table: an absent key's slot is 0
+            found = sums[keys]
+            return np.where(found == 0, 1, found)
         if uniq.size == 0:
             return np.ones(keys.shape[0], dtype=np.int64)
         pos = np.clip(np.searchsorted(uniq, keys), 0, uniq.shape[0] - 1)

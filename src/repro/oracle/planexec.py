@@ -44,19 +44,15 @@ class PlanInterpreter:
     Intermediates are dicts ``table -> row-index array`` with all arrays
     aligned (position ``i`` across the arrays is one joined output row).
     ``max_rows`` bounds any intermediate so adversarial plans fail loudly.
-    Pass a shared ``key_index`` to amortize join-column sorts with other
-    engine components (the executor, the serving console).
+    The join-column sorts live in the interpreter's own key-index cache,
+    whose entries are keyed by table name, column and ``data_version`` --
+    valid for one database only.
     """
 
-    def __init__(
-        self,
-        db: Database,
-        max_rows: int = 2_000_000,
-        key_index: KeyIndexCache | None = None,
-    ) -> None:
+    def __init__(self, db: Database, max_rows: int = 2_000_000) -> None:
         self.db = db
         self.max_rows = max_rows
-        self.key_index = key_index if key_index is not None else KeyIndexCache()
+        self.key_index = KeyIndexCache()
 
     def count(self, plan: Plan) -> int:
         """Row count produced by executing the plan tree as written."""

@@ -30,9 +30,10 @@ __all__ = [
 
 def hash_once(self) -> int:
     """``__hash__`` of a frozen value dataclass: the field-tuple hash
-    ``@dataclass`` generates, memoized outside the fields.  Queries,
-    predicates and plan nodes key every memo and per-node dict, and the
-    generated hash walks the whole value on each lookup.  Opt in with
+    ``@dataclass`` generates, memoized outside the fields.  Queries (and
+    the joins and predicates in their field tuples) and plan nodes key
+    every memo and per-node dict, and the generated hash walks the whole
+    value on each lookup.  Opt in with
     ``__hash__ = hash_once`` in the class body (the decorator replaces an
     inherited one) beside ``__getstate__ = state_without_hash``.
     """
@@ -274,6 +275,9 @@ class Join:
     left: ColumnRef
     right: ColumnRef
 
+    __hash__ = hash_once
+    __getstate__ = state_without_hash
+
     def normalized(self) -> "Join":
         if self.left <= self.right:
             return self
@@ -391,8 +395,16 @@ class Query:
             cache = {}
             object.__setattr__(self, "_subqueries", cache)
         hit = cache.get(keep)
-        if hit is not None:
-            return hit
+        if hit is None:
+            hit = cache[keep] = self.restrict(keep)
+        return hit
+
+    def restrict(self, tables: Iterable[str]) -> "Query":
+        """:meth:`subquery` without the memo: a fresh restriction that
+        nothing on this query keeps alive.  Plan execution counts every node
+        of a served query once, so memoizing those would only leave them
+        behind for the life of the query."""
+        keep = frozenset(tables)
         missing = keep - set(self.tables)
         if missing:
             raise ValueError(f"subquery tables not in query: {sorted(missing)}")
@@ -409,7 +421,6 @@ class Query:
             ),
             predicates=tuple(p for p in self.predicates if p.column.table in keep),
         )
-        cache[keep] = sub
         return sub
 
     def connected_subqueries(self) -> list["Query"]:

@@ -6,11 +6,12 @@ plan_cardinalities``: :func:`reference_execute` is
 ``executor.cardinality(plan.node_subquery(node))`` per node, and two more
 per join for the children it had already counted), and
 :class:`ReferenceCardinalityExecutor` is the exact executor of that time --
-``data_version`` summed on every call, every base table's filter
-re-evaluated by every node that contains the table, ``np.ones`` unit
-weights multiplied through ``_weight_product``'s float shadow at every
-leaf, and the sort-based :func:`reference_grouped_sums` /
-``np.clip``-ed :func:`reference_lookup_sums`.  The one-pass executor must
+``data_version`` summed on every call, the memo keyed by the ``Query``
+itself, every base table's filter re-evaluated by every node that contains
+the table, ``np.ones`` unit weights multiplied through
+``_weight_product``'s float shadow at every leaf, and the sort-based
+:func:`reference_grouped_sums` / ``np.clip``-ed
+:func:`reference_lookup_sums`.  The one-pass executor must
 return equal ``node_cards`` and bit-equal ``node_costs`` / ``latency_ms``;
 ``tests/test_plan_execution.py`` asserts that and
 ``benchmarks/bench_p6_fastpath.py`` uses :func:`reference_execute` as the
@@ -78,7 +79,13 @@ def reference_lookup_sums(
     return np.where(hit, sums[pos], 0)
 
 
-_KEPT = {"_group_sum": reference_grouped_sums, "_lookup": reference_lookup_sums}
+#: The kept bodies under the live signatures; the reference passes
+#: explicit unit weights and no span, so it never builds a direct-address
+#: message, and an installed mutation sees the same sort-path call.
+_KEPT = {
+    "_group_sum": lambda keys, weights, span: reference_grouped_sums(keys, weights),
+    "_lookup": reference_lookup_sums,
+}
 _PRISTINE = {name: getattr(live, name) for name in _KEPT}
 
 
@@ -143,7 +150,7 @@ class ReferenceCardinalityExecutor(CardinalityExecutor):
             if parent is None:
                 continue
             keys = self.db.table(table).values(my_col)[rows[table]]
-            uniq, sums = group_sum(keys, weights[table])
+            uniq, sums = group_sum(keys, weights[table], None)
             parent_keys = self.db.table(parent).values(parent_col)[rows[parent]]
             weights[parent] = live._weight_product(
                 weights[parent], lookup(uniq, sums, parent_keys)

@@ -5,6 +5,7 @@ on randomly generated queries (property-based), including cyclic joins.
 """
 
 import copy
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -73,6 +74,14 @@ def brute_force_count(db, query):
 
     recurse(0, {})
     return count
+
+
+def memoized(executor, query) -> bool:
+    """Whether the executor's memo answers ``query``, seen through its front
+    door and counters (asking refreshes the entry, or fills it on a miss)."""
+    hits = executor.cache_stats()["hits"]
+    executor.cardinality(query)
+    return executor.cache_stats()["hits"] > hits
 
 
 @pytest.fixture(scope="module")
@@ -161,10 +170,12 @@ class TestExecutorCorrectness:
         ex = CardinalityExecutor(tiny_db)
         q = Query(("users",), (), (Predicate(ColumnRef("users", "age"), Op.LE, 2.0),))
         first = ex.cardinality(q)
+        assert memoized(ex, q)
+        # an equal query built afresh is the same entry
+        assert memoized(ex, Query(q.tables, q.joins, q.predicates))
         assert ex.cardinality(q) == first
-        assert q in ex._cache
         ex.clear_cache()
-        assert q not in ex._cache
+        assert not memoized(ex, q)
 
     def test_intermediate_guard(self, tiny_db):
         ex = CardinalityExecutor(tiny_db, max_intermediate_rows=1)
@@ -288,8 +299,8 @@ class TestExecutorMemoLRU:
         assert stats["entries"] == 2
         assert stats["evictions"] == 1
         # The oldest entry (bound 0.0) was evicted, the newest two remain.
-        assert self._query(0.0) not in ex._cache
-        assert self._query(2.0) in ex._cache
+        assert memoized(ex, self._query(2.0))
+        assert not memoized(ex, self._query(0.0))
 
     def test_lru_order_recency_not_insertion(self, tiny_db):
         ex = CardinalityExecutor(tiny_db, cache_capacity=2)
@@ -297,8 +308,8 @@ class TestExecutorMemoLRU:
         ex.cardinality(self._query(1.0))
         ex.cardinality(self._query(0.0))  # refresh 0.0
         ex.cardinality(self._query(2.0))  # must evict 1.0, not 0.0
-        assert self._query(0.0) in ex._cache
-        assert self._query(1.0) not in ex._cache
+        assert memoized(ex, self._query(0.0))
+        assert not memoized(ex, self._query(1.0))
 
     def test_hit_miss_counters(self, tiny_db):
         ex = CardinalityExecutor(tiny_db)
@@ -490,12 +501,13 @@ sys.stdout.buffer.write(pickle.dumps((objects, hashes)))
 
 
 class TestHashOnce:
-    """``Query``, ``Predicate``, ``ScanNode`` and ``JoinNode`` memoize their
-    hash; a ``str``-derived hash is per-process, so the memo must stay home."""
+    """``Query``, ``Join``, ``Predicate``, ``ScanNode`` and ``JoinNode``
+    memoize their hash; a ``str``-derived hash is per-process, so the memo
+    must stay home."""
 
     @staticmethod
     def _memoizing(plan):
-        return [plan.query, *plan.query.predicates, *plan.walk()]
+        return [plan.query, *plan.query.joins, *plan.query.predicates, *plan.walk()]
 
     def _plan(self, db):
         q = WorkloadGenerator(db, seed=21).workload(1, 3, 3, require_predicate=True)[0]
@@ -510,8 +522,28 @@ class TestHashOnce:
         assert hash(scan) == hash((scan.table, scan.method, scan.predicates))
         p = q.predicates[0]
         assert hash(p) == hash((p.column, p.op, p.value))
+        j = q.joins[0]
+        assert hash(j) == hash((j.left, j.right)) == j.__dict__["_hash"]
         assert q == Query(q.tables, q.joins, q.predicates)
         assert hash(q) == hash(Query(q.tables, q.joins, q.predicates))
+
+    def test_equal_values_hash_equal_and_replace_hashes_afresh(self, stats_db):
+        q = self._plan(stats_db).query
+        for value, changes in (
+            (q.predicates[0], {"value": 1e9}),
+            (q.joins[0], {"left": q.joins[0].right, "right": q.joins[0].left}),
+        ):
+            hash(value)
+            fields = [getattr(value, f) for f in value.__dataclass_fields__]
+            twin = type(value)(*fields)
+            assert twin == value and "_hash" not in twin.__dict__
+            assert hash(twin) == hash(value) and {value: 1}[twin] == 1
+            moved = dataclasses.replace(value, **changes)
+            assert "_hash" not in moved.__dict__ and moved != value
+            assert hash(moved) == hash(
+                tuple(getattr(moved, f) for f in moved.__dataclass_fields__)
+            )
+            assert hash(value) == hash(tuple(fields))  # the original kept its own
 
     def test_pickle_and_deepcopy_drop_only_the_hash(self, stats_db):
         plan = self._plan(stats_db)

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.executor import _group_sum, _lookup
 from repro.engine.kernels import (
-    _DENSE_SLOTS_FLOOR,
-    _DENSE_SLOTS_PER_KEY,
-    _dense_grouped_sums,
+    _DIRECT_SLOTS_FLOOR,
+    _DIRECT_SLOTS_PER_KEY,
     GroupIndex,
     KeyIndexCache,
     compile_predicates,
+    direct_span,
     expand_matches,
     grouped_sums,
     is_strictly_increasing,
@@ -25,7 +26,7 @@ from repro.engine.kernels import (
 )
 from repro.sql import ColumnRef, Op, OrPredicate, Predicate
 from repro.storage import Column, Table
-from tests.executor_reference import reference_grouped_sums
+from tests.executor_reference import reference_grouped_sums, reference_lookup_sums
 
 
 def naive_groups(keys):
@@ -110,7 +111,7 @@ class TestGroupedSums:
         rng = np.random.default_rng(3)
         keys = rng.integers(0, 6, size=200)
         weights = rng.integers(1, 50, size=200).astype(np.int64)
-        uniq, sums = grouped_sums(keys, weights)
+        uniq, sums = grouped_sums(keys, weights, None)
         expected = {}
         for k, w in zip(keys.tolist(), weights.tolist()):
             expected[k] = expected.get(k, 0) + w
@@ -120,19 +121,19 @@ class TestGroupedSums:
         # Two weights of 2**62 sum to 2**63: overflows int64, must promote.
         keys = np.array([1, 1])
         weights = np.array([2**62, 2**62], dtype=np.int64)
-        _, sums = grouped_sums(keys, weights)
+        _, sums = grouped_sums(keys, weights, None)
         assert sums.dtype == object
         assert sums.tolist() == [2**63]
 
     def test_object_weights_stay_exact(self):
         keys = np.array([0, 0, 1])
         weights = np.array([2**80, 1, 7], dtype=object)
-        _, sums = grouped_sums(keys, weights)
+        _, sums = grouped_sums(keys, weights, None)
         assert sums.tolist() == [2**80 + 1, 7]
 
     def test_empty(self):
         keys = np.zeros(0, dtype=np.int64)
-        uniq, sums = grouped_sums(keys, keys)
+        uniq, sums = grouped_sums(keys, keys, None)
         assert uniq.size == 0 and sums.size == 0
 
     def test_lookup_sums(self):
@@ -148,77 +149,124 @@ class TestGroupedSums:
         assert out.tolist() == [0, 0]
 
 
-def assert_same_groups(keys, weights, *, dense: bool | None = None):
-    """``grouped_sums`` (dense path where it applies) == the sort-only
-    reference, value for value and dtype for dtype."""
-    uniq, sums = grouped_sums(keys, weights)
-    ref_uniq, ref_sums = reference_grouped_sums(keys, weights)
-    assert uniq.dtype == ref_uniq.dtype and uniq.tolist() == ref_uniq.tolist()
-    assert sums.dtype == ref_sums.dtype and sums.tolist() == ref_sums.tolist()
-    if dense is not None and keys.size:
-        assert (_dense_grouped_sums(keys, weights) is not None) == dense
+def assert_same_message(keys, weights, parent_keys, *, slack=0, direct=None):
+    """One message as the executor sends it -- the span read off both join
+    columns' indexes (``slack`` widens it, as a full column's range covers
+    more than the filtered keys), then ``_lookup(*_group_sum(...))`` -- equals
+    the sort-only reference kernels with explicit unit weights, value for
+    value and dtype for dtype.  Returns whether the direct-address path ran.
+    """
+    span = direct_span(GroupIndex.from_keys(keys), GroupIndex.from_keys(parent_keys))
+    if span is not None:
+        span += slack
+    uniq, sums = _group_sum(keys, weights, span)
+    got = _lookup(uniq, sums, parent_keys)
+    unit = np.ones(keys.shape[0], dtype=np.int64)
+    want = reference_lookup_sums(
+        *reference_grouped_sums(keys, unit if weights is None else weights), parent_keys
+    )
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    if direct is not None:
+        assert (uniq is None) == direct
+    return uniq is None
+
+
+_WEIGHT_DTYPES = {"unit": None, "int64": np.int64, "object": object}
 
 
 class TestDenseGroupedSums:
+    """Direct-address messages: ``np.bincount`` over the key span, read back
+    by ``table[parent_keys]``, against the sort-only reference."""
+
     @given(
         st.data(),
-        st.sampled_from([np.int64, np.int32]),
-        st.sampled_from([3, 900, _DENSE_SLOTS_FLOOR + 8 * 40, 2**40]),
+        st.sampled_from([np.int64, np.int32, np.float64]),
+        st.sampled_from([0, -3]),
+        st.sampled_from([3, 900, _DIRECT_SLOTS_FLOOR + 8 * 40, 2**40]),
+        st.sampled_from(list(_WEIGHT_DTYPES)),
         st.sampled_from([1, 50, 2**40, 2**53, 2**62 - 1]),
+        st.sampled_from([0, 1, 100, _DIRECT_SLOTS_FLOOR]),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_dense_and_sort_paths_agree(self, data, key_dtype, key_max, weight_max):
-        key_max = min(key_max, np.iinfo(key_dtype).max)
+    @settings(max_examples=300, deadline=None)
+    def test_dense_and_sort_paths_agree(
+        self, data, key_dtype, key_min, key_max, weight_kind, weight_max, slack
+    ):
+        if key_dtype is np.int32:
+            key_max = min(key_max, np.iinfo(np.int32).max - 8)
         pairs = data.draw(
             st.lists(
-                st.tuples(st.integers(0, key_max), st.integers(0, weight_max)),
+                st.tuples(st.integers(key_min, key_max), st.integers(0, weight_max)),
                 max_size=40,
             )
         )
+        # parent keys reach past every child key, and may be absent entirely
+        parent = data.draw(st.lists(st.integers(key_min, key_max + 5), max_size=40))
         keys = np.array([k for k, _ in pairs], dtype=key_dtype)
-        weights = np.array([w for _, w in pairs], dtype=np.int64)
-        assert_same_groups(keys, weights)
+        dtype = _WEIGHT_DTYPES[weight_kind]
+        weights = None if dtype is None else np.array([w for _, w in pairs], dtype=dtype)
+        assert_same_message(keys, weights, np.array(parent, dtype=key_dtype), slack=slack)
 
-    def test_zero_weight_keys_are_still_groups(self):
+    def test_zero_sum_slot_reads_like_an_absent_key(self):
+        # a key whose rows all weigh 0 is a sort-path group; its direct slot
+        # is the same 0 an absent key reads
         keys = np.array([4, 2, 4, 7])
         weights = np.array([0, 0, 0, 3], dtype=np.int64)
-        assert_same_groups(keys, weights, dense=True)
-        assert grouped_sums(keys, weights)[0].tolist() == [2, 4, 7]
+        parent = np.array([2, 4, 7, 5, 0, 4])
+        assert assert_same_message(keys, weights, parent, direct=True)
+        assert _lookup(*_group_sum(keys, weights, 8), parent).tolist() == [0, 0, 3, 0, 0, 0]
 
     @pytest.mark.parametrize("n", [1, 7, 300])
     def test_density_cut(self, n):
-        cut = _DENSE_SLOTS_PER_KEY * n + _DENSE_SLOTS_FLOOR
+        cut = _DIRECT_SLOTS_PER_KEY * n + _DIRECT_SLOTS_FLOOR
         weights = np.arange(1, n + 1, dtype=np.int64)
         keys = np.arange(n, dtype=np.int64)
         keys[-1] = cut - 1  # span just under the cut
-        assert_same_groups(keys, weights, dense=True)
+        for w in (None, weights):
+            assert_same_message(keys, w, keys, direct=True)
+            assert_same_message(keys, w, keys, slack=1, direct=False)
         keys[-1] = cut  # just over
-        assert_same_groups(keys, weights, dense=False)
+        assert_same_message(keys, weights, keys, direct=False)
+        # a parent column's keys widen the span as much as the child's
+        small = np.arange(n, dtype=np.int64)
+        assert_same_message(small, weights, np.array([cut - 1]), direct=True)
+        assert_same_message(small, weights, np.array([cut]), direct=False)
 
     def test_exactness_cut_at_2_53(self):
         key = np.array([5])
-        assert_same_groups(key, np.array([2**53 - 1], dtype=np.int64), dense=True)
-        assert_same_groups(key, np.array([2**53], dtype=np.int64), dense=False)
+        assert_same_message(key, np.array([2**53 - 1], dtype=np.int64), key, direct=True)
+        assert_same_message(key, np.array([2**53], dtype=np.int64), key, direct=False)
         # the bound is n * max(w): conservative for a sum spread over rows
         keys = np.array([1, 1, 1, 2])
         for total in (2**53 - 1, 2**53):
             weights = np.array([total - 2, 1, 1, total], dtype=np.int64)
-            assert_same_groups(keys, weights, dense=False)
-            assert grouped_sums(keys, weights)[1].tolist() == [total, total]
+            assert_same_message(keys, weights, keys, direct=False)
+            assert _group_sum(keys, weights, 3)[1].tolist() == [total, total]
         small = np.array([(2**53 - 1) // 4] * 4, dtype=np.int64)
-        assert_same_groups(keys, small, dense=True)
+        assert_same_message(keys, small, keys, direct=True)
+        # unit weights never need the guard
+        assert_same_message(keys, None, keys, direct=True)
 
     def test_inputs_the_dense_path_declines(self):
         weights = np.array([3, 4, 5], dtype=np.int64)
-        assert_same_groups(np.array([2, -1, 2]), weights, dense=False)  # negative key
-        assert_same_groups(np.array([2.0, 1.0, 2.0]), weights, dense=False)  # float keys
-        assert_same_groups(
-            np.array([2, 1, 2]), np.array([2**70, 1, 1], dtype=object), dense=False
-        )
-        assert_same_groups(np.array([2, 1, 2]), np.array([3, -4, 5]), dense=False)
-        assert_same_groups(np.array([2, 1, 2]), weights.astype(np.int32), dense=False)
+        keys = np.array([2, 1, 2])
+        for child, parent in (
+            (np.array([2, -1, 2]), keys),  # negative child key
+            (keys, np.array([2, -1, 0])),  # negative parent key
+            (np.array([2.0, 1.0, 2.0]), keys.astype(np.float64)),  # float keys
+        ):
+            assert direct_span(GroupIndex.from_keys(child), GroupIndex.from_keys(parent)) is None
+            assert_same_message(child, weights, parent, direct=False)
+            assert_same_message(child, None, parent, direct=False)
+        assert_same_message(keys, np.array([2**70, 1, 1], dtype=object), keys, direct=False)
+        assert_same_message(keys, np.array([3, -4, 5]), keys, direct=False)
+        assert_same_message(keys, weights.astype(np.int32), keys, direct=False)
         empty = np.zeros(0, dtype=np.int64)
-        assert_same_groups(empty, empty)
+        # an empty side on either end: no table to build, or none to read
+        assert_same_message(empty, empty, keys, direct=False)
+        assert_same_message(empty, None, keys, direct=False)
+        assert_same_message(keys, weights, empty, direct=True)
+        assert_same_message(keys, None, empty, direct=True)
+        assert direct_span(GroupIndex.from_keys(empty), GroupIndex.from_keys(empty)) == 0
 
 
 class TestCompiledPredicates:

@@ -2,28 +2,38 @@
 
 ``ExecutionSimulator.execute`` counts every node of a plan in one
 ``CardinalityExecutor.plan_cardinalities`` pass (shared row sets, implicit
-unit weights, dense-key group sums); ``tests/executor_reference.py`` keeps
-the per-node loop and the sort-only kernels it replaced.  Counts must be
-equal and costs / latencies bit-equal -- on generated and hand-built
-stats-lite plans, across a data drift, past 2**53, and with each of the
-oracle's executor-layer mutations installed (both paths then produce the
-same *wrong* answer: the patch points are still what the executor
-dispatches through).
+unit weights, direct-address messages); ``tests/executor_reference.py``
+keeps the per-node loop and the sort-only kernels it replaced.  Counts
+must be equal and costs / latencies bit-equal -- on generated and
+hand-built stats-lite plans, across a data drift, past 2**53, and with
+each of the oracle's executor-layer mutations installed (both paths then
+produce the same *wrong* answer: the patch points are still what the
+executor dispatches through, on the direct-address path too).  Nothing a
+pass builds per node -- sub-queries, their memos -- outlives it.
 """
 
 from __future__ import annotations
 
+import enum
+import gc
+import types
+
+import numpy as np
 import pytest
 
-import repro.engine.kernels as kernels
+import repro.engine.executor as executor_mod
 from repro.bench import apply_drift
-from repro.engine import ExecutionSimulator
+from repro.engine import CardinalityExecutor, ExecutionSimulator
+from repro.engine.kernels import KeyIndexCache
 from repro.engine.plans import ScanMethod
 from repro.engine.simulator import SimulatorConfig
-from repro.optimizer import HintSet, Optimizer
+from repro.optimizer import HintSet, Optimizer, PlanCache
 from repro.oracle.fixtures import make_deep_chain
 from repro.oracle.mutations import apply_mutation
+from repro.oracle.planexec import PlanInterpreter
+from repro.oracle.reference import reference_count
 from repro.pilotscope import PilotScopeConsole, SimulatedPostgreSQL
+from repro.serve.runtime import ConsoleBackend
 from repro.sql import (
     ColumnRef,
     Join,
@@ -177,8 +187,6 @@ def test_one_pass_matches_reference_with_latency_noise(db, plans):
 
 
 def test_each_node_is_counted_once_and_filters_once_per_plan(db, plans, monkeypatch):
-    import repro.engine.executor as executor_mod
-
     plan = max(plans, key=lambda p: (p.query.n_tables, len(p.query.predicates)))
     simulator = ExecutionSimulator(db)
     asked, filtered = [], []
@@ -229,25 +237,44 @@ def test_memo_and_row_sets_drop_with_data_version():
     assert simulator.executor.cardinality(root) == reference.executor.cardinality(root)
 
 
+def spy_messages(monkeypatch) -> list[tuple]:
+    """Record every message the live executor sends: ``(keys, weights, span,
+    direct)``, ``direct`` being whether ``_group_sum`` built a
+    direct-address table.  Install it before a mutation, so that the
+    mutation's own patch of the module is restored over the spy."""
+    messages = []
+    group_sum = executor_mod._group_sum
+
+    def spy(keys, weights, span):
+        result = group_sum(keys, weights, span)
+        messages.append((keys, weights, span, result[0] is None))
+        return result
+
+    monkeypatch.setattr(executor_mod, "_group_sum", spy)
+    return messages
+
+
 def test_deep_chain_past_2_53_declines_the_dense_path(monkeypatch):
     # ten tables: the messages themselves, not just the root total, pass 2**53
     db, query, expected = make_deep_chain(10, seed=0)
     assert expected > 2**53
     plans = [Optimizer(db).plan(query, hints=arm) for arm in ARMS[:2]]
-    outcomes = []
-    dense = kernels._dense_grouped_sums
-
-    def spy(keys, weights):
-        result = dense(keys, weights)
-        outcomes.append(result)
-        return result
-
-    monkeypatch.setattr(kernels, "_dense_grouped_sums", spy)
-    counts = assert_paths_agree(db, plans)
-    assert counts == [expected] * len(plans)
-    taken = [r for r in outcomes if r is not None]
-    assert taken and len(taken) < len(outcomes), "expected both paths on the chain"
-    assert all(int(sums.max()) < 2**53 for _, sums in taken)
+    messages = spy_messages(monkeypatch)
+    assert [ExecutionSimulator(db).execute(p).cardinality for p in plans] == [
+        expected
+    ] * len(plans)
+    monkeypatch.undo()
+    assert {direct for *_, direct in messages} == {True, False}, "expected both paths"
+    for keys, weights, span, direct in messages:
+        assert span == 5  # keys 0..4 in every column: only the guard can decline
+        n = keys.shape[0]
+        guarded = weights is None or (
+            weights.dtype == np.int64
+            and int(weights.min()) >= 0
+            and n * int(weights.max()) < 2**53
+        )
+        assert direct == guarded
+    assert assert_paths_agree(db, plans) == [expected] * len(plans)
 
 
 @pytest.mark.parametrize("name", EXECUTOR_MUTATIONS)
@@ -259,11 +286,44 @@ def test_mutated_patch_points_move_both_paths_alike(db, plans, name):
     assert mutated != clean, f"{name} changed no count: it is not dispatched through"
 
 
+@pytest.mark.parametrize("name", EXECUTOR_MUTATIONS)
+def test_mutations_bite_on_direct_address_messages(db, plans, name, monkeypatch):
+    messages = spy_messages(monkeypatch)
+
+    def count(plan):
+        """Node counts from a cold executor, and whether every message of
+        the pass was a direct-address table (and there was one).  A message
+        from an empty child side has no table to build and counts as
+        either."""
+        del messages[:]
+        cards = CardinalityExecutor(db).plan_cardinalities(plan)
+        sent = [direct for keys, *_, direct in messages if keys.size]
+        return cards, bool(sent) and all(sent)
+
+    clean = {}
+    for plan in plans:
+        cards, all_direct = count(plan)
+        if all_direct:
+            clean[plan] = cards
+    assert len(clean) > len(plans) // 2
+    moved = 0
+    with apply_mutation(name):
+        for plan, cards in clean.items():
+            mutated, all_direct = count(plan)
+            assert all_direct or not any(keys.size for keys, *_ in messages)
+            moved += mutated != cards
+    assert moved, f"{name} changed no count on the direct-address path"
+
+
 def test_float64_mutation_moves_both_paths_alike():
     db, query, expected = make_deep_chain(8, seed=0)
     plans = [Optimizer(db).plan(query, hints=arm) for arm in ARMS[:2]]
     with apply_mutation("tree_count_float64"):
         mutated = assert_paths_agree(db, plans)
+        # implicit unit weights are float ones to the mutation
+        uniq, sums = executor_mod._group_sum(np.array([3, 1, 3]), None, 4)
+        assert uniq.tolist() == [1, 3]
+        assert sums.dtype == np.float64 and sums.tolist() == [1.0, 2.0]
     assert all(count != expected for count in mutated)
 
 
@@ -281,3 +341,110 @@ def test_console_renders_a_query_once(db, monkeypatch):
     monkeypatch.undo()
     assert console.query_log[-1].sql == query.to_sql()
     assert digest == query_hash(Query(query.tables, query.joins, query.predicates))
+
+
+# -- nothing per node outlives the pass ------------------------------------------
+
+
+def reachable(root) -> list:
+    """Every object reachable from ``root`` through containers and instance
+    dicts -- not through classes, functions, modules or enum members, which
+    lead to everything."""
+    skip = (type, types.ModuleType, types.FunctionType, enum.Enum)
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def hot_bindings(db, n_templates: int, bindings: int) -> list[list[Query]]:
+    """``bindings`` distinct literal bindings of each of ``n_templates``
+    templates, grouped by template (a template with few distinct literals
+    is passed over)."""
+    stream = WorkloadGenerator(db, seed=31).parameterized_workload(
+        n_templates + 4, bindings * 3, 2, 4, require_predicate=True
+    )
+    by_template: dict[str, list[Query]] = {}
+    for q in stream:
+        group = by_template.setdefault(q.template_key, [])
+        if q not in group:
+            group.append(q)
+    groups = [g[:bindings] for g in by_template.values() if len(g) >= bindings]
+    assert len(groups) >= n_templates
+    return groups[:n_templates]
+
+
+def test_a_plan_cache_hit_leaves_no_subquery_behind(db):
+    optimizer, cache = Optimizer(db), PlanCache()
+    simulator = ExecutionSimulator(db)
+    checked = 0
+    for first, second in hot_bindings(db, 6, 2):
+        optimizer.plan_cached(first, cache)
+        plan, hit = optimizer.plan_cached(second, cache)
+        assert hit and plan.query is second
+        simulator.execute(plan)
+        assert "_subqueries" not in second.__dict__
+        checked += plan.query.n_tables > 1
+    assert checked
+    found = reachable(simulator.executor._cache)
+    assert any(isinstance(o, Predicate) for o in found), "the walk missed the keys"
+    assert not any(isinstance(o, Query) for o in found)
+
+
+def _live_queries() -> int:
+    gc.collect()
+    return sum(isinstance(o, Query) for o in gc.get_objects())
+
+
+def test_serving_plan_cache_hits_keeps_only_the_served_queries(db):
+    backend = ConsoleBackend(
+        PilotScopeConsole(SimulatedPostgreSQL(db), plan_cache=PlanCache())
+    )
+    groups = hot_bindings(db, 8, 28)
+    for group in groups:  # one miss per template, then two warm hits
+        for query in group[:3]:
+            backend.serve(query)
+    pending = [q for group in groups for q in group[3:]]
+    assert len(pending) == 200
+    hits = backend.plan_cache.stats()["hits"]
+    served = []
+    before = _live_queries()
+    for q in pending:
+        # a fresh, memo-free copy per request, as a parser would hand over
+        served.append(Query(q.tables, q.joins, q.predicates))
+        backend.serve(served[-1])
+    assert backend.plan_cache.stats()["hits"] == hits + len(pending)
+    assert _live_queries() - before == len(served)
+
+
+# -- one key-index cache per database ----------------------------------------------
+
+
+def test_two_databases_each_count_from_their_own_key_index():
+    dbs = [make_stats_lite(scale=0.3, seed=0), make_stats_lite(scale=0.2, seed=1)]
+    engines = [
+        (db, CardinalityExecutor(db), PlanInterpreter(db), Optimizer(db)) for db in dbs
+    ]
+    workloads = [
+        [
+            q
+            for q in WorkloadGenerator(db, seed=5).workload(400, 3, 5)
+            if len(q.joins) >= q.n_tables  # cyclic: the key index builds each join
+        ][:30]
+        for db in dbs
+    ]
+    assert all(len(w) == 30 for w in workloads)
+    # interleaved, so a cache shared between the two would be asked about both
+    for pair in zip(*workloads):
+        for (db, executor, interpreter, optimizer), query in zip(engines, pair):
+            expected = reference_count(db, query)
+            assert executor.cardinality(query) == expected
+            assert interpreter.count(optimizer.plan(query)) == expected
+    for build in (CardinalityExecutor, PlanInterpreter):
+        with pytest.raises(TypeError, match="key_index"):
+            build(dbs[0], key_index=KeyIndexCache())
