@@ -3,44 +3,28 @@
 One entry per ``bench_*.py`` module: the E-series reproduces the paper's
 tables/figures (see EXPERIMENTS.md), the T-series is the taxonomy sweep,
 and the P-series benchmarks this repo's own performance layers (batching /
-caching, serving).  Every module has a top-level ``export(seed=0,
-profile=None) -> str`` -- the deterministic bytes ``python -m benchmarks
-<key>`` writes and CI diffs across two fresh processes -- and ``test_*``
-gates for pytest; T1, E1-E13 and P1 build both from a ``measure(seed)``
+caching, serving).  Every module has a top-level ``export(seed=0) -> str``
+-- the deterministic bytes ``python -m benchmarks <key>`` writes and CI
+diffs across two fresh processes -- and ``test_*`` gates for pytest; T1,
+E1-E13 and P1 build both from a ``measure(seed)``
 (:mod:`benchmarks.contract`).  The registry is plain data and importing
 this package imports nothing from ``repro``: it only puts ``src/`` on
 ``sys.path`` so pytest and the CLI work from a plain checkout; use
 :func:`load` to import one benchmark's module lazily.
 
-Profiles are selected in one place: ``BENCH_PROFILE=quick|full`` (default
-``quick``; P2-P10 have both, the rest one size), read through
-:func:`profile`.
+Every bench has one size: an export is a function of its key and seed
+alone.  A bigger run is more seeds (``--seed``), not a bigger size.
 """
 
 from __future__ import annotations
 
 import importlib
-import os
 import sys
 from pathlib import Path
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
-
-#: the profile every bench runs at unless a caller names one
-PROFILE = os.environ.get("BENCH_PROFILE", "quick")
-
-
-def profile(profiles: dict, name: str | None = None):
-    """``profiles[name]``, defaulting to ``BENCH_PROFILE``; names the valid ones."""
-    name = name or PROFILE
-    if name not in profiles:
-        raise ValueError(
-            f"unknown bench profile {name!r} (BENCH_PROFILE / --profile); "
-            f"valid: {sorted(profiles)}"
-        )
-    return profiles[name]
 
 
 #: registry key -> (module name, one-line description)

@@ -18,10 +18,8 @@ Three properties are measured and gated:
 3. **Determinism**: two fresh same-seed fleets export byte-identical
    merged telemetry and identical schema fingerprints.
 
-Profiles: ``quick`` (CI smoke: 8 schemas, 6-source/2-target split) or
-``full`` (12 schemas, 9/3).  Gates: ``python -m pytest`` on this file
-(``BENCH_PROFILE=full`` for the larger profile); deterministic export:
-``python -m benchmarks p10 --export out.json``.
+Gates (8 schemas, 6-source/2-target split): ``python -m pytest`` on this
+file; deterministic export: ``python -m benchmarks p10 --export out.json``.
 """
 
 import json
@@ -29,8 +27,6 @@ import json
 import numpy as np
 from scipy.stats import spearmanr
 
-import benchmarks
-from benchmarks import PROFILE
 from repro.bench import render_table
 from repro.costmodel import PlanFeaturizer, ZeroShotCostModel
 from repro.engine import ExecutionSimulator
@@ -39,27 +35,15 @@ from repro.optimizer import HintSet, Optimizer
 from repro.sql import WorkloadGenerator
 from repro.storage import SchemaGenConfig, schema_family
 
-_PROFILES = {
-    "quick": {
-        "n_schemas": 8,
-        "n_sources": 6,
-        "n_queries": 30,
-        "fleet_schemas": 8,
-        "fleet_queries": 36,
-    },
-    "full": {
-        "n_schemas": 12,
-        "n_sources": 9,
-        "n_queries": 40,
-        "fleet_schemas": 10,
-        "fleet_queries": 48,
-    },
-}
+#: the transfer split: schemas generated, of which the first are sources
+N_SCHEMAS, N_SOURCES = 8, 6
+#: gates 2 and 3: the fleet's schemas and queries per tenant
+FLEET_SCHEMAS, FLEET_QUERIES = 8, 36
 #: gate 1a: random-baseline geomean q-error must exceed zero-shot's by this factor
 _MIN_RANDOM_ADVANTAGE = 2.0
 #: gate 1b: zero-shot geomean q-error within this factor of the ceiling's
 _MAX_CEILING_GAP = 3.0
-#: the transfer corpus' schema shape (shared by every profile)
+#: the transfer corpus' schema shape
 _TRANSFER_CONFIG = SchemaGenConfig(
     n_tables=(4, 7), rows=(200, 1000), attr_cols=(1, 2)
 )
@@ -93,7 +77,7 @@ def _geomean(values) -> float:
     return float(np.exp(np.mean(np.log(np.asarray(list(values), dtype=float)))))
 
 
-def transfer_pass(seed: int = 0, profile: str | None = None) -> dict:
+def transfer_pass(seed: int = 0) -> dict:
     """Gate 1: zero-shot q-error on held-out schemas vs random/ceiling.
 
     Protocol: generate one schema family, split it into source and
@@ -106,11 +90,10 @@ def transfer_pass(seed: int = 0, profile: str | None = None) -> dict:
     baseline -- predicting a random other plan's latency -- is reported
     as an ungated reference).
     """
-    p = benchmarks.profile(_PROFILES, profile)
-    dbs = schema_family(p["n_schemas"], seed=seed, config=_TRANSFER_CONFIG)
-    corpora = [_corpus(db, p["n_queries"], seed=seed + 5) for db in dbs]
-    sources = corpora[: p["n_sources"]]
-    targets = corpora[p["n_sources"] :]
+    dbs = schema_family(N_SCHEMAS, seed=seed, config=_TRANSFER_CONFIG)
+    corpora = [_corpus(db, 30, seed=seed + 5) for db in dbs]
+    sources = corpora[:N_SOURCES]
+    targets = corpora[N_SOURCES:]
 
     model = ZeroShotCostModel(epochs=80, seed=seed)
     model.fit([(f, list(plans), lats) for f, plans, lats in sources])
@@ -151,8 +134,8 @@ def transfer_pass(seed: int = 0, profile: str | None = None) -> dict:
     rand = _geomean(t["random_qerror"] for t in per_target)
     ceil = _geomean(t["ceiling_qerror"] for t in per_target)
     return {
-        "n_schemas": p["n_schemas"],
-        "n_sources": p["n_sources"],
+        "n_schemas": N_SCHEMAS,
+        "n_sources": N_SOURCES,
         "n_targets": len(targets),
         "targets": per_target,
         "zeroshot_geomean": round(zs, 4),
@@ -191,19 +174,18 @@ def _fleet_summary(fleet) -> dict:
     }
 
 
-def fleet_pass(seed: int = 0, profile: str | None = None) -> dict:
+def fleet_pass(seed: int = 0) -> dict:
     """Gate 2: concurrent drift recovery across the schema fleet.
 
     Two arms over identical schemas, streams and drift: ``closed`` (the
     full trigger/retrain/gate/deploy loop per schema) and ``frozen`` (no
     triggers -- the model that was live at t=0 stays live)."""
-    p = benchmarks.profile(_PROFILES, profile)
     out = {}
     for label, closed in (("closed", True), ("frozen", False)):
         fleet = transfer_fleet_scenario(
-            n_schemas=p["fleet_schemas"],
+            n_schemas=FLEET_SCHEMAS,
             seed=seed,
-            queries_per_tenant=p["fleet_queries"],
+            queries_per_tenant=FLEET_QUERIES,
             closed_loop=closed,
         )
         fleet.run()
@@ -216,15 +198,12 @@ def fleet_pass(seed: int = 0, profile: str | None = None) -> dict:
     return out
 
 
-def determinism_pass(seed: int = 0, profile: str | None = None) -> dict:
+def determinism_pass(seed: int = 0) -> dict:
     """Gate 3: two fresh same-seed fleets export identical bytes."""
-    p = benchmarks.profile(_PROFILES, profile)
     exports, fingerprints = [], []
     for _ in range(2):
         fleet = transfer_fleet_scenario(
-            n_schemas=p["fleet_schemas"],
-            seed=seed,
-            queries_per_tenant=p["fleet_queries"],
+            n_schemas=FLEET_SCHEMAS, seed=seed, queries_per_tenant=FLEET_QUERIES
         )
         fleet.run()
         exports.append(fleet.export_json(include_traces=True))
@@ -238,14 +217,13 @@ def determinism_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def export(seed: int = 0, profile: str | None = None) -> str:
+def export(seed: int = 0) -> str:
     """The full deterministic report: all three gates, one JSON blob."""
     payload = {
-        "profile": profile or PROFILE,
         "seed": seed,
-        "transfer": transfer_pass(seed=seed, profile=profile),
-        "fleet": fleet_pass(seed=seed, profile=profile),
-        "determinism": determinism_pass(seed=seed, profile=profile),
+        "transfer": transfer_pass(seed=seed),
+        "fleet": fleet_pass(seed=seed),
+        "determinism": determinism_pass(seed=seed),
     }
     return json.dumps(payload, sort_keys=True, indent=1)
 
@@ -301,7 +279,7 @@ def _fleet_table(out: dict, title: str) -> str:
 
 def test_p10_zero_shot_transfer_beats_random_within_ceiling():
     out = transfer_pass(seed=0)
-    print(_transfer_table(out, f"P10: zero-shot transfer ({PROFILE})"))
+    print(_transfer_table(out, "P10: zero-shot transfer"))
     assert out["n_targets"] >= 2
     assert out["random_advantage"] >= _MIN_RANDOM_ADVANTAGE, (
         f"zero-shot only {out['random_advantage']}x better than random "
@@ -315,7 +293,7 @@ def test_p10_zero_shot_transfer_beats_random_within_ceiling():
 
 def test_p10_fleet_drift_recovery():
     out = fleet_pass(seed=0)
-    print(_fleet_table(out, f"P10: fleet drift recovery ({PROFILE})"))
+    print(_fleet_table(out, "P10: fleet drift recovery"))
     closed, frozen = out["closed"], out["frozen"]
     assert closed["n_schemas"] >= 8
     assert closed["served"] == closed["n_requests"], "closed fleet dropped requests"

@@ -15,13 +15,10 @@ Three serving properties are measured and gated:
 3. **Lifecycle under fire**: the injected-regression scenario must end
    rolled back, with the rollback visible as a telemetry event.
 
-Profiles: ``quick`` (CI smoke, well under 60 s) or ``full`` (larger database
-and workload for stable shapes).  Gates: ``python -m pytest`` on this file
-(``BENCH_PROFILE=full`` for the larger profile); deterministic export:
-``python -m benchmarks p2 --export out.json``.
+Gates (well under 60 s): ``python -m pytest`` on this file; deterministic
+export: ``python -m benchmarks p2 --export out.json``.
 """
 
-import benchmarks
 from repro.bench import render_stats, render_table
 from repro.serve import (
     RuntimeConfig,
@@ -29,29 +26,23 @@ from repro.serve import (
     steady_state_scenario,
 )
 
-_PROFILES = {
-    "quick": {"scale": 0.3, "n_queries": 160},
-    "full": {"scale": 0.5, "n_queries": 400},
-}
-_P = benchmarks.profile(_PROFILES)
-SCALE, N_QUERIES = _P["scale"], _P["n_queries"]
+SCALE, N_QUERIES = 0.3, 160
 N_SESSIONS = 8
 
 
-def _steady(seed: int = 0, profile: str | None = None):
-    p = benchmarks.profile(_PROFILES, profile)
+def _steady(seed: int = 0):
     return steady_state_scenario(
-        scale=p["scale"],
+        scale=SCALE,
         seed=seed,
-        n_queries=p["n_queries"],
+        n_queries=N_QUERIES,
         n_sessions=N_SESSIONS,
         config=RuntimeConfig(timeout_ms=None, queue_capacity=None),
     )
 
 
-def export(seed: int = 0, profile: str | None = None) -> str:
+def export(seed: int = 0) -> str:
     """The deterministic telemetry export CI diffs across two processes."""
-    scenario = _steady(seed, profile)
+    scenario = _steady(seed)
     scenario.run()
     return scenario.deployment.telemetry.to_json()
 

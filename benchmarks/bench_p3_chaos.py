@@ -16,35 +16,23 @@ Three resilience properties are measured and gated:
    telemetry exports.  Faults, breaker transitions and fallbacks are part
    of the reproducible record, not noise.
 
-Profiles: ``quick`` (CI smoke) or ``full``.  Gates: ``python -m pytest`` on
-this file (``BENCH_PROFILE=full`` for the larger profile); deterministic
-export: ``python -m benchmarks p3 --export out.json``.
+Gates: ``python -m pytest`` on this file; deterministic export:
+``python -m benchmarks p3 --export out.json``.
 """
 
-import benchmarks
-from benchmarks import PROFILE
 from repro.bench import render_stats, render_table
 from repro.serve import bound_guard_scenario, chaos_scenario
 
-_PROFILES = {
-    "quick": {"scale": 0.3, "n_queries": 160, "n_sessions": 8},
-    "full": {"scale": 0.5, "n_queries": 400, "n_sessions": 8},
-}
+SCALE, N_QUERIES = 0.3, 160
 
 
-def _chaos(seed: int = 0, profile: str | None = None):
-    p = benchmarks.profile(_PROFILES, profile)
-    return chaos_scenario(
-        scale=p["scale"],
-        seed=seed,
-        n_queries=p["n_queries"],
-        n_sessions=p["n_sessions"],
-    )
+def _chaos(seed: int = 0):
+    return chaos_scenario(scale=SCALE, seed=seed, n_queries=N_QUERIES, n_sessions=8)
 
 
-def export(seed: int = 0, profile: str | None = None) -> str:
+def export(seed: int = 0) -> str:
     """The deterministic telemetry export CI diffs across two processes."""
-    scenario = _chaos(seed, profile)
+    scenario = _chaos(seed)
     scenario.run()
     return scenario.deployment.telemetry.to_json()
 
@@ -70,8 +58,7 @@ def test_p3_chaos_workload_completes():
     lat = snap["histograms"]["latency_ms"]
     print(
         render_table(
-            f"P3: chaos serving ({PROFILE}), "
-            f"{report.n_requests} requests",
+            f"P3: chaos serving, {report.n_requests} requests",
             ["served", "faults", "learned_failures", "degraded",
              "breaker_trips", "p50_ms", "p99_ms"],
             [(
@@ -117,10 +104,7 @@ def test_p3_fault_counters_reach_telemetry():
 def test_p3_bound_guard_absorbs_fault_storm():
     """The bound-guard rung of the ladder under its own fault storm:
     every query answered, every certificate crossing routed to fallback."""
-    p = benchmarks.profile(_PROFILES)
-    scenario = bound_guard_scenario(
-        scale=p["scale"], seed=0, n_queries=min(p["n_queries"], 160)
-    )
+    scenario = bound_guard_scenario(scale=SCALE, seed=0, n_queries=N_QUERIES)
     report = scenario.run()
     assert report.n_served == report.n_requests, "guarded run shed queries"
     stats = scenario.bound_guard.stats()

@@ -17,33 +17,23 @@ Three lifecycle properties are measured and gated:
    registry *and* telemetry JSON exports.  Retraining is part of the
    reproducible record.
 
-Profiles: ``quick`` (CI smoke) or ``full``.  Gates: ``python -m pytest`` on
-this file (``BENCH_PROFILE=full`` for the larger profile); deterministic
-export (closed-loop arm, registry + telemetry):
-``python -m benchmarks p4 --export out.json``.
+Gates: ``python -m pytest`` on this file; deterministic export (closed-loop
+arm, registry + telemetry): ``python -m benchmarks p4 --export out.json``.
 """
 
 import json
 
-import benchmarks
-from benchmarks import PROFILE
 from repro.bench import render_stats, render_table
 from repro.lifecycle import drift_recovery_scenario, lifecycle_stats
 
-_PROFILES = {
-    "quick": {"scale": 0.2, "n_queries": 160, "n_train": 80, "n_holdout": 24},
-    "full": {"scale": 0.35, "n_queries": 320, "n_train": 140, "n_holdout": 40},
-}
 
-
-def _scenario(seed: int = 0, profile: str | None = None, **overrides):
-    p = benchmarks.profile(_PROFILES, profile)
+def _scenario(seed: int = 0, **overrides):
     kwargs = dict(
-        scale=p["scale"],
+        scale=0.2,
         seed=seed,
-        n_queries=p["n_queries"],
-        n_train=p["n_train"],
-        n_holdout=p["n_holdout"],
+        n_queries=160,
+        n_train=80,
+        n_holdout=24,
         drift_check_every=15,
         cooldown_queries=30,
     )
@@ -51,9 +41,9 @@ def _scenario(seed: int = 0, profile: str | None = None, **overrides):
     return drift_recovery_scenario(**kwargs)
 
 
-def export(seed: int = 0, profile: str | None = None) -> str:
+def export(seed: int = 0) -> str:
     """The deterministic artifact CI diffs: registry + telemetry, sorted."""
-    scenario = _scenario(seed, profile)
+    scenario = _scenario(seed)
     scenario.run()
     return json.dumps(
         {
@@ -96,7 +86,7 @@ def test_p4_drift_recovery_beats_frozen_baseline():
     )
     print(
         render_table(
-            f"P4: drift recovery ({PROFILE})",
+            "P4: drift recovery",
             ["arm", "holdout_qerror_p90", "p50_ms", "retrains", "versions"],
             [
                 ("closed_loop", round(closed_q, 2), _served_p50(closed),

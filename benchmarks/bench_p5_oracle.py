@@ -17,15 +17,12 @@ Three properties are measured and gated:
 3. **Determinism**: two same-seed oracle passes must export byte-identical
    reports (and the audited serving run byte-identical telemetry).
 
-Profiles: ``quick`` (CI smoke) or ``full``.  Gates: ``python -m pytest`` on
-this file (``BENCH_PROFILE=full`` for the larger profile); deterministic
-export: ``python -m benchmarks p5 --export out.json``.
+Gates: ``python -m pytest`` on this file; deterministic export:
+``python -m benchmarks p5 --export out.json``.
 """
 
 import numpy as np
 
-import benchmarks
-from benchmarks import PROFILE
 from repro.bench import render_table
 from repro.cardest.bounds import MCVJoinBoundEstimator
 from repro.cardest.querydriven import LinearQueryEstimator
@@ -46,22 +43,7 @@ from repro.serve.scenarios import steady_state_scenario
 from repro.sql import WorkloadGenerator
 from repro.storage.datasets import make_stats_lite
 
-_PROFILES = {
-    "quick": {
-        "scale": 0.2,
-        "n_queries": 8,
-        "chain_tables": 8,
-        "serve_queries": 32,
-        "audit_every": 8,
-    },
-    "full": {
-        "scale": 0.3,
-        "n_queries": 20,
-        "chain_tables": 10,
-        "serve_queries": 96,
-        "audit_every": 8,
-    },
-}
+SCALE = 0.2
 
 
 def _workload(db, seed: int, n: int):
@@ -69,11 +51,10 @@ def _workload(db, seed: int, n: int):
     return gen.workload(n, 1, 3, require_predicate=True)
 
 
-def oracle_pass(seed: int = 0, profile: str | None = None) -> OracleReport:
+def oracle_pass(seed: int = 0) -> OracleReport:
     """One full oracle pass; all layers merged into a single report."""
-    p = benchmarks.profile(_PROFILES, profile)
-    db = make_stats_lite(scale=p["scale"], seed=seed)
-    queries = _workload(db, seed + 17, p["n_queries"])
+    db = make_stats_lite(scale=SCALE, seed=seed)
+    queries = _workload(db, seed + 17, 8)
     report = OracleReport()
 
     # Layer 1: every enumerated plan shape vs the exact count.
@@ -121,7 +102,7 @@ def oracle_pass(seed: int = 0, profile: str | None = None) -> OracleReport:
 
     # Layer 4a: deep-chain differential -- executor vs independent
     # reference vs the closed-form count (past float64 exactness).
-    chain_db, chain_q, expected = make_deep_chain(p["chain_tables"], seed=seed)
+    chain_db, chain_q, expected = make_deep_chain(8, seed=seed)
     got = CardinalityExecutor(chain_db).cardinality(chain_q)
     if got != expected:
         report.extend(
@@ -160,11 +141,7 @@ def oracle_pass(seed: int = 0, profile: str | None = None) -> OracleReport:
 
     # Layer 4b: sampled online audit of a live serving run.
     scenario = steady_state_scenario(
-        scale=p["scale"],
-        seed=seed,
-        n_queries=p["serve_queries"],
-        n_sessions=4,
-        audit_every=p["audit_every"],
+        scale=SCALE, seed=seed, n_queries=32, n_sessions=4, audit_every=8
     )
     scenario.run()
     report.merge(scenario.auditor.report)
@@ -172,9 +149,9 @@ def oracle_pass(seed: int = 0, profile: str | None = None) -> OracleReport:
     return report
 
 
-def export(seed: int = 0, profile: str | None = None) -> str:
+def export(seed: int = 0) -> str:
     """The deterministic oracle report CI diffs across two processes."""
-    return oracle_pass(seed, profile).to_json()
+    return oracle_pass(seed).to_json()
 
 
 def test_p5_clean_run_zero_violations():
@@ -190,7 +167,7 @@ def test_p5_clean_run_zero_violations():
     by_layer = report.by_layer()
     print(
         render_table(
-            f"P5: clean oracle pass ({PROFILE})",
+            "P5: clean oracle pass",
             ["layer", "checks", "violations"],
             [
                 (layer, count, by_layer.get(layer, 0))

@@ -49,9 +49,8 @@ Nine properties are measured and gated:
    exceeds 2**53 (where float64 silently rounds), and two same-seed
    cache-enabled serving runs must export byte-identical telemetry.
 
-Profiles: ``quick`` (CI smoke) or ``full``.  Gates: ``python -m pytest`` on
-this file (``BENCH_PROFILE=full`` for the larger profile); deterministic
-export (counts, cache stats, telemetry -- no timings):
+Gates: ``python -m pytest`` on this file; deterministic export (counts,
+cache stats, telemetry -- no timings):
 ``python -m benchmarks p6 --export out.json``.
 """
 
@@ -61,8 +60,6 @@ from collections import defaultdict
 
 import numpy as np
 
-import benchmarks
-from benchmarks import PROFILE
 from repro.bench import render_stats, render_table
 from repro.costmodel import PlanFeaturizer
 from repro.costmodel.features import plan_to_tree_arrays
@@ -84,38 +81,11 @@ from tests.planner_reference import reference_plan_arms
 from tests.statistics_reference import ReferenceTraditionalEstimator
 from tests.treeconv_reference import ReferenceTreeConvNet
 
-_PROFILES = {
-    "quick": {
-        "scale": 0.3,
-        "exec_queries": 10,
-        "interp_queries": 6,
-        "chain_tables": 8,
-        "fit_queries": 50,
-        "fit_epochs": 30,
-        "sweep_queries": 100,
-        "gbdt_rows": 350,
-        "exec_templates": 16,
-        "exec_adhoc": 60,
-        "n_templates": 8,
-        "bindings_per_template": 10,
-        "n_sessions": 4,
-    },
-    "full": {
-        "scale": 0.5,
-        "exec_queries": 24,
-        "interp_queries": 12,
-        "chain_tables": 10,
-        "fit_queries": 200,
-        "fit_epochs": 30,
-        "sweep_queries": 600,
-        "gbdt_rows": 1400,
-        "exec_templates": 64,
-        "exec_adhoc": 240,
-        "n_templates": 12,
-        "bindings_per_template": 12,
-        "n_sessions": 8,
-    },
-}
+SCALE = 0.3
+EXEC_QUERIES = 10
+CHAIN_TABLES = 8
+FIT_EPOCHS = 30
+SWEEP_QUERIES = 100
 SPEEDUP_GATE = 10.0
 FIT_SPEEDUP_GATE = 1.5
 SWEEP_SPEEDUP_GATE = 3.0
@@ -194,11 +164,10 @@ def interpreted_plan_count(db, plan) -> int:
 # -- measured passes --------------------------------------------------------------
 
 
-def executor_pass(seed: int = 0, profile: str | None = None) -> dict:
+def executor_pass(seed: int = 0) -> dict:
     """Vectorized executor vs the pure-Python reference, same workload."""
-    p = benchmarks.profile(_PROFILES, profile)
-    db = make_stats_lite(scale=p["scale"], seed=seed)
-    queries = _workload(db, seed + 17, p["exec_queries"])
+    db = make_stats_lite(scale=SCALE, seed=seed)
+    queries = _workload(db, seed + 17, EXEC_QUERIES)
 
     t0 = time.perf_counter()
     baseline = [reference_count(db, q) for q in queries]
@@ -219,11 +188,10 @@ def executor_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def interpreter_pass(seed: int = 0, profile: str | None = None) -> dict:
+def interpreter_pass(seed: int = 0) -> dict:
     """Vectorized plan interpreter vs the row-at-a-time walker, same plans."""
-    p = benchmarks.profile(_PROFILES, profile)
-    db = make_stats_lite(scale=p["scale"], seed=seed)
-    queries = _workload(db, seed + 29, p["interp_queries"])
+    db = make_stats_lite(scale=SCALE, seed=seed)
+    queries = _workload(db, seed + 29, 6)
     optimizer = Optimizer(db)
     plans = [optimizer.plan(q) for q in queries]
 
@@ -246,19 +214,18 @@ def interpreter_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def treeconv_fit_pass(seed: int = 0, profile: str | None = None) -> dict:
+def treeconv_fit_pass(seed: int = 0) -> dict:
     """Corpus training kernel vs the loop kernel it replaced, same trees.
 
     The trees are what Bao's risk model sees: three arms' plans per query,
     featurized; the nets are its ensemble member's shape.  Best of three
     fits each, interleaved, so a slow moment on the box hits both sides.
     """
-    p = benchmarks.profile(_PROFILES, profile)
-    db = make_stats_lite(scale=p["scale"], seed=seed)
+    db = make_stats_lite(scale=SCALE, seed=seed)
     optimizer = Optimizer(db)
     featurizer = PlanFeaturizer(db, optimizer.estimator)
     queries = WorkloadGenerator(db, seed=seed + 41).workload(
-        p["fit_queries"], 2, 4, require_predicate=True
+        50, 2, 4, require_predicate=True
     )
     trees = [
         plan_to_tree_arrays(optimizer.plan(q, hints=arm), featurizer)
@@ -272,7 +239,7 @@ def treeconv_fit_pass(seed: int = 0, profile: str | None = None) -> dict:
             featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed
         )
         t0 = time.perf_counter()
-        net.fit(trees, y, epochs=p["fit_epochs"], seed=seed)
+        net.fit(trees, y, epochs=FIT_EPOCHS, seed=seed)
         return time.perf_counter() - t0, net
 
     t_base = t_vec = float("inf")
@@ -284,7 +251,7 @@ def treeconv_fit_pass(seed: int = 0, profile: str | None = None) -> dict:
 
     return {
         "n_trees": len(trees),
-        "n_steps": p["fit_epochs"] * ((len(trees) + 31) // 32),  # batch_size 32
+        "n_steps": FIT_EPOCHS * ((len(trees) + 31) // 32),  # batch_size 32
         "parameters_equal": all(
             np.array_equal(a, b)
             for a, b in zip(baseline.parameters(), net.parameters())
@@ -298,19 +265,18 @@ def treeconv_fit_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def arm_sweep_pass(seed: int = 0, profile: str | None = None) -> dict:
+def arm_sweep_pass(seed: int = 0) -> dict:
     """One sweep per query vs one DP per arm, Bao's 12 arms, same coster.
 
     Best of three passes each, interleaved; the shared cardinality cache
     is warm for both sides after the first pass, so what is timed is
     enumeration, not estimation.
     """
-    p = benchmarks.profile(_PROFILES, profile)
-    db = make_stats_lite(scale=p["scale"], seed=seed)
+    db = make_stats_lite(scale=SCALE, seed=seed)
     optimizer = Optimizer(db)
     arms = HintSet.bao_arms()
     queries = WorkloadGenerator(db, seed=seed + 53).workload(
-        p["sweep_queries"], 2, 6, require_predicate=True
+        SWEEP_QUERIES, 2, 6, require_predicate=True
     )
 
     t_base = t_sweep = float("inf")
@@ -333,7 +299,7 @@ def arm_sweep_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def gbdt_kernel_pass(seed: int = 0, profile: str | None = None) -> dict:
+def gbdt_kernel_pass(seed: int = 0) -> dict:
     """Array GBDT kernel vs the object-graph model it replaced, same matrix.
 
     The matrix has the shape ``FlatQueryFeaturizer`` gives the drift
@@ -343,9 +309,8 @@ def gbdt_kernel_pass(seed: int = 0, profile: str | None = None) -> dict:
     Best of three each, interleaved; the one-row figure is per call over
     200 calls.
     """
-    p = benchmarks.profile(_PROFILES, profile)
     rng = np.random.default_rng(seed)
-    n = p["gbdt_rows"]
+    n = 350
     x = np.zeros((n + 400, 90))
     x[:, 28:78] = rng.random((n + 400, 50)) < rng.uniform(0.03, 0.5, 50)
     x[:, 78:] = (rng.random((n + 400, 12)) < 0.5) * rng.random((n + 400, 12))
@@ -393,7 +358,7 @@ def gbdt_kernel_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def plan_execution_pass(seed: int = 0, profile: str | None = None) -> dict:
+def plan_execution_pass(seed: int = 0) -> dict:
     """One pass per plan vs the per-node loop, same plan stream.
 
     The stream has the shape of ``perf/``'s ``native_prepared_mix``: hot
@@ -402,12 +367,11 @@ def plan_execution_pass(seed: int = 0, profile: str | None = None) -> dict:
     ``execute`` on a fresh simulator (cold memo, as each serving round
     starts) -- best of three each, interleaved.
     """
-    p = benchmarks.profile(_PROFILES, profile)
-    db = make_stats_lite(scale=p["scale"], seed=seed)
+    db = make_stats_lite(scale=SCALE, seed=seed)
     queries = WorkloadGenerator(db, seed=seed + 61).parameterized_workload(
-        p["exec_templates"], 15, 2, 4, require_predicate=True
+        16, 15, 2, 4, require_predicate=True
     ) + WorkloadGenerator(db, seed=seed + 62).workload(
-        p["exec_adhoc"], 2, 4, require_predicate=True
+        60, 2, 4, require_predicate=True
     )
     order = np.random.default_rng(seed + 63).permutation(len(queries))
     optimizer, cache = Optimizer(db), PlanCache(256)
@@ -444,7 +408,7 @@ def plan_execution_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def planning_pass(seed: int = 0, profile: str | None = None) -> dict:
+def planning_pass(seed: int = 0) -> dict:
     """The DP's estimate batches: ``estimate_batch`` vs the scalar loop.
 
     Each batch is what one plan-cache miss hands the native estimator --
@@ -454,12 +418,11 @@ def planning_pass(seed: int = 0, profile: str | None = None) -> dict:
     statistics; texts and hashes are warm on both sides.  Best of three
     each, interleaved.
     """
-    p = benchmarks.profile(_PROFILES, profile)
-    db = make_stats_lite(scale=p["scale"], seed=seed)
+    db = make_stats_lite(scale=SCALE, seed=seed)
     estimator = TraditionalCardinalityEstimator(db)
     reference = ReferenceTraditionalEstimator(db, estimator.stats)
     queries = WorkloadGenerator(db, seed=seed + 71).workload(
-        p["sweep_queries"], 2, 5, require_predicate=True
+        SWEEP_QUERIES, 2, 5, require_predicate=True
     )
     batches = [q.connected_subqueries() for q in queries]
 
@@ -485,28 +448,26 @@ def planning_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def serving_pass(seed: int = 0, profile: str | None = None):
+def serving_pass(seed: int = 0):
     """One cache-enabled parameterized serving run; returns the scenario."""
-    p = benchmarks.profile(_PROFILES, profile)
     scenario = parameterized_scenario(
-        scale=p["scale"],
+        scale=SCALE,
         seed=seed,
-        n_templates=p["n_templates"],
-        bindings_per_template=p["bindings_per_template"],
-        n_sessions=p["n_sessions"],
+        n_templates=8,
+        bindings_per_template=10,
+        n_sessions=4,
     )
     report = scenario.run()
     return scenario, report
 
 
-def fixture_counts(seed: int = 0, profile: str | None = None) -> list[dict]:
+def fixture_counts(seed: int = 0) -> list[dict]:
     """Exactness rows: executor vs reference (and closed form) per fixture."""
-    p = benchmarks.profile(_PROFILES, profile)
     rows = []
 
-    db = make_stats_lite(scale=p["scale"], seed=seed)
+    db = make_stats_lite(scale=SCALE, seed=seed)
     executor = CardinalityExecutor(db)
-    for i, q in enumerate(_workload(db, seed + 17, p["exec_queries"])):
+    for i, q in enumerate(_workload(db, seed + 17, EXEC_QUERIES)):
         rows.append(
             {
                 "fixture": f"stats_lite/q{i}",
@@ -515,10 +476,10 @@ def fixture_counts(seed: int = 0, profile: str | None = None) -> list[dict]:
             }
         )
 
-    chain_db, chain_q, expected = make_deep_chain(p["chain_tables"], seed=seed)
+    chain_db, chain_q, expected = make_deep_chain(CHAIN_TABLES, seed=seed)
     rows.append(
         {
-            "fixture": f"deep_chain/{p['chain_tables']} (> 2**53)",
+            "fixture": f"deep_chain/{CHAIN_TABLES} (> 2**53)",
             "count": CardinalityExecutor(chain_db).cardinality(chain_q),
             "reference": reference_count(chain_db, chain_q),
             "closed_form": expected,
@@ -527,17 +488,15 @@ def fixture_counts(seed: int = 0, profile: str | None = None) -> list[dict]:
     return rows
 
 
-def export(seed: int = 0, profile: str | None = None) -> str:
+def export(seed: int = 0) -> str:
     """Deterministic content only: no wall-clock timings or speedups."""
-    scenario, report = serving_pass(seed, profile)
+    scenario, report = serving_pass(seed)
     blob = {
-        "profile": profile or PROFILE,
         "seed": seed,
-        "executor_counts": executor_pass(seed, profile)["counts"],
-        "interpreter_counts": interpreter_pass(seed, profile)["counts"],
+        "executor_counts": executor_pass(seed)["counts"],
+        "interpreter_counts": interpreter_pass(seed)["counts"],
         "fixtures": [
-            {k: str(v) for k, v in row.items()}
-            for row in fixture_counts(seed, profile)
+            {k: str(v) for k, v in row.items()} for row in fixture_counts(seed)
         ],
         "plan_cache": scenario.plan_cache.stats(),
         "n_served": report.n_served,
@@ -554,7 +513,7 @@ def test_p6_executor_speedup_and_exactness():
     assert result["counts"] == result["baseline_counts"]
     print(
         render_table(
-            f"P6: executor vs interpreted reference ({PROFILE})",
+            "P6: executor vs interpreted reference",
             ["queries", "baseline_s", "vectorized_s", "speedup"],
             [(
                 result["n_queries"],
@@ -576,7 +535,7 @@ def test_p6_interpreter_speedup_and_exactness():
     assert result["counts"] == result["baseline_counts"]
     print(
         render_table(
-            f"P6: plan interpreter vs row-at-a-time walker ({PROFILE})",
+            "P6: plan interpreter vs row-at-a-time walker",
             ["plans", "baseline_s", "vectorized_s", "speedup"],
             [(
                 result["n_plans"],
@@ -599,7 +558,7 @@ def test_p6_treeconv_fit_speedup_and_exactness():
     assert result["predictions_equal"]
     print(
         render_table(
-            f"P6: tree-conv fit, corpus kernel vs loop kernel ({PROFILE})",
+            "P6: tree-conv fit, corpus kernel vs loop kernel",
             ["trees", "steps", "baseline_s", "vectorized_s", "us/step", "speedup"],
             [(
                 result["n_trees"],
@@ -623,7 +582,7 @@ def test_p6_arm_sweep_speedup_and_identity():
     assert result["plans_equal"], "a swept arm's plan differs from its own DP's"
     print(
         render_table(
-            f"P6: arm sweep, one DP pass vs one DP per arm ({PROFILE})",
+            "P6: arm sweep, one DP pass vs one DP per arm",
             ["queries", "arms", "distinct", "baseline_s", "sweep_s", "speedup"],
             [(
                 result["n_queries"],
@@ -649,7 +608,7 @@ def test_p6_gbdt_kernel_speedup_and_identity():
     print(
         render_table(
             f"P6: GBDT, array kernel vs object graph, {result['shape'][0]} x "
-            f"{result['shape'][1]}, {result['n_nodes']} nodes ({PROFILE})",
+            f"{result['shape'][1]}, {result['n_nodes']} nodes",
             ["call", "baseline_ms", "kernel_ms", "speedup", "gate"],
             [
                 (
@@ -681,7 +640,7 @@ def test_p6_plan_execution_speedup_and_identity():
     }
     print(
         render_table(
-            f"P6: plan execution, one pass per plan vs per-node loop ({PROFILE})",
+            "P6: plan execution, one pass per plan vs per-node loop",
             ["plans", "nodes", "lookups base", "lookups pass", "baseline_s", "pass_s", "speedup"],
             [(
                 result["n_plans"],
@@ -708,7 +667,7 @@ def test_p6_planning_speedup_and_identity():
     assert result["values_equal"], "a batched estimate differs from the scalar loop's"
     print(
         render_table(
-            f"P6: DP estimate batches, estimate_batch vs scalar loop ({PROFILE})",
+            "P6: DP estimate batches, estimate_batch vs scalar loop",
             ["batches", "estimates", "baseline_s", "batch_s", "speedup"],
             [(
                 result["n_batches"],
@@ -729,7 +688,7 @@ def test_p6_planning_speedup_and_identity():
 def test_p6_plan_cache_hit_rate():
     scenario, report = serving_pass(seed=0)
     stats = scenario.plan_cache.stats()
-    print(render_stats(stats, title=f"P6: plan cache ({PROFILE})"))
+    print(render_stats(stats, title="P6: plan cache"))
     assert report.n_served == scenario.n_requests, "requests were dropped"
     assert stats["hit_rate"] > HIT_RATE_GATE, (
         f"plan-cache hit rate {stats['hit_rate']:.2f} below the "
@@ -750,7 +709,7 @@ def test_p6_counts_byte_equal_on_fixtures():
     assert chain["count"] > 2**53  # past float64 exactness
     print(
         render_table(
-            f"P6: fixture exactness ({PROFILE})",
+            "P6: fixture exactness",
             ["fixture", "count", "matches"],
             [(r["fixture"], r["count"], "yes") for r in rows],
         )

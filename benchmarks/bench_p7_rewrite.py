@@ -23,17 +23,14 @@ predicates, redundant / mergeable range pairs -- all drawn from
 4. **Determinism**: two same-seed runs export byte-identical leaderboard
    snapshots and telemetry.
 
-Profiles: ``quick`` (CI smoke) or ``full``.  Gates: ``python -m pytest`` on
-this file (``BENCH_PROFILE=full`` for the larger profile); deterministic
-export (leaderboard snapshot, store examples, telemetry -- virtual
-latencies only, no wall-clock): ``python -m benchmarks p7 --export out.json``.
+Gates: ``python -m pytest`` on this file; deterministic export (leaderboard
+snapshot, store examples, telemetry -- virtual latencies only, no
+wall-clock): ``python -m benchmarks p7 --export out.json``.
 """
 
 import json
 from collections import Counter
 
-import benchmarks
-from benchmarks import PROFILE
 from repro.bench import render_stats, render_table
 from repro.e2e.loop import OptimizationLoop
 from repro.engine.simulator import ExecutionSimulator
@@ -48,10 +45,6 @@ from repro.serve.telemetry import TelemetryBus
 from repro.sql import WorkloadGenerator
 from repro.storage.datasets import make_stats_lite
 
-_PROFILES = {
-    "quick": {"scale": 0.15, "n_queries": 30, "n_clusters": 4},
-    "full": {"scale": 0.3, "n_queries": 60, "n_clusters": 6},
-}
 GEOMEAN_GATE = 1.05
 REGRESSION_FLOOR = 0.9
 
@@ -59,20 +52,17 @@ REGRESSION_FLOOR = 0.9
 # -- measured passes --------------------------------------------------------------
 
 
-def leaderboard_pass(seed: int = 0, profile: str | None = None) -> dict:
+def leaderboard_pass(seed: int = 0) -> dict:
     """Build the workload, run the full candidate/validate/promote pipeline.
 
     The workload is generated *before* any submission: IN -> join attaches
     values relations to the live database, and the generator reads the
     live table list.
     """
-    p = benchmarks.profile(_PROFILES, profile)
-    db = make_stats_lite(scale=p["scale"], seed=seed)
-    workload = WorkloadGenerator(db, seed=seed + 11).rewrite_susceptible_workload(
-        p["n_queries"]
-    )
+    db = make_stats_lite(scale=0.15, seed=seed)
+    workload = WorkloadGenerator(db, seed=seed + 11).rewrite_susceptible_workload(30)
     telemetry = TelemetryBus()
-    store = GoldExampleStore(db, n_clusters=p["n_clusters"], seed=seed)
+    store = GoldExampleStore(db, n_clusters=4, seed=seed)
     leaderboard = PromotionLeaderboard(db, store=store, telemetry=telemetry)
     leaderboard.submit_workload(workload)
     return {
@@ -146,9 +136,9 @@ def serving_pass(ctx: dict) -> dict:
     }
 
 
-def feedback_pass(seed: int = 0, profile: str | None = None) -> dict:
+def feedback_pass(seed: int = 0) -> dict:
     """Cold-start vs post-feedback rule selection on the same workload."""
-    ctx = leaderboard_pass(seed=seed, profile=profile)
+    ctx = leaderboard_pass(seed=seed)
     cold = ctx["leaderboard"]
     mix_cold = Counter(e.rule for e in cold.entries)
     ctx["store"].fit()
@@ -164,9 +154,9 @@ def feedback_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def full_run(seed: int = 0, profile: str | None = None) -> dict:
+def full_run(seed: int = 0) -> dict:
     """Everything the determinism gate compares across two processes."""
-    ctx = leaderboard_pass(seed=seed, profile=profile)
+    ctx = leaderboard_pass(seed=seed)
     oracle = oracle_pass(ctx)
     serving = serving_pass(ctx)
     return {
@@ -179,17 +169,16 @@ def full_run(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def export(seed: int = 0, profile: str | None = None) -> str:
+def export(seed: int = 0) -> str:
     """Deterministic content only: virtual latencies, no wall-clock."""
-    run = full_run(seed, profile)
+    run = full_run(seed)
     blob = {
-        "profile": profile or PROFILE,
         "seed": seed,
         "leaderboard": json.loads(run["leaderboard_json"]),
         "store": run["store_export"],
         "oracle": run["oracle"],
         "serving": run["serving"],
-        "feedback": feedback_pass(seed, profile),
+        "feedback": feedback_pass(seed),
         "telemetry": json.loads(run["telemetry_json"]),
     }
     return json.dumps(blob, indent=2, sort_keys=True, default=str) + "\n"
@@ -205,7 +194,7 @@ def test_p7_promoted_rewrites_oracle_clean():
     print(
         render_stats(
             stats,
-            title=f"P7: promotion funnel ({PROFILE})",
+            title="P7: promotion funnel",
             note=f"{oracle['plans_checked']} plan shapes re-executed over "
             f"{oracle['promotions_checked']} promotions",
         )
@@ -223,7 +212,7 @@ def test_p7_speedup_gates():
     geomean = leaderboard.geomean_promoted()
     print(
         render_table(
-            f"P7: shipping gate ({PROFILE})",
+            "P7: shipping gate",
             ["geomean", "min_speedup", "loop_rewrites", "live_rewrites", "stage"],
             [(
                 f"{geomean:.3f}x",
@@ -253,7 +242,7 @@ def test_p7_antipattern_feedback_shifts_selection():
     ]
     print(
         render_table(
-            f"P7: rule selection, cold vs post-feedback ({PROFILE})",
+            "P7: rule selection, cold vs post-feedback",
             ["rule", "cold candidates", "warm candidates"],
             rows,
             note=f"{result['skipped_by_weight']} attempts suppressed by "

@@ -21,8 +21,7 @@ Four properties are measured and gated:
 4. **Determinism**: two same-seed runs must export byte-identical
    reports and telemetry.
 
-Profiles: ``quick`` (CI smoke) or ``full``.  Gates: ``python -m pytest`` on
-this file (``BENCH_PROFILE=full`` for the larger profile); deterministic export:
+Gates: ``python -m pytest`` on this file; deterministic export:
 ``python -m benchmarks p8 --export out.json``.
 """
 
@@ -30,8 +29,6 @@ import json
 
 import numpy as np
 
-import benchmarks
-from benchmarks import PROFILE
 from repro.bench import render_stats, render_table
 from repro.cardest.bounds import AGMSketchBoundEstimator, MCVJoinBoundEstimator
 from repro.engine import CardinalityExecutor
@@ -42,34 +39,19 @@ from repro.serve import adversarial_drift_scenario, bound_guard_scenario
 from repro.sql import WorkloadGenerator
 from repro.storage.datasets import make_stats_lite
 
-_PROFILES = {
-    "quick": {
-        "scale": 0.2,
-        "n_queries": 16,
-        "serve_queries": 64,
-        "n_sessions": 4,
-        "drift_queries": 90,
-    },
-    "full": {
-        "scale": 0.3,
-        "n_queries": 24,
-        "serve_queries": 120,
-        "n_sessions": 8,
-        "drift_queries": 120,
-    },
-}
+SCALE = 0.2
+N_SESSIONS = 4
 # Histogram interpolation on narrow ranges can put the point estimate a
 # few percent above the (near-exact) sketch bound; a real undercounting
 # bug (e.g. the /8 bound_undercounts mutation) blows well past this.
 _DOMINATES_SLACK = 1.1
 
 
-def soundness_pass(seed: int = 0, profile: str | None = None) -> dict:
+def soundness_pass(seed: int = 0) -> dict:
     """Gate 1: zero bound violations for both pessimistic estimators."""
-    p = benchmarks.profile(_PROFILES, profile)
-    db = make_stats_lite(scale=p["scale"], seed=seed)
+    db = make_stats_lite(scale=SCALE, seed=seed)
     queries = WorkloadGenerator(db, seed=seed + 17).workload(
-        p["n_queries"], 1, 3, require_predicate=True
+        16, 1, 3, require_predicate=True
     )
     executor = CardinalityExecutor(db)
     point = TraditionalCardinalityEstimator(db)
@@ -88,17 +70,12 @@ def soundness_pass(seed: int = 0, profile: str | None = None) -> dict:
     return out
 
 
-def guard_pass(seed: int = 0, profile: str | None = None) -> dict:
+def guard_pass(seed: int = 0) -> dict:
     """Gate 2: faulted run trips visibly; clean run stays silent."""
-    p = benchmarks.profile(_PROFILES, profile)
     results = {}
     for label, plan in (("faulted", None), ("clean", FaultPlan(()))):
         scenario = bound_guard_scenario(
-            scale=p["scale"],
-            seed=seed,
-            n_queries=p["serve_queries"],
-            n_sessions=p["n_sessions"],
-            plan=plan,
+            scale=SCALE, seed=seed, n_queries=64, n_sessions=N_SESSIONS, plan=plan
         )
         scenario.run()
         guard = scenario.bound_guard
@@ -118,17 +95,16 @@ def guard_pass(seed: int = 0, profile: str | None = None) -> dict:
     return results
 
 
-def drift_pass(seed: int = 0, profile: str | None = None) -> dict:
+def drift_pass(seed: int = 0) -> dict:
     """Gate 3: p99 latency, optimistic vs pessimistic, same drift."""
-    p = benchmarks.profile(_PROFILES, profile)
     out = {}
     for arm, pessimistic in (("optimistic", False), ("pessimistic", True)):
         scenario = adversarial_drift_scenario(
             pessimistic=pessimistic,
-            scale=p["scale"],
+            scale=SCALE,
             seed=seed,
-            n_queries=p["drift_queries"],
-            n_sessions=p["n_sessions"],
+            n_queries=90,
+            n_sessions=N_SESSIONS,
         )
         report = scenario.run()
         lat = np.array(
@@ -144,14 +120,13 @@ def drift_pass(seed: int = 0, profile: str | None = None) -> dict:
     return out
 
 
-def export(seed: int = 0, profile: str | None = None) -> str:
+def export(seed: int = 0) -> str:
     """The full deterministic report: all three gates, one JSON blob."""
     payload = {
-        "profile": profile or PROFILE,
         "seed": seed,
-        "soundness": soundness_pass(seed=seed, profile=profile),
-        "guard": guard_pass(seed=seed, profile=profile),
-        "drift": drift_pass(seed=seed, profile=profile),
+        "soundness": soundness_pass(seed=seed),
+        "guard": guard_pass(seed=seed),
+        "drift": drift_pass(seed=seed),
     }
     return json.dumps(payload, sort_keys=True, indent=1)
 
@@ -167,7 +142,7 @@ def test_p8_bound_soundness_zero_violations():
         )
     print(
         render_table(
-            f"P8: bound soundness ({PROFILE})",
+            "P8: bound soundness",
             ["estimator", "checks", "violations"],
             rows,
         )
@@ -192,7 +167,7 @@ def test_p8_guard_trips_are_visible():
     assert clean["stats"]["bound_violations"] == 0
     assert clean["stats"]["breaker_trips"] == 0
     assert clean["events"] == 0
-    print(render_stats(stats, title=f"P8: guard under faults ({PROFILE})"))
+    print(render_stats(stats, title="P8: guard under faults"))
     print(render_stats(clean["stats"], title="P8: guard on clean serving"))
 
 
@@ -200,7 +175,7 @@ def test_p8_pessimistic_p99_beats_optimistic_under_drift():
     out = drift_pass(seed=0)
     print(
         render_table(
-            f"P8: adversarial drift, optimistic vs pessimistic ({PROFILE})",
+            "P8: adversarial drift, optimistic vs pessimistic",
             ["arm", "served", "rejected", "p50_ms", "p99_ms", "max_ms"],
             [
                 (arm, r["served"], r["rejected"], r["p50_ms"], r["p99_ms"], r["max_ms"])

@@ -19,16 +19,12 @@ Four properties are measured and gated:
    produce byte-identical merged telemetry exports (traces included) and
    identical router assignments.
 
-Profiles: ``quick`` (CI smoke, 10^5 x 16 shards) or ``full`` (2x10^5 x
-32 shards).  Gates: ``python -m pytest`` on this file
-(``BENCH_PROFILE=full`` for the larger profile); deterministic export:
-``python -m benchmarks p9 --export out.json``.
+Gates (10^5 requests x 16 shards): ``python -m pytest`` on this file;
+deterministic export: ``python -m benchmarks p9 --export out.json``.
 """
 
 import json
 
-import benchmarks
-from benchmarks import PROFILE
 from repro.bench import render_stats, render_table
 from repro.serve import RuntimeConfig
 from repro.serve.fabric import (
@@ -40,20 +36,8 @@ from repro.serve.fabric import (
     synthetic_queries,
 )
 
-_PROFILES = {
-    "quick": {
-        "scale_requests": 100_000,
-        "scale_shards": 16,
-        "fairness_requests": 24_000,
-        "fairness_shards": 8,
-    },
-    "full": {
-        "scale_requests": 200_000,
-        "scale_shards": 32,
-        "fairness_requests": 48_000,
-        "fairness_shards": 8,
-    },
-}
+#: gates 1 and 4: the scale run's size
+SCALE_REQUESTS, SCALE_SHARDS = 100_000, 16
 #: gate 2: minimum simulated-throughput efficiency vs the ideal N-shard speedup
 _MIN_EFFICIENCY = 0.7
 #: gate 3: max victim-tenant p99 inflation under the hot-tenant flood
@@ -91,12 +75,11 @@ def _scale_run(n_shards: int, n_requests: int, seed: int):
     return scenario, report
 
 
-def scaling_pass(seed: int = 0, profile: str | None = None) -> dict:
+def scaling_pass(seed: int = 0) -> dict:
     """Gates 1+2: 10^5+ requests over 16+ shards at >= 0.7x ideal."""
-    p = benchmarks.profile(_PROFILES, profile)
-    out = {"n_requests": p["scale_requests"], "n_shards": p["scale_shards"]}
-    for label, shards in (("single", 1), ("sharded", p["scale_shards"])):
-        scenario, report = _scale_run(shards, p["scale_requests"], seed)
+    out = {"n_requests": SCALE_REQUESTS, "n_shards": SCALE_SHARDS}
+    for label, shards in (("single", 1), ("sharded", SCALE_SHARDS)):
+        scenario, report = _scale_run(shards, SCALE_REQUESTS, seed)
         out[label] = {
             "shards": shards,
             "served": report.n_served,
@@ -108,11 +91,11 @@ def scaling_pass(seed: int = 0, profile: str | None = None) -> dict:
         if label == "sharded":
             out["shard_table"] = render_stats(
                 scenario.fabric.shard_stats(),
-                title=f"P9: {shards}-shard fabric, {p['scale_requests']:,} requests",
+                title=f"P9: {shards}-shard fabric, {SCALE_REQUESTS:,} requests",
             )
     out["efficiency"] = round(
         out["sharded"]["simulated_qps"]
-        / (p["scale_shards"] * out["single"]["simulated_qps"]),
+        / (SCALE_SHARDS * out["single"]["simulated_qps"]),
         4,
     )
     return out
@@ -158,7 +141,7 @@ def _fairness_run(specs, n_requests, interarrival_ms, seed, n_shards):
     }
 
 
-def fairness_pass(seed: int = 0, profile: str | None = None) -> dict:
+def fairness_pass(seed: int = 0) -> dict:
     """Gate 3: victim p99 under the hot-tenant flood stays bounded.
 
     Three arms at the same absolute victim arrival rate: ``fair`` (every
@@ -166,8 +149,7 @@ def fairness_pass(seed: int = 0, profile: str | None = None) -> dict:
     flood, absorbed by QoS shedding) and ``skew_quota`` (same flood with
     a per-tenant token-bucket quota on the hot tenant as well).
     """
-    p = benchmarks.profile(_PROFILES, profile)
-    n, shards = p["fairness_requests"], p["fairness_shards"]
+    n, shards = 24_000, 8
     fair_specs = hot_tenant_specs(n_victims=_N_VICTIMS, hot_weight=1.0)
     skew_specs = hot_tenant_specs(n_victims=_N_VICTIMS, hot_weight=_HOT_WEIGHT)
     quota_specs = hot_tenant_specs(
@@ -192,14 +174,11 @@ def fairness_pass(seed: int = 0, profile: str | None = None) -> dict:
     return out
 
 
-def determinism_pass(seed: int = 0, profile: str | None = None) -> dict:
+def determinism_pass(seed: int = 0) -> dict:
     """Gate 4: two fresh same-seed fabrics export identical bytes."""
-    p = benchmarks.profile(_PROFILES, profile)
     exports, assignments = [], []
     for _ in range(2):
-        scenario, _report = _scale_run(
-            p["scale_shards"], p["scale_requests"], seed
-        )
+        scenario, _report = _scale_run(SCALE_SHARDS, SCALE_REQUESTS, seed)
         exports.append(scenario.fabric.export_json(include_traces=True))
         assignments.append(list(scenario.fabric.router.assignments))
     return {
@@ -210,16 +189,15 @@ def determinism_pass(seed: int = 0, profile: str | None = None) -> dict:
     }
 
 
-def export(seed: int = 0, profile: str | None = None) -> str:
+def export(seed: int = 0) -> str:
     """The full deterministic report: all four gates, one JSON blob."""
-    scaling = scaling_pass(seed=seed, profile=profile)
+    scaling = scaling_pass(seed=seed)
     scaling = {k: v for k, v in scaling.items() if k != "shard_table"}
     payload = {
-        "profile": profile or PROFILE,
         "seed": seed,
         "scaling": scaling,
-        "fairness": fairness_pass(seed=seed, profile=profile),
-        "determinism": determinism_pass(seed=seed, profile=profile),
+        "fairness": fairness_pass(seed=seed),
+        "determinism": determinism_pass(seed=seed),
     }
     return json.dumps(payload, sort_keys=True, indent=1)
 
@@ -229,7 +207,7 @@ def test_p9_scale_and_horizontal_efficiency():
     print(out["shard_table"])
     print(
         render_table(
-            f"P9: horizontal scaling ({PROFILE})",
+            "P9: horizontal scaling",
             ["arm", "shards", "served", "simulated_qps", "efficiency"],
             [
                 (
@@ -273,7 +251,7 @@ def test_p9_hot_tenant_isolation():
         )
     print(
         render_table(
-            f"P9: hot-tenant drill ({PROFILE})",
+            "P9: hot-tenant drill",
             ["arm", "served", "shed", "hot_p99", "victim_p99", "ratio"],
             rows,
             note="same absolute victim arrival rate in every arm",

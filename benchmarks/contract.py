@@ -12,9 +12,8 @@ Every paper-reproduction bench (T1, E1-E13) and P1 has the same three parts:
   table's ``timing``: the gates print it, nothing exports or diffs it.
 - ``test_*`` gates that assert on ``measure()`` and print ``Table.render()``.
 
-These benches have one size: :func:`table_export` accepts the ``quick``
-profile only.  ``python -m benchmarks.experiments_md`` writes the same
-tables, less the same columns, into EXPERIMENTS.md.
+``python -m benchmarks.experiments_md`` writes the same tables, less the
+same columns, into EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -26,14 +25,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-import benchmarks
 from repro.bench import render_table
 from repro.engine import CardinalityExecutor, ExecutionSimulator
 from repro.optimizer import Optimizer
 from repro.sql import WorkloadGenerator
 from repro.storage import make_imdb_lite, make_stats_lite
-
-_ONE_SIZE = {"quick": None}
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,9 @@ def to_json(tables: Sequence[Table], seed: int) -> str:
 
 
 def table_export(measure: Callable[[int], Sequence[Table]]):
-    """The ``export(seed, profile)`` of a one-size bench."""
+    """The ``export(seed)`` of a table bench."""
 
-    def export(seed: int = 0, profile: str | None = None) -> str:
-        benchmarks.profile(_ONE_SIZE, profile)
+    def export(seed: int = 0) -> str:
         return to_json(measure(seed), seed)
 
     return export

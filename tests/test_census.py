@@ -26,7 +26,9 @@ case of (g) builds the records it names:
 (f) there is one bench contract: every module ``benchmarks.BENCHMARKS``
     names defines a top-level ``export``, every T / E bench and P1 a
     top-level ``measure``, no function under ``benchmarks/`` takes
-    the ``benchmark`` timing fixture, and no function of a registered
+    the ``benchmark`` timing fixture or a ``profile``, no module there
+    reads ``os.environ`` or defines ``_PROFILES`` (one size: an export is
+    a function of its key and seed alone), and no function of a registered
     bench that takes a ``seed`` passes a literal ``seed=<int>`` on (it
     is ``<int> + seed``, or the input comes from a seed-free builder);
 (g) the request path is single-writer: no module imports ``threading``,
@@ -408,12 +410,24 @@ def bench_contract_violations(sources: Sources) -> list[str]:
             and isinstance(keyword.value, ast.Constant)
             and isinstance(keyword.value.value, int)
         ]
-    found += [
-        f"{path.name}: {function.name} takes the benchmark fixture"
-        for path in _files("benchmarks")
-        for function in ast.walk(sources.parse(path))
-        if isinstance(function, ast.FunctionDef) and "benchmark" in _parameters(function)
-    ]
+    for path in _files("benchmarks"):
+        for node in ast.walk(sources.parse(path)):
+            if isinstance(node, ast.FunctionDef):
+                found += [
+                    f"{path.name}: {node.name} takes {what}"
+                    for parameter, what in (
+                        ("benchmark", "the benchmark fixture"),
+                        ("profile", "a profile"),
+                    )
+                    if parameter in _parameters(node)
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr == "environ":
+                found.append(f"{path.name}:{node.lineno}: reads os.environ")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
+                isinstance(t, ast.Name) and t.id == "_PROFILES"
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            ):
+                found.append(f"{path.name}:{node.lineno}: defines _PROFILES")
     return found
 
 
@@ -421,8 +435,8 @@ def test_every_bench_is_measure_export_gates():
     found = bench_contract_violations(Sources())
     assert not found, (
         f"outside the one bench contract (benchmarks/contract.py): {found} -- every "
-        "bench exports, a T/E/P1 bench measures, and every bench offsets each seed "
-        "by its argument"
+        "bench exports, a T/E/P1 bench measures, every bench has one size (more is "
+        "more seeds) and offsets each seed by its argument"
     )
 
 
@@ -618,9 +632,27 @@ def test_seeded_relabelled_record_is_caught():
         ),
         (
             "bench_p10_transfer.py",
-            'p["n_queries"], seed=seed + 5)',
-            'p["n_queries"], seed=5)',
+            "_corpus(db, 30, seed=seed + 5)",
+            "_corpus(db, 30, seed=5)",
             ["bench_p10_transfer.py: transfer_pass(seed) pins seed=5"],
+        ),
+        (
+            "bench_p2_serving.py",
+            "\nN_SESSIONS = 8\n",
+            '\nN_SESSIONS = int(os.environ.get("N_SESSIONS", 8))\n',
+            ["bench_p2_serving.py: reads os.environ"],
+        ),
+        (
+            "bench_p3_chaos.py",
+            "\nSCALE, N_QUERIES = 0.3, 160\n",
+            '\n_PROFILES = {"quick": (0.3, 160)}\nSCALE, N_QUERIES = _PROFILES["quick"]\n',
+            ["bench_p3_chaos.py: defines _PROFILES"],
+        ),
+        (
+            "bench_p8_bounds.py",
+            "def drift_pass(seed: int = 0) -> dict:",
+            "def drift_pass(seed: int = 0, profile: str | None = None) -> dict:",
+            ["bench_p8_bounds.py: drift_pass takes a profile"],
         ),
     ],
 )

@@ -12,7 +12,7 @@ import pytest
 
 import benchmarks
 from benchmarks import experiments_md
-from benchmarks.contract import Table, table_export, to_json
+from benchmarks.contract import Table, to_json
 from repro.bench import apply_drift, build_estimator, render_table
 from repro.bench.suite import fit_estimator
 from repro.cardest.advisor import AutoCE, DatasetFeatures, flow_loss_weights
@@ -29,14 +29,12 @@ from repro.storage import make_stats_lite, make_tpch_lite
 _ROOT = Path(__file__).resolve().parent.parent
 
 
-def _bench_cli(*args, **env):
+def _bench_cli(*args):
     """Run ``python -m benchmarks`` from a plain checkout (no PYTHONPATH)."""
-    dropped = ("PYTHONPATH", "BENCH_PROFILE")
-    clean = {k: v for k, v in os.environ.items() if k not in dropped}
     return subprocess.run(
         [sys.executable, "-m", "benchmarks", *args],
         cwd=_ROOT,
-        env={**clean, **env},
+        env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
         capture_output=True,
     )
 
@@ -249,23 +247,13 @@ class TestBenchEntryPoint:
         assert files == {module for module, _ in benchmarks.BENCHMARKS.values()}
 
     def test_export_contract(self):
+        """One size: every export is a function of its key and seed alone."""
         for key in benchmarks.BENCHMARKS:
             module = benchmarks.load(key)
-            assert list(inspect.signature(module.export).parameters) == [
-                "seed",
-                "profile",
-            ], key
-            if hasattr(module, "measure"):  # one size: the table contract
+            assert list(inspect.signature(module.export).parameters) == ["seed"], key
+            if hasattr(module, "measure"):  # the table contract
                 assert list(inspect.signature(module.measure).parameters) == ["seed"], key
-            else:
-                assert set(module._PROFILES) == {"quick", "full"}, key
-
-    def test_profile_selector_names_valid_profiles(self):
-        table = {"quick": 1, "full": 2}
-        assert benchmarks.profile(table) == table[benchmarks.PROFILE]
-        assert benchmarks.profile(table, "full") == 2
-        with pytest.raises(ValueError, match="full.*quick"):
-            benchmarks.profile(table, "bogus")
+        assert _bench_cli("p5", "--profile", "quick").returncode == 2
 
     def test_cli_export_matches_stdout_and_function(self, tmp_path):
         out = tmp_path / "p5.json"
@@ -273,22 +261,17 @@ class TestBenchEntryPoint:
         to_stdout = _bench_cli("p5")
         assert to_file.returncode == 0 and to_file.stdout == b""
         assert to_stdout.returncode == 0
-        expected = benchmarks.load("p5").export(seed=0, profile="quick")
+        expected = benchmarks.load("p5").export(seed=0)
         assert out.read_bytes() == to_stdout.stdout == expected.encode()
 
     def test_cli_rejects_an_unknown_key(self):
         assert _bench_cli("nope").returncode == 2
 
-    def test_one_size_bench_names_its_one_profile(self):
-        export = table_export(lambda seed: [])
-        assert json.loads(export(seed=4, profile="quick")) == {"seed": 4, "tables": []}
-        with pytest.raises(ValueError, match=r"valid: \['quick'\]"):
-            export(profile="full")
-
-    def test_cli_bad_bench_profile_names_the_valid_ones(self):
-        result = _bench_cli("p5", BENCH_PROFILE="bogus")
-        assert result.returncode != 0
-        assert b"quick" in result.stderr and b"full" in result.stderr
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_cli_rejects_a_seed_that_is_not_a_non_negative_int(self, seed):
+        result = _bench_cli("p5", "--seed", seed)
+        assert result.returncode == 2
+        assert b"--seed" in result.stderr and b"Traceback" not in result.stderr
 
     def test_readme_names_every_registered_module(self):
         readme = (_ROOT / "README.md").read_text()
