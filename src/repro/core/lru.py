@@ -46,6 +46,11 @@ class BoundedLRU:
         self._entries.move_to_end(key)
         return value
 
+    def peek(self, key: Hashable) -> Any:
+        """The cached value, or None; a read that leaves no trace -- no hit
+        or miss counted, the LRU order unchanged."""
+        return self._entries.get(key)
+
     def put(self, key: Hashable, value: Any) -> None:
         """Store ``value`` as the most recently used entry, evicting the
         least recently used ones beyond ``capacity``."""

@@ -22,7 +22,15 @@ Guarded axes (each with an explicit threshold):
   tail-latency axis aggregate ratios hide).
 
 Everything is recomputed at evaluation time with the deterministic
-simulator/executor, so the gate's verdict is reproducible.
+simulator/executor, so the gate's verdict is reproducible -- with one
+exception, the metric memo: a model's metrics on the held-out workload are
+a function of its content and of the data, so they are kept per (content
+fingerprint, ``data_version``) and a model measured before at the same
+data version is not measured again.  Only metrics are kept, never a
+verdict (the thresholds may change between evaluations); an entry is kept
+only when the evaluation left the model's fingerprint unchanged, so a
+model whose ``choose_plan`` draws from an RNG or records state is always
+measured afresh; and entries live for one ``data_version``.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ import numpy as np
 
 from repro.cardest.base import q_error
 from repro.core.errors import ConfigError
+from repro.core.interfaces import batch_estimate
+from repro.lifecycle.registry import model_fingerprint
 
 __all__ = ["GateReport", "EvalGate"]
 
@@ -86,6 +96,10 @@ class EvalGate:
         model or ``model.estimator``) are scored on q-error against the
         executor's exact cardinalities.  When None the accuracy axis is
         skipped.
+    shared:
+        Infrastructure the memo's fingerprints skip (see
+        :func:`~repro.lifecycle.registry.model_fingerprint`).  Give it the
+        registry's ``shared``, so a digest the registry took is a memo key.
     """
 
     def __init__(
@@ -99,6 +113,7 @@ class EvalGate:
         max_qerror_ratio: float = 1.25,
         max_regression_rate: float = 0.20,
         telemetry=None,
+        shared=(),
     ) -> None:
         self.queries = list(queries)
         if not self.queries:
@@ -112,7 +127,12 @@ class EvalGate:
         self.max_qerror_ratio = max_qerror_ratio
         self.max_regression_rate = max_regression_rate
         self.telemetry = telemetry
+        self.shared = tuple(shared)
         self.evaluations = 0
+        self._db = (simulator if simulator is not None else executor).db
+        # fingerprint -> (metrics, latencies), all measured at _memo_version
+        self._memo: dict[str, tuple[dict, np.ndarray | None]] = {}
+        self._memo_version: int | None = None
 
     # -- measurement -----------------------------------------------------------
 
@@ -127,10 +147,11 @@ class EvalGate:
         est = _estimator_of(model)
         if est is None:
             return None
+        estimates = batch_estimate(est, self.queries)
         return np.array(
             [
-                q_error(est.estimate(q), self.executor.cardinality(q))
-                for q in self.queries
+                q_error(e, self.executor.cardinality(q))
+                for e, q in zip(estimates, self.queries)
             ]
         )
 
@@ -150,13 +171,38 @@ class EvalGate:
                 metrics["qerror_max"] = round(float(qerrs.max()), 6)
         return metrics, lats
 
+    def _measured(
+        self, model, fingerprint: str | None = None
+    ) -> tuple[dict, np.ndarray | None]:
+        """:meth:`_metrics` through the memo; ``fingerprint`` is the model's
+        digest under :attr:`shared` when the caller already took it."""
+        version = self._db.data_version
+        if version != self._memo_version:
+            self._memo.clear()
+            self._memo_version = version
+        if fingerprint is None:
+            fingerprint = model_fingerprint(model, shared=self.shared)
+        measured = self._memo.get(fingerprint)
+        if measured is None:
+            measured = self._metrics(model)
+            if model_fingerprint(model, shared=self.shared) == fingerprint:
+                self._memo[fingerprint] = measured
+        metrics, lats = measured
+        return dict(metrics), lats
+
     # -- verdict ---------------------------------------------------------------
 
-    def evaluate(self, champion, challenger) -> GateReport:
+    def evaluate(
+        self, champion, challenger, *, challenger_fingerprint: str | None = None
+    ) -> GateReport:
         """Compare the two models; the challenger passes only if it stays
-        within every configured ratio of the champion."""
-        champ_metrics, champ_lats = self._metrics(champion)
-        chall_metrics, chall_lats = self._metrics(challenger)
+        within every configured ratio of the champion.
+
+        ``challenger_fingerprint`` is the challenger's digest under
+        :attr:`shared` when the caller has one (the registry took it at
+        registration); otherwise the gate takes it."""
+        champ_metrics, champ_lats = self._measured(champion)
+        chall_metrics, chall_lats = self._measured(challenger, challenger_fingerprint)
         reasons: list[str] = []
 
         def ratio_check(key: str, limit: float, label: str) -> None:

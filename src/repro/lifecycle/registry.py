@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,22 +43,37 @@ __all__ = ["ModelVersion", "ModelRegistry", "model_fingerprint"]
 
 #: object-graph walk bounds; generous for every model in the repo while
 #: keeping a pathological cycle-free but huge graph from stalling.  Running
-#: out of steps is an error, never a digest: a hash that stopped early is
-#: equal for models that differ past the stopping point.
+#: out of steps or of depth is an error, never a digest: a hash that
+#: stopped early is equal for models that differ past the stopping point.
 _MAX_NODES = 200_000
 _MAX_DEPTH = 16
 
 
-class _BudgetExhausted(Exception):
-    """The walk used up its ``_MAX_NODES`` steps."""
+class _WalkIncomplete(Exception):
+    """The walk used up its ``_MAX_NODES`` steps or went past ``_MAX_DEPTH``."""
+
+
+def _fields(obj) -> dict:
+    """An object's instance state: its ``__dict__`` plus every ``__slots__``
+    field set along the MRO."""
+    fields = dict(getattr(obj, "__dict__", {}))
+    for cls in type(obj).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if name in ("__dict__", "__weakref__"):
+                continue
+            if name.startswith("__") and not name.endswith("__"):
+                name = f"_{cls.__name__.lstrip('_')}{name}"  # mangled
+            if hasattr(obj, name):
+                fields[name] = getattr(obj, name)
+    return fields
 
 
 def _walk(obj, h, seen: set[int], budget: list[int], depth: int, skip: dict) -> None:
     if budget[0] <= 0:
-        raise _BudgetExhausted
+        raise _WalkIncomplete(f"an object graph of more than {_MAX_NODES} nodes")
     if depth > _MAX_DEPTH:
-        h.update(b"~cap")
-        return
+        raise _WalkIncomplete(f"an object graph deeper than {_MAX_DEPTH} levels")
     budget[0] -= 1
     if id(obj) in skip:
         h.update(b"~shared")
@@ -86,7 +102,9 @@ def _walk(obj, h, seen: set[int], budget: list[int], depth: int, skip: dict) -> 
             h.update(repr(key).encode())
             _walk(obj[key], h, seen, budget, depth + 1, skip)
         h.update(b"}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, deque)):
+        if isinstance(obj, deque):
+            h.update(f"deque{obj.maxlen}".encode())
         h.update(b"[")
         for item in obj:
             _walk(item, h, seen, budget, depth + 1, skip)
@@ -96,16 +114,22 @@ def _walk(obj, h, seen: set[int], budget: list[int], depth: int, skip: dict) -> 
         for item in sorted(obj, key=repr):
             h.update(repr(item).encode())
         h.update(b">")
-    elif hasattr(obj, "__dict__"):
-        h.update(type(obj).__name__.encode())
-        h.update(b"(")
-        for key in sorted(vars(obj)):
-            h.update(key.encode())
-            _walk(vars(obj)[key], h, seen, budget, depth + 1, skip)
+    elif isinstance(obj, np.random.Generator):
+        # No __dict__: its draws so far live in the bit generator's state.
+        h.update(b"Generator(")
+        _walk(obj.bit_generator.state, h, seen, budget, depth + 1, skip)
         h.update(b")")
     else:
-        # Locks, callables, generators, ...: identity-free marker only.
+        # An object by its fields; a lock, a generator function's iterator,
+        # a builtin, ...: by its type name alone.
         h.update(type(obj).__name__.encode())
+        fields = _fields(obj)
+        if fields or hasattr(obj, "__dict__"):
+            h.update(b"(")
+            for key in sorted(fields):
+                h.update(key.encode())
+                _walk(fields[key], h, seen, budget, depth + 1, skip)
+            h.update(b")")
     seen.discard(id(obj))
 
 
@@ -113,16 +137,21 @@ def model_fingerprint(model, *, shared=()) -> str:
     """Deterministic 16-hex digest of a model's parameter content.
 
     Recursively walks the object graph hashing primitives and numpy
-    arrays; objects in ``shared`` (the database, the native optimizer,
-    the simulator -- infrastructure every version points at but does not
-    own) are replaced by a marker so a drifting database does not change
-    a frozen model's fingerprint.  Two structurally identical models
-    fingerprint identically in any process, which is what makes version
-    ids content-derived rather than wall-clock-derived.
+    arrays; objects are walked through their ``__dict__`` and their
+    ``__slots__``, deques as sequences (with their ``maxlen``) and numpy
+    ``Generator``s through their bit generator's state, so a draw or an
+    appended observation changes the digest.  Objects in ``shared`` (the
+    database, the native optimizer, the simulator -- infrastructure every
+    version points at but does not own) are replaced by a marker so a
+    drifting database does not change a frozen model's fingerprint.  Two
+    structurally identical models fingerprint identically in any process,
+    which is what makes version ids content-derived rather than
+    wall-clock-derived.
 
     Raises :class:`~repro.core.errors.ConfigError` when the model's graph
-    is larger than ``_MAX_NODES`` steps: the digest would not cover all of
-    it, so two different models could share a version id.
+    is larger than ``_MAX_NODES`` steps or deeper than ``_MAX_DEPTH``: the
+    digest would not cover all of it, so two different models could share
+    a version id.
     """
     h = hashlib.sha256()
     try:
@@ -134,11 +163,11 @@ def model_fingerprint(model, *, shared=()) -> str:
             depth=0,
             skip={id(o): o for o in shared},
         )
-    except _BudgetExhausted:
+    except _WalkIncomplete as cut:
         raise ConfigError(
-            f"model_fingerprint: {type(model).__name__} is an object graph of "
-            f"more than {_MAX_NODES} nodes, too large to hash in full; keep "
-            "its parameters in arrays or list its infrastructure in `shared`"
+            f"model_fingerprint: {type(model).__name__} is {cut}, too large to "
+            "hash in full; keep its parameters in arrays or list its "
+            "infrastructure in `shared`"
         ) from None
     return h.hexdigest()[:16]
 

@@ -218,6 +218,7 @@ def lifecycle_stack(
         simulator=simulator,
         executor=executor,
         telemetry=telemetry,
+        shared=shared,
         **gate_params,
     )
     deployment = DeploymentManager(

@@ -270,7 +270,9 @@ class RetrainingScheduler(ServePolicy):
         trigger asks for it.
     gate:
         Optional :class:`~repro.lifecycle.gates.EvalGate`.  Without one
-        every challenger passes (useful in unit tests only).
+        every challenger passes (useful in unit tests only).  Build it with
+        the registry's ``shared``: the challenger's registration digest is
+        handed to it as the challenger's metric-memo key.
     deployment:
         Optional :class:`~repro.serve.deployment.DeploymentManager`; a
         gate-passing challenger enters it at SHADOW via
@@ -319,13 +321,26 @@ class RetrainingScheduler(ServePolicy):
     def on_decision(self, deployment, decision) -> None:
         """Feed the (estimate, true cardinality) pair to the triggers and
         advance the virtual clock by the served latency, so retraining
-        fires at deterministic stream positions."""
-        estimator = getattr(deployment.learned, "estimator", None)
+        fires at deterministic stream positions.
+
+        The estimate is the one the learned optimizer's coster priced the
+        query with, read back from its cardinality cache without a trace;
+        only a query it did not plan at this estimator state and data
+        version (a native or degraded serve) is estimated again."""
+        learned = deployment.learned
+        estimator = getattr(learned, "estimator", None)
         if self.triggers and estimator is not None:
-            self.observe_qerror(
-                float(estimator.estimate(decision.query)),
-                float(decision.cardinality),
-            )
+            estimate = None
+            coster = getattr(getattr(learned, "optimizer", None), "coster", None)
+            if (
+                coster is not None
+                and coster.estimator is estimator
+                and coster.cache is not None
+            ):
+                estimate = coster.cache.peek(coster.cache_tag(), decision.query)
+            if estimate is None:
+                estimate = estimator.estimate(decision.query)
+            self.observe_qerror(float(estimate), float(decision.cardinality))
         self.step(decision.latency_ms)
 
     # -- stepping --------------------------------------------------------------
@@ -387,7 +402,9 @@ class RetrainingScheduler(ServePolicy):
         )
         gate_passed = True
         if self.gate is not None:
-            report = self.gate.evaluate(champion, challenger)
+            report = self.gate.evaluate(
+                champion, challenger, challenger_fingerprint=version.fingerprint
+            )
             gate_passed = report.passed
             self.registry.record_gate(version.version_id, report)
         deployed = False

@@ -8,8 +8,9 @@ A fitted tree is four flat arrays in pre-order -- ``feature`` (``-1`` marks
 a leaf), ``threshold``, ``children`` (``[nodes, 2]``; a leaf points at
 itself on both sides) and ``value`` -- and an ensemble is the same four
 arrays stacked over all its trees plus one root index per tree.  Fitting
-stable-sorts every feature once, hands the sorted row lists down the tree
-by stable partition and scores all features of a node in one 2-D pass;
+stable-sorts every feature once, drops the features no node can cut, hands
+the sorted row lists down the tree by stable partition and scores the
+valid cuts of all features of a node in one pass;
 prediction walks all rows through all trees one level per step.  The
 arithmetic, its order and every tie-break are those of the per-node,
 per-feature, per-row loops this replaced (kept as
@@ -69,16 +70,27 @@ def _no_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     )
 
 
-def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x.T`` (contiguous) and, per feature, its rows in stable value order."""
+def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x.T`` (contiguous), the features that can ever be cut, and their
+    rows in stable value order (``[cuttable features, rows]``).
+
+    A feature whose sorted column has no strictly increasing neighbour pair
+    -- one value, or one value and NaNs -- has no valid cut at any node, so
+    it is dropped here, once.  ``min < max`` would also drop a column that
+    holds NaN and two distinct values; the neighbour test keeps it.
+    """
     xt = np.ascontiguousarray(x.T)
-    return xt, np.argsort(xt, axis=1, kind="stable")
+    order = np.argsort(xt, axis=1, kind="stable")
+    ranked = np.take_along_axis(xt, order, axis=1)
+    cuttable = (ranked[:, :-1] < ranked[:, 1:]).any(axis=1)
+    return xt, np.flatnonzero(cuttable), order[cuttable]
 
 
 def _grow(
     xt: np.ndarray,
     y: np.ndarray,
     rows: np.ndarray,
+    feats: np.ndarray,
     order: np.ndarray,
     max_depth: int,
     min_samples_leaf: int,
@@ -86,9 +98,10 @@ def _grow(
     """Grow one tree on ``rows`` and return its pre-order node arrays.
 
     ``xt`` is ``[features, all rows]``, ``y`` is indexed by the same row
-    ids, ``rows`` are the tree's row ids ascending and ``order`` is
-    ``[features, len(rows)]``: the same ids in each feature's stable value
-    order.  Returns ``(feature, threshold, children, value, depth)``.
+    ids, ``rows`` are the tree's row ids ascending, ``feats`` the column
+    ids that may be cut and ``order`` is ``[len(feats), len(rows)]``: the
+    same row ids in each of those features' stable value order.  Returns
+    ``(feature, threshold, children, value, depth)``.
     """
     feature: list[int] = []
     threshold: list[float] = []
@@ -96,12 +109,13 @@ def _grow(
     value: list[float] = []
     reached = 0
     flag = np.zeros(xt.shape[1], dtype=bool)
+    cells = xt.ravel()  # cell (f, row) is f * xt.shape[1] + row
     # A cut needs a row on each side, whatever min_samples_leaf says.
     lo = max(min_samples_leaf, 1)
     # Pre-order with an explicit stack: right is pushed first, so the left
     # subtree is numbered before it.  An entry owns its sorted lists; they
     # are dropped as soon as the node has handed them to its children.
-    stack = [(rows, order, np.arange(xt.shape[0]), 0, -1, 0)]
+    stack = [(rows, order, feats, 0, -1, 0)]
     while stack:
         rows, order, feats, depth, parent, side = stack.pop()
         node = len(feature)
@@ -119,7 +133,7 @@ def _grow(
             continue
         # Every cut k in [lo, hi] of every live feature in one pass; column
         # i of the slices below is the cut after sorted position lo - 1 + i.
-        values = xt[feats[:, None], order[:, lo - 1 : hi + 1]]
+        values = cells[(feats * xt.shape[1])[:, None] + order[:, lo - 1 : hi + 1]]
         valid = values[:, :-1] < values[:, 1:]
         alive = valid.any(axis=1)
         if not alive.any():
@@ -133,23 +147,26 @@ def _grow(
         total_sq = (y_sub**2).sum()
         base_sse = total_sq - total_sum**2 / n
         y_sorted = y[order]
-        k = np.arange(lo, hi + 1)
-        csum = np.cumsum(y_sorted, axis=1)[:, lo - 1 : hi]
-        csq = np.cumsum(y_sorted**2, axis=1)[:, lo - 1 : hi]
+        # Score the valid cuts only, listed in (feature, cut) row-major
+        # order: cut c of feature f ends the left side at sorted position
+        # lo - 1 + c, so k = lo + c rows go left.
+        f_at, c_at = np.divmod(np.flatnonzero(valid), valid.shape[1])
+        k = lo + c_at
+        csum = np.cumsum(y_sorted, axis=1)[f_at, k - 1]
+        csq = np.cumsum(y_sorted**2, axis=1)[f_at, k - 1]
         left_sse = csq - csum**2 / k
         right_sum = total_sum - csum
         right_sq = total_sq - csq
         right_sse = right_sq - right_sum**2 / (n - k)
-        gains = np.where(valid, base_sse - left_sse - right_sse, -np.inf)
-        # First maximum per feature, then the first feature that beats
-        # _MIN_GAIN with the strictly largest one.
-        cut = gains.argmax(axis=1)
-        best_gain = gains[np.arange(feats.size), cut]
-        best_gain = np.where(best_gain > _MIN_GAIN, best_gain, -np.inf)
-        f = int(best_gain.argmax())
-        if best_gain[f] == -np.inf:
+        gains = base_sse - left_sse - right_sse
+        # The first maximum in row-major order is the first feature's first
+        # best cut: the old rule (first maximum per feature, then the first
+        # feature with the strictly largest one), which must beat _MIN_GAIN.
+        best = int(gains.argmax())
+        if not gains[best] > _MIN_GAIN:
             continue
-        thr = float(0.5 * (values[f, cut[f]] + values[f, cut[f] + 1]))
+        f, cut = f_at[best], c_at[best]
+        thr = float(0.5 * (values[f, cut] + values[f, cut + 1]))
         go_left = xt[feats[f], rows] <= thr
         left_rows, right_rows = rows[go_left], rows[~go_left]
         if left_rows.size == 0 or right_rows.size == 0:
@@ -157,9 +174,10 @@ def _grow(
         feature[node] = int(feats[f])
         threshold[node] = thr
         flag[rows] = go_left
-        to_left = flag[order]
-        right_order = order[~to_left].reshape(feats.size, right_rows.size)
-        left_order = order[to_left].reshape(feats.size, left_rows.size)
+        # Flat compress, not a 2-D boolean index: the same ids, same order.
+        to_left, order = flag[order].ravel(), order.ravel()
+        right_order = order.compress(~to_left).reshape(feats.size, right_rows.size)
+        left_order = order.compress(to_left).reshape(feats.size, left_rows.size)
         stack.append((right_rows, right_order, feats, depth + 1, node, 1))
         stack.append((left_rows, left_order, feats, depth + 1, node, 0))
     return (
@@ -219,11 +237,12 @@ class RegressionTree:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RegressionTree":
         x, y = _check_xy(x, y)
-        xt, order = _presort(x)
+        xt, feats, order = _presort(x)
         self.feature, self.threshold, self.children, self.value, self.depth_ = _grow(
             xt,
             y,
             np.arange(x.shape[0]),
+            feats,
             order,
             self.max_depth,
             self.min_samples_leaf,
@@ -291,7 +310,7 @@ class GradientBoostedTrees:
         # Every stage splits the same matrix, so it is sorted once; a
         # subsampled stage filters the sorted lists (a stable sort of a
         # subset is the subset of the stable sort).
-        xt, order = _presort(x)
+        xt, feats, order = _presort(x)
         all_rows = np.arange(n)
         root = np.zeros(n, dtype=np.intp)
         # Stacked with global child ids; the leading empty block lets zero
@@ -306,11 +325,12 @@ class GradientBoostedTrees:
                 take = rng.random(n) < self.subsample
                 if take.sum() >= max(2 * self.min_samples_leaf, 2):
                     rows = all_rows[take]
-                    stage_order = order[take[order]].reshape(x.shape[1], rows.size)
+                    stage_order = order[take[order]].reshape(feats.size, rows.size)
             feature, threshold, children, value, depth = _grow(
                 xt,
                 residual,
                 rows,
+                feats,
                 stage_order,
                 self.max_depth,
                 self.min_samples_leaf,

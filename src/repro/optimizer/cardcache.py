@@ -51,6 +51,11 @@ class CardinalityCache(BoundedLRU):
         """Cached cardinality, or None; counts a hit or a miss either way."""
         return self.get((tag, query_hash(query)))
 
+    def peek(self, tag: tuple, query: Query) -> float | None:  # type: ignore[override]
+        """Cached cardinality, or None, counting nothing and leaving the LRU
+        order alone: how an observer reads back what a planning priced."""
+        return super().peek((tag, query_hash(query)))
+
     def insert(self, tag: tuple, query: Query, value: float) -> None:
         self.put((tag, query_hash(query)), float(value))
 

@@ -53,7 +53,9 @@ class PlanCoster:
 
     # -- cardinalities ------------------------------------------------------------
 
-    def _cache_tag(self) -> tuple:
+    def cache_tag(self) -> tuple:
+        """The cache-key half that names this coster's estimator state and
+        the data it priced: what a :meth:`CardinalityCache.peek` needs."""
         return (estimator_cache_tag(self.estimator), self.db.data_version)
 
     def estimate_cardinality(self, query: Query) -> float:
@@ -66,7 +68,7 @@ class PlanCoster:
         if self.cache is None:
             return sanitize_estimate(self.estimator.estimate(query))
         return self.cache.get_or_compute(
-            self._cache_tag(),
+            self.cache_tag(),
             query,
             lambda q: sanitize_estimate(self.estimator.estimate(q)),
         )
@@ -85,7 +87,7 @@ class PlanCoster:
         and one model forward pass before its inner loop runs.
         """
         out: dict[frozenset[str], float] = {}
-        tag = self._cache_tag() if self.cache is not None else None
+        tag = self.cache_tag() if self.cache is not None else None
         misses: list[frozenset[str]] = []
         miss_queries: list[Query] = []
         for tables in subsets:

@@ -1,10 +1,10 @@
 """The census as a test: no caller, no code.
 
-Over every package and every module under ``src/repro`` six things must
-hold, and a seventh over ``benchmarks/``.  (a), (b), (d), (e), (f) and (g)
-only read source files -- nothing is imported from ``repro`` or ``perf``,
-and an absent directory is skipped; (c) imports the examples, and one
-case of (g) builds the records it names:
+Over every package and every module under ``src/repro`` seven things must
+hold, and an eighth over ``benchmarks/``.  (a), (b), (d), (e), (f), (g) and
+(h) only read source files -- nothing is imported from ``repro`` or
+``perf``, and an absent directory is skipped; (c) imports the examples, and
+one case of (g) builds the records it names:
 
 (a) every name a package ``__init__`` exports is imported *through that
     package* by some file outside it (the top-level ``repro`` facade is the
@@ -35,7 +35,11 @@ case of (g) builds the records it names:
     and every record built once per request -- each frozen record of (e)
     plus ``Request``, ``Rejected`` and ``FabricRequest`` -- is
     ``slots=True`` (no per-instance ``__dict__`` to build); slotting keeps
-    pickling, copying, ``dataclasses.replace``, equality and immutability.
+    pickling, copying, ``dataclasses.replace``, equality and immutability;
+(h) there is one LRU: nothing outside ``core/lru.py`` -- no subclass, no
+    observer, no test -- touches a ``BoundedLRU``'s ``_entries``.  A read
+    goes through ``get`` (counted) or ``peek`` (no trace), a write through
+    ``put``, so the counters and the eviction order mean what they say.
 
 A failure names the file and the symbol.  The fix is to delete the code (or
 the export), not to grow the allow-list: that list is the backlog of
@@ -495,6 +499,57 @@ def test_request_path_is_single_writer():
     )
 
 
+# -- (h) one LRU ------------------------------------------------------------------------
+
+
+def _lru_classes(sources: Sources) -> set[str]:
+    """``BoundedLRU`` and every class under ``src/repro`` that derives from
+    it (bases resolved by name)."""
+    bases = {
+        node.name: {getattr(b, "id", getattr(b, "attr", "")) for b in node.bases}
+        for path in _files("src")
+        for node in ast.walk(sources.parse(path))
+        if isinstance(node, ast.ClassDef)
+    }
+    lru = {"BoundedLRU"}
+    while True:
+        grown = lru | {name for name, of in bases.items() if of & lru}
+        if grown == lru:
+            return lru
+        lru = grown
+
+
+def lru_entries_violations(sources: Sources) -> list[str]:
+    """Every ``._entries`` outside ``core/lru.py`` that may be a
+    ``BoundedLRU``'s: anything but ``self._entries`` in a class that is no
+    LRU (the rewrite leaderboard keeps a list of that name)."""
+    lru, found = _lru_classes(sources), []
+
+    def visit(node: ast.AST, owner: str | None, path: Path) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, path)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_entries":
+                own = isinstance(child.value, ast.Name) and child.value.id == "self"
+                if not own or owner is None or owner in lru:
+                    found.append(f"{path.relative_to(ROOT)}:{child.lineno} touches _entries")
+            visit(child, owner, path)
+
+    for path in _files(*CODE_TREES, "tests"):
+        if path != SRC / "core" / "lru.py":
+            visit(sources.parse(path), None, path)
+    return found
+
+
+def test_only_the_lru_touches_its_entries():
+    found = lru_entries_violations(Sources())
+    assert not found, (
+        f"{found} -- a BoundedLRU's entries are its own: read through get / peek, "
+        "write through put, so the counters and the eviction order stay true"
+    )
+
+
 def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simulator):
     """One instance of each record (g) slots: it has no ``__dict__`` and
     still pickles, deep-copies, ``replace``-s and compares by value."""
@@ -694,4 +749,27 @@ def test_seeded_bench_outside_the_contract_is_caught(relative, old, new, caught)
 def test_seeded_second_writer_is_caught(relative, old, new, caught):
     sources = _patched(relative, old, new)
     found = [re.sub(r":\d+ ", " ", f) for f in single_writer_violations(sources)]
+    assert found == caught
+
+
+@pytest.mark.parametrize(
+    "relative, old, new, caught",
+    [
+        (  # a subclass reading its base's entries
+            "optimizer/cardcache.py",
+            "return super().peek((tag, query_hash(query)))",
+            "return self._entries.get((tag, query_hash(query)))",
+            ["src/repro/optimizer/cardcache.py touches _entries"],
+        ),
+        (  # an observer reaching into a cache
+            "lifecycle/scheduler.py",
+            "estimate = coster.cache.peek(coster.cache_tag(), decision.query)",
+            "estimate = coster.cache._entries.get(coster.cache_tag())",
+            ["src/repro/lifecycle/scheduler.py touches _entries"],
+        ),
+    ],
+)
+def test_seeded_reach_into_an_lru_is_caught(relative, old, new, caught):
+    sources = _patched(relative, old, new)
+    found = [re.sub(r":\d+ ", " ", f) for f in lru_entries_violations(sources)]
     assert found == caught

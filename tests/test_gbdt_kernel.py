@@ -177,6 +177,61 @@ class TestDifferential:
         assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
         assert_same_trees([ref_tree], tree_table(tree))
 
+    def test_equal_gains_across_features_and_cuts_take_the_first_pair(self):
+        """Columns 1 and 3 repeat one column whose low and high cuts score
+        the same to the bit; 0 and 2 can never be cut.  Dropping those once
+        per fit must neither renumber the features nor change which of the
+        four equal (feature, cut) pairs wins: the first."""
+        v = np.repeat([0.0, 1.0, 2.0], 2)
+        x = np.column_stack([np.full(6, 4.0), v, [np.nan] * 5 + [1.0], v])
+        y = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        ref_tree = ReferenceRegressionTree(max_depth=1, min_samples_leaf=1).fit(x, y)
+        tree = RegressionTree(max_depth=1, min_samples_leaf=1).fit(x, y)
+        assert (tree.feature[0], tree.threshold[0]) == (1, 0.5)
+        assert_same_trees([ref_tree], tree_table(tree))
+        ref, new = fit_pair(x, y, n_estimators=3, max_depth=2, min_samples_leaf=1)
+        assert new.feature_[0] == 1
+        assert_same_model(ref, new, [x])
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.6])
+    @pytest.mark.parametrize(
+        "shape", ["all_constant", "some_constant", "nan_column", "two_values", "three_values"]
+    )
+    def test_cuttable_columns_and_columns_no_node_can_cut(self, shape, subsample):
+        rng = np.random.default_rng(17)
+        n, d = 150, 8
+        x = rng.normal(size=(n, d))
+        never = []  # columns without a strictly increasing sorted pair
+        if shape == "all_constant":
+            x[:] = 2.5
+            never = list(range(d))
+        elif shape == "some_constant":
+            x[:, 0] = 1.0
+            x[:, 3] = np.nan
+            x[::3, 5] = np.nan
+            x[1::3, 5] = x[2::3, 5] = -4.0  # one value and NaNs
+            never = [0, 3, 5]
+        elif shape == "nan_column":
+            # NaN sorts last and fails every ``<``: min < max would call this
+            # column constant, yet its other values still cut.
+            x[rng.random(n) < 0.3, 2] = np.nan
+        else:
+            levels = 2 if shape == "two_values" else 3
+            x = rng.integers(0, levels, size=(n, d)).astype(float)
+        y = np.nan_to_num(3.0 * x[:, 2], nan=-2.0) + x[:, 6] + rng.normal(size=n)
+        unseen = x[rng.permutation(n)[:25]] + 0.25
+        ref, new = fit_pair(
+            x, y, n_estimators=8, max_depth=4, learning_rate=0.3, subsample=subsample, seed=3
+        )
+        assert_same_model(ref, new, [x, unseen])
+        assert not np.isin(new.feature_, never).any()
+        if shape == "nan_column":
+            assert 2 in new.feature_
+        ref_tree = ReferenceRegressionTree(max_depth=4).fit(x, y)
+        tree = RegressionTree(max_depth=4).fit(x, y)
+        assert_same_trees([ref_tree], tree_table(tree))
+        assert np.array_equal(ref_tree.predict(unseen), tree.predict(unseen))
+
     def test_a_valid_cut_only_in_the_sibling_keeps_the_feature_there(self):
         """Column 1 varies only where column 0 is high.  The root splits on
         column 0; the low child has no cut on column 1 and drops it, the

@@ -84,6 +84,34 @@ def test_cardinality_cache_hits_across_equivalent_instances():
     assert cache.hits == 1 and cache.misses == 0
 
 
+def test_cardinality_cache_peek_leaves_no_trace():
+    a, b = _equivalent_queries()
+    c = _store_queries(1)[0]
+    tag = ("est", 1, 0)
+
+    def filled():
+        cache = CardinalityCache(capacity=2)
+        cache.insert(tag, a, 42.0)
+        cache.insert(tag, c, 7.0)
+        return cache
+
+    peeked = filled()
+    stats = peeked.stats()
+    assert peeked.peek(tag, b) == 42.0  # an equivalent instance, as lookup
+    assert peeked.peek(("est", 1, 1), a) is None  # another estimator state
+    assert peeked.peek(tag, _store_queries(2)[1]) is None
+    assert peeked.stats() == stats  # no hit, no miss
+    # ``a`` is still the least recently used entry: the next insert evicts it.
+    peeked.insert(tag, _store_queries(2)[1], 1.0)
+    assert peeked.peek(tag, a) is None and peeked.peek(tag, c) == 7.0
+    assert peeked.evictions == 1
+    # A lookup, by contrast, counts a hit and makes ``a`` the newest.
+    looked = filled()
+    assert looked.lookup(tag, a) == 42.0 and looked.hits == 1
+    looked.insert(tag, _store_queries(2)[1], 1.0)
+    assert looked.peek(tag, a) == 42.0 and looked.peek(tag, c) is None
+
+
 # -- experience store (tentpole + satellite d) ----------------------------------
 
 
@@ -313,6 +341,116 @@ def test_fingerprint_that_cannot_cover_the_model_raises(monkeypatch):
     assert model_fingerprint(model)
 
 
+# Four kinds of state the walk used to hash as a bare type name (or, past the
+# depth cap, as a marker): a change to any of them left the digest unchanged.
+
+
+def test_fingerprint_sees_a_generator_advance():
+    model = _ToyModel([1.0])
+    model.rng = np.random.default_rng(0)
+    fp = model_fingerprint(model)
+    assert model_fingerprint(copy.deepcopy(model)) == fp
+    model.rng.random()
+    assert model_fingerprint(model) != fp
+
+
+def test_fingerprint_sees_a_deque_append_and_its_maxlen():
+    from collections import deque
+
+    model = _ToyModel([1.0])
+    model.window = deque([1.0, 2.0], maxlen=4)
+    fp = model_fingerprint(model)
+    model.window.append(3.0)
+    assert model_fingerprint(model) != fp
+    model.window.pop()
+    assert model_fingerprint(model) == fp
+    model.window = deque([1.0, 2.0], maxlen=5)
+    assert model_fingerprint(model) != fp
+
+
+class _Slotted:
+    __slots__ = ("weight", "__private")
+
+    def __init__(self, weight, private):
+        self.weight = weight
+        self.__private = private
+
+
+class _SlottedChild(_Slotted):
+    __slots__ = "bias"
+
+    def __init__(self, weight, private, bias):
+        super().__init__(weight, private)
+        self.bias = bias
+
+
+def test_fingerprint_sees_slots_along_the_mro():
+    model = _SlottedChild(1.0, 2.0, 3.0)
+    fp = model_fingerprint(model)
+    assert model_fingerprint(_SlottedChild(1.0, 2.0, 3.0)) == fp
+    for changed in (
+        _SlottedChild(9.0, 2.0, 3.0),  # a base-class slot
+        _SlottedChild(1.0, 9.0, 3.0),  # a name-mangled one
+        _SlottedChild(1.0, 2.0, 9.0),  # the subclass's own
+    ):
+        assert model_fingerprint(changed) != fp
+    model.weight = 9.0
+    assert model_fingerprint(model) != fp
+
+
+def test_fingerprint_past_the_depth_cap_raises():
+    from repro.lifecycle import registry
+
+    def nested(levels, leaf):
+        value = leaf
+        for _ in range(levels):
+            value = [value]
+        return value
+
+    model = _ToyModel([1.0])
+    model.deep = nested(registry._MAX_DEPTH - 1, 1.0)  # the leaf at depth _MAX_DEPTH
+    fp = model_fingerprint(model)
+    model.deep = nested(registry._MAX_DEPTH - 1, 2.0)
+    assert model_fingerprint(model) != fp
+    model.deep = nested(registry._MAX_DEPTH, 1.0)  # one level past it
+    with pytest.raises(ConfigError, match="deeper than"):
+        model_fingerprint(model)
+    with pytest.raises(ConfigError, match="_ToyModel"):
+        ModelRegistry().register(model)
+
+
+@pytest.fixture(scope="module")
+def trained_bao():
+    """A Bao whose risk model is trained, so ``choose_plan`` Thompson-samples
+    a member (a draw from its Generator), on its own small database."""
+    from repro.engine import ExecutionSimulator
+    from repro.optimizer import Optimizer
+    from repro.sql import WorkloadGenerator
+
+    db = make_stats_lite(scale=0.12, seed=1)
+    native = Optimizer(db)
+    simulator = ExecutionSimulator(db)
+    bao = BaoOptimizer(native, retrain_every=0, seed=0)
+    queries = WorkloadGenerator(db, seed=3).workload(24, 1, 2, require_predicate=True)
+    for q in queries[:20]:
+        candidate = bao.choose_plan(q)
+        bao.record_feedback(q, candidate, simulator.execute(candidate.plan).latency_ms)
+    bao.retrain()
+    shared = (db, native, simulator, native.stats, native.cache)
+    return bao, queries[20:], simulator, shared
+
+
+def test_bao_fingerprint_sees_feedback_and_thompson_sampling(trained_bao):
+    bao, queries, simulator, shared = trained_bao
+    bao = clone_model(bao, shared=shared)
+    fp = model_fingerprint(bao, shared=shared)
+    candidate = bao.choose_plan(queries[0])  # draws an ensemble member
+    after_choice = model_fingerprint(bao, shared=shared)
+    assert after_choice != fp
+    bao.record_feedback(queries[0], candidate, 1.0)  # appends to both windows
+    assert model_fingerprint(bao, shared=shared) not in (fp, after_choice)
+
+
 def test_registry_export_is_deterministic():
     def build():
         r = ModelRegistry()
@@ -451,6 +589,50 @@ def test_scheduler_policy_estimates_only_for_its_triggers():
     watching.on_decision(deployment, decision)
     assert estimator.calls == 1 and watching.ctx.queries == 1
     assert watching.ctx.virtual_ms == decision.latency_ms
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_qerror_trigger_reads_the_estimate_the_plan_was_priced_with(seed, monkeypatch):
+    """Each estimate the trigger observes is ``==`` to asking the deployed
+    estimator again; most are peeked from the planner's cardinality cache."""
+    scenario = _tiny_scenario(seed=seed, cadence_queries=20)
+    scheduler, cache = scenario.scheduler, scenario.native.cache
+    on_decision, observe = scheduler.on_decision, scheduler.observe_qerror
+    peek = cache.peek
+    observed, expected, peeked = [], [], []
+
+    def checked_on_decision(deployment, decision):
+        expected.append(float(deployment.learned.estimator.estimate(decision.query)))
+        on_decision(deployment, decision)
+
+    def counted_peek(tag, query):
+        value = peek(tag, query)
+        peeked.append(value is not None)
+        return value
+
+    monkeypatch.setattr(scheduler, "on_decision", checked_on_decision)
+    monkeypatch.setattr(
+        scheduler, "observe_qerror", lambda e, t: (observed.append(e), observe(e, t))
+    )
+    monkeypatch.setattr(cache, "peek", counted_peek)
+    scenario.run()
+    assert len(observed) == len(expected) == scenario.n_requests
+    assert observed == expected
+    assert len(peeked) == scenario.n_requests and sum(peeked) > len(peeked) // 2
+
+
+def test_gate_qerrors_batched_equal_the_scalar_loop():
+    from repro.cardest.base import q_error
+
+    scenario = _tiny_scenario(seed=1, cadence_queries=20)
+    scenario.run()
+    gate = scenario.gate
+    for version in scenario.registry.versions():
+        estimator = scenario.registry.model(version.version_id).estimator
+        scalar = np.array(
+            [q_error(estimator.estimate(q), gate.executor.cardinality(q)) for q in gate.queries]
+        )
+        assert gate._qerrors(estimator).tobytes() == scalar.tobytes()
 
 
 def test_scheduler_rejects_mutating_retrainer():
@@ -606,6 +788,155 @@ def test_gate_failure_never_reaches_deployment(gate_stack):
         EvalGate([], simulator=simulator)
     with pytest.raises(ConfigError):
         EvalGate(holdout)
+
+
+# -- the gate's metric memo ---------------------------------------------------------
+
+
+class _MemolessGate(EvalGate):
+    """The gate as it was before the memo: every evaluation measures both."""
+
+    def _measured(self, model, fingerprint=None):
+        return self._metrics(model)
+
+
+def _memoless_twin(gate) -> _MemolessGate:
+    return _MemolessGate(
+        gate.queries,
+        simulator=gate.simulator,
+        executor=gate.executor,
+        max_p50_ratio=gate.max_p50_ratio,
+        max_p95_ratio=gate.max_p95_ratio,
+        max_qerror_ratio=gate.max_qerror_ratio,
+        max_regression_rate=gate.max_regression_rate,
+    )
+
+
+def _count_passes(gate, monkeypatch) -> list:
+    """Every model the gate really measures (a memo hit is not a pass)."""
+    measured = []
+    metrics = gate._metrics
+
+    def counted(model):
+        measured.append(model)
+        return metrics(model)
+
+    monkeypatch.setattr(gate, "_metrics", counted)
+    return measured
+
+
+def _memo_stack(seed=0):
+    """A throwaway database (the memo test drifts it), a steered champion
+    and a gate with the registry's ``shared``."""
+    from repro.engine import CardinalityExecutor, ExecutionSimulator
+    from repro.optimizer import Optimizer
+    from repro.sql import WorkloadGenerator
+
+    db = make_stats_lite(scale=0.12, seed=seed)
+    native = Optimizer(db)
+    simulator = ExecutionSimulator(db)
+    executor = CardinalityExecutor(db)
+    shared = (db, native, simulator, executor, native.stats, native.cache)
+    champion, queries = _steered_champion(db, native, seed=seed)
+    holdout = WorkloadGenerator(db, seed=9).workload(12, 1, 2, require_predicate=True)
+    gate = EvalGate(holdout, simulator=simulator, executor=executor, shared=shared)
+    return gate, champion, queries, shared, native
+
+
+def test_gate_memo_answers_an_unchanged_model_and_misses_a_refit_or_a_drift(monkeypatch):
+    gate, champion, queries, shared, native = _memo_stack()
+    # The first pass adds the holdout's join shapes to the featurizer's
+    # memo: the champion's content changed, so only the second pass is kept.
+    passes = _count_passes(gate, monkeypatch)
+    gate.evaluate(champion, champion)
+    assert passes == [champion, champion]
+    clone = clone_model(champion, shared=shared)
+    first = gate.evaluate(champion, clone)
+    assert passes == [champion, champion]  # one content, one data version
+    assert first.passed
+    assert first.challenger == first.champion | {"regression_rate": 0.0}
+    refit = clone_model(champion, shared=shared)
+    refit.estimator.fit(queries[:20], np.ones(20))
+    second = gate.evaluate(champion, refit)
+    assert passes[2:] == [refit]  # the champion from the memo, not the refit
+    assert second.champion == first.champion
+    apply_drift(gate.simulator.db, fraction=0.5, seed=0)
+    native.stats.refresh(gate.simulator.db)
+    gate.executor.clear_cache()
+    third = gate.evaluate(champion, refit)
+    assert passes[3:] == [champion, refit]  # new data: both again
+    assert third.champion != first.champion
+    assert _memoless_twin(gate).evaluate(champion, refit) == third
+
+
+def test_gate_memo_caches_metrics_not_verdicts(monkeypatch):
+    gate, champion, _, shared, _ = _memo_stack()
+    gate.evaluate(champion, champion)  # fills the featurizer's join memo
+    clone = clone_model(champion, shared=shared)
+    assert gate.evaluate(champion, clone).passed
+    passes = _count_passes(gate, monkeypatch)
+    gate.max_p50_ratio = 0.0  # what p4's gate-safety arm does to a live gate
+    report = gate.evaluate(champion, clone)
+    assert passes == []  # both answered from the memo ...
+    assert not report.passed and report.reasons[0].startswith("p50 latency")  # ... and judged anew
+
+
+def test_gate_memo_never_answers_a_model_that_draws_while_planning(trained_bao, monkeypatch):
+    from repro.engine import CardinalityExecutor
+
+    bao, queries, simulator, shared = trained_bao
+    executor = CardinalityExecutor(simulator.db)
+    gate = EvalGate(queries, simulator=simulator, executor=executor, shared=shared)
+    passes = _count_passes(gate, monkeypatch)
+    champion = clone_model(bao, shared=shared)
+    challenger = clone_model(bao, shared=shared)
+    for _ in range(2):
+        gate.evaluate(champion, challenger)
+    # Thompson sampling moved each Generator, so no pass was ever stored.
+    assert passes == [champion, challenger] * 2
+
+    def scheduled(gate_class):
+        registry = ModelRegistry(shared=shared)
+        v0 = registry.register(clone_model(bao, shared=shared), trigger="initial")
+        registry.record_stage(v0.version_id, "live", reason="initial")
+        sched = RetrainingScheduler(
+            registry,
+            ExperienceStore(capacity=8, seed=0),
+            lambda current, store, action: clone_model(current, shared=shared),
+            triggers=[CadenceTrigger(every_queries=1)],
+            cooldown_queries=1,
+            gate=gate_class(
+                queries, simulator=simulator, executor=executor, shared=shared,
+                max_p50_ratio=1.0,
+            ),
+        )
+        for _ in range(3):
+            sched.step(1.0)
+        return sched.outcomes, registry.to_json()
+
+    assert scheduled(EvalGate) == scheduled(_MemolessGate)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gate_reports_equal_a_memoless_gates_over_the_drift_scenario(seed, monkeypatch):
+    scenario = _tiny_scenario(seed=seed, cadence_queries=20)
+    gate = scenario.gate
+    passes = _count_passes(gate, monkeypatch)
+    reference = _memoless_twin(gate)
+    evaluate = gate.evaluate
+    compared = []
+
+    def checked(champion, challenger, **kwargs):
+        expected = reference.evaluate(champion, challenger)
+        report = evaluate(champion, challenger, **kwargs)
+        assert report == expected
+        compared.append(report)
+        return report
+
+    monkeypatch.setattr(gate, "evaluate", checked)
+    scenario.run()
+    assert len(compared) == scenario.scheduler.stats()["retrains"] >= 2
+    assert len(passes) < 2 * len(compared)  # the memo answered some passes
 
 
 # -- experience wiring (tentpole) ------------------------------------------------
