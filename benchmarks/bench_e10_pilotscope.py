@@ -3,7 +3,9 @@
 Replays the tutorial's demonstration: the same database serves a workload
 (1) natively, (2) with a learned cardinality estimator deployed through
 the batch-injection driver, (3) with the Bao driver, and (4) with the Lero
-driver -- all through the console, transparently to the "user".  Reports
+driver -- all through the console, transparently to the "user".  The
+console refits each steering driver every 25 queries (its background
+updates).  Reports
 per-deployment workload latency plus the middleware's per-query planning
 overhead (wall-clock seconds spent outside simulated execution).
 
@@ -64,6 +66,7 @@ def measure(seed=0):
         driver = BaoDriver(seed=seed)
         console.register_driver(driver)
         console.start_driver("bao_driver")
+        console.enable_background_updates(25)
 
     replay("bao driver", setup_bao)
 
@@ -73,6 +76,7 @@ def measure(seed=0):
         console.start_driver("lero_driver")
         driver.collect_training_data(train[:25])
         driver.train()
+        console.enable_background_updates(25)
 
     replay("lero driver", setup_lero)
     return [

@@ -19,7 +19,7 @@ plan: one shadow pair every 7th query leaves the comparator below its
 """
 
 from benchmarks.contract import Table, imdb_db, imdb_optimizer, imdb_simulator, table_export
-from repro.core.framework import LearnedOptimizer
+from repro.core.framework import LearnedOptimizer, RetrainCadence
 from repro.costmodel import PlanFeaturizer
 from repro.e2e import (
     CardinalityScalingExploration,
@@ -85,10 +85,10 @@ def measure(seed=0):
             for cand in strategy.candidates(q)[:3]:
                 risk.observe(cand, simulator.execute(cand.plan).latency_ms)
         risk.retrain()
-        learned = LearnedOptimizer(
-            strategy, risk, retrain_every=30, name=f"{s_name}+{r_name}"
+        learned = LearnedOptimizer(strategy, risk, name=f"{s_name}+{r_name}")
+        loop = OptimizationLoop(
+            learned, simulator, optimizer, policies=[RetrainCadence(learned, every=30)]
         )
-        loop = OptimizationLoop(learned, simulator, optimizer)
         loop.run(workload)
         s = loop.summary(tail=75)
         rows.append(

@@ -11,6 +11,7 @@ at least as much as the median.
 """
 
 from benchmarks.contract import Table, imdb_db, imdb_optimizer, imdb_simulator, table_export
+from repro.core import RetrainCadence
 from repro.e2e import BaoOptimizer, OptimizationLoop
 from repro.sql import WorkloadGenerator
 
@@ -21,7 +22,9 @@ def measure(seed=0):
         300, 2, 5, require_predicate=True
     )
     bao = BaoOptimizer(optimizer, seed=seed)
-    loop = OptimizationLoop(bao, simulator, optimizer)
+    loop = OptimizationLoop(
+        bao, simulator, optimizer, policies=[RetrainCadence(bao, every=25)]
+    )
     loop.run(workload)
     windows = []
     for start in range(0, len(workload), 50):

@@ -14,7 +14,7 @@ problem the E9 guards address.
 """
 
 from benchmarks.contract import Table, imdb_db, imdb_optimizer, imdb_simulator, table_export
-from repro.core import PlannerModel
+from repro.core import PlannerModel, RetrainCadence
 from repro.e2e import (
     BaoOptimizer,
     LeroOptimizer,
@@ -40,17 +40,24 @@ def measure(seed=0):
     neo = NeoOptimizer(optimizer, seed=seed)
     loger = LogerOptimizer(optimizer, seed=seed)
     systems = {
-        "native": (PlannerModel(optimizer, name="default"), None),
-        "bao [37]": (BaoOptimizer(optimizer, seed=seed), None),
-        "lero [79]": (lero, lero.train_offline),
-        "neo [38]": (neo, neo.bootstrap_from_expert),
-        "loger [3]": (loger, loger.bootstrap_from_expert),
+        "native": PlannerModel(optimizer, name="default"),
+        "bao [37]": BaoOptimizer(optimizer, seed=seed),
+        "lero [79]": lero,
+        "neo [38]": neo,
+        "loger [3]": loger,
     }
     rows = []
-    for name, (system, pretrain) in systems.items():
-        if pretrain is not None:
-            pretrain(train, simulator.latency)
-        loop = OptimizationLoop(system, simulator, optimizer)
+    for name, system in systems.items():
+        # Every learned system refits in place every 25 feedbacks, the
+        # searchers' expert demonstrations included.
+        policies = []
+        if not isinstance(system, PlannerModel):
+            policies.append(RetrainCadence(system, every=25))
+        if system is lero:
+            lero.train_offline(train, simulator.latency)
+        elif system in (neo, loger):
+            system.bootstrap_from_expert(train, simulator.latency, policies[0])
+        loop = OptimizationLoop(system, simulator, optimizer, policies=policies)
         loop.run(workload)
         s = loop.summary(tail=100)
         rows.append(

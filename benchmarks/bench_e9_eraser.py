@@ -11,6 +11,7 @@ conservative extreme -- near-zero regressions, little improvement kept.
 """
 
 from benchmarks.contract import Table, imdb_db, imdb_optimizer, imdb_simulator, table_export
+from repro.core import RetrainCadence
 from repro.costmodel import PlanFeaturizer
 from repro.e2e import BaoOptimizer, LeroOptimizer, OptimizationLoop
 from repro.regression import Eraser, PerfGuard
@@ -42,8 +43,12 @@ def measure(seed=0):
                 guard = Eraser(featurizer)
             elif guard_name == "perfguard":
                 guard = PerfGuard(featurizer)
+            learned = make_learned(kind)
+            policies = [RetrainCadence(learned, every=25)]
+            if guard_name == "perfguard":
+                policies.append(RetrainCadence(guard, every=30))
             loop = OptimizationLoop(
-                make_learned(kind), simulator, optimizer, guard=guard
+                learned, simulator, optimizer, guard=guard, policies=policies
             )
             loop.run(workload)
             s = loop.summary(tail=110)

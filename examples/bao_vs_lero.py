@@ -8,6 +8,7 @@ Run:  python examples/bao_vs_lero.py
 """
 
 from repro.bench import render_table
+from repro.core import RetrainCadence
 from repro.costmodel import PlanFeaturizer
 from repro.e2e import BaoOptimizer, LeroOptimizer, OptimizationLoop
 from repro.engine import ExecutionSimulator
@@ -37,15 +38,19 @@ def main() -> None:
         250, 2, 5, require_predicate=True
     )
 
-    # Bao: learns online from its own executions.
+    # Bao: learns online from its own executions, refitting every 25.
     bao = BaoOptimizer(optimizer, seed=0)
-    bao_loop = OptimizationLoop(bao, simulator, optimizer)
+    bao_loop = OptimizationLoop(
+        bao, simulator, optimizer, policies=[RetrainCadence(bao, every=25)]
+    )
     bao_loop.run(workload)
 
     # Lero: collect plan pairs offline first, then serve.
     lero = LeroOptimizer(optimizer, seed=0)
     pairs = lero.train_offline(train, simulator.latency)
-    lero_loop = OptimizationLoop(lero, simulator, optimizer)
+    lero_loop = OptimizationLoop(
+        lero, simulator, optimizer, policies=[RetrainCadence(lero, every=25)]
+    )
     lero_loop.run(workload)
     print(f"lero trained on {pairs} labelled plan pairs\n")
 
@@ -73,9 +78,11 @@ def main() -> None:
 
     # Eraser as a plugin on top of Bao: trade some speedup for tail safety.
     featurizer = PlanFeaturizer(db, optimizer.estimator)
+    guarded_bao = BaoOptimizer(optimizer, seed=0)
     guarded = OptimizationLoop(
-        BaoOptimizer(optimizer, seed=0), simulator, optimizer,
+        guarded_bao, simulator, optimizer,
         guard=Eraser(featurizer),
+        policies=[RetrainCadence(guarded_bao, every=25)],
     )
     guarded.run(workload)
     s = guarded.summary(tail=125)

@@ -20,6 +20,7 @@ Run:  python examples/serving_canary.py
 """
 
 from repro.bench import render_table
+from repro.core import RetrainCadence
 from repro.e2e.bao import BaoOptimizer
 from repro.engine.simulator import ExecutionSimulator
 from repro.optimizer.planner import Optimizer
@@ -49,6 +50,7 @@ def main() -> None:
         window=30,
         min_samples=10,
         regression_threshold=1.5,
+        policies=[RetrainCadence(learned, every=25)],
     )
     runtime = ServingRuntime(deployment)
     queries = WorkloadGenerator(db, seed=1).workload(240, 2, 4, require_predicate=True)

@@ -12,7 +12,7 @@ Run:  python examples/unified_framework.py
 """
 
 from repro.bench import render_table
-from repro.core.framework import LearnedOptimizer
+from repro.core.framework import LearnedOptimizer, RetrainCadence
 from repro.costmodel import PlanFeaturizer
 from repro.e2e import (
     CardinalityScalingExploration,
@@ -53,11 +53,14 @@ def main() -> None:
     mine = LearnedOptimizer(
         exploration=UnionExploration(optimizer),
         risk_model=EnsembleLatencyModel(featurizer, seed=0),
-        retrain_every=25,
         name="union+variance",
     )
     guard = Eraser(featurizer)
-    loop = OptimizationLoop(mine, simulator, optimizer, guard=guard)
+    # When to refit is set here, where the stack is built: every 25 feedbacks.
+    loop = OptimizationLoop(
+        mine, simulator, optimizer, guard=guard,
+        policies=[RetrainCadence(mine, every=25)],
+    )
 
     workload = WorkloadGenerator(db, seed=33).workload(
         200, 2, 5, require_predicate=True

@@ -15,11 +15,12 @@ interfaces, protocols and error types are imported from the module that
 defines them.
 """
 
-from repro.core.framework import LearnedOptimizer, PlannerModel
+from repro.core.framework import LearnedOptimizer, PlannerModel, RetrainCadence
 from repro.core.registry import registry
 
 __all__ = [
     "LearnedOptimizer",
     "PlannerModel",
+    "RetrainCadence",
     "registry",
 ]

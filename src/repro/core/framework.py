@@ -14,11 +14,13 @@ This module encodes that two-step structure directly:
   feedback (pointwise latency regression for Neo/Bao, pairwise preference
   for Lero/LEON);
 - :class:`LearnedOptimizer` -- the generic loop combining the two.  It is
-  the only class that owns choose -> feedback -> retrain cadence: every
-  system in :mod:`repro.e2e` and both PilotScope steering drivers are an
+  the only class that owns choose -> feedback: every system in
+  :mod:`repro.e2e` and both PilotScope steering drivers are an
   ``(exploration, risk_model)`` pair handed to it.  The experience itself
   -- the windowed (plan, latency) pairs a refit trains on -- is the risk
   model's; the loop keeps no second copy.
+- :class:`RetrainCadence` -- *when* a model refits: in place, every
+  ``every`` feedbacks it has recorded, set where the stack is built.
 
 A search-based system fills both slots with one model: the network that
 guides the exploration (Neo's value net, LEON's comparator) is the risk
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
-from repro.core.interfaces import Retrainable
+from repro.core.interfaces import Retrainable, ServePolicy
 from repro.engine.plans import Plan
 from repro.sql.query import Query
 
@@ -51,6 +53,7 @@ __all__ = [
     "PlanExplorationStrategy",
     "RiskModel",
     "LearnedOptimizer",
+    "RetrainCadence",
 ]
 
 # Bao's sliding window: a learned arm keeps (and refits on) only its most
@@ -127,10 +130,8 @@ class LearnedOptimizer:
     """Generic explore-then-select learned optimizer.
 
     The subclasses / instantiations differ only in which strategy and risk
-    model they plug in.  ``retrain_every`` controls how often (in executed
-    queries) the risk model is refit from its accumulated observations;
-    ``0`` disables automatic retraining (callers invoke
-    :meth:`retrain` themselves).
+    model they plug in.  Feedback only records, counting :attr:`feedbacks`;
+    when to refit is a :class:`RetrainCadence`'s call.
     """
 
     def __init__(
@@ -138,14 +139,12 @@ class LearnedOptimizer:
         exploration: PlanExplorationStrategy,
         risk_model: RiskModel,
         *,
-        retrain_every: int = 25,
         name: str = "learned",
     ) -> None:
         self.exploration = exploration
         self.risk_model = risk_model
-        self.retrain_every = retrain_every
         self.name = name
-        self._since_retrain = 0
+        self.feedbacks = 0
 
     def choose_plan(self, query: Query) -> CandidatePlan:
         """Explore candidates and pick the risk model's favourite."""
@@ -166,18 +165,39 @@ class LearnedOptimizer:
     ) -> None:
         """Feed an execution outcome back into the risk model."""
         self.risk_model.observe(candidate, latency_ms)
-        self._since_retrain += 1
-        if self.retrain_every and self._since_retrain >= self.retrain_every:
-            self.risk_model.retrain()
-            self._since_retrain = 0
+        self.feedbacks += 1
 
     def retrain(self) -> None:
-        """Refit the risk model; the optimizer itself is :class:`Retrainable`.
+        """Refit the risk model; the optimizer itself is :class:`Retrainable`."""
+        self.risk_model.retrain()
 
-        Routed through the :class:`repro.core.interfaces.Retrainable`
-        surface of the risk model, so the lifecycle scheduler can drive a
-        whole optimizer or a bare risk model interchangeably.
-        """
-        retrainable: Retrainable = self.risk_model
-        retrainable.retrain()
-        self._since_retrain = 0
+
+class RetrainCadence(ServePolicy):
+    """Refit ``model`` in place once it has recorded ``every`` more feedbacks.
+
+    ``model`` keeps a ``feedbacks`` count and refits on ``retrain()`` (a
+    :class:`LearnedOptimizer`, a :class:`repro.regression.PerfGuard`).
+    Build the cadence on it, not on a wrapper serving it, so a decision
+    that fed nothing back does not move it.  A deployment or an
+    :class:`repro.e2e.OptimizationLoop` ticks it as a policy, an expert
+    bootstrap once per demonstration.  The gated path -- clone, gate,
+    SHADOW -- is :class:`repro.lifecycle.RetrainingScheduler`.
+    """
+
+    def __init__(self, model, *, every: int) -> None:
+        self.model = model
+        self.every = every
+        self._refit_at = model.feedbacks
+
+    def tick(self) -> None:
+        """Refit if ``every`` feedbacks arrived since the last refit."""
+        if self.model.feedbacks - self._refit_at >= self.every:
+            self.retrain()
+
+    def retrain(self) -> None:
+        """Refit now; the count starts again from here."""
+        self.model.retrain()
+        self._refit_at = self.model.feedbacks
+
+    def on_decision(self, deployment, decision) -> None:
+        self.tick()

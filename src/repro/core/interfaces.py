@@ -72,12 +72,9 @@ class Retrainable(Protocol):
     The single retraining surface in the repository: the framework's
     :class:`repro.core.framework.RiskModel` extends it, every e2e
     optimizer (``LearnedOptimizer`` and its Neo/LEON/Bao/... subclasses)
-    satisfies it, and :class:`repro.lifecycle.RetrainingScheduler`'s
-    default retrainer requires it of the champion's clone.  ``retrain``
-    refits the component from whatever experience it has accumulated; it
-    must be a no-op (not an error) when too little has.  Components that
-    support a cheaper incremental update may additionally expose
-    ``fine_tune()``; callers fall back to ``retrain`` when absent.
+    and :class:`repro.regression.PerfGuard` satisfy it.  ``retrain`` refits
+    the component from whatever experience it has accumulated; it must be
+    a no-op (not an error) when too little has.
     """
 
     def retrain(self) -> None:

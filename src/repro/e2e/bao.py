@@ -27,7 +27,6 @@ class BaoOptimizer(LearnedOptimizer):
         optimizer: Optimizer,
         arms: list[HintSet] | None = None,
         *,
-        retrain_every: int = 25,
         thompson: bool = True,
         seed: int = 0,
     ) -> None:
@@ -37,7 +36,6 @@ class BaoOptimizer(LearnedOptimizer):
             risk_model=TreeConvLatencyModel(
                 featurizer, thompson=thompson, seed=seed
             ),
-            retrain_every=retrain_every,
             name="bao",
         )
         self.optimizer = optimizer

@@ -21,14 +21,12 @@ class HyperQOOptimizer(LearnedOptimizer):
         self,
         optimizer: Optimizer,
         *,
-        retrain_every: int = 25,
         seed: int = 0,
     ) -> None:
         featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         super().__init__(
             exploration=LeadingTableExploration(optimizer),
             risk_model=EnsembleLatencyModel(featurizer, seed=seed),
-            retrain_every=retrain_every,
             name="hyperqo",
         )
         self.optimizer = optimizer

@@ -29,7 +29,6 @@ class LeonOptimizer(LearnedOptimizer):
         *,
         keep_k: int = 2,
         explore_every: int = 7,
-        retrain_every: int = 25,
         shadow_executor=None,
         seed: int = 0,
     ) -> None:
@@ -48,7 +47,6 @@ class LeonOptimizer(LearnedOptimizer):
                 shadow_executor=shadow_executor,
             ),
             risk_model=comparator,
-            retrain_every=retrain_every,
             name="leon",
         )
         self.optimizer = optimizer

@@ -25,7 +25,6 @@ class LeroOptimizer(LearnedOptimizer):
         optimizer: Optimizer,
         factors: tuple[float, ...] = (1.0, 0.01, 0.1, 10.0, 100.0),
         *,
-        retrain_every: int = 25,
         seed: int = 0,
     ) -> None:
         if factors[0] != 1.0:
@@ -37,7 +36,6 @@ class LeroOptimizer(LearnedOptimizer):
         super().__init__(
             exploration=CardinalityScalingExploration(optimizer, factors),
             risk_model=PairwisePlanComparator(featurizer, seed=seed),
-            retrain_every=retrain_every,
             name="lero",
         )
         self.optimizer = optimizer

@@ -36,7 +36,7 @@ class OptimizationLoop:
         *,
         guard=None,
         degrade_on_error: bool = True,
-        experience=None,
+        policies=(),
         auditor=None,
     ) -> None:
         """``guard`` optionally wraps plan selection (see
@@ -51,11 +51,11 @@ class OptimizationLoop:
         :attr:`fallbacks` / :attr:`guard_errors`.  Set ``False`` to let
         failures propagate (debugging).
 
-        ``experience`` is an optional
-        :class:`repro.lifecycle.ExperienceStore`; every
-        :class:`~repro.core.interfaces.Decision` is ingested into it
-        under ``kind="episode"``, which is how offline training loops
-        feed the continuous-retraining pipeline.
+        ``policies`` run as in a :class:`repro.serve.DeploymentManager`:
+        each one's ``on_decision(loop, decision)`` after every query, in
+        list order (``attach`` / ``on_transition`` never run).  A
+        :class:`repro.lifecycle.ExperienceStore` files these ``"offline"``
+        decisions under ``kind="episode"``.
 
         ``auditor`` is an optional :class:`repro.oracle.OnlineAuditor`:
         a deterministic sample of served plans is re-executed literally
@@ -67,7 +67,7 @@ class OptimizationLoop:
         self.native = native
         self.guard = guard
         self.degrade_on_error = degrade_on_error
-        self.experience = experience
+        self.policies = list(policies)
         self.auditor = auditor
         self.results: list[Decision] = []
         self.fallbacks = 0  # learned failures served natively
@@ -102,17 +102,7 @@ class OptimizationLoop:
         learned = candidate.source != "native:fallback"
         if learned:
             self.learned.record_feedback(query, candidate, latency)
-        if self.guard is not None and hasattr(self.guard, "record"):
-            try:
-                self.guard.record(query, candidate, latency, native_latency)
-                if hasattr(self.guard, "record_native") and (
-                    candidate.plan.signature() != native_plan.signature()
-                ):
-                    self.guard.record_native(query, native_plan, native_latency)
-            except Exception:
-                if not self.degrade_on_error:
-                    raise
-                self.guard_errors += 1  # feedback lost, loop keeps serving
+        recorded = self._guard_feedback("record", query, candidate, latency, native_latency)
         result = Decision(
             stage="offline",
             plan_source=candidate.source,
@@ -123,9 +113,27 @@ class OptimizationLoop:
             native_latency_ms=native_latency,
         )
         self.results.append(result)
-        if self.experience is not None:
-            self.experience.add_decision(result, kind="episode")
+        # Before the guard's native-plan record: a cadence refitting the
+        # guard trains on what it held when ``record`` returned.
+        for policy in self.policies:
+            policy.on_decision(self, result)
+        if recorded and candidate.plan.signature() != native_plan.signature():
+            self._guard_feedback("record_native", query, native_plan, native_latency)
         return result
+
+    def _guard_feedback(self, method: str, *args) -> bool:
+        """True once the guard took the feedback; a raise loses it, not the query."""
+        record = getattr(self.guard, method, None)
+        if record is None:
+            return False
+        try:
+            record(*args)
+        except Exception:
+            if not self.degrade_on_error:
+                raise
+            self.guard_errors += 1  # feedback lost, loop keeps serving
+            return False
+        return True
 
     def run(self, queries: list[Query]) -> list[Decision]:
         return [self.run_query(q) for q in queries]

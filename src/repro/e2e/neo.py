@@ -10,7 +10,7 @@ optimizer's plans and their latencies.
 
 from __future__ import annotations
 
-from repro.core.framework import CandidatePlan, LearnedOptimizer
+from repro.core.framework import CandidatePlan, LearnedOptimizer, RetrainCadence
 from repro.costmodel.features import PlanFeaturizer
 from repro.e2e.exploration import ValueSearchExploration
 from repro.e2e.risk_models import PlanValueModel
@@ -26,9 +26,7 @@ class _ValueSearchOptimizer(LearnedOptimizer):
 
     name = "value_search"
 
-    def __init__(
-        self, optimizer: Optimizer, *, retrain_every: int = 25, seed: int = 0, **search
-    ) -> None:
+    def __init__(self, optimizer: Optimizer, *, seed: int = 0, **search) -> None:
         """``search``: :class:`ValueSearchExploration`'s ``search_budget`` /
         ``beam_width`` / ``epsilon``."""
         featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
@@ -38,30 +36,34 @@ class _ValueSearchOptimizer(LearnedOptimizer):
                 optimizer, value_model, seed=seed, **search
             ),
             risk_model=value_model,
-            retrain_every=retrain_every,
             name=self.name,
         )
         self.optimizer = optimizer
 
-    def bootstrap_from_expert(self, queries: list[Query], executor) -> None:
+    def bootstrap_from_expert(
+        self, queries: list[Query], executor, cadence: RetrainCadence
+    ) -> None:
         """Seed the value network from native plans + their latencies.
 
         ``executor(plan) -> latency_ms`` runs a plan (pass
-        ``simulator.latency``).
+        ``simulator.latency``).  ``cadence``, the one that refits this model
+        while it serves, ticks per demonstration and makes the closing
+        refit: the network warm-starts, so the refits along the way count.
         """
         for q in queries:
             plan = self.optimizer.plan(q)
             self.record_feedback(q, CandidatePlan(plan, "expert"), executor(plan))
-        self.retrain()
+            cadence.tick()
+        cadence.retrain()
 
 
 class NeoOptimizer(_ValueSearchOptimizer):
     """Neo: best-first value-guided search, expert-bootstrapped.
 
     Call :meth:`bootstrap_from_expert` with an executed demonstration
-    workload before relying on the search (otherwise the first
-    ``retrain_every`` queries simply use the native optimizer, which is
-    also Neo's warm-up behaviour).
+    workload before relying on the search (otherwise it ships the native
+    optimizer's plans until its first refit, which is also Neo's warm-up
+    behaviour).
     """
 
     name = "neo"

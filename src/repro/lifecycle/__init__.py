@@ -43,7 +43,6 @@ from repro.lifecycle.scheduler import (
     QErrorTrigger,
     RetrainingScheduler,
     clone_model,
-    default_retrainer,
 )
 
 __all__ = [
@@ -59,5 +58,4 @@ __all__ = [
     "QErrorTrigger",
     "RetrainingScheduler",
     "clone_model",
-    "default_retrainer",
 ]

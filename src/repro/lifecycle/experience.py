@@ -4,10 +4,10 @@ Neo's core observation (Marcus et al., VLDB 2019) is that a learned
 optimizer only stays competitive if execution feedback continuously flows
 back into training.  :class:`ExperienceStore` is where that feedback
 accumulates: the e2e :class:`~repro.e2e.loop.OptimizationLoop` and the
-:class:`~repro.serve.deployment.DeploymentManager` both ingest the
-:class:`~repro.core.interfaces.Decision` they produce per query, through
-the one :meth:`ExperienceStore.add_decision` (``kind="episode"`` and
-``kind="serve"``), and the :class:`~repro.cardest.drift.Warper` deposits
+:class:`~repro.serve.deployment.DeploymentManager` both hand it the
+:class:`~repro.core.interfaces.Decision` they produce per query, as a
+policy (``kind="episode"`` and ``kind="serve"``), and the
+:class:`~repro.cardest.drift.Warper` deposits
 the drift-targeted training queries it generated (with their exact
 labels).
 
@@ -170,7 +170,7 @@ class ExperienceStore(ServePolicy):
 
     def on_decision(self, deployment, decision) -> None:
         """The retraining loop sees exactly what production saw."""
-        self.add_decision(decision)
+        self.add_decision(decision, kind="episode" if decision.stage == "offline" else "serve")
 
     def add_drift_queries(self, queries, cards=None) -> None:
         """Ingest Warper-generated drift queries (always drift-tagged)."""

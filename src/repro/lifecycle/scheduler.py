@@ -47,7 +47,6 @@ __all__ = [
     "RetrainOutcome",
     "RetrainingScheduler",
     "clone_model",
-    "default_retrainer",
 ]
 
 
@@ -226,27 +225,6 @@ class RetrainOutcome:
     at_query: int
 
 
-def default_retrainer(*, shared=()):
-    """A retrainer that clones the champion and calls its own
-    :class:`~repro.core.interfaces.Retrainable` surface.
-
-    Returned callable signature: ``retrainer(champion, store, action) ->
-    challenger``.  ``fine_tune`` uses the model's ``fine_tune()`` when it
-    has one and falls back to ``retrain()`` otherwise -- the protocol-level
-    contract from :mod:`repro.core.interfaces`.
-    """
-
-    def retrain(champion, store, action: str):
-        challenger = clone_model(champion, shared=shared)
-        if action == "fine_tune" and hasattr(challenger, "fine_tune"):
-            challenger.fine_tune()
-        else:
-            challenger.retrain()
-        return challenger
-
-    return retrain
-
-
 class RetrainingScheduler(ServePolicy):
     """Composes triggers into a clone-retrain-gate-deploy policy.
 
@@ -261,7 +239,8 @@ class RetrainingScheduler(ServePolicy):
     retrainer:
         ``retrainer(champion, store, action) -> challenger`` --
         MUST NOT mutate the champion (the registry's immutability check
-        will catch it if it does).  See :func:`default_retrainer`.
+        will catch it if it does): clone it with :func:`clone_model` and
+        retrain the clone.
     triggers:
         Any mix of :class:`DriftTrigger`, :class:`QErrorTrigger`,
         :class:`CadenceTrigger` (or anything with

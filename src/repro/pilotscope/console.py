@@ -158,10 +158,11 @@ class PilotScopeConsole:
         return [n for n, s in self._drivers.items() if s.active]
 
     def enable_background_updates(self, every_n_queries: int) -> None:
-        """Run each active driver's background_update periodically."""
+        """Run each active driver's background_update every N queries from now."""
         if every_n_queries < 1:
             raise ConfigError("update period must be >= 1")
         self._updates_every = every_n_queries
+        self._queries_since_update = 0
 
     # -- query execution ---------------------------------------------------------------
 

@@ -9,7 +9,7 @@
   sets, Lero pushes cardinality scales, both pull the resulting candidate
   plans; that sweep is the exploration strategy of a
   :class:`repro.core.framework.LearnedOptimizer`, which selects with the
-  driver's risk model and learns from the pulled latencies.
+  driver's risk model and records the pulled latencies.
 """
 
 from __future__ import annotations
@@ -84,9 +84,8 @@ class _SteeringDriverBase(Driver):
 
     injection_type = "query_optimizer"
 
-    def __init__(self, retrain_every: int = 25, seed: int = 0) -> None:
+    def __init__(self, seed: int = 0) -> None:
         super().__init__()
-        self.retrain_every = retrain_every
         self.seed = seed
         self.learned: LearnedOptimizer | None = None  # set in _prepare
         self._session = None  # set while _open_session is entered
@@ -103,7 +102,6 @@ class _SteeringDriverBase(Driver):
         self.learned = LearnedOptimizer(
             self,
             self._build_risk_model(featurizer),
-            retrain_every=self.retrain_every,
             name=self.name,
         )
 
@@ -130,9 +128,8 @@ class _SteeringDriverBase(Driver):
         return result
 
     def background_update(self) -> None:
-        # Not ``learned.retrain()``: a background refit must not restart
-        # the in-band ``retrain_every`` count.
-        self.risk_model.retrain()
+        """The driver's one refit, run by ``enable_background_updates``."""
+        self.learned.retrain()
 
 
 class BaoDriver(_SteeringDriverBase):
@@ -143,10 +140,9 @@ class BaoDriver(_SteeringDriverBase):
     def __init__(
         self,
         arms: list[HintSet] | None = None,
-        retrain_every: int = 25,
         seed: int = 0,
     ) -> None:
-        super().__init__(retrain_every=retrain_every, seed=seed)
+        super().__init__(seed=seed)
         self.arms = arms if arms is not None else HintSet.bao_arms()
 
     def _build_risk_model(self, featurizer: PlanFeaturizer):
@@ -172,10 +168,9 @@ class LeroDriver(_SteeringDriverBase):
     def __init__(
         self,
         factors: tuple[float, ...] = (1.0, 0.01, 0.1, 10.0, 100.0),
-        retrain_every: int = 25,
         seed: int = 0,
     ) -> None:
-        super().__init__(retrain_every=retrain_every, seed=seed)
+        super().__init__(seed=seed)
         if factors[0] != 1.0:
             raise ValueError("first factor must be 1.0 (the default plan)")
         self.factors = factors

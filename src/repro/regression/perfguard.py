@@ -20,14 +20,14 @@ __all__ = ["PerfGuard"]
 
 
 class PerfGuard:
-    """Pairwise veto guard; use as an OptimizationLoop guard."""
+    """Pairwise veto guard; use as an OptimizationLoop guard.  :meth:`record`
+    only records; a ``RetrainCadence`` on the guard calls :meth:`retrain`."""
 
     def __init__(
         self,
         featurizer: PlanFeaturizer,
         *,
         confidence: float = 0.45,
-        retrain_every: int = 30,
         seed: int = 0,
     ) -> None:
         """``confidence``: veto when P(candidate slower than native)
@@ -35,9 +35,8 @@ class PerfGuard:
         negative; lower = more conservative)."""
         self.featurizer = featurizer
         self.confidence = confidence
-        self.retrain_every = retrain_every
         self.comparator = PairwisePlanComparator(featurizer, seed=seed)
-        self._since_retrain = 0
+        self.feedbacks = 0
         self.interventions = 0
         self.decisions = 0
 
@@ -67,10 +66,11 @@ class PerfGuard:
         self.comparator._by_query.setdefault(key, []).append(
             (cand_tree, float(latency_ms))
         )
-        self._since_retrain += 1
-        if self._since_retrain >= self.retrain_every:
-            self.comparator.retrain()
-            self._since_retrain = 0
+        self.feedbacks += 1
+
+    def retrain(self) -> None:
+        """Refit the comparator on every pair recorded so far."""
+        self.comparator.retrain()
 
     def record_native(
         self, query: Query, native_plan: Plan, native_latency_ms: float

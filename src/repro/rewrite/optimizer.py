@@ -84,14 +84,6 @@ class RewritingOptimizer:
         elif self.inner is not None:
             self.inner.record_feedback(query, candidate, latency_ms)
 
-    def retrain(self) -> None:
-        """Refit the retrieval index (and the inner model, when it can)."""
-        store = self.leaderboard.store
-        if store is not None:
-            store.fit()
-        if self.inner is not None and hasattr(self.inner, "retrain"):
-            self.inner.retrain()
-
     def stats(self) -> dict:
         return {
             "rewrites_served": self.rewrites_served,

@@ -26,8 +26,8 @@ records the event on the telemetry bus.  Promotion is manual
 (:meth:`promote`) or automatic (``auto_promote=True``) once a full window
 stays healthy.
 
-Everything else that follows the serve path (experience store, model
-registry, bound-violation rule, risk tuner, retraining scheduler) is a
+Everything else that follows the serve path (retrain cadence, experience
+store, model registry, bound rule, risk tuner, retraining scheduler) is a
 :class:`repro.core.interfaces.ServePolicy` in the ordered ``policies``
 list; a policy demotes the model only through :meth:`auto_rollback`.
 """

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cardest.bounds import MCVJoinBoundEstimator
+from repro.core.framework import RetrainCadence
 from repro.core.interfaces import Decision
 from repro.e2e.bao import BaoOptimizer
 from repro.engine.simulator import ExecutionSimulator
@@ -278,8 +279,9 @@ def sharded_fabric_scenario(
             TraditionalCardinalityEstimator(db),
             telemetry=bus,
         )
+        bao = BaoOptimizer(native.with_estimator(guard), seed=seed + i)
         deployment = DeploymentManager(
-            BaoOptimizer(native.with_estimator(guard), seed=seed + i),
+            bao,
             native,
             ExecutionSimulator(db),
             telemetry=bus,
@@ -289,7 +291,7 @@ def sharded_fabric_scenario(
             window=40,
             min_samples=15,
             plan_cache=PlanCache(),
-            policies=[guard],
+            policies=[RetrainCadence(bao, every=25), guard],
         )
         shards.append(
             guarded_shard(

@@ -41,7 +41,7 @@ from repro.bench.workloads import (
     hot_key_targets,
 )
 from repro.cardest.bounds import MCVJoinBoundEstimator
-from repro.core.framework import CandidatePlan, PlannerModel
+from repro.core.framework import CandidatePlan, PlannerModel, RetrainCadence
 from repro.e2e.bao import BaoOptimizer
 from repro.engine.simulator import ExecutionSimulator
 from repro.faults import (
@@ -170,19 +170,24 @@ def _assemble(
     audit_every: int | None = None,
     injector: FaultInjector | None = None,
     bound_guard: BoundGuard | None = None,
+    refit: BaoOptimizer | None = None,
     **deployment_kwargs,
 ) -> ServingScenario:
     """Stage ``learned`` over ``native`` behind a deployment manager and a
     serving runtime, with a seeded ``n_sessions``-session schedule of
     ``queries`` (default: ``n_queries`` generated 2-4 table joins) and,
-    given ``audit_every``, the online auditor.  A ``bound_guard`` becomes
-    a deployment policy and is fed by the auditor."""
+    given ``audit_every``, the online auditor.  ``refit`` (the Bao model
+    ``learned`` is or wraps) is refit in place every 25 of its feedbacks;
+    a ``bound_guard`` becomes the next policy and is fed by the auditor."""
     simulator = ExecutionSimulator(db)
+    policies = [] if refit is None else [RetrainCadence(refit, every=25)]
+    if bound_guard is not None:
+        policies.append(bound_guard)
     deployment = DeploymentManager(
         learned,
         native,
         simulator,
-        policies=[bound_guard] if bound_guard is not None else [],
+        policies=policies,
         **{"window": 40, "min_samples": 15, **deployment_kwargs},
     )
     if queries is None:
@@ -225,11 +230,13 @@ def steady_state_scenario(
     reference count, with outcomes reported through the telemetry bus.
     """
     db, native = _native(scale, seed)
+    bao = BaoOptimizer(native, seed=seed)
     return _assemble(
         "steady_state",
         db,
         native,
-        BaoOptimizer(native, seed=seed),
+        bao,
+        refit=bao,
         seed=seed,
         n_queries=n_queries,
         n_sessions=n_sessions,
@@ -264,11 +271,13 @@ def parameterized_scenario(
     queries = WorkloadGenerator(db, seed=seed + 1).parameterized_workload(
         n_templates, bindings_per_template, 2, 4, require_predicate=True
     )
+    bao = BaoOptimizer(native, seed=seed)
     return _assemble(
         "parameterized",
         db,
         native,
-        BaoOptimizer(native, seed=seed),
+        bao,
+        refit=bao,
         seed=seed,
         n_queries=len(queries),
         n_sessions=n_sessions,
@@ -295,13 +304,13 @@ def injected_regression_scenario(
 ) -> ServingScenario:
     """A canary that goes bad and must be rolled back automatically."""
     db, native = _native(scale, seed)
+    bao = BaoOptimizer(native, seed=seed)
     return _assemble(
         "injected_regression",
         db,
         native,
-        RegressionInjector(
-            BaoOptimizer(native, seed=seed), native, trigger_at=trigger_at
-        ),
+        RegressionInjector(bao, native, trigger_at=trigger_at),
+        refit=bao,
         seed=seed,
         n_queries=n_queries,
         n_sessions=n_sessions,
@@ -381,13 +390,13 @@ def chaos_scenario(
     bus.attach_gauge("fault_injector", injector.stats)
     bus.attach_gauge("fallback_estimator", resilient.stats)
     bus.attach_gauge("breaker_estimator", estimator_breaker.stats)
+    bao = BaoOptimizer(native.with_estimator(resilient), seed=seed)
     return _assemble(
         "chaos",
         db,
         native,
-        injector.wrap_learned(
-            BaoOptimizer(native.with_estimator(resilient), seed=seed)
-        ),
+        injector.wrap_learned(bao),
+        refit=bao,
         seed=seed,
         n_queries=n_queries,
         n_sessions=n_sessions,
@@ -470,11 +479,13 @@ def bound_guard_scenario(
         rollback_rate=bound_violation_rollback,
     )
     bus.attach_gauge("fault_injector", injector.stats)
+    bao = BaoOptimizer(native.with_estimator(guard), seed=seed)
     return _assemble(
         "bound_guard",
         db,
         native,
-        BaoOptimizer(native.with_estimator(guard), seed=seed),
+        bao,
+        refit=bao,
         seed=seed,
         n_queries=n_queries,
         n_sessions=n_sessions,

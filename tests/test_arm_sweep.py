@@ -179,7 +179,7 @@ def test_disconnected_query_is_rejected(stats_db, stats_optimizer):
 
 
 def test_choose_plan_runs_the_kernel_once(stats_db, monkeypatch):
-    bao = BaoOptimizer(Optimizer(stats_db), retrain_every=0)
+    bao = BaoOptimizer(Optimizer(stats_db))
     calls = []
     kernel = planner.enumerate_dp_arms
 

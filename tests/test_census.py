@@ -1,10 +1,11 @@
 """The census as a test: no caller, no code.
 
 Over every package and every module under ``src/repro`` seven things must
-hold, and an eighth over ``benchmarks/``.  (a), (b), (d), (e), (f), (g) and
-(h) only read source files -- nothing is imported from ``repro`` or
-``perf``, and an absent directory is skipped; (c) imports the examples, and
-one case of (g) builds the records it names:
+hold, an eighth over ``benchmarks/`` and a ninth over ``src/``,
+``benchmarks/`` and ``examples/``.  All but (c) only read source files --
+nothing is imported from ``repro`` or ``perf``, and an absent directory is
+skipped; (c) imports the examples, and one case of (g) builds the records
+it names:
 
 (a) every name a package ``__init__`` exports is imported *through that
     package* by some file outside it (the top-level ``repro`` facade is the
@@ -39,7 +40,11 @@ one case of (g) builds the records it names:
 (h) there is one LRU: nothing outside ``core/lru.py`` -- no subclass, no
     observer, no test -- touches a ``BoundedLRU``'s ``_entries``.  A read
     goes through ``get`` (counted) or ``peek`` (no trace), a write through
-    ``put``, so the counters and the eviction order mean what they say.
+    ``put``, so the counters and the eviction order mean what they say;
+(i) feedback only records: no file under ``src/``, ``benchmarks/`` or
+    ``examples/`` names ``retrain_every`` or ``_since_retrain`` (the
+    ``tests/*_reference.py`` copies keep theirs).  When a model refits is
+    one ``RetrainCadence``, set where the stack is built.
 
 A failure names the file and the symbol.  The fix is to delete the code (or
 the export), not to grow the allow-list: that list is the backlog of
@@ -73,10 +78,8 @@ TEST_ONLY = {
     "RiskLambdaTuner",  # blended-risk lambda tuning policy (PR 13)
     "sharded_fabric_scenario",  # full per-shard stack at test scale
     "shard_fault_plan",  # its reroute drills' fault plans
-    "default_retrainer",  # Retrainable-surface retrainer; scenarios use Warper
     "lineage",  # registry ancestry walk
     "stop_driver",  # console driver lifecycle
-    "enable_background_updates",  # console periodic background_update
     # -- the paper library (PR 20) --
     "execute_cardinality",  # one-shot exact count: the engine tests' seam (20 asserts)
     "RegressionTree",  # the GBDT kernel test's unit: a lone tree as a one-root table
@@ -550,6 +553,31 @@ def test_only_the_lru_touches_its_entries():
     )
 
 
+# -- (i) feedback only records --------------------------------------------------------
+
+#: the in-band retrain knobs the one cadence replaced
+IN_BAND_KNOBS = ("retrain_every", "_since_retrain")
+
+
+def in_band_retrain_violations(sources: Sources) -> list[str]:
+    """Every file under ``src/``, ``benchmarks/`` and ``examples/`` that
+    names an in-band retrain knob, one line each."""
+    return [
+        f"{path.relative_to(ROOT)} names {knob}"
+        for path in _files("src", "benchmarks", "examples")
+        for knob in IN_BAND_KNOBS
+        if knob in sources.facts(path)[2]
+    ]
+
+
+def test_feedback_only_records():
+    found = in_band_retrain_violations(Sources())
+    assert not found, (
+        f"{found} -- a model records feedback and nothing else; when it refits is "
+        "one RetrainCadence (core/framework.py), set where the stack is built"
+    )
+
+
 def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simulator):
     """One instance of each record (g) slots: it has no ``__dict__`` and
     still pickles, deep-copies, ``replace``-s and compares by value."""
@@ -645,6 +673,17 @@ def test_seeded_registry_row_is_a_reference_to_the_class_and_its_methods():
         }
     )
     assert unreferenced_definitions(with_row) == ([], [], [])
+
+
+def test_seeded_in_band_counter_is_caught():
+    sources = _patched(
+        "core/framework.py",
+        "        self.feedbacks = 0\n",
+        "        self.feedbacks = 0\n        self._since_retrain = 0\n",
+    )
+    assert in_band_retrain_violations(sources) == [
+        "src/repro/core/framework.py names _since_retrain"
+    ]
 
 
 def test_seeded_relabelled_record_is_caught():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench import apply_drift
 from repro.cardest import DDUpDetector, GBDTQueryEstimator, Warper, q_error
+from repro.core import RetrainCadence
 from repro.costmodel import CalibratedCostModel
 from repro.costmodel.calibrated import isotonic_fit
 from repro.e2e import LogerOptimizer, OptimizationLoop
@@ -170,8 +171,10 @@ class TestLoger:
     def test_bootstrap_and_search(self, imdb_db, imdb_optimizer, imdb_simulator):
         gen = WorkloadGenerator(imdb_db, seed=132)
         workload = gen.workload(20, 2, 4, require_predicate=True)
-        loger = LogerOptimizer(imdb_optimizer, seed=0, retrain_every=0)
-        loger.bootstrap_from_expert(workload[:12], imdb_simulator.latency)
+        loger = LogerOptimizer(imdb_optimizer, seed=0)
+        loger.bootstrap_from_expert(
+            workload[:12], imdb_simulator.latency, RetrainCadence(loger, every=25)
+        )
         cand = loger.choose_plan(workload[15])
         assert cand.source == "search"
         assert cand.plan.root.tables == frozenset(workload[15].tables)
@@ -180,6 +183,9 @@ class TestLoger:
         gen = WorkloadGenerator(imdb_db, seed=133)
         workload = gen.workload(40, 2, 4, require_predicate=True)
         loger = LogerOptimizer(imdb_optimizer, seed=0)
-        loop = OptimizationLoop(loger, imdb_simulator, imdb_optimizer)
+        loop = OptimizationLoop(
+            loger, imdb_simulator, imdb_optimizer,
+            policies=[RetrainCadence(loger, every=25)],
+        )
         loop.run(workload)
         assert loop.summary()["n_queries"] == 40

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.framework import OBSERVATION_WINDOW, CandidatePlan, LearnedOptimizer
+from repro.core.framework import (
+    OBSERVATION_WINDOW,
+    CandidatePlan,
+    LearnedOptimizer,
+    RetrainCadence,
+)
 from repro.costmodel.features import plan_to_tree_arrays
 from repro.costmodel import PlanFeaturizer
 from repro.e2e import (
@@ -152,16 +157,19 @@ class TestLearnedOptimizerFramework:
             def retrain(self):
                 calls["retrain"] += 1
 
-        bao = BaoOptimizer(imdb_optimizer, retrain_every=5, seed=0)
+        bao = BaoOptimizer(imdb_optimizer, seed=0)
         bao.risk_model = Spy(featurizer, seed=0)
+        cadence = RetrainCadence(bao, every=5)
         for q in workload[:5]:
             cand = bao.choose_plan(q)
             bao.record_feedback(q, cand, 1.0)
-        assert calls["retrain"] == 1
+            assert calls["retrain"] == 0  # feedback only records
+            cadence.tick()
+        assert calls["retrain"] == 1 and bao.feedbacks == 5
         assert bao.risk_model.n_observations == 5
 
     def test_learned_arm_keeps_a_sliding_window(self, imdb_optimizer, workload):
-        bao = BaoOptimizer(imdb_optimizer, retrain_every=0, seed=0)
+        bao = BaoOptimizer(imdb_optimizer, seed=0)
         model = bao.risk_model
         cands = [CandidatePlan(imdb_optimizer.plan(q), "default") for q in workload[:5]]
         for i in range(2500):
@@ -175,7 +183,10 @@ class TestLearnedOptimizerFramework:
 
 
 def run_loop(learned, imdb_optimizer, imdb_simulator, workload, guard=None):
-    loop = OptimizationLoop(learned, imdb_simulator, imdb_optimizer, guard=guard)
+    loop = OptimizationLoop(
+        learned, imdb_simulator, imdb_optimizer, guard=guard,
+        policies=[RetrainCadence(learned, every=25)],
+    )
     loop.run(workload)
     return loop
 
@@ -204,8 +215,10 @@ class TestEndToEndOptimizers:
             LeroOptimizer(imdb_optimizer, factors=(0.5, 1.0))
 
     def test_neo_bootstrap_then_search(self, imdb_optimizer, imdb_simulator, workload):
-        neo = NeoOptimizer(imdb_optimizer, seed=0, retrain_every=0)
-        neo.bootstrap_from_expert(workload[:15], imdb_simulator.latency)
+        neo = NeoOptimizer(imdb_optimizer, seed=0)
+        neo.bootstrap_from_expert(
+            workload[:15], imdb_simulator.latency, RetrainCadence(neo, every=25)
+        )
         assert neo.risk_model.trained
         cand = neo.choose_plan(workload[20])
         assert cand.source == "search"
@@ -216,7 +229,7 @@ class TestEndToEndOptimizers:
         assert neo.choose_plan(workload[0]).source == "default"
 
     def test_balsa_sim_bootstrap(self, imdb_optimizer, workload):
-        balsa = BalsaOptimizer(imdb_optimizer, seed=0, retrain_every=0)
+        balsa = BalsaOptimizer(imdb_optimizer, seed=0)
         balsa.bootstrap_from_simulation(workload[:10], episodes_per_query=2)
         assert balsa.risk_model.trained
         cand = balsa.choose_plan(workload[20])

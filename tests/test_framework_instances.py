@@ -11,7 +11,7 @@ and end with bit-equal network weights.
 import numpy as np
 import pytest
 
-from repro.core.framework import CandidatePlan
+from repro.core.framework import CandidatePlan, RetrainCadence
 from repro.costmodel.features import PlanFeaturizer, prefix_to_tree_arrays
 from repro.e2e import (
     BalsaOptimizer,
@@ -44,12 +44,14 @@ def stack(request, imdb_db, imdb_optimizer, imdb_simulator,
     return optimizer, simulator, train, serve
 
 
-def _decisions(learned, stack, prepare):
+def _decisions(learned, stack, prepare, cadence=None):
     """``prepare`` the optimizer, serve the workload through
     ``OptimizationLoop``; return what was served and everything fed back
-    (a spy on ``record_feedback``, the same on either side)."""
+    (a spy on ``record_feedback``, the same on either side).  A reference
+    refits in band; a framework instance through ``cadence``, the loop's
+    one policy."""
     optimizer, simulator, train, serve = stack
-    prepare(learned, train, simulator)
+    prepare(learned, train, simulator, cadence)
     history = []
     record_feedback = learned.record_feedback
 
@@ -60,7 +62,10 @@ def _decisions(learned, stack, prepare):
         record_feedback(query, candidate, latency_ms)
 
     learned.record_feedback = spy
-    loop = OptimizationLoop(learned, simulator, optimizer, degrade_on_error=False)
+    loop = OptimizationLoop(
+        learned, simulator, optimizer, degrade_on_error=False,
+        policies=[] if cadence is None else [cadence],
+    )
     served = []
     for q in serve:
         before = len(history)
@@ -70,16 +75,19 @@ def _decisions(learned, stack, prepare):
     return served, history
 
 
-def _same_run(old, new, stack, prepare=lambda learned, train, simulator: None):
+def _same_run(old, new, stack, prepare=lambda learned, train, simulator, cadence: None):
     served_old, history_old = _decisions(old, stack, prepare)
-    served_new, history_new = _decisions(new, stack, prepare)
+    served_new, history_new = _decisions(
+        new, stack, prepare, RetrainCadence(new, every=25)
+    )
     assert served_new == served_old
     assert history_new == history_old
     return served_new
 
 
-def _expert(learned, train, simulator):
-    learned.bootstrap_from_expert(train, simulator.latency)
+def _expert(learned, train, simulator, cadence):
+    args = () if cadence is None else (cadence,)  # the reference refits in band
+    learned.bootstrap_from_expert(train, simulator.latency, *args)
 
 
 class _CountingRng:
@@ -122,7 +130,7 @@ class TestValueSearch:
     def test_balsa_simulation_bootstrapped(self, stack):
         optimizer = stack[0]
 
-        def simulate(learned, train, simulator):
+        def simulate(learned, train, simulator, cadence):
             learned.bootstrap_from_simulation(train[:15], episodes_per_query=2)
 
         old, new = ref.BalsaOptimizer(optimizer, seed=2), BalsaOptimizer(optimizer, seed=2)
@@ -165,7 +173,7 @@ class TestTopKDP:
         """The untrained cases never reach ``_rank``'s learned branch; three
         survivors per query give the 15 informative pairs a fit needs."""
 
-        def pretrain(learned, train, simulator):
+        def pretrain(learned, train, simulator, cadence):
             if isinstance(learned, LeonOptimizer):
                 survivors, comparator = learned.exploration.dp_candidates, learned.risk_model
             else:
@@ -190,19 +198,22 @@ def test_steering_drivers_through_the_console(stats_db, old_cls, new_cls):
     train = WorkloadGenerator(stats_db, seed=43).workload(25, 1, 4, require_predicate=True)
     serve = WorkloadGenerator(stats_db, seed=44).workload(90, 1, 4, require_predicate=True)
 
-    def replay(driver):
+    def replay(driver, updates_every=None):
         console = PilotScopeConsole(SimulatedPostgreSQL(stats_db))
         console.register_driver(driver)
         console.start_driver(driver.name)
         driver.collect_training_data(train)
         driver.train()
-        console.enable_background_updates(20)  # out of step with retrain_every=25
+        if updates_every is not None:
+            console.enable_background_updates(updates_every)
         plans = [console.execute(q).plan.signature() for q in serve]
         assert {entry.served_by for entry in console.query_log} == {driver.name}
         return plans, [(e.cardinality, e.latency_ms) for e in console.query_log]
 
+    # The reference refits in band every 25 feedbacks; the instance only
+    # through the console's background updates, at the same period.
     old, new = old_cls(seed=6), new_cls(seed=6)
-    assert replay(new) == replay(old)
+    assert replay(new, updates_every=25) == replay(old)
     assert new.risk_model._trained and old.risk_model._trained
     for model_new, model_old in zip(_nets(new.risk_model), _nets(old.risk_model)):
         assert np.array_equal(model_new.flat_params, model_old.flat_params)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cardest import FSPNEstimator, q_error
+from repro.core import RetrainCadence
 from repro.core.interfaces import InjectedCardinalities
 from repro.e2e import BaoOptimizer, OptimizationLoop
 from repro.engine import CardinalityExecutor, ExecutionSimulator
@@ -86,8 +87,8 @@ class TestLearnedOptimizerConvergence:
         gen = WorkloadGenerator(imdb_db, seed=123)
         base_queries = gen.workload(10, 2, 4, require_predicate=True)
         workload = base_queries * 12  # the same 10 queries repeated
-        bao = BaoOptimizer(opt, seed=0, retrain_every=20)
-        loop = OptimizationLoop(bao, sim, opt)
+        bao = BaoOptimizer(opt, seed=0)
+        loop = OptimizationLoop(bao, sim, opt, policies=[RetrainCadence(bao, every=20)])
         loop.run(workload)
         s = loop.summary(tail=30)
         assert s["workload_speedup"] >= 1.0

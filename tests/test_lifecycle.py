@@ -29,7 +29,6 @@ from repro.lifecycle import (
     QErrorTrigger,
     RetrainingScheduler,
     clone_model,
-    default_retrainer,
     drift_recovery_scenario,
     lifecycle_stats,
     model_fingerprint,
@@ -217,6 +216,12 @@ class _ToyModel:
 
     def retrain(self) -> None:
         self.weights = self.weights + 1.0
+
+
+def _refit(challenger):
+    """Retrain a freshly cloned challenger and hand it back."""
+    challenger.retrain()
+    return challenger
 
 
 def test_registry_lineage_and_champion():
@@ -430,7 +435,7 @@ def trained_bao():
     db = make_stats_lite(scale=0.12, seed=1)
     native = Optimizer(db)
     simulator = ExecutionSimulator(db)
-    bao = BaoOptimizer(native, retrain_every=0, seed=0)
+    bao = BaoOptimizer(native, seed=0)
     queries = WorkloadGenerator(db, seed=3).workload(24, 1, 2, require_predicate=True)
     for q in queries[:20]:
         candidate = bao.choose_plan(q)
@@ -548,7 +553,7 @@ def test_scheduler_composes_triggers_with_cooldown():
     sched = RetrainingScheduler(
         registry,
         store,
-        default_retrainer(),
+        lambda champion, store, action: _refit(clone_model(champion)),
         triggers=[CadenceTrigger(every_queries=10)],
         cooldown_queries=25,
     )
@@ -579,11 +584,12 @@ def test_scheduler_policy_estimates_only_for_its_triggers():
     estimator = CountingEstimator()
     deployment = SimpleNamespace(learned=SimpleNamespace(estimator=estimator))
     decision = _decision(None)
-    frozen = RetrainingScheduler(ModelRegistry(), ExperienceStore(8), default_retrainer())
+    retrainer = lambda champion, store, action: _refit(clone_model(champion))  # noqa: E731
+    frozen = RetrainingScheduler(ModelRegistry(), ExperienceStore(8), retrainer)
     frozen.on_decision(deployment, decision)
     assert estimator.calls == 0 and frozen.ctx.queries == 1
     watching = RetrainingScheduler(
-        ModelRegistry(), ExperienceStore(8), default_retrainer(),
+        ModelRegistry(), ExperienceStore(8), retrainer,
         triggers=[QErrorTrigger()],
     )
     watching.on_decision(deployment, decision)
@@ -728,7 +734,7 @@ def test_gate_passes_equivalent_challenger_into_shadow(gate_stack):
     sched = RetrainingScheduler(
         registry,
         store,
-        default_retrainer(shared=shared),
+        lambda champion, s, action: _refit(clone_model(champion, shared=shared)),
         gate=gate,
         triggers=[CadenceTrigger(every_queries=1)],
         deployment=deployment,
@@ -770,7 +776,7 @@ def test_gate_failure_never_reaches_deployment(gate_stack):
     sched = RetrainingScheduler(
         registry,
         store,
-        default_retrainer(shared=shared),
+        lambda champion, s, action: _refit(clone_model(champion, shared=shared)),
         gate=gate,
         triggers=[CadenceTrigger(every_queries=1)],
         deployment=deployment,
@@ -951,7 +957,7 @@ def test_optimization_loop_feeds_experience(stats_db, stats_simulator):
         BaoOptimizer(native, seed=0),
         stats_simulator,
         native,
-        experience=store,
+        policies=[store],
     )
     from repro.sql import WorkloadGenerator
 

@@ -172,6 +172,25 @@ class TestConsole:
             console.execute(q)
         assert calls["n"] == 2
 
+    def test_background_update_period_counts_from_enabling(self, pg, workload):
+        """Queries served before updates were enabled do not count toward
+        the first period."""
+        console = PilotScopeConsole(pg)
+        fired = []
+
+        class Spy(CardinalityInjectionDriver):
+            def background_update(self):
+                fired.append(console.queries_served)
+
+        console.register_driver(Spy(HistogramEstimator(pg.db)))
+        console.start_driver("cardinality_injection")
+        for q in workload[:20]:
+            console.execute(q)
+        console.enable_background_updates(3)
+        for q in workload[20:25]:
+            console.execute(q)
+        assert fired == [23]
+
     def test_background_update_period_validated(self, pg):
         console = PilotScopeConsole(pg)
         with pytest.raises(ValueError):
@@ -204,18 +223,17 @@ class TestCardinalityInjectionDriver:
 
 class TestSteeringDrivers:
     def test_bao_driver_serves_queries(self, pg, workload):
-        driver = BaoDriver(seed=0, retrain_every=10)
+        driver = BaoDriver(seed=0)
         driver.init(pg)
         for q in workload[:12]:
             out = driver.algo(q)
             assert out.latency_ms > 0
 
-    @pytest.mark.parametrize("retrain_every, retrains", [(0, 0), (10, 1)])
-    def test_retrain_cadence_follows_the_framework(
-        self, pg, workload, retrain_every, retrains
-    ):
-        """``retrain_every=0`` disables in-band retraining; the hand-rolled
-        driver loop lacked the guard and refit on every query."""
+    @pytest.mark.parametrize("every, retrains", [(0, 0), (10, 1)])
+    def test_retrain_cadence_follows_the_framework(self, pg, workload, every, retrains):
+        """A steering driver only records: it refits through the console's
+        background updates -- never without them, once in 12 queries at
+        ``every=10``."""
         calls = []
 
         class Counting(BaoDriver):
@@ -224,10 +242,15 @@ class TestSteeringDrivers:
                 model.retrain = lambda: calls.append(1)
                 return model
 
-        driver = Counting(seed=0, retrain_every=retrain_every)
-        driver.init(pg)
+        driver = Counting(seed=0)
+        console = PilotScopeConsole(pg)
+        console.register_driver(driver)
+        console.start_driver(driver.name)
+        if every:
+            console.enable_background_updates(every)
         for q in workload[:12]:
-            driver.algo(q)
+            console.execute(q)
+        assert console.served_by_counts == {driver.name: 12}
         assert len(calls) == retrains
         assert driver.risk_model.n_observations == 12
 

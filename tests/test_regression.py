@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.framework import CandidatePlan
+from repro.core.framework import CandidatePlan, RetrainCadence
 from repro.costmodel import PlanFeaturizer
 from repro.e2e import BaoOptimizer, OptimizationLoop
 from repro.regression import Eraser, GuardChain, PerfGuard
@@ -132,7 +132,7 @@ class TestPerfGuard:
     ):
         from repro.optimizer import HintSet
 
-        guard = PerfGuard(featurizer, retrain_every=10**9)
+        guard = PerfGuard(featurizer)
         made_pairs = 0
         for q in workload[:20]:
             native = imdb_optimizer.plan(q)
@@ -153,11 +153,13 @@ class TestPerfGuard:
         self, imdb_optimizer, imdb_simulator, featurizer, workload
     ):
         guard = PerfGuard(featurizer, confidence=0.45)
+        bao = BaoOptimizer(imdb_optimizer, seed=0)
         loop = OptimizationLoop(
-            BaoOptimizer(imdb_optimizer, seed=0),
+            bao,
             imdb_simulator,
             imdb_optimizer,
             guard=guard,
+            policies=[RetrainCadence(bao, every=25), RetrainCadence(guard, every=30)],
         )
         loop.run(workload)
         s = loop.summary(tail=60)
@@ -237,7 +239,8 @@ class TestGuardChain:
         perfguard = PerfGuard(featurizer, confidence=0.45)
         chain = GuardChain(eraser, perfguard)
         loop = OptimizationLoop(
-            RiskyChooser(), imdb_simulator, imdb_optimizer, guard=chain
+            RiskyChooser(), imdb_simulator, imdb_optimizer, guard=chain,
+            policies=[RetrainCadence(perfguard, every=30)],
         )
         results = loop.run(workload[:60])
         # Both guards were consulted for every query, in chain order.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cardest import FSPNEstimator, HistogramEstimator
-from repro.core.framework import CandidatePlan
+from repro.core.framework import CandidatePlan, RetrainCadence
 from repro.core.interfaces import InjectedCardinalities
 from repro.e2e import BaoOptimizer, OptimizationLoop
 from repro.engine import ExecutionSimulator, SimulatorConfig
@@ -62,7 +62,9 @@ class TestNoisySimulator:
             120, 2, 4, require_predicate=True
         )
         bao = BaoOptimizer(imdb_optimizer, seed=0)
-        loop = OptimizationLoop(bao, noisy, imdb_optimizer)
+        loop = OptimizationLoop(
+            bao, noisy, imdb_optimizer, policies=[RetrainCadence(bao, every=25)]
+        )
         loop.run(workload)
         s = loop.summary(tail=60)
         # Noise makes learning harder but must not break it outright.
@@ -128,8 +130,9 @@ class TestCrossDatabaseSanity:
         workload = WorkloadGenerator(db, seed=176).workload(
             40, 2, 4, require_predicate=True
         )
+        bao = BaoOptimizer(opt, seed=0)
         loop = OptimizationLoop(
-            BaoOptimizer(opt, seed=0), sim, opt, guard=Eraser(feat)
+            bao, sim, opt, guard=Eraser(feat), policies=[RetrainCadence(bao, every=25)]
         )
         loop.run(workload)
         assert loop.summary()["worst_regression"] < 5.0
