@@ -51,7 +51,16 @@ def _default_scores(candidates: Sequence[CandidatePlan]) -> list[float]:
 
 
 class TreeConvLatencyModel:
-    """Pointwise tree-conv latency model with optional Thompson sampling."""
+    """Pointwise tree-conv latency model with optional Thompson sampling.
+
+    A retrain draws each member's bootstrap sample but fits no member: it
+    records one owed fit per member, and :meth:`_member` runs it when that
+    member is next read.  Thompson sampling reads one member a decision, so
+    a retrain's fits land on the requests that first sample each member,
+    and a fit no request reads never runs.  A fit depends only on its
+    snapshot, its seed and the member's previous weights, and every read
+    forces it first, so each prediction is the one an eager refit made.
+    """
 
     min_observations = 20  # retrain is a no-op below this
 
@@ -78,10 +87,19 @@ class TreeConvLatencyModel:
             )
             for i in range(max(n_members, 1))
         ]
+        # Member i's owed fit: (bootstrap corpus, targets), or None.
+        self._owed: list[tuple[PlanTreeCorpus, np.ndarray] | None] = [
+            None for _ in self._members
+        ]
         self._rng = np.random.default_rng(seed + 100)
         self._trees: deque[tuple] = deque(maxlen=OBSERVATION_WINDOW)
         self._latencies: deque[float] = deque(maxlen=OBSERVATION_WINDOW)
         self._trained = False
+
+    @property
+    def trained(self) -> bool:
+        """Whether a retrain has run (else: default wins)."""
+        return self._trained
 
     @property
     def n_observations(self) -> int:
@@ -97,18 +115,29 @@ class TreeConvLatencyModel:
             return
         y = np.log1p(np.maximum(np.array(self._latencies), 0.0))
         corpus = PlanTreeCorpus.from_trees(self._trees)
-        for i, member in enumerate(self._members):
+        for i in range(len(self._members)):
             # Bootstrap resample per member (Bao's approximate posterior).
             idx = self._rng.integers(0, n, size=n)
-            member.fit(
-                corpus.resample(idx), y[idx], epochs=self.epochs, lr=self.lr, seed=i
-            )
+            self._member(i)  # a member owes at most one fit
+            self._owed[i] = (corpus.resample(idx), y[idx])
         self._trained = True
+
+    def _member(self, i: int) -> TreeConvNet:
+        """Member ``i``, after running the fit it owes."""
+        member, owed = self._members[i], self._owed[i]
+        if owed is not None:
+            self._owed[i] = None
+            member.fit(owed[0], owed[1], epochs=self.epochs, lr=self.lr, seed=i)
+        return member
+
+    def members(self) -> list[TreeConvNet]:
+        """Every member, each with its owed fit run."""
+        return [self._member(i) for i in range(len(self._members))]
 
     def predict(self, candidates: Sequence[CandidatePlan]) -> np.ndarray:
         """Mean predicted latency (ms) across ensemble members."""
         trees = [plan_to_tree_arrays(c.plan, self.featurizer) for c in candidates]
-        preds = np.stack([m.predict(trees) for m in self._members])
+        preds = np.stack([m.predict(trees) for m in self.members()])
         return np.maximum(np.expm1(preds.mean(axis=0)), 0.0)
 
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
@@ -116,9 +145,9 @@ class TreeConvLatencyModel:
             return _default_scores(candidates)
         trees = [plan_to_tree_arrays(c.plan, self.featurizer) for c in candidates]
         if self.thompson:
-            member = self._members[self._rng.integers(len(self._members))]
+            member = self._member(int(self._rng.integers(len(self._members))))
             return list(member.predict(trees))
-        preds = np.stack([m.predict(trees) for m in self._members])
+        preds = np.stack([m.predict(trees) for m in self.members()])
         return list(preds.mean(axis=0))
 
 
@@ -266,12 +295,12 @@ class EnsembleLatencyModel:
         self.inner.retrain()
 
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
-        if not self.inner._trained:
+        if not self.inner.trained:
             return _default_scores(candidates)
         trees = [
             plan_to_tree_arrays(c.plan, self.inner.featurizer) for c in candidates
         ]
-        preds = np.stack([m.predict(trees) for m in self.inner._members])
+        preds = np.stack([m.predict(trees) for m in self.inner.members()])
         means = preds.mean(axis=0)
         stds = preds.std(axis=0)
         cutoff = float(np.quantile(stds, self.variance_quantile))

@@ -1,8 +1,9 @@
 """The census as a test: no caller, no code.
 
 Over every package and every module under ``src/repro`` seven things must
-hold, an eighth over ``benchmarks/`` and a ninth over ``src/``,
-``benchmarks/`` and ``examples/``.  All but (c) only read source files --
+hold, an eighth over ``benchmarks/``, a ninth over ``src/``,
+``benchmarks/`` and ``examples/`` and a tenth over every code tree and
+``tests/``.  All but (c) only read source files --
 nothing is imported from ``repro`` or ``perf``, and an absent directory is
 skipped; (c) imports the examples, and one case of (g) builds the records
 it names:
@@ -44,7 +45,12 @@ it names:
 (i) feedback only records: no file under ``src/``, ``benchmarks/`` or
     ``examples/`` names ``retrain_every`` or ``_since_retrain`` (the
     ``tests/*_reference.py`` copies keep theirs).  When a model refits is
-    one ``RetrainCadence``, set where the stack is built.
+    one ``RetrainCadence``, set where the stack is built;
+(j) a bootstrap member is read after its owed fit: no file but
+    ``e2e/risk_models.py`` and its eager copy
+    (``tests/risk_models_reference.py``) names ``_members``.  A reader goes
+    through ``members()``, which runs what a retrain left owed, so nothing
+    sees the weights a retrain is about to replace.
 
 A failure names the file and the symbol.  The fix is to delete the code (or
 the export), not to grow the allow-list: that list is the backlog of
@@ -578,6 +584,30 @@ def test_feedback_only_records():
     )
 
 
+# -- (j) members are read through members() --------------------------------------------
+
+#: the files that may name a bootstrap ensemble's raw member list
+MEMBER_OWNERS = (SRC / "e2e" / "risk_models.py", ROOT / "tests" / "risk_models_reference.py")
+
+
+def raw_member_violations(sources: Sources) -> list[str]:
+    """Every file outside ``MEMBER_OWNERS`` with a ``_members`` name or
+    attribute, one line each."""
+    return [
+        f"{path.relative_to(ROOT)} names _members"
+        for path in _files(*CODE_TREES, "tests")
+        if path not in MEMBER_OWNERS and "_members" in sources.facts(path)[1]
+    ]
+
+
+def test_members_are_read_after_their_owed_fits():
+    found = raw_member_violations(Sources())
+    assert not found, (
+        f"{found} -- a retrain leaves each member a fit it owes; read the "
+        "ensemble through members(), which runs it first"
+    )
+
+
 def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simulator):
     """One instance of each record (g) slots: it has no ``__dict__`` and
     still pickles, deep-copies, ``replace``-s and compares by value."""
@@ -812,3 +842,26 @@ def test_seeded_reach_into_an_lru_is_caught(relative, old, new, caught):
     sources = _patched(relative, old, new)
     found = [re.sub(r":\d+ ", " ", f) for f in lru_entries_violations(sources)]
     assert found == caught
+
+
+@pytest.mark.parametrize(
+    "relative, old, new, caught",
+    [
+        (  # a second model scoring with the raw member list
+            "src/repro/e2e/hyperqo.py",
+            "        self.optimizer = optimizer\n",
+            "        self.optimizer = optimizer\n"
+            "        self.heads = len(self.risk_model.inner._members)\n",
+            ["src/repro/e2e/hyperqo.py names _members"],
+        ),
+        (  # a test comparing weights a retrain has not fitted yet
+            "tests/test_framework_instances.py",
+            'risk_model.members() if hasattr(risk_model, "members")',
+            'risk_model._members if hasattr(risk_model, "_members")',
+            ["tests/test_framework_instances.py names _members"],
+        ),
+    ],
+)
+def test_seeded_read_of_unforced_members_is_caught(relative, old, new, caught):
+    sources = _patched(relative, old, new, root=ROOT)
+    assert raw_member_violations(sources) == caught

@@ -214,13 +214,14 @@ def test_steering_drivers_through_the_console(stats_db, old_cls, new_cls):
     # through the console's background updates, at the same period.
     old, new = old_cls(seed=6), new_cls(seed=6)
     assert replay(new, updates_every=25) == replay(old)
-    assert new.risk_model._trained and old.risk_model._trained
+    assert new.risk_model.trained and old.risk_model.trained
     for model_new, model_old in zip(_nets(new.risk_model), _nets(old.risk_model)):
         assert np.array_equal(model_new.flat_params, model_old.flat_params)
 
 
 def _nets(risk_model):
-    return risk_model._members if hasattr(risk_model, "_members") else [risk_model.net]
+    """The nets to compare: a bootstrap ensemble's after its owed fits ran."""
+    return risk_model.members() if hasattr(risk_model, "members") else [risk_model.net]
 
 
 def test_prefix_encoder_matches_both_reference_encoders(stack):
