@@ -328,7 +328,8 @@ class NaruEstimator(_BinnedModelEstimator):
 class _TableBayesNet:
     """Tree-shaped BN: Chow-Liu structure + smoothed CPTs + exact inference."""
 
-    def __init__(self, disc: DiscretizedTable, alpha: float = 0.1) -> None:
+    def __init__(self, disc: DiscretizedTable) -> None:
+        alpha = 0.1  # additive smoothing of the marginal and every CPT
         self.disc = disc
         codes = disc.codes
         n_cols = codes.shape[1]
@@ -382,10 +383,9 @@ class BayesNetEstimator(_BinnedModelEstimator):
 
     name = "bayesnet"
 
-    def __init__(self, db: Database, max_bins: int = 32, alpha: float = 0.1) -> None:
+    def __init__(self, db: Database, max_bins: int = 32) -> None:
         self.max_bins = max_bins
-        self.alpha = alpha
         super().__init__(db)
 
     def _fit_binned(self, disc: DiscretizedTable) -> _TableBayesNet:
-        return _TableBayesNet(disc, alpha=self.alpha)
+        return _TableBayesNet(disc)

@@ -68,6 +68,8 @@ class DDUpDetector:
 
     #: stage-2 divergence below which a stage-1 alarm is dismissed
     fine_tune_js = 0.008
+    #: stage-2 divergence from which a confirmed drift calls for a retrain
+    retrain_js = 0.06
 
     def __init__(
         self,
@@ -75,7 +77,6 @@ class DDUpDetector:
         *,
         n_bins: int = 24,
         stage1_z: float = 3.0,
-        retrain_js: float = 0.06,
         sample: int = 2000,
         seed: int = 0,
         telemetry=None,
@@ -88,7 +89,6 @@ class DDUpDetector:
         self.db = db
         self.n_bins = n_bins
         self.stage1_z = stage1_z
-        self.retrain_js = retrain_js
         self.sample = sample
         self.telemetry = telemetry
         self._rng = np.random.default_rng(seed)

@@ -248,22 +248,21 @@ class MSCNFeaturizer:
     ----------
     db:
         The database (provides schema indices and sample rows).
-    sample_size:
-        Rows in the per-table materialized sample used for bitmaps.
     seed:
         Sample-draw seed.
     """
 
-    def __init__(self, db: Database, sample_size: int = 64, seed: int = 0) -> None:
+    sample_size = 64  # rows in the per-table sample the bitmaps are read off
+
+    def __init__(self, db: Database, seed: int = 0) -> None:
         self.db = db
         self.index = _ColumnIndex(db)
-        self.sample_size = sample_size
         rng = np.random.default_rng(seed)
         self._samples: dict[str, dict[str, np.ndarray]] = {}
         for t in self.index.tables:
             table = db.table(t)
             n = table.n_rows
-            take = rng.choice(n, size=min(sample_size, n), replace=False)
+            take = rng.choice(n, size=min(self.sample_size, n), replace=False)
             self._samples[t] = {
                 c: table.values(c)[take] for c in table.column_names
             }

@@ -275,13 +275,12 @@ class MSCNEstimator(BaseCardinalityEstimator):
         self,
         db: Database,
         hidden: int = 64,
-        sample_size: int = 64,
         epochs: int = 80,
         lr: float = 1e-3,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
-        self.featurizer = MSCNFeaturizer(db, sample_size=sample_size, seed=seed)
+        self.featurizer = MSCNFeaturizer(db, seed=seed)
         self.net = SetConvNet(self.featurizer.module_dims(), hidden=hidden, seed=seed)
         self.epochs = epochs
         self.lr = lr
@@ -328,10 +327,10 @@ class PooledMSCNEstimator(MSCNEstimator):
 
     name = "pooled_mscn"
 
-    def __init__(self, db: Database, hidden: int = 64, sample_size: int = 64,
-                 epochs: int = 80, lr: float = 1e-3, seed: int = 0) -> None:
+    def __init__(self, db: Database, hidden: int = 64, epochs: int = 80,
+                 lr: float = 1e-3, seed: int = 0) -> None:
         BaseCardinalityEstimator.__init__(self, db)
-        self.featurizer = MSCNFeaturizer(db, sample_size=sample_size, seed=seed)
+        self.featurizer = MSCNFeaturizer(db, seed=seed)
         self.net = SetConvNet(
             self.featurizer.module_dims(), hidden=hidden, pooling="max", seed=seed
         )
@@ -468,15 +467,10 @@ class RobustMSCNEstimator(MSCNEstimator):
 
     name = "robust_mscn"
     train_drop_fraction = 0.3  # share of training queries masked
+    mask_rate = 0.25  # share of a masked query's predicates dropped
 
-    def __init__(
-        self,
-        db: Database,
-        mask_rate: float = 0.25,
-        **kwargs,
-    ) -> None:
+    def __init__(self, db: Database, **kwargs) -> None:
         super().__init__(db, **kwargs)
-        self.mask_rate = mask_rate
         self._mask_rng = np.random.default_rng(kwargs.get("seed", 0) + 17)
 
     def _featurize_training(self, queries: list[Query]) -> list[dict]:
@@ -515,20 +509,18 @@ class GLPlusEstimator(BaseCardinalityEstimator):
     """
 
     name = "gl_plus"
+    n_segments = 4  # k-means clusters over the query features
+    min_segment_size = 30  # members a segment needs for its own MLP
 
     def __init__(
         self,
         db: Database,
-        n_segments: int = 4,
-        min_segment_size: int = 30,
         hidden: tuple[int, ...] = (48,),
         epochs: int = 80,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
         self.featurizer = FlatQueryFeaturizer(db)
-        self.n_segments = n_segments
-        self.min_segment_size = min_segment_size
         self.hidden = hidden
         self.epochs = epochs
         self.seed = seed
@@ -585,22 +577,19 @@ class LPCEEstimator(BaseCardinalityEstimator):
     An *initial* model (MLP on flat features) answers before execution; a
     *refinement* stage consumes the true cardinalities of executed
     (sub-)queries via :meth:`observe`: exact matches are answered from the
-    feedback cache, and a residual-correction GBDT retrains periodically on
-    the accumulated feedback to shift the initial model's bias.
+    feedback cache, and a residual-correction GBDT retrains every 50
+    observations on the accumulated feedback to shift the initial model's
+    bias.
     """
 
     name = "lpce"
 
-    def __init__(
-        self, db: Database, refit_every: int = 50, seed: int = 0
-    ) -> None:
+    def __init__(self, db: Database, seed: int = 0) -> None:
         super().__init__(db)
         self._initial = MLPQueryEstimator(db, seed=seed)
         self._cache: dict[str, float] = {}
         self._feedback: list[tuple[Query, float]] = []
         self._correction: GradientBoostedTrees | None = None
-        self.refit_every = refit_every
-        self._since_refit = 0
         self.seed = seed
 
     def _fit(self, queries: list[Query], cards: np.ndarray) -> None:
@@ -610,10 +599,8 @@ class LPCEEstimator(BaseCardinalityEstimator):
         """Feed back the true cardinality of an executed (sub-)query."""
         self._cache[query.cache_key] = float(true_card)
         self._feedback.append((query, float(true_card)))
-        self._since_refit += 1
-        if self._since_refit >= self.refit_every:
+        if len(self._feedback) % 50 == 0:
             self._refit_correction()
-            self._since_refit = 0
         self._bump_estimates_version()
 
     def _refit_correction(self) -> None:

@@ -232,19 +232,18 @@ class _SPNFamilyEstimator(BaseCardinalityEstimator):
     """Shared per-table SPN plumbing (join-uniformity composition)."""
 
     _factorize_threshold: float | None = None
+    alpha = 0.1  # additive smoothing of every leaf histogram
 
     def __init__(
         self,
         db: Database,
         max_bins: int = 32,
         max_depth: int = 6,
-        alpha: float = 0.1,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
         self.max_bins = max_bins
         self.max_depth = max_depth
-        self.alpha = alpha
         self.seed = seed
         self._join_sizes = UnfilteredJoinSizes(db)
         self._models: dict[str, tuple[DiscretizedTable, _Node]] = {}

@@ -90,8 +90,8 @@ class PlanAutoencoder:
             total, batches = 0.0, 0
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
-                z = self.encoder.forward(x[idx], training=True)
-                recon = self.decoder.forward(z, training=True)
+                z = self.encoder.forward(x[idx])
+                recon = self.decoder.forward(z)
                 diff = recon - x[idx]
                 loss = float((diff**2).mean())
                 grad = 2.0 * diff / max(diff.size, 1)
@@ -110,7 +110,7 @@ class PlanAutoencoder:
         if not self._trained:
             raise RuntimeError("embed called before fit")
         x = self._serialize(plan)[None, :]
-        return self.encoder.forward(x, training=False)[0]
+        return self.encoder.forward(x)[0]
 
     def embed_batch(self, plans: list[Plan]) -> np.ndarray:
         if not plans:
@@ -123,6 +123,6 @@ class PlanAutoencoder:
         if not self._trained:
             raise RuntimeError("reconstruction_error called before fit")
         x = self._serialize(plan)[None, :]
-        z = self.encoder.forward(x, training=False)
-        recon = self.decoder.forward(z, training=False)
+        z = self.encoder.forward(x)
+        recon = self.decoder.forward(z)
         return float(((recon - x) ** 2).mean())

@@ -58,8 +58,6 @@ class ZeroShotCostModel:
     def fit(
         self,
         training_sets: list[tuple[PlanFeaturizer, list[Plan], np.ndarray]],
-        *,
-        samples_per_plan: int | None = None,
     ) -> "ZeroShotCostModel":
         """Train from one or more (featurizer, plans, latencies) sources.
 
@@ -67,19 +65,9 @@ class ZeroShotCostModel:
         what gives the zero-shot property.  The model learns per-node costs
         whose *sum* matches log latency; training uses the standard
         trick of regressing the per-plan mean node target.
-
-        ``samples_per_plan`` caps the node rows each plan contributes:
-        large plans are subsampled (deterministically, from this model's
-        seed) down to that many rows.  The regression target stays the
-        per-node share over the *full* node count, so predictions -- which
-        sum over all of a plan's nodes -- are unaffected in expectation.
-        ``None`` (the default) keeps every node row.
         """
-        if samples_per_plan is not None and samples_per_plan < 1:
-            raise ConfigError("samples_per_plan must be >= 1 (or None)")
         if not training_sets:
             raise ValueError("need at least one training database")
-        rng = np.random.default_rng((int(self.seed), 0x5A))
         xs, ys = [], []
         dim: int | None = None
         for featurizer, plans, lats in training_sets:
@@ -92,16 +80,6 @@ class ZeroShotCostModel:
                 else:
                     self._check_dim(mat, dim, featurizer)
                 target = np.log1p(max(float(lat), 0.0)) / mat.shape[0]
-                if (
-                    samples_per_plan is not None
-                    and mat.shape[0] > samples_per_plan
-                ):
-                    keep = np.sort(
-                        rng.choice(
-                            mat.shape[0], size=samples_per_plan, replace=False
-                        )
-                    )
-                    mat = mat[keep]
                 xs.append(mat)
                 ys.append(np.full(mat.shape[0], target))
         x = np.concatenate(xs, axis=0)

@@ -228,10 +228,10 @@ class ValueSearchExploration:
 
 
 class TopKDPExploration:
-    """LEON's strategy [4]: the native DP keeping the top-``keep_k``
-    sub-plans per subset, ranked by the comparator once it is trained.
+    """LEON's strategy [4]: the native DP keeping the top two sub-plans
+    per subset, ranked by the comparator once it is trained.
 
-    Every ``explore_every``-th query the full-set runner-up is executed
+    Every 7th query the full-set runner-up is executed
     too, so the comparator receives labelled same-query pairs: out-of-band
     through ``shadow_executor(plan) -> latency_ms`` when one is given, else
     by serving the runner-up (source ``"explore"``) in place of the
@@ -244,14 +244,10 @@ class TopKDPExploration:
         optimizer: Optimizer,
         comparator: PairwisePlanComparator,
         *,
-        keep_k: int = 2,
-        explore_every: int = 7,
         shadow_executor=None,
     ) -> None:
         self.optimizer = optimizer
         self.comparator = comparator
-        self.keep_k = keep_k
-        self.explore_every = explore_every
         self.shadow_executor = shadow_executor
         self._queries_seen = 0
 
@@ -272,7 +268,7 @@ class TopKDPExploration:
         return [entries[i] for i in order]
 
     def dp_candidates(self, query: Query) -> list[tuple[PlanNode, float]]:
-        """The up-to-``keep_k`` surviving full-set ``(root, cost)`` entries."""
+        """The up-to-two surviving full-set ``(root, cost)`` entries."""
         hints = HintSet.default()
         coster = self.optimizer.coster
         best: dict[frozenset[str], list[tuple[PlanNode, float]]] = {}
@@ -306,7 +302,7 @@ class TopKDPExploration:
                             if cand is not None:
                                 entries.append(cand)
             if entries:
-                # Dedup by signature, keep top-k by learned ranking.
+                # Dedup by signature, keep the top two by learned ranking.
                 seen: set[str] = set()
                 unique = []
                 for node, cost in sorted(entries, key=lambda e: e[1]):
@@ -314,7 +310,7 @@ class TopKDPExploration:
                     if sig not in seen:
                         seen.add(sig)
                         unique.append((node, cost))
-                best[subset] = self._rank(query, unique)[: self.keep_k]
+                best[subset] = self._rank(query, unique)[:2]
         full = frozenset(query.tables)
         if full not in best:
             raise ValueError(f"no connected plan covers {query}")
@@ -325,11 +321,7 @@ class TopKDPExploration:
         if query.n_tables == 1:
             return [CandidatePlan(self.optimizer.plan(query), "default")]
         entries = self.dp_candidates(query)
-        explore = (
-            len(entries) > 1
-            and self.explore_every
-            and self._queries_seen % self.explore_every == 0
-        )
+        explore = len(entries) > 1 and self._queries_seen % 7 == 0
         if explore and self.shadow_executor is not None:
             # Shadow-execute the runner-up so a labelled same-query pair
             # exists once the favourite's latency is fed back.

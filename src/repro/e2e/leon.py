@@ -2,7 +2,7 @@
 
 LEON keeps the native optimizer's DP enumeration but lets a learned
 pairwise comparison model influence which sub-plans survive: each DP
-subset keeps the top-``k`` candidates ranked by a blend of estimated cost
+subset keeps the top two candidates ranked by a blend of estimated cost
 and the comparator's learned preference, and the final plan is the
 comparator's favourite among the full-set candidates.  Periodically the
 runner-up is executed instead of the favourite to keep generating labelled
@@ -27,8 +27,6 @@ class LeonOptimizer(LearnedOptimizer):
         self,
         optimizer: Optimizer,
         *,
-        keep_k: int = 2,
-        explore_every: int = 7,
         shadow_executor=None,
         seed: int = 0,
     ) -> None:
@@ -42,8 +40,6 @@ class LeonOptimizer(LearnedOptimizer):
             exploration=TopKDPExploration(
                 optimizer,
                 comparator,
-                keep_k=keep_k,
-                explore_every=explore_every,
                 shadow_executor=shadow_executor,
             ),
             risk_model=comparator,

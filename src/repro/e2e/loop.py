@@ -35,7 +35,6 @@ class OptimizationLoop:
         native: Optimizer,
         *,
         guard=None,
-        degrade_on_error: bool = True,
         policies=(),
         auditor=None,
     ) -> None:
@@ -44,12 +43,10 @@ class OptimizationLoop:
         ``guard(query, candidate, native_plan) -> candidate`` and may swap
         in a safer plan.
 
-        ``degrade_on_error`` (default) keeps the loop alive when the
-        learned component or the guard throws: the query is served with
-        the native plan (source ``"native:fallback"``) or the guard is
-        treated as abstaining, and the failure is counted in
-        :attr:`fallbacks` / :attr:`guard_errors`.  Set ``False`` to let
-        failures propagate (debugging).
+        The loop stays alive when the learned component or the guard
+        throws: the query is served with the native plan (source
+        ``"native:fallback"``) or the guard is treated as abstaining, and
+        the failure is counted in :attr:`fallbacks` / :attr:`guard_errors`.
 
         ``policies`` run as in a :class:`repro.serve.DeploymentManager`:
         each one's ``on_decision(loop, decision)`` after every query, in
@@ -66,7 +63,6 @@ class OptimizationLoop:
         self.simulator = simulator
         self.native = native
         self.guard = guard
-        self.degrade_on_error = degrade_on_error
         self.policies = list(policies)
         self.auditor = auditor
         self.results: list[Decision] = []
@@ -80,8 +76,6 @@ class OptimizationLoop:
         try:
             candidate = self.learned.choose_plan(query)
         except Exception:
-            if not self.degrade_on_error:
-                raise
             self.fallbacks += 1
             candidate = None
         native_plan = self.native.plan(query)
@@ -91,8 +85,6 @@ class OptimizationLoop:
             try:
                 candidate = self.guard(query, candidate, native_plan)
             except Exception:
-                if not self.degrade_on_error:
-                    raise
                 self.guard_errors += 1  # guard abstains, candidate stands
         executed = self.simulator.execute(candidate.plan)
         latency = executed.latency_ms
@@ -129,8 +121,6 @@ class OptimizationLoop:
         try:
             record(*args)
         except Exception:
-            if not self.degrade_on_error:
-                raise
             self.guard_errors += 1  # feedback lost, loop keeps serving
             return False
         return True

@@ -165,13 +165,11 @@ class PairwisePlanComparator:
         self,
         featurizer: PlanFeaturizer,
         *,
-        min_pairs: int = 15,
         epochs: int = 40,
         lr: float = 1e-3,
         seed: int = 0,
     ) -> None:
         self.featurizer = featurizer
-        self.min_pairs = min_pairs
         self.epochs = epochs
         self.lr = lr
         self.net = TreeConvNet(
@@ -224,7 +222,7 @@ class PairwisePlanComparator:
 
     def retrain(self) -> None:
         trees, a, b, labels = self._pairs()
-        if len(labels) < max(self.min_pairs, 1):
+        if len(labels) < 15:
             return
         corpus = PlanTreeCorpus.from_trees(trees)
         opt = Adam(lr=self.lr)

@@ -41,16 +41,12 @@ from repro.cardest.base import (
     cross_product_rows,
     sanitize_bound,
 )
-from repro.core.errors import ConfigError
 from repro.core.interfaces import ServePolicy
 from repro.faults.resilience import CircuitBreaker
 from repro.sql.query import query_hash
 
 __all__ = ["BoundGuard"]
 
-
-#: checks the guard must have made before ``rollback_rate`` is trusted
-MIN_BOUND_CHECKS = 20
 
 #: most recent bound / estimate ratios kept for the gauge's percentiles
 #: (the bus ``Histogram``'s capacity): a guard lives as long as its server
@@ -66,10 +62,7 @@ class BoundGuard(ServePolicy):
     the guard refuses the primary.  ``tolerance`` is the multiplicative
     slack an estimate may exceed the bound by before the guard trips --
     1.0 enforces the certificate exactly.  As a deployment policy, a
-    guard with ``rollback_rate`` set rolls a CANARY/LIVE model back once
-    its violation rate exceeds it (after :data:`MIN_BOUND_CHECKS` checks):
-    estimates that routinely exceed their certified bounds mean a broken
-    model even if its plans happen to run fast so far.
+    guard registers its gauge on the deployment's bus.
     """
 
     def __init__(
@@ -82,13 +75,10 @@ class BoundGuard(ServePolicy):
         breaker: CircuitBreaker | None = None,
         telemetry=None,
         tolerance: float = 1.0,
-        rollback_rate: float | None = None,
         name: str = "bound_guard",
     ) -> None:
         if tolerance < 1.0:
             raise ValueError("tolerance must be >= 1.0")
-        if rollback_rate is not None and not 0.0 < rollback_rate <= 1.0:
-            raise ConfigError("rollback_rate must be in (0, 1] or None")
         self.primary = primary
         self.bounds = bounds
         self.fallback = fallback
@@ -96,7 +86,6 @@ class BoundGuard(ServePolicy):
         self.breaker = breaker
         self.telemetry = telemetry
         self.tolerance = float(tolerance)
-        self.rollback_rate = rollback_rate
         self.name = name
         self.checked = 0
         self.counts_observed = 0
@@ -223,19 +212,6 @@ class BoundGuard(ServePolicy):
         if self.telemetry is None:
             self.telemetry = deployment.telemetry
         deployment.telemetry.attach_gauge("bound_guard", self.stats)
-
-    def on_decision(self, deployment, decision) -> None:
-        # The certificate, not latency, is the signal: fires while plans look fast.
-        if (
-            self.rollback_rate is None
-            or self.checked + self.counts_observed < MIN_BOUND_CHECKS
-        ):
-            return
-        rate = self.violation_rate()
-        if rate > self.rollback_rate:
-            deployment.auto_rollback(
-                f"bound_violation_rate={rate:.3f}>{self.rollback_rate:g}"
-            )
 
     # -- reporting ----------------------------------------------------------------
 

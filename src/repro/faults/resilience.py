@@ -50,8 +50,8 @@ class CircuitBreaker:
 
     ``failure_threshold`` consecutive failures trip the breaker OPEN;
     after ``cooldown_ms`` of virtual time it admits trial calls
-    (HALF_OPEN), and ``half_open_successes`` consecutive successes close
-    it again -- one failure while half-open re-opens it immediately.
+    (HALF_OPEN), and one success closes it again -- one failure while
+    half-open re-opens it immediately.
     ``epoch`` counts state transitions; estimator wrappers fold it into
     their cache tags so cached cardinalities never outlive a state change.
     """
@@ -61,7 +61,6 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 3,
         cooldown_ms: float = 1_000.0,
-        half_open_successes: int = 1,
         clock: VirtualClock | None = None,
         name: str = "breaker",
         telemetry=None,
@@ -70,11 +69,8 @@ class CircuitBreaker:
             raise ConfigError("failure_threshold must be >= 1")
         if cooldown_ms < 0:
             raise ConfigError("cooldown_ms must be >= 0")
-        if half_open_successes < 1:
-            raise ConfigError("half_open_successes must be >= 1")
         self.failure_threshold = failure_threshold
         self.cooldown_ms = cooldown_ms
-        self.half_open_successes = half_open_successes
         self.clock = clock if clock is not None else VirtualClock()
         self.name = name
         self.telemetry = telemetry
@@ -82,7 +78,6 @@ class CircuitBreaker:
         self.epoch = 0  # total state transitions
         self.trips = 0  # transitions into OPEN
         self.consecutive_failures = 0
-        self.half_open_streak = 0
         self.calls_allowed = 0
         self.calls_denied = 0
         self._opened_at_ms = 0.0
@@ -103,8 +98,6 @@ class CircuitBreaker:
         if to is BreakerState.OPEN:
             self.trips += 1
             self._opened_at_ms = self.clock.now_ms()
-        if to is BreakerState.HALF_OPEN:
-            self.half_open_streak = 0
         if to is BreakerState.CLOSED:
             self.consecutive_failures = 0
 
@@ -129,9 +122,7 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         if self.state is BreakerState.HALF_OPEN:
-            self.half_open_streak += 1
-            if self.half_open_streak >= self.half_open_successes:
-                self._transition(BreakerState.CLOSED, "half_open_recovered")
+            self._transition(BreakerState.CLOSED, "half_open_recovered")
         else:
             self.consecutive_failures = 0
 

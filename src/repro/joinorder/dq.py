@@ -37,7 +37,6 @@ class DQJoinOrderSearch:
         optimizer: Optimizer,
         hidden: tuple[int, ...] = (64,),
         epsilon: float = 0.3,
-        refit_every: int = 40,
         seed: int = 0,
     ) -> None:
         self.optimizer = optimizer
@@ -45,7 +44,6 @@ class DQJoinOrderSearch:
         self.tables = list(optimizer.db.table_names)
         self._pos = {t: i for i, t in enumerate(self.tables)}
         self.epsilon = epsilon
-        self.refit_every = refit_every
         self._rng = np.random.default_rng(seed)
         dim = 2 * len(self.tables) + 2
         self._net = MLP(dim, hidden, 1, seed=seed)
@@ -101,7 +99,7 @@ class DQJoinOrderSearch:
             self._buffer_x.append(x)
             self._buffer_y.append(reward)
         self._episodes += 1
-        if self._episodes % self.refit_every == 0:
+        if self._episodes % 40 == 0:
             self._refit()
         return reward
 

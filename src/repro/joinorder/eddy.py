@@ -28,20 +28,18 @@ class EddyJoinOrderSearch:
     """Q-learning over observed per-chunk join fan-outs."""
 
     name = "eddy"
+    n_chunks = 12  # chunks of the online phase, each re-deciding the routing
+    alpha = 0.4  # Q-learning rate
 
     def __init__(
         self,
         optimizer: Optimizer,
         *,
-        n_chunks: int = 12,
-        alpha: float = 0.4,
         epsilon: float = 0.25,
         seed: int = 0,
     ) -> None:
         self.optimizer = optimizer
         self.executor = CardinalityExecutor(optimizer.db)
-        self.n_chunks = n_chunks
-        self.alpha = alpha
         self.epsilon = epsilon
         self._rng = np.random.default_rng(seed)
 

@@ -32,14 +32,12 @@ class RTOSJoinOrderSearch:
         self,
         optimizer: Optimizer,
         epsilon: float = 0.3,
-        refit_every: int = 40,
         seed: int = 0,
     ) -> None:
         self.optimizer = optimizer
         self.coster = optimizer.coster
         self.featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         self.epsilon = epsilon
-        self.refit_every = refit_every
         self._rng = np.random.default_rng(seed)
         self._net = TreeConvNet(
             self.featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed
@@ -69,7 +67,7 @@ class RTOSJoinOrderSearch:
             self._buffer.append(s)
             self._targets.append(reward)
         self._episodes += 1
-        if self._episodes % self.refit_every == 0:
+        if self._episodes % 40 == 0:
             self._refit()
         return reward
 

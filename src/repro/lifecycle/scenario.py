@@ -171,7 +171,6 @@ def lifecycle_stack(
     warp_queries_per_table: int = 40,
     qerror_window: int = 48,
     cadence_queries: int | None = None,
-    gate_kwargs: dict | None = None,
 ) -> LifecycleStack:
     """Train a champion on ``db`` and wire the whole loop around it.
 
@@ -206,20 +205,16 @@ def lifecycle_stack(
     holdout = WorkloadGenerator(db, seed=seed + 2).workload(
         n_holdout, 1, 3, require_predicate=True
     )
-    gate_params = dict(
-        max_p50_ratio=1.15,
-        max_p95_ratio=1.30,
-        max_qerror_ratio=1.25,
-        max_regression_rate=0.25,
-    )
-    gate_params.update(gate_kwargs or {})
     gate = EvalGate(
         holdout,
         simulator=simulator,
         executor=executor,
         telemetry=telemetry,
         shared=shared,
-        **gate_params,
+        max_p50_ratio=1.15,
+        max_p95_ratio=1.30,
+        max_qerror_ratio=1.25,
+        max_regression_rate=0.25,
     )
     deployment = DeploymentManager(
         champion,
@@ -310,7 +305,6 @@ def drift_recovery_scenario(
     drift_check_every: int = 20,
     cadence_queries: int | None = None,
     cooldown_queries: int = 40,
-    gate_kwargs: dict | None = None,
     config: RuntimeConfig | None = None,
 ) -> LifecycleScenario:
     """Assemble the drift-then-recover closed loop described above.
@@ -329,7 +323,6 @@ def drift_recovery_scenario(
         drift_check_every=drift_check_every,
         cooldown_queries=cooldown_queries,
         cadence_queries=cadence_queries,
-        gate_kwargs=gate_kwargs,
     )
     queries = WorkloadGenerator(db, seed=seed + 4).workload(
         n_queries, 1, 3, require_predicate=True

@@ -2,7 +2,8 @@
 
 Used for the lightweight query-driven selectivity models of Dutt et al.
 [9, 10] and as a general tabular regressor throughout the repo.  Squared
-loss, depth-limited trees, shrinkage, optional row subsampling.
+loss, depth-limited trees, shrinkage, at least ``MIN_SAMPLES_LEAF`` rows
+on each side of a cut.
 
 A fitted tree is four flat arrays in pre-order -- ``feature`` (``-1`` marks
 a leaf), ``threshold``, ``children`` (``[nodes, 2]``; a leaf points at
@@ -25,6 +26,9 @@ import numpy as np
 __all__ = ["RegressionTree", "GradientBoostedTrees"]
 
 _MIN_GAIN = 1e-12
+
+#: fewest rows a cut may leave on either side
+MIN_SAMPLES_LEAF = 5
 
 
 def _check_non_negative(**params: int) -> None:
@@ -93,7 +97,6 @@ def _grow(
     feats: np.ndarray,
     order: np.ndarray,
     max_depth: int,
-    min_samples_leaf: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Grow one tree on ``rows`` and return its pre-order node arrays.
 
@@ -110,8 +113,7 @@ def _grow(
     reached = 0
     flag = np.zeros(xt.shape[1], dtype=bool)
     cells = xt.ravel()  # cell (f, row) is f * xt.shape[1] + row
-    # A cut needs a row on each side, whatever min_samples_leaf says.
-    lo = max(min_samples_leaf, 1)
+    lo = MIN_SAMPLES_LEAF
     # Pre-order with an explicit stack: right is pushed first, so the left
     # subtree is numbered before it.  An entry owns its sorted lists; they
     # are dropped as soon as the node has handed them to its children.
@@ -222,14 +224,9 @@ class RegressionTree:
     deepest node and ``n_features_`` the width it was fit on.
     """
 
-    def __init__(
-        self,
-        max_depth: int = 4,
-        min_samples_leaf: int = 5,
-    ) -> None:
-        _check_non_negative(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    def __init__(self, max_depth: int = 4) -> None:
+        _check_non_negative(max_depth=max_depth)
         self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         self.feature, self.threshold, self.children, self.value, self.depth_ = (
             _no_nodes()
         )
@@ -245,7 +242,6 @@ class RegressionTree:
             feats,
             order,
             self.max_depth,
-            self.min_samples_leaf,
         )
         self.n_features_ = x.shape[1]
         return self
@@ -269,7 +265,8 @@ class GradientBoostedTrees:
     is one node table -- ``feature_`` / ``threshold_`` / ``children_`` /
     ``value_`` over the nodes of all trees, child ids global -- with
     ``roots_[t]`` the first node of tree ``t``; nothing the size of the
-    training set is kept.
+    training set is kept.  Every stage fits all rows, so a fit draws
+    nothing: ``seed`` is recorded, not used.
     """
 
     def __init__(
@@ -277,23 +274,17 @@ class GradientBoostedTrees:
         n_estimators: int = 50,
         max_depth: int = 4,
         learning_rate: float = 0.1,
-        min_samples_leaf: int = 5,
-        subsample: float = 1.0,
         seed: int = 0,
     ) -> None:
-        if not 0.0 < subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1]")
-        _check_non_negative(
-            n_estimators=n_estimators,
-            max_depth=max_depth,
-            min_samples_leaf=min_samples_leaf,
-        )
+        _check_non_negative(n_estimators=n_estimators, max_depth=max_depth)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.learning_rate = learning_rate
-        self.min_samples_leaf = min_samples_leaf
-        self.subsample = subsample
         self.seed = seed
+        # Registry version ids hash a model's fields: these two records of
+        # the fixed leaf size and the unsampled rows keep every published id.
+        self.min_samples_leaf = MIN_SAMPLES_LEAF
+        self.subsample = 1.0
         self.base_: float = 0.0
         self.n_features_: int | None = None
         self.roots_ = np.empty(0, dtype=np.intp)
@@ -303,13 +294,10 @@ class GradientBoostedTrees:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
         x, y = _check_xy(x, y)
-        rng = np.random.default_rng(self.seed)
         self.base_ = float(y.mean())
         n = x.shape[0]
         pred = np.full(n, self.base_)
-        # Every stage splits the same matrix, so it is sorted once; a
-        # subsampled stage filters the sorted lists (a stable sort of a
-        # subset is the subset of the stable sort).
+        # Every stage splits the same matrix, so it is sorted once.
         xt, feats, order = _presort(x)
         all_rows = np.arange(n)
         root = np.zeros(n, dtype=np.intp)
@@ -320,20 +308,8 @@ class GradientBoostedTrees:
         n_nodes = 0
         for _ in range(self.n_estimators):
             residual = y - pred
-            rows, stage_order = all_rows, order
-            if self.subsample < 1.0:
-                take = rng.random(n) < self.subsample
-                if take.sum() >= max(2 * self.min_samples_leaf, 2):
-                    rows = all_rows[take]
-                    stage_order = order[take[order]].reshape(feats.size, rows.size)
             feature, threshold, children, value, depth = _grow(
-                xt,
-                residual,
-                rows,
-                feats,
-                stage_order,
-                self.max_depth,
-                self.min_samples_leaf,
+                xt, residual, all_rows, feats, order, self.max_depth
             )
             leaf = _descend(x, feature, threshold, children, root, depth)
             pred += self.learning_rate * value[leaf]

@@ -1,12 +1,12 @@
 """A small feed-forward neural-network framework on numpy.
 
 Implements exactly what the learned-query-optimizer models in this repository
-need: dense layers, common activations, dropout, the Adam optimizer, and a
+need: dense layers, ReLU and sigmoid activations, the Adam optimizer, and a
 convenience :class:`MLP` wrapper (ReLU hidden layers, standardized inputs)
 with mini-batch training, early stopping and MSE / MAE / BCE losses.
 
 The design follows the classic layer protocol: each layer exposes
-``forward(x, training)`` and ``backward(grad)``; ``backward`` must be called
+``forward(x)`` and ``backward(grad)``; ``backward`` must be called
 in reverse order of ``forward`` and returns the gradient with respect to the
 layer input while accumulating parameter gradients internally.
 """
@@ -24,8 +24,6 @@ __all__ = [
     "Dense",
     "ReLU",
     "Sigmoid",
-    "Tanh",
-    "Dropout",
     "Sequential",
     "Adam",
     "MLP",
@@ -43,7 +41,7 @@ class Layer:
     :meth:`gradients` (parallel lists of arrays).
     """
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -82,7 +80,7 @@ class Dense(Layer):
         self.db = np.zeros_like(self.b)
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
         return x @ self.w + self.b
 
@@ -100,7 +98,7 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
         return x * self._mask
 
@@ -109,7 +107,7 @@ class ReLU(Layer):
 
 
 class Sigmoid(Layer):
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         # Numerically stable sigmoid.
         out = np.empty_like(x, dtype=float)
         pos = x >= 0
@@ -123,48 +121,15 @@ class Sigmoid(Layer):
         return grad * self._out * (1.0 - self._out)
 
 
-class Tanh(Layer):
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * (1.0 - self._out**2)
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at inference time."""
-
-    def __init__(self, rate: float, rng: np.random.Generator | None = None) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask
-
-
 class Sequential(Layer):
     """A simple container running layers in order."""
 
     def __init__(self, layers: Sequence[Layer]) -> None:
         self.layers = list(layers)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
-            x = layer.forward(x, training=training)
+            x = layer.forward(x)
         return x
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -185,15 +150,8 @@ class Adam:
     beta1 = 0.9
     beta2 = 0.999
 
-    def __init__(
-        self,
-        lr: float = 1e-3,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, lr: float = 1e-3) -> None:
         self.lr = lr
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
         self._t = 0
@@ -206,13 +164,11 @@ class Adam:
         b1t = 1.0 - self.beta1**self._t
         b2t = 1.0 - self.beta2**self._t
         for p, g, m, v in zip(params, grads, self._m, self._v):
-            if self.weight_decay:
-                g = g + self.weight_decay * p
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +290,14 @@ class MLP:
         batch_size: int = 64,
         lr: float = 1e-3,
         loss: str = "mse",
-        weight_decay: float = 0.0,
         val_fraction: float = 0.0,
-        patience: int = 10,
         sample_weight: np.ndarray | None = None,
     ) -> TrainLog:
         """Train with Adam and mini-batches; returns a :class:`TrainLog`.
 
-        When ``val_fraction > 0`` a validation split is held out and early
-        stopping with the given ``patience`` restores the best weights.
+        When ``val_fraction > 0`` a validation split is held out; training
+        stops after 10 epochs without a better validation loss and the best
+        weights are restored.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -376,7 +331,7 @@ class MLP:
                 sample_weight = sample_weight[train_idx]
             n = x.shape[0]
 
-        opt = Adam(lr=lr, weight_decay=weight_decay)
+        opt = Adam(lr=lr)
         log = TrainLog()
         best_val = math.inf
         best_params: list[np.ndarray] | None = None
@@ -388,7 +343,7 @@ class MLP:
             n_batches = 0
             for start in range(0, n, batch_size):
                 batch = order[start : start + batch_size]
-                pred = self.net.forward(x[batch], training=True)
+                pred = self.net.forward(x[batch])
                 value, grad = loss_fn(pred, y[batch])
                 if sample_weight is not None:
                     w = sample_weight[batch][:, None]
@@ -401,7 +356,7 @@ class MLP:
             log.train_losses.append(epoch_loss / max(n_batches, 1))
 
             if val_x is not None:
-                val_pred = self.net.forward(val_x, training=False)
+                val_pred = self.net.forward(val_x)
                 val_value, _ = loss_fn(val_pred, val_y)
                 log.val_losses.append(val_value)
                 if val_value < best_val - 1e-9:
@@ -410,7 +365,7 @@ class MLP:
                     bad_epochs = 0
                 else:
                     bad_epochs += 1
-                    if bad_epochs >= patience:
+                    if bad_epochs >= 10:
                         log.stopped_early = True
                         break
 
@@ -424,7 +379,7 @@ class MLP:
         single = x.ndim == 1
         if single:
             x = x[None, :]
-        out = self.net.forward(self._normalize(x), training=False)
+        out = self.net.forward(self._normalize(x))
         if self.out_dim == 1:
             out = out[:, 0]
         return out[0] if single else out

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.ml.nn import Adam, mse_loss, binary_cross_entropy_loss
+from repro.ml.nn import Adam, mse_loss
 
 __all__ = ["PlanTreeBatch", "PlanTreeCorpus", "TreeConvNet"]
 
@@ -301,9 +301,6 @@ class TreeConvNet:
         Hidden widths of the MLP head applied to the pooled embedding.
     out_dim:
         Output dimension (1 for cost regression).
-    sigmoid_output:
-        If True the output is passed through a sigmoid (used for pairwise
-        preference models such as Lero's plan comparator).
 
     All parameters live in one flat buffer, ``flat_params`` (conv stack
     first, head from ``head_offset`` on), all gradients in ``flat_grads``;
@@ -318,13 +315,11 @@ class TreeConvNet:
         head_hidden: Sequence[int] = (32,),
         out_dim: int = 1,
         *,
-        sigmoid_output: bool = False,
         seed: int = 0,
     ) -> None:
         rng = np.random.default_rng(seed)
         self.node_dim = node_dim
         self.out_dim = out_dim
-        self.sigmoid_output = sigmoid_output
         self.conv_layers: list[_TreeConvLayer] = []
         prev = node_dim
         for width in conv_channels:
@@ -381,14 +376,9 @@ class TreeConvNet:
         h = pooled
         for layer in self.head:
             h = layer.forward(h)
-        if self.sigmoid_output:
-            self._sig = 1.0 / (1.0 + np.exp(-np.clip(h, -60, 60)))
-            return self._sig
         return h
 
     def _backward(self, batch: PlanTreeBatch, grad: np.ndarray) -> None:
-        if self.sigmoid_output:
-            grad = grad * self._sig * (1.0 - self._sig)
         for layer in reversed(self.head):
             grad = layer.backward(grad)
         # Un-pool: each (tree, channel) has exactly one argmax row, so routing
@@ -425,10 +415,9 @@ class TreeConvNet:
         epochs: int = 60,
         batch_size: int = 32,
         lr: float = 1e-3,
-        loss: str = "mse",
         seed: int = 0,
     ) -> list[float]:
-        """Train on a corpus of trees; returns per-epoch losses."""
+        """Train on a corpus of trees with MSE; returns per-epoch losses."""
         y = np.asarray(y, dtype=float)
         if y.ndim == 1:
             y = y[:, None]
@@ -439,7 +428,6 @@ class TreeConvNet:
         corpus = (
             trees if isinstance(trees, PlanTreeCorpus) else PlanTreeCorpus.from_trees(trees)
         )
-        loss_fn = {"mse": mse_loss, "bce": binary_cross_entropy_loss}[loss]
         rng = np.random.default_rng(seed)
         opt = Adam(lr=lr)
         params, grads = [self.flat_params], [self.flat_grads]
@@ -452,7 +440,7 @@ class TreeConvNet:
             for batch in corpus.batches(order, batch_size):
                 start = batches * batch_size
                 pred = self.forward(batch)
-                value, grad = loss_fn(pred, y_epoch[start : start + batch_size])
+                value, grad = mse_loss(pred, y_epoch[start : start + batch_size])
                 self._backward(batch, grad)
                 opt.step(params, grads)
                 total += value

@@ -16,6 +16,9 @@ from repro.storage.table import Table
 
 __all__ = ["ColumnStats", "TableStats", "DatabaseStats"]
 
+#: most common values kept per column (PostgreSQL keeps a target-sized list)
+N_MCV = 10
+
 
 @dataclass
 class ColumnStats:
@@ -37,14 +40,14 @@ class ColumnStats:
     non_mcv_fraction: float
 
     @classmethod
-    def build(cls, values: np.ndarray, n_bins: int = 32, n_mcv: int = 10) -> "ColumnStats":
+    def build(cls, values: np.ndarray, n_bins: int = 32) -> "ColumnStats":
         values = np.asarray(values)
         n = values.shape[0]
         if n == 0:
             return cls(0, 0, 0.0, 0.0, np.zeros(0), np.zeros(0), np.zeros(0), 0.0)
         uniq, counts = np.unique(values, return_counts=True)
         order = np.argsort(counts)[::-1]
-        take = min(n_mcv, uniq.shape[0])
+        take = min(N_MCV, uniq.shape[0])
         mcv_idx = order[:take]
         mcv_values = uniq[mcv_idx].astype(float)
         mcv_freqs = counts[mcv_idx] / n
@@ -149,12 +152,10 @@ class TableStats:
     columns: dict[str, ColumnStats] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, table: Table, n_bins: int = 32, n_mcv: int = 10) -> "TableStats":
+    def build(cls, table: Table, n_bins: int = 32) -> "TableStats":
         stats = cls(table=table.name, n_rows=table.n_rows)
         for name in table.column_names:
-            stats.columns[name] = ColumnStats.build(
-                table.values(name), n_bins=n_bins, n_mcv=n_mcv
-            )
+            stats.columns[name] = ColumnStats.build(table.values(name), n_bins=n_bins)
         return stats
 
     def column(self, name: str) -> ColumnStats:
@@ -173,10 +174,10 @@ class DatabaseStats:
         self.tables = tables
 
     @classmethod
-    def build(cls, db: Database, n_bins: int = 32, n_mcv: int = 10) -> "DatabaseStats":
+    def build(cls, db: Database, n_bins: int = 32) -> "DatabaseStats":
         return cls(
             {
-                name: TableStats.build(table, n_bins=n_bins, n_mcv=n_mcv)
+                name: TableStats.build(table, n_bins=n_bins)
                 for name, table in db.tables.items()
             }
         )

@@ -7,16 +7,15 @@ fully transparent (§3: "the execution of any AI4DB algorithm is totally
 transparent to the database user").
 
 **Resilient dispatch.**  A driver is a learned component and may fail:
-raise, hang (modelled as a virtual-latency budget blow-out), or lose its
-connection.  The console survives all of it: :class:`repro.core.errors.
-DriverError` / ``EstimationError`` from ``driver.algo`` are retried up to
-``retry_policy.max_attempts`` with deterministic exponential backoff
-(virtual ms, accumulated in ``retry_backoff_total_ms``), and when retries
-are exhausted -- or the driver's reported latency exceeds
-``call_timeout_ms`` -- the query is re-served natively, so a broken driver
-degrades service quality but never availability.  Unexpected exception
-types still propagate: the resilience path is for failures, not for
-masking bugs.
+raise or lose its connection.  The console survives both:
+:class:`repro.core.errors.DriverError` / ``EstimationError`` from
+``driver.algo`` are retried under the default
+:class:`~repro.faults.resilience.RetryPolicy` with deterministic
+exponential backoff (virtual ms, accumulated in
+``retry_backoff_total_ms``), and when retries are exhausted the query is
+re-served natively, so a broken driver degrades service quality but never
+availability.  Unexpected exception types still propagate: the resilience
+path is for failures, not for masking bugs.
 """
 
 from __future__ import annotations
@@ -62,9 +61,6 @@ class PilotScopeConsole:
         interactor: DBInteractor,
         *,
         max_log_entries: int | None = 10_000,
-        retry_policy: RetryPolicy | None = None,
-        call_timeout_ms: float | None = None,
-        fallback_to_native: bool = True,
         telemetry=None,
         plan_cache=None,
     ) -> None:
@@ -73,13 +69,8 @@ class PilotScopeConsole:
         bound; ``None`` keeps the log unbounded.  The totals below keep
         counting past the cap.
 
-        ``retry_policy`` bounds re-dispatch of transient driver failures;
-        ``call_timeout_ms`` is the per-call (virtual) latency budget a
-        driver answer may spend before the console discards it and serves
-        natively; ``fallback_to_native=False`` re-raises driver errors
-        once retries are exhausted instead of degrading.  ``telemetry``
-        is an optional :class:`repro.serve.TelemetryBus` receiving
-        ``console.*`` counters.
+        ``telemetry`` is an optional :class:`repro.serve.TelemetryBus`
+        receiving ``console.*`` counters.
 
         ``plan_cache`` is an optional
         :class:`repro.optimizer.PlanCache`: natively-served queries (no
@@ -96,17 +87,12 @@ class PilotScopeConsole:
         #: who served the most recent query (driver name or "native"); kept
         #: outside ``query_log`` so it survives any log cap
         self.last_served_by: str | None = None
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy()
-        )
-        self.call_timeout_ms = call_timeout_ms
-        self.fallback_to_native = fallback_to_native
+        self.retry_policy = RetryPolicy()
         self.telemetry = telemetry
         self.plan_cache = plan_cache
         self.driver_errors = 0
         self.retries = 0
         self.native_fallbacks = 0
-        self.timeouts = 0
         self.retry_backoff_total_ms = 0.0
         self._updates_every = 0
         self._queries_since_update = 0
@@ -177,23 +163,19 @@ class PilotScopeConsole:
         return None
 
     def _dispatch(self, driver, query: Query) -> ExecutionResult | None:
-        """One driver dispatch with retries and the latency budget.
+        """One driver dispatch with retries.
 
         Returns ``None`` when the driver could not serve the query within
-        policy (degrade to native) -- or re-raises when native fallback is
-        disabled."""
+        policy (degrade to native)."""
         attempt = 0
         while True:
             try:
-                outcome = driver.algo(query)
-                break
+                return driver.algo(query)
             except _RETRYABLE:
                 self.driver_errors += 1
                 self._incr("console.driver_errors")
                 attempt += 1
                 if attempt >= self.retry_policy.max_attempts:
-                    if not self.fallback_to_native:
-                        raise
                     self.native_fallbacks += 1
                     self._incr("console.native_fallbacks")
                     return None
@@ -202,16 +184,6 @@ class PilotScopeConsole:
                     attempt - 1
                 )
                 self._incr("console.retries")
-        if (
-            self.call_timeout_ms is not None
-            and outcome.latency_ms > self.call_timeout_ms
-        ):
-            # The driver answered, but too slowly to serve: charge it as a
-            # timeout and degrade this query to native execution.
-            self.timeouts += 1
-            self._incr("console.timeouts")
-            return None
-        return outcome
 
     def _execute_native(self, query: Query) -> ExecutionResult:
         """Native execution, through the plan cache when one is wired.

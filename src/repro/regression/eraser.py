@@ -1,15 +1,16 @@
 """Eraser [62]: eliminating learned-optimizer regressions in two stages.
 
 Stage 1 (coarse filter): a candidate plan containing structural features
-(operator/table-set signatures) observed fewer than ``min_feature_count``
-times is *highly risky* -- the learned model cannot have learned anything
-about it -- and is replaced by the native plan.
+(operator/table-set signatures) never observed is *highly risky* -- the
+learned model cannot have learned anything about it -- and is replaced by
+the native plan.
 
 Stage 2 (plan clustering): executed candidates are clustered in plan
 feature space; each cluster tracks the observed regression ratios of its
 members against the native plan.  When a new candidate falls into a
 cluster whose tail regression exceeds ``regression_threshold``, the native
-plan is kept instead.
+plan is kept instead.  The clusters are refit every 30 recorded
+decisions.
 
 Deployable on top of any learned optimizer via the
 :class:`repro.e2e.loop.OptimizationLoop` ``guard`` hook -- exactly the
@@ -49,17 +50,13 @@ class Eraser:
         self,
         featurizer: PlanFeaturizer,
         *,
-        min_feature_count: int = 1,
         n_clusters: int = 8,
         regression_threshold: float = 1.4,
-        recluster_every: int = 30,
     ) -> None:
         self.featurizer = featurizer
-        self.min_feature_count = min_feature_count
         self.n_clusters = n_clusters
         self.regression_threshold = regression_threshold
-        self.recluster_every = recluster_every
-        self._feature_counts: dict[str, int] = {}
+        self._seen_features: set[str] = set()
         self._vectors: list[np.ndarray] = []
         self._regressions: list[float] = []  # log(candidate / native)
         self._kmeans: KMeans | None = None
@@ -76,10 +73,9 @@ class Eraser:
         if candidate.plan.signature() == native_plan.signature():
             return candidate
         # Stage 1: unseen-feature coarse filter.
-        for feat in _plan_features(candidate.plan):
-            if self._feature_counts.get(feat, 0) < self.min_feature_count:
-                self.interventions += 1
-                return CandidatePlan(plan=native_plan, source="eraser:coarse")
+        if not _plan_features(candidate.plan) <= self._seen_features:
+            self.interventions += 1
+            return CandidatePlan(plan=native_plan, source="eraser:coarse")
         # Stage 2: cluster reliability.
         if self._kmeans is not None:
             vec = self.featurizer.flat(candidate.plan)
@@ -104,14 +100,13 @@ class Eraser:
         native_latency_ms: float,
     ) -> None:
         """Feed back an executed decision (called by the loop)."""
-        for feat in _plan_features(candidate.plan):
-            self._feature_counts[feat] = self._feature_counts.get(feat, 0) + 1
+        self._seen_features |= _plan_features(candidate.plan)
         self._vectors.append(self.featurizer.flat(candidate.plan))
         self._regressions.append(
             math.log(max(latency_ms, 1e-9) / max(native_latency_ms, 1e-9))
         )
         self._since_recluster += 1
-        if self._since_recluster >= self.recluster_every and len(self._vectors) >= 10:
+        if self._since_recluster >= 30 and len(self._vectors) >= 10:
             self._recluster()
             self._since_recluster = 0
 

@@ -3,8 +3,8 @@
 A pairwise comparison model (graph/tree-structured in the paper; our
 shared tree-conv comparator) is trained on (candidate, native, outcome)
 pairs from the deployment's own feedback stream and vetoes any candidate
-predicted to be slower than the native plan with probability above the
-confidence threshold -- "deploying ML-for-systems without performance
+predicted to be slower than the native plan with probability above
+0.45 -- "deploying ML-for-systems without performance
 regressions, almost".
 """
 
@@ -27,14 +27,12 @@ class PerfGuard:
         self,
         featurizer: PlanFeaturizer,
         *,
-        confidence: float = 0.45,
         seed: int = 0,
     ) -> None:
-        """``confidence``: veto when P(candidate slower than native)
-        exceeds this threshold (0.5 = veto whenever the model leans
-        negative; lower = more conservative)."""
+        """Vetoes when P(candidate slower than native) exceeds 0.45 --
+        a little more conservative than vetoing whenever the model leans
+        negative."""
         self.featurizer = featurizer
-        self.confidence = confidence
         self.comparator = PairwisePlanComparator(featurizer, seed=seed)
         self.feedbacks = 0
         self.interventions = 0
@@ -47,7 +45,7 @@ class PerfGuard:
         if candidate.plan.signature() == native_plan.signature():
             return candidate
         p_candidate_faster = self.comparator.compare(candidate.plan, native_plan)
-        if p_candidate_faster < 1.0 - self.confidence:
+        if p_candidate_faster < 1.0 - 0.45:
             self.interventions += 1
             return CandidatePlan(plan=native_plan, source="perfguard")
         return candidate

@@ -4,7 +4,8 @@
 fabric bus plus one bus per shard) to :class:`~repro.serve.telemetry.
 TelemetryBus` and produces one merged export via
 :meth:`TelemetryBus.merged`.  All the heavy lifting -- summing counters,
-pooling exact-percentile histogram samples, re-emitting events with a
+pooling histogram samples (exact up to 65,536 per histogram, decimated
+past that -- ROADMAP item 1(a)), re-emitting events with a
 ``source`` field, namespacing gauges -- lives on the bus classes; the
 aggregator's job is to fix the *source naming* (``"fabric"``,
 ``"shard00"``...) so merged gauge/event names are stable, and to assert

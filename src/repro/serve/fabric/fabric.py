@@ -139,6 +139,11 @@ class ServingFabric:
         )
         if self.router.n_shards != len(self.shards):
             raise ConfigError("router shard count != fabric shard count")
+        if self.router.mode != self.config.route_mode:
+            raise ConfigError(
+                f"router routes by {self.router.mode!r} but the fabric config "
+                f"says {self.config.route_mode!r}"
+            )
         self.telemetry = telemetry if telemetry is not None else TelemetryBus()
         self.telemetry.attach_gauge("router", self.router.stats)
         self.telemetry.attach_gauge("tenants", self.tenants.stats)

@@ -66,7 +66,7 @@ class SyntheticBackend:
     """A deterministic constant-time serving backend for scale runs.
 
     Service latency is a pure function of ``(seed, query_hash)`` --
-    uniform on ``[base_latency_ms, base_latency_ms + spread_ms)`` -- so
+    uniform on ``[4, 12)`` ms -- so
     a query costs the same wherever it is routed (which is what makes
     shard-count scaling comparisons apples to apples) and two same-seed
     runs are byte-identical.  No planner, no simulator: the fabric layer
@@ -76,16 +76,8 @@ class SyntheticBackend:
     telemetry = None
     plan_cache = None
 
-    def __init__(
-        self,
-        *,
-        seed: int = 0,
-        base_latency_ms: float = 4.0,
-        spread_ms: float = 8.0,
-    ) -> None:
+    def __init__(self, *, seed: int = 0) -> None:
         self.seed = int(seed)
-        self.base_latency_ms = float(base_latency_ms)
-        self.spread_ms = float(spread_ms)
         self.name = "synthetic"
         self.calls = 0
 
@@ -100,7 +92,7 @@ class SyntheticBackend:
         return Decision(
             stage="live",
             plan_source="synthetic",
-            latency_ms=self.base_latency_ms + self.spread_ms * u,
+            latency_ms=4.0 + 8.0 * u,
             cardinality=h % 1_000_000,
         )
 
@@ -184,8 +176,6 @@ def synthetic_fabric(
     *,
     seed: int = 0,
     n_workers: int = 2,
-    base_latency_ms: float = 4.0,
-    spread_ms: float = 8.0,
     shard_config: RuntimeConfig | None = None,
     fabric_config: FabricConfig | None = None,
     trace_capacity: int = 256,
@@ -198,9 +188,7 @@ def synthetic_fabric(
     shards = [
         guarded_shard(
             i,
-            SyntheticBackend(
-                seed=seed, base_latency_ms=base_latency_ms, spread_ms=spread_ms
-            ),
+            SyntheticBackend(seed=seed),
             injector=injector,
             n_workers=n_workers,
             config=shard_config,

@@ -163,12 +163,18 @@ class RuntimeConfig:
     admitted on the core and not yet (virtually) finished at the arrival:
     ``queue_full`` when it *exceeds* ``queue_capacity``, ``overload`` when
     it has *reached* ``max_in_flight`` (so ``max_in_flight=0`` refuses
-    everything).
+    everything).  A negative threshold is a :class:`ConfigError`.
     """
 
     timeout_ms: float | None = 2_000.0
     queue_capacity: int | None = 16
     max_in_flight: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("timeout_ms", "queue_capacity", "max_in_flight"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be >= 0 or None, got {value}")
 
 
 @dataclass(frozen=True)

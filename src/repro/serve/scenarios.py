@@ -9,7 +9,7 @@ ready to :meth:`~ServingScenario.run`:
 - :func:`steady_state_scenario`: a healthy canary deployment under
   sustained concurrent traffic (the throughput benchmark's subject);
 - :func:`injected_regression_scenario`: the staged model turns adversarial
-  after ``trigger_at`` decisions (it starts proposing nested-loop-only
+  after 20 decisions (it starts proposing nested-loop-only
   plans), which must trip the deployment's rolling regression window and
   roll the model back automatically;
 - :func:`parameterized_scenario`: a prepared-statement stream served in
@@ -296,7 +296,6 @@ def injected_regression_scenario(
     seed: int = 0,
     n_queries: int = 120,
     n_sessions: int = 8,
-    trigger_at: int = 20,
     window: int = 16,
     min_samples: int = 8,
     regression_threshold: float = 1.3,
@@ -309,7 +308,7 @@ def injected_regression_scenario(
         "injected_regression",
         db,
         native,
-        RegressionInjector(bao, native, trigger_at=trigger_at),
+        RegressionInjector(bao, native, trigger_at=20),
         refit=bao,
         seed=seed,
         n_queries=n_queries,
@@ -354,8 +353,6 @@ def chaos_scenario(
     plan: FaultPlan | None = None,
     stage: Stage = Stage.CANARY,
     canary_fraction: float = 0.5,
-    call_timeout_ms: float = 200.0,
-    rollback_after_trips: int | None = None,
     config: RuntimeConfig | None = None,
 ) -> ServingScenario:
     """The serving stack under deterministic fault injection.
@@ -367,10 +364,10 @@ def chaos_scenario(
     the deployment's own breaker and per-call inference budget.  All
     breakers share the injector's virtual clock, which the deployment
     advances by served latency -- so cooldowns, like everything else, are
-    a pure function of the seed.  ``rollback_after_trips=None`` keeps the
-    model deployed however often the breaker trips (the default here, so
-    benchmarks exercise the whole ladder all run long); pass an int to
-    demonstrate the trip-triggered rollback instead.
+    a pure function of the seed.  The per-call inference budget is 200 ms,
+    and the model stays deployed however often the breaker trips
+    (``rollback_after_trips=None``), so the whole ladder is exercised all
+    run long.
     """
     db, native = _native(scale, seed)
     bus = TelemetryBus()
@@ -409,8 +406,8 @@ def chaos_scenario(
         breaker=CircuitBreaker(
             cooldown_ms=400.0, clock=injector.clock, name="learned", telemetry=bus
         ),
-        call_timeout_ms=call_timeout_ms,
-        rollback_after_trips=rollback_after_trips,
+        call_timeout_ms=200.0,
+        rollback_after_trips=None,
     )
 
 
@@ -441,7 +438,6 @@ def bound_guard_scenario(
     plan: FaultPlan | None = None,
     tolerance: float = 2.0,
     audit_every: int = 8,
-    bound_violation_rollback: float | None = None,
     config: RuntimeConfig | None = None,
 ) -> ServingScenario:
     """A fault-injected point estimator serving behind a bound guard.
@@ -455,8 +451,6 @@ def bound_guard_scenario(
     (capped at the bound); the online auditor feeds observed exact counts
     back into the same guard, so a violated *bound* also surfaces.  With
     ``plan=FaultPlan(())`` the same stack must record zero violations.
-    ``bound_violation_rollback`` optionally arms the guard's
-    rate-triggered rollback (``BoundGuard(rollback_rate=...)``).
     """
     db, native = _native(scale, seed)
     bus = TelemetryBus()
@@ -476,7 +470,6 @@ def bound_guard_scenario(
         ),
         telemetry=bus,
         tolerance=tolerance,
-        rollback_rate=bound_violation_rollback,
     )
     bus.attach_gauge("fault_injector", injector.stats)
     bao = BaoOptimizer(native.with_estimator(guard), seed=seed)
@@ -507,8 +500,6 @@ def adversarial_drift_scenario(
     seed: int = 0,
     n_queries: int = 120,
     n_sessions: int = 8,
-    min_tables: int = 2,
-    max_tables: int = 4,
     config: RuntimeConfig | None = None,
 ) -> ServingScenario:
     """Optimistic vs pessimistic serving while join fan-out explodes.
@@ -547,7 +538,7 @@ def adversarial_drift_scenario(
     targets = hot_key_targets(db)
     probes = hot_key_probe_queries(db, targets)
     queries = WorkloadGenerator(db, seed=seed + 1).workload(
-        n_queries, min_tables, max_tables, require_predicate=True
+        n_queries, 2, 4, require_predicate=True
     )
     # Interleave probes so both pre- and post-drift halves cross the
     # (to-be-)hot keys: every third request cycles through the probe set.

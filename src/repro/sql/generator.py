@@ -179,15 +179,14 @@ class WorkloadGenerator:
                 return OrPredicate(ref, tuple(parts))
         return self._random_simple_predicate(tname, column)
 
-    def _random_predicates(
-        self, tables: list[str], max_per_table: int
-    ) -> list[Predicate]:
+    def _random_predicates(self, tables: list[str]) -> list[Predicate]:
+        """Zero to two predicates per table, on distinct columns."""
         preds: list[Predicate] = []
         for tname in tables:
             usable = self._pred_columns[tname]
             if not usable:
                 continue
-            n = int(self.rng.integers(0, max_per_table + 1))
+            n = int(self.rng.integers(0, 2 + 1))
             if n == 0:
                 continue
             cols = self.rng.choice(
@@ -202,7 +201,6 @@ class WorkloadGenerator:
         self,
         min_tables: int = 1,
         max_tables: int = 4,
-        max_preds_per_table: int = 2,
         require_predicate: bool = False,
     ) -> Query:
         """One random connected SPJ query."""
@@ -220,7 +218,7 @@ class WorkloadGenerator:
         tables = self._random_connected_tables(n_tables)
         joins = self._joins_for(tables)
         for _ in range(20):
-            preds = self._random_predicates(tables, max_preds_per_table)
+            preds = self._random_predicates(tables)
             if preds or not require_predicate:
                 break
         else:
@@ -240,27 +238,23 @@ class WorkloadGenerator:
         n_queries: int,
         min_tables: int = 1,
         max_tables: int = 4,
-        max_preds_per_table: int = 2,
         require_predicate: bool = False,
     ) -> list[Query]:
         """A list of random queries (duplicates allowed, as in real logs)."""
         return [
-            self.random_query(
-                min_tables, max_tables, max_preds_per_table, require_predicate
-            )
+            self.random_query(min_tables, max_tables, require_predicate)
             for _ in range(n_queries)
         ]
 
-    def single_table_workload(
-        self, table: str, n_queries: int, max_predicates: int = 3
-    ) -> list[Query]:
-        """Single-table range workload ([61]-style static evaluation)."""
+    def single_table_workload(self, table: str, n_queries: int) -> list[Query]:
+        """Single-table range workload ([61]-style static evaluation): one
+        to three predicates a query, on distinct columns."""
         usable = self._pred_columns[table]
         if not usable:
             raise ValueError(f"table {table!r} has no predicate-eligible columns")
         queries = []
         for _ in range(n_queries):
-            n = int(self.rng.integers(1, min(max_predicates, len(usable)) + 1))
+            n = int(self.rng.integers(1, min(3, len(usable)) + 1))
             cols = self.rng.choice(usable, size=n, replace=False)
             preds = tuple(self._random_predicate(table, c) for c in cols)
             queries.append(Query((table,), (), preds))
@@ -309,7 +303,6 @@ class WorkloadGenerator:
         bindings_per_template: int,
         min_tables: int = 1,
         max_tables: int = 4,
-        max_preds_per_table: int = 2,
         require_predicate: bool = True,
     ) -> list[Query]:
         """A prepared-statement-style stream: few templates, many bindings.
@@ -323,9 +316,7 @@ class WorkloadGenerator:
         if n_templates < 1 or bindings_per_template < 1:
             raise ValueError("need n_templates >= 1 and bindings_per_template >= 1")
         templates = [
-            self.random_query(
-                min_tables, max_tables, max_preds_per_table, require_predicate
-            )
+            self.random_query(min_tables, max_tables, require_predicate)
             for _ in range(n_templates)
         ]
         out: list[Query] = []
@@ -421,14 +412,12 @@ class WorkloadGenerator:
         n_queries: int,
         min_tables: int = 2,
         max_tables: int = 4,
-        *,
-        or_heavy_rate: float = 0.35,
     ) -> list[Query]:
         """Queries deliberately shaped for the rewrite rule library.
 
         Each shape is injected with a per-query probability:
 
-        - ``or_heavy_rate``: a same-column disjunction of 3-5
+        - 0.35: a same-column disjunction of 3-5
           pairwise-disjoint parts (OR -> UNION split fodder);
         - 0.35: an IN list of 8-16 distinct values (IN -> join against a
           literal values relation);
@@ -442,8 +431,6 @@ class WorkloadGenerator:
         generation is fully driven by the seeded RNG -- same seed, same
         workload.
         """
-        if not 0.0 <= or_heavy_rate <= 1.0:
-            raise ValueError("or_heavy_rate must be in [0, 1]")
         out: list[Query] = []
         for _ in range(n_queries):
             cap = self.max_component_size
@@ -496,26 +483,24 @@ class WorkloadGenerator:
 
             shapes = (
                 ("pushdown", 0.5),
-                ("or_heavy", or_heavy_rate),
+                ("or_heavy", 0.35),
                 ("wide_in", 0.35),
                 ("redundant", 0.3),
                 ("mergeable", 0.3),
             )
             injected = 0
             for shape, rate in shapes:
-                if rate > 0.0 and self.rng.random() < rate:
+                if self.rng.random() < rate:
                     injected += inject(shape)
             if not injected:
                 # Guarantee susceptibility: force the first shape that fits.
-                for shape, rate in shapes:
-                    if rate > 0.0 and inject(shape):
+                for shape, _ in shapes:
+                    if inject(shape):
                         break
             out.append(Query(tuple(tables), tuple(joins), tuple(preds)))
         return out
 
-    def join_template_workload(
-        self, tables: list[str], n_queries: int, max_preds_per_table: int = 2
-    ) -> list[Query]:
+    def join_template_workload(self, tables: list[str], n_queries: int) -> list[Query]:
         """Queries over a fixed table set with varying predicates."""
         joins = self._joins_for(tables)
         probe = Query(tuple(tables), tuple(joins), ())
@@ -525,7 +510,7 @@ class WorkloadGenerator:
             Query(
                 tuple(tables),
                 tuple(joins),
-                tuple(self._random_predicates(list(tables), max_preds_per_table)),
+                tuple(self._random_predicates(list(tables))),
             )
             for _ in range(n_queries)
         ]

@@ -186,7 +186,7 @@ class TestFlatFeaturizer:
 
 class TestMSCNFeaturizer:
     def test_set_shapes(self, stats_db):
-        f = MSCNFeaturizer(stats_db, sample_size=16, seed=0)
+        f = MSCNFeaturizer(stats_db, seed=0)
         gen = WorkloadGenerator(stats_db, seed=31)
         q = gen.random_query(2, 3, require_predicate=True)
         sets = f.featurize(q)
@@ -195,32 +195,32 @@ class TestMSCNFeaturizer:
         assert sets["preds"].shape[1] == f.pred_dim
 
     def test_bitmap_reflects_predicates(self, stats_db):
-        f = MSCNFeaturizer(stats_db, sample_size=32, seed=0)
+        f = MSCNFeaturizer(stats_db, seed=0)
         all_rows = Query(("users",))
         none_rows = Query(
             ("users",),
             (),
             (Predicate(ColumnRef("users", "reputation"), Op.GT, 1e9),),
         )
-        bits_all = f.featurize(all_rows)["tables"][0][-32:]
-        bits_none = f.featurize(none_rows)["tables"][0][-32:]
+        bits_all = f.featurize(all_rows)["tables"][0][-f.sample_size :]
+        bits_none = f.featurize(none_rows)["tables"][0][-f.sample_size :]
         assert bits_all.sum() > bits_none.sum()
         assert bits_none.sum() == 0
 
     def test_drop_bitmaps(self, stats_db):
-        f = MSCNFeaturizer(stats_db, sample_size=16, seed=0)
+        f = MSCNFeaturizer(stats_db, seed=0)
         q = Query(
             ("users",),
             (),
             (Predicate(ColumnRef("users", "reputation"), Op.GT, 1e9),),
         )
-        bits = f.featurize(q, drop_bitmaps=True)["tables"][0][-16:]
-        assert bits.sum() == 16
+        bits = f.featurize(q, drop_bitmaps=True)["tables"][0][-f.sample_size :]
+        assert bits.sum() == f.sample_size
 
     def test_mask_rate_drops_predicates(self, stats_db):
-        f = MSCNFeaturizer(stats_db, sample_size=8, seed=0)
+        f = MSCNFeaturizer(stats_db, seed=0)
         gen = WorkloadGenerator(stats_db, seed=32)
-        q = gen.single_table_workload("users", 1, max_predicates=3)[0]
+        q = gen.single_table_workload("users", 1)[0]
         rng = np.random.default_rng(0)
         masked = f.featurize(q, mask_rate=1.0, rng=rng)
         assert masked["preds"].shape[0] == 0

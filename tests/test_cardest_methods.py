@@ -143,7 +143,7 @@ class TestLPCE:
         assert est.estimate(q) == 777.0
 
     def test_refinement_improves_bias(self, stats_db, stats_executor, stats_train_data):
-        est = LPCEEstimator(stats_db, refit_every=30)
+        est = LPCEEstimator(stats_db)
         est.fit(*stats_train_data)
         feedback = WorkloadGenerator(stats_db, seed=44).workload(
             60, 1, 3, require_predicate=True
@@ -289,7 +289,7 @@ class TestSPNFamily:
         spn = SPNEstimator(stats_db)
         fspn = FSPNEstimator(stats_db)
         gen = WorkloadGenerator(stats_db, seed=49)
-        queries = gen.single_table_workload("users", 40, max_predicates=3)
+        queries = gen.single_table_workload("users", 40)
         spn_err, fspn_err = [], []
         for q in queries:
             true = stats_executor.cardinality(q)

@@ -18,10 +18,13 @@ it names:
     the class and its public methods), or is on the commented allow-list;
 (c) every ``examples/*.py`` still imports (without running it), which is
     what catches a pruned re-export or a renamed class an example uses;
-(d) every keyword parameter is named by some file that does not define it:
-    a knob only its own definers mention has had one value.  A kept
-    reference copy (``tests/*_reference.py``) re-defines what it copies and
-    this file names what it seeds, so neither counts as naming a parameter;
+(d) every parameter with a default is named by some file under ``src/``,
+    ``benchmarks/``, ``perf/`` or ``examples/`` that does not define it: a
+    knob only its definers and the tests turn has one product value, so it
+    is a constant.  A required keyword-only argument is not a knob.  A name
+    product code sets where the rule cannot see it is on ``POSITIONAL``, a
+    knob kept for the tests on ``TEST_SEAMS``; each entry gives its reason
+    and fails once the rule would pass without it;
 (e) every ``@dataclass`` that declares or inherits a ``latency_ms`` field is
     one of the listed records, one per boundary a query crosses: a class
     that re-labels the previous layer's record has nowhere to hide;
@@ -98,15 +101,36 @@ TEST_ONLY = {
     "flow_loss_weights",  # Flow-Loss [44] sample weighting
     "pac_learning_curve",  # PAC learnability diagnostic [19]
     "interval_coverage",  # prediction-interval diagnostic [55]
-    "Tanh",  # toolkit layer, gradient-checked; MLP builds ReLU and Sigmoid only
-    "Dropout",  # toolkit layer with tests; no model configures it
 }
 
-#: passed positionally by every caller that sets it, so never *named*
-#: outside its definer
+#: rule (d): parameters product code sets where the rule cannot see the
+#: name -- positionally, or inside the file that defines them -- with the
+#: call sites that do
 POSITIONAL = {
-    "n_tenants",
-    "n_members",  # EnsembleLatencyModel: TreeConvLatencyModel(featurizer, 4, ...)
+    "min_tables": "WorkloadGenerator(...).workload(n, 1, 3 | 2, 4 | 2, 3, ...) in src/ and benchmarks/",
+    "max_tables": "the same generator calls: 3, 4 and 3",
+    "uppers": "cardest/base.py: sanitize_estimates(values, uppers); optimizer/cost.py passes none",
+    "left_deep_only": "optimizer/planner.py: enumerate_dp(..., left_deep_only=True) for the left-deep hint set",
+    "n_members": "e2e/risk_models.py: EnsembleLatencyModel builds TreeConvLatencyModel(featurizer, 4, ...); Bao keeps 3",
+    "n_tenants": "perf/workloads.py: default_tenant_specs(6); the fabric scenario takes the default",
+}
+
+#: rule (d): knobs only tests turn, kept on purpose
+TEST_SEAMS = {
+    # -- safety bounds: tests shrink them to reach the bound; never a tuning target
+    "cache_capacity": "engine/executor.py: the exact executor's memo; tests fill it to evict",
+    "max_intermediate_rows": "engine/executor.py: the row budget an exact count may not exceed",
+    "max_rows": "oracle: the reference executors' row budget; tests trip it",
+    "trace_capacity": "serve telemetry: the bounded trace ring; tests wrap it",
+    "max_log_entries": "pilotscope/console.py: the bounded query log; tests cap it",
+    # -- deferred: ROADMAP item 7 decides the feature they tune
+    "target_rate": "RiskLambdaTuner (TEST_ONLY), ROADMAP item 7",
+    "min_lambda": "RiskLambdaTuner (TEST_ONLY), ROADMAP item 7",
+    "max_lambda": "RiskLambdaTuner (TEST_ONLY), ROADMAP item 7",
+    "risk_lambda": "the blended risk mode RiskLambdaTuner steers, ROADMAP item 7",
+    "sample_weight": "MLP.fit: Flow-Loss weighting (flow_loss_weights, TEST_ONLY), ROADMAP item 7",
+    # -- deferred: ROADMAP item 5 decides the sharded fabric's fault drills
+    "fault_plan": "the fabric scenarios' reroute drills (shard_fault_plan, TEST_ONLY), ROADMAP item 5",
 }
 
 
@@ -284,12 +308,12 @@ def test_example_imports(example):
     spec.loader.exec_module(module)  # not as __main__: the example does not run
 
 
-# -- (d) every keyword parameter has a second value somewhere --------------------------
+# -- (d) every knob has a second product value ----------------------------------------
 
 
-def never_set_keywords(sources: Sources) -> list[tuple[str, list[str]]]:
-    """``[(parameter, its defining files)]`` for every defaulted or
-    keyword-only parameter under ``src/repro`` no other file names."""
+def _knobs(sources: Sources) -> dict[str, set[Path]]:
+    """``{parameter: its defining files}`` over every parameter with a
+    default under ``src/repro``."""
     definers: dict[str, set[Path]] = {}
     for path in _files("src"):
         for node in ast.walk(sources.parse(path)):
@@ -297,28 +321,45 @@ def never_set_keywords(sources: Sources) -> list[tuple[str, list[str]]]:
                 args = node.args
                 positional = args.posonlyargs + args.args
                 defaulted = positional[len(positional) - len(args.defaults) :]
-                for arg in defaulted + args.kwonlyargs:
+                keyword = [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                for arg in defaulted + keyword:
                     definers.setdefault(arg.arg, set()).add(path)
-    naming = [
-        p
-        for p in _files(*CODE_TREES, "tests")
-        if not (p.parent.name == "tests" and p.name.endswith("_reference.py"))
-        and p != Path(__file__).resolve()
-    ]
-    return sorted(
-        (name, sorted(str(p.relative_to(ROOT)) for p in paths))
+    return definers
+
+
+def never_set_keywords(sources: Sources):
+    """``(never_set, stale)``: ``[(parameter, its defining files)]`` for
+    every knob no product file but its definers names, less the allow-lists,
+    and the allow-list entries that are no knob or that product code names."""
+    definers = _knobs(sources)
+    flagged = {
+        name: sorted(str(p.relative_to(ROOT)) for p in paths)
         for name, paths in definers.items()
-        if name not in POSITIONAL
-        and not any(name in sources.facts(p)[2] for p in naming if p not in paths)
-    )
+        if not any(name in sources.facts(p)[2] for p in _files(*CODE_TREES) if p not in paths)
+    }
+    allowed = POSITIONAL.keys() | TEST_SEAMS.keys()
+    never_set = sorted((n, paths) for n, paths in flagged.items() if n not in allowed)
+    return never_set, sorted(n for n in allowed if n not in flagged)
 
 
 def test_every_keyword_parameter_is_named_outside_its_definers():
-    never_set = never_set_keywords(Sources())
+    never_set, stale = never_set_keywords(Sources())
     assert not never_set, (
-        f"keyword parameters no file but their definers names: {never_set} -- one "
-        "value has ever been in use; make it the constant it is"
+        f"parameters with a default that no file under {CODE_TREES} but their "
+        f"definers names: {never_set} -- the product has one value for each; make it "
+        "the constant it is (a test that turns it runs at that value), or list it "
+        "in POSITIONAL / TEST_SEAMS with a reason"
     )
+    assert not stale, f"POSITIONAL / TEST_SEAMS entries that are no knob or that product code names: {stale}"
+    assert not POSITIONAL.keys() & TEST_SEAMS.keys()
+    tests = [
+        p
+        for p in _files("tests")
+        if not p.name.endswith("_reference.py") and p != Path(__file__).resolve()
+    ]
+    turned = set().union(*(Sources().facts(p)[2] for p in tests))
+    untested = sorted(n for n in TEST_SEAMS if n not in turned)
+    assert not untested, f"TEST_SEAMS names no test turns: {untested} -- fold them"
 
 
 # -- (e) one record per boundary ------------------------------------------------------
@@ -675,13 +716,46 @@ def test_seeded_unused_public_definition_is_caught():
     assert not stale and not untested
 
 
+_SETCONV = SRC / "ml" / "setconv.py"
+_FIT_TAIL = "        seed: int = 0,\n    ) -> list[float]:"
+
+
+def _planted(parameter: str, **callers: str) -> Sources:
+    """``SetConvNet.fit`` with ``parameter`` planted, and each caller file
+    (a path relative to the repo root) with a line appended."""
+    text = _read(_SETCONV)
+    assert text.count(_FIT_TAIL) == 1
+    planted = {_SETCONV: text.replace(_FIT_TAIL, f"        seed: int = 0,\n        {parameter},\n    ) -> list[float]:")}
+    for relative, line in callers.items():
+        planted[ROOT / relative] = _read(ROOT / relative) + f"\n{line}\n"
+    return Sources(planted)
+
+
 def test_seeded_keyword_nothing_passes_is_caught():
-    sources = _patched(
-        "ml/setconv.py",
-        "        seed: int = 0,\n    ) -> list[float]:",
-        "        seed: int = 0,\n        verbose: bool = False,\n    ) -> list[float]:",
-    )
-    assert never_set_keywords(sources) == [("verbose", ["src/repro/ml/setconv.py"])]
+    sources = _planted("verbose: bool = False")
+    assert never_set_keywords(sources) == ([("verbose", ["src/repro/ml/setconv.py"])], [])
+
+
+@pytest.mark.parametrize(
+    "caller, caught",
+    [("tests/test_ml_models.py", True), ("perf/workloads.py", False)],
+    ids=["a-test-sets-it", "perf-sets-it"],
+)
+def test_seeded_keyword_only_a_test_sets_is_a_constant(caller, caught):
+    sources = _planted("verbose: bool = False", **{caller: "_FIT_KWARGS = dict(verbose=True)"})
+    never_set, stale = never_set_keywords(sources)
+    assert never_set == ([("verbose", ["src/repro/ml/setconv.py"])] if caught else [])
+    assert not stale
+
+
+def test_seeded_required_keyword_only_argument_is_no_knob():
+    assert never_set_keywords(_planted("verbose: bool")) == ([], [])
+
+
+def test_seeded_allow_list_entry_product_code_names_is_stale():
+    bench = "benchmarks/contract.py"
+    sources = _planted("verbose: bool", **{bench: "_MEMO = dict(cache_capacity=1024)"})
+    assert never_set_keywords(sources) == ([], ["cache_capacity"])
 
 
 def test_seeded_registry_row_is_a_reference_to_the_class_and_its_methods():

@@ -218,55 +218,6 @@ class TestZeroShot:
                 ]
             )
 
-    def test_samples_per_plan_subsamples(
-        self, imdb_db, imdb_optimizer, imdb_plan_corpus, monkeypatch
-    ):
-        """``samples_per_plan`` really caps each plan's node rows (the
-        old signature accepted the argument and silently ``del``'d it)."""
-        import repro.costmodel.zeroshot as zs_mod
-
-        plans, lats = imdb_plan_corpus
-        feat = PlanFeaturizer(imdb_db, imdb_optimizer.estimator)
-        probe = ZeroShotCostModel()
-        assert max(
-            probe._plan_matrix(p, feat).shape[0] for p in plans[:10]
-        ) > 1, "corpus has no multi-node plans; subsampling untestable"
-        captured = {}
-        real_mlp = zs_mod.MLP
-
-        class _SpyMLP(real_mlp):
-            def fit(self, x, y, **kwargs):
-                captured["n_rows"] = x.shape[0]
-                return super().fit(x, y, **kwargs)
-
-        monkeypatch.setattr(zs_mod, "MLP", _SpyMLP)
-        capped = ZeroShotCostModel(epochs=5, seed=0)
-        capped.fit([(feat, list(plans[:10]), lats[:10])], samples_per_plan=1)
-        # exactly one training row per plan reached the MLP
-        assert captured["n_rows"] == 10
-        # predictions still sum over *all* nodes and stay finite
-        pred = capped.predict_latency(plans[0], feat)
-        assert np.isfinite(pred) and pred >= 0.0
-
-    def test_samples_per_plan_validation_and_default(
-        self, imdb_db, imdb_optimizer, imdb_plan_corpus
-    ):
-        plans, lats = imdb_plan_corpus
-        feat = PlanFeaturizer(imdb_db, imdb_optimizer.estimator)
-        with pytest.raises(ConfigError):
-            ZeroShotCostModel(epochs=5, seed=0).fit(
-                [(feat, list(plans[:5]), lats[:5])], samples_per_plan=0
-            )
-        # a cap larger than any plan is identical to the None default
-        a = ZeroShotCostModel(epochs=5, seed=0)
-        a.fit([(feat, list(plans[:10]), lats[:10])])
-        b = ZeroShotCostModel(epochs=5, seed=0)
-        b.fit([(feat, list(plans[:10]), lats[:10])], samples_per_plan=10_000)
-        for p in plans[:5]:
-            assert a.predict_latency(p, feat) == pytest.approx(
-                b.predict_latency(p, feat)
-            )
-
 
 class TestConcurrent:
     def test_interference_increases_latency(self, imdb_simulator, imdb_plan_corpus):

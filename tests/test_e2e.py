@@ -239,7 +239,7 @@ class TestEndToEndOptimizers:
         leon = LeonOptimizer(imdb_optimizer, seed=0)
         q = next(q for q in workload if q.n_tables >= 3)
         entries = leon.exploration.dp_candidates(q)
-        assert 1 <= len(entries) <= leon.exploration.keep_k
+        assert 1 <= len(entries) <= 2
         for node, cost in entries:
             assert node.tables == frozenset(q.tables)
             assert cost > 0
@@ -248,8 +248,7 @@ class TestEndToEndOptimizers:
         self, imdb_optimizer, imdb_simulator, workload
     ):
         leon = LeonOptimizer(
-            imdb_optimizer, shadow_executor=imdb_simulator.latency,
-            explore_every=2, seed=0,
+            imdb_optimizer, shadow_executor=imdb_simulator.latency, seed=0
         )
         loop = run_loop(leon, imdb_optimizer, imdb_simulator, workload[:20])
         assert leon.risk_model.n_pairs > 0

@@ -194,7 +194,7 @@ class TestExecutorCorrectness:
     @settings(max_examples=25, deadline=None)
     def test_random_queries_match_brute_force(self, tiny_db, seed):
         gen = WorkloadGenerator(tiny_db, seed=seed)
-        q = gen.random_query(1, 3, max_preds_per_table=2)
+        q = gen.random_query(1, 3)
         assert execute_cardinality(tiny_db, q) == brute_force_count(tiny_db, q)
 
 

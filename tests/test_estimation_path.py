@@ -78,12 +78,11 @@ def column_stats(draw) -> ColumnStats:
 
 @st.composite
 def built_stats(draw) -> ColumnStats:
-    """``ColumnStats.build`` over a few distinct values: quantile edges tie."""
-    data = draw(st.lists(st.integers(0, 6).map(float), max_size=200))
+    """``ColumnStats.build`` over a few distinct values: MCV-only columns,
+    and past the ten MCVs quantile edges that tie."""
+    data = draw(st.lists(st.integers(0, 24).map(float), max_size=200))
     return ColumnStats.build(
-        np.array(data, dtype=float),
-        n_bins=draw(st.sampled_from([1, 4, 32])),
-        n_mcv=draw(st.sampled_from([0, 2, 10])),
+        np.array(data, dtype=float), n_bins=draw(st.sampled_from([1, 4, 32]))
     )
 
 
@@ -117,7 +116,9 @@ def test_range_selectivity_equals_the_bucket_loop(data):
 
 def test_built_statistics_edge_cases_equal_the_bucket_loop():
     """The shapes the property draws, as ``ColumnStats.build`` makes them."""
-    ties = ColumnStats.build(np.array([1.0] * 50 + [2.0] * 30 + list(range(3, 9))), n_mcv=1)
+    # ten MCVs (100..109, twenty rows each), then a tied remainder
+    mcvs = [float(v) for v in range(100, 110) for _ in range(20)]
+    ties = ColumnStats.build(np.array(mcvs + [1.0] * 15 + [2.0] * 10 + list(range(3, 9))))
     edges = ties.histogram_bounds
     assert (edges[1:] == edges[:-1]).any(), "no degenerate bucket"
     mcv_only = ColumnStats.build(np.array([1.0, 1.0, 2.0]))

@@ -229,6 +229,26 @@ class TestShardRouter:
         assert ShardRouter(4, mode="tenant").routing_key("qh", "t1") == "t1"
         assert ShardRouter(4).routing_key("qh", "t1") == "qh"
 
+    def test_fabric_refuses_a_router_that_disagrees_with_its_config(self):
+        from repro.serve.fabric.fabric import ServingFabric
+
+        specs = (TenantSpec("t"),)
+        shards = synthetic_fabric(2, specs).fabric.shards
+        with pytest.raises(ConfigError, match="query_hash"):
+            ServingFabric(
+                shards,
+                TenantRegistry(specs),
+                config=FabricConfig(route_mode="tenant"),
+                router=ShardRouter(2, mode="query_hash"),
+            )
+        agreed = ServingFabric(
+            shards,
+            TenantRegistry(specs),
+            config=FabricConfig(route_mode="tenant"),
+            router=ShardRouter(2, mode="tenant"),
+        )
+        assert agreed.router.mode == agreed.config.route_mode == "tenant"
+
 
 class TestPinnedRouter:
     def _views(self, healthy):
@@ -383,15 +403,13 @@ def test_breaker_only_moves_along_declared_edges():
         @initialize(
             threshold=st.integers(1, 3),
             cooldown_ms=st.sampled_from([0.0, 5.0, 20.0]),
-            successes=st.integers(1, 3),
         )
-        def build(self, threshold, cooldown_ms, successes):
+        def build(self, threshold, cooldown_ms):
             self.clock = VirtualClock()
             self.bus = TelemetryBus()
             self.breaker = CircuitBreaker(
                 failure_threshold=threshold,
                 cooldown_ms=cooldown_ms,
-                half_open_successes=successes,
                 clock=self.clock,
                 telemetry=self.bus,
             )
@@ -580,9 +598,7 @@ class TestShardAdmission:
             specs,
             seed=2,
             n_workers=1,
-            base_latency_ms=50.0,
-            spread_ms=0.0,
-            shard_config=RuntimeConfig(timeout_ms=200.0, queue_capacity=None),
+            shard_config=RuntimeConfig(timeout_ms=50.0, queue_capacity=None),
             fabric_config=FabricConfig(seed=2),
         )
         queries = synthetic_queries(40, seed=2)
@@ -590,11 +606,11 @@ class TestShardAdmission:
             queries, specs, seed=2, mean_interarrival_ms=1.0
         )
         report = scenario.fabric.run(schedule)
-        # 50ms service vs ~1ms arrivals: the wait exceeds 200ms quickly
+        # 4-12ms service vs ~1ms arrivals: the wait exceeds 50ms quickly
         assert report.rejected.get("timeout", 0) > 0
         assert report.n_served >= 5
         served = [o for o in report.outcomes if isinstance(o, Served)]
-        assert all(o.wait_ms <= 200.0 for o in served)
+        assert all(o.wait_ms <= 50.0 for o in served)
 
 
 # ---------------------------------------------------------------------------

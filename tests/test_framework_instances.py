@@ -21,6 +21,7 @@ from repro.e2e import (
     OptimizationLoop,
 )
 from repro.engine.plans import Plan
+from repro.optimizer import HintSet
 from repro.joinorder.env import JoinOrderEnv
 from repro.pilotscope import (
     BaoDriver,
@@ -63,7 +64,7 @@ def _decisions(learned, stack, prepare, cadence=None):
 
     learned.record_feedback = spy
     loop = OptimizationLoop(
-        learned, simulator, optimizer, degrade_on_error=False,
+        learned, simulator, optimizer,
         policies=[] if cadence is None else [cadence],
     )
     served = []
@@ -72,6 +73,7 @@ def _decisions(learned, stack, prepare, cadence=None):
         result = loop.run_query(q)
         assert len(history) == before + 1
         served.append((result.plan_source, history[-1][2], result.latency_ms))
+    assert loop.fallbacks == 0
     return served, history
 
 
@@ -152,8 +154,8 @@ class TestValueSearch:
 class TestTopKDP:
     def _pair(self, optimizer, **kwargs):
         return (
-            ref.LeonOptimizer(optimizer, seed=4, explore_every=3, **kwargs),
-            LeonOptimizer(optimizer, seed=4, explore_every=3, **kwargs),
+            ref.LeonOptimizer(optimizer, seed=4, **kwargs),
+            LeonOptimizer(optimizer, seed=4, **kwargs),
         )
 
     def test_leon_serves_the_runner_up(self, stack):
@@ -170,8 +172,10 @@ class TestTopKDP:
         assert np.array_equal(new.risk_model.net.flat_params, old.comparator.net.flat_params)
 
     def test_leon_with_a_trained_comparator(self, stack):
-        """The untrained cases never reach ``_rank``'s learned branch; three
-        survivors per query give the 15 informative pairs a fit needs."""
+        """The untrained cases never reach ``_rank``'s learned branch; the
+        two survivors plus a hash-join-free plan per query give the 15
+        informative pairs a fit needs."""
+        no_hash = HintSet(enable_hash_join=False)
 
         def pretrain(learned, train, simulator, cadence):
             if isinstance(learned, LeonOptimizer):
@@ -179,13 +183,13 @@ class TestTopKDP:
             else:
                 survivors, comparator = learned._dp_candidates, learned.comparator
             for q in train:
-                for node, _ in survivors(q):
-                    plan = Plan(q, node)
+                plans = [Plan(q, node) for node, _ in survivors(q)]
+                for plan in plans + [stack[0].plan(q, hints=no_hash)]:
                     comparator.observe(CandidatePlan(plan, "dp"), simulator.latency(plan))
             comparator.retrain()
             assert comparator.trained
 
-        old, new = self._pair(stack[0], keep_k=3, shadow_executor=stack[1].latency)
+        old, new = self._pair(stack[0], shadow_executor=stack[1].latency)
         _same_run(old, new, stack, pretrain)
         assert np.array_equal(new.risk_model.net.flat_params, old.comparator.net.flat_params)
 

@@ -153,13 +153,13 @@ class TestMCTS:
 
 class TestEddy:
     def test_adaptive_order_valid(self, imdb_optimizer, join_query):
-        eddy = EddyJoinOrderSearch(imdb_optimizer, n_chunks=4, seed=0)
+        eddy = EddyJoinOrderSearch(imdb_optimizer, seed=0)
         plan = eddy.search(join_query)
         assert plan.root.tables == frozenset(join_query.tables)
 
     def test_order_quality(self, imdb_optimizer, imdb_simulator, imdb_db):
         gen = WorkloadGenerator(imdb_db, seed=77)
-        eddy = EddyJoinOrderSearch(imdb_optimizer, n_chunks=6, seed=0)
+        eddy = EddyJoinOrderSearch(imdb_optimizer, seed=0)
         ratios = []
         for q in gen.workload(8, 3, 4, require_predicate=True):
             lat = imdb_simulator.execute(eddy.search(q)).latency_ms

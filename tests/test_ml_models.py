@@ -72,13 +72,6 @@ class TestTreeConvNet:
         emb = net.embed(PlanTreeBatch.from_trees([chain, flipped]))
         assert not np.allclose(emb[0], emb[1])
 
-    def test_sigmoid_output_bounds(self):
-        rng = np.random.default_rng(2)
-        trees = [random_tree(rng) for _ in range(10)]
-        net = TreeConvNet(4, (8,), (4,), sigmoid_output=True, seed=0)
-        out = net.forward(PlanTreeBatch.from_trees(trees))
-        assert np.all(out > 0) and np.all(out < 1)
-
     def test_predict_empty(self):
         net = TreeConvNet(4)
         assert net.predict([]).shape == (0, 1)
@@ -194,7 +187,7 @@ class TestGBDT:
     def test_tree_splits_step_function(self):
         x = np.linspace(0, 1, 100)[:, None]
         y = (x[:, 0] > 0.5).astype(float)
-        tree = RegressionTree(max_depth=2, min_samples_leaf=2).fit(x, y)
+        tree = RegressionTree(max_depth=2).fit(x, y)
         preds = tree.predict(x)
         assert ((preds > 0.5) == (y > 0.5)).mean() > 0.95
 
@@ -221,10 +214,6 @@ class TestGBDT:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             GradientBoostedTrees().fit(np.zeros((0, 2)), np.zeros(0))
-
-    def test_subsample_validation(self):
-        with pytest.raises(ValueError):
-            GradientBoostedTrees(subsample=0.0)
 
     def test_constant_target(self):
         x = np.random.default_rng(0).normal(size=(50, 2))
@@ -258,22 +247,19 @@ class TestGBDT:
                 fitted.staged_predict(np.column_stack([x, x]))
 
     def test_negative_parameters_are_rejected_and_zero_is_not(self):
-        for bad in (dict(max_depth=-1), dict(min_samples_leaf=-3)):
-            with pytest.raises(ValueError, match=next(iter(bad))):
-                RegressionTree(**bad)
-            with pytest.raises(ValueError, match=next(iter(bad))):
-                GradientBoostedTrees(**bad)
+        with pytest.raises(ValueError, match="max_depth"):
+            RegressionTree(max_depth=-1)
+        with pytest.raises(ValueError, match="max_depth"):
+            GradientBoostedTrees(max_depth=-1)
         with pytest.raises(ValueError, match="n_estimators"):
             GradientBoostedTrees(n_estimators=-1)
         x = np.random.default_rng(0).normal(size=(30, 2))
         y = x[:, 0]
-        stump = RegressionTree(max_depth=0, min_samples_leaf=0).fit(x, y)
+        stump = RegressionTree(max_depth=0).fit(x, y)
         assert np.array_equal(stump.predict(x), np.full(30, y.mean()))
         empty = GradientBoostedTrees(n_estimators=0).fit(x, y)
         assert np.array_equal(empty.predict(x), np.full(30, y.mean()))
         assert empty.staged_predict(x).shape == (0, 30)
-        loose = GradientBoostedTrees(n_estimators=3, min_samples_leaf=0).fit(x, y)
-        assert np.isfinite(loose.predict(x)).all()
 
 
 class TestKMeans:

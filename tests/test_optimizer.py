@@ -21,13 +21,13 @@ from repro.sql import ColumnRef, Op, Predicate, Query, WorkloadGenerator
 class TestColumnStats:
     def test_eq_selectivity_mcv_exact(self):
         values = np.array([1] * 90 + [2] * 10)
-        stats = ColumnStats.build(values, n_mcv=2)
+        stats = ColumnStats.build(values)
         assert stats.eq_selectivity(1.0) == pytest.approx(0.9)
         assert stats.eq_selectivity(2.0) == pytest.approx(0.1)
 
     def test_eq_selectivity_unseen_value(self):
         values = np.arange(1000)
-        stats = ColumnStats.build(values, n_mcv=5)
+        stats = ColumnStats.build(values)
         sel = stats.eq_selectivity(123.0)
         assert 0.0 < sel < 0.01
 
@@ -58,7 +58,7 @@ class TestSelectivityDomainEdges:
 
     def test_eq_out_of_domain_is_zero(self):
         values = np.arange(1000)
-        stats = ColumnStats.build(values, n_mcv=5)
+        stats = ColumnStats.build(values)
         assert stats.eq_selectivity(-5.0) == 0.0
         assert stats.eq_selectivity(1000.5) == 0.0
         assert stats.eq_selectivity(500.0) > 0.0
@@ -93,7 +93,7 @@ class TestSelectivityDomainEdges:
 
     def test_mcv_open_endpoint(self):
         values = np.array([1.0] * 90 + [2.0] * 10)
-        stats = ColumnStats.build(values, n_mcv=2)
+        stats = ColumnStats.build(values)
         assert stats.range_selectivity(1.0, 2.0) == pytest.approx(1.0)
         assert stats.range_selectivity(
             1.0, 2.0, inclusive_lo=False
@@ -158,7 +158,8 @@ class TestTraditionalEstimator:
         est = TraditionalCardinalityEstimator(stats_db)
         gen = WorkloadGenerator(stats_db, seed=11)
         errs = []
-        for q in gen.single_table_workload("users", 30, max_predicates=1):
+        workload = gen.single_table_workload("users", 90)
+        for q in [q for q in workload if len(q.predicates) == 1]:
             true = stats_executor.cardinality(q)
             guess = est.estimate(q)
             errs.append(max(guess, 1) / max(true, 1))

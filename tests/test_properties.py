@@ -24,7 +24,7 @@ class TestParserRoundTrip:
     def test_roundtrip_generated_queries(self, stats_db, imdb_db, tpch_db, seed, which):
         db = {"stats": stats_db, "imdb": imdb_db, "tpch": tpch_db}[which]
         gen = WorkloadGenerator(db, seed=seed)
-        q = gen.random_query(1, 4, max_preds_per_table=3)
+        q = gen.random_query(1, 4)
         assert parse_query(q.to_sql()) == q
 
     @given(st.integers(0, 3000))
@@ -48,7 +48,7 @@ class TestExecutorInvariants:
     def test_adding_predicate_never_increases_cardinality(self, stats_db,
                                                           stats_executor, seed):
         gen = WorkloadGenerator(stats_db, seed=seed)
-        q = gen.random_query(1, 3, max_preds_per_table=1)
+        q = gen.random_query(1, 3)
         base = stats_executor.cardinality(q)
         # Conjoin one more predicate on some table.
         target = q.tables[0]
@@ -69,7 +69,7 @@ class TestExecutorInvariants:
     @settings(max_examples=20, deadline=None)
     def test_join_bounded_by_filtered_product(self, stats_db, stats_executor, seed):
         gen = WorkloadGenerator(stats_db, seed=seed)
-        q = gen.random_query(2, 3, max_preds_per_table=1)
+        q = gen.random_query(2, 3)
         card = stats_executor.cardinality(q)
         product = 1
         for t in q.tables:

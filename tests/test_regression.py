@@ -57,7 +57,7 @@ class TestEraser:
     def test_coarse_filter_blocks_unseen(self, featurizer, imdb_optimizer, workload):
         from repro.optimizer import HintSet
 
-        eraser = Eraser(featurizer, min_feature_count=1)
+        eraser = Eraser(featurizer)
         q, native, risky = _first_divergent(imdb_optimizer, workload)
         out = eraser(q, CandidatePlan(risky, "arm"), native)
         assert out.source == "eraser:coarse"
@@ -66,7 +66,7 @@ class TestEraser:
     def test_seen_features_pass(self, featurizer, imdb_optimizer, imdb_simulator, workload):
         from repro.optimizer import HintSet
 
-        eraser = Eraser(featurizer, min_feature_count=1, recluster_every=10**9)
+        eraser = Eraser(featurizer)
         q, native, risky = _first_divergent(imdb_optimizer, workload)
         cand = CandidatePlan(risky, "arm")
         # Record the same plan once: its features are now 'seen'.
@@ -98,7 +98,7 @@ class TestEraser:
             RiskyChooser(),
             imdb_simulator,
             imdb_optimizer,
-            guard=Eraser(featurizer, min_feature_count=2),
+            guard=Eraser(featurizer),
         )
         guarded.run(workload)
         p, g = plain.summary(tail=60), guarded.summary(tail=60)
@@ -118,7 +118,7 @@ class TestPerfGuard:
     def test_untrained_passes_candidates(self, featurizer, imdb_optimizer, workload):
         from repro.optimizer import HintSet
 
-        guard = PerfGuard(featurizer, confidence=0.45)
+        guard = PerfGuard(featurizer)
         q = workload[0]
         native = imdb_optimizer.plan(q)
         other = imdb_optimizer.plan(q, hints=HintSet(enable_hash_join=False))
@@ -152,7 +152,7 @@ class TestPerfGuard:
     def test_eliminates_regressions_when_conservative(
         self, imdb_optimizer, imdb_simulator, featurizer, workload
     ):
-        guard = PerfGuard(featurizer, confidence=0.45)
+        guard = PerfGuard(featurizer)
         bao = BaoOptimizer(imdb_optimizer, seed=0)
         loop = OptimizationLoop(
             bao,
@@ -235,8 +235,8 @@ class TestGuardChain:
             def record_feedback(self, query, candidate, latency_ms):
                 pass
 
-        eraser = Eraser(featurizer, min_feature_count=2)
-        perfguard = PerfGuard(featurizer, confidence=0.45)
+        eraser = Eraser(featurizer)
+        perfguard = PerfGuard(featurizer)
         chain = GuardChain(eraser, perfguard)
         loop = OptimizationLoop(
             RiskyChooser(), imdb_simulator, imdb_optimizer, guard=chain,
@@ -251,5 +251,5 @@ class TestGuardChain:
             # The fallback genuinely served the native plan.
             assert r.latency_ms == pytest.approx(r.native_latency_ms)
         # Feedback fan-out reached both members.
-        assert eraser._feature_counts
+        assert eraser._seen_features
         assert len(perfguard.comparator._by_query) > 0

@@ -516,10 +516,3 @@ def test_rewrite_susceptible_workload_seeded_and_shaped():
         if rule.apply(db, q, catalog=ValuesCatalog(db)) is not None
     }
     assert applied == set(REWRITE_RULES)
-
-
-def test_rewrite_susceptible_workload_rejects_bad_rates():
-    db = fresh_db()
-    gen = WorkloadGenerator(db, seed=5)
-    with pytest.raises(ValueError):
-        gen.rewrite_susceptible_workload(5, or_heavy_rate=1.5)

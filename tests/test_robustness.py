@@ -264,14 +264,12 @@ class TestCircuitBreaker:
     def test_half_open_after_cooldown_then_close(self):
         from repro.faults import BreakerState
 
-        breaker, clock = self._breaker(half_open_successes=2)
+        breaker, clock = self._breaker()
         for _ in range(3):
             breaker.record_failure()
         assert not breaker.allow()
         clock.advance(100.0)
         assert breaker.allow()  # cooldown elapsed -> half-open probe
-        assert breaker.state is BreakerState.HALF_OPEN
-        breaker.record_success()
         assert breaker.state is BreakerState.HALF_OPEN
         breaker.record_success()
         assert breaker.state is BreakerState.CLOSED
@@ -417,9 +415,8 @@ class TestConsoleResilience:
         injection_type = "query_optimizer"
         name = "flaky"
 
-        def __init__(self, fail_first=0, latency_ms=None):
+        def __init__(self, fail_first=0):
             self.fail_first = fail_first
-            self.latency_ms = latency_ms
             self.calls = 0
 
         def init(self, interactor, config=None):
@@ -431,12 +428,7 @@ class TestConsoleResilience:
             self.calls += 1
             if self.calls <= self.fail_first:
                 raise DriverError("transient")
-            outcome = self.interactor.execute_default(query)
-            if self.latency_ms is not None:
-                from dataclasses import replace
-
-                outcome = replace(outcome, latency_ms=self.latency_ms)
-            return outcome
+            return self.interactor.execute_default(query)
 
         def background_update(self):
             pass
@@ -448,12 +440,8 @@ class TestConsoleResilience:
         return console
 
     def test_transient_failure_is_retried(self, stats_db):
-        from repro.faults import RetryPolicy
-
         driver = self.FlakyDriver(fail_first=1)
-        console = self._console(
-            stats_db, driver, retry_policy=RetryPolicy(max_attempts=3)
-        )
+        console = self._console(stats_db, driver)
         console.execute(Query(("users",)))
         assert console.query_log[-1].served_by == "flaky"
         assert console.retries == 1
@@ -467,21 +455,6 @@ class TestConsoleResilience:
         assert console.query_log[-1].served_by == "native"
         assert console.native_fallbacks == 1
         assert console.driver_errors == 2  # default policy: 2 attempts
-
-    def test_fallback_disabled_reraises(self, stats_db):
-        from repro.core.errors import DriverError
-
-        driver = self.FlakyDriver(fail_first=100)
-        console = self._console(stats_db, driver, fallback_to_native=False)
-        with pytest.raises(DriverError):
-            console.execute(Query(("users",)))
-
-    def test_latency_budget_times_out_driver(self, stats_db):
-        driver = self.FlakyDriver(latency_ms=500.0)
-        console = self._console(stats_db, driver, call_timeout_ms=100.0)
-        console.execute(Query(("users",)))
-        assert console.query_log[-1].served_by == "native"
-        assert console.timeouts == 1
 
     def test_backoff_is_deterministic(self):
         from repro.faults import RetryPolicy
@@ -562,24 +535,6 @@ class TestGuardChainContainment:
         assert loop.guard_errors == 24  # 12 decision + 12 feedback crashes
         assert sum(r.plan_source == "native:fallback" for r in results) == 4
 
-    def test_degrade_disabled_propagates(self, stats_db, stats_optimizer):
-        class Crashing:
-            def choose_plan(self, query):
-                raise RuntimeError("boom")
-
-            def record_feedback(self, *a):
-                pass
-
-        sim = ExecutionSimulator(stats_db)
-        loop = OptimizationLoop(
-            Crashing(), sim, stats_optimizer, degrade_on_error=False
-        )
-        q = WorkloadGenerator(stats_db, seed=188).random_query(
-            2, 3, require_predicate=True
-        )
-        with pytest.raises(RuntimeError):
-            loop.run_query(q)
-
 
 class TestServeChaos:
     def test_chaos_workload_completes_every_query(self):
@@ -627,13 +582,10 @@ class TestServeChaos:
             seed=0,
         )
         scenario = chaos_scenario(
-            seed=4,
-            n_queries=60,
-            scale=0.25,
-            plan=plan,
-            canary_fraction=1.0,
-            rollback_after_trips=1,
+            seed=4, n_queries=60, scale=0.25, plan=plan, canary_fraction=1.0
         )
+        # the scenario keeps the model deployed; arm the manager's trigger
+        scenario.deployment.rollback_after_trips = 1
         report = scenario.run()
         assert report.n_served == report.n_requests
         assert scenario.deployment.stage.value == "rolled_back"

@@ -248,9 +248,7 @@ class TestDeploymentLifecycle:
         assert VetoAll.decisions == 15
 
     def test_injected_regression_rolls_back_with_event(self):
-        scenario = injected_regression_scenario(
-            n_queries=80, n_sessions=8, trigger_at=10
-        )
+        scenario = injected_regression_scenario(n_queries=80, n_sessions=8)
         scenario.run()
         assert scenario.deployment.stage is Stage.ROLLED_BACK
         snap = scenario.deployment.telemetry.snapshot()
@@ -702,6 +700,18 @@ def _drive_submit(backend, requests, **core):
 
 def _reasons(outcomes):
     return [getattr(o, "reason", "served") for o in outcomes]
+
+
+@pytest.mark.parametrize(
+    "field", ["timeout_ms", "queue_capacity", "max_in_flight"]
+)
+def test_runtime_config_rejects_a_negative_threshold(field):
+    # -1 would silently reject every request (timeout / queue_full /
+    # overload); 0 and None stay valid
+    with pytest.raises(ConfigError, match=field):
+        RuntimeConfig(**{field: -1})
+    assert getattr(RuntimeConfig(**{field: 0}), field) == 0
+    assert getattr(RuntimeConfig(**{field: None}), field) is None
 
 
 @pytest.mark.parametrize("drive", [_drive_run, _drive_submit])

@@ -116,14 +116,6 @@ class TestSameBits:
         assert a == b
         assert_same_bits(ref, new, trees)
 
-    def test_sigmoid_output_with_bce(self):
-        trees = ragged_forest(7, 40)
-        y = (np.random.default_rng(7).random(40) > 0.5).astype(float)
-        ref, new = nets(6, sigmoid_output=True)
-        kw = dict(epochs=4, batch_size=16, loss="bce")
-        assert ref.fit(trees, y, **kw) == new.fit(trees, y, **kw)
-        assert_same_bits(ref, new, trees)
-
     def test_copied_and_unpickled_nets_still_train(self):
         # The layers hold views into the flat buffers; a copy must re-bind
         # them or the optimizer would step a buffer nobody reads.
@@ -284,7 +276,7 @@ class TestFoldedLoops:
         n_pairs = _old_comparator_retrain(
             model._by_query, ref, np.random.default_rng(2 + 5), epochs=3, lr=1e-3
         )
-        assert model.n_pairs == n_pairs >= model.min_pairs
+        assert model.n_pairs == n_pairs >= 15
         model.retrain()
         assert model._trained
         for p, q in zip(ref.parameters(), model.net.parameters()):
