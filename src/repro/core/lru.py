@@ -1,10 +1,10 @@
 """The one bounded, counted LRU map.
 
 The cardinality cache, the plan cache, the key-index cache, the exact
-executor's memo and the shard router's pair memo are all the same
-structure: at most ``capacity`` entries, the least-recently-*used* one
-evicted first, and hit / miss / eviction counters reported in one five-key
-shape.
+executor's memo, the shard router's pair memo and the join-graph cache
+are all the same structure: at most ``capacity`` entries, the
+least-recently-*used* one evicted first, and hit / miss / eviction
+counters reported in one five-key shape.
 They differ only in how they build a key and what they do on a miss, so
 that is all they define; this class is the rest.
 

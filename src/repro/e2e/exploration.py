@@ -12,7 +12,7 @@ exploring, so they hand the risk model the one plan that search produced.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations, count
+from itertools import count
 from operator import itemgetter
 
 import numpy as np
@@ -23,12 +23,8 @@ from repro.e2e.risk_models import PairwisePlanComparator, PlanValueModel
 from repro.engine.plans import Plan, PlanNode
 from repro.joinorder.env import JoinOrderEnv, plan_from_order
 from repro.optimizer.hints import HintSet
-from repro.optimizer.planner import (
-    Optimizer,
-    _best_join,
-    _best_scan,
-    _join_conditions_between,
-)
+from repro.optimizer.planner import Optimizer, _best_join, _best_scan
+from repro.sql.joingraph import join_graph
 from repro.sql.query import Query
 
 __all__ = [
@@ -273,34 +269,23 @@ class TopKDPExploration:
         coster = self.optimizer.coster
         best: dict[frozenset[str], list[tuple[PlanNode, float]]] = {}
         card_of: dict[frozenset[str], float] = {}
-        for sub in query.connected_subqueries():
-            subset = frozenset(sub.tables)
-            size = len(subset)
-            if size == 1:
-                best[subset] = [_best_scan(query, sub.tables[0], coster, hints)]
+        graph = join_graph(query)
+        for subset in graph.subsets:
+            if len(subset) == 1:
+                (table,) = subset
+                best[subset] = [_best_scan(query, table, coster, hints)]
             card_of[subset] = coster.subquery_cardinality(query, subset)
-            # A single table has no partition: the loops below do not run.
+            # A single table has no partition: the loop below does not run.
             entries: list[tuple[PlanNode, float]] = []
-            members = sorted(subset)
-            for r in range(1, size):
-                for left_combo in combinations(members[1:], r - 1):
-                    left_set = frozenset((members[0],) + left_combo)
-                    right_set = subset - left_set
-                    if left_set not in best or right_set not in best:
-                        continue
-                    conditions = _join_conditions_between(
-                        query, left_set, right_set
-                    )
-                    if not conditions:
-                        continue
-                    for lcand in best[left_set]:
-                        for rcand in best[right_set]:
-                            cand = _best_join(
-                                query, lcand, rcand, conditions,
-                                coster, hints, card_of,
-                            )
-                            if cand is not None:
-                                entries.append(cand)
+            for left_set, right_set, conditions in graph.partitions[subset]:
+                for lcand in best[left_set]:
+                    for rcand in best[right_set]:
+                        cand = _best_join(
+                            query, lcand, rcand, conditions,
+                            coster, hints, card_of,
+                        )
+                        if cand is not None:
+                            entries.append(cand)
             if entries:
                 # Dedup by signature, keep the top two by learned ranking.
                 seen: set[str] = set()

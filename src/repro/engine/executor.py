@@ -1,6 +1,9 @@
 """Exact COUNT(*) evaluation of SPJ queries over the columnar store.
 
-Two strategies, picked automatically:
+Two strategies, picked automatically from the query's compiled
+:class:`~repro.sql.joingraph.JoinGraph` (connectivity, tree or not, and the
+message schedule depend on ``(tables, joins)`` alone, so each shape derives
+them once):
 
 - **Message passing** for acyclic join graphs: the classic
   variable-elimination / semijoin-program trick.  Each filtered table starts
@@ -54,6 +57,7 @@ from repro.engine.kernels import (
     match_counts,
 )
 from repro.engine.plans import Plan, PlanNode
+from repro.sql.joingraph import join_graph
 from repro.sql.query import Query
 from repro.storage.catalog import Database
 
@@ -118,14 +122,9 @@ def _weight_total(weights: np.ndarray) -> int:
 def _join_graph_is_tree(query: Query) -> bool:
     """Connected + exactly n-1 edges over distinct table pairs (no cycles,
     and no parallel edges between a table pair, which message passing on a
-    single key per edge cannot express)."""
-    pairs = set()
-    for j in query.joins:
-        pair = frozenset((j.left.table, j.right.table))
-        if pair in pairs:
-            return False  # parallel edge: treat as cyclic, use materializer
-        pairs.add(pair)
-    return query.is_connected() and len(pairs) == len(query.tables) - 1
+    single key per edge cannot express): the compiled graph has a message
+    schedule."""
+    return join_graph(query).schedule is not None
 
 
 class CardinalityExecutor:
@@ -162,9 +161,9 @@ class CardinalityExecutor:
         self.key_index = KeyIndexCache()
         self._cache = BoundedLRU(cache_capacity)
         self._cache_version = db.data_version
-        # (table, predicates on it) -> filtered row ids, for the duration of
-        # one plan_cardinalities pass; None outside a pass.
-        self._plan_rows: dict[tuple, np.ndarray] | None = None
+        # table -> filtered row ids, for the duration of one
+        # plan_cardinalities pass; None outside a pass.
+        self._plan_rows: dict[str, np.ndarray] | None = None
 
     def _sync_version(self) -> None:
         """Drop the memo when a table has mutated since it was filled."""
@@ -185,7 +184,7 @@ class CardinalityExecutor:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if not query.is_connected():
+        if not join_graph(query).connected:
             raise ValueError(
                 f"query join graph is disconnected (cross join unsupported): {query}"
             )
@@ -205,7 +204,7 @@ class CardinalityExecutor:
         once (through :meth:`cardinality`, so the memo still answers
         repeated sub-queries), and each base table's filter runs once -- a
         node's sub-query keeps all of the plan query's predicates on its
-        tables, so row sets are shared under ``(table, predicates)``.  The
+        tables, so within the pass a table names its row set.  The
         sub-queries are built by ``Query.restrict``, outside the plan
         query's ``subquery`` memo, so none outlives the pass.
         """
@@ -225,10 +224,9 @@ class CardinalityExecutor:
         shared = self._plan_rows
         if shared is None:
             return _filtered_indices(self.db, query, table)
-        key = (table, query.predicates_on(table))
-        rows = shared.get(key)
+        rows = shared.get(table)
         if rows is None:
-            rows = shared[key] = _filtered_indices(self.db, query, table)
+            rows = shared[table] = _filtered_indices(self.db, query, table)
         return rows
 
     def clear_cache(self) -> None:
@@ -243,40 +241,14 @@ class CardinalityExecutor:
     # -- acyclic: message passing --------------------------------------------------
 
     def _tree_count(self, query: Query) -> int:
-        # Build adjacency: table -> list of (neighbor, my_col, their_col).
-        adj: dict[str, list[tuple[str, str, str]]] = {t: [] for t in query.tables}
-        for j in query.joins:
-            adj[j.left.table].append((j.right.table, j.left.column, j.right.column))
-            adj[j.right.table].append((j.left.table, j.right.column, j.left.column))
-
         rows = {t: self._filtered(query, t) for t in query.tables}
         # Unit weights are implicit: a table that has received no message
         # carries None, and its first message *is* its weight vector.
         weights: dict[str, np.ndarray | None] = dict.fromkeys(query.tables)
 
-        root = query.tables[0]
-        # Post-order traversal (iterative).
-        order: list[tuple[str, str | None, str | None, str | None]] = []
-        stack: list[tuple[str, str | None, str | None, str | None]] = [
-            (root, None, None, None)
-        ]
-        visited = {root}
-        while stack:
-            entry = stack.pop()
-            order.append(entry)
-            table = entry[0]
-            for neighbor, my_col, their_col in adj[table]:
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    # neighbor joins to `table` on neighbor.their? careful:
-                    # (neighbor, neighbor_col=their_col) = (table, my_col)
-                    stack.append((neighbor, table, their_col, my_col))
-
-        # Process children before parents.
+        # The compiled post-order schedule: children before parents.
         full = self.key_index.full
-        for table, parent, my_col, parent_col in reversed(order):
-            if parent is None:
-                continue
+        for table, parent, my_col, parent_col in join_graph(query).schedule:
             child_tbl, parent_tbl = self.db.table(table), self.db.table(parent)
             span = direct_span(full(child_tbl, my_col), full(parent_tbl, parent_col))
             keys = child_tbl.values(my_col)[rows[table]]
@@ -288,7 +260,7 @@ class CardinalityExecutor:
                 message if held is None else _weight_product(held, message)
             )
         # A join query's root has at least one neighbor, hence a message.
-        return _weight_total(weights[root])
+        return _weight_total(weights[query.tables[0]])
 
     # -- cyclic: guarded materialization ---------------------------------------------
 
@@ -298,9 +270,11 @@ class CardinalityExecutor:
         # side.  (Declaration order used to decide ties among frontier
         # edges, which could force a huge table in before a tiny one and
         # trip the intermediate guard on queries a better order completes.)
+        # A tie on size goes to the first table by name, so the join order
+        # never depends on the process's string-hash seed.
         rows = {t: self._filtered(query, t) for t in query.tables}
         remaining = set(query.tables)
-        start = min(remaining, key=lambda t: rows[t].size)
+        start = min(query.tables, key=lambda t: (rows[t].size, t))
         inter: dict[str, np.ndarray] = {start: rows[start]}
         remaining.discard(start)
         done_edges: set[int] = set()

@@ -13,12 +13,16 @@ hint-set arm: :func:`repro.optimizer.planner.enumerate_dp_arms` plans all
 arms in one pass and looks each subset up once.
 
 Keys pair :func:`repro.core.interfaces.estimator_cache_tag` (instance +
-``estimates_version``, unwrapping steering wrappers) with the query's
-:func:`repro.sql.query.query_hash` -- the same canonical-text digest the
-deployment manager's canary split and the experience store's dedup use, so
-the repository has exactly one query-identity scheme.  Refits, feedback,
-injected overrides and data drift all invalidate naturally -- stale
-entries are simply never looked up again and age out of the LRU ring.
+``estimates_version``, unwrapping steering wrappers) with the sub-query's
+field tuple ``(tables, joins, predicates)`` -- equal exactly when the
+queries are, the key the exact executor's memo uses too.  Planning
+therefore renders no sub-query's SQL and hashes no text: each join and
+predicate hashes once, and the restrictions of a query share them.  The canary split, the serving traces and the experience
+store's dedup still key by :func:`repro.sql.query.query_hash`, the
+canonical-text digest; nothing here needs a digest that travels between
+processes.  Refits, feedback, injected overrides and data drift all
+invalidate naturally -- stale entries are simply never looked up again
+and age out of the LRU ring.
 The ring itself -- eviction order, the hit / miss / eviction counters and the
 ``stats()`` dict -- is :class:`repro.core.lru.BoundedLRU`.
 """
@@ -28,9 +32,13 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.lru import BoundedLRU
-from repro.sql.query import Query, query_hash
+from repro.sql.query import Query
 
 __all__ = ["CardinalityCache"]
+
+
+def _key(tag: tuple, query: Query) -> tuple:
+    return (tag, query.tables, query.joins, query.predicates)
 
 
 class CardinalityCache(BoundedLRU):
@@ -49,15 +57,15 @@ class CardinalityCache(BoundedLRU):
 
     def lookup(self, tag: tuple, query: Query) -> float | None:
         """Cached cardinality, or None; counts a hit or a miss either way."""
-        return self.get((tag, query_hash(query)))
+        return self.get(_key(tag, query))
 
     def peek(self, tag: tuple, query: Query) -> float | None:  # type: ignore[override]
         """Cached cardinality, or None, counting nothing and leaving the LRU
         order alone: how an observer reads back what a planning priced."""
-        return super().peek((tag, query_hash(query)))
+        return super().peek(_key(tag, query))
 
     def insert(self, tag: tuple, query: Query, value: float) -> None:
-        self.put((tag, query_hash(query)), float(value))
+        self.put(_key(tag, query), float(value))
 
     def get_or_compute(
         self, tag: tuple, query: Query, compute: Callable[[Query], float]

@@ -39,6 +39,7 @@ from repro.optimizer.plancache import PlanCache
 from repro.optimizer.risk import RISK_MODES, RiskCoster
 from repro.optimizer.statistics import DatabaseStats
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
+from repro.sql.joingraph import join_graph
 from repro.sql.query import Join, Query
 from repro.storage.catalog import Database
 
@@ -124,7 +125,10 @@ def enumerate_dp_arms(
     ``HintSet.join_methods`` (scans: SEQ before INDEX) -- so every arm
     gets exactly the plan, ties included, that a DP run for it alone
     would.  Plan nodes are built only for the winners and interned, so
-    arms whose plans are equal return the same :class:`Plan` object.
+    arms whose plans are equal return the same :class:`Plan` object.  The
+    subsets, partitions and join conditions are read off the query's
+    :class:`~repro.sql.joingraph.JoinGraph`, compiled once per ``(tables,
+    joins)`` and shared by every query of that shape.
     """
     if not arms:
         raise ValueError("need at least one hint set")
@@ -134,7 +138,8 @@ def enumerate_dp_arms(
     # batched call: cache hits are answered directly and the misses go
     # through the estimator's ``estimate_batch`` as a single featurization
     # + forward pass instead of one call per subset.
-    connected = [frozenset(sub.tables) for sub in query.connected_subqueries()]
+    graph = join_graph(query)
+    connected = graph.subsets
     card_of = coster.subquery_cardinalities(query, connected)
 
     # One lane per distinct arm; ``costs[subset][lane]`` / ``choices[subset]
@@ -169,54 +174,47 @@ def enumerate_dp_arms(
     methods = [m for m in JoinMethod if any(m in ms for ms in allowed)]
     lane_methods = [[methods.index(m) for m in ms] for ms in allowed]
     # Sizes ascending, so both halves of a partition are priced already;
-    # the singletons come first and were priced above.
+    # the singletons come first and were priced above.  Every connected
+    # subset of two or more tables has a partition whose right half is one
+    # table other than its first (a spanning tree has two leaves), so
+    # every connected subset gets a plan, in both modes, before a larger
+    # one reads it.
+    partitions = graph.partitions
     for subset in connected[len(tables) :]:
-        size = len(subset)
         best_cost = [math.inf] * len(distinct)
         best_choice: list = [None] * len(distinct)
         out_card = card_of[subset]
-        # All partitions into two connected, joined halves.
-        members = sorted(subset)
-        for r in range(1, size):
-            for left_combo in combinations(members[1:], r - 1):
-                left_set = frozenset((members[0],) + left_combo)
-                right_set = subset - left_set
-                if left_deep_only and len(right_set) != 1:
-                    continue
-                if left_set not in costs or right_set not in costs:
-                    continue
-                conditions = _join_conditions_between(query, left_set, right_set)
-                if not conditions:
-                    continue
-                # Left-deep pins the orientation: the inner/right side
-                # must stay a base relation.
-                orientations = (
-                    ((left_set, right_set),)
-                    if left_deep_only
-                    else ((left_set, right_set), (right_set, left_set))
-                )
-                for a, b in orientations:
-                    # The operator cost depends on the inner side only
-                    # through "is it a base-table scan, of which table".
-                    inner = choices[b][0] if len(b) == 1 else None
-                    op_costs = [
-                        coster.join_operator_cost(
-                            m, card_of[a], card_of[b], out_card, inner
-                        )
-                        for m in methods
-                    ]
-                    cost_a, cost_b = costs[a], costs[b]
-                    for lane in lanes:
-                        inputs = cost_a[lane] + cost_b[lane]
-                        for i in lane_methods[lane]:
-                            total = inputs + op_costs[i]
-                            # The first candidate wins whatever it costs.
-                            if best_choice[lane] is None or total < best_cost[lane]:
-                                best_cost[lane] = total
-                                best_choice[lane] = (a, b, methods[i], conditions)
-        if best_choice[0] is not None:
-            costs[subset] = best_cost
-            choices[subset] = best_choice
+        for left_set, right_set, conditions in partitions[subset]:
+            if left_deep_only and len(right_set) != 1:
+                continue
+            # Left-deep pins the orientation: the inner/right side
+            # must stay a base relation.
+            orientations = (
+                ((left_set, right_set),)
+                if left_deep_only
+                else ((left_set, right_set), (right_set, left_set))
+            )
+            for a, b in orientations:
+                # The operator cost depends on the inner side only
+                # through "is it a base-table scan, of which table".
+                inner = choices[b][0] if len(b) == 1 else None
+                op_costs = [
+                    coster.join_operator_cost(
+                        m, card_of[a], card_of[b], out_card, inner
+                    )
+                    for m in methods
+                ]
+                cost_a, cost_b = costs[a], costs[b]
+                for lane in lanes:
+                    inputs = cost_a[lane] + cost_b[lane]
+                    for i in lane_methods[lane]:
+                        total = inputs + op_costs[i]
+                        # The first candidate wins whatever it costs.
+                        if best_choice[lane] is None or total < best_cost[lane]:
+                            best_cost[lane] = total
+                            best_choice[lane] = (a, b, methods[i], conditions)
+        costs[subset] = best_cost
+        choices[subset] = best_choice
 
     full = frozenset(tables)
     if full not in costs:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
+
+from repro.sql.joingraph import join_graph
 
 __all__ = [
     "Op",
@@ -338,8 +339,8 @@ class Query:
         return len(self.tables)
 
     # Queries are immutable, so derived views (per-table predicate lists,
-    # the join adjacency, the canonical SQL text, sub-queries, the hash) are
-    # computed once and memoized on the instance.  The planner's inner loop
+    # the join adjacency, the canonical SQL text, sub-queries, the hash, the
+    # compiled join graph) are computed once and memoized on the instance.  The planner's inner loop
     # and the executor ask for these repeatedly -- DP enumeration alone calls
     # ``predicates_on`` O(2^n) times per query -- which made the previous
     # linear re-scans a measurable cost.  The memo attributes live outside
@@ -405,21 +406,19 @@ class Query:
         of a served query once, so memoizing those would only leave them
         behind for the life of the query."""
         keep = frozenset(tables)
-        missing = keep - set(self.tables)
-        if missing:
-            raise ValueError(f"subquery tables not in query: {sorted(missing)}")
-        if not keep:
-            raise ValueError("query must reference at least one table")
         # A restriction of a canonical query is canonical -- a subsequence of
         # sorted, validated members is sorted and valid -- so the fields are
         # set directly instead of re-validating and re-sorting by ``str``.
+        # Its tables and joins depend on the join graph alone: the compiled
+        # graph hands out the tuples every query of this shape shares, and
+        # the restriction's own graph with them.
+        tables, joins, graph = join_graph(self).restriction(keep)
         sub = object.__new__(Query)
         sub.__dict__.update(
-            tables=tuple(t for t in self.tables if t in keep),
-            joins=tuple(
-                j for j in self.joins if j.left.table in keep and j.right.table in keep
-            ),
+            tables=tables,
+            joins=joins,
             predicates=tuple(p for p in self.predicates if p.column.table in keep),
+            _graph=graph,
         )
         return sub
 
@@ -427,31 +426,17 @@ class Query:
         """Every connected sub-query, sizes ascending and in
         ``itertools.combinations`` order over ``tables`` within a size.
 
-        The one subset enumeration: the DP kernel, LEON's top-k DP and the
-        cardinality-injection interface all walk exactly these, in this
-        order.
+        The subsets come from the query's compiled
+        :class:`~repro.sql.joingraph.JoinGraph`, the one subset enumeration:
+        the DP kernel, LEON's top-k DP and the cardinality-injection
+        interface all walk exactly these, in this order.  Only connected
+        restrictions enter the ``subquery`` memo.
         """
-        return [
-            sub
-            for size in range(1, len(self.tables) + 1)
-            for combo in combinations(self.tables, size)
-            if (sub := self.subquery(combo)).is_connected()
-        ]
+        return [self.subquery(s) for s in join_graph(self).subsets]
 
     def is_connected(self) -> bool:
         """True when the join graph over the query's tables is connected."""
-        if len(self.tables) == 1:
-            return True
-        adj = self.join_adjacency()
-        seen = {self.tables[0]}
-        frontier = [self.tables[0]]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == len(self.tables)
+        return join_graph(self).connected
 
     @property
     def template_key(self) -> str:
@@ -482,12 +467,14 @@ class Query:
 
     @property
     def cache_key(self) -> str:
-        """Canonical sub-query identity: the memoized ``to_sql`` text.
+        """Canonical query identity as text: the memoized ``to_sql``.
 
         ``__post_init__`` sorts tables, joins and predicates, so two queries
         over the same tables with the same joins and predicates -- however
-        they were constructed -- render identically.  This is the key the
-        cross-plan :class:`repro.optimizer.CardinalityCache` indexes by.
+        they were constructed -- render identically.  :func:`query_hash`
+        digests it.  Planning never renders it: the cross-plan
+        :class:`repro.optimizer.CardinalityCache` and the exact executor's
+        memo key a sub-query by its field tuple instead.
         """
         key = self.__dict__.get("_cache_key")
         if key is None:
@@ -528,13 +515,15 @@ def predicate_template(pred: Predicate | OrPredicate) -> str:
 def query_hash(query: Query) -> str:
     """Stable 12-hex-digit identity of a query's canonical text.
 
-    The one query-hashing scheme in the repository: the deployment
-    manager's canary split, the serving traces, the experience store's
-    dedup key and the cross-plan :class:`repro.optimizer.CardinalityCache`
-    all key by this value.  Because it hashes :attr:`Query.cache_key`
-    (the canonicalized SQL text), two equivalent queries constructed with
-    different member orderings hash identically.  Memoized per instance,
-    like ``cache_key`` itself.
+    The one query-hashing scheme in the repository, for identities that
+    must agree across processes: the deployment manager's canary split,
+    the serving traces, the experience store's dedup key and the audit's
+    violation records key by this value.  Because it hashes
+    :attr:`Query.cache_key` (the canonicalized SQL text), two equivalent
+    queries constructed with different member orderings hash identically.  Memoized per instance,
+    like ``cache_key`` itself.  The cardinality cache does not use it: it
+    lives in one process and keys a sub-query by ``(tables, joins,
+    predicates)``, so planning renders and digests no sub-query's SQL.
     """
     h = query.__dict__.get("_query_hash")
     if h is None:

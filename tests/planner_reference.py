@@ -7,6 +7,13 @@ every improvement, a fresh ``Plan`` per arm.  The sweep kernel must return
 ``==`` plans, arm for arm, ties included; ``tests/test_arm_sweep.py``
 asserts that and ``benchmarks/bench_p6_fastpath.py`` uses
 :func:`reference_plan_arms` as the baseline.  Do not optimise this file.
+
+The subset and partition loops are also kept on their own
+(:func:`reference_connected_subsets`, :func:`reference_partitions`), with
+the breadth-first connectivity test ``Query.is_connected`` ran before the
+compiled join graph: ``tests/test_joingraph.py`` holds
+:class:`repro.sql.joingraph.JoinGraph` to them, and nothing here reads
+the graph it checks.
 """
 
 from __future__ import annotations
@@ -18,7 +25,12 @@ from repro.optimizer.cost import PlanCoster
 from repro.optimizer.hints import HintSet
 from repro.sql.query import Join, Query
 
-__all__ = ["reference_enumerate_dp", "reference_plan_arms"]
+__all__ = [
+    "reference_connected_subsets",
+    "reference_enumerate_dp",
+    "reference_partitions",
+    "reference_plan_arms",
+]
 
 
 def _join_conditions_between(
@@ -30,6 +42,55 @@ def _join_conditions_between(
         if (j.left.table in left and j.right.table in right)
         or (j.left.table in right and j.right.table in left)
     )
+
+
+def reference_is_connected(query: Query, tables: frozenset[str]) -> bool:
+    """True when ``query``'s joins connect ``tables`` (a breadth-first walk
+    over the joins inside the set)."""
+    adj: dict[str, set[str]] = {t: set() for t in tables}
+    for j in query.joins:
+        if j.left.table in tables and j.right.table in tables:
+            adj[j.left.table].add(j.right.table)
+            adj[j.right.table].add(j.left.table)
+    start = min(tables)
+    seen, frontier = {start}, [start]
+    while frontier:
+        for nxt in adj[frontier.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen) == len(tables)
+
+
+def reference_connected_subsets(query: Query) -> list[frozenset[str]]:
+    """Every connected subset, sizes ascending and in ``combinations`` order
+    over ``query.tables`` within a size."""
+    return [
+        frozenset(combo)
+        for size in range(1, query.n_tables + 1)
+        for combo in combinations(query.tables, size)
+        if reference_is_connected(query, frozenset(combo))
+    ]
+
+
+def reference_partitions(
+    query: Query, subset: frozenset[str], connected: set[frozenset[str]]
+) -> list[tuple[frozenset[str], frozenset[str], tuple[Join, ...]]]:
+    """The DP's partition loop: every split of ``subset`` into two halves in
+    ``connected`` with a join between them, the left half holding the
+    subset's first table, in the order the loop met them."""
+    out = []
+    members = sorted(subset)
+    for r in range(1, len(subset)):
+        for left_combo in combinations(members[1:], r - 1):
+            left_set = frozenset((members[0],) + left_combo)
+            right_set = subset - left_set
+            if left_set not in connected or right_set not in connected:
+                continue
+            conditions = _join_conditions_between(query, left_set, right_set)
+            if conditions:
+                out.append((left_set, right_set, conditions))
+    return out
 
 
 def _best_scan(
@@ -104,7 +165,7 @@ def reference_enumerate_dp(
         sized: list[frozenset[str]] = []
         for combo in combinations(tables, size):
             subset = frozenset(combo)
-            if query.subquery(subset).is_connected():
+            if reference_is_connected(query, subset):
                 sized.append(subset)
         by_size[size] = sized
         connected.extend(sized)

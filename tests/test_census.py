@@ -1,8 +1,8 @@
 """The census as a test: no caller, no code.
 
-Over every package and every module under ``src/repro`` seven things must
-hold, an eighth over ``benchmarks/``, a ninth over ``src/``,
-``benchmarks/`` and ``examples/`` and a tenth over every code tree and
+Over every package and every module under ``src/repro`` eight things must
+hold, another over ``benchmarks/``, another over ``src/``,
+``benchmarks/`` and ``examples/`` and another over every code tree and
 ``tests/``.  All but (c) only read source files --
 nothing is imported from ``repro`` or ``perf``, and an absent directory is
 skipped; (c) imports the examples, and one case of (g) builds the records
@@ -53,7 +53,13 @@ it names:
     ``e2e/risk_models.py`` and its eager copy
     (``tests/risk_models_reference.py``) names ``_members``.  A reader goes
     through ``members()``, which runs what a retrain left owed, so nothing
-    sees the weights a retrain is about to replace.
+    sees the weights a retrain is about to replace;
+(k) there is one subset enumeration: no file under ``src/`` but
+    ``sql/joingraph.py`` calls ``combinations`` with a size that is not a
+    literal (a loop over sizes enumerates subsets or partitions) or walks
+    ``join_adjacency()``.  The DP, LEON's top-k DP, the sub-query list and
+    the exact counter read the compiled ``JoinGraph``; ``ENUMERATORS``
+    names the one exemption and its reason.
 
 A failure names the file and the symbol.  The fix is to delete the code (or
 the export), not to grow the allow-list: that list is the backlog of
@@ -649,6 +655,45 @@ def test_members_are_read_after_their_owed_fits():
     )
 
 
+# -- (k) one subset enumeration --------------------------------------------------------
+
+#: the files under ``src/`` that may enumerate a join graph's subsets, and why
+ENUMERATORS = {
+    SRC / "sql" / "joingraph.py": "the compiled JoinGraph: the one enumeration",
+    SRC / "oracle" / "contracts.py": (
+        "the oracle's own connected-subset walk, kept independent of the code it checks"
+    ),
+}
+
+
+def subset_enumeration_violations(sources: Sources) -> list[str]:
+    """Every ``combinations`` call with a non-literal size and every
+    ``join_adjacency()`` call under ``src/`` outside ``ENUMERATORS``."""
+    found = []
+    for path in _files("src"):
+        if path in ENUMERATORS:
+            continue
+        for node in ast.walk(sources.parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            sizes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "r"]
+            if name == "combinations" and not all(isinstance(a, ast.Constant) for a in sizes):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} enumerates subsets")
+            elif name == "join_adjacency":
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} walks the join graph")
+    return found
+
+
+def test_one_subset_enumeration():
+    found = subset_enumeration_violations(Sources())
+    assert not found, (
+        f"{found} -- subsets and partitions are compiled once per join graph: "
+        "read join_graph(query).subsets / .partitions (sql/joingraph.py)"
+    )
+    assert all(path.is_file() for path in ENUMERATORS), "a stale ENUMERATORS entry"
+
+
 def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simulator):
     """One instance of each record (g) slots: it has no ``__dict__`` and
     still pickles, deep-copies, ``replace``-s and compares by value."""
@@ -900,8 +945,8 @@ def test_seeded_second_writer_is_caught(relative, old, new, caught):
     [
         (  # a subclass reading its base's entries
             "optimizer/cardcache.py",
-            "return super().peek((tag, query_hash(query)))",
-            "return self._entries.get((tag, query_hash(query)))",
+            "return super().peek(_key(tag, query))",
+            "return self._entries.get(_key(tag, query))",
             ["src/repro/optimizer/cardcache.py touches _entries"],
         ),
         (  # an observer reaching into a cache
@@ -939,3 +984,36 @@ def test_seeded_reach_into_an_lru_is_caught(relative, old, new, caught):
 def test_seeded_read_of_unforced_members_is_caught(relative, old, new, caught):
     sources = _patched(relative, old, new, root=ROOT)
     assert raw_member_violations(sources) == caught
+
+
+@pytest.mark.parametrize(
+    "relative, old, new, caught",
+    [
+        (  # the injection surface enumerating subsets on its own again
+            "pilotscope/postgres_sim.py",
+            "        return query.connected_subqueries()\n",
+            "        from itertools import combinations\n"
+            "        return [query.subquery(c) for r in range(1, query.n_tables + 1)\n"
+            "                for c in combinations(query.tables, r)]\n",
+            ["src/repro/pilotscope/postgres_sim.py enumerates subsets"],
+        ),
+        (  # a second partition loop beside the DP's
+            "e2e/exploration.py",
+            "            for left_set, right_set, conditions in graph.partitions[subset]:\n",
+            "            for left_combo in combinations(sorted(subset)[1:], len(subset) - 1):\n"
+            "                pass\n"
+            "            for left_set, right_set, conditions in graph.partitions[subset]:\n",
+            ["src/repro/e2e/exploration.py enumerates subsets"],
+        ),
+        (  # a breadth-first walk over the query's adjacency
+            "engine/executor.py",
+            "        if not join_graph(query).connected:\n",
+            "        if len(query.join_adjacency()) > 1 and not join_graph(query).connected:\n",
+            ["src/repro/engine/executor.py walks the join graph"],
+        ),
+    ],
+)
+def test_seeded_second_subset_enumeration_is_caught(relative, old, new, caught):
+    sources = _patched(relative, old, new)
+    found = [re.sub(r":\d+ ", " ", f) for f in subset_enumeration_violations(sources)]
+    assert found == caught

@@ -6,6 +6,7 @@ on randomly generated queries (property-based), including cyclic joins.
 
 import copy
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -427,6 +428,64 @@ class TestEdgeOrderRegression:
         ex = CardinalityExecutor(cyclic_db, max_intermediate_rows=5_000)
         with pytest.raises(IntermediateTooLarge):
             ex.cardinality(triangle)
+
+
+#: counts a 4-cycle whose two smallest tables tie on size and prints the
+#: count with every ``KeyIndexCache.restricted`` call, in order
+_START_TABLE_PROBE = """
+import json
+import numpy as np
+from repro.engine import CardinalityExecutor
+from repro.engine.kernels import KeyIndexCache
+from repro.sql import ColumnRef, Join, Query
+from repro.storage import Column, Database, JoinEdge, Table
+
+sizes = {"north": 6, "east": 6, "south": 9, "west": 12}
+ring = ["north", "east", "south", "west"]
+db = Database(
+    "ring",
+    [Table(t, [Column("k", np.arange(n) % 5), Column("j", np.arange(n) % 3)])
+     for t, n in sizes.items()],
+    [JoinEdge(a, "k" if i % 2 else "j", b, "k" if i % 2 else "j")
+     for i, (a, b) in enumerate(zip(ring, ring[1:] + ring[:1]))],
+)
+query = Query(tuple(ring), tuple(
+    Join(ColumnRef(e.left_table, e.left_column), ColumnRef(e.right_table, e.right_column))
+    for e in db.joins
+))
+calls = []
+restricted = KeyIndexCache.restricted
+def logged(self, table, column, rows):
+    calls.append([table.name, column])
+    return restricted(self, table, column, rows)
+KeyIndexCache.restricted = logged
+print(json.dumps([CardinalityExecutor(db).cardinality(query), calls]))
+"""
+
+
+def test_materializer_start_table_ignores_the_hash_seed():
+    """Regression: the cyclic materializer took its start table as the
+    smallest of a ``set``, so on a size tie the pick -- and with it the
+    join order, the intermediate sizes and whether the row guard trips --
+    followed the process's string-hash seed.  A tie now goes to the first
+    table by name."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    runs = set()
+    for seed in range(6):
+        env["PYTHONHASHSEED"] = str(seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", _START_TABLE_PROBE],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        runs.add(proc.stdout)
+    (out,) = runs
+    count, calls = json.loads(out)
+    # start at "east", the tie's first by name, and build "north", its
+    # smaller neighbour
+    assert calls[0] == ["north", "j"]
+    assert count > 0
 
 
 class TestPlans:
