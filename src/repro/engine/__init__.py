@@ -3,8 +3,9 @@
 This package is the stand-in for PostgreSQL's executor.  It provides:
 
 - :func:`repro.engine.executor.execute_cardinality` -- exact COUNT(*) of any
-  SPJ query over the real (synthetic) data, via message passing on acyclic
-  join graphs and a guarded materializing hash join otherwise;
+  SPJ query over the real (synthetic) data: message passing peels every
+  table with one join left, and a cyclic core that remains is materialized
+  once per plan, guarded, with lookup joins on unique keys;
 - :mod:`repro.engine.plans` -- physical plan trees (scans and binary joins
   with hash/nested-loop/merge methods);
 - :class:`repro.engine.simulator.ExecutionSimulator` -- a deterministic

@@ -1,30 +1,33 @@
 """Exact COUNT(*) evaluation of SPJ queries over the columnar store.
 
-Two strategies, picked automatically from the query's compiled
-:class:`~repro.sql.joingraph.JoinGraph` (connectivity, tree or not, and the
-message schedule depend on ``(tables, joins)`` alone, so each shape derives
-them once):
+One counter, run by the recipe the query's compiled
+:class:`~repro.sql.joingraph.JoinGraph` holds (it depends on ``(tables,
+joins)`` alone, so each shape derives it once):
 
-- **Message passing** for acyclic join graphs: the classic
-  variable-elimination / semijoin-program trick.  Each filtered table starts
-  with per-row weight 1 (implicitly: no array until a message arrives);
-  leaves send ``groupby(join_key) -> sum(weight)`` messages toward a root,
-  parents multiply the message into their row weights, and the root's
-  weight sum is the exact join cardinality.  Runs in near-linear time and
-  never materializes the join.
+- **Peel steps**: message passing, the classic variable-elimination /
+  semijoin-program trick.  Each filtered table starts with per-row weight 1
+  (implicitly: no array until a message arrives); a table with exactly one
+  join left sends ``groupby(join_key) -> sum(weight)`` to its neighbour,
+  which multiplies the message into its row weights.  Near-linear, and it
+  never materializes a join.
+- **The core**: what is left once no table has a single join -- one table
+  for a tree, whose weight sum is the count; otherwise a cycle (or a
+  parallel edge between two tables).  A cyclic core is materialized with a
+  greedy join, guarded by ``max_intermediate_rows`` so pathological queries
+  fail loudly instead of exhausting memory.  A join into a column unique
+  over its whole table is a lookup that never expands; the others are
+  sort-merge/expand joins, and joins that close a cycle filter the
+  intermediate.  The count is the sum over core rows of the product of the
+  core tables' weights, integer-exact past 2**62 like every message.
 
-- **Materializing hash join** for cyclic graphs: builds the intermediate
-  result table-by-table with hash joins, applying extra (cycle-closing)
-  edges as filters.  Guarded by ``max_intermediate_rows`` so pathological
-  queries fail loudly instead of exhausting memory.
-
-The numeric kernels (group-by-sum, semi-join lookup, sort-merge/expand
-join, key-index cache) live in :mod:`repro.engine.kernels` and are shared
-with the oracle's plan interpreter.  The module-level wrappers below
-(`_filtered_indices`, `_group_sum`, `_lookup`, ...) are kept as the live
-call path on purpose: the oracle's seeded mutations patch these names to
-re-introduce known bug classes, so they must remain where the executor
-actually dispatches through.
+The numeric kernels (group-by-sum, semi-join lookup, unique-key lookup,
+sort-merge/expand join, key-index cache) live in :mod:`repro.engine.kernels`
+and are shared with the oracle's plan interpreter.  The module-level
+wrappers below (`_filtered_indices`, `_group_sum`, `_lookup`, ...) are kept
+as the live call path on purpose: the oracle's seeded mutations patch these
+names (and ``CardinalityExecutor._count``) to re-introduce known bug
+classes, so they must remain where the executor actually dispatches
+through.
 
 A :class:`CardinalityExecutor` instance memoizes results per query in a
 bounded LRU, since optimizers repeatedly ask for the same sub-query
@@ -33,12 +36,15 @@ cardinalities (and under serving the query stream is unbounded).
 A message between two join columns of non-negative integer ids is a
 direct-address table (``np.bincount`` over the key span, read back by
 ``table[parent_keys]``) instead of a sort and a ``searchsorted``; the span
-is read off both columns' cached full-column indexes.
+is read off both columns' cached full-column indexes.  A lookup join into a
+unique column is a direct-address row-of-key table the same way.
 
 Executing a plan needs every node's count;
 :meth:`CardinalityExecutor.plan_cardinalities` produces them in one pass
 (one ``data_version`` check, one ``cardinality()`` per node, one filter
-evaluation per base table).  The per-node loop it replaced is kept as
+evaluation per base table, one materialization per cyclic core).  The
+per-node loop it replaced, and the tree counter and whole-query
+materializer this counter replaced, are kept in
 ``tests/executor_reference.py`` (DESIGN.md §7, "Exact executor").
 """
 
@@ -55,6 +61,7 @@ from repro.engine.kernels import (
     grouped_sums,
     lookup_sums,
     match_counts,
+    unique_lookup,
 )
 from repro.engine.plans import Plan, PlanNode
 from repro.sql.joingraph import join_graph
@@ -65,7 +72,7 @@ __all__ = ["CardinalityExecutor", "execute_cardinality", "IntermediateTooLarge"]
 
 
 class IntermediateTooLarge(RuntimeError):
-    """Raised when a cyclic-join materialization exceeds the row guard."""
+    """Raised when a cyclic core's materialization exceeds the row guard."""
 
 
 def _filtered_indices(db: Database, query: Query, table: str) -> np.ndarray:
@@ -119,12 +126,14 @@ def _weight_total(weights: np.ndarray) -> int:
     return int(weights.sum())
 
 
-def _join_graph_is_tree(query: Query) -> bool:
-    """Connected + exactly n-1 edges over distinct table pairs (no cycles,
-    and no parallel edges between a table pair, which message passing on a
-    single key per edge cannot express): the compiled graph has a message
-    schedule."""
-    return join_graph(query).schedule is not None
+def _row_weights(weights: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Weights aligned with the filtered ``rows``, re-indexed by row id (a
+    filtered-out row weighs 0 and is never read)."""
+    if rows.shape[0] == n_rows:
+        return weights
+    by_row = np.zeros(n_rows, dtype=weights.dtype)
+    by_row[rows] = weights
+    return by_row
 
 
 class CardinalityExecutor:
@@ -141,9 +150,10 @@ class CardinalityExecutor:
     predicates)`` -- equal exactly when the queries are -- so it keeps no
     ``Query`` (nor the memos a ``Query`` carries) alive.  Join-column sort
     indexes live in this executor's own
-    :class:`~repro.engine.kernels.KeyIndexCache`, so repeated cyclic-join
-    materializations never re-sort an unchanged column and every message
-    reads its key span off the same cached index (that cache keys on
+    :class:`~repro.engine.kernels.KeyIndexCache`, so repeated core
+    materializations never re-sort an unchanged column, and every message
+    and lookup reads its key span -- and a lookup its column's uniqueness --
+    off the same cached index (that cache keys on
     ``(table, column, data_version)``, which is why it is never shared
     across databases).
     """
@@ -164,6 +174,8 @@ class CardinalityExecutor:
         # table -> filtered row ids, for the duration of one
         # plan_cardinalities pass; None outside a pass.
         self._plan_rows: dict[str, np.ndarray] | None = None
+        # core joins -> the core's materialized row ids, for the same pass
+        self._plan_cores: dict[tuple, dict[str, np.ndarray]] | None = None
 
     def _sync_version(self) -> None:
         """Drop the memo when a table has mutated since it was filled."""
@@ -188,12 +200,7 @@ class CardinalityExecutor:
             raise ValueError(
                 f"query join graph is disconnected (cross join unsupported): {query}"
             )
-        if query.n_tables == 1:
-            result = int(self._filtered(query, query.tables[0]).size)
-        elif _join_graph_is_tree(query):
-            result = self._tree_count(query)
-        else:
-            result = self._materialized_count(query)
+        result = self._count(query)
         self._cache.put(key, result)
         return result
 
@@ -204,20 +211,22 @@ class CardinalityExecutor:
         once (through :meth:`cardinality`, so the memo still answers
         repeated sub-queries), and each base table's filter runs once -- a
         node's sub-query keeps all of the plan query's predicates on its
-        tables, so within the pass a table names its row set.  The
-        sub-queries are built by ``Query.restrict``, outside the plan
-        query's ``subquery`` memo, so none outlives the pass.
+        tables, so within the pass a table names its row set, and a cyclic
+        core's joins name its materialization (built once, shared by every
+        node whose core it is).  The sub-queries are built by
+        ``Query.restrict``, outside the plan query's ``subquery`` memo, so
+        none outlives the pass.
         """
         self._sync_version()
         query = plan.query
-        self._plan_rows = {}
+        self._plan_rows, self._plan_cores = {}, {}
         try:
             return {
                 node: self.cardinality(query.restrict(node.tables))
                 for node in reversed(tuple(plan.walk()))
             }
         finally:
-            self._plan_rows = None
+            self._plan_rows = self._plan_cores = None
 
     def _filtered(self, query: Query, table: str) -> np.ndarray:
         """``_filtered_indices``, shared within a plan pass."""
@@ -238,17 +247,24 @@ class CardinalityExecutor:
         """Memo stats in the shape every cache reports."""
         return self._cache.stats()
 
-    # -- acyclic: message passing --------------------------------------------------
+    # -- the one counter: peel, then the core --------------------------------------
 
-    def _tree_count(self, query: Query) -> int:
+    def _count(self, query: Query) -> int:
+        """Exact COUNT(*) of a connected query by its compiled recipe.
+
+        Each peel step sends ``groupby(join key) -> sum(weight)`` from a
+        table with one join left into its neighbour, whose rows multiply it
+        into their weights.  A tree ends on one table, whose weight sum is
+        the count.  A cyclic core is materialized (once per plan pass) and
+        counts the sum over its rows of the product of its tables' weights.
+        """
+        peel, core, core_joins = join_graph(query).recipe
         rows = {t: self._filtered(query, t) for t in query.tables}
         # Unit weights are implicit: a table that has received no message
         # carries None, and its first message *is* its weight vector.
         weights: dict[str, np.ndarray | None] = dict.fromkeys(query.tables)
-
-        # The compiled post-order schedule: children before parents.
         full = self.key_index.full
-        for table, parent, my_col, parent_col in join_graph(query).schedule:
+        for table, parent, my_col, parent_col in peel:
             child_tbl, parent_tbl = self.db.table(table), self.db.table(parent)
             span = direct_span(full(child_tbl, my_col), full(parent_tbl, parent_col))
             keys = child_tbl.values(my_col)[rows[table]]
@@ -259,86 +275,125 @@ class CardinalityExecutor:
             weights[parent] = (
                 message if held is None else _weight_product(held, message)
             )
-        # A join query's root has at least one neighbor, hence a message.
-        return _weight_total(weights[query.tables[0]])
+        if not core_joins:
+            held = weights[core[0]]
+            return int(rows[core[0]].size) if held is None else _weight_total(held)
 
-    # -- cyclic: guarded materialization ---------------------------------------------
+        # Within a plan pass a table names its rows, so the core's joins
+        # name its materialization.
+        memo = self._plan_cores
+        inter = None if memo is None else memo.get(core_joins)
+        if inter is None:
+            inter = self._materialize(query, core, core_joins, rows)
+            if memo is not None:
+                memo[core_joins] = inter
+        product = None
+        for table in core:
+            held = weights[table]
+            if held is None:
+                continue
+            n_rows = self.db.table(table).n_rows
+            gathered = _row_weights(held, rows[table], n_rows)[inter[table]]
+            product = gathered if product is None else _weight_product(product, gathered)
+        if product is None:
+            return int(inter[core[0]].shape[0])
+        return _weight_total(product)
 
-    def _materialized_count(self, query: Query) -> int:
-        # Greedy table order: start at the smallest filtered table, then
-        # repeatedly join in the frontier neighbor with the smallest build
-        # side.  (Declaration order used to decide ties among frontier
-        # edges, which could force a huge table in before a tiny one and
-        # trip the intermediate guard on queries a better order completes.)
-        # A tie on size goes to the first table by name, so the join order
-        # never depends on the process's string-hash seed.
-        rows = {t: self._filtered(query, t) for t in query.tables}
-        remaining = set(query.tables)
-        start = min(query.tables, key=lambda t: (rows[t].size, t))
+    def _materialize(
+        self, query: Query, core: tuple, joins: tuple, rows: dict[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """Guarded greedy join of the core's tables.
+
+        A join into a column unique over its whole table is a lookup (no
+        expansion); the start table reaches the most tables by lookups, then
+        is the smallest filtered table, then the first by name, so the order
+        never depends on the process's string-hash seed.  Each step takes the
+        frontier join that is a lookup, else has the smallest build side
+        (the first in join order on a tie), and every join that becomes
+        internal is applied as a filter.
+        """
+        db, full = self.db, self.key_index.full
+        unique = {}
+        reach: dict[str, list[str]] = {}
+        for j in joins:
+            for ref, other in ((j.left, j.right), (j.right, j.left)):
+                tbl = db.table(ref.table)
+                unique[ref] = full(tbl, ref.column).uniq.shape[0] == tbl.n_rows
+                if unique[ref]:
+                    reach.setdefault(other.table, []).append(ref.table)
+
+        def lookups(table: str) -> int:
+            seen, frontier = {table}, [table]
+            while frontier:
+                for nxt in reach.get(frontier.pop(), ()):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            return len(seen)
+
+        def build_side(join):
+            return join.right if join.left.table in inter else join.left
+
+        start = min(core, key=lambda t: (-lookups(t), rows[t].size, t))
         inter: dict[str, np.ndarray] = {start: rows[start]}
-        remaining.discard(start)
-        done_edges: set[int] = set()
-
-        def _build_table(join) -> str:
-            return join.right.table if join.left.table in inter else join.left.table
-
-        while remaining:
+        pending = list(joins)
+        while pending:
             candidates = [
-                (i, j)
-                for i, j in enumerate(query.joins)
-                if i not in done_edges
-                and (
-                    (j.left.table in inter) != (j.right.table in inter)
-                )
+                j for j in pending if (j.left.table in inter) != (j.right.table in inter)
             ]
             if not candidates:
-                raise AssertionError("connected query ran out of join edges")
-            edge_i, edge = min(candidates, key=lambda c: rows[_build_table(c[1])].size)
-            if edge.left.table in inter:
-                old_ref, new_ref = edge.left, edge.right
-            else:
-                old_ref, new_ref = edge.right, edge.left
-            new_table = new_ref.table
-
-            build_rows = rows[new_table]
-            index = self.key_index.restricted(
-                self.db.table(new_table), new_ref.column, build_rows
+                raise AssertionError("connected core ran out of join edges")
+            edge = min(
+                candidates,
+                key=lambda j: (not unique[build_side(j)], rows[build_side(j).table].size),
             )
-            probe_keys = self.db.table(old_ref.table).values(old_ref.column)[
-                inter[old_ref.table]
-            ]
-            probe_pos, counts = match_counts(index, probe_keys)
-            total = int(counts.sum())
-            if total > self.max_intermediate_rows:
-                raise IntermediateTooLarge(
-                    f"intermediate of {total} rows exceeds guard "
-                    f"({self.max_intermediate_rows}) for query {query}"
+            new_ref = build_side(edge)
+            old_ref = edge.left if new_ref is edge.right else edge.right
+            new_table = new_ref.table
+            build_tbl, probe_tbl = db.table(new_table), db.table(old_ref.table)
+            probe_keys = probe_tbl.values(old_ref.column)[inter[old_ref.table]]
+            build_rows = rows[new_table]
+            if unique[new_ref]:
+                index = full(build_tbl, new_ref.column)
+                span = direct_span(index, full(probe_tbl, old_ref.column))
+                found = unique_lookup(
+                    index, span, build_tbl.values(new_ref.column), build_rows, probe_keys
                 )
-            # Expand: repeat each intermediate row by its match count and
-            # gather the matching new-table row indices.
-            left_repeat = np.repeat(np.arange(probe_keys.shape[0]), counts)
-            gather = expand_matches(index, probe_pos, counts)
-            inter = {t: idx[left_repeat] for t, idx in inter.items()}
-            inter[new_table] = build_rows[gather]
-            remaining.discard(new_table)
-            done_edges.add(edge_i)
-
-            # Apply any cycle-closing edges now internal to the intermediate.
-            for i, j in enumerate(query.joins):
-                if i in done_edges:
-                    continue
-                if j.left.table in inter and j.right.table in inter:
-                    lv = self.db.table(j.left.table).values(j.left.column)[
-                        inter[j.left.table]
-                    ]
-                    rv = self.db.table(j.right.table).values(j.right.column)[
-                        inter[j.right.table]
-                    ]
-                    keep = lv == rv
+                keep = found >= 0
+                total = int(np.count_nonzero(keep))
+                self._guard(total, query)
+                if total < found.shape[0]:
                     inter = {t: idx[keep] for t, idx in inter.items()}
-                    done_edges.add(i)
-        first = next(iter(inter.values()))
-        return int(first.shape[0])
+                    found = found[keep]
+                inter[new_table] = found
+            else:
+                index = self.key_index.restricted(build_tbl, new_ref.column, build_rows)
+                probe_pos, counts = match_counts(index, probe_keys)
+                total = int(counts.sum())
+                self._guard(total, query)
+                # Expand: repeat each intermediate row by its match count and
+                # gather the matching new-table row indices.
+                left_repeat = np.repeat(np.arange(probe_keys.shape[0]), counts)
+                gather = expand_matches(index, probe_pos, counts)
+                inter = {t: idx[left_repeat] for t, idx in inter.items()}
+                inter[new_table] = build_rows[gather]
+            pending.remove(edge)
+
+            # Apply every join now internal to the intermediate.
+            for j in [j for j in pending if j.left.table in inter and j.right.table in inter]:
+                lv = db.table(j.left.table).values(j.left.column)[inter[j.left.table]]
+                rv = db.table(j.right.table).values(j.right.column)[inter[j.right.table]]
+                keep = lv == rv
+                inter = {t: idx[keep] for t, idx in inter.items()}
+                pending.remove(j)
+        return inter
+
+    def _guard(self, total: int, query: Query) -> None:
+        if total > self.max_intermediate_rows:
+            raise IntermediateTooLarge(
+                f"intermediate of {total} rows exceeds guard "
+                f"({self.max_intermediate_rows}) for query {query}"
+            )
 
 
 def execute_cardinality(db: Database, query: Query) -> int:

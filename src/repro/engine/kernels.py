@@ -1,8 +1,8 @@
 """Shared columnar join/filter kernels and the key-index cache.
 
 Before this module existed, every consumer of the columnar store hand-rolled
-its own ``argsort`` + ``searchsorted`` + offset-expansion join:
-``CardinalityExecutor._materialized_count``, the oracle's
+its own ``argsort`` + ``searchsorted`` + offset-expansion join: the
+executor's cyclic-join materializer, the oracle's
 :class:`~repro.oracle.planexec.PlanInterpreter` and the tree-count message
 pass each carried a subtly different copy, and each paid the ``argsort`` /
 ``np.unique`` of the build side's key column *once per join per plan* --
@@ -14,10 +14,14 @@ This module is the single implementation all of them now share:
   (unique keys, group extents, the permutation sorting positions by key);
 - :func:`match_counts` / :func:`expand_matches` -- the ``np.searchsorted``
   semi-join and the vectorized probe-order match expansion, i.e. one
-  sort-merge/expand join kernel used by the materializer and the plan
-  interpreter alike;
+  sort-merge/expand join kernel used by the exact counter's cyclic core and
+  the plan interpreter alike;
+- :func:`unique_lookup` -- the join into a column unique over its whole
+  table: one build row per probe, never an expansion; a direct-address
+  row-of-key table where :func:`direct_span` bounds the keys, else a
+  ``searchsorted`` on the cached full-column index;
 - :func:`grouped_sums` / :func:`lookup_sums` -- the group-by-sum and
-  semi-join lookup primitives of the tree-count message pass, integer-exact
+  semi-join lookup primitives of the counter's message pass, integer-exact
   past the int64/float64 limits, direct-address tables where
   :func:`direct_span` bounds the keys;
 - :func:`compile_predicates` -- predicate conjunctions compiled once into a
@@ -53,6 +57,7 @@ __all__ = [
     "direct_span",
     "grouped_sums",
     "lookup_sums",
+    "unique_lookup",
     "compile_predicates",
     "is_strictly_increasing",
 ]
@@ -175,6 +180,12 @@ def direct_span(*columns: GroupIndex) -> int | None:
     return span
 
 
+def _within_cut(span: int | None, n: int) -> bool:
+    """True when a direct-address table of ``span`` slots pays for ``n``
+    keys (the slots-per-key cut; ``None`` is no span)."""
+    return span is not None and span <= _DIRECT_SLOTS_PER_KEY * n + _DIRECT_SLOTS_FLOOR
+
+
 def grouped_sums(
     keys: np.ndarray, weights: np.ndarray | None, span: int | None
 ) -> tuple[np.ndarray | None, np.ndarray]:
@@ -201,7 +212,7 @@ def grouped_sums(
     n = keys.shape[0]
     if n == 0:
         return keys, _EMPTY_I64 if weights is None else weights
-    if span is not None and span <= _DIRECT_SLOTS_PER_KEY * n + _DIRECT_SLOTS_FLOOR:
+    if _within_cut(span, n):
         if weights is None:
             return None, np.bincount(keys, minlength=span)
         if (
@@ -237,6 +248,42 @@ def lookup_sums(
         return np.zeros(keys.shape[0], dtype=sums.dtype if sums.size else np.int64)
     pos = np.minimum(np.searchsorted(uniq, keys), uniq.shape[0] - 1)
     return np.where(uniq[pos] == keys, sums[pos], 0)
+
+
+def unique_lookup(
+    full: GroupIndex,
+    span: int | None,
+    values: np.ndarray,
+    rows: np.ndarray,
+    probe_keys: np.ndarray,
+) -> np.ndarray:
+    """Join into a column unique over its whole table: the build row of each
+    probe key, or -1 when the key is absent or its row is filtered out.
+
+    ``full`` is the column's full-column index (``uniq.size`` equals the
+    row count, so ``perm[i]`` is the one row holding ``uniq[i]``),
+    ``values`` the whole column and ``rows`` the build side's strictly
+    increasing filtered row ids.  No probe matches more than one row, so
+    nothing expands.  Within the slots-per-key cut of a :func:`direct_span`
+    covering both join columns this is a direct-address row-of-key table
+    over the filtered rows, read back by ``table[probe_keys]``; otherwise a
+    ``searchsorted`` on the full index, with the filter applied as a row
+    mask.
+    """
+    if _within_cut(span, rows.shape[0]):
+        table = np.full(span, -1, dtype=np.int64)
+        table[values[rows]] = rows
+        return table[probe_keys]
+    if full.uniq.size == 0:
+        return np.full(probe_keys.shape[0], -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(full.uniq, probe_keys), full.uniq.shape[0] - 1)
+    hit = full.uniq[pos] == probe_keys
+    found = full.perm[pos]
+    if rows.shape[0] != values.shape[0]:
+        kept = np.zeros(values.shape[0], dtype=bool)
+        kept[rows] = True
+        hit &= kept[found]
+    return np.where(hit, found, -1)
 
 
 # -- compiled predicate evaluators -------------------------------------------------

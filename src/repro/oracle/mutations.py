@@ -6,7 +6,7 @@ class -- including the exact bugs the satellite fixes removed (float64
 count accumulation, missing equality domain check, degenerate-bucket
 endpoint counting, the ``to_range`` epsilon hack) -- plus representative
 breakages of every other layer the oracle guards: executor lookups, the
-cyclic-join materializer, predicate evaluation, estimator sanity and the
+exact counter's cyclic core, predicate evaluation, estimator sanity and the
 canonicalization/versioning contracts.
 
 ``benchmarks/bench_p5_oracle.py`` applies each mutation in isolation,
@@ -26,6 +26,7 @@ from repro.cardest.base import BaseCardinalityEstimator
 from repro.cardest.bounds import BoundSketchEstimator
 from repro.optimizer.statistics import ColumnStats
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
+from repro.sql.joingraph import join_graph
 from repro.sql.query import Join, Op, Predicate, Query
 
 __all__ = ["MUTATIONS", "mutation_names", "apply_mutation"]
@@ -94,18 +95,19 @@ def lookup_missing_counts_one():
 
 @contextmanager
 def materializer_drops_cycle_edge():
-    """The cyclic materializer forgets the cycle-closing join filter."""
+    """The exact counter forgets a cycle-closing join: a query with a
+    cycle is counted with its last join dropped, when that leaves it
+    connected."""
 
     def mutated(self, query):
-        pruned = Query(query.tables, query.joins[:-1], query.predicates)
-        if executor_mod._join_graph_is_tree(pruned):
-            return type(self)._tree_count(self, pruned)
-        return original(self, pruned)
+        if len(query.joins) >= query.n_tables:
+            pruned = Query(query.tables, query.joins[:-1], query.predicates)
+            if join_graph(pruned).connected:
+                return original(self, pruned)
+        return original(self, query)
 
-    original = executor_mod.CardinalityExecutor._materialized_count
-    with _patched(
-        executor_mod.CardinalityExecutor, "_materialized_count", mutated
-    ):
+    original = executor_mod.CardinalityExecutor._count
+    with _patched(executor_mod.CardinalityExecutor, "_count", mutated):
         yield
 
 

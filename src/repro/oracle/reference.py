@@ -68,7 +68,7 @@ def _is_tree(query: Query) -> bool:
     return len(pairs) == len(query.tables) - 1
 
 
-def _tree_count(
+def _message_pass_count(
     db: Database, query: Query, rows: dict[str, list[int]]
 ) -> int:
     """Dict-based message passing; weights are exact Python ints."""
@@ -107,7 +107,7 @@ def _tree_count(
     return sum(weights[root])
 
 
-def _materialized_count(
+def _hash_join_count(
     db: Database, query: Query, rows: dict[str, list[int]], max_rows: int
 ) -> int:
     """Dict-based hash-join materialization for cyclic join graphs."""
@@ -175,5 +175,5 @@ def reference_count(
     if query.n_tables == 1:
         return len(rows[query.tables[0]])
     if _is_tree(query):
-        return _tree_count(db, query, rows)
-    return _materialized_count(db, query, rows, max_rows)
+        return _message_pass_count(db, query, rows)
+    return _hash_join_count(db, query, rows, max_rows)

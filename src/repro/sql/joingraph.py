@@ -12,7 +12,7 @@ capacity that every caller reads through :func:`join_graph`.
 A graph works on table bitmasks (bit ``i`` is ``tables[i]``) and hands out
 the frozensets the DP tables key by.  Each view is built the first time it
 is read: a shape only counted never enumerates its subsets, and a shape
-only planned never builds a message schedule.
+only planned never builds a counting recipe.
 
 This is the one subset and partition enumeration under ``src/`` (census
 rule (k)); the oracle's ``contracts._connected_subqueries`` keeps its own,
@@ -49,7 +49,7 @@ class JoinGraph:
     ``combinations`` over the rest.  ``conditions`` are the joins that
     cross the split, in ``joins`` order -- what
     ``planner._join_conditions_between`` returns for any query with these
-    joins.  ``schedule`` is the exact counter's recipe for the whole graph.
+    joins.  ``recipe`` is the exact counter's recipe for the whole graph.
     """
 
     def __init__(self, tables: tuple[str, ...], joins: tuple[Join, ...]) -> None:
@@ -148,32 +148,72 @@ class JoinGraph:
         return shape
 
     @cached_property
-    def schedule(self) -> tuple[tuple[str, str, str, str], ...] | None:
-        """Message-passing order ``(table, parent, table's column, parent's
-        column)``, children before parents, towards ``tables[0]``; None when
-        message passing cannot count the graph -- a cycle, a parallel edge
-        between one table pair (one key per edge cannot express it) or a
-        disconnected graph.  A connected graph on n tables is a tree exactly
-        when it has n - 1 joins: a parallel pair would leave it n - 2 distinct
-        edges, too few to connect it."""
-        if not (self.connected and len(self.joins) == len(self.tables) - 1):
+    def recipe(
+        self,
+    ) -> tuple[tuple[tuple[str, str, str, str], ...], tuple[str, ...], tuple[Join, ...]] | None:
+        """The exact counter's recipe ``(peel, core, core_joins)``; None for a
+        disconnected graph.
+
+        ``peel`` are message steps ``(table, neighbour, table's column,
+        neighbour's column)``: each table, when its step runs, has exactly
+        one join left, to ``neighbour``, and leaves the graph with it.  What
+        remains is the ``core``, in ``tables`` order, with ``core_joins``, in
+        ``joins`` order: the 2-core, where every table keeps at least two
+        joins -- a cycle, or a parallel edge between two tables (one key per
+        message cannot express a pair of them).  A tree has an empty 2-core,
+        and its core is ``tables[0]`` with no joins: then ``peel`` is the
+        post-order message schedule towards ``tables[0]``, children before
+        parents, in the order a depth-first walk over ``joins`` meets them.
+        Otherwise each core table roots the pendant trees hanging off it, in
+        ``tables`` order."""
+        if not self.connected:
             return None
+        n = len(self.tables)
+        degree = [0] * n
+        incident: list[list[int]] = [[] for _ in range(n)]
+        for a, b in self._ends:
+            i, j = a.bit_length() - 1, b.bit_length() - 1
+            degree[i] += 1
+            degree[j] += 1
+            incident[i].append(j)
+            incident[j].append(i)
+        stripped = [False] * n
+        pending = [i for i in range(n) if degree[i] <= 1]
+        while pending:
+            i = pending.pop()
+            if stripped[i]:
+                continue
+            stripped[i] = True
+            for j in incident[i]:
+                if not stripped[j]:
+                    degree[j] -= 1
+                    if degree[j] <= 1:
+                        pending.append(j)
+        core = tuple(t for t, gone in zip(self.tables, stripped) if not gone)
+        if not core:
+            core = self.tables[:1]
         adj: dict[str, list[tuple[str, str, str]]] = {t: [] for t in self.tables}
         for j in self.joins:
             adj[j.left.table].append((j.right.table, j.left.column, j.right.column))
             adj[j.right.table].append((j.left.table, j.right.column, j.left.column))
-        root = self.tables[0]
-        order = []
-        stack = [(root, "", "", "")]
-        visited = {root}
-        while stack:
-            entry = stack.pop()
-            order.append(entry)
-            for neighbor, my_col, their_col in adj[entry[0]]:
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    stack.append((neighbor, entry[0], their_col, my_col))
-        return tuple(reversed(order[1:]))
+        inside = set(core)
+        core_joins = tuple(
+            j for j in self.joins if j.left.table in inside and j.right.table in inside
+        )
+        visited = set(inside)
+        peel: list[tuple[str, str, str, str]] = []
+        for root in core:
+            order = []
+            stack = [(root, "", "", "")]
+            while stack:
+                entry = stack.pop()
+                order.append(entry)
+                for neighbor, my_col, their_col in adj[entry[0]]:
+                    if neighbor not in visited:
+                        visited.add(neighbor)
+                        stack.append((neighbor, entry[0], their_col, my_col))
+            peel.extend(reversed(order[1:]))
+        return tuple(peel), core, core_joins
 
 
 #: one cache for the process: a graph is a function of its key alone, so

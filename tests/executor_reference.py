@@ -17,16 +17,25 @@ return equal ``node_cards`` and bit-equal ``node_costs`` / ``latency_ms``;
 ``benchmarks/bench_p6_fastpath.py`` uses :func:`reference_execute` as the
 baseline.  Do not optimise this file.
 
+The counters are copies too, independent of the live one: ``_tree_count``
+is the message pass of that time (its own adjacency build and depth-first
+walk per call, explicit unit weights), ``_materialized_count`` the guarded
+greedy hash join of every cyclic graph (the whole query materialized,
+smallest filtered table first, no lookups, no peeling), and
+``_join_graph_is_tree`` picks between them.
+
 The oracle's seeded mutations patch names in ``repro.engine.executor``
 (``_filtered_indices``, ``_group_sum``, ``_lookup``, ``_weight_product``,
-``_weight_total``, ``CardinalityExecutor._materialized_count``).  The
-reference dispatches through the same names, looked up on the module at
-call time; the two kernels kept below stand in for ``_group_sum`` and
-``_lookup`` only while those names still hold the functions they held when
-this module was imported -- once a mutation replaces one, the replacement
-is called, exactly as the live executor would.  The cyclic materializer is
-not copied: a reference instance runs the live one, which outside a plan
-pass evaluates its own filters as it always did.
+``_weight_total``, ``CardinalityExecutor._count``).  The reference
+dispatches through the same names, looked up on the module at call time;
+the two kernels kept below stand in for ``_group_sum`` and ``_lookup``
+only while those names still hold the functions they held when this
+module was imported -- once a mutation replaces one, the replacement is
+called, exactly as the live executor would.  The kept materializer calls
+none of the counter's patch points, so while a mutation is installed on
+one of them (or on ``_count`` itself) a cyclic query is counted by the live
+counter, mutation and all; ``_filtered_indices`` and
+``Predicate.evaluate`` mutations reach the copy directly.
 """
 
 from __future__ import annotations
@@ -36,8 +45,13 @@ import hashlib
 import numpy as np
 
 import repro.engine.executor as live
-from repro.engine.executor import CardinalityExecutor
-from repro.engine.kernels import _INT64_PROMOTE_LIMIT, GroupIndex
+from repro.engine.executor import CardinalityExecutor, IntermediateTooLarge
+from repro.engine.kernels import (
+    _INT64_PROMOTE_LIMIT,
+    GroupIndex,
+    expand_matches,
+    match_counts,
+)
 from repro.engine.plans import JoinNode, Plan, PlanNode, ScanNode
 from repro.engine.simulator import ExecutionResult, ExecutionSimulator, SimulatorConfig
 from repro.sql.query import Query
@@ -95,6 +109,28 @@ def _patch_point(name: str):
     return _KEPT[name] if fn is _PRISTINE[name] else fn
 
 
+#: the live counter's patch points the kept materializer dispatches through
+#: none of (it sends no message and multiplies no weight)
+_COUNTER_POINTS = ("_group_sum", "_lookup", "_weight_product", "_weight_total")
+_PRISTINE_COUNTER = {name: getattr(live, name) for name in _COUNTER_POINTS}
+_PRISTINE_COUNT = CardinalityExecutor._count
+
+
+def _counter_mutated() -> bool:
+    """True while a mutation is installed on the live counter or one of the
+    kernels it dispatches through."""
+    return CardinalityExecutor._count is not _PRISTINE_COUNT or any(
+        getattr(live, name) is not fn for name, fn in _PRISTINE_COUNTER.items()
+    )
+
+
+def _join_graph_is_tree(query: Query) -> bool:
+    """Connected + exactly n-1 edges over distinct table pairs (no cycles,
+    and no parallel edges between a table pair, which message passing on a
+    single key per edge cannot express)."""
+    return query.is_connected() and len(query.joins) == query.n_tables - 1
+
+
 class ReferenceCardinalityExecutor(CardinalityExecutor):
     """The exact executor, one sub-query at a time."""
 
@@ -112,8 +148,10 @@ class ReferenceCardinalityExecutor(CardinalityExecutor):
             )
         if query.n_tables == 1:
             result = int(live._filtered_indices(self.db, query, query.tables[0]).size)
-        elif live._join_graph_is_tree(query):
+        elif _join_graph_is_tree(query):
             result = self._tree_count(query)
+        elif _counter_mutated():
+            result = CardinalityExecutor._count(self, query)
         else:
             result = self._materialized_count(query)
         self._cache.put(query, result)
@@ -156,6 +194,78 @@ class ReferenceCardinalityExecutor(CardinalityExecutor):
                 weights[parent], lookup(uniq, sums, parent_keys)
             )
         return live._weight_total(weights[root])
+
+    def _materialized_count(self, query: Query) -> int:
+        # Greedy table order: start at the smallest filtered table, then
+        # repeatedly join in the frontier neighbor with the smallest build
+        # side.  A tie on size goes to the first table by name.
+        rows = {t: live._filtered_indices(self.db, query, t) for t in query.tables}
+        remaining = set(query.tables)
+        start = min(query.tables, key=lambda t: (rows[t].size, t))
+        inter: dict[str, np.ndarray] = {start: rows[start]}
+        remaining.discard(start)
+        done_edges: set[int] = set()
+
+        def _build_table(join) -> str:
+            return join.right.table if join.left.table in inter else join.left.table
+
+        while remaining:
+            candidates = [
+                (i, j)
+                for i, j in enumerate(query.joins)
+                if i not in done_edges
+                and (
+                    (j.left.table in inter) != (j.right.table in inter)
+                )
+            ]
+            if not candidates:
+                raise AssertionError("connected query ran out of join edges")
+            edge_i, edge = min(candidates, key=lambda c: rows[_build_table(c[1])].size)
+            if edge.left.table in inter:
+                old_ref, new_ref = edge.left, edge.right
+            else:
+                old_ref, new_ref = edge.right, edge.left
+            new_table = new_ref.table
+
+            build_rows = rows[new_table]
+            index = self.key_index.restricted(
+                self.db.table(new_table), new_ref.column, build_rows
+            )
+            probe_keys = self.db.table(old_ref.table).values(old_ref.column)[
+                inter[old_ref.table]
+            ]
+            probe_pos, counts = match_counts(index, probe_keys)
+            total = int(counts.sum())
+            if total > self.max_intermediate_rows:
+                raise IntermediateTooLarge(
+                    f"intermediate of {total} rows exceeds guard "
+                    f"({self.max_intermediate_rows}) for query {query}"
+                )
+            # Expand: repeat each intermediate row by its match count and
+            # gather the matching new-table row indices.
+            left_repeat = np.repeat(np.arange(probe_keys.shape[0]), counts)
+            gather = expand_matches(index, probe_pos, counts)
+            inter = {t: idx[left_repeat] for t, idx in inter.items()}
+            inter[new_table] = build_rows[gather]
+            remaining.discard(new_table)
+            done_edges.add(edge_i)
+
+            # Apply any cycle-closing edges now internal to the intermediate.
+            for i, j in enumerate(query.joins):
+                if i in done_edges:
+                    continue
+                if j.left.table in inter and j.right.table in inter:
+                    lv = self.db.table(j.left.table).values(j.left.column)[
+                        inter[j.left.table]
+                    ]
+                    rv = self.db.table(j.right.table).values(j.right.column)[
+                        inter[j.right.table]
+                    ]
+                    keep = lv == rv
+                    inter = {t: idx[keep] for t, idx in inter.items()}
+                    done_edges.add(i)
+        first = next(iter(inter.values()))
+        return int(first.shape[0])
 
 
 def reference_simulator(

@@ -59,7 +59,12 @@ it names:
     literal (a loop over sizes enumerates subsets or partitions) or walks
     ``join_adjacency()``.  The DP, LEON's top-k DP, the sub-query list and
     the exact counter read the compiled ``JoinGraph``; ``ENUMERATORS``
-    names the one exemption and its reason.
+    names the one exemption and its reason;
+(l) there is one exact counter: no file under ``src/`` defines
+    ``_tree_count``, ``_materialized_count`` or ``_join_graph_is_tree``.
+    ``CardinalityExecutor._count`` runs every join graph's recipe (peel,
+    then the core); the two strategies it replaced keep their copies in
+    ``tests/executor_reference.py``.
 
 A failure names the file and the symbol.  The fix is to delete the code (or
 the export), not to grow the allow-list: that list is the backlog of
@@ -694,6 +699,33 @@ def test_one_subset_enumeration():
     assert all(path.is_file() for path in ENUMERATORS), "a stale ENUMERATORS entry"
 
 
+# -- (l) one exact counter ---------------------------------------------------------------
+
+#: the counting strategies and the dispatch the one counter replaced
+REPLACED_COUNTERS = ("_tree_count", "_materialized_count", "_join_graph_is_tree")
+
+
+def second_counter_violations(sources: Sources) -> list[str]:
+    """Every function or method under ``src/`` named after a replaced
+    counting strategy, one line each."""
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno} defines {node.name}"
+        for path in _files("src")
+        for node in ast.walk(sources.parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in REPLACED_COUNTERS
+    ]
+
+
+def test_one_exact_counter():
+    found = second_counter_violations(Sources())
+    assert not found, (
+        f"{found} -- every count runs its join graph's recipe in "
+        "CardinalityExecutor._count: peel the tables with one join left, then "
+        "count the core (engine/executor.py)"
+    )
+
+
 def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simulator):
     """One instance of each record (g) slots: it has no ``__dict__`` and
     still pickles, deep-copies, ``replace``-s and compares by value."""
@@ -1016,4 +1048,31 @@ def test_seeded_read_of_unforced_members_is_caught(relative, old, new, caught):
 def test_seeded_second_subset_enumeration_is_caught(relative, old, new, caught):
     sources = _patched(relative, old, new)
     found = [re.sub(r":\d+ ", " ", f) for f in subset_enumeration_violations(sources)]
+    assert found == caught
+
+
+@pytest.mark.parametrize(
+    "relative, old, new, caught",
+    [
+        (  # the tree strategy back beside the one counter
+            "engine/executor.py",
+            "    def _materialize(\n",
+            "    def _tree_count(self, query):\n"
+            "        return self._count(query)\n\n"
+            "    def _materialize(\n",
+            ["src/repro/engine/executor.py defines _tree_count"],
+        ),
+        (  # a second dispatch on the graph's shape
+            "sql/joingraph.py",
+            "def join_graph(query: Query) -> JoinGraph:\n",
+            "def _join_graph_is_tree(query: Query) -> bool:\n"
+            "    return len(query.joins) == query.n_tables - 1\n\n\n"
+            "def join_graph(query: Query) -> JoinGraph:\n",
+            ["src/repro/sql/joingraph.py defines _join_graph_is_tree"],
+        ),
+    ],
+)
+def test_seeded_second_counter_is_caught(relative, old, new, caught):
+    sources = _patched(relative, old, new)
+    found = [re.sub(r":\d+ ", " ", f) for f in second_counter_violations(sources)]
     assert found == caught

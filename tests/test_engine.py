@@ -250,9 +250,12 @@ class TestMaterializedCount:
         assert execute_cardinality(tiny_db, q) == 0
 
     def test_agrees_with_tree_count_on_acyclic(self, tiny_db):
-        # Force an acyclic query down the materialization path: both
-        # strategies must produce the same count as brute force.
-        ex = CardinalityExecutor(tiny_db)
+        # Force an acyclic query down the kept materialization path: the
+        # live counter and both kept strategies must produce the same count
+        # as brute force.
+        from tests.executor_reference import ReferenceCardinalityExecutor
+
+        ex = ReferenceCardinalityExecutor(tiny_db)
         q = Query(
             ("comments", "posts", "users"),
             (
@@ -262,6 +265,7 @@ class TestMaterializedCount:
             (Predicate(ColumnRef("posts", "score"), Op.LE, 2.0),),
         )
         expected = brute_force_count(tiny_db, q)
+        assert CardinalityExecutor(tiny_db).cardinality(q) == expected
         assert ex._tree_count(q) == expected
         assert ex._materialized_count(q) == expected
 
@@ -430,13 +434,16 @@ class TestEdgeOrderRegression:
             ex.cardinality(triangle)
 
 
-#: counts a 4-cycle whose two smallest tables tie on size and prints the
-#: count with every ``KeyIndexCache.restricted`` call, in order
+#: counts a 4-cycle whose tables all reach one other table by lookups and
+#: whose two smallest tie on size, and prints the count, the reference
+#: count and every ``KeyIndexCache.restricted`` call (an expanding join's
+#: build side), in order
 _START_TABLE_PROBE = """
 import json
 import numpy as np
 from repro.engine import CardinalityExecutor
 from repro.engine.kernels import KeyIndexCache
+from repro.oracle import reference_count
 from repro.sql import ColumnRef, Join, Query
 from repro.storage import Column, Database, JoinEdge, Table
 
@@ -444,7 +451,7 @@ sizes = {"north": 6, "east": 6, "south": 9, "west": 12}
 ring = ["north", "east", "south", "west"]
 db = Database(
     "ring",
-    [Table(t, [Column("k", np.arange(n) % 5), Column("j", np.arange(n) % 3)])
+    [Table(t, [Column("k", np.arange(n)), Column("j", np.arange(n) % 3)])
      for t, n in sizes.items()],
     [JoinEdge(a, "k" if i % 2 else "j", b, "k" if i % 2 else "j")
      for i, (a, b) in enumerate(zip(ring, ring[1:] + ring[:1]))],
@@ -459,7 +466,8 @@ def logged(self, table, column, rows):
     calls.append([table.name, column])
     return restricted(self, table, column, rows)
 KeyIndexCache.restricted = logged
-print(json.dumps([CardinalityExecutor(db).cardinality(query), calls]))
+count = CardinalityExecutor(db).cardinality(query)
+print(json.dumps([count, reference_count(db, query), calls]))
 """
 
 
@@ -467,8 +475,9 @@ def test_materializer_start_table_ignores_the_hash_seed():
     """Regression: the cyclic materializer took its start table as the
     smallest of a ``set``, so on a size tie the pick -- and with it the
     join order, the intermediate sizes and whether the row guard trips --
-    followed the process's string-hash seed.  A tie now goes to the first
-    table by name."""
+    followed the process's string-hash seed.  The start table now reaches
+    the most tables by lookups, then is the smallest, and a tie goes to the
+    first table by name."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -481,11 +490,13 @@ def test_materializer_start_table_ignores_the_hash_seed():
         )
         runs.add(proc.stdout)
     (out,) = runs
-    count, calls = json.loads(out)
-    # start at "east", the tie's first by name, and build "north", its
-    # smaller neighbour
-    assert calls[0] == ["north", "j"]
-    assert count > 0
+    count, expected, calls = json.loads(out)
+    # every table reaches one other by a lookup on its unique "k", so the
+    # start is "east", the size tie's first by name; it looks "south" up,
+    # expands into "north", its smaller frontier table, and looks "west" up
+    # (a start at "north" would expand into "east" first)
+    assert calls == [["north", "j"]]
+    assert count == expected > 0
 
 
 class TestPlans:

@@ -9,6 +9,8 @@ edges and disconnected components -- and holds each graph to:
 
 - brute-force subset enumeration, order included;
 - the DP's old partition double loop (``tests/planner_reference.py``);
+- the counting recipe: peel steps that each take a table's last join, down
+  to the brute-force 2-core (a tree's first table alone);
 - ``oracle.reference_count`` on every connected sub-query, counted by
   ``CardinalityExecutor.cardinality`` through the graph's recipes.
 """
@@ -16,6 +18,7 @@ edges and disconnected components -- and holds each graph to:
 from __future__ import annotations
 
 import pickle
+from itertools import combinations
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -95,6 +98,55 @@ def test_every_connected_subquery_counts_as_the_reference(db, seed):
         assert executor.cardinality(sub) == reference_count(db, sub), sub
 
 
+def _brute_force_core(query: Query) -> set[str]:
+    """The largest table set in which every table keeps at least two of the
+    joins among the set (the union of two such sets is one, so it is
+    unique): every subset tried."""
+    best: set[str] = set()
+    for size in range(2, query.n_tables + 1):
+        for subset in combinations(query.tables, size):
+            inside = set(subset)
+            degree = dict.fromkeys(subset, 0)
+            for j in query.joins:
+                if j.left.table in inside and j.right.table in inside:
+                    degree[j.left.table] += 1
+                    degree[j.right.table] += 1
+            if min(degree.values()) >= 2 and size > len(best):
+                best = inside
+    return best
+
+
+@given(schemas())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_recipe_peels_to_the_brute_force_core(db):
+    """Each peeled table has exactly one join left when its step runs, and
+    leaves with it; no core table is left with one join; the core is the
+    brute-force 2-core, and a tree's core is its first table alone."""
+    query = _graph_query(db)
+    if not join_graph(query).connected:
+        assert join_graph(query).recipe is None
+    for sub in query.connected_subqueries():
+        peel, core, core_joins = join_graph(sub).recipe
+        left = list(sub.joins)
+        for table, neighbour, column, neighbour_column in peel:
+            (join,) = [j for j in left if j.involves(table)]
+            assert {(join.left.table, join.left.column), (join.right.table, join.right.column)} == {
+                (table, column),
+                (neighbour, neighbour_column),
+            }
+            left.remove(join)
+        assert sorted([t for t, *_ in peel] + list(core)) == list(sub.tables)
+        assert tuple(left) == core_joins
+        if core_joins:
+            assert all(sum(j.involves(t) for j in core_joins) >= 2 for t in core)
+        expected = _brute_force_core(sub)
+        if expected:
+            assert set(core) == expected
+        else:  # a tree
+            assert len(sub.joins) == sub.n_tables - 1
+            assert core == sub.tables[:1] and core_joins == ()
+
+
 def test_a_planned_query_keeps_only_what_planning_needs():
     """The DP restricts the query to its connected subsets only -- 10 of
     the 15 table sets of a 4-chain -- and keys the cardinality cache by
@@ -120,4 +172,5 @@ def test_one_graph_per_shape_and_a_copy_finds_it():
     assert pickle.loads(pickle.dumps(query)).__dict__["_graph"] is join_graph(query)
     sub = query.restrict(query.tables[:3])
     assert join_graph(sub) is join_graph(Query(sub.tables, sub.joins))
-    assert join_graph(query).schedule is None  # a clique is counted by the materializer
+    peel, core, core_joins = join_graph(query).recipe
+    assert (peel, core, core_joins) == ((), query.tables, query.joins)  # a clique is all core

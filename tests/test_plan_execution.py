@@ -8,8 +8,9 @@ must be equal and costs / latencies bit-equal -- on generated and
 hand-built stats-lite plans, across a data drift, past 2**53, and with
 each of the oracle's executor-layer mutations installed (both paths then
 produce the same *wrong* answer: the patch points are still what the
-executor dispatches through, on the direct-address path too).  Nothing a
-pass builds per node -- sub-queries, their memos -- outlives it.
+executor dispatches through, on the direct-address path too).  A pass
+materializes each cyclic core once, and nothing it builds per node --
+sub-queries, their memos, core materializations -- outlives it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.sql import (
     Query,
     WorkloadGenerator,
 )
+from repro.sql.joingraph import join_graph
 from repro.sql.query import query_hash
 from repro.storage import make_stats_lite
 from tests.executor_reference import reference_execute, reference_simulator
@@ -205,6 +207,7 @@ def test_each_node_is_counted_once_and_filters_once_per_plan(db, plans, monkeypa
     assert len(asked) == plan.root.n_nodes
     assert sorted(filtered) == sorted(plan.query.tables), "one filter pass per base table"
     assert simulator.executor._plan_rows is None  # row sets do not outlive the pass
+    assert simulator.executor._plan_cores is None  # nor do core materializations
     # execute() adds only the index scans' fetched-rows probes
     del asked[:]
     ExecutionSimulator(db, executor=simulator.executor).execute(plan)
@@ -212,6 +215,30 @@ def test_each_node_is_counted_once_and_filters_once_per_plan(db, plans, monkeypa
         s.method is ScanMethod.INDEX and bool(s.predicates) for s in plan.scan_nodes()
     )
     assert len(asked) == plan.root.n_nodes + index_probes
+
+
+def test_each_cyclic_core_is_materialized_once_per_pass(db, plans, monkeypatch):
+    """Nodes that share a cyclic core -- the triangle and the triangle with
+    ``badges`` hanging off it -- share one materialization within a pass."""
+    built = []
+    materialize = CardinalityExecutor._materialize
+
+    def spy(self, query, core, joins, rows):
+        built.append(joins)
+        return materialize(self, query, core, joins, rows)
+
+    monkeypatch.setattr(CardinalityExecutor, "_materialize", spy)
+    shared = 0
+    for plan in plans:
+        cores = [
+            join_graph(plan.query.restrict(node.tables)).recipe[2] for node in plan.walk()
+        ]
+        cores = [c for c in cores if c]
+        del built[:]
+        CardinalityExecutor(db).plan_cardinalities(plan)
+        assert sorted(map(str, built)) == sorted(map(str, set(cores)))
+        shared += len(cores) - len(set(cores))
+    assert shared, "no plan has two nodes with one core: the memo is not exercised"
 
 
 def test_memo_and_row_sets_drop_with_data_version():
