@@ -41,9 +41,12 @@ unique column is a direct-address row-of-key table the same way.
 
 Executing a plan needs every node's count;
 :meth:`CardinalityExecutor.plan_cardinalities` produces them in one pass
-(one ``data_version`` check, one ``cardinality()`` per node, one filter
-evaluation per base table, one materialization per cyclic core).  The
-per-node loop it replaced, and the tree counter and whole-query
+(one ``data_version`` check, one ``cardinality()`` per join node, one
+filter evaluation per base table, one materialization per cyclic core).
+Join nodes go first; a scan is then the size of the row set they filtered
+for its table, and only a scan whose table no join node filtered -- a
+one-table plan, or every join node a memo hit -- asks ``cardinality()``.
+The per-node loop it replaced, and the tree counter and whole-query
 materializer this counter replaced, are kept in
 ``tests/executor_reference.py`` (DESIGN.md §7, "Exact executor").
 """
@@ -63,7 +66,7 @@ from repro.engine.kernels import (
     match_counts,
     unique_lookup,
 )
-from repro.engine.plans import Plan, PlanNode
+from repro.engine.plans import JoinNode, Plan, PlanNode
 from repro.sql.joingraph import join_graph
 from repro.sql.query import Query
 from repro.storage.catalog import Database
@@ -207,24 +210,39 @@ class CardinalityExecutor:
     def plan_cardinalities(self, plan: Plan) -> dict[PlanNode, int]:
         """Exact output cardinality of every node of ``plan``, children first.
 
-        One pass: ``data_version`` is checked once, each node is counted
-        once (through :meth:`cardinality`, so the memo still answers
-        repeated sub-queries), and each base table's filter runs once -- a
-        node's sub-query keeps all of the plan query's predicates on its
-        tables, so within the pass a table names its row set, and a cyclic
-        core's joins name its materialization (built once, shared by every
-        node whose core it is).  The sub-queries are built by
+        One pass: ``data_version`` is checked once and each base table's
+        filter runs at most once -- a node's sub-query keeps all of the plan
+        query's predicates on its tables, so within the pass a table names
+        its row set, and a cyclic core's joins name its materialization
+        (built once, shared by every node whose core it is).  Join nodes are
+        counted first, each once through :meth:`cardinality` (so the memo
+        still answers repeated sub-queries); a scan whose table they
+        filtered is then that row set's size, and any other scan -- a
+        one-table plan, or a table whose join nodes all hit the memo -- is
+        one more :meth:`cardinality` call.  The sub-queries are built by
         ``Query.restrict``, outside the plan query's ``subquery`` memo, so
         none outlives the pass.
         """
         self._sync_version()
         query = plan.query
-        self._plan_rows, self._plan_cores = {}, {}
+        nodes = tuple(plan.walk())[::-1]
+        rows: dict[str, np.ndarray] = {}
+        self._plan_rows, self._plan_cores = rows, {}
         try:
-            return {
+            joins = {
                 node: self.cardinality(query.restrict(node.tables))
-                for node in reversed(tuple(plan.walk()))
+                for node in nodes
+                if isinstance(node, JoinNode)
             }
+            cards = {}
+            for node in nodes:
+                if isinstance(node, JoinNode):
+                    cards[node] = joins[node]
+                elif node.table in rows:
+                    cards[node] = int(rows[node.table].size)
+                else:
+                    cards[node] = self.cardinality(query.restrict(node.tables))
+            return cards
         finally:
             self._plan_rows = self._plan_cores = None
 

@@ -5,7 +5,9 @@ Executing a plan means: compute the *true* cardinality of every plan node
 pass of the exact executor: each node counted once, a join reading its
 children's counts from the same dict), feed those cardinalities through the
 shared operator cost formulas, sum in plan pre-order, and convert to
-milliseconds.  Optionally a small signature-seeded lognormal noise term
+milliseconds.  An index scan's fetched rows are one more exact count only
+when it has a residual filter: with one predicate the fetch is the scan's
+own output.  Optionally a small signature-seeded lognormal noise term
 models run-to-run variance.
 
 Because true cardinalities are exact, a plan picked using bad estimates
@@ -82,11 +84,15 @@ class ExecutionSimulator:
 
     # -- node costs ---------------------------------------------------------------
 
-    def _index_fetched(self, node: ScanNode) -> int:
+    def _index_fetched(self, node: ScanNode, out_rows: int) -> int:
         """Rows fetched by the index predicate (first predicate by
-        canonical order) before residual filtering."""
+        canonical order) before residual filtering.  With no residual the
+        fetch is the scan's output, ``out_rows``: a scan carries the query's
+        predicates on its table, so its one predicate is its own probe."""
         if not node.predicates:
             return self.db.table(node.table).n_rows
+        if len(node.predicates) == 1:
+            return out_rows
         single = Query((node.table,), (), (node.predicates[0],))
         return self.executor.cardinality(single)
 
@@ -95,7 +101,9 @@ class ExecutionSimulator:
         n_preds = len(node.predicates)
         if node.method is ScanMethod.SEQ:
             return self.costs.seq_scan(base_rows, n_preds)
-        return self.costs.index_scan(base_rows, self._index_fetched(node), n_preds)
+        return self.costs.index_scan(
+            base_rows, self._index_fetched(node, out_rows), n_preds
+        )
 
     def _join_cost(
         self, node: JoinNode, left_rows: int, right_rows: int, out_rows: int

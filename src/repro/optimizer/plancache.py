@@ -6,10 +6,12 @@ production workloads are *parameterized*: the same query template arrives
 over and over with different literals, and join-order/physical-method
 decisions rarely change with the literals.  :class:`PlanCache` exploits
 that: plans are cached under the query's literal-free
-:attr:`~repro.sql.query.Query.template_key` and replayed for new bindings
-by substituting the fresh predicates into the cached tree's scan nodes
-(:func:`rebind_plan`) -- join structure, methods and conditions are
-literal-free and carry over unchanged.
+:attr:`~repro.sql.query.Query.template_key` -- a memoized tuple of the
+tables, the joins and the predicates' shapes, built without rendering any
+text -- and replayed for new bindings by substituting the fresh predicates
+into the cached tree's scan nodes (:func:`rebind_plan`) -- join structure,
+methods and conditions are literal-free and carry over unchanged.  A hit
+costs what depends on its literals: one key tuple and one rebuilt tree.
 
 Cache keys additionally pin the optimizer state
 (:func:`repro.core.interfaces.estimator_cache_tag`, so refits/feedback
@@ -42,6 +44,8 @@ def rebind_plan(plan: Plan, query: Query) -> Plan:
     (structure, methods, conditions) are literal-free and shared as-is.
     ``query`` must have the same ``template_key`` as ``plan.query`` --
     same tables and joins, so the rebuilt tree is valid by construction.
+    Every rebuilt node still runs its constructor's checks, and is handed
+    its template node's table set rather than re-deriving it.
     """
     if plan.query == query:
         return plan
@@ -53,18 +57,21 @@ def rebind_plan(plan: Plan, query: Query) -> Plan:
 
     def rebuild(node: PlanNode) -> PlanNode:
         if isinstance(node, ScanNode):
-            return ScanNode(
+            new: PlanNode = ScanNode(
                 table=node.table,
                 method=node.method,
                 predicates=query.predicates_on(node.table),
             )
-        assert isinstance(node, JoinNode)
-        return JoinNode(
-            left=rebuild(node.left),
-            right=rebuild(node.right),
-            method=node.method,
-            conditions=node.conditions,
-        )
+        else:
+            assert isinstance(node, JoinNode)
+            new = JoinNode(
+                left=rebuild(node.left),
+                right=rebuild(node.right),
+                method=node.method,
+                conditions=node.conditions,
+            )
+        object.__setattr__(new, "_tables", node.tables)
+        return new
 
     return Plan(query=query, root=rebuild(plan.root))
 

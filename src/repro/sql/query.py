@@ -25,7 +25,6 @@ __all__ = [
     "Join",
     "Query",
     "query_hash",
-    "predicate_template",
 ]
 
 
@@ -58,7 +57,7 @@ def state_without_hash(self) -> dict:
 def str_once(render):
     """``__str__`` of a frozen value dataclass, memoized outside the fields
     like :func:`hash_once`.  Every ``Query`` sorts its joins and predicates
-    by their text, and ``cache_key`` / ``template_key`` render them again.
+    by their text, and ``cache_key`` renders them again.
     The text is the same in every process, so it may travel in a pickle;
     ``dataclasses.replace`` builds a new instance, which renders afresh."""
 
@@ -439,29 +438,32 @@ class Query:
         return join_graph(self).connected
 
     @property
-    def template_key(self) -> str:
-        """Literal-free query identity: ``cache_key`` with literals as ``?``.
+    def template_key(self) -> tuple:
+        """Literal-free query identity: ``(tables, joins, shapes)``.
 
         Two queries that differ only in predicate literals (same tables,
         same joins, same predicated columns/operators, same IN arity) share
         a template key -- the prepared-statement identity the
         :class:`repro.optimizer.PlanCache` reuses compiled plans across.
 
-        Predicate templates are rendered and then sorted *as templates*:
-        ``__post_init__`` orders predicates by their literal-bearing text,
-        so two bindings of one template can disagree on predicate order,
-        and rendering in that order would split the template.  ``query_hash``
-        is untouched -- canary splits, dedup and audit sampling still key on
-        the exact query.
+        A predicate's shape is ``(table, column, op, arity)``, the arity
+        being an IN list's length (0 for every other operator); an OR's is
+        ``(table, column, "or", parts)`` with its parts' shapes sorted.  The
+        shapes are sorted *as shapes*: ``__post_init__`` orders predicates
+        by their literal-bearing text, so two bindings of one template can
+        disagree on predicate order.  ``tables`` and ``joins`` are the
+        query's own (canonically sorted) fields.  Nothing is rendered: a
+        plan-cache hit builds one tuple.
+        ``query_hash`` is untouched -- canary splits, dedup and audit
+        sampling still key on the exact query.
         """
         key = self.__dict__.get("_template_key")
         if key is None:
-            where = [str(j) for j in self.joins] + sorted(
-                predicate_template(p) for p in self.predicates
+            key = (
+                self.tables,
+                self.joins,
+                tuple(sorted(map(_predicate_shape, self.predicates))),
             )
-            key = f"SELECT COUNT(*) FROM {', '.join(self.tables)}"
-            if where:
-                key += " WHERE " + " AND ".join(where)
             object.__setattr__(self, "_template_key", key)
         return key
 
@@ -494,22 +496,17 @@ class Query:
         return self.to_sql()
 
 
-def predicate_template(pred: Predicate | OrPredicate) -> str:
-    """Render a predicate with its literals replaced by ``?`` placeholders.
-
-    Structure that changes plan shape is preserved: BETWEEN keeps both
-    placeholders, IN keeps its arity (``IN (?, ?, ?)``), OR parts are
-    templated individually and sorted so part order never depends on the
-    literals either.
-    """
+def _predicate_shape(pred: Predicate | OrPredicate) -> tuple:
+    """A predicate without its literals: what :attr:`Query.template_key`
+    keeps of it.  BETWEEN is its operator, IN keeps its arity, and an OR's
+    parts are shaped individually and sorted, so part order never depends
+    on the literals either."""
+    column = pred.column
     if pred.op is Op.OR:
-        return "(" + " OR ".join(sorted(predicate_template(p) for p in pred.parts)) + ")"
-    if pred.op is Op.BETWEEN:
-        return f"{pred.column} BETWEEN ? AND ?"
-    if pred.op is Op.IN:
-        marks = ", ".join("?" for _ in pred.value)  # type: ignore[arg-type]
-        return f"{pred.column} IN ({marks})"
-    return f"{pred.column} {pred.op.value} ?"
+        parts = tuple(sorted(map(_predicate_shape, pred.parts)))
+        return (column.table, column.column, Op.OR.value, parts)
+    arity = len(pred.value) if pred.op is Op.IN else 0  # type: ignore[arg-type]
+    return (column.table, column.column, pred.op.value, arity)
 
 
 def query_hash(query: Query) -> str:

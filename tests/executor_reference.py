@@ -3,8 +3,10 @@
 This is plan execution as it stood before ``CardinalityExecutor.
 plan_cardinalities``: :func:`reference_execute` is
 ``ExecutionSimulator.execute`` with its per-node loop (one
-``executor.cardinality(plan.node_subquery(node))`` per node, and two more
-per join for the children it had already counted), and
+``executor.cardinality(plan.node_subquery(node))`` per node, two more per
+join for the children it had already counted, and one single-predicate
+probe per index scan with predicates, even when that predicate is the
+scan's only one), and
 :class:`ReferenceCardinalityExecutor` is the exact executor of that time --
 ``data_version`` summed on every call, the memo keyed by the ``Query``
 itself, every base table's filter re-evaluated by every node that contains
@@ -52,7 +54,7 @@ from repro.engine.kernels import (
     expand_matches,
     match_counts,
 )
-from repro.engine.plans import JoinNode, Plan, PlanNode, ScanNode
+from repro.engine.plans import JoinNode, Plan, PlanNode, ScanMethod, ScanNode
 from repro.engine.simulator import ExecutionResult, ExecutionSimulator, SimulatorConfig
 from repro.sql.query import Query
 from repro.storage.catalog import Database
@@ -275,6 +277,21 @@ def reference_simulator(
     return ExecutionSimulator(db, config, executor=ReferenceCardinalityExecutor(db))
 
 
+def _reference_scan_cost(simulator: ExecutionSimulator, node: ScanNode) -> float:
+    """``ExecutionSimulator._scan_cost`` of that time: an index scan with
+    predicates always probes its first one as a single-table query."""
+    base_rows = simulator.db.table(node.table).n_rows
+    n_preds = len(node.predicates)
+    if node.method is ScanMethod.SEQ:
+        return simulator.costs.seq_scan(base_rows, n_preds)
+    if not node.predicates:
+        fetched = base_rows
+    else:
+        single = Query((node.table,), (), (node.predicates[0],))
+        fetched = simulator.executor.cardinality(single)
+    return simulator.costs.index_scan(base_rows, fetched, n_preds)
+
+
 def reference_execute(simulator: ExecutionSimulator, plan: Plan) -> ExecutionResult:
     """``ExecutionSimulator.execute`` with the per-node cardinality loop."""
 
@@ -288,7 +305,7 @@ def reference_execute(simulator: ExecutionSimulator, plan: Plan) -> ExecutionRes
         card = node_cardinality(node)
         node_cards[node] = card
         if isinstance(node, ScanNode):
-            cost = simulator._scan_cost(node, card)
+            cost = _reference_scan_cost(simulator, node)
         else:
             assert isinstance(node, JoinNode)
             cost = simulator._join_cost(

@@ -6,9 +6,11 @@ with its bucket-by-bucket Python loop over numpy scalars, and
 :class:`ReferenceTraditionalEstimator` is ``TraditionalCardinalityEstimator``
 with no selectivity memo -- every sub-query re-derives every table's
 selectivity.  The ``reference_*`` renderers are ``Predicate.__str__``,
-``Join.__str__``, ``Query.to_sql``, ``Query.template_key`` and
-``query_hash`` re-rendering the text on every call.  The live path must
-return ``==`` selectivities and estimates and equal strings;
+``Join.__str__``, ``Query.to_sql``, the text ``Query.template_key`` of
+that time (with its :func:`predicate_template`) and ``query_hash``
+re-rendering the text on every call.  The live path must return ``==``
+selectivities and estimates and equal strings, and the live tuple
+template key must identify two queries exactly when the text one does;
 ``tests/test_estimation_path.py`` asserts that and
 ``benchmarks/bench_p6_fastpath.py`` uses :class:`ReferenceTraditionalEstimator`
 as the baseline.  Do not optimise this file.
@@ -25,11 +27,12 @@ import hashlib
 import numpy as np
 
 from repro.optimizer.statistics import ColumnStats, DatabaseStats
-from repro.sql.query import Join, Op, OrPredicate, Predicate, Query, predicate_template
+from repro.sql.query import Join, Op, OrPredicate, Predicate, Query
 from repro.storage.catalog import Database
 
 __all__ = [
     "ReferenceTraditionalEstimator",
+    "predicate_template",
     "reference_join_text",
     "reference_predicate_text",
     "reference_query_hash",
@@ -159,7 +162,28 @@ def reference_to_sql(query: Query) -> str:
     return sql
 
 
+def predicate_template(pred: Predicate | OrPredicate) -> str:
+    """Render a predicate with its literals replaced by ``?`` placeholders.
+
+    Structure that changes plan shape is preserved: BETWEEN keeps both
+    placeholders, IN keeps its arity (``IN (?, ?, ?)``), OR parts are
+    templated individually and sorted so part order never depends on the
+    literals either.
+    """
+    if pred.op is Op.OR:
+        return "(" + " OR ".join(sorted(predicate_template(p) for p in pred.parts)) + ")"
+    if pred.op is Op.BETWEEN:
+        return f"{pred.column} BETWEEN ? AND ?"
+    if pred.op is Op.IN:
+        marks = ", ".join("?" for _ in pred.value)  # type: ignore[arg-type]
+        return f"{pred.column} IN ({marks})"
+    return f"{pred.column} {pred.op.value} ?"
+
+
 def reference_template_key(query: Query) -> str:
+    """``Query.template_key`` as it was: the text with literals as ``?``,
+    predicate templates sorted as text.  The tuple key must identify two
+    queries exactly when this text does."""
     where = [reference_join_text(j) for j in query.joins] + sorted(
         predicate_template(p) for p in query.predicates
     )

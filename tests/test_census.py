@@ -1,7 +1,7 @@
 """The census as a test: no caller, no code.
 
 Over every package and every module under ``src/repro`` eight things must
-hold, another over ``benchmarks/``, another over ``src/``,
+hold, another over ``benchmarks/``, two over ``src/``,
 ``benchmarks/`` and ``examples/`` and another over every code tree and
 ``tests/``.  All but (c) only read source files --
 nothing is imported from ``repro`` or ``perf``, and an absent directory is
@@ -64,7 +64,13 @@ it names:
     ``_tree_count``, ``_materialized_count`` or ``_join_graph_is_tree``.
     ``CardinalityExecutor._count`` runs every join graph's recipe (peel,
     then the core); the two strategies it replaced keep their copies in
-    ``tests/executor_reference.py``.
+    ``tests/executor_reference.py``;
+(m) there is one template identity: no file under ``src/``,
+    ``benchmarks/`` or ``examples/`` names ``predicate_template`` or
+    renders a ``?`` placeholder -- a string (not a docstring) with a ``?``
+    standing after a space, a parenthesis or a comma, or a ``"?"`` joined
+    into text.  ``Query.template_key`` is a tuple of shapes; the text key
+    it replaced is ``tests/statistics_reference.py``'s.
 
 A failure names the file and the symbol.  The fix is to delete the code (or
 the export), not to grow the allow-list: that list is the backlog of
@@ -726,6 +732,60 @@ def test_one_exact_counter():
     )
 
 
+# -- (m) one template identity -----------------------------------------------------------
+
+#: a ``?`` where a literal would stand: after a space, a parenthesis or a comma
+PLACEHOLDER = re.compile(r"[\s(,]\?(?:$|[\s),])")
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def template_text_violations(sources: Sources) -> list[str]:
+    """Every file under ``src/``, ``benchmarks/`` or ``examples/`` naming
+    ``predicate_template``, and every placeholder string there, one line
+    each."""
+    found = []
+    for path in _files("src", "benchmarks", "examples"):
+        where = path.relative_to(ROOT)
+        if "predicate_template" in sources.facts(path)[2]:
+            found.append(f"{where} names predicate_template")
+        tree = sources.parse(path)
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
+                and PLACEHOLDER.search(node.value)
+            ):
+                found.append(f"{where}:{node.lineno} renders a placeholder")
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "join":
+                if any(
+                    isinstance(n, ast.Constant) and n.value == "?"
+                    for arg in node.args
+                    for n in ast.walk(arg)
+                ):
+                    found.append(f"{where}:{node.lineno} joins placeholders")
+    return found
+
+
+def test_one_template_identity():
+    found = template_text_violations(Sources())
+    assert not found, (
+        f"{found} -- a template is Query.template_key's tuple of shapes "
+        "(sql/query.py); the text key lives on only in tests/statistics_reference.py"
+    )
+
+
 def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simulator):
     """One instance of each record (g) slots: it has no ``__dict__`` and
     still pickles, deep-copies, ``replace``-s and compares by value."""
@@ -1075,4 +1135,33 @@ def test_seeded_second_subset_enumeration_is_caught(relative, old, new, caught):
 def test_seeded_second_counter_is_caught(relative, old, new, caught):
     sources = _patched(relative, old, new)
     found = [re.sub(r":\d+ ", " ", f) for f in second_counter_violations(sources)]
+    assert found == caught
+
+
+@pytest.mark.parametrize(
+    "relative, old, new, caught",
+    [
+        (  # the text renderer back beside the tuple key
+            "sql/query.py",
+            "def query_hash(",
+            "def predicate_template(pred):\n"
+            "    return f\"{pred.column} {pred.op.value} ?\"\n\n\n"
+            "def query_hash(",
+            [
+                "src/repro/sql/query.py names predicate_template",
+                "src/repro/sql/query.py renders a placeholder",
+            ],
+        ),
+        (  # a plan-cache key rendered as text again
+            "optimizer/plancache.py",
+            "        return (query.template_key, tag, data_version)\n",
+            "        marks = \", \".join(\"?\" for _ in query.predicates)\n"
+            "        return (f\"{query.tables} WHERE {marks}\", tag, data_version)\n",
+            ["src/repro/optimizer/plancache.py joins placeholders"],
+        ),
+    ],
+)
+def test_seeded_text_template_is_caught(relative, old, new, caught):
+    sources = _patched(relative, old, new)
+    found = [re.sub(r":\d+ ", " ", f) for f in template_text_violations(sources)]
     assert found == caught

@@ -277,7 +277,7 @@ def _assert_text(query: Query) -> None:
     for j in query.joins:
         assert str(j) == reference_join_text(j) and str(j) is str(j)
     assert query.cache_key == query.to_sql() == str(query) == reference_to_sql(query)
-    assert query.template_key == reference_template_key(query)
+    assert query.template_key is query.template_key, "built twice"
     assert query_hash(query) == reference_query_hash(query)
 
 
@@ -289,6 +289,10 @@ def test_text_equals_the_reference_renderer(stats_workload, generated):
             assert clone == query and hash(clone) == hash(query)
             _assert_text(clone)
             assert clone.cache_key == query.cache_key
+            assert clone.template_key == query.template_key
+    # the tuple key and the text one partition the queries alike
+    pairs = {(q.template_key, reference_template_key(q)) for q in [*stats_workload, *queries]}
+    assert len(pairs) == len({k for k, _ in pairs}) == len({t for _, t in pairs})
 
 
 def test_replace_renders_afresh(stats_workload, generated):

@@ -5,7 +5,9 @@
 unit weights, direct-address messages); ``tests/executor_reference.py``
 keeps the per-node loop and the sort-only kernels it replaced.  Counts
 must be equal and costs / latencies bit-equal -- on generated and
-hand-built stats-lite plans, across a data drift, past 2**53, and with
+hand-built stats-lite plans and plans rebound by the plan cache (one-
+predicate index scans among them, and a pass that finds every join node in
+the memo), across a data drift, past 2**53, and with
 each of the oracle's executor-layer mutations installed (both paths then
 produce the same *wrong* answer: the patch points are still what the
 executor dispatches through, on the direct-address path too).  A pass
@@ -26,7 +28,7 @@ import repro.engine.executor as executor_mod
 from repro.bench import apply_drift
 from repro.engine import CardinalityExecutor, ExecutionSimulator
 from repro.engine.kernels import KeyIndexCache
-from repro.engine.plans import ScanMethod
+from repro.engine.plans import JoinNode, ScanMethod, ScanNode
 from repro.engine.simulator import SimulatorConfig
 from repro.optimizer import HintSet, Optimizer, PlanCache
 from repro.oracle.fixtures import make_deep_chain
@@ -159,12 +161,41 @@ def db():
     return make_stats_lite(scale=0.3, seed=0)
 
 
+def cached_plans(db) -> list:
+    """Plans served through ``Optimizer.plan_cached``: each template's first
+    binding is planned and the others are rebound hits; then the first is
+    served again, so that pass finds every join node in the memo."""
+    optimizer, cache = Optimizer(db), PlanCache()
+    served = [
+        optimizer.plan_cached(query, cache)
+        for group in hot_bindings(db, 4, 3)
+        for query in group + group[:1]
+    ]
+    assert [hit for _, hit in served] == [False, True, True, True] * 4
+    return [plan for plan, _ in served]
+
+
+def all_join_nodes_hit(db, plans) -> int:
+    """How many multi-table plans, run in order on one executor, find every
+    join node's sub-query in the memo -- the passes whose scans all go
+    through ``cardinality()``."""
+    executor, hits = CardinalityExecutor(db), 0
+    for plan in plans:
+        subs = [plan.query.restrict(node.tables) for node in plan.join_nodes()]
+        hits += bool(subs) and all(
+            executor._cache.peek((q.tables, q.joins, q.predicates)) is not None
+            for q in subs
+        )
+        executor.plan_cardinalities(plan)
+    return hits
+
+
 @pytest.fixture(scope="module")
 def plans(db):
     generated = WorkloadGenerator(db, seed=11).workload(40, 2, 5) + WorkloadGenerator(
         db, seed=12
     ).workload(20, 1, 5, require_predicate=True)
-    return plans_for(db, generated + hand_built_queries())
+    return plans_for(db, generated + hand_built_queries()) + cached_plans(db)
 
 
 def test_one_pass_matches_per_node_reference(db, plans):
@@ -179,6 +210,8 @@ def test_one_pass_matches_per_node_reference(db, plans):
     assert {Op.IN, Op.OR, Op.BETWEEN} <= ops
     scans = [s for p in plans for s in p.scan_nodes()]
     assert any(s.method is ScanMethod.INDEX and len(s.predicates) > 1 for s in scans)
+    assert any(s.method is ScanMethod.INDEX and len(s.predicates) == 1 for s in scans)
+    assert all_join_nodes_hit(db, plans), "no pass answers its scans through the memo"
     # ... and on every one of them the two paths agree
     counts = assert_paths_agree(db, plans)
     assert 0 in counts and max(counts) > 10_000
@@ -190,31 +223,56 @@ def test_one_pass_matches_reference_with_latency_noise(db, plans):
 
 def test_each_node_is_counted_once_and_filters_once_per_plan(db, plans, monkeypatch):
     plan = max(plans, key=lambda p: (p.query.n_tables, len(p.query.predicates)))
-    simulator = ExecutionSimulator(db)
+    walk = list(plan.walk())
+    joins = [n.tables for n in reversed(walk) if isinstance(n, JoinNode)]
+    scans = [n.tables for n in reversed(walk) if isinstance(n, ScanNode)]
+    executor = CardinalityExecutor(db)
     asked, filtered = [], []
-    cardinality = simulator.executor.cardinality
+    cardinality = CardinalityExecutor.cardinality
     filtered_indices = executor_mod._filtered_indices
     monkeypatch.setattr(
-        simulator.executor, "cardinality", lambda q: asked.append(q) or cardinality(q)
+        CardinalityExecutor,
+        "cardinality",
+        lambda self, q: asked.append(q) or cardinality(self, q),
     )
     monkeypatch.setattr(
         executor_mod,
         "_filtered_indices",
         lambda db_, q, t: filtered.append(t) or filtered_indices(db_, q, t),
     )
-    cards = simulator.executor.plan_cardinalities(plan)
-    assert list(cards) == list(reversed(list(plan.walk())))  # children first
-    assert len(asked) == plan.root.n_nodes
+    cards = executor.plan_cardinalities(plan)
+    assert list(cards) == list(reversed(walk))  # children first
+    # each join node is asked once, children first; they filter every base
+    # table once, so no scan is asked
+    assert [frozenset(q.tables) for q in asked] == joins
     assert sorted(filtered) == sorted(plan.query.tables), "one filter pass per base table"
-    assert simulator.executor._plan_rows is None  # row sets do not outlive the pass
-    assert simulator.executor._plan_cores is None  # nor do core materializations
-    # execute() adds only the index scans' fetched-rows probes
-    del asked[:]
-    ExecutionSimulator(db, executor=simulator.executor).execute(plan)
-    index_probes = sum(
-        s.method is ScanMethod.INDEX and bool(s.predicates) for s in plan.scan_nodes()
-    )
-    assert len(asked) == plan.root.n_nodes + index_probes
+    assert executor._plan_rows is None  # row sets do not outlive the pass
+    assert executor._plan_cores is None  # nor do core materializations
+    # warm: every join node hits the memo and filters nothing, so each scan
+    # is asked, and filters its own table once
+    del asked[:], filtered[:]
+    assert executor.plan_cardinalities(plan) == cards
+    assert [frozenset(q.tables) for q in asked] == joins + scans
+    assert sorted(filtered) == sorted(plan.query.tables)
+    # execute() probes only the index scans with two or more predicates
+    probed = 0
+    for served in plans:
+        query = served.query
+        del asked[:]
+        ExecutionSimulator(db).execute(served)
+        counted = [
+            query.restrict(n.tables)
+            for n in reversed(list(served.walk()))
+            if isinstance(n, JoinNode)
+        ] or [query]
+        probes = [
+            Query((s.table,), (), s.predicates[:1])
+            for s in served.scan_nodes()
+            if s.method is ScanMethod.INDEX and len(s.predicates) >= 2
+        ]
+        assert asked == counted + probes
+        probed += bool(probes)
+    assert probed, "no plan probes an index: the last assert is vacuous"
 
 
 def test_each_cyclic_core_is_materialized_once_per_pass(db, plans, monkeypatch):

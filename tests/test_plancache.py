@@ -1,6 +1,7 @@
 """Tests for query templates and the parameterized plan cache.
 
-Covers the template identity (:attr:`Query.template_key`), plan rebinding
+Covers the template identity (:attr:`Query.template_key`, held to the
+text key it replaced in ``tests/statistics_reference.py``), plan rebinding
 (:func:`rebind_plan`), the :class:`PlanCache` LRU/invalidation semantics,
 and -- the load-bearing property -- that a query served from a cached
 plan produces *exactly* the count a cold planning and the independent
@@ -9,6 +10,8 @@ reference oracle produce, over generated parameterized workloads.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.optimizer import Optimizer, PlanCache, rebind_plan
 from repro.core.interfaces import estimator_cache_tag
@@ -16,7 +19,8 @@ from repro.oracle.planexec import PlanInterpreter
 from repro.oracle.reference import reference_count
 from repro.sql import ColumnRef, Join, Op, OrPredicate, Predicate, Query
 from repro.sql.generator import WorkloadGenerator
-from repro.sql.query import predicate_template, query_hash
+from repro.sql.query import query_hash
+from tests.statistics_reference import predicate_template, reference_template_key
 
 
 def _q(*predicates):
@@ -75,6 +79,11 @@ class TestTemplateKey:
         a = _q(Predicate(AGE, Op.EQ, 0.0), Predicate(AGE, Op.LE, 5.0))
         b = _q(Predicate(AGE, Op.EQ, 9.0), Predicate(AGE, Op.LE, 1.0))
         assert a.template_key == b.template_key
+        # two IN lists of different arity on one column sort by their literals
+        a = _q(Predicate(AGE, Op.IN, (1.0, 2.0)), Predicate(AGE, Op.IN, (3.0,)))
+        b = _q(Predicate(AGE, Op.IN, (5.0, 6.0)), Predicate(AGE, Op.IN, (0.0,)))
+        assert [len(p.value) for p in a.predicates] != [len(p.value) for p in b.predicates]
+        assert a.template_key == b.template_key
 
     def test_different_ops_differ(self):
         a = _q(Predicate(AGE, Op.LE, 2.0))
@@ -90,22 +99,69 @@ class TestTemplateKey:
         with_join = _q()
         single = Query(("users",))
         assert with_join.template_key != single.template_key
-        assert "posts.uid = users.id" in with_join.template_key
+        assert Join(ColumnRef("posts", "uid"), ColumnRef("users", "id")) in _leaves(
+            with_join.template_key
+        )
 
     def test_no_literals_leak(self):
         q = _q(
             Predicate(AGE, Op.BETWEEN, (13.0, 37.0)),
             Predicate(SCORE, Op.IN, frozenset({42.0})),
         )
-        assert "13" not in q.template_key
-        assert "42" not in q.template_key
-        assert "?" in q.template_key
+        leaves = _leaves(q.template_key)
+        assert not any(isinstance(leaf, float) for leaf in leaves)
+        assert not {13, 37, 42} & {leaf for leaf in leaves if isinstance(leaf, int)}
+        # the operators are in it, and the IN list's arity
+        shapes = q.template_key[2]
+        assert ("posts", "score", "in", 1) in shapes
+        assert ("users", "age", "between", 0) in shapes
 
     def test_rebind_keeps_template(self, stats_db):
         gen = WorkloadGenerator(stats_db, seed=3)
         for _ in range(20):
             q = gen.random_query(1, 4, require_predicate=True)
             assert gen.rebind(q).template_key == q.template_key
+
+
+def _leaves(key: tuple) -> list:
+    """Every non-tuple member of a template key, however deep."""
+    out = []
+    for member in key:
+        out.extend(_leaves(member) if isinstance(member, tuple) else [member])
+    return out
+
+
+@pytest.fixture(scope="module")
+def key_optimizer(stats_db):
+    return Optimizer(stats_db)
+
+
+@given(seed=st.integers(0, 10_000), or_rate=st.sampled_from([0.0, 0.6]))
+@settings(max_examples=25, deadline=None)
+def test_tuple_key_identifies_what_the_text_key_does(stats_db, key_optimizer, seed, or_rate):
+    """Over parameterized and ad-hoc queries -- OR, IN of several arities,
+    BETWEEN, two predicates on one column -- two queries share a tuple key
+    exactly when they share the text key it replaced; a rebinding keeps
+    it, and a plan does not rebind across keys."""
+    gen = WorkloadGenerator(stats_db, seed=seed, or_rate=or_rate)
+    queries = (
+        gen.parameterized_workload(3, 3, 1, 3)
+        + gen.workload(6, 1, 3, require_predicate=True)
+        + gen.rewrite_susceptible_workload(3, 2, 3)
+    )
+    for a in queries:
+        for b in queries:
+            same = a.template_key == b.template_key
+            assert same == (reference_template_key(a) == reference_template_key(b))
+    for q in queries:
+        assert gen.rebind(q).template_key == q.template_key
+    plan = key_optimizer.plan(queries[0])
+    for q in queries[1:]:
+        if q.template_key == plan.query.template_key:
+            assert rebind_plan(plan, q).query == q
+        else:
+            with pytest.raises(ValueError, match="rebind"):
+                rebind_plan(plan, q)
 
 
 class TestRebindPlan:
