@@ -16,10 +16,11 @@ Nine properties are measured and gated:
    templates, many literal bindings) must serve every request and see a
    > 80% plan-cache hit rate.
 4. **Tree-conv training kernel**: ``TreeConvNet.fit`` over one flat
-   plan-tree corpus (segment max-pool, scatter-free backward, one flat
-   Adam update) must be >= 1.5x faster than the loop + ``np.add.at``
-   kernel it replaced (``tests/treeconv_reference.py``) on Bao-shaped
-   plan trees, with every trained parameter ``array_equal``.
+   plan-tree corpus (one-gather conv, padded max-pool, parent-slot
+   backward, one in-place flat Adam update) must be >= 2.1x faster than
+   the loop + ``np.add.at`` kernel it replaced
+   (``tests/treeconv_reference.py``) on Bao-shaped plan trees, with every
+   trained parameter and every prediction ``array_equal``.
 5. **Arm-sweep planning kernel**: ``Optimizer.plan_arms`` over Bao's 12
    hint sets (one DP pass, per-arm best entries in one table) must be
    >= 3x faster than one full DP per arm (``tests/planner_reference.py``)
@@ -87,7 +88,7 @@ CHAIN_TABLES = 8
 FIT_EPOCHS = 30
 SWEEP_QUERIES = 100
 SPEEDUP_GATE = 10.0
-FIT_SPEEDUP_GATE = 1.5
+FIT_SPEEDUP_GATE = 2.1
 SWEEP_SPEEDUP_GATE = 3.0
 PLAN_EXECUTION_SPEEDUP_GATE = 1.5
 PLANNING_SPEEDUP_GATE = 1.5
@@ -568,7 +569,7 @@ def test_p6_treeconv_fit_speedup_and_exactness():
                 f"{1e6 * result['t_vectorized_s'] / result['n_steps']:.0f}",
                 f"{result['speedup']:.1f}x",
             )],
-            note=f"gate: >= {FIT_SPEEDUP_GATE:.1f}x, parameters array_equal",
+            note=f"gate: >= {FIT_SPEEDUP_GATE:.1f}x, parameters and predictions array_equal",
         )
     )
     assert result["speedup"] >= FIT_SPEEDUP_GATE, (

@@ -6,7 +6,7 @@ bench renders it back from the method table and, for every row that has a
 training workload and scores it on the test workload -- so a listed
 family is backed by an implementation that answers, not by a class that
 imports.  Rows without a key (no constructor from ``(db, budget, seed)``
-yet) print "—": they are the backlog of ROADMAP item 3(e).
+yet) print "—": they are the backlog of ROADMAP item 7.
 """
 
 import numpy as np

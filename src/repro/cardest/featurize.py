@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sql.query import Op, Predicate, Query
+from repro.sql.query import ColumnRef, Join, Op, Predicate, Query
 from repro.storage.catalog import Database
 
 __all__ = ["FlatQueryFeaturizer", "MSCNFeaturizer"]
@@ -41,8 +41,15 @@ class _ColumnIndex:
             (e.left_table, e.left_column, e.right_table, e.right_column)
             for e in db.joins
         ]
-        self.join_pos = {k: i for i, k in enumerate(self.join_keys)}
-        self._join_memo: dict = {}
+        # Every declared edge, both ways round, built here in full: a model
+        # holding this index must not change as it sees new joins.  An
+        # edge's own orientation wins over another edge's reverse.
+        join_pos = {k: i for i, k in enumerate(self.join_keys)}
+        self._join_of: dict[Join, int] = {}
+        for (lt, lc, rt, rc), i in join_pos.items():
+            self._join_of[Join(ColumnRef(lt, lc), ColumnRef(rt, rc))] = i
+        for (lt, lc, rt, rc), i in join_pos.items():
+            self._join_of.setdefault(Join(ColumnRef(rt, rc), ColumnRef(lt, lc)), i)
         self._bounds: dict[tuple[str, str], tuple[float, float]] = {}
         for t, c in self.columns:
             col = db.table(t).column(c)
@@ -75,26 +82,12 @@ class _ColumnIndex:
             hi_n = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
         return lo_n, hi_n
 
-    def join_index(self, query_join) -> int:
-        hit = self._join_memo.get(query_join)
-        if hit is not None:
-            return hit
-        key = (
-            query_join.left.table,
-            query_join.left.column,
-            query_join.right.table,
-            query_join.right.column,
-        )
-        rev = (key[2], key[3], key[0], key[1])
-        if key in self.join_pos:
-            idx = self.join_pos[key]
-        elif rev in self.join_pos:
-            idx = self.join_pos[rev]
-        else:
+    def join_index(self, query_join: Join) -> int:
+        idx = self._join_of.get(query_join)
+        if idx is None:
             raise KeyError(
                 f"join {query_join} not in the database's declared join graph"
             )
-        self._join_memo[query_join] = idx
         return idx
 
 

@@ -167,22 +167,34 @@ def plan_to_tree_arrays(
     featurizer: PlanFeaturizer,
     *,
     transferable: bool = False,
+    memo: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten a plan to ``(features, left, right)`` arrays (pre-order).
 
     Child index ``-1`` marks leaves, matching
     :class:`repro.ml.treeconv.PlanTreeBatch` expectations.
+
+    ``memo`` maps ``(row function, query, node)`` to the node's feature
+    row.  A caller that featurizes several plans of one decision passes
+    one dict to all of them, so a node the plans share (the arm sweep
+    interns them) is featurized once; the dict must not outlive that
+    decision, whose estimator state its rows reflect.
     """
+    node_row = featurizer.transferable_node if transferable else featurizer.node_features
     features: list[np.ndarray] = []
     left: list[int] = []
     right: list[int] = []
 
     def visit(node: PlanNode) -> int:
         my_index = len(features)
-        if transferable:
-            features.append(featurizer.transferable_node(plan, node))
+        if memo is None:
+            features.append(node_row(plan, node))
         else:
-            features.append(featurizer.node_features(plan, node))
+            key = (node_row, plan.query, node)
+            row = memo.get(key)
+            if row is None:
+                row = memo[key] = node_row(plan, node)
+            features.append(row)
         left.append(-1)
         right.append(-1)
         if isinstance(node, JoinNode):

@@ -50,6 +50,40 @@ def _default_scores(candidates: Sequence[CandidatePlan]) -> list[float]:
     return [0.0 if c.source == "default" else 1.0 for c in candidates]
 
 
+def _decision_trees(
+    candidates: Sequence[CandidatePlan], featurizer: PlanFeaturizer
+) -> list[tuple]:
+    """Tree arrays of one decision's candidates, featurizing each distinct
+    plan node once: one node memo for the decision, dropped with it.
+
+    Each candidate keeps its tree, tagged with the featurizer and its
+    coster's state, for :func:`_candidate_tree` when the chosen one is
+    observed.  A candidate lives for one decision and no model holds it,
+    so no model fingerprint sees the memo or the kept trees.
+    """
+    memo: dict = {}
+    state = featurizer.coster.cache_tag()
+    trees = []
+    for c in candidates:
+        tree = plan_to_tree_arrays(c.plan, featurizer, memo=memo)
+        object.__setattr__(c, "_tree", (featurizer, state, tree))
+        trees.append(tree)
+    return trees
+
+
+def _candidate_tree(candidate: CandidatePlan, featurizer: PlanFeaturizer) -> tuple:
+    """The tree :func:`_decision_trees` kept on ``candidate`` if it was made
+    by ``featurizer`` in its current state, else a fresh featurization."""
+    kept = candidate.__dict__.get("_tree")
+    if (
+        kept is not None
+        and kept[0] is featurizer
+        and kept[1] == featurizer.coster.cache_tag()
+    ):
+        return kept[2]
+    return plan_to_tree_arrays(candidate.plan, featurizer)
+
+
 class TreeConvLatencyModel:
     """Pointwise tree-conv latency model with optional Thompson sampling.
 
@@ -106,7 +140,7 @@ class TreeConvLatencyModel:
         return len(self._latencies)
 
     def observe(self, candidate: CandidatePlan, latency_ms: float) -> None:
-        self._trees.append(plan_to_tree_arrays(candidate.plan, self.featurizer))
+        self._trees.append(_candidate_tree(candidate, self.featurizer))
         self._latencies.append(float(latency_ms))
 
     def retrain(self) -> None:
@@ -136,14 +170,14 @@ class TreeConvLatencyModel:
 
     def predict(self, candidates: Sequence[CandidatePlan]) -> np.ndarray:
         """Mean predicted latency (ms) across ensemble members."""
-        trees = [plan_to_tree_arrays(c.plan, self.featurizer) for c in candidates]
+        trees = _decision_trees(candidates, self.featurizer)
         preds = np.stack([m.predict(trees) for m in self.members()])
         return np.maximum(np.expm1(preds.mean(axis=0)), 0.0)
 
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
         if not self._trained:
             return _default_scores(candidates)
-        trees = [plan_to_tree_arrays(c.plan, self.featurizer) for c in candidates]
+        trees = _decision_trees(candidates, self.featurizer)
         if self.thompson:
             member = self._member(int(self._rng.integers(len(self._members))))
             return list(member.predict(trees))
@@ -187,7 +221,7 @@ class PairwisePlanComparator:
 
     def observe(self, candidate: CandidatePlan, latency_ms: float) -> None:
         key = candidate.plan.query.to_sql()
-        tree = plan_to_tree_arrays(candidate.plan, self.featurizer)
+        tree = _candidate_tree(candidate, self.featurizer)
         self._by_query.setdefault(key, []).append((tree, float(latency_ms)))
 
     @staticmethod
@@ -249,8 +283,7 @@ class PairwisePlanComparator:
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
         if not self._trained:
             return _default_scores(candidates)
-        trees = [plan_to_tree_arrays(c.plan, self.featurizer) for c in candidates]
-        return list(self.net.predict(trees))
+        return list(self.net.predict(_decision_trees(candidates, self.featurizer)))
 
     def compare(self, plan_a, plan_b) -> float:
         """P(plan_a faster than plan_b); 0.5 before training."""
@@ -295,9 +328,7 @@ class EnsembleLatencyModel:
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
         if not self.inner.trained:
             return _default_scores(candidates)
-        trees = [
-            plan_to_tree_arrays(c.plan, self.inner.featurizer) for c in candidates
-        ]
+        trees = _decision_trees(candidates, self.inner.featurizer)
         preds = np.stack([m.predict(trees) for m in self.inner.members()])
         means = preds.mean(axis=0)
         stds = preds.std(axis=0)
@@ -365,5 +396,4 @@ class PlanValueModel:
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
         if not self.trained:
             return _default_scores(candidates)
-        trees = [plan_to_tree_arrays(c.plan, self.featurizer) for c in candidates]
-        return list(self.net.predict(trees))
+        return list(self.net.predict(_decision_trees(candidates, self.featurizer)))

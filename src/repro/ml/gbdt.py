@@ -281,10 +281,6 @@ class GradientBoostedTrees:
         self.max_depth = max_depth
         self.learning_rate = learning_rate
         self.seed = seed
-        # Registry version ids hash a model's fields: these two records of
-        # the fixed leaf size and the unsampled rows keep every published id.
-        self.min_samples_leaf = MIN_SAMPLES_LEAF
-        self.subsample = 1.0
         self.base_: float = 0.0
         self.n_features_: int | None = None
         self.roots_ = np.empty(0, dtype=np.intp)

@@ -145,7 +145,11 @@ class Sequential(Layer):
 
 
 class Adam:
-    """Adam optimizer (Kingma & Ba) operating in-place on parameter arrays."""
+    """Adam optimizer (Kingma & Ba) operating in-place on parameter arrays.
+
+    A step allocates nothing: it works through two scratch buffers per
+    parameter, made on the first step, in the textbook update's op order.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -154,21 +158,34 @@ class Adam:
         self.lr = lr
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
+        self._scratch: list[tuple[np.ndarray, np.ndarray]] = []
         self._t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
+            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self._t += 1
         b1t = 1.0 - self.beta1**self._t
         b2t = 1.0 - self.beta2**self._t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
+        for p, g, m, v, (a, b) in zip(params, grads, self._m, self._v, self._scratch):
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+            np.multiply(g, 1.0 - self.beta1, out=a)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += a
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + 1e-8)
+            v += a
+            # p -= (lr (m / b1t)) / (sqrt(v / b2t) + 1e-8)
+            np.divide(m, b1t, out=a)
+            a *= self.lr
+            np.divide(v, b2t, out=b)
+            np.sqrt(b, out=b)
+            b += 1e-8
+            a /= b
+            p -= a
 
 
 # ---------------------------------------------------------------------------

@@ -42,19 +42,30 @@ class PlanTreeBatch:
     features:
         ``[1 + total_nodes, node_dim]`` array; row 0 is the all-zero null
         node used as the child of leaves.
-    left, right:
-        ``[total_nodes]`` int arrays indexing into ``features`` (0 = null).
+    idx3:
+        ``[total_nodes, 3]`` int array: each node's own row, left-child row
+        and right-child row in ``features`` (0 = null), so one gather
+        ``x[idx3]`` is the ``[node ; left ; right]`` concatenation.
     tree_slices:
         ``[n_trees, 2]`` int array of per-tree ``(start, stop)`` ranges into
         rows ``1..total_nodes`` of ``features`` (offsets already include the
         +1 null-row shift).  Trees are contiguous and in order, so
         ``tree_slices[i, 1] == tree_slices[i + 1, 0]``.
+    pad:
+        ``[n_trees, max_nodes]`` rows of each tree, padded with row 0 (which
+        pooling turns into a ``-inf`` sentinel).
+    parent_slot:
+        ``[total_nodes]`` row of ``d_concat.reshape(-1, node_dim)`` holding
+        the gradient a node's parent sends it: ``3 * parent + 1`` for a left
+        child, ``+ 2`` for a right child, ``3 * total_nodes`` (a zero row)
+        for a root.  Only training batches carry it; ``None`` otherwise.
     """
 
     features: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    idx3: np.ndarray
     tree_slices: np.ndarray
+    pad: np.ndarray
+    parent_slot: np.ndarray | None = None
 
     @property
     def n_trees(self) -> int:
@@ -66,20 +77,41 @@ class PlanTreeBatch:
 
         Each tree supplies node ``features`` of shape ``[n, d]`` and per-node
         child indices ``left``/``right`` in ``[-1, n)``, where ``-1`` means
-        "no child"; a node may be the child of at most one node.
+        "no child"; a node may be the child of at most one node.  The batch
+        carries no parent slots: it is for inference.
         """
         # ``corpus.take(arange(n))`` without the gather: storage order is
         # batch order, so only the null row and the +1 shift are missing.
         corpus = PlanTreeCorpus.from_trees(trees)
         first = corpus.starts + 1
-        shift = np.repeat(first, corpus.sizes)
         null = np.zeros((1, corpus.features.shape[1]))
+        idx3, pad = _index(corpus.left, corpus.right, corpus.sizes, first)
         return cls(
             np.concatenate([null, corpus.features]),
-            np.where(corpus.left >= 0, corpus.left + shift, 0),
-            np.where(corpus.right >= 0, corpus.right + shift, 0),
+            idx3,
             np.stack([first, first + corpus.sizes], axis=1),
+            pad,
         )
+
+
+def _index(
+    left: np.ndarray, right: np.ndarray, sizes: np.ndarray, first: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(idx3, pad)`` of trees laid out back to back.
+
+    ``left``/``right`` are tree-local child indices (``-1`` = none) of every
+    node in layout order, ``sizes`` the trees' node counts and ``first`` the
+    row each tree's first node lands on.
+    """
+    shift = np.repeat(first, sizes)
+    pos = np.arange(len(left)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    idx3 = np.empty((len(left), 3), dtype=int)
+    idx3[:, 0] = shift + pos
+    idx3[:, 1] = np.where(left >= 0, left + shift, 0)
+    idx3[:, 2] = np.where(right >= 0, right + shift, 0)
+    pad = np.zeros((len(sizes), int(sizes.max())), dtype=int)
+    pad[np.repeat(np.arange(len(sizes)), sizes), pos] = idx3[:, 0]
+    return idx3, pad
 
 
 @dataclass
@@ -116,7 +148,7 @@ class PlanTreeCorpus:
 
         Raises ``ValueError`` (naming the tree) unless every child index is
         in ``[-1, n)`` and every node is the child of at most one node --
-        the invariant the scatter-free backward pass relies on.
+        the invariant the parent-slot backward pass relies on.
         """
         if len(trees) == 0:
             raise ValueError("cannot batch zero trees")
@@ -167,7 +199,9 @@ class PlanTreeCorpus:
         """Yield trees ``order`` as consecutive batches of ``batch_size``.
 
         All batches are gathered at once into one array (a null row, then a
-        batch's nodes, for each batch); every yielded batch is views into it.
+        batch's nodes, for each batch), and their index arrays -- ``idx3``,
+        ``pad`` and the parent slots -- are built once for the whole order;
+        every yielded batch is views into them.
         """
         order = np.asarray(order, dtype=int)
         n = len(order)
@@ -183,22 +217,30 @@ class PlanTreeCorpus:
         local = begins - begins[cuts][batch_of] + 1
         rows = np.arange(total)
         src = np.repeat(self.starts[order] - begins, sizes) + rows
-        shift = np.repeat(local, sizes)
-        left, right = self.left[src], self.right[src]
-        left = np.where(left >= 0, left + shift, 0)
-        right = np.where(right >= 0, right + shift, 0)
+        idx3, pad = _index(self.left[src], self.right[src], sizes, local)
         features = np.zeros((total + len(cuts), self.features.shape[1]))
         features[np.repeat(batch_of + 1, sizes) + rows] = self.features[src]
         slices = np.stack([local, local + sizes], axis=1)
         row_cuts = begins[cuts].tolist() + [total]
         tree_cuts = cuts.tolist() + [n]
+        # Parent slots: a root reads its batch's zero row, 3 * batch nodes;
+        # child row r of node i (batch-local, 0-based) reads 3 * i + 1 / + 2.
+        batch_rows = np.diff(row_cuts)
+        first_row = np.repeat(begins[cuts], batch_rows)  # batch's first node
+        parent_slot = 3 * np.repeat(batch_rows, batch_rows)
+        node = rows - first_row
+        for side, children in ((1, idx3[:, 1]), (2, idx3[:, 2])):
+            has = children > 0
+            parent_slot[(first_row + children - 1)[has]] = 3 * node[has] + side
         for b in range(len(cuts)):
             r0, r1 = row_cuts[b], row_cuts[b + 1]
+            t0, t1 = tree_cuts[b], tree_cuts[b + 1]
             yield PlanTreeBatch(
                 features[r0 + b : r1 + b + 1],
-                left[r0:r1],
-                right[r0:r1],
-                slices[tree_cuts[b] : tree_cuts[b + 1]],
+                idx3[r0:r1],
+                slices[t0:t1],
+                pad[t0:t1, : sizes[t0:t1].max()],
+                parent_slot[r0:r1],
             )
 
 
@@ -218,32 +260,38 @@ class _TreeConvLayer:
         self.db = np.zeros_like(self.b)
         self.in_dim = in_dim
 
-    def forward(self, x: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, idx3: np.ndarray) -> np.ndarray:
         # x: [1+N, in_dim] with null row 0.  Output: [1+N, out_dim].
-        self._concat = np.concatenate([x[1:], x[left], x[right]], axis=1)
-        self._left, self._right = left, right
+        n = len(idx3)
+        self._concat = x[idx3].reshape(n, 3 * self.in_dim)
         pre = self._concat @ self.w + self.b
         self._mask = pre > 0
-        out = np.zeros((x.shape[0], self.w.shape[1]))
-        out[1:] = pre * self._mask
+        out = np.empty((n + 1, self.w.shape[1]))
+        out[0] = 0.0
+        np.multiply(pre, self._mask, out=out[1:])
         return out
 
-    def backward(self, grad_out: np.ndarray, input_grad: bool):
-        # grad_out: [1+N, out_dim]; row 0 is ignored (null node has no grad).
-        g = grad_out[1:] * self._mask
+    def backward(self, grad_out: np.ndarray, parent_slot: np.ndarray | None):
+        """Gradients of the ``N`` node rows (no null row) in, the same out.
+
+        Without ``parent_slot`` only ``dw`` / ``db`` are computed.  A node's
+        input gradient is its own slot of ``d_concat`` plus the one slot its
+        parent sends it (left or right; a root reads a zero row): each node
+        has at most one parent, so that is the whole sum, gathered.
+        """
+        g = grad_out * self._mask
         np.matmul(self._concat.T, g, out=self.dw)
         g.sum(axis=0, out=self.db)
-        if not input_grad:
+        if parent_slot is None:
             return None
-        d_concat = g @ self.w.T
-        d = self.in_dim
-        grad_in = np.zeros((grad_out.shape[0], d))
-        grad_in[1:] += d_concat[:, :d]
-        # A node has at most one parent, so apart from the null row (zeroed
-        # below) no index repeats across the two adds: no scatter needed.
-        grad_in[self._left] += d_concat[:, d : 2 * d]
-        grad_in[self._right] += d_concat[:, 2 * d :]
-        grad_in[0] = 0.0
+        n, d = len(g), self.in_dim
+        d_concat = np.empty((n + 1, 3 * d))
+        d_concat[n] = 0.0
+        np.matmul(g, self.w.T, out=d_concat[:n])
+        grad_in = d_concat.reshape(-1, d)[parent_slot]
+        # ``0.0 +`` first: it turns a -0.0 own slot into +0.0, as the
+        # zero-initialised accumulator this replaces did.
+        grad_in += 0.0 + d_concat[:n, :d]
         return grad_in
 
     def parameters(self) -> list[np.ndarray]:
@@ -317,6 +365,8 @@ class TreeConvNet:
         *,
         seed: int = 0,
     ) -> None:
+        if not conv_channels:
+            raise ValueError("a tree-convolution network needs a conv layer")
         rng = np.random.default_rng(seed)
         self.node_dim = node_dim
         self.out_dim = out_dim
@@ -358,18 +408,15 @@ class TreeConvNet:
         """Return the pooled plan embedding (before the head), ``[B, C]``."""
         x = batch.features
         for layer in self.conv_layers:
-            x = layer.forward(x, batch.left, batch.right)
-        starts = batch.tree_slices[:, 0]
-        sizes = batch.tree_slices[:, 1] - starts
-        last = x.shape[0] - 1
-        # Segment max over each tree's rows, then the first row attaining it
-        # (``argmax`` semantics; ``last`` keeps the index valid under NaN).
-        pooled = np.maximum.reduceat(x, starts, axis=0)
-        hit = x[1:] == np.repeat(pooled, sizes, axis=0)
-        rows = np.where(hit, np.arange(1, last + 1)[:, None], last)
-        self._argmax = np.minimum.reduceat(rows, starts - 1, axis=0)
-        self._last_x_shape = x.shape
-        return pooled
+            x = layer.forward(x, batch.idx3)
+        # Nothing reads the last layer's null row: it becomes the -inf
+        # sentinel the padding points at.  Each (tree, channel) pools its
+        # first arg-max row (``argmax`` semantics, NaN included).
+        x[0] = -np.inf
+        first = x[batch.pad].argmax(axis=1)
+        self._argmax = batch.pad[np.arange(batch.n_trees)[:, None], first]
+        self._n_nodes = x.shape[0] - 1
+        return x[self._argmax, np.arange(x.shape[1])]
 
     def forward(self, batch: PlanTreeBatch) -> np.ndarray:
         pooled = self.embed(batch)
@@ -379,15 +426,20 @@ class TreeConvNet:
         return h
 
     def _backward(self, batch: PlanTreeBatch, grad: np.ndarray) -> None:
+        if batch.parent_slot is None and len(self.conv_layers) > 1:
+            raise ValueError(
+                "an inference batch has no parent slots: train on "
+                "PlanTreeCorpus batches"
+            )
         for layer in reversed(self.head):
             grad = layer.backward(grad)
         # Un-pool: each (tree, channel) has exactly one argmax row, so routing
         # the pooled gradient there is an assignment.
-        g = np.zeros(self._last_x_shape)
-        g[self._argmax, np.arange(g.shape[1])] = grad
+        g = np.zeros((self._n_nodes, grad.shape[1]))
+        g[self._argmax - 1, np.arange(g.shape[1])] = grad
         # Nothing consumes the gradient w.r.t. the input features.
         for i in reversed(range(len(self.conv_layers))):
-            g = self.conv_layers[i].backward(g, input_grad=i > 0)
+            g = self.conv_layers[i].backward(g, batch.parent_slot if i > 0 else None)
 
     def parameters(self) -> list[np.ndarray]:
         params: list[np.ndarray] = []

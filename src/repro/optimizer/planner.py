@@ -19,6 +19,7 @@ the two steering surfaces (estimator swap, hint sets).
 from __future__ import annotations
 
 import math
+import weakref
 from itertools import combinations
 from typing import Sequence
 
@@ -44,6 +45,17 @@ from repro.sql.query import Join, Query
 from repro.storage.catalog import Database
 
 __all__ = ["Optimizer", "enumerate_dp", "enumerate_dp_arms", "enumerate_greedy"]
+
+_DEFAULT_HINTS = HintSet.default()
+
+
+def _pricing_state(coster: PlanCoster | RiskCoster) -> tuple:
+    """Everything a planning's result depends on besides the query and the
+    hints: each estimator's :meth:`PlanCoster.cache_tag` (instance,
+    ``estimates_version``, ``data_version``) and a risk coster's blend."""
+    if isinstance(coster, RiskCoster):
+        return (coster.risk_lambda, coster.expected.cache_tag(), coster.bound.cache_tag())
+    return (coster.cache_tag(),)
 
 
 def _join_conditions_between(
@@ -328,6 +340,13 @@ class Optimizer:
         overridden per call.
     """
 
+    #: ``(weakref to the optimizer, state, default plan)`` of the last arm
+    #: sweep that planned the default hint set, process-wide: one entry,
+    #: on the class so no model fingerprint walks it.  The plan holds its
+    #: query; the optimizer is held weakly, so the entry keeps no database
+    #: alive.
+    _last_sweep: tuple | None = None
+
     def __init__(
         self,
         db: Database,
@@ -416,8 +435,23 @@ class Optimizer:
 
         ``risk``/``risk_lambda`` override the optimizer's defaults for
         this one planning (e.g. ``risk="worst_case"`` picks the plan
-        minimizing cost under the certified cardinality bound)."""
+        minimizing cost under the certified cardinality bound).
+
+        A default-hint ``dp`` planning of the very ``query`` object this
+        optimizer's last arm sweep planned, in the same risk mode and
+        estimator state, is that sweep's default lane: :meth:`plan_arms`
+        guarantees it equals a fresh DP."""
         coster = self._planning_coster(risk, risk_lambda)
+        sweep = self._last_sweep
+        if (
+            sweep is not None
+            and sweep[2].query is query
+            and sweep[0]() is self
+            and algorithm == "dp"
+            and (hints is None or hints == _DEFAULT_HINTS)
+            and sweep[1] == _pricing_state(coster)
+        ):
+            return sweep[2]
         if algorithm == "dp":
             return enumerate_dp(query, coster, hints)
         if algorithm == "greedy":
@@ -448,10 +482,17 @@ class Optimizer:
 
         ``plan_arms(q, arms)[i] == plan(q, hints=arms[i])`` for every arm;
         arms whose plans are equal get the same :class:`Plan` object.  This
-        is Bao's and AutoSteer's sweep (:func:`enumerate_dp_arms`)."""
-        return enumerate_dp_arms(
-            query, self._planning_coster(risk, risk_lambda), arms
-        )
+        is Bao's and AutoSteer's sweep (:func:`enumerate_dp_arms`).  When
+        ``arms`` holds the default hint set, its plan is remembered (one
+        entry, :attr:`_last_sweep`) for the :meth:`plan` of the same
+        ``query`` that follows."""
+        coster = self._planning_coster(risk, risk_lambda)
+        state = _pricing_state(coster)  # before the DP reads the estimators
+        plans = enumerate_dp_arms(query, coster, arms)
+        if _DEFAULT_HINTS in arms:
+            default = plans[arms.index(_DEFAULT_HINTS)]
+            Optimizer._last_sweep = (weakref.ref(self), state, default)
+        return plans
 
     def cost(self, plan: Plan) -> float:
         """Estimated cost of an arbitrary plan under the current estimator."""

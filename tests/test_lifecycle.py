@@ -312,6 +312,37 @@ def test_planner_model_fingerprint_is_its_estimators_content(stats_db):
     assert model_fingerprint(b, shared=shared) != fp
 
 
+def test_a_join_edge_unseen_in_training_leaves_the_fingerprint_alone():
+    """The featurizer's join index is whole from construction: serving a
+    query over an edge the training never joined changes nothing."""
+    from repro.cardest.querydriven import GBDTQueryEstimator
+    from repro.core.framework import PlannerModel
+    from repro.engine import CardinalityExecutor, ExecutionSimulator
+    from repro.optimizer import Optimizer
+    from repro.sql import WorkloadGenerator
+
+    db = make_stats_lite(scale=0.12, seed=0)
+    native = Optimizer(db)
+    simulator, executor = ExecutionSimulator(db), CardinalityExecutor(db)
+    shared = (db, native, simulator, executor, native.stats, native.cache)
+    workload = WorkloadGenerator(db, seed=5).workload(120, 2, 3)
+    unseen = workload[0].joins[0]
+    train = [q for q in workload if unseen not in q.joins]
+    over_unseen = [q for q in workload if unseen in q.joins]
+    assert train and over_unseen
+    cards = np.array([float(executor.cardinality(q)) for q in train])
+    estimator = GBDTQueryEstimator(db, seed=0).fit(train, cards)
+    model = PlannerModel(native.with_estimator(estimator), name="steered")
+    registry = ModelRegistry(shared=shared)
+    version = registry.register(model)
+    model.choose_plan(over_unseen[0])
+    assert registry.verify(version.version_id)
+    gate = EvalGate(over_unseen[:4], simulator=simulator, shared=shared)
+    gate._measured(model, version.fingerprint)
+    assert version.fingerprint in gate._memo  # measured once, memoized
+    assert registry.verify(version.version_id)
+
+
 def test_fingerprint_sees_the_last_tree_of_a_large_ensemble(monkeypatch):
     """A digest that ran out of steps part-way through an ensemble was equal
     for models differing only in a late tree.  (The walk budget is scaled
@@ -851,33 +882,33 @@ def _memo_stack(seed=0):
 
 def test_gate_memo_answers_an_unchanged_model_and_misses_a_refit_or_a_drift(monkeypatch):
     gate, champion, queries, shared, native = _memo_stack()
-    # The first pass adds the holdout's join shapes to the featurizer's
-    # memo: the champion's content changed, so only the second pass is kept.
+    # Measuring the champion leaves its content as it was (the featurizer's
+    # join index is whole from construction), so its first pass is kept.
     passes = _count_passes(gate, monkeypatch)
     gate.evaluate(champion, champion)
-    assert passes == [champion, champion]
+    assert passes == [champion]
     clone = clone_model(champion, shared=shared)
     first = gate.evaluate(champion, clone)
-    assert passes == [champion, champion]  # one content, one data version
+    assert passes == [champion]  # one content, one data version
     assert first.passed
     assert first.challenger == first.champion | {"regression_rate": 0.0}
     refit = clone_model(champion, shared=shared)
     refit.estimator.fit(queries[:20], np.ones(20))
     second = gate.evaluate(champion, refit)
-    assert passes[2:] == [refit]  # the champion from the memo, not the refit
+    assert passes[1:] == [refit]  # the champion from the memo, not the refit
     assert second.champion == first.champion
     apply_drift(gate.simulator.db, fraction=0.5, seed=0)
     native.stats.refresh(gate.simulator.db)
     gate.executor.clear_cache()
     third = gate.evaluate(champion, refit)
-    assert passes[3:] == [champion, refit]  # new data: both again
+    assert passes[2:] == [champion, refit]  # new data: both again
     assert third.champion != first.champion
     assert _memoless_twin(gate).evaluate(champion, refit) == third
 
 
 def test_gate_memo_caches_metrics_not_verdicts(monkeypatch):
     gate, champion, _, shared, _ = _memo_stack()
-    gate.evaluate(champion, champion)  # fills the featurizer's join memo
+    gate.evaluate(champion, champion)
     clone = clone_model(champion, shared=shared)
     assert gate.evaluate(champion, clone).passed
     passes = _count_passes(gate, monkeypatch)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.engine import CardinalityExecutor, ExecutionSimulator, execute_cardinality
 from repro.ml.setconv import SetConvNet
-from repro.ml.treeconv import PlanTreeBatch, TreeConvNet
+from repro.ml.treeconv import PlanTreeCorpus, TreeConvNet
 from repro.optimizer import Optimizer
 from repro.sql import ColumnRef, Op, Predicate, Query, WorkloadGenerator, parse_query
 from repro.storage import make_imdb_lite, make_stats_lite, make_tpch_lite
@@ -169,7 +169,8 @@ class TestStructuredGradients:
         ]
         target = np.array([[1.0], [2.0], [-1.0], [0.5]])
         net = TreeConvNet(4, (5, 4), (3,), seed=1)
-        batch = PlanTreeBatch.from_trees(trees)
+        # A training batch: it carries the parent slots the backward reads.
+        batch = PlanTreeCorpus.from_trees(trees).take(np.arange(len(trees)))
 
         def loss():
             return float(((net.forward(batch) - target) ** 2).sum())

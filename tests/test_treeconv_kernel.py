@@ -17,10 +17,13 @@ from hypothesis import given, settings, strategies as st
 from repro.costmodel import PlanFeaturizer, UnifiedTransferableModel
 from repro.costmodel.features import plan_to_tree_arrays
 from repro.e2e import PairwisePlanComparator
-from repro.ml.nn import Adam
 from repro.ml.treeconv import PlanTreeBatch, PlanTreeCorpus, TreeConvNet
 from repro.sql import WorkloadGenerator
-from tests.treeconv_reference import ReferencePlanTreeBatch, ReferenceTreeConvNet
+from tests.treeconv_reference import (
+    ReferenceAdam,
+    ReferencePlanTreeBatch,
+    ReferenceTreeConvNet,
+)
 
 
 def random_binary_tree(rng, dim, n_leaves):
@@ -130,6 +133,142 @@ class TestSameBits:
         assert not np.array_equal(new.flat_params, clone.flat_params)
 
 
+def chain(rng, dim, n, side):
+    """``n`` nodes, each the ``side`` (0 = left, 1 = right) child of the last."""
+    kids = np.append(np.arange(1, n), -1)
+    none = np.full(n, -1)
+    left, right = (kids, none) if side == 0 else (none, kids)
+    return rng.normal(size=(n, dim)), left, right
+
+
+def forest(seed, n, kind, dim=5):
+    """``n`` trees of one ``kind``: random full binary, chains, single nodes,
+    or a mix of all three."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        pick = kind if kind != "mixed" else ("random", "chain", "single")[i % 3]
+        if pick == "random":
+            out.append(random_binary_tree(rng, dim, int(rng.integers(1, 7))))
+        elif pick == "chain":
+            out.append(chain(rng, dim, int(rng.integers(1, 8)), i % 2))
+        else:
+            out.append(random_binary_tree(rng, dim, 1))
+    return out
+
+
+def signed_zero_ties(trees):
+    """Node rows all-zero or all-negative.  Through non-negative weights and
+    a zero bias a node's post-ReLU value is +0.0 when its own and its
+    children's rows are zero and -0.0 otherwise, so every pooling is a tie
+    of zeros.  Even trees zero their root and its children (+0.0 first, -0.0
+    below), odd trees their leaves only (-0.0 first, +0.0 below)."""
+    out = []
+    for k, (f, l, r) in enumerate(trees):
+        top = np.zeros(len(f), dtype=bool)
+        top[[0] + [c for c in (l[0], r[0]) if c >= 0]] = True
+        leaf = (l < 0) & (r < 0)
+        zero = top if k % 2 == 0 else leaf & ~top
+        if k % 2 and len(f) == 1:
+            zero[:] = True
+        rows = np.where(zero[:, None], 0.0, -1.0 - np.abs(f))
+        out.append((rows, l, r))
+    return out
+
+
+class TestSameBitsOnForests:
+    """Hypothesis forests: the corpus kernel against the loop kernel."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 40),
+        batch_size=st.integers(1, 40),
+        kind=st.sampled_from(["random", "chain", "single", "mixed"]),
+        resample=st.booleans(),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_parameters_losses_and_predictions(
+        self, seed, n, batch_size, kind, resample, ties
+    ):
+        trees = forest(seed, n, kind)
+        rng = np.random.default_rng(seed + 1)
+        y = rng.normal(size=n)
+        channels = (8,) if ties else (8, 8)  # one layer keeps the signed zeros
+        args = dict(conv_channels=channels, head_hidden=(4,), seed=seed % 7)
+        ref, new = ReferenceTreeConvNet(5, **args), TreeConvNet(5, **args)
+        if ties:
+            trees = signed_zero_ties(trees)
+            for net in (ref, new):
+                for layer in net.conv_layers:
+                    layer.w[...] = np.abs(layer.w)
+            pooled = new.embed(PlanTreeBatch.from_trees(trees))
+            assert not pooled.any()
+        kw = dict(epochs=3, batch_size=batch_size, seed=seed % 5)
+        if resample:
+            idx = rng.integers(0, n, size=n)
+            want = ref.fit([trees[i] for i in idx], y[idx], **kw)
+            got = new.fit(PlanTreeCorpus.from_trees(trees).resample(idx), y[idx], **kw)
+        else:
+            want, got = ref.fit(trees, y, **kw), new.fit(trees, y, **kw)
+        assert want == got
+        assert_same_bits(ref, new, trees)
+
+    def test_signed_zero_ties_pool_the_first_row(self):
+        trees = signed_zero_ties(forest(3, 6, "random"))
+        args = dict(conv_channels=(8,), head_hidden=(4,), seed=3)
+        ref, new = ReferenceTreeConvNet(5, **args), TreeConvNet(5, **args)
+        for net in (ref, new):
+            for layer in net.conv_layers:
+                layer.w[...] = np.abs(layer.w)
+        got = new.embed(PlanTreeBatch.from_trees(trees))
+        want = ref.embed(ReferencePlanTreeBatch.from_trees(trees))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.signbit(got).any() and not np.signbit(got).all()
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_queries=st.integers(4, 16),
+        kind=st.sampled_from(["random", "chain", "mixed"]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_comparator_interleaved_pairs(self, imdb_db, seed, n_queries, kind):
+        featurizer = PlanFeaturizer(imdb_db)
+        dim = featurizer.node_dim
+        rng = np.random.default_rng(seed)
+        model = PairwisePlanComparator(featurizer, seed=seed % 3, epochs=2)
+        for q in range(n_queries):
+            trees = forest(seed + q, int(rng.integers(1, 6)), kind, dim=dim)
+            model._by_query[f"q{q}"] = [
+                (t, float(rng.choice([10.0, 10.2, 30.0, 80.0]))) for t in trees
+            ]
+        ref = ReferenceTreeConvNet(
+            dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed % 3
+        )
+        n_pairs = _old_comparator_retrain(
+            model._by_query, ref, np.random.default_rng(seed % 3 + 5), epochs=2, lr=1e-3
+        )
+        model.retrain()
+        if n_pairs < 15:
+            assert not model._trained
+            return
+        every = [t for entries in model._by_query.values() for t, _ in entries]
+        assert_same_bits(ref, model.net, every)
+
+    def test_nan_input_trains_and_unpools_in_range(self):
+        trees = forest(12, 20, "mixed")
+        trees[3][0][0, 2] = np.nan
+        trees[7][0][:] = np.nan
+        net = TreeConvNet(5, conv_channels=(8, 8), head_hidden=(4,), seed=1)
+        net.fit(trees, np.arange(20.0), epochs=2, batch_size=6)
+        batch = PlanTreeBatch.from_trees(trees)
+        net.embed(batch)
+        n_nodes = len(batch.idx3)
+        assert ((net._argmax >= 1) & (net._argmax <= n_nodes)).all()
+        for k, (start, stop) in enumerate(batch.tree_slices):
+            assert ((net._argmax[k] >= start) & (net._argmax[k] < stop)).all()
+
+
 class TestCorpus:
     @given(
         st.integers(0, 10_000),
@@ -141,8 +280,8 @@ class TestCorpus:
         got = PlanTreeCorpus.from_trees(trees).take(np.array(idx))
         want = ReferencePlanTreeBatch.from_trees([trees[i] for i in idx])
         assert np.array_equal(got.features, want.features)
-        assert np.array_equal(got.left, want.left)
-        assert np.array_equal(got.right, want.right)
+        assert np.array_equal(got.idx3[:, 1], want.left)
+        assert np.array_equal(got.idx3[:, 2], want.right)
         assert got.tree_slices.tolist() == [list(s) for s in want.tree_slices]
         restacked = PlanTreeBatch.from_trees([trees[i] for i in idx])
         assert np.array_equal(got.features, restacked.features)
@@ -157,8 +296,9 @@ class TestCorpus:
         for k, batch in enumerate(batches):
             want = corpus.take(order[5 * k : 5 * k + 5])
             assert np.array_equal(batch.features, want.features)
-            assert np.array_equal(batch.left, want.left)
-            assert np.array_equal(batch.right, want.right)
+            assert np.array_equal(batch.idx3, want.idx3)
+            assert np.array_equal(batch.pad, want.pad)
+            assert np.array_equal(batch.parent_slot, want.parent_slot)
             assert np.array_equal(batch.tree_slices, want.tree_slices)
 
     @staticmethod
@@ -210,7 +350,7 @@ def _old_comparator_retrain(by_query, net, rng, *, epochs, lr):
                 if abs(la - lb) / max(la, lb, 1e-9) < 0.05:
                     continue
                 pairs.append((ta, tb, 1.0 if la < lb else 0.0))
-    opt = Adam(lr=lr)
+    opt = ReferenceAdam(lr=lr)
     for _ in range(epochs):
         order = rng.permutation(len(pairs))
         for start in range(0, len(pairs), 16):
@@ -231,7 +371,7 @@ def _old_comparator_retrain(by_query, net, rng, *, epochs, lr):
 
 def _old_multitask_loops(net, rng, trees, y, tune_trees, tune_y, *, epochs):
     """``UnifiedTransferableModel.pretrain`` then ``.fine_tune("latency")``."""
-    opt = Adam(lr=1e-3)
+    opt = ReferenceAdam(lr=1e-3)
     losses = []
     for _ in range(epochs):
         order = rng.permutation(len(trees))
@@ -246,7 +386,7 @@ def _old_multitask_loops(net, rng, trees, y, tune_trees, tune_y, *, epochs):
             batches += 1
         losses.append(total / max(batches, 1))
     head_params = [p for layer in net.head for p in layer.parameters()]
-    opt = Adam(lr=2e-3)
+    opt = ReferenceAdam(lr=2e-3)
     for _ in range(epochs):
         order = rng.permutation(len(tune_trees))
         for start in range(0, len(tune_trees), 32):

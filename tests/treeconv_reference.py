@@ -3,7 +3,9 @@
 This is ``repro/ml/treeconv.py`` as it stood before the training-kernel
 rewrite: a per-batch ``from_trees`` Python loop, a per-tree ``argmax`` loop
 in ``embed``, ``np.add.at`` for the un-pool and the two child scatters, and
-Adam stepping eight separate arrays.  The rewrite must reproduce it bit for
+Adam stepping eight separate arrays through fresh temporaries
+(:class:`ReferenceAdam`, the optimizer as it stood before its in-place
+step).  The rewrite must reproduce it bit for
 bit; ``tests/test_treeconv_kernel.py`` asserts that and
 ``benchmarks/bench_p6_fastpath.py`` uses it as the interpreted baseline.
 Do not optimise this file.
@@ -17,9 +19,36 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.ml.nn import Adam, mse_loss, binary_cross_entropy_loss
+from repro.ml.nn import mse_loss, binary_cross_entropy_loss
 
-__all__ = ["ReferencePlanTreeBatch", "ReferenceTreeConvNet"]
+__all__ = ["ReferenceAdam", "ReferencePlanTreeBatch", "ReferenceTreeConvNet"]
+
+
+class ReferenceAdam:
+    """Adam (Kingma & Ba), each step through freshly allocated temporaries."""
+
+    beta1 = 0.9
+    beta2 = 0.999
+
+    def __init__(self, lr: float = 1e-3) -> None:
+        self.lr = lr
+        self._m: list[np.ndarray] | None = None
+        self._v: list[np.ndarray] | None = None
+        self._t = 0
+
+    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        if self._m is None:
+            self._m = [np.zeros_like(p) for p in params]
+            self._v = [np.zeros_like(p) for p in params]
+        self._t += 1
+        b1t = 1.0 - self.beta1**self._t
+        b2t = 1.0 - self.beta2**self._t
+        for p, g, m, v in zip(params, grads, self._m, self._v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + 1e-8)
 
 
 @dataclass
@@ -291,7 +320,7 @@ class ReferenceTreeConvNet:
             raise ValueError("cannot fit on an empty corpus")
         loss_fn = {"mse": mse_loss, "bce": binary_cross_entropy_loss}[loss]
         rng = np.random.default_rng(seed)
-        opt = Adam(lr=lr)
+        opt = ReferenceAdam(lr=lr)
         losses: list[float] = []
         n = len(trees)
         for epoch in range(epochs):
