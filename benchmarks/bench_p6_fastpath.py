@@ -16,8 +16,10 @@ Nine properties are measured and gated:
    templates, many literal bindings) must serve every request and see a
    > 80% plan-cache hit rate.
 4. **Tree-conv training kernel**: ``TreeConvNet.fit`` over one flat
-   plan-tree corpus (one-gather conv, padded max-pool, parent-slot
-   backward, one in-place flat Adam update) must be >= 2.1x faster than
+   plan-tree corpus (every epoch's batch indices planned a block of epochs
+   at a time, layer 1 read from a per-fit ``[node; left; right]`` table,
+   one-gather conv above it, padded max-pool, parent-slot backward, one
+   in-place flat Adam update) must be >= 2.1x faster than
    the loop + ``np.add.at`` kernel it replaced
    (``tests/treeconv_reference.py``) on Bao-shaped plan trees, with every
    trained parameter and every prediction ``array_equal``.

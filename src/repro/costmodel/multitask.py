@@ -27,7 +27,7 @@ import numpy as np
 from repro.costmodel.features import PlanFeaturizer, plan_to_tree_arrays
 from repro.engine.plans import Plan
 from repro.ml.nn import Adam
-from repro.ml.treeconv import PlanTreeBatch, PlanTreeCorpus, TreeConvNet
+from repro.ml.treeconv import PlanTreeBatch, PlanTreeCorpus, TreeConvNet, shuffles
 
 __all__ = ["UnifiedTransferableModel"]
 
@@ -87,13 +87,12 @@ class UnifiedTransferableModel:
         opt = Adam(lr=lr)
         params, grads = [self.net.flat_params], [self.net.flat_grads]
         losses: list[float] = []
-        n = len(corpus)
-        for _ in range(epochs):
-            order = self._rng.permutation(n)
+        orders = shuffles(self._rng, len(corpus), epochs)
+        for order, batches in corpus.plan(orders, batch_size):
             y_epoch = y[order]
-            total, batches = 0.0, 0
-            for batch in corpus.batches(order, batch_size):
-                start = batches * batch_size
+            total, count = 0.0, 0
+            for batch in batches:
+                start = count * batch_size
                 pred = self.net.forward(batch)
                 diff = pred - y_epoch[start : start + batch_size]
                 loss = float((diff**2).mean())
@@ -101,8 +100,8 @@ class UnifiedTransferableModel:
                 self.net._backward(batch, grad)
                 opt.step(params, grads)
                 total += loss
-                batches += 1
-            losses.append(total / max(batches, 1))
+                count += 1
+            losses.append(total / max(count, 1))
         self._trained = True
         return losses
 
@@ -135,11 +134,10 @@ class UnifiedTransferableModel:
         head = self.net.head_offset
         params, grads = [self.net.flat_params[head:]], [self.net.flat_grads[head:]]
         opt = Adam(lr=lr)
-        n = len(corpus)
-        for _ in range(epochs):
-            order = self._rng.permutation(n)
+        orders = shuffles(self._rng, len(corpus), epochs)
+        for order, batches in corpus.plan(orders, 32):
             y_epoch = y[order]
-            for k, batch in enumerate(corpus.batches(order, 32)):
+            for k, batch in enumerate(batches):
                 y_b = y_epoch[32 * k : 32 * (k + 1)]
                 pred = self.net.forward(batch)
                 grad = np.zeros_like(pred)

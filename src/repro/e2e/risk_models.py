@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import tee
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.costmodel.features import (
 )
 from repro.engine.plans import Plan
 from repro.ml.nn import Adam
-from repro.ml.treeconv import PlanTreeCorpus, TreeConvNet
+from repro.ml.treeconv import PlanTreeCorpus, TreeConvNet, shuffles
 from repro.sql.query import Query
 
 __all__ = [
@@ -210,8 +211,9 @@ class PairwisePlanComparator:
             featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed
         )
         self._rng = np.random.default_rng(seed + 5)
-        # query_key -> list of (tree, latency)
+        # query_key -> list of (tree, latency), oldest first
         self._by_query: dict[str, list[tuple[tuple, float]]] = {}
+        self._recorded: deque[str] = deque()  # each observation's key, oldest first
         self._trained = False
 
     @property
@@ -220,9 +222,26 @@ class PairwisePlanComparator:
         return self._trained
 
     def observe(self, candidate: CandidatePlan, latency_ms: float) -> None:
-        key = candidate.plan.query.to_sql()
-        tree = _candidate_tree(candidate, self.featurizer)
-        self._by_query.setdefault(key, []).append((tree, float(latency_ms)))
+        self.record(
+            candidate.plan.query.to_sql(),
+            _candidate_tree(candidate, self.featurizer),
+            latency_ms,
+        )
+
+    def record(self, query_key: str, tree: tuple, latency_ms: float) -> None:
+        """Keep one executed plan ``tree`` of query ``query_key``.
+
+        Only the most recent ``OBSERVATION_WINDOW`` observations are kept,
+        like Bao's: past it the oldest observation of all is dropped (a
+        query left with none goes), so a retrain costs O(window)."""
+        self._by_query.setdefault(query_key, []).append((tree, float(latency_ms)))
+        self._recorded.append(query_key)
+        if len(self._recorded) > OBSERVATION_WINDOW:
+            oldest = self._recorded.popleft()
+            entries = self._by_query[oldest]
+            del entries[0]
+            if not entries:
+                del self._by_query[oldest]
 
     @staticmethod
     def _informative(latencies: Sequence[float]):
@@ -261,13 +280,12 @@ class PairwisePlanComparator:
         corpus = PlanTreeCorpus.from_trees(trees)
         opt = Adam(lr=self.lr)
         params, grads = [self.net.flat_params], [self.net.flat_grads]
-        n = len(labels)
-        for _ in range(self.epochs):
-            order = self._rng.permutation(n)
+        orders, drawn = tee(shuffles(self._rng, len(labels), self.epochs))
+        # Trees interleaved a0, b0, a1, b1, ...: 16 pairs to a batch.
+        interleaved = (np.stack([a[o], b[o]], axis=1).ravel() for o in drawn)
+        for order, (_, batches) in zip(orders, corpus.plan(interleaved, 32)):
             y_epoch = labels[order]
-            # Trees interleaved a0, b0, a1, b1, ...: 16 pairs to a batch.
-            interleaved = np.stack([a[order], b[order]], axis=1).ravel()
-            for k, batch in enumerate(corpus.batches(interleaved, 32)):
+            for k, batch in enumerate(batches):
                 y_arr = y_epoch[16 * k : 16 * (k + 1)]
                 scores = self.net.forward(batch)[:, 0]
                 diff = scores[1::2] - scores[0::2]  # s(b) - s(a)

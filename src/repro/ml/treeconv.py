@@ -14,15 +14,17 @@ children, which lets both the forward and the backward pass be fully
 vectorized with numpy gather operations.
 
 Training never re-stacks trees: a :class:`PlanTreeCorpus` holds every node
-of every tree once, an epoch is one gather from it, and a minibatch is a
-set of views into that epoch (see DESIGN.md §7, "training kernel").
+of every tree once, layer 1 reads each node's ``[x_v ; x_l ; x_r]`` row from
+a table built once per fit, and a fit's batches come from one plan whose
+index arrays are built a block of epochs at a time (see DESIGN.md §7,
+"training kernel").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,36 +34,44 @@ __all__ = ["PlanTreeBatch", "PlanTreeCorpus", "TreeConvNet"]
 
 Tree = tuple[np.ndarray, np.ndarray, np.ndarray]
 
+#: node rows of batch index arrays a plan builds at once (or one batch, when
+#: a single batch is larger), and the trees of orders it reads at once: the
+#: plan's size depends on neither the number of epochs nor the corpus
+PLAN_ROWS = 1024
+
 
 @dataclass
 class PlanTreeBatch:
     """A batch of binary trees flattened for vectorized tree convolution.
 
+    Node rows ``1..N`` are the batch's nodes, tree after tree; row 0 is the
+    null node that stands in for a missing child.
+
     Attributes
     ----------
-    features:
-        ``[1 + total_nodes, node_dim]`` array; row 0 is the all-zero null
-        node used as the child of leaves.
+    layer1:
+        ``[N, 3 * node_dim]``: each node's ``[x_v ; x_l ; x_r]`` feature row
+        (zeros for a missing child), the first conv layer's input.
     idx3:
-        ``[total_nodes, 3]`` int array: each node's own row, left-child row
-        and right-child row in ``features`` (0 = null), so one gather
-        ``x[idx3]`` is the ``[node ; left ; right]`` concatenation.
+        ``[N, 3]`` int array: each node's own row, left-child row and
+        right-child row (0 = null), so one gather ``x[idx3]`` of a layer's
+        output is the next layer's ``[node ; left ; right]`` concatenation.
     tree_slices:
-        ``[n_trees, 2]`` int array of per-tree ``(start, stop)`` ranges into
-        rows ``1..total_nodes`` of ``features`` (offsets already include the
-        +1 null-row shift).  Trees are contiguous and in order, so
-        ``tree_slices[i, 1] == tree_slices[i + 1, 0]``.
+        ``[n_trees, 2]`` int array of per-tree ``(start, stop)`` row ranges
+        (offsets already include the +1 null-row shift).  Trees are
+        contiguous and in order, so ``tree_slices[i, 1] == tree_slices[i +
+        1, 0]``.
     pad:
         ``[n_trees, max_nodes]`` rows of each tree, padded with row 0 (which
         pooling turns into a ``-inf`` sentinel).
     parent_slot:
-        ``[total_nodes]`` row of ``d_concat.reshape(-1, node_dim)`` holding
-        the gradient a node's parent sends it: ``3 * parent + 1`` for a left
-        child, ``+ 2`` for a right child, ``3 * total_nodes`` (a zero row)
-        for a root.  Only training batches carry it; ``None`` otherwise.
+        ``[N]`` row of ``d_concat.reshape(-1, node_dim)`` holding the
+        gradient a node's parent sends it: ``3 * parent + 1`` for a left
+        child, ``+ 2`` for a right child, ``3 * N`` (a zero row) for a root.
+        Only training batches carry it; ``None`` otherwise.
     """
 
-    features: np.ndarray
+    layer1: np.ndarray
     idx3: np.ndarray
     tree_slices: np.ndarray
     pad: np.ndarray
@@ -80,14 +90,15 @@ class PlanTreeBatch:
         "no child"; a node may be the child of at most one node.  The batch
         carries no parent slots: it is for inference.
         """
-        # ``corpus.take(arange(n))`` without the gather: storage order is
-        # batch order, so only the null row and the +1 shift are missing.
+        # Storage order is batch order, so the corpus's child rows only lack
+        # the +1 null-row shift, and layer 1 is one gather through idx3.
         corpus = PlanTreeCorpus.from_trees(trees)
         first = corpus.starts + 1
-        null = np.zeros((1, corpus.features.shape[1]))
         idx3, pad = _index(corpus.left, corpus.right, corpus.sizes, first)
+        features = corpus.features
+        x = np.concatenate([np.zeros((1, features.shape[1])), features])
         return cls(
-            np.concatenate([null, corpus.features]),
+            x.take(idx3, axis=0).reshape(len(idx3), 3 * features.shape[1]),
             idx3,
             np.stack([first, first + corpus.sizes], axis=1),
             pad,
@@ -112,6 +123,13 @@ def _index(
     pad = np.zeros((len(sizes), int(sizes.max())), dtype=int)
     pad[np.repeat(np.arange(len(sizes)), sizes), pos] = idx3[:, 0]
     return idx3, pad
+
+
+def shuffles(rng: np.random.Generator, n: int, epochs: int) -> Iterator[np.ndarray]:
+    """One ``rng.permutation(n)`` per epoch, drawn only when read: the
+    stream an epoch-at-a-time loop draws, as long as nothing else draws from
+    ``rng`` while it is read."""
+    return (rng.permutation(n) for _ in range(epochs))
 
 
 @dataclass
@@ -190,56 +208,148 @@ class PlanTreeCorpus:
         )
 
     def take(self, idx: np.ndarray) -> PlanTreeBatch:
-        """One batch holding trees ``idx`` in that order."""
+        """One training batch holding trees ``idx`` in that order."""
         if len(idx) == 0:
             raise ValueError("cannot batch zero trees")
-        return next(self.batches(idx, len(idx)))
+        _, batches = next(self.plan([idx], len(idx)))
+        return next(batches)
 
-    def batches(self, order: np.ndarray, batch_size: int) -> Iterator[PlanTreeBatch]:
-        """Yield trees ``order`` as consecutive batches of ``batch_size``.
+    def plan(
+        self, orders: Iterable[np.ndarray], batch_size: int
+    ) -> Iterator[tuple[np.ndarray, Iterator[PlanTreeBatch]]]:
+        """``(order, batches)`` for each epoch's tree order in ``orders``:
+        the order, then an iterator over its consecutive batches of
+        ``batch_size`` trees.
 
-        All batches are gathered at once into one array (a null row, then a
-        batch's nodes, for each batch), and their index arrays -- ``idx3``,
-        ``pad`` and the parent slots -- are built once for the whole order;
-        every yielded batch is views into them.
+        Layer 1 reads a table built once per call (:meth:`_layer1`), one
+        gather per batch.  The index arrays -- ``idx3``, ``pad``, the parent
+        slots and the cuts -- are built a block of batches at a time, epochs
+        back to back, at most ``PLAN_ROWS`` node rows a block (or one
+        batch).  ``orders`` is read a chunk of epochs at a time, until the
+        chunk holds ``PLAN_ROWS`` trees, so the plan holds fewer than
+        ``PLAN_ROWS`` trees plus one epoch of orders however many epochs it
+        has.  Starting an epoch before the previous one's batches are all
+        read raises ``RuntimeError``.
         """
-        order = np.asarray(order, dtype=int)
-        n = len(order)
-        if n == 0:
-            return
+        stream = self._batches(orders, batch_size)
+        unread = 0  # batches of the epoch handed out last, not yet read
+
+        def epoch_batches(first: PlanTreeBatch) -> Iterator[PlanTreeBatch]:
+            nonlocal unread
+            unread -= 1
+            yield first
+            while unread:
+                unread -= 1
+                yield next(stream)[1]
+
+        for order, first in stream:
+            if unread:
+                raise RuntimeError("an epoch of a plan was not read to its end")
+            unread = -(-len(order) // batch_size)
+            yield order, epoch_batches(first)
+
+    def _layer1(self) -> tuple[np.ndarray, "PlanTreeCorpus"]:
+        """The layer-1 table and the corpus laid out over its rows.
+
+        The table holds, once, each node of the trees this corpus uses (a
+        resample leaves some out): ``[nodes, 3 * node_dim]``, node ``v``'s
+        ``[x_v ; x_l ; x_r]``, zeros for a missing child.  The corpus has
+        the same trees, in the same order, with the table's rows as its
+        nodes.
+        """
+        starts, once, tree = np.unique(
+            self.starts, return_index=True, return_inverse=True
+        )
+        sizes = self.sizes[once]
+        first = np.cumsum(sizes) - sizes  # each tree's first table row
+        root = np.repeat(starts, sizes)  # stored row of each node's tree
+        rows = root + np.arange(len(root)) - np.repeat(first, sizes)
+        d = self.features.shape[1]
+        layer1 = np.zeros((len(rows), 3 * d))
+        layer1[:, :d] = self.features[rows]
+        left, right = self.left[rows], self.right[rows]
+        for side, children in ((1, left), (2, right)):
+            has = children >= 0
+            layer1[has, side * d : (side + 1) * d] = self.features[(children + root)[has]]
+        corpus = PlanTreeCorpus(layer1[:, :d], left, right, first[tree], self.sizes)
+        return layer1, corpus
+
+    def _batches(
+        self, orders: Iterable[np.ndarray], batch_size: int
+    ) -> Iterator[tuple[np.ndarray, PlanTreeBatch]]:
+        """``(order, batch)`` for every epoch's batches, in order, ``order``
+        being the batch's epoch (see :meth:`plan`)."""
+        layer1, corpus = self._layer1()
+        epochs = iter(orders)
+        while True:
+            # A chunk of epochs: at least PLAN_ROWS trees, or what is left.
+            chunk, trees = [], 0
+            for order in epochs:
+                chunk.append(np.asarray(order, dtype=int))
+                trees += len(order)
+                if trees >= PLAN_ROWS:
+                    break
+            if not chunk:
+                return
+            lengths = np.array([len(order) for order in chunk])
+            if not lengths.all():
+                raise ValueError("cannot plan an empty epoch")
+            # Tree positions in the chunk where a batch starts, then the end.
+            per = -(-lengths // batch_size)
+            k = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+            bounds = np.append(
+                np.repeat(np.cumsum(lengths) - lengths, per) + batch_size * k, trees
+            )
+            tags = [order for order, n in zip(chunk, per.tolist()) for _ in range(n)]
+            flat = np.concatenate(chunk)
+            b = 0
+            while b < len(bounds) - 1:
+                p0 = bounds[b]
+                # A tree has a node at least, so PLAN_ROWS trees cover any block.
+                fits = np.cumsum(corpus.sizes[flat[p0 : p0 + PLAN_ROWS]]) <= PLAN_ROWS
+                last = int(np.searchsorted(bounds, p0 + int(fits.sum()), side="right")) - 1
+                stop = max(b + 1, last)
+                cuts = bounds[b : stop + 1] - p0
+                batches = corpus._block(layer1, flat[p0 : bounds[stop]], cuts)
+                yield from zip(tags[b:stop], batches)
+                b = stop
+
+    def _block(
+        self, layer1: np.ndarray, order: np.ndarray, cuts: np.ndarray
+    ) -> Iterator[PlanTreeBatch]:
+        """The batches of trees ``order`` cut at tree positions ``cuts``
+        (first ``0``, last ``len(order)``): index arrays built in one pass,
+        every batch views into them and one gather from ``layer1``."""
         sizes = self.sizes[order]
         ends = np.cumsum(sizes)
         begins = ends - sizes
         total = int(ends[-1])
-        cuts = np.arange(0, n, batch_size)  # first tree of each batch
-        batch_of = np.arange(n) // batch_size
+        heads = begins[cuts[:-1]]  # block row of each batch's first node
+        batch_rows = np.diff(np.append(heads, total))
         # Row of each tree's first node inside its own batch (row 0 = null).
-        local = begins - begins[cuts][batch_of] + 1
+        local = begins - np.repeat(heads, np.diff(cuts)) + 1
         rows = np.arange(total)
         src = np.repeat(self.starts[order] - begins, sizes) + rows
         idx3, pad = _index(self.left[src], self.right[src], sizes, local)
-        features = np.zeros((total + len(cuts), self.features.shape[1]))
-        features[np.repeat(batch_of + 1, sizes) + rows] = self.features[src]
-        slices = np.stack([local, local + sizes], axis=1)
-        row_cuts = begins[cuts].tolist() + [total]
-        tree_cuts = cuts.tolist() + [n]
         # Parent slots: a root reads its batch's zero row, 3 * batch nodes;
         # child row r of node i (batch-local, 0-based) reads 3 * i + 1 / + 2.
-        batch_rows = np.diff(row_cuts)
-        first_row = np.repeat(begins[cuts], batch_rows)  # batch's first node
+        first_row = np.repeat(heads, batch_rows)  # batch's first node
         parent_slot = 3 * np.repeat(batch_rows, batch_rows)
         node = rows - first_row
         for side, children in ((1, idx3[:, 1]), (2, idx3[:, 2])):
             has = children > 0
             parent_slot[(first_row + children - 1)[has]] = 3 * node[has] + side
-        for b in range(len(cuts)):
-            r0, r1 = row_cuts[b], row_cuts[b + 1]
-            t0, t1 = tree_cuts[b], tree_cuts[b + 1]
+        slices = np.stack([local, local + sizes], axis=1)
+        widths = np.maximum.reduceat(sizes, cuts[:-1])
+        row_cuts = np.append(heads, total).tolist()
+        tree_cuts = cuts.tolist()
+        for k, width in enumerate(widths.tolist()):
+            r0, r1, t0, t1 = row_cuts[k], row_cuts[k + 1], tree_cuts[k], tree_cuts[k + 1]
             yield PlanTreeBatch(
-                features[r0 + b : r1 + b + 1],
+                layer1.take(src[r0:r1], axis=0),
                 idx3[r0:r1],
                 slices[t0:t1],
-                pad[t0:t1, : sizes[t0:t1].max()],
+                pad[t0:t1, :width],
                 parent_slot[r0:r1],
             )
 
@@ -260,26 +370,29 @@ class _TreeConvLayer:
         self.db = np.zeros_like(self.b)
         self.in_dim = in_dim
 
-    def forward(self, x: np.ndarray, idx3: np.ndarray) -> np.ndarray:
-        # x: [1+N, in_dim] with null row 0.  Output: [1+N, out_dim].
-        n = len(idx3)
-        self._concat = x[idx3].reshape(n, 3 * self.in_dim)
-        pre = self._concat @ self.w + self.b
-        self._mask = pre > 0
-        out = np.empty((n + 1, self.w.shape[1]))
+    def forward(self, concat: np.ndarray) -> np.ndarray:
+        # concat: [N, 3 * in_dim] node rows.  Output: [1+N, out_dim], null row 0.
+        out = np.empty((len(concat) + 1, self.w.shape[1]))
         out[0] = 0.0
-        np.multiply(pre, self._mask, out=out[1:])
+        pre = out[1:]
+        np.matmul(concat, self.w, out=pre)
+        pre += self.b
+        self._concat = concat
+        self._mask = pre > 0
+        pre *= self._mask
         return out
 
     def backward(self, grad_out: np.ndarray, parent_slot: np.ndarray | None):
         """Gradients of the ``N`` node rows (no null row) in, the same out.
 
-        Without ``parent_slot`` only ``dw`` / ``db`` are computed.  A node's
+        ``grad_out`` is masked in place.  Without ``parent_slot`` only
+        ``dw`` / ``db`` are computed.  A node's
         input gradient is its own slot of ``d_concat`` plus the one slot its
         parent sends it (left or right; a root reads a zero row): each node
         has at most one parent, so that is the whole sum, gathered.
         """
-        g = grad_out * self._mask
+        g = grad_out
+        g *= self._mask
         np.matmul(self._concat.T, g, out=self.dw)
         g.sum(axis=0, out=self.db)
         if parent_slot is None:
@@ -288,10 +401,13 @@ class _TreeConvLayer:
         d_concat = np.empty((n + 1, 3 * d))
         d_concat[n] = 0.0
         np.matmul(g, self.w.T, out=d_concat[:n])
-        grad_in = d_concat.reshape(-1, d)[parent_slot]
         # ``0.0 +`` first: it turns a -0.0 own slot into +0.0, as the
-        # zero-initialised accumulator this replaces did.
-        grad_in += 0.0 + d_concat[:n, :d]
+        # zero-initialised accumulator this replaces did.  No parent slot
+        # reads an own slot, so the own slots change in place.
+        own = d_concat[:n, :d]
+        own += 0.0
+        grad_in = d_concat.reshape(-1, d).take(parent_slot, axis=0)
+        grad_in += own
         return grad_in
 
     def parameters(self) -> list[np.ndarray]:
@@ -316,15 +432,16 @@ class _DenseRelu:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        out = x @ self.w + self.b
+        out = x @ self.w
+        out += self.b
         if self.relu:
             self._mask = out > 0
-            out = out * self._mask
+            out *= self._mask
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self.relu:
-            grad = grad * self._mask
+            grad *= self._mask
         np.matmul(self._x.T, grad, out=self.dw)
         grad.sum(axis=0, out=self.db)
         return grad @ self.w.T
@@ -406,14 +523,16 @@ class TreeConvNet:
 
     def embed(self, batch: PlanTreeBatch) -> np.ndarray:
         """Return the pooled plan embedding (before the head), ``[B, C]``."""
-        x = batch.features
-        for layer in self.conv_layers:
-            x = layer.forward(x, batch.idx3)
+        first, *rest = self.conv_layers
+        x = first.forward(batch.layer1)
+        n = len(batch.idx3)
+        for layer in rest:
+            x = layer.forward(x.take(batch.idx3, axis=0).reshape(n, 3 * layer.in_dim))
         # Nothing reads the last layer's null row: it becomes the -inf
         # sentinel the padding points at.  Each (tree, channel) pools its
         # first arg-max row (``argmax`` semantics, NaN included).
         x[0] = -np.inf
-        first = x[batch.pad].argmax(axis=1)
+        first = x.take(batch.pad, axis=0).argmax(axis=1)
         self._argmax = batch.pad[np.arange(batch.n_trees)[:, None], first]
         self._n_nodes = x.shape[0] - 1
         return x[self._argmax, np.arange(x.shape[1])]
@@ -428,8 +547,8 @@ class TreeConvNet:
     def _backward(self, batch: PlanTreeBatch, grad: np.ndarray) -> None:
         if batch.parent_slot is None and len(self.conv_layers) > 1:
             raise ValueError(
-                "an inference batch has no parent slots: train on "
-                "PlanTreeCorpus batches"
+                "an inference batch has no parent slots: train on a "
+                "PlanTreeCorpus plan"
             )
         for layer in reversed(self.head):
             grad = layer.backward(grad)
@@ -480,24 +599,22 @@ class TreeConvNet:
         corpus = (
             trees if isinstance(trees, PlanTreeCorpus) else PlanTreeCorpus.from_trees(trees)
         )
-        rng = np.random.default_rng(seed)
+        orders = shuffles(np.random.default_rng(seed), len(corpus), epochs)
         opt = Adam(lr=lr)
         params, grads = [self.flat_params], [self.flat_grads]
         losses: list[float] = []
-        n = len(corpus)
-        for _ in range(epochs):
-            order = rng.permutation(n)
+        for order, batches in corpus.plan(orders, batch_size):
             y_epoch = y[order]
-            total, batches = 0.0, 0
-            for batch in corpus.batches(order, batch_size):
-                start = batches * batch_size
+            total, count = 0.0, 0
+            for batch in batches:
+                start = count * batch_size
                 pred = self.forward(batch)
                 value, grad = mse_loss(pred, y_epoch[start : start + batch_size])
                 self._backward(batch, grad)
                 opt.step(params, grads)
                 total += value
-                batches += 1
-            losses.append(total / max(batches, 1))
+                count += 1
+            losses.append(total / max(count, 1))
         return losses
 
     def predict(self, trees: Sequence[Tree]) -> np.ndarray:

@@ -59,10 +59,10 @@ class PerfGuard:
     ) -> None:
         """Every executed decision yields a labelled (candidate, native)
         pair -- the native latency is always measured by the loop."""
-        key = query.to_sql()
-        cand_tree = plan_to_tree_arrays(candidate.plan, self.featurizer)
-        self.comparator._by_query.setdefault(key, []).append(
-            (cand_tree, float(latency_ms))
+        self.comparator.record(
+            query.to_sql(),
+            plan_to_tree_arrays(candidate.plan, self.featurizer),
+            latency_ms,
         )
         self.feedbacks += 1
 
@@ -74,10 +74,10 @@ class PerfGuard:
         self, query: Query, native_plan: Plan, native_latency_ms: float
     ) -> None:
         """Record the native plan's measured latency for the same query."""
-        key = query.to_sql()
-        tree = plan_to_tree_arrays(native_plan, self.featurizer)
-        self.comparator._by_query.setdefault(key, []).append(
-            (tree, float(native_latency_ms))
+        self.comparator.record(
+            query.to_sql(),
+            plan_to_tree_arrays(native_plan, self.featurizer),
+            native_latency_ms,
         )
 
     @property

@@ -1,7 +1,7 @@
 """The census as a test: no caller, no code.
 
 Over every package and every module under ``src/repro`` eight things must
-hold, another over ``benchmarks/``, two over ``src/``,
+hold, another over ``benchmarks/``, three over ``src/``,
 ``benchmarks/`` and ``examples/`` and another over every code tree and
 ``tests/``.  All but (c) only read source files --
 nothing is imported from ``repro`` or ``perf``, and an absent directory is
@@ -70,7 +70,14 @@ it names:
     renders a ``?`` placeholder -- a string (not a docstring) with a ``?``
     standing after a space, a parenthesis or a comma, or a ``"?"`` joined
     into text.  ``Query.template_key`` is a tuple of shapes; the text key
-    it replaced is ``tests/statistics_reference.py``'s.
+    it replaced is ``tests/statistics_reference.py``'s;
+(n) there is one tree-conv training plan: no file under ``src/``,
+    ``benchmarks/`` or ``examples/`` but ``ml/treeconv.py`` defines or
+    calls ``batches`` (a per-epoch batch generator) or gathers at a
+    batch's ``idx3`` (layer 1 read from a per-batch features block).  A
+    loop iterates ``PlanTreeCorpus.plan``, whose layer 1 reads the
+    per-fit table; the per-batch gathers live on in
+    ``tests/treeconv_reference.py``.
 
 A failure names the file and the symbol.  The fix is to delete the code (or
 the export), not to grow the allow-list: that list is the backlog of
@@ -786,6 +793,50 @@ def test_one_template_identity():
     )
 
 
+# -- (n) one tree-conv training plan -----------------------------------------------------
+
+#: the file that builds batch index arrays and gathers layer-1 rows
+PLAN_OWNER = SRC / "ml" / "treeconv.py"
+
+
+def _names_idx3(node: ast.AST) -> bool:
+    return any(
+        isinstance(n, ast.Attribute) and n.attr == "idx3" for n in ast.walk(node)
+    )
+
+
+def training_plan_violations(sources: Sources) -> list[str]:
+    """Every ``batches`` definition or call, and every subscript or ``take``
+    at an ``.idx3``, under ``src/``, ``benchmarks/`` or ``examples/`` outside
+    ``PLAN_OWNER``, one line each."""
+    found = []
+    for path in _files("src", "benchmarks", "examples"):
+        if path == PLAN_OWNER:
+            continue
+        where = path.relative_to(ROOT)
+        for node in ast.walk(sources.parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "batches":
+                found.append(f"{where}:{node.lineno} defines batches")
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "batches":
+                found.append(f"{where}:{node.lineno} batches per epoch")
+            elif (isinstance(node, ast.Subscript) and _names_idx3(node.slice)) or (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", "") == "take"
+                and any(_names_idx3(arg) for arg in node.args)
+            ):
+                found.append(f"{where}:{node.lineno} gathers at idx3")
+    return found
+
+
+def test_one_training_plan():
+    found = training_plan_violations(Sources())
+    assert not found, (
+        f"{found} -- a tree-conv loop iterates PlanTreeCorpus.plan(orders, "
+        "batch_size), built a block of epochs at a time; layer 1 reads the "
+        "per-fit [node; left; right] table (ml/treeconv.py)"
+    )
+
+
 def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simulator):
     """One instance of each record (g) slots: it has no ``__dict__`` and
     still pickles, deep-copies, ``replace``-s and compares by value."""
@@ -1164,4 +1215,44 @@ def test_seeded_second_counter_is_caught(relative, old, new, caught):
 def test_seeded_text_template_is_caught(relative, old, new, caught):
     sources = _patched(relative, old, new)
     found = [re.sub(r":\d+ ", " ", f) for f in template_text_violations(sources)]
+    assert found == caught
+
+
+@pytest.mark.parametrize(
+    "relative, old, new, caught",
+    [
+        (  # an epoch's batches built per epoch again
+            "costmodel/multitask.py",
+            "        for order, batches in corpus.plan(orders, 32):\n",
+            "        for order in orders:\n"
+            "            batches = corpus.batches(order, 32)\n",
+            ["src/repro/costmodel/multitask.py batches per epoch"],
+        ),
+        (  # layer 1 gathered from a per-batch features block
+            "e2e/risk_models.py",
+            "                scores = self.net.forward(batch)[:, 0]\n",
+            "                concat = batch.features[batch.idx3]\n"
+            "                scores = self.net.forward(batch)[:, 0]\n",
+            ["src/repro/e2e/risk_models.py gathers at idx3"],
+        ),
+        (  # a batch generator of its own
+            "costmodel/multitask.py",
+            "    # -- fine-tuning ---",
+            "    def batches(self, order):\n"
+            "        yield order\n\n"
+            "    # -- fine-tuning ---",
+            ["src/repro/costmodel/multitask.py defines batches"],
+        ),
+        (  # the owner builds and gathers: not a violation
+            "ml/treeconv.py",
+            "        first, *rest = self.conv_layers\n",
+            "        rows = batch.layer1.take(batch.idx3[:, 0] - 1, axis=0)\n"
+            "        first, *rest = self.conv_layers\n",
+            [],
+        ),
+    ],
+)
+def test_seeded_second_training_plan_is_caught(relative, old, new, caught):
+    sources = _patched(relative, old, new)
+    found = [re.sub(r":\d+ ", " ", f) for f in training_plan_violations(sources)]
     assert found == caught

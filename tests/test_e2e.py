@@ -122,6 +122,44 @@ class TestRiskModels:
         if total >= 4:
             assert correct / total >= 0.5
 
+    def test_pairwise_comparator_window_evicts_the_oldest_observation(self, featurizer):
+        model = PairwisePlanComparator(featurizer, seed=0)
+        tree = (np.zeros((1, featurizer.node_dim)), np.array([-1]), np.array([-1]))
+        for latency in (10.0, 20.0, 40.0):  # q0: three pairs
+            model.record("q0", tree, latency)
+        rest = OBSERVATION_WINDOW - 3
+        for i in range(rest):  # q1: its first (50 ms) pairs with each later one
+            model.record(f"q{1 + i % 2}", tree, 50.0 if i == 0 else 10.0)
+        q1, q2 = rest - rest // 2, rest // 2
+        assert [len(v) for v in model._by_query.values()] == [3, q1, q2]
+        assert model.n_pairs == 3 + (q1 - 1)
+        model.record("q2", tree, 10.0)  # q0 loses its oldest observation
+        assert [lat for _, lat in model._by_query["q0"]] == [20.0, 40.0]
+        assert model.n_pairs == 1 + (q1 - 1)
+        model.record("q2", tree, 10.0)
+        model.record("q2", tree, 10.0)  # q0 is emptied and dropped
+        assert list(model._by_query) == ["q1", "q2"]
+        assert model.n_pairs == q1 - 1
+        model.record("q3", tree, 10.0)  # q1 is the oldest now: its 50 ms goes
+        assert len(model._by_query["q1"]) == q1 - 1
+        assert model.n_pairs == 0
+        assert sum(len(v) for v in model._by_query.values()) == OBSERVATION_WINDOW
+
+    def test_pairwise_comparator_window_drops_a_stale_query(self, featurizer):
+        # A hot query seen first does not shield a stale one seen later.
+        model = PairwisePlanComparator(featurizer, seed=0)
+        tree = (np.zeros((1, featurizer.node_dim)), np.array([-1]), np.array([-1]))
+        model.record("hot", tree, 10.0)
+        model.record("stale", tree, 50.0)
+        for _ in range(OBSERVATION_WINDOW - 2):
+            model.record("hot", tree, 20.0)
+        model.record("hot", tree, 30.0)  # drops hot's 10 ms, the oldest of all
+        assert [lat for _, lat in model._by_query["stale"]] == [50.0]
+        assert model._by_query["hot"][0][1] == 20.0
+        model.record("hot", tree, 30.0)  # drops the stale query's only one
+        assert list(model._by_query) == ["hot"]
+        assert len(model._by_query["hot"]) == OBSERVATION_WINDOW
+
     def test_ensemble_variance_filter_behind_default(self, featurizer, imdb_optimizer, workload):
         model = EnsembleLatencyModel(featurizer, seed=0)
         strat = HintSetExploration(imdb_optimizer)

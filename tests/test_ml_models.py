@@ -30,17 +30,29 @@ def random_tree(rng, n_max=6, dim=4):
 
 class TestPlanTreeBatch:
     def test_null_row_zero(self):
+        # A missing child reads the null row: zeros in the layer-1 rows.
         rng = np.random.default_rng(0)
-        batch = PlanTreeBatch.from_trees([random_tree(rng)])
-        assert np.all(batch.features[0] == 0.0)
+        feats, left, right = random_tree(rng)
+        batch = PlanTreeBatch.from_trees([(feats, left, right)])
+        d = feats.shape[1]
+        assert np.array_equal(batch.layer1[:, :d], feats)
+        for i in range(len(feats)):
+            for col, child in ((d, left[i]), (2 * d, right[i])):
+                want = feats[child] if child >= 0 else np.zeros(d)
+                assert np.array_equal(batch.layer1[i, col : col + d], want)
 
     def test_offsets(self):
         rng = np.random.default_rng(0)
         trees = [random_tree(rng) for _ in range(3)]
         batch = PlanTreeBatch.from_trees(trees)
         total = sum(t[0].shape[0] for t in trees)
-        assert batch.features.shape[0] == total + 1
+        assert batch.layer1.shape == (total, 3 * trees[0][0].shape[1])
         assert batch.n_trees == 3
+        starts = np.cumsum([0] + [len(t[0]) for t in trees])[:-1]
+        for (f, left, _), start in zip(trees, starts):
+            rows = np.flatnonzero(left >= 0)
+            child = batch.idx3[start + rows, 1]
+            assert np.array_equal(child, start + left[rows] + 1)  # +1: the null row
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

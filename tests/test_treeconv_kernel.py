@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.costmodel import PlanFeaturizer, UnifiedTransferableModel
 from repro.costmodel.features import plan_to_tree_arrays
 from repro.e2e import PairwisePlanComparator
-from repro.ml.treeconv import PlanTreeBatch, PlanTreeCorpus, TreeConvNet
+from repro.ml.treeconv import PLAN_ROWS, PlanTreeBatch, PlanTreeCorpus, TreeConvNet, shuffles
 from repro.sql import WorkloadGenerator
 from tests.treeconv_reference import (
     ReferenceAdam,
@@ -239,9 +239,8 @@ class TestSameBitsOnForests:
         model = PairwisePlanComparator(featurizer, seed=seed % 3, epochs=2)
         for q in range(n_queries):
             trees = forest(seed + q, int(rng.integers(1, 6)), kind, dim=dim)
-            model._by_query[f"q{q}"] = [
-                (t, float(rng.choice([10.0, 10.2, 30.0, 80.0]))) for t in trees
-            ]
+            for t in trees:
+                model.record(f"q{q}", t, float(rng.choice([10.0, 10.2, 30.0, 80.0])))
         ref = ReferenceTreeConvNet(
             dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed % 3
         )
@@ -269,6 +268,169 @@ class TestSameBitsOnForests:
             assert ((net._argmax[k] >= start) & (net._argmax[k] < stop)).all()
 
 
+def reference_batch(trees):
+    """A batch's arrays from the loop reference: ``(layer1, idx3,
+    tree_slices, pad, parent_slot)``, each built tree by tree."""
+    ref = ReferencePlanTreeBatch.from_trees(trees)
+    f, n = ref.features, len(ref.left)
+    layer1 = np.concatenate([f[1:], f[ref.left], f[ref.right]], axis=1)
+    idx3 = np.stack([np.arange(1, n + 1), ref.left, ref.right], axis=1)
+    width = max(stop - start for start, stop in ref.tree_slices)
+    pad = np.zeros((len(ref.tree_slices), width), dtype=int)
+    for t, (start, stop) in enumerate(ref.tree_slices):
+        pad[t, : stop - start] = np.arange(start, stop)
+    parent_slot = np.full(n, 3 * n)
+    for i in range(n):
+        for side, child in ((1, ref.left[i]), (2, ref.right[i])):
+            if child:
+                parent_slot[child - 1] = 3 * i + side
+    return layer1, idx3, np.array(ref.tree_slices), pad, parent_slot
+
+
+def assert_batch_is(batch, trees):
+    want = reference_batch(trees)
+    got = (batch.layer1, batch.idx3, batch.tree_slices, batch.pad, batch.parent_slot)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and (g == w).all()
+
+
+def assert_plan_is_the_loop(corpus, tree_of, orders, batch_size):
+    """Every batch of ``corpus.plan`` against the loop reference re-stacking
+    ``tree_of[i]`` (corpus tree ``i``) batch by batch."""
+    epochs = corpus.plan(orders, batch_size)
+    for want, (order, batches) in zip(orders, epochs):
+        assert order is want
+        batches = list(batches)
+        assert len(batches) == len(range(0, len(order), batch_size))
+        for k, batch in enumerate(batches):
+            chunk = order[k * batch_size : (k + 1) * batch_size]
+            assert_batch_is(batch, [tree_of[i] for i in chunk])
+    assert next(epochs, None) is None
+
+
+def plan_blocks(corpus, orders, batch_size):
+    """``[(rows, batches)]`` of each index block the plan built."""
+    blocks = []
+    for _, batches in corpus.plan(orders, batch_size):
+        for batch in batches:
+            if not blocks or batch.idx3.base is not blocks[-1][0]:
+                blocks.append((batch.idx3.base, []))
+            blocks[-1][1].append(len(batch.idx3))
+    return [(sum(rows), len(rows)) for _, rows in blocks]
+
+
+class TestPlan:
+    """``PlanTreeCorpus.plan`` against the loop reference, with ``==``."""
+
+    @pytest.mark.parametrize(
+        "trees, batch_size",
+        [
+            (ragged_forest(1, 23), 5),  # a ragged last batch
+            (ragged_forest(2, 7), 7),  # batch_size == n
+            (ragged_forest(3, 7), 50),  # batch_size > n
+            (ragged_forest(4, 1), 32),  # n == 1
+            (forest(5, 20, "single"), 6),  # single-node trees
+            (forest(6, 30, "mixed"), 8),
+        ],
+        ids=["ragged-last", "batch-is-n", "batch-over-n", "one-tree", "single-nodes", "mixed"],
+    )
+    def test_batches_equal_the_loop(self, trees, batch_size):
+        orders = list(shuffles(np.random.default_rng(7), len(trees), 4))
+        assert_plan_is_the_loop(PlanTreeCorpus.from_trees(trees), trees, orders, batch_size)
+
+    def test_all_duplicates_resample(self):
+        trees = ragged_forest(8, 10)
+        idx = np.full(9, 4)
+        corpus = PlanTreeCorpus.from_trees(trees).resample(idx)
+        orders = list(shuffles(np.random.default_rng(8), len(idx), 3))
+        assert_plan_is_the_loop(corpus, [trees[i] for i in idx], orders, 4)
+
+    def test_resample_with_duplicates(self):
+        trees = ragged_forest(9, 30)
+        idx = np.random.default_rng(9).integers(0, 30, size=30)
+        corpus = PlanTreeCorpus.from_trees(trees).resample(idx)
+        orders = list(shuffles(np.random.default_rng(10), len(idx), 3))
+        assert_plan_is_the_loop(corpus, [trees[i] for i in idx], orders, 7)
+
+    @pytest.mark.parametrize("batch_size", [32, 250])  # 250: one batch > PLAN_ROWS
+    def test_epochs_across_plan_blocks(self, batch_size):
+        trees = ragged_forest(11, 250)
+        corpus = PlanTreeCorpus.from_trees(trees)
+        epoch_rows = int(corpus.sizes.sum())
+        assert epoch_rows > PLAN_ROWS
+        orders = list(shuffles(np.random.default_rng(11), len(trees), 3))
+        assert_plan_is_the_loop(corpus, trees, orders, batch_size)
+        blocks = plan_blocks(corpus, orders, batch_size)
+        assert len(blocks) >= 3  # a block per epoch at most
+        assert all(rows <= PLAN_ROWS or n == 1 for rows, n in blocks)
+
+    def test_plan_size_does_not_grow_with_epochs(self):
+        corpus = PlanTreeCorpus.from_trees(ragged_forest(12, 40))
+        orders = list(shuffles(np.random.default_rng(12), 40, 60))
+        blocks = plan_blocks(corpus, orders, 32)
+        assert 60 * int(corpus.sizes.sum()) > 2 * PLAN_ROWS
+        assert len(blocks) > 2 and max(rows for rows, _ in blocks) <= PLAN_ROWS
+
+    def test_fit_across_plan_blocks(self):
+        trees = ragged_forest(13, 200)
+        y = np.random.default_rng(13).normal(size=200)
+        assert 3 * sum(len(f) for f, _, _ in trees) > 2 * PLAN_ROWS
+        ref, new = nets(6)
+        kw = dict(epochs=3, batch_size=32, seed=2)
+        assert ref.fit(trees, y, **kw) == new.fit(trees, y, **kw)
+        assert_same_bits(ref, new, trees)
+
+    def test_shuffles_are_the_per_epoch_stream(self):
+        want = np.random.default_rng(14)
+        got = list(shuffles(np.random.default_rng(14), 9, 5))
+        assert len(got) == 5
+        for row in got:
+            assert (row == want.permutation(9)).all()
+        assert list(shuffles(np.random.default_rng(14), 9, 0)) == []
+        # Drawn only when read: no epoch is drawn before its turn.
+        rng, want = np.random.default_rng(14), np.random.default_rng(14)
+        epochs = shuffles(rng, 9, 5)
+        assert rng.bit_generator.state == want.bit_generator.state
+        next(epochs)
+        want.permutation(9)
+        assert rng.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("n_trees", [40, 3000])  # 3000: one epoch > PLAN_ROWS
+    def test_orders_are_drawn_as_blocks_need_them(self, n_trees):
+        trees = forest(15, n_trees, "single")
+        corpus = PlanTreeCorpus.from_trees(trees)
+        drawn = []
+
+        def orders():
+            for order in shuffles(np.random.default_rng(15), n_trees, 60):
+                drawn.append(order)
+                yield order
+
+        ahead = 0
+        for e, (order, batches) in enumerate(corpus.plan(orders(), 32)):
+            assert order is drawn[e]
+            for _ in batches:
+                ahead = max(ahead, len(drawn) - e)
+        assert len(drawn) == 60
+        # Never more than PLAN_ROWS trees plus one epoch ahead of the reader.
+        assert (ahead - 1) * n_trees <= PLAN_ROWS + n_trees
+
+    def test_a_partly_read_epoch_raises(self):
+        trees = ragged_forest(16, 20)
+        corpus = PlanTreeCorpus.from_trees(trees)
+        epochs = corpus.plan(list(shuffles(np.random.default_rng(16), 20, 3)), 8)
+        _, batches = next(epochs)
+        next(batches)  # one of three batches
+        with pytest.raises(RuntimeError, match="not read to its end"):
+            next(epochs)
+        epochs = corpus.plan(list(shuffles(np.random.default_rng(16), 20, 3)), 8)
+        next(epochs)  # not read at all
+        with pytest.raises(RuntimeError, match="not read to its end"):
+            next(epochs)
+        for _, batches in corpus.plan([np.arange(20)] * 3, 8):
+            assert len(list(batches)) == 3  # read to the end: no error
+
+
 class TestCorpus:
     @given(
         st.integers(0, 10_000),
@@ -278,24 +440,24 @@ class TestCorpus:
     def test_take_equals_restacking(self, seed, idx):
         trees = ragged_forest(seed, 12, dim=3)
         got = PlanTreeCorpus.from_trees(trees).take(np.array(idx))
-        want = ReferencePlanTreeBatch.from_trees([trees[i] for i in idx])
-        assert np.array_equal(got.features, want.features)
-        assert np.array_equal(got.idx3[:, 1], want.left)
-        assert np.array_equal(got.idx3[:, 2], want.right)
-        assert got.tree_slices.tolist() == [list(s) for s in want.tree_slices]
+        assert_batch_is(got, [trees[i] for i in idx])
         restacked = PlanTreeBatch.from_trees([trees[i] for i in idx])
-        assert np.array_equal(got.features, restacked.features)
+        assert np.array_equal(got.layer1, restacked.layer1)
+        assert np.array_equal(got.idx3, restacked.idx3)
+        assert np.array_equal(got.pad, restacked.pad)
         assert np.array_equal(got.tree_slices, restacked.tree_slices)
+        assert restacked.parent_slot is None
 
     def test_batches_are_consecutive_takes(self):
         trees = ragged_forest(9, 23)
         corpus = PlanTreeCorpus.from_trees(trees)
         order = np.random.default_rng(9).permutation(23)
-        batches = list(corpus.batches(order, 5))
+        _, batches = next(corpus.plan([order], 5))
+        batches = list(batches)
         assert [b.n_trees for b in batches] == [5, 5, 5, 5, 3]
         for k, batch in enumerate(batches):
             want = corpus.take(order[5 * k : 5 * k + 5])
-            assert np.array_equal(batch.features, want.features)
+            assert np.array_equal(batch.layer1, want.layer1)
             assert np.array_equal(batch.idx3, want.idx3)
             assert np.array_equal(batch.pad, want.pad)
             assert np.array_equal(batch.parent_slot, want.parent_slot)
@@ -406,10 +568,9 @@ class TestFoldedLoops:
         rng = np.random.default_rng(10)
         model = PairwisePlanComparator(featurizer, seed=2, epochs=3)
         for q in range(14):  # 1..4 plans a query, some latencies within 5%
-            entries = model._by_query.setdefault(f"q{q}", [])
             for _ in range(int(rng.integers(1, 5))):
                 tree = random_binary_tree(rng, featurizer.node_dim, int(rng.integers(1, 5)))
-                entries.append((tree, float(rng.choice([10.0, 10.2, 30.0, 80.0]))))
+                model.record(f"q{q}", tree, float(rng.choice([10.0, 10.2, 30.0, 80.0])))
         ref = ReferenceTreeConvNet(
             featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=2
         )
