@@ -31,9 +31,10 @@ challenger reaches the :class:`~repro.serve.deployment.DeploymentManager`
 from __future__ import annotations
 
 import copy
+import math
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.cardest.base import q_error
 from repro.core.errors import ConfigError
@@ -121,23 +122,46 @@ class QErrorTrigger:
     ) -> None:
         if degradation <= 1.0:
             raise ConfigError("q-error degradation factor must be > 1")
+        if window < 1:
+            raise ConfigError("q-error window must hold at least one error")
+        if not 0.0 <= quantile <= 1.0:
+            raise ConfigError("q-error quantile must be in [0, 1]")
+        if not 1 <= min_samples <= window:
+            raise ConfigError(
+                "q-error min_samples must be in [1, window]: a larger one never fires"
+            )
         self.degradation = degradation
         self.ceiling = ceiling
         self.window = window
         self.min_samples = min_samples
         self.quantile = quantile
-        self._errors: list[float] = []
+        self._errors: deque[float] = deque()  # arrival order: evicts the oldest
+        self._sorted: list[float] = []  # the same errors, ascending
         self.baseline: float | None = None
 
     def observe(self, estimate: float, truth: float) -> None:
-        self._errors.append(q_error(estimate, truth))
+        error = q_error(estimate, truth)
+        self._errors.append(error)
+        insort(self._sorted, error)
         if len(self._errors) > self.window:
-            del self._errors[: len(self._errors) - self.window]
+            del self._sorted[bisect_left(self._sorted, self._errors.popleft())]
 
     def current(self) -> float:
-        if not self._errors:
+        """The window's ``quantile``: the float ``np.quantile`` (method
+        ``linear``) returns, read off the sorted window with numpy's own
+        index and interpolation arithmetic."""
+        s = self._sorted
+        if not s:
             return 1.0
-        return float(np.quantile(np.array(self._errors), self.quantile))
+        n = len(s)
+        virtual = (n - 1) * self.quantile
+        below = math.floor(virtual)
+        if virtual >= n - 1:
+            return s[-1]
+        a, b = s[below], s[below + 1]
+        t = virtual - below
+        # numpy's _lerp: from below under half way, from above at or past it.
+        return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
     def check(self, ctx: "SchedulerContext") -> TriggerDecision:
         if len(self._errors) < self.min_samples:
@@ -159,6 +183,7 @@ class QErrorTrigger:
     def reset(self, ctx: "SchedulerContext") -> None:
         """Clear window and baseline: the new model earns its own record."""
         self._errors.clear()
+        self._sorted.clear()
         self.baseline = None
 
 

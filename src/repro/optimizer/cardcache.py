@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.lru import BoundedLRU
-from repro.sql.query import Query
+from repro.sql.query import Predicate, Query
 
 __all__ = ["CardinalityCache"]
 
@@ -74,6 +74,23 @@ class CardinalityCache(BoundedLRU):
         if value is None:
             value = float(compute(query))
             self.insert(tag, query, value)
+        return value
+
+    def get_or_compute_scan(
+        self,
+        tag: tuple,
+        table: str,
+        predicate: Predicate,
+        compute: Callable[[Query], float],
+    ) -> float:
+        """:meth:`get_or_compute` for ``Query((table,), (), (predicate,))``,
+        keyed from those fields: an index scan's row estimate builds (and
+        validates) its one-predicate query only on a miss."""
+        key = (tag, (table,), (), (predicate,))
+        value = self.get(key)
+        if value is None:
+            value = float(compute(Query((table,), (), (predicate,))))
+            self.put(key, value)
         return value
 
     def __repr__(self) -> str:

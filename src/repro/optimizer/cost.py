@@ -26,7 +26,25 @@ from repro.optimizer.cardcache import CardinalityCache
 from repro.sql.query import Query
 from repro.storage.catalog import Database
 
-__all__ = ["PlanCoster"]
+__all__ = ["PlanCoster", "PlanningTag"]
+
+
+class PlanningTag:
+    """One planning's :meth:`PlanCoster.cache_tag`, taken when the planning
+    starts and again only after the coster runs its estimator.
+
+    Nothing a planning calls refits an estimator or drifts the data, but an
+    estimate can move its own estimator's tag: a breaker-wrapped estimator
+    (``FallbackEstimator``, ``BoundGuard``) folds its breaker epoch into
+    ``estimates_version``.  Every lookup therefore keys on the tag a fresh
+    :meth:`~PlanCoster.cache_tag` would give, and a planning whose lookups
+    all hit takes it once.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: tuple) -> None:
+        self.value = value
 
 
 class PlanCoster:
@@ -58,6 +76,10 @@ class PlanCoster:
         the data it priced: what a :meth:`CardinalityCache.peek` needs."""
         return (estimator_cache_tag(self.estimator), self.db.data_version)
 
+    def planning_tag(self) -> PlanningTag:
+        """A :class:`PlanningTag` for one planning's tagged calls."""
+        return PlanningTag(self.cache_tag())
+
     def estimate_cardinality(self, query: Query) -> float:
         """Cached (if enabled) estimate of one sub-query.
 
@@ -77,24 +99,25 @@ class PlanCoster:
         return self.estimate_cardinality(query.subquery(tables))
 
     def subquery_cardinalities(
-        self, query: Query, subsets: list[frozenset[str]]
+        self, query: Query, subsets: list[frozenset[str]], tag: PlanningTag
     ) -> dict[frozenset[str], float]:
         """Cardinalities for many subsets of one query at once.
 
         Answers what it can from the cache and runs a single
         :func:`batch_estimate` call over the misses -- this is how the DP
         enumerator primes all connected subsets with one featurization pass
-        and one model forward pass before its inner loop runs.
+        and one model forward pass before its inner loop runs.  Every
+        lookup and insert keys on ``tag`` as the call found it.
         """
+        key = tag.value
         out: dict[frozenset[str], float] = {}
-        tag = self.cache_tag() if self.cache is not None else None
         misses: list[frozenset[str]] = []
         miss_queries: list[Query] = []
         for tables in subsets:
             if tables in out:
                 continue
             sub = query.subquery(tables)
-            hit = self.cache.lookup(tag, sub) if self.cache is not None else None
+            hit = self.cache.lookup(key, sub) if self.cache is not None else None
             if hit is not None:
                 out[tables] = hit
             else:
@@ -106,23 +129,41 @@ class PlanCoster:
             for tables, sub, value in zip(misses, miss_queries, values):
                 out[tables] = float(value)
                 if self.cache is not None:
-                    self.cache.insert(tag, sub, float(value))
+                    self.cache.insert(key, sub, float(value))
+            tag.value = self.cache_tag()  # the estimates may have moved it
         return out
 
-    def _index_fetched(self, node: ScanNode) -> float:
+    def _index_fetched(self, node: ScanNode, tag: PlanningTag) -> float:
+        """Rows an index scan fetches through its driving predicate: the
+        estimate of the one-predicate query on the table, looked up by its
+        field tuple, so the query is built only to estimate a miss."""
         if not node.predicates:
             return float(self.db.table(node.table).n_rows)
-        single = Query((node.table,), (), (node.predicates[0],))
-        return self.estimate_cardinality(single)
+        if self.cache is None:
+            single = Query((node.table,), (), (node.predicates[0],))
+            return sanitize_estimate(self.estimator.estimate(single))
+
+        def estimate(single: Query) -> float:
+            value = sanitize_estimate(self.estimator.estimate(single))
+            tag.value = self.cache_tag()  # the estimate may have moved it
+            return value
+
+        return self.cache.get_or_compute_scan(
+            tag.value, node.table, node.predicates[0], estimate
+        )
 
     # -- operator costs -------------------------------------------------------------
 
     def scan_cost(self, node: ScanNode) -> float:
+        return self.tagged_scan_cost(node, self.planning_tag())
+
+    def tagged_scan_cost(self, node: ScanNode, tag: PlanningTag) -> float:
+        """:meth:`scan_cost` under one planning's :class:`PlanningTag`."""
         base_rows = self.db.table(node.table).n_rows
         if node.method is ScanMethod.SEQ:
             return self.ops.seq_scan(base_rows, len(node.predicates))
         return self.ops.index_scan(
-            base_rows, self._index_fetched(node), len(node.predicates)
+            base_rows, self._index_fetched(node, tag), len(node.predicates)
         )
 
     def join_operator_cost(

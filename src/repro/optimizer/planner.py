@@ -24,6 +24,7 @@ from itertools import combinations
 from typing import Sequence
 
 from repro.core.interfaces import CardinalityEstimator, estimator_cache_tag
+from repro.core.lru import BoundedLRU
 from repro.engine.cost_formulas import CostConstants
 from repro.engine.plans import (
     JoinMethod,
@@ -117,9 +118,47 @@ def _best_join(
     return best
 
 
+class _Lanes:
+    """What an arm list fixes in the DP whatever the query: one lane per
+    distinct arm, the scan methods a filtered table is priced with (in the
+    order the lanes first ask for them), each lane's scan and join method
+    choices, and the join methods priced at all."""
+
+    __slots__ = ("arm_lane", "count", "scan_order", "scans", "methods", "lane_methods")
+
+    def __init__(self, arms: tuple[HintSet, ...]) -> None:
+        lane_of: dict[HintSet, int] = {}
+        for arm in arms:
+            lane_of.setdefault(arm, len(lane_of))
+        distinct = list(lane_of)
+        self.arm_lane = tuple(lane_of[arm] for arm in arms)
+        self.count = len(distinct)
+        self.scans = tuple(arm.scan_methods for arm in distinct)
+        self.scan_order = tuple(dict.fromkeys(m for ms in self.scans for m in ms))
+        allowed = [arm.join_methods for arm in distinct]
+        self.methods = tuple(m for m in JoinMethod if any(m in ms for ms in allowed))
+        self.lane_methods = tuple(
+            tuple(self.methods.index(m) for m in ms) for ms in allowed
+        )
+
+
+#: arm list -> its :class:`_Lanes`; Bao, AutoSteer and the one-arm plans
+#: each sweep one fixed list, so a handful of entries serve a process.
+_LANES = BoundedLRU(64)
+
+
+def _lanes(arms: Sequence[HintSet]) -> _Lanes:
+    key = tuple(arms)
+    lanes = _LANES.get(key)
+    if lanes is None:
+        lanes = _Lanes(key)
+        _LANES.put(key, lanes)
+    return lanes
+
+
 def enumerate_dp_arms(
     query: Query,
-    coster: PlanCoster,
+    coster: PlanCoster | RiskCoster,
     arms: Sequence[HintSet],
     *,
     left_deep_only: bool = False,
@@ -140,11 +179,16 @@ def enumerate_dp_arms(
     arms whose plans are equal return the same :class:`Plan` object.  The
     subsets, partitions and join conditions are read off the query's
     :class:`~repro.sql.joingraph.JoinGraph`, compiled once per ``(tables,
-    joins)`` and shared by every query of that shape.
+    joins)`` and shared by every query of that shape; the lanes and their
+    method tables once per arm list (:class:`_Lanes`).  The coster's cache
+    tag is taken once, and again only after its estimator ran
+    (:class:`~repro.optimizer.cost.PlanningTag`).
     """
     if not arms:
         raise ValueError("need at least one hint set")
-    tables = list(query.tables)
+    tables = query.tables
+    lanes = _lanes(arms)
+    tag = coster.planning_tag()
 
     # Prime the estimated cardinalities of every connected subset in one
     # batched call: cache hits are answered directly and the misses go
@@ -152,39 +196,38 @@ def enumerate_dp_arms(
     # + forward pass instead of one call per subset.
     graph = join_graph(query)
     connected = graph.subsets
-    card_of = coster.subquery_cardinalities(query, connected)
+    card_of = coster.subquery_cardinalities(query, connected, tag)
 
-    # One lane per distinct arm; ``costs[subset][lane]`` / ``choices[subset]
-    # [lane]`` are the DP table.  A scan choice is its (shared) ScanNode, a
-    # join choice is ``(left set, right set, method, conditions)``.
-    lane_of: dict[HintSet, int] = {}
-    for arm in arms:
-        lane_of.setdefault(arm, len(lane_of))
-    distinct = list(lane_of)
-    lanes = range(len(distinct))
+    # ``costs[subset][lane]`` / ``choices[subset][lane]`` are the DP table.
+    # A scan choice is its (shared) ScanNode, a join choice is ``(left set,
+    # right set, method, conditions)``.
     costs: dict[frozenset[str], list[float]] = {}
     choices: dict[frozenset[str], list] = {}
 
-    for t in tables:
+    for t, single in zip(tables, connected):
         preds = query.predicates_on(t)
-        priced: dict[ScanMethod, tuple[ScanNode, float]] = {}
-        lane_costs, lane_nodes = [], []
-        for arm in distinct:
-            best: tuple[ScanNode, float] | None = None
-            for method in _scan_methods(arm, preds):
-                if method not in priced:
-                    node = ScanNode(table=t, method=method, predicates=preds)
-                    priced[method] = (node, coster.scan_cost(node))
-                if best is None or priced[method][1] < best[1]:
-                    best = priced[method]
-            lane_nodes.append(best[0])
-            lane_costs.append(best[1])
-        costs[frozenset((t,))] = lane_costs
-        choices[frozenset((t,))] = lane_nodes
+        if preds:
+            priced: dict[ScanMethod, tuple[ScanNode, float]] = {}
+            for method in lanes.scan_order:
+                node = ScanNode(table=t, method=method, predicates=preds)
+                priced[method] = (node, coster.tagged_scan_cost(node, tag))
+            cells = []
+            for allowed in lanes.scans:
+                cheapest = priced[allowed[0]]
+                for method in allowed[1:]:
+                    if priced[method][1] < cheapest[1]:
+                        cheapest = priced[method]
+                cells.append(cheapest)
+        else:
+            # Index scans need a driving predicate: every arm seq-scans.
+            node = ScanNode(table=t, method=ScanMethod.SEQ, predicates=preds)
+            cells = [(node, coster.tagged_scan_cost(node, tag))] * lanes.count
+        choices[single] = [node for node, _ in cells]
+        costs[single] = [cost for _, cost in cells]
 
-    allowed = [arm.join_methods for arm in distinct]
-    methods = [m for m in JoinMethod if any(m in ms for ms in allowed)]
-    lane_methods = [[methods.index(m) for m in ms] for ms in allowed]
+    methods = lanes.methods
+    lane_methods = lanes.lane_methods
+    lane_range = range(lanes.count)
     # Sizes ascending, so both halves of a partition are priced already;
     # the singletons come first and were priced above.  Every connected
     # subset of two or more tables has a partition whose right half is one
@@ -193,8 +236,8 @@ def enumerate_dp_arms(
     # one reads it.
     partitions = graph.partitions
     for subset in connected[len(tables) :]:
-        best_cost = [math.inf] * len(distinct)
-        best_choice: list = [None] * len(distinct)
+        best_cost = [math.inf] * lanes.count
+        best_choice: list = [None] * lanes.count
         out_card = card_of[subset]
         for left_set, right_set, conditions in partitions[subset]:
             if left_deep_only and len(right_set) != 1:
@@ -217,7 +260,7 @@ def enumerate_dp_arms(
                     for m in methods
                 ]
                 cost_a, cost_b = costs[a], costs[b]
-                for lane in lanes:
+                for lane in lane_range:
                     inputs = cost_a[lane] + cost_b[lane]
                     for i in lane_methods[lane]:
                         total = inputs + op_costs[i]
@@ -247,12 +290,12 @@ def enumerate_dp_arms(
 
     plans: dict[int, Plan] = {}
     lane_plans = []
-    for lane in lanes:
+    for lane in lane_range:
         root = build(full, lane)
         if id(root) not in plans:
             plans[id(root)] = Plan(query, root)
         lane_plans.append(plans[id(root)])
-    return [lane_plans[lane_of[arm]] for arm in arms]
+    return [lane_plans[lane] for lane in lanes.arm_lane]
 
 
 def enumerate_dp(
@@ -264,7 +307,7 @@ def enumerate_dp(
 ) -> Plan:
     """Optimal plan under the estimated cost model (DP over subsets):
     the one-arm case of :func:`enumerate_dp_arms`."""
-    hints = hints if hints is not None else HintSet.default()
+    hints = hints if hints is not None else _DEFAULT_HINTS
     return enumerate_dp_arms(query, coster, [hints], left_deep_only=left_deep_only)[0]
 
 

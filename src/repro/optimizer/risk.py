@@ -58,8 +58,10 @@ class RiskCoster:
     Cardinality queries return :class:`RiskCard` pairs; cost queries
     return the lambda-blend of the two costers' answers, each evaluated
     on its own belief.  Drop-in for every coster call the enumerators
-    make (``subquery_cardinalities`` / ``subquery_cardinality`` /
-    ``scan_cost`` / ``join_operator_cost`` / ``cost``).
+    make (``planning_tag`` / ``subquery_cardinalities`` /
+    ``subquery_cardinality`` / ``scan_cost`` / ``tagged_scan_cost`` /
+    ``join_operator_cost`` / ``cost``); its planning tag is the pair of
+    the two costers' tags, which the tagged calls split.
     """
 
     def __init__(
@@ -96,16 +98,24 @@ class RiskCoster:
             self.bound.subquery_cardinality(query, tables),
         )
 
-    def subquery_cardinalities(self, query, subsets) -> dict:
-        exp = self.expected.subquery_cardinalities(query, subsets)
-        wor = self.bound.subquery_cardinalities(query, subsets)
+    def planning_tag(self) -> tuple:
+        """Both costers' :meth:`PlanCoster.planning_tag`, expected first."""
+        return (self.expected.planning_tag(), self.bound.planning_tag())
+
+    def subquery_cardinalities(self, query, subsets, tag) -> dict:
+        exp = self.expected.subquery_cardinalities(query, subsets, tag[0])
+        wor = self.bound.subquery_cardinalities(query, subsets, tag[1])
         return {tables: RiskCard(exp[tables], wor[tables]) for tables in exp}
 
     # -- costs (blended) --------------------------------------------------------------
 
     def scan_cost(self, node) -> float:
+        return self.tagged_scan_cost(node, self.planning_tag())
+
+    def tagged_scan_cost(self, node, tag) -> float:
         return self._blend(
-            self.expected.scan_cost(node), self.bound.scan_cost(node)
+            self.expected.tagged_scan_cost(node, tag[0]),
+            self.bound.tagged_scan_cost(node, tag[1]),
         )
 
     def join_operator_cost(

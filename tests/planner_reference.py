@@ -169,7 +169,7 @@ def reference_enumerate_dp(
                 sized.append(subset)
         by_size[size] = sized
         connected.extend(sized)
-    card_of = coster.subquery_cardinalities(query, connected)
+    card_of = coster.subquery_cardinalities(query, connected, coster.planning_tag())
 
     best: dict[frozenset[str], tuple[PlanNode, float]] = {}
     for t in tables:

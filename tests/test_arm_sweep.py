@@ -6,7 +6,9 @@ contract is plan *identity*: dataclass ``==`` on the :class:`Plan`, arm
 for arm, ties included -- not just an equal signature or an equal cost.
 """
 
+import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,16 @@ from hypothesis import strategies as st
 
 from repro.cardest.bounds import MCVJoinBoundEstimator
 from repro.e2e import BaoOptimizer
-from repro.engine.plans import ScanMethod
+from repro.engine.plans import ScanMethod, ScanNode
+from repro.faults.resilience import CircuitBreaker, FallbackEstimator
 from repro.optimizer import HintSet, Optimizer
 from repro.optimizer import planner
+from repro.optimizer.cardcache import CardinalityCache
+from repro.optimizer.cost import PlanCoster
 from repro.optimizer.planner import enumerate_dp, enumerate_dp_arms
+from repro.optimizer.traditional import TraditionalCardinalityEstimator
 from repro.sql import Query, WorkloadGenerator
+from repro.sql.joingraph import join_graph
 from tests.planner_reference import reference_enumerate_dp, reference_plan_arms
 
 
@@ -194,3 +201,126 @@ def test_choose_plan_runs_the_kernel_once(stats_db, monkeypatch):
     assert chosen.plan in reference_plan_arms(
         q, bao.optimizer.coster, HintSet.bao_arms()
     )
+
+
+# -- cache traffic: the sweep keeps the cardinality cache's counters --------------------
+
+#: hits, misses and entries after each planning of ``planning_traffic``, recorded
+#: from the kernel that looked each index scan up through a fresh ``Query`` and
+#: took the cache tag per lookup
+TRAFFIC = Path(__file__).with_name("planning_traffic.json")
+
+TRAFFIC_ARMS = {"one": [HintSet()], "bao": HintSet.bao_arms()}
+TRAFFIC_RISKS = {
+    "expected": ("expected", None),
+    "worst": ("worst_case", None),
+    "blend": ("blended", 0.3),
+}
+
+
+def planning_traffic(optimizer, arms, risk, risk_lambda):
+    """``(plans, counters)``: ``optimizer`` sweeps ``arms`` over generated
+    1-5-table queries, with and without predicates, each planned twice in a
+    row (the second time from a warm cache), and ``counters`` holds its
+    cache's ``[hits, misses, entries]`` after each planning."""
+    gen = WorkloadGenerator(optimizer.db, seed=36)
+    queries = gen.workload(12, 1, 5, require_predicate=True) + gen.workload(
+        6, 1, 5, require_predicate=False
+    )
+    plans, counters = [], []
+    for q in (q for q in queries for _ in range(2)):
+        plans.append(optimizer.plan_arms(q, arms, risk=risk, risk_lambda=risk_lambda))
+        stats = optimizer.cache_stats()
+        counters.append([stats["hits"], stats["misses"], stats["entries"]])
+    return plans, counters
+
+
+def _bounded(db):
+    return Optimizer(db, bound_estimator=MCVJoinBoundEstimator(db))
+
+
+class _Flaky:
+    """The histogram estimator, raising on every seventh call."""
+
+    def __init__(self, db):
+        self.inner = TraditionalCardinalityEstimator(db)
+        self.calls = 0
+
+    def estimate(self, query):
+        self.calls += 1
+        if self.calls % 7 == 0:
+            raise RuntimeError("flaky")
+        return self.inner.estimate(query)
+
+
+def _breaking(db):
+    """An optimizer whose estimator's breaker flips within plannings: it
+    trips on each failure and half-opens on the next call, and every flip
+    moves the estimator's cache tag."""
+    breaker = CircuitBreaker(failure_threshold=1, cooldown_ms=0.0)
+    estimator = FallbackEstimator(
+        _Flaky(db), TraditionalCardinalityEstimator(db), breaker=breaker
+    )
+    return Optimizer(db, estimator=estimator)
+
+
+@pytest.mark.parametrize("risk_key", list(TRAFFIC_RISKS))
+@pytest.mark.parametrize("arms_key", list(TRAFFIC_ARMS))
+def test_planning_keeps_the_cache_traffic(stats_db, arms_key, risk_key):
+    """Each planning's hits, misses and entries equal the recorded ones --
+    the per-request ``cache_hits`` / ``cache_misses`` of the served traces
+    -- and its plans equal the per-arm reference's."""
+    arms = TRAFFIC_ARMS[arms_key]
+    risk, risk_lambda = TRAFFIC_RISKS[risk_key]
+    plans, counters = planning_traffic(_bounded(stats_db), arms, risk, risk_lambda)
+    assert counters == json.loads(TRAFFIC.read_text())[f"{arms_key}/{risk_key}"]
+    coster = _bounded(stats_db)._planning_coster(risk, risk_lambda)
+    assert {swept[0].query.n_tables for swept in plans} == {1, 2, 3, 4, 5}
+    for swept in plans:
+        assert swept == reference_plan_arms(swept[0].query, coster, arms)
+
+
+@pytest.mark.parametrize("arms_key", list(TRAFFIC_ARMS))
+def test_a_breaker_flipping_mid_planning_keeps_the_cache_traffic(stats_db, arms_key):
+    """An estimate that moves its estimator's tag moves every later lookup
+    of the same planning to the new tag, as a tag taken per lookup did."""
+    optimizer = _breaking(stats_db)
+    plans, counters = planning_traffic(optimizer, TRAFFIC_ARMS[arms_key], "expected", None)
+    recorded = json.loads(TRAFFIC.read_text())[f"{arms_key}/breaker"]
+    assert counters == recorded["counters"]
+    assert [[p.signature() for p in swept] for swept in plans] == recorded["plans"]
+    assert optimizer.estimator.breaker.epoch > 0
+
+
+class _Moving:
+    """The histogram estimator with a tag every estimate moves, as a
+    breaker flip moves a wrapper's."""
+
+    def __init__(self, db):
+        self.inner = TraditionalCardinalityEstimator(db)
+        self.estimates_version = 0
+
+    def estimate(self, query):
+        self.estimates_version += 1
+        return self.inner.estimate(query)
+
+
+def test_the_planning_tag_follows_an_estimate_that_moves_it(stats_db):
+    """After each estimator call a tagged call makes, the planning's tag is
+    what a fresh ``cache_tag()`` gives; lookups before it keyed on the old."""
+    coster = PlanCoster(stats_db, _Moving(stats_db), cache=CardinalityCache())
+    q = next(
+        q
+        for q in WorkloadGenerator(stats_db, seed=37).workload(40, 2, 3, require_predicate=True)
+        if any(len(q.predicates_on(t)) >= 2 for t in q.tables)
+    )
+    tag = coster.planning_tag()
+    first = tag.value
+    coster.subquery_cardinalities(q, join_graph(q).subsets, tag)
+    assert tag.value == coster.cache_tag() != first
+    table = next(t for t in q.tables if len(q.predicates_on(t)) >= 2)
+    node = ScanNode(table=table, method=ScanMethod.INDEX, predicates=q.predicates_on(table))
+    batched = tag.value
+    coster.tagged_scan_cost(node, tag)
+    assert tag.value == coster.cache_tag() != batched
+    assert coster.cache.peek(batched, Query((table,), (), (node.predicates[0],))) is not None

@@ -1,6 +1,6 @@
 """The census as a test: no caller, no code.
 
-Over every package and every module under ``src/repro`` eight things must
+Over every package and every module under ``src/repro`` nine things must
 hold, another over ``benchmarks/``, three over ``src/``,
 ``benchmarks/`` and ``examples/`` and another over every code tree and
 ``tests/``.  All but (c) only read source files --
@@ -77,7 +77,13 @@ it names:
     batch's ``idx3`` (layer 1 read from a per-batch features block).  A
     loop iterates ``PlanTreeCorpus.plan``, whose layer 1 reads the
     per-fit table; the per-batch gathers live on in
-    ``tests/treeconv_reference.py``.
+    ``tests/treeconv_reference.py``;
+(o) the per-decision triggers read a sorted window:
+    ``lifecycle/scheduler.py`` calls no ``quantile`` or ``percentile``
+    (numpy's or its ``nan`` variants).  ``QErrorTrigger`` keeps its window
+    sorted as it observes and reads numpy's ``linear`` quantile off it
+    with numpy's own arithmetic, instead of sorting the window again on
+    every served decision.
 
 A failure names the file and the symbol.  The fix is to delete the code (or
 the export), not to grow the allow-list: that list is the backlog of
@@ -837,6 +843,33 @@ def test_one_training_plan():
     )
 
 
+# -- (o) the per-decision triggers read a sorted window -----------------------------------
+
+#: the module whose triggers check on every served decision
+TRIGGERS = SRC / "lifecycle" / "scheduler.py"
+WINDOW_QUANTILES = ("quantile", "percentile", "nanquantile", "nanpercentile")
+
+
+def window_quantile_violations(sources: Sources) -> list[str]:
+    """Every call of a name in ``WINDOW_QUANTILES`` in ``TRIGGERS``, one
+    line each."""
+    found = []
+    for node in ast.walk(sources.parse(TRIGGERS)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if name in WINDOW_QUANTILES:
+                found.append(f"{TRIGGERS.relative_to(ROOT)}:{node.lineno} calls {name}")
+    return found
+
+
+def test_triggers_read_a_sorted_window():
+    found = window_quantile_violations(Sources())
+    assert not found, (
+        f"{found} -- a trigger checks on every served decision: keep its window "
+        "sorted as it observes and read the quantile off it (QErrorTrigger.current)"
+    )
+
+
 def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simulator):
     """One instance of each record (g) slots: it has no ``__dict__`` and
     still pickles, deep-copies, ``replace``-s and compares by value."""
@@ -1255,4 +1288,31 @@ def test_seeded_text_template_is_caught(relative, old, new, caught):
 def test_seeded_second_training_plan_is_caught(relative, old, new, caught):
     sources = _patched(relative, old, new)
     found = [re.sub(r":\d+ ", " ", f) for f in training_plan_violations(sources)]
+    assert found == caught
+
+
+@pytest.mark.parametrize(
+    "old, new, caught",
+    [
+        (  # the window sorted again on every check
+            "        s = self._sorted\n        if not s:\n",
+            "        if not self._errors:\n            return 1.0\n"
+            "        return float(np.quantile(np.array(self._errors), self.quantile))\n"
+            "        s = self._sorted\n        if not s:\n",
+            ["src/repro/lifecycle/scheduler.py calls quantile"],
+        ),
+        (  # a percentile trigger of its own
+            "class DriftTrigger:\n",
+            "class P90Trigger:\n"
+            "    def current(self):\n"
+            "        from numpy import percentile\n"
+            "        return percentile(self._errors, 90)\n\n\n"
+            "class DriftTrigger:\n",
+            ["src/repro/lifecycle/scheduler.py calls percentile"],
+        ),
+    ],
+)
+def test_seeded_trigger_sorting_its_window_is_caught(old, new, caught):
+    sources = _patched("lifecycle/scheduler.py", old, new)
+    found = [re.sub(r":\d+ ", " ", f) for f in window_quantile_violations(sources)]
     assert found == caught

@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bench import render_stats
 from repro.cardest.drift import DDUpDetector, DriftReport
@@ -546,6 +548,109 @@ def test_qerror_trigger_is_relative_to_its_own_baseline():
     assert d.fired and d.action == "retrain"
     trig.reset(ctx)
     assert trig.baseline is None and trig.current() == 1.0
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (dict(window=0, min_samples=1), "window"),
+        (dict(quantile=1.5), "quantile"),
+        (dict(quantile=-0.1), "quantile"),
+        (dict(window=8, min_samples=9), "min_samples"),
+        (dict(window=8, min_samples=0), "min_samples"),
+    ],
+    ids=["empty-window", "quantile-above-1", "quantile-below-0", "never-fills", "no-samples"],
+)
+def test_qerror_trigger_rejects_a_configuration_it_cannot_honour(config, message):
+    with pytest.raises(ConfigError, match=message):
+        QErrorTrigger(**config)
+
+
+def test_qerror_trigger_accepts_the_boundaries():
+    QErrorTrigger(window=1, min_samples=1, quantile=0.0)
+    QErrorTrigger(window=1, min_samples=1, quantile=1.0)
+    QErrorTrigger(window=8, min_samples=8)
+
+
+#: q-errors as ``observe(e, 1.0)`` computes them: ``e`` itself
+_ERRORS = st.one_of(
+    st.sampled_from([1.0, 1.0, 2.0, 3.5]),  # ties
+    st.floats(1.0, 1e12),
+)
+
+
+@st.composite
+def _trigger_cases(draw):
+    """``(window, quantile, stream)``: windows of 1-128 (small ones often),
+    streams up to three windows long with resets (``None``) or all 1.0, and
+    quantiles 0, 1 and 0.5, any float in [0, 1], and ones where ``(n - 1) *
+    q`` of a full window is a whole number or has a fraction of one half."""
+    window = draw(st.one_of(st.integers(1, 8), st.integers(1, 128)))
+    n = max(window - 1, 1)
+    quantile = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 0.5, 0.9]),
+            st.floats(0.0, 1.0),
+            st.integers(0, n).map(lambda j: j / n),
+            st.integers(0, n - 1).map(lambda j: (j + 0.5) / n),
+        )
+    )
+    length = draw(st.integers(0, 3 * window + 4))
+    events = st.just(1.0) if draw(st.booleans()) else st.one_of(_ERRORS, st.just(None))
+    stream = draw(st.lists(events, min_size=length, max_size=length))
+    return window, quantile, stream
+
+
+@given(case=_trigger_cases())
+@example(case=(2, 0.5, [25.276319267505105, 58.86394608488796]))
+@settings(max_examples=200, deadline=None)
+def test_qerror_trigger_quantile_equals_numpys(case):
+    """After every ``observe`` and ``reset``, ``current()`` is the float
+    ``np.quantile`` returns over the newest ``window`` errors."""
+    window, q, stream = case
+    trig = QErrorTrigger(window=window, min_samples=1, quantile=q)
+    newest: list[float] = []
+    assert trig.current() == 1.0
+    for error in stream:
+        if error is None:
+            trig.reset(SchedulerContext())
+            newest.clear()
+        else:
+            trig.observe(error, 1.0)
+            newest = (newest + [error])[-window:]
+        expected = float(np.quantile(newest, q)) if newest else 1.0
+        assert trig.current() == expected, (newest, q)
+
+
+def test_qerror_trigger_fires_where_numpys_quantile_does():
+    """The firing decisions and reason strings over a q-error stream equal
+    those of a trigger reading ``np.quantile`` off its newest errors."""
+    rng = np.random.default_rng(0)
+    errors = np.exp(np.abs(rng.normal(0.0, 1.0, 600)) + np.repeat([0.0, 2.5, 0.5], 200))
+    trig = QErrorTrigger(degradation=3.0, window=48, min_samples=24, quantile=0.9)
+    ctx = SchedulerContext()
+    newest: list[float] = []
+    baseline = None
+    fired = 0
+    for error in errors.tolist():
+        trig.observe(error, 1.0)
+        newest = (newest + [error])[-48:]
+        decision = trig.check(ctx)
+        if len(newest) < 24:
+            assert decision.reason == "qerror:warming"
+            continue
+        q = float(np.quantile(newest, 0.9))
+        if baseline is None:
+            baseline = q
+            assert decision.reason == f"qerror_baseline={q:.1f}"
+        elif q >= baseline * 3.0:
+            assert decision.fired
+            assert decision.reason == f"qerror_q0.9={q:.1f}(base={baseline:.1f})"
+            trig.reset(ctx)
+            newest, baseline, fired = [], None, fired + 1
+        else:
+            assert decision.reason == f"qerror_q0.9={q:.1f}"
+    assert fired >= 1
 
 
 class _FakeDetector:
