@@ -66,6 +66,8 @@ class DDUpDetector:
     snapshot without storing raw data (only summaries and histograms).
     """
 
+    #: stage-1 z-score of a sampled column mean below which a table has not drifted
+    stage1_z = 3.0
     #: stage-2 divergence below which a stage-1 alarm is dismissed
     fine_tune_js = 0.008
     #: stage-2 divergence from which a confirmed drift calls for a retrain
@@ -76,7 +78,6 @@ class DDUpDetector:
         db: Database,
         *,
         n_bins: int = 24,
-        stage1_z: float = 3.0,
         sample: int = 2000,
         seed: int = 0,
         telemetry=None,
@@ -88,7 +89,6 @@ class DDUpDetector:
         and triage actions are observable instead of silently returned."""
         self.db = db
         self.n_bins = n_bins
-        self.stage1_z = stage1_z
         self.sample = sample
         self.telemetry = telemetry
         self._rng = np.random.default_rng(seed)

@@ -269,14 +269,13 @@ class NeuroCardEstimator(BaseCardinalityEstimator):
         db: Database,
         n_samples: int = 1500,
         max_bins: int = 24,
-        hidden: tuple[int, ...] = (64,),
         epochs: int = 10,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
         self.n_samples = n_samples
         self.max_bins = max_bins
-        self.hidden = hidden
+        self.hidden = (64,)
         self.epochs = epochs
         self.seed = seed
         self._executor = CardinalityExecutor(db)

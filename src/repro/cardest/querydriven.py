@@ -139,13 +139,12 @@ class MLPQueryEstimator(_SupervisedFlatEstimator):
     def __init__(
         self,
         db: Database,
-        hidden: tuple[int, ...] = (64, 64),
         epochs: int = 120,
         lr: float = 2e-3,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
-        self.hidden = hidden
+        self.hidden = (64, 64)
         self.epochs = epochs
         self.lr = lr
         self.seed = seed
@@ -274,14 +273,13 @@ class MSCNEstimator(BaseCardinalityEstimator):
     def __init__(
         self,
         db: Database,
-        hidden: int = 64,
         epochs: int = 80,
         lr: float = 1e-3,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
         self.featurizer = MSCNFeaturizer(db, seed=seed)
-        self.net = SetConvNet(self.featurizer.module_dims(), hidden=hidden, seed=seed)
+        self.net = SetConvNet(self.featurizer.module_dims(), hidden=64, seed=seed)
         self.epochs = epochs
         self.lr = lr
         self.seed = seed
@@ -327,12 +325,12 @@ class PooledMSCNEstimator(MSCNEstimator):
 
     name = "pooled_mscn"
 
-    def __init__(self, db: Database, hidden: int = 64, epochs: int = 80,
-                 lr: float = 1e-3, seed: int = 0) -> None:
+    def __init__(self, db: Database, epochs: int = 80, lr: float = 1e-3,
+                 seed: int = 0) -> None:
         BaseCardinalityEstimator.__init__(self, db)
         self.featurizer = MSCNFeaturizer(db, seed=seed)
         self.net = SetConvNet(
-            self.featurizer.module_dims(), hidden=hidden, pooling="max", seed=seed
+            self.featurizer.module_dims(), hidden=64, pooling="max", seed=seed
         )
         self.epochs = epochs
         self.lr = lr
@@ -364,13 +362,12 @@ class CRNEstimator(BaseCardinalityEstimator):
     def __init__(
         self,
         db: Database,
-        hidden: tuple[int, ...] = (64, 64),
         epochs: int = 80,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
         self.featurizer = FlatQueryFeaturizer(db)
-        self.hidden = hidden
+        self.hidden = (64, 64)
         self.epochs = epochs
         self.seed = seed
         self._net: MLP | None = None
@@ -515,13 +512,12 @@ class GLPlusEstimator(BaseCardinalityEstimator):
     def __init__(
         self,
         db: Database,
-        hidden: tuple[int, ...] = (48,),
         epochs: int = 80,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
         self.featurizer = FlatQueryFeaturizer(db)
-        self.hidden = hidden
+        self.hidden = (48,)
         self.epochs = epochs
         self.seed = seed
         self._kmeans = None

@@ -141,12 +141,11 @@ class AstridEstimator:
         self,
         column: StringColumn,
         *,
-        hidden: tuple[int, ...] = (64, 64),
         epochs: int = 120,
         seed: int = 0,
     ) -> None:
         self.column = column
-        self.hidden = hidden
+        self.hidden = (64, 64)
         self.epochs = epochs
         self.seed = seed
         self._net: MLP | None = None
@@ -167,13 +166,9 @@ class AstridEstimator:
 
     # -- training ----------------------------------------------------------------------
 
-    def fit(
-        self, patterns: list[StringPredicate] | None = None, n_train: int = 400
-    ) -> "AstridEstimator":
-        """Train on given patterns or on sampled data substrings."""
-        rng = np.random.default_rng(self.seed)
-        if patterns is None:
-            patterns = self.column.sample_patterns(n_train, rng)
+    def fit(self, n_train: int = 400) -> "AstridEstimator":
+        """Train on ``n_train`` patterns sampled from the column's substrings."""
+        patterns = self.column.sample_patterns(n_train, np.random.default_rng(self.seed))
         if not patterns:
             raise ValueError("no training patterns")
         x = np.stack([self._featurize(p) for p in patterns])

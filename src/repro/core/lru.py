@@ -1,8 +1,9 @@
 """The one bounded, counted LRU map.
 
 The cardinality cache, the plan cache, the key-index cache, the exact
-executor's memo, the shard router's pair memo and the join-graph cache
-are all the same structure: at most ``capacity`` entries, the
+executor's memo, the shard router's pair memo, the join-graph cache and
+the DP's arm-lane table (``optimizer/planner.py``'s ``_LANES``) are all
+the same structure: at most ``capacity`` entries, the
 least-recently-*used* one evicted first, and hit / miss / eviction
 counters reported in one five-key shape.
 They differ only in how they build a key and what they do on a miss, so

@@ -71,13 +71,12 @@ class ConcurrentCostModel:
     def __init__(
         self,
         featurizer: PlanFeaturizer,
-        hidden: tuple[int, ...] = (64, 64),
         epochs: int = 80,
         lr: float = 2e-3,
         seed: int = 0,
     ) -> None:
         self.featurizer = featurizer
-        self.hidden = hidden
+        self.hidden = (64, 64)
         self.epochs = epochs
         self.lr = lr
         self.seed = seed

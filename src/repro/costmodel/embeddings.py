@@ -24,6 +24,9 @@ from repro.ml.nn import MLP, Adam, Dense, ReLU, Sequential
 
 __all__ = ["PlanAutoencoder"]
 
+#: plans per Adam step of :meth:`PlanAutoencoder.fit`
+_BATCH_SIZE = 32
+
 
 class PlanAutoencoder:
     """Traversal-sequence autoencoder over plans (Saturn-lite)."""
@@ -31,29 +34,24 @@ class PlanAutoencoder:
     name = "plan_autoencoder"
     max_nodes = 12  # traversal prefix kept per plan
     latent_dim = 8
+    hidden = 64  # encoder and decoder width
 
-    def __init__(
-        self,
-        featurizer: PlanFeaturizer,
-        *,
-        hidden: int = 64,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, featurizer: PlanFeaturizer, *, seed: int = 0) -> None:
         self.featurizer = featurizer
         self._in_dim = self.max_nodes * featurizer.node_dim
         rng = np.random.default_rng(seed)
         self.encoder = Sequential(
             [
-                Dense(self._in_dim, hidden, rng=rng),
+                Dense(self._in_dim, self.hidden, rng=rng),
                 ReLU(),
-                Dense(hidden, self.latent_dim, init="xavier", rng=rng),
+                Dense(self.hidden, self.latent_dim, init="xavier", rng=rng),
             ]
         )
         self.decoder = Sequential(
             [
-                Dense(self.latent_dim, hidden, rng=rng),
+                Dense(self.latent_dim, self.hidden, rng=rng),
                 ReLU(),
-                Dense(hidden, self._in_dim, init="xavier", rng=rng),
+                Dense(self.hidden, self._in_dim, init="xavier", rng=rng),
             ]
         )
         self._rng = rng
@@ -76,7 +74,6 @@ class PlanAutoencoder:
         *,
         epochs: int = 60,
         lr: float = 2e-3,
-        batch_size: int = 32,
     ) -> list[float]:
         if not plans:
             raise ValueError("empty training corpus")
@@ -88,8 +85,8 @@ class PlanAutoencoder:
         for _ in range(epochs):
             order = self._rng.permutation(n)
             total, batches = 0.0, 0
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
+            for start in range(0, n, _BATCH_SIZE):
+                idx = order[start : start + _BATCH_SIZE]
                 z = self.encoder.forward(x[idx])
                 recon = self.decoder.forward(z)
                 diff = recon - x[idx]

@@ -166,7 +166,6 @@ def plan_to_tree_arrays(
     plan: Plan,
     featurizer: PlanFeaturizer,
     *,
-    transferable: bool = False,
     memo: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten a plan to ``(features, left, right)`` arrays (pre-order).
@@ -174,13 +173,12 @@ def plan_to_tree_arrays(
     Child index ``-1`` marks leaves, matching
     :class:`repro.ml.treeconv.PlanTreeBatch` expectations.
 
-    ``memo`` maps ``(row function, query, node)`` to the node's feature
-    row.  A caller that featurizes several plans of one decision passes
+    ``memo`` maps ``(query, node)`` to the node's feature row.  A caller that featurizes several plans of one decision passes
     one dict to all of them, so a node the plans share (the arm sweep
     interns them) is featurized once; the dict must not outlive that
     decision, whose estimator state its rows reflect.
     """
-    node_row = featurizer.transferable_node if transferable else featurizer.node_features
+    node_row = featurizer.node_features
     features: list[np.ndarray] = []
     left: list[int] = []
     right: list[int] = []
@@ -190,7 +188,7 @@ def plan_to_tree_arrays(
         if memo is None:
             features.append(node_row(plan, node))
         else:
-            key = (node_row, plan.query, node)
+            key = (plan.query, node)
             row = memo.get(key)
             if row is None:
                 row = memo[key] = node_row(plan, node)

@@ -32,6 +32,8 @@ from repro.ml.treeconv import PlanTreeBatch, PlanTreeCorpus, TreeConvNet, shuffl
 __all__ = ["UnifiedTransferableModel"]
 
 _TASKS = ("latency", "cardinality")
+#: plans per Adam step of :meth:`UnifiedTransferableModel.pretrain`
+_BATCH_SIZE = 32
 
 
 class UnifiedTransferableModel:
@@ -68,7 +70,6 @@ class UnifiedTransferableModel:
         *,
         epochs: int = 50,
         lr: float = 1e-3,
-        batch_size: int = 32,
     ) -> list[float]:
         """Joint multi-task training on (plan, latency, cardinality)."""
         if not (len(plans) == len(latencies_ms) == len(cardinalities)):
@@ -88,13 +89,13 @@ class UnifiedTransferableModel:
         params, grads = [self.net.flat_params], [self.net.flat_grads]
         losses: list[float] = []
         orders = shuffles(self._rng, len(corpus), epochs)
-        for order, batches in corpus.plan(orders, batch_size):
+        for order, batches in corpus.plan(orders, _BATCH_SIZE):
             y_epoch = y[order]
             total, count = 0.0, 0
             for batch in batches:
-                start = count * batch_size
+                start = count * _BATCH_SIZE
                 pred = self.net.forward(batch)
-                diff = pred - y_epoch[start : start + batch_size]
+                diff = pred - y_epoch[start : start + _BATCH_SIZE]
                 loss = float((diff**2).mean())
                 grad = 2.0 * diff / max(diff.size, 1)
                 self.net._backward(batch, grad)

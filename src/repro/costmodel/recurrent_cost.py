@@ -29,13 +29,12 @@ class TreeRecurrentCostModel:
     def __init__(
         self,
         featurizer: PlanFeaturizer,
-        hidden: int = 48,
         epochs: int = 60,
         lr: float = 2e-3,
         seed: int = 0,
     ) -> None:
         self.featurizer = featurizer
-        self.hidden = hidden
+        self.hidden = hidden = 48
         self.epochs = epochs
         self.lr = lr
         rng = np.random.default_rng(seed)

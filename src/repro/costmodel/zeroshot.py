@@ -27,12 +27,11 @@ class ZeroShotCostModel:
 
     def __init__(
         self,
-        hidden: tuple[int, ...] = (48, 48),
         epochs: int = 80,
         lr: float = 2e-3,
         seed: int = 0,
     ) -> None:
-        self.hidden = hidden
+        self.hidden = (48, 48)
         self.epochs = epochs
         self.lr = lr
         self.seed = seed

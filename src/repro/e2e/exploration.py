@@ -66,20 +66,18 @@ class HintSetExploration:
         )
 
 
-class CardinalityScalingExploration:
-    """Lero's strategy [79]: scale estimated cardinalities by factors."""
+#: Lero's cardinality scaling factors [79]; ``1.0`` is first, so the native
+#: plan survives deduplication as the ``"default"`` candidate (warm-up
+#: safety depends on it)
+LERO_FACTORS = (1.0, 0.01, 0.1, 10.0, 100.0)
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        factors: tuple[float, ...] = (1.0, 0.01, 0.1, 10.0, 100.0),
-    ) -> None:
-        """Put ``1.0`` first so the native plan survives deduplication as
-        the ``"default"`` candidate (warm-up safety depends on it)."""
-        if not factors:
-            raise ValueError("need at least one scaling factor")
+
+class CardinalityScalingExploration:
+    """Lero's strategy [79]: scale estimated cardinalities by ``LERO_FACTORS``."""
+
+    def __init__(self, optimizer: Optimizer) -> None:
         self.optimizer = optimizer
-        self.factors = factors
+        self.factors = LERO_FACTORS
 
     def candidates(self, query: Query) -> list[CandidatePlan]:
         out = []
@@ -280,10 +278,7 @@ class TopKDPExploration:
             for left_set, right_set, conditions in graph.partitions[subset]:
                 for lcand in best[left_set]:
                     for rcand in best[right_set]:
-                        cand = _best_join(
-                            query, lcand, rcand, conditions,
-                            coster, hints, card_of,
-                        )
+                        cand = _best_join(lcand, rcand, conditions, coster, hints, card_of)
                         if cand is not None:
                             entries.append(cand)
             if entries:

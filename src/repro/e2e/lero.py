@@ -20,21 +20,10 @@ class LeroOptimizer(LearnedOptimizer):
     pairwise wins, equivalently lowest learned score) is executed.
     """
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        factors: tuple[float, ...] = (1.0, 0.01, 0.1, 10.0, 100.0),
-        *,
-        seed: int = 0,
-    ) -> None:
-        if factors[0] != 1.0:
-            raise ValueError(
-                "the first factor must be 1.0 so the native plan is the "
-                "default candidate"
-            )
+    def __init__(self, optimizer: Optimizer, *, seed: int = 0) -> None:
         featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         super().__init__(
-            exploration=CardinalityScalingExploration(optimizer, factors),
+            exploration=CardinalityScalingExploration(optimizer),
             risk_model=PairwisePlanComparator(featurizer, seed=seed),
             name="lero",
         )

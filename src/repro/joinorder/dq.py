@@ -26,27 +26,23 @@ from repro.sql.query import Query
 
 __all__ = ["DQJoinOrderSearch"]
 
+#: probability of a random action per step (epsilon-greedy)
+_EPSILON = 0.3
+
 
 class DQJoinOrderSearch:
     """Q-learning join-order search with an MLP value function."""
 
     name = "dq"
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        hidden: tuple[int, ...] = (64,),
-        epsilon: float = 0.3,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, optimizer: Optimizer, seed: int = 0) -> None:
         self.optimizer = optimizer
         self.coster: PlanCoster = optimizer.coster
         self.tables = list(optimizer.db.table_names)
         self._pos = {t: i for i, t in enumerate(self.tables)}
-        self.epsilon = epsilon
         self._rng = np.random.default_rng(seed)
         dim = 2 * len(self.tables) + 2
-        self._net = MLP(dim, hidden, 1, seed=seed)
+        self._net = MLP(dim, (64,), 1, seed=seed)
         self._buffer_x: list[np.ndarray] = []
         self._buffer_y: list[float] = []
         self._episodes = 0
@@ -87,7 +83,7 @@ class DQJoinOrderSearch:
         steps: list[np.ndarray] = []
         while not env.done:
             actions = env.valid_actions()
-            if self._rng.random() < self.epsilon or not self._trained:
+            if self._rng.random() < _EPSILON or not self._trained:
                 choice = actions[self._rng.integers(len(actions))]
             else:
                 qvals = self._q(query, env.prefix, actions)

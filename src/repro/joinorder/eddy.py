@@ -23,6 +23,9 @@ from repro.sql.query import Query
 
 __all__ = ["EddyJoinOrderSearch"]
 
+#: probability of a random action per step (epsilon-greedy)
+_EPSILON = 0.25
+
 
 class EddyJoinOrderSearch:
     """Q-learning over observed per-chunk join fan-outs."""
@@ -31,16 +34,9 @@ class EddyJoinOrderSearch:
     n_chunks = 12  # chunks of the online phase, each re-deciding the routing
     alpha = 0.4  # Q-learning rate
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        *,
-        epsilon: float = 0.25,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, optimizer: Optimizer, *, seed: int = 0) -> None:
         self.optimizer = optimizer
         self.executor = CardinalityExecutor(optimizer.db)
-        self.epsilon = epsilon
         self._rng = np.random.default_rng(seed)
 
     def _observed_fanout(
@@ -81,7 +77,7 @@ class EddyJoinOrderSearch:
             while not env.done:
                 actions = env.valid_actions()
                 state = frozenset(env.prefix)
-                if self._rng.random() < self.epsilon:
+                if self._rng.random() < _EPSILON:
                     choice = actions[self._rng.integers(len(actions))]
                 else:
                     choice = min(actions, key=lambda a: q(state, a))

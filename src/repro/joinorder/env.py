@@ -53,7 +53,6 @@ def plan_from_order(
         card(right.tables)
         card(current.tables | right.tables)
         best = _best_join(
-            query,
             (current, cost),
             (right, right_cost),
             conditions,

@@ -22,22 +22,19 @@ from repro.sql.query import Query
 
 __all__ = ["RTOSJoinOrderSearch"]
 
+#: probability of a random action per step (epsilon-greedy)
+_EPSILON = 0.3
+
 
 class RTOSJoinOrderSearch:
     """Tree-structured-state join-order search (RTOS-lite)."""
 
     name = "rtos"
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        epsilon: float = 0.3,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, optimizer: Optimizer, seed: int = 0) -> None:
         self.optimizer = optimizer
         self.coster = optimizer.coster
         self.featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
-        self.epsilon = epsilon
         self._rng = np.random.default_rng(seed)
         self._net = TreeConvNet(
             self.featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed
@@ -54,7 +51,7 @@ class RTOSJoinOrderSearch:
         states = []
         while not env.done:
             actions = env.valid_actions()
-            if self._rng.random() < self.epsilon or not self._trained:
+            if self._rng.random() < _EPSILON or not self._trained:
                 choice = actions[self._rng.integers(len(actions))]
             else:
                 values = [self._value(query, env.prefix + [a]) for a in actions]

@@ -145,9 +145,7 @@ class ExperienceStore(ServePolicy):
         self._records[key] = record
         self._slots[j] = key
 
-    def add_decision(
-        self, decision, *, kind: str = "serve", drift: bool | None = None
-    ) -> None:
+    def add_decision(self, decision, *, kind: str = "serve") -> None:
         """Ingest a :class:`repro.core.interfaces.Decision` that carries
         its ``query``: ``kind="serve"`` from a deployment,
         ``kind="episode"`` from the offline loop."""
@@ -162,7 +160,7 @@ class ExperienceStore(ServePolicy):
                 else None
             ),
             true_cardinality=float(decision.cardinality),
-            drift=self.drift_tag if drift is None else drift,
+            drift=self.drift_tag,
         )
 
     def attach(self, deployment) -> None:
@@ -189,23 +187,12 @@ class ExperienceStore(ServePolicy):
 
     # -- retrieval -------------------------------------------------------------
 
-    def records(
-        self, *, kind: str | None = None, drift: bool | None = None
-    ) -> list[ExperienceRecord]:
-        """Retained records in insertion order, optionally filtered."""
-        out = []
-        for r in self._records.values():
-            if kind is not None and r.kind != kind:
-                continue
-            if drift is not None and r.drift != drift:
-                continue
-            out.append(r)
-        return out
+    def records(self, *, kind: str | None = None) -> list[ExperienceRecord]:
+        """Retained records in insertion order, optionally of one kind."""
+        return [r for r in self._records.values() if kind is None or r.kind == kind]
 
-    def queries(
-        self, *, kind: str | None = None, drift: bool | None = None
-    ) -> list[Query]:
-        return [r.query for r in self.records(kind=kind, drift=drift)]
+    def queries(self, *, kind: str | None = None) -> list[Query]:
+        return [r.query for r in self.records(kind=kind)]
 
     def labelled(self) -> tuple[list[Query], np.ndarray]:
         """(queries, true_cardinalities) over records carrying exact labels."""

@@ -32,6 +32,9 @@ from repro.ml.nn import Adam
 
 __all__ = ["MaskedAutoregressiveNetwork"]
 
+#: rows per Adam step of :meth:`MaskedAutoregressiveNetwork.fit`
+_BATCH_SIZE = 256
+
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -194,7 +197,6 @@ class MaskedAutoregressiveNetwork:
         rows: np.ndarray,
         *,
         epochs: int = 20,
-        batch_size: int = 256,
         lr: float = 8e-3,
     ) -> list[float]:
         """Maximum-likelihood training on integer-coded rows."""
@@ -210,8 +212,8 @@ class MaskedAutoregressiveNetwork:
         for _ in range(epochs):
             order = self._rng.permutation(n)
             total, batches = 0.0, 0
-            for start in range(0, n, batch_size):
-                batch = rows[order[start : start + batch_size]]
+            for start in range(0, n, _BATCH_SIZE):
+                batch = rows[order[start : start + _BATCH_SIZE]]
                 total += self._loss_and_backward(batch)
                 grads = self._grads_w + self._grads_b
                 opt.step(params, grads)

@@ -32,6 +32,9 @@ __all__ = [
     "binary_cross_entropy_loss",
 ]
 
+#: rows per Adam step of :meth:`MLP.fit`
+_BATCH_SIZE = 64
+
 
 class Layer:
     """Base class for all layers.
@@ -304,7 +307,6 @@ class MLP:
         y: np.ndarray,
         *,
         epochs: int = 100,
-        batch_size: int = 64,
         lr: float = 1e-3,
         loss: str = "mse",
         val_fraction: float = 0.0,
@@ -358,8 +360,8 @@ class MLP:
             order = self._rng.permutation(n)
             epoch_loss = 0.0
             n_batches = 0
-            for start in range(0, n, batch_size):
-                batch = order[start : start + batch_size]
+            for start in range(0, n, _BATCH_SIZE):
+                batch = order[start : start + _BATCH_SIZE]
                 pred = self.net.forward(x[batch])
                 value, grad = loss_fn(pred, y[batch])
                 if sample_weight is not None:

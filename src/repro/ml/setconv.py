@@ -21,6 +21,9 @@ from repro.ml.nn import Adam, mse_loss
 
 __all__ = ["SetConvNet"]
 
+#: queries per Adam step of :meth:`SetConvNet.fit`
+_BATCH_SIZE = 64
+
 
 class _SetModule:
     """Per-element MLP + masked average (or max) pooling for one set kind."""
@@ -252,7 +255,6 @@ class SetConvNet:
         y: np.ndarray,
         *,
         epochs: int = 80,
-        batch_size: int = 64,
         lr: float = 1e-3,
         seed: int = 0,
     ) -> list[float]:
@@ -271,8 +273,8 @@ class SetConvNet:
         for _ in range(epochs):
             order = rng.permutation(n)
             total, batches = 0.0, 0
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
+            for start in range(0, n, _BATCH_SIZE):
+                idx = order[start : start + _BATCH_SIZE]
                 batch = {
                     name: [samples[i][name] for i in idx] for name in self.module_names
                 }

@@ -96,7 +96,6 @@ def _best_scan(
 
 
 def _best_join(
-    query: Query,
     left: tuple[PlanNode, float],
     right: tuple[PlanNode, float],
     conditions: tuple[Join, ...],
@@ -315,7 +314,7 @@ def enumerate_greedy(
     query: Query, coster: PlanCoster, hints: HintSet | None = None
 ) -> Plan:
     """Greedy pairwise joining: fast, possibly suboptimal."""
-    hints = hints if hints is not None else HintSet.default()
+    hints = hints if hints is not None else _DEFAULT_HINTS
     fragments: dict[frozenset[str], tuple[PlanNode, float]] = {}
     card_of: dict[frozenset[str], float] = {}
     for t in query.tables:
@@ -333,9 +332,7 @@ def enumerate_greedy(
             merged = a | b
             if merged not in card_of:
                 card_of[merged] = coster.subquery_cardinality(query, merged)
-            cand = _best_join(
-                query, fragments[a], fragments[b], conditions, coster, hints, card_of
-            )
+            cand = _best_join(fragments[a], fragments[b], conditions, coster, hints, card_of)
             if cand is not None and (champion is None or cand[1] < champion[3]):
                 champion = (a, b, cand[0], cand[1])
         if champion is None:

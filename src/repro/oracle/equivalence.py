@@ -30,6 +30,8 @@ __all__ = ["PlanEquivalenceChecker"]
 SCALING_FACTORS: tuple[float, ...] = (0.01, 0.1, 10.0, 100.0)
 #: intermediate-row guard of the pure-Python reference cross-check
 REFERENCE_MAX_ROWS = 200_000
+#: the enumeration algorithms whose plans are checked
+ALGORITHMS = ("dp", "greedy", "left_deep")
 
 
 class PlanEquivalenceChecker:
@@ -48,14 +50,12 @@ class PlanEquivalenceChecker:
         db: Database,
         optimizer: Optimizer | None = None,
         *,
-        algorithms: tuple[str, ...] = ("dp", "greedy", "left_deep"),
         arms: list[HintSet] | None = None,
         max_rows: int = 2_000_000,
         check_reference: bool = True,
     ) -> None:
         self.db = db
         self.optimizer = optimizer if optimizer is not None else Optimizer(db)
-        self.algorithms = algorithms
         self.arms = arms if arms is not None else HintSet.bao_arms()
         self.interpreter = PlanInterpreter(db, max_rows=max_rows)
         self.executor = CardinalityExecutor(db)
@@ -68,7 +68,7 @@ class PlanEquivalenceChecker:
     def plans_for(self, query: Query) -> list[tuple[str, Plan]]:
         """Every distinct plan shape the stack would consider, labelled."""
         labelled: list[tuple[str, Plan]] = []
-        for algorithm in self.algorithms:
+        for algorithm in ALGORITHMS:
             labelled.append(
                 (f"algo:{algorithm}", self.optimizer.plan(query, algorithm=algorithm))
             )

@@ -21,7 +21,7 @@ import numpy as np
 from repro.cardest.base import BaseCardinalityEstimator, sanitize_estimate
 from repro.core.framework import CandidatePlan, LearnedOptimizer
 from repro.costmodel.features import PlanFeaturizer
-from repro.e2e.exploration import _dedup
+from repro.e2e.exploration import LERO_FACTORS, _dedup
 from repro.e2e.risk_models import PairwisePlanComparator, TreeConvLatencyModel
 from repro.engine.simulator import ExecutionResult
 from repro.optimizer.hints import HintSet
@@ -165,15 +165,9 @@ class LeroDriver(_SteeringDriverBase):
 
     name = "lero_driver"
 
-    def __init__(
-        self,
-        factors: tuple[float, ...] = (1.0, 0.01, 0.1, 10.0, 100.0),
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         super().__init__(seed=seed)
-        if factors[0] != 1.0:
-            raise ValueError("first factor must be 1.0 (the default plan)")
-        self.factors = factors
+        self.factors = LERO_FACTORS
 
     def _build_risk_model(self, featurizer: PlanFeaturizer):
         return PairwisePlanComparator(featurizer, seed=self.seed)

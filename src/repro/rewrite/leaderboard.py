@@ -106,7 +106,6 @@ class PromotionLeaderboard:
         validator: RewriteValidator | None = None,
         store: GoldExampleStore | None = None,
         telemetry=None,
-        catalog: ValuesCatalog | None = None,
         rules=None,
     ) -> None:
         self.db = db
@@ -122,11 +121,7 @@ class PromotionLeaderboard:
         )
         self.store = store
         self.telemetry = telemetry
-        self.catalog = (
-            catalog
-            if catalog is not None
-            else ValuesCatalog(db, stats=self.optimizer.stats)
-        )
+        self.catalog = ValuesCatalog(db, stats=self.optimizer.stats)
         self.rules = dict(rules) if rules is not None else dict(REWRITE_RULES)
         self._entries: list[LeaderboardEntry] = []
         self._by_query: dict[str, list[LeaderboardEntry]] = {}

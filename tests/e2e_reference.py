@@ -458,8 +458,7 @@ class LeonOptimizer:
                         for lcand in best[left_set]:
                             for rcand in best[right_set]:
                                 cand = _best_join(
-                                    query, lcand, rcand, conditions,
-                                    coster, hints, card_of,
+                                    lcand, rcand, conditions, coster, hints, card_of
                                 )
                                 if cand is not None:
                                     entries.append(cand)

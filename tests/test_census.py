@@ -1,94 +1,67 @@
 """The census as a test: no caller, no code.
 
-Over every package and every module under ``src/repro`` nine things must
-hold, another over ``benchmarks/``, three over ``src/``,
-``benchmarks/`` and ``examples/`` and another over every code tree and
-``tests/``.  All but (c) only read source files --
-nothing is imported from ``repro`` or ``perf``, and an absent directory is
-skipped; (c) imports the examples, and one case of (g) builds the records
-it names:
+Two kinds of rule keep the codebase minimal, each cited by its letter.
+
+``OWNED`` is the table of "one X" invariants, the names only their owner
+files may use.  A row is ``name: (match, trees, owners, reason, rule)``:
+``match`` says how a use is found -- a ``word`` of the text (comments and
+docstrings too), an ``identifier`` (a name, an attribute or an imported
+name), a ``call`` or a ``def`` (or a ``{kind: finding}`` dict, for a row that
+matches more than one kind or words its findings itself) -- ``trees`` where
+it is looked for (directories or files under the root), ``owners`` the files
+that may use it, ``reason`` the fix a failure points to.  One rule checks
+every row, and one seeded case plants each name in a non-owner file (caught)
+and in each owner (not caught).  A new invariant of that kind is a row.
+
+``RULES`` lists the rules a name cannot say, which stay functions:
 
 (a) every name a package ``__init__`` exports is imported *through that
-    package* by some file outside it (the top-level ``repro`` facade is the
-    documented entry point and is exempt);
-(b) every public class, function and method is referenced by code outside
-    ``tests/`` -- somewhere other than its own ``def`` and ``__init__``
-    re-export lines -- or by a ``"module:Class"`` row of
-    ``core/registry.py`` (the paper's Table 1 is the product: a row names
-    the class and its public methods), or is on the commented allow-list;
-(c) every ``examples/*.py`` still imports (without running it), which is
-    what catches a pruned re-export or a renamed class an example uses;
-(d) every parameter with a default is named by some file under ``src/``,
-    ``benchmarks/``, ``perf/`` or ``examples/`` that does not define it: a
-    knob only its definers and the tests turn has one product value, so it
-    is a constant.  A required keyword-only argument is not a knob.  A name
-    product code sets where the rule cannot see it is on ``POSITIONAL``, a
-    knob kept for the tests on ``TEST_SEAMS``; each entry gives its reason
-    and fails once the rule would pass without it;
-(e) every ``@dataclass`` that declares or inherits a ``latency_ms`` field is
-    one of the listed records, one per boundary a query crosses: a class
-    that re-labels the previous layer's record has nowhere to hide;
-(f) there is one bench contract: every module ``benchmarks.BENCHMARKS``
-    names defines a top-level ``export``, every T / E bench and P1 a
-    top-level ``measure``, no function under ``benchmarks/`` takes
-    the ``benchmark`` timing fixture or a ``profile``, no module there
-    reads ``os.environ`` or defines ``_PROFILES`` (one size: an export is
-    a function of its key and seed alone), and no function of a registered
-    bench that takes a ``seed`` passes a literal ``seed=<int>`` on (it
-    is ``<int> + seed``, or the input comes from a seed-free builder);
-(g) the request path is single-writer: no module imports ``threading``,
-    and every record built once per request -- each frozen record of (e)
-    plus ``Request``, ``Rejected`` and ``FabricRequest`` -- is
-    ``slots=True`` (no per-instance ``__dict__`` to build); slotting keeps
-    pickling, copying, ``dataclasses.replace``, equality and immutability;
-(h) there is one LRU: nothing outside ``core/lru.py`` -- no subclass, no
-    observer, no test -- touches a ``BoundedLRU``'s ``_entries``.  A read
-    goes through ``get`` (counted) or ``peek`` (no trace), a write through
-    ``put``, so the counters and the eviction order mean what they say;
-(i) feedback only records: no file under ``src/``, ``benchmarks/`` or
-    ``examples/`` names ``retrain_every`` or ``_since_retrain`` (the
-    ``tests/*_reference.py`` copies keep theirs).  When a model refits is
-    one ``RetrainCadence``, set where the stack is built;
-(j) a bootstrap member is read after its owed fit: no file but
-    ``e2e/risk_models.py`` and its eager copy
-    (``tests/risk_models_reference.py``) names ``_members``.  A reader goes
-    through ``members()``, which runs what a retrain left owed, so nothing
-    sees the weights a retrain is about to replace;
-(k) there is one subset enumeration: no file under ``src/`` but
-    ``sql/joingraph.py`` calls ``combinations`` with a size that is not a
-    literal (a loop over sizes enumerates subsets or partitions) or walks
-    ``join_adjacency()``.  The DP, LEON's top-k DP, the sub-query list and
-    the exact counter read the compiled ``JoinGraph``; ``ENUMERATORS``
-    names the one exemption and its reason;
-(l) there is one exact counter: no file under ``src/`` defines
-    ``_tree_count``, ``_materialized_count`` or ``_join_graph_is_tree``.
-    ``CardinalityExecutor._count`` runs every join graph's recipe (peel,
-    then the core); the two strategies it replaced keep their copies in
-    ``tests/executor_reference.py``;
-(m) there is one template identity: no file under ``src/``,
-    ``benchmarks/`` or ``examples/`` names ``predicate_template`` or
-    renders a ``?`` placeholder -- a string (not a docstring) with a ``?``
-    standing after a space, a parenthesis or a comma, or a ``"?"`` joined
-    into text.  ``Query.template_key`` is a tuple of shapes; the text key
-    it replaced is ``tests/statistics_reference.py``'s;
-(n) there is one tree-conv training plan: no file under ``src/``,
-    ``benchmarks/`` or ``examples/`` but ``ml/treeconv.py`` defines or
-    calls ``batches`` (a per-epoch batch generator) or gathers at a
-    batch's ``idx3`` (layer 1 read from a per-batch features block).  A
-    loop iterates ``PlanTreeCorpus.plan``, whose layer 1 reads the
-    per-fit table; the per-batch gathers live on in
-    ``tests/treeconv_reference.py``;
-(o) the per-decision triggers read a sorted window:
-    ``lifecycle/scheduler.py`` calls no ``quantile`` or ``percentile``
-    (numpy's or its ``nan`` variants).  ``QErrorTrigger`` keeps its window
-    sorted as it observes and reads numpy's ``linear`` quantile off it
-    with numpy's own arithmetic, instead of sorting the window again on
-    every served decision.
+    package* by some file outside it (the top-level ``repro`` facade is
+    exempt);
+(b) every public class, function and method under ``src/repro`` is
+    referenced by code outside ``tests/`` -- or by a ``"module:Class"`` row
+    of ``core/registry.py``, which names the class and its public methods
+    -- or is on ``TEST_ONLY`` / ``PROTOCOLS``;
+(c) every ``examples/*.py`` still imports (without running it);
+(d) every parameter with a default is set by some file under ``src/``,
+    ``benchmarks/``, ``perf/`` or ``examples/`` that does not define it --
+    named as an identifier or a keyword argument, or as a
+    ``core/registry.py`` args key: a knob only its definers and the tests
+    turn has one product value, so it is a constant.  A name product code
+    sets where the rule cannot see it is on ``POSITIONAL``, a knob kept for
+    the tests on ``TEST_SEAMS``; each entry fails once it is not needed;
+(e) every ``@dataclass`` with a ``latency_ms`` field of its own or of a base
+    is one of ``RECORDS``, one per boundary a query crosses;
+(f) one bench contract: every registered bench defines ``export`` (a T / E
+    bench and P1 also ``measure``); nothing under ``benchmarks/`` takes the
+    ``benchmark`` fixture or a ``profile``, reads ``os.environ`` or defines
+    ``_PROFILES``; and no function of a registered bench that takes a
+    ``seed`` passes a literal ``seed=<int>`` on;
+(g) the request path is single-writer: no module imports ``threading``, and
+    every record built once per request is ``slots=True``;
+(h) one LRU: nothing outside ``core/lru.py`` touches a ``BoundedLRU``'s
+    ``_entries`` (a class that is no LRU may keep a list of that name on
+    ``self``);
+(k) one subset enumeration: outside ``ENUMERATORS`` no ``combinations``
+    call under ``src/`` has a non-literal size (the ``join_adjacency``
+    walk is a row);
+(m) one template identity: no string under ``src/``, ``benchmarks/`` or
+    ``examples/`` but a docstring renders a ``?`` placeholder -- after a
+    space, a parenthesis or a comma, or a ``"?"`` joined into text (the
+    ``predicate_template`` name is a row);
+(n) one tree-conv training plan: outside ``ml/treeconv.py`` nothing gathers
+    at a batch's ``idx3`` (the ``batches`` generator is a row).
 
-A failure names the file and the symbol.  The fix is to delete the code (or
-the export), not to grow the allow-list: that list is the backlog of
-features only tests exercise.  The ``test_seeded_*`` cases re-run the rules
-over the tree with one file's text replaced, to show each rule bites.
+The rows add (i) feedback only records, (j) a bootstrap member is read
+after its owed fit, (k)'s adjacency walk, (l) one exact counter, (m)'s text
+renderer, (n)'s per-epoch batches and (o) the per-decision triggers read a
+sorted window; each row's ``reason`` says the rest.
+
+Every rule reads one cached fact pass per file text (``Facts``), and none
+imports ``repro`` but (c) and the slotted-records round trip.  A failure
+names the file and the symbol; the fix is to delete the code, not to grow
+an allow-list.  The ``test_seeded_*`` cases re-run the rules with some
+file's text replaced, to show each rule bites.
 """
 
 from __future__ import annotations
@@ -99,14 +72,19 @@ import dataclasses
 import importlib.util
 import pickle
 import re
+from collections import defaultdict
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
+BENCH = ROOT / "benchmarks"
+REGISTRY = SRC / "core" / "registry.py"
 CODE_TREES = ("src", "benchmarks", "perf", "examples")
+PRODUCT = ("src", "benchmarks", "examples")
 
 #: declared interfaces: implemented structurally, never named by a caller
 PROTOCOLS = {"CostEstimator", "LatencyPredictor"}
@@ -143,6 +121,7 @@ POSITIONAL = {
     "left_deep_only": "optimizer/planner.py: enumerate_dp(..., left_deep_only=True) for the left-deep hint set",
     "n_members": "e2e/risk_models.py: EnsembleLatencyModel builds TreeConvLatencyModel(featurizer, 4, ...); Bao keeps 3",
     "n_tenants": "perf/workloads.py: default_tenant_specs(6); the fabric scenario takes the default",
+    "refit": "serve/scenarios.py: every scenario passes refit=bao to the stack builder defined beside it",
 }
 
 #: rule (d): knobs only tests turn, kept on purpose
@@ -153,10 +132,15 @@ TEST_SEAMS = {
     "max_rows": "oracle: the reference executors' row budget; tests trip it",
     "trace_capacity": "serve telemetry: the bounded trace ring; tests wrap it",
     "max_log_entries": "pilotscope/console.py: the bounded query log; tests cap it",
+    # -- search and batching bounds the reference comparisons shrink or split
+    "search_budget": "Neo's expansions: test_framework_instances runs 3 to reach the greedy completion",
+    "epsilon": "LOGER's random slot: test_framework_instances runs 0.5 so the slot fires against the reference",
+    "batch_size": "TreeConvNet.fit: test_treeconv_kernel's ragged batches (7, 6, 1..40) check the plan against the loop",
     # -- deferred: ROADMAP item 7 decides the feature they tune
     "target_rate": "RiskLambdaTuner (TEST_ONLY), ROADMAP item 7",
     "min_lambda": "RiskLambdaTuner (TEST_ONLY), ROADMAP item 7",
     "max_lambda": "RiskLambdaTuner (TEST_ONLY), ROADMAP item 7",
+    "decay": "RiskLambdaTuner (TEST_ONLY), ROADMAP item 7",
     "risk_lambda": "the blended risk mode RiskLambdaTuner steers, ROADMAP item 7",
     "sample_weight": "MLP.fit: Flow-Loss weighting (flow_loss_weights, TEST_ONLY), ROADMAP item 7",
     # -- deferred: ROADMAP item 5 decides the sharded fabric's fault drills
@@ -164,9 +148,107 @@ TEST_SEAMS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _read(path: Path) -> str:
-    return path.read_text()
+class Owned(NamedTuple):
+    """One "one X" invariant: ``name`` appears only in ``owners``."""
+
+    match: str | dict[str, str]
+    trees: tuple[str, ...]
+    owners: tuple[str, ...]
+    reason: str
+    rule: str
+
+
+#: the finding each match kind reports, after the file
+VERBS = {"word": "names", "identifier": "names", "call": "calls", "def": "defines"}
+
+#: the files under ``src/`` that may enumerate a join graph's subsets: the
+#: compiled JoinGraph, and the oracle's own connected-subset walk, kept
+#: independent of the code it checks
+ENUMERATORS = ("src/repro/sql/joingraph.py", "src/repro/oracle/contracts.py")
+#: the file that builds batch index arrays and gathers layer-1 rows
+PLAN_OWNER = ("src/repro/ml/treeconv.py",)
+
+_FEEDBACK = (
+    "a model records feedback and nothing else; when it refits is one "
+    "RetrainCadence (core/framework.py), set where the stack is built"
+)
+_COUNTER = (
+    "every count runs its join graph's recipe in CardinalityExecutor._count: peel "
+    "the tables with one join left, then count the core (engine/executor.py); the "
+    "replaced strategies live on in tests/executor_reference.py"
+)
+_WINDOW = (
+    "a trigger checks on every served decision: keep its window sorted as it "
+    "observes and read the quantile off it (QErrorTrigger.current)"
+)
+
+OWNED = {
+    "retrain_every": Owned("word", PRODUCT, (), _FEEDBACK, "i"),
+    "_since_retrain": Owned("word", PRODUCT, (), _FEEDBACK, "i"),
+    "_members": Owned(
+        "identifier",
+        (*CODE_TREES, "tests"),
+        ("src/repro/e2e/risk_models.py", "tests/risk_models_reference.py"),
+        "a retrain leaves each member a fit it owes; read the ensemble through "
+        "members(), which runs it first",
+        "j",
+    ),
+    "join_adjacency": Owned(
+        {"call": "walks the join graph"},
+        ("src",),
+        ENUMERATORS,
+        "subsets and partitions are compiled once per join graph: read "
+        "join_graph(query).subsets / .partitions (sql/joingraph.py)",
+        "k",
+    ),
+    "_tree_count": Owned("def", ("src",), (), _COUNTER, "l"),
+    "_materialized_count": Owned("def", ("src",), (), _COUNTER, "l"),
+    "_join_graph_is_tree": Owned("def", ("src",), (), _COUNTER, "l"),
+    "predicate_template": Owned(
+        "word",
+        PRODUCT,
+        (),
+        "a template is Query.template_key's tuple of shapes (sql/query.py); the "
+        "text key lives on only in tests/statistics_reference.py",
+        "m",
+    ),
+    "batches": Owned(
+        {"call": "batches per epoch", "def": "defines batches"},
+        PRODUCT,
+        PLAN_OWNER,
+        "a tree-conv loop iterates PlanTreeCorpus.plan(orders, batch_size), built a "
+        "block of epochs at a time (ml/treeconv.py)",
+        "n",
+    ),
+    **{
+        name: Owned("call", ("src/repro/lifecycle/scheduler.py",), (), _WINDOW, "o")
+        for name in ("quantile", "percentile", "nanquantile", "nanpercentile")
+    },
+}
+
+
+# -- one fact pass per file text ---------------------------------------------------------
+
+
+class Facts(NamedTuple):
+    """What the rules read of one file's text, gathered in one pass."""
+
+    imports: list  # (module, name) of every absolute from-import
+    modules: list  # (line, module) of every import
+    identifiers: frozenset  # names, attributes, imported names (not a re-export)
+    words: frozenset  # every \w+ word, comments and docstrings included
+    keywords: dict  # keyword-argument name -> [(ast.keyword, enclosing defs)]
+    calls: dict  # called name or attribute -> [ast.Call]
+    defs: dict  # function name -> [ast.FunctionDef]
+    attributes: dict  # attribute name -> [(ast.Attribute, enclosing class)]
+    assigned: dict  # name assigned as a plain target -> [line]
+    classes: list  # every ast.ClassDef
+    strings: list  # every str constant but a docstring
+    subscripts: list  # every ast.Subscript
+    keys: frozenset  # the str keys of dict literals
+
+
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 @lru_cache(maxsize=None)
@@ -175,35 +257,100 @@ def _parse_text(text: str, filename: str) -> ast.Module:
 
 
 @lru_cache(maxsize=None)
-def _file_facts(text: str, filename: str, reexport: bool):
-    """``(from-imports, identifiers, words)`` of one file's text.
+def _file_facts(text: str, filename: str, reexport: bool) -> Facts:
+    """The facts of one file's text (a package ``__init__``'s re-export
+    imports are not a use)."""
+    facts = Facts(
+        imports=[],
+        modules=[],
+        identifiers=set(),
+        words=frozenset(re.findall(r"\w+", text)),
+        keywords=defaultdict(list),
+        calls=defaultdict(list),
+        defs=defaultdict(list),
+        attributes=defaultdict(list),
+        assigned=defaultdict(list),
+        classes=[],
+        strings=[],
+        subscripts=[],
+        keys=set(),
+    )
 
-    Identifiers are names, attributes and imported names (a package
-    ``__init__``'s re-export imports are not a use)."""
-    imports, names = [], set()
-    for node in ast.walk(_parse_text(text, filename)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                imports.extend((node.module, alias.name) for alias in node.names)
-            if not reexport:
-                names.update(alias.name for alias in node.names)
-    return imports, frozenset(names), frozenset(re.findall(r"\w+", text))
+    def visit(node: ast.AST, owner: str | None, functions: tuple) -> None:
+        body = getattr(node, "body", None)
+        docstring = (
+            body[0].value
+            if isinstance(node, _SCOPES) and body and isinstance(body[0], ast.Expr)
+            else None
+        )
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                facts.identifiers.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                facts.identifiers.add(child.attr)
+                facts.attributes[child.attr].append((child, owner))
+            elif isinstance(child, ast.Call):
+                func = child.func
+                facts.calls[getattr(func, "id", getattr(func, "attr", ""))].append(child)
+            elif isinstance(child, ast.keyword) and child.arg:
+                facts.keywords[child.arg].append((child, functions))
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                if child is not docstring:
+                    facts.strings.append(child)
+            elif isinstance(child, ast.Subscript):
+                facts.subscripts.append(child)
+            elif isinstance(child, ast.Dict):
+                facts.keys.update(
+                    k.value for k in child.keys if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                )
+            elif isinstance(child, (ast.Assign, ast.AnnAssign)):
+                for target in child.targets if isinstance(child, ast.Assign) else [child.target]:
+                    if isinstance(target, ast.Name):
+                        facts.assigned[target.id].append(child.lineno)
+            elif isinstance(child, ast.ImportFrom):
+                facts.modules.append((child.lineno, child.module or ""))
+                if child.level == 0:
+                    facts.imports.extend((child.module, alias.name) for alias in child.names)
+                if not reexport:
+                    facts.identifiers.update(alias.name for alias in child.names)
+            elif isinstance(child, ast.Import):
+                facts.modules.extend((child.lineno, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ClassDef):
+                facts.classes.append(child)
+                visit(child, child.name, functions)
+                continue
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                facts.defs[child.name].append(child)
+                visit(child, owner, (*functions, child))
+                continue
+            visit(child, owner, functions)
+
+    visit(_parse_text(text, filename), None, ())
+    return facts._replace(identifiers=frozenset(facts.identifiers), keys=frozenset(facts.keys))
+
+
+@lru_cache(maxsize=None)
+def _read(path: Path) -> str:
+    return path.read_text()
 
 
 @lru_cache(maxsize=None)
 def _files(*trees: str) -> tuple[Path, ...]:
+    """The Python files under each tree, a directory or a file under the root."""
     return tuple(
-        p for t in trees if (ROOT / t).is_dir() for p in sorted((ROOT / t).rglob("*.py"))
+        p
+        for t in trees
+        for p in ([ROOT / t] if (ROOT / t).is_file() else sorted((ROOT / t).rglob("*.py")))
     )
 
 
+def _where(path: Path) -> str:
+    return str(path.relative_to(ROOT))
+
+
 class Sources:
-    """The repository's Python files; ``patched`` replaces the text of some
-    (that is how the seeded cases plant what each rule must catch)."""
+    """The repository's files; ``patched`` replaces the text of some (that
+    is how the seeded cases plant what each rule must catch)."""
 
     def __init__(self, patched: dict[Path, str] | None = None) -> None:
         self.patched = patched or {}
@@ -214,12 +361,46 @@ class Sources:
     def parse(self, path: Path) -> ast.Module:
         return _parse_text(self.text(path), str(path))
 
-    def facts(self, path: Path):
+    def facts(self, path: Path) -> Facts:
         reexport = path.name == "__init__.py" and SRC in path.parents
         return _file_facts(self.text(path), str(path), reexport)
 
     def references(self, *trees: str) -> set[str]:
-        return set().union(*(self.facts(p)[1] for p in _files(*trees)))
+        return set().union(*(self.facts(p).identifiers for p in _files(*trees)))
+
+
+# -- the OWNED table ---------------------------------------------------------------------
+
+
+def _finds(name: str, match: str | dict[str, str]) -> dict[str, str]:
+    """``{match kind: what a finding says}`` of one row."""
+    return match if isinstance(match, dict) else {match: f"{VERBS[match]} {name}"}
+
+
+def _uses(facts: Facts, name: str, kind: str) -> list[int | None]:
+    """The lines where ``facts`` use ``name`` as ``kind`` (``None`` for a
+    word or an identifier: one finding per file)."""
+    if kind == "word":
+        return [None] if name in facts.words else []
+    if kind == "identifier":
+        return [None] if name in facts.identifiers else []
+    nodes = facts.calls if kind == "call" else facts.defs
+    return [node.lineno for node in nodes.get(name, ())]
+
+
+def owned_violations(sources: Sources, rule: str | None = None) -> list[str]:
+    """Every use of an ``OWNED`` name (of ``rule``'s rows, or all) outside
+    its owners, one line each."""
+    return [
+        f"{where} {says}" if line is None else f"{where}:{line} {says}"
+        for name, row in OWNED.items()
+        if rule in (None, row.rule)
+        for path in _files(*row.trees)
+        for where in [_where(path)]
+        if where not in row.owners
+        for kind, says in _finds(name, row.match).items()
+        for line in _uses(sources.facts(path), name, kind)
+    ]
 
 
 # -- (a) every export has an importer -------------------------------------------------
@@ -250,7 +431,7 @@ def unused_exports(sources: Sources, package: str) -> list[str]:
         name
         for path in _files(*CODE_TREES, "tests")
         if directory not in path.parents
-        for module, name in sources.facts(path)[0]
+        for module, name in sources.facts(path).imports
         if module == package
     }
     return [n for n in _exports(sources, PACKAGE_INITS[package]) if n not in imported]
@@ -276,7 +457,7 @@ def _public_definitions(sources: Sources):
     for path in _files("src"):
         if path.name == "__init__.py":
             continue
-        where = str(path.relative_to(ROOT))
+        where = _where(path)
         for node in sources.parse(path).body:
             if not isinstance(node, (ast.ClassDef, ast.FunctionDef)) or node.name.startswith("_"):
                 continue
@@ -293,8 +474,7 @@ def _registry_references(sources: Sources, methods: dict[str, set[str]]) -> set[
     and their public methods."""
     classes = {
         match.group(1)
-        for node in ast.walk(sources.parse(SRC / "core" / "registry.py"))
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for node in sources.facts(REGISTRY).strings
         for match in [re.search(r":(\w+)$", node.value)]
         if match
     }
@@ -346,15 +526,22 @@ def _knobs(sources: Sources) -> dict[str, set[Path]]:
     default under ``src/repro``."""
     definers: dict[str, set[Path]] = {}
     for path in _files("src"):
-        for node in ast.walk(sources.parse(path)):
-            if isinstance(node, ast.FunctionDef):
-                args = node.args
-                positional = args.posonlyargs + args.args
-                defaulted = positional[len(positional) - len(args.defaults) :]
-                keyword = [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-                for arg in defaulted + keyword:
-                    definers.setdefault(arg.arg, set()).add(path)
+        for node in (n for nodes in sources.facts(path).defs.values() for n in nodes):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            keyword = [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for arg in defaulted + keyword:
+                definers.setdefault(arg.arg, set()).add(path)
     return definers
+
+
+def _sets(sources: Sources, path: Path) -> frozenset[str]:
+    """The names a file may set a parameter by: its identifiers, its
+    keyword arguments and, for the method registry, its args keys."""
+    facts = sources.facts(path)
+    named = facts.identifiers | facts.keywords.keys()
+    return named | facts.keys if path == REGISTRY else named
 
 
 def never_set_keywords(sources: Sources):
@@ -362,10 +549,11 @@ def never_set_keywords(sources: Sources):
     every knob no product file but its definers names, less the allow-lists,
     and the allow-list entries that are no knob or that product code names."""
     definers = _knobs(sources)
+    sets = {p: _sets(sources, p) for p in _files(*CODE_TREES)}
     flagged = {
-        name: sorted(str(p.relative_to(ROOT)) for p in paths)
+        name: sorted(_where(p) for p in paths)
         for name, paths in definers.items()
-        if not any(name in sources.facts(p)[2] for p in _files(*CODE_TREES) if p not in paths)
+        if not any(name in named for p, named in sets.items() if p not in paths)
     }
     allowed = POSITIONAL.keys() | TEST_SEAMS.keys()
     never_set = sorted((n, paths) for n, paths in flagged.items() if n not in allowed)
@@ -376,7 +564,7 @@ def test_every_keyword_parameter_is_named_outside_its_definers():
     never_set, stale = never_set_keywords(Sources())
     assert not never_set, (
         f"parameters with a default that no file under {CODE_TREES} but their "
-        f"definers names: {never_set} -- the product has one value for each; make it "
+        f"definers sets: {never_set} -- the product has one value for each; make it "
         "the constant it is (a test that turns it runs at that value), or list it "
         "in POSITIONAL / TEST_SEAMS with a reason"
     )
@@ -387,7 +575,7 @@ def test_every_keyword_parameter_is_named_outside_its_definers():
         for p in _files("tests")
         if not p.name.endswith("_reference.py") and p != Path(__file__).resolve()
     ]
-    turned = set().union(*(Sources().facts(p)[2] for p in tests))
+    turned = set().union(*(_sets(Sources(), p) for p in tests))
     untested = sorted(n for n in TEST_SEAMS if n not in turned)
     assert not untested, f"TEST_SEAMS names no test turns: {untested} -- fold them"
 
@@ -414,15 +602,14 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _classes(sources: Sources) -> dict[str, ast.ClassDef]:
+    return {node.name: node for path in _files("src") for node in sources.facts(path).classes}
+
+
 def latency_records(sources: Sources) -> list[str]:
     """Every ``@dataclass`` under ``src/repro`` with a ``latency_ms`` field
     of its own or of a base class (bases resolved by name)."""
-    classes = {
-        node.name: node
-        for path in _files("src")
-        for node in ast.walk(sources.parse(path))
-        if isinstance(node, ast.ClassDef)
-    }
+    classes = _classes(sources)
 
     def has_field(node: ast.ClassDef, seen=()) -> bool:
         if any(
@@ -455,8 +642,6 @@ def test_every_latency_record_is_a_listed_boundary():
 
 # -- (f) one bench contract ------------------------------------------------------------
 
-BENCH = ROOT / "benchmarks"
-
 
 def _parameters(function: ast.FunctionDef) -> set[str]:
     args = function.args
@@ -473,9 +658,9 @@ def bench_contract_violations(sources: Sources) -> list[str]:
         if isinstance(node, ast.AnnAssign) and node.target.id == "BENCHMARKS"
     )
     for key, (module, _) in registry.items():
-        tree = sources.parse(BENCH / f"{module}.py")
+        path = BENCH / f"{module}.py"
         top = set()
-        for node in tree.body:
+        for node in sources.parse(path).body:
             if isinstance(node, ast.FunctionDef):
                 top.add(node.name)
             elif isinstance(node, ast.Assign):
@@ -485,33 +670,22 @@ def bench_contract_violations(sources: Sources) -> list[str]:
         found += [f"{module}.py defines no top-level {n}" for n in needed if n not in top]
         found += [
             f"{module}.py:{keyword.value.lineno}: {function.name}(seed) pins seed={keyword.value.value}"
-            for function in ast.walk(tree)
-            if isinstance(function, ast.FunctionDef) and "seed" in _parameters(function)
-            for call in ast.walk(function)
-            if isinstance(call, ast.Call)
-            for keyword in call.keywords
-            if keyword.arg == "seed"
-            and isinstance(keyword.value, ast.Constant)
-            and isinstance(keyword.value.value, int)
+            for keyword, functions in sources.facts(path).keywords.get("seed", ())
+            if isinstance(keyword.value, ast.Constant) and isinstance(keyword.value.value, int)
+            for function in functions
+            if "seed" in _parameters(function)
         ]
     for path in _files("benchmarks"):
-        for node in ast.walk(sources.parse(path)):
-            if isinstance(node, ast.FunctionDef):
-                found += [
-                    f"{path.name}: {node.name} takes {what}"
-                    for parameter, what in (
-                        ("benchmark", "the benchmark fixture"),
-                        ("profile", "a profile"),
-                    )
-                    if parameter in _parameters(node)
-                ]
-            elif isinstance(node, ast.Attribute) and node.attr == "environ":
-                found.append(f"{path.name}:{node.lineno}: reads os.environ")
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
-                isinstance(t, ast.Name) and t.id == "_PROFILES"
-                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
-            ):
-                found.append(f"{path.name}:{node.lineno}: defines _PROFILES")
+        facts = sources.facts(path)
+        found += [
+            f"{path.name}: {node.name} takes {what}"
+            for nodes in facts.defs.values()
+            for node in nodes
+            for parameter, what in (("benchmark", "the benchmark fixture"), ("profile", "a profile"))
+            if parameter in _parameters(node)
+        ]
+        found += [f"{path.name}:{n.lineno}: reads os.environ" for n, _ in facts.attributes.get("environ", ())]
+        found += [f"{path.name}:{line}: defines _PROFILES" for line in facts.assigned.get("_PROFILES", ())]
     return found
 
 
@@ -545,23 +719,13 @@ def _dataclass_flags(node: ast.ClassDef) -> dict:
 def single_writer_violations(sources: Sources) -> list[str]:
     """Per-request records that are not slotted, and modules under
     ``src/repro`` that import ``threading``, one line each."""
-    found = []
-    flags = {}
-    for path in _files("src"):
-        for node in ast.walk(sources.parse(path)):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                flags[node.name] = _dataclass_flags(node)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                modules = (
-                    [alias.name for alias in node.names]
-                    if isinstance(node, ast.Import)
-                    else [node.module or ""]
-                )
-                found += [
-                    f"{path.relative_to(ROOT)}:{node.lineno} imports threading"
-                    for module in modules
-                    if module.split(".")[0] == "threading"
-                ]
+    found = [
+        f"{_where(path)}:{line} imports threading"
+        for path in _files("src")
+        for line, module in sources.facts(path).modules
+        if module.split(".")[0] == "threading"
+    ]
+    flags = {n: _dataclass_flags(node) for n, node in _classes(sources).items() if _is_dataclass(node)}
     slotted = {n for n in RECORDS if flags.get(n, {}).get("frozen")} | REQUEST_RECORDS
     found += [
         f"{name} is not slots=True"
@@ -586,10 +750,8 @@ def _lru_classes(sources: Sources) -> set[str]:
     """``BoundedLRU`` and every class under ``src/repro`` that derives from
     it (bases resolved by name)."""
     bases = {
-        node.name: {getattr(b, "id", getattr(b, "attr", "")) for b in node.bases}
-        for path in _files("src")
-        for node in ast.walk(sources.parse(path))
-        if isinstance(node, ast.ClassDef)
+        name: {getattr(b, "id", getattr(b, "attr", "")) for b in node.bases}
+        for name, node in _classes(sources).items()
     }
     lru = {"BoundedLRU"}
     while True:
@@ -603,23 +765,16 @@ def lru_entries_violations(sources: Sources) -> list[str]:
     """Every ``._entries`` outside ``core/lru.py`` that may be a
     ``BoundedLRU``'s: anything but ``self._entries`` in a class that is no
     LRU (the rewrite leaderboard keeps a list of that name)."""
-    lru, found = _lru_classes(sources), []
-
-    def visit(node: ast.AST, owner: str | None, path: Path) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, child.name, path)
-                continue
-            if isinstance(child, ast.Attribute) and child.attr == "_entries":
-                own = isinstance(child.value, ast.Name) and child.value.id == "self"
-                if not own or owner is None or owner in lru:
-                    found.append(f"{path.relative_to(ROOT)}:{child.lineno} touches _entries")
-            visit(child, owner, path)
-
-    for path in _files(*CODE_TREES, "tests"):
-        if path != SRC / "core" / "lru.py":
-            visit(sources.parse(path), None, path)
-    return found
+    lru = _lru_classes(sources)
+    return [
+        f"{_where(path)}:{node.lineno} touches _entries"
+        for path in _files(*CODE_TREES, "tests")
+        if path != SRC / "core" / "lru.py"
+        for node, owner in sources.facts(path).attributes.get("_entries", ())
+        if not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        or owner is None
+        or owner in lru
+    ]
 
 
 def test_only_the_lru_touches_its_entries():
@@ -630,119 +785,22 @@ def test_only_the_lru_touches_its_entries():
     )
 
 
-# -- (i) feedback only records --------------------------------------------------------
-
-#: the in-band retrain knobs the one cadence replaced
-IN_BAND_KNOBS = ("retrain_every", "_since_retrain")
-
-
-def in_band_retrain_violations(sources: Sources) -> list[str]:
-    """Every file under ``src/``, ``benchmarks/`` and ``examples/`` that
-    names an in-band retrain knob, one line each."""
-    return [
-        f"{path.relative_to(ROOT)} names {knob}"
-        for path in _files("src", "benchmarks", "examples")
-        for knob in IN_BAND_KNOBS
-        if knob in sources.facts(path)[2]
-    ]
-
-
-def test_feedback_only_records():
-    found = in_band_retrain_violations(Sources())
-    assert not found, (
-        f"{found} -- a model records feedback and nothing else; when it refits is "
-        "one RetrainCadence (core/framework.py), set where the stack is built"
-    )
-
-
-# -- (j) members are read through members() --------------------------------------------
-
-#: the files that may name a bootstrap ensemble's raw member list
-MEMBER_OWNERS = (SRC / "e2e" / "risk_models.py", ROOT / "tests" / "risk_models_reference.py")
-
-
-def raw_member_violations(sources: Sources) -> list[str]:
-    """Every file outside ``MEMBER_OWNERS`` with a ``_members`` name or
-    attribute, one line each."""
-    return [
-        f"{path.relative_to(ROOT)} names _members"
-        for path in _files(*CODE_TREES, "tests")
-        if path not in MEMBER_OWNERS and "_members" in sources.facts(path)[1]
-    ]
-
-
-def test_members_are_read_after_their_owed_fits():
-    found = raw_member_violations(Sources())
-    assert not found, (
-        f"{found} -- a retrain leaves each member a fit it owes; read the "
-        "ensemble through members(), which runs it first"
-    )
-
-
 # -- (k) one subset enumeration --------------------------------------------------------
-
-#: the files under ``src/`` that may enumerate a join graph's subsets, and why
-ENUMERATORS = {
-    SRC / "sql" / "joingraph.py": "the compiled JoinGraph: the one enumeration",
-    SRC / "oracle" / "contracts.py": (
-        "the oracle's own connected-subset walk, kept independent of the code it checks"
-    ),
-}
 
 
 def subset_enumeration_violations(sources: Sources) -> list[str]:
-    """Every ``combinations`` call with a non-literal size and every
-    ``join_adjacency()`` call under ``src/`` outside ``ENUMERATORS``."""
-    found = []
-    for path in _files("src"):
-        if path in ENUMERATORS:
-            continue
-        for node in ast.walk(sources.parse(path)):
-            if not isinstance(node, ast.Call):
-                continue
-            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
-            sizes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "r"]
-            if name == "combinations" and not all(isinstance(a, ast.Constant) for a in sizes):
-                found.append(f"{path.relative_to(ROOT)}:{node.lineno} enumerates subsets")
-            elif name == "join_adjacency":
-                found.append(f"{path.relative_to(ROOT)}:{node.lineno} walks the join graph")
-    return found
-
-
-def test_one_subset_enumeration():
-    found = subset_enumeration_violations(Sources())
-    assert not found, (
-        f"{found} -- subsets and partitions are compiled once per join graph: "
-        "read join_graph(query).subsets / .partitions (sql/joingraph.py)"
-    )
-    assert all(path.is_file() for path in ENUMERATORS), "a stale ENUMERATORS entry"
-
-
-# -- (l) one exact counter ---------------------------------------------------------------
-
-#: the counting strategies and the dispatch the one counter replaced
-REPLACED_COUNTERS = ("_tree_count", "_materialized_count", "_join_graph_is_tree")
-
-
-def second_counter_violations(sources: Sources) -> list[str]:
-    """Every function or method under ``src/`` named after a replaced
-    counting strategy, one line each."""
+    """Every ``combinations`` call with a non-literal size under ``src/``
+    outside ``ENUMERATORS``."""
     return [
-        f"{path.relative_to(ROOT)}:{node.lineno} defines {node.name}"
+        f"{_where(path)}:{node.lineno} enumerates subsets"
         for path in _files("src")
-        for node in ast.walk(sources.parse(path))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name in REPLACED_COUNTERS
+        if _where(path) not in ENUMERATORS
+        for node in sources.facts(path).calls.get("combinations", ())
+        if not all(
+            isinstance(a, ast.Constant)
+            for a in node.args[1:2] + [k.value for k in node.keywords if k.arg == "r"]
+        )
     ]
-
-
-def test_one_exact_counter():
-    found = second_counter_violations(Sources())
-    assert not found, (
-        f"{found} -- every count runs its join graph's recipe in "
-        "CardinalityExecutor._count: peel the tables with one join left, then "
-        "count the core (engine/executor.py)"
-    )
 
 
 # -- (m) one template identity -----------------------------------------------------------
@@ -751,123 +809,118 @@ def test_one_exact_counter():
 PLACEHOLDER = re.compile(r"[\s(,]\?(?:$|[\s),])")
 
 
-def _docstrings(tree: ast.Module) -> set[int]:
-    return {
-        id(node.body[0].value)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.body
-        and isinstance(node.body[0], ast.Expr)
-        and isinstance(node.body[0].value, ast.Constant)
-    }
-
-
-def template_text_violations(sources: Sources) -> list[str]:
-    """Every file under ``src/``, ``benchmarks/`` or ``examples/`` naming
-    ``predicate_template``, and every placeholder string there, one line
-    each."""
+def placeholder_violations(sources: Sources) -> list[str]:
+    """Every placeholder string (not a docstring) and every ``join`` of a
+    ``"?"`` under ``src/``, ``benchmarks/`` or ``examples/``, one line each."""
     found = []
-    for path in _files("src", "benchmarks", "examples"):
-        where = path.relative_to(ROOT)
-        if "predicate_template" in sources.facts(path)[2]:
-            found.append(f"{where} names predicate_template")
-        tree = sources.parse(path)
-        docstrings = _docstrings(tree)
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and id(node) not in docstrings
-                and PLACEHOLDER.search(node.value)
-            ):
-                found.append(f"{where}:{node.lineno} renders a placeholder")
-            elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "join":
-                if any(
-                    isinstance(n, ast.Constant) and n.value == "?"
-                    for arg in node.args
-                    for n in ast.walk(arg)
-                ):
-                    found.append(f"{where}:{node.lineno} joins placeholders")
+    for path in _files(*PRODUCT):
+        facts = sources.facts(path)
+        found += [
+            f"{_where(path)}:{node.lineno} renders a placeholder"
+            for node in facts.strings
+            if PLACEHOLDER.search(node.value)
+        ]
+        found += [
+            f"{_where(path)}:{node.lineno} joins placeholders"
+            for node in facts.calls.get("join", ())
+            if any(isinstance(n, ast.Constant) and n.value == "?" for a in node.args for n in ast.walk(a))
+        ]
     return found
-
-
-def test_one_template_identity():
-    found = template_text_violations(Sources())
-    assert not found, (
-        f"{found} -- a template is Query.template_key's tuple of shapes "
-        "(sql/query.py); the text key lives on only in tests/statistics_reference.py"
-    )
 
 
 # -- (n) one tree-conv training plan -----------------------------------------------------
 
-#: the file that builds batch index arrays and gathers layer-1 rows
-PLAN_OWNER = SRC / "ml" / "treeconv.py"
-
 
 def _names_idx3(node: ast.AST) -> bool:
-    return any(
-        isinstance(n, ast.Attribute) and n.attr == "idx3" for n in ast.walk(node)
-    )
+    return any(isinstance(n, ast.Attribute) and n.attr == "idx3" for n in ast.walk(node))
 
 
-def training_plan_violations(sources: Sources) -> list[str]:
-    """Every ``batches`` definition or call, and every subscript or ``take``
-    at an ``.idx3``, under ``src/``, ``benchmarks/`` or ``examples/`` outside
-    ``PLAN_OWNER``, one line each."""
-    found = []
-    for path in _files("src", "benchmarks", "examples"):
-        if path == PLAN_OWNER:
-            continue
-        where = path.relative_to(ROOT)
-        for node in ast.walk(sources.parse(path)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "batches":
-                found.append(f"{where}:{node.lineno} defines batches")
-            elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "batches":
-                found.append(f"{where}:{node.lineno} batches per epoch")
-            elif (isinstance(node, ast.Subscript) and _names_idx3(node.slice)) or (
-                isinstance(node, ast.Call)
-                and getattr(node.func, "attr", "") == "take"
-                and any(_names_idx3(arg) for arg in node.args)
-            ):
-                found.append(f"{where}:{node.lineno} gathers at idx3")
-    return found
+def gather_violations(sources: Sources) -> list[str]:
+    """Every subscript or ``take`` at an ``.idx3`` under ``src/``,
+    ``benchmarks/`` or ``examples/`` outside ``PLAN_OWNER``, one line each."""
+    return [
+        f"{_where(path)}:{node.lineno} gathers at idx3"
+        for path in _files(*PRODUCT)
+        if _where(path) not in PLAN_OWNER
+        for node in (
+            *(s for s in sources.facts(path).subscripts if _names_idx3(s.slice)),
+            *(c for c in sources.facts(path).calls.get("take", ()) if any(map(_names_idx3, c.args))),
+        )
+    ]
 
 
-def test_one_training_plan():
-    found = training_plan_violations(Sources())
-    assert not found, (
-        f"{found} -- a tree-conv loop iterates PlanTreeCorpus.plan(orders, "
-        "batch_size), built a block of epochs at a time; layer 1 reads the "
-        "per-fit [node; left; right] table (ml/treeconv.py)"
-    )
+# -- every cited rule exists ---------------------------------------------------------------
+
+#: the rules that stay functions, by letter
+RULES = {
+    "a": unused_exports,
+    "b": unreferenced_definitions,
+    "c": test_example_imports,
+    "d": never_set_keywords,
+    "e": latency_records,
+    "f": bench_contract_violations,
+    "g": single_writer_violations,
+    "h": lru_entries_violations,
+    "k": subset_enumeration_violations,
+    "m": placeholder_violations,
+    "n": gather_violations,
+}
+
+CITATION = re.compile(r"\brule\s+\(([a-z])\)", re.IGNORECASE)
 
 
-# -- (o) the per-decision triggers read a sorted window -----------------------------------
-
-#: the module whose triggers check on every served decision
-TRIGGERS = SRC / "lifecycle" / "scheduler.py"
-WINDOW_QUANTILES = ("quantile", "percentile", "nanquantile", "nanpercentile")
-
-
-def window_quantile_violations(sources: Sources) -> list[str]:
-    """Every call of a name in ``WINDOW_QUANTILES`` in ``TRIGGERS``, one
-    line each."""
-    found = []
-    for node in ast.walk(sources.parse(TRIGGERS)):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
-            if name in WINDOW_QUANTILES:
-                found.append(f"{TRIGGERS.relative_to(ROOT)}:{node.lineno} calls {name}")
-    return found
+def unresolved_citations(sources: Sources) -> list[str]:
+    """Every "rule (x)" in DESIGN.md or under ``src/`` that names neither a
+    rule function nor an ``OWNED`` row's tag."""
+    known = RULES.keys() | {row.rule for row in OWNED.values()}
+    return [
+        f"{_where(path)} cites rule ({letter})"
+        for path in (ROOT / "DESIGN.md", *_files("src"))
+        for letter in CITATION.findall(sources.text(path))
+        if letter not in known
+    ]
 
 
-def test_triggers_read_a_sorted_window():
-    found = window_quantile_violations(Sources())
-    assert not found, (
-        f"{found} -- a trigger checks on every served decision: keep its window "
-        "sorted as it observes and read the quantile off it (QErrorTrigger.current)"
-    )
+def test_every_cited_rule_exists():
+    assert not unresolved_citations(Sources())
+    assert CITATION.search(_read(ROOT / "DESIGN.md"))
+
+
+def census(sources: Sources, rule: str) -> list[str]:
+    """Everything rule ``rule`` finds: its ``OWNED`` rows, then its function's."""
+    return owned_violations(sources, rule) + (RULES[rule](sources) if rule in RULES else [])
+
+
+#: the case each letter with ``OWNED`` rows fails under
+CASES = {
+    "i": "test_feedback_only_records",
+    "j": "test_members_are_read_after_their_owed_fits",
+    "k": "test_one_subset_enumeration",
+    "l": "test_one_exact_counter",
+    "m": "test_one_template_identity",
+    "n": "test_one_training_plan",
+    "o": "test_triggers_read_a_sorted_window",
+}
+
+
+def _census_case(rule: str):
+    def case():
+        found = census(Sources(), rule)
+        reasons = {row.reason for row in OWNED.values() if row.rule == rule}
+        assert not found, f"{found} -- {'; '.join(sorted(reasons))}"
+
+    return case
+
+
+for _rule, _name in CASES.items():
+    globals()[_name] = _census_case(_rule)
+
+
+def test_owned_rows_are_checked():
+    assert {row.rule for row in OWNED.values()} <= CASES.keys()
+    stale = [o for row in OWNED.values() for o in row.owners if not (ROOT / o).is_file()]
+    assert not stale, f"OWNED owners that are no file: {stale}"
+    assert all(set(_finds(n, row.match)) <= VERBS.keys() for n, row in OWNED.items())
 
 
 def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simulator):
@@ -907,14 +960,43 @@ def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simul
     assert slower.latency_ms == 9.0 and slower != served and served.latency_ms == 1.25
 
 
-# -- the rules bite: one planted violation each ---------------------------------------
+# -- the rules bite: planted violations -------------------------------------------------
 
 
-def _patched(relative: str, old: str, new: str, root: Path = SRC) -> Sources:
+def _patched(relative: str | Path, old: str, new: str, root: Path = SRC) -> Sources:
+    """``Sources`` with ``old`` replaced by ``new`` in ``root / relative``
+    (an absolute ``relative`` is the file itself)."""
     path = root / relative
     text = _read(path)
     assert text.count(old) == 1, f"{relative}: seed anchor {old!r} not found exactly once"
     return Sources({path: text.replace(old, new)})
+
+
+#: a use of a name as each match kind, appended to a file
+PLANTS = {
+    "word": "# {}\n",
+    "identifier": "_ = {}\n",
+    "call": "{}()\n",
+    "def": "def {}():\n    pass\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name, kind", [(n, kind) for n, row in OWNED.items() for kind in _finds(n, row.match)]
+)
+def test_seeded_owned_name_is_caught_outside_its_owners(name, kind):
+    row = OWNED[name]
+    plant = PLANTS[kind].format(name)
+    outside = next(p for p in _files(*row.trees) if _where(p) not in row.owners)
+    found = owned_violations(Sources({outside: _read(outside) + plant}))
+    assert [re.sub(r":\d+ ", " ", f) for f in found] == [f"{_where(outside)} {_finds(name, row.match)[kind]}"]
+    for owner in row.owners:
+        assert owned_violations(Sources({ROOT / owner: _read(ROOT / owner) + plant})) == []
+
+
+def test_seeded_citation_of_no_rule_is_caught():
+    sources = _patched("sql/joingraph.py", "rule (k))", "rule (z))")
+    assert unresolved_citations(sources) == ["src/repro/sql/joingraph.py cites rule (z)"]
 
 
 def test_seeded_reexport_without_an_importer_is_caught():
@@ -958,12 +1040,26 @@ def test_seeded_keyword_nothing_passes_is_caught():
 
 
 @pytest.mark.parametrize(
-    "caller, caught",
-    [("tests/test_ml_models.py", True), ("perf/workloads.py", False)],
-    ids=["a-test-sets-it", "perf-sets-it"],
+    "caller, line, caught",
+    [
+        ("tests/test_ml_models.py", "_FIT_KWARGS = dict(verbose=True)", True),
+        ("perf/workloads.py", "_FIT_KWARGS = dict(verbose=True)", False),
+        ("perf/workloads.py", "# verbose: a word in a comment sets nothing", True),
+        ("benchmarks/bench_e3_design_space.py", 'def _fit():\n    """Never verbose."""', True),
+        ("benchmarks/contract.py", "_FIT = SetConvNet.fit(None, [], [], verbose=True)", False),
+        ("src/repro/core/registry.py", '_ARGS = {"verbose": True}', False),
+    ],
+    ids=[
+        "a-test-sets-it",
+        "perf-sets-it",
+        "a-comment-names-it",
+        "a-docstring-names-it",
+        "a-bench-keyword-sets-it",
+        "a-registry-key-sets-it",
+    ],
 )
-def test_seeded_keyword_only_a_test_sets_is_a_constant(caller, caught):
-    sources = _planted("verbose: bool = False", **{caller: "_FIT_KWARGS = dict(verbose=True)"})
+def test_seeded_keyword_only_a_test_sets_is_a_constant(caller, line, caught):
+    sources = _planted("verbose: bool = False", **{caller: line})
     never_set, stale = never_set_keywords(sources)
     assert never_set == ([("verbose", ["src/repro/ml/setconv.py"])] if caught else [])
     assert not stale
@@ -982,9 +1078,8 @@ def test_seeded_allow_list_entry_product_code_names_is_stale():
 def test_seeded_registry_row_is_a_reference_to_the_class_and_its_methods():
     planted = "\nclass SeededMethod:\n    def diagnose(self):\n        return None\n"
     theory = SRC / "cardest" / "theory.py"
-    registry = SRC / "core" / "registry.py"
     anchor = "_REGISTRY: list[MethodInfo] = [\n"
-    assert _read(registry).count(anchor) == 1
+    assert _read(REGISTRY).count(anchor) == 1
     row = '    MethodInfo("cardinality", "Seeded", "Seeded", "-", "-", "repro.cardest.theory:SeededMethod"),\n'
     without_row = Sources({theory: _read(theory) + planted})
     assert unreferenced_definitions(without_row)[0] == [
@@ -994,7 +1089,7 @@ def test_seeded_registry_row_is_a_reference_to_the_class_and_its_methods():
     with_row = Sources(
         {
             theory: _read(theory) + planted,
-            registry: _read(registry).replace(anchor, anchor + row),
+            REGISTRY: _read(REGISTRY).replace(anchor, anchor + row),
         }
     )
     assert unreferenced_definitions(with_row) == ([], [], [])
@@ -1006,9 +1101,7 @@ def test_seeded_in_band_counter_is_caught():
         "        self.feedbacks = 0\n",
         "        self.feedbacks = 0\n        self._since_retrain = 0\n",
     )
-    assert in_band_retrain_violations(sources) == [
-        "src/repro/core/framework.py names _since_retrain"
-    ]
+    assert census(sources, "i") == ["src/repro/core/framework.py names _since_retrain"]
 
 
 def test_seeded_relabelled_record_is_caught():
@@ -1022,297 +1115,172 @@ def test_seeded_relabelled_record_is_caught():
     assert [n for n in latency_records(sources) if n not in RECORDS] == ["ExecutionOutcome"]
 
 
-@pytest.mark.parametrize(
-    "relative, old, new, caught",
-    [
-        (
-            "bench_e7_bao.py",
-            "\nexport = table_export(measure)\n",
-            "\n",
-            ["bench_e7_bao.py defines no top-level export"],
-        ),
-        (
-            "bench_e7_bao.py",
-            "\ndef measure(seed=0):",
-            "\ndef run(seed=0):",
-            ["bench_e7_bao.py defines no top-level measure"],
-        ),
-        (
-            "bench_p2_serving.py",
-            "def test_p2_steady_state_throughput():",
-            "def test_p2_steady_state_throughput(benchmark):",
-            ["bench_p2_serving.py: test_p2_steady_state_throughput takes the benchmark fixture"],
-        ),
-        (
-            "bench_e7_bao.py",
-            "BaoOptimizer(optimizer, seed=seed)",
-            "BaoOptimizer(optimizer, seed=0)",
-            ["bench_e7_bao.py: measure(seed) pins seed=0"],
-        ),
-        (
-            "bench_p10_transfer.py",
-            "_corpus(db, 30, seed=seed + 5)",
-            "_corpus(db, 30, seed=5)",
-            ["bench_p10_transfer.py: transfer_pass(seed) pins seed=5"],
-        ),
-        (
-            "bench_p2_serving.py",
-            "\nN_SESSIONS = 8\n",
-            '\nN_SESSIONS = int(os.environ.get("N_SESSIONS", 8))\n',
-            ["bench_p2_serving.py: reads os.environ"],
-        ),
-        (
-            "bench_p3_chaos.py",
-            "\nSCALE, N_QUERIES = 0.3, 160\n",
-            '\n_PROFILES = {"quick": (0.3, 160)}\nSCALE, N_QUERIES = _PROFILES["quick"]\n',
-            ["bench_p3_chaos.py: defines _PROFILES"],
-        ),
-        (
-            "bench_p8_bounds.py",
-            "def drift_pass(seed: int = 0) -> dict:",
-            "def drift_pass(seed: int = 0, profile: str | None = None) -> dict:",
-            ["bench_p8_bounds.py: drift_pass takes a profile"],
-        ),
-    ],
-)
-def test_seeded_bench_outside_the_contract_is_caught(relative, old, new, caught):
-    sources = _patched(relative, old, new, root=BENCH)
-    found = [re.sub(r":\d+:", ":", f) for f in bench_contract_violations(sources)]
-    assert found == caught
+#: the hand-written plants: ``case: (rule, root, rows)``, a row ``(relative
+#: to root, old, new, caught)`` -- or ``(old, new, caught)`` when ``root``
+#: is the one file the rule reads -- with what ``census`` must report,
+#: line numbers dropped
+SEEDED = {
+    "test_seeded_bench_outside_the_contract_is_caught": ("f", BENCH, [
+        ("bench_e7_bao.py", "\nexport = table_export(measure)\n", "\n",
+         ["bench_e7_bao.py defines no top-level export"]),
+        ("bench_e7_bao.py", "\ndef measure(seed=0):", "\ndef run(seed=0):",
+         ["bench_e7_bao.py defines no top-level measure"]),
+        ("bench_p2_serving.py", "def test_p2_steady_state_throughput():",
+         "def test_p2_steady_state_throughput(benchmark):",
+         ["bench_p2_serving.py: test_p2_steady_state_throughput takes the benchmark fixture"]),
+        ("bench_e7_bao.py", "BaoOptimizer(optimizer, seed=seed)", "BaoOptimizer(optimizer, seed=0)",
+         ["bench_e7_bao.py: measure(seed) pins seed=0"]),
+        ("bench_p10_transfer.py", "_corpus(db, 30, seed=seed + 5)", "_corpus(db, 30, seed=5)",
+         ["bench_p10_transfer.py: transfer_pass(seed) pins seed=5"]),
+        ("bench_p2_serving.py", "\nN_SESSIONS = 8\n",
+         '\nN_SESSIONS = int(os.environ.get("N_SESSIONS", 8))\n',
+         ["bench_p2_serving.py: reads os.environ"]),
+        ("bench_p3_chaos.py", "\nSCALE, N_QUERIES = 0.3, 160\n",
+         '\n_PROFILES = {"quick": (0.3, 160)}\nSCALE, N_QUERIES = _PROFILES["quick"]\n',
+         ["bench_p3_chaos.py: defines _PROFILES"]),
+        ("bench_p8_bounds.py", "def drift_pass(seed: int = 0) -> dict:",
+         "def drift_pass(seed: int = 0, profile: str | None = None) -> dict:",
+         ["bench_p8_bounds.py: drift_pass takes a profile"]),
+    ]),
+    "test_seeded_second_writer_is_caught": ("g", SRC, [
+        ("serve/runtime.py", "@dataclass(frozen=True, slots=True)\nclass Served:",
+         "@dataclass(frozen=True)\nclass Served:", ["Served is not slots=True"]),
+        ("serve/fabric/fabric.py", "@dataclass(frozen=True, slots=True)\nclass FabricRequest:",
+         "@dataclass(frozen=True)\nclass FabricRequest:", ["FabricRequest is not slots=True"]),
+        ("serve/telemetry.py", "import json\n", "import json\nimport threading\n",
+         ["src/repro/serve/telemetry.py imports threading"]),
+        ("faults/resilience.py", "import enum\n", "import enum\nfrom threading import Lock\n",
+         ["src/repro/faults/resilience.py imports threading"]),
+    ]),
+    "test_seeded_reach_into_an_lru_is_caught": ("h", SRC, [
+        # a subclass reading its base's entries
+        ("optimizer/cardcache.py", "return super().peek(_key(tag, query))",
+         "return self._entries.get(_key(tag, query))",
+         ["src/repro/optimizer/cardcache.py touches _entries"]),
+        # an observer reaching into a cache
+        ("lifecycle/scheduler.py",
+         "estimate = coster.cache.peek(coster.cache_tag(), decision.query)",
+         "estimate = coster.cache._entries.get(coster.cache_tag())",
+         ["src/repro/lifecycle/scheduler.py touches _entries"]),
+    ]),
+    "test_seeded_read_of_unforced_members_is_caught": ("j", ROOT, [
+        # a second model scoring with the raw member list
+        ("src/repro/e2e/hyperqo.py", "        self.optimizer = optimizer\n",
+         "        self.optimizer = optimizer\n"
+         "        self.heads = len(self.risk_model.inner._members)\n",
+         ["src/repro/e2e/hyperqo.py names _members"]),
+        # a test comparing weights a retrain has not fitted yet
+        ("tests/test_framework_instances.py",
+         'risk_model.members() if hasattr(risk_model, "members")',
+         'risk_model._members if hasattr(risk_model, "_members")',
+         ["tests/test_framework_instances.py names _members"]),
+    ]),
+    "test_seeded_second_subset_enumeration_is_caught": ("k", SRC, [
+        # the injection surface enumerating subsets on its own again
+        ("pilotscope/postgres_sim.py", "        return query.connected_subqueries()\n",
+         "        from itertools import combinations\n"
+         "        return [query.subquery(c) for r in range(1, query.n_tables + 1)\n"
+         "                for c in combinations(query.tables, r)]\n",
+         ["src/repro/pilotscope/postgres_sim.py enumerates subsets"]),
+        # a second partition loop beside the DP's
+        ("e2e/exploration.py",
+         "            for left_set, right_set, conditions in graph.partitions[subset]:\n",
+         "            for left_combo in combinations(sorted(subset)[1:], len(subset) - 1):\n"
+         "                pass\n"
+         "            for left_set, right_set, conditions in graph.partitions[subset]:\n",
+         ["src/repro/e2e/exploration.py enumerates subsets"]),
+        # a breadth-first walk over the query's adjacency
+        ("engine/executor.py", "        if not join_graph(query).connected:\n",
+         "        if len(query.join_adjacency()) > 1 and not join_graph(query).connected:\n",
+         ["src/repro/engine/executor.py walks the join graph"]),
+    ]),
+    "test_seeded_second_counter_is_caught": ("l", SRC, [
+        # the tree strategy back beside the one counter
+        ("engine/executor.py", "    def _materialize(\n",
+         "    def _tree_count(self, query):\n"
+         "        return self._count(query)\n\n"
+         "    def _materialize(\n",
+         ["src/repro/engine/executor.py defines _tree_count"]),
+        # a second dispatch on the graph's shape
+        ("sql/joingraph.py", "def join_graph(query: Query) -> JoinGraph:\n",
+         "def _join_graph_is_tree(query: Query) -> bool:\n"
+         "    return len(query.joins) == query.n_tables - 1\n\n\n"
+         "def join_graph(query: Query) -> JoinGraph:\n",
+         ["src/repro/sql/joingraph.py defines _join_graph_is_tree"]),
+    ]),
+    "test_seeded_text_template_is_caught": ("m", SRC, [
+        # the text renderer back beside the tuple key
+        ("sql/query.py", "def query_hash(",
+         "def predicate_template(pred):\n"
+         "    return f\"{pred.column} {pred.op.value} ?\"\n\n\n"
+         "def query_hash(",
+         ["src/repro/sql/query.py names predicate_template",
+          "src/repro/sql/query.py renders a placeholder"]),
+        # a plan-cache key rendered as text again
+        ("optimizer/plancache.py", "        return (query.template_key, tag, data_version)\n",
+         "        marks = \", \".join(\"?\" for _ in query.predicates)\n"
+         "        return (f\"{query.tables} WHERE {marks}\", tag, data_version)\n",
+         ["src/repro/optimizer/plancache.py joins placeholders"]),
+    ]),
+    "test_seeded_second_training_plan_is_caught": ("n", SRC, [
+        # an epoch's batches built per epoch again
+        ("costmodel/multitask.py", "        for order, batches in corpus.plan(orders, 32):\n",
+         "        for order in orders:\n"
+         "            batches = corpus.batches(order, 32)\n",
+         ["src/repro/costmodel/multitask.py batches per epoch"]),
+        # layer 1 gathered from a per-batch features block
+        ("e2e/risk_models.py", "                scores = self.net.forward(batch)[:, 0]\n",
+         "                concat = batch.features[batch.idx3]\n"
+         "                scores = self.net.forward(batch)[:, 0]\n",
+         ["src/repro/e2e/risk_models.py gathers at idx3"]),
+        # a batch generator of its own
+        ("costmodel/multitask.py", "    # -- fine-tuning ---",
+         "    def batches(self, order):\n"
+         "        yield order\n\n"
+         "    # -- fine-tuning ---",
+         ["src/repro/costmodel/multitask.py defines batches"]),
+        # the owner builds and gathers: not a violation
+        ("ml/treeconv.py", "        first, *rest = self.conv_layers\n",
+         "        rows = batch.layer1.take(batch.idx3[:, 0] - 1, axis=0)\n"
+         "        first, *rest = self.conv_layers\n",
+         []),
+    ]),
+    "test_seeded_trigger_sorting_its_window_is_caught": ("o", SRC / "lifecycle" / "scheduler.py", [
+        # the window sorted again on every check
+        ("        s = self._sorted\n        if not s:\n",
+         "        if not self._errors:\n            return 1.0\n"
+         "        return float(np.quantile(np.array(self._errors), self.quantile))\n"
+         "        s = self._sorted\n        if not s:\n",
+         ["src/repro/lifecycle/scheduler.py calls quantile"]),
+        # a percentile trigger of its own
+        ("class DriftTrigger:\n",
+         "class P90Trigger:\n"
+         "    def current(self):\n"
+         "        from numpy import percentile\n"
+         "        return percentile(self._errors, 90)\n\n\n"
+         "class DriftTrigger:\n",
+         ["src/repro/lifecycle/scheduler.py calls percentile"]),
+    ]),
+}
 
 
-@pytest.mark.parametrize(
-    "relative, old, new, caught",
-    [
-        (
-            "serve/runtime.py",
-            "@dataclass(frozen=True, slots=True)\nclass Served:",
-            "@dataclass(frozen=True)\nclass Served:",
-            ["Served is not slots=True"],
-        ),
-        (
-            "serve/fabric/fabric.py",
-            "@dataclass(frozen=True, slots=True)\nclass FabricRequest:",
-            "@dataclass(frozen=True)\nclass FabricRequest:",
-            ["FabricRequest is not slots=True"],
-        ),
-        (
-            "serve/telemetry.py",
-            "import json\n",
-            "import json\nimport threading\n",
-            ["src/repro/serve/telemetry.py imports threading"],
-        ),
-        (
-            "faults/resilience.py",
-            "import enum\n",
-            "import enum\nfrom threading import Lock\n",
-            ["src/repro/faults/resilience.py imports threading"],
-        ),
-    ],
-)
-def test_seeded_second_writer_is_caught(relative, old, new, caught):
-    sources = _patched(relative, old, new)
-    found = [re.sub(r":\d+ ", " ", f) for f in single_writer_violations(sources)]
-    assert found == caught
+def _seeded_case(rule: str, root: Path, rows: list[tuple]):
+    """One parametrized case over ``rows``: each plants its text in
+    ``root``'s file and compares what ``census`` finds to its ``caught``
+    (the ids are pytest's own, from each row's strings)."""
+
+    def case(path, old, new, caught):
+        found = census(_patched(path, old, new), rule)
+        assert [re.sub(r":\d+(?=[: ])", "", f) for f in found] == caught
+
+    params = [
+        pytest.param(
+            root.joinpath(*where), old, new, caught, id="-".join([*where, old, new, f"caught{i}"])
+        )
+        for i, (*where, old, new, caught) in enumerate(rows)
+    ]
+    return pytest.mark.parametrize("path, old, new, caught", params)(case)
 
 
-@pytest.mark.parametrize(
-    "relative, old, new, caught",
-    [
-        (  # a subclass reading its base's entries
-            "optimizer/cardcache.py",
-            "return super().peek(_key(tag, query))",
-            "return self._entries.get(_key(tag, query))",
-            ["src/repro/optimizer/cardcache.py touches _entries"],
-        ),
-        (  # an observer reaching into a cache
-            "lifecycle/scheduler.py",
-            "estimate = coster.cache.peek(coster.cache_tag(), decision.query)",
-            "estimate = coster.cache._entries.get(coster.cache_tag())",
-            ["src/repro/lifecycle/scheduler.py touches _entries"],
-        ),
-    ],
-)
-def test_seeded_reach_into_an_lru_is_caught(relative, old, new, caught):
-    sources = _patched(relative, old, new)
-    found = [re.sub(r":\d+ ", " ", f) for f in lru_entries_violations(sources)]
-    assert found == caught
-
-
-@pytest.mark.parametrize(
-    "relative, old, new, caught",
-    [
-        (  # a second model scoring with the raw member list
-            "src/repro/e2e/hyperqo.py",
-            "        self.optimizer = optimizer\n",
-            "        self.optimizer = optimizer\n"
-            "        self.heads = len(self.risk_model.inner._members)\n",
-            ["src/repro/e2e/hyperqo.py names _members"],
-        ),
-        (  # a test comparing weights a retrain has not fitted yet
-            "tests/test_framework_instances.py",
-            'risk_model.members() if hasattr(risk_model, "members")',
-            'risk_model._members if hasattr(risk_model, "_members")',
-            ["tests/test_framework_instances.py names _members"],
-        ),
-    ],
-)
-def test_seeded_read_of_unforced_members_is_caught(relative, old, new, caught):
-    sources = _patched(relative, old, new, root=ROOT)
-    assert raw_member_violations(sources) == caught
-
-
-@pytest.mark.parametrize(
-    "relative, old, new, caught",
-    [
-        (  # the injection surface enumerating subsets on its own again
-            "pilotscope/postgres_sim.py",
-            "        return query.connected_subqueries()\n",
-            "        from itertools import combinations\n"
-            "        return [query.subquery(c) for r in range(1, query.n_tables + 1)\n"
-            "                for c in combinations(query.tables, r)]\n",
-            ["src/repro/pilotscope/postgres_sim.py enumerates subsets"],
-        ),
-        (  # a second partition loop beside the DP's
-            "e2e/exploration.py",
-            "            for left_set, right_set, conditions in graph.partitions[subset]:\n",
-            "            for left_combo in combinations(sorted(subset)[1:], len(subset) - 1):\n"
-            "                pass\n"
-            "            for left_set, right_set, conditions in graph.partitions[subset]:\n",
-            ["src/repro/e2e/exploration.py enumerates subsets"],
-        ),
-        (  # a breadth-first walk over the query's adjacency
-            "engine/executor.py",
-            "        if not join_graph(query).connected:\n",
-            "        if len(query.join_adjacency()) > 1 and not join_graph(query).connected:\n",
-            ["src/repro/engine/executor.py walks the join graph"],
-        ),
-    ],
-)
-def test_seeded_second_subset_enumeration_is_caught(relative, old, new, caught):
-    sources = _patched(relative, old, new)
-    found = [re.sub(r":\d+ ", " ", f) for f in subset_enumeration_violations(sources)]
-    assert found == caught
-
-
-@pytest.mark.parametrize(
-    "relative, old, new, caught",
-    [
-        (  # the tree strategy back beside the one counter
-            "engine/executor.py",
-            "    def _materialize(\n",
-            "    def _tree_count(self, query):\n"
-            "        return self._count(query)\n\n"
-            "    def _materialize(\n",
-            ["src/repro/engine/executor.py defines _tree_count"],
-        ),
-        (  # a second dispatch on the graph's shape
-            "sql/joingraph.py",
-            "def join_graph(query: Query) -> JoinGraph:\n",
-            "def _join_graph_is_tree(query: Query) -> bool:\n"
-            "    return len(query.joins) == query.n_tables - 1\n\n\n"
-            "def join_graph(query: Query) -> JoinGraph:\n",
-            ["src/repro/sql/joingraph.py defines _join_graph_is_tree"],
-        ),
-    ],
-)
-def test_seeded_second_counter_is_caught(relative, old, new, caught):
-    sources = _patched(relative, old, new)
-    found = [re.sub(r":\d+ ", " ", f) for f in second_counter_violations(sources)]
-    assert found == caught
-
-
-@pytest.mark.parametrize(
-    "relative, old, new, caught",
-    [
-        (  # the text renderer back beside the tuple key
-            "sql/query.py",
-            "def query_hash(",
-            "def predicate_template(pred):\n"
-            "    return f\"{pred.column} {pred.op.value} ?\"\n\n\n"
-            "def query_hash(",
-            [
-                "src/repro/sql/query.py names predicate_template",
-                "src/repro/sql/query.py renders a placeholder",
-            ],
-        ),
-        (  # a plan-cache key rendered as text again
-            "optimizer/plancache.py",
-            "        return (query.template_key, tag, data_version)\n",
-            "        marks = \", \".join(\"?\" for _ in query.predicates)\n"
-            "        return (f\"{query.tables} WHERE {marks}\", tag, data_version)\n",
-            ["src/repro/optimizer/plancache.py joins placeholders"],
-        ),
-    ],
-)
-def test_seeded_text_template_is_caught(relative, old, new, caught):
-    sources = _patched(relative, old, new)
-    found = [re.sub(r":\d+ ", " ", f) for f in template_text_violations(sources)]
-    assert found == caught
-
-
-@pytest.mark.parametrize(
-    "relative, old, new, caught",
-    [
-        (  # an epoch's batches built per epoch again
-            "costmodel/multitask.py",
-            "        for order, batches in corpus.plan(orders, 32):\n",
-            "        for order in orders:\n"
-            "            batches = corpus.batches(order, 32)\n",
-            ["src/repro/costmodel/multitask.py batches per epoch"],
-        ),
-        (  # layer 1 gathered from a per-batch features block
-            "e2e/risk_models.py",
-            "                scores = self.net.forward(batch)[:, 0]\n",
-            "                concat = batch.features[batch.idx3]\n"
-            "                scores = self.net.forward(batch)[:, 0]\n",
-            ["src/repro/e2e/risk_models.py gathers at idx3"],
-        ),
-        (  # a batch generator of its own
-            "costmodel/multitask.py",
-            "    # -- fine-tuning ---",
-            "    def batches(self, order):\n"
-            "        yield order\n\n"
-            "    # -- fine-tuning ---",
-            ["src/repro/costmodel/multitask.py defines batches"],
-        ),
-        (  # the owner builds and gathers: not a violation
-            "ml/treeconv.py",
-            "        first, *rest = self.conv_layers\n",
-            "        rows = batch.layer1.take(batch.idx3[:, 0] - 1, axis=0)\n"
-            "        first, *rest = self.conv_layers\n",
-            [],
-        ),
-    ],
-)
-def test_seeded_second_training_plan_is_caught(relative, old, new, caught):
-    sources = _patched(relative, old, new)
-    found = [re.sub(r":\d+ ", " ", f) for f in training_plan_violations(sources)]
-    assert found == caught
-
-
-@pytest.mark.parametrize(
-    "old, new, caught",
-    [
-        (  # the window sorted again on every check
-            "        s = self._sorted\n        if not s:\n",
-            "        if not self._errors:\n            return 1.0\n"
-            "        return float(np.quantile(np.array(self._errors), self.quantile))\n"
-            "        s = self._sorted\n        if not s:\n",
-            ["src/repro/lifecycle/scheduler.py calls quantile"],
-        ),
-        (  # a percentile trigger of its own
-            "class DriftTrigger:\n",
-            "class P90Trigger:\n"
-            "    def current(self):\n"
-            "        from numpy import percentile\n"
-            "        return percentile(self._errors, 90)\n\n\n"
-            "class DriftTrigger:\n",
-            ["src/repro/lifecycle/scheduler.py calls percentile"],
-        ),
-    ],
-)
-def test_seeded_trigger_sorting_its_window_is_caught(old, new, caught):
-    sources = _patched("lifecycle/scheduler.py", old, new)
-    found = [re.sub(r":\d+ ", " ", f) for f in window_quantile_violations(sources)]
-    assert found == caught
+for _name, _case in SEEDED.items():
+    globals()[_name] = _seeded_case(*_case)

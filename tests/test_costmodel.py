@@ -86,7 +86,7 @@ class TestPlanFeaturizer:
         plans, _ = imdb_plan_corpus
         plan = next(p for p in plans if p.join_nodes())
         assert np.isfinite(plan_to_tree_arrays(plan, feat)[0]).all()
-        assert np.isfinite(plan_to_tree_arrays(plan, feat, transferable=True)[0]).all()
+        assert all(np.isfinite(feat.transferable_node(plan, n)).all() for n in plan.walk())
         assert np.isfinite(feat.flat(plan)).all()
         prefix = plan.join_order()[:2]
         assert np.isfinite(prefix_to_tree_arrays(plan.query, prefix, feat)[0]).all()

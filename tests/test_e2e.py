@@ -64,10 +64,6 @@ class TestExplorationStrategies:
         for c in cands:
             assert c.plan.root.tables == frozenset(q.tables)
 
-    def test_scaling_requires_factors(self, imdb_optimizer):
-        with pytest.raises(ValueError):
-            CardinalityScalingExploration(imdb_optimizer, factors=())
-
 
 class TestRiskModels:
     def _feed(self, model, imdb_optimizer, imdb_simulator, queries, strat):
@@ -247,10 +243,6 @@ class TestEndToEndOptimizers:
         lero = LeroOptimizer(imdb_optimizer, seed=0)
         n_pairs = lero.train_offline(workload[:20], imdb_simulator.latency)
         assert n_pairs > 0
-
-    def test_lero_rejects_bad_factor_order(self, imdb_optimizer):
-        with pytest.raises(ValueError):
-            LeroOptimizer(imdb_optimizer, factors=(0.5, 1.0))
 
     def test_neo_bootstrap_then_search(self, imdb_optimizer, imdb_simulator, workload):
         neo = NeoOptimizer(imdb_optimizer, seed=0)

@@ -141,9 +141,9 @@ class _KindLog(ExperienceStore):
         super().__init__(capacity, seed=seed)
         self.kinds: list[str] = []
 
-    def add_decision(self, decision, *, kind="serve", drift=None) -> None:
+    def add_decision(self, decision, *, kind="serve") -> None:
         self.kinds.append(kind)
-        super().add_decision(decision, kind=kind, drift=drift)
+        super().add_decision(decision, kind=kind)
 
 
 def test_store_dedup_updates_in_place():

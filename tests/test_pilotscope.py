@@ -262,10 +262,6 @@ class TestSteeringDrivers:
         out = driver.algo(workload[11])
         assert out.latency_ms > 0
 
-    def test_lero_driver_factor_validation(self):
-        with pytest.raises(ValueError):
-            LeroDriver(factors=(2.0, 1.0))
-
 
 class TestBoundedQueryLog:
     def test_log_capped_counters_keep_counting(self, pg, workload):
