@@ -6,9 +6,10 @@ exploration strategy, then select with a learned risk model*.  This package
 defines that framework (:mod:`repro.core.framework`) along with the common
 interfaces every component implements (:mod:`repro.core.interfaces`), the
 method registry that regenerates the paper's Table 1
-(:mod:`repro.core.registry`), the error taxonomy (:mod:`repro.core.errors`)
-and the one bounded LRU under the repository's four caches
-(:mod:`repro.core.lru`).
+(:mod:`repro.core.registry`), the error taxonomy (:mod:`repro.core.errors`),
+the one bounded LRU under the repository's four caches
+(:mod:`repro.core.lru`) and the ``__init__`` of the per-request records
+(:mod:`repro.core.records`).
 
 Only what is imported *through the package* is re-exported here; the
 interfaces, protocols and error types are imported from the module that

@@ -37,6 +37,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.core.records import slot_init
 from repro.engine.plans import Plan
 from repro.sql.query import Query
 
@@ -137,6 +138,7 @@ class LatencyPredictor(Protocol):
         ...
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Decision:
     """What was decided for one query: which plan source won, in which

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.records import slot_init
 from repro.engine.cost_formulas import (
     CostConstants,
     OperatorCosts,
@@ -54,6 +55,7 @@ class SimulatorConfig:
     )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ExecutionResult:
     """Outcome of executing one plan."""

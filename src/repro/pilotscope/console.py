@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.errors import ConfigError, DriverError, EstimationError
+from repro.core.records import slot_init
 from repro.engine.simulator import ExecutionResult
 from repro.faults.resilience import RetryPolicy
 from repro.pilotscope.driver import DriverConfig
@@ -37,6 +38,7 @@ __all__ = ["PilotScopeConsole", "QueryLogEntry"]
 _RETRYABLE = (DriverError, EstimationError)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class QueryLogEntry:
     """One executed user query, for audit / experiments."""

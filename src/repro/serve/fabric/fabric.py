@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
+from repro.core.records import slot_init
 from repro.serve.fabric.aggregate import TelemetryAggregator
 from repro.serve.fabric.router import ShardRouter
 from repro.serve.fabric.shard import ShardRuntime
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FabricRequest:
     """One scheduled request, tagged with the tenant that issued it."""
@@ -151,17 +153,48 @@ class ServingFabric:
             fabric_bus=self.telemetry,
             shard_buses={s.name: s.telemetry for s in self.shards},
         )
+        self._last_arrival_ms = float("-inf")  # of the previous run
 
     # -- the event loop -----------------------------------------------------------
 
     def run(self, schedule: list[FabricRequest]) -> FabricReport:
-        """Drain a fabric schedule in global arrival order."""
+        """Drain a fabric schedule in global arrival order.
+
+        Successive runs continue one virtual timeline -- the shards keep
+        their lanes, in-flight heaps and breaker clocks -- so a schedule
+        that starts before the previous run's last arrival is a
+        :class:`ConfigError`.
+        """
+        if schedule:
+            first = schedule[0].request.arrival_ms
+            if first < self._last_arrival_ms:
+                raise ConfigError(
+                    f"schedule starts at {first} ms, before the previous run's "
+                    f"last arrival at {self._last_arrival_ms} ms: a fabric's "
+                    "virtual time only moves forward"
+                )
+            self._last_arrival_ms = schedule[-1].request.arrival_ms
         bus = self.telemetry
         config = self.config
-        shards, router = self.shards, self.router
-        admit, qos_of = self.tenants.admit, self.tenants.qos
+        shards, router, tenants = self.shards, self.router, self.tenants
         backlogs = _ShardView([s.backlog for s in shards])
         health = _ShardView([s.healthy for s in shards])
+        # each tenant once per run: its shed watermark (None: never shed
+        # here) and its three bus names
+        watermarks = {
+            "background": config.background_shed_backlog,
+            "batch": config.batch_shed_backlog,
+        }
+        rows = {
+            tid: (
+                watermarks.get(tenants.qos(tid)),
+                f"tenant.{tid}.served",
+                f"tenant.{tid}.rejected",
+                f"tenant.{tid}.response_ms",
+            )
+            for tid in tenants.tenant_ids()
+        }
+        keep_outcomes = config.keep_outcomes
         outcomes: list = []
         rejected: dict[str, int] = {}
         n_served = 0
@@ -170,7 +203,8 @@ class ServingFabric:
             req = freq.request
             tenant = freq.tenant_id
             arrival = req.arrival_ms
-            reason = admit(tenant, arrival)
+            reason = tenants.admit(tenant, arrival)
+            watermark, served_name, rejected_name, response_name = rows[tenant]
             if reason is None:
                 backlogs.at_ms = arrival
                 health.at_ms = arrival
@@ -178,35 +212,29 @@ class ServingFabric:
                 shard_id = router.route(key, loads=backlogs, healthy=health)
                 if shard_id is None:
                     reason = "unavailable"
-                else:
-                    qos = qos_of(tenant)
-                    if qos != "interactive":
-                        watermark = (
-                            config.background_shed_backlog
-                            if qos == "background"
-                            else config.batch_shed_backlog
-                        )
-                        if shards[shard_id].backlog(arrival) > watermark:
-                            reason = "qos_shed"
-            if reason is not None:
-                outcome = Rejected(request=req, reason=reason, wait_ms=0.0)
-                bus.incr(f"fabric.rejected.{reason}")
-                bus.incr(f"tenant.{tenant}.rejected")
-            else:
+                elif (
+                    watermark is not None
+                    and shards[shard_id].backlog(arrival) > watermark
+                ):
+                    reason = "qos_shed"
+            if reason is None:
                 outcome = shards[shard_id].submit(req)
                 if isinstance(outcome, Served):
                     n_served += 1
                     bus.incr("fabric.served")
-                    bus.incr(f"tenant.{tenant}.served")
+                    bus.incr(served_name)
                     bus.observe(
-                        f"tenant.{tenant}.response_ms",
-                        outcome.wait_ms + outcome.latency_ms,
+                        response_name, outcome.wait_ms + outcome.latency_ms
                     )
                 else:
-                    bus.incr(f"tenant.{tenant}.rejected")
-            if not isinstance(outcome, Served):
-                rejected[outcome.reason] = rejected.get(outcome.reason, 0) + 1
-            if config.keep_outcomes:
+                    reason = outcome.reason
+            else:
+                outcome = Rejected(req, reason, 0.0)
+                bus.incr(f"fabric.rejected.{reason}")
+            if reason is not None:
+                bus.incr(rejected_name)
+                rejected[reason] = rejected.get(reason, 0) + 1
+            if keep_outcomes:
                 outcomes.append(outcome)
         wall = time.perf_counter() - t0
         span = max((s.span_ms for s in shards), default=0.0)

@@ -89,12 +89,7 @@ class SyntheticBackend:
         h = int(query_hash(query), 16)
         mixed = (h ^ (self.seed * _MIX)) & 0xFFFFFFFFFFFF
         u = mixed / float(1 << 48)
-        return Decision(
-            stage="live",
-            plan_source="synthetic",
-            latency_ms=4.0 + 8.0 * u,
-            cardinality=h % 1_000_000,
-        )
+        return Decision("live", "synthetic", 4.0 + 8.0 * u, h % 1_000_000)
 
 
 @dataclass

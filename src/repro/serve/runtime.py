@@ -49,6 +49,7 @@ from typing import Callable
 
 from repro.core.errors import ConfigError, DriverError
 from repro.core.interfaces import Backend, Decision
+from repro.core.records import slot_init
 from repro.faults.resilience import CircuitBreaker
 from repro.pilotscope.console import PilotScopeConsole
 from repro.serve.telemetry import TelemetryBus
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Request:
     """One scheduled client request."""
@@ -77,6 +79,7 @@ class Request:
     query: Query
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Served:
     """A request that made it through admission and was executed.
@@ -119,6 +122,7 @@ class Served:
         }
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Rejected:
     """A request the core refused.
@@ -387,12 +391,7 @@ class ServingRuntime:
                 reason = "error"
         if reason is not None:
             bus.incr(f"runtime.rejected.{reason}")
-            outcome = Rejected(
-                request=req,
-                reason=reason,
-                wait_ms=wait,
-                estimator_tag=backend.name,
-            )
+            outcome = Rejected(req, reason, wait, backend.name)
             bus.trace(outcome)
             return outcome
         after = backend.cache_stats()
@@ -420,16 +419,16 @@ class ServingRuntime:
             hits = int(after["hits"] - before["hits"])
             misses = int(after["misses"] - before["misses"])
         outcome = Served(
-            request=req,
-            stage=decision.stage,
-            plan_source=decision.plan_source,
-            latency_ms=latency,
-            wait_ms=wait,
-            cardinality=decision.cardinality,
-            estimator_tag=backend.name,
-            cache_hits=hits,
-            cache_misses=misses,
-            audit=audit,
+            req,
+            decision.stage,
+            decision.plan_source,
+            latency,
+            wait,
+            decision.cardinality,
+            backend.name,
+            hits,
+            misses,
+            audit,
         )
         bus.trace(outcome)
         return outcome

@@ -238,8 +238,12 @@ class TelemetryBus:
     def snapshot(self) -> dict:
         """Deterministic state dump: counters, histogram summaries, gauges,
         lifecycle events in occurrence order and traces sorted by identity."""
-        traces = sorted(self._traces, key=_trace_order)
-        return {
+        return self._snapshot(include_traces=True)
+
+    def _snapshot(self, include_traces: bool) -> dict:
+        """:meth:`snapshot`, with the trace rows rendered only when they
+        are exported."""
+        snap = {
             "counters": dict(sorted(self._counters.items())),
             "histograms": {
                 name: self._histograms[name].summary()
@@ -249,19 +253,21 @@ class TelemetryBus:
                 name: dict(self._gauges[name]()) for name in sorted(self._gauges)
             },
             "events": [dict(e) for e in self._events],
-            "traces": [t.trace_row() for t in traces],
-            "traces_dropped": self._traces_dropped,
         }
+        if include_traces:
+            traces = sorted(self._traces, key=_trace_order)
+            snap["traces"] = [t.trace_row() for t in traces]
+        snap["traces_dropped"] = self._traces_dropped
+        return snap
 
     def to_json(self, *, include_traces: bool = True) -> str:
-        snap = self.snapshot()
-        if not include_traces:
-            snap.pop("traces")
+        """:meth:`snapshot` as canonical JSON (sorted keys, no spaces)."""
+        snap = self._snapshot(include_traces)
         return json.dumps(snap, sort_keys=True, separators=(",", ":"))
 
     def render_text(self) -> str:
         """Human-oriented summary (counters, histograms, events)."""
-        snap = self.snapshot()
+        snap = self._snapshot(include_traces=False)
         lines = ["-- telemetry --"]
         for name, value in snap["counters"].items():
             lines.append(f"{name}: {value:g}")

@@ -38,7 +38,8 @@ and in each owner (not caught).  A new invariant of that kind is a row.
     ``_PROFILES``; and no function of a registered bench that takes a
     ``seed`` passes a literal ``seed=<int>`` on;
 (g) the request path is single-writer: no module imports ``threading``, and
-    every record built once per request is ``slots=True``;
+    every record built once per request is ``slots=True`` and carries
+    ``@slot_init`` directly above its ``@dataclass``;
 (h) one LRU: nothing outside ``core/lru.py`` touches a ``BoundedLRU``'s
     ``_entries`` (a class that is no LRU may keep a list of that name on
     ``self``);
@@ -593,13 +594,14 @@ RECORDS = {
 }
 
 
+def _is_dataclass_decorator(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+    return name == "dataclass"
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-        if name == "dataclass":
-            return True
-    return False
+    return any(map(_is_dataclass_decorator, node.decorator_list))
 
 
 def _classes(sources: Sources) -> dict[str, ast.ClassDef]:
@@ -701,7 +703,7 @@ def test_every_bench_is_measure_export_gates():
 # -- (g) the request path is single-writer --------------------------------------------
 
 #: the records built once per request that carry no latency; with every
-#: frozen record of (e) they must be slotted
+#: frozen record of (e) they must be slotted and built by ``slot_init``
 REQUEST_RECORDS = {"Request", "Rejected", "FabricRequest"}
 
 
@@ -716,22 +718,33 @@ def _dataclass_flags(node: ast.ClassDef) -> dict:
     }
 
 
+def _slot_init_first(node: ast.ClassDef) -> bool:
+    """Whether ``@slot_init`` sits directly above the ``@dataclass``."""
+    decorators = node.decorator_list
+    return any(
+        getattr(above, "id", "") == "slot_init" and _is_dataclass_decorator(below)
+        for above, below in zip(decorators, decorators[1:])
+    )
+
+
 def single_writer_violations(sources: Sources) -> list[str]:
-    """Per-request records that are not slotted, and modules under
-    ``src/repro`` that import ``threading``, one line each."""
+    """Per-request records that are not slotted or not built by
+    ``slot_init``, and modules under ``src/repro`` that import
+    ``threading``, one line each."""
     found = [
         f"{_where(path)}:{line} imports threading"
         for path in _files("src")
         for line, module in sources.facts(path).modules
         if module.split(".")[0] == "threading"
     ]
-    flags = {n: _dataclass_flags(node) for n, node in _classes(sources).items() if _is_dataclass(node)}
+    classes = {n: node for n, node in _classes(sources).items() if _is_dataclass(node)}
+    flags = {n: _dataclass_flags(node) for n, node in classes.items()}
     slotted = {n for n in RECORDS if flags.get(n, {}).get("frozen")} | REQUEST_RECORDS
-    found += [
-        f"{name} is not slots=True"
-        for name in sorted(slotted)
-        if not flags.get(name, {}).get("slots")
-    ]
+    for name in sorted(slotted):
+        if not flags.get(name, {}).get("slots"):
+            found.append(f"{name} is not slots=True")
+        if name not in classes or not _slot_init_first(classes[name]):
+            found.append(f"{name} is not built by @slot_init")
     return found
 
 
@@ -739,7 +752,8 @@ def test_request_path_is_single_writer():
     found = single_writer_violations(Sources())
     assert not found, (
         f"{found} -- one loop writes the bus and builds every per-request record: "
-        "no lock, no thread, and each record a frozen, slotted dataclass"
+        "no lock, no thread, and each record a frozen, slotted dataclass whose "
+        "__init__ slot_init writes (@slot_init directly above its @dataclass)"
     )
 
 
@@ -1151,6 +1165,11 @@ SEEDED = {
          ["src/repro/serve/telemetry.py imports threading"]),
         ("faults/resilience.py", "import enum\n", "import enum\nfrom threading import Lock\n",
          ["src/repro/faults/resilience.py imports threading"]),
+        ("serve/runtime.py", "@slot_init\n@dataclass(frozen=True, slots=True)\nclass Served:",
+         "@dataclass(frozen=True, slots=True)\nclass Served:", ["Served is not built by @slot_init"]),
+        ("core/interfaces.py", "@slot_init\n@dataclass(frozen=True, slots=True)\nclass Decision:",
+         "@dataclass(frozen=True, slots=True)\n@slot_init\nclass Decision:",
+         ["Decision is not built by @slot_init"]),
     ]),
     "test_seeded_reach_into_an_lru_is_caught": ("h", SRC, [
         # a subclass reading its base's entries

@@ -590,6 +590,39 @@ class TestFabricDeterminism:
         assert ra.n_served > 0.8 * rh.n_served
 
 
+class TestOneTimeline:
+    """Successive runs of one fabric continue one virtual timeline."""
+
+    @staticmethod
+    def _fabric_and_schedule():
+        specs = default_tenant_specs(6)
+        scenario = synthetic_fabric(
+            4, specs, seed=3, n_workers=2, fabric_config=FabricConfig(seed=3)
+        )
+        queries = synthetic_queries(2_000, seed=3)
+        schedule = build_fabric_schedule(queries, specs, seed=3, mean_interarrival_ms=1.0)
+        return scenario.fabric, schedule
+
+    def test_a_run_that_goes_back_in_time_is_refused(self):
+        fabric, schedule = self._fabric_and_schedule()
+        fabric.run(schedule)
+        before = fabric.export_json(include_traces=True)
+        first, last = schedule[0].request.arrival_ms, schedule[-1].request.arrival_ms
+        with pytest.raises(ConfigError, match=f"starts at {first} ms.*last arrival at {last} ms"):
+            fabric.run(schedule)
+        # refused before any request reached the tenants or a shard
+        assert fabric.export_json(include_traces=True) == before
+
+    def test_a_monotone_schedule_split_in_two_runs_as_one(self):
+        whole, schedule = self._fabric_and_schedule()
+        split, _ = self._fabric_and_schedule()
+        report = whole.run(schedule)
+        cut = len(schedule) // 3
+        halves = [split.run(schedule[:cut]), split.run([]), split.run(schedule[cut:])]
+        assert sum(r.n_served for r in halves) == report.n_served > 0.9 * len(schedule)
+        assert split.export_json(include_traces=True) == whole.export_json(include_traces=True)
+
+
 class TestShardAdmission:
     def test_timeout_and_queue_bound(self):
         specs = (TenantSpec("t"),)

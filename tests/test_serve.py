@@ -1024,6 +1024,75 @@ class TestTheOutcomeIsTheTrace:
         assert export["traces"] == [_expected_row(o) for o in reached]
 
 
+class TestExportWithoutTraces:
+    """An export without traces is the full export less its ``traces``
+    key, and renders no trace row on the way."""
+
+    @staticmethod
+    def _fabric():
+        specs = default_tenant_specs(6)
+        scenario = synthetic_fabric(
+            4,
+            specs,
+            seed=5,
+            n_workers=1,
+            shard_config=RuntimeConfig(timeout_ms=20.0, queue_capacity=2),
+            fabric_config=FabricConfig(seed=5),
+        )
+        scenario.fabric.run(
+            build_fabric_schedule(synthetic_queries(300, seed=5), specs, seed=5, mean_interarrival_ms=0.5)
+        )
+        return scenario.fabric
+
+    def test_fabric_export(self):
+        fabric = self._fabric()
+        full = json.loads(fabric.export_json(include_traces=True))
+        assert len(full.pop("traces")) > 100
+        assert json.loads(fabric.export_json()) == full
+
+    def test_runtime_export(self):
+        scenario = steady_state_scenario(n_queries=48, n_sessions=4, seed=7)
+        scenario.run()
+        bus = scenario.runtime.telemetry
+        full = json.loads(bus.to_json())
+        assert len(full.pop("traces")) == 48
+        assert json.loads(bus.to_json(include_traces=False)) == full
+
+    def test_no_trace_row_is_rendered(self):
+        class Unrendered:
+            def trace_row(self):
+                raise AssertionError("a trace row nobody exports was rendered")
+
+        bus = TelemetryBus()
+        bus.incr("runtime.served")
+        bus.trace(Unrendered())
+        assert json.loads(bus.to_json(include_traces=False))["counters"] == {"runtime.served": 1}
+        assert "runtime.served: 1" in bus.render_text()
+
+    def test_render_text_is_unchanged(self, stats_workload):
+        bus = TelemetryBus(trace_capacity=1)
+        bus.incr("runtime.served", 2)
+        bus.incr("runtime.rejected.timeout")
+        for value in (1.0, 2.0, 4.0):
+            bus.observe("latency_ms", value)
+        bus.attach_gauge("cache", lambda: {"misses": 3.0, "hits": 1.5})
+        bus.event("promote", to_stage="live", window=4)
+        for seq in range(2):
+            request = Request(0, seq, seq, 0.0, stats_workload[0])
+            bus.trace(Served(request, "live", "native", 1.0, 0.0, 0))
+        assert bus.render_text() == "\n".join(
+            [
+                "-- telemetry --",
+                "runtime.rejected.timeout: 1",
+                "runtime.served: 2",
+                "latency_ms: n=3 mean=2.33 p50=2.00 p95=4.00 p99=4.00 max=4.00",
+                "cache: hits=1.5 misses=3",
+                "event[promote]: to_stage=live window=4",
+                "traces dropped: 1",
+            ]
+        )
+
+
 class TestQueryHash:
     def test_stable_across_equal_queries(self, stats_workload):
         q = stats_workload[0]
