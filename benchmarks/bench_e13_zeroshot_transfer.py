@@ -33,10 +33,10 @@ REFERENCE = "in-database reference"
 def _databases():
     """The four schemas at scale 0.5; the last is the never-seen target."""
     return {
-        "imdb": make_imdb_lite(0.5, seed=0),
+        "imdb": make_imdb_lite(0.5),
         "stats": make_stats_lite(0.5, seed=0),
-        "tpch": make_tpch_lite(0.5, seed=0),
-        TARGET: make_ssb_lite(0.5, seed=0),
+        "tpch": make_tpch_lite(),
+        TARGET: make_ssb_lite(),
     }
 
 

@@ -62,10 +62,10 @@ def measure(seed=0):
     linear = LinearPlanCostModel(featurizer).fit(plans[:n_train], lats[:n_train])
     evaluate("linear", linear.predict_latency, time.perf_counter() - t0)
     t0 = time.perf_counter()
-    tc = TreeConvCostModel(featurizer, epochs=50).fit(plans[:n_train], lats[:n_train])
+    tc = TreeConvCostModel(featurizer).fit(plans[:n_train], lats[:n_train])
     evaluate("tree_conv [39]", tc.predict_latency, time.perf_counter() - t0)
     t0 = time.perf_counter()
-    tr = TreeRecurrentCostModel(featurizer, epochs=30).fit(
+    tr = TreeRecurrentCostModel(featurizer).fit(
         plans[:n_train], lats[:n_train]
     )
     evaluate("tree_recurrent [51]", tr.predict_latency, time.perf_counter() - t0)
@@ -89,7 +89,7 @@ def measure(seed=0):
     )
     t0 = time.perf_counter()
     mlmtf = UnifiedTransferableModel(featurizer, seed=seed)
-    mlmtf.pretrain(plans[:n_train], lats[:n_train], cards, epochs=40)
+    mlmtf.pretrain(plans[:n_train], lats[:n_train], cards)
     evaluate("mlmtf(multi-task) [66]", mlmtf.predict_latency, time.perf_counter() - t0)
     return [
         Table(

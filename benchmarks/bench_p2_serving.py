@@ -115,9 +115,7 @@ def test_p2_admission_control_sheds_deterministically():
 
 
 def test_p2_injected_regression_rolls_back():
-    scenario = injected_regression_scenario(
-        scale=SCALE, seed=0, n_queries=120, n_sessions=N_SESSIONS
-    )
+    scenario = injected_regression_scenario(scale=SCALE, n_sessions=N_SESSIONS)
     scenario.run()
     assert scenario.deployment.stage.value == "rolled_back"
     events = scenario.deployment.telemetry.events("stage_transition")

@@ -27,7 +27,7 @@ SCALE, N_QUERIES = 0.3, 160
 
 
 def _chaos(seed: int = 0):
-    return chaos_scenario(scale=SCALE, seed=seed, n_queries=N_QUERIES, n_sessions=8)
+    return chaos_scenario(scale=SCALE, seed=seed, n_queries=N_QUERIES)
 
 
 def export(seed: int = 0) -> str:

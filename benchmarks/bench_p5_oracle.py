@@ -79,7 +79,7 @@ def oracle_pass(seed: int = 0) -> OracleReport:
     learned_contracts = EstimatorContractChecker(db, learned, monotonic=False)
     report.extend(
         learned_contracts.check_version_bump(
-            lambda est: est.fit(list(queries), cards), label="refit"
+            lambda est: est.fit(list(queries), cards)
         )
     )
     report.record_check("contract", contracts.checks_run + 1)

@@ -453,13 +453,7 @@ def planning_pass(seed: int = 0) -> dict:
 
 def serving_pass(seed: int = 0):
     """One cache-enabled parameterized serving run; returns the scenario."""
-    scenario = parameterized_scenario(
-        scale=SCALE,
-        seed=seed,
-        n_templates=8,
-        bindings_per_template=10,
-        n_sessions=4,
-    )
+    scenario = parameterized_scenario(scale=SCALE, seed=seed)
     report = scenario.run()
     return scenario, report
 

@@ -62,7 +62,7 @@ def leaderboard_pass(seed: int = 0) -> dict:
     db = make_stats_lite(scale=0.15, seed=seed)
     workload = WorkloadGenerator(db, seed=seed + 11).rewrite_susceptible_workload(30)
     telemetry = TelemetryBus()
-    store = GoldExampleStore(db, n_clusters=4, seed=seed)
+    store = GoldExampleStore(db, seed=seed)
     leaderboard = PromotionLeaderboard(db, store=store, telemetry=telemetry)
     leaderboard.submit_workload(workload)
     return {

@@ -107,7 +107,7 @@ def stats_db():
 
 @functools.cache
 def imdb_db():
-    return make_imdb_lite(scale=0.6, seed=0)
+    return make_imdb_lite(scale=0.6)
 
 
 @functools.cache

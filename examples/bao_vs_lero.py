@@ -29,7 +29,7 @@ def window_speedups(loop, window=50):
 
 
 def main() -> None:
-    db = make_imdb_lite(scale=0.6, seed=0)
+    db = make_imdb_lite(scale=0.6)
     optimizer = Optimizer(db)
     simulator = ExecutionSimulator(db)
     gen = WorkloadGenerator(db, seed=21)

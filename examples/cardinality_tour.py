@@ -83,7 +83,7 @@ def main() -> None:
     # recommendation on a third.
     advisor = AutoCE()
     advisor.record(db, "fspn")  # correlated, skewed -> structure models
-    advisor.record(make_tpch_lite(0.5), "histogram")  # uniform -> cheap wins
+    advisor.record(make_tpch_lite(), "histogram")  # uniform -> cheap wins
     new_db = make_stats_lite(scale=0.7, seed=42)
     print(f"\nAutoCE recommends for a new STATS-like database: "
           f"{advisor.recommend(new_db)!r}")

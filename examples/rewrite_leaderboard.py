@@ -42,7 +42,7 @@ def main() -> None:
     workload = WorkloadGenerator(db, seed=11).rewrite_susceptible_workload(30)
 
     # -- cold pass: every applicable rule is tried, the oracle gates all
-    store = GoldExampleStore(db, n_clusters=4, seed=0)
+    store = GoldExampleStore(db, seed=0)
     leaderboard = PromotionLeaderboard(db, store=store)
     leaderboard.submit_workload(workload)
     print(render_stats(leaderboard.stats(), title="cold pass"))

@@ -82,7 +82,7 @@ def main() -> None:
           f"{cache['misses']} misses ({cache['hit_rate']:.1%} hit rate)")
 
     # A canary that goes bad: automatic rollback, visible in telemetry.
-    scenario = injected_regression_scenario(scale=0.3, seed=0, n_queries=120)
+    scenario = injected_regression_scenario(scale=0.3)
     scenario.run()
     print(f"\ninjected-regression canary ended in: {scenario.deployment.stage.value}")
     print(

@@ -45,7 +45,7 @@ class UnionExploration:
 
 
 def main() -> None:
-    db = make_imdb_lite(scale=0.6, seed=0)
+    db = make_imdb_lite(scale=0.6)
     optimizer = Optimizer(db)
     simulator = ExecutionSimulator(db)
     featurizer = PlanFeaturizer(db, optimizer.estimator)

@@ -99,7 +99,7 @@ class AutoCE:
         self._features.append(DatasetFeatures.of(db).vector())
         self._labels.append(best_method)
 
-    def recommend(self, db: Database, k: int = 1) -> str:
+    def recommend(self, db: Database) -> str:
         if not self._labels:
             raise RuntimeError("AutoCE has no recorded profiles")
         x = np.stack(self._features)
@@ -107,11 +107,7 @@ class AutoCE:
         scale[scale < 1e-9] = 1.0
         target = DatasetFeatures.of(db).vector()
         dists = (((x - target) / scale) ** 2).sum(axis=1)
-        order = np.argsort(dists)[: max(k, 1)]
-        votes: dict[str, int] = {}
-        for i in order:
-            votes[self._labels[i]] = votes.get(self._labels[i], 0) + 1
-        return max(votes, key=lambda m: (votes[m], -self._labels.index(m)))
+        return self._labels[int(np.argsort(dists)[0])]
 
 
 class EnsembleEstimator(BaseCardinalityEstimator):

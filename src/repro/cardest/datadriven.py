@@ -174,9 +174,9 @@ class KDEEstimator(PerTableModelEstimator):
     """Per-table Gaussian KDE (Heimel et al. [14])."""
 
     name = "kde"
+    sample = 600  # rows kept per table
 
-    def __init__(self, db: Database, sample: int = 600, seed: int = 0) -> None:
-        self.sample = sample
+    def __init__(self, db: Database, seed: int = 0) -> None:
         self.seed = seed
         super().__init__(db)
 
@@ -218,8 +218,8 @@ class JoinKDEEstimator(KDEEstimator):
 
     name = "join_kde"
 
-    def __init__(self, db: Database, sample: int = 600, seed: int = 0) -> None:
-        super().__init__(db, sample=sample, seed=seed)
+    def __init__(self, db: Database, seed: int = 0) -> None:
+        super().__init__(db, seed=seed)
         self._key_samples: dict[tuple[str, str], np.ndarray] = {}
         rng = np.random.default_rng(seed + 7)
         for edge in db.joins:
@@ -229,7 +229,7 @@ class JoinKDEEstimator(KDEEstimator):
             ):
                 values = db.table(t).values(c)
                 take = rng.choice(
-                    values.shape[0], size=min(sample, values.shape[0]), replace=False
+                    values.shape[0], size=min(self.sample, values.shape[0]), replace=False
                 )
                 self._key_samples[(t, c)] = values[take]
 
@@ -382,10 +382,7 @@ class BayesNetEstimator(_BinnedModelEstimator):
     BayesCard [65]); per-table exact tree inference, join uniformity."""
 
     name = "bayesnet"
-
-    def __init__(self, db: Database, max_bins: int = 32) -> None:
-        self.max_bins = max_bins
-        super().__init__(db)
+    max_bins = 32
 
     def _fit_binned(self, disc: DiscretizedTable) -> _TableBayesNet:
         return _TableBayesNet(disc)

@@ -72,13 +72,13 @@ class DDUpDetector:
     fine_tune_js = 0.008
     #: stage-2 divergence from which a confirmed drift calls for a retrain
     retrain_js = 0.06
+    n_bins = 24  # stage-2 histogram resolution
+    sample = 2000  # rows sampled per column by the stage-1 test
 
     def __init__(
         self,
         db: Database,
         *,
-        n_bins: int = 24,
-        sample: int = 2000,
         seed: int = 0,
         telemetry=None,
     ) -> None:
@@ -88,8 +88,6 @@ class DDUpDetector:
         ``drift_report`` events plus ``drift.*`` counters, so detections
         and triage actions are observable instead of silently returned."""
         self.db = db
-        self.n_bins = n_bins
-        self.sample = sample
         self.telemetry = telemetry
         self._rng = np.random.default_rng(seed)
         self._reference: dict[str, dict[str, dict]] = {}

@@ -37,15 +37,10 @@ class FactorJoinEstimator(BaseCardinalityEstimator):
 
     name = "factorjoin"
     key_bins = 64  # join-key histogram resolution
+    sample_rows = 1500  # rows sampled per table
 
-    def __init__(
-        self,
-        db: Database,
-        sample_rows: int = 1500,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, db: Database, seed: int = 0) -> None:
         super().__init__(db)
-        self.sample_rows = sample_rows
         self.seed = seed
         self._build()
 

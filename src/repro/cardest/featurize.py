@@ -409,7 +409,7 @@ class MSCNFeaturizer:
         return {"tables": tables, "joins": joins, "preds": preds_arr}
 
     def featurize_workload(
-        self, queries: list[Query], *, drop_bitmaps: bool = False
+        self, queries: list[Query]
     ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Pre-padded ``{set: (padded [B, S, d], mask [B, S])}`` for N queries.
 
@@ -443,10 +443,7 @@ class MSCNFeaturizer:
             for k, t in enumerate(q.tables):
                 row = tab_padded[i, k]
                 row[table_pos[t]] = 1.0
-                if drop_bitmaps:
-                    row[n_tables:] = 1.0
-                else:
-                    row[n_tables:] = table_bitmap(q, t)
+                row[n_tables:] = table_bitmap(q, t)
             tab_mask[i, : q.n_tables] = 1.0
             if q.joins:
                 for k, j in enumerate(q.joins):

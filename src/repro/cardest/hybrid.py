@@ -138,19 +138,13 @@ class ALECEEstimator(BaseCardinalityEstimator):
 
     name = "alece"
     hist_bins = 16  # histogram resolution of a data token
+    head_hidden = 64  # width of the regression head
+    lr = 2e-3
 
-    def __init__(
-        self,
-        db: Database,
-        head_hidden: int = 64,
-        epochs: int = 120,
-        lr: float = 2e-3,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, db: Database, epochs: int = 120, seed: int = 0) -> None:
         super().__init__(db)
         self.featurizer = FlatQueryFeaturizer(db)
         self.epochs = epochs
-        self.lr = lr
         rng = np.random.default_rng(seed)
         self._token_cols: list[tuple[str, str]] = list(self.featurizer.index.columns)
         self._edges: dict[tuple[str, str], np.ndarray] = {}
@@ -170,9 +164,9 @@ class ALECEEstimator(BaseCardinalityEstimator):
         self.wk = rng.normal(0, s(t_dim), (k, t_dim))
         self.wv = rng.normal(0, s(t_dim), (k, t_dim))
         h_in = f_dim + k
-        self.w1 = rng.normal(0, math.sqrt(2.0 / h_in), (h_in, head_hidden))
-        self.b1 = np.zeros(head_hidden)
-        self.w2 = rng.normal(0, s(head_hidden), (head_hidden, 1))
+        self.w1 = rng.normal(0, math.sqrt(2.0 / h_in), (h_in, self.head_hidden))
+        self.b1 = np.zeros(self.head_hidden)
+        self.w2 = rng.normal(0, s(self.head_hidden), (self.head_hidden, 1))
         self.b2 = np.zeros(1)
         self._params = [self.wq, self.wk, self.wv, self.w1, self.b1, self.w2, self.b2]
         self._rng = rng

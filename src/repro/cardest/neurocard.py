@@ -263,18 +263,17 @@ class NeuroCardEstimator(BaseCardinalityEstimator):
 
     name = "neurocard"
     inference_samples = 128  # progressive-sampling paths per estimate
+    max_bins = 24
 
     def __init__(
         self,
         db: Database,
         n_samples: int = 1500,
-        max_bins: int = 24,
         epochs: int = 10,
         seed: int = 0,
     ) -> None:
         super().__init__(db)
         self.n_samples = n_samples
-        self.max_bins = max_bins
         self.hidden = (64,)
         self.epochs = epochs
         self.seed = seed

@@ -108,20 +108,10 @@ class GBDTQueryEstimator(_SupervisedFlatEstimator):
 
     name = "gbdt"
 
-    def __init__(
-        self,
-        db: Database,
-        n_estimators: int = 60,
-        max_depth: int = 5,
-        learning_rate: float = 0.15,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, db: Database, seed: int = 0) -> None:
         super().__init__(db)
         self._model = GradientBoostedTrees(
-            n_estimators=n_estimators,
-            max_depth=max_depth,
-            learning_rate=learning_rate,
-            seed=seed,
+            n_estimators=60, max_depth=5, learning_rate=0.15, seed=seed
         )
 
     def _fit_impl(self, x: np.ndarray, y: np.ndarray) -> None:
@@ -136,24 +126,17 @@ class MLPQueryEstimator(_SupervisedFlatEstimator):
 
     name = "mlp"
 
-    def __init__(
-        self,
-        db: Database,
-        epochs: int = 120,
-        lr: float = 2e-3,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, db: Database, epochs: int = 120, seed: int = 0) -> None:
         super().__init__(db)
         self.hidden = (64, 64)
         self.epochs = epochs
-        self.lr = lr
         self.seed = seed
         self._model: MLP | None = None
 
     def _fit_impl(self, x: np.ndarray, y: np.ndarray) -> None:
-        self._model = MLP(x.shape[1], self.hidden, 1, seed=self.seed)
+        self._model = MLP(x.shape[1], self.hidden, seed=self.seed)
         self._model.fit(
-            x, y, epochs=self.epochs, lr=self.lr, loss="mse", val_fraction=0.1
+            x, y, epochs=self.epochs, lr=2e-3, val_fraction=0.1
         )
 
     def _predict_log(self, x: np.ndarray) -> np.ndarray:
@@ -279,7 +262,7 @@ class MSCNEstimator(BaseCardinalityEstimator):
     ) -> None:
         super().__init__(db)
         self.featurizer = MSCNFeaturizer(db, seed=seed)
-        self.net = SetConvNet(self.featurizer.module_dims(), hidden=64, seed=seed)
+        self.net = SetConvNet(self.featurizer.module_dims(), seed=seed)
         self.epochs = epochs
         self.lr = lr
         self.seed = seed
@@ -325,15 +308,14 @@ class PooledMSCNEstimator(MSCNEstimator):
 
     name = "pooled_mscn"
 
-    def __init__(self, db: Database, epochs: int = 80, lr: float = 1e-3,
-                 seed: int = 0) -> None:
+    def __init__(self, db: Database, epochs: int = 80, seed: int = 0) -> None:
         BaseCardinalityEstimator.__init__(self, db)
         self.featurizer = MSCNFeaturizer(db, seed=seed)
         self.net = SetConvNet(
-            self.featurizer.module_dims(), hidden=64, pooling="max", seed=seed
+            self.featurizer.module_dims(), pooling="max", seed=seed
         )
         self.epochs = epochs
-        self.lr = lr
+        self.lr = 1e-3
         self.seed = seed
         self._max_log = 1.0
         self._fitted = False
@@ -424,9 +406,9 @@ class CRNEstimator(BaseCardinalityEstimator):
         x = np.stack(xs)
         y = np.clip(np.array(ys), 0.0, 1.0)
         self._net = MLP(
-            x.shape[1], self.hidden, 1, output_activation="sigmoid", seed=self.seed
+            x.shape[1], self.hidden, output_activation="sigmoid", seed=self.seed
         )
-        self._net.fit(x, y, epochs=self.epochs, lr=2e-3, loss="mse")
+        self._net.fit(x, y, epochs=self.epochs, lr=2e-3)
         del rng
 
     def _estimate(self, query: Query) -> float:
@@ -529,7 +511,7 @@ class GLPlusEstimator(BaseCardinalityEstimator):
 
         x = self.featurizer.featurize_batch(queries)
         y = _log_card(np.asarray(cards))
-        self._global = MLP(x.shape[1], self.hidden, 1, seed=self.seed)
+        self._global = MLP(x.shape[1], self.hidden, seed=self.seed)
         self._global.fit(x, y, epochs=self.epochs, lr=2e-3)
         k = min(self.n_segments, x.shape[0])
         self._kmeans = KMeans(n_clusters=k, seed=self.seed).fit(x)
@@ -538,7 +520,7 @@ class GLPlusEstimator(BaseCardinalityEstimator):
         for seg in range(k):
             members = labels == seg
             if members.sum() >= self.min_segment_size:
-                local = MLP(x.shape[1], self.hidden, 1, seed=self.seed + seg + 1)
+                local = MLP(x.shape[1], self.hidden, seed=self.seed + seg + 1)
                 local.fit(x[members], y[members], epochs=self.epochs, lr=2e-3)
                 self._local[seg] = local
 

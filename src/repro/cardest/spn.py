@@ -233,17 +233,11 @@ class _SPNFamilyEstimator(BaseCardinalityEstimator):
 
     _factorize_threshold: float | None = None
     alpha = 0.1  # additive smoothing of every leaf histogram
+    max_bins = 32
+    max_depth = 6  # deepest sum / product split
 
-    def __init__(
-        self,
-        db: Database,
-        max_bins: int = 32,
-        max_depth: int = 6,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, db: Database, seed: int = 0) -> None:
         super().__init__(db)
-        self.max_bins = max_bins
-        self.max_depth = max_depth
         self.seed = seed
         self._join_sizes = UnfilteredJoinSizes(db)
         self._models: dict[str, tuple[DiscretizedTable, _Node]] = {}

@@ -173,7 +173,7 @@ class AstridEstimator:
             raise ValueError("no training patterns")
         x = np.stack([self._featurize(p) for p in patterns])
         y = np.log1p(np.array([self.column.count(p) for p in patterns], dtype=float))
-        self._net = MLP(x.shape[1], self.hidden, 1, seed=self.seed)
+        self._net = MLP(x.shape[1], self.hidden, seed=self.seed)
         self._net.fit(x, y, epochs=self.epochs, lr=2e-3, val_fraction=0.1)
         return self
 

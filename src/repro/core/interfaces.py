@@ -238,13 +238,9 @@ class InjectedCardinalities:
     plannings never see stale overrides.
     """
 
-    def __init__(
-        self,
-        base: CardinalityEstimator,
-        injected: dict[str, float] | None = None,
-    ) -> None:
+    def __init__(self, base: CardinalityEstimator) -> None:
         self.base = base
-        self.injected: dict[str, float] = dict(injected or {})
+        self.injected: dict[str, float] = {}
         self.generation = 0
 
     def inject(self, query: Query, cardinality: float) -> None:

@@ -112,7 +112,7 @@ class ConcurrentCostModel:
             ys.append(np.log1p(np.maximum(np.asarray(lats, dtype=float), 0.0)))
         x = np.concatenate(xs, axis=0)
         y = np.concatenate(ys)
-        self._net = MLP(x.shape[1], self.hidden, 1, seed=self.seed)
+        self._net = MLP(x.shape[1], self.hidden, seed=self.seed)
         self._net.fit(x, y, epochs=self.epochs, lr=self.lr, val_fraction=0.1)
         return self
 

@@ -41,18 +41,12 @@ class UnifiedTransferableModel:
 
     name = "mlmtf"
 
-    def __init__(
-        self,
-        featurizer: PlanFeaturizer,
-        *,
-        conv_channels: tuple[int, ...] = (48, 48),
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, featurizer: PlanFeaturizer, *, seed: int = 0) -> None:
         self.featurizer = featurizer
         # out_dim = one output per task; the trunk is shared by design.
         self.net = TreeConvNet(
             featurizer.node_dim,
-            conv_channels=conv_channels,
+            conv_channels=(48, 48),
             head_hidden=(24,),
             out_dim=len(_TASKS),
             seed=seed,
@@ -67,11 +61,9 @@ class UnifiedTransferableModel:
         plans: list[Plan],
         latencies_ms: np.ndarray,
         cardinalities: np.ndarray,
-        *,
-        epochs: int = 50,
-        lr: float = 1e-3,
     ) -> list[float]:
-        """Joint multi-task training on (plan, latency, cardinality)."""
+        """Joint multi-task training on (plan, latency, cardinality), 40
+        epochs."""
         if not (len(plans) == len(latencies_ms) == len(cardinalities)):
             raise ValueError("plans/latencies/cardinalities must align")
         if not plans:
@@ -85,10 +77,10 @@ class UnifiedTransferableModel:
                 np.log1p(np.maximum(np.asarray(cardinalities, float), 0.0)),
             ]
         )
-        opt = Adam(lr=lr)
+        opt = Adam(lr=1e-3)
         params, grads = [self.net.flat_params], [self.net.flat_grads]
         losses: list[float] = []
-        orders = shuffles(self._rng, len(corpus), epochs)
+        orders = shuffles(self._rng, len(corpus), 40)
         for order, batches in corpus.plan(orders, _BATCH_SIZE):
             y_epoch = y[order]
             total, count = 0.0, 0

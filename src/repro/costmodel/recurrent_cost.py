@@ -26,18 +26,10 @@ class TreeRecurrentCostModel:
 
     name = "tree_recurrent_cost"
 
-    def __init__(
-        self,
-        featurizer: PlanFeaturizer,
-        epochs: int = 60,
-        lr: float = 2e-3,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, featurizer: PlanFeaturizer) -> None:
         self.featurizer = featurizer
         self.hidden = hidden = 48
-        self.epochs = epochs
-        self.lr = lr
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         d = featurizer.node_dim
         s = lambda n: math.sqrt(1.0 / n)  # noqa: E731
         self.wx = rng.normal(0, s(d), (d, hidden))
@@ -108,10 +100,10 @@ class TreeRecurrentCostModel:
             raise ValueError("empty training corpus")
         trees = [plan_to_tree_arrays(p, self.featurizer) for p in plans]
         y = np.log1p(np.maximum(np.asarray(latencies_ms, dtype=float), 0.0))
-        opt = Adam(lr=self.lr)
+        opt = Adam(lr=2e-3)
         rng = np.random.default_rng(1)
         n = len(trees)
-        for _ in range(self.epochs):
+        for _ in range(30):
             order = rng.permutation(n)
             for i in order:
                 feats, left, right = trees[i]

@@ -21,25 +21,11 @@ class TreeConvCostModel:
 
     name = "treeconv_cost"
 
-    def __init__(
-        self,
-        featurizer: PlanFeaturizer,
-        conv_channels: tuple[int, ...] = (64, 64),
-        head_hidden: tuple[int, ...] = (32,),
-        epochs: int = 50,
-        lr: float = 1e-3,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, featurizer: PlanFeaturizer) -> None:
         self.featurizer = featurizer
         self.net = TreeConvNet(
-            featurizer.node_dim,
-            conv_channels=conv_channels,
-            head_hidden=head_hidden,
-            seed=seed,
+            featurizer.node_dim, conv_channels=(64, 64), head_hidden=(32,), seed=0
         )
-        self.epochs = epochs
-        self.lr = lr
-        self.seed = seed
         self._fitted = False
 
     def _trees(self, plans: list[Plan]):
@@ -50,7 +36,7 @@ class TreeConvCostModel:
             raise ValueError("empty training corpus")
         y = np.log1p(np.maximum(np.asarray(latencies_ms, dtype=float), 0.0))
         self.net.fit(
-            self._trees(plans), y, epochs=self.epochs, lr=self.lr, seed=self.seed
+            self._trees(plans), y, epochs=50, lr=1e-3, seed=0
         )
         self._fitted = True
         return self

@@ -25,15 +25,9 @@ class ZeroShotCostModel:
 
     name = "zeroshot_cost"
 
-    def __init__(
-        self,
-        epochs: int = 80,
-        lr: float = 2e-3,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, epochs: int = 80, seed: int = 0) -> None:
         self.hidden = (48, 48)
         self.epochs = epochs
-        self.lr = lr
         self.seed = seed
         self._net: MLP | None = None
         self._dim: int | None = None
@@ -84,8 +78,8 @@ class ZeroShotCostModel:
         x = np.concatenate(xs, axis=0)
         y = np.concatenate(ys)
         self._dim = x.shape[1]
-        self._net = MLP(self._dim, self.hidden, 1, seed=self.seed)
-        self._net.fit(x, y, epochs=self.epochs, lr=self.lr, val_fraction=0.1)
+        self._net = MLP(self._dim, self.hidden, seed=self.seed)
+        self._net.fit(x, y, epochs=self.epochs, lr=2e-3, val_fraction=0.1)
         return self
 
     def predict_latency(self, plan: Plan, featurizer: PlanFeaturizer) -> float:

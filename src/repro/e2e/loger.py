@@ -21,15 +21,6 @@ class LogerOptimizer(_ValueSearchOptimizer):
 
     name = "loger"
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        *,
-        beam_width: int = 4,
-        epsilon: float = 0.25,
-        seed: int = 0,
-        **kwargs,
-    ) -> None:
-        super().__init__(
-            optimizer, beam_width=beam_width, epsilon=epsilon, seed=seed, **kwargs
-        )
+    def __init__(self, optimizer: Optimizer, *, seed: int = 0, **kwargs) -> None:
+        """A beam of 4; each level keeps a random entry with probability 0.25."""
+        super().__init__(optimizer, beam_width=4, epsilon=0.25, seed=seed, **kwargs)

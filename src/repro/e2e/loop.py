@@ -36,7 +36,6 @@ class OptimizationLoop:
         *,
         guard=None,
         policies=(),
-        auditor=None,
     ) -> None:
         """``guard`` optionally wraps plan selection (see
         :mod:`repro.regression`): it is called as
@@ -52,19 +51,12 @@ class OptimizationLoop:
         each one's ``on_decision(loop, decision)`` after every query, in
         list order (``attach`` / ``on_transition`` never run).  A
         :class:`repro.lifecycle.ExperienceStore` files these ``"offline"``
-        decisions under ``kind="episode"``.
-
-        ``auditor`` is an optional :class:`repro.oracle.OnlineAuditor`:
-        a deterministic sample of served plans is re-executed literally
-        and checked against the exact count (``observe_plan``), so a
-        structurally wrong plan surfaces as an audit violation instead of
-        passing silently through the simulator."""
+        decisions under ``kind="episode"``."""
         self.learned = learned
         self.simulator = simulator
         self.native = native
         self.guard = guard
         self.policies = list(policies)
-        self.auditor = auditor
         self.results: list[Decision] = []
         self.fallbacks = 0  # learned failures served natively
         self.guard_errors = 0  # contained guard exceptions
@@ -89,8 +81,6 @@ class OptimizationLoop:
         executed = self.simulator.execute(candidate.plan)
         latency = executed.latency_ms
         native_latency = self.simulator.execute(native_plan).latency_ms
-        if self.auditor is not None:
-            self.auditor.observe_plan(query, candidate.plan)
         learned = candidate.source != "native:fallback"
         if learned:
             self.learned.record_feedback(query, candidate, latency)

@@ -98,6 +98,7 @@ class TreeConvLatencyModel:
     """
 
     min_observations = 20  # retrain is a no-op below this
+    epochs = 30  # per member refit
 
     def __init__(
         self,
@@ -105,14 +106,10 @@ class TreeConvLatencyModel:
         n_members: int = 3,
         *,
         thompson: bool = True,
-        epochs: int = 30,
-        lr: float = 1e-3,
         seed: int = 0,
     ) -> None:
         self.featurizer = featurizer
         self.thompson = thompson
-        self.epochs = epochs
-        self.lr = lr
         self._members = [
             TreeConvNet(
                 featurizer.node_dim,
@@ -162,7 +159,7 @@ class TreeConvLatencyModel:
         member, owed = self._members[i], self._owed[i]
         if owed is not None:
             self._owed[i] = None
-            member.fit(owed[0], owed[1], epochs=self.epochs, lr=self.lr, seed=i)
+            member.fit(owed[0], owed[1], epochs=self.epochs, lr=1e-3, seed=i)
         return member
 
     def members(self) -> list[TreeConvNet]:
@@ -200,13 +197,9 @@ class PairwisePlanComparator:
         self,
         featurizer: PlanFeaturizer,
         *,
-        epochs: int = 40,
-        lr: float = 1e-3,
         seed: int = 0,
     ) -> None:
         self.featurizer = featurizer
-        self.epochs = epochs
-        self.lr = lr
         self.net = TreeConvNet(
             featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed
         )
@@ -278,9 +271,9 @@ class PairwisePlanComparator:
         if len(labels) < 15:
             return
         corpus = PlanTreeCorpus.from_trees(trees)
-        opt = Adam(lr=self.lr)
+        opt = Adam(lr=1e-3)
         params, grads = [self.net.flat_params], [self.net.flat_grads]
-        orders, drawn = tee(shuffles(self._rng, len(labels), self.epochs))
+        orders, drawn = tee(shuffles(self._rng, len(labels), 40))
         # Trees interleaved a0, b0, a1, b1, ...: 16 pairs to a batch.
         interleaved = (np.stack([a[o], b[o]], axis=1).ravel() for o in drawn)
         for order, (_, batches) in zip(orders, corpus.plan(interleaved, 32)):
@@ -325,17 +318,9 @@ class EnsembleLatencyModel:
 
     variance_quantile = 0.7
 
-    def __init__(
-        self,
-        featurizer: PlanFeaturizer,
-        *,
-        epochs: int = 30,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, featurizer: PlanFeaturizer, *, seed: int = 0) -> None:
         # four heads, one more than Bao's bootstrap ensemble
-        self.inner = TreeConvLatencyModel(
-            featurizer, 4, thompson=False, epochs=epochs, seed=seed
-        )
+        self.inner = TreeConvLatencyModel(featurizer, 4, thompson=False, seed=seed)
 
     def observe(self, candidate: CandidatePlan, latency_ms: float) -> None:
         self.inner.observe(candidate, latency_ms)

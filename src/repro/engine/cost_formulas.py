@@ -19,7 +19,7 @@ clustering factor making index scans competitive below ~5% selectivity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["CostConstants", "OperatorCosts", "DEFAULT_COSTS"]
 
@@ -28,7 +28,10 @@ __all__ = ["CostConstants", "OperatorCosts", "DEFAULT_COSTS"]
 class CostConstants:
     """Tunable cost-model constants (PostgreSQL-style)."""
 
-    seq_page_cost: float = 1.0
+    #: the unit every other constant is priced in: no constructor argument,
+    #: but an instance field (set in ``__post_init__``), which a model's
+    #: fingerprint walks
+    seq_page_cost: float = field(default=1.0, init=False)
     random_page_cost: float = 4.0
     cpu_tuple_cost: float = 0.01
     cpu_operator_cost: float = 0.0025
@@ -39,6 +42,9 @@ class CostConstants:
     index_cluster_factor: float = 0.1
     #: per-probe B-tree descent cost multiplier
     index_probe_factor: float = 0.125
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seq_page_cost", 1.0)
 
 
 class OperatorCosts:
@@ -123,7 +129,6 @@ DEFAULT_COSTS = OperatorCosts()
 #: or latency-trained optimizers have real headroom (~1.4x median, ~2.3x
 #: p90 on the bundled workloads).
 TRUE_HARDWARE_CONSTANTS = CostConstants(
-    seq_page_cost=1.0,
     random_page_cost=0.8,
     cpu_tuple_cost=0.015,
     cpu_operator_cost=0.006,

@@ -18,16 +18,13 @@ this repo trains on.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from repro.core.records import slot_init
-from repro.engine.cost_formulas import (
-    CostConstants,
-    OperatorCosts,
-    TRUE_HARDWARE_CONSTANTS,
-)
+from repro.engine.cost_formulas import OperatorCosts, TRUE_HARDWARE_CONSTANTS
 from repro.engine.executor import CardinalityExecutor
 from repro.engine.plans import JoinMethod, JoinNode, Plan, PlanNode, ScanMethod, ScanNode
 from repro.sql.query import Query
@@ -42,17 +39,14 @@ class SimulatorConfig:
 
     ``noise_sigma`` is the std-dev of a multiplicative lognormal noise term;
     0 (default) gives perfectly repeatable latencies.  ``ms_per_cost_unit``
-    converts planner cost units to milliseconds.  ``constants`` default to
-    :data:`repro.engine.cost_formulas.TRUE_HARDWARE_CONSTANTS`, which
-    deliberately diverge from the planner's beliefs (see that module).
+    converts planner cost units to milliseconds, and the simulated hardware
+    runs at :data:`repro.engine.cost_formulas.TRUE_HARDWARE_CONSTANTS`,
+    which deliberately diverge from the planner's beliefs (see that module).
     """
 
-    ms_per_cost_unit: float = 0.05
+    ms_per_cost_unit: ClassVar[float] = 0.05
     noise_sigma: float = 0.0
     noise_seed: int = 0
-    constants: CostConstants = field(
-        default_factory=lambda: TRUE_HARDWARE_CONSTANTS
-    )
 
 
 @slot_init
@@ -80,7 +74,7 @@ class ExecutionSimulator:
         self.db = db
         self.config = config if config is not None else SimulatorConfig()
         self.executor = executor if executor is not None else CardinalityExecutor(db)
-        self.costs = OperatorCosts(self.config.constants)
+        self.costs = OperatorCosts(TRUE_HARDWARE_CONSTANTS)
         self.queries_executed = 0
         self.total_latency_ms = 0.0
 

@@ -65,6 +65,8 @@ class BoundGuard(ServePolicy):
     guard registers its gauge on the deployment's bus.
     """
 
+    name = "bound_guard"  # the guard its violation events name
+
     def __init__(
         self,
         primary,
@@ -75,7 +77,6 @@ class BoundGuard(ServePolicy):
         breaker: CircuitBreaker | None = None,
         telemetry=None,
         tolerance: float = 1.0,
-        name: str = "bound_guard",
     ) -> None:
         if tolerance < 1.0:
             raise ValueError("tolerance must be >= 1.0")
@@ -86,7 +87,6 @@ class BoundGuard(ServePolicy):
         self.breaker = breaker
         self.telemetry = telemetry
         self.tolerance = float(tolerance)
-        self.name = name
         self.checked = 0
         self.counts_observed = 0
         self.estimate_violations = 0  # point estimate exceeded the bound

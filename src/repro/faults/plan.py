@@ -131,15 +131,9 @@ class FaultPlan:
 class FaultInjector:
     """Binds a :class:`FaultPlan` to a clock, counters and wrappers."""
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        *,
-        clock: VirtualClock | None = None,
-        telemetry=None,
-    ) -> None:
+    def __init__(self, plan: FaultPlan, *, telemetry=None) -> None:
         self.plan = plan
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = VirtualClock()
         self.telemetry = telemetry
         self.counters: dict[str, int] = {}
 
@@ -164,11 +158,11 @@ class FaultInjector:
 
     # -- wrapper factories -------------------------------------------------------
 
-    def wrap_estimator(self, estimator, target: str = "estimator"):
-        return FaultyEstimator(estimator, self, target)
+    def wrap_estimator(self, estimator):
+        return FaultyEstimator(estimator, self, "estimator")
 
-    def wrap_learned(self, learned, target: str = "learned"):
-        return FaultyLearnedOptimizer(learned, self, target)
+    def wrap_learned(self, learned):
+        return FaultyLearnedOptimizer(learned, self, "learned")
 
     def wrap_backend(self, backend, target: str = "backend"):
         return FaultyBackend(backend, self, target)

@@ -18,7 +18,6 @@ the attempt number, and breaker state only changes on explicit
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
 from repro.faults.clock import VirtualClock
@@ -153,7 +152,6 @@ class CircuitBreaker:
         }
 
 
-@dataclass(frozen=True)
 class RetryPolicy:
     """Deterministic bounded retry with exponential virtual backoff.
 
@@ -162,15 +160,9 @@ class RetryPolicy:
     function, so retry timelines are identical across runs.
     """
 
-    max_attempts: int = 2
-    base_backoff_ms: float = 5.0
-    multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        if self.base_backoff_ms < 0 or self.multiplier <= 0:
-            raise ConfigError("backoff parameters must be positive")
+    max_attempts = 2
+    base_backoff_ms = 5.0
+    multiplier = 2.0
 
     def backoff_ms(self, attempt: int) -> float:
         return self.base_backoff_ms * self.multiplier**attempt
@@ -196,6 +188,8 @@ class FallbackEstimator:
     degradation boundary.
     """
 
+    name = "estimator"
+
     def __init__(
         self,
         primary,
@@ -203,16 +197,11 @@ class FallbackEstimator:
         *,
         breaker: CircuitBreaker | None = None,
         telemetry=None,
-        name: str | None = None,
     ) -> None:
         self.primary = primary
         self.fallback = fallback
         self.breaker = breaker
         self.telemetry = telemetry
-        self.name = name or (
-            f"{getattr(primary, 'name', type(primary).__name__)}"
-            f"->{getattr(fallback, 'name', type(fallback).__name__)}"
-        )
         self.calls = 0
         self.fallback_served = 0
         self.primary_errors = 0

@@ -42,7 +42,7 @@ class DQJoinOrderSearch:
         self._pos = {t: i for i, t in enumerate(self.tables)}
         self._rng = np.random.default_rng(seed)
         dim = 2 * len(self.tables) + 2
-        self._net = MLP(dim, (64,), 1, seed=seed)
+        self._net = MLP(dim, (64,), seed=seed)
         self._buffer_x: list[np.ndarray] = []
         self._buffer_y: list[float] = []
         self._episodes = 0

@@ -26,10 +26,10 @@ def plan_from_order(
     query: Query,
     order: list[str],
     coster: PlanCoster,
-    hints: HintSet | None = None,
 ) -> Plan:
-    """Left-deep plan for the given table order, cheapest operators per step."""
-    hints = hints if hints is not None else HintSet.default()
+    """Left-deep plan for the given table order, cheapest operators per step
+    under the default hints."""
+    hints = HintSet.default()
     if sorted(order) != sorted(query.tables):
         raise ValueError(f"order {order} does not cover query tables {query.tables}")
     card_of: dict[frozenset[str], float] = {}

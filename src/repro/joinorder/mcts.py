@@ -37,21 +37,14 @@ class MCTSJoinOrderSearch:
     """UCT over left-deep join orders with execution feedback."""
 
     name = "mcts"
+    exploration = 1.2  # UCT's exploration constant
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        evaluate,
-        *,
-        exploration: float = 1.2,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, optimizer: Optimizer, evaluate, *, seed: int = 0) -> None:
         """``evaluate(plan) -> latency_ms`` supplies execution feedback
         (pass ``simulator.latency`` for SkinnerDB-style online learning, or
         ``optimizer.cost`` for a cost-model-only variant)."""
         self.optimizer = optimizer
         self.evaluate = evaluate
-        self.exploration = exploration
         self._rng = np.random.default_rng(seed)
 
     def _rollout(self, env: JoinOrderEnv) -> list[str]:

@@ -102,11 +102,8 @@ class TransferFleet:
 
     # -- inspection ----------------------------------------------------------------
 
-    def holdout_qerrors(self, *, quantile: float = 0.9) -> dict[str, float]:
-        return {
-            t.tenant_id: t.holdout_qerror(quantile=quantile)
-            for t in self.tenants
-        }
+    def holdout_qerrors(self) -> dict[str, float]:
+        return {t.tenant_id: t.holdout_qerror() for t in self.tenants}
 
     def retrain_stats(self) -> dict[str, dict]:
         return {t.tenant_id: t.scheduler.stats() for t in self.tenants}
@@ -123,9 +120,9 @@ def build_fleet_schedule(
     tenant_queries: list[tuple[str, list[Query]]],
     *,
     seed: int = 0,
-    mean_interarrival_ms: float = 25.0,
 ) -> list[FabricRequest]:
-    """One global arrival order interleaving each tenant's own stream.
+    """One global arrival order interleaving each tenant's own stream, 25 ms
+    apart on average.
 
     Unlike :func:`~repro.serve.fabric.build_fabric_schedule`, tenants
     here are *not* interchangeable -- each tenant's queries reference its
@@ -136,7 +133,7 @@ def build_fleet_schedule(
     rng = np.random.default_rng((int(seed), 0xF1EE7))
     remaining = [list(qs) for _, qs in tenant_queries]
     total = sum(len(r) for r in remaining)
-    gaps = rng.exponential(mean_interarrival_ms, size=total)
+    gaps = rng.exponential(25.0, size=total)
     schedule: list[FabricRequest] = []
     now = 0.0
     seqs = [0] * len(tenant_queries)
@@ -169,15 +166,13 @@ def transfer_fleet_scenario(
     n_schemas: int = 8,
     seed: int = 0,
     queries_per_tenant: int = 36,
-    n_train: int = 40,
-    n_holdout: int = 14,
-    drift_check_every: int = 8,
-    cooldown_queries: int = 12,
-    mean_interarrival_ms: float = 25.0,
     closed_loop: bool = True,
-    shard_config: RuntimeConfig | None = None,
 ) -> TransferFleet:
     """Assemble the fleet: one generated schema per tenant per shard.
+
+    Each tenant's stack trains on 40 queries, holds out 14, checks for
+    drift every 8 and cools down 12 after a retrain; requests arrive
+    25 ms apart on average, and each shard runs unbounded.
 
     ``closed_loop=False`` builds the frozen control fleet -- identical
     schemas, streams and drift, but no retraining triggers -- whose
@@ -188,22 +183,18 @@ def transfer_fleet_scenario(
         seed=seed,
         config=SchemaGenConfig(n_tables=(3, 5), rows=(150, 450), attr_cols=(1, 2)),
     )
-    config = (
-        shard_config
-        if shard_config is not None
-        else RuntimeConfig(timeout_ms=None, queue_capacity=None, max_in_flight=None)
-    )
+    config = RuntimeConfig(timeout_ms=None, queue_capacity=None, max_in_flight=None)
     tenants = [
         SchemaTenant(
             **vars(
                 lifecycle_stack(
                     db,
                     seed=seed + 10 * i,
-                    n_train=n_train,
-                    n_holdout=n_holdout,
+                    n_train=40,
+                    n_holdout=14,
                     closed_loop=closed_loop,
-                    drift_check_every=drift_check_every,
-                    cooldown_queries=cooldown_queries,
+                    drift_check_every=8,
+                    cooldown_queries=12,
                     champion_name=f"steered-{db.name}",
                     warp_queries_per_table=30,
                     qerror_window=32,
@@ -224,14 +215,13 @@ def transfer_fleet_scenario(
     )
     router = ShardRouter(
         len(shards),
-        mode="pinned",
         seed=seed,
         pinned={t.tenant_id: i for i, t in enumerate(tenants)},
     )
     fabric = ServingFabric(
         shards,
         TenantRegistry(specs),
-        config=FabricConfig(seed=seed, route_mode="pinned"),
+        config=FabricConfig(seed=seed),
         router=router,
     )
     tenant_queries = [
@@ -243,9 +233,7 @@ def transfer_fleet_scenario(
         )
         for i, t in enumerate(tenants)
     ]
-    schedule = build_fleet_schedule(
-        tenant_queries, seed=seed, mean_interarrival_ms=mean_interarrival_ms
-    )
+    schedule = build_fleet_schedule(tenant_queries, seed=seed)
     return TransferFleet(
         name="transfer_fleet" if closed_loop else "transfer_fleet_frozen",
         tenants=tenants,

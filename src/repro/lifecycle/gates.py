@@ -100,7 +100,16 @@ class EvalGate:
         Infrastructure the memo's fingerprints skip (see
         :func:`~repro.lifecycle.registry.model_fingerprint`).  Give it the
         registry's ``shared``, so a digest the registry took is a memo key.
+
+    A challenger fails when its p50 / p95 latency or its q-error quantile
+    exceeds the champion's by more than the ratio below, or when more than
+    ``max_regression_rate`` of the queries regress.
     """
+
+    max_p50_ratio = 1.15
+    max_p95_ratio = 1.30
+    max_qerror_ratio = 1.25
+    max_regression_rate = 0.25
 
     def __init__(
         self,
@@ -108,10 +117,6 @@ class EvalGate:
         *,
         simulator=None,
         executor=None,
-        max_p50_ratio: float = 1.10,
-        max_p95_ratio: float = 1.20,
-        max_qerror_ratio: float = 1.25,
-        max_regression_rate: float = 0.20,
         telemetry=None,
         shared=(),
     ) -> None:
@@ -122,10 +127,6 @@ class EvalGate:
             raise ConfigError("eval gate needs a simulator or an executor")
         self.simulator = simulator
         self.executor = executor
-        self.max_p50_ratio = max_p50_ratio
-        self.max_p95_ratio = max_p95_ratio
-        self.max_qerror_ratio = max_qerror_ratio
-        self.max_regression_rate = max_regression_rate
         self.telemetry = telemetry
         self.shared = tuple(shared)
         self.evaluations = 0

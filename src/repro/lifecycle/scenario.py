@@ -112,16 +112,16 @@ class LifecycleStack:
     holdout: list[Query]
     shared: tuple
 
-    def holdout_qerror(self, model=None, *, quantile: float = 0.9) -> float:
-        """Current q-error quantile of ``model`` (default: the deployed
-        model) on the held-out workload against *current* data."""
-        model = model if model is not None else self.deployment.learned
+    def holdout_qerror(self) -> float:
+        """Current 0.9 q-error quantile of the deployed model on the
+        held-out workload against *current* data."""
+        model = self.deployment.learned
         estimator = getattr(model, "estimator", model)
         errs = [
             q_error(estimator.estimate(q), self.executor.cardinality(q))
             for q in self.holdout
         ]
-        return float(np.quantile(np.array(errs), quantile))
+        return float(np.quantile(np.array(errs), 0.9))
 
     def apply_drift(self, fraction: float, seed: int) -> None:
         """Drift the data and invalidate everything derived from it."""
@@ -211,10 +211,6 @@ def lifecycle_stack(
         executor=executor,
         telemetry=telemetry,
         shared=shared,
-        max_p50_ratio=1.15,
-        max_p95_ratio=1.30,
-        max_qerror_ratio=1.25,
-        max_regression_rate=0.25,
     )
     deployment = DeploymentManager(
         champion,
@@ -255,12 +251,7 @@ def lifecycle_stack(
             DriftTrigger(detector, check_every=drift_check_every, store=store)
         )
         triggers.append(
-            QErrorTrigger(
-                degradation=3.0,
-                window=qerror_window,
-                min_samples=qerror_window // 2,
-                quantile=0.9,
-            )
+            QErrorTrigger(window=qerror_window, min_samples=qerror_window // 2)
         )
         if cadence_queries is not None:
             triggers.append(CadenceTrigger(every_queries=cadence_queries))

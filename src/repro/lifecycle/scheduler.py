@@ -96,6 +96,21 @@ class CadenceTrigger:
         self._last_queries = ctx.queries
 
 
+def linear_quantile(s: list[float], quantile: float) -> float:
+    """The float ``np.quantile`` (method ``linear``) returns for the
+    ascending, non-empty ``s``, with numpy's own index and interpolation
+    arithmetic."""
+    n = len(s)
+    virtual = (n - 1) * quantile
+    below = math.floor(virtual)
+    if virtual >= n - 1:
+        return s[-1]
+    a, b = s[below], s[below + 1]
+    t = virtual - below
+    # numpy's _lerp: from below under half way, from above at or past it.
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 class QErrorTrigger:
     """Fires when the rolling q-error quantile *degrades* relative to the
     model's own baseline.
@@ -103,38 +118,25 @@ class QErrorTrigger:
     Absolute q-error is a property of the workload as much as of the
     model (join-heavy queries are simply harder), so a fixed threshold
     either never fires or fires on day one.  The trigger instead captures
-    a **baseline**: the window quantile the first time the window fills
-    after (re)deployment.  It fires when the current quantile exceeds
-    ``baseline * degradation`` -- i.e. the model got materially worse than
-    *itself* -- or, optionally, an absolute ``ceiling``.
+    a **baseline**: the window's 0.9 quantile the first time the window
+    fills after (re)deployment.  It fires when the current quantile
+    exceeds ``baseline * degradation`` -- i.e. the model got materially
+    worse than *itself*.
     """
 
     name = "qerror"
+    quantile = 0.9
+    degradation = 3.0
 
-    def __init__(
-        self,
-        *,
-        degradation: float = 3.0,
-        ceiling: float | None = None,
-        window: int = 64,
-        min_samples: int = 32,
-        quantile: float = 0.9,
-    ) -> None:
-        if degradation <= 1.0:
-            raise ConfigError("q-error degradation factor must be > 1")
+    def __init__(self, *, window: int = 64, min_samples: int = 32) -> None:
         if window < 1:
             raise ConfigError("q-error window must hold at least one error")
-        if not 0.0 <= quantile <= 1.0:
-            raise ConfigError("q-error quantile must be in [0, 1]")
         if not 1 <= min_samples <= window:
             raise ConfigError(
                 "q-error min_samples must be in [1, window]: a larger one never fires"
             )
-        self.degradation = degradation
-        self.ceiling = ceiling
         self.window = window
         self.min_samples = min_samples
-        self.quantile = quantile
         self._errors: deque[float] = deque()  # arrival order: evicts the oldest
         self._sorted: list[float] = []  # the same errors, ascending
         self.baseline: float | None = None
@@ -147,21 +149,11 @@ class QErrorTrigger:
             del self._sorted[bisect_left(self._sorted, self._errors.popleft())]
 
     def current(self) -> float:
-        """The window's ``quantile``: the float ``np.quantile`` (method
-        ``linear``) returns, read off the sorted window with numpy's own
-        index and interpolation arithmetic."""
+        """The window's ``quantile``, read off the sorted window."""
         s = self._sorted
         if not s:
             return 1.0
-        n = len(s)
-        virtual = (n - 1) * self.quantile
-        below = math.floor(virtual)
-        if virtual >= n - 1:
-            return s[-1]
-        a, b = s[below], s[below + 1]
-        t = virtual - below
-        # numpy's _lerp: from below under half way, from above at or past it.
-        return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+        return linear_quantile(s, self.quantile)
 
     def check(self, ctx: "SchedulerContext") -> TriggerDecision:
         if len(self._errors) < self.min_samples:
@@ -170,9 +162,7 @@ class QErrorTrigger:
         if self.baseline is None:
             self.baseline = q  # the model's own healthy level
             return TriggerDecision(False, f"qerror_baseline={q:.1f}")
-        if q >= self.baseline * self.degradation or (
-            self.ceiling is not None and q >= self.ceiling
-        ):
+        if q >= self.baseline * self.degradation:
             return TriggerDecision(
                 True,
                 f"qerror_q{self.quantile:g}={q:.1f}(base={self.baseline:.1f})",

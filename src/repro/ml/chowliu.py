@@ -34,13 +34,12 @@ def mutual_information(a: np.ndarray, b: np.ndarray) -> float:
     return float((joint[nz] * np.log(joint[nz] / outer[nz])).sum())
 
 
-def chow_liu_tree(
-    data: np.ndarray, root: int = 0
-) -> list[tuple[int, int]]:
-    """Learn a Chow-Liu tree; returns directed edges ``(parent, child)``.
+def chow_liu_tree(data: np.ndarray) -> list[tuple[int, int]]:
+    """Learn a Chow-Liu tree rooted at column 0; returns directed edges
+    ``(parent, child)``.
 
     ``data`` is ``[n_rows, n_cols]`` integer-coded.  The returned edge list
-    covers every non-root column exactly once as a child; disconnected
+    covers every column but 0 exactly once as a child; disconnected
     components (possible only with one column) yield an empty list.
     """
     data = np.asarray(data, dtype=int)
@@ -57,8 +56,8 @@ def chow_liu_tree(
             w = mutual_information(data[:, i], data[:, j])
             weights[i, j] = weights[j, i] = w
 
-    in_tree = {root}
-    parent = {root: -1}
+    in_tree = {0}
+    parent = {0: -1}
     edges: list[tuple[int, int]] = []
     while len(in_tree) < m:
         best_w, best_edge = -1.0, None

@@ -3,7 +3,7 @@
 Implements exactly what the learned-query-optimizer models in this repository
 need: dense layers, ReLU and sigmoid activations, the Adam optimizer, and a
 convenience :class:`MLP` wrapper (ReLU hidden layers, standardized inputs)
-with mini-batch training, early stopping and MSE / MAE / BCE losses.
+with mini-batch training, early stopping and an MSE loss.
 
 The design follows the classic layer protocol: each layer exposes
 ``forward(x)`` and ``backward(grad)``; ``backward`` must be called
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = [
     "Adam",
     "MLP",
     "mse_loss",
-    "mae_loss",
-    "binary_cross_entropy_loss",
 ]
 
 #: rows per Adam step of :meth:`MLP.fit`
@@ -202,31 +200,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return float((diff**2).mean()), (2.0 / n) * diff
 
 
-def mae_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    diff = pred - target
-    n = max(pred.size, 1)
-    return float(np.abs(diff).mean()), np.sign(diff) / n
-
-
-def binary_cross_entropy_loss(
-    pred: np.ndarray, target: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """BCE on probabilities in (0, 1); gradient w.r.t. the probability."""
-    eps = 1e-9
-    p = np.clip(pred, eps, 1.0 - eps)
-    loss = -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).mean()
-    n = max(pred.size, 1)
-    grad = (p - target) / (p * (1.0 - p)) / n
-    return float(loss), grad
-
-
-_LOSSES: dict[str, Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]] = {
-    "mse": mse_loss,
-    "mae": mae_loss,
-    "bce": binary_cross_entropy_loss,
-}
-
-
 @dataclass
 class TrainLog:
     """Per-epoch training diagnostics returned by :meth:`MLP.fit`."""
@@ -249,8 +222,6 @@ class MLP:
         Input feature dimension.
     hidden:
         Sizes of hidden layers, e.g. ``(64, 64)``.
-    out_dim:
-        Output dimension (1 for scalar regression).
     output_activation:
         ``"sigmoid"`` for probabilities, ``None`` for regression.
     seed:
@@ -262,13 +233,11 @@ class MLP:
         self,
         in_dim: int,
         hidden: Sequence[int] = (64, 64),
-        out_dim: int = 1,
         *,
         output_activation: str | None = None,
         seed: int = 0,
     ) -> None:
         self.in_dim = in_dim
-        self.out_dim = out_dim
         rng = np.random.default_rng(seed)
         layers: list[Layer] = []
         prev = in_dim
@@ -276,7 +245,7 @@ class MLP:
             layers.append(Dense(prev, width, rng=rng))
             layers.append(ReLU())
             prev = width
-        layers.append(Dense(prev, out_dim, init="xavier", rng=rng))
+        layers.append(Dense(prev, 1, init="xavier", rng=rng))
         if output_activation == "sigmoid":
             layers.append(Sigmoid())
         elif output_activation is not None:
@@ -308,11 +277,11 @@ class MLP:
         *,
         epochs: int = 100,
         lr: float = 1e-3,
-        loss: str = "mse",
         val_fraction: float = 0.0,
         sample_weight: np.ndarray | None = None,
     ) -> TrainLog:
-        """Train with Adam and mini-batches; returns a :class:`TrainLog`.
+        """Train with Adam and mini-batches on the squared error; returns a
+        :class:`TrainLog`.
 
         When ``val_fraction > 0`` a validation split is held out; training
         stops after 10 epochs without a better validation loss and the best
@@ -326,9 +295,6 @@ class MLP:
             raise ValueError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
         if x.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
-        if loss not in _LOSSES:
-            raise ValueError(f"unknown loss {loss!r}; choose from {sorted(_LOSSES)}")
-        loss_fn = _LOSSES[loss]
 
         self._fit_normalizer(x)
         x = self._normalize(x)
@@ -363,7 +329,7 @@ class MLP:
             for start in range(0, n, _BATCH_SIZE):
                 batch = order[start : start + _BATCH_SIZE]
                 pred = self.net.forward(x[batch])
-                value, grad = loss_fn(pred, y[batch])
+                value, grad = mse_loss(pred, y[batch])
                 if sample_weight is not None:
                     w = sample_weight[batch][:, None]
                     value = float((w * (pred - y[batch]) ** 2).mean())
@@ -376,7 +342,7 @@ class MLP:
 
             if val_x is not None:
                 val_pred = self.net.forward(val_x)
-                val_value, _ = loss_fn(val_pred, val_y)
+                val_value, _ = mse_loss(val_pred, val_y)
                 log.val_losses.append(val_value)
                 if val_value < best_val - 1e-9:
                     best_val = val_value
@@ -398,7 +364,5 @@ class MLP:
         single = x.ndim == 1
         if single:
             x = x[None, :]
-        out = self.net.forward(self._normalize(x))
-        if self.out_dim == 1:
-            out = out[:, 0]
+        out = self.net.forward(self._normalize(x))[:, 0]
         return out[0] if single else out

@@ -23,6 +23,8 @@ __all__ = ["SetConvNet"]
 
 #: queries per Adam step of :meth:`SetConvNet.fit`
 _BATCH_SIZE = 64
+#: width of the per-element MLPs, the pooled vectors and the head's hidden layer
+_HIDDEN = 64
 
 
 class _SetModule:
@@ -121,10 +123,6 @@ class SetConvNet:
     modules:
         Mapping from set name (e.g. ``"tables"``, ``"joins"``, ``"preds"``)
         to the per-element feature dimension of that set.
-    hidden:
-        Width of the per-element MLPs and pooled representations.
-    head_hidden:
-        Width of the final MLP hidden layer.
 
     The model regresses a scalar in ``[0, 1]`` through a sigmoid; callers
     (cardinality estimators) are responsible for scaling targets into that
@@ -135,8 +133,6 @@ class SetConvNet:
         self,
         modules: Mapping[str, int],
         *,
-        hidden: int = 64,
-        head_hidden: int = 64,
         pooling: str = "avg",
         seed: int = 0,
     ) -> None:
@@ -145,13 +141,13 @@ class SetConvNet:
         rng = np.random.default_rng(seed)
         self.module_names = list(modules)
         self.modules = {
-            name: _SetModule(dim, hidden, rng, pooling=pooling)
+            name: _SetModule(dim, _HIDDEN, rng, pooling=pooling)
             for name, dim in modules.items()
         }
-        in_dim = hidden * len(self.modules)
-        self.w1 = rng.normal(0.0, math.sqrt(2.0 / in_dim), size=(in_dim, head_hidden))
-        self.b1 = np.zeros(head_hidden)
-        self.w2 = rng.normal(0.0, math.sqrt(1.0 / head_hidden), size=(head_hidden, 1))
+        in_dim = _HIDDEN * len(self.modules)
+        self.w1 = rng.normal(0.0, math.sqrt(2.0 / in_dim), size=(in_dim, _HIDDEN))
+        self.b1 = np.zeros(_HIDDEN)
+        self.w2 = rng.normal(0.0, math.sqrt(1.0 / _HIDDEN), size=(_HIDDEN, 1))
         self.b2 = np.zeros(1)
         self._head_grads = [
             np.zeros_like(p) for p in (self.w1, self.b1, self.w2, self.b2)

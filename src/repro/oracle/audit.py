@@ -14,9 +14,6 @@ byte-identical same-seed determinism contract.
 
 from __future__ import annotations
 
-from repro.engine.executor import CardinalityExecutor, IntermediateTooLarge
-from repro.engine.plans import Plan
-from repro.oracle.planexec import PlanInterpreter, PlanResultTooLarge
 from repro.oracle.reference import ReferenceTooLarge, reference_count
 from repro.oracle.report import OracleReport, Violation
 from repro.sql.query import Query, query_hash
@@ -28,28 +25,25 @@ __all__ = ["OnlineAuditor"]
 class OnlineAuditor:
     """Re-verify a deterministic 1-in-``every`` sample of served queries.
 
-    ``observe`` checks a reported cardinality against the reference count;
-    ``observe_plan`` checks a served plan's literal execution against the
-    exact executor.  Both return the audit tag recorded in telemetry:
-    ``""`` (not sampled), ``"ok"``, ``"violation"`` or ``"skipped"`` (the
-    re-verification itself was too expensive under the row guards).
+    ``observe`` checks a reported cardinality against the reference count,
+    files its tag on the ``bus`` it is given and returns it: ``""`` (not
+    sampled), ``"ok"``, ``"violation"`` or ``"skipped"`` (the
+    re-verification itself was too expensive under the 200,000-row guard).
     """
+
+    max_rows = 200_000
 
     def __init__(
         self,
         db: Database,
         *,
         every: int = 16,
-        max_rows: int = 200_000,
-        telemetry=None,
         bound_guard=None,
     ) -> None:
         if every < 1:
             raise ValueError(f"audit sampling period must be >= 1, got {every}")
         self.db = db
         self.every = every
-        self.max_rows = max_rows
-        self.telemetry = telemetry
         # Optional repro.faults.BoundGuard: every exact count the audit
         # derives is also checked against the certified upper bound, so a
         # violated bound (drift without refresh) trips serving degradation
@@ -57,10 +51,6 @@ class OnlineAuditor:
         self.bound_guard = bound_guard
         self.report = OracleReport()
         self._observed = 0
-        # The plan path keeps its own executor; its memo doubles as the
-        # audit's cache so repeated queries stay cheap.
-        self._executor = CardinalityExecutor(db)
-        self._interpreter = PlanInterpreter(db, max_rows=max_rows)
 
     # -- sampling ----------------------------------------------------------------
 
@@ -70,7 +60,6 @@ class OnlineAuditor:
         return turn % self.every == 0
 
     def _file(self, tag: str, bus) -> str:
-        bus = bus if bus is not None else self.telemetry
         if bus is not None:
             bus.incr("oracle.audited")
             if tag == "violation":
@@ -93,9 +82,7 @@ class OnlineAuditor:
         except ReferenceTooLarge:
             return self._file("skipped", bus)
         if self.bound_guard is not None:
-            self.bound_guard.observe_count(
-                query, truth, bus=bus if bus is not None else self.telemetry
-            )
+            self.bound_guard.observe_count(query, truth, bus=bus)
         if truth != int(reported_cardinality):
             self.report.extend(
                 [
@@ -106,32 +93,6 @@ class OnlineAuditor:
                         expected=str(truth),
                         actual=str(int(reported_cardinality)),
                         detail=query.to_sql(),
-                    )
-                ]
-            )
-            return self._file("violation", bus)
-        return self._file("ok", bus)
-
-    def observe_plan(self, query: Query, plan: Plan, *, bus=None) -> str:
-        """Audit a served plan: literal execution vs the exact count."""
-        if not self._sampled():
-            return ""
-        self.report.record_check("audit")
-        try:
-            exact = self._executor.cardinality(query)
-            produced = self._interpreter.count(plan)
-        except (IntermediateTooLarge, PlanResultTooLarge):
-            return self._file("skipped", bus)
-        if produced != exact:
-            self.report.extend(
-                [
-                    Violation(
-                        layer="audit",
-                        check="served_plan",
-                        subject=query_hash(query),
-                        expected=str(exact),
-                        actual=str(produced),
-                        detail=plan.signature(),
                     )
                 ]
             )

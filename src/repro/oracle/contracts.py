@@ -43,10 +43,11 @@ class EstimatorContractChecker:
 
     ``monotonic`` enables the predicate-tightening checks (on by default;
     turn off for learned estimators that only satisfy it approximately).
-    ``tolerance`` is the multiplicative slack tightened estimates may gain
-    before we call it a violation.
     """
 
+    #: multiplicative slack tightened estimates may gain before we call it
+    #: a violation
+    tolerance = 1.001
     #: absolute row count an out-of-domain estimate may report and still
     #: count as "zero"
     zero_tolerance = 0.5
@@ -58,15 +59,12 @@ class EstimatorContractChecker:
         db: Database,
         estimator,
         *,
-        name: str | None = None,
         monotonic: bool = True,
-        tolerance: float = 1.001,
     ) -> None:
         self.db = db
         self.estimator = estimator
-        self.name = name if name is not None else type(estimator).__name__
+        self.name = type(estimator).__name__
         self.monotonic = monotonic
-        self.tolerance = tolerance
         self.checks_run = 0
 
     # -- helpers -----------------------------------------------------------------
@@ -328,10 +326,8 @@ class EstimatorContractChecker:
 
     # -- versioning contract -------------------------------------------------------
 
-    def check_version_bump(
-        self, mutate: Callable[[object], None], label: str = "mutate"
-    ) -> list[Violation]:
-        """Apply ``mutate(estimator)`` and require ``estimates_version`` grew.
+    def check_version_bump(self, refit: Callable[[object], None]) -> list[Violation]:
+        """Apply ``refit(estimator)`` and require ``estimates_version`` grew.
 
         Estimators without an ``estimates_version`` attribute are skipped
         (the contract only binds estimators that participate in version-
@@ -340,13 +336,13 @@ class EstimatorContractChecker:
         before = getattr(self.estimator, "estimates_version", None)
         if before is None:
             return []
-        mutate(self.estimator)
+        refit(self.estimator)
         self.checks_run += 1
         after = getattr(self.estimator, "estimates_version", 0)
         if after <= before:
             return [
                 self._violation(
-                    f"version_bump:{label}",
+                    "version_bump:refit",
                     "estimates_version",
                     f"> {before}",
                     str(after),

@@ -39,10 +39,12 @@ class PlanEquivalenceChecker:
 
     Parameters mirror the serving stack: ``optimizer`` is the native
     optimizer whose enumerator produces the plans (a fresh one is built
-    when omitted); ``SCALING_FACTORS`` adds Lero-arm plan diversity via
-    :class:`~repro.core.interfaces.ScaledCardinalities`.  ``max_rows``
-    guards the literal interpreter; plans whose true intermediates exceed
-    it are skipped (counted in :attr:`skipped`), not failed.
+    when omitted) under each of Bao's arms; ``SCALING_FACTORS`` adds
+    Lero-arm plan diversity via
+    :class:`~repro.core.interfaces.ScaledCardinalities`.  The literal
+    interpreter runs under a 2,000,000-row guard; plans whose true
+    intermediates exceed it are skipped (counted in :attr:`skipped`), not
+    failed.
     """
 
     def __init__(
@@ -50,14 +52,12 @@ class PlanEquivalenceChecker:
         db: Database,
         optimizer: Optimizer | None = None,
         *,
-        arms: list[HintSet] | None = None,
-        max_rows: int = 2_000_000,
         check_reference: bool = True,
     ) -> None:
         self.db = db
         self.optimizer = optimizer if optimizer is not None else Optimizer(db)
-        self.arms = arms if arms is not None else HintSet.bao_arms()
-        self.interpreter = PlanInterpreter(db, max_rows=max_rows)
+        self.arms = HintSet.bao_arms()
+        self.interpreter = PlanInterpreter(db)
         self.executor = CardinalityExecutor(db)
         self.check_reference = check_reference
         self.plans_checked = 0

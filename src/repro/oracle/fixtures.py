@@ -29,8 +29,9 @@ __all__ = ["make_deep_chain", "make_probe_table", "chain_query"]
 _BASE_COUNTS = (101, 103, 107, 109, 113)
 
 
-def make_probe_table(n_rows: int = 700) -> Table:
-    """The ``probe`` table: columns that stress domain-edge selectivity."""
+def make_probe_table() -> Table:
+    """The 700-row ``probe`` table: columns that stress domain-edge
+    selectivity."""
     # skew: ten heavy values own the MCV list; the non-MCV remainder mixes
     # 167 distinct values with 33 copies of the maximum (5000), which span
     # several full equi-depth buckets -> degenerate buckets at the max.
@@ -45,12 +46,10 @@ def make_probe_table(n_rows: int = 700) -> Table:
     # the domain edge are only correct with true open-endpoint semantics.
     big = (1_999_999_000 + (np.arange(skew.size) % 100) * 10).astype(np.int64)
     big[-60:] = 2_000_000_000
-    if skew.size != n_rows:
-        raise ValueError(f"probe construction yields {skew.size} rows")
     return Table(
         "probe",
         [
-            Column("id", np.arange(n_rows, dtype=np.int64), is_key=True),
+            Column("id", np.arange(skew.size, dtype=np.int64), is_key=True),
             Column("skew", np.sort(skew)),
             Column("big", np.sort(big)),
         ],

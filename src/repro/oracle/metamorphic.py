@@ -55,13 +55,9 @@ TRANSFORMS: dict[
 class MetamorphicSuite:
     """Run result-preserving transforms over a workload and compare counts."""
 
-    def __init__(
-        self, db: Database, executor: CardinalityExecutor | None = None
-    ) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.executor = (
-            executor if executor is not None else CardinalityExecutor(db)
-        )
+        self.executor = CardinalityExecutor(db)
         self.checks_run = 0
         self.skipped = 0
 

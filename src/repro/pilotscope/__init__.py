@@ -23,7 +23,7 @@ An AI4DB middleware decoupling ML drivers from database internals:
 """
 
 from repro.pilotscope.postgres_sim import SimulatedPostgreSQL
-from repro.pilotscope.driver import Driver, DriverConfig
+from repro.pilotscope.driver import Driver
 from repro.pilotscope.console import PilotScopeConsole
 from repro.pilotscope.drivers import (
     BaoDriver,
@@ -34,7 +34,6 @@ from repro.pilotscope.drivers import (
 __all__ = [
     "SimulatedPostgreSQL",
     "Driver",
-    "DriverConfig",
     "PilotScopeConsole",
     "CardinalityInjectionDriver",
     "BaoDriver",

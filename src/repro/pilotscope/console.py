@@ -27,7 +27,6 @@ from repro.core.errors import ConfigError, DriverError, EstimationError
 from repro.core.records import slot_init
 from repro.engine.simulator import ExecutionResult
 from repro.faults.resilience import RetryPolicy
-from repro.pilotscope.driver import DriverConfig
 from repro.pilotscope.interactor import DBInteractor
 from repro.sql.parser import parse_query
 from repro.sql.query import Query
@@ -63,16 +62,12 @@ class PilotScopeConsole:
         interactor: DBInteractor,
         *,
         max_log_entries: int | None = 10_000,
-        telemetry=None,
         plan_cache=None,
     ) -> None:
         """``max_log_entries`` caps :attr:`query_log` (oldest entries are
         dropped first) so sustained traffic cannot grow memory without
         bound; ``None`` keeps the log unbounded.  The totals below keep
         counting past the cap.
-
-        ``telemetry`` is an optional :class:`repro.serve.TelemetryBus`
-        receiving ``console.*`` counters.
 
         ``plan_cache`` is an optional
         :class:`repro.optimizer.PlanCache`: natively-served queries (no
@@ -90,7 +85,6 @@ class PilotScopeConsole:
         #: outside ``query_log`` so it survives any log cap
         self.last_served_by: str | None = None
         self.retry_policy = RetryPolicy()
-        self.telemetry = telemetry
         self.plan_cache = plan_cache
         self.driver_errors = 0
         self.retries = 0
@@ -99,10 +93,6 @@ class PilotScopeConsole:
         self._updates_every = 0
         self._queries_since_update = 0
 
-    def _incr(self, name: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.incr(name)
-
     # -- driver management -----------------------------------------------------------
 
     def register_driver(self, driver) -> None:
@@ -110,9 +100,7 @@ class PilotScopeConsole:
             raise ConfigError(f"driver {driver.name!r} already registered")
         self._drivers[driver.name] = _DriverSlot(driver=driver)
 
-    def start_driver(
-        self, name: str, config: DriverConfig | None = None
-    ) -> None:
+    def start_driver(self, name: str) -> None:
         slot = self._slot(name)
         # Only one optimizer-replacing driver may be active at a time --
         # they would fight over the same injection point.  Checked before
@@ -128,7 +116,7 @@ class PilotScopeConsole:
                         f"cannot start {name!r}: optimizer driver "
                         f"{other_name!r} is already active"
                     )
-        slot.driver.init(self.interactor, config)
+        slot.driver.init(self.interactor)
         slot.active = True
 
     def stop_driver(self, name: str) -> None:
@@ -175,17 +163,14 @@ class PilotScopeConsole:
                 return driver.algo(query)
             except _RETRYABLE:
                 self.driver_errors += 1
-                self._incr("console.driver_errors")
                 attempt += 1
                 if attempt >= self.retry_policy.max_attempts:
                     self.native_fallbacks += 1
-                    self._incr("console.native_fallbacks")
                     return None
                 self.retries += 1
                 self.retry_backoff_total_ms += self.retry_policy.backoff_ms(
                     attempt - 1
                 )
-                self._incr("console.retries")
 
     def _execute_native(self, query: Query) -> ExecutionResult:
         """Native execution, through the plan cache when one is wired.
@@ -196,8 +181,7 @@ class PilotScopeConsole:
         """
         if self.plan_cache is None:
             return self.interactor.execute_default(query)
-        plan, hit = self.interactor.optimizer.plan_cached(query, self.plan_cache)
-        self._incr("plan_cache.hits" if hit else "plan_cache.misses")
+        plan, _ = self.interactor.optimizer.plan_cached(query, self.plan_cache)
         return self.interactor.simulator.execute(plan)
 
     def execute(self, sql_or_query: str | Query) -> ExecutionResult:

@@ -14,24 +14,12 @@ and training phases, and ``background_update`` for keeping models fresh.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-
 from repro.core.errors import DriverError
 from repro.engine.simulator import ExecutionResult
 from repro.pilotscope.interactor import DBInteractor
 from repro.sql.query import Query
 
-__all__ = ["DriverConfig", "Driver"]
-
-
-@dataclass
-class DriverConfig:
-    """Free-form driver configuration passed at init time."""
-
-    options: dict[str, object] = field(default_factory=dict)
-
-    def get(self, key: str, default=None):
-        return self.options.get(key, default)
+__all__ = ["Driver"]
 
 
 class Driver(abc.ABC):
@@ -47,16 +35,13 @@ class Driver(abc.ABC):
 
     def __init__(self) -> None:
         self.interactor: DBInteractor | None = None
-        self.config = DriverConfig()
         self.started = False
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def init(self, interactor: DBInteractor, config: DriverConfig | None = None) -> None:
-        """Prepare the driver: bind the interactor, validate config."""
+    def init(self, interactor: DBInteractor) -> None:
+        """Prepare the driver: bind the interactor."""
         self.interactor = interactor
-        if config is not None:
-            self.config = config
         self._prepare()
         self.started = True
 

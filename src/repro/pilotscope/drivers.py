@@ -137,13 +137,9 @@ class BaoDriver(_SteeringDriverBase):
 
     name = "bao_driver"
 
-    def __init__(
-        self,
-        arms: list[HintSet] | None = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         super().__init__(seed=seed)
-        self.arms = arms if arms is not None else HintSet.bao_arms()
+        self.arms = HintSet.bao_arms()
 
     def _build_risk_model(self, featurizer: PlanFeaturizer):
         return TreeConvLatencyModel(featurizer, thompson=True, seed=self.seed)

@@ -94,17 +94,10 @@ class _SimSession(PilotSession):
 class SimulatedPostgreSQL(DBInteractor):
     """DB interactor over the in-repo engine (optimizer + simulator)."""
 
-    def __init__(
-        self,
-        db: Database,
-        optimizer: Optimizer | None = None,
-        simulator: ExecutionSimulator | None = None,
-    ) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.optimizer = optimizer if optimizer is not None else Optimizer(db)
-        self.simulator = (
-            simulator if simulator is not None else ExecutionSimulator(db)
-        )
+        self.optimizer = Optimizer(db)
+        self.simulator = ExecutionSimulator(db)
 
     def open_session(self) -> PilotSession:
         return _SimSession(self)

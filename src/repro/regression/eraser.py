@@ -45,17 +45,11 @@ class Eraser:
     """Two-stage regression eliminator; use as an OptimizationLoop guard."""
 
     min_cluster_history = 3  # observations before a cluster may veto
+    n_clusters = 8
+    regression_threshold = 1.4  # candidate / native latency a cluster's tail may not exceed
 
-    def __init__(
-        self,
-        featurizer: PlanFeaturizer,
-        *,
-        n_clusters: int = 8,
-        regression_threshold: float = 1.4,
-    ) -> None:
+    def __init__(self, featurizer: PlanFeaturizer) -> None:
         self.featurizer = featurizer
-        self.n_clusters = n_clusters
-        self.regression_threshold = regression_threshold
         self._seen_features: set[str] = set()
         self._vectors: list[np.ndarray] = []
         self._regressions: list[float] = []  # log(candidate / native)

@@ -23,17 +23,12 @@ class PerfGuard:
     """Pairwise veto guard; use as an OptimizationLoop guard.  :meth:`record`
     only records; a ``RetrainCadence`` on the guard calls :meth:`retrain`."""
 
-    def __init__(
-        self,
-        featurizer: PlanFeaturizer,
-        *,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, featurizer: PlanFeaturizer) -> None:
         """Vetoes when P(candidate slower than native) exceeds 0.45 --
         a little more conservative than vetoing whenever the model leans
         negative."""
         self.featurizer = featurizer
-        self.comparator = PairwisePlanComparator(featurizer, seed=seed)
+        self.comparator = PairwisePlanComparator(featurizer, seed=0)
         self.feedbacks = 0
         self.interventions = 0
         self.decisions = 0

@@ -74,13 +74,11 @@ class PromotionLeaderboard:
     Parameters
     ----------
     db:
-        The live database; values relations attach to it in place.
-    optimizer:
-        Plans originals and rewrites.  Use the same optimizer the serving
-        stack plans with so values-relation statistics stay in sync.
-    simulator:
-        Timing simulator (dedicated by default, so measurement does not
-        pollute a serving simulator's counters).
+        The live database; values relations attach to it in place.  The
+        leaderboard's own :attr:`optimizer` plans originals and rewrites;
+        a serving stack plans with it too (as
+        :class:`~repro.rewrite.optimizer.RewritingOptimizer`
+        does), so values-relation statistics stay in sync.
     store:
         Optional :class:`~repro.rewrite.retrieval.GoldExampleStore`; when
         given, rules whose cluster weight falls below ``selection_cutoff``
@@ -101,28 +99,19 @@ class PromotionLeaderboard:
         self,
         db: Database,
         *,
-        optimizer: Optimizer | None = None,
-        simulator: ExecutionSimulator | None = None,
-        validator: RewriteValidator | None = None,
         store: GoldExampleStore | None = None,
         telemetry=None,
-        rules=None,
     ) -> None:
         self.db = db
-        self.optimizer = optimizer if optimizer is not None else Optimizer(db)
-        self.validator = (
-            validator if validator is not None else RewriteValidator(db)
-        )
+        self.optimizer = Optimizer(db)
+        self.validator = RewriteValidator(db)
         self.executor: CardinalityExecutor = self.validator.executor
-        self.simulator = (
-            simulator
-            if simulator is not None
-            else ExecutionSimulator(db, executor=self.executor)
-        )
+        # dedicated, so measurement does not pollute a serving simulator's counters
+        self.simulator = ExecutionSimulator(db, executor=self.executor)
         self.store = store
         self.telemetry = telemetry
         self.catalog = ValuesCatalog(db, stats=self.optimizer.stats)
-        self.rules = dict(rules) if rules is not None else dict(REWRITE_RULES)
+        self.rules = dict(REWRITE_RULES)
         self._entries: list[LeaderboardEntry] = []
         self._by_query: dict[str, list[LeaderboardEntry]] = {}
         self._promoted: dict[str, tuple[RewriteCandidate, LeaderboardEntry]] = {}

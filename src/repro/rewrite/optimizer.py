@@ -38,27 +38,16 @@ __all__ = ["RewritingOptimizer", "RewriteDriver"]
 class RewritingOptimizer:
     """A learned optimizer that serves oracle-validated promoted rewrites."""
 
-    def __init__(
-        self,
-        leaderboard: PromotionLeaderboard,
-        inner=None,
-        *,
-        name: str | None = None,
-    ) -> None:
-        """``inner`` optionally handles queries with no promoted rewrite
-        (any ``choose_plan``/``record_feedback`` model, e.g. Bao); without
-        one they are served with the leaderboard optimizer's native plan.
+    name = "rewrite"
+
+    def __init__(self, leaderboard: PromotionLeaderboard) -> None:
+        """Queries with no promoted rewrite are served with the leaderboard
+        optimizer's native plan.
 
         The full candidate/validate/promote pipeline runs the first time
         each query is seen (submission is idempotent)."""
         self.leaderboard = leaderboard
-        self.inner = inner
-        inner_name = getattr(inner, "name", None) if inner is not None else None
-        self.name = name or (
-            f"rewrite+{inner_name}" if inner_name else "rewrite"
-        )
         self.rewrites_served = 0
-        self.delegated = 0
 
     def choose_plan(self, query: Query) -> CandidatePlan:
         self.leaderboard.submit(query)
@@ -68,9 +57,6 @@ class RewritingOptimizer:
             plan = self.leaderboard.optimizer.plan(candidate.rewritten)
             self.rewrites_served += 1
             return CandidatePlan(plan=plan, source=f"rewrite:{entry.rule}")
-        if self.inner is not None:
-            self.delegated += 1
-            return self.inner.choose_plan(query)
         return CandidatePlan(
             plan=self.leaderboard.optimizer.plan(query), source="native"
         )
@@ -81,14 +67,6 @@ class RewritingOptimizer:
         if candidate.source.startswith("rewrite:"):
             rule = candidate.source.split(":", 1)[1]
             self.leaderboard.observe_served(query, rule, latency_ms)
-        elif self.inner is not None:
-            self.inner.record_feedback(query, candidate, latency_ms)
-
-    def stats(self) -> dict:
-        return {
-            "rewrites_served": self.rewrites_served,
-            "delegated": self.delegated,
-        }
 
 
 class RewriteDriver(Driver):

@@ -50,9 +50,12 @@ class GoldExampleStore:
         Base database (featurizer dimensions snapshot the schema, so build
         the store before any values relations are attached and featurize
         only original -- pre-rewrite -- queries).
-    n_clusters / seed:
-        KMeans configuration; fixed seed makes retrieval deterministic.
+    seed:
+        The KMeans seed (of ``n_clusters`` clusters); a fixed seed makes
+        retrieval deterministic.
     """
+
+    n_clusters = 4
 
     #: additive weight delta per same-cluster example of each kind
     gold_boost = 0.25
@@ -60,9 +63,8 @@ class GoldExampleStore:
     #: floor so a heavily-penalized rule never goes negative
     min_weight = 0.05
 
-    def __init__(self, db: Database, *, n_clusters: int = 4, seed: int = 0) -> None:
+    def __init__(self, db: Database, *, seed: int = 0) -> None:
         self.featurizer = FlatQueryFeaturizer(db)
-        self.n_clusters = n_clusters
         self.seed = seed
         self._examples: list[RewriteExample] = []
         self._vectors: list[np.ndarray] = []

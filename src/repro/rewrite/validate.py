@@ -51,13 +51,9 @@ class ValidationResult:
 class RewriteValidator:
     """Exact count-preservation checks for rewrite candidates."""
 
-    def __init__(
-        self, db: Database, executor: CardinalityExecutor | None = None
-    ) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.executor = (
-            executor if executor is not None else CardinalityExecutor(db)
-        )
+        self.executor = CardinalityExecutor(db)
         self.checked = 0
         self.mismatches = 0
         self.skipped = 0

@@ -48,10 +48,11 @@ class ValuesCatalog:
         planner can cost plans over it immediately.
     """
 
-    def __init__(self, db: Database, stats=None, prefix: str = "vals") -> None:
+    prefix = "vals"  # every values relation's table name starts ``vals_``
+
+    def __init__(self, db: Database, stats=None) -> None:
         self.db = db
         self.stats = stats
-        self.prefix = prefix
         self.attachments = 0
         self.reuses = 0
 

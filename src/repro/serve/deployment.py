@@ -223,14 +223,13 @@ class DeploymentManager:
         model,
         *,
         version: str | None = None,
-        stage: Stage = Stage.SHADOW,
         reason: str = "gate_passed",
     ) -> None:
-        """Swap in a new (gated) model, entering at ``stage``.
+        """Swap in a new (gated) model, entering at SHADOW.
 
         This is how a registry-versioned challenger that passed the
         :class:`repro.lifecycle.EvalGate` takes over: it starts in SHADOW
-        by default -- off the serving path -- and earns promotion through
+        -- off the serving path -- and earns promotion through
         the same rolling-window machinery as any other staged model.  The
         regression window resets; the previous model keeps whatever stage
         history the registry recorded for it.  ``deploy`` also re-arms a
@@ -244,11 +243,11 @@ class DeploymentManager:
             "model_deployed",
             deployment=self.name,
             version=version or "",
-            stage=stage.value,
+            stage=Stage.SHADOW.value,
             reason=reason,
             at_query=self.queries_served,
         )
-        self._enter(stage, reason)
+        self._enter(Stage.SHADOW, reason)
 
     # -- regression window ------------------------------------------------------------
 

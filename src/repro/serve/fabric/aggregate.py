@@ -6,12 +6,11 @@ TelemetryBus` and produces one merged export via
 :meth:`TelemetryBus.merged`.  All the heavy lifting -- summing counters,
 pooling histogram samples (exact up to 65,536 per histogram, decimated
 past that -- ROADMAP item 1(a)), re-emitting events with a
-``source`` field, namespacing gauges -- lives on the bus classes; the
-aggregator's job is to fix the *source naming* (``"fabric"``,
-``"shard00"``...) so merged gauge/event names are stable, and to assert
-the property the determinism gate relies on: merge order cannot change
-the export bytes (sources are composed in sorted-name order regardless
-of insertion order).
+``source`` field, namespacing gauges -- lives on the bus classes,
+and :meth:`TelemetryBus.merged` composes sources in sorted-name order, so
+merge order cannot change the export bytes (the property the determinism
+gate relies on).  The aggregator's job is to fix the *source naming*
+(``"fabric"``, ``"shard00"``...) so merged gauge/event names are stable.
 """
 
 from __future__ import annotations
@@ -32,15 +31,11 @@ class TelemetryAggregator:
         shard_buses: dict[str, TelemetryBus] | None = None,
     ) -> None:
         self.sources: dict[str, TelemetryBus] = {}
-        if fabric_bus is not None:
-            self.add_source("fabric", fabric_bus)
-        for name, bus in (shard_buses or {}).items():
-            self.add_source(name, bus)
-
-    def add_source(self, name: str, bus: TelemetryBus) -> None:
-        if name in self.sources:
-            raise ConfigError(f"telemetry source {name!r} already registered")
-        self.sources[name] = bus
+        named = [("fabric", fabric_bus)] if fabric_bus is not None else []
+        for name, bus in named + list((shard_buses or {}).items()):
+            if name in self.sources:
+                raise ConfigError(f"telemetry source {name!r} already registered")
+            self.sources[name] = bus
 
     def merged(self, *, trace_capacity: int | None = None) -> TelemetryBus:
         """One composed bus over all sources (see :meth:`TelemetryBus.merged`)."""
@@ -48,12 +43,6 @@ class TelemetryAggregator:
             self.sources, trace_capacity=trace_capacity
         )
 
-    def snapshot(self) -> dict:
-        return self.merged().snapshot()
-
     def export_json(self, *, include_traces: bool = False) -> str:
         """Deterministic merged export: canonical JSON, sorted keys."""
         return self.merged().to_json(include_traces=include_traces)
-
-    def render_text(self) -> str:
-        return self.merged().render_text()

@@ -72,7 +72,6 @@ class FabricConfig:
     large benchmark runs use to bound memory.
     """
 
-    route_mode: str = "query_hash"
     seed: int = 0
     background_shed_backlog: int = 8
     batch_shed_backlog: int = 24
@@ -123,7 +122,6 @@ class ServingFabric:
         *,
         config: FabricConfig | None = None,
         router: ShardRouter | None = None,
-        telemetry: TelemetryBus | None = None,
     ) -> None:
         if not shards:
             raise ConfigError("fabric needs at least one shard")
@@ -133,20 +131,11 @@ class ServingFabric:
         self.router = (
             router
             if router is not None
-            else ShardRouter(
-                len(self.shards),
-                mode=self.config.route_mode,
-                seed=self.config.seed,
-            )
+            else ShardRouter(len(self.shards), seed=self.config.seed)
         )
         if self.router.n_shards != len(self.shards):
             raise ConfigError("router shard count != fabric shard count")
-        if self.router.mode != self.config.route_mode:
-            raise ConfigError(
-                f"router routes by {self.router.mode!r} but the fabric config "
-                f"says {self.config.route_mode!r}"
-            )
-        self.telemetry = telemetry if telemetry is not None else TelemetryBus()
+        self.telemetry = TelemetryBus()
         self.telemetry.attach_gauge("router", self.router.stats)
         self.telemetry.attach_gauge("tenants", self.tenants.stats)
         self.aggregator = TelemetryAggregator(

@@ -3,7 +3,7 @@
 :class:`ShardRouter` partitions traffic over ``n_shards`` serving shards
 by the canonical :func:`repro.sql.query.query_hash` (the same 12-hex
 identity the canary split, the cardinality cache and the plan cache key
-by) or by tenant id.  Placement is *two-choice*: each routing key hashes
+by), or, when pinned, by tenant id.  Placement is *two-choice*: each routing key hashes
 to an ordered pair of candidate shards (a seeded sha256 derivation, so
 the pair is a pure function of ``(seed, key)``), and the less-loaded
 healthy candidate wins, ties broken toward the primary candidate and
@@ -29,10 +29,7 @@ import hashlib
 from repro.core.errors import ConfigError
 from repro.core.lru import BoundedLRU
 
-__all__ = ["ROUTE_MODES", "ShardRouter"]
-
-#: accepted partitioning modes
-ROUTE_MODES = ("query_hash", "tenant", "pinned")
+__all__ = ["ShardRouter"]
 
 #: keys whose candidate pair stays memoized; an evicted key's pair is
 #: derived again, identically (it is a pure function of ``(seed, key)``)
@@ -42,9 +39,8 @@ PAIR_CAPACITY = 65_536
 class ShardRouter:
     """Two-choice rendezvous routing over ``n_shards`` with failover.
 
-    Mode ``"pinned"`` bypasses two-choice placement: an explicit
-    ``pinned`` map assigns each tenant id to one shard, with *no*
-    failover -- the shard owns state (e.g. that tenant's database) that
+    A ``pinned`` map bypasses two-choice placement: it assigns each tenant
+    id to one shard, with *no* failover -- the shard owns state (e.g. that tenant's database) that
     no other shard can serve, so an unhealthy pinned shard makes the
     request ``unroutable`` rather than misrouted.  This is what the
     cross-schema transfer fleet uses: one tenant per generated schema,
@@ -55,22 +51,16 @@ class ShardRouter:
         self,
         n_shards: int,
         *,
-        mode: str = "query_hash",
         seed: int = 0,
         pinned: dict[str, int] | None = None,
     ) -> None:
         if n_shards < 1:
             raise ConfigError("need at least one shard")
-        if mode not in ROUTE_MODES:
-            raise ConfigError(f"unknown route mode {mode!r}; one of {ROUTE_MODES}")
-        if (mode == "pinned") != (pinned is not None):
-            raise ConfigError("mode='pinned' requires (and is required by) a pinned map")
         if pinned is not None:
             bad = {k: s for k, s in pinned.items() if not 0 <= s < n_shards}
             if bad:
                 raise ConfigError(f"pinned assignments out of range: {bad}")
         self.n_shards = n_shards
-        self.mode = mode
         self.seed = int(seed)
         self.pinned = dict(pinned) if pinned is not None else None
         self.assignments = [0] * n_shards
@@ -157,9 +147,8 @@ class ShardRouter:
         return chosen
 
     def routing_key(self, query_hash_value: str, tenant_id: str) -> str:
-        """The partition key under the configured mode (tenant id for both
-        ``tenant`` and ``pinned`` modes)."""
-        return query_hash_value if self.mode == "query_hash" else tenant_id
+        """The partition key: the tenant id when pinned, else the query hash."""
+        return query_hash_value if self.pinned is None else tenant_id
 
     # -- reporting ---------------------------------------------------------------
 

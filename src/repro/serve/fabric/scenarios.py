@@ -111,17 +111,11 @@ class FabricScenario:
         return len(self.schedule)
 
 
-def default_tenant_specs(
-    n_tenants: int = 6, *, rate_per_s: float | None = None
-) -> tuple[TenantSpec, ...]:
-    """Equal-weight tenants cycling through the QoS classes."""
+def default_tenant_specs(n_tenants: int = 6) -> tuple[TenantSpec, ...]:
+    """Equal-weight, unthrottled tenants cycling through the QoS classes."""
     qos_cycle = ("interactive", "batch", "background")
     return tuple(
-        TenantSpec(
-            tenant_id=f"tenant{i:02d}",
-            qos=qos_cycle[i % len(qos_cycle)],
-            rate_per_s=rate_per_s,
-        )
+        TenantSpec(tenant_id=f"tenant{i:02d}", qos=qos_cycle[i % len(qos_cycle)])
         for i in range(n_tenants)
     )
 
@@ -150,16 +144,15 @@ def hot_tenant_specs(
     return victims + (hot,)
 
 
-def synthetic_queries(
-    n_templates: int = 240, *, seed: int = 0, scale: float = 0.05
-) -> list[Query]:
-    """A pool of distinct query templates for synthetic fabric runs.
+def synthetic_queries(n_templates: int = 240, *, seed: int = 0) -> list[Query]:
+    """A pool of distinct query templates for synthetic fabric runs, over a
+    STATS-like database at scale 0.05.
 
     Scale runs tile these over 10^5+ requests: real workloads repeat
     templates heavily, ``query_hash`` memoizes per Query object, and the
     router sees a realistic (finite) key population.
     """
-    db = make_stats_lite(scale=scale, seed=seed)
+    db = make_stats_lite(scale=0.05, seed=seed)
     return WorkloadGenerator(db, seed=seed + 1).workload(
         n_templates, 2, 3, require_predicate=True
     )
@@ -173,12 +166,12 @@ def synthetic_fabric(
     n_workers: int = 2,
     shard_config: RuntimeConfig | None = None,
     fabric_config: FabricConfig | None = None,
-    trace_capacity: int = 256,
     fault_plan: FaultPlan | None = None,
 ) -> FabricScenario:
     """Assemble a synthetic-backend fabric (no schedule attached yet --
     pair with :func:`synthetic_queries` + :func:`build_fabric_schedule`,
-    or use the returned scenario's empty schedule slot)."""
+    or use the returned scenario's empty schedule slot); each shard keeps
+    its newest 256 traces."""
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     shards = [
         guarded_shard(
@@ -187,7 +180,7 @@ def synthetic_fabric(
             injector=injector,
             n_workers=n_workers,
             config=shard_config,
-            telemetry=TelemetryBus(trace_capacity=trace_capacity),
+            telemetry=TelemetryBus(trace_capacity=256),
         )
         for i in range(n_shards)
     ]

@@ -219,11 +219,10 @@ def steady_state_scenario(
     n_queries: int = 160,
     n_sessions: int = 8,
     stage: Stage = Stage.CANARY,
-    canary_fraction: float = 0.5,
     config: RuntimeConfig | None = None,
     audit_every: int | None = None,
 ) -> ServingScenario:
-    """Healthy canary under sustained concurrent traffic.
+    """Healthy canary (half the traffic) under sustained concurrent traffic.
 
     ``audit_every`` (off by default) attaches the online oracle: one in
     that many served queries is re-verified against the independent
@@ -243,33 +242,23 @@ def steady_state_scenario(
         config=config,
         audit_every=audit_every,
         stage=stage,
-        canary_fraction=canary_fraction,
+        canary_fraction=0.5,
         regression_threshold=2.5,
     )
 
 
-def parameterized_scenario(
-    *,
-    scale: float = 0.3,
-    seed: int = 0,
-    n_templates: int = 8,
-    bindings_per_template: int = 10,
-    n_sessions: int = 8,
-    config: RuntimeConfig | None = None,
-    plan_cache: PlanCache | None = None,
-) -> ServingScenario:
+def parameterized_scenario(*, scale: float = 0.3, seed: int = 0) -> ServingScenario:
     """A prepared-statement stream served through the plan-cache fast path.
 
-    The workload is ``n_templates`` query templates arriving interleaved
-    with ``bindings_per_template`` literal bindings each; the deployment
-    serves in SHADOW (every query planned natively, the staged model
-    evaluated off-path), so each template is planned once and every later
-    binding replays the cached plan.  Expected hit rate:
-    ``1 - 1/bindings_per_template`` -- 90% at the defaults.
+    The workload is 8 query templates arriving interleaved with 10
+    literal bindings each, over 4 sessions; the deployment serves in
+    SHADOW (every query planned natively, the staged model evaluated
+    off-path), so each template is planned once and every later binding
+    replays the cached plan.  Expected hit rate: 1 - 1/10 = 90%.
     """
     db, native = _native(scale, seed)
     queries = WorkloadGenerator(db, seed=seed + 1).parameterized_workload(
-        n_templates, bindings_per_template, 2, 4, require_predicate=True
+        8, 10, 2, 4, require_predicate=True
     )
     bao = BaoOptimizer(native, seed=seed)
     return _assemble(
@@ -280,45 +269,39 @@ def parameterized_scenario(
         refit=bao,
         seed=seed,
         n_queries=len(queries),
-        n_sessions=n_sessions,
-        config=config,
+        n_sessions=4,
+        config=None,
         queries=queries,
         stage=Stage.SHADOW,
         canary_fraction=0.5,
         regression_threshold=2.5,
-        plan_cache=plan_cache if plan_cache is not None else PlanCache(),
+        plan_cache=PlanCache(),
     )
 
 
 def injected_regression_scenario(
-    *,
-    scale: float = 0.3,
-    seed: int = 0,
-    n_queries: int = 120,
-    n_sessions: int = 8,
-    window: int = 16,
-    min_samples: int = 8,
-    regression_threshold: float = 1.3,
-    config: RuntimeConfig | None = None,
+    *, scale: float = 0.3, n_sessions: int = 8
 ) -> ServingScenario:
-    """A canary that goes bad and must be rolled back automatically."""
-    db, native = _native(scale, seed)
-    bao = BaoOptimizer(native, seed=seed)
+    """A canary that goes bad and must be rolled back automatically: 120
+    queries at seed 0, judged over windows of 16 with at least 8 samples
+    against a 1.3x regression threshold."""
+    db, native = _native(scale, 0)
+    bao = BaoOptimizer(native, seed=0)
     return _assemble(
         "injected_regression",
         db,
         native,
         RegressionInjector(bao, native, trigger_at=20),
         refit=bao,
-        seed=seed,
-        n_queries=n_queries,
+        seed=0,
+        n_queries=120,
         n_sessions=n_sessions,
-        config=config,
+        config=None,
         stage=Stage.CANARY,
         canary_fraction=1.0,
-        regression_threshold=regression_threshold,
-        window=window,
-        min_samples=min_samples,
+        regression_threshold=1.3,
+        window=16,
+        min_samples=8,
     )
 
 
@@ -349,13 +332,10 @@ def chaos_scenario(
     scale: float = 0.3,
     seed: int = 0,
     n_queries: int = 120,
-    n_sessions: int = 8,
     plan: FaultPlan | None = None,
-    stage: Stage = Stage.CANARY,
-    canary_fraction: float = 0.5,
-    config: RuntimeConfig | None = None,
 ) -> ServingScenario:
-    """The serving stack under deterministic fault injection.
+    """The serving stack under deterministic fault injection: a canary on
+    half of 8 sessions' traffic.
 
     The native estimator is wrapped in a fault injector and then a
     :class:`~repro.faults.FallbackEstimator` (histogram fallback behind a
@@ -382,7 +362,6 @@ def chaos_scenario(
         TraditionalCardinalityEstimator(db),
         breaker=estimator_breaker,
         telemetry=bus,
-        name="estimator",
     )
     bus.attach_gauge("fault_injector", injector.stats)
     bus.attach_gauge("fallback_estimator", resilient.stats)
@@ -396,12 +375,12 @@ def chaos_scenario(
         refit=bao,
         seed=seed,
         n_queries=n_queries,
-        n_sessions=n_sessions,
-        config=config,
+        n_sessions=8,
+        config=None,
         injector=injector,
         telemetry=bus,
-        stage=stage,
-        canary_fraction=canary_fraction,
+        stage=Stage.CANARY,
+        canary_fraction=0.5,
         regression_threshold=3.0,
         breaker=CircuitBreaker(
             cooldown_ms=400.0, clock=injector.clock, name="learned", telemetry=bus
@@ -436,11 +415,9 @@ def bound_guard_scenario(
     n_queries: int = 120,
     n_sessions: int = 8,
     plan: FaultPlan | None = None,
-    tolerance: float = 2.0,
-    audit_every: int = 8,
-    config: RuntimeConfig | None = None,
 ) -> ServingScenario:
-    """A fault-injected point estimator serving behind a bound guard.
+    """A fault-injected point estimator serving behind a bound guard
+    (tolerance 2.0, one served query in 8 audited).
 
     The native estimator is wrapped in a seeded fault injector and then in
     a :class:`~repro.faults.BoundGuard` certifying every estimate against
@@ -469,7 +446,7 @@ def bound_guard_scenario(
             telemetry=bus,
         ),
         telemetry=bus,
-        tolerance=tolerance,
+        tolerance=2.0,
     )
     bus.attach_gauge("fault_injector", injector.stats)
     bao = BaoOptimizer(native.with_estimator(guard), seed=seed)
@@ -482,8 +459,8 @@ def bound_guard_scenario(
         seed=seed,
         n_queries=n_queries,
         n_sessions=n_sessions,
-        config=config,
-        audit_every=audit_every,
+        config=None,
+        audit_every=8,
         injector=injector,
         telemetry=bus,
         stage=Stage.CANARY,
@@ -500,7 +477,6 @@ def adversarial_drift_scenario(
     seed: int = 0,
     n_queries: int = 120,
     n_sessions: int = 8,
-    config: RuntimeConfig | None = None,
 ) -> ServingScenario:
     """Optimistic vs pessimistic serving while join fan-out explodes.
 
@@ -552,7 +528,7 @@ def adversarial_drift_scenario(
         seed=seed,
         n_queries=n_queries,
         n_sessions=n_sessions,
-        config=config,
+        config=None,
         queries=queries,
         stage=Stage.LIVE,
         monitor_native=False,

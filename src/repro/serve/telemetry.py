@@ -72,10 +72,9 @@ class Histogram:
             self._values = self._values[::2]
 
     @classmethod
-    def merged(
-        cls, histograms: "list[Histogram]", capacity: int | None = None
-    ) -> "Histogram":
-        """Combine histograms recorded independently (e.g. one per shard).
+    def merged(cls, histograms: "list[Histogram]") -> "Histogram":
+        """Combine histograms recorded independently (e.g. one per shard),
+        at the largest of their capacities.
 
         The merge is a pure function of the *multiset* of inputs: retained
         samples are pooled, sorted, then decimated once against the target
@@ -84,8 +83,7 @@ class Histogram:
         the same histograms in any order produces byte-identical summaries
         -- the property the fabric aggregator's determinism gate relies on.
         """
-        if capacity is None:
-            capacity = max((h.capacity for h in histograms), default=65_536)
+        capacity = max((h.capacity for h in histograms), default=65_536)
         out = cls(capacity)
         values: list[float] = []
         for h in histograms:

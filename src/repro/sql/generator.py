@@ -407,13 +407,9 @@ class WorkloadGenerator:
         lo, hi = min(a, b), max(a, b)
         return [Predicate(ref, Op.GE, lo), Predicate(ref, Op.LE, hi)]
 
-    def rewrite_susceptible_workload(
-        self,
-        n_queries: int,
-        min_tables: int = 2,
-        max_tables: int = 4,
-    ) -> list[Query]:
-        """Queries deliberately shaped for the rewrite rule library.
+    def rewrite_susceptible_workload(self, n_queries: int) -> list[Query]:
+        """Queries of 2-4 tables deliberately shaped for the rewrite rule
+        library.
 
         Each shape is injected with a per-query probability:
 
@@ -434,14 +430,12 @@ class WorkloadGenerator:
         out: list[Query] = []
         for _ in range(n_queries):
             cap = self.max_component_size
-            if min_tables > cap:
+            if cap < 2:
                 raise ValueError(
-                    f"min_tables={min_tables} exceeds the largest connected "
-                    f"component of {self.db.name!r} ({cap} tables)"
+                    f"{self.db.name!r} has no two joined tables to rewrite "
+                    f"(largest connected component: {cap} tables)"
                 )
-            n_tables = int(
-                self.rng.integers(min_tables, min(max_tables, cap) + 1)
-            )
+            n_tables = int(self.rng.integers(2, min(4, cap) + 1))
             tables = self._random_connected_tables(n_tables)
             joins = self._joins_for(tables)
             # Columns still unused by an injected shape, per table.

@@ -34,9 +34,9 @@ from repro.storage.table import Column, Table
 __all__ = ["make_imdb_lite", "make_stats_lite", "make_tpch_lite", "make_ssb_lite"]
 
 
-def make_imdb_lite(scale: float = 1.0, seed: int = 0) -> Database:
+def make_imdb_lite(scale: float = 1.0) -> Database:
     """JOB-style movie database; ~9k rows total at scale 1."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n_title = max(int(2000 * scale), 50)
     n_person = max(int(1500 * scale), 40)
     n_company = max(int(200 * scale), 10)
@@ -222,14 +222,11 @@ def make_stats_lite(scale: float = 1.0, seed: int = 0) -> Database:
     return Database("stats_lite", [users, posts, comments, votes, badges], joins)
 
 
-def make_tpch_lite(scale: float = 1.0, seed: int = 0) -> Database:
-    """TPC-H-ish star schema with near-uniform, near-independent attributes."""
-    rng = np.random.default_rng(seed + 2)
-    n_cust = max(int(600 * scale), 30)
-    n_supp = max(int(100 * scale), 10)
-    n_part = max(int(800 * scale), 30)
-    n_orders = max(int(2500 * scale), 60)
-    n_line = max(int(6000 * scale), 120)
+def make_tpch_lite() -> Database:
+    """TPC-H-ish star schema with near-uniform, near-independent attributes
+    (3,000 lineitems)."""
+    rng = np.random.default_rng(2)
+    n_cust, n_supp, n_part, n_orders, n_line = 300, 50, 400, 1250, 3000
 
     cust_id = np.arange(n_cust, dtype=np.int64)
     customer = Table(
@@ -296,17 +293,13 @@ def make_tpch_lite(scale: float = 1.0, seed: int = 0) -> Database:
     )
 
 
-def make_ssb_lite(scale: float = 1.0, seed: int = 0) -> Database:
+def make_ssb_lite() -> Database:
     """Star Schema Benchmark-ish database [46]: one denormalized fact table
-    (lineorder) star-joined to four dimensions.  Pure star shape -- every
-    query joins through the fact table -- which is the workload pattern SSB
-    exists to isolate."""
-    rng = np.random.default_rng(seed + 3)
-    n_date = max(int(120 * scale), 12)
-    n_cust = max(int(500 * scale), 20)
-    n_supp = max(int(120 * scale), 10)
-    n_part = max(int(700 * scale), 25)
-    n_fact = max(int(7000 * scale), 150)
+    (lineorder, 3,500 rows) star-joined to four dimensions.  Pure star shape
+    -- every query joins through the fact table -- which is the workload
+    pattern SSB exists to isolate."""
+    rng = np.random.default_rng(3)
+    n_date, n_cust, n_supp, n_part, n_fact = 60, 250, 60, 350, 3500
 
     date_id = np.arange(n_date, dtype=np.int64)
     ddate = Table(

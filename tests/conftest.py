@@ -31,12 +31,12 @@ def stats_db():
 
 @pytest.fixture(scope="session")
 def imdb_db():
-    return make_imdb_lite(scale=0.3, seed=0)
+    return make_imdb_lite(scale=0.3)
 
 
 @pytest.fixture(scope="session")
 def tpch_db():
-    return make_tpch_lite(scale=0.3, seed=0)
+    return make_tpch_lite()
 
 
 @pytest.fixture(scope="session")

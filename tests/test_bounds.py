@@ -104,15 +104,15 @@ class TestSanitizeBound:
         """Regression: a nan bound must not silently disable the guard."""
         plan = FaultPlan(
             (
-                FaultSpec(kind="nan", rate=1.0, target="bounds", end_call=4),
-                FaultSpec(kind="inf", rate=1.0, target="bounds"),
+                FaultSpec(kind="nan", rate=1.0, target="estimator", end_call=4),
+                FaultSpec(kind="inf", rate=1.0, target="estimator"),
             ),
             seed=5,
         )
         injector = FaultInjector(plan)
         guard = BoundGuard(
             TraditionalCardinalityEstimator(stats_db),
-            injector.wrap_estimator(MCVJoinBoundEstimator(stats_db), "bounds"),
+            injector.wrap_estimator(MCVJoinBoundEstimator(stats_db)),
             TraditionalCardinalityEstimator(stats_db),
             db=stats_db,
         )

@@ -52,7 +52,7 @@ def median_q_error(estimator, queries, cards):
 
 SUPERVISED = [
     (LinearQueryEstimator, {}),
-    (GBDTQueryEstimator, {"n_estimators": 25}),
+    (GBDTQueryEstimator, {}),
     (MLPQueryEstimator, {"epochs": 30}),
     (MSCNEstimator, {"epochs": 25}),
     (RobustMSCNEstimator, {"epochs": 25}),
@@ -62,13 +62,13 @@ SUPERVISED = [
 UNSUPERVISED = [
     (HistogramEstimator, {}),
     (SamplingEstimator, {"sample_rows": 200}),
-    (KDEEstimator, {"sample": 300}),
-    (JoinKDEEstimator, {"sample": 300}),
+    (KDEEstimator, {}),
+    (JoinKDEEstimator, {}),
     (NaruEstimator, {"epochs": 4}),
     (BayesNetEstimator, {}),
     (SPNEstimator, {}),
     (FSPNEstimator, {}),
-    (FactorJoinEstimator, {"sample_rows": 600}),
+    (FactorJoinEstimator, {}),
 ]
 
 

@@ -23,13 +23,23 @@ and in each owner (not caught).  A new invariant of that kind is a row.
     of ``core/registry.py``, which names the class and its public methods
     -- or is on ``TEST_ONLY`` / ``PROTOCOLS``;
 (c) every ``examples/*.py`` still imports (without running it);
-(d) every parameter with a default is set by some file under ``src/``,
-    ``benchmarks/``, ``perf/`` or ``examples/`` that does not define it --
-    named as an identifier or a keyword argument, or as a
-    ``core/registry.py`` args key: a knob only its definers and the tests
-    turn has one product value, so it is a constant.  A name product code
-    sets where the rule cannot see it is on ``POSITIONAL``, a knob kept for
-    the tests on ``TEST_SEAMS``; each entry fails once it is not needed;
+(d) every knob has a second product value.  A knob is a defaulted
+    parameter of a callable under ``src/repro`` (a class's constructor --
+    its ``__init__``, or the defaulted fields of a ``frozen=True``
+    dataclass --, a method or a function), keyed ``Callable.param``.  Each
+    call under ``src/``, ``benchmarks/``, ``perf/`` or ``examples/`` of the
+    callable's name (same-named callables pool their calls; a subclass's
+    ``super().__init__`` calls its base; a keyed ``core/registry.py`` row
+    calls the class it names with its args) gives the knob a value: the
+    literal it passes by position or keyword, a value unlike any other for
+    a non-literal or a ``*`` / ``**`` spread, the default when it omits
+    it.  A knob whose calls give it exactly one value -- always the
+    default, or always one literal -- is a constant.  A knob kept anyway
+    is on ``POSITIONAL`` (product code sets it where the rule cannot see a
+    second value: ``perf/`` pins it) or ``TEST_SEAMS`` (a safety bound, a
+    fake's seam, a size the tests shrink, or a feature a ROADMAP item
+    decides), each with its reason; an entry fails once its knob has a
+    second product value, and a seam no test turns fails too;
 (e) every ``@dataclass`` with a ``latency_ms`` field of its own or of a base
     is one of ``RECORDS``, one per boundary a query crosses;
 (f) one bench contract: every registered bench defines ``export`` (a T / E
@@ -110,42 +120,58 @@ TEST_ONLY = {
     "flow_loss_weights",  # Flow-Loss [44] sample weighting
     "pac_learning_curve",  # PAC learnability diagnostic [19]
     "interval_coverage",  # prediction-interval diagnostic [55]
+    "render_text",  # TelemetryBus's text dump, which README prints
 }
 
-#: rule (d): parameters product code sets where the rule cannot see the
-#: name -- positionally, or inside the file that defines them -- with the
-#: call sites that do
+#: rule (d): knobs product code sets where the rule sees one value --
+#: ``perf/`` pins them, and perf's files are the benchmark's (ROADMAP item 9)
 POSITIONAL = {
-    "min_tables": "WorkloadGenerator(...).workload(n, 1, 3 | 2, 4 | 2, 3, ...) in src/ and benchmarks/",
-    "max_tables": "the same generator calls: 3, 4 and 3",
-    "uppers": "cardest/base.py: sanitize_estimates(values, uppers); optimizer/cost.py passes none",
-    "left_deep_only": "optimizer/planner.py: enumerate_dp(..., left_deep_only=True) for the left-deep hint set",
-    "n_members": "e2e/risk_models.py: EnsembleLatencyModel builds TreeConvLatencyModel(featurizer, 4, ...); Bao keeps 3",
-    "n_tenants": "perf/workloads.py: default_tenant_specs(6); the fabric scenario takes the default",
-    "refit": "serve/scenarios.py: every scenario passes refit=bao to the stack builder defined beside it",
+    "WorkloadGenerator.workload.require_predicate": "perf/workloads.py: .workload(n_adhoc, 2, 4, require_predicate=True)",
+    "WorkloadGenerator.parameterized_workload.min_tables": "perf/workloads.py: .parameterized_workload(n_templates, bindings, 2, 4, ...)",
+    "WorkloadGenerator.parameterized_workload.max_tables": "the same perf call: 4",
+    "WorkloadGenerator.parameterized_workload.require_predicate": "the same perf call: require_predicate=True",
+    "default_tenant_specs.n_tenants": "perf/workloads.py: default_tenant_specs(6)",
+    "synthetic_fabric.n_workers": "perf/workloads.py: synthetic_fabric(16, specs, ..., n_workers=2, ...)",
+    "synthetic_queries.n_templates": "perf/workloads.py: synthetic_queries(240, seed=seed)",
 }
 
 #: rule (d): knobs only tests turn, kept on purpose
 TEST_SEAMS = {
     # -- safety bounds: tests shrink them to reach the bound; never a tuning target
-    "cache_capacity": "engine/executor.py: the exact executor's memo; tests fill it to evict",
-    "max_intermediate_rows": "engine/executor.py: the row budget an exact count may not exceed",
-    "max_rows": "oracle: the reference executors' row budget; tests trip it",
-    "trace_capacity": "serve telemetry: the bounded trace ring; tests wrap it",
-    "max_log_entries": "pilotscope/console.py: the bounded query log; tests cap it",
-    # -- search and batching bounds the reference comparisons shrink or split
-    "search_budget": "Neo's expansions: test_framework_instances runs 3 to reach the greedy completion",
-    "epsilon": "LOGER's random slot: test_framework_instances runs 0.5 so the slot fires against the reference",
-    "batch_size": "TreeConvNet.fit: test_treeconv_kernel's ragged batches (7, 6, 1..40) check the plan against the loop",
-    # -- deferred: ROADMAP item 7 decides the feature they tune
-    "target_rate": "RiskLambdaTuner (TEST_ONLY), ROADMAP item 7",
-    "min_lambda": "RiskLambdaTuner (TEST_ONLY), ROADMAP item 7",
-    "max_lambda": "RiskLambdaTuner (TEST_ONLY), ROADMAP item 7",
-    "decay": "RiskLambdaTuner (TEST_ONLY), ROADMAP item 7",
-    "risk_lambda": "the blended risk mode RiskLambdaTuner steers, ROADMAP item 7",
-    "sample_weight": "MLP.fit: Flow-Loss weighting (flow_loss_weights, TEST_ONLY), ROADMAP item 7",
-    # -- deferred: ROADMAP item 5 decides the sharded fabric's fault drills
-    "fault_plan": "the fabric scenarios' reroute drills (shard_fault_plan, TEST_ONLY), ROADMAP item 5",
+    "CardinalityCache.capacity": "the cardinality cache's bound; test_batch_and_cache / test_lifecycle fill it to evict",
+    "CardinalityExecutor.cache_capacity": "the exact executor's memo; test_engine fills it to evict",
+    "CardinalityExecutor.max_intermediate_rows": "the row budget an exact count may not exceed; test_engine trips it",
+    "KeyIndexCache.capacity": "the key-index cache's bound; test_kernels evicts at 0 and 1",
+    "ExperienceStore.capacity": "the experience ring; test_lifecycle wraps it at 0-32 records",
+    "PilotScopeConsole.max_log_entries": "the bounded query log; test_pilotscope caps it at 3 and 5",
+    "PlanInterpreter.max_rows": "the literal interpreter's row budget; test_oracle trips it at 0",
+    "CircuitBreaker.failure_threshold": "the trip threshold; test_serve / test_robustness / test_arm_sweep trip on 1-2 failures",
+    "build_schedule.mean_interarrival_ms": "arrival density; test_serve packs arrivals 2 ms apart to reach the queue and timeout bounds",
+    # -- a test replaces the dependency with a fake
+    "BoundGuard.db": "test_bounds wraps the bound estimator in a fault injector, which has no db",
+    "synthetic_fabric.fault_plan": "test_fabric's reroute drills make shard backends faulty (shard_fault_plan, TEST_ONLY)",
+    # -- a size the tests shrink
+    "TreeConvNet.fit.batch_size": "test_treeconv_kernel's ragged batches (7, 6, 1..40) check the epoch plan against the loop",
+    # -- deferred: ROADMAP item 2 decides the schema generator's profiles
+    "SchemaGenConfig.n_components": "ROADMAP item 2",
+    "SchemaGenConfig.topology": "ROADMAP item 2",
+    "SchemaGenConfig.extra_edge_rate": "ROADMAP item 2",
+    "SchemaGenConfig.many_to_many_rate": "ROADMAP item 2",
+    "SchemaGenConfig.fanout_skew": "ROADMAP item 2",
+    "SchemaGenConfig.skew": "ROADMAP item 2",
+    "SchemaGenConfig.correlated_rate": "ROADMAP item 2",
+    "SchemaGenConfig.mixture_rate": "ROADMAP item 2",
+    "SchemaGenConfig.domain": "ROADMAP item 2",
+    # -- deferred: ROADMAP item 7 decides the blended risk mode
+    "Optimizer.plan.risk": "a per-planning risk override (RiskLambdaTuner, TEST_ONLY), ROADMAP item 7",
+    "Optimizer.plan.risk_lambda": "ROADMAP item 7",
+    "Optimizer.plan_arms.risk": "ROADMAP item 7",
+    "Optimizer.plan_arms.risk_lambda": "ROADMAP item 7",
+    "MLP.fit.sample_weight": "Flow-Loss weighting (flow_loss_weights, TEST_ONLY), ROADMAP item 7",
+    # -- deferred: ROADMAP item 11 decides the simulator's noise
+    "SimulatorConfig.noise_sigma": "ROADMAP item 11",
+    "SimulatorConfig.noise_seed": "ROADMAP item 11",
+    "ExecutionSimulator.config": "carries the noise settings, ROADMAP item 11",
 }
 
 
@@ -522,61 +548,284 @@ def test_example_imports(example):
 # -- (d) every knob has a second product value ----------------------------------------
 
 
-def _knobs(sources: Sources) -> dict[str, set[Path]]:
-    """``{parameter: its defining files}`` over every parameter with a
-    default under ``src/repro``."""
-    definers: dict[str, set[Path]] = {}
+class Knob(NamedTuple):
+    """One defaulted parameter of one callable: ``key`` is
+    ``Callable.param`` (a constructor is its class, a method
+    ``Class.method``), ``default`` its value when a call omits it."""
+
+    key: str
+    path: Path
+    default: object
+
+
+class Signature(NamedTuple):
+    """What a call binds: the positional parameters after ``self``, and
+    the knobs among its parameters."""
+
+    positional: tuple[str, ...]
+    knobs: dict  # param -> Knob
+
+
+class Unique(NamedTuple):
+    """A value unlike any other: a non-literal argument, or a spread."""
+
+    where: object
+
+
+def _literal(node: ast.expr | None, unique: object) -> object:
+    """A literal's value, or ``unique`` (a non-literal default is itself)."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, RecursionError):
+        return unique
+    try:
+        hash(value)
+    except TypeError:
+        return ("unhashable", repr(value))
+    return value
+
+
+def _decorated(node: ast.AST, name: str) -> ast.expr | None:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == name:
+            return decorator
+    return None
+
+
+def _function_signature(node: ast.FunctionDef, qualname: str, path: Path, method: bool) -> Signature:
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaults = dict(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+    defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    if method and not _decorated(node, "staticmethod"):
+        positional = positional[1:]
+    knobs = {
+        name: Knob(f"{qualname}.{name}", path, _literal(default, ("default", qualname, name)))
+        for name, default in defaults.items()
+    }
+    return Signature(tuple(positional), knobs)
+
+
+def _dataclass_fields(node: ast.ClassDef, path: Path) -> tuple[list[str], dict]:
+    """The constructor fields a ``@dataclass`` body declares, and the knobs
+    among them when the dataclass is ``frozen=True``."""
+    decorator = _decorated(node, "dataclass")
+    frozen = isinstance(decorator, ast.Call) and any(
+        k.arg == "frozen" and getattr(k.value, "value", False) is True for k in decorator.keywords
+    )
+    fields, knobs = [], {}
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.dump(stmt.annotation):
+            continue
+        name, value = stmt.target.id, stmt.value
+        unique = ("default", node.name, name)
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            options = {k.arg: k.value for k in value.keywords}
+            if getattr(options.get("init"), "value", True) is False:
+                continue
+            value = options.get("default", options.get("default_factory"))
+            default = _literal(options["default"], unique) if "default" in options else unique
+        else:
+            default = _literal(value, unique)
+        fields.append(name)
+        if value is not None and frozen:
+            knobs[name] = Knob(f"{node.name}.{name}", path, default)
+    return fields, knobs
+
+
+@lru_cache(maxsize=None)
+def _file_callables(text: str, filename: str) -> tuple[dict, dict]:
+    """``(callables, classes)`` of one file: ``{name: [Signature]}`` (a
+    class by its name, with its constructor or its dataclass fields, or
+    ``None`` when it inherits them) and ``{class: its base names}``."""
+    path = Path(filename)
+    callables: dict[str, list] = defaultdict(list)
+    classes: dict[str, tuple] = {}
+
+    def visit(node: ast.AST, scope: tuple[str, ...], owner: ast.ClassDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                bases = tuple(getattr(b, "id", getattr(b, "attr", "")) for b in child.bases)
+                classes[child.name] = bases
+                init = next(
+                    (s for s in child.body if isinstance(s, ast.FunctionDef) and s.name == "__init__"),
+                    None,
+                )
+                if init is not None:
+                    signature = _function_signature(init, child.name, path, method=True)
+                elif _decorated(child, "dataclass"):
+                    fields, knobs = _dataclass_fields(child, path)
+                    signature = ("dataclass", tuple(fields), knobs)
+                else:
+                    signature = None
+                callables[child.name].append(signature)
+                visit(child, (*scope, child.name), child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name != "__init__":
+                    qualname = ".".join((*scope, child.name))
+                    method = owner is not None and node is owner
+                    callables[child.name].append(_function_signature(child, qualname, path, method))
+                visit(child, (*scope, child.name), None)
+            else:
+                visit(child, scope, owner)
+
+    visit(_parse_text(text, filename), (), None)
+    return dict(callables), classes
+
+
+@lru_cache(maxsize=None)
+def _file_calls(text: str, filename: str) -> tuple:
+    """``(callee name, positional, {keyword: value node}, spread)`` of every
+    call in one file: ``super().__init__`` and ``Base.__init__(self, ...)``
+    call the base by name, ``cls(...)`` its class."""
+    calls = []
+
+    def visit(node: ast.AST, owner: ast.ClassDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+                continue
+            if isinstance(child, ast.Call):
+                func, args = child.func, list(child.args)
+                names = [getattr(func, "id", getattr(func, "attr", ""))]
+                if names == ["__init__"]:
+                    value = func.value
+                    if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "super":
+                        names = [getattr(b, "id", getattr(b, "attr", "")) for b in owner.bases] if owner else []
+                    else:
+                        names, args = [getattr(value, "id", getattr(value, "attr", ""))], args[1:]
+                elif names == ["cls"] and owner is not None:
+                    names = [owner.name]
+                spread = any(isinstance(a, ast.Starred) for a in args) or any(
+                    k.arg is None for k in child.keywords
+                )
+                keywords = {k.arg: k.value for k in child.keywords if k.arg}
+                calls.extend((name, tuple(args), keywords, spread) for name in names)
+            visit(child, owner)
+
+    visit(_parse_text(text, filename), None)
+    return tuple(calls)
+
+
+def _registry_calls(sources: Sources) -> list[tuple]:
+    """Each keyed ``core/registry.py`` row as a call of the class it names:
+    ``Class(db, **args)`` (a ``{"fast": ..., "full": ...}`` value or
+    ``SEED`` is no one literal)."""
+    tree = sources.parse(REGISTRY)
+    constants = {
+        t.id: node.value
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(t, ast.Name)
+    }
+    calls = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", "") == "MethodInfo"):
+            continue
+        row = list(node.args) + [k.value for k in node.keywords]
+        if len(row) < 7 or not getattr(row[6], "value", ""):
+            continue
+        args = constants.get(getattr(row[7], "id", None), row[7]) if len(row) > 7 else ast.Dict([], [])
+        keywords = {
+            k.value: ast.Name("budget") if isinstance(value, ast.Dict) else value
+            for k, v in zip(args.keys, args.values)
+            for value in [constants.get(getattr(v, "id", None), v)]
+        }
+        impl = re.search(r":(\w+)\W*$", ast.unparse(row[5])).group(1)
+        calls.append((impl, (ast.Name("db"),), keywords, False))
+    return calls
+
+
+def _resolve(name: str, callables: dict, classes: dict, seen: frozenset = frozenset()) -> list[Signature]:
+    """The signatures a call of ``name`` binds: every same-named callable's;
+    a class without its own constructor binds its bases', a dataclass its
+    bases' fields first."""
+    resolved = []
+    for signature in callables.get(name, ()):
+        if isinstance(signature, Signature):
+            resolved.append(signature)
+            continue
+        inherited = [
+            s for base in classes.get(name, ()) if base not in seen
+            for s in _resolve(base, callables, classes, seen | {name})
+        ]
+        if signature is None:
+            resolved.extend(inherited)
+            continue
+        _, fields, knobs = signature
+        positional = tuple(p for s in inherited[:1] for p in s.positional) + fields
+        base_knobs = {k: v for s in inherited[:1] for k, v in s.knobs.items()}
+        resolved.append(Signature(positional, {**base_knobs, **knobs}))
+    return resolved
+
+
+def knob_values(sources: Sources, *trees: str) -> tuple[dict, dict]:
+    """``({Callable.param: Knob}, {Callable.param: the values the calls
+    under trees give it})`` over every knob under ``src/repro`` that some
+    call names (a callable nothing calls by name is rule (b)'s)."""
+    callables, classes = defaultdict(list), {}
     for path in _files("src"):
-        for node in (n for nodes in sources.facts(path).defs.values() for n in nodes):
-            args = node.args
-            positional = args.posonlyargs + args.args
-            defaulted = positional[len(positional) - len(args.defaults) :]
-            keyword = [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            for arg in defaulted + keyword:
-                definers.setdefault(arg.arg, set()).add(path)
-    return definers
+        found, bases = _file_callables(sources.text(path), str(path))
+        for name, signatures in found.items():
+            callables[name].extend(signatures)
+        classes.update(bases)
+    calls = [c for p in _files(*trees) for c in _file_calls(sources.text(p), str(p))]
+    if "src" in trees:
+        calls += _registry_calls(sources)
+    knobs, values = {}, defaultdict(set)
+    for i, (name, args, keywords, spread) in enumerate(calls):
+        for signature in _resolve(name, callables, classes):
+            bound = dict(zip(signature.positional, args), **keywords)
+            for param, knob in signature.knobs.items():
+                knobs[knob.key] = knob
+                if spread:
+                    values[knob.key].add(Unique(i))
+                elif param in bound:
+                    values[knob.key].add(_literal(bound[param], Unique(i)))
+                else:
+                    values[knob.key].add(knob.default)
+    return knobs, values
 
 
-def _sets(sources: Sources, path: Path) -> frozenset[str]:
-    """The names a file may set a parameter by: its identifiers, its
-    keyword arguments and, for the method registry, its args keys."""
-    facts = sources.facts(path)
-    named = facts.identifiers | facts.keywords.keys()
-    return named | facts.keys if path == REGISTRY else named
-
-
-def never_set_keywords(sources: Sources):
-    """``(never_set, stale)``: ``[(parameter, its defining files)]`` for
-    every knob no product file but its definers names, less the allow-lists,
-    and the allow-list entries that are no knob or that product code names."""
-    definers = _knobs(sources)
-    sets = {p: _sets(sources, p) for p in _files(*CODE_TREES)}
-    flagged = {
-        name: sorted(_where(p) for p in paths)
-        for name, paths in definers.items()
-        if not any(name in named for p, named in sets.items() if p not in paths)
+def single_valued_knobs(sources: Sources) -> list[str]:
+    """Every knob its product calls give exactly one value, less the
+    allow-lists, then every allow-list entry that names no such knob."""
+    knobs, values = knob_values(sources, *CODE_TREES)
+    single = {
+        key
+        for key, found in values.items()
+        if len(found) == 1 and not isinstance(next(iter(found)), Unique)
     }
     allowed = POSITIONAL.keys() | TEST_SEAMS.keys()
-    never_set = sorted((n, paths) for n, paths in flagged.items() if n not in allowed)
-    return never_set, sorted(n for n in allowed if n not in flagged)
+    flagged = [
+        f"{_where(knobs[key].path)}: {key} has one product value {next(iter(values[key]))!r}"
+        for key in sorted(single - allowed)
+    ]
+    stale = [f"{key} is allow-listed but has no one product value" for key in sorted(allowed - single)]
+    return flagged + stale
 
 
 def test_every_keyword_parameter_is_named_outside_its_definers():
-    never_set, stale = never_set_keywords(Sources())
-    assert not never_set, (
-        f"parameters with a default that no file under {CODE_TREES} but their "
-        f"definers sets: {never_set} -- the product has one value for each; make it "
-        "the constant it is (a test that turns it runs at that value), or list it "
-        "in POSITIONAL / TEST_SEAMS with a reason"
+    """Rule (d): the calls that set a knob are its callable's, and they
+    give it a second product value."""
+    found = single_valued_knobs(Sources())
+    assert not found, (
+        f"{found} -- make each knob the constant it is in its callable (a test that "
+        "turns it runs at that value), or list it in POSITIONAL / TEST_SEAMS with a "
+        "reason; drop an allow-list entry whose knob has a second product value"
     )
-    assert not stale, f"POSITIONAL / TEST_SEAMS entries that are no knob or that product code names: {stale}"
     assert not POSITIONAL.keys() & TEST_SEAMS.keys()
     tests = [
         p
         for p in _files("tests")
         if not p.name.endswith("_reference.py") and p != Path(__file__).resolve()
     ]
-    turned = set().union(*(_sets(Sources(), p) for p in tests))
+    knobs, values = knob_values(Sources(), *(_where(p) for p in tests))
+    turned = {key for key, found in values.items() if found - {knobs[key].default}}
     untested = sorted(n for n in TEST_SEAMS if n not in turned)
     assert not untested, f"TEST_SEAMS names no test turns: {untested} -- fold them"
 
@@ -870,7 +1119,7 @@ RULES = {
     "a": unused_exports,
     "b": unreferenced_definitions,
     "c": test_example_imports,
-    "d": never_set_keywords,
+    "d": single_valued_knobs,
     "e": latency_records,
     "f": bench_contract_violations,
     "g": single_writer_violations,
@@ -1048,20 +1297,24 @@ def _planted(parameter: str, **callers: str) -> Sources:
     return Sources(planted)
 
 
+#: what rule (d) reports for the planted ``SetConvNet.fit(verbose=False)``
+_VERBOSE = "src/repro/ml/setconv.py: SetConvNet.fit.verbose has one product value False"
+
+
 def test_seeded_keyword_nothing_passes_is_caught():
-    sources = _planted("verbose: bool = False")
-    assert never_set_keywords(sources) == ([("verbose", ["src/repro/ml/setconv.py"])], [])
+    assert single_valued_knobs(_planted("verbose: bool = False")) == [_VERBOSE]
 
 
 @pytest.mark.parametrize(
     "caller, line, caught",
     [
-        ("tests/test_ml_models.py", "_FIT_KWARGS = dict(verbose=True)", True),
-        ("perf/workloads.py", "_FIT_KWARGS = dict(verbose=True)", False),
-        ("perf/workloads.py", "# verbose: a word in a comment sets nothing", True),
-        ("benchmarks/bench_e3_design_space.py", 'def _fit():\n    """Never verbose."""', True),
+        ("tests/test_ml_models.py", "_FIT = SetConvNet.fit(None, [], [], verbose=True)", True),
+        ("perf/workloads.py", "_FIT = SetConvNet.fit(None, [], [], verbose=True)", False),
+        ("perf/workloads.py", "# verbose=True: a word in a comment sets nothing", True),
+        ("benchmarks/bench_e3_design_space.py", 'def _fit():\n    """fit(verbose=True)"""', True),
         ("benchmarks/contract.py", "_FIT = SetConvNet.fit(None, [], [], verbose=True)", False),
-        ("src/repro/core/registry.py", '_ARGS = {"verbose": True}', False),
+        # an args dict outside a method-table row calls nothing
+        ("src/repro/core/registry.py", '_ARGS = {"verbose": True}', True),
     ],
     ids=[
         "a-test-sets-it",
@@ -1073,20 +1326,48 @@ def test_seeded_keyword_nothing_passes_is_caught():
     ],
 )
 def test_seeded_keyword_only_a_test_sets_is_a_constant(caller, line, caught):
-    sources = _planted("verbose: bool = False", **{caller: line})
-    never_set, stale = never_set_keywords(sources)
-    assert never_set == ([("verbose", ["src/repro/ml/setconv.py"])] if caught else [])
-    assert not stale
+    found = single_valued_knobs(_planted("verbose: bool = False", **{caller: line}))
+    assert found == ([_VERBOSE] if caught else [])
 
 
 def test_seeded_required_keyword_only_argument_is_no_knob():
-    assert never_set_keywords(_planted("verbose: bool")) == ([], [])
+    assert single_valued_knobs(_planted("verbose: bool")) == []
 
 
 def test_seeded_allow_list_entry_product_code_names_is_stale():
     bench = "benchmarks/contract.py"
-    sources = _planted("verbose: bool", **{bench: "_MEMO = dict(cache_capacity=1024)"})
-    assert never_set_keywords(sources) == ([], ["cache_capacity"])
+    sources = _planted("verbose: bool", **{bench: "_MEMO = CardinalityExecutor(None, cache_capacity=1024)"})
+    assert single_valued_knobs(sources) == [
+        "CardinalityExecutor.cache_capacity is allow-listed but has no one product value"
+    ]
+
+
+def test_seeded_knob_an_unrelated_call_names_is_caught():
+    """The name-based rule counted a parameter as set when any product file
+    passed that name to anything; resolved to its callee, it is not."""
+    sources = _planted("max_depth: int = 5")
+    unrelated = [
+        _where(p)
+        for p in _files(*CODE_TREES)
+        if p != _SETCONV and "max_depth" in sources.facts(p).keywords
+    ]
+    assert unrelated  # what the name-based rule read as "set"
+    assert single_valued_knobs(sources) == [
+        "src/repro/ml/setconv.py: SetConvNet.fit.max_depth has one product value 5"
+    ]
+
+
+def test_seeded_super_init_forward_is_a_call():
+    """Nothing calls ``_SteeringDriverBase`` by name; its subclasses'
+    ``super().__init__`` are its calls, so two literal forwards make its
+    ``seed`` a constant."""
+    drivers = SRC / "pilotscope" / "drivers.py"
+    text = _read(drivers)
+    assert text.count("super().__init__(seed=seed)") == 2
+    sources = Sources({drivers: text.replace("super().__init__(seed=seed)", "super().__init__(seed=3)")})
+    assert single_valued_knobs(sources) == [
+        "src/repro/pilotscope/drivers.py: _SteeringDriverBase.seed has one product value 3"
+    ]
 
 
 def test_seeded_registry_row_is_a_reference_to_the_class_and_its_methods():
@@ -1134,6 +1415,24 @@ def test_seeded_relabelled_record_is_caught():
 #: is the one file the rule reads -- with what ``census`` must report,
 #: line numbers dropped
 SEEDED = {
+    "test_seeded_one_valued_knob_is_caught": ("d", ROOT, [
+        # the lone product caller passes one literal
+        ("src/repro/serve/scenarios.py", "OnlineAuditor(db, every=audit_every,",
+         "OnlineAuditor(db, every=8,",
+         ["src/repro/oracle/audit.py: OnlineAuditor.every has one product value 8"]),
+        # ... or spreads it: a value unlike any other
+        ("src/repro/serve/scenarios.py", "OnlineAuditor(db, every=audit_every,",
+         "OnlineAuditor(db, **{\"every\": 8},", []),
+        # a method-table row's one literal
+        ("src/repro/core/registry.py", '"crn", {"epochs": _EPOCHS_NN', '"crn", {"epochs": 30',
+         ["src/repro/cardest/querydriven.py: CRNEstimator.epochs has one product value 30"]),
+        # a per-budget pair is no one literal, even of equal values
+        ("src/repro/core/registry.py", '"crn", {"epochs": _EPOCHS_NN',
+         '"crn", {"epochs": {"fast": 30, "full": 30}', []),
+        # perf's positional 7 is a second value: the allow-list entry is stale
+        ("perf/workloads.py", "default_tenant_specs(6)", "default_tenant_specs(7)",
+         ["default_tenant_specs.n_tenants is allow-listed but has no one product value"]),
+    ]),
     "test_seeded_bench_outside_the_contract_is_caught": ("f", BENCH, [
         ("bench_e7_bao.py", "\nexport = table_export(measure)\n", "\n",
          ["bench_e7_bao.py defines no top-level export"]),

@@ -91,7 +91,7 @@ class TestAdvisor:
     def test_recommend_nearest_profile(self):
         advisor = AutoCE()
         stats = make_stats_lite(0.2, seed=1)
-        tpch = make_tpch_lite(0.2, seed=1)
+        tpch = make_tpch_lite()
         advisor.record(stats, "fspn")
         advisor.record(tpch, "histogram")
         # A slightly different stats-like db should match the stats profile.

@@ -115,8 +115,8 @@ class TestPointwiseCostModels:
         "factory",
         [
             lambda f: LinearPlanCostModel(f),
-            lambda f: TreeConvCostModel(f, epochs=25),
-            lambda f: TreeRecurrentCostModel(f, epochs=15),
+            lambda f: TreeConvCostModel(f),
+            lambda f: TreeRecurrentCostModel(f),
         ],
         ids=["linear", "treeconv", "recurrent"],
     )
@@ -137,12 +137,12 @@ class TestPointwiseCostModels:
 
     def test_predictions_nonnegative(self, featurizer, split_corpus):
         train_p, train_l, test_p, _ = split_corpus
-        model = TreeConvCostModel(featurizer, epochs=10).fit(train_p, train_l)
+        model = TreeConvCostModel(featurizer).fit(train_p, train_l)
         assert all(model.predict_latency(p) >= 0 for p in test_p)
 
     def test_recurrent_embedding(self, featurizer, split_corpus):
         train_p, train_l, _, _ = split_corpus
-        model = TreeRecurrentCostModel(featurizer, epochs=5).fit(
+        model = TreeRecurrentCostModel(featurizer).fit(
             train_p[:20], train_l[:20]
         )
         emb = model.embed(train_p[0])

@@ -10,6 +10,7 @@ from repro.core import RetrainCadence
 from repro.costmodel import CalibratedCostModel
 from repro.costmodel.calibrated import isotonic_fit
 from repro.e2e import LogerOptimizer, OptimizationLoop
+from repro.e2e.exploration import ValueSearchExploration
 from repro.engine import CardinalityExecutor, ExecutionSimulator
 from repro.optimizer import HintSet, Optimizer
 from repro.sql import WorkloadGenerator
@@ -66,7 +67,7 @@ class TestWarper:
         gen = WorkloadGenerator(db, seed=1)
         train_q = gen.workload(100, 1, 3, require_predicate=True)
         train_c = np.array([executor.cardinality(q) for q in train_q])
-        warper = Warper(db, GBDTQueryEstimator(db, n_estimators=15), seed=0)
+        warper = Warper(db, GBDTQueryEstimator(db), seed=0)
         warper.fit_initial(train_q, train_c)
         warper.adapt()
         assert warper.adaptations == 0
@@ -77,7 +78,7 @@ class TestWarper:
         gen = WorkloadGenerator(db, seed=1)
         train_q = gen.workload(250, 1, 3, require_predicate=True)
         train_c = np.array([executor.cardinality(q) for q in train_q])
-        est = GBDTQueryEstimator(db, n_estimators=30)
+        est = GBDTQueryEstimator(db)
         warper = Warper(db, est, queries_per_table=40, seed=0)
         warper.fit_initial(train_q, train_c)
 
@@ -161,7 +162,7 @@ class TestCalibratedCostModel:
 class TestLoger:
     def test_epsilon_validated(self, imdb_optimizer):
         with pytest.raises(ValueError):
-            LogerOptimizer(imdb_optimizer, epsilon=1.0)
+            ValueSearchExploration(imdb_optimizer, None, epsilon=1.0)
 
     def test_untrained_ships_native(self, imdb_optimizer, imdb_db):
         loger = LogerOptimizer(imdb_optimizer, seed=0)

@@ -223,31 +223,9 @@ class TestShardRouter:
 
     def test_mode_validation(self):
         with pytest.raises(ConfigError):
-            ShardRouter(4, mode="nope")
-        with pytest.raises(ConfigError):
             ShardRouter(0)
-        assert ShardRouter(4, mode="tenant").routing_key("qh", "t1") == "t1"
+        assert ShardRouter(4, pinned={"t1": 0}).routing_key("qh", "t1") == "t1"
         assert ShardRouter(4).routing_key("qh", "t1") == "qh"
-
-    def test_fabric_refuses_a_router_that_disagrees_with_its_config(self):
-        from repro.serve.fabric.fabric import ServingFabric
-
-        specs = (TenantSpec("t"),)
-        shards = synthetic_fabric(2, specs).fabric.shards
-        with pytest.raises(ConfigError, match="query_hash"):
-            ServingFabric(
-                shards,
-                TenantRegistry(specs),
-                config=FabricConfig(route_mode="tenant"),
-                router=ShardRouter(2, mode="query_hash"),
-            )
-        agreed = ServingFabric(
-            shards,
-            TenantRegistry(specs),
-            config=FabricConfig(route_mode="tenant"),
-            router=ShardRouter(2, mode="tenant"),
-        )
-        assert agreed.router.mode == agreed.config.route_mode == "tenant"
 
 
 class TestPinnedRouter:
@@ -263,9 +241,7 @@ class TestPinnedRouter:
         return L(), H()
 
     def test_pinned_routes_to_assigned_shard(self):
-        router = ShardRouter(
-            4, mode="pinned", pinned={"a": 0, "b": 2, "c": 3}
-        )
+        router = ShardRouter(4, pinned={"a": 0, "b": 2, "c": 3})
         loads, healthy = self._views([True] * 4)
         for tenant, shard in (("a", 0), ("b", 2), ("c", 3)):
             for _ in range(3):
@@ -277,7 +253,7 @@ class TestPinnedRouter:
         """A pinned shard owns state no other shard can serve: an
         unhealthy pinned shard makes the request unroutable, never
         misrouted."""
-        router = ShardRouter(2, mode="pinned", pinned={"a": 0, "b": 1})
+        router = ShardRouter(2, pinned={"a": 0, "b": 1})
         health = [True, False]
         loads, healthy = self._views(health)
         assert router.route("b", loads=loads, healthy=healthy) is None
@@ -285,18 +261,14 @@ class TestPinnedRouter:
         assert router.route("a", loads=loads, healthy=healthy) == 0
 
     def test_pinned_unknown_tenant_raises(self):
-        router = ShardRouter(2, mode="pinned", pinned={"a": 0})
+        router = ShardRouter(2, pinned={"a": 0})
         loads, healthy = self._views([True, True])
         with pytest.raises(ConfigError, match="pinned"):
             router.route("ghost", loads=loads, healthy=healthy)
 
     def test_pinned_config_validation(self):
         with pytest.raises(ConfigError):
-            ShardRouter(2, mode="pinned")  # map required
-        with pytest.raises(ConfigError):
-            ShardRouter(2, pinned={"a": 0})  # map requires the mode
-        with pytest.raises(ConfigError):
-            ShardRouter(2, mode="pinned", pinned={"a": 5})  # out of range
+            ShardRouter(2, pinned={"a": 5})  # out of range
 
 
 # ---------------------------------------------------------------------------

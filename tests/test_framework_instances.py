@@ -142,8 +142,8 @@ class TestValueSearch:
 
     def test_loger_epsilon_slot_fires(self, stack):
         optimizer = stack[0]
-        old = ref.LogerOptimizer(optimizer, seed=5, epsilon=0.5, beam_width=2)
-        new = LogerOptimizer(optimizer, seed=5, epsilon=0.5, beam_width=2)
+        old = ref.LogerOptimizer(optimizer, seed=5)
+        new = LogerOptimizer(optimizer, seed=5)
         old._eps_rng = _CountingRng(old._eps_rng)
         new.exploration._eps_rng = _CountingRng(new.exploration._eps_rng)
         _same_run(old, new, stack, _expert)

@@ -111,7 +111,7 @@ class TestSetConvNet:
         rng = np.random.default_rng(0)
         samples = self._samples(rng, 80)
         y = np.array([0.1 + 0.5 * (s["a"].mean() > 0) for s in samples])
-        net = SetConvNet({"a": 3, "b": 2}, hidden=16, seed=0)
+        net = SetConvNet({"a": 3, "b": 2}, seed=0)
         losses = net.fit(samples, y, epochs=40)
         assert losses[-1] < losses[0]
         preds = net.predict(samples)
@@ -119,13 +119,13 @@ class TestSetConvNet:
         assert np.all((preds >= 0) & (preds <= 1))
 
     def test_empty_set_handled(self):
-        net = SetConvNet({"a": 3}, hidden=8, seed=0)
+        net = SetConvNet({"a": 3}, seed=0)
         out = net.predict([{"a": np.zeros((0, 3))}])
         assert out.shape == (1,)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
-        net = SetConvNet({"a": 3}, hidden=8, seed=0)
+        net = SetConvNet({"a": 3}, seed=0)
         items = rng.normal(size=(4, 3))
         a = net.predict([{"a": items}])[0]
         b = net.predict([{"a": items[::-1].copy()}])[0]
@@ -331,7 +331,7 @@ class TestChowLiu:
     def test_every_nonroot_has_one_parent(self):
         rng = np.random.default_rng(3)
         data = rng.integers(0, 3, size=(500, 5))
-        edges = chow_liu_tree(data, root=0)
+        edges = chow_liu_tree(data)
         children = [c for _, c in edges]
         assert sorted(children) == [1, 2, 3, 4]
 

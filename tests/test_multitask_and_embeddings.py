@@ -35,7 +35,7 @@ class TestUnifiedTransferableModel:
         plans, lats, cards = corpus
         n = int(len(plans) * 0.75)
         model = UnifiedTransferableModel(featurizer, seed=0)
-        losses = model.pretrain(plans[:n], lats[:n], cards[:n], epochs=40)
+        losses = model.pretrain(plans[:n], lats[:n], cards[:n])
         assert losses[-1] < losses[0]
         lat_preds = [model.predict_latency(p) for p in plans[n:]]
         card_preds = [model.predict_cardinality(p) for p in plans[n:]]
@@ -45,7 +45,7 @@ class TestUnifiedTransferableModel:
     def test_fine_tune_head_only_moves_task(self, featurizer, corpus):
         plans, lats, cards = corpus
         model = UnifiedTransferableModel(featurizer, seed=0)
-        model.pretrain(plans[:60], lats[:60], cards[:60], epochs=20)
+        model.pretrain(plans[:60], lats[:60], cards[:60])
         trunk_before = [w.copy() for layer in model.net.conv_layers for w in layer.parameters()]
         # Fine-tune latency on a shifted target (e.g. a 3x slower machine).
         model.fine_tune("latency", plans[60:100], lats[60:100] * 3.0, epochs=20)
@@ -56,14 +56,14 @@ class TestUnifiedTransferableModel:
     def test_value_is_latency_head(self, featurizer, corpus):
         plans, lats, cards = corpus
         model = UnifiedTransferableModel(featurizer, seed=0)
-        model.pretrain(plans[:40], lats[:40], cards[:40], epochs=10)
+        model.pretrain(plans[:40], lats[:40], cards[:40])
         v = model.value(plans[0])
         assert np.isfinite(v)
 
     def test_unknown_task(self, featurizer, corpus):
         plans, lats, cards = corpus
         model = UnifiedTransferableModel(featurizer, seed=0)
-        model.pretrain(plans[:20], lats[:20], cards[:20], epochs=5)
+        model.pretrain(plans[:20], lats[:20], cards[:20])
         with pytest.raises(ValueError):
             model.fine_tune("quantum", plans[:5], lats[:5])
 
@@ -74,9 +74,9 @@ class TestUnifiedTransferableModel:
 
     def test_embedding_shape(self, featurizer, corpus):
         plans, lats, cards = corpus
-        model = UnifiedTransferableModel(featurizer, conv_channels=(16, 16), seed=0)
-        model.pretrain(plans[:20], lats[:20], cards[:20], epochs=5)
-        assert model.embed(plans[0]).shape == (16,)
+        model = UnifiedTransferableModel(featurizer, seed=0)
+        model.pretrain(plans[:20], lats[:20], cards[:20])
+        assert model.embed(plans[0]).shape == (48,)  # the last conv channel count
 
 
 class TestPlanAutoencoder:

@@ -41,7 +41,7 @@ class TestPooledMSCN:
         rng = np.random.default_rng(3)
         samples = [{"a": rng.normal(size=(3, 3))}, {"a": rng.normal(size=(2, 3))}]
         target = np.array([[0.4], [0.6]])
-        net = SetConvNet({"a": 3}, hidden=4, pooling="max", seed=1)
+        net = SetConvNet({"a": 3}, pooling="max", seed=1)
         batch = {"a": [s["a"] for s in samples]}
 
         def loss():
@@ -66,7 +66,7 @@ class TestPooledMSCN:
     def test_empty_set_max_pool(self, stats_db):
         from repro.ml.setconv import SetConvNet
 
-        net = SetConvNet({"a": 3}, hidden=4, pooling="max", seed=0)
+        net = SetConvNet({"a": 3}, pooling="max", seed=0)
         out = net.predict([{"a": np.zeros((0, 3))}])
         assert np.isfinite(out).all()
 

@@ -339,17 +339,15 @@ class TestPlanCoster:
         self, stats_db, stats_executor
     ):
         from repro.engine import ExecutionSimulator, SimulatorConfig
-        from repro.engine.cost_formulas import CostConstants
+        from repro.engine.cost_formulas import TRUE_HARDWARE_CONSTANTS
 
         class Oracle:
             def estimate(self, query):
                 return stats_executor.cardinality(query)
 
-        constants = CostConstants()
-        opt = Optimizer(stats_db, estimator=Oracle(), constants=constants)
-        sim = ExecutionSimulator(
-            stats_db, SimulatorConfig(constants=constants, ms_per_cost_unit=1.0)
-        )
+        opt = Optimizer(stats_db, estimator=Oracle(), constants=TRUE_HARDWARE_CONSTANTS)
+        sim = ExecutionSimulator(stats_db)
         q = WorkloadGenerator(stats_db, seed=23).random_query(2, 3, require_predicate=True)
         plan = opt.plan(q)
-        assert opt.cost(plan) == pytest.approx(sim.execute(plan).latency_ms, rel=1e-9)
+        latency = opt.cost(plan) * SimulatorConfig.ms_per_cost_unit
+        assert latency == pytest.approx(sim.execute(plan).latency_ms, rel=1e-9)

@@ -8,7 +8,6 @@ from repro.optimizer import HintSet
 from repro.pilotscope import (
     BaoDriver,
     CardinalityInjectionDriver,
-    DriverConfig,
     LeroDriver,
     PilotScopeConsole,
     SimulatedPostgreSQL,
@@ -207,7 +206,7 @@ class TestCardinalityInjectionDriver:
         assert out.cardinality == stats_executor.cardinality(q)
 
     def test_collect_and_train_supervised(self, pg, workload):
-        est = GBDTQueryEstimator(pg.db, n_estimators=10)
+        est = GBDTQueryEstimator(pg.db)
         driver = CardinalityInjectionDriver(est)
         driver.init(pg)
         driver.collect_training_data(workload[:15])

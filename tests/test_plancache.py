@@ -147,7 +147,7 @@ def test_tuple_key_identifies_what_the_text_key_does(stats_db, key_optimizer, se
     queries = (
         gen.parameterized_workload(3, 3, 1, 3)
         + gen.workload(6, 1, 3, require_predicate=True)
-        + gen.rewrite_susceptible_workload(3, 2, 3)
+        + gen.rewrite_susceptible_workload(3)
     )
     for a in queries:
         for b in queries:
@@ -352,9 +352,7 @@ class TestServingDeterminism:
     def _run(self):
         from repro.serve import parameterized_scenario
 
-        scenario = parameterized_scenario(
-            n_templates=4, bindings_per_template=5, n_sessions=4, seed=11
-        )
+        scenario = parameterized_scenario(seed=11)
         scenario.run()
         return scenario
 

@@ -190,7 +190,7 @@ class TestStructuredGradients:
             {"a": rng.normal(size=(3, 3))},
         ]
         target = np.array([[0.3], [0.7]])
-        net = SetConvNet({"a": 3}, hidden=4, seed=2)
+        net = SetConvNet({"a": 3}, seed=2)
         batch = {"a": [s["a"] for s in samples]}
 
         def loss():
@@ -237,10 +237,17 @@ class TestStructuredGradients:
 
 
 class TestGlobalDeterminism:
-    @pytest.mark.parametrize("maker", [make_stats_lite, make_imdb_lite, make_tpch_lite])
+    @pytest.mark.parametrize(
+        "maker",
+        [
+            pytest.param(lambda: make_stats_lite(scale=0.2, seed=3), id="make_stats_lite"),
+            pytest.param(lambda: make_imdb_lite(scale=0.2), id="make_imdb_lite"),
+            pytest.param(make_tpch_lite, id="make_tpch_lite"),
+        ],
+    )
     def test_database_pipeline_reproducible(self, maker):
         def fingerprint():
-            db = maker(scale=0.2, seed=3)
+            db = maker()
             opt = Optimizer(db)
             sim = ExecutionSimulator(db)
             gen = WorkloadGenerator(db, seed=9)

@@ -17,7 +17,7 @@ from repro.engine import ExecutionSimulator
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.optimizer import HintSet
 from repro.regression import PerfGuard
-from repro.rewrite import PromotionLeaderboard, RewritingOptimizer
+from repro.rewrite import PromotionLeaderboard
 from repro.serve import DeploymentManager, Stage
 from repro.serve.scenarios import (
     RegressionInjector,
@@ -65,7 +65,7 @@ def test_refits_every_n_feedbacks_counted_from_the_last_refit():
     assert refits == [8, 9, 12]
 
 
-@pytest.mark.parametrize("kind", ["regression_injector", "faulty", "rewriting"])
+@pytest.mark.parametrize("kind", ["regression_injector", "faulty"])
 def test_a_wrapped_model_refits_at_its_own_feedback_count(kind):
     db = make_stats_lite(scale=0.15, seed=0)
     leaderboard = PromotionLeaderboard(db)
@@ -75,7 +75,6 @@ def test_a_wrapped_model_refits_at_its_own_feedback_count(kind):
     wrapped = {
         "regression_injector": lambda: RegressionInjector(bao, optimizer, trigger_at=4),
         "faulty": lambda: _crashing(bao),
-        "rewriting": lambda: RewritingOptimizer(leaderboard, bao),
     }[kind]()
     loop = OptimizationLoop(
         wrapped,
@@ -84,12 +83,9 @@ def test_a_wrapped_model_refits_at_its_own_feedback_count(kind):
         policies=[RetrainCadence(bao, every=3)],
     )
     decisions = loop.run(WorkloadGenerator(db, seed=11).rewrite_susceptible_workload(12))
-    # Crashed choices and served rewrites never reach the inner model; the
-    # injector forwards even its sabotaged plans' feedback.
-    skipped = sum(
-        d.plan_source == "native:fallback" or d.plan_source.startswith("rewrite:")
-        for d in decisions
-    )
+    # Crashed choices never reach the inner model; the injector forwards
+    # even its sabotaged plans' feedback.
+    skipped = sum(d.plan_source == "native:fallback" for d in decisions)
     assert (skipped > 0) == (kind != "regression_injector")
     assert bao.feedbacks == len(decisions) - skipped
     assert refits == list(range(3, bao.feedbacks + 1, 3))
@@ -199,7 +195,7 @@ def test_the_loop_refits_a_guard_between_its_two_records(
     "build", [steady_state_scenario, injected_regression_scenario, chaos_scenario]
 )
 def test_scenarios_refit_the_bao_they_serve_every_25_feedbacks(build):
-    deployment = build(n_queries=20).deployment
+    deployment = build().deployment
     cadence = deployment.policies[0]
     assert isinstance(cadence, RetrainCadence) and cadence.every == 25
     served = getattr(deployment.learned, "inner", deployment.learned)  # through a wrapper

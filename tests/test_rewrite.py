@@ -355,7 +355,7 @@ def test_store_cold_start_keeps_all_weights_at_one():
 
 def test_store_anti_patterns_downweight_similar_queries():
     db = fresh_db()
-    store = GoldExampleStore(db, n_clusters=2, seed=0)
+    store = GoldExampleStore(db, seed=0)
     q = _joined_query(db)
     store.record_anti(q, "or_to_union", 0.5)
     store.record_anti(q, "or_to_union", 0.4)
@@ -477,7 +477,7 @@ def test_deployment_manager_shadow_then_live():
 def test_rewrite_driver_via_console():
     db = fresh_db()
     interactor = SimulatedPostgreSQL(db)
-    lb = _leaderboard(db, optimizer=interactor.optimizer)
+    lb = _leaderboard(db)
     workload = WorkloadGenerator(db, seed=11).rewrite_susceptible_workload(8)
     console = PilotScopeConsole(interactor)
     driver = RewriteDriver(lb)

@@ -96,8 +96,8 @@ def _owed(model) -> int:
 
 @pytest.mark.parametrize("thompson", [True, False], ids=["bao", "mean"])
 def test_lazy_refits_make_the_eager_decisions(featurizer, stream, fit_counter, thompson):
-    lazy = TreeConvLatencyModel(featurizer, thompson=thompson, epochs=EPOCHS, seed=4)
-    eager = EagerTreeConvLatencyModel(featurizer, thompson=thompson, epochs=EPOCHS, seed=4)
+    lazy = TreeConvLatencyModel(featurizer, thompson=thompson, seed=4)
+    eager = EagerTreeConvLatencyModel(featurizer, thompson=thompson, seed=4)
     lazy_ids = {id(m) for m in lazy.members()}
     assert _lockstep(lazy, eager, stream) == 3 and lazy.trained
     lazy.retrain()  # a retrain no decision reads: it fits nothing
@@ -111,8 +111,8 @@ def test_lazy_refits_make_the_eager_decisions(featurizer, stream, fit_counter, t
 
 
 def test_lazy_ensemble_makes_the_eager_decisions(featurizer, stream):
-    lazy = EnsembleLatencyModel(featurizer, epochs=EPOCHS, seed=2)
-    eager = EagerEnsembleLatencyModel(featurizer, epochs=EPOCHS, seed=2)
+    lazy = EnsembleLatencyModel(featurizer, seed=2)
+    eager = EagerEnsembleLatencyModel(featurizer, seed=2)  # both at 30 epochs
     assert _lockstep(lazy, eager, stream) == 3
     _assert_same_weights(lazy.inner.members(), eager.inner.members())
 
@@ -143,7 +143,7 @@ def test_bao_driver_under_background_updates_matches_the_eager_loop(stats_db):
 
 def _owing(featurizer, stream, seed=1):
     """A Bao model right after its first retrain: every member owes a fit."""
-    model = TreeConvLatencyModel(featurizer, epochs=EPOCHS, seed=seed)
+    model = TreeConvLatencyModel(featurizer, seed=seed)
     for cands, lats in stream[:EVERY]:
         model.observe(cands[0], lats[0])
     model.retrain()
@@ -166,8 +166,8 @@ class _NeverLast:
 
 
 def test_a_member_never_sampled_owes_at_most_one_fit(featurizer, stream, fit_counter):
-    lazy = TreeConvLatencyModel(featurizer, epochs=EPOCHS, seed=3)
-    eager = EagerTreeConvLatencyModel(featurizer, epochs=EPOCHS, seed=3)
+    lazy = TreeConvLatencyModel(featurizer, seed=3)
+    eager = EagerTreeConvLatencyModel(featurizer, seed=3)
     lazy._rng, eager._rng = _NeverLast(lazy._rng), _NeverLast(eager._rng)
     last = lazy.members()[-1]
     assert _lockstep(lazy, eager, stream[:80]) == 3

@@ -102,9 +102,15 @@ class TestPilotScopeConfig:
 class TestCrossDatabaseSanity:
     """Every major component must run on every bundled schema."""
 
-    @pytest.mark.parametrize("maker", [make_stats_lite, make_tpch_lite])
+    @pytest.mark.parametrize(
+        "maker",
+        [
+            pytest.param(lambda: make_stats_lite(scale=0.25, seed=11), id="make_stats_lite"),
+            pytest.param(make_tpch_lite, id="make_tpch_lite"),
+        ],
+    )
     def test_fspn_and_bao_on_other_schemas(self, maker):
-        db = maker(scale=0.25, seed=11)
+        db = maker()
         est = FSPNEstimator(db)
         opt = Optimizer(db)
         sim = ExecutionSimulator(db)
@@ -123,7 +129,7 @@ class TestCrossDatabaseSanity:
         from repro.costmodel import PlanFeaturizer
         from repro.regression import Eraser
 
-        db = make_tpch_lite(scale=0.25, seed=12)
+        db = make_tpch_lite()
         opt = Optimizer(db)
         sim = ExecutionSimulator(db)
         feat = PlanFeaturizer(db, opt.estimator)
@@ -459,7 +465,7 @@ class TestConsoleResilience:
     def test_backoff_is_deterministic(self):
         from repro.faults import RetryPolicy
 
-        policy = RetryPolicy(max_attempts=4, base_backoff_ms=5.0, multiplier=2.0)
+        policy = RetryPolicy()
         assert [policy.backoff_ms(i) for i in range(3)] == [5.0, 10.0, 20.0]
 
 
@@ -582,7 +588,7 @@ class TestServeChaos:
             seed=0,
         )
         scenario = chaos_scenario(
-            seed=4, n_queries=60, scale=0.25, plan=plan, canary_fraction=1.0
+            seed=4, n_queries=60, scale=0.25, plan=plan
         )
         # the scenario keeps the model deployed; arm the manager's trigger
         scenario.deployment.rollback_after_trips = 1

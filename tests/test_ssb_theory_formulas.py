@@ -14,7 +14,7 @@ from repro.storage import make_ssb_lite
 
 @pytest.fixture(scope="module")
 def ssb_db():
-    return make_ssb_lite(scale=0.4, seed=0)
+    return make_ssb_lite()
 
 
 class TestSSB:
@@ -38,8 +38,8 @@ class TestSSB:
             assert res.latency_ms > 0
 
     def test_deterministic(self):
-        a = make_ssb_lite(0.3, seed=2)
-        b = make_ssb_lite(0.3, seed=2)
+        a = make_ssb_lite()
+        b = make_ssb_lite()
         assert np.array_equal(
             a.table("lineorder").values("revenue"),
             b.table("lineorder").values("revenue"),
@@ -53,7 +53,7 @@ class TestTheory:
         test = WorkloadGenerator(stats_db, seed=161).single_table_workload("posts", 40)
         curve = pac_learning_curve(
             stats_db,
-            lambda: GBDTQueryEstimator(stats_db, n_estimators=25),
+            lambda: GBDTQueryEstimator(stats_db),
             train,
             test,
             sample_sizes=[30, 100, 300],

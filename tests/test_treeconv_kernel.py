@@ -236,7 +236,7 @@ class TestSameBitsOnForests:
         featurizer = PlanFeaturizer(imdb_db)
         dim = featurizer.node_dim
         rng = np.random.default_rng(seed)
-        model = PairwisePlanComparator(featurizer, seed=seed % 3, epochs=2)
+        model = PairwisePlanComparator(featurizer, seed=seed % 3)
         for q in range(n_queries):
             trees = forest(seed + q, int(rng.integers(1, 6)), kind, dim=dim)
             for t in trees:
@@ -245,7 +245,7 @@ class TestSameBitsOnForests:
             dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed % 3
         )
         n_pairs = _old_comparator_retrain(
-            model._by_query, ref, np.random.default_rng(seed % 3 + 5), epochs=2, lr=1e-3
+            model._by_query, ref, np.random.default_rng(seed % 3 + 5), epochs=40, lr=1e-3
         )
         model.retrain()
         if n_pairs < 15:
@@ -532,10 +532,11 @@ def _old_comparator_retrain(by_query, net, rng, *, epochs, lr):
 
 
 def _old_multitask_loops(net, rng, trees, y, tune_trees, tune_y, *, epochs):
-    """``UnifiedTransferableModel.pretrain`` then ``.fine_tune("latency")``."""
+    """``UnifiedTransferableModel.pretrain`` (40 epochs) then
+    ``.fine_tune("latency")`` (``epochs``)."""
     opt = ReferenceAdam(lr=1e-3)
     losses = []
-    for _ in range(epochs):
+    for _ in range(40):
         order = rng.permutation(len(trees))
         total, batches = 0.0, 0
         for start in range(0, len(trees), 32):
@@ -566,7 +567,7 @@ class TestFoldedLoops:
     def test_comparator_retrain_and_pair_count(self, imdb_db, imdb_optimizer):
         featurizer = PlanFeaturizer(imdb_db, imdb_optimizer.estimator)
         rng = np.random.default_rng(10)
-        model = PairwisePlanComparator(featurizer, seed=2, epochs=3)
+        model = PairwisePlanComparator(featurizer, seed=2)
         for q in range(14):  # 1..4 plans a query, some latencies within 5%
             for _ in range(int(rng.integers(1, 5))):
                 tree = random_binary_tree(rng, featurizer.node_dim, int(rng.integers(1, 5)))
@@ -575,7 +576,7 @@ class TestFoldedLoops:
             featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=2
         )
         n_pairs = _old_comparator_retrain(
-            model._by_query, ref, np.random.default_rng(2 + 5), epochs=3, lr=1e-3
+            model._by_query, ref, np.random.default_rng(2 + 5), epochs=40, lr=1e-3
         )
         assert model.n_pairs == n_pairs >= 15
         model.retrain()
@@ -590,7 +591,7 @@ class TestFoldedLoops:
         rng = np.random.default_rng(11)
         lats, cards = rng.uniform(1, 500, size=45), rng.uniform(1, 1e5, size=45)
         model = UnifiedTransferableModel(featurizer, seed=4)
-        losses = model.pretrain(plans, lats, cards, epochs=3)
+        losses = model.pretrain(plans, lats, cards)
         model.fine_tune("latency", plans[:40], lats[:40] * 3.0, epochs=3)
 
         trees = [plan_to_tree_arrays(p, featurizer) for p in plans]

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.ml.nn import mse_loss, binary_cross_entropy_loss
+from repro.ml.nn import mse_loss
 
 __all__ = ["ReferenceAdam", "ReferencePlanTreeBatch", "ReferenceTreeConvNet"]
 
@@ -318,7 +318,7 @@ class ReferenceTreeConvNet:
             raise ValueError("number of trees and targets differ")
         if len(trees) == 0:
             raise ValueError("cannot fit on an empty corpus")
-        loss_fn = {"mse": mse_loss, "bce": binary_cross_entropy_loss}[loss]
+        loss_fn = {"mse": mse_loss}[loss]
         rng = np.random.default_rng(seed)
         opt = ReferenceAdam(lr=lr)
         losses: list[float] = []
