@@ -29,7 +29,7 @@ import numpy as np
 from repro.cardest.base import BaseCardinalityEstimator
 from repro.engine.executor import CardinalityExecutor
 from repro.sql.generator import WorkloadGenerator
-from repro.sql.query import ColumnRef, Op, Predicate, Query
+from repro.sql.query import Query
 from repro.storage.catalog import Database
 
 __all__ = ["DriftReport", "DDUpDetector", "Warper"]

@@ -524,10 +524,6 @@ class GLPlusEstimator(BaseCardinalityEstimator):
                 local.fit(x[members], y[members], epochs=self.epochs, lr=2e-3)
                 self._local[seg] = local
 
-    @property
-    def n_local_models(self) -> int:
-        return len(self._local)
-
     def _estimate(self, query: Query) -> float:
         if self._global is None or self._kmeans is None:
             raise RuntimeError("GL+.estimate called before fit")

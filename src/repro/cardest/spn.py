@@ -36,9 +36,6 @@ class _Node:
     def probability(self, allowed: list[np.ndarray | None]) -> float:
         raise NotImplementedError
 
-    def n_nodes(self) -> int:
-        return 1
-
 
 class _LeafHistogram(_Node):
     """Smoothed histogram over one column."""
@@ -93,9 +90,6 @@ class _ProductNode(_Node):
             p *= child.probability(allowed)
         return p
 
-    def n_nodes(self) -> int:
-        return 1 + sum(c.n_nodes() for c in self.children)
-
 
 class _SumNode(_Node):
     def __init__(self, weights: np.ndarray, children: list[_Node]) -> None:
@@ -106,9 +100,6 @@ class _SumNode(_Node):
         return float(
             sum(w * c.probability(allowed) for w, c in zip(self.weights, self.children))
         )
-
-    def n_nodes(self) -> int:
-        return 1 + sum(c.n_nodes() for c in self.children)
 
 
 def _correlation_components(
@@ -262,10 +253,6 @@ class _SPNFamilyEstimator(BaseCardinalityEstimator):
         """Rebuild from current data (drift recovery)."""
         self._join_sizes.invalidate()
         self._build_all()
-
-    def structure_size(self, table: str) -> int:
-        """Node count of the learned network (structure diagnostics)."""
-        return self._models[table][1].n_nodes()
 
     def _table_selectivity(self, query: Query, table: str) -> float:
         preds = query.predicates_on(table)

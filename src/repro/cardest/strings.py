@@ -19,7 +19,6 @@ also how Astrid builds its workloads.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -183,8 +182,3 @@ class AstridEstimator:
             raise RuntimeError("estimate called before fit")
         raw = float(np.expm1(self._net.predict(self._featurize(pred)[None, :])[0]))
         return float(min(max(raw, 0.0), self.column.n_rows))
-
-    def q_error(self, pred: StringPredicate) -> float:
-        est = max(self.estimate(pred), 1.0)
-        true = max(self.column.count(pred), 1)
-        return max(est / true, true / est)

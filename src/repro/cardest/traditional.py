@@ -93,13 +93,3 @@ class SamplingEstimator(BaseCardinalityEstimator):
         for t in query.tables:
             scale /= self._rates[t]
         return sampled * scale
-
-    def resample(self, seed: int) -> "SamplingEstimator":
-        """A fresh estimator with a different sample draw."""
-        rows = int(
-            round(
-                self._rates[next(iter(self._rates))]
-                * self.db.table(next(iter(self._rates))).n_rows
-            )
-        )
-        return SamplingEstimator(self.db, sample_rows=max(rows, 1), seed=seed)

@@ -74,10 +74,6 @@ class CalibratedCostModel:
         self._y: np.ndarray | None = None
         self._observed: list[tuple[float, float]] = []
 
-    @property
-    def n_observations(self) -> int:
-        return len(self._observed)
-
     def observe(self, plan: Plan, latency_ms: float) -> None:
         """Record one executed plan's (cost, latency) pair."""
         self._observed.append(
@@ -108,11 +104,3 @@ class CalibratedCostModel:
             raise RuntimeError("predict_latency called before fit")
         cost = float(self.optimizer.cost(plan))
         return float(np.interp(cost, self._x, self._y))
-
-    def calibration_error(self, plans: list[Plan], latencies: np.ndarray) -> float:
-        """Median relative error of calibrated predictions on a test set."""
-        preds = np.array([self.predict_latency(p) for p in plans])
-        truths = np.asarray(latencies, dtype=float)
-        return float(
-            np.median(np.abs(preds - truths) / np.maximum(truths, 1e-9))
-        )

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.costmodel.features import PlanFeaturizer, plan_to_tree_arrays
 from repro.engine.plans import Plan
-from repro.ml.nn import MLP, Adam, Dense, ReLU, Sequential
+from repro.ml.nn import Adam, Dense, ReLU, Sequential
 
 __all__ = ["PlanAutoencoder"]
 
@@ -108,11 +108,6 @@ class PlanAutoencoder:
             raise RuntimeError("embed called before fit")
         x = self._serialize(plan)[None, :]
         return self.encoder.forward(x)[0]
-
-    def embed_batch(self, plans: list[Plan]) -> np.ndarray:
-        if not plans:
-            return np.zeros((0, self.latent_dim))
-        return np.stack([self.embed(p) for p in plans])
 
     def reconstruction_error(self, plan: Plan) -> float:
         """MSE of reconstructing the plan -- an OOD score for plans unlike

@@ -13,11 +13,9 @@ embedding.  :meth:`fine_tune` freezes the trunk and refits only a task
 head from a handful of examples -- the transfer step that makes the model
 cheap to specialize to a new workload.
 
-The same object therefore serves as:
-- a cost model (``predict_latency``),
-- a cardinality estimator over plans (``predict_cardinality``),
-- a join-order value function (``value``: predicted latency, usable by
-  the value-guided searchers).
+The same object therefore serves as a cost model (``predict_latency``)
+and a join-order value function (``value``: predicted latency, usable by
+the value-guided searchers); the cardinality head shapes the shared trunk.
 """
 
 from __future__ import annotations
@@ -157,14 +155,6 @@ class UnifiedTransferableModel:
     def predict_latency(self, plan: Plan) -> float:
         return float(max(np.expm1(self._predict(plan)[0]), 0.0))
 
-    def predict_cardinality(self, plan: Plan) -> float:
-        return float(max(np.expm1(self._predict(plan)[1]), 0.0))
-
     def value(self, plan: Plan) -> float:
         """Join-order search value: lower predicted latency = better."""
         return float(self._predict(plan)[0])
-
-    def embed(self, plan: Plan) -> np.ndarray:
-        """The shared-representation plan embedding."""
-        tree = plan_to_tree_arrays(plan, self.featurizer)
-        return self.net.embed(PlanTreeBatch.from_trees([tree]))[0]

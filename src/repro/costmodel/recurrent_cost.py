@@ -127,9 +127,3 @@ class TreeRecurrentCostModel:
         states, _ = self._forward_tree(feats, left, right)
         pred = float((states[0] @ self.wo + self.bo)[0])
         return float(max(np.expm1(pred), 0.0))
-
-    def embed(self, plan: Plan) -> np.ndarray:
-        """Root-state plan embedding (Saturn-style downstream feature [34])."""
-        feats, left, right = plan_to_tree_arrays(plan, self.featurizer)
-        states, _ = self._forward_tree(feats, left, right)
-        return states[0].copy()

@@ -38,14 +38,3 @@ class BaoOptimizer(LearnedOptimizer):
             ),
             name="bao",
         )
-        self.optimizer = optimizer
-
-    def cache_stats(self) -> dict[str, float]:
-        """Counters of the cardinality cache shared with the optimizer.
-
-        The arm sweep is one DP pass (:meth:`Optimizer.plan_arms`), so it
-        looks each sub-query up once; the hits are the featurizer reading
-        the node cardinalities that pass primed, and sub-queries repeated
-        across requests.
-        """
-        return self.optimizer.cache_stats()

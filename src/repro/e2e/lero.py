@@ -27,17 +27,6 @@ class LeroOptimizer(LearnedOptimizer):
             risk_model=PairwisePlanComparator(featurizer, seed=seed),
             name="lero",
         )
-        self.optimizer = optimizer
-
-    def cache_stats(self) -> dict[str, float]:
-        """Cardinality-cache counters accumulated across the factor sweeps.
-
-        The per-factor ``ScaledCardinalities`` wrappers are recreated every
-        planning, but their cache tags derive from the (stable) base
-        estimator plus the factor, so repeated plannings under the same
-        factor keep hitting the shared cache.
-        """
-        return self.optimizer.cache_stats()
 
     def train_offline(self, queries, executor) -> int:
         """Lero's pair-collection phase: execute up to three candidate

@@ -133,10 +133,6 @@ class TreeConvLatencyModel:
         """Whether a retrain has run (else: default wins)."""
         return self._trained
 
-    @property
-    def n_observations(self) -> int:
-        return len(self._latencies)
-
     def observe(self, candidate: CandidatePlan, latency_ms: float) -> None:
         self._trees.append(_candidate_tree(candidate, self.featurizer))
         self._latencies.append(float(latency_ms))

@@ -10,7 +10,7 @@ plans.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.sql.query import Join, Predicate, Query, hash_once, state_without_hash

@@ -13,7 +13,7 @@ model -- the same operator-selection convention DQ/ReJoin/RTOS use.
 
 from __future__ import annotations
 
-from repro.engine.plans import JoinNode, Plan, PlanNode
+from repro.engine.plans import Plan
 from repro.optimizer.cost import PlanCoster
 from repro.optimizer.hints import HintSet
 from repro.optimizer.planner import _best_join, _best_scan, _join_conditions_between

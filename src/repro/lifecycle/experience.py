@@ -194,15 +194,6 @@ class ExperienceStore(ServePolicy):
     def queries(self, *, kind: str | None = None) -> list[Query]:
         return [r.query for r in self.records(kind=kind)]
 
-    def labelled(self) -> tuple[list[Query], np.ndarray]:
-        """(queries, true_cardinalities) over records carrying exact labels."""
-        pairs = [
-            (r.query, r.true_cardinality)
-            for r in self._records.values()
-            if r.true_cardinality is not None
-        ]
-        return [q for q, _ in pairs], np.array([c for _, c in pairs])
-
     def snapshot_id(self) -> str:
         """Stable 12-hex digest of the retained records (sorted by key)."""
         h = hashlib.sha256()

@@ -295,10 +295,6 @@ class ModelRegistry(ServePolicy):
 
     # -- champion & lifecycle feedback ----------------------------------------
 
-    @property
-    def champion(self) -> ModelVersion | None:
-        return self._versions.get(self.champion_id) if self.champion_id else None
-
     def set_champion(self, version_id: str, *, reason: str = "") -> None:
         self.version(version_id)
         previous = self.champion_id

@@ -208,10 +208,6 @@ class TrainLog:
     val_losses: list[float] = field(default_factory=list)
     stopped_early: bool = False
 
-    @property
-    def epochs(self) -> int:
-        return len(self.train_losses)
-
 
 class MLP:
     """A multi-layer perceptron with a sklearn-like ``fit``/``predict`` API.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.optimizer.statistics import DatabaseStats
-from repro.sql.query import Op, OrPredicate, Predicate, Query
+from repro.sql.query import Op, OrPredicate, Query
 from repro.storage.catalog import Database
 
 __all__ = ["TraditionalCardinalityEstimator"]

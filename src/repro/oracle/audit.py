@@ -101,10 +101,6 @@ class OnlineAuditor:
 
     # -- reporting ---------------------------------------------------------------
 
-    @property
-    def n_violations(self) -> int:
-        return self.report.n_violations
-
     def stats(self) -> dict:
         """Gauge-compatible summary for telemetry attachment."""
         return {

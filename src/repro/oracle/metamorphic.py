@@ -28,15 +28,7 @@ from typing import Callable
 from repro.engine.executor import CardinalityExecutor, IntermediateTooLarge
 from repro.oracle.report import Violation
 from repro.sql.query import Query, query_hash
-from repro.sql.transforms import (
-    TRANSFORM_REGISTRY,
-    add_tautology,
-    commute_joins,
-    expand_in_to_or,
-    permute_tables,
-    split_between,
-    verify_transform,
-)
+from repro.sql.transforms import TRANSFORM_REGISTRY, verify_transform
 from repro.storage.catalog import Database
 
 __all__ = ["MetamorphicSuite", "TRANSFORMS"]

@@ -21,7 +21,7 @@ path is for failures, not for masking bugs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import ConfigError, DriverError, EstimationError
 from repro.core.records import slot_init

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-import numpy as np
-
 from repro.cardest.base import BaseCardinalityEstimator, sanitize_estimate
 from repro.core.framework import CandidatePlan, LearnedOptimizer
 from repro.costmodel.features import PlanFeaturizer
@@ -42,7 +40,6 @@ class CardinalityInjectionDriver(Driver):
         if not isinstance(estimator, BaseCardinalityEstimator):
             raise TypeError("estimator must be a BaseCardinalityEstimator")
         self.estimator = estimator
-        self._collected: list[tuple[Query, float]] = []
 
     def algo(self, query: Query) -> ExecutionResult:
         interactor = self._require_started()
@@ -54,20 +51,6 @@ class CardinalityInjectionDriver(Driver):
             }
             session.push_cardinalities(cards)
             return session.pull_execution(session.pull_plan(query))
-
-    # -- workflow phases --------------------------------------------------------------
-
-    def collect_training_data(self, queries: list[Query]) -> None:
-        """Execute the workload natively, recording true cardinalities."""
-        interactor = self._require_started()
-        for q in queries:
-            outcome = interactor.execute_default(q)
-            self._collected.append((q, float(outcome.cardinality)))
-
-    def train(self) -> None:
-        if self._collected:
-            queries, cards = zip(*self._collected)
-            self.estimator.fit(list(queries), np.array(cards))
 
     def background_update(self) -> None:
         """Refresh the estimator against the current data."""

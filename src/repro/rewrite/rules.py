@@ -38,14 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sql.query import (
-    ColumnRef,
-    Join,
-    Op,
-    OrPredicate,
-    Predicate,
-    Query,
-)
+from repro.sql.query import ColumnRef, Op, OrPredicate, Predicate, Query
 from repro.storage.catalog import Database
 
 __all__ = [

@@ -36,10 +36,6 @@ class ValidationResult:
     outcome: VerifyOutcome
 
     @property
-    def ok(self) -> bool:
-        return self.outcome.ok
-
-    @property
     def skipped(self) -> bool:
         return self.outcome.skipped
 

@@ -90,10 +90,3 @@ class ValuesCatalog:
             self.stats.refresh(self.db, [name])
         self.attachments += 1
         return name, join
-
-    @property
-    def attached(self) -> list[str]:
-        """Names of all values relations currently attached, sorted."""
-        return sorted(
-            t for t in self.db.tables if t.startswith(f"{self.prefix}_")
-        )

@@ -41,7 +41,7 @@ from repro.core.errors import ConfigError
 from repro.core.interfaces import Decision, ServePolicy
 from repro.engine.plans import Plan
 from repro.engine.simulator import ExecutionSimulator
-from repro.faults.resilience import BreakerState, CircuitBreaker
+from repro.faults.resilience import CircuitBreaker
 from repro.optimizer.plancache import PlanCache
 from repro.optimizer.planner import Optimizer
 from repro.regression import GuardChain

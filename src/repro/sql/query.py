@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -323,15 +323,6 @@ class Query:
         object.__setattr__(
             self, "predicates", tuple(sorted(self.predicates, key=str))
         )
-
-    @classmethod
-    def build(
-        cls,
-        tables: Iterable[str],
-        joins: Iterable[Join] = (),
-        predicates: Iterable[Predicate] = (),
-    ) -> "Query":
-        return cls(tuple(tables), tuple(joins), tuple(predicates))
 
     @property
     def n_tables(self) -> int:

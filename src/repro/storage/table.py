@@ -7,7 +7,7 @@ storage layer, since every surveyed estimator operates on coded values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,14 +124,3 @@ class Table:
                 raise ValueError(f"append violates key uniqueness on {name!r}")
         self.n_rows += next(iter(lengths))
         self.data_version += 1
-
-    def sample_rows(
-        self, n: int, rng: np.random.Generator, column_names: list[str] | None = None
-    ) -> np.ndarray:
-        """Uniform row sample (without replacement when possible)."""
-        names = column_names if column_names is not None else self.column_names
-        if self.n_rows == 0:
-            return np.zeros((0, len(names)))
-        replace = n > self.n_rows
-        idx = rng.choice(self.n_rows, size=min(n, self.n_rows), replace=replace)
-        return np.column_stack([self.values(c)[idx].astype(float) for c in names])

@@ -186,7 +186,8 @@ def test_disconnected_query_is_rejected(stats_db, stats_optimizer):
 
 
 def test_choose_plan_runs_the_kernel_once(stats_db, monkeypatch):
-    bao = BaoOptimizer(Optimizer(stats_db))
+    optimizer = Optimizer(stats_db)
+    bao = BaoOptimizer(optimizer)
     calls = []
     kernel = planner.enumerate_dp_arms
 
@@ -199,7 +200,7 @@ def test_choose_plan_runs_the_kernel_once(stats_db, monkeypatch):
     chosen = bao.choose_plan(q)
     assert calls == [12]
     assert chosen.plan in reference_plan_arms(
-        q, bao.optimizer.coster, HintSet.bao_arms()
+        q, optimizer.coster, HintSet.bao_arms()
     )
 
 

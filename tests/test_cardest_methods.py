@@ -297,10 +297,6 @@ class TestSPNFamily:
             fspn_err.append(q_error(fspn.estimate(q), true))
         assert np.median(fspn_err) <= np.median(spn_err) * 1.5
 
-    def test_structure_size_reported(self, stats_db):
-        spn = SPNEstimator(stats_db)
-        assert spn.structure_size("users") >= 1
-
     def test_refresh_rebuilds(self, stats_db):
         spn = SPNEstimator(stats_db)
         before = spn._models["users"]

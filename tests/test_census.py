@@ -18,10 +18,25 @@ and in each owner (not caught).  A new invariant of that kind is a row.
 (a) every name a package ``__init__`` exports is imported *through that
     package* by some file outside it (the top-level ``repro`` facade is
     exempt);
-(b) every public class, function and method under ``src/repro`` is
-    referenced by code outside ``tests/`` -- or by a ``"module:Class"`` row
-    of ``core/registry.py``, which names the class and its public methods
-    -- or is on ``TEST_ONLY`` / ``PROTOCOLS``;
+(b) every public top-level class and function under ``src/repro`` is
+    named by product code -- a file under ``src/``, ``benchmarks/``,
+    ``perf/`` or ``examples/``, or README's python blocks -- or by a
+    ``"module:Class"`` row of ``core/registry.py``; and every public method
+    of every class there, keyed ``Class.method``, is reached by product
+    code: ``self.m`` / ``cls.m`` / ``super().m`` inside ``C``, a base or a
+    subclass of it; ``C.m`` or ``Sub.m`` by class name; ``x.m`` on a local
+    every binding of which in its scope calls a constructor ``C(...)``; or
+    ``E.x.m`` on an attribute some class assigns a constructor call
+    (``self.x`` within the hierarchy, any other receiver across all
+    classes; either branch of a conditional counts, and a value assigned
+    from a parameter is taken to be of those classes).  On a receiver the
+    rule cannot type -- a parameter, a return value, a loop target, an
+    attribute nothing constructs, ``self`` in a ``Protocol`` -- and for a
+    ``getattr`` / ``hasattr`` string, ``.m`` counts for every method named
+    ``m``.  Annotations type nothing, a bare name or a keyword argument
+    reaches no method, and a registry row reaches its class, not the
+    class's methods.  What nothing reaches is deleted, or is on
+    ``TEST_ONLY`` / ``PROTOCOLS``;
 (c) every ``examples/*.py`` still imports (without running it);
 (d) every knob has a second product value.  A knob is a defaulted
     parameter of a callable under ``src/repro`` (a class's constructor --
@@ -61,14 +76,19 @@ and in each owner (not caught).  A new invariant of that kind is a row.
     space, a parenthesis or a comma, or a ``"?"`` joined into text (the
     ``predicate_template`` name is a row);
 (n) one tree-conv training plan: outside ``ml/treeconv.py`` nothing gathers
-    at a batch's ``idx3`` (the ``batches`` generator is a row).
+    at a batch's ``idx3`` (the ``batches`` generator is a row);
+(p) every module-level import under ``src/``, ``benchmarks/``,
+    ``examples/`` and ``tests/`` is read by its module (a package
+    ``__init__``'s re-exports are rule (a)'s, a name in ``__all__`` is an
+    export).
 
 The rows add (i) feedback only records, (j) a bootstrap member is read
 after its owed fit, (k)'s adjacency walk, (l) one exact counter, (m)'s text
 renderer, (n)'s per-epoch batches and (o) the per-decision triggers read a
 sorted window; each row's ``reason`` says the rest.
 
-Every rule reads one cached fact pass per file text (``Facts``), and none
+Every rule reads one cached fact pass per file text (``Facts``; rule (b)
+adds one receiver pass, ``MethodRefs``), and none
 imports ``repro`` but (c) and the slotted-records round trip.  A failure
 names the file and the symbol; the fix is to delete the code, not to grow
 an allow-list.  The ``test_seeded_*`` cases re-run the rules with some
@@ -94,6 +114,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 BENCH = ROOT / "benchmarks"
 REGISTRY = SRC / "core" / "registry.py"
+README = ROOT / "README.md"
 CODE_TREES = ("src", "benchmarks", "perf", "examples")
 PRODUCT = ("src", "benchmarks", "examples")
 
@@ -101,18 +122,20 @@ PRODUCT = ("src", "benchmarks", "examples")
 PROTOCOLS = {"CostEstimator", "LatencyPredictor"}
 
 #: features with tests but no scenario, bench or example behind them --
-#: kept, and listed here so the next re-anchor can decide each one
+#: kept, and listed here so the next re-anchor can decide each one; a
+#: method is keyed ``Class.method``
 TEST_ONLY = {
     "RiskLambdaTuner",  # blended-risk lambda tuning policy (PR 13)
-    "sharded_fabric_scenario",  # full per-shard stack at test scale
     "shard_fault_plan",  # its reroute drills' fault plans
-    "lineage",  # registry ancestry walk
-    "stop_driver",  # console driver lifecycle
+    "ModelRegistry.lineage",  # registry ancestry walk
+    "PilotScopeConsole.stop_driver",  # console driver lifecycle
     # -- the paper library (PR 20) --
     "execute_cardinality",  # one-shot exact count: the engine tests' seam (20 asserts)
     "RegressionTree",  # the GBDT kernel test's unit: a lone tree as a one-root table
-    "push_config",  # paper section 3.1's push operator list
-    "pull_native_estimate",  # ... and its pull operator list
+    "PilotSession.push_config",  # paper section 3.1's push operator list, ROADMAP item 7
+    "_SimSession.push_config",  # ... as the simulated PostgreSQL serves it, ROADMAP item 7
+    "PilotSession.pull_native_estimate",  # ... and its pull operator list, ROADMAP item 7
+    "_SimSession.pull_native_estimate",  # ROADMAP item 7
     "generate_names",  # Astrid's synthetic string column (Astrid is registry-only)
     "ConcurrentWorkload",  # interference simulator labelling ConcurrentCostModel's mixes
     "AutoSteerOptimizer",  # AutoSteer [1]; benches run discover_hint_sets only
@@ -120,7 +143,13 @@ TEST_ONLY = {
     "flow_loss_weights",  # Flow-Loss [44] sample weighting
     "pac_learning_curve",  # PAC learnability diagnostic [19]
     "interval_coverage",  # prediction-interval diagnostic [55]
-    "render_text",  # TelemetryBus's text dump, which README prints
+    # -- methods only tests call: each its method's defining capability --
+    "EnsembleEstimator.uncertainty",  # ROADMAP item 7: [55]'s disagreement score, an E1 column
+    "ConcurrentCostModel.predict_mix",  # ROADMAP item 7: GPredictor's per-mix prediction, E5
+    "PlanAutoencoder.embed",  # ROADMAP item 7: Saturn's plan embedding, E5
+    "PlanAutoencoder.reconstruction_error",  # ROADMAP item 7: Saturn's out-of-distribution score, E5
+    "UnifiedTransferableModel.fine_tune",  # ROADMAP item 7: MLMTF's transfer step, E5
+    "BalsaOptimizer.bootstrap_from_simulation",  # ROADMAP item 7: Balsa's sim-to-real phase, E8
 }
 
 #: rule (d): knobs product code sets where the rule sees one value --
@@ -263,6 +292,8 @@ class Facts(NamedTuple):
     imports: list  # (module, name) of every absolute from-import
     modules: list  # (line, module) of every import
     identifiers: frozenset  # names, attributes, imported names (not a re-export)
+    names: frozenset  # every ast.Name
+    bound: list  # (line, name) each module-level import binds
     words: frozenset  # every \w+ word, comments and docstrings included
     keywords: dict  # keyword-argument name -> [(ast.keyword, enclosing defs)]
     calls: dict  # called name or attribute -> [ast.Call]
@@ -291,6 +322,8 @@ def _file_facts(text: str, filename: str, reexport: bool) -> Facts:
         imports=[],
         modules=[],
         identifiers=set(),
+        names=set(),
+        bound=[],
         words=frozenset(re.findall(r"\w+", text)),
         keywords=defaultdict(list),
         calls=defaultdict(list),
@@ -311,8 +344,15 @@ def _file_facts(text: str, filename: str, reexport: bool) -> Facts:
             else None
         )
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and not functions and owner is None:
+                facts.bound.extend(
+                    (child.lineno, alias.asname or alias.name.split(".")[0])
+                    for alias in child.names
+                    if getattr(child, "module", None) != "__future__"
+                )
             if isinstance(child, ast.Name):
                 facts.identifiers.add(child.id)
+                facts.names.add(child.id)
             elif isinstance(child, ast.Attribute):
                 facts.identifiers.add(child.attr)
                 facts.attributes[child.attr].append((child, owner))
@@ -353,7 +393,9 @@ def _file_facts(text: str, filename: str, reexport: bool) -> Facts:
             visit(child, owner, functions)
 
     visit(_parse_text(text, filename), None, ())
-    return facts._replace(identifiers=frozenset(facts.identifiers), keys=frozenset(facts.keys))
+    return facts._replace(
+        identifiers=frozenset(facts.identifiers), names=frozenset(facts.names), keys=frozenset(facts.keys)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -477,60 +519,290 @@ def test_every_export_is_imported_through_the_package(package):
 # -- (b) every public definition has a reference --------------------------------------
 
 
-def _public_definitions(sources: Sources):
-    """``[(file, symbol)]`` of every public top-level class / function and
-    public method under ``src/repro``, and ``{class: its public methods}``."""
-    definitions, methods = [], {}
+class MethodRefs(NamedTuple):
+    """How one file's code reaches methods.  A ``pooled`` name counts for
+    every method of that name; a ``typed`` row ``(receiver, method)`` only
+    for the classes its receiver can be: ``("self", C)`` (``self``,
+    ``cls`` or ``super()`` inside ``C``), ``("names", names)`` (a class
+    name, or a local every binding of which calls a constructor) or
+    ``("attr", C, x)`` (``self.x`` inside ``C``; ``C`` is ``None`` for
+    ``E.x`` on any other receiver ``E``), typed by ``attributes``."""
+
+    pooled: frozenset
+    typed: frozenset
+    attributes: dict  # (class or None, x) -> the callees assigned to x
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+#: the calls whose second argument names an attribute
+_BY_NAME = ("getattr", "hasattr", "setattr")
+
+
+def _callee(value: ast.expr | None) -> str | None:
+    """The name a ``C(...)`` / ``module.C(...)`` value calls, else ``None``."""
+    func = getattr(value, "func", None) if isinstance(value, ast.Call) else None
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def _callees(value: ast.expr | None) -> set[str]:
+    """The names a value may call: either branch of ``a if c else b``, each
+    operand of ``a or b``."""
+    if isinstance(value, ast.IfExp):
+        return _callees(value.body) | _callees(value.orelse)
+    if isinstance(value, ast.BoolOp):
+        return set().union(*map(_callees, value.values))
+    return {name for name in [_callee(value)] if name}
+
+
+def _targets(node: ast.AST) -> list[ast.expr]:
+    """What an assignment statement assigns to (nothing, for any other)."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    return [node.target] if isinstance(node, ast.AnnAssign) else []
+
+
+def _bind(bindings: dict, name: str, callee: str | None) -> None:
+    """Add one binding: a set of callee names, ``None`` once one is untyped."""
+    found = bindings.get(name, set())
+    bindings[name] = None if found is None or callee is None else found | {callee}
+
+
+def _scope_bindings(scope: ast.AST) -> dict[str, set | None]:
+    """``{name: callee names}`` of every name ``scope`` binds: an import or
+    a class statement binds its own name, a ``name = C(...)`` the callee;
+    any other binding (a parameter, a loop target, ...) types it ``None``."""
+    bindings: dict[str, set | None] = {}
+    if isinstance(scope, _FUNCTIONS):
+        args = scope.args
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg):
+            if arg is not None:
+                _bind(bindings, arg.arg, None)
+    typed: dict[int, str | None] = {}
+    stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _bind(bindings, node.name, node.name if isinstance(node, ast.ClassDef) else None)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            typed[id(node.targets[0])] = _callee(node.value)
+        elif isinstance(node, ast.AnnAssign):
+            typed[id(node.target)] = _callee(node.value)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                _bind(bindings, alias.asname or alias.name.split(".")[0], alias.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            for name in node.names:
+                _bind(bindings, name, None)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            _bind(bindings, node.name, None)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            _bind(bindings, node.id, typed.get(id(node)))
+        stack.extend(ast.iter_child_nodes(node))
+    return bindings
+
+
+@lru_cache(maxsize=None)
+def _method_refs(text: str, filename: str) -> MethodRefs:
+    """One file's ``MethodRefs``: every attribute read, typed by its
+    receiver where the receiver's scope says what it is."""
+    pooled, typed, attributes = set(), set(), defaultdict(set)
+    stored: dict[int, ast.expr | None] = {}  # an assignment's target -> its value
+
+    def receiver(value: ast.expr, scopes: tuple, owner: str | None) -> tuple | None:
+        if owner and (
+            getattr(value, "id", "") in ("self", "cls")
+            or isinstance(value, ast.Call) and getattr(value.func, "id", "") == "super"
+        ):
+            return ("self", owner)
+        if isinstance(value, ast.Attribute):
+            return ("attr", owner if getattr(value.value, "id", "") == "self" else None, value.attr)
+        if not isinstance(value, ast.Name):
+            return None
+        for depth, (kind, names) in enumerate(reversed(scopes)):
+            if value.id in names and (depth == 0 or kind != "class"):
+                found = names[value.id]
+                return None if found is None else ("names", frozenset(found))
+        return ("names", frozenset([value.id]))
+
+    def visit(node: ast.AST, scopes: tuple, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                for part in (*child.bases, *child.keywords, *child.decorator_list):
+                    visit(part, scopes, owner)
+                for stmt in child.body:  # a class attribute is self.x's too
+                    for target in _targets(stmt):
+                        if isinstance(target, ast.Name):
+                            attributes[child.name, target.id] |= _callees(stmt.value)
+                body = ast.Module(child.body, [])
+                visit(body, (*scopes, ("class", _scope_bindings(body))), child.name)
+                continue
+            if isinstance(child, _FUNCTIONS):
+                args = child.args
+                for part in (*getattr(child, "decorator_list", ()), *args.defaults, *args.kw_defaults):
+                    if part is not None:
+                        visit(part, scopes, owner)
+                body = child.body if isinstance(child.body, list) else [child.body]
+                visit(ast.Module(body, []), (*scopes, ("function", _scope_bindings(child))), owner)
+                continue
+            if isinstance(child, (ast.Assign, ast.AnnAssign)):
+                for target in _targets(child):
+                    stored[id(target)] = child.value
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                found = receiver(child.value, scopes, owner)
+                if found is None:
+                    pooled.add(child.attr)
+                else:
+                    typed.add((found, child.attr))
+            elif isinstance(child, ast.Attribute):
+                on_self = owner if getattr(child.value, "id", "") == "self" else None
+                attributes[on_self, child.attr] |= _callees(stored.get(id(child)))
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", "") in _BY_NAME:
+                name = child.args[1] if len(child.args) > 1 else None
+                if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                    pooled.add(name.value)
+            visit(child, scopes, owner)
+
+    tree = _parse_text(text, filename)
+    visit(tree, (("module", _scope_bindings(tree)),), None)
+    return MethodRefs(frozenset(pooled), frozenset(typed), dict(attributes))
+
+
+def _hierarchy(sources: Sources, trees: tuple[str, ...]) -> dict[str, set[str]]:
+    """``{class: its base names}`` of every class under ``trees`` (same-named
+    classes pool their bases)."""
+    bases = defaultdict(set)
+    for path in _files(*trees):
+        for node in sources.facts(path).classes:
+            bases[node.name].update(getattr(b, "id", getattr(b, "attr", "")) for b in node.bases)
+    return bases
+
+
+def _ancestors(name: str, bases: dict[str, set[str]]) -> set[str]:
+    """Every class ``name`` derives from, bases resolved by name."""
+    found, stack = set(), [name]
+    while stack:
+        for base in bases.get(stack.pop(), ()):
+            if base in bases and base not in found:
+                found.add(base)
+                stack.append(base)
+    return found
+
+
+def _readme_code(sources: Sources) -> str:
+    """README's python blocks, one module (CI's ``examples`` job runs them
+    in order in one namespace)."""
+    return "\n".join(re.findall(r"```python\n(.*?)```", sources.text(README), re.S))
+
+
+def _reached_methods(sources: Sources) -> tuple[set[str], set[str]]:
+    """``(pooled, reached)``: the method names a product reference counts
+    for whatever their class, and the ``Class.method`` keys a typed one
+    reaches -- under ``CODE_TREES`` and in README's python blocks."""
+    bases = _hierarchy(sources, CODE_TREES)
+    ancestors = {name: _ancestors(name, bases) for name in bases}
+    descendants = defaultdict(set)
+    for name, found in ancestors.items():
+        for ancestor in found:
+            descendants[ancestor].add(name)
+    texts = [(sources.text(p), str(p)) for p in _files(*CODE_TREES)] + [(_readme_code(sources), "README.md")]
+    refs = [_method_refs(text, filename) for text, filename in texts]
+    attributes = defaultdict(set)  # x -> {class or None: the callees assigned to x}
+    for ref in refs:
+        for (owner, attr), callees in ref.attributes.items():
+            attributes[attr].add((owner, frozenset(callees)))
+
+    def classes(names) -> set[str]:
+        """The classes a receiver built by these callees can be."""
+        return {c for n in names if n in bases for c in (n, *ancestors[n])}
+
+    pooled, reached = set(), set()
+    for ref in refs:
+        pooled |= ref.pooled
+        for receiver, method in ref.typed:
+            kind, name = receiver[:2]
+            relatives = {name} | ancestors.get(name, set()) | descendants[name]
+            if kind == "self":
+                found = set() if "Protocol" in bases.get(name, ()) else relatives
+            elif kind == "names":
+                found = classes(receiver[1]) if all(n in bases for n in receiver[1]) else set()
+            else:
+                found = classes(
+                    n
+                    for owner, callees in attributes[receiver[2]]
+                    if name is None or owner in relatives
+                    for n in callees
+                )
+            if found:
+                reached.update(f"{c}.{method}" for c in found)
+            else:
+                pooled.add(method)
+    return pooled, reached
+
+
+def _public_definitions(sources: Sources) -> tuple[list, list]:
+    """``([(file, name)], [(file, Class.method)])``: every public top-level
+    class and function, and every public method of every class, under
+    ``src/repro``."""
+    definitions, methods = [], []
     for path in _files("src"):
         if path.name == "__init__.py":
             continue
         where = _where(path)
-        for node in sources.parse(path).body:
-            if not isinstance(node, (ast.ClassDef, ast.FunctionDef)) or node.name.startswith("_"):
-                continue
-            definitions.append((where, node.name))
-            for sub in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    definitions.append((where, sub.name))
-                    methods.setdefault(node.name, set()).add(sub.name)
+        definitions += [
+            (where, node.name)
+            for node in sources.parse(path).body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and not node.name.startswith("_")
+        ]
+        methods += [
+            (where, f"{node.name}.{sub.name}")
+            for node in sources.facts(path).classes
+            for sub in node.body
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not sub.name.startswith("_")
+        ]
     return definitions, methods
 
 
-def _registry_references(sources: Sources, methods: dict[str, set[str]]) -> set[str]:
-    """Classes named by a ``"module:Class"`` string in the method registry,
-    and their public methods."""
-    classes = {
+def _registry_references(sources: Sources) -> set[str]:
+    """Classes named by a ``"module:Class"`` string in the method registry
+    (a row references its class, not the class's methods)."""
+    return {
         match.group(1)
         for node in sources.facts(REGISTRY).strings
         for match in [re.search(r":(\w+)$", node.value)]
         if match
     }
-    return classes.union(*(methods.get(c, ()) for c in classes))
 
 
-def unreferenced_definitions(sources: Sources):
-    """``(dead, stale, untested)``: definitions nothing but tests uses, and
-    allow-list entries that stopped being true."""
+def unreferenced_definitions(sources: Sources) -> list[str]:
+    """Every definition nothing but tests reaches, then every allow-list
+    entry that stopped being true, one line each."""
     definitions, methods = _public_definitions(sources)
-    used = sources.references(*CODE_TREES) | _registry_references(sources, methods)
+    readme = _file_facts(_readme_code(sources), "README.md", False).identifiers
+    used = sources.references(*CODE_TREES) | readme | _registry_references(sources)
+    pooled, reached = _reached_methods(sources)
+    used |= reached | {key for _, key in methods if key.rsplit(".", 1)[1] in pooled}
     allowed = PROTOCOLS | TEST_ONLY
-    dead = [d for d in definitions if d[1] not in used and d[1] not in allowed]
-    defined = {symbol for _, symbol in definitions}
-    stale = sorted(n for n in allowed if n not in defined or n in used)
+    defined = {symbol for _, symbol in definitions + methods}
     used_by_tests = sources.references("tests")
-    untested = sorted(n for n in TEST_ONLY if n not in used_by_tests)
-    return dead, stale, untested
+    return (
+        [f"{where}: {symbol} is unreferenced" for where, symbol in definitions + methods
+         if symbol not in used and symbol not in allowed]
+        + [f"{n} is allow-listed but gone or reached" for n in sorted(allowed) if n not in defined or n in used]
+        + [f"{n} is on TEST_ONLY but no test names it" for n in sorted(TEST_ONLY)
+           if n.rsplit(".", 1)[-1] not in used_by_tests]
+    )
 
 
 def test_every_public_definition_is_referenced():
-    dead, stale, untested = unreferenced_definitions(Sources())
-    assert not dead, (
-        f"defined but referenced by nothing under {CODE_TREES}: {dead} -- delete them "
-        "(with their __all__ entries and docs), or, for a feature only tests "
-        "exercise, list it in TEST_ONLY with a reason"
+    found = unreferenced_definitions(Sources())
+    assert not found, (
+        f"{found} -- delete what nothing under {CODE_TREES} or README's python "
+        "blocks reaches (with its __all__ entry, tests and docs), or, for a "
+        "feature only tests exercise, list it in TEST_ONLY with a reason"
     )
-    assert not stale, f"allow-listed but gone, or no longer test-only: {stale}"
-    assert not untested, f"TEST_ONLY names no test references either: {untested}"
 
 
 # -- (c) every example imports ---------------------------------------------------------
@@ -1012,16 +1284,8 @@ def test_request_path_is_single_writer():
 def _lru_classes(sources: Sources) -> set[str]:
     """``BoundedLRU`` and every class under ``src/repro`` that derives from
     it (bases resolved by name)."""
-    bases = {
-        name: {getattr(b, "id", getattr(b, "attr", "")) for b in node.bases}
-        for name, node in _classes(sources).items()
-    }
-    lru = {"BoundedLRU"}
-    while True:
-        grown = lru | {name for name, of in bases.items() if of & lru}
-        if grown == lru:
-            return lru
-        lru = grown
+    bases = _hierarchy(sources, ("src",))
+    return {"BoundedLRU"} | {name for name in bases if "BoundedLRU" in _ancestors(name, bases)}
 
 
 def lru_entries_violations(sources: Sources) -> list[str]:
@@ -1112,6 +1376,29 @@ def gather_violations(sources: Sources) -> list[str]:
     ]
 
 
+# -- (p) every import is used ---------------------------------------------------------
+
+
+def unused_imports(sources: Sources) -> list[str]:
+    """Every module-level import under ``src/``, ``benchmarks/``,
+    ``examples/`` or ``tests/`` whose name its module never reads (a
+    package ``__init__`` re-exports, which rule (a) polices, and a name in
+    a module's ``__all__`` is exported)."""
+    return [
+        f"{_where(path)}:{line} imports {name}, unused"
+        for path in _files(*PRODUCT, "tests")
+        if not (path.name == "__init__.py" and SRC in path.parents)
+        for facts in [sources.facts(path)]
+        for line, name in facts.bound
+        if name not in facts.names and name not in (_exports(sources, path) or ())
+    ]
+
+
+def test_every_import_is_used():
+    found = unused_imports(Sources())
+    assert not found, f"{found} -- delete each import its module does not use"
+
+
 # -- every cited rule exists ---------------------------------------------------------------
 
 #: the rules that stay functions, by letter
@@ -1127,6 +1414,7 @@ RULES = {
     "k": subset_enumeration_violations,
     "m": placeholder_violations,
     "n": gather_violations,
+    "p": unused_imports,
 }
 
 CITATION = re.compile(r"\brule\s+\(([a-z])\)", re.IGNORECASE)
@@ -1277,9 +1565,9 @@ def test_seeded_unused_public_definition_is_caught():
         "\ndef interval_coverage(",
         "\ndef seeded_unused_helper():\n    return None\n\n\ndef interval_coverage(",
     )
-    dead, stale, untested = unreferenced_definitions(sources)
-    assert dead == [("src/repro/cardest/theory.py", "seeded_unused_helper")]
-    assert not stale and not untested
+    assert unreferenced_definitions(sources) == [
+        "src/repro/cardest/theory.py: seeded_unused_helper is unreferenced"
+    ]
 
 
 _SETCONV = SRC / "ml" / "setconv.py"
@@ -1370,16 +1658,18 @@ def test_seeded_super_init_forward_is_a_call():
     ]
 
 
-def test_seeded_registry_row_is_a_reference_to_the_class_and_its_methods():
+def test_seeded_registry_row_is_a_reference_to_its_class_only():
+    """A ``"module:Class"`` row builds the class; what calls its methods is
+    the code that holds the instance, which the row is not."""
     planted = "\nclass SeededMethod:\n    def diagnose(self):\n        return None\n"
     theory = SRC / "cardest" / "theory.py"
     anchor = "_REGISTRY: list[MethodInfo] = [\n"
     assert _read(REGISTRY).count(anchor) == 1
     row = '    MethodInfo("cardinality", "Seeded", "Seeded", "-", "-", "repro.cardest.theory:SeededMethod"),\n'
     without_row = Sources({theory: _read(theory) + planted})
-    assert unreferenced_definitions(without_row)[0] == [
-        ("src/repro/cardest/theory.py", "SeededMethod"),
-        ("src/repro/cardest/theory.py", "diagnose"),
+    assert unreferenced_definitions(without_row) == [
+        "src/repro/cardest/theory.py: SeededMethod is unreferenced",
+        "src/repro/cardest/theory.py: SeededMethod.diagnose is unreferenced",
     ]
     with_row = Sources(
         {
@@ -1387,7 +1677,25 @@ def test_seeded_registry_row_is_a_reference_to_the_class_and_its_methods():
             REGISTRY: _read(REGISTRY).replace(anchor, anchor + row),
         }
     )
-    assert unreferenced_definitions(with_row) == ([], [], [])
+    assert unreferenced_definitions(with_row) == [
+        "src/repro/cardest/theory.py: SeededMethod.diagnose is unreferenced"
+    ]
+
+
+def test_seeded_method_sharing_a_live_name_is_caught():
+    """The name-based rule counted a method as used when any product file
+    named it; ``TelemetryBus.snapshot`` is live, the re-planted
+    ``TelemetryAggregator.snapshot`` beside it is not."""
+    sources = _patched(
+        "serve/fabric/aggregate.py",
+        "    def export_json(",
+        "    def snapshot(self) -> dict:\n        return json.loads(self.export_json())\n\n"
+        "    def export_json(",
+    )
+    assert "snapshot" in sources.references(*CODE_TREES)  # what the name-based rule read as used
+    assert unreferenced_definitions(sources) == [
+        "src/repro/serve/fabric/aggregate.py: TelemetryAggregator.snapshot is unreferenced"
+    ]
 
 
 def test_seeded_in_band_counter_is_caught():
@@ -1410,11 +1718,60 @@ def test_seeded_relabelled_record_is_caught():
     assert [n for n in latency_records(sources) if n not in RECORDS] == ["ExecutionOutcome"]
 
 
+#: rule (b)'s plants go above this line of ``cardest/theory.py``, with a
+#: class whose method only the plant may reach
+_THEORY_END = "\ndef interval_coverage("
+_SEEDED = "\nclass _Seeded:\n    def seeded_step(self):\n        return 1\n\n\n"
+_THEORY = "src/repro/cardest/theory.py"
+
+
 #: the hand-written plants: ``case: (rule, root, rows)``, a row ``(relative
 #: to root, old, new, caught)`` -- or ``(old, new, caught)`` when ``root``
 #: is the one file the rule reads -- with what ``census`` must report,
 #: line numbers dropped
 SEEDED = {
+    "test_seeded_unreached_method_is_caught": ("b", SRC, [
+        # a name only a local variable bears (oracle/equivalence.py's labelled)
+        ("lifecycle/experience.py", "    def snapshot_id(self) -> str:",
+         "    def labelled(self):\n        return []\n\n    def snapshot_id(self) -> str:",
+         ["src/repro/lifecycle/experience.py: ExperienceStore.labelled is unreferenced"]),
+        # a registry row builds GL+, and nothing calls this method of it
+        ("cardest/querydriven.py",
+         "    def _estimate(self, query: Query) -> float:\n        if self._global is None",
+         "    def n_local_models(self):\n        return len(self._local)\n\n"
+         "    def _estimate(self, query: Query) -> float:\n        if self._global is None",
+         ["src/repro/cardest/querydriven.py: GLPlusEstimator.n_local_models is unreferenced"]),
+        # nothing at all, or a keyword argument of that name
+        ("cardest/theory.py", _THEORY_END, _SEEDED + _THEORY_END,
+         [f"{_THEORY}: _Seeded.seeded_step is unreferenced"]),
+        ("cardest/theory.py", _THEORY_END,
+         _SEEDED + "def _seeded_call(f):\n    return f(seeded_step=1)\n\n" + _THEORY_END,
+         [f"{_THEORY}: _Seeded.seeded_step is unreferenced"]),
+        # the local of one scope is not another scope's, same-named
+        ("cardest/theory.py", _THEORY_END,
+         _SEEDED + "class _Other:\n    def seeded_step(self):\n        return 2\n\n\n"
+         "def _seeded_calls():\n    def one():\n        driver = _Seeded()\n"
+         "        return driver.seeded_step()\n\n    def two():\n        driver = _Other()\n"
+         "        return driver\n\n    return one, two\n\n" + _THEORY_END,
+         [f"{_THEORY}: _Other.seeded_step is unreferenced"]),
+        # an override its base calls through self
+        ("cardest/theory.py", _THEORY_END,
+         "\nclass _SeededBase:\n    def _run(self):\n        return self.seeded_step()\n\n\n"
+         + _SEEDED.replace("_Seeded:", "_Seeded(_SeededBase):") + _THEORY_END, []),
+        # a local a constructor assigned
+        ("cardest/theory.py", _THEORY_END,
+         _SEEDED + "def _seeded_call():\n    seeded = _Seeded()\n    return seeded.seeded_step()\n\n"
+         + _THEORY_END, []),
+        # an attribute a constructor assigned on self
+        ("cardest/theory.py", _THEORY_END,
+         _SEEDED + "class _Owner:\n    def __init__(self):\n        self.inner = _Seeded()\n\n"
+         "    def _run(self):\n        return self.inner.seeded_step()\n\n" + _THEORY_END, []),
+        # receivers the rule cannot type pool: a parameter, a hasattr string
+        ("cardest/theory.py", _THEORY_END,
+         _SEEDED + "def _seeded_call(x):\n    return x.seeded_step()\n\n" + _THEORY_END, []),
+        ("cardest/theory.py", _THEORY_END,
+         _SEEDED + "def _seeded_probe(x):\n    return hasattr(x, \"seeded_step\")\n\n" + _THEORY_END, []),
+    ]),
     "test_seeded_one_valued_knob_is_caught": ("d", ROOT, [
         # the lone product caller passes one literal
         ("src/repro/serve/scenarios.py", "OnlineAuditor(db, every=audit_every,",
@@ -1432,6 +1789,18 @@ SEEDED = {
         # perf's positional 7 is a second value: the allow-list entry is stale
         ("perf/workloads.py", "default_tenant_specs(6)", "default_tenant_specs(7)",
          ["default_tenant_specs.n_tenants is allow-listed but has no one product value"]),
+    ]),
+    "test_seeded_unused_import_is_caught": ("p", ROOT, [
+        ("src/repro/cardest/strings.py", "import zlib\n", "import math\nimport zlib\n",
+         ["src/repro/cardest/strings.py imports math, unused"]),
+        ("tests/test_fabric.py", "from repro.faults import BreakerState,",
+         "from repro.faults.plan import FaultSpec\nfrom repro.faults import BreakerState,",
+         ["tests/test_fabric.py imports FaultSpec, unused"]),
+        # a function's import is its own; a package __init__ re-exports (rule (a))
+        ("src/repro/cardest/strings.py", "def generate_names(n: int, seed: int = 0) -> list[str]:\n",
+         "def generate_names(n: int, seed: int = 0) -> list[str]:\n    import math\n", []),
+        ("src/repro/ml/__init__.py", "from repro.ml.cluster import KMeans\n",
+         "from repro.ml.cluster import KMeans\nfrom repro.ml.nn import Adam\n", []),
     ]),
     "test_seeded_bench_outside_the_contract_is_caught": ("f", BENCH, [
         ("bench_e7_bao.py", "\nexport = table_export(measure)\n", "\n",

@@ -140,14 +140,6 @@ class TestPointwiseCostModels:
         model = TreeConvCostModel(featurizer).fit(train_p, train_l)
         assert all(model.predict_latency(p) >= 0 for p in test_p)
 
-    def test_recurrent_embedding(self, featurizer, split_corpus):
-        train_p, train_l, _, _ = split_corpus
-        model = TreeRecurrentCostModel(featurizer).fit(
-            train_p[:20], train_l[:20]
-        )
-        emb = model.embed(train_p[0])
-        assert emb.shape == (model.hidden,)
-
 
 class TestZeroShot:
     def test_transfers_to_unseen_database(

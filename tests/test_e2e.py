@@ -200,7 +200,7 @@ class TestLearnedOptimizerFramework:
             assert calls["retrain"] == 0  # feedback only records
             cadence.tick()
         assert calls["retrain"] == 1 and bao.feedbacks == 5
-        assert bao.risk_model.n_observations == 5
+        assert len(bao.risk_model._latencies) == 5
 
     def test_learned_arm_keeps_a_sliding_window(self, imdb_optimizer, workload):
         bao = BaoOptimizer(imdb_optimizer, seed=0)
@@ -209,7 +209,7 @@ class TestLearnedOptimizerFramework:
         for i in range(2500):
             bao.record_feedback(workload[i % 5], cands[i % 5], float(i))
         assert OBSERVATION_WINDOW == 2000
-        assert model.n_observations == len(model._trees) == 2000
+        assert len(model._latencies) == len(model._trees) == 2000
         # The retained window is the newest 2,000, oldest first.
         assert list(model._latencies) == list(map(float, range(500, 2500)))
         oldest = plan_to_tree_arrays(cands[500 % 5].plan, model.featurizer)

@@ -17,14 +17,7 @@ from hypothesis.stateful import (
 
 from repro.core.errors import ConfigError
 from repro.core.lru import BoundedLRU
-from repro.faults import (
-    BreakerState,
-    CircuitBreaker,
-    FaultPlan,
-    FaultSpec,
-    VirtualClock,
-    shard_fault_plan,
-)
+from repro.faults import BreakerState, CircuitBreaker, VirtualClock, shard_fault_plan
 from repro.serve import Request, RuntimeConfig, Served
 from repro.serve.fabric import (
     FabricConfig,

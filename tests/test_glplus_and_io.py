@@ -11,14 +11,14 @@ class TestGLPlus:
     def test_builds_local_models_with_enough_data(self, stats_db, stats_train_data):
         est = GLPlusEstimator(stats_db, epochs=25)
         est.fit(*stats_train_data)
-        assert est.n_local_models >= 1
+        assert len(est._local) >= 1
 
     def test_small_workload_falls_back_to_global(self, stats_db, stats_train_data):
         queries, cards = stats_train_data
         est = GLPlusEstimator(stats_db, epochs=10)
         # fewer queries than one segment needs for its own model
         est.fit(queries[:25], cards[:25])
-        assert est.n_local_models == 0
+        assert est._local == {}
         assert est.estimate(queries[0]) >= 0.0
 
     def test_accuracy_reasonable(self, stats_db, stats_train_data, stats_executor):

@@ -1,9 +1,6 @@
 """Cross-module integration tests: the full pipelines users run."""
 
-import numpy as np
-import pytest
-
-from repro.cardest import FSPNEstimator, q_error
+from repro.cardest import FSPNEstimator
 from repro.core import RetrainCadence
 from repro.core.interfaces import InjectedCardinalities
 from repro.e2e import BaoOptimizer, OptimizationLoop

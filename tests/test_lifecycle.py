@@ -191,8 +191,8 @@ def test_store_drift_tagging_and_labels():
     assert {r.drift for r in store.records(kind="serve")} == {False, True}
     drift_queries = store.records(kind="drift_query")
     assert all(r.drift and r.source == "warper" for r in drift_queries)
-    queries, cards = store.labelled()
-    assert len(queries) == 4  # 2 serve decisions + 2 labelled drift queries
+    cards = [r.true_cardinality for r in store.records() if r.true_cardinality is not None]
+    assert len(cards) == 4  # 2 serve decisions + 2 labelled drift queries
     assert set(cards) >= {7.0, 8.0}
     with pytest.raises(ConfigError):
         ExperienceStore(capacity=0)
@@ -208,7 +208,8 @@ def test_store_ingests_drift_queries_from_an_iterator(cards):
     from_iter.add_drift_queries((q for q in qs), iter(cards) if cards else None)
     assert from_iter.ingested == 4
     assert from_iter.snapshot_id() == from_list.snapshot_id()
-    assert len(from_iter.labelled()[0]) == (4 if cards else 0)
+    labelled = [r for r in from_iter.records() if r.true_cardinality is not None]
+    assert len(labelled) == (4 if cards else 0)
 
 
 # -- registry (tentpole) ---------------------------------------------------------

@@ -5,7 +5,9 @@ import pytest
 from scipy.stats import spearmanr
 
 from repro.costmodel import PlanAutoencoder, PlanFeaturizer, UnifiedTransferableModel
+from repro.costmodel.features import plan_to_tree_arrays
 from repro.engine import CardinalityExecutor
+from repro.ml.treeconv import PlanTreeBatch
 from repro.optimizer import HintSet
 from repro.sql import WorkloadGenerator
 
@@ -38,7 +40,7 @@ class TestUnifiedTransferableModel:
         losses = model.pretrain(plans[:n], lats[:n], cards[:n])
         assert losses[-1] < losses[0]
         lat_preds = [model.predict_latency(p) for p in plans[n:]]
-        card_preds = [model.predict_cardinality(p) for p in plans[n:]]
+        card_preds = [model._predict(p)[1] for p in plans[n:]]  # the log-cardinality head
         assert spearmanr(lat_preds, lats[n:]).statistic > 0.5
         assert spearmanr(card_preds, cards[n:]).statistic > 0.5
 
@@ -76,7 +78,8 @@ class TestUnifiedTransferableModel:
         plans, lats, cards = corpus
         model = UnifiedTransferableModel(featurizer, seed=0)
         model.pretrain(plans[:20], lats[:20], cards[:20])
-        assert model.embed(plans[0]).shape == (48,)  # the last conv channel count
+        batch = PlanTreeBatch.from_trees([plan_to_tree_arrays(plans[0], featurizer)])
+        assert model.net.embed(batch).shape == (1, 48)  # the last conv channel count
 
 
 class TestPlanAutoencoder:
@@ -94,8 +97,8 @@ class TestPlanAutoencoder:
         big = [imdb_optimizer.plan(q) for q in gen.workload(15, 4, 5)]
         ae = PlanAutoencoder(featurizer, seed=0)
         ae.fit(small + big, epochs=60)
-        emb_small = ae.embed_batch(small)
-        emb_big = ae.embed_batch(big)
+        emb_small = np.stack([ae.embed(p) for p in small])
+        emb_big = np.stack([ae.embed(p) for p in big])
         centroid_gap = np.linalg.norm(emb_small.mean(0) - emb_big.mean(0))
         within = 0.5 * (
             np.linalg.norm(emb_small - emb_small.mean(0), axis=1).mean()

@@ -162,7 +162,7 @@ class TestAstrid:
         col, est = setup
         rng = np.random.default_rng(9)
         test = col.sample_patterns(60, rng)
-        learned = np.median([est.q_error(p) for p in test])
+        learned = np.median([q_error(est.estimate(p), col.count(p)) for p in test])
         # Uniform guesser: always predict mean match count of training.
         mean_count = np.mean([col.count(p) for p in test])
         uniform = np.median(

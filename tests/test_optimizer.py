@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.interfaces import InjectedCardinalities, ScaledCardinalities
 from repro.engine import JoinMethod, ScanMethod
-from repro.engine.plans import JoinNode, ScanNode
+from repro.engine.plans import ScanNode
 from repro.optimizer import (
     DatabaseStats,
     HintSet,

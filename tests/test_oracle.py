@@ -11,7 +11,7 @@ import pytest
 
 from repro.cardest.querydriven import LinearQueryEstimator
 from repro.engine import CardinalityExecutor
-from repro.optimizer import Optimizer, TraditionalCardinalityEstimator
+from repro.optimizer import TraditionalCardinalityEstimator
 from repro.oracle import (
     EstimatorContractChecker,
     MetamorphicSuite,
@@ -264,13 +264,13 @@ class TestOnlineAuditor:
         assert [bool(t) for t in tags] == [True, False, False, False] * 2
         assert set(t for t in tags if t) == {"ok"}
         assert auditor.stats()["audited"] == 2
-        assert auditor.n_violations == 0
+        assert auditor.report.n_violations == 0
 
     def test_detects_wrong_cardinality(self, stats_db, stats_executor, oracle_workload):
         auditor = OnlineAuditor(stats_db, every=1)
         q = oracle_workload[0]
         assert auditor.observe(q, stats_executor.cardinality(q) + 1) == "violation"
-        assert auditor.n_violations == 1
+        assert auditor.report.n_violations == 1
         assert auditor.report.violations[0].check == "served_cardinality"
 
     def test_bus_counters(self, stats_db, stats_executor, oracle_workload):
@@ -316,7 +316,7 @@ class TestServingIntegration:
         tagged = [t for t in snap["traces"] if t["audit"]]
         assert len(tagged) == 4
         assert {t["audit"] for t in tagged} == {"ok"}
-        assert scenario.auditor.n_violations == 0
+        assert scenario.auditor.report.n_violations == 0
 
 
 class TestOracleReport:

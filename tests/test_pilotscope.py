@@ -1,9 +1,8 @@
 """Tests for the PilotScope middleware: sessions, console, drivers."""
 
-import numpy as np
 import pytest
 
-from repro.cardest import GBDTQueryEstimator, HistogramEstimator
+from repro.cardest import HistogramEstimator
 from repro.optimizer import HintSet
 from repro.pilotscope import (
     BaoDriver,
@@ -205,16 +204,6 @@ class TestCardinalityInjectionDriver:
         # Whatever the plan, the *result* must equal the true cardinality.
         assert out.cardinality == stats_executor.cardinality(q)
 
-    def test_collect_and_train_supervised(self, pg, workload):
-        est = GBDTQueryEstimator(pg.db)
-        driver = CardinalityInjectionDriver(est)
-        driver.init(pg)
-        driver.collect_training_data(workload[:15])
-        driver.train()
-        # Trained estimator serves injections without error.
-        out = driver.algo(workload[16])
-        assert out.latency_ms > 0
-
     def test_rejects_non_estimator(self):
         with pytest.raises(TypeError):
             CardinalityInjectionDriver(object())
@@ -251,7 +240,7 @@ class TestSteeringDrivers:
             console.execute(q)
         assert console.served_by_counts == {driver.name: 12}
         assert len(calls) == retrains
-        assert driver.risk_model.n_observations == 12
+        assert len(driver.risk_model._latencies) == 12
 
     def test_lero_driver_training_phase(self, pg, workload):
         driver = LeroDriver(seed=0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import CardinalityExecutor, ExecutionSimulator, execute_cardinality
+from repro.engine import ExecutionSimulator, execute_cardinality
 from repro.ml.setconv import SetConvNet
 from repro.ml.treeconv import PlanTreeCorpus, TreeConvNet
 from repro.optimizer import Optimizer

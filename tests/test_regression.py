@@ -1,6 +1,5 @@
 """Tests for the regression-elimination plugins (Eraser, PerfGuard)."""
 
-import numpy as np
 import pytest
 
 from repro.core.framework import CandidatePlan, RetrainCadence

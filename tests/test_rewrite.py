@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import CardinalityExecutor, ExecutionSimulator
+from repro.engine import ExecutionSimulator
 from repro.e2e.loop import OptimizationLoop
 from repro.optimizer import Optimizer
 from repro.optimizer.plancache import PlanCache
@@ -314,7 +314,7 @@ def test_rules_preserve_empty_results():
     merged = REWRITE_RULES["merge_ranges"].apply(db, query)
     assert merged is not None and _count(db, merged.rewritten) == 0
     validator = RewriteValidator(db)
-    assert validator.validate(merged).ok
+    assert validator.validate(merged).outcome.ok
 
 
 # -- identity, caching --------------------------------------------------------------

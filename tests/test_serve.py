@@ -192,7 +192,7 @@ class TestDeploymentLifecycle:
             ).latency_ms
             assert decision.latency_ms == pytest.approx(native_latency)
             assert decision.shadow_latency_ms is not None
-        assert deployment.learned.risk_model.n_observations == 20
+        assert len(deployment.learned.risk_model._latencies) == 20
 
     def test_canary_split_is_deterministic_by_query_hash(
         self, deployment, stats_workload

@@ -76,11 +76,6 @@ class TestTable:
         with pytest.raises(ValueError, match="uniqueness"):
             t.append_rows({"id": np.array([0]), "v": np.array([1])})
 
-    def test_sample_rows(self):
-        t = self._table()
-        s = t.sample_rows(3, np.random.default_rng(0))
-        assert s.shape == (3, 2)
-
 
 class TestDatabase:
     def _db(self):
