@@ -33,7 +33,7 @@ from repro.cardest import (
     NeuroCardEstimator,
 )
 from repro.cardest.base import q_error_summary
-from repro.core.interfaces import InjectedCardinalities
+from repro.core.interfaces import CardinalityEstimator, InjectedCardinalities
 from repro.sql import WorkloadGenerator
 
 ORACLE = "oracle(true cards)"
@@ -51,7 +51,7 @@ def measure(seed=0):
     )
     train_q, train_c = stats_train(seed)
 
-    class Oracle:
+    class Oracle(CardinalityEstimator):
         name = ORACLE
 
         def estimate(self, query):

@@ -40,22 +40,23 @@ CACHE_HIT_RATE_MIN = 0.5
 
 
 def _throughput_row(name, est, queries):
-    """(single us/q, batch us/q, ratio), best-of-rounds on both paths."""
+    """(single us/q, batch us/q, ratio, batch): the two paths timed in
+    interleaved rounds, one of each per round, so a slow spell of the
+    machine lands on both; the best round of each is kept."""
     est.estimate_batch(queries)
     for q in queries:
         est.estimate(q)
     n = len(queries)
-    single_us = np.inf
-    for _ in range(3):
+    single_us = batch_us = np.inf
+    for _ in range(5):
         t0 = time.perf_counter()
         for q in queries:
             est.estimate(q)
-        single_us = min(single_us, (time.perf_counter() - t0) / n * 1e6)
-    batch_us = np.inf
-    for _ in range(5):
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
         batch = est.estimate_batch(queries)
-        batch_us = min(batch_us, (time.perf_counter() - t0) / n * 1e6)
+        t2 = time.perf_counter()
+        single_us = min(single_us, (t1 - t0) / n * 1e6)
+        batch_us = min(batch_us, (t2 - t1) / n * 1e6)
     return single_us, batch_us, single_us / batch_us, batch
 
 

@@ -27,18 +27,17 @@ from repro.bench import render_stats, render_table
 from repro.lifecycle import drift_recovery_scenario, lifecycle_stats
 
 
-def _scenario(seed: int = 0, **overrides):
-    kwargs = dict(
+def _scenario(seed: int = 0, closed_loop: bool = True):
+    return drift_recovery_scenario(
         scale=0.2,
         seed=seed,
         n_queries=160,
         n_train=80,
         n_holdout=24,
+        closed_loop=closed_loop,
         drift_check_every=15,
         cooldown_queries=30,
     )
-    kwargs.update(overrides)
-    return drift_recovery_scenario(**kwargs)
 
 
 def export(seed: int = 0) -> str:

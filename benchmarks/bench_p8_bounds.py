@@ -35,7 +35,7 @@ from repro.engine import CardinalityExecutor
 from repro.faults import FaultPlan
 from repro.optimizer import TraditionalCardinalityEstimator
 from repro.oracle import EstimatorContractChecker
-from repro.serve import adversarial_drift_scenario, bound_guard_scenario
+from repro.serve import Served, adversarial_drift_scenario, bound_guard_scenario
 from repro.sql import WorkloadGenerator
 from repro.storage.datasets import make_stats_lite
 
@@ -108,7 +108,7 @@ def drift_pass(seed: int = 0) -> dict:
         )
         report = scenario.run()
         lat = np.array(
-            [r.latency_ms for r in report.outcomes if hasattr(r, "latency_ms")]
+            [r.latency_ms for r in report.outcomes if isinstance(r, Served)]
         )
         out[arm] = {
             "served": int(lat.size),

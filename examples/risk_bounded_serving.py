@@ -26,7 +26,7 @@ Run:  python examples/risk_bounded_serving.py
 import numpy as np
 
 from repro.bench import render_stats, render_table
-from repro.serve import adversarial_drift_scenario, bound_guard_scenario
+from repro.serve import Served, adversarial_drift_scenario, bound_guard_scenario
 
 
 def drift_comparison(seed: int = 0) -> None:
@@ -35,7 +35,7 @@ def drift_comparison(seed: int = 0) -> None:
         scenario = adversarial_drift_scenario(pessimistic=pessimistic, seed=seed)
         report = scenario.run()
         lat = np.array(
-            [r.latency_ms for r in report.outcomes if hasattr(r, "latency_ms")]
+            [r.latency_ms for r in report.outcomes if isinstance(r, Served)]
         )
         rows.append(
             (

@@ -58,9 +58,9 @@ def estimate_workload(estimator, queries: list[Query]) -> np.ndarray:
     """Estimates for a whole workload through the batched API.
 
     Thin wrapper over :func:`repro.core.interfaces.batch_estimate` so every
-    benchmark goes through one choke point: estimators with a native
-    ``estimate_batch`` answer in one forward pass, everything else falls
-    back to a scalar loop with identical results.
+    benchmark goes through one choke point: model-backed estimators answer
+    in one forward pass, the rest through their scalar loop with identical
+    results.
     """
     from repro.core.interfaces import batch_estimate
 

@@ -125,9 +125,6 @@ class EnsembleEstimator(BaseCardinalityEstimator):
         super().__init__(db)
         if not members:
             raise ValueError("ensemble needs at least one member")
-        for m in members:
-            if not hasattr(m, "estimate"):
-                raise TypeError("ensemble members must expose .estimate(query)")
         self.members = list(members)
 
     def _member_logs(self, query: Query) -> np.ndarray:

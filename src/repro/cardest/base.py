@@ -160,7 +160,7 @@ class BaseCardinalityEstimator:
 
     @property
     def estimates_version(self) -> int:
-        return getattr(self, "_estimates_version", 0)
+        return self._estimates_version
 
     def _bump_estimates_version(self) -> None:
         self._estimates_version = self.estimates_version + 1

@@ -300,19 +300,12 @@ class NaruEstimator(_BinnedModelEstimator):
 
     name = "naru"
 
-    def __init__(
-        self,
-        db: Database,
-        max_bins: int = 32,
-        hidden: tuple[int, ...] = (64, 64),
-        epochs: int = 15,
-        n_samples: int = 128,
-        seed: int = 0,
-    ) -> None:
-        self.max_bins = max_bins
-        self.hidden = hidden
+    def __init__(self, db: Database, epochs: int = 15, seed: int = 0) -> None:
+        """32 bins a column, a (64, 64) MADE, 128 progressive samples."""
+        self.max_bins = 32
+        self.hidden = (64, 64)
         self.epochs = epochs
-        self.n_samples = n_samples
+        self.n_samples = 128
         self.seed = seed
         super().__init__(db)
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.cardest.base import BaseCardinalityEstimator
 from repro.cardest.binning import ColumnBinner
-from repro.sql.query import Join, Query
+from repro.cardest.joinutil import spanning_tree
+from repro.sql.query import Query
 from repro.storage.catalog import Database
 
 __all__ = ["FactorJoinEstimator"]
@@ -90,40 +91,6 @@ class FactorJoinEstimator(BaseCardinalityEstimator):
 
     # -- estimation --------------------------------------------------------------------
 
-    def _spanning_tree(
-        self, query: Query
-    ) -> tuple[list[tuple[str, str, str, str]], list[Join]]:
-        """(tree edges as (child, child_col, parent, parent_col) in
-        leaf-to-root processing order, cycle-closing extra joins)."""
-        root = query.tables[0]
-        visited = {root}
-        order: list[tuple[str, str, str, str]] = []
-        extras: list[Join] = []
-        remaining = list(query.joins)
-        progress = True
-        while remaining and progress:
-            progress = False
-            still = []
-            for j in remaining:
-                lt, rt = j.left.table, j.right.table
-                if lt in visited and rt in visited:
-                    extras.append(j)
-                    progress = True
-                elif lt in visited:
-                    visited.add(rt)
-                    order.append((rt, j.right.column, lt, j.left.column))
-                    progress = True
-                elif rt in visited:
-                    visited.add(lt)
-                    order.append((lt, j.left.column, rt, j.right.column))
-                    progress = True
-                else:
-                    still.append(j)
-            remaining = still
-        # Children must be processed before their parents: the discovery
-        # order above goes root-outward, so reverse it.
-        return list(reversed(order)), extras
-
     def _estimate(self, query: Query) -> float:
         if query.n_tables == 1:
             t = query.tables[0]
@@ -137,8 +104,9 @@ class FactorJoinEstimator(BaseCardinalityEstimator):
             masks[t] = mask
             weights[t] = np.full(int(mask.sum()), self._scales[t])
 
-        order, extras = self._spanning_tree(query)
-        for child, child_col, parent, parent_col in order:
+        # Children before their parents: the walk goes root-outward.
+        tree, extras = spanning_tree(query)
+        for child, child_col, parent, parent_col in reversed(tree):
             binner = self._binners.get((child, child_col))
             if binner is None:
                 # Join on an undeclared key: build a binner on the fly.
@@ -162,8 +130,7 @@ class FactorJoinEstimator(BaseCardinalityEstimator):
             parent_bins = binner.bin_of(parent_keys)
             weights[parent] = weights[parent] * per_key[parent_bins]
 
-        root = order[-1][2] if order else query.tables[0]
-        card = float(weights[root].sum())
+        card = float(weights[query.tables[0]].sum())  # the walk's root
         # Cycle-closing edges: classic NDV correction.
         for j in extras:
             l_ndv = self.db.table(j.left.table).column(j.left.column).n_distinct

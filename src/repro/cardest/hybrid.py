@@ -37,9 +37,9 @@ class UAEEstimator(BaseCardinalityEstimator):
 
     name = "uae"
 
-    def __init__(self, db: Database, seed: int = 0, **naru_kwargs) -> None:
+    def __init__(self, db: Database, seed: int = 0, epochs: int = 15) -> None:
         super().__init__(db)
-        self._data_model = NaruEstimator(db, seed=seed, **naru_kwargs)
+        self._data_model = NaruEstimator(db, epochs=epochs, seed=seed)
         self._correction: GradientBoostedTrees | None = None
         self._featurizer = FlatQueryFeaturizer(db)
         self.seed = seed

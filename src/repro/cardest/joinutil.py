@@ -19,10 +19,42 @@ keys -- exactly the error mode the STATS benchmark shows for this family.
 from __future__ import annotations
 
 from repro.engine.executor import CardinalityExecutor
-from repro.sql.query import Query
+from repro.sql.query import Join, Query
 from repro.storage.catalog import Database
 
-__all__ = ["UnfilteredJoinSizes", "uniform_join_estimate"]
+__all__ = ["UnfilteredJoinSizes", "spanning_tree", "uniform_join_estimate"]
+
+
+def spanning_tree(query: Query) -> tuple[list[tuple[str, str, str, str]], list[Join]]:
+    """``(tree, extras)`` of ``query``'s join graph walked from its first
+    table: the tree edges as ``(child, child_col, parent, parent_col)`` in
+    root-outward discovery order, and the cycle-closing joins.  A join the
+    walk never reaches is in neither (a disconnected graph)."""
+    visited = {query.tables[0]}
+    tree: list[tuple[str, str, str, str]] = []
+    extras: list[Join] = []
+    remaining = list(query.joins)
+    progress = True
+    while remaining and progress:
+        progress = False
+        still = []
+        for j in remaining:
+            lt, rt = j.left.table, j.right.table
+            if lt in visited and rt in visited:
+                extras.append(j)
+                progress = True
+            elif lt in visited:
+                visited.add(rt)
+                tree.append((rt, j.right.column, lt, j.left.column))
+                progress = True
+            elif rt in visited:
+                visited.add(lt)
+                tree.append((lt, j.left.column, rt, j.right.column))
+                progress = True
+            else:
+                still.append(j)
+        remaining = still
+    return tree, extras
 
 
 class UnfilteredJoinSizes:

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.cardest.base import BaseCardinalityEstimator
 from repro.cardest.binning import ColumnBinner
+from repro.cardest.joinutil import spanning_tree
 from repro.engine.executor import CardinalityExecutor
 from repro.ml.autoregressive import MaskedAutoregressiveNetwork
 from repro.sql.query import Query
@@ -44,39 +45,10 @@ class FullJoinSampler:
     def __init__(self, db: Database, template: Query) -> None:
         self.db = db
         self.template = Query(template.tables, template.joins, ())
-        self._tree, self._extras = self._spanning_tree(self.template)
+        self._tree, self._extras = spanning_tree(self.template)
+        if len(self._tree) + len(self._extras) < len(self.template.joins):
+            raise ValueError(f"join graph of {self.template} is disconnected")
         self._prepare()
-
-    @staticmethod
-    def _spanning_tree(query: Query):
-        root = query.tables[0]
-        visited = {root}
-        tree: list[tuple[str, str, str, str]] = []  # (child, ccol, parent, pcol)
-        extras = []
-        remaining = list(query.joins)
-        progress = True
-        while remaining and progress:
-            progress = False
-            still = []
-            for j in remaining:
-                lt, rt = j.left.table, j.right.table
-                if lt in visited and rt in visited:
-                    extras.append(j)
-                    progress = True
-                elif lt in visited:
-                    visited.add(rt)
-                    tree.append((rt, j.right.column, lt, j.left.column))
-                    progress = True
-                elif rt in visited:
-                    visited.add(lt)
-                    tree.append((lt, j.left.column, rt, j.right.column))
-                    progress = True
-                else:
-                    still.append(j)
-            remaining = still
-        if remaining:
-            raise ValueError(f"join graph of {query} is disconnected")
-        return tree, extras
 
     def _prepare(self) -> None:
         """Bottom-up pass: per-row weights = number of join rows through it."""

@@ -253,18 +253,12 @@ class MSCNEstimator(BaseCardinalityEstimator):
 
     name = "mscn"
 
-    def __init__(
-        self,
-        db: Database,
-        epochs: int = 80,
-        lr: float = 1e-3,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, db: Database, epochs: int = 80, seed: int = 0) -> None:
         super().__init__(db)
         self.featurizer = MSCNFeaturizer(db, seed=seed)
         self.net = SetConvNet(self.featurizer.module_dims(), seed=seed)
         self.epochs = epochs
-        self.lr = lr
+        self.lr = 1e-3
         self.seed = seed
         self._max_log = 1.0
         self._fitted = False
@@ -448,9 +442,9 @@ class RobustMSCNEstimator(MSCNEstimator):
     train_drop_fraction = 0.3  # share of training queries masked
     mask_rate = 0.25  # share of a masked query's predicates dropped
 
-    def __init__(self, db: Database, **kwargs) -> None:
-        super().__init__(db, **kwargs)
-        self._mask_rng = np.random.default_rng(kwargs.get("seed", 0) + 17)
+    def __init__(self, db: Database, epochs: int = 80, seed: int = 0) -> None:
+        super().__init__(db, epochs=epochs, seed=seed)
+        self._mask_rng = np.random.default_rng(seed + 17)
 
     def _featurize_training(self, queries: list[Query]) -> list[dict]:
         samples = []

@@ -4,9 +4,11 @@ Every learned (and traditional) component plugs into the optimizer through
 one of these small protocols:
 
 - :class:`CardinalityEstimator` -- ``estimate(query) -> float`` for any SPJ
-  (sub-)query, plus the batched ``estimate_batch(queries) -> np.ndarray``
-  fast path.  Implemented by the traditional histogram estimator and by
-  every method in :mod:`repro.cardest`.
+  (sub-)query, the batched ``estimate_batch(queries) -> np.ndarray``, a
+  ``name`` and the ``estimates_version`` cardinality caches key on.
+  Implemented by the traditional histogram estimator, by every method in
+  :mod:`repro.cardest` and by the fault-layer wrappers; a class that
+  subclasses it inherits the scalar ``estimate_batch`` loop and version 0.
 - :class:`CostEstimator` -- ``cost(plan) -> float`` (planner cost units).
 - :class:`LatencyPredictor` -- ``predict_latency(plan) -> float`` (ms);
   the interface of learned cost models and risk models.
@@ -22,8 +24,7 @@ Two generic wrappers give the planner its tuning knobs:
 - :class:`ScaledCardinalities` multiplies estimates by per-join-level
   factors (Lero's plan-exploration knob [79]).
 
-:func:`batch_estimate` dispatches to ``estimate_batch`` when an estimator
-provides it and loops otherwise, so callers can batch unconditionally.
+:func:`batch_estimate` is ``estimate_batch`` as a float array.
 :func:`estimator_cache_tag` produces the identity component of cardinality
 cache keys (see :class:`repro.optimizer.CardinalityCache`): two lookups
 share cached values only when the tags match, and the tag changes whenever
@@ -59,11 +60,23 @@ __all__ = [
 
 @runtime_checkable
 class CardinalityEstimator(Protocol):
-    """Anything that can estimate SPJ sub-query cardinalities."""
+    """Anything that can estimate SPJ sub-query cardinalities.
+
+    ``estimates_version`` changes whenever the estimator's answers may
+    change (a stateless estimator stays at 0).  A subclass that does not
+    batch inherits ``estimate_batch`` as the scalar loop, so every query
+    passes through its ``estimate`` one at a time."""
+
+    name: str
+    estimates_version: int = 0
 
     def estimate(self, query: Query) -> float:
         """Estimated COUNT(*) of the query (>= 0)."""
         ...
+
+    def estimate_batch(self, queries: list[Query]) -> np.ndarray:
+        """Estimated COUNT(*) of every query, as one array."""
+        return np.array([self.estimate(q) for q in queries], dtype=float)
 
 
 @runtime_checkable
@@ -83,28 +96,21 @@ class Retrainable(Protocol):
 
 
 def batch_estimate(estimator: CardinalityEstimator, queries: list[Query]) -> np.ndarray:
-    """Batched estimates through whatever API the estimator offers.
-
-    Uses ``estimator.estimate_batch`` (one featurization pass + one model
-    forward pass for implementations in :mod:`repro.cardest`) when present,
-    and falls back to a scalar loop for minimal estimators that only
-    implement the :class:`CardinalityEstimator` protocol.
-    """
+    """``estimator.estimate_batch(queries)`` as a float array (one
+    featurization pass + one model forward pass for implementations in
+    :mod:`repro.cardest`)."""
     queries = list(queries)
     if not queries:
         return np.zeros(0)
-    batched = getattr(estimator, "estimate_batch", None)
-    if batched is not None:
-        return np.asarray(batched(queries), dtype=float)
-    return np.array([estimator.estimate(q) for q in queries], dtype=float)
+    return np.asarray(estimator.estimate_batch(queries), dtype=float)
 
 
 def estimator_cache_tag(estimator) -> tuple:
     """Cache-key component identifying an estimator *and* its current state.
 
-    The tag pairs the instance identity with its ``estimates_version`` (0
-    for stateless estimators), so refits/refreshes/feedback invalidate
-    cached cardinalities without any explicit flush.  The steering wrappers
+    The tag pairs the instance identity with its ``estimates_version``, so
+    refits/refreshes/feedback invalidate cached cardinalities without any
+    explicit flush.  The steering wrappers
     unwrap recursively: a :class:`ScaledCardinalities` tag is derived from
     its base plus the factor, which lets Lero's per-factor wrapper objects
     (recreated every planning) keep hitting the same cache entries.
@@ -118,8 +124,7 @@ def estimator_cache_tag(estimator) -> tuple:
             id(estimator),
             estimator.generation,
         )
-    version = getattr(estimator, "estimates_version", 0)
-    return (type(estimator).__name__, id(estimator), version)
+    return (type(estimator).__name__, id(estimator), estimator.estimates_version)
 
 
 @runtime_checkable

@@ -42,7 +42,7 @@ class ZeroShotCostModel:
             raise ConfigError(
                 f"transferable-feature dimension mismatch: featurizer "
                 f"{type(featurizer).__name__} for database "
-                f"{getattr(featurizer.db, 'name', '?')!r} produces "
+                f"{featurizer.db.name!r} produces "
                 f"{mat.shape[1]}-dim node features, but this model was "
                 f"trained with dim {dim}; zero-shot transfer requires every "
                 f"database's featurizer to share one transferable feature space"

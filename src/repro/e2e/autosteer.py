@@ -63,12 +63,9 @@ class AutoSteerOptimizer(BaoOptimizer):
     """Bao with arms discovered automatically from a probe workload."""
 
     def __init__(
-        self,
-        optimizer: Optimizer,
-        probe_queries: list[Query],
-        **bao_kwargs,
+        self, optimizer: Optimizer, probe_queries: list[Query], *, seed: int = 0
     ) -> None:
         arms = discover_hint_sets(optimizer, probe_queries)
-        super().__init__(optimizer, arms=arms, **bao_kwargs)
+        super().__init__(optimizer, arms=arms, seed=seed)
         self.name = "autosteer"
         self.discovered_arms = arms

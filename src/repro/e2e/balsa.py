@@ -27,10 +27,9 @@ class BalsaOptimizer(_ValueSearchOptimizer):
 
     name = "balsa"
 
-    def __init__(
-        self, optimizer: Optimizer, *, beam_width: int = 4, seed: int = 0, **kwargs
-    ) -> None:
-        super().__init__(optimizer, beam_width=beam_width, seed=seed, **kwargs)
+    def __init__(self, optimizer: Optimizer, *, seed: int = 0) -> None:
+        """A beam of 4."""
+        super().__init__(optimizer, seed=seed, beam_width=4)
         self._rng = np.random.default_rng(seed + 31)
 
     def bootstrap_from_simulation(

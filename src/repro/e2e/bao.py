@@ -27,14 +27,11 @@ class BaoOptimizer(LearnedOptimizer):
         optimizer: Optimizer,
         arms: list[HintSet] | None = None,
         *,
-        thompson: bool = True,
         seed: int = 0,
     ) -> None:
         featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         super().__init__(
             exploration=HintSetExploration(optimizer, arms),
-            risk_model=TreeConvLatencyModel(
-                featurizer, thompson=thompson, seed=seed
-            ),
+            risk_model=TreeConvLatencyModel(featurizer, thompson=True, seed=seed),
             name="bao",
         )

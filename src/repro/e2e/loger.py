@@ -21,6 +21,6 @@ class LogerOptimizer(_ValueSearchOptimizer):
 
     name = "loger"
 
-    def __init__(self, optimizer: Optimizer, *, seed: int = 0, **kwargs) -> None:
+    def __init__(self, optimizer: Optimizer, *, seed: int = 0) -> None:
         """A beam of 4; each level keeps a random entry with probability 0.25."""
-        super().__init__(optimizer, beam_width=4, epsilon=0.25, seed=seed, **kwargs)
+        super().__init__(optimizer, seed=seed, beam_width=4, epsilon=0.25)

@@ -40,7 +40,7 @@ class OptimizationLoop:
         """``guard`` optionally wraps plan selection (see
         :mod:`repro.regression`): it is called as
         ``guard(query, candidate, native_plan) -> candidate`` and may swap
-        in a safer plan.
+        in a safer plan, then fed ``record`` and ``record_native``.
 
         The loop stays alive when the learned component or the guard
         throws: the query is served with the native plan (source
@@ -84,7 +84,9 @@ class OptimizationLoop:
         learned = candidate.source != "native:fallback"
         if learned:
             self.learned.record_feedback(query, candidate, latency)
-        recorded = self._guard_feedback("record", query, candidate, latency, native_latency)
+        recorded = self.guard is not None and self._guard_feedback(
+            self.guard.record, query, candidate, latency, native_latency
+        )
         result = Decision(
             stage="offline",
             plan_source=candidate.source,
@@ -100,14 +102,11 @@ class OptimizationLoop:
         for policy in self.policies:
             policy.on_decision(self, result)
         if recorded and candidate.plan.signature() != native_plan.signature():
-            self._guard_feedback("record_native", query, native_plan, native_latency)
+            self._guard_feedback(self.guard.record_native, query, native_plan, native_latency)
         return result
 
-    def _guard_feedback(self, method: str, *args) -> bool:
+    def _guard_feedback(self, record, *args) -> bool:
         """True once the guard took the feedback; a raise loses it, not the query."""
-        record = getattr(self.guard, method, None)
-        if record is None:
-            return False
         try:
             record(*args)
         except Exception:

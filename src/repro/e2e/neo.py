@@ -26,14 +26,27 @@ class _ValueSearchOptimizer(LearnedOptimizer):
 
     name = "value_search"
 
-    def __init__(self, optimizer: Optimizer, *, seed: int = 0, **search) -> None:
-        """``search``: :class:`ValueSearchExploration`'s ``search_budget`` /
-        ``beam_width`` / ``epsilon``."""
+    def __init__(
+        self,
+        optimizer: Optimizer,
+        *,
+        seed: int,
+        beam_width: int,
+        epsilon: float = 0.0,
+        search_budget: int = 80,
+    ) -> None:
+        """``beam_width`` / ``epsilon`` / ``search_budget``: the
+        :class:`ValueSearchExploration` the subclass searches with."""
         featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         value_model = PlanValueModel(featurizer, seed=seed)
         super().__init__(
             exploration=ValueSearchExploration(
-                optimizer, value_model, seed=seed, **search
+                optimizer,
+                value_model,
+                beam_width=beam_width,
+                epsilon=epsilon,
+                search_budget=search_budget,
+                seed=seed,
             ),
             risk_model=value_model,
             name=self.name,
@@ -68,5 +81,5 @@ class NeoOptimizer(_ValueSearchOptimizer):
 
     name = "neo"
 
-    def __init__(self, optimizer: Optimizer, **kwargs) -> None:
-        super().__init__(optimizer, beam_width=0, **kwargs)
+    def __init__(self, optimizer: Optimizer, *, seed: int = 0, search_budget: int = 80) -> None:
+        super().__init__(optimizer, seed=seed, beam_width=0, search_budget=search_budget)

@@ -103,9 +103,9 @@ class BoundGuard(ServePolicy):
     @property
     def estimates_version(self):
         return (
-            getattr(self.primary, "estimates_version", 0),
-            getattr(self.bounds, "estimates_version", 0),
-            getattr(self.fallback, "estimates_version", 0),
+            self.primary.estimates_version,
+            self.bounds.estimates_version,
+            self.fallback.estimates_version,
             self.breaker.epoch if self.breaker is not None else 0,
         )
 

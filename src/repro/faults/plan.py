@@ -35,6 +35,7 @@ from repro.core.errors import (
     InjectedDriverError,
     InjectedEstimationError,
 )
+from repro.core.interfaces import CardinalityEstimator
 from repro.faults.clock import VirtualClock
 
 __all__ = [
@@ -186,23 +187,23 @@ class _FaultyBase:
         return spec
 
 
-class FaultyEstimator(_FaultyBase):
+class FaultyEstimator(_FaultyBase, CardinalityEstimator):
     """Cardinality estimator wrapper injecting per-call faults.
 
-    Deliberately does *not* expose ``estimate_batch``: batched callers
-    fall back to the scalar loop, so every sub-query estimate passes
-    through the fault schedule individually and the per-call indices stay
-    stable whichever API the planner uses.
+    ``estimate_batch`` is the protocol's scalar loop over :meth:`estimate`,
+    so every sub-query estimate passes through the fault schedule
+    individually and the per-call indices stay stable whichever API the
+    planner uses.
     """
 
     def __init__(self, inner, injector: FaultInjector, target: str) -> None:
         super().__init__(inner, injector, target)
-        self.name = f"{getattr(inner, 'name', type(inner).__name__)}+chaos"
+        self.name = f"{inner.name}+chaos"
         self._snapshot: dict[str, float] = {}
 
     @property
     def estimates_version(self):
-        return getattr(self.inner, "estimates_version", 0)
+        return self.inner.estimates_version
 
     def estimate(self, query) -> float:
         n = self.calls  # index of *this* call, for deterministic garbage
@@ -245,7 +246,7 @@ class FaultyLearnedOptimizer(_FaultyBase):
 
     def __init__(self, inner, injector: FaultInjector, target: str) -> None:
         super().__init__(inner, injector, target)
-        self.name = f"{getattr(inner, 'name', type(inner).__name__)}+chaos"
+        self.name = f"{inner.name}+chaos"
         self.last_call_latency_ms = 0.0
 
     def choose_plan(self, query):
@@ -264,9 +265,6 @@ class FaultyLearnedOptimizer(_FaultyBase):
 
     def record_feedback(self, query, candidate, latency_ms: float) -> None:
         self.inner.record_feedback(query, candidate, latency_ms)
-
-    def __getattr__(self, attr):
-        return getattr(self.inner, attr)
 
 
 class FaultyBackend(_FaultyBase):
@@ -304,9 +302,6 @@ class FaultyBackend(_FaultyBase):
                 decision, latency_ms=decision.latency_ms + spec.magnitude
             )
         return decision
-
-    def __getattr__(self, attr):
-        return getattr(self.inner, attr)
 
 
 def shard_fault_plan(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 
 from repro.core.errors import ConfigError
+from repro.core.interfaces import CardinalityEstimator
 from repro.faults.clock import VirtualClock
 
 __all__ = [
@@ -173,7 +174,7 @@ def _finite_nonnegative(value: float) -> bool:
     return 0.0 <= value <= 1.79e308
 
 
-class FallbackEstimator:
+class FallbackEstimator(CardinalityEstimator):
     """Learned -> traditional degradation for cardinality estimation.
 
     Answers come from ``primary`` while it behaves; any exception or
@@ -185,7 +186,8 @@ class FallbackEstimator:
 
     ``estimates_version`` combines both wrapped versions with the breaker
     epoch, so the planner's cardinality cache never serves values across a
-    degradation boundary.
+    degradation boundary.  ``estimate_batch`` is the protocol's scalar
+    loop: each query meets the breaker on its own.
     """
 
     name = "estimator"
@@ -211,8 +213,8 @@ class FallbackEstimator:
     @property
     def estimates_version(self):
         return (
-            getattr(self.primary, "estimates_version", 0),
-            getattr(self.fallback, "estimates_version", 0),
+            self.primary.estimates_version,
+            self.fallback.estimates_version,
             self.breaker.epoch if self.breaker is not None else 0,
         )
 

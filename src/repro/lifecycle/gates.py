@@ -70,13 +70,6 @@ class GateReport:
         }
 
 
-def _estimator_of(model):
-    """The cardinality-estimating surface of a model, if it has one."""
-    if hasattr(model, "estimate"):
-        return model
-    return getattr(model, "estimator", None)
-
-
 class EvalGate:
     """Head-to-head champion/challenger evaluation on held-out queries.
 
@@ -92,8 +85,7 @@ class EvalGate:
         measures plan latencies.  When None the latency axes are skipped.
     executor:
         Optional :class:`repro.engine.executor.CardinalityExecutor`; when
-        given, models exposing an estimator surface (``estimate`` on the
-        model or ``model.estimator``) are scored on q-error against the
+        given, each model's ``estimator`` is scored on q-error against the
         executor's exact cardinalities.  When None the accuracy axis is
         skipped.
     shared:
@@ -144,11 +136,8 @@ class EvalGate:
             lats.append(self.simulator.execute(plan).latency_ms)
         return np.array(lats)
 
-    def _qerrors(self, model) -> np.ndarray | None:
-        est = _estimator_of(model)
-        if est is None:
-            return None
-        estimates = batch_estimate(est, self.queries)
+    def _qerrors(self, model) -> np.ndarray:
+        estimates = batch_estimate(model.estimator, self.queries)
         return np.array(
             [
                 q_error(e, self.executor.cardinality(q))
@@ -165,11 +154,8 @@ class EvalGate:
             metrics["p95_latency_ms"] = round(float(np.percentile(lats, 95)), 6)
         if self.executor is not None:
             qerrs = self._qerrors(model)
-            if qerrs is not None:
-                metrics["qerror_q"] = round(
-                    float(np.quantile(qerrs, QERROR_QUANTILE)), 6
-                )
-                metrics["qerror_max"] = round(float(qerrs.max()), 6)
+            metrics["qerror_q"] = round(float(np.quantile(qerrs, QERROR_QUANTILE)), 6)
+            metrics["qerror_max"] = round(float(qerrs.max()), 6)
         return metrics, lats
 
     def _measured(

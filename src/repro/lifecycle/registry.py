@@ -33,11 +33,15 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.errors import ConfigError
 from repro.core.interfaces import ServePolicy
+
+if TYPE_CHECKING:
+    from repro.lifecycle.gates import GateReport
 
 __all__ = ["ModelVersion", "ModelRegistry", "model_fingerprint"]
 
@@ -333,12 +337,10 @@ class ModelRegistry(ServePolicy):
                 at_query=deployment.queries_served,
             )
 
-    def record_gate(self, version_id: str, report) -> None:
+    def record_gate(self, version_id: str, report: GateReport) -> None:
         """Attach an :class:`~repro.lifecycle.gates.GateReport` to a version."""
         self.version(version_id)
-        self._gates[version_id] = (
-            report.to_dict() if hasattr(report, "to_dict") else dict(report)
-        )
+        self._gates[version_id] = report.to_dict()
 
     def stage_history(self, version_id: str) -> list[dict]:
         return list(self._stages.get(version_id, []))

@@ -61,13 +61,7 @@ from repro.lifecycle.scheduler import (
 )
 from repro.optimizer.planner import Optimizer
 from repro.serve.deployment import DeploymentManager, Stage
-from repro.serve.runtime import (
-    Request,
-    RunReport,
-    RuntimeConfig,
-    ServingRuntime,
-    build_schedule,
-)
+from repro.serve.runtime import Request, RunReport, ServingRuntime, build_schedule
 from repro.serve.telemetry import TelemetryBus
 from repro.sql.generator import WorkloadGenerator
 from repro.sql.query import Query
@@ -115,8 +109,7 @@ class LifecycleStack:
     def holdout_qerror(self) -> float:
         """Current 0.9 q-error quantile of the deployed model on the
         held-out workload against *current* data."""
-        model = self.deployment.learned
-        estimator = getattr(model, "estimator", model)
+        estimator = self.deployment.learned.estimator
         errs = [
             q_error(estimator.estimate(q), self.executor.cardinality(q))
             for q in self.holdout
@@ -296,7 +289,6 @@ def drift_recovery_scenario(
     drift_check_every: int = 20,
     cadence_queries: int | None = None,
     cooldown_queries: int = 40,
-    config: RuntimeConfig | None = None,
 ) -> LifecycleScenario:
     """Assemble the drift-then-recover closed loop described above.
 
@@ -330,9 +322,7 @@ def drift_recovery_scenario(
     return LifecycleScenario(
         **vars(stack),
         name="drift_recovery" if closed_loop else "drift_frozen",
-        runtime=ServingRuntime(
-            stack.deployment, config=config, hooks={drift_at: _drift}
-        ),
+        runtime=ServingRuntime(stack.deployment, hooks={drift_at: _drift}),
         schedule=schedule,
         drift_at=drift_at,
     )

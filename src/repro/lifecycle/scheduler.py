@@ -321,16 +321,11 @@ class RetrainingScheduler(ServePolicy):
         query with, read back from its cardinality cache without a trace;
         only a query it did not plan at this estimator state and data
         version (a native or degraded serve) is estimated again."""
-        learned = deployment.learned
-        estimator = getattr(learned, "estimator", None)
-        if self.triggers and estimator is not None:
+        if self.triggers:
+            learned = deployment.learned
+            estimator, coster = learned.estimator, learned.optimizer.coster
             estimate = None
-            coster = getattr(getattr(learned, "optimizer", None), "coster", None)
-            if (
-                coster is not None
-                and coster.estimator is estimator
-                and coster.cache is not None
-            ):
+            if coster.estimator is estimator and coster.cache is not None:
                 estimate = coster.cache.peek(coster.cache_tag(), decision.query)
             if estimate is None:
                 estimate = estimator.estimate(decision.query)
@@ -366,7 +361,7 @@ class RetrainingScheduler(ServePolicy):
         # registry champion when the deployment is version-agnostic.
         parent = None
         if self.deployment is not None:
-            parent = getattr(self.deployment, "model_version", None)
+            parent = self.deployment.model_version
         if parent is None:
             parent = self.registry.champion_id
         if parent is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.interfaces import CardinalityEstimator
 from repro.optimizer.statistics import DatabaseStats
 from repro.sql.query import Op, OrPredicate, Query
 from repro.storage.catalog import Database
@@ -19,9 +20,12 @@ from repro.storage.catalog import Database
 __all__ = ["TraditionalCardinalityEstimator"]
 
 
-class TraditionalCardinalityEstimator:
+class TraditionalCardinalityEstimator(CardinalityEstimator):
     """Histogram + independence estimator implementing
-    :class:`repro.core.CardinalityEstimator`."""
+    :class:`repro.core.CardinalityEstimator`; its ``estimates_version``
+    stays 0 (cache keys pair it with the database's ``data_version``)."""
+
+    name = "traditional"
 
     def __init__(self, db: Database, stats: DatabaseStats | None = None) -> None:
         self.db = db

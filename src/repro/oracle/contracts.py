@@ -329,16 +329,14 @@ class EstimatorContractChecker:
     def check_version_bump(self, refit: Callable[[object], None]) -> list[Violation]:
         """Apply ``refit(estimator)`` and require ``estimates_version`` grew.
 
-        Estimators without an ``estimates_version`` attribute are skipped
-        (the contract only binds estimators that participate in version-
-        keyed caching).
+        Every estimator has a version (a stateless one stays at 0), so the
+        contract binds every estimator: a refit that leaves it in place
+        would let version-keyed caches serve the old answers.
         """
-        before = getattr(self.estimator, "estimates_version", None)
-        if before is None:
-            return []
+        before = self.estimator.estimates_version
         refit(self.estimator)
         self.checks_run += 1
-        after = getattr(self.estimator, "estimates_version", 0)
+        after = self.estimator.estimates_version
         if after <= before:
             return [
                 self._violation(

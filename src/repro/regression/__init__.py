@@ -12,12 +12,17 @@ whether the learned plan is safe to run or the native plan should be kept:
   feedback fanned out to all), so a deployment can run Eraser's structural
   filter and PerfGuard's learned veto together.
 
-Both implement the guard interface of
-:class:`repro.e2e.loop.OptimizationLoop`: called as
-``guard(query, candidate, native_plan)`` before execution and
-``guard.record(query, candidate, latency, native_latency)`` after, they
-learn which plans to distrust from the same feedback stream the optimizer
-itself consumes.
+Eraser and PerfGuard each implement the whole guard interface of
+:class:`repro.e2e.loop.OptimizationLoop` and
+:class:`repro.serve.DeploymentManager` (a chain its call and feedback
+part): called as
+``guard(query, candidate, native_plan)`` before execution, then
+``guard.record(query, candidate, latency, native_latency)`` and, when the
+native plan differed, ``guard.record_native(query, native_plan,
+native_latency)`` after (a guard with no use for the native side takes it
+and does nothing); ``decisions``, ``interventions`` and
+``intervention_rate`` count its vetoes.  The guards learn which plans to
+distrust from the same feedback stream the optimizer itself consumes.
 """
 
 from repro.regression.chain import GuardChain

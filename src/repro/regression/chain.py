@@ -79,27 +79,20 @@ class GuardChain:
         native_latency_ms: float,
     ) -> None:
         for guard in self.guards:
-            if hasattr(guard, "record"):
-                try:
-                    guard.record(query, candidate, latency_ms, native_latency_ms)
-                except Exception as exc:
-                    self._contain(guard, exc, "feedback")
+            try:
+                guard.record(query, candidate, latency_ms, native_latency_ms)
+            except Exception as exc:
+                self._contain(guard, exc, "feedback")
 
     def record_native(
         self, query: Query, native_plan: Plan, native_latency_ms: float
     ) -> None:
         for guard in self.guards:
-            if hasattr(guard, "record_native"):
-                try:
-                    guard.record_native(query, native_plan, native_latency_ms)
-                except Exception as exc:
-                    self._contain(guard, exc, "feedback")
+            try:
+                guard.record_native(query, native_plan, native_latency_ms)
+            except Exception as exc:
+                self._contain(guard, exc, "feedback")
 
     @property
     def intervention_rate(self) -> float:
-        rates = [
-            g.intervention_rate
-            for g in self.guards
-            if hasattr(g, "intervention_rate")
-        ]
-        return max(rates) if rates else 0.0
+        return max(g.intervention_rate for g in self.guards)

@@ -104,6 +104,11 @@ class Eraser:
             self._recluster()
             self._since_recluster = 0
 
+    def record_native(
+        self, query: Query, native_plan: Plan, native_latency_ms: float
+    ) -> None:
+        """Nothing: Eraser learns from executed candidates only."""
+
     def _recluster(self) -> None:
         x = np.stack(self._vectors[-500:])
         k = min(self.n_clusters, x.shape[0])

@@ -405,7 +405,7 @@ class MergeRanges(RewriteRule):
         out: list = []
         replaced: set = set()
         for pred in query.predicates:
-            column = getattr(pred, "column", None)
+            column = pred.column
             if (
                 not isinstance(pred, OrPredicate)
                 and column in merged

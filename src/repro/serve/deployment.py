@@ -68,10 +68,11 @@ class DeploymentManager:
     """Serves queries while managing one staged learned optimizer.
 
     ``learned`` exposes the :class:`repro.core.framework.LearnedOptimizer`
-    surface (``choose_plan`` / ``record_feedback``); ``guards`` are
-    regression guards stacked in order via
-    :class:`repro.regression.GuardChain` and only consulted on the serving
-    path (CANARY/LIVE) -- shadow evaluation measures the raw model.
+    surface (``choose_plan`` / ``record_feedback`` / ``name``); ``guards``
+    are regression guards (the :mod:`repro.regression` guard interface)
+    stacked in order via :class:`repro.regression.GuardChain` and only
+    consulted on the serving path (CANARY/LIVE) -- shadow evaluation
+    measures the raw model.
     """
 
     def __init__(
@@ -105,8 +106,9 @@ class DeploymentManager:
         CANARY/LIVE the model is rolled back for good (``None`` disables
         the trigger).  ``call_timeout_ms`` is the virtual per-call
         inference budget, checked against the learned component's
-        ``last_call_latency_ms`` when it reports one (the fault injector's
-        wrappers do).
+        ``last_call_latency_ms``: a model served under a budget reports the
+        inference latency of its last ``choose_plan`` (the fault injector's
+        wrapper does).
 
         ``model_version`` is the registry version id of ``learned`` (what
         a :class:`repro.lifecycle.ModelRegistry` policy files stage
@@ -162,15 +164,14 @@ class DeploymentManager:
                 breaker.telemetry = self.telemetry
             self.telemetry.attach_gauge(f"breaker_{breaker.name}", breaker.stats)
         for i, g in enumerate(guards):
-            if hasattr(g, "intervention_rate"):
-                self.telemetry.attach_gauge(
-                    f"guard_{i}_{type(g).__name__.lower()}",
-                    (lambda g=g: {
-                        "decisions": g.decisions,
-                        "interventions": g.interventions,
-                        "intervention_rate": g.intervention_rate,
-                    }),
-                )
+            self.telemetry.attach_gauge(
+                f"guard_{i}_{type(g).__name__.lower()}",
+                (lambda g=g: {
+                    "decisions": g.decisions,
+                    "interventions": g.interventions,
+                    "intervention_rate": g.intervention_rate,
+                }),
+            )
         for policy in policies:
             self.add_policy(policy)
 
@@ -392,13 +393,12 @@ class DeploymentManager:
         except Exception:
             self._learned_failure("error")
             return self._serve_degraded(query, stage)
-        if self.call_timeout_ms is not None:
-            inference_ms = float(
-                getattr(self.learned, "last_call_latency_ms", 0.0) or 0.0
-            )
-            if inference_ms > self.call_timeout_ms:
-                self._learned_failure("timeout")
-                return self._serve_degraded(query, stage)
+        if (
+            self.call_timeout_ms is not None
+            and self.learned.last_call_latency_ms > self.call_timeout_ms
+        ):
+            self._learned_failure("timeout")
+            return self._serve_degraded(query, stage)
         if self.breaker is not None:
             self.breaker.record_success()
         native_plan = self._native_plan(query)

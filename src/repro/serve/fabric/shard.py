@@ -16,17 +16,29 @@ from __future__ import annotations
 from repro.core.interfaces import Backend
 from repro.faults.plan import FaultInjector
 from repro.faults.resilience import CircuitBreaker
-from repro.serve.runtime import ServingRuntime
+from repro.serve.runtime import RuntimeConfig, ServingRuntime
+from repro.serve.telemetry import TelemetryBus
 
 __all__ = ["ShardRuntime", "guarded_shard"]
 
 
 class ShardRuntime(ServingRuntime):
-    """A fabric shard; ``core`` are :class:`ServingRuntime`'s keywords
+    """A fabric shard: a :class:`ServingRuntime` without hooks or auditor
     (``n_workers`` models the shard's service parallelism)."""
 
-    def __init__(self, shard_id: int, backend: Backend, **core) -> None:
-        super().__init__(backend, **core)
+    def __init__(
+        self,
+        shard_id: int,
+        backend: Backend,
+        *,
+        config: RuntimeConfig | None,
+        telemetry: TelemetryBus | None,
+        n_workers: int,
+        breaker: CircuitBreaker | None,
+    ) -> None:
+        super().__init__(
+            backend, config=config, telemetry=telemetry, n_workers=n_workers, breaker=breaker
+        )
         self.shard_id = shard_id
         self.name = f"shard{shard_id:02d}"
         self.telemetry.attach_gauge("shard", self.stats)
@@ -61,8 +73,10 @@ def guarded_shard(
     shard_id: int,
     backend: Backend,
     *,
+    config: RuntimeConfig | None,
+    telemetry: TelemetryBus,
     injector: FaultInjector | None = None,
-    **core,
+    n_workers: int = 1,
 ) -> ShardRuntime:
     """A shard behind its own circuit breaker on its own virtual clock --
     and, given a fault ``injector``, with its backend wrapped under the
@@ -71,4 +85,6 @@ def guarded_shard(
     if injector is not None:
         backend = injector.wrap_backend(backend, target=name)
     breaker = CircuitBreaker(failure_threshold=3, cooldown_ms=500.0, name=name)
-    return ShardRuntime(shard_id, backend, breaker=breaker, **core)
+    return ShardRuntime(
+        shard_id, backend, config=config, telemetry=telemetry, n_workers=n_workers, breaker=breaker
+    )

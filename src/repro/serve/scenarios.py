@@ -107,7 +107,7 @@ class RegressionInjector:
         self.optimizer = optimizer
         self.trigger_at = trigger_at
         self.decisions = 0
-        self.name = f"{getattr(inner, 'name', 'learned')}+injected"
+        self.name = f"{inner.name}+injected"
 
     def choose_plan(self, query: Query) -> CandidatePlan:
         self.decisions += 1
@@ -171,12 +171,23 @@ def _assemble(
     injector: FaultInjector | None = None,
     bound_guard: BoundGuard | None = None,
     refit: BaoOptimizer | None = None,
-    **deployment_kwargs,
+    stage: Stage,
+    canary_fraction: float = 0.1,
+    regression_threshold: float = 1.3,
+    window: int = 40,
+    min_samples: int = 15,
+    monitor_native: bool = True,
+    telemetry: TelemetryBus | None = None,
+    breaker: CircuitBreaker | None = None,
+    call_timeout_ms: float | None = None,
+    rollback_after_trips: int | None = 3,
+    plan_cache: PlanCache | None = None,
 ) -> ServingScenario:
-    """Stage ``learned`` over ``native`` behind a deployment manager and a
-    serving runtime, with a seeded ``n_sessions``-session schedule of
-    ``queries`` (default: ``n_queries`` generated 2-4 table joins) and,
-    given ``audit_every``, the online auditor.  ``refit`` (the Bao model
+    """Stage ``learned`` over ``native`` behind a deployment manager (the
+    keywords from ``stage`` on are its own) and a serving runtime, with a
+    seeded ``n_sessions``-session schedule of ``queries`` (default:
+    ``n_queries`` generated 2-4 table joins) and, given ``audit_every``,
+    the online auditor.  ``refit`` (the Bao model
     ``learned`` is or wraps) is refit in place every 25 of its feedbacks;
     a ``bound_guard`` becomes the next policy and is fed by the auditor."""
     simulator = ExecutionSimulator(db)
@@ -187,8 +198,18 @@ def _assemble(
         learned,
         native,
         simulator,
+        telemetry=telemetry,
+        stage=stage,
+        canary_fraction=canary_fraction,
+        window=window,
+        min_samples=min_samples,
+        regression_threshold=regression_threshold,
+        monitor_native=monitor_native,
+        breaker=breaker,
+        call_timeout_ms=call_timeout_ms,
+        rollback_after_trips=rollback_after_trips,
+        plan_cache=plan_cache,
         policies=policies,
-        **{"window": 40, "min_samples": 15, **deployment_kwargs},
     )
     if queries is None:
         queries = WorkloadGenerator(db, seed=seed + 1).workload(
@@ -532,8 +553,6 @@ def adversarial_drift_scenario(
         queries=queries,
         stage=Stage.LIVE,
         monitor_native=False,
-        regression_threshold=1e9,
-        rollback_after_trips=None,
     )
 
     def _drift() -> None:

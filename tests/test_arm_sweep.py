@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cardest.bounds import MCVJoinBoundEstimator
+from repro.core.interfaces import CardinalityEstimator
 from repro.e2e import BaoOptimizer
 from repro.engine.plans import ScanMethod, ScanNode
 from repro.faults.resilience import CircuitBreaker, FallbackEstimator
@@ -240,7 +241,7 @@ def _bounded(db):
     return Optimizer(db, bound_estimator=MCVJoinBoundEstimator(db))
 
 
-class _Flaky:
+class _Flaky(CardinalityEstimator):
     """The histogram estimator, raising on every seventh call."""
 
     def __init__(self, db):
@@ -293,7 +294,7 @@ def test_a_breaker_flipping_mid_planning_keeps_the_cache_traffic(stats_db, arms_
     assert optimizer.estimator.breaker.epoch > 0
 
 
-class _Moving:
+class _Moving(CardinalityEstimator):
     """The histogram estimator with a tag every estimate moves, as a
     breaker flip moves a wrapper's."""
 

@@ -48,6 +48,7 @@ from repro.cardest import (
 )
 from repro.core import registry
 from repro.core.interfaces import (
+    CardinalityEstimator,
     InjectedCardinalities,
     ScaledCardinalities,
     batch_estimate,
@@ -135,7 +136,10 @@ def test_estimate_batch_empty(stats_db):
 
 
 def test_batch_estimate_falls_back_without_method(stats_db, stats_workload):
-    class Bare:
+    """An estimator with no ``estimate_batch`` of its own batches through
+    the protocol's scalar loop."""
+
+    class Bare(CardinalityEstimator):
         def estimate(self, query):
             return 42.0
 

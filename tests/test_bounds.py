@@ -19,6 +19,7 @@ from repro.faults import (
     FaultSpec,
 )
 from repro.core.errors import ConfigError
+from repro.core.interfaces import CardinalityEstimator
 from repro.faults.boundguard import RATIO_WINDOW
 from repro.optimizer import (
     Optimizer,
@@ -142,7 +143,7 @@ class TestBoundGuard:
         )
 
     def test_violation_trips_breaker_and_serves_fallback(self, stats_db):
-        class Broken:
+        class Broken(CardinalityEstimator):
             def estimate(self, query):
                 return 1e18
 
@@ -191,13 +192,13 @@ class TestBoundGuard:
         """A guard lives as long as its server: the gauge's percentiles are
         over the most recent RATIO_WINDOW ratios, not every one ever seen."""
 
-        class Constant:
+        class Constant(CardinalityEstimator):
             db = stats_db
 
             def estimate(self, query):
                 return 1e6
 
-        class Counting:
+        class Counting(CardinalityEstimator):
             served = 0
 
             def estimate(self, query):

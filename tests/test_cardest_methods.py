@@ -240,7 +240,7 @@ class TestProgressiveSamplingPinned:
         "build, reference, empty_box_draws",
         [
             (
-                lambda db: NaruEstimator(db, hidden=(16,), epochs=1, seed=3),
+                lambda db: NaruEstimator(db, epochs=1, seed=3),
                 naru_box_probability,
                 True,
             ),

@@ -46,10 +46,14 @@ and in each owner (not caught).  A new invariant of that kind is a row.
     callable's name (same-named callables pool their calls; a subclass's
     ``super().__init__`` calls its base; a keyed ``core/registry.py`` row
     calls the class it names with its args) gives the knob a value: the
-    literal it passes by position or keyword, a value unlike any other for
-    a non-literal or a ``*`` / ``**`` spread, the default when it omits
-    it.  A knob whose calls give it exactly one value -- always the
-    default, or always one literal -- is a constant.  A knob kept anyway
+    literal it passes by position or keyword (a ``**`` dict display's
+    string keys are keywords), a value unlike any other for a non-literal,
+    a ``*`` spread or a display's computed key, the default when it omits
+    it.  A ``**`` spread of anything but a dict display into a callable
+    with knobs fails on its own: it forwards knobs the rule cannot see,
+    so the callee's parameters are spelled out instead.  A knob whose
+    calls give it exactly one value -- always the default, or always one
+    literal -- is a constant.  A knob kept anyway
     is on ``POSITIONAL`` (product code sets it where the rule cannot see a
     second value: ``perf/`` pins it) or ``TEST_SEAMS`` (a safety bound, a
     fake's seam, a size the tests shrink, or a feature a ROADMAP item
@@ -80,7 +84,14 @@ and in each owner (not caught).  A new invariant of that kind is a row.
 (p) every module-level import under ``src/``, ``benchmarks/``,
     ``examples/`` and ``tests/`` is read by its module (a package
     ``__init__``'s re-exports are rule (a)'s, a name in ``__all__`` is an
-    export).
+    export);
+(q) a contract is its signature: no ``getattr`` / ``hasattr`` /
+    ``setattr`` under ``src/``, ``benchmarks/`` or ``examples/`` names a
+    non-dunder attribute by a string literal (a member some objects lack
+    is made part of the protocol, or the caller tells the types apart by
+    ``isinstance``), and no class under ``src/`` defines ``__getattr__``
+    (a wrapper forwards what it declares).  A name held in a variable is
+    a reflective walk, not a probe.
 
 The rows add (i) feedback only records, (j) a bootstrap member is read
 after its owed fit, (k)'s adjacency walk, (l) one exact counter, (m)'s text
@@ -181,6 +192,10 @@ TEST_SEAMS = {
     "synthetic_fabric.fault_plan": "test_fabric's reroute drills make shard backends faulty (shard_fault_plan, TEST_ONLY)",
     # -- a size the tests shrink
     "TreeConvNet.fit.batch_size": "test_treeconv_kernel's ragged batches (7, 6, 1..40) check the epoch plan against the loop",
+    "NeoOptimizer.search_budget": "test_framework_instances cuts Neo's best-first search to 3 expansions to reach its greedy completion",
+    # -- deferred: ROADMAP item 5 decides the guard chain on the serving path
+    "DeploymentManager.guards": "DESIGN.md section 8 keeps the guard chain on the call path; test_serve / "
+    "test_retrain_cadence veto through it, and item 5's soak is to enter ladder rung 3",
     # -- deferred: ROADMAP item 2 decides the schema generator's profiles
     "SchemaGenConfig.n_components": "ROADMAP item 2",
     "SchemaGenConfig.topology": "ROADMAP item 2",
@@ -948,11 +963,34 @@ def _file_callables(text: str, filename: str) -> tuple[dict, dict]:
     return dict(callables), classes
 
 
+def _display_keywords(value: ast.expr) -> dict | None:
+    """``{key: value node}`` of the string-constant keys of a dict display
+    that forwards no mapping (``f(**{"k": v})``; a computed key is a
+    ``None`` key), else ``None``."""
+    if not isinstance(value, ast.Dict) or None in value.keys:
+        return None
+    return {
+        k.value if isinstance(k, ast.Constant) and isinstance(k.value, str) else None: v
+        for k, v in zip(value.keys, value.values)
+    }
+
+
+class Spread(NamedTuple):
+    """A ``**`` spread that forwards keywords the call does not name."""
+
+    line: int
+    text: str
+
+
 @lru_cache(maxsize=None)
 def _file_calls(text: str, filename: str) -> tuple:
     """``(callee name, positional, {keyword: value node}, spread)`` of every
     call in one file: ``super().__init__`` and ``Base.__init__(self, ...)``
-    call the base by name, ``cls(...)`` its class."""
+    call the base by name, ``cls(...)`` its class.  A ``**`` dict display
+    passes its constant keys as keywords; ``spread`` is a ``Spread`` for
+    any other ``**`` argument (a display that spreads a mapping too),
+    ``True`` for a ``*`` argument or a display's computed key, else
+    ``False``."""
     calls = []
 
     def visit(node: ast.AST, owner: ast.ClassDef | None) -> None:
@@ -971,10 +1009,16 @@ def _file_calls(text: str, filename: str) -> tuple:
                         names, args = [getattr(value, "id", getattr(value, "attr", ""))], args[1:]
                 elif names == ["cls"] and owner is not None:
                     names = [owner.name]
-                spread = any(isinstance(a, ast.Starred) for a in args) or any(
-                    k.arg is None for k in child.keywords
-                )
-                keywords = {k.arg: k.value for k in child.keywords if k.arg}
+                spread = any(isinstance(a, ast.Starred) for a in args)
+                keywords = {}
+                for k in child.keywords:
+                    if k.arg:
+                        keywords[k.arg] = k.value
+                    elif (display := _display_keywords(k.value)) is not None:
+                        spread = spread or None in display
+                        keywords.update((key, v) for key, v in display.items() if key is not None)
+                    else:
+                        spread = Spread(child.lineno, f"**{ast.unparse(k.value)}")
                 calls.extend((name, tuple(args), keywords, spread) for name in names)
             visit(child, owner)
 
@@ -1035,16 +1079,34 @@ def _resolve(name: str, callables: dict, classes: dict, seen: frozenset = frozen
     return resolved
 
 
-def knob_values(sources: Sources, *trees: str) -> tuple[dict, dict]:
-    """``({Callable.param: Knob}, {Callable.param: the values the calls
-    under trees give it})`` over every knob under ``src/repro`` that some
-    call names (a callable nothing calls by name is rule (b)'s)."""
+def _callables(sources: Sources) -> tuple[dict, dict]:
+    """``({name: [Signature]}, {class: its base names})`` under ``src/repro``."""
     callables, classes = defaultdict(list), {}
     for path in _files("src"):
         found, bases = _file_callables(sources.text(path), str(path))
         for name, signatures in found.items():
             callables[name].extend(signatures)
         classes.update(bases)
+    return callables, classes
+
+
+def forwarded_spreads(sources: Sources) -> list[str]:
+    """Every ``**`` spread but a dict display that goes into a callable with
+    knobs: the knobs it forwards are out of the rule's sight."""
+    callables, classes = _callables(sources)
+    return [
+        f"{_where(path)}:{spread.line} spreads {spread.text} into {name}"
+        for path in _files(*CODE_TREES)
+        for name, _, _, spread in _file_calls(sources.text(path), str(path))
+        if isinstance(spread, Spread) and any(s.knobs for s in _resolve(name, callables, classes))
+    ]
+
+
+def knob_values(sources: Sources, *trees: str) -> tuple[dict, dict]:
+    """``({Callable.param: Knob}, {Callable.param: the values the calls
+    under trees give it})`` over every knob under ``src/repro`` that some
+    call names (a callable nothing calls by name is rule (b)'s)."""
+    callables, classes = _callables(sources)
     calls = [c for p in _files(*trees) for c in _file_calls(sources.text(p), str(p))]
     if "src" in trees:
         calls += _registry_calls(sources)
@@ -1064,8 +1126,9 @@ def knob_values(sources: Sources, *trees: str) -> tuple[dict, dict]:
 
 
 def single_valued_knobs(sources: Sources) -> list[str]:
-    """Every knob its product calls give exactly one value, less the
-    allow-lists, then every allow-list entry that names no such knob."""
+    """Every forwarded ``**`` spread, every knob its product calls give
+    exactly one value, less the allow-lists, then every allow-list entry
+    that names no such knob."""
     knobs, values = knob_values(sources, *CODE_TREES)
     single = {
         key
@@ -1078,7 +1141,7 @@ def single_valued_knobs(sources: Sources) -> list[str]:
         for key in sorted(single - allowed)
     ]
     stale = [f"{key} is allow-listed but has no one product value" for key in sorted(allowed - single)]
-    return flagged + stale
+    return forwarded_spreads(sources) + flagged + stale
 
 
 def test_every_keyword_parameter_is_named_outside_its_definers():
@@ -1399,6 +1462,42 @@ def test_every_import_is_used():
     assert not found, f"{found} -- delete each import its module does not use"
 
 
+# -- (q) a contract is its signature ----------------------------------------------------
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def probe_violations(sources: Sources) -> list[str]:
+    """Every literal-name probe of a non-dunder member under ``PRODUCT``,
+    then every ``__getattr__`` under ``src/``, one line each."""
+    probes = [
+        f"{_where(path)}:{call.lineno} probes {name}({attr.value!r})"
+        for path in _files(*PRODUCT)
+        for name in _BY_NAME
+        for call in sources.facts(path).calls.get(name, ())
+        if getattr(call.func, "id", None) == name and len(call.args) > 1
+        for attr in [call.args[1]]
+        if isinstance(attr, ast.Constant) and isinstance(attr.value, str) and not _dunder(attr.value)
+    ]
+    proxies = [
+        f"{_where(path)}:{node.lineno} defines __getattr__"
+        for path in _files("src")
+        for node in sources.facts(path).defs.get("__getattr__", ())
+    ]
+    return probes + proxies
+
+
+def test_no_protocol_member_is_probed():
+    found = probe_violations(Sources())
+    assert not found, (
+        f"{found} -- make the member part of its protocol (every implementer "
+        "declares it, test fakes included) and read it directly; tell record "
+        "types apart with isinstance; a wrapper forwards what it declares"
+    )
+
+
 # -- every cited rule exists ---------------------------------------------------------------
 
 #: the rules that stay functions, by letter
@@ -1415,6 +1514,7 @@ RULES = {
     "m": placeholder_violations,
     "n": gather_violations,
     "p": unused_imports,
+    "q": probe_violations,
 }
 
 CITATION = re.compile(r"\brule\s+\(([a-z])\)", re.IGNORECASE)
@@ -1777,9 +1877,10 @@ SEEDED = {
         ("src/repro/serve/scenarios.py", "OnlineAuditor(db, every=audit_every,",
          "OnlineAuditor(db, every=8,",
          ["src/repro/oracle/audit.py: OnlineAuditor.every has one product value 8"]),
-        # ... or spreads it: a value unlike any other
+        # ... or passes it in a constant-key dict display, which is read
         ("src/repro/serve/scenarios.py", "OnlineAuditor(db, every=audit_every,",
-         "OnlineAuditor(db, **{\"every\": 8},", []),
+         "OnlineAuditor(db, **{\"every\": 8},",
+         ["src/repro/oracle/audit.py: OnlineAuditor.every has one product value 8"]),
         # a method-table row's one literal
         ("src/repro/core/registry.py", '"crn", {"epochs": _EPOCHS_NN', '"crn", {"epochs": 30',
          ["src/repro/cardest/querydriven.py: CRNEstimator.epochs has one product value 30"]),
@@ -1789,6 +1890,37 @@ SEEDED = {
         # perf's positional 7 is a second value: the allow-list entry is stale
         ("perf/workloads.py", "default_tenant_specs(6)", "default_tenant_specs(7)",
          ["default_tenant_specs.n_tenants is allow-listed but has no one product value"]),
+        # forwarded keywords hide the callee's knobs: the spread itself is caught
+        ("src/repro/serve/scenarios.py", "OnlineAuditor(db, every=audit_every,",
+         "OnlineAuditor(db, **audit_kwargs,",
+         ["src/repro/serve/scenarios.py spreads **audit_kwargs into OnlineAuditor"]),
+        (_THEORY, _THEORY_END,
+         "\ndef _seeded_build(db, options: dict):\n    return NaruEstimator(db, **options)\n\n" + _THEORY_END,
+         [f"{_THEORY} spreads **options into NaruEstimator"]),
+        # a dict display's non-literal value is a second value; a callee
+        # without knobs (TelemetryBus.event) may take a spread
+        ("src/repro/serve/scenarios.py", "OnlineAuditor(db, every=audit_every,",
+         "OnlineAuditor(db, **{\"every\": audit_every},", []),
+        (_THEORY, _THEORY_END,
+         "\ndef _seeded_event(bus, **fields):\n    bus.event(\"seeded\", **fields)\n\n" + _THEORY_END, []),
+    ]),
+    "test_seeded_protocol_probe_is_caught": ("q", ROOT, [
+        # a literal-name probe with its default, or without one
+        (_THEORY, _THEORY_END,
+         "\ndef _seeded_version(x):\n    return getattr(x, \"estimates_version\", 0)\n\n" + _THEORY_END,
+         [f"{_THEORY} probes getattr('estimates_version')"]),
+        ("benchmarks/bench_p8_bounds.py", "if isinstance(r, Served)", "if hasattr(r, \"latency_ms\")",
+         ["benchmarks/bench_p8_bounds.py probes hasattr('latency_ms')"]),
+        # a forwarding proxy (its getattr by a variable name is no probe)
+        ("src/repro/faults/plan.py", "    def cache_stats(self):\n",
+         "    def __getattr__(self, attr):\n        return getattr(self.inner, attr)\n\n"
+         "    def cache_stats(self):\n",
+         ["src/repro/faults/plan.py defines __getattr__"]),
+        # a reflective walk by a variable name, and a dunder
+        (_THEORY, _THEORY_END,
+         "\ndef _seeded_read(x, name):\n    return getattr(x, name)\n\n" + _THEORY_END, []),
+        (_THEORY, _THEORY_END,
+         "\ndef _seeded_hook(cls):\n    return hasattr(cls, \"__post_init__\")\n\n" + _THEORY_END, []),
     ]),
     "test_seeded_unused_import_is_caught": ("p", ROOT, [
         ("src/repro/cardest/strings.py", "import zlib\n", "import math\nimport zlib\n",

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from repro.core.errors import ConfigError
+from repro.core.interfaces import CardinalityEstimator
 from repro.costmodel import (
     ConcurrentCostModel,
     ConcurrentWorkload,
@@ -78,7 +79,7 @@ class TestPlanFeaturizer:
         through ``sanitize_estimate``, in all three featurizations and in
         the partial-plan encoder the value networks read."""
 
-        class Broken:
+        class Broken(CardinalityEstimator):
             def estimate(self, query):
                 return bad
 

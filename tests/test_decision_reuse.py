@@ -22,6 +22,7 @@ import pytest
 from repro.bench import apply_drift
 from repro.cardest.bounds import MCVJoinBoundEstimator
 from repro.core.framework import CandidatePlan
+from repro.core.interfaces import CardinalityEstimator
 from repro.costmodel import PlanFeaturizer
 from repro.costmodel.features import plan_to_tree_arrays
 from repro.e2e import BaoOptimizer
@@ -38,7 +39,7 @@ from repro.storage import make_stats_lite
 ARMS = HintSet.bao_arms()
 
 
-class Dial:
+class Dial(CardinalityEstimator):
     """A base estimator's answers times ``factor``; turning it is a refit."""
 
     def __init__(self, base) -> None:

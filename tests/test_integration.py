@@ -2,7 +2,7 @@
 
 from repro.cardest import FSPNEstimator
 from repro.core import RetrainCadence
-from repro.core.interfaces import InjectedCardinalities
+from repro.core.interfaces import CardinalityEstimator, InjectedCardinalities
 from repro.e2e import BaoOptimizer, OptimizationLoop
 from repro.engine import CardinalityExecutor, ExecutionSimulator
 from repro.optimizer import Optimizer
@@ -22,7 +22,7 @@ class TestEstimatorToPlannerPipeline:
         estimate -> cost -> enumerate pipeline."""
         opt = Optimizer(stats_db)
 
-        class Oracle:
+        class Oracle(CardinalityEstimator):
             def estimate(self, query):
                 return stats_executor.cardinality(query)
 
@@ -98,11 +98,11 @@ class TestLearnedOptimizerConvergence:
         opt = Optimizer(stats_db)
         sim = ExecutionSimulator(stats_db)
 
-        class Awful:
+        class Awful(CardinalityEstimator):
             def estimate(self, query):
                 return 1.0  # everything looks tiny
 
-        class Oracle:
+        class Oracle(CardinalityEstimator):
             def estimate(self, query):
                 return stats_executor.cardinality(query)
 

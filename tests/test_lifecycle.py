@@ -15,7 +15,7 @@ from repro.cardest.drift import DDUpDetector, DriftReport
 from repro.bench.workloads import apply_drift
 from repro.core.errors import ConfigError
 from repro.core.framework import CandidatePlan
-from repro.core.interfaces import Decision, Retrainable
+from repro.core.interfaces import CardinalityEstimator, Decision, Retrainable
 from repro.e2e.bao import BaoOptimizer
 from repro.e2e.loop import OptimizationLoop
 from repro.e2e.risk_models import (
@@ -713,7 +713,7 @@ def test_scheduler_policy_estimates_only_for_its_triggers():
     arm) the scheduler still keeps time but never asks for it."""
     from types import SimpleNamespace
 
-    class CountingEstimator:
+    class CountingEstimator(CardinalityEstimator):
         calls = 0
 
         def estimate(self, query):
@@ -721,7 +721,9 @@ def test_scheduler_policy_estimates_only_for_its_triggers():
             return 7.0
 
     estimator = CountingEstimator()
-    deployment = SimpleNamespace(learned=SimpleNamespace(estimator=estimator))
+    # a planner that does not plan through this estimator: nothing to peek
+    planner = SimpleNamespace(coster=SimpleNamespace(estimator=None))
+    deployment = SimpleNamespace(learned=SimpleNamespace(estimator=estimator, optimizer=planner))
     decision = _decision(None)
     retrainer = lambda champion, store, action: _refit(clone_model(champion))  # noqa: E731
     frozen = RetrainingScheduler(ModelRegistry(), ExperienceStore(8), retrainer)
@@ -777,7 +779,7 @@ def test_gate_qerrors_batched_equal_the_scalar_loop():
         scalar = np.array(
             [q_error(estimator.estimate(q), gate.executor.cardinality(q)) for q in gate.queries]
         )
-        assert gate._qerrors(estimator).tobytes() == scalar.tobytes()
+        assert gate._qerrors(scenario.registry.model(version.version_id)).tobytes() == scalar.tobytes()
 
 
 def test_scheduler_rejects_mutating_retrainer():
@@ -860,7 +862,7 @@ def test_gate_passes_equivalent_challenger_into_shadow(gate_stack):
     champion = BaoOptimizer(native, seed=0)
     v0 = registry.register(champion, trigger="initial")
     registry.record_stage(v0.version_id, "live", reason="initial")
-    gate = EvalGate(holdout, simulator=simulator, executor=executor)
+    gate = EvalGate(holdout, simulator=simulator)  # Bao has no estimator to score
     deployment = DeploymentManager(
         champion,
         native,
@@ -909,7 +911,7 @@ def test_gate_failure_never_reaches_deployment(gate_stack):
     champion = BaoOptimizer(native, seed=0)
     v0 = registry.register(champion, trigger="initial")
     registry.record_stage(v0.version_id, "live", reason="initial")
-    gate = EvalGate(holdout, simulator=simulator, executor=executor)
+    gate = EvalGate(holdout, simulator=simulator)  # Bao has no estimator to score
     deployment = DeploymentManager(
         champion,
         native,
@@ -1031,11 +1033,9 @@ def test_gate_memo_caches_metrics_not_verdicts(monkeypatch):
 
 
 def test_gate_memo_never_answers_a_model_that_draws_while_planning(trained_bao, monkeypatch):
-    from repro.engine import CardinalityExecutor
-
+    # Bao has no estimator to score: the gate measures latency only
     bao, queries, simulator, shared = trained_bao
-    executor = CardinalityExecutor(simulator.db)
-    gate = EvalGate(queries, simulator=simulator, executor=executor, shared=shared)
+    gate = EvalGate(queries, simulator=simulator, shared=shared)
     passes = _count_passes(gate, monkeypatch)
     champion = clone_model(bao, shared=shared)
     challenger = clone_model(bao, shared=shared)
@@ -1054,7 +1054,7 @@ def test_gate_memo_never_answers_a_model_that_draws_while_planning(trained_bao, 
             lambda current, store, action: clone_model(current, shared=shared),
             triggers=[CadenceTrigger(every_queries=1)],
             cooldown_queries=1,
-            gate=gate_class(queries, simulator=simulator, executor=executor, shared=shared),
+            gate=gate_class(queries, simulator=simulator, shared=shared),
         )
         for _ in range(3):
             sched.step(1.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.interfaces import InjectedCardinalities, ScaledCardinalities
+from repro.core.interfaces import CardinalityEstimator, InjectedCardinalities, ScaledCardinalities
 from repro.engine import JoinMethod, ScanMethod
 from repro.engine.plans import ScanNode
 from repro.optimizer import (
@@ -269,7 +269,7 @@ class TestPlanner:
     def test_estimator_swap_changes_some_plans(self, stats_db, stats_executor):
         opt = Optimizer(stats_db)
 
-        class Oracle:
+        class Oracle(CardinalityEstimator):
             def estimate(self, query):
                 return stats_executor.cardinality(query)
 
@@ -341,7 +341,7 @@ class TestPlanCoster:
         from repro.engine import ExecutionSimulator, SimulatorConfig
         from repro.engine.cost_formulas import TRUE_HARDWARE_CONSTANTS
 
-        class Oracle:
+        class Oracle(CardinalityEstimator):
             def estimate(self, query):
                 return stats_executor.cardinality(query)
 

@@ -197,11 +197,14 @@ class TestContracts:
             )
         assert violations and violations[0].check == "version_bump:refit"
 
-    def test_stateless_estimator_skipped(self, stats_db):
+    def test_version_bump_binds_every_estimator(self, stats_db):
+        """A stateless estimator has version 0 too: a refit that leaves it
+        there is a violation, not a skip."""
         checker = EstimatorContractChecker(
             stats_db, TraditionalCardinalityEstimator(stats_db)
         )
-        assert checker.check_version_bump(lambda e: None) == []
+        violations = checker.check_version_bump(lambda e: None)
+        assert [(v.check, v.actual) for v in violations] == [("version_bump:refit", "0")]
 
 
 class TestDeepChainFixture:

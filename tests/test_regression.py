@@ -185,6 +185,9 @@ class _SpyGuard:
     def record(self, query, candidate, latency_ms, native_latency_ms):
         self.recorded.append(candidate.source)
 
+    def record_native(self, query, native_plan, native_latency_ms):
+        pass
+
 
 class TestGuardChain:
     def test_requires_guards(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cardest import FSPNEstimator, HistogramEstimator
 from repro.core.framework import CandidatePlan, RetrainCadence
-from repro.core.interfaces import InjectedCardinalities
+from repro.core.interfaces import CardinalityEstimator, InjectedCardinalities
 from repro.e2e import BaoOptimizer, OptimizationLoop
 from repro.engine import ExecutionSimulator, SimulatorConfig
 from repro.optimizer import Optimizer
@@ -21,7 +21,7 @@ class TestBrokenEstimatorInjection:
         "value", [float("nan"), float("inf"), -5.0, 0.0, 1e30]
     )
     def test_planner_survives_pathological_estimates(self, stats_db, value):
-        class Broken:
+        class Broken(CardinalityEstimator):
             def estimate(self, query):
                 return value
 
@@ -34,7 +34,7 @@ class TestBrokenEstimatorInjection:
     def test_simulator_results_independent_of_estimator(self, stats_db):
         """Broken estimates change plans, never results."""
 
-        class Broken:
+        class Broken(CardinalityEstimator):
             def estimate(self, query):
                 return 1.0
 
@@ -351,7 +351,7 @@ class TestFallbackEstimator:
         return FallbackEstimator(primary, HistogramEstimator(stats_db), **kw)
 
     def test_primary_exception_serves_fallback(self, stats_db):
-        class Crashing:
+        class Crashing(CardinalityEstimator):
             def estimate(self, query):
                 raise RuntimeError("model exploded")
 
@@ -365,7 +365,7 @@ class TestFallbackEstimator:
         assert est.primary_errors == 1
 
     def test_nonfinite_output_serves_fallback(self, stats_db):
-        class NaNny:
+        class NaNny(CardinalityEstimator):
             def estimate(self, query):
                 return float("nan")
 
@@ -379,7 +379,7 @@ class TestFallbackEstimator:
     def test_breaker_opens_and_denies_primary(self, stats_db):
         from repro.faults import BreakerState, CircuitBreaker
 
-        class Crashing:
+        class Crashing(CardinalityEstimator):
             calls = 0
 
             def estimate(self, query):
@@ -400,7 +400,7 @@ class TestFallbackEstimator:
     def test_estimates_version_tracks_breaker_epoch(self, stats_db):
         from repro.faults import CircuitBreaker
 
-        class Crashing:
+        class Crashing(CardinalityEstimator):
             def estimate(self, query):
                 raise RuntimeError("down")
 
@@ -412,6 +412,87 @@ class TestFallbackEstimator:
         )
         est.estimate(q)  # trips the breaker
         assert est.estimates_version != before
+
+
+def _fault_log(injector, monkeypatch) -> list:
+    """Every ``(call index, kind)`` the injector's plan fires, in order."""
+    fired = []
+    decide = injector.plan.decide
+
+    def logged(target, call_index):
+        spec = decide(target, call_index)
+        if spec is not None:
+            fired.append((call_index, spec.kind))
+        return spec
+
+    monkeypatch.setattr(injector.plan, "decide", logged)
+    return fired
+
+
+class TestBatchedFaultSchedule:
+    """A batched call meets the fault schedule one query at a time: under
+    the default chaos plan each wrapper's ``estimate_batch`` equals its
+    scalar loop value for value and fault index for fault index."""
+
+    @staticmethod
+    def _stack(stats_db, monkeypatch, fallback):
+        from repro.faults import CircuitBreaker, FallbackEstimator, FaultInjector
+        from repro.optimizer import TraditionalCardinalityEstimator
+        from repro.serve.scenarios import default_chaos_plan
+
+        injector = FaultInjector(default_chaos_plan(0))
+        fired = _fault_log(injector, monkeypatch)
+        estimator = injector.wrap_estimator(TraditionalCardinalityEstimator(stats_db))
+        if fallback:
+            breaker = CircuitBreaker(cooldown_ms=500.0, clock=injector.clock, name="estimator")
+            estimator = FallbackEstimator(
+                estimator, TraditionalCardinalityEstimator(stats_db), breaker=breaker
+            )
+        return injector, estimator, fired
+
+    @staticmethod
+    def _queries(stats_workload):
+        return [sub for q in stats_workload for sub in q.connected_subqueries()]
+
+    def test_fallback_estimate_batch_is_its_scalar_loop(self, stats_db, stats_workload, monkeypatch):
+        queries = self._queries(stats_workload)
+        injector, batched, fired = self._stack(stats_db, monkeypatch, fallback=True)
+        twin, scalar, twin_fired = self._stack(stats_db, monkeypatch, fallback=True)
+        got = batched.estimate_batch(queries)
+        want = np.array([scalar.estimate(q) for q in queries], dtype=float)
+        assert got.tobytes() == want.tobytes()
+        assert fired == twin_fired and {kind for _, kind in fired} >= {"exception", "nan", "stale"}
+        assert injector.stats() == twin.stats()
+        assert batched.stats() == scalar.stats() and batched.breaker.trips > 0
+
+    def test_faulty_estimate_batch_is_its_scalar_loop(self, stats_db, stats_workload, monkeypatch):
+        from repro.core.errors import InjectedEstimationError
+
+        queries = self._queries(stats_workload)
+        injector, batched, fired = self._stack(stats_db, monkeypatch, fallback=False)
+        twin, scalar, twin_fired = self._stack(stats_db, monkeypatch, fallback=False)
+        want = []
+        for q in queries:
+            try:
+                want.append(scalar.estimate(q))
+            except InjectedEstimationError:
+                want.append("raised")
+        # the same queries through estimate_batch: each run of answers in
+        # one call, each raising query on its own
+        got, i = [], 0
+        while i < len(queries):
+            if want[i] == "raised":
+                with pytest.raises(InjectedEstimationError):
+                    batched.estimate_batch([queries[i]])
+                got.append("raised")
+                i += 1
+                continue
+            end = next((j for j in range(i, len(queries)) if want[j] == "raised"), len(queries))
+            got.extend(batched.estimate_batch(queries[i:end]).tolist())
+            i = end
+        assert list(map(repr, got)) == list(map(repr, want))
+        assert fired == twin_fired and "raised" in want
+        assert injector.stats() == twin.stats() and batched.calls == scalar.calls == len(queries)
 
 
 class TestConsoleResilience:
@@ -477,12 +558,21 @@ class TestGuardChainContainment:
         def record(self, query, candidate, latency_ms, native_latency_ms):
             raise RuntimeError("feedback bug")
 
+        def record_native(self, query, native_plan, native_latency_ms):
+            raise RuntimeError("feedback bug")
+
     class SwapGuard:
         def __init__(self, optimizer):
             self.optimizer = optimizer
 
         def __call__(self, query, candidate, native_plan):
             return CandidatePlan(plan=native_plan, source="swap")
+
+        def record(self, query, candidate, latency_ms, native_latency_ms):
+            pass
+
+        def record_native(self, query, native_plan, native_latency_ms):
+            pass
 
     def test_crashing_guard_abstains(self, stats_db, stats_optimizer):
         from repro.regression import GuardChain

@@ -226,6 +226,12 @@ class TestDeploymentLifecycle:
                     return CandidatePlan(plan=native_plan, source="veto")
                 return candidate
 
+            def record(self, query, candidate, latency_ms, native_latency_ms):
+                pass
+
+            def record_native(self, query, native_plan, native_latency_ms):
+                pass
+
             @property
             def intervention_rate(self):
                 return 0.0
@@ -689,9 +695,9 @@ def _drive_run(backend, requests, **core):
     return runtime, lambda: runtime.run([requests]).outcomes
 
 
-def _drive_submit(backend, requests, **core):
+def _drive_submit(backend, requests, *, config, breaker=None):
     """Earliest-free lane: a one-worker shard, one submit() per request."""
-    shard = ShardRuntime(0, backend, n_workers=1, **core)
+    shard = ShardRuntime(0, backend, config=config, telemetry=None, n_workers=1, breaker=breaker)
     return shard, lambda: [shard.submit(r) for r in requests]
 
 
