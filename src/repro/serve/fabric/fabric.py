@@ -38,7 +38,7 @@ from repro.serve.fabric.router import ShardRouter
 from repro.serve.fabric.shard import ShardRuntime
 from repro.serve.fabric.tenants import TenantRegistry, TenantSpec
 from repro.serve.runtime import Rejected, Request, RunReport, Served
-from repro.serve.telemetry import TelemetryBus
+from repro.serve.telemetry import Histogram, TelemetryBus
 from repro.sql.query import Query, query_hash
 
 __all__ = [
@@ -98,18 +98,18 @@ class FabricReport(RunReport):
     tenant_latency: dict[str, dict[str, float]]
 
 
-class _ShardView:
-    """Lazy per-shard peek (backlog or health) at the current arrival
-    time, indexed by the router on the hot path."""
+class _TenantRun:
+    """One tenant's part of one run: its shed watermark (``None``: never
+    shed here), its response histogram (bound on its first served
+    request) and the counts the run files on the bus when it ends."""
 
-    __slots__ = ("peeks", "at_ms")
+    __slots__ = ("watermark", "response", "served", "rejected")
 
-    def __init__(self, peeks: list) -> None:
-        self.peeks = peeks
-        self.at_ms = 0.0
-
-    def __getitem__(self, i: int):
-        return self.peeks[i](self.at_ms)
+    def __init__(self, watermark: int | None) -> None:
+        self.watermark = watermark
+        self.response: Histogram | None = None
+        self.served = 0
+        self.rejected = 0
 
 
 class ServingFabric:
@@ -166,65 +166,70 @@ class ServingFabric:
         bus = self.telemetry
         config = self.config
         shards, router, tenants = self.shards, self.router, self.tenants
-        backlogs = _ShardView([s.backlog for s in shards])
-        health = _ShardView([s.healthy for s in shards])
-        # each tenant once per run: its shed watermark (None: never shed
-        # here) and its three bus names
         watermarks = {
             "background": config.background_shed_backlog,
             "batch": config.batch_shed_backlog,
         }
         rows = {
-            tid: (
-                watermarks.get(tenants.qos(tid)),
-                f"tenant.{tid}.served",
-                f"tenant.{tid}.rejected",
-                f"tenant.{tid}.response_ms",
-            )
+            tid: _TenantRun(watermarks.get(tenants.qos(tid)))
             for tid in tenants.tenant_ids()
         }
         keep_outcomes = config.keep_outcomes
         outcomes: list = []
-        rejected: dict[str, int] = {}
+        rejected: dict[str, int] = {}  # every reason, shard-level ones too
+        shed: dict[str, int] = {}  # the fabric's own reasons
         n_served = 0
         t0 = time.perf_counter()
-        for freq in schedule:
-            req = freq.request
-            tenant = freq.tenant_id
-            arrival = req.arrival_ms
-            reason = tenants.admit(tenant, arrival)
-            watermark, served_name, rejected_name, response_name = rows[tenant]
-            if reason is None:
-                backlogs.at_ms = arrival
-                health.at_ms = arrival
-                key = router.routing_key(query_hash(req.query), tenant)
-                shard_id = router.route(key, loads=backlogs, healthy=health)
-                if shard_id is None:
-                    reason = "unavailable"
-                elif (
-                    watermark is not None
-                    and shards[shard_id].backlog(arrival) > watermark
-                ):
-                    reason = "qos_shed"
-            if reason is None:
-                outcome = shards[shard_id].submit(req)
-                if isinstance(outcome, Served):
-                    n_served += 1
-                    bus.incr("fabric.served")
-                    bus.incr(served_name)
-                    bus.observe(
-                        response_name, outcome.wait_ms + outcome.latency_ms
-                    )
+        try:
+            for freq in schedule:
+                req = freq.request
+                tenant = freq.tenant_id
+                arrival = req.arrival_ms
+                reason = tenants.admit(tenant, arrival)
+                row = rows[tenant]
+                if reason is None:
+                    key = router.routing_key(query_hash(req.query), tenant)
+                    shard_id = router.route(key, shards, arrival)
+                    if shard_id is None:
+                        reason = "unavailable"
+                    elif (
+                        row.watermark is not None
+                        and shards[shard_id].backlog(arrival) > row.watermark
+                    ):
+                        reason = "qos_shed"
+                if reason is None:
+                    outcome = shards[shard_id].submit(req)
+                    if isinstance(outcome, Served):
+                        n_served += 1
+                        row.served += 1
+                        response = row.response
+                        if response is None:
+                            response = row.response = bus.histogram(
+                                f"tenant.{tenant}.response_ms"
+                            )
+                        response.record(outcome.wait_ms + outcome.latency_ms)
+                    else:
+                        reason = outcome.reason
                 else:
-                    reason = outcome.reason
-            else:
-                outcome = Rejected(req, reason, 0.0)
-                bus.incr(f"fabric.rejected.{reason}")
-            if reason is not None:
-                bus.incr(rejected_name)
-                rejected[reason] = rejected.get(reason, 0) + 1
-            if keep_outcomes:
-                outcomes.append(outcome)
+                    outcome = Rejected(req, reason, 0.0)
+                    shed[reason] = shed.get(reason, 0) + 1
+                if reason is not None:
+                    row.rejected += 1
+                    rejected[reason] = rejected.get(reason, 0) + 1
+                if keep_outcomes:
+                    outcomes.append(outcome)
+        finally:
+            # the run's counters reach the bus once, even when a request
+            # raised; the export sorts counters, so the order is free
+            if n_served:
+                bus.incr("fabric.served", n_served)
+            for reason, n in shed.items():
+                bus.incr(f"fabric.rejected.{reason}", n)
+            for tid, row in rows.items():
+                if row.served:
+                    bus.incr(f"tenant.{tid}.served", row.served)
+                if row.rejected:
+                    bus.incr(f"tenant.{tid}.rejected", row.rejected)
         wall = time.perf_counter() - t0
         span = max((s.span_ms for s in shards), default=0.0)
         return FabricReport(

@@ -99,14 +99,14 @@ class ShardRouter:
 
     # -- routing -----------------------------------------------------------------
 
-    def route(self, key: str, *, loads, healthy) -> int | None:
-        """Pick the shard for one request.
+    def route(self, key: str, shards, at_ms: float) -> int | None:
+        """Pick the shard for one request arriving at virtual ``at_ms``.
 
-        ``loads`` and ``healthy`` are indexable views of the current
-        per-shard backlog and health (the fabric passes bound methods
-        evaluated lazily, so only the candidates are inspected on the hot
-        path).  Returns the shard id, or ``None`` when no shard is
-        healthy.  Deterministic: the decision depends only on
+        ``shards`` is the fabric's shard list: the router asks a shard its
+        ``healthy(at_ms)`` and ``backlog(at_ms)`` directly, and only the
+        two candidates' while one of them is healthy -- the full scan runs
+        only when both are down.  Returns the shard id, or ``None`` when no
+        shard is healthy.  Deterministic: the decision depends only on
         ``(seed, key)`` and the observed (load, health) values, and ties
         prefer the primary candidate, then the lower shard id.
         """
@@ -118,24 +118,26 @@ class ShardRouter:
                     f"no pinned shard for routing key {key!r}; "
                     f"pinned tenants: {sorted(self.pinned)}"
                 ) from None
-            if not healthy[shard]:
+            if not shards[shard].healthy(at_ms):
                 self.unroutable += 1
                 return None
             self.assignments[shard] += 1
             return shard
         first, second = self.candidates(key)
+        primary = shards[first]
         chosen: int | None = None
-        if healthy[first]:
+        if primary.healthy(at_ms):
             chosen = first
-            if second != first and healthy[second]:
-                if loads[second] < loads[first]:
+            if second != first:
+                other = shards[second]
+                if other.healthy(at_ms) and other.backlog(at_ms) < primary.backlog(at_ms):
                     chosen = second
-        elif second != first and healthy[second]:
+        elif second != first and shards[second].healthy(at_ms):
             chosen = second
         else:
             for step in range(self.n_shards):
                 probe = (first + step) % self.n_shards
-                if healthy[probe]:
+                if shards[probe].healthy(at_ms):
                     chosen = probe
                     break
         if chosen is None:

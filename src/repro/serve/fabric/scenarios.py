@@ -80,6 +80,8 @@ class SyntheticBackend:
         self.seed = int(seed)
         self.name = "synthetic"
         self.calls = 0
+        self._mix = self.seed * _MIX
+        self._scale = 1.0 / float(1 << 48)  # a power of two: exact
 
     def cache_stats(self) -> None:
         return None
@@ -87,8 +89,7 @@ class SyntheticBackend:
     def serve(self, query: Query) -> Decision:
         self.calls += 1
         h = int(query_hash(query), 16)
-        mixed = (h ^ (self.seed * _MIX)) & 0xFFFFFFFFFFFF
-        u = mixed / float(1 << 48)
+        u = ((h ^ self._mix) & 0xFFFFFFFFFFFF) * self._scale
         return Decision("live", "synthetic", 4.0 + 8.0 * u, h % 1_000_000)
 
 
@@ -170,8 +171,9 @@ def synthetic_fabric(
 ) -> FabricScenario:
     """Assemble a synthetic-backend fabric (no schedule attached yet --
     pair with :func:`synthetic_queries` + :func:`build_fabric_schedule`,
-    or use the returned scenario's empty schedule slot); each shard keeps
-    its newest 256 traces."""
+    or use the returned scenario's empty schedule slot); each shard's bus
+    keeps its first 256 traces and counts the later ones in
+    ``traces_dropped``."""
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     shards = [
         guarded_shard(

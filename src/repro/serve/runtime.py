@@ -317,6 +317,7 @@ class ServingRuntime:
         self.submitted = 0
         self.served = 0
         self.errors = 0
+        self._histograms = None  # (latency_ms | None, wait_ms), bound on the first serve
         self._reset(n_workers)
         if backend.plan_cache is not None:
             self.telemetry.attach_gauge("plan_cache", backend.plan_cache.stats)
@@ -394,7 +395,7 @@ class ServingRuntime:
             outcome = Rejected(req, reason, wait, backend.name)
             bus.trace(outcome)
             return outcome
-        after = backend.cache_stats()
+        after = None if before is None else backend.cache_stats()
         if breaker is not None:
             breaker.record_success()
         latency = decision.latency_ms
@@ -409,13 +410,22 @@ class ServingRuntime:
             audit = self.auditor.observe(
                 req.query, decision.cardinality, bus=bus
             )
-        if backend.telemetry is not bus:
-            # A backend on the core's own bus files its latency itself.
-            bus.observe("latency_ms", latency)
+        histograms = self._histograms
+        if histograms is None:
+            # Bound on the first serve, so a core that serves nothing
+            # exports neither; a backend on the core's own bus files its
+            # latency itself.
+            histograms = self._histograms = (
+                None if backend.telemetry is bus else bus.histogram("latency_ms"),
+                bus.histogram("wait_ms"),
+            )
+        latency_ms, wait_ms = histograms
+        if latency_ms is not None:
+            latency_ms.record(latency)
         bus.incr("runtime.served")
-        bus.observe("wait_ms", wait)
+        wait_ms.record(wait)
         hits = misses = 0
-        if before is not None and after is not None:
+        if after is not None:
             hits = int(after["hits"] - before["hits"])
             misses = int(after["misses"] - before["misses"])
         outcome = Served(

@@ -150,10 +150,16 @@ class TelemetryBus:
         self._counters[name] = self._counters.get(name, 0) + by
 
     def observe(self, name: str, value: float) -> None:
+        self.histogram(name).record(value)
+
+    def histogram(self, name: str) -> Histogram:
+        """The histogram ``name`` records into, created on first use --
+        a caller that records per request binds it once and calls its
+        ``record``, which is what :meth:`observe` does by name."""
         hist = self._histograms.get(name)
         if hist is None:
             hist = self._histograms[name] = Histogram()
-        hist.record(value)
+        return hist
 
     def trace(self, outcome) -> None:
         """Keep one request's outcome (see the module docstring)."""

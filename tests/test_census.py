@@ -95,8 +95,9 @@ and in each owner (not caught).  A new invariant of that kind is a row.
 
 The rows add (i) feedback only records, (j) a bootstrap member is read
 after its owed fit, (k)'s adjacency walk, (l) one exact counter, (m)'s text
-renderer, (n)'s per-epoch batches and (o) the per-decision triggers read a
-sorted window; each row's ``reason`` says the rest.
+renderer, (n)'s per-epoch batches, (o) the per-decision triggers read a
+sorted window and (r) a fabric request asks each shard and the bus once;
+each row's ``reason`` says the rest.
 
 Every rule reads one cached fact pass per file text (``Facts``; rule (b)
 adds one receiver pass, ``MethodRefs``), and none
@@ -252,6 +253,14 @@ _WINDOW = (
     "a trigger checks on every served decision: keep its window sorted as it "
     "observes and read the quantile off it (QErrorTrigger.current)"
 )
+#: the fabric's request loop
+FABRIC_LOOP = "src/repro/serve/fabric/fabric.py"
+_ONCE = (
+    "a fabric request asks each shard and the bus once: the router reads its "
+    "candidates' healthy / backlog directly (ShardRouter.route), a per-request "
+    "record goes through a TelemetryBus.histogram handle bound on first use, and "
+    "the fabric's counters are summed per run"
+)
 
 OWNED = {
     "retrain_every": Owned("word", PRODUCT, (), _FEEDBACK, "i"),
@@ -295,6 +304,8 @@ OWNED = {
         name: Owned("call", ("src/repro/lifecycle/scheduler.py",), (), _WINDOW, "o")
         for name in ("quantile", "percentile", "nanquantile", "nanpercentile")
     },
+    "observe": Owned("call", (FABRIC_LOOP,), (), _ONCE, "r"),
+    "__getitem__": Owned("def", (FABRIC_LOOP,), (), _ONCE, "r"),
 }
 
 
@@ -1551,6 +1562,7 @@ CASES = {
     "m": "test_one_template_identity",
     "n": "test_one_training_plan",
     "o": "test_triggers_read_a_sorted_window",
+    "r": "test_fabric_requests_ask_once",
 }
 
 
@@ -2079,6 +2091,27 @@ SEEDED = {
          "        return percentile(self._errors, 90)\n\n\n"
          "class DriftTrigger:\n",
          ["src/repro/lifecycle/scheduler.py calls percentile"]),
+    ]),
+    "test_seeded_per_request_lookup_in_the_fabric_is_caught": ("r", ROOT / FABRIC_LOOP, [
+        # a tenant's response time filed by name again
+        ("                        response.record(outcome.wait_ms + outcome.latency_ms)\n",
+         "                        bus.observe(\n"
+         "                            f\"tenant.{tenant}.response_ms\",\n"
+         "                            outcome.wait_ms + outcome.latency_ms,\n"
+         "                        )\n",
+         [f"{FABRIC_LOOP} calls observe"]),
+        # a lazy per-shard view the router indexes again
+        ("class ServingFabric:\n",
+         "class _ShardView:\n"
+         "    def __getitem__(self, i):\n"
+         "        return self.peeks[i](self.at_ms)\n\n\n"
+         "class ServingFabric:\n",
+         [f"{FABRIC_LOOP} defines __getitem__"]),
+        # naming observe in a comment, and indexing the shard list, ask nothing
+        ("                    outcome = shards[shard_id].submit(req)\n",
+         "                    # not bus.observe: the row's handle is bound once\n"
+         "                    outcome = shards[shard_id].submit(req)\n",
+         []),
     ]),
 }
 

@@ -5,7 +5,8 @@ gate."""
 import json
 
 import pytest
-from hypothesis import settings
+import numpy as np
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -26,12 +27,15 @@ from repro.serve.fabric import (
     TenantSpec,
     build_fabric_schedule,
     default_tenant_specs,
+    SyntheticBackend,
     hot_tenant_specs,
     sharded_fabric_scenario,
     synthetic_fabric,
     synthetic_queries,
 )
+from repro.serve.fabric.fabric import FabricRequest, ServingFabric
 from repro.serve.fabric.router import PAIR_CAPACITY
+from repro.serve.fabric.shard import guarded_shard
 from repro.serve.telemetry import Histogram, TelemetryBus
 from repro.sql import Query
 
@@ -126,9 +130,59 @@ class TestTelemetryMerge:
         assert snap["gauges"]["s1.g"] == {"x": 2.0}
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    stream=st.lists(
+        st.tuples(st.sampled_from(("a", "b", "c")), st.floats(allow_nan=False)),
+        max_size=200,
+    ),
+    bulk=st.tuples(
+        st.sampled_from(("a", "b")),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((0, 65_537, 140_000)),  # none, one halving, two
+    ),
+)
+def test_a_bound_histogram_writes_what_observe_writes(stream, bulk):
+    """Recording through ``histogram(name)``, bound on each name's first
+    use, exports the bytes ``observe(name, v)`` does -- past the
+    ``Histogram`` capacity (decimation) too."""
+    name, seed, n = bulk
+    values = np.random.default_rng(seed).exponential(5.0, n).tolist()
+    by_name, bound = TelemetryBus(), TelemetryBus()
+    handles: dict[str, Histogram] = {}
+    for key, value in [*stream, *((name, v) for v in values)]:
+        by_name.observe(key, value)
+        if key not in handles:
+            handles[key] = bound.histogram(key)
+        handles[key].record(value)
+    assert bound.to_json() == by_name.to_json()
+    assert bound.histogram(name) is handles.get(name, bound.histogram(name))
+
+
 # ---------------------------------------------------------------------------
 # router
 # ---------------------------------------------------------------------------
+
+
+class _Shard:
+    """The two methods the router reads of a shard, over the test's lists;
+    every call logs the shard's id in ``reads``."""
+
+    def __init__(self, shard_id: int, loads: list, health: list, reads: list) -> None:
+        self.shard_id, self.loads, self.health, self.reads = shard_id, loads, health, reads
+
+    def healthy(self, at_ms: float) -> bool:
+        self.reads.append(self.shard_id)
+        return self.health[self.shard_id]
+
+    def backlog(self, at_ms: float) -> int:
+        self.reads.append(self.shard_id)
+        return self.loads[self.shard_id]
+
+
+def _shards(loads: list, health: list, reads: list | None = None) -> list[_Shard]:
+    reads = [] if reads is None else reads
+    return [_Shard(i, loads, health, reads) for i in range(len(loads))]
 
 
 class TestShardRouter:
@@ -147,20 +201,27 @@ class TestShardRouter:
     def test_two_choice_balances_load(self):
         router = ShardRouter(16, seed=1)
         loads = [0] * 16
-        healthy = [True] * 16
-
-        class L:
-            def __getitem__(self, i):
-                return loads[i]
-
-        class H:
-            def __getitem__(self, i):
-                return healthy[i]
-
+        reads: list[int] = []
+        shards = _shards(loads, [True] * 16, reads)
         for i in range(4_000):
-            s = router.route(f"k{i}", loads=L(), healthy=H())
+            reads.clear()
+            s = router.route(f"k{i}", shards, float(i))
             loads[s] += 1
+            # a healthy candidate: the other fourteen shards are never asked
+            assert set(reads) == set(router.candidates(f"k{i}"))
         assert max(loads) <= 2 * min(loads)
+
+    def test_ties_go_to_the_primary(self):
+        router = ShardRouter(4, seed=0)
+        loads = [3] * 4
+        shards = _shards(loads, [True] * 4)
+        for i in range(50):
+            first, second = router.candidates(f"t{i}")
+            assert router.route(f"t{i}", shards, 0.0) == first
+            loads[second] = 2
+            assert router.route(f"t{i}", shards, 0.0) == second
+            loads[second] = 3
+        assert router.reroutes == 50
 
     def test_unhealthy_candidates_fail_over_deterministically(self):
         router = ShardRouter(4, seed=0)
@@ -168,22 +229,21 @@ class TestShardRouter:
         first, second = router.candidates(key)
         healthy = [True] * 4
         healthy[first] = False
-
-        class L:
-            def __getitem__(self, i):
-                return 0
-
-        class H:
-            def __getitem__(self, i):
-                return healthy[i]
-
-        assert router.route(key, loads=L(), healthy=H()) == second
+        reads: list[int] = []
+        shards = _shards([0] * 4, healthy, reads)
+        assert router.route(key, shards, 0.0) == second
+        assert set(reads) == {first, second}
         assert router.reroutes == 1
         healthy[second] = False
-        probe = router.route(key, loads=L(), healthy=H())
+        reads.clear()
+        probe = router.route(key, shards, 0.0)
         assert probe not in (first, second)
+        # the scan starts at the primary and stops at the first healthy shard
+        scan = [(first + step) % 4 for step in range(4)]
+        assert probe == next(s for s in scan if healthy[s])
+        assert reads[2:] == scan[: scan.index(probe) + 1]
         healthy[:] = [False] * 4
-        assert router.route(key, loads=L(), healthy=H()) is None
+        assert router.route(key, shards, 0.0) is None
         assert router.unroutable == 1
 
     def test_pair_memo_is_bounded_and_decides_as_unbounded(self):
@@ -197,14 +257,14 @@ class TestShardRouter:
         keys += keys[:2_000]
 
         def decisions(router):
-            return [
-                router.route(
-                    key,
-                    loads=[(i * i + step) % 5 for i in range(16)],
-                    healthy=[(i + step) % 11 != 0 for i in range(16)],
-                )
-                for step, key in enumerate(keys)
-            ]
+            loads, health = [0] * 16, [True] * 16
+            shards = _shards(loads, health)
+            out = []
+            for step, key in enumerate(keys):
+                loads[:] = [(i * i + step) % 5 for i in range(16)]
+                health[:] = [(i + step) % 11 != 0 for i in range(16)]
+                out.append(router.route(key, shards, float(step)))
+            return out
 
         bounded, unbounded = ShardRouter(16, seed=3), ShardRouter(16, seed=3)
         unbounded._pairs = BoundedLRU(2 * len(keys))
@@ -214,6 +274,23 @@ class TestShardRouter:
         assert bounded._pairs.evictions == 1_000 + 2_000
         assert bounded.reroutes == unbounded.reroutes > 0
 
+    def test_route_reads_real_shards_at_the_arrival(self):
+        """On ``guarded_shard``s the router peeks each breaker at the
+        arrival it is given: a tripped shard is skipped until its cooldown
+        has elapsed at that arrival."""
+        bus = TelemetryBus()
+        shards = [
+            guarded_shard(i, SyntheticBackend(), config=None, telemetry=bus)
+            for i in range(2)
+        ]
+        router = ShardRouter(2, seed=0)
+        first, second = router.candidates("k")
+        for _ in range(3):  # guarded_shard's failure threshold
+            shards[first].breaker.record_failure()
+        assert shards[first].breaker.state is BreakerState.OPEN
+        assert router.route("k", shards, 10.0) == second
+        assert router.route("k", shards, 10_000.0) == first
+
     def test_mode_validation(self):
         with pytest.raises(ConfigError):
             ShardRouter(0)
@@ -222,23 +299,15 @@ class TestShardRouter:
 
 
 class TestPinnedRouter:
-    def _views(self, healthy):
-        class L:
-            def __getitem__(self, i):
-                return 0
-
-        class H:
-            def __getitem__(self, i):
-                return healthy[i]
-
-        return L(), H()
-
     def test_pinned_routes_to_assigned_shard(self):
         router = ShardRouter(4, pinned={"a": 0, "b": 2, "c": 3})
-        loads, healthy = self._views([True] * 4)
+        reads: list[int] = []
+        shards = _shards([0] * 4, [True] * 4, reads)
         for tenant, shard in (("a", 0), ("b", 2), ("c", 3)):
             for _ in range(3):
-                assert router.route(tenant, loads=loads, healthy=healthy) == shard
+                reads.clear()
+                assert router.route(tenant, shards, 0.0) == shard
+                assert reads == [shard]
         assert router.reroutes == 0
         assert router.routing_key("qh", "b") == "b"
 
@@ -247,17 +316,15 @@ class TestPinnedRouter:
         unhealthy pinned shard makes the request unroutable, never
         misrouted."""
         router = ShardRouter(2, pinned={"a": 0, "b": 1})
-        health = [True, False]
-        loads, healthy = self._views(health)
-        assert router.route("b", loads=loads, healthy=healthy) is None
+        shards = _shards([0, 0], [True, False])
+        assert router.route("b", shards, 0.0) is None
         assert router.unroutable == 1
-        assert router.route("a", loads=loads, healthy=healthy) == 0
+        assert router.route("a", shards, 0.0) == 0
 
     def test_pinned_unknown_tenant_raises(self):
         router = ShardRouter(2, pinned={"a": 0})
-        loads, healthy = self._views([True, True])
         with pytest.raises(ConfigError, match="pinned"):
-            router.route("ghost", loads=loads, healthy=healthy)
+            router.route("ghost", _shards([0, 0], [True, True]), 0.0)
 
     def test_pinned_config_validation(self):
         with pytest.raises(ConfigError):
@@ -553,6 +620,60 @@ class TestFabricDeterminism:
         # healthy run's same shard carries real traffic
         assert ra.shard_served[2] < rh.shard_served[2] / 4
         assert ra.n_served > 0.8 * rh.n_served
+
+
+class TestRunCounters:
+    """The fabric sums its own counters per run and files them once."""
+
+    def test_a_tenant_refused_by_quota_exports_no_response_histogram(self):
+        specs = (TenantSpec("open"), TenantSpec("starved", rate_per_s=1e-9, burst=1.0))
+        scenario = synthetic_fabric(2, specs, seed=5, fabric_config=FabricConfig(seed=5))
+        fabric = scenario.fabric
+        assert fabric.tenants.admit("starved", 0.0) is None  # spends its one token
+        schedule = build_fabric_schedule(
+            synthetic_queries(300, seed=5), specs, seed=5, mean_interarrival_ms=2.0
+        )
+        n_starved = sum(f.tenant_id == "starved" for f in schedule)
+        report = fabric.run(schedule)
+        doc = json.loads(fabric.export_json())
+        assert doc["counters"]["tenant.starved.rejected"] == n_starved > 0
+        assert doc["counters"]["fabric.rejected.quota"] == n_starved
+        assert "tenant.starved.served" not in doc["counters"]
+        assert "tenant.starved.response_ms" not in doc["histograms"]
+        assert doc["histograms"]["tenant.open.response_ms"]["count"] == report.n_served > 0
+        assert report.tenant_latency["starved"]["count"] == 0
+
+    def test_a_run_that_raises_files_the_counters_of_its_served_prefix(self):
+        """A pinned router given a tenant it has no shard for raises
+        mid-schedule; the counters filed are those of the requests before
+        it, as when each request filed its own."""
+        specs = (TenantSpec("a"), TenantSpec("b", qos="batch"), TenantSpec("ghost"))
+
+        def fabric():
+            shards = [
+                guarded_shard(i, SyntheticBackend(seed=7), config=None, telemetry=TelemetryBus())
+                for i in range(2)
+            ]
+            return ServingFabric(
+                shards,
+                TenantRegistry(specs),
+                config=FabricConfig(seed=7, batch_shed_backlog=0, background_shed_backlog=0),
+                router=ShardRouter(2, pinned={"a": 0, "b": 1}),
+            )
+
+        schedule = build_fabric_schedule(
+            synthetic_queries(400, seed=7), specs[:2], seed=7, mean_interarrival_ms=1.0
+        )
+        cut = 300
+        schedule[cut] = FabricRequest("ghost", schedule[cut].request)
+        raised = fabric()
+        with pytest.raises(ConfigError, match="no pinned shard"):
+            raised.run(schedule)
+        prefix = fabric()
+        prefix.run(schedule[:cut])
+        counters = json.loads(raised.export_json())["counters"]
+        assert counters == json.loads(prefix.export_json())["counters"]
+        assert counters["fabric.served"] > 0 and counters["fabric.rejected.qos_shed"] > 0
 
 
 class TestOneTimeline:
