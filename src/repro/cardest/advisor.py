@@ -139,12 +139,14 @@ class EnsembleEstimator(BaseCardinalityEstimator):
         """Std-dev of member log-estimates (0 = full agreement)."""
         return float(self._member_logs(query).std())
 
-    def predict_interval(self, query: Query, z: float = 1.96) -> tuple[float, float]:
+    def predict_interval(self, query: Query) -> tuple[float, float]:
+        """The 95% interval: 1.96 member standard deviations either side
+        of the mean log."""
         logs = self._member_logs(query)
         mu, sigma = logs.mean(), logs.std()
         return (
-            float(max(np.expm1(mu - z * sigma), 0.0)),
-            float(np.expm1(mu + z * sigma)),
+            float(max(np.expm1(mu - 1.96 * sigma), 0.0)),
+            float(np.expm1(mu + 1.96 * sigma)),
         )
 
 

@@ -237,10 +237,11 @@ class Warper:
         for t in tables:
             out.extend(gen.single_table_workload(t, self.queries_per_table))
             # Plus join queries touching the drifted table.
-            for _ in range(self.queries_per_table // 3):
-                q = gen.random_query(2, 3, require_predicate=True)
-                if t in q.tables:
-                    out.append(q)
+            out.extend(
+                q
+                for q in gen.workload(self.queries_per_table // 3, 2, 3, require_predicate=True)
+                if t in q.tables
+            )
         return out
 
     def adapt(self) -> list[DriftReport]:

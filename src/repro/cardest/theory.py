@@ -65,7 +65,6 @@ def interval_coverage(
     ensemble: EnsembleEstimator,
     queries: Sequence[Query],
     true_cards: Sequence[float],
-    z: float = 1.96,
 ) -> float:
     """Fraction of true cardinalities inside the ensemble's intervals."""
     if len(queries) != len(true_cards):
@@ -74,7 +73,7 @@ def interval_coverage(
         raise ValueError("empty evaluation set")
     hits = 0
     for q, truth in zip(queries, true_cards):
-        lo, hi = ensemble.predict_interval(q, z=z)
+        lo, hi = ensemble.predict_interval(q)
         if lo <= truth <= hi:
             hits += 1
     return hits / len(queries)

@@ -138,6 +138,11 @@ class LeadingTableExploration:
         return plan_from_order(query, order, coster)
 
 
+#: the best-first search's expansions before its greedy completion (Neo's
+#: search; a beam search never reads it)
+SEARCH_BUDGET = 80
+
+
 class ValueSearchExploration:
     """Neo / Balsa / LOGER's strategy [38, 69, 3]: search left-deep join
     orders guided by a value network.
@@ -158,7 +163,6 @@ class ValueSearchExploration:
         *,
         beam_width: int = 0,
         epsilon: float = 0.0,
-        search_budget: int = 80,
         seed: int = 0,
     ) -> None:
         if not 0.0 <= epsilon < 1.0:
@@ -167,7 +171,7 @@ class ValueSearchExploration:
         self.value_model = value_model
         self.beam_width = beam_width
         self.epsilon = epsilon
-        self.search_budget = search_budget
+        self.search_budget = SEARCH_BUDGET
         self._eps_rng = np.random.default_rng(seed + 77)
 
     def candidates(self, query: Query) -> list[CandidatePlan]:

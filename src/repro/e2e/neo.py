@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.core.framework import CandidatePlan, LearnedOptimizer, RetrainCadence
 from repro.costmodel.features import PlanFeaturizer
-from repro.e2e.exploration import ValueSearchExploration
+from repro.e2e.exploration import SEARCH_BUDGET, ValueSearchExploration
 from repro.e2e.risk_models import PlanValueModel
 from repro.optimizer.planner import Optimizer
 from repro.sql.query import Query
@@ -33,10 +33,9 @@ class _ValueSearchOptimizer(LearnedOptimizer):
         seed: int,
         beam_width: int,
         epsilon: float = 0.0,
-        search_budget: int = 80,
     ) -> None:
-        """``beam_width`` / ``epsilon`` / ``search_budget``: the
-        :class:`ValueSearchExploration` the subclass searches with."""
+        """``beam_width`` / ``epsilon``: the :class:`ValueSearchExploration`
+        the subclass searches with."""
         featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         value_model = PlanValueModel(featurizer, seed=seed)
         super().__init__(
@@ -45,7 +44,6 @@ class _ValueSearchOptimizer(LearnedOptimizer):
                 value_model,
                 beam_width=beam_width,
                 epsilon=epsilon,
-                search_budget=search_budget,
                 seed=seed,
             ),
             risk_model=value_model,
@@ -76,10 +74,12 @@ class NeoOptimizer(_ValueSearchOptimizer):
     Call :meth:`bootstrap_from_expert` with an executed demonstration
     workload before relying on the search (otherwise it ships the native
     optimizer's plans until its first refit, which is also Neo's warm-up
-    behaviour).
+    behaviour).  ``search_budget`` caps the best-first expansions before
+    the greedy completion.
     """
 
     name = "neo"
 
-    def __init__(self, optimizer: Optimizer, *, seed: int = 0, search_budget: int = 80) -> None:
-        super().__init__(optimizer, seed=seed, beam_width=0, search_budget=search_budget)
+    def __init__(self, optimizer: Optimizer, *, seed: int = 0, search_budget: int = SEARCH_BUDGET) -> None:
+        super().__init__(optimizer, seed=seed, beam_width=0)
+        self.exploration.search_budget = search_budget

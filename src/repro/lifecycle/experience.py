@@ -187,12 +187,9 @@ class ExperienceStore(ServePolicy):
 
     # -- retrieval -------------------------------------------------------------
 
-    def records(self, *, kind: str | None = None) -> list[ExperienceRecord]:
-        """Retained records in insertion order, optionally of one kind."""
-        return [r for r in self._records.values() if kind is None or r.kind == kind]
-
-    def queries(self, *, kind: str | None = None) -> list[Query]:
-        return [r.query for r in self.records(kind=kind)]
+    def records(self) -> list[ExperienceRecord]:
+        """Retained records in insertion order."""
+        return list(self._records.values())
 
     def snapshot_id(self) -> str:
         """Stable 12-hex digest of the retained records (sorted by key)."""

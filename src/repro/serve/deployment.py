@@ -73,6 +73,12 @@ class DeploymentManager:
     stacked in order via :class:`repro.regression.GuardChain` and only
     consulted on the serving path (CANARY/LIVE) -- shadow evaluation
     measures the raw model.
+
+    The defaults are stated once, in the signature: a model staged at
+    SHADOW, canaried on 10% of traffic, rolled back once the mean of its
+    last 40 learned / native ratios passes 1.3 with at least 15 ratios in,
+    and -- given ``auto_promote`` -- promoted once a full window's mean is
+    at most 1.15.  A caller passes only the keywords it varies.
     """
 
     def __init__(
@@ -85,8 +91,8 @@ class DeploymentManager:
         telemetry: TelemetryBus | None = None,
         stage: Stage = Stage.SHADOW,
         canary_fraction: float = 0.1,
-        window: int = 30,
-        min_samples: int = 10,
+        window: int = 40,
+        min_samples: int = 15,
         regression_threshold: float = 1.3,
         auto_promote: bool = False,
         monitor_native: bool = True,

@@ -37,11 +37,9 @@ class TelemetryAggregator:
                 raise ConfigError(f"telemetry source {name!r} already registered")
             self.sources[name] = bus
 
-    def merged(self, *, trace_capacity: int | None = None) -> TelemetryBus:
+    def merged(self) -> TelemetryBus:
         """One composed bus over all sources (see :meth:`TelemetryBus.merged`)."""
-        return TelemetryBus.merged(
-            self.sources, trace_capacity=trace_capacity
-        )
+        return TelemetryBus.merged(self.sources)
 
     def export_json(self, *, include_traces: bool = False) -> str:
         """Deterministic merged export: canonical JSON, sorted keys."""

@@ -266,8 +266,6 @@ def sharded_fabric_scenario(
             stage=stage,
             canary_fraction=0.5,
             regression_threshold=3.0,
-            window=40,
-            min_samples=15,
             plan_cache=PlanCache(),
             policies=[RetrainCadence(bao, every=25), guard],
         )

@@ -156,73 +156,36 @@ def _native(scale: float, seed: int) -> tuple[Database, Optimizer]:
     return db, Optimizer(db)
 
 
+def _adhoc(db: Database, n_queries: int, seed: int) -> list[Query]:
+    """``n_queries`` generated 2-4 table joins, each with a predicate."""
+    return WorkloadGenerator(db, seed=seed + 1).workload(n_queries, 2, 4, require_predicate=True)
+
+
 def _assemble(
-    name: str,
-    db: Database,
-    native: Optimizer,
-    learned,
+    label: str,
+    deployment: DeploymentManager,
+    queries: list[Query],
     *,
     seed: int,
-    n_queries: int,
     n_sessions: int,
     config: RuntimeConfig | None,
-    queries: list[Query] | None = None,
     audit_every: int | None = None,
     injector: FaultInjector | None = None,
     bound_guard: BoundGuard | None = None,
-    refit: BaoOptimizer | None = None,
-    stage: Stage,
-    canary_fraction: float = 0.1,
-    regression_threshold: float = 1.3,
-    window: int = 40,
-    min_samples: int = 15,
-    monitor_native: bool = True,
-    telemetry: TelemetryBus | None = None,
-    breaker: CircuitBreaker | None = None,
-    call_timeout_ms: float | None = None,
-    rollback_after_trips: int | None = 3,
-    plan_cache: PlanCache | None = None,
 ) -> ServingScenario:
-    """Stage ``learned`` over ``native`` behind a deployment manager (the
-    keywords from ``stage`` on are its own) and a serving runtime, with a
-    seeded ``n_sessions``-session schedule of ``queries`` (default:
-    ``n_queries`` generated 2-4 table joins) and, given ``audit_every``,
-    the online auditor.  ``refit`` (the Bao model
-    ``learned`` is or wraps) is refit in place every 25 of its feedbacks;
-    a ``bound_guard`` becomes the next policy and is fed by the auditor."""
-    simulator = ExecutionSimulator(db)
-    policies = [] if refit is None else [RetrainCadence(refit, every=25)]
-    if bound_guard is not None:
-        policies.append(bound_guard)
-    deployment = DeploymentManager(
-        learned,
-        native,
-        simulator,
-        telemetry=telemetry,
-        stage=stage,
-        canary_fraction=canary_fraction,
-        window=window,
-        min_samples=min_samples,
-        regression_threshold=regression_threshold,
-        monitor_native=monitor_native,
-        breaker=breaker,
-        call_timeout_ms=call_timeout_ms,
-        rollback_after_trips=rollback_after_trips,
-        plan_cache=plan_cache,
-        policies=policies,
-    )
-    if queries is None:
-        queries = WorkloadGenerator(db, seed=seed + 1).workload(
-            n_queries, 2, 4, require_predicate=True
-        )
-    auditor = None
+    """Serve ``deployment`` through a runtime, over a seeded
+    ``n_sessions``-session schedule of ``queries`` and, given
+    ``audit_every``, the online auditor (fed back into ``bound_guard``).
+    Each builder stages its model in its own ``deployment``: the keywords
+    it varies, and Bao refit in place every 25 of its feedbacks."""
+    db, auditor = deployment.native.db, None
     if audit_every is not None:
         auditor = OnlineAuditor(db, every=audit_every, bound_guard=bound_guard)
     return ServingScenario(
-        name=name,
+        name=label,
         db=db,
-        native=native,
-        simulator=simulator,
+        native=deployment.native,
+        simulator=deployment.simulator,
         deployment=deployment,
         runtime=ServingRuntime(deployment, config=config, auditor=auditor),
         schedule=build_schedule(queries, n_sessions, seed=seed),
@@ -251,20 +214,23 @@ def steady_state_scenario(
     """
     db, native = _native(scale, seed)
     bao = BaoOptimizer(native, seed=seed)
-    return _assemble(
-        "steady_state",
-        db,
-        native,
+    deployment = DeploymentManager(
         bao,
-        refit=bao,
-        seed=seed,
-        n_queries=n_queries,
-        n_sessions=n_sessions,
-        config=config,
-        audit_every=audit_every,
+        native,
+        ExecutionSimulator(db),
         stage=stage,
         canary_fraction=0.5,
         regression_threshold=2.5,
+        policies=[RetrainCadence(bao, every=25)],
+    )
+    return _assemble(
+        "steady_state",
+        deployment,
+        _adhoc(db, n_queries, seed),
+        seed=seed,
+        n_sessions=n_sessions,
+        config=config,
+        audit_every=audit_every,
     )
 
 
@@ -282,22 +248,16 @@ def parameterized_scenario(*, scale: float = 0.3, seed: int = 0) -> ServingScena
         8, 10, 2, 4, require_predicate=True
     )
     bao = BaoOptimizer(native, seed=seed)
-    return _assemble(
-        "parameterized",
-        db,
-        native,
+    deployment = DeploymentManager(
         bao,
-        refit=bao,
-        seed=seed,
-        n_queries=len(queries),
-        n_sessions=4,
-        config=None,
-        queries=queries,
-        stage=Stage.SHADOW,
+        native,
+        ExecutionSimulator(db),
         canary_fraction=0.5,
         regression_threshold=2.5,
         plan_cache=PlanCache(),
+        policies=[RetrainCadence(bao, every=25)],
     )
+    return _assemble("parameterized", deployment, queries, seed=seed, n_sessions=4, config=None)
 
 
 def injected_regression_scenario(
@@ -308,21 +268,23 @@ def injected_regression_scenario(
     against a 1.3x regression threshold."""
     db, native = _native(scale, 0)
     bao = BaoOptimizer(native, seed=0)
-    return _assemble(
-        "injected_regression",
-        db,
-        native,
+    deployment = DeploymentManager(
         RegressionInjector(bao, native, trigger_at=20),
-        refit=bao,
-        seed=0,
-        n_queries=120,
-        n_sessions=n_sessions,
-        config=None,
+        native,
+        ExecutionSimulator(db),
         stage=Stage.CANARY,
         canary_fraction=1.0,
-        regression_threshold=1.3,
         window=16,
         min_samples=8,
+        policies=[RetrainCadence(bao, every=25)],
+    )
+    return _assemble(
+        "injected_regression",
+        deployment,
+        _adhoc(db, 120, 0),
+        seed=0,
+        n_sessions=n_sessions,
+        config=None,
     )
 
 
@@ -388,17 +350,10 @@ def chaos_scenario(
     bus.attach_gauge("fallback_estimator", resilient.stats)
     bus.attach_gauge("breaker_estimator", estimator_breaker.stats)
     bao = BaoOptimizer(native.with_estimator(resilient), seed=seed)
-    return _assemble(
-        "chaos",
-        db,
-        native,
+    deployment = DeploymentManager(
         injector.wrap_learned(bao),
-        refit=bao,
-        seed=seed,
-        n_queries=n_queries,
-        n_sessions=8,
-        config=None,
-        injector=injector,
+        native,
+        ExecutionSimulator(db),
         telemetry=bus,
         stage=Stage.CANARY,
         canary_fraction=0.5,
@@ -408,6 +363,16 @@ def chaos_scenario(
         ),
         call_timeout_ms=200.0,
         rollback_after_trips=None,
+        policies=[RetrainCadence(bao, every=25)],
+    )
+    return _assemble(
+        "chaos",
+        deployment,
+        _adhoc(db, n_queries, seed),
+        seed=seed,
+        n_sessions=8,
+        config=None,
+        injector=injector,
     )
 
 
@@ -471,22 +436,25 @@ def bound_guard_scenario(
     )
     bus.attach_gauge("fault_injector", injector.stats)
     bao = BaoOptimizer(native.with_estimator(guard), seed=seed)
-    return _assemble(
-        "bound_guard",
-        db,
-        native,
+    deployment = DeploymentManager(
         bao,
-        refit=bao,
-        seed=seed,
-        n_queries=n_queries,
-        n_sessions=n_sessions,
-        config=None,
-        audit_every=8,
-        injector=injector,
+        native,
+        ExecutionSimulator(db),
         telemetry=bus,
         stage=Stage.CANARY,
         canary_fraction=0.5,
         regression_threshold=3.0,
+        policies=[RetrainCadence(bao, every=25), guard],
+    )
+    return _assemble(
+        "bound_guard",
+        deployment,
+        _adhoc(db, n_queries, seed),
+        seed=seed,
+        n_sessions=n_sessions,
+        config=None,
+        audit_every=8,
+        injector=injector,
         bound_guard=guard,
     )
 
@@ -534,25 +502,20 @@ def adversarial_drift_scenario(
     name = "pessimistic" if pessimistic else "optimistic"
     targets = hot_key_targets(db)
     probes = hot_key_probe_queries(db, targets)
-    queries = WorkloadGenerator(db, seed=seed + 1).workload(
-        n_queries, 2, 4, require_predicate=True
-    )
+    queries = _adhoc(db, n_queries, seed)
     # Interleave probes so both pre- and post-drift halves cross the
     # (to-be-)hot keys: every third request cycles through the probe set.
     for i in range(2, len(queries), 3):
         queries[i] = probes[(i // 3) % len(probes)]
-    scenario = _assemble(
-        f"adversarial_drift:{name}",
-        db,
-        native,
+    deployment = DeploymentManager(
         PlannerModel(subject, name=name),
-        seed=seed,
-        n_queries=n_queries,
-        n_sessions=n_sessions,
-        config=None,
-        queries=queries,
+        native,
+        ExecutionSimulator(db),
         stage=Stage.LIVE,
         monitor_native=False,
+    )
+    scenario = _assemble(
+        f"adversarial_drift:{name}", deployment, queries, seed=seed, n_sessions=n_sessions, config=None
     )
 
     def _drift() -> None:

@@ -179,12 +179,7 @@ class TelemetryBus:
     # -- merging -----------------------------------------------------------------
 
     @classmethod
-    def merged(
-        cls,
-        buses: "dict[str, TelemetryBus]",
-        *,
-        trace_capacity: int | None = None,
-    ) -> "TelemetryBus":
+    def merged(cls, buses: "dict[str, TelemetryBus]") -> "TelemetryBus":
         """Compose per-source buses into one fabric-level bus.
 
         ``buses`` maps a source name (e.g. ``"shard03"``) to its bus.  The
@@ -197,18 +192,17 @@ class TelemetryBus:
         deterministic ordering).  Sources are processed in sorted-name
         order, so merging the same buses in any insertion order produces a
         byte-identical export -- the commutativity the fabric determinism
-        gate asserts.
+        gate asserts.  The merged bus keeps the largest of its sources'
+        trace capacities.
 
         The merged bus is a snapshot-style composition: it does not stay
         live-linked to its sources (except through re-attached gauges,
         which are sampled at snapshot time as usual).
         """
         items = sorted(buses.items())
-        if trace_capacity is None:
-            trace_capacity = max(
-                (b.trace_capacity for _, b in items), default=100_000
-            )
-        out = cls(trace_capacity=trace_capacity)
+        out = cls()
+        if items:
+            out.trace_capacity = max(b.trace_capacity for _, b in items)
         for name, bus in items:
             for cname, value in bus._counters.items():
                 out._counters[cname] = out._counters.get(cname, 0) + value

@@ -29,14 +29,20 @@ and in each owner (not caught).  A new invariant of that kind is a row.
     ``E.x.m`` on an attribute some class assigns a constructor call
     (``self.x`` within the hierarchy, any other receiver across all
     classes; either branch of a conditional counts, and a value assigned
-    from a parameter is taken to be of those classes).  On a receiver the
-    rule cannot type -- a parameter, a return value, a loop target, an
-    attribute nothing constructs, ``self`` in a ``Protocol`` -- and for a
-    ``getattr`` / ``hasattr`` string, ``.m`` counts for every method named
-    ``m``.  Annotations type nothing, a bare name or a keyword argument
-    reaches no method, and a registry row reaches its class, not the
-    class's methods.  What nothing reaches is deleted, or is on
-    ``TEST_ONLY`` / ``PROTOCOLS``;
+    from a parameter is taken to be of those classes).  A receiver that is
+    a call -- or a local every binding of which is one -- is typed by what
+    the call returns: ``C(...)`` is a ``C``, ``cls(...)`` in a classmethod
+    its class, and a function or method is of the classes its every
+    ``return`` gives (typed as a receiver is: a constructor, ``self``, a
+    typed local or attribute, another typed call; ``return None`` gives
+    none), resolved to a fixpoint.  On a receiver the rule cannot type --
+    a parameter, a loop target, an attribute nothing constructs, what a
+    generator or an untyped ``return`` gives, ``self`` in a ``Protocol``
+    -- and for a ``getattr`` / ``hasattr`` string, ``.m`` counts for every
+    method named ``m``.  Annotations type nothing, a bare name or a
+    keyword argument reaches no method, and a registry row reaches its
+    class, not the class's methods.  What nothing reaches is deleted, or
+    is on ``TEST_ONLY`` / ``PROTOCOLS``;
 (c) every ``examples/*.py`` still imports (without running it);
 (d) every knob has a second product value.  A knob is a defaulted
     parameter of a callable under ``src/repro`` (a class's constructor --
@@ -49,16 +55,22 @@ and in each owner (not caught).  A new invariant of that kind is a row.
     literal it passes by position or keyword (a ``**`` dict display's
     string keys are keywords), a value unlike any other for a non-literal,
     a ``*`` spread or a display's computed key, the default when it omits
-    it.  A ``**`` spread of anything but a dict display into a callable
-    with knobs fails on its own: it forwards knobs the rule cannot see,
-    so the callee's parameters are spelled out instead.  A knob whose
-    calls give it exactly one value -- always the default, or always one
-    literal -- is a constant.  A knob kept anyway
-    is on ``POSITIONAL`` (product code sets it where the rule cannot see a
-    second value: ``perf/`` pins it) or ``TEST_SEAMS`` (a safety bound, a
-    fake's seam, a size the tests shrink, or a feature a ROADMAP item
-    decides), each with its reason; an entry fails once its knob has a
-    second product value, and a seam no test turns fails too;
+    it.  A forwarded argument -- a bare name that is a parameter of the
+    callable under ``src/repro`` the call is in, never rebound there,
+    passed as ``x=x`` or by position -- gives the values that callable's
+    own calls give that parameter, resolved to a fixpoint (a cycle adds
+    nothing, a callable nothing calls gives none).  A ``**`` spread of
+    anything but a dict display into a callable with knobs fails on its
+    own: it forwards knobs the rule cannot see, so the callee's parameters
+    are spelled out instead.  A knob whose calls give it exactly one value
+    -- always the default, or always one literal -- is a constant; one
+    whose every value arrives through an allow-listed knob is covered by
+    that entry.  A knob kept anyway is on ``POSITIONAL`` (product code
+    sets it where the rule cannot see a second value: ``perf/`` pins it)
+    or ``TEST_SEAMS`` (a safety bound, a fake's seam, a size the tests
+    shrink, or a feature a ROADMAP item decides), each with its reason;
+    an entry fails once its knob has a second product value, and a seam
+    no test turns fails too;
 (e) every ``@dataclass`` with a ``latency_ms`` field of its own or of a base
     is one of ``RECORDS``, one per boundary a query crosses;
 (f) one bench contract: every registered bench defines ``export`` (a T / E
@@ -100,7 +112,7 @@ sorted window and (r) a fabric request asks each shard and the bus once;
 each row's ``reason`` says the rest.
 
 Every rule reads one cached fact pass per file text (``Facts``; rule (b)
-adds one receiver pass, ``MethodRefs``), and none
+adds one receiver pass, ``MethodRefs``, rule (d) one call pass), and none
 imports ``repro`` but (c) and the slotted-records round trip.  A failure
 names the file and the symbol; the fix is to delete the code, not to grow
 an allow-list.  The ``test_seeded_*`` cases re-run the rules with some
@@ -548,20 +560,26 @@ def test_every_export_is_imported_through_the_package(package):
 class MethodRefs(NamedTuple):
     """How one file's code reaches methods.  A ``pooled`` name counts for
     every method of that name; a ``typed`` row ``(receiver, method)`` only
-    for the classes its receiver can be: ``("self", C)`` (``self``,
-    ``cls`` or ``super()`` inside ``C``), ``("names", names)`` (a class
-    name, or a local every binding of which calls a constructor) or
-    ``("attr", C, x)`` (``self.x`` inside ``C``; ``C`` is ``None`` for
-    ``E.x`` on any other receiver ``E``), typed by ``attributes``."""
+    for the classes its receiver term can be: ``("self", C)`` (``self``,
+    ``cls``, ``super()`` or ``cls(...)`` inside ``C``), ``("names", names)``
+    (a class name), ``("attr", C, x)`` (``self.x`` inside ``C``; ``C`` is
+    ``None`` for ``E.x`` on any other receiver ``E``), typed by
+    ``attributes``, ``("call", callee)`` (what a call returns: ``callee``
+    is ``("names", names)`` for a call by name, ``("method", receiver,
+    m)`` for ``receiver.m(...)``), typed by ``returns``, or ``("union",
+    terms)`` (a local assigned more than once)."""
 
     pooled: frozenset
     typed: frozenset
     attributes: dict  # (class or None, x) -> the callees assigned to x
+    returns: dict  # ("function", f) / ("method", C, m) -> [what each def returns]
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 #: the calls whose second argument names an attribute
 _BY_NAME = ("getattr", "hasattr", "setattr")
+#: the decorators that leave what a function returns as it is
+_TRANSPARENT = {"staticmethod", "classmethod", "abstractmethod", "cache", "lru_cache", "property"}
 
 
 def _callee(value: ast.expr | None) -> str | None:
@@ -587,38 +605,38 @@ def _targets(node: ast.AST) -> list[ast.expr]:
     return [node.target] if isinstance(node, ast.AnnAssign) else []
 
 
-def _bind(bindings: dict, name: str, callee: str | None) -> None:
-    """Add one binding: a set of callee names, ``None`` once one is untyped."""
-    found = bindings.get(name, set())
-    bindings[name] = None if found is None or callee is None else found | {callee}
+def _bind(bindings: dict, name: str, source: tuple | ast.Call | None) -> None:
+    """Add one binding: a list of sources, ``None`` once one is untyped."""
+    found = bindings.get(name, [])
+    bindings[name] = None if found is None or source is None else [*found, source]
 
 
-def _scope_bindings(scope: ast.AST) -> dict[str, set | None]:
-    """``{name: callee names}`` of every name ``scope`` binds: an import or
-    a class statement binds its own name, a ``name = C(...)`` the callee;
-    any other binding (a parameter, a loop target, ...) types it ``None``."""
-    bindings: dict[str, set | None] = {}
+def _scope_bindings(scope: ast.AST) -> dict[str, list | None]:
+    """``{name: sources}`` of every name ``scope`` binds: an import or a
+    class statement binds the term of its own name, a ``name = f(...)`` the
+    call, typed when it is read; any other binding (a parameter, a loop
+    target, ...) types it ``None``."""
+    bindings: dict[str, list | None] = {}
     if isinstance(scope, _FUNCTIONS):
         args = scope.args
         for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg):
             if arg is not None:
                 _bind(bindings, arg.arg, None)
-    typed: dict[int, str | None] = {}
+    typed: dict[int, ast.Call | None] = {}
     stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            _bind(bindings, node.name, node.name if isinstance(node, ast.ClassDef) else None)
+            name = ("names", frozenset([node.name])) if isinstance(node, ast.ClassDef) else None
+            _bind(bindings, node.name, name)
             continue
         if isinstance(node, ast.Lambda):
             continue
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            typed[id(node.targets[0])] = _callee(node.value)
-        elif isinstance(node, ast.AnnAssign):
-            typed[id(node.target)] = _callee(node.value)
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 or isinstance(node, ast.AnnAssign):
+            typed[id(_targets(node)[0])] = node.value if isinstance(node.value, ast.Call) else None
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                _bind(bindings, alias.asname or alias.name.split(".")[0], alias.name)
+                _bind(bindings, alias.asname or alias.name.split(".")[0], ("names", frozenset([alias.name])))
         elif isinstance(node, (ast.Global, ast.Nonlocal)):
             for name in node.names:
                 _bind(bindings, name, None)
@@ -630,14 +648,65 @@ def _scope_bindings(scope: ast.AST) -> dict[str, set | None]:
     return bindings
 
 
+def _returned(function: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.expr] | None:
+    """The values a function's ``return`` statements give (a bare ``return``
+    or ``return None`` gives none: no method is reached on ``None``), or
+    ``None`` for a generator, a coroutine or a function behind a decorator
+    that may change what it returns."""
+    decorators = {getattr(d, "id", getattr(d, "attr", None)) for d in function.decorator_list}
+    if isinstance(function, ast.AsyncFunctionDef) or decorators - _TRANSPARENT:
+        return None
+    values, stack = [], list(function.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return None
+        if isinstance(node, ast.Return) and node.value is not None:
+            if not (isinstance(node.value, ast.Constant) and node.value.value is None):
+                values.append(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return values
+
+
 @lru_cache(maxsize=None)
 def _method_refs(text: str, filename: str) -> MethodRefs:
     """One file's ``MethodRefs``: every attribute read, typed by its
-    receiver where the receiver's scope says what it is."""
-    pooled, typed, attributes = set(), set(), defaultdict(set)
+    receiver where the receiver's scope says what it is, and the term of
+    every value each function returns (``None`` where untyped)."""
+    pooled, typed, attributes, returns = set(), set(), defaultdict(set), defaultdict(list)
     stored: dict[int, ast.expr | None] = {}  # an assignment's target -> its value
 
-    def receiver(value: ast.expr, scopes: tuple, owner: str | None) -> tuple | None:
+    def lookup(name: str, scopes: tuple, seen: frozenset) -> tuple | None:
+        """A name's term: its bindings' in the nearest scope that binds it
+        (a class body is seen only from itself), else a global name."""
+        for depth, (kind, names, owner) in enumerate(reversed(scopes)):
+            if name in names and (depth == 0 or kind != "class"):
+                if names[name] is None:
+                    return None
+                outer = scopes[: len(scopes) - depth]
+                terms = [s if isinstance(s, tuple) else call(s, outer, owner, seen) for s in names[name]]
+                if None in terms:
+                    return None
+                return terms[0] if len(terms) == 1 else ("union", frozenset(terms))
+        return ("names", frozenset([name]))
+
+    def call(node: ast.Call, scopes: tuple, owner: str | None, seen: frozenset) -> tuple | None:
+        """The term of what a call returns (``None`` on a cycle of locals)."""
+        if id(node) in seen:
+            return None
+        seen, func = seen | {id(node)}, node.func
+        if isinstance(func, ast.Attribute):
+            return ("call", ("method", receiver(func.value, scopes, owner, seen), func.attr))
+        if not isinstance(func, ast.Name):
+            return None
+        if owner and func.id == "cls":
+            return ("self", owner)
+        callee = lookup(func.id, scopes, seen)
+        return ("call", callee) if callee and callee[0] == "names" else None
+
+    def receiver(value: ast.expr, scopes: tuple, owner: str | None, seen: frozenset = frozenset()) -> tuple | None:
         if owner and (
             getattr(value, "id", "") in ("self", "cls")
             or isinstance(value, ast.Call) and getattr(value.func, "id", "") == "super"
@@ -645,13 +714,9 @@ def _method_refs(text: str, filename: str) -> MethodRefs:
             return ("self", owner)
         if isinstance(value, ast.Attribute):
             return ("attr", owner if getattr(value.value, "id", "") == "self" else None, value.attr)
-        if not isinstance(value, ast.Name):
-            return None
-        for depth, (kind, names) in enumerate(reversed(scopes)):
-            if value.id in names and (depth == 0 or kind != "class"):
-                found = names[value.id]
-                return None if found is None else ("names", frozenset(found))
-        return ("names", frozenset([value.id]))
+        if isinstance(value, ast.Call):
+            return call(value, scopes, owner, seen)
+        return lookup(value.id, scopes, seen) if isinstance(value, ast.Name) else None
 
     def visit(node: ast.AST, scopes: tuple, owner: str | None) -> None:
         for child in ast.iter_child_nodes(node):
@@ -663,15 +728,22 @@ def _method_refs(text: str, filename: str) -> MethodRefs:
                         if isinstance(target, ast.Name):
                             attributes[child.name, target.id] |= _callees(stmt.value)
                 body = ast.Module(child.body, [])
-                visit(body, (*scopes, ("class", _scope_bindings(body))), child.name)
+                visit(body, (*scopes, ("class", _scope_bindings(body), child.name)), child.name)
                 continue
             if isinstance(child, _FUNCTIONS):
                 args = child.args
                 for part in (*getattr(child, "decorator_list", ()), *args.defaults, *args.kw_defaults):
                     if part is not None:
                         visit(part, scopes, owner)
+                inner = (*scopes, ("function", _scope_bindings(child), owner))
+                if not isinstance(child, ast.Lambda):
+                    key = ("method", owner, child.name) if scopes[-1][0] == "class" else ("function", child.name)
+                    values = _returned(child)
+                    returns[key].extend(
+                        [None] if values is None else [receiver(v, inner, owner) for v in values]
+                    )
                 body = child.body if isinstance(child.body, list) else [child.body]
-                visit(ast.Module(body, []), (*scopes, ("function", _scope_bindings(child))), owner)
+                visit(ast.Module(body, []), inner, owner)
                 continue
             if isinstance(child, (ast.Assign, ast.AnnAssign)):
                 for target in _targets(child):
@@ -692,8 +764,8 @@ def _method_refs(text: str, filename: str) -> MethodRefs:
             visit(child, scopes, owner)
 
     tree = _parse_text(text, filename)
-    visit(tree, (("module", _scope_bindings(tree)),), None)
-    return MethodRefs(frozenset(pooled), frozenset(typed), dict(attributes))
+    visit(tree, (("module", _scope_bindings(tree), None),), None)
+    return MethodRefs(frozenset(pooled), frozenset(typed), dict(attributes), dict(returns))
 
 
 def _hierarchy(sources: Sources, trees: tuple[str, ...]) -> dict[str, set[str]]:
@@ -726,7 +798,9 @@ def _readme_code(sources: Sources) -> str:
 def _reached_methods(sources: Sources) -> tuple[set[str], set[str]]:
     """``(pooled, reached)``: the method names a product reference counts
     for whatever their class, and the ``Class.method`` keys a typed one
-    reaches -- under ``CODE_TREES`` and in README's python blocks."""
+    reaches -- under ``CODE_TREES`` and in README's python blocks.  What a
+    function returns is typed to a fixpoint: every def starts at no class
+    and grows by what its returns reach, ``None`` (untyped) once one is."""
     bases = _hierarchy(sources, CODE_TREES)
     ancestors = {name: _ancestors(name, bases) for name in bases}
     descendants = defaultdict(set)
@@ -736,31 +810,71 @@ def _reached_methods(sources: Sources) -> tuple[set[str], set[str]]:
     texts = [(sources.text(p), str(p)) for p in _files(*CODE_TREES)] + [(_readme_code(sources), "README.md")]
     refs = [_method_refs(text, filename) for text, filename in texts]
     attributes = defaultdict(set)  # x -> {class or None: the callees assigned to x}
+    returns = defaultdict(list)  # a def's key -> the terms its returns give, pooled by key
     for ref in refs:
         for (owner, attr), callees in ref.attributes.items():
             attributes[attr].add((owner, frozenset(callees)))
+        for key, terms in ref.returns.items():
+            returns[key].extend(terms)
 
-    def classes(names) -> set[str]:
+    def classes(names) -> frozenset:
         """The classes a receiver built by these callees can be."""
-        return {c for n in names if n in bases for c in (n, *ancestors[n])}
+        return frozenset(c for n in names if n in bases for c in (n, *ancestors[n]))
+
+    def relatives(name) -> set:
+        return {name} | ancestors.get(name, set()) | descendants[name]
+
+    def union(parts: list) -> frozenset | None:
+        return None if None in parts else frozenset().union(*parts)
+
+    returned = dict.fromkeys(returns, frozenset())
+
+    def resolve(term: tuple | None) -> frozenset | None:
+        """The classes a receiver term can be: empty if none yet, ``None``
+        if the rule cannot say."""
+        if term is None:
+            return None
+        kind, name = term[:2]
+        if kind == "self":
+            return frozenset() if "Protocol" in bases.get(name, ()) else frozenset(relatives(name))
+        if kind == "names":
+            return classes(name) if all(n in bases for n in name) else None
+        if kind == "attr":
+            return classes(
+                n
+                for owner, callees in attributes[term[2]]
+                if name is None or owner in relatives(name)
+                for n in callees
+            ) or None
+        if kind == "union":
+            return union([resolve(t) for t in name])
+        if name[0] == "names":  # a call by name: a constructor, or functions of that name
+            return union([
+                classes([n]) if n in bases else returned.get(("function", n)) for n in name[1]
+            ])
+        _, on, method = name
+        found = resolve(on)
+        if found == frozenset():
+            return found
+        defined = [returned[key] for c in found or () for key in [("method", c, method)] if key in returned]
+        if defined:
+            return union(defined)
+        return classes([method]) if found is None and method in bases else None
+
+    changed = True
+    while changed:
+        changed = False
+        for key, terms in returns.items():
+            if returned[key] is not None:
+                found = union([resolve(t) for t in terms])
+                changed |= found != returned[key]
+                returned[key] = found
 
     pooled, reached = set(), set()
     for ref in refs:
         pooled |= ref.pooled
         for receiver, method in ref.typed:
-            kind, name = receiver[:2]
-            relatives = {name} | ancestors.get(name, set()) | descendants[name]
-            if kind == "self":
-                found = set() if "Protocol" in bases.get(name, ()) else relatives
-            elif kind == "names":
-                found = classes(receiver[1]) if all(n in bases for n in receiver[1]) else set()
-            else:
-                found = classes(
-                    n
-                    for owner, callees in attributes[receiver[2]]
-                    if name is None or owner in relatives
-                    for n in callees
-                )
+            found = resolve(receiver)
             if found:
                 reached.update(f"{c}.{method}" for c in found)
             else:
@@ -857,11 +971,18 @@ class Knob(NamedTuple):
 
 
 class Signature(NamedTuple):
-    """What a call binds: the positional parameters after ``self``, and
-    the knobs among its parameters."""
+    """What a call binds: the positional parameters after ``self``, every
+    parameter it may name, and the knobs among them."""
 
+    qualname: str
     positional: tuple[str, ...]
+    params: tuple[str, ...]
     knobs: dict  # param -> Knob
+
+    def key(self, param: str) -> str:
+        """``Callable.param``: a knob's own key (a dataclass's inherited
+        field keeps its base's)."""
+        return self.knobs[param].key if param in self.knobs else f"{self.qualname}.{param}"
 
 
 class Unique(NamedTuple):
@@ -902,7 +1023,7 @@ def _function_signature(node: ast.FunctionDef, qualname: str, path: Path, method
         name: Knob(f"{qualname}.{name}", path, _literal(default, ("default", qualname, name)))
         for name, default in defaults.items()
     }
-    return Signature(tuple(positional), knobs)
+    return Signature(qualname, tuple(positional), (*positional, *(a.arg for a in args.kwonlyargs)), knobs)
 
 
 def _dataclass_fields(node: ast.ClassDef, path: Path) -> tuple[list[str], dict]:
@@ -993,21 +1114,55 @@ class Spread(NamedTuple):
     text: str
 
 
+def _rebound(function: ast.AST) -> set[str]:
+    """The names a function's body binds (a comprehension's or a nested
+    scope's too): a parameter among them is no longer what its callers
+    passed."""
+    found = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node is not function:
+            found.add(node.name)
+    return found
+
+
 @lru_cache(maxsize=None)
 def _file_calls(text: str, filename: str) -> tuple:
-    """``(callee name, positional, {keyword: value node}, spread)`` of every
-    call in one file: ``super().__init__`` and ``Base.__init__(self, ...)``
-    call the base by name, ``cls(...)`` its class.  A ``**`` dict display
-    passes its constant keys as keywords; ``spread`` is a ``Spread`` for
-    any other ``**`` argument (a display that spreads a mapping too),
-    ``True`` for a ``*`` argument or a display's computed key, else
-    ``False``."""
+    """``(callee name, positional, {keyword: value node}, spread, forwards)``
+    of every call in one file: ``super().__init__`` and
+    ``Base.__init__(self, ...)`` call the base by name, ``cls(...)`` its
+    class.  A ``**`` dict display passes its constant keys as keywords;
+    ``spread`` is a ``Spread`` for any other ``**`` argument (a display that
+    spreads a mapping too), ``True`` for a ``*`` argument or a display's
+    computed key, else ``False``.  Under ``src/repro``, ``forwards`` maps
+    the name of each parameter of the callable the call is in to that
+    parameter's ``Callable.param``, the key ``_file_callables`` gives it
+    (``self`` and ``*`` / ``**`` parameters aside, and any the body
+    rebinds); elsewhere it is empty."""
     calls = []
+    path = Path(filename)
+    forwarding = SRC in path.parents
 
-    def visit(node: ast.AST, owner: ast.ClassDef | None) -> None:
+    def visit(node: ast.AST, owner: ast.ClassDef | None, scope: tuple, forwards: dict) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, child)
+                visit(child, child, (*scope, child.name), {})
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                method = owner is not None and node is owner
+                qualname = owner.name if method and child.name == "__init__" else ".".join((*scope, child.name))
+                inner = {}
+                if forwarding:
+                    signature = _function_signature(child, qualname, path, method)
+                    rebound = _rebound(child)
+                    inner = {p: signature.key(p) for p in signature.params if p not in rebound}
+                visit(child, owner, (*scope, child.name), inner)
+                continue
+            if isinstance(child, ast.Lambda):
+                visit(child, owner, scope, {})
                 continue
             if isinstance(child, ast.Call):
                 func, args = child.func, list(child.args)
@@ -1030,10 +1185,10 @@ def _file_calls(text: str, filename: str) -> tuple:
                         keywords.update((key, v) for key, v in display.items() if key is not None)
                     else:
                         spread = Spread(child.lineno, f"**{ast.unparse(k.value)}")
-                calls.extend((name, tuple(args), keywords, spread) for name in names)
-            visit(child, owner)
+                calls.extend((name, tuple(args), keywords, spread, forwards) for name in names)
+            visit(child, owner, scope, forwards)
 
-    visit(_parse_text(text, filename), None)
+    visit(_parse_text(text, filename), None, (), {})
     return tuple(calls)
 
 
@@ -1063,7 +1218,7 @@ def _registry_calls(sources: Sources) -> list[tuple]:
             for value in [constants.get(getattr(v, "id", None), v)]
         }
         impl = re.search(r":(\w+)\W*$", ast.unparse(row[5])).group(1)
-        calls.append((impl, (ast.Name("db"),), keywords, False))
+        calls.append((impl, (ast.Name("db"),), keywords, False, {}))
     return calls
 
 
@@ -1086,7 +1241,7 @@ def _resolve(name: str, callables: dict, classes: dict, seen: frozenset = frozen
         _, fields, knobs = signature
         positional = tuple(p for s in inherited[:1] for p in s.positional) + fields
         base_knobs = {k: v for s in inherited[:1] for k, v in s.knobs.items()}
-        resolved.append(Signature(positional, {**base_knobs, **knobs}))
+        resolved.append(Signature(name, positional, positional, {**base_knobs, **knobs}))
     return resolved
 
 
@@ -1108,50 +1263,84 @@ def forwarded_spreads(sources: Sources) -> list[str]:
     return [
         f"{_where(path)}:{spread.line} spreads {spread.text} into {name}"
         for path in _files(*CODE_TREES)
-        for name, _, _, spread in _file_calls(sources.text(path), str(path))
+        for name, _, _, spread, _ in _file_calls(sources.text(path), str(path))
         if isinstance(spread, Spread) and any(s.knobs for s in _resolve(name, callables, classes))
     ]
 
 
 def knob_values(sources: Sources, *trees: str) -> tuple[dict, dict]:
-    """``({Callable.param: Knob}, {Callable.param: the values the calls
-    under trees give it})`` over every knob under ``src/repro`` that some
-    call names (a callable nothing calls by name is rule (b)'s)."""
+    """``({Callable.param: Knob}, {Callable.param: {(value, via)}})``: every
+    knob under ``src/repro`` that some call names (a callable nothing calls
+    by name is rule (b)'s), and the values the calls under ``trees`` give
+    each parameter of a callable they name.  A forwarded argument (see
+    ``_file_calls``) gives the values its own parameter takes, resolved to
+    a fixpoint (a cycle adds nothing); ``via`` is the nearest allow-listed
+    knob a value was forwarded through, else ``None``."""
     callables, classes = _callables(sources)
     calls = [c for p in _files(*trees) for c in _file_calls(sources.text(p), str(p))]
     if "src" in trees:
         calls += _registry_calls(sources)
-    knobs, values = {}, defaultdict(set)
-    for i, (name, args, keywords, spread) in enumerate(calls):
+    knobs, values, forwarded, passed = {}, defaultdict(set), defaultdict(set), defaultdict(list)
+    for i, (name, args, keywords, spread, forwards) in enumerate(calls):
         for signature in _resolve(name, callables, classes):
+            knobs.update((knob.key, knob) for knob in signature.knobs.values())
             bound = dict(zip(signature.positional, args), **keywords)
-            for param, knob in signature.knobs.items():
-                knobs[knob.key] = knob
-                if spread:
-                    values[knob.key].add(Unique(i))
-                elif param in bound:
-                    values[knob.key].add(_literal(bound[param], Unique(i)))
+            for param in signature.params:
+                key, node = signature.key(param), bound.get(param)
+                if spread or (node is None and param not in signature.knobs):
+                    values[key].add((Unique(i), None))
+                elif node is None:
+                    values[key].add((signature.knobs[param].default, None))
+                elif isinstance(node, ast.Name) and node.id in forwards:
+                    forwarded[key].add(forwards[node.id])
                 else:
-                    values[knob.key].add(knob.default)
+                    passed[key].append((node, i))
+    # only a knob's values, and a forwarded parameter's, are ever read
+    for key in (knobs.keys() | set().union(*forwarded.values())) & passed.keys():
+        values[key].update((_literal(node, Unique(i)), None) for node, i in passed[key])
+    allowed = POSITIONAL.keys() | TEST_SEAMS.keys()
+    dependents = defaultdict(set)
+    for key, origins in forwarded.items():
+        for origin in origins:
+            dependents[origin].add(key)
+    pending = set(forwarded)
+    while pending:
+        key = pending.pop()
+        found = {value for value, _ in values[key]}
+        if len(found) > 1 or any(isinstance(value, Unique) for value in found):
+            continue  # two values already: what else arrives decides nothing
+        arrived = {
+            (value, origin if origin in allowed else via)
+            for origin in forwarded[key]
+            for value, via in values.get(origin, ())
+        }
+        if not arrived <= values[key]:
+            values[key] |= arrived
+            pending |= dependents[key]
     return knobs, values
 
 
 def single_valued_knobs(sources: Sources) -> list[str]:
     """Every forwarded ``**`` spread, every knob its product calls give
-    exactly one value, less the allow-lists, then every allow-list entry
-    that names no such knob."""
+    exactly one value, less the allow-lists and the knobs whose every value
+    arrives through an allow-listed one, then every allow-list entry that
+    names no such knob."""
     knobs, values = knob_values(sources, *CODE_TREES)
     single = {
-        key
-        for key, found in values.items()
-        if len(found) == 1 and not isinstance(next(iter(found)), Unique)
+        key: value
+        for key in knobs
+        for found in [{value for value, _ in values[key]}]
+        if len(found) == 1
+        for value in found
+        if not isinstance(value, Unique)
     }
     allowed = POSITIONAL.keys() | TEST_SEAMS.keys()
+    covered = {key for key in single if all(via for _, via in values[key])}
     flagged = [
-        f"{_where(knobs[key].path)}: {key} has one product value {next(iter(values[key]))!r}"
-        for key in sorted(single - allowed)
+        f"{_where(knobs[key].path)}: {key} has one product value {single[key]!r}"
+        for key in sorted(single.keys() - allowed - covered)
     ]
-    stale = [f"{key} is allow-listed but has no one product value" for key in sorted(allowed - single)]
+    stale = [f"{key} is allow-listed but has no one product value" for key in sorted(allowed - single.keys())]
     return forwarded_spreads(sources) + flagged + stale
 
 
@@ -1171,7 +1360,7 @@ def test_every_keyword_parameter_is_named_outside_its_definers():
         if not p.name.endswith("_reference.py") and p != Path(__file__).resolve()
     ]
     knobs, values = knob_values(Sources(), *(_where(p) for p in tests))
-    turned = {key for key, found in values.items() if found - {knobs[key].default}}
+    turned = {key for key, knob in knobs.items() if {value for value, _ in values[key]} - {knob.default}}
     untested = sorted(n for n in TEST_SEAMS if n not in turned)
     assert not untested, f"TEST_SEAMS names no test turns: {untested} -- fold them"
 
@@ -1835,6 +2024,20 @@ def test_seeded_relabelled_record_is_caught():
 _THEORY_END = "\ndef interval_coverage("
 _SEEDED = "\nclass _Seeded:\n    def seeded_step(self):\n        return 1\n\n\n"
 _THEORY = "src/repro/cardest/theory.py"
+#: a class built by its classmethod's cls(...), its method read off the result
+_SEEDED_CORPUS = (
+    "\nclass _SeededCorpus:\n    @classmethod\n    def from_steps(cls):\n        return cls()\n\n"
+    "    def seeded_step(self):\n        return 2\n\n\n"
+    "def _seeded_call():\n    return _SeededCorpus.from_steps().seeded_step()\n\n"
+)
+#: rule (d)'s forwarding plants: a two-hop chain restating its default,
+#: and a self-recursive forward
+_CHAIN = (
+    "\ndef _seeded_outer(db, budget=7):\n    return _seeded_middle(db, budget=budget)\n\n\n"
+    "def _seeded_middle(db, budget=7):\n    return _seeded_inner(db, budget=budget)\n\n\n"
+    "def _seeded_inner(db, budget=7):\n    return budget\n\n\n"
+)
+_COUNTDOWN = "\ndef _seeded_countdown(n, step=1):\n    return n if n <= 0 else _seeded_countdown(n - step, step=step)\n\n\n"
 
 
 #: the hand-written plants: ``case: (rule, root, rows)``, a row ``(relative
@@ -1883,6 +2086,23 @@ SEEDED = {
          _SEEDED + "def _seeded_call(x):\n    return x.seeded_step()\n\n" + _THEORY_END, []),
         ("cardest/theory.py", _THEORY_END,
          _SEEDED + "def _seeded_probe(x):\n    return hasattr(x, \"seeded_step\")\n\n" + _THEORY_END, []),
+        # a call's result is typed by what the callee returns: the merged
+        # bus is a TelemetryBus, so this snapshot reaches only the bus's
+        ("serve/fabric/aggregate.py", "    def export_json(",
+         "    def snapshot(self) -> dict:\n        return self.merged().snapshot()\n\n    def export_json(",
+         ["src/repro/serve/fabric/aggregate.py: TelemetryAggregator.snapshot is unreferenced"]),
+        # ... through cls(...) in a classmethod (PlanTreeCorpus.from_trees(trees).resample(idx)),
+        # which reaches that class's method and not a same-named one
+        ("cardest/theory.py", _THEORY_END, _SEEDED_CORPUS + _THEORY_END, []),
+        ("cardest/theory.py", _THEORY_END, _SEEDED + _SEEDED_CORPUS + _THEORY_END,
+         [f"{_THEORY}: _Seeded.seeded_step is unreferenced"]),
+        # ... and a function's typed local; a returned parameter pools
+        ("cardest/theory.py", _THEORY_END,
+         _SEEDED + "def _seeded_make():\n    made = _Seeded()\n    return made\n\n\n"
+         "def _seeded_call():\n    return _seeded_make().seeded_step()\n\n" + _THEORY_END, []),
+        ("cardest/theory.py", _THEORY_END,
+         _SEEDED + "def _seeded_same(x):\n    return x\n\n\n"
+         "def _seeded_call(y):\n    return _seeded_same(y).seeded_step()\n\n" + _THEORY_END, []),
     ]),
     "test_seeded_one_valued_knob_is_caught": ("d", ROOT, [
         # the lone product caller passes one literal
@@ -1909,12 +2129,24 @@ SEEDED = {
         (_THEORY, _THEORY_END,
          "\ndef _seeded_build(db, options: dict):\n    return NaruEstimator(db, **options)\n\n" + _THEORY_END,
          [f"{_THEORY} spreads **options into NaruEstimator"]),
-        # a dict display's non-literal value is a second value; a callee
-        # without knobs (TelemetryBus.event) may take a spread
+        # a dict display's forwarded value is the parameter's values; a
+        # callee without knobs (TelemetryBus.event) may take a spread
         ("src/repro/serve/scenarios.py", "OnlineAuditor(db, every=audit_every,",
          "OnlineAuditor(db, **{\"every\": audit_every},", []),
         (_THEORY, _THEORY_END,
          "\ndef _seeded_event(bus, **fields):\n    bus.event(\"seeded\", **fields)\n\n" + _THEORY_END, []),
+        # a default restated along a two-hop forwarding chain: every link has one value
+        (_THEORY, _THEORY_END, _CHAIN + "_SEEDED_RUN = _seeded_outer(None)\n\n" + _THEORY_END,
+         [f"{_THEORY}: _seeded_{link}.budget has one product value 7" for link in ("inner", "middle", "outer")]),
+        # ... not when the chain's source has two product values
+        (_THEORY, _THEORY_END,
+         _CHAIN + "_SEEDED_RUN = _seeded_outer(None), _seeded_outer(None, budget=5)\n\n" + _THEORY_END, []),
+        # a self-recursive forward is a cycle: it adds nothing, so the
+        # callers' values decide
+        (_THEORY, _THEORY_END,
+         _COUNTDOWN + "_SEEDED_RUN = _seeded_countdown(3), _seeded_countdown(3, step=2)\n\n" + _THEORY_END, []),
+        (_THEORY, _THEORY_END, _COUNTDOWN + "_SEEDED_RUN = _seeded_countdown(3)\n\n" + _THEORY_END,
+         [f"{_THEORY}: _seeded_countdown.step has one product value 1"]),
     ]),
     "test_seeded_protocol_probe_is_caught": ("q", ROOT, [
         # a literal-name probe with its default, or without one

@@ -188,8 +188,8 @@ def test_store_drift_tagging_and_labels():
     store.add_decision(_decision(qs[1]))
     store.mark_drift(False)
     store.add_drift_queries(qs[2:4], [7.0, 8.0])
-    assert {r.drift for r in store.records(kind="serve")} == {False, True}
-    drift_queries = store.records(kind="drift_query")
+    assert {r.drift for r in store.records() if r.kind == "serve"} == {False, True}
+    drift_queries = [r for r in store.records() if r.kind == "drift_query"]
     assert all(r.drift and r.source == "warper" for r in drift_queries)
     cards = [r.true_cardinality for r in store.records() if r.true_cardinality is not None]
     assert len(cards) == 4  # 2 serve decisions + 2 labelled drift queries
@@ -1106,7 +1106,7 @@ def test_optimization_loop_feeds_experience(stats_db, stats_simulator):
     )
     results = loop.run(queries)
     assert store.kinds == ["episode"] * 5
-    episodes = store.records(kind="episode")
+    episodes = store.records()
     assert len(episodes) == len(store) and all(r.latency_ms is not None for r in episodes)
     # An episode carries the exact count its execution returned.
     assert [r.true_cardinality for r in episodes] == [float(d.cardinality) for d in results]
@@ -1132,7 +1132,7 @@ def test_deployment_manager_feeds_experience(stats_db, stats_simulator):
     for q in queries:
         deployment.serve(q)
     assert store.kinds == ["serve"] * 5
-    serves = store.records(kind="serve")
+    serves = store.records()
     assert len(serves) == len(store) and all(r.true_cardinality is not None for r in serves)
     # The store's counters are exported as a telemetry gauge.
     snap = deployment.telemetry.snapshot()

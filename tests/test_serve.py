@@ -33,8 +33,12 @@ from repro.serve import (
     ShardRuntime,
     Stage,
     TelemetryBus,
+    adversarial_drift_scenario,
+    bound_guard_scenario,
     build_schedule,
+    chaos_scenario,
     injected_regression_scenario,
+    parameterized_scenario,
     sharded_fabric_scenario,
     steady_state_scenario,
 )
@@ -406,6 +410,70 @@ class TestServePolicies:
         deployment.add_policy(RecordingPolicy("late", []))
         deployment.serve(stats_workload[0])
         assert deployment.telemetry.snapshot()["gauges"]["late"] == {"decisions": 1}
+
+
+
+#: each canned scenario's deployment: stage, canary fraction, window, min
+#: samples, regression threshold, native monitoring, per-call budget,
+#: rollback trips, plan cache, breaker and policy types in order
+SCENARIO_DEPLOYMENTS = {
+    "steady_state": (
+        lambda: steady_state_scenario(scale=0.1, n_queries=8),
+        (Stage.CANARY, 0.5, 40, 15, 2.5, True, None, 3, False, None, ["RetrainCadence"]),
+    ),
+    "parameterized": (
+        lambda: parameterized_scenario(scale=0.1),
+        (Stage.SHADOW, 0.5, 40, 15, 2.5, True, None, 3, True, None, ["RetrainCadence"]),
+    ),
+    "injected_regression": (
+        lambda: injected_regression_scenario(scale=0.1),
+        (Stage.CANARY, 1.0, 16, 8, 1.3, True, None, 3, False, None, ["RetrainCadence"]),
+    ),
+    "chaos": (
+        lambda: chaos_scenario(scale=0.1, n_queries=8),
+        (Stage.CANARY, 0.5, 40, 15, 3.0, True, 200.0, None, False, "learned", ["RetrainCadence"]),
+    ),
+    "bound_guard": (
+        lambda: bound_guard_scenario(scale=0.1, n_queries=8),
+        (Stage.CANARY, 0.5, 40, 15, 3.0, True, None, 3, False, None, ["RetrainCadence", "BoundGuard"]),
+    ),
+    "adversarial_drift": (
+        lambda: adversarial_drift_scenario(pessimistic=True, scale=0.1, n_queries=8),
+        (Stage.LIVE, 0.1, 40, 15, 1.3, False, None, 3, False, None, []),
+    ),
+    "sharded_fabric": (
+        lambda: sharded_fabric_scenario(n_shards=1, scale=0.1, n_queries=8),
+        (Stage.CANARY, 0.5, 40, 15, 3.0, True, None, 3, True, None, ["RetrainCadence", "BoundGuard"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_DEPLOYMENTS))
+def test_scenario_deployment_settings(name):
+    """Every canned scenario stages its model with the settings it always
+    had: a builder that drops a keyword falls back to a default and fails."""
+    build, expected = SCENARIO_DEPLOYMENTS[name]
+    scenario = build()
+    if name == "sharded_fabric":
+        (shard,) = scenario.fabric.shards
+        deployment = shard.backend
+    else:
+        deployment = scenario.deployment
+        assert scenario.plan_cache is deployment.plan_cache
+    d = deployment
+    assert (
+        d.stage,
+        d.canary_fraction,
+        d.window,
+        d.min_samples,
+        d.regression_threshold,
+        d.monitor_native,
+        d.call_timeout_ms,
+        d.rollback_after_trips,
+        d.plan_cache is not None,
+        None if d.breaker is None else d.breaker.name,
+        [type(p).__name__ for p in d.policies],
+    ) == expected
 
 
 def test_stage_only_moves_along_declared_edges(
