@@ -187,10 +187,6 @@ class ExperienceStore(ServePolicy):
 
     # -- retrieval -------------------------------------------------------------
 
-    def records(self) -> list[ExperienceRecord]:
-        """Retained records in insertion order."""
-        return list(self._records.values())
-
     def snapshot_id(self) -> str:
         """Stable 12-hex digest of the retained records (sorted by key)."""
         h = hashlib.sha256()

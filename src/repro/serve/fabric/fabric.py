@@ -192,13 +192,16 @@ class ServingFabric:
                     shard_id = router.route(key, shards, arrival)
                     if shard_id is None:
                         reason = "unavailable"
-                    elif (
-                        row.watermark is not None
-                        and shards[shard_id].backlog(arrival) > row.watermark
-                    ):
-                        reason = "qos_shed"
+                    else:
+                        # the chosen shard's backlog, read once: the router's
+                        # reading when it compared candidates, else this one
+                        in_flight = router.chosen_backlog
+                        if in_flight is None:
+                            in_flight = shards[shard_id].backlog(arrival)
+                        if row.watermark is not None and in_flight > row.watermark:
+                            reason = "qos_shed"
                 if reason is None:
-                    outcome = shards[shard_id].submit(req)
+                    outcome = shards[shard_id].submit(req, in_flight=in_flight)
                     if isinstance(outcome, Served):
                         n_served += 1
                         row.served += 1
@@ -277,33 +280,38 @@ def build_fabric_schedule(
     ``(queries, specs, seed, mean_interarrival_ms)``.  Per-request
     identity (``session_id`` = tenant index in ``specs``, ``seq`` =
     per-tenant ordinal) is what traces sort by fabric-wide.
+
+    Built in array passes: a stable ``argsort`` of the tenant draws
+    groups each tenant's requests in arrival order, so a request's
+    ordinal is its rank in that order minus its tenant's first rank (a
+    ``bincount`` prefix sum).  Each column crosses to Python once
+    (``tolist``), and one ``map`` builds the records.
     """
     import numpy as np
 
     if not specs:
         raise ConfigError("need at least one tenant spec")
+    n = len(queries)
     rng = np.random.default_rng((int(seed), 9))
     weights = np.array([s.weight for s in specs], dtype=float)
     weights /= weights.sum()
-    choices = rng.choice(len(specs), size=len(queries), p=weights)
-    arrivals = np.cumsum(
-        rng.exponential(mean_interarrival_ms, size=len(queries))
+    choices = rng.choice(len(specs), size=n, p=weights)
+    arrivals = np.cumsum(rng.exponential(mean_interarrival_ms, size=n))
+    counts = np.bincount(choices, minlength=len(specs))
+    ordinals = np.empty(n, dtype=np.int64)
+    ordinals[np.argsort(choices, kind="stable")] = np.arange(n) - np.repeat(
+        np.cumsum(counts) - counts, counts
     )
-    per_tenant_seq = [0] * len(specs)
-    schedule: list[FabricRequest] = []
-    for i, query in enumerate(queries):
-        t = int(choices[i])
-        schedule.append(
-            FabricRequest(
-                tenant_id=specs[t].tenant_id,
-                request=Request(
-                    session_id=t,
-                    seq=per_tenant_seq[t],
-                    global_seq=i,
-                    arrival_ms=float(arrivals[i]),
-                    query=query,
-                ),
-            )
+    # each column crosses once, and its array goes before the records come
+    tenants = choices.tolist()
+    seqs = ordinals.tolist()
+    times = arrivals.tolist()
+    del choices, arrivals, counts, ordinals
+    tenant_ids = [s.tenant_id for s in specs]
+    return list(
+        map(
+            FabricRequest,
+            map(tenant_ids.__getitem__, tenants),
+            map(Request, tenants, seqs, range(n), times, queries),
         )
-        per_tenant_seq[t] += 1
-    return schedule
+    )

@@ -66,6 +66,9 @@ class ShardRouter:
         self.assignments = [0] * n_shards
         self.reroutes = 0  # served off the primary candidate (health)
         self.unroutable = 0  # every shard unhealthy
+        #: the chosen shard's backlog as the last route() read it at its
+        #: arrival, or None when that route() read no backlog
+        self.chosen_backlog: int | None = None
         self._pairs = BoundedLRU(PAIR_CAPACITY)
 
     # -- candidate derivation ----------------------------------------------------
@@ -106,11 +109,15 @@ class ShardRouter:
         ``healthy(at_ms)`` and ``backlog(at_ms)`` directly, and only the
         two candidates' while one of them is healthy -- the full scan runs
         only when both are down.  Returns the shard id, or ``None`` when no
-        shard is healthy.  Deterministic: the decision depends only on
-        ``(seed, key)`` and the observed (load, health) values, and ties
-        prefer the primary candidate, then the lower shard id.
+        shard is healthy; :attr:`chosen_backlog` keeps the chosen shard's
+        backlog when the two-choice comparison read it, so the caller need
+        not ask that shard again at the same arrival.  Deterministic: the
+        decision depends only on ``(seed, key)`` and the observed (load,
+        health) values, and ties prefer the primary candidate, then the
+        lower shard id.
         """
         if self.pinned is not None:
+            self.chosen_backlog = None
             try:
                 shard = self.pinned[key]
             except KeyError:
@@ -126,12 +133,15 @@ class ShardRouter:
         first, second = self.candidates(key)
         primary = shards[first]
         chosen: int | None = None
+        backlog: int | None = None
         if primary.healthy(at_ms):
             chosen = first
             if second != first:
                 other = shards[second]
-                if other.healthy(at_ms) and other.backlog(at_ms) < primary.backlog(at_ms):
-                    chosen = second
+                if other.healthy(at_ms):
+                    load, backlog = other.backlog(at_ms), primary.backlog(at_ms)
+                    if load < backlog:
+                        chosen, backlog = second, load
         elif second != first and shards[second].healthy(at_ms):
             chosen = second
         else:
@@ -140,6 +150,7 @@ class ShardRouter:
                 if shards[probe].healthy(at_ms):
                     chosen = probe
                     break
+        self.chosen_backlog = backlog
         if chosen is None:
             self.unroutable += 1
             return None

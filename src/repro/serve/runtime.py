@@ -342,11 +342,13 @@ class ServingRuntime:
 
     # -- the per-request path -----------------------------------------------------
 
-    def submit(self, req: Request, lane: int | None = None):
+    def submit(self, req: Request, lane: int | None = None, in_flight: int | None = None):
         """Admit and (virtually) execute one request.
 
         Must be called in arrival order.  ``lane=None`` places the request
-        on the earliest-free worker lane (ties to the lower id).  Returns
+        on the earliest-free worker lane (ties to the lower id).
+        ``in_flight`` is :meth:`backlog` at the request's arrival when the
+        caller has already read it (``None``: read it here).  Returns
         :class:`Served` or :class:`Rejected`, the same object it files
         on the bus as the request's trace.
         """
@@ -357,7 +359,8 @@ class ServingRuntime:
             now = breaker.clock.now_ms()
             if arrival > now:
                 breaker.clock.advance(arrival - now)
-        in_flight = self.backlog(arrival)
+        if in_flight is None:
+            in_flight = self.backlog(arrival)
         busy = self._busy_until
         if lane is None:
             lane = busy.index(min(busy))

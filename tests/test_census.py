@@ -2340,9 +2340,9 @@ SEEDED = {
          "class ServingFabric:\n",
          [f"{FABRIC_LOOP} defines __getitem__"]),
         # naming observe in a comment, and indexing the shard list, ask nothing
-        ("                    outcome = shards[shard_id].submit(req)\n",
+        ("                    outcome = shards[shard_id].submit(req, in_flight=in_flight)\n",
          "                    # not bus.observe: the row's handle is bound once\n"
-         "                    outcome = shards[shard_id].submit(req)\n",
+         "                    outcome = shards[shard_id].submit(req, in_flight=in_flight)\n",
          []),
     ]),
 }

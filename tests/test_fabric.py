@@ -6,7 +6,7 @@ import json
 
 import pytest
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -38,6 +38,7 @@ from repro.serve.fabric.router import PAIR_CAPACITY
 from repro.serve.fabric.shard import guarded_shard
 from repro.serve.telemetry import Histogram, TelemetryBus
 from repro.sql import Query
+from tests.fabric_reference import reference_fabric_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +543,35 @@ def test_token_bucket_stays_within_its_quota():
         BucketMachine,
         settings=settings(max_examples=60, stateful_step_count=40, deadline=None),
     )
+
+
+# ---------------------------------------------------------------------------
+# the schedule: array passes against the per-request reference loop
+# ---------------------------------------------------------------------------
+
+_POOL = [Query((f"t{i}",)) for i in range(7)]
+
+
+@settings(max_examples=60, deadline=None)
+# the middle tenant draws no request: the ordinals after it still count from 0
+@example(weights=[1.0, 1e-12, 1.0], n=500, seed=3, gap=0.5)
+@given(
+    weights=st.lists(
+        st.floats(min_value=1e-3, max_value=1e3, allow_nan=False), min_size=1, max_size=8
+    ),
+    n=st.integers(min_value=0, max_value=3_000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    gap=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+)
+def test_schedule_matches_the_reference_loop(weights, n, seed, gap):
+    specs = [TenantSpec(f"tenant{i}", weight=w) for i, w in enumerate(weights)]
+    queries = [_POOL[i % len(_POOL)] for i in range(n)]
+    got = build_fabric_schedule(queries, specs, seed=seed, mean_interarrival_ms=gap)
+    want = reference_fabric_schedule(queries, specs, seed=seed, mean_interarrival_ms=gap)
+    assert got == want
+    for g, w in zip(got, want):
+        assert g.request.arrival_ms.hex() == w.request.arrival_ms.hex()
+        assert type(g.request.seq) is type(g.request.session_id) is int
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_store_dedup_updates_in_place():
     store.add_decision(_decision(q, latency=3.0, card=10))
     store.add_decision(_decision(q, latency=5.0, card=12))
     assert len(store) == 1
-    rec = store.records()[0]
+    rec = next(iter(store._records.values()))
     assert rec.hits == 2
     assert rec.latency_ms == 5.0  # latest observation wins
     assert rec.true_cardinality == 12.0
@@ -188,10 +188,10 @@ def test_store_drift_tagging_and_labels():
     store.add_decision(_decision(qs[1]))
     store.mark_drift(False)
     store.add_drift_queries(qs[2:4], [7.0, 8.0])
-    assert {r.drift for r in store.records() if r.kind == "serve"} == {False, True}
-    drift_queries = [r for r in store.records() if r.kind == "drift_query"]
+    assert {r.drift for r in store._records.values() if r.kind == "serve"} == {False, True}
+    drift_queries = [r for r in store._records.values() if r.kind == "drift_query"]
     assert all(r.drift and r.source == "warper" for r in drift_queries)
-    cards = [r.true_cardinality for r in store.records() if r.true_cardinality is not None]
+    cards = [r.true_cardinality for r in store._records.values() if r.true_cardinality is not None]
     assert len(cards) == 4  # 2 serve decisions + 2 labelled drift queries
     assert set(cards) >= {7.0, 8.0}
     with pytest.raises(ConfigError):
@@ -208,7 +208,7 @@ def test_store_ingests_drift_queries_from_an_iterator(cards):
     from_iter.add_drift_queries((q for q in qs), iter(cards) if cards else None)
     assert from_iter.ingested == 4
     assert from_iter.snapshot_id() == from_list.snapshot_id()
-    labelled = [r for r in from_iter.records() if r.true_cardinality is not None]
+    labelled = [r for r in from_iter._records.values() if r.true_cardinality is not None]
     assert len(labelled) == (4 if cards else 0)
 
 
@@ -1106,7 +1106,7 @@ def test_optimization_loop_feeds_experience(stats_db, stats_simulator):
     )
     results = loop.run(queries)
     assert store.kinds == ["episode"] * 5
-    episodes = store.records()
+    episodes = list(store._records.values())
     assert len(episodes) == len(store) and all(r.latency_ms is not None for r in episodes)
     # An episode carries the exact count its execution returned.
     assert [r.true_cardinality for r in episodes] == [float(d.cardinality) for d in results]
@@ -1132,7 +1132,7 @@ def test_deployment_manager_feeds_experience(stats_db, stats_simulator):
     for q in queries:
         deployment.serve(q)
     assert store.kinds == ["serve"] * 5
-    serves = store.records()
+    serves = list(store._records.values())
     assert len(serves) == len(store) and all(r.true_cardinality is not None for r in serves)
     # The store's counters are exported as a telemetry gauge.
     snap = deployment.telemetry.snapshot()
