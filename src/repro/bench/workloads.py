@@ -125,8 +125,8 @@ def adversarial_hot_key_drift(
     *,
     fraction: float = 0.5,
     seed: int = 0,
-    targets: dict[tuple[str, str], float] | None = None,
-) -> dict[tuple[str, str], float]:
+    targets: dict[tuple[str, str], float],
+) -> None:
     """Append rows that pile every child table's foreign keys onto one
     previously-cold parent key (per parent), making it the hottest value.
 
@@ -142,14 +142,13 @@ def adversarial_hot_key_drift(
     refreshed pessimistic bound, or a serving-side bound guard fed
     observed counts, exists to survive.  Only tables with at least one
     non-key FK column grow; primary keys continue the sequence and other
-    columns resample from the existing distribution.  Returns the target
-    mapping used (computed here unless passed in).
+    columns resample from the existing distribution.  ``targets`` is the
+    mapping :func:`hot_key_targets` computed before the drift, which the
+    caller keeps to probe the hot keys.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    if targets is None:
-        targets = hot_key_targets(db)
     fk_value: dict[tuple[str, str], float] = {}
     for (pt, pc), kids in _parent_children(db).items():
         for ct, cc in kids:
@@ -179,7 +178,6 @@ def adversarial_hot_key_drift(
                     col.values.dtype
                 )
         table.append_rows(rows)
-    return targets
 
 
 def hot_key_probe_queries(

@@ -296,8 +296,13 @@ class MCVJoinBoundEstimator(BoundSketchEstimator):
 class AGMSketchBoundEstimator(BoundSketchEstimator):
     """AGM-style cross-product/degree bound: the minimum over the filtered
     cross product and every spanning-order degree factorization, with no
-    per-value refinement -- looser than :class:`MCVJoinBoundEstimator`
-    but cheaper and with the same soundness guarantee."""
+    per-value refinement -- cheaper than :class:`MCVJoinBoundEstimator`,
+    with the same soundness guarantee.  Neither bound dominates: the two
+    agree on every connected sub-query of stats_lite and imdb_lite
+    workloads, but on generated schemas they differ on about 0.3% of
+    sub-queries, and on a few of those (3-table, true count 0) the MCV
+    bound is the looser -- its refined first step is smaller, and the
+    greedy growth from it compounds past this estimator's order."""
 
     name = "agm_bound"
     use_mcv_pairs = False

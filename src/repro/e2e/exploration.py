@@ -229,12 +229,11 @@ class TopKDPExploration:
     """LEON's strategy [4]: the native DP keeping the top two sub-plans
     per subset, ranked by the comparator once it is trained.
 
-    Every 7th query the full-set runner-up is executed
-    too, so the comparator receives labelled same-query pairs: out-of-band
-    through ``shadow_executor(plan) -> latency_ms`` when one is given, else
-    by serving the runner-up (source ``"explore"``) in place of the
-    favourite (``"dp"``).  The pick is returned as the single candidate:
-    the comparator already ranked the survivors inside the DP.
+    Every 7th query the full-set runner-up is executed too, out-of-band
+    through ``shadow_executor(plan) -> latency_ms``, so the comparator
+    receives labelled same-query pairs once the favourite's latency is fed
+    back.  The favourite (source ``"dp"``) is returned as the single
+    candidate: the comparator already ranked the survivors inside the DP.
     """
 
     def __init__(
@@ -242,7 +241,7 @@ class TopKDPExploration:
         optimizer: Optimizer,
         comparator: PairwisePlanComparator,
         *,
-        shadow_executor=None,
+        shadow_executor,
     ) -> None:
         self.optimizer = optimizer
         self.comparator = comparator
@@ -305,15 +304,9 @@ class TopKDPExploration:
         if query.n_tables == 1:
             return [CandidatePlan(self.optimizer.plan(query), "default")]
         entries = self.dp_candidates(query)
-        explore = len(entries) > 1 and self._queries_seen % 7 == 0
-        if explore and self.shadow_executor is not None:
-            # Shadow-execute the runner-up so a labelled same-query pair
-            # exists once the favourite's latency is fed back.
+        if len(entries) > 1 and self._queries_seen % 7 == 0:
             runner_up = CandidatePlan(Plan(query, entries[1][0]), "shadow")
             self.comparator.observe(
                 runner_up, self.shadow_executor(runner_up.plan)
             )
-        pick = 1 if (explore and self.shadow_executor is None) else 0
-        node, _ = entries[pick]
-        source = "dp" if pick == 0 else "explore"
-        return [CandidatePlan(Plan(query, node), source)]
+        return [CandidatePlan(Plan(query, entries[0][0]), "dp")]

@@ -5,8 +5,8 @@ pairwise comparison model influence which sub-plans survive: each DP
 subset keeps the top two candidates ranked by a blend of estimated cost
 and the comparator's learned preference, and the final plan is the
 comparator's favourite among the full-set candidates.  Periodically the
-runner-up is executed instead of the favourite to keep generating labelled
-pairs (LEON's exploration).
+runner-up is executed out-of-band beside the favourite to keep generating
+labelled pairs (LEON's exploration).
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ class LeonOptimizer(LearnedOptimizer):
         self,
         optimizer: Optimizer,
         *,
-        shadow_executor=None,
+        shadow_executor,
         seed: int = 0,
     ) -> None:
-        """``shadow_executor(plan) -> latency_ms``, when provided, lets
-        LEON execute the DP runner-up out-of-band on explore queries so
-        the comparator receives labelled same-query pairs (LEON's
-        exploration executions)."""
+        """``shadow_executor(plan) -> latency_ms`` executes the DP
+        runner-up out-of-band on explore queries, so the comparator
+        receives labelled same-query pairs (LEON's exploration
+        executions)."""
         featurizer = PlanFeaturizer(optimizer.db, coster=optimizer.coster)
         comparator = PairwisePlanComparator(featurizer, seed=seed)
         super().__init__(

@@ -162,12 +162,6 @@ class TreeConvLatencyModel:
         """Every member, each with its owed fit run."""
         return [self._member(i) for i in range(len(self._members))]
 
-    def predict(self, candidates: Sequence[CandidatePlan]) -> np.ndarray:
-        """Mean predicted latency (ms) across ensemble members."""
-        trees = _decision_trees(candidates, self.featurizer)
-        preds = np.stack([m.predict(trees) for m in self.members()])
-        return np.maximum(np.expm1(preds.mean(axis=0)), 0.0)
-
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
         if not self._trained:
             return _default_scores(candidates)

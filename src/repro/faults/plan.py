@@ -67,15 +67,15 @@ class FaultSpec:
 
     ``rate`` is the per-call probability in ``[0, 1]``; ``start_call`` /
     ``end_call`` bound the half-open call-index window the spec is active
-    in (``end_call=None`` means forever); ``target=None`` applies to any
-    wrapped component, otherwise only to wrappers registered under that
-    target name.  ``magnitude`` is the latency spike in virtual ms for
-    ``latency`` faults and the scale of ``garbage`` values.
+    in (``end_call=None`` means forever); a spec applies only to the
+    wrappers registered under its ``target`` name.  ``magnitude`` is the
+    latency spike in virtual ms for ``latency`` faults and the scale of
+    ``garbage`` values.
     """
 
     kind: str
     rate: float
-    target: str | None = None
+    target: str
     start_call: int = 0
     end_call: int | None = None
     magnitude: float = 100.0
@@ -111,7 +111,7 @@ class FaultPlan:
         """The fault (if any) to inject on ``target``'s ``call_index``-th
         call.  First matching spec wins, in declaration order."""
         for i, spec in enumerate(self.specs):
-            if spec.target is not None and spec.target != target:
+            if spec.target != target:
                 continue
             if call_index < spec.start_call:
                 continue

@@ -178,8 +178,8 @@ class FallbackEstimator(CardinalityEstimator):
     """Learned -> traditional degradation for cardinality estimation.
 
     Answers come from ``primary`` while it behaves; any exception or
-    non-finite/negative output counts as a failure (fed to the optional
-    breaker) and the query is re-answered by ``fallback`` -- typically the
+    non-finite/negative output counts as a failure (fed to the ``breaker``)
+    and the query is re-answered by ``fallback`` -- typically the
     histogram estimator, which cannot fail.  While the breaker is open,
     primary is not consulted at all, so a crashing model stops paying its
     own inference cost.
@@ -197,8 +197,8 @@ class FallbackEstimator(CardinalityEstimator):
         primary,
         fallback,
         *,
-        breaker: CircuitBreaker | None = None,
-        telemetry=None,
+        breaker: CircuitBreaker,
+        telemetry,
     ) -> None:
         self.primary = primary
         self.fallback = fallback
@@ -215,40 +215,33 @@ class FallbackEstimator(CardinalityEstimator):
         return (
             self.primary.estimates_version,
             self.fallback.estimates_version,
-            self.breaker.epoch if self.breaker is not None else 0,
+            self.breaker.epoch,
         )
-
-    def _incr(self, counter: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.incr(counter)
 
     def _serve_fallback(self, query) -> float:
         self.fallback_served += 1
-        self._incr("fallback.estimator.served")
+        self.telemetry.incr("fallback.estimator.served")
         return float(self.fallback.estimate(query))
 
     def estimate(self, query) -> float:
         self.calls += 1
-        if self.breaker is not None and not self.breaker.allow():
+        if not self.breaker.allow():
             self.breaker_denied += 1
-            self._incr("fallback.estimator.breaker_denied")
+            self.telemetry.incr("fallback.estimator.breaker_denied")
             return self._serve_fallback(query)
         try:
             value = float(self.primary.estimate(query))
         except Exception:
             self.primary_errors += 1
-            self._incr("fallback.estimator.primary_errors")
-            if self.breaker is not None:
-                self.breaker.record_failure()
+            self.telemetry.incr("fallback.estimator.primary_errors")
+            self.breaker.record_failure()
             return self._serve_fallback(query)
         if not _finite_nonnegative(value):
             self.nonfinite_outputs += 1
-            self._incr("fallback.estimator.nonfinite")
-            if self.breaker is not None:
-                self.breaker.record_failure()
+            self.telemetry.incr("fallback.estimator.nonfinite")
+            self.breaker.record_failure()
             return self._serve_fallback(query)
-        if self.breaker is not None:
-            self.breaker.record_success()
+        self.breaker.record_success()
         return value
 
     def stats(self) -> dict[str, float]:

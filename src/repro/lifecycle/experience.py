@@ -170,10 +170,9 @@ class ExperienceStore(ServePolicy):
         """The retraining loop sees exactly what production saw."""
         self.add_decision(decision, kind="episode" if decision.stage == "offline" else "serve")
 
-    def add_drift_queries(self, queries, cards=None) -> None:
-        """Ingest Warper-generated drift queries (always drift-tagged)."""
-        queries = list(queries)  # once: ``queries`` may be an iterator
-        cards = list(cards) if cards is not None else [None] * len(queries)
+    def add_drift_queries(self, queries, cards) -> None:
+        """Ingest Warper-generated drift queries, each with its exact
+        cardinality (always drift-tagged)."""
         for query, card in zip(queries, cards):
             self._ingest(
                 "drift_query",
@@ -181,7 +180,7 @@ class ExperienceStore(ServePolicy):
                 source="warper",
                 latency_ms=None,
                 native_latency_ms=None,
-                true_cardinality=float(card) if card is not None else None,
+                true_cardinality=float(card),
                 drift=True,
             )
 

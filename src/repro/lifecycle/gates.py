@@ -80,14 +80,13 @@ class EvalGate:
         stream for the verdict to mean anything; the lifecycle scenario
         splits its generated workload up front.
     simulator:
-        Optional :class:`repro.engine.simulator.ExecutionSimulator`; when
-        given, each model must expose ``choose_plan(query)`` and the gate
-        measures plan latencies.  When None the latency axes are skipped.
+        The :class:`repro.engine.simulator.ExecutionSimulator` the latency
+        axes measure each model's ``choose_plan(query)`` plans on.
     executor:
-        Optional :class:`repro.engine.executor.CardinalityExecutor`; when
-        given, each model's ``estimator`` is scored on q-error against the
-        executor's exact cardinalities.  When None the accuracy axis is
-        skipped.
+        The :class:`repro.engine.executor.CardinalityExecutor` whose exact
+        cardinalities score each model's ``estimator`` on q-error.
+    telemetry:
+        The bus each verdict is counted and logged on.
     shared:
         Infrastructure the memo's fingerprints skip (see
         :func:`~repro.lifecycle.registry.model_fingerprint`).  Give it the
@@ -107,24 +106,22 @@ class EvalGate:
         self,
         queries,
         *,
-        simulator=None,
-        executor=None,
-        telemetry=None,
+        simulator,
+        executor,
+        telemetry,
         shared=(),
     ) -> None:
         self.queries = list(queries)
         if not self.queries:
             raise ConfigError("eval gate needs a non-empty held-out workload")
-        if simulator is None and executor is None:
-            raise ConfigError("eval gate needs a simulator or an executor")
         self.simulator = simulator
         self.executor = executor
         self.telemetry = telemetry
         self.shared = tuple(shared)
         self.evaluations = 0
-        self._db = (simulator if simulator is not None else executor).db
+        self._db = simulator.db
         # fingerprint -> (metrics, latencies), all measured at _memo_version
-        self._memo: dict[str, tuple[dict, np.ndarray | None]] = {}
+        self._memo: dict[str, tuple[dict, np.ndarray]] = {}
         self._memo_version: int | None = None
 
     # -- measurement -----------------------------------------------------------
@@ -145,22 +142,21 @@ class EvalGate:
             ]
         )
 
-    def _metrics(self, model) -> tuple[dict, np.ndarray | None]:
-        metrics: dict = {"n_queries": len(self.queries)}
-        lats = None
-        if self.simulator is not None:
-            lats = self._latencies(model)
-            metrics["p50_latency_ms"] = round(float(np.percentile(lats, 50)), 6)
-            metrics["p95_latency_ms"] = round(float(np.percentile(lats, 95)), 6)
-        if self.executor is not None:
-            qerrs = self._qerrors(model)
-            metrics["qerror_q"] = round(float(np.quantile(qerrs, QERROR_QUANTILE)), 6)
-            metrics["qerror_max"] = round(float(qerrs.max()), 6)
+    def _metrics(self, model) -> tuple[dict, np.ndarray]:
+        lats = self._latencies(model)
+        qerrs = self._qerrors(model)
+        metrics = {
+            "n_queries": len(self.queries),
+            "p50_latency_ms": round(float(np.percentile(lats, 50)), 6),
+            "p95_latency_ms": round(float(np.percentile(lats, 95)), 6),
+            "qerror_q": round(float(np.quantile(qerrs, QERROR_QUANTILE)), 6),
+            "qerror_max": round(float(qerrs.max()), 6),
+        }
         return metrics, lats
 
     def _measured(
         self, model, fingerprint: str | None = None
-    ) -> tuple[dict, np.ndarray | None]:
+    ) -> tuple[dict, np.ndarray]:
         """:meth:`_metrics` through the memo; ``fingerprint`` is the model's
         digest under :attr:`shared` when the caller already took it."""
         version = self._db.data_version
@@ -193,24 +189,17 @@ class EvalGate:
         reasons: list[str] = []
 
         def ratio_check(key: str, limit: float, label: str) -> None:
-            a, b = champ_metrics.get(key), chall_metrics.get(key)
-            if a is None or b is None:
-                return
-            ratio = b / max(a, 1e-9)
+            ratio = chall_metrics[key] / max(champ_metrics[key], 1e-9)
             if ratio > limit:
                 reasons.append(f"{label} ratio {ratio:.3f} > {limit:g}")
 
         ratio_check("p50_latency_ms", self.max_p50_ratio, "p50 latency")
         ratio_check("p95_latency_ms", self.max_p95_ratio, "p95 latency")
         ratio_check("qerror_q", self.max_qerror_ratio, "q-error")
-        if champ_lats is not None and chall_lats is not None:
-            regressed = chall_lats > champ_lats * REGRESSION_MARGIN
-            rate = float(regressed.mean())
-            chall_metrics["regression_rate"] = round(rate, 6)
-            if rate > self.max_regression_rate:
-                reasons.append(
-                    f"regression rate {rate:.3f} > {self.max_regression_rate:g}"
-                )
+        rate = float((chall_lats > champ_lats * REGRESSION_MARGIN).mean())
+        chall_metrics["regression_rate"] = round(rate, 6)
+        if rate > self.max_regression_rate:
+            reasons.append(f"regression rate {rate:.3f} > {self.max_regression_rate:g}")
         report = GateReport(
             passed=not reasons,
             reasons=tuple(reasons),
@@ -218,17 +207,14 @@ class EvalGate:
             challenger=chall_metrics,
         )
         self.evaluations += 1
-        if self.telemetry is not None:
-            self.telemetry.incr(
-                "gate.passed" if report.passed else "gate.failed"
-            )
-            self.telemetry.event(
-                "gate_evaluated",
-                passed=report.passed,
-                reasons=";".join(reasons),
-                champion_p50=champ_metrics.get("p50_latency_ms", 0.0),
-                challenger_p50=chall_metrics.get("p50_latency_ms", 0.0),
-                champion_qerror=champ_metrics.get("qerror_q", 0.0),
-                challenger_qerror=chall_metrics.get("qerror_q", 0.0),
-            )
+        self.telemetry.incr("gate.passed" if report.passed else "gate.failed")
+        self.telemetry.event(
+            "gate_evaluated",
+            passed=report.passed,
+            reasons=";".join(reasons),
+            champion_p50=champ_metrics["p50_latency_ms"],
+            challenger_p50=chall_metrics["p50_latency_ms"],
+            champion_qerror=champ_metrics["qerror_q"],
+            challenger_qerror=chall_metrics["qerror_q"],
+        )
         return report

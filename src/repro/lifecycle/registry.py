@@ -203,11 +203,10 @@ class ModelVersion:
 class ModelRegistry(ServePolicy):
     """Registry of model versions with lineage, gating and stage history."""
 
-    def __init__(self, *, shared=(), telemetry=None) -> None:
+    def __init__(self, *, telemetry, shared=()) -> None:
         """``shared`` lists infrastructure objects excluded from
-        fingerprints (see :func:`model_fingerprint`); ``telemetry`` is an
-        optional bus receiving ``model_registered`` / ``champion_changed``
-        events."""
+        fingerprints (see :func:`model_fingerprint`); ``telemetry`` is the
+        bus receiving ``model_registered`` / ``champion_changed`` events."""
         self.shared = tuple(shared)
         self.telemetry = telemetry
         self._versions: dict[str, ModelVersion] = {}
@@ -249,16 +248,15 @@ class ModelRegistry(ServePolicy):
         self._models[version_id] = model
         self._order.append(version_id)
         self._stages[version_id] = []
-        if self.telemetry is not None:
-            self.telemetry.incr("registry.versions")
-            self.telemetry.event(
-                "model_registered",
-                version=version_id,
-                parent=parent or "",
-                trigger=trigger,
-                snapshot=snapshot_id,
-                seq=seq,
-            )
+        self.telemetry.incr("registry.versions")
+        self.telemetry.event(
+            "model_registered",
+            version=version_id,
+            parent=parent or "",
+            trigger=trigger,
+            snapshot=snapshot_id,
+            seq=seq,
+        )
         return version
 
     # -- lookup ---------------------------------------------------------------
@@ -303,7 +301,7 @@ class ModelRegistry(ServePolicy):
         self.version(version_id)
         previous = self.champion_id
         self.champion_id = version_id
-        if self.telemetry is not None and previous != version_id:
+        if previous != version_id:
             self.telemetry.incr("registry.champion_changes")
             self.telemetry.event(
                 "champion_changed",

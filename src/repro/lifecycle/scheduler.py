@@ -182,13 +182,13 @@ class DriftTrigger:
 
     The detector's triage picks the action: any table scoring ``retrain``
     escalates the whole decision to a full retrain, otherwise the drift is
-    handled with a fine-tune.  On detection the experience ``store`` (when
-    given) is drift-tagged so subsequently ingested records carry the flag.
+    handled with a fine-tune.  On detection the experience ``store`` is
+    drift-tagged so subsequently ingested records carry the flag.
     """
 
     name = "drift"
 
-    def __init__(self, detector, *, check_every: int = 100, store=None) -> None:
+    def __init__(self, detector, *, store, check_every: int = 100) -> None:
         self.detector = detector
         self.check_every = check_every
         self.store = store
@@ -207,8 +207,7 @@ class DriftTrigger:
         if not drifted:
             return TriggerDecision(False, "drift:clean")
         self.detections += 1
-        if self.store is not None:
-            self.store.mark_drift(True)
+        self.store.mark_drift(True)
         action = (
             "retrain" if any(r.action == "retrain" for r in drifted) else "fine_tune"
         )
@@ -232,11 +231,10 @@ class RetrainOutcome:
     """Result of one retraining attempt (returned by :meth:`step`)."""
 
     version_id: str
-    parent: str | None
+    parent: str
     trigger: str
     action: str  # "fine_tune" | "retrain"
-    gate_passed: bool
-    deployed: bool
+    gate_passed: bool  # and so deployed at SHADOW
     at_query: int
 
 
@@ -263,17 +261,21 @@ class RetrainingScheduler(ServePolicy):
         trigger fires; the action escalates to ``retrain`` if any firing
         trigger asks for it.
     gate:
-        Optional :class:`~repro.lifecycle.gates.EvalGate`.  Without one
-        every challenger passes (useful in unit tests only).  Build it with
-        the registry's ``shared``: the challenger's registration digest is
-        handed to it as the challenger's metric-memo key.
+        The :class:`~repro.lifecycle.gates.EvalGate` every challenger
+        faces.  Build it with the registry's ``shared``: the challenger's
+        registration digest is handed to it as the challenger's
+        metric-memo key.
     deployment:
-        Optional :class:`~repro.serve.deployment.DeploymentManager`; a
-        gate-passing challenger enters it at SHADOW via
+        The :class:`~repro.serve.deployment.DeploymentManager` serving the
+        champion: a retrain clones the version it serves
+        (``model_version``, a registry id), and a gate-passing challenger
+        enters it at SHADOW via
         :meth:`~repro.serve.deployment.DeploymentManager.deploy`.  A
         failing challenger is registered (lineage keeps the failure) but
         never deployed.  Add the scheduler to that deployment's policies
         *last*: it reads what the sinks before it ingested.
+    telemetry:
+        The bus each retrain is counted and logged on.
     cooldown_queries:
         Minimum queries between retrainings, preventing trigger thrash.
     """
@@ -284,10 +286,10 @@ class RetrainingScheduler(ServePolicy):
         store,
         retrainer,
         *,
+        gate,
+        deployment,
+        telemetry,
         triggers=(),
-        gate=None,
-        deployment=None,
-        telemetry=None,
         cooldown_queries: int = 50,
     ) -> None:
         self.registry = registry
@@ -356,29 +358,21 @@ class RetrainingScheduler(ServePolicy):
         return self._retrain(action=action, reason=reason)
 
     def _retrain(self, *, action: str, reason: str) -> RetrainOutcome:
-        # Retrain from the model actually deployed (it may still be mid
-        # promotion and not yet the registry champion); fall back to the
-        # registry champion when the deployment is version-agnostic.
-        parent = None
-        if self.deployment is not None:
-            parent = self.deployment.model_version
-        if parent is None:
-            parent = self.registry.champion_id
-        if parent is None:
-            raise ConfigError("scheduler cannot retrain without a champion")
+        # Retrain from the model actually deployed: it may still be mid
+        # promotion and not yet the registry champion.
+        parent = self.deployment.model_version
         champion = self.registry.model(parent)
         snapshot = self.store.snapshot_id()
-        if self.telemetry is not None:
-            self.telemetry.incr("lifecycle.retrains")
-            self.telemetry.incr(f"lifecycle.action.{action}")
-            self.telemetry.event(
-                "retrain_started",
-                parent=parent,
-                action=action,
-                reason=reason,
-                at_query=self.ctx.queries,
-                snapshot=snapshot,
-            )
+        self.telemetry.incr("lifecycle.retrains")
+        self.telemetry.incr(f"lifecycle.action.{action}")
+        self.telemetry.event(
+            "retrain_started",
+            parent=parent,
+            action=action,
+            reason=reason,
+            at_query=self.ctx.queries,
+            snapshot=snapshot,
+        )
         challenger = self.retrainer(champion, self.store, action)
         if challenger is champion:
             raise ConfigError("retrainer returned the champion itself, not a clone")
@@ -389,23 +383,18 @@ class RetrainingScheduler(ServePolicy):
             snapshot_id=snapshot,
             created_at_ms=self.ctx.virtual_ms,
         )
-        gate_passed = True
-        if self.gate is not None:
-            report = self.gate.evaluate(
-                champion, challenger, challenger_fingerprint=version.fingerprint
-            )
-            gate_passed = report.passed
-            self.registry.record_gate(version.version_id, report)
-        deployed = False
+        report = self.gate.evaluate(
+            champion, challenger, challenger_fingerprint=version.fingerprint
+        )
+        gate_passed = report.passed
+        self.registry.record_gate(version.version_id, report)
         if gate_passed:
-            if self.deployment is not None:
-                self.deployment.deploy(
-                    challenger,
-                    version=version.version_id,
-                    reason=f"gate_passed:{reason}",
-                )
-                deployed = True
-                self.deploys += 1
+            self.deployment.deploy(
+                challenger,
+                version=version.version_id,
+                reason=f"gate_passed:{reason}",
+            )
+            self.deploys += 1
         else:
             self.gate_failures += 1
         self.retrains += 1
@@ -419,23 +408,21 @@ class RetrainingScheduler(ServePolicy):
             trigger=reason,
             action=action,
             gate_passed=gate_passed,
-            deployed=deployed,
             at_query=self.ctx.queries,
         )
         self.outcomes.append(outcome)
-        if self.telemetry is not None:
-            self.telemetry.incr(
-                "lifecycle.gate_passed" if gate_passed else "lifecycle.gate_failed"
-            )
-            self.telemetry.event(
-                "retrain_finished",
-                version=version.version_id,
-                parent=parent,
-                action=action,
-                gate_passed=gate_passed,
-                deployed=deployed,
-                at_query=self.ctx.queries,
-            )
+        self.telemetry.incr(
+            "lifecycle.gate_passed" if gate_passed else "lifecycle.gate_failed"
+        )
+        self.telemetry.event(
+            "retrain_finished",
+            version=version.version_id,
+            parent=parent,
+            action=action,
+            gate_passed=gate_passed,
+            deployed=gate_passed,
+            at_query=self.ctx.queries,
+        )
         return outcome
 
     # -- reporting -------------------------------------------------------------

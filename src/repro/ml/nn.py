@@ -63,12 +63,11 @@ class Dense(Layer):
         in_dim: int,
         out_dim: int,
         *,
+        rng: np.random.Generator,
         init: str = "he",
-        rng: np.random.Generator | None = None,
     ) -> None:
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError(f"Dense dims must be positive, got {in_dim}x{out_dim}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         if init == "he":
             scale = math.sqrt(2.0 / in_dim)
         elif init == "xavier":

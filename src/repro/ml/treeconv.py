@@ -207,13 +207,6 @@ class PlanTreeCorpus:
             self.features, self.left, self.right, self.starts[idx], self.sizes[idx]
         )
 
-    def take(self, idx: np.ndarray) -> PlanTreeBatch:
-        """One training batch holding trees ``idx`` in that order."""
-        if len(idx) == 0:
-            raise ValueError("cannot batch zero trees")
-        _, batches = next(self.plan([idx], len(idx)))
-        return next(batches)
-
     def plan(
         self, orders: Iterable[np.ndarray], batch_size: int
     ) -> Iterator[tuple[np.ndarray, Iterator[PlanTreeBatch]]]:

@@ -207,17 +207,16 @@ class EstimatorContractChecker:
     # -- bound soundness contracts ---------------------------------------------------
 
     def check_bound_soundness(
-        self, queries: list[Query], *, executor: CardinalityExecutor | None = None
+        self, queries: list[Query], *, executor: CardinalityExecutor
     ) -> list[Violation]:
         """``bound >= exact_count`` on every enumerated connected sub-query.
 
         The defining contract of a pessimistic estimator: its estimate is a
         *certificate*, so on every plan shape the enumerator can visit the
         certified value must dominate the true cardinality (computed by the
-        independent exact executor).  Sub-queries too large to count
+        independent exact ``executor``).  Sub-queries too large to count
         exactly are skipped, not assumed sound.
         """
-        executor = executor if executor is not None else CardinalityExecutor(self.db)
         violations: list[Violation] = []
         for q in queries:
             for sub in self._connected_subqueries(q):
@@ -240,18 +239,18 @@ class EstimatorContractChecker:
         return violations
 
     def check_bound_dominates(
-        self, point_estimator, queries: list[Query], *, tolerance: float | None = None
+        self, point_estimator, queries: list[Query], *, tolerance: float
     ) -> list[Violation]:
         """``bound >= point_estimate`` on every enumerated sub-query.
 
         The serving-side pairing contract: a learned point estimate above
         its certified bound is exactly what the :class:`~repro.faults.
         BoundGuard` trips on, so a healthy (point, bound) pairing must not
-        trip anywhere.  ``tolerance`` defaults to the checker's
-        multiplicative slack; ``zero_tolerance`` absorbs sub-row
-        fractional estimates against integral bounds.
+        trip anywhere.  ``tolerance`` is the multiplicative slack (a
+        histogram point estimate overshoots a near-exact bound by a few
+        percent); ``zero_tolerance`` absorbs sub-row fractional estimates
+        against integral bounds.
         """
-        tolerance = self.tolerance if tolerance is None else tolerance
         violations: list[Violation] = []
         for q in queries:
             for sub in self._connected_subqueries(q):

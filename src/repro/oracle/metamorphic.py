@@ -81,7 +81,6 @@ class MetamorphicSuite:
                     )
                 )
             outcome = verify_transform(
-                self.db,
                 query,
                 transformed,
                 baseline=baseline,

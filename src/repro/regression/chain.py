@@ -31,12 +31,12 @@ __all__ = ["GuardChain"]
 class GuardChain:
     """Apply guards in order; forward feedback to all of them."""
 
-    def __init__(self, *guards, telemetry=None) -> None:
+    def __init__(self, *guards, telemetry) -> None:
         if not guards:
             raise ValueError("GuardChain needs at least one guard")
         self.guards = tuple(guards)
-        #: optional telemetry bus (``incr``/``event``); the deployment
-        #: manager points this at its own bus.
+        #: the bus contained errors are counted on (the deployment
+        #: manager's own)
         self.telemetry = telemetry
         #: per-decision application order, e.g. ["eraser:coarse"] when the
         #: first guard intervened -- kept for tests and telemetry.
@@ -50,9 +50,8 @@ class GuardChain:
     def _contain(self, guard, exc: Exception, phase: str) -> None:
         self.errors += 1
         self.last_errors.append((type(guard).__name__, repr(exc)))
-        if self.telemetry is not None:
-            self.telemetry.incr("guard.errors")
-            self.telemetry.incr(f"guard.errors.{phase}")
+        self.telemetry.incr("guard.errors")
+        self.telemetry.incr(f"guard.errors.{phase}")
 
     def __call__(
         self, query: Query, candidate: CandidatePlan, native_plan: Plan

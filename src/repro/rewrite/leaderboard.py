@@ -80,9 +80,9 @@ class PromotionLeaderboard:
         :class:`~repro.rewrite.optimizer.RewritingOptimizer`
         does), so values-relation statistics stay in sync.
     store:
-        Optional :class:`~repro.rewrite.retrieval.GoldExampleStore`; when
-        given, rules whose cluster weight falls below ``selection_cutoff``
-        are not attempted, and promotions / demotions are recorded back.
+        The :class:`~repro.rewrite.retrieval.GoldExampleStore`: rules whose
+        cluster weight falls below ``selection_cutoff`` are not attempted,
+        and promotions / demotions are recorded back.
     telemetry:
         Optional :class:`~repro.serve.telemetry.TelemetryBus` receiving
         ``rewrite.*`` counters and events.
@@ -99,7 +99,7 @@ class PromotionLeaderboard:
         self,
         db: Database,
         *,
-        store: GoldExampleStore | None = None,
+        store: GoldExampleStore,
         telemetry=None,
     ) -> None:
         self.db = db
@@ -158,12 +158,8 @@ class PromotionLeaderboard:
             return cached
         self._incr("submitted")
         baseline_ms = self._time((query,))
-        baseline_count = exact_count(self.db, query, self.executor)
-        rule_names = list(self.rules)
-        if self.store is not None:
-            weights = self.store.rule_weights(query, rule_names)
-        else:
-            weights = {name: 1.0 for name in rule_names}
+        baseline_count = exact_count(query, self.executor)
+        weights = self.store.rule_weights(query, list(self.rules))
         entries: list[LeaderboardEntry] = []
         best: tuple[float, RewriteCandidate, LeaderboardEntry] | None = None
         for name, rule in self.rules.items():
@@ -180,8 +176,7 @@ class PromotionLeaderboard:
                 status = MISMATCH
                 self._incr("mismatches")
                 self._incr("anti_patterns")
-                if self.store is not None:
-                    self.store.record_anti(query, name, 0.0)
+                self.store.record_anti(query, name, 0.0)
             elif result.skipped:
                 status = SKIPPED
                 self._incr("skipped")
@@ -192,14 +187,12 @@ class PromotionLeaderboard:
                 if speedup >= self.promote_threshold:
                     status = PROMOTED
                     self._incr("promoted")
-                    if self.store is not None:
-                        self.store.record_gold(query, name, speedup)
+                    self.store.record_gold(query, name, speedup)
                 elif speedup <= self.demote_threshold:
                     status = DEMOTED
                     self._incr("demoted")
                     self._incr("anti_patterns")
-                    if self.store is not None:
-                        self.store.record_anti(query, name, speedup)
+                    self.store.record_anti(query, name, speedup)
                 else:
                     status = REJECTED
                     self._incr("rejected")

@@ -48,7 +48,6 @@ class RewriteValidator:
     """Exact count-preservation checks for rewrite candidates."""
 
     def __init__(self, db: Database) -> None:
-        self.db = db
         self.executor = CardinalityExecutor(db)
         self.checked = 0
         self.mismatches = 0
@@ -61,7 +60,6 @@ class RewriteValidator:
         self.checked += 1
         if candidate.servable:
             outcome = verify_transform(
-                self.db,
                 candidate.original,
                 candidate.rewritten,
                 baseline=baseline,
@@ -69,7 +67,6 @@ class RewriteValidator:
             )
         else:
             outcome = verify_union(
-                self.db,
                 candidate.original,
                 candidate.queries,
                 baseline=baseline,

@@ -43,14 +43,14 @@ class ValuesCatalog:
     db:
         The database rewritten queries will execute against.
     stats:
-        Optional :class:`~repro.optimizer.statistics.DatabaseStats` kept in
+        The :class:`~repro.optimizer.statistics.DatabaseStats` kept in
         sync: every new relation is registered via ``stats.refresh`` so the
         planner can cost plans over it immediately.
     """
 
     prefix = "vals"  # every values relation's table name starts ``vals_``
 
-    def __init__(self, db: Database, stats=None) -> None:
+    def __init__(self, db: Database, stats) -> None:
         self.db = db
         self.stats = stats
         self.attachments = 0
@@ -86,7 +86,6 @@ class ValuesCatalog:
         self.db.joins.append(
             JoinEdge(column.table, column.column, name, "v").normalized()
         )
-        if self.stats is not None:
-            self.stats.refresh(self.db, [name])
+        self.stats.refresh(self.db, [name])
         self.attachments += 1
         return name, join

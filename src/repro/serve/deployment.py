@@ -140,10 +140,8 @@ class DeploymentManager:
         self.learned = learned
         self.native = native
         self.simulator = simulator
-        self.guard = GuardChain(*guards) if guards else None
         self.telemetry = telemetry if telemetry is not None else TelemetryBus()
-        if self.guard is not None:
-            self.guard.telemetry = self.telemetry
+        self.guard = GuardChain(*guards, telemetry=self.telemetry) if guards else None
         self.stage = stage
         self.canary_fraction = canary_fraction
         self.window = window
@@ -229,7 +227,7 @@ class DeploymentManager:
         self,
         model,
         *,
-        version: str | None = None,
+        version: str,
         reason: str = "gate_passed",
     ) -> None:
         """Swap in a new (gated) model, entering at SHADOW.
@@ -249,7 +247,7 @@ class DeploymentManager:
         self.telemetry.event(
             "model_deployed",
             deployment=self.name,
-            version=version or "",
+            version=version,
             stage=Stage.SHADOW.value,
             reason=reason,
             at_query=self.queries_served,

@@ -27,12 +27,11 @@ class TelemetryAggregator:
     def __init__(
         self,
         *,
-        fabric_bus: TelemetryBus | None = None,
-        shard_buses: dict[str, TelemetryBus] | None = None,
+        fabric_bus: TelemetryBus,
+        shard_buses: dict[str, TelemetryBus],
     ) -> None:
-        self.sources: dict[str, TelemetryBus] = {}
-        named = [("fabric", fabric_bus)] if fabric_bus is not None else []
-        for name, bus in named + list((shard_buses or {}).items()):
+        self.sources: dict[str, TelemetryBus] = {"fabric": fabric_bus}
+        for name, bus in shard_buses.items():
             if name in self.sources:
                 raise ConfigError(f"telemetry source {name!r} already registered")
             self.sources[name] = bus

@@ -120,14 +120,14 @@ class ServingFabric:
         shards: list[ShardRuntime],
         tenants: TenantRegistry,
         *,
-        config: FabricConfig | None = None,
+        config: FabricConfig,
         router: ShardRouter | None = None,
     ) -> None:
         if not shards:
             raise ConfigError("fabric needs at least one shard")
         self.shards = list(shards)
         self.tenants = tenants
-        self.config = config if config is not None else FabricConfig()
+        self.config = config
         self.router = (
             router
             if router is not None

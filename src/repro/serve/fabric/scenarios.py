@@ -163,10 +163,10 @@ def synthetic_fabric(
     n_shards: int,
     specs: tuple[TenantSpec, ...] | list,
     *,
+    fabric_config: FabricConfig,
     seed: int = 0,
     n_workers: int = 2,
     shard_config: RuntimeConfig | None = None,
-    fabric_config: FabricConfig | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> FabricScenario:
     """Assemble a synthetic-backend fabric (no schedule attached yet --
@@ -190,7 +190,7 @@ def synthetic_fabric(
         f"synthetic:{n_shards}shards",
         shards,
         specs,
-        fabric_config if fabric_config is not None else FabricConfig(seed=seed),
+        fabric_config,
         injector,
     )
 
@@ -223,18 +223,14 @@ def sharded_fabric_scenario(
     scale: float = 0.3,
     seed: int = 0,
     n_queries: int = 96,
-    specs: tuple[TenantSpec, ...] | None = None,
-    mean_interarrival_ms: float = 30.0,
-    shard_config: RuntimeConfig | None = None,
-    fabric_config: FabricConfig | None = None,
-    stage: Stage = Stage.CANARY,
     fault_plan: FaultPlan | None = None,
 ) -> FabricScenario:
     """The full per-shard production stack at test scale.
 
-    One shared database; per shard, a complete serving stack: a native
-    optimizer with its own cardinality cache, a Bao-style learned
-    optimizer staged behind that shard's own
+    One shared database and six default tenants arriving 30 ms apart on
+    average; per shard, a complete serving stack: a native optimizer with
+    its own cardinality cache, a Bao-style learned optimizer staged CANARY
+    behind that shard's own
     :class:`~repro.serve.deployment.DeploymentManager`, a per-shard
     :class:`~repro.optimizer.PlanCache`, a per-shard
     :class:`~repro.faults.BoundGuard` over the estimator feeding the
@@ -243,8 +239,7 @@ def sharded_fabric_scenario(
     backends in the fault injector for reroute drills.
     """
     db = make_stats_lite(scale=scale, seed=seed)
-    if specs is None:
-        specs = default_tenant_specs()
+    specs = default_tenant_specs()
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     shards: list[ShardRuntime] = []
     for i in range(n_shards):
@@ -263,7 +258,7 @@ def sharded_fabric_scenario(
             native,
             ExecutionSimulator(db),
             telemetry=bus,
-            stage=stage,
+            stage=Stage.CANARY,
             canary_fraction=0.5,
             regression_threshold=3.0,
             plan_cache=PlanCache(),
@@ -271,7 +266,7 @@ def sharded_fabric_scenario(
         )
         shards.append(
             guarded_shard(
-                i, deployment, injector=injector, config=shard_config, telemetry=bus
+                i, deployment, injector=injector, config=None, telemetry=bus
             )
         )
     queries = WorkloadGenerator(db, seed=seed + 1).workload(
@@ -281,10 +276,8 @@ def sharded_fabric_scenario(
         f"sharded:{n_shards}shards",
         shards,
         specs,
-        fabric_config if fabric_config is not None else FabricConfig(seed=seed),
+        FabricConfig(seed=seed),
         injector,
-        build_fabric_schedule(
-            queries, specs, seed=seed, mean_interarrival_ms=mean_interarrival_ms
-        ),
+        build_fabric_schedule(queries, specs, seed=seed, mean_interarrival_ms=30.0),
         db,
     )

@@ -225,8 +225,8 @@ class TelemetryBus:
 
     # -- export ------------------------------------------------------------------
 
-    def events(self, kind: str | None = None) -> list[dict]:
-        return [e for e in self._events if kind is None or e["kind"] == kind]
+    def events(self, kind: str) -> list[dict]:
+        return [e for e in self._events if e["kind"] == kind]
 
     def histogram_summary(self, name: str) -> dict[str, float]:
         """One histogram's summary (the all-zero summary when nothing was

@@ -158,16 +158,16 @@ TRANSFORM_REGISTRY: dict[str, ResultPreservingTransform] = {
 }
 
 
-def exact_count(db: Database, query: Query, executor=None) -> int | None:
-    """Exact COUNT(*) via the vectorized executor; None when intractable.
+def exact_count(query: Query, executor) -> int | None:
+    """Exact COUNT(*) on ``executor``, a
+    :class:`~repro.engine.executor.CardinalityExecutor`; None when
+    intractable.
 
-    The executor import is deferred so ``repro.sql`` stays importable
+    The engine import is deferred so ``repro.sql`` stays importable
     without dragging the engine in at package-import time.
     """
-    from repro.engine.executor import CardinalityExecutor, IntermediateTooLarge
+    from repro.engine.executor import IntermediateTooLarge
 
-    if executor is None:
-        executor = CardinalityExecutor(db)
     try:
         return executor.cardinality(query)
     except IntermediateTooLarge:
@@ -195,24 +195,23 @@ class VerifyOutcome:
 
 
 def verify_transform(
-    db: Database,
     original: Query,
     transformed: Query,
     *,
+    executor,
     baseline: int | None = None,
-    executor=None,
 ) -> VerifyOutcome:
-    """Check COUNT(original) == COUNT(transformed) on the exact executor.
+    """Check COUNT(original) == COUNT(transformed) on the exact ``executor``.
 
     ``baseline`` lets callers that already computed the original's count
     (the metamorphic suite computes it once per query) skip re-counting.
     """
     expected = (
-        baseline if baseline is not None else exact_count(db, original, executor)
+        baseline if baseline is not None else exact_count(original, executor)
     )
     if expected is None:
         return VerifyOutcome(False, True, None, None, "original intractable")
-    actual = exact_count(db, transformed, executor)
+    actual = exact_count(transformed, executor)
     if actual is None:
         return VerifyOutcome(False, True, expected, None, "transformed intractable")
     if actual != expected:
@@ -227,12 +226,11 @@ def verify_transform(
 
 
 def verify_union(
-    db: Database,
     original: Query,
     branches: Sequence[Query],
     *,
+    executor,
     baseline: int | None = None,
-    executor=None,
 ) -> VerifyOutcome:
     """Check COUNT(original) == sum over branch counts.
 
@@ -241,13 +239,13 @@ def verify_union(
     must sum exactly to the original count.
     """
     expected = (
-        baseline if baseline is not None else exact_count(db, original, executor)
+        baseline if baseline is not None else exact_count(original, executor)
     )
     if expected is None:
         return VerifyOutcome(False, True, None, None, "original intractable")
     total = 0
     for branch in branches:
-        count = exact_count(db, branch, executor)
+        count = exact_count(branch, executor)
         if count is None:
             return VerifyOutcome(
                 False, True, expected, None, "branch intractable"

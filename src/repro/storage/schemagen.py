@@ -160,9 +160,9 @@ def generate_database(
     seed: int,
     config: SchemaGenConfig | None = None,
     *,
-    name: str | None = None,
+    name: str,
 ) -> Database:
-    """One random database: a pure function of ``(seed, config)``.
+    """One random database named ``name``: a pure function of ``(seed, config)``.
 
     Tables are named ``t0 .. tN``; each has an ``id`` primary key, one
     ``fk_<parent>`` column per incoming PK-FK edge, and 1+ attribute
@@ -272,8 +272,7 @@ def generate_database(
     for k, (a, b, _domain) in enumerate(m2m_edges):
         joins.append(JoinEdge(f"t{a}", f"m2m{k}", f"t{b}", f"m2m{k}"))
 
-    db_name = name if name is not None else f"gen_{int(seed) & 0xFFFFFFFF:08x}"
-    return Database(db_name, tables, joins)
+    return Database(name, tables, joins)
 
 
 def schema_family(

@@ -100,10 +100,9 @@ class Table:
     def column_names(self) -> list[str]:
         return list(self.columns)
 
-    def matrix(self, column_names: list[str] | None = None) -> np.ndarray:
+    def matrix(self, column_names: list[str]) -> np.ndarray:
         """Stack the given columns into an ``[n_rows, n_cols]`` float matrix."""
-        names = column_names if column_names is not None else self.column_names
-        return np.column_stack([self.values(n).astype(float) for n in names])
+        return np.column_stack([self.values(n).astype(float) for n in column_names])
 
     def append_rows(self, rows: dict[str, np.ndarray]) -> None:
         """Append rows given as a dict of column-name -> values.

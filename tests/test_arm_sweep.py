@@ -26,6 +26,7 @@ from repro.optimizer.cost import PlanCoster
 from repro.optimizer.planner import enumerate_dp, enumerate_dp_arms
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
 from repro.sql import Query, WorkloadGenerator
+from repro.serve.telemetry import TelemetryBus
 from repro.sql.joingraph import join_graph
 from tests.planner_reference import reference_enumerate_dp, reference_plan_arms
 
@@ -261,7 +262,7 @@ def _breaking(db):
     moves the estimator's cache tag."""
     breaker = CircuitBreaker(failure_threshold=1, cooldown_ms=0.0)
     estimator = FallbackEstimator(
-        _Flaky(db), TraditionalCardinalityEstimator(db), breaker=breaker
+        _Flaky(db), TraditionalCardinalityEstimator(db), breaker=breaker, telemetry=TelemetryBus()
     )
     return Optimizer(db, estimator=estimator)
 

@@ -29,8 +29,8 @@ from repro.optimizer import (
 from repro.oracle import EstimatorContractChecker, apply_mutation
 from repro.serve import Stage, bound_guard_scenario
 from repro.serve.telemetry import TelemetryBus
-from repro.sql import WorkloadGenerator
-from repro.storage import make_stats_lite
+from repro.sql import WorkloadGenerator, parse_query
+from repro.storage import SchemaGenConfig, generate_database, make_stats_lite
 
 
 @pytest.fixture(scope="module")
@@ -78,12 +78,30 @@ class TestBoundSoundness:
         est.refresh()
         assert est.estimates_version != before
 
+    def test_mcv_pairs_can_be_looser_than_the_degree_bound(self):
+        """The two estimators do not coincide on generated schemas.  On this
+        3-table sub-query the MCV pair step is the smaller first step, and
+        the greedy growth then compounds past the pure degree order: both
+        bounds are sound, the MCV one is the looser."""
+        db = generate_database(6, SchemaGenConfig(), name="gen")
+        query = parse_query(
+            "SELECT COUNT(*) FROM t0, t1, t4 WHERE t0.id = t1.fk_t0 AND t0.id = t4.fk_t0 "
+            "AND t1.id = t4.fk_t1 AND t0.a0 = 6.0 AND t1.a0 BETWEEN 0.0 AND 1.0 AND t1.a1 <= 1.0"
+        )
+        exact = CardinalityExecutor(db).cardinality(query)
+        mcv = MCVJoinBoundEstimator(db).estimate(query)
+        agm = AGMSketchBoundEstimator(db).estimate(query)
+        assert mcv > agm >= exact
+        assert (mcv, agm, exact) == (1136.0, 990.0, 0)
+
     def test_oracle_catches_seeded_undercount(self, stats_db, bound_workload):
         with apply_mutation("bound_undercounts"):
             checker = EstimatorContractChecker(
                 stats_db, MCVJoinBoundEstimator(stats_db)
             )
-            violations = checker.check_bound_soundness(bound_workload)
+            violations = checker.check_bound_soundness(
+                bound_workload, executor=CardinalityExecutor(stats_db)
+            )
         assert violations, "the /8 undercount mutation went undetected"
         assert all(v.check == "bound_soundness" for v in violations)
 

@@ -45,29 +45,34 @@ and in each owner (not caught).  A new invariant of that kind is a row.
     is on ``TEST_ONLY`` / ``PROTOCOLS``;
 (c) every ``examples/*.py`` still imports (without running it);
 (d) every knob has a second product value.  A knob is a defaulted
-    parameter of a callable under ``src/repro`` (a class's constructor --
-    its ``__init__``, or the defaulted fields of a ``frozen=True``
-    dataclass --, a method or a function), keyed ``Callable.param``.  Each
-    call under ``src/``, ``benchmarks/``, ``perf/`` or ``examples/`` of the
-    callable's name (same-named callables pool their calls; a subclass's
-    ``super().__init__`` calls its base; a keyed ``core/registry.py`` row
-    calls the class it names with its args) gives the knob a value: the
-    literal it passes by position or keyword (a ``**`` dict display's
-    string keys are keywords), a value unlike any other for a non-literal,
-    a ``*`` spread or a display's computed key, the default when it omits
-    it.  A forwarded argument -- a bare name that is a parameter of the
-    callable under ``src/repro`` the call is in, never rebound there,
-    passed as ``x=x`` or by position -- gives the values that callable's
-    own calls give that parameter, resolved to a fixpoint (a cycle adds
-    nothing, a callable nothing calls gives none).  A ``**`` spread of
-    anything but a dict display into a callable with knobs fails on its
-    own: it forwards knobs the rule cannot see, so the callee's parameters
-    are spelled out instead.  A knob whose calls give it exactly one value
-    -- always the default, or always one literal -- is a constant; one
-    whose every value arrives through an allow-listed knob is covered by
-    that entry.  A knob kept anyway is on ``POSITIONAL`` (product code
-    sets it where the rule cannot see a second value: ``perf/`` pins it)
-    or ``TEST_SEAMS`` (a safety bound, a fake's seam, a size the tests
+    parameter of a callable under ``src/repro`` (a class's constructor
+    -- its ``__init__``, or the defaulted fields of a ``frozen=True``
+    dataclass --, a method or a function), keyed ``Callable.param``.
+    Each call under ``src/``, ``benchmarks/``, ``perf/`` or
+    ``examples/`` of the callable's name (same-named callables pool
+    their calls; a subclass's ``super().__init__`` calls its base; a
+    keyed ``core/registry.py`` row calls the class it names with its
+    args) gives the knob a value: the literal it passes by position or
+    keyword (a ``**`` dict display's string keys are keywords), a value
+    unlike any other for a non-literal, a ``*`` spread or a display's
+    computed key, the default when it omits it; README's python blocks
+    are calls too.  A forwarded argument -- a bare name that is a
+    parameter of the callable under ``src/repro`` the call is in, never
+    rebound there, passed as ``x=x`` or by position -- gives the values
+    that callable's own calls give that parameter, resolved to a
+    fixpoint over the full value set (a cycle adds nothing, a callable
+    nothing calls gives none). A ``**`` spread of anything but a dict
+    display into a callable with knobs fails on its own: it forwards
+    knobs the rule cannot see, so the callee's parameters are spelled
+    out instead.  A knob whose calls give it exactly one value -- always
+    the default, or always one literal -- is a constant; one whose every
+    value arrives through an allow-listed knob is covered by that entry.
+    A knob whose default is ``None`` is given ``None`` by some product
+    call -- literally, by omission, or through a forward -- or its
+    ``None`` only selects a path tests reach: it becomes required.  A
+    knob kept anyway is on ``POSITIONAL`` (product code sets it where
+    the rule cannot see a second value: ``perf/`` pins it) or
+    ``TEST_SEAMS`` (a safety bound, a fake's seam, a size the tests
     shrink, or a feature a ROADMAP item decides), each with its reason;
     an entry fails once its knob has a second product value, and a seam
     no test turns fails too;
@@ -179,7 +184,6 @@ TEST_ONLY = {
 #: rule (d): knobs product code sets where the rule sees one value --
 #: ``perf/`` pins them, and perf's files are the benchmark's (ROADMAP item 9)
 POSITIONAL = {
-    "WorkloadGenerator.workload.require_predicate": "perf/workloads.py: .workload(n_adhoc, 2, 4, require_predicate=True)",
     "WorkloadGenerator.parameterized_workload.min_tables": "perf/workloads.py: .parameterized_workload(n_templates, bindings, 2, 4, ...)",
     "WorkloadGenerator.parameterized_workload.max_tables": "the same perf call: 4",
     "WorkloadGenerator.parameterized_workload.require_predicate": "the same perf call: require_predicate=True",
@@ -206,9 +210,15 @@ TEST_SEAMS = {
     # -- a size the tests shrink
     "TreeConvNet.fit.batch_size": "test_treeconv_kernel's ragged batches (7, 6, 1..40) check the epoch plan against the loop",
     "NeoOptimizer.search_budget": "test_framework_instances cuts Neo's best-first search to 3 expansions to reach its greedy completion",
+    "sharded_fabric_scenario.n_shards": "a size the tests shrink: test_fabric / test_serve run 1-3 shards (README: 4)",
+    "sharded_fabric_scenario.scale": "a size the tests shrink: test_fabric / test_serve build at scale 0.1-0.2",
+    "sharded_fabric_scenario.seed": "a size the tests shrink: test_fabric / test_serve draw seeds 1 and 9",
+    "sharded_fabric_scenario.n_queries": "a size the tests shrink: test_fabric / test_serve serve 8-36 queries",
     # -- deferred: ROADMAP item 5 decides the guard chain on the serving path
     "DeploymentManager.guards": "DESIGN.md section 8 keeps the guard chain on the call path; test_serve / "
     "test_retrain_cadence veto through it, and item 5's soak is to enter ladder rung 3",
+    "sharded_fabric_scenario.fault_plan": "item 5's soak is its planned caller; test_fabric's reroute drill "
+    "on the real per-shard stack turns it",
     # -- deferred: ROADMAP item 2 decides the schema generator's profiles
     "SchemaGenConfig.n_components": "ROADMAP item 2",
     "SchemaGenConfig.topology": "ROADMAP item 2",
@@ -1272,14 +1282,17 @@ def knob_values(sources: Sources, *trees: str) -> tuple[dict, dict]:
     """``({Callable.param: Knob}, {Callable.param: {(value, via)}})``: every
     knob under ``src/repro`` that some call names (a callable nothing calls
     by name is rule (b)'s), and the values the calls under ``trees`` give
-    each parameter of a callable they name.  A forwarded argument (see
-    ``_file_calls``) gives the values its own parameter takes, resolved to
-    a fixpoint (a cycle adds nothing); ``via`` is the nearest allow-listed
-    knob a value was forwarded through, else ``None``."""
+    each parameter of a callable they name (a product run, one whose
+    ``trees`` hold ``src``, adds the registry rows and README's python
+    blocks).  A forwarded argument (see ``_file_calls``) gives the values
+    its own parameter takes, resolved to a fixpoint over the full value
+    set (a cycle adds nothing); ``via`` is the nearest allow-listed knob a
+    value was forwarded through, else ``None``."""
     callables, classes = _callables(sources)
     calls = [c for p in _files(*trees) for c in _file_calls(sources.text(p), str(p))]
     if "src" in trees:
         calls += _registry_calls(sources)
+        calls += _file_calls(_readme_code(sources), str(README))
     knobs, values, forwarded, passed = {}, defaultdict(set), defaultdict(set), defaultdict(list)
     for i, (name, args, keywords, spread, forwards) in enumerate(calls):
         for signature in _resolve(name, callables, classes):
@@ -1306,9 +1319,6 @@ def knob_values(sources: Sources, *trees: str) -> tuple[dict, dict]:
     pending = set(forwarded)
     while pending:
         key = pending.pop()
-        found = {value for value, _ in values[key]}
-        if len(found) > 1 or any(isinstance(value, Unique) for value in found):
-            continue  # two values already: what else arrives decides nothing
         arrived = {
             (value, origin if origin in allowed else via)
             for origin in forwarded[key]
@@ -1323,8 +1333,9 @@ def knob_values(sources: Sources, *trees: str) -> tuple[dict, dict]:
 def single_valued_knobs(sources: Sources) -> list[str]:
     """Every forwarded ``**`` spread, every knob its product calls give
     exactly one value, less the allow-lists and the knobs whose every value
-    arrives through an allow-listed one, then every allow-list entry that
-    names no such knob."""
+    arrives through an allow-listed one, every knob defaulting to ``None``
+    that no product call gives ``None``, then every allow-list entry that
+    names no one-valued knob."""
     knobs, values = knob_values(sources, *CODE_TREES)
     single = {
         key: value
@@ -1340,8 +1351,13 @@ def single_valued_knobs(sources: Sources) -> list[str]:
         f"{_where(knobs[key].path)}: {key} has one product value {single[key]!r}"
         for key in sorted(single.keys() - allowed - covered)
     ]
+    filled = [
+        f"{_where(knob.path)}: {key} defaults to None, which no product call gives it"
+        for key, knob in sorted(knobs.items())
+        if knob.default is None and None not in {value for value, _ in values[key]}
+    ]
     stale = [f"{key} is allow-listed but has no one product value" for key in sorted(allowed - single.keys())]
-    return forwarded_spreads(sources) + flagged + stale
+    return forwarded_spreads(sources) + flagged + filled + stale
 
 
 def test_every_keyword_parameter_is_named_outside_its_definers():
@@ -1959,6 +1975,17 @@ def test_seeded_super_init_forward_is_a_call():
     ]
 
 
+def test_seeded_none_only_readme_gives_is_kept():
+    """README's python blocks are product calls: a ``None`` default that
+    only README leaves ``None`` is taken, so it stays a default."""
+    theory = SRC / "cardest" / "theory.py"
+    planted = {theory: _read(theory).replace(_THEORY_END, _PROBE + "_SEEDED_RUN = _seeded_probe(None, executor=len)\n\n" + _THEORY_END)}
+    assert single_valued_knobs(Sources(planted)) == [_FILLED]
+    block = "\n```python\nfrom repro.cardest.theory import _seeded_probe\n_seeded_probe(None)\n```\n"
+    planted[README] = _read(README) + block
+    assert single_valued_knobs(Sources(planted)) == []
+
+
 def test_seeded_registry_row_is_a_reference_to_its_class_only():
     """A ``"module:Class"`` row builds the class; what calls its methods is
     the code that holds the instance, which the row is not."""
@@ -2038,6 +2065,15 @@ _CHAIN = (
     "def _seeded_inner(db, budget=7):\n    return budget\n\n\n"
 )
 _COUNTDOWN = "\ndef _seeded_countdown(n, step=1):\n    return n if n <= 0 else _seeded_countdown(n - step, step=step)\n\n\n"
+#: rule (d)'s ``None`` plants: a probe whose ``executor`` defaults to None,
+#: reached directly or through a forward; and p7's validator shape, whose
+#: own two values came before the forward that brings its ``None``
+_PROBE = "\ndef _seeded_probe(db, executor=None):\n    return executor\n\n\n"
+_FILLED = "src/repro/cardest/theory.py: _seeded_probe.executor defaults to None, which no product call gives it"
+_VALIDATE = (
+    "\ndef _seeded_validate(db, baseline=None):\n    return _seeded_verify(db, baseline=baseline)\n\n\n"
+    "def _seeded_verify(db, baseline=None):\n    return baseline\n\n\n"
+)
 
 
 #: the hand-written plants: ``case: (rule, root, rows)``, a row ``(relative
@@ -2122,10 +2158,12 @@ SEEDED = {
         # perf's positional 7 is a second value: the allow-list entry is stale
         ("perf/workloads.py", "default_tenant_specs(6)", "default_tenant_specs(7)",
          ["default_tenant_specs.n_tenants is allow-listed but has no one product value"]),
-        # forwarded keywords hide the callee's knobs: the spread itself is caught
+        # forwarded keywords hide the callee's knobs: the spread itself is
+        # caught, and the None its one caller may no longer pass
         ("src/repro/serve/scenarios.py", "OnlineAuditor(db, every=audit_every,",
          "OnlineAuditor(db, **audit_kwargs,",
-         ["src/repro/serve/scenarios.py spreads **audit_kwargs into OnlineAuditor"]),
+         ["src/repro/serve/scenarios.py spreads **audit_kwargs into OnlineAuditor",
+          "src/repro/oracle/audit.py: OnlineAuditor.bound_guard defaults to None, which no product call gives it"]),
         (_THEORY, _THEORY_END,
          "\ndef _seeded_build(db, options: dict):\n    return NaruEstimator(db, **options)\n\n" + _THEORY_END,
          [f"{_THEORY} spreads **options into NaruEstimator"]),
@@ -2147,6 +2185,31 @@ SEEDED = {
          _COUNTDOWN + "_SEEDED_RUN = _seeded_countdown(3), _seeded_countdown(3, step=2)\n\n" + _THEORY_END, []),
         (_THEORY, _THEORY_END, _COUNTDOWN + "_SEEDED_RUN = _seeded_countdown(3)\n\n" + _THEORY_END,
          [f"{_THEORY}: _seeded_countdown.step has one product value 1"]),
+    ]),
+    "test_seeded_none_default_no_product_call_takes_is_caught": ("d", ROOT, [
+        # every product call fills it
+        (_THEORY, _THEORY_END,
+         _PROBE + "_SEEDED_RUN = _seeded_probe(None, executor=len), _seeded_probe(None, executor=abs)\n\n"
+         + _THEORY_END,
+         [_FILLED]),
+        # ... one passing None is enough, by omission or literally
+        (_THEORY, _THEORY_END,
+         _PROBE + "_SEEDED_RUN = _seeded_probe(None, executor=len), _seeded_probe(None)\n\n" + _THEORY_END, []),
+        (_THEORY, _THEORY_END,
+         _PROBE + "_SEEDED_RUN = _seeded_probe(None, executor=len), _seeded_probe(None, None)\n\n" + _THEORY_END, []),
+        # reached only through a forward, whose own caller fills it
+        (_THEORY, _THEORY_END,
+         _PROBE + "def _seeded_wrap(db, executor):\n    return _seeded_probe(db, executor=executor)\n\n\n"
+         "_SEEDED_RUN = _seeded_wrap(None, len), _seeded_wrap(None, abs)\n\n" + _THEORY_END,
+         [_FILLED]),
+        # an omitted forwarded parameter brings its None after two direct values
+        (_THEORY, _THEORY_END,
+         _VALIDATE + "_SEEDED_RUN = _seeded_verify(None, baseline=len), _seeded_verify(None, baseline=abs), "
+         "_seeded_validate(None), _seeded_validate(None, baseline=len)\n\n" + _THEORY_END, []),
+        # README's guard is the one product call leaving BoundGuard.telemetry None
+        ("README.md", "breaker=CircuitBreaker(), tolerance=2.0)",
+         "breaker=CircuitBreaker(), tolerance=2.0, telemetry=bus)",
+         ["src/repro/faults/boundguard.py: BoundGuard.telemetry defaults to None, which no product call gives it"]),
     ]),
     "test_seeded_protocol_probe_is_caught": ("q", ROOT, [
         # a literal-name probe with its default, or without one

@@ -67,15 +67,17 @@ class TestRegistry:
                          "Bao", "Lero", "Neo", "Balsa", "LEON", "Eraser"):
             assert expected in methods
 
-    def test_every_end_to_end_system_instantiates_the_framework(self, imdb_optimizer):
+    def test_every_end_to_end_system_instantiates_the_framework(self, imdb_optimizer, imdb_simulator):
         """§2.2: a plan-exploration strategy plus a learned risk model, in
         the one loop that owns choose -> feedback -> retrain cadence."""
         systems = registry("end_to_end")
         assert len(systems) == 7
+        # LEON executes its DP runner-up out-of-band
+        extra = {"LEON": {"shadow_executor": imdb_simulator.latency}}
         for m in systems:
             cls = m.resolve()
             assert issubclass(cls, LearnedOptimizer), m.method
-            learned = cls(imdb_optimizer)
+            learned = cls(imdb_optimizer, **extra.get(m.method, {}))
             assert isinstance(learned.exploration, PlanExplorationStrategy), m.method
             assert isinstance(learned.risk_model, RiskModel), m.method
             for loop in ("choose_plan", "record_feedback", "retrain"):

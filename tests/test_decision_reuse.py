@@ -33,6 +33,7 @@ from repro.lifecycle import ModelRegistry
 from repro.optimizer import HintSet, Optimizer
 from repro.optimizer.planner import enumerate_dp, enumerate_greedy
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
+from repro.serve.telemetry import TelemetryBus
 from repro.sql import Query, WorkloadGenerator
 from repro.storage import make_stats_lite
 
@@ -300,7 +301,9 @@ def test_observe_reuses_the_scored_tree(stats_db, dial_optimizer):
 def test_a_registered_model_whose_optimizer_swept_still_verifies(stats_db):
     optimizer = Optimizer(stats_db)
     bao = BaoOptimizer(optimizer, seed=0)  # untrained: a decision only sweeps
-    registry = ModelRegistry(shared=(stats_db, optimizer.stats, optimizer.cache))
+    registry = ModelRegistry(
+        shared=(stats_db, optimizer.stats, optimizer.cache), telemetry=TelemetryBus()
+    )
     version = registry.register(bao)
     for q in _queries(stats_db, n=8):
         bao.choose_plan(q)

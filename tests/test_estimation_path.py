@@ -157,7 +157,7 @@ def _strict(query: Query) -> Query:
 @pytest.fixture(scope="module")
 def generated():
     """A generated schema and a workload on it with IN, OR, BETWEEN, < and >."""
-    db = generate_database(3, SchemaGenConfig(n_tables=(5, 6), rows=(200, 600)))
+    db = generate_database(3, SchemaGenConfig(n_tables=(5, 6), rows=(200, 600)), name="gen")
     queries = WorkloadGenerator(db, seed=4, or_rate=0.3).workload(
         40, 1, 4, require_predicate=True
     )

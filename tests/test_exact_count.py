@@ -95,7 +95,7 @@ def cyclic_schemas(draw):
         extra_edge_rate=draw(st.sampled_from((0.3, 0.6, 1.0))),
         many_to_many_rate=draw(st.sampled_from((0.0, 1.0))),
     )
-    return generate_database(draw(st.integers(0, 10_000)), config)
+    return generate_database(draw(st.integers(0, 10_000)), config, name="gen")
 
 
 @given(
@@ -131,7 +131,7 @@ _SHAPED = SchemaGenConfig(
 
 @pytest.mark.parametrize("keying", sorted(KEYINGS))
 def test_lookups_take_both_paths_and_a_drift_turns_one_off(keying, monkeypatch):
-    db = generate_database(12, _SHAPED)
+    db = generate_database(12, _SHAPED, name="gen")
     query = _graph_query(db, 0)
     peel, core, core_joins = join_graph(query).recipe
     assert [t for t, *_ in peel] == ["t2", "t4"] and core == ("t0", "t1", "t3", "t5")

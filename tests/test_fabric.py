@@ -790,6 +790,29 @@ class TestShardedFabricScenario:
                 assert "plan_cache" in snap["gauges"]
                 assert "bound_guard" in snap["gauges"]
 
+    def test_a_faulty_shard_reroutes_on_the_full_stack(self):
+        """A reroute drill on the real per-shard stack: one shard's backend
+        (its whole deployment) fails every call, its breaker trips, the
+        router moves its keys to the other shards, and reruns stay
+        byte-identical."""
+        plan = shard_fault_plan({"shard01": 1.0}, seed=9, kind="exception")
+
+        def drill():
+            scenario = sharded_fabric_scenario(
+                n_shards=3, scale=0.2, seed=9, n_queries=36, fault_plan=plan
+            )
+            return scenario, scenario.run()
+
+        (a, ra), (b, rb) = drill(), drill()
+        broken = a.fabric.shards[1]
+        assert broken.breaker.trips >= 1
+        assert broken.served == 0 and ra.rejected.get("error", 0) > 0
+        assert a.fabric.router.reroutes > 0
+        assert ra.n_served > 0 and ra.shard_served[0] + ra.shard_served[2] == ra.n_served
+        assert a.fabric.export_json(include_traces=True) == b.fabric.export_json(
+            include_traces=True
+        )
+
     def test_hot_tenant_specs_shape(self):
         specs = hot_tenant_specs(n_victims=2, hot_weight=6.0)
         assert [s.tenant_id for s in specs] == ["victim00", "victim01", "hot"]

@@ -158,12 +158,6 @@ class TestTopKDP:
             LeonOptimizer(optimizer, seed=4, **kwargs),
         )
 
-    def test_leon_serves_the_runner_up(self, stack):
-        old, new = self._pair(stack[0])
-        served = _same_run(old, new, stack)
-        assert {"default", "dp", "explore"} == {source for source, _, _ in served}
-        assert np.array_equal(new.risk_model.net.flat_params, old.comparator.net.flat_params)
-
     def test_leon_shadow_executes_the_runner_up(self, stack):
         old, new = self._pair(stack[0], shadow_executor=stack[1].latency)
         served = _same_run(old, new, stack)

@@ -61,7 +61,7 @@ def schemas(draw):
         extra_edge_rate=draw(st.sampled_from((0.0, 0.5, 1.0))),
         many_to_many_rate=draw(st.sampled_from((0.0, 1.0))),
     )
-    return generate_database(draw(st.integers(0, 10_000)), config)
+    return generate_database(draw(st.integers(0, 10_000)), config, name="gen")
 
 
 @given(schemas())
@@ -152,7 +152,9 @@ def test_a_planned_query_keeps_only_what_planning_needs():
     the 15 table sets of a 4-chain -- and keys the cardinality cache by
     field tuples, so no sub-query renders or digests its SQL."""
     db = generate_database(
-        0, SchemaGenConfig(n_tables=(4, 4), rows=(20, 40), topology="chain", many_to_many_rate=0.0)
+        0,
+        SchemaGenConfig(n_tables=(4, 4), rows=(20, 40), topology="chain", many_to_many_rate=0.0),
+        name="gen",
     )
     query = _graph_query(db)
     assert len(query.joins) == 3
@@ -165,7 +167,7 @@ def test_a_planned_query_keeps_only_what_planning_needs():
 
 
 def test_one_graph_per_shape_and_a_copy_finds_it():
-    db = generate_database(1, SchemaGenConfig(n_tables=(5, 5), topology="clique"))
+    db = generate_database(1, SchemaGenConfig(n_tables=(5, 5), topology="clique"), name="gen")
     query = _graph_query(db)
     twin = Query(query.tables, query.joins, (Predicate(ColumnRef("t0", "a0"), Op.GE, 0.0),))
     assert join_graph(twin) is join_graph(query)

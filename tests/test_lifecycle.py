@@ -14,7 +14,7 @@ from repro.bench import render_stats
 from repro.cardest.drift import DDUpDetector, DriftReport
 from repro.bench.workloads import apply_drift
 from repro.core.errors import ConfigError
-from repro.core.framework import CandidatePlan
+from repro.core.framework import CandidatePlan, PlannerModel
 from repro.core.interfaces import CardinalityEstimator, Decision, Retrainable
 from repro.e2e.bao import BaoOptimizer
 from repro.e2e.loop import OptimizationLoop
@@ -36,6 +36,7 @@ from repro.lifecycle import (
     lifecycle_stats,
     model_fingerprint,
 )
+from repro.lifecycle.gates import GateReport
 from repro.lifecycle.scheduler import SchedulerContext, linear_quantile
 from repro.optimizer.cardcache import CardinalityCache
 from repro.optimizer.hints import HintSet
@@ -198,18 +199,19 @@ def test_store_drift_tagging_and_labels():
         ExperienceStore(capacity=0)
 
 
-@pytest.mark.parametrize("cards", [None, [1.0, 2.0, 3.0, 4.0]])
+@pytest.mark.parametrize("cards", [[0.0, 3.0, 0.0, 1.0], [1.0, 2.0, 3.0, 4.0]])
 def test_store_ingests_drift_queries_from_an_iterator(cards):
-    """A generator is consumed once, not counted and then zipped empty."""
+    """A generator is consumed once, not counted and then zipped empty; a
+    true count of 0 is a label like any other."""
     qs = _store_queries(4)
     from_list = ExperienceStore(capacity=32, seed=0)
     from_list.add_drift_queries(qs, cards)
     from_iter = ExperienceStore(capacity=32, seed=0)
-    from_iter.add_drift_queries((q for q in qs), iter(cards) if cards else None)
+    from_iter.add_drift_queries((q for q in qs), iter(cards))
     assert from_iter.ingested == 4
     assert from_iter.snapshot_id() == from_list.snapshot_id()
-    labelled = [r for r in from_iter._records.values() if r.true_cardinality is not None]
-    assert len(labelled) == (4 if cards else 0)
+    labelled = [r.true_cardinality for r in from_iter._records.values()]
+    assert sorted(labelled) == sorted(cards)
 
 
 # -- registry (tentpole) ---------------------------------------------------------
@@ -230,7 +232,7 @@ def _refit(challenger):
 
 
 def test_registry_lineage_and_champion():
-    registry = ModelRegistry()
+    registry = ModelRegistry(telemetry=TelemetryBus())
     v0 = registry.register(_ToyModel([1.0]), trigger="initial")
     v1 = registry.register(
         _ToyModel([2.0]), parent=v0.version_id, trigger="retrain:drift"
@@ -255,7 +257,7 @@ def test_registry_lineage_and_champion():
 
 
 def test_registry_immutability_verification():
-    registry = ModelRegistry()
+    registry = ModelRegistry(telemetry=TelemetryBus())
     model = _ToyModel([1.0, 2.0])
     v = registry.register(model)
     assert registry.verify(v.version_id)
@@ -280,7 +282,6 @@ def _steered_champion(db, native, seed=0):
     """The lifecycle scenario's deployable unit: the native planner steered
     by a fitted GBDT estimator, on the learned-optimizer surface."""
     from repro.cardest.querydriven import GBDTQueryEstimator
-    from repro.core.framework import PlannerModel
     from repro.engine import CardinalityExecutor
     from repro.sql import WorkloadGenerator
 
@@ -321,7 +322,6 @@ def test_a_join_edge_unseen_in_training_leaves_the_fingerprint_alone():
     """The featurizer's join index is whole from construction: serving a
     query over an edge the training never joined changes nothing."""
     from repro.cardest.querydriven import GBDTQueryEstimator
-    from repro.core.framework import PlannerModel
     from repro.engine import CardinalityExecutor, ExecutionSimulator
     from repro.optimizer import Optimizer
     from repro.sql import WorkloadGenerator
@@ -338,11 +338,14 @@ def test_a_join_edge_unseen_in_training_leaves_the_fingerprint_alone():
     cards = np.array([float(executor.cardinality(q)) for q in train])
     estimator = GBDTQueryEstimator(db, seed=0).fit(train, cards)
     model = PlannerModel(native.with_estimator(estimator), name="steered")
-    registry = ModelRegistry(shared=shared)
+    telemetry = TelemetryBus()
+    registry = ModelRegistry(shared=shared, telemetry=telemetry)
     version = registry.register(model)
     model.choose_plan(over_unseen[0])
     assert registry.verify(version.version_id)
-    gate = EvalGate(over_unseen[:4], simulator=simulator, shared=shared)
+    gate = EvalGate(
+        over_unseen[:4], simulator=simulator, executor=executor, telemetry=telemetry, shared=shared
+    )
     gate._measured(model, version.fingerprint)
     assert version.fingerprint in gate._memo  # measured once, memoized
     assert registry.verify(version.version_id)
@@ -377,7 +380,7 @@ def test_fingerprint_that_cannot_cover_the_model_raises(monkeypatch):
     with pytest.raises(ConfigError, match="_ToyModel"):
         model_fingerprint(model)
     with pytest.raises(ConfigError, match="_ToyModel"):
-        ModelRegistry().register(model)
+        ModelRegistry(telemetry=TelemetryBus()).register(model)
     model.history = np.arange(40.0)  # the same content as one array: 3 steps
     assert model_fingerprint(model)
 
@@ -457,7 +460,7 @@ def test_fingerprint_past_the_depth_cap_raises():
     with pytest.raises(ConfigError, match="deeper than"):
         model_fingerprint(model)
     with pytest.raises(ConfigError, match="_ToyModel"):
-        ModelRegistry().register(model)
+        ModelRegistry(telemetry=TelemetryBus()).register(model)
 
 
 @pytest.fixture(scope="module")
@@ -494,7 +497,7 @@ def test_bao_fingerprint_sees_feedback_and_thompson_sampling(trained_bao):
 
 def test_registry_export_is_deterministic():
     def build():
-        r = ModelRegistry()
+        r = ModelRegistry(telemetry=TelemetryBus())
         v0 = r.register(_ToyModel([1.0]), trigger="initial")
         r.record_stage(v0.version_id, "live", reason="initial")
         r.register(_ToyModel([2.0]), parent=v0.version_id, trigger="retrain:x")
@@ -679,17 +682,52 @@ def test_drift_trigger_triage_escalates_to_retrain():
     d = trig.check(ctx)
     assert d.fired and d.action == "fine_tune" and "users" in d.reason
     assert store.drift_tag  # drift episodes tag subsequent experience
-    trig2 = DriftTrigger(_FakeDetector([fine, big]), check_every=1)
+    trig2 = DriftTrigger(_FakeDetector([fine, big]), check_every=1, store=store)
     ctx.queries = 6
     assert trig2.check(ctx).action == "retrain"  # any retrain report escalates
 
 
+class _PassingGate:
+    """A gate every challenger passes: a toy model plans nothing an
+    :class:`EvalGate` could measure."""
+
+    def evaluate(self, champion, challenger, *, challenger_fingerprint):
+        return GateReport(True, (), {}, {})
+
+
+class _Deployment:
+    """What the scheduler reads of a deployment: the registry version it
+    serves, which each deploy replaces."""
+
+    def __init__(self, version_id):
+        self.model_version = version_id
+        self.deployed = []
+
+    def deploy(self, model, *, version, reason):
+        self.model_version = version
+        self.deployed.append(version)
+
+
+def _toy_scheduler(registry, store, retrainer, **kw):
+    """A scheduler over toy models: a passing gate, a recording deployment
+    serving the registry's champion."""
+    return RetrainingScheduler(
+        registry,
+        store,
+        retrainer,
+        gate=_PassingGate(),
+        deployment=_Deployment(registry.champion_id),
+        telemetry=TelemetryBus(),
+        **kw,
+    )
+
+
 def test_scheduler_composes_triggers_with_cooldown():
-    registry = ModelRegistry()
+    registry = ModelRegistry(telemetry=TelemetryBus())
     store = ExperienceStore(capacity=16, seed=0)
     v0 = registry.register(_ToyModel([1.0]), trigger="initial")
     registry.record_stage(v0.version_id, "live", reason="initial")
-    sched = RetrainingScheduler(
+    sched = _toy_scheduler(
         registry,
         store,
         lambda champion, store, action: _refit(clone_model(champion)),
@@ -701,9 +739,11 @@ def test_scheduler_composes_triggers_with_cooldown():
     # Cadence alone would fire at 10/20/30/40; the cooldown holds triggers
     # unchecked until query 35 (10 + 25), where the cadence is overdue.
     assert [o.at_query for o in fired] == [10, 35]
-    assert all(o.gate_passed and not o.deployed for o in fired)  # no gate/deployment
-    # Lineage: each challenger's parent is the champion it was cloned from.
-    assert fired[0].parent == v0.version_id
+    assert all(o.gate_passed for o in fired)
+    assert sched.deployment.deployed == [o.version_id for o in fired]
+    # Lineage: each challenger's parent is the version deployed when it
+    # was cloned.
+    assert [o.parent for o in fired] == [v0.version_id, fired[0].version_id]
     assert len(registry) == 3
     assert sched.stats()["retrains"] == 2
 
@@ -726,11 +766,11 @@ def test_scheduler_policy_estimates_only_for_its_triggers():
     deployment = SimpleNamespace(learned=SimpleNamespace(estimator=estimator, optimizer=planner))
     decision = _decision(None)
     retrainer = lambda champion, store, action: _refit(clone_model(champion))  # noqa: E731
-    frozen = RetrainingScheduler(ModelRegistry(), ExperienceStore(8), retrainer)
+    frozen = _toy_scheduler(ModelRegistry(telemetry=TelemetryBus()), ExperienceStore(8), retrainer)
     frozen.on_decision(deployment, decision)
     assert estimator.calls == 0 and frozen.ctx.queries == 1
-    watching = RetrainingScheduler(
-        ModelRegistry(), ExperienceStore(8), retrainer,
+    watching = _toy_scheduler(
+        ModelRegistry(telemetry=TelemetryBus()), ExperienceStore(8), retrainer,
         triggers=[QErrorTrigger()],
     )
     watching.on_decision(deployment, decision)
@@ -783,11 +823,11 @@ def test_gate_qerrors_batched_equal_the_scalar_loop():
 
 
 def test_scheduler_rejects_mutating_retrainer():
-    registry = ModelRegistry()
+    registry = ModelRegistry(telemetry=TelemetryBus())
     store = ExperienceStore(capacity=4, seed=0)
     v0 = registry.register(_ToyModel([1.0]), trigger="initial")
     registry.record_stage(v0.version_id, "live", reason="initial")
-    sched = RetrainingScheduler(
+    sched = _toy_scheduler(
         registry,
         store,
         lambda champion, s, action: champion,  # returns the champion itself
@@ -859,10 +899,12 @@ def test_gate_passes_equivalent_challenger_into_shadow(gate_stack):
     telemetry = TelemetryBus()
     registry = ModelRegistry(shared=shared, telemetry=telemetry)
     store = ExperienceStore(capacity=64, seed=0)
-    champion = BaoOptimizer(native, seed=0)
+    champion, _ = _steered_champion(db, native)
     v0 = registry.register(champion, trigger="initial")
     registry.record_stage(v0.version_id, "live", reason="initial")
-    gate = EvalGate(holdout, simulator=simulator)  # Bao has no estimator to score
+    gate = EvalGate(
+        holdout, simulator=simulator, executor=executor, telemetry=telemetry, shared=shared
+    )
     deployment = DeploymentManager(
         champion,
         native,
@@ -875,14 +917,14 @@ def test_gate_passes_equivalent_challenger_into_shadow(gate_stack):
     sched = RetrainingScheduler(
         registry,
         store,
-        lambda champion, s, action: _refit(clone_model(champion, shared=shared)),
+        lambda champion, s, action: clone_model(champion, shared=shared),
         gate=gate,
         triggers=[CadenceTrigger(every_queries=1)],
         deployment=deployment,
         telemetry=telemetry,
     )
     outcome = sched.step()
-    assert outcome.gate_passed and outcome.deployed
+    assert outcome.gate_passed
     # The challenger entered at SHADOW -- never straight to LIVE.
     assert deployment.stage is Stage.SHADOW
     assert deployment.learned is not champion
@@ -906,16 +948,20 @@ def _slow(challenger, native):
 def test_gate_failure_never_reaches_deployment(gate_stack):
     db, native, simulator, executor, holdout = gate_stack
     shared = (db, native, simulator, executor, native.stats, native.cache)
-    registry = ModelRegistry(shared=shared)
+    telemetry = TelemetryBus()
+    registry = ModelRegistry(shared=shared, telemetry=telemetry)
     store = ExperienceStore(capacity=64, seed=0)
-    champion = BaoOptimizer(native, seed=0)
+    champion, _ = _steered_champion(db, native)
     v0 = registry.register(champion, trigger="initial")
     registry.record_stage(v0.version_id, "live", reason="initial")
-    gate = EvalGate(holdout, simulator=simulator)  # Bao has no estimator to score
+    gate = EvalGate(
+        holdout, simulator=simulator, executor=executor, telemetry=telemetry, shared=shared
+    )
     deployment = DeploymentManager(
         champion,
         native,
         simulator,
+        telemetry=telemetry,
         stage=Stage.LIVE,
         model_version=v0.version_id,
         policies=[registry],
@@ -923,15 +969,14 @@ def test_gate_failure_never_reaches_deployment(gate_stack):
     sched = RetrainingScheduler(
         registry,
         store,
-        lambda champion, s, action: _slow(
-            _refit(clone_model(champion, shared=shared)), native
-        ),
+        lambda champion, s, action: _slow(clone_model(champion, shared=shared), native),
         gate=gate,
         triggers=[CadenceTrigger(every_queries=1)],
         deployment=deployment,
+        telemetry=telemetry,
     )
     outcome = sched.step()
-    assert not outcome.gate_passed and not outcome.deployed
+    assert not outcome.gate_passed
     # Hard constraint: the failing challenger never touched the deployment.
     assert deployment.learned is champion
     assert deployment.model_version == v0.version_id
@@ -940,9 +985,7 @@ def test_gate_failure_never_reaches_deployment(gate_stack):
     assert report["passed"] is False and report["reasons"]
     assert sched.stats()["gate_failures"] == 1
     with pytest.raises(ConfigError):
-        EvalGate([], simulator=simulator)
-    with pytest.raises(ConfigError):
-        EvalGate(holdout)
+        EvalGate([], simulator=simulator, executor=executor, telemetry=telemetry)
 
 
 # -- the gate's metric memo ---------------------------------------------------------
@@ -960,6 +1003,7 @@ def _memoless_twin(gate) -> _MemolessGate:
         gate.queries,
         simulator=gate.simulator,
         executor=gate.executor,
+        telemetry=gate.telemetry,
     )
 
 
@@ -990,7 +1034,9 @@ def _memo_stack(seed=0):
     shared = (db, native, simulator, executor, native.stats, native.cache)
     champion, queries = _steered_champion(db, native, seed=seed)
     holdout = WorkloadGenerator(db, seed=9).workload(12, 1, 2, require_predicate=True)
-    gate = EvalGate(holdout, simulator=simulator, executor=executor, shared=shared)
+    gate = EvalGate(
+        holdout, simulator=simulator, executor=executor, telemetry=TelemetryBus(), shared=shared
+    )
     return gate, champion, queries, shared, native
 
 
@@ -1032,21 +1078,34 @@ def test_gate_memo_caches_metrics_not_verdicts(monkeypatch):
     assert not report.passed and report.reasons[0].startswith("p50 latency")  # ... and judged anew
 
 
-def test_gate_memo_never_answers_a_model_that_draws_while_planning(trained_bao, monkeypatch):
-    # Bao has no estimator to score: the gate measures latency only
-    bao, queries, simulator, shared = trained_bao
-    gate = EvalGate(queries, simulator=simulator, shared=shared)
+class _DrawingPlanner(PlannerModel):
+    """A steered planner whose ``choose_plan`` draws from its Generator, as
+    Bao's Thompson sampling does."""
+
+    def __init__(self, optimizer):
+        super().__init__(optimizer, name="drawing")
+        self.rng = np.random.default_rng(0)
+
+    def choose_plan(self, query):
+        self.rng.random()
+        return super().choose_plan(query)
+
+
+def test_gate_memo_never_answers_a_model_that_draws_while_planning(monkeypatch):
+    gate, steered, _, shared, _ = _memo_stack()
+    drawing = _DrawingPlanner(steered.optimizer)
     passes = _count_passes(gate, monkeypatch)
-    champion = clone_model(bao, shared=shared)
-    challenger = clone_model(bao, shared=shared)
+    champion = clone_model(drawing, shared=shared)
+    challenger = clone_model(drawing, shared=shared)
     for _ in range(2):
         gate.evaluate(champion, challenger)
-    # Thompson sampling moved each Generator, so no pass was ever stored.
+    # Each pass moved each Generator, so no pass was ever stored.
     assert passes == [champion, challenger] * 2
 
     def scheduled(gate_class):
-        registry = ModelRegistry(shared=shared)
-        v0 = registry.register(clone_model(bao, shared=shared), trigger="initial")
+        telemetry = TelemetryBus()
+        registry = ModelRegistry(shared=shared, telemetry=telemetry)
+        v0 = registry.register(clone_model(drawing, shared=shared), trigger="initial")
         registry.record_stage(v0.version_id, "live", reason="initial")
         sched = RetrainingScheduler(
             registry,
@@ -1054,7 +1113,15 @@ def test_gate_memo_never_answers_a_model_that_draws_while_planning(trained_bao, 
             lambda current, store, action: clone_model(current, shared=shared),
             triggers=[CadenceTrigger(every_queries=1)],
             cooldown_queries=1,
-            gate=gate_class(queries, simulator=simulator, shared=shared),
+            gate=gate_class(
+                gate.queries,
+                simulator=gate.simulator,
+                executor=gate.executor,
+                telemetry=telemetry,
+                shared=shared,
+            ),
+            deployment=_Deployment(v0.version_id),
+            telemetry=telemetry,
         )
         for _ in range(3):
             sched.step(1.0)

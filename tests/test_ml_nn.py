@@ -31,13 +31,13 @@ def numerical_gradient(f, x, eps=1e-6):
 
 class TestDense:
     def test_forward_shape(self):
-        layer = Dense(4, 3)
+        layer = Dense(4, 3, rng=np.random.default_rng(0))
         out = layer.forward(np.ones((5, 4)))
         assert out.shape == (5, 3)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
-            Dense(0, 3)
+            Dense(0, 3, rng=np.random.default_rng(0))
 
     def test_backward_matches_numerical_gradient(self):
         rng = np.random.default_rng(0)
@@ -177,5 +177,6 @@ class TestMLP:
 
 class TestSequential:
     def test_collects_parameters(self):
-        net = Sequential([Dense(3, 4), ReLU(), Dense(4, 2)])
+        rng = np.random.default_rng(0)
+        net = Sequential([Dense(3, 4, rng=rng), ReLU(), Dense(4, 2, rng=rng)])
         assert len(net.parameters()) == 4  # two dense layers x (w, b)

@@ -170,7 +170,8 @@ class TestStructuredGradients:
         target = np.array([[1.0], [2.0], [-1.0], [0.5]])
         net = TreeConvNet(4, (5, 4), (3,), seed=1)
         # A training batch: it carries the parent slots the backward reads.
-        batch = PlanTreeCorpus.from_trees(trees).take(np.arange(len(trees)))
+        _, batches = next(PlanTreeCorpus.from_trees(trees).plan([np.arange(len(trees))], len(trees)))
+        batch = next(batches)
 
         def loss():
             return float(((net.forward(batch) - target) ** 2).sum())

@@ -7,6 +7,7 @@ from repro.costmodel import PlanFeaturizer
 from repro.e2e import BaoOptimizer, OptimizationLoop
 from repro.regression import Eraser, GuardChain, PerfGuard
 from repro.regression.eraser import _plan_features
+from repro.serve.telemetry import TelemetryBus
 from repro.sql import WorkloadGenerator
 
 
@@ -192,14 +193,14 @@ class _SpyGuard:
 class TestGuardChain:
     def test_requires_guards(self):
         with pytest.raises(ValueError):
-            GuardChain()
+            GuardChain(telemetry=TelemetryBus())
 
     def test_order_respected(self, imdb_optimizer, workload):
         # The second guard must see the *first* guard's output: after g1
         # swaps in the native plan, g2 observes source "g1", not "arm".
         q, native, risky = _first_divergent(imdb_optimizer, workload)
         g1, g2 = _SpyGuard("g1", swap=True), _SpyGuard("g2")
-        chain = GuardChain(g1, g2)
+        chain = GuardChain(g1, g2, telemetry=TelemetryBus())
         out = chain(q, CandidatePlan(risky, "arm"), native)
         assert g1.seen_sources == ["arm"]
         assert g2.seen_sources == ["g1"]
@@ -210,7 +211,7 @@ class TestGuardChain:
         q = workload[0]
         native = imdb_optimizer.plan(q)
         g1, g2 = _SpyGuard("g1"), _SpyGuard("g2")
-        chain = GuardChain(g1, g2)
+        chain = GuardChain(g1, g2, telemetry=TelemetryBus())
         chain.record(q, CandidatePlan(native, "default"), 1.0, 1.0)
         assert g1.recorded == ["default"]
         assert g2.recorded == ["default"]
@@ -239,7 +240,7 @@ class TestGuardChain:
 
         eraser = Eraser(featurizer)
         perfguard = PerfGuard(featurizer)
-        chain = GuardChain(eraser, perfguard)
+        chain = GuardChain(eraser, perfguard, telemetry=TelemetryBus())
         loop = OptimizationLoop(
             RiskyChooser(), imdb_simulator, imdb_optimizer, guard=chain,
             policies=[RetrainCadence(perfguard, every=30)],

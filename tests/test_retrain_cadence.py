@@ -17,7 +17,7 @@ from repro.engine import ExecutionSimulator
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.optimizer import HintSet
 from repro.regression import PerfGuard
-from repro.rewrite import PromotionLeaderboard
+from repro.rewrite import GoldExampleStore, PromotionLeaderboard
 from repro.serve import DeploymentManager, Stage
 from repro.serve.scenarios import (
     RegressionInjector,
@@ -68,7 +68,7 @@ def test_refits_every_n_feedbacks_counted_from_the_last_refit():
 @pytest.mark.parametrize("kind", ["regression_injector", "faulty"])
 def test_a_wrapped_model_refits_at_its_own_feedback_count(kind):
     db = make_stats_lite(scale=0.15, seed=0)
-    leaderboard = PromotionLeaderboard(db)
+    leaderboard = PromotionLeaderboard(db, store=GoldExampleStore(db))
     optimizer = leaderboard.optimizer
     bao = BaoOptimizer(optimizer, seed=0)
     refits = _spy_refits(bao)

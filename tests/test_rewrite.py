@@ -17,10 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import ExecutionSimulator
+from repro.engine import CardinalityExecutor, ExecutionSimulator
 from repro.e2e.loop import OptimizationLoop
 from repro.optimizer import Optimizer
 from repro.optimizer.plancache import PlanCache
+from repro.optimizer.statistics import DatabaseStats
 from repro.oracle.fixtures import make_deep_chain
 from repro.pilotscope.console import PilotScopeConsole
 from repro.pilotscope.postgres_sim import SimulatedPostgreSQL
@@ -53,9 +54,14 @@ def fresh_db(scale: float = 0.15, seed: int = 0):
 
 
 def _count(db, query):
-    n = exact_count(db, query)
+    n = exact_count(query, CardinalityExecutor(db))
     assert n is not None
     return n
+
+
+def _catalog(db):
+    """A values catalog keeping its own statistics of ``db`` in sync."""
+    return ValuesCatalog(db, DatabaseStats.build(db))
 
 
 def col(table, column):
@@ -247,7 +253,7 @@ def test_in_to_join_preserves_count_and_registers_relation():
 
 def test_values_catalog_drops_non_integral_literals():
     db = fresh_db()
-    catalog = ValuesCatalog(db)
+    catalog = _catalog(db)
     t = "users"
     c = col(t, "id")
     assert db.table(t).values("id").dtype.kind == "i"
@@ -264,7 +270,7 @@ def test_rules_never_mutate_the_input_query():
     query = _joined_query(db)
     frozen = query_hash(query)
     for rule in REWRITE_RULES.values():
-        rule.apply(db, query, catalog=ValuesCatalog(db))
+        rule.apply(db, query, catalog=_catalog(db))
     assert query_hash(query) == frozen
 
 
@@ -289,7 +295,7 @@ def test_pushdown_exact_past_float64_on_deep_chain():
 
 def test_in_to_join_exact_past_float64_on_deep_chain():
     db, query, expected = make_deep_chain()
-    catalog = ValuesCatalog(db)
+    catalog = _catalog(db)
     filtered = Query(
         query.tables,
         query.joins,
@@ -375,8 +381,8 @@ def test_store_anti_patterns_downweight_similar_queries():
 # -- promotion leaderboard ----------------------------------------------------------
 
 
-def _leaderboard(db, **kwargs):
-    return PromotionLeaderboard(db, **kwargs)
+def _leaderboard(db):
+    return PromotionLeaderboard(db, store=GoldExampleStore(db, seed=0))
 
 
 def test_leaderboard_state_machine_and_idempotence():
@@ -426,7 +432,7 @@ def test_leaderboard_snapshot_deterministic_across_processes():
     for _ in range(2):
         db = fresh_db()
         store = GoldExampleStore(db, seed=0)
-        lb = _leaderboard(db, store=store)
+        lb = PromotionLeaderboard(db, store=store)
         workload = WorkloadGenerator(db, seed=7).rewrite_susceptible_workload(10)
         lb.submit_workload(workload)
         exports.append((lb.to_json(), store.export()))
@@ -513,6 +519,6 @@ def test_rewrite_susceptible_workload_seeded_and_shaped():
         name
         for q in a
         for name, rule in REWRITE_RULES.items()
-        if rule.apply(db, q, catalog=ValuesCatalog(db)) is not None
+        if rule.apply(db, q, catalog=_catalog(db)) is not None
     }
     assert applied == set(REWRITE_RULES)

@@ -8,8 +8,10 @@ from repro.core.framework import CandidatePlan, RetrainCadence
 from repro.core.interfaces import CardinalityEstimator, InjectedCardinalities
 from repro.e2e import BaoOptimizer, OptimizationLoop
 from repro.engine import ExecutionSimulator, SimulatorConfig
+from repro.faults import CircuitBreaker
 from repro.optimizer import Optimizer
 from repro.pilotscope import PilotScopeConsole, SimulatedPostgreSQL
+from repro.serve.telemetry import TelemetryBus
 from repro.sql import Query, WorkloadGenerator
 from repro.storage import make_stats_lite, make_tpch_lite
 
@@ -300,7 +302,7 @@ class TestFaultPlanDeterminism:
         return FaultPlan(
             (
                 FaultSpec(kind="nan", rate=0.2, target="estimator"),
-                FaultSpec(kind="exception", rate=0.1),
+                FaultSpec(kind="exception", rate=0.1, target="estimator"),
             ),
             seed=seed,
         )
@@ -322,7 +324,7 @@ class TestFaultPlanDeterminism:
         from repro.faults import FaultPlan, FaultSpec
 
         plan = FaultPlan(
-            (FaultSpec(kind="exception", rate=1.0, start_call=5, end_call=8),),
+            (FaultSpec(kind="exception", rate=1.0, target="x", start_call=5, end_call=8),),
             seed=0,
         )
         fired = [i for i in range(20) if plan.decide("x", i) is not None]
@@ -331,8 +333,8 @@ class TestFaultPlanDeterminism:
     def test_rate_zero_and_one(self):
         from repro.faults import FaultPlan, FaultSpec
 
-        never = FaultPlan((FaultSpec(kind="nan", rate=0.0),), seed=0)
-        always = FaultPlan((FaultSpec(kind="nan", rate=1.0),), seed=0)
+        never = FaultPlan((FaultSpec(kind="nan", rate=0.0, target="t"),), seed=0)
+        always = FaultPlan((FaultSpec(kind="nan", rate=1.0, target="t"),), seed=0)
         assert all(never.decide("t", i) is None for i in range(50))
         assert all(always.decide("t", i) is not None for i in range(50))
 
@@ -345,17 +347,19 @@ class TestFaultPlanDeterminism:
 
 
 class TestFallbackEstimator:
-    def _resilient(self, stats_db, primary, **kw):
+    def _resilient(self, stats_db, primary, breaker):
         from repro.faults import FallbackEstimator
 
-        return FallbackEstimator(primary, HistogramEstimator(stats_db), **kw)
+        return FallbackEstimator(
+            primary, HistogramEstimator(stats_db), breaker=breaker, telemetry=TelemetryBus()
+        )
 
     def test_primary_exception_serves_fallback(self, stats_db):
         class Crashing(CardinalityEstimator):
             def estimate(self, query):
                 raise RuntimeError("model exploded")
 
-        est = self._resilient(stats_db, Crashing())
+        est = self._resilient(stats_db, Crashing(), CircuitBreaker())
         q = WorkloadGenerator(stats_db, seed=181).random_query(
             2, 3, require_predicate=True
         )
@@ -369,7 +373,7 @@ class TestFallbackEstimator:
             def estimate(self, query):
                 return float("nan")
 
-        est = self._resilient(stats_db, NaNny())
+        est = self._resilient(stats_db, NaNny(), CircuitBreaker())
         q = WorkloadGenerator(stats_db, seed=182).random_query(
             2, 3, require_predicate=True
         )
@@ -377,7 +381,7 @@ class TestFallbackEstimator:
         assert est.nonfinite_outputs == 1
 
     def test_breaker_opens_and_denies_primary(self, stats_db):
-        from repro.faults import BreakerState, CircuitBreaker
+        from repro.faults import BreakerState
 
         class Crashing(CardinalityEstimator):
             calls = 0
@@ -387,7 +391,7 @@ class TestFallbackEstimator:
                 raise RuntimeError("down")
 
         breaker = CircuitBreaker(failure_threshold=2, cooldown_ms=1e9)
-        est = self._resilient(stats_db, Crashing(), breaker=breaker)
+        est = self._resilient(stats_db, Crashing(), breaker)
         q = WorkloadGenerator(stats_db, seed=183).random_query(
             2, 3, require_predicate=True
         )
@@ -398,14 +402,12 @@ class TestFallbackEstimator:
         assert est.breaker_denied == 3
 
     def test_estimates_version_tracks_breaker_epoch(self, stats_db):
-        from repro.faults import CircuitBreaker
-
         class Crashing(CardinalityEstimator):
             def estimate(self, query):
                 raise RuntimeError("down")
 
         breaker = CircuitBreaker(failure_threshold=1, cooldown_ms=1e9)
-        est = self._resilient(stats_db, Crashing(), breaker=breaker)
+        est = self._resilient(stats_db, Crashing(), breaker)
         before = est.estimates_version
         q = WorkloadGenerator(stats_db, seed=184).random_query(
             2, 3, require_predicate=True
@@ -436,7 +438,7 @@ class TestBatchedFaultSchedule:
 
     @staticmethod
     def _stack(stats_db, monkeypatch, fallback):
-        from repro.faults import CircuitBreaker, FallbackEstimator, FaultInjector
+        from repro.faults import FallbackEstimator, FaultInjector
         from repro.optimizer import TraditionalCardinalityEstimator
         from repro.serve.scenarios import default_chaos_plan
 
@@ -446,7 +448,10 @@ class TestBatchedFaultSchedule:
         if fallback:
             breaker = CircuitBreaker(cooldown_ms=500.0, clock=injector.clock, name="estimator")
             estimator = FallbackEstimator(
-                estimator, TraditionalCardinalityEstimator(stats_db), breaker=breaker
+                estimator,
+                TraditionalCardinalityEstimator(stats_db),
+                breaker=breaker,
+                telemetry=TelemetryBus(),
             )
         return injector, estimator, fired
 
@@ -577,7 +582,9 @@ class TestGuardChainContainment:
     def test_crashing_guard_abstains(self, stats_db, stats_optimizer):
         from repro.regression import GuardChain
 
-        chain = GuardChain(self.CrashingGuard(), self.SwapGuard(stats_optimizer))
+        chain = GuardChain(
+            self.CrashingGuard(), self.SwapGuard(stats_optimizer), telemetry=TelemetryBus()
+        )
         q = WorkloadGenerator(stats_db, seed=185).random_query(
             2, 3, require_predicate=True
         )
@@ -592,7 +599,7 @@ class TestGuardChainContainment:
     def test_feedback_containment(self, stats_db, stats_optimizer):
         from repro.regression import GuardChain
 
-        chain = GuardChain(self.CrashingGuard())
+        chain = GuardChain(self.CrashingGuard(), telemetry=TelemetryBus())
         q = WorkloadGenerator(stats_db, seed=186).random_query(
             2, 3, require_predicate=True
         )

@@ -43,8 +43,8 @@ def _workload_hashes(db, *, seed: int = 3, n: int = 12) -> list[str]:
 
 class TestDeterminism:
     def test_same_seed_same_process(self):
-        a = generate_database(7, _SMALL)
-        b = generate_database(7, _SMALL)
+        a = generate_database(7, _SMALL, name="gen")
+        b = generate_database(7, _SMALL, name="gen")
         assert database_fingerprint(a) == database_fingerprint(b)
         assert {t: a.tables[t].data_version for t in a.tables} == {
             t: b.tables[t].data_version for t in b.tables
@@ -62,7 +62,7 @@ class TestDeterminism:
             "from repro.sql.query import query_hash\n"
             "cfg = SchemaGenConfig(n_tables=(4, 6), rows=(80, 200), "
             "attr_cols=(1, 2))\n"
-            "db = generate_database(7, cfg)\n"
+            "db = generate_database(7, cfg, name='gen')\n"
             "gen = WorkloadGenerator(db, seed=3)\n"
             "cap = min(3, gen.max_component_size)\n"
             "hashes = sorted(query_hash(q) for q in "
@@ -90,12 +90,12 @@ class TestDeterminism:
             runs.append(json.loads(proc.stdout))
         assert runs[0] == runs[1]
         # and the child processes agree with this process
-        here = generate_database(7, _SMALL)
+        here = generate_database(7, _SMALL, name="gen")
         assert runs[0]["fingerprint"] == database_fingerprint(here)
         assert runs[0]["hashes"] == _workload_hashes(here)
 
     def test_different_seeds_distinct(self):
-        fps = {database_fingerprint(generate_database(s, _SMALL)) for s in range(6)}
+        fps = {database_fingerprint(generate_database(s, _SMALL, name="gen")) for s in range(6)}
         assert len(fps) == 6
 
 
@@ -111,7 +111,7 @@ class TestTopologies:
         )
 
     def test_chain(self):
-        db = generate_database(1, self._fixed("chain"))
+        db = generate_database(1, self._fixed("chain"), name="gen")
         s = topology_summary(db)
         assert s["n_tables"] == 5
         assert s["n_edges"] == 4
@@ -119,19 +119,19 @@ class TestTopologies:
         assert s["components"] == [5]
 
     def test_star(self):
-        db = generate_database(1, self._fixed("star"))
+        db = generate_database(1, self._fixed("star"), name="gen")
         s = topology_summary(db)
         assert s["n_edges"] == 4
         assert s["max_degree"] == 4
 
     def test_clique(self):
-        db = generate_database(1, self._fixed("clique"))
+        db = generate_database(1, self._fixed("clique"), name="gen")
         s = topology_summary(db)
         assert s["n_edges"] == 5 * 4 // 2
         assert s["max_degree"] == 4
 
     def test_random_is_connected_spanning(self):
-        db = generate_database(2, self._fixed("random"))
+        db = generate_database(2, self._fixed("random"), name="gen")
         s = topology_summary(db)
         assert s["components"] == [5]
         assert s["n_edges"] >= 4
@@ -141,7 +141,7 @@ class TestTopologies:
         covers distinct shapes; explicit topologies give distinct
         fingerprints for the same seed."""
         fps = {
-            t: database_fingerprint(generate_database(9, self._fixed(t)))
+            t: database_fingerprint(generate_database(9, self._fixed(t), name="gen"))
             for t in TOPOLOGIES
         }
         assert len(set(fps.values())) == len(TOPOLOGIES)
@@ -152,7 +152,7 @@ class TestTopologies:
             rows=(80, 150),
             many_to_many_rate=1.0,
         )
-        db = generate_database(3, cfg)
+        db = generate_database(3, cfg, name="gen")
         s = topology_summary(db)
         assert s["non_pk_fk_edges"] >= 1
         # the shared-domain columns really exist on both sides
@@ -166,7 +166,7 @@ class TestTopologies:
         cfg = SchemaGenConfig(
             n_tables=(6, 6), rows=(80, 150), n_components=2
         )
-        db = generate_database(4, cfg)
+        db = generate_database(4, cfg, name="gen")
         s = topology_summary(db)
         assert len(s["components"]) == 2
         assert sum(s["components"]) == 6
@@ -204,8 +204,8 @@ class TestFamilyAndValidation:
             SchemaGenConfig(**kwargs)
 
     def test_fingerprint_sensitive_to_data(self):
-        a = generate_database(7, _SMALL)
-        b = generate_database(7, _SMALL)
+        a = generate_database(7, _SMALL, name="gen")
+        b = generate_database(7, _SMALL, name="gen")
         table = next(iter(b.tables.values()))
         col = next(
             table.column(c)

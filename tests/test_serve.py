@@ -314,7 +314,7 @@ class TestDeploymentLifecycle:
         manager.serve(query)
         warm = cache.stats()
         assert warm["entries"] >= 1 and warm["hits"] >= 1
-        manager.deploy(BaoOptimizer(stats_optimizer, seed=1))
+        manager.deploy(BaoOptimizer(stats_optimizer, seed=1), version="v1")
         assert manager.stage is Stage.SHADOW
         assert cache.stats()["invalidations"] == warm["invalidations"] + 1
         manager.serve(query)
@@ -368,7 +368,7 @@ class TestServePolicies:
         deployment.promote()
         deployment.promote()
         deployment.auto_rollback("monitor")
-        deployment.deploy(BaoOptimizer(stats_optimizer, seed=1), reason="retrained")
+        deployment.deploy(BaoOptimizer(stats_optimizer, seed=1), version="v1", reason="retrained")
         assert policy.transitions == [
             (Stage.CANARY, "promote"),
             (Stage.LIVE, "promote"),
@@ -536,7 +536,7 @@ def test_stage_only_moves_along_declared_edges(
         @rule(model=st.sampled_from([MirrorNative, Crashing]))
         def deploy(self, model):
             self.checker.deploying_to = Stage.SHADOW
-            self.manager.deploy(model(stats_optimizer))
+            self.manager.deploy(model(stats_optimizer), version=model.__name__)
             self.checker.deploying_to = None
 
         @rule(i=st.integers(0, 7))
@@ -955,7 +955,7 @@ _BACKENDS = {
     "console": lambda db: ConsoleBackend(PilotScopeConsole(SimulatedPostgreSQL(db))),
     "synthetic": lambda db: SyntheticBackend(seed=1),
     "faulty": lambda db: FaultInjector(
-        FaultPlan((FaultSpec(kind="latency", rate=1.0, magnitude=7.0),))
+        FaultPlan((FaultSpec(kind="latency", rate=1.0, target="backend", magnitude=7.0),))
     ).wrap_backend(SyntheticBackend(seed=1)),
 }
 

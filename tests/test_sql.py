@@ -279,7 +279,7 @@ class TestDisconnectedSchemas:
         cfg = SchemaGenConfig(
             n_tables=(6, 6), rows=(80, 150), attr_cols=(1, 2), n_components=2
         )
-        db = generate_database(11, cfg)
+        db = generate_database(11, cfg, name="gen")
         from repro.storage import topology_summary
 
         assert len(topology_summary(db)["components"]) == 2

@@ -57,7 +57,7 @@ class TestTable:
 
     def test_matrix_shape(self):
         t = self._table()
-        assert t.matrix().shape == (5, 2)
+        assert t.matrix(t.column_names).shape == (5, 2)
         assert t.matrix(["v"]).shape == (5, 1)
 
     def test_append_rows(self):

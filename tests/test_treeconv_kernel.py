@@ -287,6 +287,13 @@ def reference_batch(trees):
     return layer1, idx3, np.array(ref.tree_slices), pad, parent_slot
 
 
+def one_batch(corpus, idx):
+    """The one training batch holding trees ``idx`` in that order: a
+    one-epoch plan of ``len(idx)`` trees a batch."""
+    _, batches = next(corpus.plan([idx], len(idx)))
+    return next(batches)
+
+
 def assert_batch_is(batch, trees):
     want = reference_batch(trees)
     got = (batch.layer1, batch.idx3, batch.tree_slices, batch.pad, batch.parent_slot)
@@ -439,7 +446,7 @@ class TestCorpus:
     @settings(max_examples=40, deadline=None)
     def test_take_equals_restacking(self, seed, idx):
         trees = ragged_forest(seed, 12, dim=3)
-        got = PlanTreeCorpus.from_trees(trees).take(np.array(idx))
+        got = one_batch(PlanTreeCorpus.from_trees(trees), np.array(idx))
         assert_batch_is(got, [trees[i] for i in idx])
         restacked = PlanTreeBatch.from_trees([trees[i] for i in idx])
         assert np.array_equal(got.layer1, restacked.layer1)
@@ -456,7 +463,7 @@ class TestCorpus:
         batches = list(batches)
         assert [b.n_trees for b in batches] == [5, 5, 5, 5, 3]
         for k, batch in enumerate(batches):
-            want = corpus.take(order[5 * k : 5 * k + 5])
+            want = one_batch(corpus, order[5 * k : 5 * k + 5])
             assert np.array_equal(batch.layer1, want.layer1)
             assert np.array_equal(batch.idx3, want.idx3)
             assert np.array_equal(batch.pad, want.pad)
@@ -492,10 +499,10 @@ class TestCorpus:
         with pytest.raises(ValueError, match=r"tree 2: .*more than one"):
             PlanTreeCorpus.from_trees(self._forest_with(bad))
 
-    def test_take_rejects_zero_trees(self):
+    def test_plan_rejects_an_empty_epoch(self):
         corpus = PlanTreeCorpus.from_trees(ragged_forest(0, 3))
-        with pytest.raises(ValueError):
-            corpus.take(np.array([], dtype=int))
+        with pytest.raises(ValueError, match="empty epoch"):
+            next(corpus.plan([np.array([], dtype=int)], 1))
 
 
 # -- the hand-rolled minibatch loops that were folded onto the corpus -----------
