@@ -1,6 +1,6 @@
 """A per-request record built at the cost of its fields.
 
-The seven records the serving path builds once per request (census rules
+The six records the serving path builds once per request (census rules
 (e) / (g)) are ``@dataclass(frozen=True, slots=True)``.  The ``__init__``
 ``dataclass`` generates for a frozen class writes each field with
 ``object.__setattr__(self, name, value)``, which on CPython 3.11 looks the

@@ -109,15 +109,13 @@ class BoundGuard(ServePolicy):
             self.breaker.epoch if self.breaker is not None else 0,
         )
 
-    def _incr(self, counter: str, bus=None) -> None:
-        bus = bus if bus is not None else self.telemetry
-        if bus is not None:
-            bus.incr(counter)
+    def _incr(self, counter: str) -> None:
+        if self.telemetry is not None:
+            self.telemetry.incr(counter)
 
-    def _event(self, bus=None, **fields) -> None:
-        bus = bus if bus is not None else self.telemetry
-        if bus is not None:
-            bus.event("bound_violation", guard=self.name, **fields)
+    def _event(self, **fields) -> None:
+        if self.telemetry is not None:
+            self.telemetry.event("bound_violation", guard=self.name, **fields)
 
     def certified_bound(self, query) -> float:
         """The sanitized upper bound the guard enforces for one query."""
@@ -180,23 +178,25 @@ class BoundGuard(ServePolicy):
 
     # -- the auditor surface -------------------------------------------------------
 
-    def observe_count(self, query, observed: float, *, bus=None) -> bool:
+    def observe_count(self, query, observed: float, *, bus) -> bool:
         """Check an *observed exact count* against the certified bound.
 
         Fed by :class:`repro.oracle.OnlineAuditor` with ground truth from
         the serving path.  Returns True when the bound was violated --
         the sketches no longer cover the data (drift without refresh) or
         the bound estimator is buggy.  Either way the certificate is
-        void: trip the breaker so serving degrades to the fallback.
+        void: trip the breaker so serving degrades to the fallback.  The
+        violation is filed on ``bus``, the serving core's.
         """
         self.counts_observed += 1
         bound = self.certified_bound(query)
         if float(observed) <= bound * self.tolerance:
             return False
         self.bound_violations += 1
-        self._incr("bounds.bound_violations", bus)
-        self._event(
-            bus,
+        bus.incr("bounds.bound_violations")
+        bus.event(
+            "bound_violation",
+            guard=self.name,
             source="observed_count",
             query=query_hash(query),
             bound=float(bound),

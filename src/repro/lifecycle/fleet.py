@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.lifecycle.scenario import DRIFT_FRACTION, LifecycleStack, lifecycle_stack
-from repro.serve.fabric.fabric import FabricConfig, FabricRequest, ServingFabric
+from repro.serve.fabric.fabric import FabricConfig, ServingFabric
 from repro.serve.fabric.router import ShardRouter
 from repro.serve.fabric.shard import guarded_shard
 from repro.serve.fabric.tenants import TenantRegistry, TenantSpec
@@ -61,7 +61,7 @@ class TransferFleet:
     name: str
     tenants: list[SchemaTenant]
     fabric: ServingFabric
-    schedule: list[FabricRequest]
+    schedule: list[Request]
     drift_at: int  # schedule index where the fleet-wide drift lands
     seed: int
     closed_loop: bool
@@ -117,10 +117,10 @@ class TransferFleet:
 
 
 def build_fleet_schedule(
-    tenant_queries: list[tuple[str, list[Query]]],
+    streams: list[list[Query]],
     *,
     seed: int = 0,
-) -> list[FabricRequest]:
+) -> list[Request]:
     """One global arrival order interleaving each tenant's own stream, 25 ms
     apart on average.
 
@@ -128,36 +128,18 @@ def build_fleet_schedule(
     here are *not* interchangeable -- each tenant's queries reference its
     own schema -- so the mix round-robins the given per-tenant streams
     (dropping tenants as they drain) while arrival gaps come from one
-    seeded exponential process.  Pure function of its arguments.
+    seeded exponential process.  A request's ``session_id`` is its
+    tenant's index in ``streams``.  Pure function of its arguments.
     """
     rng = np.random.default_rng((int(seed), 0xF1EE7))
-    remaining = [list(qs) for _, qs in tenant_queries]
-    total = sum(len(r) for r in remaining)
-    gaps = rng.exponential(25.0, size=total)
-    schedule: list[FabricRequest] = []
+    gaps = rng.exponential(25.0, size=sum(map(len, streams)))
+    schedule: list[Request] = []
     now = 0.0
-    seqs = [0] * len(tenant_queries)
-    g = 0
-    while any(remaining):
-        for t, (tenant_id, _) in enumerate(tenant_queries):
-            if not remaining[t]:
-                continue
-            query = remaining[t].pop(0)
-            now += float(gaps[g])
-            g += 1
-            schedule.append(
-                FabricRequest(
-                    tenant_id=tenant_id,
-                    request=Request(
-                        session_id=t,
-                        seq=seqs[t],
-                        global_seq=len(schedule),
-                        arrival_ms=now,
-                        query=query,
-                    ),
-                )
-            )
-            seqs[t] += 1
+    for seq in range(max(map(len, streams), default=0)):
+        for t, queries in enumerate(streams):
+            if seq < len(queries):
+                now += float(gaps[len(schedule)])
+                schedule.append(Request(t, seq, len(schedule), now, queries[seq]))
     return schedule
 
 
@@ -224,16 +206,14 @@ def transfer_fleet_scenario(
         config=FabricConfig(seed=seed),
         router=router,
     )
-    tenant_queries = [
-        (
-            t.tenant_id,
-            WorkloadGenerator(t.db, seed=seed + 4 + i).workload(
-                queries_per_tenant, 1, 3, require_predicate=True
-            ),
+    # a tenant's stream is at its spec's index: the session id names it
+    streams = [
+        WorkloadGenerator(t.db, seed=seed + 4 + i).workload(
+            queries_per_tenant, 1, 3, require_predicate=True
         )
         for i, t in enumerate(tenants)
     ]
-    schedule = build_fleet_schedule(tenant_queries, seed=seed)
+    schedule = build_fleet_schedule(streams, seed=seed)
     return TransferFleet(
         name="transfer_fleet" if closed_loop else "transfer_fleet_frozen",
         tenants=tenants,

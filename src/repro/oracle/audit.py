@@ -60,19 +60,16 @@ class OnlineAuditor:
         return turn % self.every == 0
 
     def _file(self, tag: str, bus) -> str:
-        if bus is not None:
-            bus.incr("oracle.audited")
-            if tag == "violation":
-                bus.incr("oracle.violations")
-            elif tag == "skipped":
-                bus.incr("oracle.skipped")
+        bus.incr("oracle.audited")
+        if tag == "violation":
+            bus.incr("oracle.violations")
+        elif tag == "skipped":
+            bus.incr("oracle.skipped")
         return tag
 
     # -- audit modes -------------------------------------------------------------
 
-    def observe(
-        self, query: Query, reported_cardinality: int, *, bus=None
-    ) -> str:
+    def observe(self, query: Query, reported_cardinality: int, *, bus) -> str:
         """Audit a served (query, cardinality) pair against the reference."""
         if not self._sampled():
             return ""

@@ -137,10 +137,10 @@ class PromotionLeaderboard:
 
     # -- internals ---------------------------------------------------------------
 
-    def _incr(self, name: str, by: int = 1) -> None:
-        self.counters[name] += by
+    def _incr(self, name: str) -> None:
+        self.counters[name] += 1
         if self.telemetry is not None:
-            self.telemetry.incr(f"rewrite.{name}", by)
+            self.telemetry.incr(f"rewrite.{name}")
 
     def _time(self, queries: tuple[Query, ...]) -> float:
         return sum(

@@ -18,7 +18,9 @@ repo's core invariant: same seed, byte-identical telemetry export.
   (interactive/batch/background) enforced ahead of shard admission;
 - :mod:`repro.serve.fabric.fabric` -- :class:`ServingFabric`: the
   deterministic event loop tying quota -> route -> QoS shed -> shard
-  together, plus :func:`build_fabric_schedule`;
+  together, plus :func:`build_fabric_schedule`.  A fabric request is a
+  plain :class:`~repro.serve.Request`; its ``session_id`` names its
+  tenant, by registration index in the :class:`TenantRegistry`;
 - :mod:`repro.serve.fabric.aggregate` -- :class:`TelemetryAggregator`:
   merges per-shard buses into one export via
   :meth:`repro.serve.TelemetryBus.merged` (order-independent bytes);

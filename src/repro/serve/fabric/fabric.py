@@ -11,6 +11,10 @@ into one export.  :meth:`ServingFabric.run` drains a
 deterministic loop, so two same-seed runs produce byte-identical fabric
 exports even though 16+ shards serve concurrently *in virtual time*.
 
+A fabric request is a :class:`~repro.serve.runtime.Request` whose
+``session_id`` is its tenant's registration index in the
+:class:`~repro.serve.fabric.tenants.TenantRegistry`.
+
 Request lifecycle, in order:
 
 1. **quota** -- the tenant's token bucket (reject reason ``"quota"``);
@@ -32,7 +36,6 @@ import time
 from dataclasses import dataclass
 
 from repro.core.errors import ConfigError
-from repro.core.records import slot_init
 from repro.serve.fabric.aggregate import TelemetryAggregator
 from repro.serve.fabric.router import ShardRouter
 from repro.serve.fabric.shard import ShardRuntime
@@ -42,21 +45,11 @@ from repro.serve.telemetry import Histogram, TelemetryBus
 from repro.sql.query import Query, query_hash
 
 __all__ = [
-    "FabricRequest",
     "FabricConfig",
     "FabricReport",
     "ServingFabric",
     "build_fabric_schedule",
 ]
-
-
-@slot_init
-@dataclass(frozen=True, slots=True)
-class FabricRequest:
-    """One scheduled request, tagged with the tenant that issued it."""
-
-    tenant_id: str
-    request: Request
 
 
 @dataclass(frozen=True)
@@ -99,13 +92,14 @@ class FabricReport(RunReport):
 
 
 class _TenantRun:
-    """One tenant's part of one run: its shed watermark (``None``: never
-    shed here), its response histogram (bound on its first served
+    """One tenant's part of one run: its id, its shed watermark (``None``:
+    never shed here), its response histogram (bound on its first served
     request) and the counts the run files on the bus when it ends."""
 
-    __slots__ = ("watermark", "response", "served", "rejected")
+    __slots__ = ("tenant_id", "watermark", "response", "served", "rejected")
 
-    def __init__(self, watermark: int | None) -> None:
+    def __init__(self, tenant_id: str, watermark: int | None) -> None:
+        self.tenant_id = tenant_id
         self.watermark = watermark
         self.response: Histogram | None = None
         self.served = 0
@@ -146,23 +140,25 @@ class ServingFabric:
 
     # -- the event loop -----------------------------------------------------------
 
-    def run(self, schedule: list[FabricRequest]) -> FabricReport:
+    def run(self, schedule: list[Request]) -> FabricReport:
         """Drain a fabric schedule in global arrival order.
 
-        Successive runs continue one virtual timeline -- the shards keep
-        their lanes, in-flight heaps and breaker clocks -- so a schedule
-        that starts before the previous run's last arrival is a
-        :class:`ConfigError`.
+        A request's tenant is the one registered at index
+        ``request.session_id``; a session id no tenant holds is a
+        :class:`ConfigError`.  Successive runs continue one virtual
+        timeline -- the shards keep their lanes, in-flight heaps and
+        breaker clocks -- so a schedule that starts before the previous
+        run's last arrival is a :class:`ConfigError` too.
         """
         if schedule:
-            first = schedule[0].request.arrival_ms
+            first = schedule[0].arrival_ms
             if first < self._last_arrival_ms:
                 raise ConfigError(
                     f"schedule starts at {first} ms, before the previous run's "
                     f"last arrival at {self._last_arrival_ms} ms: a fabric's "
                     "virtual time only moves forward"
                 )
-            self._last_arrival_ms = schedule[-1].request.arrival_ms
+            self._last_arrival_ms = schedule[-1].arrival_ms
         bus = self.telemetry
         config = self.config
         shards, router, tenants = self.shards, self.router, self.tenants
@@ -170,10 +166,12 @@ class ServingFabric:
             "background": config.background_shed_backlog,
             "batch": config.batch_shed_backlog,
         }
-        rows = {
-            tid: _TenantRun(watermarks.get(tenants.qos(tid)))
-            for tid in tenants.tenant_ids()
-        }
+        # indexed by session id
+        rows = [
+            _TenantRun(tid, watermarks.get(tenants.qos(tid)))
+            for tid in tenants.registration_order()
+        ]
+        n_tenants = len(rows)
         keep_outcomes = config.keep_outcomes
         outcomes: list = []
         rejected: dict[str, int] = {}  # every reason, shard-level ones too
@@ -181,12 +179,17 @@ class ServingFabric:
         n_served = 0
         t0 = time.perf_counter()
         try:
-            for freq in schedule:
-                req = freq.request
-                tenant = freq.tenant_id
+            for req in schedule:
+                session = req.session_id
+                if not 0 <= session < n_tenants:
+                    raise ConfigError(
+                        f"session id {session} names no tenant: "
+                        f"{n_tenants} are registered"
+                    )
+                row = rows[session]
+                tenant = row.tenant_id
                 arrival = req.arrival_ms
                 reason = tenants.admit(tenant, arrival)
-                row = rows[tenant]
                 if reason is None:
                     key = router.routing_key(query_hash(req.query), tenant)
                     shard_id = router.route(key, shards, arrival)
@@ -228,11 +231,11 @@ class ServingFabric:
                 bus.incr("fabric.served", n_served)
             for reason, n in shed.items():
                 bus.incr(f"fabric.rejected.{reason}", n)
-            for tid, row in rows.items():
+            for row in rows:
                 if row.served:
-                    bus.incr(f"tenant.{tid}.served", row.served)
+                    bus.incr(f"tenant.{row.tenant_id}.served", row.served)
                 if row.rejected:
-                    bus.incr(f"tenant.{tid}.rejected", row.rejected)
+                    bus.incr(f"tenant.{row.tenant_id}.rejected", row.rejected)
         wall = time.perf_counter() - t0
         span = max((s.span_ms for s in shards), default=0.0)
         return FabricReport(
@@ -271,21 +274,22 @@ def build_fabric_schedule(
     *,
     seed: int = 0,
     mean_interarrival_ms: float = 5.0,
-) -> list[FabricRequest]:
+) -> list[Request]:
     """Deterministic tenant mix + global arrival process for a workload.
 
     Each query draws its tenant from the specs' ``weight`` distribution
     and its arrival gap from one global exponential process -- both from
     the same seeded generator, so the schedule is a pure function of
     ``(queries, specs, seed, mean_interarrival_ms)``.  Per-request
-    identity (``session_id`` = tenant index in ``specs``, ``seq`` =
-    per-tenant ordinal) is what traces sort by fabric-wide.
+    identity (``session_id`` = tenant index in ``specs``, which names the
+    tenant, ``seq`` = per-tenant ordinal) is what traces sort by
+    fabric-wide.
 
     Built in array passes: a stable ``argsort`` of the tenant draws
     groups each tenant's requests in arrival order, so a request's
     ordinal is its rank in that order minus its tenant's first rank (a
     ``bincount`` prefix sum).  Each column crosses to Python once
-    (``tolist``), and one ``map`` builds the records.
+    (``tolist``), and one ``map`` builds the requests.
     """
     import numpy as np
 
@@ -302,16 +306,9 @@ def build_fabric_schedule(
     ordinals[np.argsort(choices, kind="stable")] = np.arange(n) - np.repeat(
         np.cumsum(counts) - counts, counts
     )
-    # each column crosses once, and its array goes before the records come
+    # each column crosses once, and its array goes before the requests come
     tenants = choices.tolist()
     seqs = ordinals.tolist()
     times = arrivals.tolist()
     del choices, arrivals, counts, ordinals
-    tenant_ids = [s.tenant_id for s in specs]
-    return list(
-        map(
-            FabricRequest,
-            map(tenant_ids.__getitem__, tenants),
-            map(Request, tenants, seqs, range(n), times, queries),
-        )
-    )
+    return list(map(Request, tenants, seqs, range(n), times, queries))

@@ -28,6 +28,7 @@ import hashlib
 
 from repro.core.errors import ConfigError
 from repro.core.lru import BoundedLRU
+from repro.serve.fabric.shard import shard_name
 
 __all__ = ["ShardRouter"]
 
@@ -168,7 +169,7 @@ class ShardRouter:
     def stats(self) -> dict[str, float]:
         """Gauge-friendly snapshot: per-shard assignment counts, reroutes."""
         out: dict[str, float] = {
-            f"assigned.shard{i:02d}": float(n)
+            f"assigned.{shard_name(i)}": float(n)
             for i, n in enumerate(self.assignments)
         }
         out["reroutes"] = float(self.reroutes)

@@ -36,13 +36,12 @@ from repro.optimizer.traditional import TraditionalCardinalityEstimator
 from repro.serve.deployment import DeploymentManager, Stage
 from repro.serve.fabric.fabric import (
     FabricConfig,
-    FabricRequest,
     ServingFabric,
     build_fabric_schedule,
 )
 from repro.serve.fabric.shard import ShardRuntime, guarded_shard
 from repro.serve.fabric.tenants import TenantRegistry, TenantSpec
-from repro.serve.runtime import RuntimeConfig
+from repro.serve.runtime import Request, RuntimeConfig
 from repro.serve.telemetry import TelemetryBus
 from repro.sql.generator import WorkloadGenerator
 from repro.sql.query import Query, query_hash
@@ -97,19 +96,11 @@ class SyntheticBackend:
 class FabricScenario:
     """A fully-assembled fabric: run it, inspect the pieces."""
 
-    name: str
     fabric: ServingFabric
-    schedule: list[FabricRequest]
-    specs: tuple[TenantSpec, ...]
-    injector: FaultInjector | None = None
-    db: object = None
+    schedule: list[Request]
 
     def run(self):
         return self.fabric.run(self.schedule)
-
-    @property
-    def n_requests(self) -> int:
-        return len(self.schedule)
 
 
 def default_tenant_specs(n_tenants: int = 6) -> tuple[TenantSpec, ...]:
@@ -186,35 +177,20 @@ def synthetic_fabric(
         )
         for i in range(n_shards)
     ]
-    return _scenario(
-        f"synthetic:{n_shards}shards",
-        shards,
-        specs,
-        fabric_config,
-        injector,
-    )
+    return _scenario(shards, specs, fabric_config, injector, [])
 
 
 def _scenario(
-    name: str,
     shards: list[ShardRuntime],
     specs,
     config: FabricConfig,
     injector: FaultInjector | None,
-    schedule: list[FabricRequest] | None = None,
-    db=None,
+    schedule: list[Request],
 ) -> FabricScenario:
     fabric = ServingFabric(shards, TenantRegistry(specs), config=config)
     if injector is not None:
         fabric.telemetry.attach_gauge("fault_injector", injector.stats)
-    return FabricScenario(
-        name=name,
-        fabric=fabric,
-        schedule=schedule if schedule is not None else [],
-        specs=tuple(specs),
-        injector=injector,
-        db=db,
-    )
+    return FabricScenario(fabric=fabric, schedule=schedule)
 
 
 def sharded_fabric_scenario(
@@ -273,11 +249,9 @@ def sharded_fabric_scenario(
         n_queries, 2, 4, require_predicate=True
     )
     return _scenario(
-        f"sharded:{n_shards}shards",
         shards,
         specs,
         FabricConfig(seed=seed),
         injector,
         build_fabric_schedule(queries, specs, seed=seed, mean_interarrival_ms=30.0),
-        db,
     )

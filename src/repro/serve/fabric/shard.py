@@ -19,7 +19,13 @@ from repro.faults.resilience import CircuitBreaker
 from repro.serve.runtime import RuntimeConfig, ServingRuntime
 from repro.serve.telemetry import TelemetryBus
 
-__all__ = ["ShardRuntime", "guarded_shard"]
+__all__ = ["ShardRuntime", "guarded_shard", "shard_name"]
+
+
+def shard_name(shard_id: int) -> str:
+    """A shard's name (``"shard03"``): its bus's, its breaker's and the
+    fault-plan target's, and the router's ``assigned.<name>`` gauge key."""
+    return f"shard{shard_id:02d}"
 
 
 class ShardRuntime(ServingRuntime):
@@ -40,7 +46,7 @@ class ShardRuntime(ServingRuntime):
             backend, config=config, telemetry=telemetry, n_workers=n_workers, breaker=breaker
         )
         self.shard_id = shard_id
-        self.name = f"shard{shard_id:02d}"
+        self.name = shard_name(shard_id)
         self.telemetry.attach_gauge("shard", self.stats)
         if self.breaker is not None:
             self.telemetry.attach_gauge("shard_breaker", self.breaker.stats)
@@ -81,7 +87,7 @@ def guarded_shard(
     """A shard behind its own circuit breaker on its own virtual clock --
     and, given a fault ``injector``, with its backend wrapped under the
     shard-named target (``"shard03"``) fault plans address."""
-    name = f"shard{shard_id:02d}"
+    name = shard_name(shard_id)
     if injector is not None:
         backend = injector.wrap_backend(backend, target=name)
     breaker = CircuitBreaker(failure_threshold=3, cooldown_ms=500.0, name=name)

@@ -69,12 +69,15 @@ class TenantSpec:
 class TenantRegistry:
     """Registered tenants plus deterministic quota accounting.
 
-    :meth:`admit` is called by the fabric for every request, in global
-    arrival order, with the request's virtual arrival time; it refills the
-    tenant's token bucket from the elapsed virtual time and either spends
-    a token (admitted, returns ``None``) or rejects with reason
-    ``"quota"``.  Unknown tenants are a configuration error -- silently
-    admitting unregistered traffic would make quota tests lie.
+    A tenant's registration index is its session id: a fabric request
+    whose ``session_id`` is ``i`` comes from the ``i``-th tenant
+    registered (:meth:`registration_order`).  :meth:`admit` is called by
+    the fabric for every request, in global arrival order, with the
+    request's virtual arrival time; it refills the tenant's token bucket
+    from the elapsed virtual time and either spends a token (admitted,
+    returns ``None``) or rejects with reason ``"quota"``.  Unknown
+    tenants are a configuration error -- silently admitting unregistered
+    traffic would make quota tests lie.
     """
 
     def __init__(self, specs: tuple | list = ()) -> None:
@@ -103,6 +106,10 @@ class TenantRegistry:
 
     def tenant_ids(self) -> list[str]:
         return sorted(self._specs)
+
+    def registration_order(self) -> list[str]:
+        """Tenant ids in registration order: index ``i`` is session id ``i``."""
+        return list(self._specs)
 
     def qos(self, tenant_id: str) -> str:
         return self.spec(tenant_id).qos

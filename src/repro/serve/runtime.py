@@ -72,7 +72,7 @@ __all__ = [
 class Request:
     """One scheduled client request."""
 
-    session_id: int
+    session_id: int  # in a fabric, the session is the tenant: its registration index
     seq: int  # position within the session's queue
     global_seq: int  # position in the deterministic global order
     arrival_ms: float  # virtual arrival offset from run start

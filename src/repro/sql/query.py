@@ -283,9 +283,6 @@ class Join:
             return self
         return Join(self.right, self.left)
 
-    def involves(self, table: str) -> bool:
-        return table in (self.left.table, self.right.table)
-
     @str_once
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"

@@ -255,13 +255,16 @@ class TestBoundGuard:
         probes = hot_key_probe_queries(db, targets)
         adversarial_hot_key_drift(db, fraction=1.0, seed=11, targets=targets)
         executor = CardinalityExecutor(db)
+        bus = TelemetryBus()
         tripped = 0
         for q in probes:
             truth = executor.cardinality(q)
-            if guard.observe_count(q, truth):
+            if guard.observe_count(q, truth, bus=bus):
                 tripped += 1
         assert tripped > 0
         assert guard.bound_violations == tripped
+        # filed on the bus it was given
+        assert bus.snapshot()["counters"]["bounds.bound_violations"] == tripped
         assert guard.breaker.trips >= 1
         guard.bounds.refresh()
         for q in probes:
@@ -353,12 +356,12 @@ class TestRiskLambdaTuner:
         )
         q = bound_workload[0]
         # no adjustment before the window fills
-        guard.observe_count(q, 0.0)
+        guard.observe_count(q, 0.0, bus=bus)
         assert tuner.tick() == pytest.approx(0.2)
         assert tuner.windows_observed == 0
         # a window full of audited bound violations raises the blend
         for _ in range(5):
-            assert guard.observe_count(q, float("inf"))
+            assert guard.observe_count(q, float("inf"), bus=bus)
         assert tuner.tick() == pytest.approx(0.4)
         assert opt.risk_lambda == pytest.approx(0.4)
         assert tuner.raises == 1
@@ -367,7 +370,7 @@ class TestRiskLambdaTuner:
         # clean windows decay it back toward expected-cost planning
         for _ in range(2):
             for _ in range(5):
-                guard.observe_count(q, 0.0)
+                guard.observe_count(q, 0.0, bus=bus)
             tuner.tick()
         assert opt.risk_lambda == pytest.approx(0.3)
         assert tuner.decays == 2
@@ -379,12 +382,13 @@ class TestRiskLambdaTuner:
         tuner = RiskLambdaTuner(
             opt, guard, target_rate=0.0, window=2, step=0.5, decay=2.0
         )
+        bus = TelemetryBus()
         q = bound_workload[0]
         for _ in range(2):
-            guard.observe_count(q, float("inf"))
+            guard.observe_count(q, float("inf"), bus=bus)
         assert tuner.tick() == pytest.approx(1.0)  # not 1.4
         for _ in range(2):
-            guard.observe_count(q, 0.0)
+            guard.observe_count(q, 0.0, bus=bus)
         assert tuner.tick() == pytest.approx(0.0)  # not -1.0
 
     def test_config_validation(self, stats_db):

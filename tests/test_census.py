@@ -1504,7 +1504,7 @@ def test_every_bench_is_measure_export_gates():
 
 #: the records built once per request that carry no latency; with every
 #: frozen record of (e) they must be slotted and built by ``slot_init``
-REQUEST_RECORDS = {"Request", "Rejected", "FabricRequest"}
+REQUEST_RECORDS = {"Request", "Rejected"}
 
 
 def _dataclass_flags(node: ast.ClassDef) -> dict:
@@ -1796,7 +1796,6 @@ def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simul
     still pickles, deep-copies, ``replace``-s and compares by value."""
     from repro.core.interfaces import Decision
     from repro.pilotscope.console import QueryLogEntry
-    from repro.serve.fabric.fabric import FabricRequest
     from repro.serve.runtime import Rejected, Request, Served
 
     query = stats_workload[0]
@@ -1807,7 +1806,6 @@ def test_slotted_records_round_trip(stats_workload, stats_optimizer, stats_simul
         request,
         served,
         Rejected(request, "quota", 0.0),
-        FabricRequest("tenant0", request),
         Decision("canary", "bao", 2.0, 7, query=query, native_latency_ms=3.0),
         executed,
         QueryLogEntry(query.to_sql(), "native", executed.cardinality, executed.latency_ms),
@@ -2266,8 +2264,6 @@ SEEDED = {
     "test_seeded_second_writer_is_caught": ("g", SRC, [
         ("serve/runtime.py", "@dataclass(frozen=True, slots=True)\nclass Served:",
          "@dataclass(frozen=True)\nclass Served:", ["Served is not slots=True"]),
-        ("serve/fabric/fabric.py", "@dataclass(frozen=True, slots=True)\nclass FabricRequest:",
-         "@dataclass(frozen=True)\nclass FabricRequest:", ["FabricRequest is not slots=True"]),
         ("serve/telemetry.py", "import json\n", "import json\nimport threading\n",
          ["src/repro/serve/telemetry.py imports threading"]),
         ("faults/resilience.py", "import enum\n", "import enum\nfrom threading import Lock\n",

@@ -2,6 +2,8 @@
 telemetry merging, breaker failover and the byte-identical determinism
 gate."""
 
+import dataclasses
+import gc
 import json
 
 import pytest
@@ -33,7 +35,7 @@ from repro.serve.fabric import (
     synthetic_fabric,
     synthetic_queries,
 )
-from repro.serve.fabric.fabric import FabricRequest, ServingFabric
+from repro.serve.fabric.fabric import ServingFabric
 from repro.serve.fabric.router import PAIR_CAPACITY
 from repro.serve.fabric.shard import guarded_shard
 from repro.serve.telemetry import Histogram, TelemetryBus
@@ -403,8 +405,8 @@ class TestTenantRegistry:
         assert snap["counters"].get("tenant.int.rejected", 0) == 0
         # background loses a larger fraction than batch
         offered = {t: 0 for t in ("int", "bat", "bg")}
-        for freq in schedule:
-            offered[freq.tenant_id] += 1
+        for req in schedule:
+            offered[specs[req.session_id].tenant_id] += 1
         frac = {
             t: by_tenant_served[t] / offered[t] for t in ("bat", "bg")
         }
@@ -570,8 +572,24 @@ def test_schedule_matches_the_reference_loop(weights, n, seed, gap):
     want = reference_fabric_schedule(queries, specs, seed=seed, mean_interarrival_ms=gap)
     assert got == want
     for g, w in zip(got, want):
-        assert g.request.arrival_ms.hex() == w.request.arrival_ms.hex()
-        assert type(g.request.seq) is type(g.request.session_id) is int
+        assert g.arrival_ms.hex() == w.arrival_ms.hex()
+        assert type(g.seq) is type(g.session_id) is int
+
+
+def test_schedule_build_adds_one_tracked_object_a_request():
+    """A request is one record: building 10^5 of them leaves about 10^5
+    new objects for the cyclic collector to walk, not two per request."""
+    n = 100_000
+    specs = default_tenant_specs(6)
+    queries = [_POOL[i % len(_POOL)] for i in range(n)]
+    build_fabric_schedule(queries[:8], specs)  # a first build's imports are not its work
+    gc.collect()
+    before = len(gc.get_objects())
+    schedule = build_fabric_schedule(queries, specs, seed=0, mean_interarrival_ms=0.6)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(schedule) == n
+    assert added <= n + 64, added
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +681,7 @@ class TestRunCounters:
         schedule = build_fabric_schedule(
             synthetic_queries(300, seed=5), specs, seed=5, mean_interarrival_ms=2.0
         )
-        n_starved = sum(f.tenant_id == "starved" for f in schedule)
+        n_starved = sum(specs[r.session_id].tenant_id == "starved" for r in schedule)
         report = fabric.run(schedule)
         doc = json.loads(fabric.export_json())
         assert doc["counters"]["tenant.starved.rejected"] == n_starved > 0
@@ -695,7 +713,7 @@ class TestRunCounters:
             synthetic_queries(400, seed=7), specs[:2], seed=7, mean_interarrival_ms=1.0
         )
         cut = 300
-        schedule[cut] = FabricRequest("ghost", schedule[cut].request)
+        schedule[cut] = dataclasses.replace(schedule[cut], session_id=2)
         raised = fabric()
         with pytest.raises(ConfigError, match="no pinned shard"):
             raised.run(schedule)
@@ -703,6 +721,32 @@ class TestRunCounters:
         prefix.run(schedule[:cut])
         counters = json.loads(raised.export_json())["counters"]
         assert counters == json.loads(prefix.export_json())["counters"]
+        assert counters["fabric.served"] > 0 and counters["fabric.rejected.qos_shed"] > 0
+
+    @pytest.mark.parametrize("session_id", [2, -1])
+    def test_a_session_id_no_tenant_holds_raises_after_its_prefix(self, session_id):
+        """A request's tenant is the one registered at its session id: an
+        id no tenant holds raises naming the id, before it reaches the
+        quota or a shard, and what is filed is what its prefix files."""
+        specs = (TenantSpec("a"), TenantSpec("b", qos="batch"))
+
+        def fabric():
+            config = FabricConfig(seed=7, batch_shed_backlog=0, background_shed_backlog=0)
+            return synthetic_fabric(2, specs, seed=7, fabric_config=config).fabric
+
+        schedule = build_fabric_schedule(
+            synthetic_queries(400, seed=7), specs, seed=7, mean_interarrival_ms=1.0
+        )
+        cut = 300
+        schedule[cut] = dataclasses.replace(schedule[cut], session_id=session_id)
+        raised = fabric()
+        with pytest.raises(ConfigError, match=f"session id {session_id} names no tenant"):
+            raised.run(schedule)
+        prefix = fabric()
+        prefix.run(schedule[:cut])
+        export = raised.export_json(include_traces=True)
+        assert export == prefix.export_json(include_traces=True)
+        counters = json.loads(export)["counters"]
         assert counters["fabric.served"] > 0 and counters["fabric.rejected.qos_shed"] > 0
 
 
@@ -723,7 +767,7 @@ class TestOneTimeline:
         fabric, schedule = self._fabric_and_schedule()
         fabric.run(schedule)
         before = fabric.export_json(include_traces=True)
-        first, last = schedule[0].request.arrival_ms, schedule[-1].request.arrival_ms
+        first, last = schedule[0].arrival_ms, schedule[-1].arrival_ms
         with pytest.raises(ConfigError, match=f"starts at {first} ms.*last arrival at {last} ms"):
             fabric.run(schedule)
         # refused before any request reached the tenants or a shard

@@ -1329,9 +1329,11 @@ class TestTransferFleet:
 
     def test_fleet_schedule_interleaves_all_tenants(self):
         fleet = _tiny_fleet()
-        tenants = {r.tenant_id for r in fleet.schedule[:4]}
-        assert tenants == {t.tenant_id for t in fleet.tenants}
-        arrivals = [r.request.arrival_ms for r in fleet.schedule]
+        # a request's session id is its tenant's registration index
+        ids = fleet.fabric.tenants.registration_order()
+        assert ids == [t.tenant_id for t in fleet.tenants]
+        assert {ids[r.session_id] for r in fleet.schedule[:4]} == set(ids)
+        arrivals = [r.arrival_ms for r in fleet.schedule]
         assert arrivals == sorted(arrivals)
 
     def test_frozen_fleet_never_retrains(self):

@@ -259,9 +259,12 @@ class TestMutationCatalogue:
 
 class TestOnlineAuditor:
     def test_sampling_cadence(self, stats_db, stats_executor, oracle_workload):
+        from repro.serve.telemetry import TelemetryBus
+
         auditor = OnlineAuditor(stats_db, every=4)
+        bus = TelemetryBus()
         tags = [
-            auditor.observe(q, stats_executor.cardinality(q))
+            auditor.observe(q, stats_executor.cardinality(q), bus=bus)
             for q in oracle_workload[:8]
         ]
         assert [bool(t) for t in tags] == [True, False, False, False] * 2
@@ -270,9 +273,12 @@ class TestOnlineAuditor:
         assert auditor.report.n_violations == 0
 
     def test_detects_wrong_cardinality(self, stats_db, stats_executor, oracle_workload):
+        from repro.serve.telemetry import TelemetryBus
+
         auditor = OnlineAuditor(stats_db, every=1)
         q = oracle_workload[0]
-        assert auditor.observe(q, stats_executor.cardinality(q) + 1) == "violation"
+        bus = TelemetryBus()
+        assert auditor.observe(q, stats_executor.cardinality(q) + 1, bus=bus) == "violation"
         assert auditor.report.n_violations == 1
         assert auditor.report.violations[0].check == "served_cardinality"
 

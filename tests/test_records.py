@@ -1,10 +1,10 @@
 """``slot_init`` against the dataclass ``__init__`` it replaces.
 
-Each of the seven per-request records is compared with a twin built by
+Each of the six per-request records is compared with a twin built by
 ``dataclasses.make_dataclass`` from the same fields, which keeps the
 generated ``__init__``: the two must agree on every call shape, error,
 comparison, copy and freeze.  A class with a ``__post_init__`` covers the
-call the seven records do not make, and every feature ``slot_init`` does
+call the six records do not make, and every feature ``slot_init`` does
 not reproduce is refused when the class is created.
 """
 
@@ -21,14 +21,13 @@ from repro.core.interfaces import Decision
 from repro.core.records import slot_init
 from repro.engine.simulator import ExecutionResult
 from repro.pilotscope.console import QueryLogEntry
-from repro.serve.fabric.fabric import FabricRequest
 from repro.serve.runtime import Rejected, Request, Served
 
 
 @slot_init
 @dataclass(frozen=True, slots=True)
 class Bounded:
-    """A record whose ``__post_init__`` validates: the seven have none."""
+    """A record whose ``__post_init__`` validates: the six have none."""
 
     low: int
     high: int = 10
@@ -38,7 +37,7 @@ class Bounded:
             raise ValueError(f"low {self.low} > high {self.high}")
 
 
-RECORDS = [Request, FabricRequest, Decision, ExecutionResult, Served, Rejected, QueryLogEntry, Bounded]
+RECORDS = [Request, Decision, ExecutionResult, Served, Rejected, QueryLogEntry, Bounded]
 
 
 def _twin(cls: type) -> type:
