@@ -7,7 +7,8 @@ evaluation leads with.
 
 Expected shape: ~1x during warm-up (Bao ships native plans), rising past
 1.2-1.5x once the latency model converges, with the tail (p99) improving
-at least as much as the median.
+at least as much as the median.  E7b also reports the model's size: the
+bytes of its ensemble members' parameters (deterministic, not timed).
 """
 
 from benchmarks.contract import Table, imdb_db, imdb_optimizer, imdb_simulator, table_export
@@ -34,6 +35,7 @@ def measure(seed=0):
         reg = sum(1 for r in chunk if r.regression > 1.1)
         windows.append((f"{start}-{start+50}", nat / max(lat, 1e-9), reg))
     tail = loop.summary(tail=100)
+    member_bytes = sum(m.flat_params.nbytes for m in bao.risk_model.members())
     return [
         Table(
             "E7: Bao workload-speedup learning curve (windows of 50 queries)",
@@ -42,12 +44,13 @@ def measure(seed=0):
         ),
         Table(
             "E7b: final tail of 100 queries, Bao vs native",
-            ["speedup", "native_p99_ms", "bao_p99_ms", "worst_regression"],
+            ["speedup", "native_p99_ms", "bao_p99_ms", "worst_regression", "member_bytes"],
             [(
                 tail["workload_speedup"],
                 tail["native_p99_latency_ms"],
                 tail["p99_latency_ms"],
                 tail["worst_regression"],
+                member_bytes,
             )],
         ),
     ]

@@ -21,7 +21,8 @@ Nine properties are measured and gated:
    one-gather conv above it, padded max-pool, parent-slot backward, one
    in-place flat Adam update) must be >= 2.1x faster than
    the loop + ``np.add.at`` kernel it replaced
-   (``tests/treeconv_reference.py``) on Bao-shaped plan trees, with every
+   (``tests/treeconv_reference.py``, run in the kernel's float32) on
+   Bao-shaped plan trees, with every
    trained parameter and every prediction ``array_equal``.
 5. **Arm-sweep planning kernel**: ``Optimizer.plan_arms`` over Bao's 12
    hint sets (one DP pass, per-arm best entries in one table) must be
@@ -69,7 +70,7 @@ from repro.costmodel.features import plan_to_tree_arrays
 from repro.engine import CardinalityExecutor, ExecutionSimulator
 from repro.engine.plans import JoinNode, ScanNode
 from repro.ml.gbdt import GradientBoostedTrees
-from repro.ml.treeconv import TreeConvNet
+from repro.ml.treeconv import DTYPE, TreeConvNet
 from repro.optimizer import HintSet, Optimizer, PlanCache
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
 from repro.oracle.fixtures import make_deep_chain
@@ -237,19 +238,24 @@ def treeconv_fit_pass(seed: int = 0) -> dict:
     ]
     y = np.random.default_rng(seed).normal(size=len(trees))
 
-    def timed_fit(kernel):
-        net = kernel(
-            featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed
-        )
+    def timed_fit(net):
         t0 = time.perf_counter()
         net.fit(trees, y, epochs=FIT_EPOCHS, seed=seed)
         return time.perf_counter() - t0, net
 
     t_base = t_vec = float("inf")
     for _ in range(3):
-        t, baseline = timed_fit(ReferenceTreeConvNet)
+        # The loop kernel computes in its parameters' dtype: the kernel's.
+        reference = ReferenceTreeConvNet(
+            featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed
+        )
+        t, baseline = timed_fit(reference.astype(DTYPE))
         t_base = min(t_base, t)
-        t, net = timed_fit(TreeConvNet)
+        t, net = timed_fit(
+            TreeConvNet(
+                featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed
+            )
+        )
         t_vec = min(t_vec, t)
 
     return {

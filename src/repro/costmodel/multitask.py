@@ -74,7 +74,7 @@ class UnifiedTransferableModel:
                 np.log1p(np.maximum(np.asarray(latencies_ms, float), 0.0)),
                 np.log1p(np.maximum(np.asarray(cardinalities, float), 0.0)),
             ]
-        )
+        ).astype(self.net.flat_params.dtype)
         opt = Adam(lr=1e-3)
         params, grads = [self.net.flat_params], [self.net.flat_grads]
         losses: list[float] = []
@@ -120,7 +120,9 @@ class UnifiedTransferableModel:
         corpus = PlanTreeCorpus.from_trees(
             [plan_to_tree_arrays(p, self.featurizer) for p in plans]
         )
-        y = np.log1p(np.maximum(np.asarray(targets, float), 0.0))
+        y = np.log1p(np.maximum(np.asarray(targets, float), 0.0)).astype(
+            self.net.flat_params.dtype
+        )
         # Head parameters = everything after the conv trunk.
         head = self.net.head_offset
         params, grads = [self.net.flat_params[head:]], [self.net.flat_grads[head:]]

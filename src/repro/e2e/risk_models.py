@@ -261,6 +261,7 @@ class PairwisePlanComparator:
         if len(labels) < 15:
             return
         corpus = PlanTreeCorpus.from_trees(trees)
+        labels = labels.astype(self.net.flat_params.dtype)
         opt = Adam(lr=1e-3)
         params, grads = [self.net.flat_params], [self.net.flat_grads]
         orders, drawn = tee(shuffles(self._rng, len(labels), 40))
@@ -274,7 +275,7 @@ class PairwisePlanComparator:
                 diff = scores[1::2] - scores[0::2]  # s(b) - s(a)
                 prob = 1.0 / (1.0 + np.exp(-np.clip(diff, -60, 60)))
                 d_diff = (prob - y_arr) / max(len(y_arr), 1)
-                grad = np.zeros((batch.n_trees, 1))
+                grad = np.zeros((batch.n_trees, 1), scores.dtype)
                 grad[1::2, 0] = d_diff
                 grad[0::2, 0] = -d_diff
                 self.net._backward(batch, grad)

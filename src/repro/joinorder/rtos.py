@@ -85,7 +85,7 @@ class RTOSJoinOrderSearch:
 
     def _value(self, query: Query, prefix: list[str]) -> float:
         tree = prefix_to_tree_arrays(query, prefix, self.featurizer)
-        return self._net.predict([tree])[0]
+        return float(self._net.predict([tree])[0])
 
     # -- inference -----------------------------------------------------------------
 

@@ -176,14 +176,13 @@ class EvalGate:
     # -- verdict ---------------------------------------------------------------
 
     def evaluate(
-        self, champion, challenger, *, challenger_fingerprint: str | None = None
+        self, champion, challenger, *, challenger_fingerprint: str
     ) -> GateReport:
         """Compare the two models; the challenger passes only if it stays
         within every configured ratio of the champion.
 
         ``challenger_fingerprint`` is the challenger's digest under
-        :attr:`shared` when the caller has one (the registry took it at
-        registration); otherwise the gate takes it."""
+        :attr:`shared` (the registry took it at registration)."""
         champ_metrics, champ_lats = self._measured(champion)
         chall_metrics, chall_lats = self._measured(challenger, challenger_fingerprint)
         reasons: list[str] = []

@@ -18,6 +18,11 @@ of every tree once, layer 1 reads each node's ``[x_v ; x_l ; x_r]`` row from
 a table built once per fit, and a fit's batches come from one plan whose
 index arrays are built a block of epochs at a time (see DESIGN.md §7,
 "training kernel").
+
+The kernel computes in float32 (``DTYPE``), as Bao's own TreeConv does:
+features and targets are cast to it once, and every other array takes its
+dtype from the parameters or the corpus.  Scalars stay Python floats, which
+numpy's promotion rules keep from upcasting a float32 array.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ Tree = tuple[np.ndarray, np.ndarray, np.ndarray]
 #: a single batch is larger), and the trees of orders it reads at once: the
 #: plan's size depends on neither the number of epochs nor the corpus
 PLAN_ROWS = 1024
+
+#: the one floating dtype of the kernel: parameters, gradients, optimizer
+#: state, corpus features and every batch and buffer take theirs from this
+#: (Bao's own TreeConv trains in float32; nothing here needs float64)
+DTYPE = np.float32
 
 
 @dataclass
@@ -96,7 +106,7 @@ class PlanTreeBatch:
         first = corpus.starts + 1
         idx3, pad = _index(corpus.left, corpus.right, corpus.sizes, first)
         features = corpus.features
-        x = np.concatenate([np.zeros((1, features.shape[1])), features])
+        x = np.concatenate([np.zeros((1, features.shape[1]), features.dtype), features])
         return cls(
             x.take(idx3, axis=0).reshape(len(idx3), 3 * features.shape[1]),
             idx3,
@@ -170,7 +180,7 @@ class PlanTreeCorpus:
         """
         if len(trees) == 0:
             raise ValueError("cannot batch zero trees")
-        feats = [np.asarray(t[0], dtype=float) for t in trees]
+        feats = [np.asarray(t[0], dtype=DTYPE) for t in trees]
         lefts = [np.asarray(t[1], dtype=int) for t in trees]
         rights = [np.asarray(t[2], dtype=int) for t in trees]
         node_dim = feats[0].shape[1] if feats[0].ndim == 2 else -1
@@ -258,7 +268,7 @@ class PlanTreeCorpus:
         root = np.repeat(starts, sizes)  # stored row of each node's tree
         rows = root + np.arange(len(root)) - np.repeat(first, sizes)
         d = self.features.shape[1]
-        layer1 = np.zeros((len(rows), 3 * d))
+        layer1 = np.zeros((len(rows), 3 * d), self.features.dtype)
         layer1[:, :d] = self.features[rows]
         left, right = self.left[rows], self.right[rows]
         for side, children in ((1, left), (2, right)):
@@ -365,7 +375,7 @@ class _TreeConvLayer:
 
     def forward(self, concat: np.ndarray) -> np.ndarray:
         # concat: [N, 3 * in_dim] node rows.  Output: [1+N, out_dim], null row 0.
-        out = np.empty((len(concat) + 1, self.w.shape[1]))
+        out = np.empty((len(concat) + 1, self.w.shape[1]), self.w.dtype)
         out[0] = 0.0
         pre = out[1:]
         np.matmul(concat, self.w, out=pre)
@@ -391,7 +401,7 @@ class _TreeConvLayer:
         if parent_slot is None:
             return None
         n, d = len(g), self.in_dim
-        d_concat = np.empty((n + 1, 3 * d))
+        d_concat = np.empty((n + 1, 3 * d), self.w.dtype)
         d_concat[n] = 0.0
         np.matmul(g, self.w.T, out=d_concat[:n])
         # ``0.0 +`` first: it turns a -0.0 own slot into +0.0, as the
@@ -490,7 +500,9 @@ class TreeConvNet:
             self.head.append(_DenseRelu(prev, width, rng, relu=True))
             prev = width
         self.head.append(_DenseRelu(prev, out_dim, rng, relu=False))
-        self.flat_params = np.concatenate([p.ravel() for p in self.parameters()])
+        self.flat_params = np.concatenate(
+            [p.ravel() for p in self.parameters()], dtype=DTYPE
+        )
         self.flat_grads = np.zeros_like(self.flat_params)
         self._bind()
 
@@ -547,7 +559,7 @@ class TreeConvNet:
             grad = layer.backward(grad)
         # Un-pool: each (tree, channel) has exactly one argmax row, so routing
         # the pooled gradient there is an assignment.
-        g = np.zeros((self._n_nodes, grad.shape[1]))
+        g = np.zeros((self._n_nodes, grad.shape[1]), self.flat_params.dtype)
         g[self._argmax - 1, np.arange(g.shape[1])] = grad
         # Nothing consumes the gradient w.r.t. the input features.
         for i in reversed(range(len(self.conv_layers))):
@@ -582,7 +594,7 @@ class TreeConvNet:
         seed: int = 0,
     ) -> list[float]:
         """Train on a corpus of trees with MSE; returns per-epoch losses."""
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(y, self.flat_params.dtype)
         if y.ndim == 1:
             y = y[:, None]
         if len(trees) != y.shape[0]:
@@ -612,6 +624,6 @@ class TreeConvNet:
 
     def predict(self, trees: Sequence[Tree]) -> np.ndarray:
         if not trees:
-            return np.zeros((0, self.out_dim))
+            return np.zeros((0, self.out_dim), self.flat_params.dtype)
         out = self.forward(PlanTreeBatch.from_trees(trees))
         return out[:, 0] if self.out_dim == 1 else out

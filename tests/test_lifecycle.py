@@ -1004,7 +1004,15 @@ def _memoless_twin(gate) -> _MemolessGate:
         simulator=gate.simulator,
         executor=gate.executor,
         telemetry=gate.telemetry,
+        shared=gate.shared,
     )
+
+
+def _judge(gate, champion, challenger):
+    """``gate.evaluate`` as the scheduler calls it: with the challenger's
+    digest under the gate's shared objects."""
+    fingerprint = model_fingerprint(challenger, shared=gate.shared)
+    return gate.evaluate(champion, challenger, challenger_fingerprint=fingerprint)
 
 
 def _count_passes(gate, monkeypatch) -> list:
@@ -1045,35 +1053,35 @@ def test_gate_memo_answers_an_unchanged_model_and_misses_a_refit_or_a_drift(monk
     # Measuring the champion leaves its content as it was (the featurizer's
     # join index is whole from construction), so its first pass is kept.
     passes = _count_passes(gate, monkeypatch)
-    gate.evaluate(champion, champion)
+    _judge(gate, champion, champion)
     assert passes == [champion]
     clone = clone_model(champion, shared=shared)
-    first = gate.evaluate(champion, clone)
+    first = _judge(gate, champion, clone)
     assert passes == [champion]  # one content, one data version
     assert first.passed
     assert first.challenger == first.champion | {"regression_rate": 0.0}
     refit = clone_model(champion, shared=shared)
     refit.estimator.fit(queries[:20], np.ones(20))
-    second = gate.evaluate(champion, refit)
+    second = _judge(gate, champion, refit)
     assert passes[1:] == [refit]  # the champion from the memo, not the refit
     assert second.champion == first.champion
     apply_drift(gate.simulator.db, fraction=0.5, seed=0)
     native.stats.refresh(gate.simulator.db)
     gate.executor.clear_cache()
-    third = gate.evaluate(champion, refit)
+    third = _judge(gate, champion, refit)
     assert passes[2:] == [champion, refit]  # new data: both again
     assert third.champion != first.champion
-    assert _memoless_twin(gate).evaluate(champion, refit) == third
+    assert _judge(_memoless_twin(gate), champion, refit) == third
 
 
 def test_gate_memo_caches_metrics_not_verdicts(monkeypatch):
     gate, champion, _, shared, _ = _memo_stack()
-    gate.evaluate(champion, champion)
+    _judge(gate, champion, champion)
     clone = clone_model(champion, shared=shared)
-    assert gate.evaluate(champion, clone).passed
+    assert _judge(gate, champion, clone).passed
     passes = _count_passes(gate, monkeypatch)
     gate.max_p50_ratio = 0.0  # what p4's gate-safety arm does to a live gate
-    report = gate.evaluate(champion, clone)
+    report = _judge(gate, champion, clone)
     assert passes == []  # both answered from the memo ...
     assert not report.passed and report.reasons[0].startswith("p50 latency")  # ... and judged anew
 
@@ -1098,7 +1106,7 @@ def test_gate_memo_never_answers_a_model_that_draws_while_planning(monkeypatch):
     champion = clone_model(drawing, shared=shared)
     challenger = clone_model(drawing, shared=shared)
     for _ in range(2):
-        gate.evaluate(champion, challenger)
+        _judge(gate, champion, challenger)
     # Each pass moved each Generator, so no pass was ever stored.
     assert passes == [champion, challenger] * 2
 
@@ -1140,7 +1148,7 @@ def test_gate_reports_equal_a_memoless_gates_over_the_drift_scenario(seed, monke
     compared = []
 
     def checked(champion, challenger, **kwargs):
-        expected = reference.evaluate(champion, challenger)
+        expected = reference.evaluate(champion, challenger, **kwargs)
         report = evaluate(champion, challenger, **kwargs)
         assert report == expected
         compared.append(report)

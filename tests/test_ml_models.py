@@ -14,6 +14,7 @@ from repro.ml import (
 )
 from repro.ml.chowliu import mutual_information
 from repro.ml.gbdt import RegressionTree
+from repro.ml.treeconv import DTYPE
 
 
 def random_tree(rng, n_max=6, dim=4):
@@ -34,7 +35,9 @@ class TestPlanTreeBatch:
         rng = np.random.default_rng(0)
         feats, left, right = random_tree(rng)
         batch = PlanTreeBatch.from_trees([(feats, left, right)])
+        feats = feats.astype(DTYPE)  # the batch's dtype
         d = feats.shape[1]
+        assert batch.layer1.dtype == DTYPE
         assert np.array_equal(batch.layer1[:, :d], feats)
         for i in range(len(feats)):
             for col, child in ((d, left[i]), (2 * d, right[i])):

@@ -1,5 +1,8 @@
 """Property-based tests on cross-cutting invariants (hypothesis)."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +150,17 @@ def _numeric_grad(f, param, eps=1e-5):
     return grad
 
 
+def _float64_copy(net):
+    """``net`` with its flat buffers cast to float64 and its layers re-bound
+    to them: every buffer of a pass takes its dtype from the parameters, so
+    central differences at ``eps = 1e-5`` are not lost to float32 rounding."""
+    net = copy.deepcopy(net)
+    net.flat_params = net.flat_params.astype(np.float64)
+    net.flat_grads = np.zeros_like(net.flat_params)
+    net._bind()
+    return net
+
+
 class TestStructuredGradients:
     def test_treeconv_gradient_matches_numerical(self):
         # Ragged batch (bushy, single-node, chain, left-deep) through a
@@ -168,10 +182,11 @@ class TestStructuredGradients:
             ),
         ]
         target = np.array([[1.0], [2.0], [-1.0], [0.5]])
-        net = TreeConvNet(4, (5, 4), (3,), seed=1)
+        net = _float64_copy(TreeConvNet(4, (5, 4), (3,), seed=1))
         # A training batch: it carries the parent slots the backward reads.
         _, batches = next(PlanTreeCorpus.from_trees(trees).plan([np.arange(len(trees))], len(trees)))
         batch = next(batches)
+        batch = dataclasses.replace(batch, layer1=batch.layer1.astype(np.float64))
 
         def loss():
             return float(((net.forward(batch) - target) ** 2).sum())

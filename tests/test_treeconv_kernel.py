@@ -4,10 +4,13 @@
 rewrite (per-batch re-stacking, per-tree arg-max loop, ``np.add.at``
 scatters, eight-array Adam).  Every comparison here is ``np.array_equal``:
 the rewrite keeps each floating-point operation's operands and order, so
-there is no tolerance to set.
+there is no tolerance to set.  The reference computes in its parameters'
+dtype, cast to the kernel's ``DTYPE`` (``ReferenceTreeConvNet.astype``).
 """
 
+import collections
 import copy
+import itertools
 import pickle
 
 import numpy as np
@@ -16,8 +19,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.costmodel import PlanFeaturizer, UnifiedTransferableModel
 from repro.costmodel.features import plan_to_tree_arrays
-from repro.e2e import PairwisePlanComparator
-from repro.ml.treeconv import PLAN_ROWS, PlanTreeBatch, PlanTreeCorpus, TreeConvNet, shuffles
+from repro.e2e import BaoOptimizer, LeroOptimizer, PairwisePlanComparator
+from repro.ml.nn import Adam
+from repro.ml.treeconv import (
+    DTYPE,
+    PLAN_ROWS,
+    PlanTreeBatch,
+    PlanTreeCorpus,
+    TreeConvNet,
+    _TreeConvLayer,
+    shuffles,
+)
 from repro.sql import WorkloadGenerator
 from tests.treeconv_reference import (
     ReferenceAdam,
@@ -56,7 +68,7 @@ def ragged_forest(seed, n, dim=6, max_leaves=6):
 
 def nets(dim, **kwargs):
     args = dict(conv_channels=(8, 8), head_hidden=(4,), seed=3, **kwargs)
-    return ReferenceTreeConvNet(dim, **args), TreeConvNet(dim, **args)
+    return ReferenceTreeConvNet(dim, **args).astype(DTYPE), TreeConvNet(dim, **args)
 
 
 def assert_same_bits(ref, new, trees):
@@ -196,7 +208,7 @@ class TestSameBitsOnForests:
         y = rng.normal(size=n)
         channels = (8,) if ties else (8, 8)  # one layer keeps the signed zeros
         args = dict(conv_channels=channels, head_hidden=(4,), seed=seed % 7)
-        ref, new = ReferenceTreeConvNet(5, **args), TreeConvNet(5, **args)
+        ref, new = ReferenceTreeConvNet(5, **args).astype(DTYPE), TreeConvNet(5, **args)
         if ties:
             trees = signed_zero_ties(trees)
             for net in (ref, new):
@@ -217,7 +229,7 @@ class TestSameBitsOnForests:
     def test_signed_zero_ties_pool_the_first_row(self):
         trees = signed_zero_ties(forest(3, 6, "random"))
         args = dict(conv_channels=(8,), head_hidden=(4,), seed=3)
-        ref, new = ReferenceTreeConvNet(5, **args), TreeConvNet(5, **args)
+        ref, new = ReferenceTreeConvNet(5, **args).astype(DTYPE), TreeConvNet(5, **args)
         for net in (ref, new):
             for layer in net.conv_layers:
                 layer.w[...] = np.abs(layer.w)
@@ -243,7 +255,7 @@ class TestSameBitsOnForests:
                 model.record(f"q{q}", t, float(rng.choice([10.0, 10.2, 30.0, 80.0])))
         ref = ReferenceTreeConvNet(
             dim, conv_channels=(32, 32), head_hidden=(16,), seed=seed % 3
-        )
+        ).astype(DTYPE)
         n_pairs = _old_comparator_retrain(
             model._by_query, ref, np.random.default_rng(seed % 3 + 5), epochs=40, lr=1e-3
         )
@@ -273,7 +285,7 @@ def reference_batch(trees):
     tree_slices, pad, parent_slot)``, each built tree by tree."""
     ref = ReferencePlanTreeBatch.from_trees(trees)
     f, n = ref.features, len(ref.left)
-    layer1 = np.concatenate([f[1:], f[ref.left], f[ref.right]], axis=1)
+    layer1 = np.concatenate([f[1:], f[ref.left], f[ref.right]], axis=1).astype(DTYPE)
     idx3 = np.stack([np.arange(1, n + 1), ref.left, ref.right], axis=1)
     width = max(stop - start for start, stop in ref.tree_slices)
     pad = np.zeros((len(ref.tree_slices), width), dtype=int)
@@ -297,6 +309,7 @@ def one_batch(corpus, idx):
 def assert_batch_is(batch, trees):
     want = reference_batch(trees)
     got = (batch.layer1, batch.idx3, batch.tree_slices, batch.pad, batch.parent_slot)
+    assert batch.layer1.dtype == DTYPE
     for g, w in zip(got, want):
         assert g.shape == w.shape and (g == w).all()
 
@@ -529,8 +542,9 @@ def _old_comparator_retrain(by_query, net, rng, *, epochs, lr):
             scores = net.forward(batch)[:, 0]
             diff = scores[1::2] - scores[0::2]
             prob = 1.0 / (1.0 + np.exp(-np.clip(diff, -60, 60)))
-            d_diff = (prob - np.array([y for _, _, y in chunk])) / max(len(chunk), 1)
-            grad = np.zeros((len(trees), 1))
+            labels = np.array([y for _, _, y in chunk], net.dtype)
+            d_diff = (prob - labels) / max(len(chunk), 1)
+            grad = np.zeros((len(trees), 1), net.dtype)
             grad[1::2, 0] = d_diff
             grad[0::2, 0] = -d_diff
             net._backward(batch, grad)
@@ -581,7 +595,7 @@ class TestFoldedLoops:
                 model.record(f"q{q}", tree, float(rng.choice([10.0, 10.2, 30.0, 80.0])))
         ref = ReferenceTreeConvNet(
             featurizer.node_dim, conv_channels=(32, 32), head_hidden=(16,), seed=2
-        )
+        ).astype(DTYPE)
         n_pairs = _old_comparator_retrain(
             model._by_query, ref, np.random.default_rng(2 + 5), epochs=40, lr=1e-3
         )
@@ -604,16 +618,84 @@ class TestFoldedLoops:
         trees = [plan_to_tree_arrays(p, featurizer) for p in plans]
         ref = ReferenceTreeConvNet(
             featurizer.node_dim, (48, 48), (24,), out_dim=2, seed=4
-        )
+        ).astype(DTYPE)
         want = _old_multitask_loops(
             ref,
             np.random.default_rng(4),
             trees,
-            np.column_stack([np.log1p(lats), np.log1p(cards)]),
+            np.column_stack([np.log1p(lats), np.log1p(cards)]).astype(DTYPE),
             trees[:40],
-            np.log1p(lats[:40] * 3.0),
+            np.log1p(lats[:40] * 3.0).astype(DTYPE),
             epochs=3,
         )
         assert losses == want
         for p, q in zip(ref.parameters(), model.net.parameters()):
             assert np.array_equal(p, q)
+
+
+class TestDtype:
+    """A retrain and a read of Bao's and Lero's models, built by their
+    product constructors, compute in ``DTYPE`` end to end: no buffer, batch,
+    optimizer state or output upcasts."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """``{what: dtypes}`` of every array the spies below see."""
+        seen = collections.defaultdict(set)
+
+        def spy(cls, name, record):
+            inner = getattr(cls, name)
+
+            def wrapped(self, *args):
+                out = inner(self, *args)
+                for what, arrays in record(self, args, out):
+                    seen[what].update(a.dtype for a in arrays)
+                return out
+
+            monkeypatch.setattr(cls, name, wrapped)
+
+        spy(Adam, "step", lambda opt, args, _: [
+            ("flat params and grads", [*args[0], *args[1]]),
+            ("adam moments", [*opt._m, *opt._v]),
+            ("adam scratch", list(itertools.chain(*opt._scratch))),
+        ])
+        spy(PlanTreeCorpus, "_layer1", lambda corpus, _, out: [
+            ("corpus features", [corpus.features]),
+            ("layer-1 table", [out[0]]),
+        ])
+        spy(TreeConvNet, "forward", lambda _, args, out: [
+            ("batch layer1", [args[0].layer1]),
+            ("forward output", [out]),
+        ])
+        spy(_TreeConvLayer, "backward", lambda _, args, out: [
+            ("backward buffers", [args[0]] + ([] if out is None else [out])),
+        ])
+        spy(TreeConvNet, "predict", lambda _, args, out: [("predict output", [out])])
+        return seen
+
+    @staticmethod
+    def _feed(model, queries, rng):
+        """Three candidates of each query executed at spread latencies."""
+        for q in queries:
+            for cand in model.exploration.candidates(q)[:3]:
+                model.record_feedback(q, cand, float(rng.choice([10.0, 30.0, 80.0, 200.0])))
+
+    def test_bao_and_lero_retrain_and_read_in_dtype(self, imdb_optimizer, seen):
+        queries = WorkloadGenerator(imdb_optimizer.db, seed=21).workload(12, 2, 4)
+        bao = BaoOptimizer(imdb_optimizer, seed=0)
+        lero = LeroOptimizer(imdb_optimizer, seed=0)
+        for model in (bao, lero):
+            self._feed(model, queries, np.random.default_rng(21))
+            model.retrain()
+            model.choose_plan(queries[0])
+        assert lero.risk_model.trained
+        nets = [*bao.risk_model.members(), lero.risk_model.net]
+        for net in nets:
+            assert net.flat_params.dtype == net.flat_grads.dtype == DTYPE
+        assert set(seen) == {
+            "flat params and grads", "adam moments", "adam scratch", "corpus features",
+            "layer-1 table", "batch layer1", "forward output", "backward buffers",
+            "predict output",
+        }
+        want = {np.dtype(DTYPE)}
+        assert {what: dtypes for what, dtypes in seen.items() if dtypes != want} == {}

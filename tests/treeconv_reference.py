@@ -9,6 +9,11 @@ step).  The rewrite must reproduce it bit for
 bit; ``tests/test_treeconv_kernel.py`` asserts that and
 ``benchmarks/bench_p6_fastpath.py`` uses it as the interpreted baseline.
 Do not optimise this file.
+
+It computes in the dtype of its parameters: a net draws them in float64,
+as the kernel did, and :meth:`ReferenceTreeConvNet.astype` casts them to
+the kernel's ``DTYPE``.  Features and targets are cast to that dtype, and
+every buffer takes it from the parameters.
 """
 
 from __future__ import annotations
@@ -136,7 +141,7 @@ class _TreeConvLayer:
         self._left, self._right = left, right
         pre = self._concat @ self.w + self.b
         self._mask = pre > 0
-        out = np.zeros((x.shape[0], self.w.shape[1]))
+        out = np.zeros((x.shape[0], self.w.shape[1]), self.w.dtype)
         out[1:] = pre * self._mask
         return out
 
@@ -147,7 +152,7 @@ class _TreeConvLayer:
         self.db = g.sum(axis=0)
         d_concat = g @ self.w.T
         d = self.in_dim
-        grad_in = np.zeros((grad_out.shape[0], d))
+        grad_in = np.zeros((grad_out.shape[0], d), self.w.dtype)
         grad_in[1:] += d_concat[:, :d]
         np.add.at(grad_in, self._left, d_concat[:, d : 2 * d])
         np.add.at(grad_in, self._right, d_concat[:, 2 * d :])
@@ -239,14 +244,25 @@ class ReferenceTreeConvNet:
             prev = width
         self.head.append(_DenseRelu(prev, out_dim, rng, relu=False))
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.head[-1].w.dtype
+
+    def astype(self, dtype) -> "ReferenceTreeConvNet":
+        """Cast every parameter and gradient to ``dtype`` in place; ``self``."""
+        for layer in [*self.conv_layers, *self.head]:
+            for name in ("w", "b", "dw", "db"):
+                setattr(layer, name, getattr(layer, name).astype(dtype))
+        return self
+
     # -- forward / backward ---------------------------------------------------
 
     def embed(self, batch: ReferencePlanTreeBatch) -> np.ndarray:
         """Return the pooled plan embedding (before the head), ``[B, C]``."""
-        x = batch.features
+        x = batch.features.astype(self.dtype)
         for layer in self.conv_layers:
             x = layer.forward(x, batch.left, batch.right)
-        pooled = np.empty((batch.n_trees, x.shape[1]))
+        pooled = np.empty((batch.n_trees, x.shape[1]), self.dtype)
         self._argmax: list[np.ndarray] = []
         for i, (start, stop) in enumerate(batch.tree_slices):
             rows = x[start:stop]
@@ -272,7 +288,7 @@ class ReferenceTreeConvNet:
         for layer in reversed(self.head):
             grad = layer.backward(grad)
         # Un-pool: route each pooled gradient to the argmax node.
-        grad_nodes = np.zeros(self._last_x_shape)
+        grad_nodes = np.zeros(self._last_x_shape, self.dtype)
         for i in range(batch.n_trees):
             cols = np.arange(grad_nodes.shape[1])
             np.add.at(grad_nodes, (self._argmax[i], cols), grad[i])
@@ -311,7 +327,7 @@ class ReferenceTreeConvNet:
         verbose: bool = False,
     ) -> list[float]:
         """Train on a corpus of trees; returns per-epoch losses."""
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(y, self.dtype)
         if y.ndim == 1:
             y = y[:, None]
         if len(trees) != y.shape[0]:
@@ -344,6 +360,6 @@ class ReferenceTreeConvNet:
         self, trees: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
     ) -> np.ndarray:
         if not trees:
-            return np.zeros((0, self.out_dim))
+            return np.zeros((0, self.out_dim), self.dtype)
         out = self.forward(ReferencePlanTreeBatch.from_trees(trees))
         return out[:, 0] if self.out_dim == 1 else out
