@@ -131,13 +131,12 @@ class DiscretizedTable:
     def build(
         cls,
         table: Table,
+        columns: list[str],
         max_bins: int = 32,
-        columns: list[str] | None = None,
     ) -> "DiscretizedTable":
-        names = columns if columns is not None else table.column_names
-        binners = {c: ColumnBinner(table.values(c), max_bins) for c in names}
-        codes = np.column_stack([binners[c].bin_of(table.values(c)) for c in names])
-        return cls(table=table.name, column_names=list(names), binners=binners, codes=codes)
+        binners = {c: ColumnBinner(table.values(c), max_bins) for c in columns}
+        codes = np.column_stack([binners[c].bin_of(table.values(c)) for c in columns])
+        return cls(table=table.name, column_names=list(columns), binners=binners, codes=codes)
 
     @property
     def domain_sizes(self) -> list[int]:

@@ -72,30 +72,15 @@ class CalibratedCostModel:
         self.optimizer = optimizer
         self._x: np.ndarray | None = None
         self._y: np.ndarray | None = None
-        self._observed: list[tuple[float, float]] = []
 
-    def observe(self, plan: Plan, latency_ms: float) -> None:
-        """Record one executed plan's (cost, latency) pair."""
-        self._observed.append(
-            (float(self.optimizer.cost(plan)), float(latency_ms))
-        )
-
-    def fit(
-        self, plans: list[Plan] | None = None, latencies: np.ndarray | None = None
-    ) -> "CalibratedCostModel":
-        """Fit the calibration from recorded and/or supplied pairs."""
-        pairs = list(self._observed)
-        if plans is not None:
-            if latencies is None or len(plans) != len(latencies):
-                raise ValueError("plans and latencies must align")
-            pairs += [
-                (float(self.optimizer.cost(p)), float(l))
-                for p, l in zip(plans, latencies)
-            ]
-        if len(pairs) < 2:
+    def fit(self, plans: list[Plan], latencies: np.ndarray) -> "CalibratedCostModel":
+        """Fit the calibration from executed plans and their latencies."""
+        if len(plans) != len(latencies):
+            raise ValueError("plans and latencies must align")
+        if len(plans) < 2:
             raise ValueError("need at least 2 executed plans to calibrate")
-        x = np.array([c for c, _ in pairs])
-        y = np.array([l for _, l in pairs])
+        x = np.array([float(self.optimizer.cost(p)) for p in plans])
+        y = np.array([float(l) for l in latencies])
         self._x, self._y = isotonic_fit(x, y)
         return self
 

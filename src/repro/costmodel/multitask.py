@@ -112,7 +112,9 @@ class UnifiedTransferableModel:
         This is the transfer step: the shared representation stays, the
         small task model adapts.
         """
-        col = self._task_index(task)
+        if task not in _TASKS:
+            raise ValueError(f"unknown task {task!r}; valid: {_TASKS}")
+        col = _TASKS.index(task)
         if not self._trained:
             raise RuntimeError("fine_tune called before pretrain")
         if len(plans) != len(targets):
@@ -140,13 +142,6 @@ class UnifiedTransferableModel:
 
     # -- task predictions ---------------------------------------------------------------
 
-    @staticmethod
-    def _task_index(task: str) -> int:
-        try:
-            return _TASKS.index(task)
-        except ValueError:
-            raise ValueError(f"unknown task {task!r}; valid: {_TASKS}") from None
-
     def _predict(self, plan: Plan) -> np.ndarray:
         if not self._trained:
             raise RuntimeError("predict called before pretrain")
@@ -156,7 +151,3 @@ class UnifiedTransferableModel:
 
     def predict_latency(self, plan: Plan) -> float:
         return float(max(np.expm1(self._predict(plan)[0]), 0.0))
-
-    def value(self, plan: Plan) -> float:
-        """Join-order search value: lower predicted latency = better."""
-        return float(self._predict(plan)[0])

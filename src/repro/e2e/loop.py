@@ -119,10 +119,10 @@ class OptimizationLoop:
 
     # -- summaries ---------------------------------------------------------------
 
-    def summary(self, tail: int | None = None) -> dict[str, float]:
-        """Aggregate workload statistics (optionally over the last ``tail``
-        queries, i.e. after warm-up)."""
-        results = self.results[-tail:] if tail else self.results
+    def summary(self, tail: int) -> dict[str, float]:
+        """Aggregate workload statistics over the last ``tail`` queries,
+        i.e. after warm-up."""
+        results = self.results[-tail:]
         if not results:
             raise ValueError("loop has not executed any query")
         lat = np.array([r.latency_ms for r in results])

@@ -132,7 +132,7 @@ class FaultPlan:
 class FaultInjector:
     """Binds a :class:`FaultPlan` to a clock, counters and wrappers."""
 
-    def __init__(self, plan: FaultPlan, *, telemetry=None) -> None:
+    def __init__(self, plan: FaultPlan, *, telemetry) -> None:
         self.plan = plan
         self.clock = VirtualClock()
         self.telemetry = telemetry
@@ -141,9 +141,8 @@ class FaultInjector:
     def record(self, target: str, kind: str) -> None:
         key = f"{target}.{kind}"
         self.counters[key] = self.counters.get(key, 0) + 1
-        if self.telemetry is not None:
-            self.telemetry.incr(f"faults.injected.{kind}")
-            self.telemetry.incr(f"faults.target.{target}")
+        self.telemetry.incr(f"faults.injected.{kind}")
+        self.telemetry.incr(f"faults.target.{target}")
 
     def total_injected(self) -> int:
         return sum(self.counters.values())

@@ -360,17 +360,15 @@ class PlanTreeCorpus:
 class _TreeConvLayer:
     """One tree-convolution layer: ``h_v = relu([x_v ; x_l ; x_r] W + b)``.
 
-    ``w``/``b``/``dw``/``db`` are rebound by :class:`TreeConvNet` to views
-    into its flat parameter and gradient buffers; ``backward`` writes the
-    gradients in place.
+    :class:`TreeConvNet` rebinds ``w``/``b`` to views into its flat
+    parameter buffer and binds ``dw``/``db`` to views into its flat gradient
+    buffer; ``backward`` writes the gradients in place.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator) -> None:
         scale = math.sqrt(2.0 / (3 * in_dim))
         self.w = rng.normal(0.0, scale, size=(3 * in_dim, out_dim))
         self.b = np.zeros(out_dim)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
         self.in_dim = in_dim
 
     def forward(self, concat: np.ndarray) -> np.ndarray:
@@ -416,9 +414,6 @@ class _TreeConvLayer:
     def parameters(self) -> list[np.ndarray]:
         return [self.w, self.b]
 
-    def gradients(self) -> list[np.ndarray]:
-        return [self.dw, self.db]
-
 
 class _DenseRelu:
     """Dense + optional ReLU used in the pooled head (buffers as above)."""
@@ -429,8 +424,6 @@ class _DenseRelu:
         scale = math.sqrt(2.0 / in_dim) if relu else math.sqrt(1.0 / in_dim)
         self.w = rng.normal(0.0, scale, size=(in_dim, out_dim))
         self.b = np.zeros(out_dim)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
         self.relu = relu
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -451,9 +444,6 @@ class _DenseRelu:
 
     def parameters(self) -> list[np.ndarray]:
         return [self.w, self.b]
-
-    def gradients(self) -> list[np.ndarray]:
-        return [self.dw, self.db]
 
 
 class TreeConvNet:
@@ -572,14 +562,6 @@ class TreeConvNet:
         for layer in self.head:
             params.extend(layer.parameters())
         return params
-
-    def gradients(self) -> list[np.ndarray]:
-        grads: list[np.ndarray] = []
-        for layer in self.conv_layers:
-            grads.extend(layer.gradients())
-        for layer in self.head:
-            grads.extend(layer.gradients())
-        return grads
 
     # -- training / inference ---------------------------------------------------
 

@@ -59,9 +59,8 @@ class RiskCoster:
     return the lambda-blend of the two costers' answers, each evaluated
     on its own belief.  Drop-in for every coster call the enumerators
     make (``planning_tag`` / ``subquery_cardinalities`` /
-    ``subquery_cardinality`` / ``scan_cost`` / ``tagged_scan_cost`` /
-    ``join_operator_cost`` / ``cost``); its planning tag is the pair of
-    the two costers' tags, which the tagged calls split.
+    ``tagged_scan_cost`` / ``join_operator_cost``); its planning tag is the
+    pair of the two costers' tags, which the tagged calls split.
     """
 
     def __init__(
@@ -86,18 +85,6 @@ class RiskCoster:
 
     # -- cardinalities (RiskCard-valued) --------------------------------------------
 
-    def estimate_cardinality(self, query) -> RiskCard:
-        return RiskCard(
-            self.expected.estimate_cardinality(query),
-            self.bound.estimate_cardinality(query),
-        )
-
-    def subquery_cardinality(self, query, tables) -> RiskCard:
-        return RiskCard(
-            self.expected.subquery_cardinality(query, tables),
-            self.bound.subquery_cardinality(query, tables),
-        )
-
     def planning_tag(self) -> tuple:
         """Both costers' :meth:`PlanCoster.planning_tag`, expected first."""
         return (self.expected.planning_tag(), self.bound.planning_tag())
@@ -108,9 +95,6 @@ class RiskCoster:
         return {tables: RiskCard(exp[tables], wor[tables]) for tables in exp}
 
     # -- costs (blended) --------------------------------------------------------------
-
-    def scan_cost(self, node) -> float:
-        return self.tagged_scan_cost(node, self.planning_tag())
 
     def tagged_scan_cost(self, node, tag) -> float:
         return self._blend(
@@ -136,9 +120,6 @@ class RiskCoster:
             right_node,
         )
         return self._blend(expected_cost, worst_cost)
-
-    def cost(self, plan) -> float:
-        return self._blend(self.expected.cost(plan), self.bound.cost(plan))
 
 
 class RiskLambdaTuner(ServePolicy):

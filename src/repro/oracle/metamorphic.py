@@ -81,7 +81,6 @@ class MetamorphicSuite:
                     )
                 )
             outcome = verify_transform(
-                query,
                 transformed,
                 baseline=baseline,
                 executor=self.executor,

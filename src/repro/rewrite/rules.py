@@ -197,7 +197,7 @@ class RewriteRule:
     name: str = field(default="", init=False)
 
     def apply(
-        self, db: Database, query: Query, *, catalog=None
+        self, db: Database, query: Query, *, catalog
     ) -> RewriteCandidate | None:
         raise NotImplementedError
 
@@ -209,7 +209,7 @@ class PredicatePushdown(RewriteRule):
         self.name = "predicate_pushdown"
 
     def apply(
-        self, db: Database, query: Query, *, catalog=None
+        self, db: Database, query: Query, *, catalog
     ) -> RewriteCandidate | None:
         if not query.joins:
             return None
@@ -252,10 +252,8 @@ class InToJoin(RewriteRule):
         self.name = "in_to_join"
 
     def apply(
-        self, db: Database, query: Query, *, catalog=None
+        self, db: Database, query: Query, *, catalog
     ) -> RewriteCandidate | None:
-        if catalog is None:
-            return None
         best = None
         for pred in query.predicates:
             if isinstance(pred, OrPredicate) or pred.op is not Op.IN:
@@ -295,7 +293,7 @@ class OrToUnion(RewriteRule):
         self.name = "or_to_union"
 
     def apply(
-        self, db: Database, query: Query, *, catalog=None
+        self, db: Database, query: Query, *, catalog
     ) -> RewriteCandidate | None:
         for i, pred in enumerate(query.predicates):
             if not isinstance(pred, OrPredicate):
@@ -328,7 +326,7 @@ class DropRedundant(RewriteRule):
         self.name = "drop_redundant"
 
     def apply(
-        self, db: Database, query: Query, *, catalog=None
+        self, db: Database, query: Query, *, catalog
     ) -> RewriteCandidate | None:
         preds = list(query.predicates)
         keep: list = []
@@ -377,7 +375,7 @@ class MergeRanges(RewriteRule):
         self.name = "merge_ranges"
 
     def apply(
-        self, db: Database, query: Query, *, catalog=None
+        self, db: Database, query: Query, *, catalog
     ) -> RewriteCandidate | None:
         by_column: dict[ColumnRef, list[Predicate]] = {}
         for pred in query.predicates:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.executor import CardinalityExecutor
-from repro.sql.transforms import VerifyOutcome, verify_transform, verify_union
+from repro.sql.transforms import VerifyOutcome, exact_count, verify_transform, verify_union
 from repro.storage.catalog import Database
 
 from repro.rewrite.rules import RewriteCandidate
@@ -58,16 +58,16 @@ class RewriteValidator:
     ) -> ValidationResult:
         """Exact COUNT comparison; ``baseline`` skips re-counting the original."""
         self.checked += 1
+        if baseline is None:
+            baseline = exact_count(candidate.original, self.executor)
         if candidate.servable:
             outcome = verify_transform(
-                candidate.original,
                 candidate.rewritten,
                 baseline=baseline,
                 executor=self.executor,
             )
         else:
             outcome = verify_union(
-                candidate.original,
                 candidate.queries,
                 baseline=baseline,
                 executor=self.executor,

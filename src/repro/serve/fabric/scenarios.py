@@ -165,7 +165,11 @@ def synthetic_fabric(
     or use the returned scenario's empty schedule slot); each shard's bus
     keeps its first 256 traces and counts the later ones in
     ``traces_dropped``."""
-    injector = FaultInjector(fault_plan) if fault_plan is not None else None
+    # the shards share one injector; the fabric bus reads its counters
+    # through the ``fault_injector`` gauge
+    injector = (
+        None if fault_plan is None else FaultInjector(fault_plan, telemetry=TelemetryBus())
+    )
     shards = [
         guarded_shard(
             i,
@@ -216,7 +220,9 @@ def sharded_fabric_scenario(
     """
     db = make_stats_lite(scale=scale, seed=seed)
     specs = default_tenant_specs()
-    injector = FaultInjector(fault_plan) if fault_plan is not None else None
+    injector = (
+        None if fault_plan is None else FaultInjector(fault_plan, telemetry=TelemetryBus())
+    )
     shards: list[ShardRuntime] = []
     for i in range(n_shards):
         bus = TelemetryBus()

@@ -255,15 +255,6 @@ class OrPredicate:
         lows, highs = zip(*(p.to_range() for p in self.parts))
         return (min(lows), max(highs))
 
-    def to_bounds(self) -> tuple[float, float, bool, bool]:
-        """Closed hull over the parts, in :meth:`Predicate.to_bounds` form."""
-        bounds = [p.to_bounds() for p in self.parts]
-        lo = min(b[0] for b in bounds)
-        hi = max(b[1] for b in bounds)
-        lo_inc = any(b[0] == lo and b[2] for b in bounds)
-        hi_inc = any(b[1] == hi and b[3] for b in bounds)
-        return (lo, hi, lo_inc, hi_inc)
-
     def __str__(self) -> str:
         return "(" + " OR ".join(str(p) for p in self.parts) + ")"
 

@@ -195,20 +195,17 @@ class VerifyOutcome:
 
 
 def verify_transform(
-    original: Query,
     transformed: Query,
     *,
     executor,
-    baseline: int | None = None,
+    baseline: int | None,
 ) -> VerifyOutcome:
     """Check COUNT(original) == COUNT(transformed) on the exact ``executor``.
 
-    ``baseline`` lets callers that already computed the original's count
-    (the metamorphic suite computes it once per query) skip re-counting.
+    ``baseline`` is the original's count, which every caller has already
+    computed (``None``: it was intractable).
     """
-    expected = (
-        baseline if baseline is not None else exact_count(original, executor)
-    )
+    expected = baseline
     if expected is None:
         return VerifyOutcome(False, True, None, None, "original intractable")
     actual = exact_count(transformed, executor)
@@ -226,21 +223,19 @@ def verify_transform(
 
 
 def verify_union(
-    original: Query,
     branches: Sequence[Query],
     *,
     executor,
-    baseline: int | None = None,
+    baseline: int | None,
 ) -> VerifyOutcome:
     """Check COUNT(original) == sum over branch counts.
 
     The invariant for disjoint-split rewrites (OR -> UNION): when the
     branches partition the original's predicate space, the branch counts
-    must sum exactly to the original count.
+    must sum exactly to ``baseline``, the original's count (``None``: it
+    was intractable).
     """
-    expected = (
-        baseline if baseline is not None else exact_count(original, executor)
-    )
+    expected = baseline
     if expected is None:
         return VerifyOutcome(False, True, None, None, "original intractable")
     total = 0

@@ -103,12 +103,12 @@ def _best_scan(
         if method is ScanMethod.INDEX and not preds:
             continue  # index scans need a driving predicate
         node = ScanNode(table=table, method=method, predicates=preds)
-        candidates.append((node, coster.scan_cost(node)))
+        candidates.append((node, coster.tagged_scan_cost(node, coster.planning_tag())))
     if not candidates:
         # Index-only hints on a predicate-less table: fall back to seq scan,
         # as real systems do rather than failing the query.
         node = ScanNode(table=table, method=ScanMethod.SEQ, predicates=preds)
-        candidates.append((node, coster.scan_cost(node)))
+        candidates.append((node, coster.tagged_scan_cost(node, coster.planning_tag())))
     return min(candidates, key=lambda c: c[1])
 
 

@@ -128,7 +128,7 @@ class TestSanitizeBound:
             ),
             seed=5,
         )
-        injector = FaultInjector(plan)
+        injector = FaultInjector(plan, telemetry=TelemetryBus())
         guard = BoundGuard(
             TraditionalCardinalityEstimator(stats_db),
             injector.wrap_estimator(MCVJoinBoundEstimator(stats_db)),
@@ -292,7 +292,8 @@ class TestRiskBoundedPlanning:
         worst = Optimizer(stats_db, bound_estimator=bounds, risk="worst_case")
         expected = Optimizer(stats_db)
         gen = WorkloadGenerator(stats_db, seed=86)
-        coster = worst._planning_coster("worst_case", None)
+        # worst_case blends at lambda 1: the bound coster's cost alone
+        coster = worst.bound_coster
         for q in gen.workload(6, 2, 4, require_predicate=True):
             wp, ep = worst.plan(q), expected.plan(q)
             assert wp.root.tables == frozenset(q.tables)
@@ -425,7 +426,8 @@ class TestRiskLambdaTuner:
                     ),
                 ),
                 seed=7,
-            )
+            ),
+            telemetry=TelemetryBus(),
         )
         guard = BoundGuard(
             injector.wrap_estimator(planning.estimator),

@@ -120,7 +120,8 @@ class TestColumnBinner:
 
 class TestDiscretizedTable:
     def test_build_and_predicates(self, stats_db):
-        disc = DiscretizedTable.build(stats_db.table("users"))
+        users = stats_db.table("users")
+        disc = DiscretizedTable.build(users, columns=users.column_names)
         assert disc.codes.shape == (
             stats_db.table("users").n_rows,
             len(disc.column_names),
@@ -133,7 +134,8 @@ class TestDiscretizedTable:
         assert corr > 0
 
     def test_conflicting_predicates_intersect(self, stats_db):
-        disc = DiscretizedTable.build(stats_db.table("users"))
+        users = stats_db.table("users")
+        disc = DiscretizedTable.build(users, columns=users.column_names)
         allowed, _ = predicate_bins(
             disc,
             (
@@ -145,7 +147,8 @@ class TestDiscretizedTable:
         assert allowed[idx].size == 0
 
     def test_unknown_column(self, stats_db):
-        disc = DiscretizedTable.build(stats_db.table("users"))
+        users = stats_db.table("users")
+        disc = DiscretizedTable.build(users, columns=users.column_names)
         with pytest.raises(KeyError):
             disc.column_index("nope")
 

@@ -108,7 +108,16 @@ and in each owner (not caught).  A new invariant of that kind is a row.
     is made part of the protocol, or the caller tells the types apart by
     ``isinstance``), and no class under ``src/`` defines ``__getattr__``
     (a wrapper forwards what it declares).  A name held in a variable is
-    a reflective walk, not a probe.
+    a reflective walk, not a probe;
+(s) every function under ``src/repro`` is one ``REACH.json`` lists, and
+    every listed one exists, keyed ``path:Qual.name`` as ``tests/reach.py``
+    keys it; one no product run enters is a dunder, a ``Protocol`` / ``ABC``
+    / ``@abstractmethod`` member, a stub whose body only raises or is
+    ``...``, on ``TEST_ONLY`` or an ``UNENTERED`` row with its reason (an
+    entry covers the functions it encloses, and a row whose function is
+    entered or gone is stale); and every ``None``-defaulted parameter some
+    run called got ``None`` from one.  ``python -m tests.reach``
+    regenerates the file.
 
 The rows add (i) feedback only records, (j) a bootstrap member is read
 after its owed fit, (k)'s adjacency walk, (l) one exact counter, (m)'s text
@@ -130,14 +139,18 @@ import ast
 import copy
 import dataclasses
 import importlib.util
+import json
 import pickle
 import re
+import sys
 from collections import defaultdict
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+
+from tests.reach import Definition, definitions
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -167,7 +180,7 @@ TEST_ONLY = {
     "_SimSession.pull_native_estimate",  # ROADMAP item 7
     "generate_names",  # Astrid's synthetic string column (Astrid is registry-only)
     "ConcurrentWorkload",  # interference simulator labelling ConcurrentCostModel's mixes
-    "AutoSteerOptimizer",  # AutoSteer [1]; benches run discover_hint_sets only
+    "AutoSteerOptimizer",  # AutoSteer [1]: no product run builds it or enters discover_hint_sets, ROADMAP item 7
     "RewriteDriver",  # PilotScope form of the rewrite layer; scenarios use RewritingOptimizer
     "flow_loss_weights",  # Flow-Loss [44] sample weighting
     "pac_learning_curve",  # PAC learnability diagnostic [19]
@@ -1714,6 +1727,124 @@ def test_no_protocol_member_is_probed():
     )
 
 
+# -- what product runs enter -----------------------------------------------------------
+
+#: rule (s): functions no product run enters, kept: ``path:Qual.name`` (a
+#: class covers its methods) -> the item that gives it a caller, the test
+#: that holds a path to it as the reference, the input it rejects or the
+#: error it handles
+UNENTERED = {
+    # -- ROADMAP item 7: paper methods with no bench row yet
+    "src/repro/e2e/balsa.py:BalsaOptimizer.__init__": "ROADMAP item 7: Balsa, an E8 / E9 row; only its registry row names it",
+    "src/repro/e2e/leon.py:LeonOptimizer.__init__": "ROADMAP item 7: LEON, an E8 / E9 row; only its registry row names it",
+    "src/repro/e2e/hyperqo.py:HyperQOOptimizer.__init__": "ROADMAP item 7: HyperQO, an E8 / E9 row; only its registry row names it",
+    "src/repro/e2e/autosteer.py:discover_hint_sets": "ROADMAP item 7: AutoSteer's hint-set discovery, with AutoSteerOptimizer",
+    "src/repro/cardest/strings.py:AstridEstimator": "ROADMAP item 7: Astrid, a string-predicate block in E12; only its registry row names it",
+    "src/repro/cardest/strings.py:StringColumn": "ROADMAP item 7: Astrid's string column",
+    "src/repro/cardest/strings.py:StringPredicate": "ROADMAP item 7: Astrid's string predicate",
+    "src/repro/costmodel/concurrent.py:ConcurrentCostModel": "ROADMAP item 7: GPredictor's concurrent-mix model, an E5 row",
+    "src/repro/costmodel/concurrent.py:_table_overlap": "ROADMAP item 7: ConcurrentCostModel's mix feature",
+    "src/repro/costmodel/embeddings.py:PlanAutoencoder": "ROADMAP item 7: Saturn's plan autoencoder, an E5 row",
+    "src/repro/cardest/querydriven.py:LPCEEstimator.observe": "ROADMAP item 7: LPCE's progressive refinement; no bench feeds it executed cardinalities",
+    "src/repro/cardest/querydriven.py:LPCEEstimator._refit_correction": "ROADMAP item 7: the residual model observe refits",
+    "src/repro/cardest/factorjoin.py:FactorJoinEstimator._refresh": "ROADMAP item 7: an E2 refresh-after-drift row (E2 refreshes six other estimators)",
+    "src/repro/cardest/hybrid.py:GLUEEstimator._refresh": "ROADMAP item 7: an E2 refresh-after-drift row",
+    "src/repro/cardest/hybrid.py:UAEEstimator._refresh": "ROADMAP item 7: an E2 refresh-after-drift row",
+    "src/repro/cardest/neurocard.py:NeuroCardEstimator._refresh": "ROADMAP item 7: an E2 refresh-after-drift row",
+    "src/repro/pilotscope/drivers.py:CardinalityInjectionDriver.background_update": "ROADMAP item 7: E10's middleware "
+    "operator list; no bench turns on the cardinality driver's background updates",
+    # -- ROADMAP item 5: the soak enters the guard chain and the faulty shard backends
+    "src/repro/regression/chain.py:GuardChain": "ROADMAP item 5: the guard chain on the serving path (DeploymentManager.guards)",
+    "src/repro/regression/perfguard.py:PerfGuard.record_native": "ROADMAP item 5: what GuardChain.record_native forwards",
+    "src/repro/faults/plan.py:FaultInjector.wrap_backend": "ROADMAP item 5: the soak's faulty shard backends (shard_fault_plan)",
+    "src/repro/faults/plan.py:FaultyBackend": "ROADMAP item 5: the soak's faulty shard backends (shard_fault_plan)",
+    "src/repro/optimizer/plancache.py:PlanCache.invalidate": "ROADMAP item 5: the soak's shard deployments hold a plan "
+    "cache and change stage on rollback; no bench deployment with one changes stage",
+    # -- the scalar path a differential test holds the batched one to
+    "src/repro/cardest/querydriven.py:GLPlusEstimator._estimate": "test_batch_and_cache::test_batch_matches_sequential",
+    "src/repro/cardest/querydriven.py:LPCEEstimator._estimate": "test_batch_and_cache::test_batch_matches_sequential",
+    "src/repro/cardest/hybrid.py:UAEEstimator._estimate": "test_batch_and_cache::test_batch_matches_sequential",
+    # -- the input it rejects, the error it handles
+    "src/repro/sql/parser.py:_Parser._error": "the SQLSyntaxError malformed SQL raises; no product run parses any",
+    "src/repro/faults/resilience.py:RetryPolicy.backoff_ms": "the console's wait before retrying a failed driver call; no bench driver fails",
+    "src/repro/oracle/report.py:Violation.as_dict": "a violation's report row; the oracle's gates find none (test_oracle plants them)",
+}
+
+#: rule (s): a constructor no run enters means no run builds its class
+_CONSTRUCTORS = {"__init__", "__post_init__"}
+
+#: rule (s): a member of a class with one of these bases is an interface
+_INTERFACES = {"Protocol", "ABC"}
+
+
+@lru_cache(maxsize=None)
+def _reach() -> dict:
+    return json.loads(_read(ROOT / "REACH.json"))
+
+
+def _stub(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Whether ``node``'s body, past its docstring, only raises or is ``...``."""
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    return all(
+        isinstance(s, ast.Raise) or (isinstance(s, ast.Expr) and getattr(s.value, "value", None) is Ellipsis)
+        for s in body
+    )
+
+
+def _exempt(d: Definition) -> bool:
+    """A dunder, an interface's member or a stub: what no run need enter."""
+    bases = {getattr(b, "id", getattr(b, "attr", None)) for b in d.owner.bases} if d.owner else set()
+    return (
+        (_dunder(d.node.name) and d.node.name not in _CONSTRUCTORS)
+        or bool(bases & _INTERFACES)
+        or _decorated(d.node, "abstractmethod") is not None
+        or _stub(d.node)
+    )
+
+
+def _kept(key: str) -> bool:
+    """Whether ``TEST_ONLY`` or ``UNENTERED`` names ``key`` or a scope enclosing it."""
+    path, qualname = key.split(":")
+    parts = qualname.split(".")
+    scopes = [".".join(parts[:i]) for i in range(1, len(parts) + 1)]
+    return any(s in TEST_ONLY or f"{path}:{s}" in UNENTERED for s in scopes)
+
+
+def _stale(row: str, functions: dict[str, bool]) -> bool:
+    """Whether an ``UNENTERED`` row covers no never-entered function."""
+    return all(entered for key, entered in functions.items() if key == row or key.startswith(row + "."))
+
+
+def reach_violations(sources: Sources, reach: dict | None = None) -> list[str]:
+    """Every way the functions under ``src/repro`` and ``reach`` (by default
+    ``REACH.json``) disagree, one line each."""
+    reach = _reach() if reach is None else reach
+    functions = reach["functions"]
+    defs = {d.key: d for path in _files("src") for d in definitions(path, sources.parse(path))}
+    return (
+        [f"{key} is missing from REACH.json" for key in defs if key not in functions]
+        + [f"{key} is in REACH.json but defined nowhere" for key in functions if key not in defs]
+        + [
+            f"{key} is entered by no product run"
+            for key, entered in functions.items()
+            if not entered and key in defs and not _exempt(defs[key]) and not _kept(key)
+        ]
+        + [f"UNENTERED row {key} is stale: what it names is entered or gone" for key in UNENTERED
+           if _stale(key, functions)]
+        + [f"{name} defaults to None, which no product run gives it" for name, given in reach["none_params"].items()
+           if not given]
+    )
+
+
+def test_every_function_is_entered_or_kept():
+    found = reach_violations(Sources())
+    assert not found, (
+        f"{found} -- run `python -m tests.reach` after adding, renaming or removing a function; "
+        "then give a function no product run enters a product caller, delete it, or give it an "
+        "UNENTERED row naming its reason; a None default no run gives becomes required"
+    )
+
+
 # -- every cited rule exists ---------------------------------------------------------------
 
 #: the rules that stay functions, by letter
@@ -1731,6 +1862,7 @@ RULES = {
     "n": gather_violations,
     "p": unused_imports,
     "q": probe_violations,
+    "s": reach_violations,
 }
 
 CITATION = re.compile(r"\brule\s+\(([a-z])\)", re.IGNORECASE)
@@ -2427,3 +2559,98 @@ def _seeded_case(rule: str, root: Path, rows: list[tuple]):
 
 for _name, _case in SEEDED.items():
     globals()[_name] = _seeded_case(*_case)
+
+
+
+# -- rule (s): one key for the tracer and the census --------------------------------------
+
+#: each shape of ``def`` whose code object the tracer must map to the census's key
+_KEYED = """\
+import dataclasses
+import functools
+
+
+def plain(flag=None):
+    def nested():
+        return 1
+
+    return nested()
+
+
+class Box:
+    @property
+    def size(self):
+        return 2
+
+    @classmethod
+    def make(cls):
+        return cls()
+
+
+@functools.cache
+def cached(n):
+    return [n for _ in range(n)]
+
+
+@dataclasses.dataclass
+class Record:
+    x: int = 0
+
+    def __post_init__(self):
+        self.x += 1
+"""
+
+
+def test_tracer_and_census_key_each_function_alike(tmp_path):
+    from tests.reach import Tracer
+
+    path = tmp_path / "keyed.py"
+    path.write_text(_KEYED)
+    spec = importlib.util.spec_from_file_location("keyed", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer, previous = Tracer([path], root=tmp_path), sys.gettrace()
+    sys.settrace(tracer.hook)
+    try:
+        module.plain()
+        module.Box.make().size
+        module.cached(2)
+        module.Record()
+    finally:
+        sys.settrace(previous)
+    keys = {d.key for d in definitions(path, ast.parse(_KEYED), tmp_path)}
+    names = ["plain", "plain.nested", "Box.size", "Box.make", "cached", "Record.__post_init__"]
+    assert tracer.entered == keys == {f"keyed.py:{name}" for name in names}
+    assert tracer.nones == {"keyed.py:plain.flag": True}
+
+
+def _reach_with(functions: dict[str, bool]) -> dict:
+    """``REACH.json`` over the functions the code defines (one the file
+    lacks counts as entered), with ``functions`` set and no ``None`` clause."""
+    listed = _reach()["functions"]
+    keys = [d.key for path in _files("src") for d in definitions(path, Sources().parse(path))]
+    return {"functions": {**{k: listed.get(k, True) for k in keys}, **functions}, "none_params": {}}
+
+
+#: rule (s)'s plants: ``(text before _THEORY_END, REACH.json entries, caught)``
+_REACH_PLANTS = {
+    "never_entered": (_SEEDED, {f"{_THEORY}:_Seeded.seeded_step": False},
+                      [f"{_THEORY}:_Seeded.seeded_step is entered by no product run"]),
+    "missing": (_SEEDED, {}, [f"{_THEORY}:_Seeded.seeded_step is missing from REACH.json"]),
+    "gone": ("", {f"{_THEORY}:_seeded_gone": True}, [f"{_THEORY}:_seeded_gone is in REACH.json but defined nowhere"]),
+    "dunder": ("\nclass _Seeded:\n    def __len__(self):\n        return 1\n\n\n",
+               {f"{_THEORY}:_Seeded.__len__": False}, []),
+    "abstract_stub": ("\nclass _Seeded:\n    def seeded_step(self):\n        raise NotImplementedError\n\n\n",
+                      {f"{_THEORY}:_Seeded.seeded_step": False}, []),
+    "abstract_member": ("\nclass _Seeded(ABC):\n    @abstractmethod\n    def seeded_step(self):\n        return 1\n\n\n",
+                        {f"{_THEORY}:_Seeded.seeded_step": False}, []),
+    "constructor": ("\nclass _Seeded:\n    def __init__(self):\n        self.n = 1\n\n\n",
+                    {f"{_THEORY}:_Seeded.__init__": False}, [f"{_THEORY}:_Seeded.__init__ is entered by no product run"]),
+}
+
+
+@pytest.mark.parametrize("plant", _REACH_PLANTS)
+def test_seeded_reach_disagreement_is_caught(plant):
+    text, functions, caught = _REACH_PLANTS[plant]
+    sources = _patched("cardest/theory.py", _THEORY_END, text + _THEORY_END) if text else Sources()
+    assert reach_violations(sources, _reach_with(functions)) == caught

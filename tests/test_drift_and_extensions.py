@@ -144,18 +144,9 @@ class TestCalibratedCostModel:
         assert err < raw_err * 0.2
         assert err < 0.5
 
-    def test_observe_then_fit(self, imdb_db, imdb_optimizer, imdb_simulator):
-        plans, lats = self._corpus(imdb_optimizer, imdb_simulator, imdb_db, n=10)
-        model = CalibratedCostModel(imdb_optimizer)
-        for p, l in zip(plans, lats):
-            model.observe(p, l)
-        assert len(model._observed) == len(plans)
-        model.fit()
-        assert model.predict_latency(plans[0]) >= 0
-
     def test_fit_requires_data(self, imdb_optimizer):
         with pytest.raises(ValueError):
-            CalibratedCostModel(imdb_optimizer).fit()
+            CalibratedCostModel(imdb_optimizer).fit([], [])
 
     def test_predict_before_fit(self, imdb_optimizer):
         with pytest.raises(RuntimeError):
@@ -192,4 +183,4 @@ class TestLoger:
             policies=[RetrainCadence(loger, every=25)],
         )
         loop.run(workload)
-        assert loop.summary()["n_queries"] == 40
+        assert loop.summary(tail=40)["n_queries"] == 40

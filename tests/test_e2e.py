@@ -305,7 +305,7 @@ class TestOptimizationLoop:
     def test_summary_fields(self, imdb_optimizer, imdb_simulator, workload):
         bao = BaoOptimizer(imdb_optimizer, seed=1)
         loop = run_loop(bao, imdb_optimizer, imdb_simulator, workload[:10])
-        s = loop.summary()
+        s = loop.summary(tail=10)
         assert s["n_queries"] == 10
         assert s["total_latency_ms"] > 0
         assert s["workload_speedup"] > 0
@@ -314,7 +314,7 @@ class TestOptimizationLoop:
         bao = BaoOptimizer(imdb_optimizer, seed=1)
         loop = OptimizationLoop(bao, imdb_simulator, imdb_optimizer)
         with pytest.raises(ValueError):
-            loop.summary()
+            loop.summary(tail=10)
 
     def test_episode_properties(self, imdb_optimizer, imdb_simulator, workload):
         bao = BaoOptimizer(imdb_optimizer, seed=1)

@@ -25,6 +25,7 @@ from repro.serve.scenarios import (
     injected_regression_scenario,
     steady_state_scenario,
 )
+from repro.serve.telemetry import TelemetryBus
 from repro.sql import WorkloadGenerator
 from repro.storage import make_stats_lite
 
@@ -40,7 +41,7 @@ def _crashing(model):
     """``model`` behind a wrapper whose ``choose_plan`` raises on a seeded
     half of the calls."""
     plan = FaultPlan((FaultSpec(kind="exception", rate=0.5, target="learned"),), seed=0)
-    return FaultInjector(plan).wrap_learned(model)
+    return FaultInjector(plan, telemetry=TelemetryBus()).wrap_learned(model)
 
 
 def test_refits_every_n_feedbacks_counted_from_the_last_refit():

@@ -137,7 +137,7 @@ def _joined_query(db):
 def test_predicate_pushdown_preserves_count():
     db = fresh_db()
     query = _joined_query(db)
-    candidate = REWRITE_RULES["predicate_pushdown"].apply(db, query)
+    candidate = REWRITE_RULES["predicate_pushdown"].apply(db, query, catalog=_catalog(db))
     assert candidate is not None and candidate.servable
     assert len(candidate.rewritten.predicates) > len(query.predicates)
     assert _count(db, candidate.rewritten) == _count(db, query)
@@ -147,7 +147,7 @@ def test_pushdown_skips_when_nothing_to_push():
     db = fresh_db()
     t = db.joins[0].left_table
     no_joins = Query((t,), (), (Predicate(col(t, "id"), Op.GE, 1.0),))
-    assert REWRITE_RULES["predicate_pushdown"].apply(db, no_joins) is None
+    assert REWRITE_RULES["predicate_pushdown"].apply(db, no_joins, catalog=_catalog(db)) is None
 
 
 def test_or_to_union_branches_sum_exactly():
@@ -163,7 +163,7 @@ def test_or_to_union_branches_sum_exactly():
         ),
     )
     query = Query((t,), (), (disjunct,))
-    candidate = REWRITE_RULES["or_to_union"].apply(db, query)
+    candidate = REWRITE_RULES["or_to_union"].apply(db, query, catalog=_catalog(db))
     assert candidate is not None and not candidate.servable
     assert len(candidate.queries) == 3
     total = sum(_count(db, branch) for branch in candidate.queries)
@@ -184,7 +184,7 @@ def test_or_to_union_refuses_overlapping_parts():
         ),
     )
     query = Query((t,), (), (overlapping,))
-    assert REWRITE_RULES["or_to_union"].apply(db, query) is None
+    assert REWRITE_RULES["or_to_union"].apply(db, query, catalog=_catalog(db)) is None
 
 
 def test_drop_redundant_subsumed_and_duplicate():
@@ -200,7 +200,7 @@ def test_drop_redundant_subsumed_and_duplicate():
             Predicate(c, Op.GE, 5.0),
         ),
     )
-    candidate = REWRITE_RULES["drop_redundant"].apply(db, query)
+    candidate = REWRITE_RULES["drop_redundant"].apply(db, query, catalog=_catalog(db))
     assert candidate is not None
     assert len(candidate.rewritten.predicates) == 2
     assert Predicate(c, Op.LE, 200.0) not in candidate.rewritten.predicates
@@ -214,7 +214,7 @@ def test_merge_ranges_closed_only():
     query = Query(
         (t,), (), (Predicate(c, Op.GE, 5.0), Predicate(c, Op.LE, 60.0))
     )
-    candidate = REWRITE_RULES["merge_ranges"].apply(db, query)
+    candidate = REWRITE_RULES["merge_ranges"].apply(db, query, catalog=_catalog(db))
     assert candidate is not None
     (merged,) = candidate.rewritten.predicates
     assert merged.op is Op.BETWEEN and merged.value == (5.0, 60.0)
@@ -223,7 +223,7 @@ def test_merge_ranges_closed_only():
     strict = Query(
         (t,), (), (Predicate(c, Op.GE, 5.0), Predicate(c, Op.LT, 60.0))
     )
-    assert REWRITE_RULES["merge_ranges"].apply(db, strict) is None
+    assert REWRITE_RULES["merge_ranges"].apply(db, strict, catalog=_catalog(db)) is None
 
 
 def test_in_to_join_preserves_count_and_registers_relation():
@@ -285,7 +285,7 @@ def test_pushdown_exact_past_float64_on_deep_chain():
         query.joins,
         (Predicate(col("c0", "key"), Op.LE, 4.0),),
     )
-    candidate = REWRITE_RULES["predicate_pushdown"].apply(db, filtered)
+    candidate = REWRITE_RULES["predicate_pushdown"].apply(db, filtered, catalog=_catalog(db))
     assert candidate is not None
     # key <= 4 keeps every key group, so the rewritten chain must
     # reproduce the closed-form python-int count exactly
@@ -317,7 +317,7 @@ def test_rules_preserve_empty_results():
         (empty, Predicate(c, Op.GE, 5.0), Predicate(c, Op.LE, 60.0)),
     )
     assert _count(db, query) == 0
-    merged = REWRITE_RULES["merge_ranges"].apply(db, query)
+    merged = REWRITE_RULES["merge_ranges"].apply(db, query, catalog=_catalog(db))
     assert merged is not None and _count(db, merged.rewritten) == 0
     validator = RewriteValidator(db)
     assert validator.validate(merged).outcome.ok
@@ -329,7 +329,7 @@ def test_rules_preserve_empty_results():
 def test_rewrite_changes_query_hash_and_template_key():
     db = fresh_db()
     query = _joined_query(db)
-    rewritten = REWRITE_RULES["predicate_pushdown"].apply(db, query).rewritten
+    rewritten = REWRITE_RULES["predicate_pushdown"].apply(db, query, catalog=_catalog(db)).rewritten
     assert query_hash(rewritten) != query_hash(query)
     assert rewritten.template_key != query.template_key
 
@@ -338,7 +338,7 @@ def test_plan_cache_never_collides_original_with_rewrite():
     db = fresh_db()
     optimizer = Optimizer(db)
     query = _joined_query(db)
-    rewritten = REWRITE_RULES["predicate_pushdown"].apply(db, query).rewritten
+    rewritten = REWRITE_RULES["predicate_pushdown"].apply(db, query, catalog=_catalog(db)).rewritten
     cache = PlanCache()
     tag = ("test",)
     _, hit_a = cache.get_or_plan(query, tag, db.data_version, optimizer.plan)

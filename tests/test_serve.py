@@ -955,7 +955,8 @@ _BACKENDS = {
     "console": lambda db: ConsoleBackend(PilotScopeConsole(SimulatedPostgreSQL(db))),
     "synthetic": lambda db: SyntheticBackend(seed=1),
     "faulty": lambda db: FaultInjector(
-        FaultPlan((FaultSpec(kind="latency", rate=1.0, target="backend", magnitude=7.0),))
+        FaultPlan((FaultSpec(kind="latency", rate=1.0, target="backend", magnitude=7.0),)),
+        telemetry=TelemetryBus(),
     ).wrap_backend(SyntheticBackend(seed=1)),
 }
 
