@@ -274,7 +274,7 @@ class TopKDPExploration:
         for subset in graph.subsets:
             if len(subset) == 1:
                 (table,) = subset
-                best[subset] = [_best_scan(query, table, coster, hints)]
+                best[subset] = [_best_scan(query, table, coster, hints, coster.planning_tag())]
             card_of[subset] = coster.subquery_cardinality(query, subset)
             # A single table has no partition: the loop below does not run.
             entries: list[tuple[PlanNode, float]] = []

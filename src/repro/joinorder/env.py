@@ -39,10 +39,10 @@ def plan_from_order(
             card_of[tables] = coster.subquery_cardinality(query, tables)
         return card_of[tables]
 
-    current, cost = _best_scan(query, order[0], coster, hints)
+    current, cost = _best_scan(query, order[0], coster, hints, coster.planning_tag())
     card(current.tables)
     for table in order[1:]:
-        right, right_cost = _best_scan(query, table, coster, hints)
+        right, right_cost = _best_scan(query, table, coster, hints, coster.planning_tag())
         conditions = _join_conditions_between(
             query, current.tables, right.tables
         )

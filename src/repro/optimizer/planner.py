@@ -84,14 +84,14 @@ def _scan_methods(hints: HintSet, preds: tuple) -> list[ScanMethod]:
 
 
 def _best_scan(
-    query: Query, table: str, coster: PlanCoster, hints: HintSet
+    query: Query, table: str, coster: PlanCoster, hints: HintSet, tag
 ) -> tuple[ScanNode, float]:
-    """Cheapest allowed scan for one table."""
+    """Cheapest allowed scan for one table, priced under ``tag``."""
     preds = query.predicates_on(table)
     candidates = []
     for method in _scan_methods(hints, preds):
         node = ScanNode(table=table, method=method, predicates=preds)
-        candidates.append((node, coster.scan_cost(node)))
+        candidates.append((node, coster.tagged_scan_cost(node, tag)))
     return min(candidates, key=lambda c: c[1])
 
 
@@ -315,12 +315,13 @@ def enumerate_greedy(
 ) -> Plan:
     """Greedy pairwise joining: fast, possibly suboptimal."""
     hints = hints if hints is not None else _DEFAULT_HINTS
+    tag = coster.planning_tag()
     fragments: dict[frozenset[str], tuple[PlanNode, float]] = {}
     card_of: dict[frozenset[str], float] = {}
     for t in query.tables:
         key = frozenset((t,))
-        fragments[key] = _best_scan(query, t, coster, hints)
-        card_of[key] = coster.subquery_cardinality(query, key)
+        fragments[key] = _best_scan(query, t, coster, hints, tag)
+        card_of.update(coster.subquery_cardinalities(query, [key], tag))
 
     while len(fragments) > 1:
         champion: tuple[frozenset[str], frozenset[str], JoinNode, float] | None = None
@@ -331,7 +332,7 @@ def enumerate_greedy(
                 continue
             merged = a | b
             if merged not in card_of:
-                card_of[merged] = coster.subquery_cardinality(query, merged)
+                card_of.update(coster.subquery_cardinalities(query, [merged], tag))
             cand = _best_join(fragments[a], fragments[b], conditions, coster, hints, card_of)
             if cand is not None and (champion is None or cand[1] < champion[3]):
                 champion = (a, b, cand[0], cand[1])

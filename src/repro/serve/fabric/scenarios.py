@@ -165,11 +165,7 @@ def synthetic_fabric(
     or use the returned scenario's empty schedule slot); each shard's bus
     keeps its first 256 traces and counts the later ones in
     ``traces_dropped``."""
-    # the shards share one injector; the fabric bus reads its counters
-    # through the ``fault_injector`` gauge
-    injector = (
-        None if fault_plan is None else FaultInjector(fault_plan, telemetry=TelemetryBus())
-    )
+    injector = _shared_injector(fault_plan)
     shards = [
         guarded_shard(
             i,
@@ -182,6 +178,15 @@ def synthetic_fabric(
         for i in range(n_shards)
     ]
     return _scenario(shards, specs, fabric_config, injector, [])
+
+
+def _shared_injector(fault_plan: FaultPlan | None) -> FaultInjector | None:
+    """The one injector a fabric's shards share, or None without a plan.
+
+    Its counters reach telemetry only through the fabric's
+    ``fault_injector`` gauge (see :func:`_scenario`): no shard's bus is
+    the injector's, so its own bus stays private to it."""
+    return None if fault_plan is None else FaultInjector(fault_plan, telemetry=TelemetryBus())
 
 
 def _scenario(
@@ -220,9 +225,7 @@ def sharded_fabric_scenario(
     """
     db = make_stats_lite(scale=scale, seed=seed)
     specs = default_tenant_specs()
-    injector = (
-        None if fault_plan is None else FaultInjector(fault_plan, telemetry=TelemetryBus())
-    )
+    injector = _shared_injector(fault_plan)
     shards: list[ShardRuntime] = []
     for i in range(n_shards):
         bus = TelemetryBus()

@@ -205,21 +205,20 @@ def verify_transform(
     ``baseline`` is the original's count, which every caller has already
     computed (``None``: it was intractable).
     """
-    expected = baseline
-    if expected is None:
+    if baseline is None:
         return VerifyOutcome(False, True, None, None, "original intractable")
     actual = exact_count(transformed, executor)
     if actual is None:
-        return VerifyOutcome(False, True, expected, None, "transformed intractable")
-    if actual != expected:
+        return VerifyOutcome(False, True, baseline, None, "transformed intractable")
+    if actual != baseline:
         return VerifyOutcome(
             False,
             False,
-            expected,
+            baseline,
             actual,
-            f"count mismatch: {expected} != {actual}",
+            f"count mismatch: {baseline} != {actual}",
         )
-    return VerifyOutcome(True, False, expected, actual)
+    return VerifyOutcome(True, False, baseline, actual)
 
 
 def verify_union(
@@ -235,23 +234,22 @@ def verify_union(
     must sum exactly to ``baseline``, the original's count (``None``: it
     was intractable).
     """
-    expected = baseline
-    if expected is None:
+    if baseline is None:
         return VerifyOutcome(False, True, None, None, "original intractable")
     total = 0
     for branch in branches:
         count = exact_count(branch, executor)
         if count is None:
             return VerifyOutcome(
-                False, True, expected, None, "branch intractable"
+                False, True, baseline, None, "branch intractable"
             )
         total += count
-    if total != expected:
+    if total != baseline:
         return VerifyOutcome(
             False,
             False,
-            expected,
+            baseline,
             total,
-            f"branch counts sum to {total}, expected {expected}",
+            f"branch counts sum to {total}, expected {baseline}",
         )
-    return VerifyOutcome(True, False, expected, total)
+    return VerifyOutcome(True, False, baseline, total)

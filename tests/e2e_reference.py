@@ -432,7 +432,7 @@ class LeonOptimizer:
         card_of: dict[frozenset[str], float] = {}
         for t in tables:
             key = frozenset((t,))
-            best[key] = [_best_scan(query, t, coster, hints)]
+            best[key] = [_best_scan(query, t, coster, hints, coster.planning_tag())]
             card_of[key] = coster.subquery_cardinality(query, key)
         n = len(tables)
         for size in range(2, n + 1):

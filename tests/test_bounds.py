@@ -26,6 +26,7 @@ from repro.optimizer import (
     RiskLambdaTuner,
     TraditionalCardinalityEstimator,
 )
+from repro.optimizer.planner import enumerate_greedy
 from repro.oracle import EstimatorContractChecker, apply_mutation
 from repro.serve import Stage, bound_guard_scenario
 from repro.serve.telemetry import TelemetryBus
@@ -300,6 +301,23 @@ class TestRiskBoundedPlanning:
             # The worst-case plan is at least as good under worst-case
             # costing as the expected-mode plan.
             assert coster.cost(wp) <= coster.cost(ep) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("risk", ["worst_case", "blended"])
+    def test_greedy_plans_under_risk(self, stats_db, risk):
+        """Greedy enumeration runs on a RiskCoster: worst_case is greedy
+        under the bound coster alone, blended at lambda 0 is greedy under
+        the expected coster alone."""
+        bounds = MCVJoinBoundEstimator(stats_db)
+        risky = Optimizer(
+            stats_db, bound_estimator=bounds, risk=risk, risk_lambda=0.0
+        )
+        alone = risky.bound_coster if risk == "worst_case" else risky.coster
+        for q in WorkloadGenerator(stats_db, seed=87).workload(
+            6, 2, 4, require_predicate=True
+        ):
+            plan = risky.plan(q, algorithm="greedy")
+            assert plan.root.tables == frozenset(q.tables)
+            assert plan.signature() == enumerate_greedy(q, alone).signature()
 
 
 class TestExecutorMemoStaleness:

@@ -2654,3 +2654,13 @@ def test_seeded_reach_disagreement_is_caught(plant):
     text, functions, caught = _REACH_PLANTS[plant]
     sources = _patched("cardest/theory.py", _THEORY_END, text + _THEORY_END) if text else Sources()
     assert reach_violations(sources, _reach_with(functions)) == caught
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_seeded_none_default_no_run_gives_is_caught(given):
+    """Rule (s)'s ``None`` clause: a ``None`` default fails exactly when
+    no product run gives it ``None``."""
+    name = "src/repro/bench/report.py:render_stats.note"
+    reach = {**_reach_with({}), "none_params": {name: given}}
+    caught = [] if given else [f"{name} defaults to None, which no product run gives it"]
+    assert reach_violations(Sources(), reach) == caught
