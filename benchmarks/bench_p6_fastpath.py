@@ -1,6 +1,6 @@
 """P6: vectorized kernels + parameterized plan-cache fast path, gated.
 
-Nine properties are measured and gated:
+Ten properties are measured and gated:
 
 1. **Executor throughput**: the vectorized :class:`CardinalityExecutor`
    (shared sort-merge/expand kernels, key-index cache) must be >= 10x
@@ -52,6 +52,14 @@ Nine properties are measured and gated:
    reference on every fixture including the deep chain whose count
    exceeds 2**53 (where float64 silently rounds), and two same-seed
    cache-enabled serving runs must export byte-identical telemetry.
+10. **Decision featurization**: one Bao decision's deduped candidates
+    through one :class:`~repro.costmodel.features.NodeTable` (each
+    distinct node featurized once, in one fill per plan, the batch one
+    gather from the table) against the per-node path it replaced
+    (``PlanFeaturizer.node_features`` through a per-decision memo, trees
+    stacked and batched by ``PlanTreeBatch.from_trees``): >= 1.3x, with
+    every tree and every batch field ``array_equal``.  Timing only, so
+    not in the export.
 
 Gates: ``python -m pytest`` on this file; deterministic export (counts,
 cache stats, telemetry -- no timings):
@@ -66,11 +74,12 @@ import numpy as np
 
 from repro.bench import render_stats, render_table
 from repro.costmodel import PlanFeaturizer
-from repro.costmodel.features import plan_to_tree_arrays
+from repro.costmodel.features import NodeTable, plan_to_tree_arrays
+from repro.e2e.exploration import HintSetExploration
 from repro.engine import CardinalityExecutor, ExecutionSimulator
 from repro.engine.plans import JoinNode, ScanNode
 from repro.ml.gbdt import GradientBoostedTrees
-from repro.ml.treeconv import DTYPE, TreeConvNet
+from repro.ml.treeconv import DTYPE, PlanTreeBatch, TreeConvNet
 from repro.optimizer import HintSet, Optimizer, PlanCache
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
 from repro.oracle.fixtures import make_deep_chain
@@ -95,6 +104,7 @@ FIT_SPEEDUP_GATE = 2.1
 SWEEP_SPEEDUP_GATE = 3.0
 PLAN_EXECUTION_SPEEDUP_GATE = 1.5
 PLANNING_SPEEDUP_GATE = 1.5
+DECISION_SPEEDUP_GATE = 1.3
 GBDT_SPEEDUP_GATES = {"fit": 2.5, "predict 400 rows": 8.0, "predict 1 row": 3.0}
 HIT_RATE_GATE = 0.8
 
@@ -457,6 +467,84 @@ def planning_pass(seed: int = 0) -> dict:
     }
 
 
+def _per_node_decision(candidates, featurizer):
+    """The per-node decision path: a ``(query, node) -> row`` memo filled by
+    ``node_features``, each tree stacked, the batch built by ``from_trees``."""
+    memo: dict = {}
+    trees = []
+    for c in candidates:
+        plan = c.plan
+        feats, left, right = [], [], []
+
+        def visit(node) -> int:
+            index = len(feats)
+            key = (plan.query, node)
+            if key not in memo:
+                memo[key] = featurizer.node_features(plan, node)
+            feats.append(memo[key])
+            left.append(-1)
+            right.append(-1)
+            if isinstance(node, JoinNode):
+                left[index] = visit(node.left)
+                right[index] = visit(node.right)
+            return index
+
+        visit(plan.root)
+        trees.append((np.stack(feats), np.array(left), np.array(right)))
+    return trees, PlanTreeBatch.from_trees(trees)
+
+
+def _table_decision(candidates, featurizer):
+    table = NodeTable(featurizer, [c.plan for c in candidates])
+    trees = [plan_to_tree_arrays(c.plan, featurizer, table=table) for c in candidates]
+    return trees, table.batch()
+
+
+def decision_featurization_pass(seed: int = 0) -> dict:
+    """Bao's decisions, featurized: node table vs the per-node path.
+
+    Each decision is what :class:`HintSetExploration` hands Bao's risk
+    model for a 2-6 table stats-lite query (12 arms, deduped); the
+    cardinality cache is warm for both sides, as after the arm sweep.
+    Best of three each, interleaved.
+    """
+    db = make_stats_lite(scale=SCALE, seed=seed)
+    optimizer = Optimizer(db)
+    featurizer = PlanFeaturizer(db, coster=optimizer.coster)
+    exploration = HintSetExploration(optimizer)
+    queries = WorkloadGenerator(db, seed=seed + 59).workload(
+        SWEEP_QUERIES, 2, 6, require_predicate=True
+    )
+    decisions = [exploration.candidates(q) for q in queries]
+
+    t_base = t_table = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        baseline = [_per_node_decision(d, featurizer) for d in decisions]
+        t_base = min(t_base, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        tabled = [_table_decision(d, featurizer) for d in decisions]
+        t_table = min(t_table, time.perf_counter() - t0)
+
+    def same(a, b) -> bool:
+        (trees_a, batch_a), (trees_b, batch_b) = a, b
+        return all(
+            np.array_equal(x, y) for ta, tb in zip(trees_a, trees_b) for x, y in zip(ta, tb)
+        ) and all(
+            np.array_equal(getattr(batch_a, f), getattr(batch_b, f))
+            for f in ("layer1", "idx3", "tree_slices", "pad")
+        )
+
+    return {
+        "n_decisions": len(decisions),
+        "n_candidates": sum(map(len, decisions)),
+        "equal": all(same(a, b) for a, b in zip(tabled, baseline)),
+        "t_baseline_s": t_base,
+        "t_table_s": t_table,
+        "speedup": t_base / max(t_table, 1e-9),
+    }
+
+
 def serving_pass(seed: int = 0):
     """One cache-enabled parameterized serving run; returns the scenario."""
     scenario = parameterized_scenario(scale=SCALE, seed=seed)
@@ -685,6 +773,29 @@ def test_p6_planning_speedup_and_identity():
     assert result["speedup"] >= PLANNING_SPEEDUP_GATE, (
         f"planning-estimate speedup {result['speedup']:.2f}x below the "
         f"{PLANNING_SPEEDUP_GATE:.1f}x gate"
+    )
+
+
+def test_p6_decision_featurization_speedup_and_identity():
+    result = decision_featurization_pass(seed=0)
+    assert result["equal"], "a tree or batch field differs from the per-node path's"
+    print(
+        render_table(
+            "P6: Bao decision featurization, node table vs per-node path",
+            ["decisions", "candidates", "baseline_s", "table_s", "speedup"],
+            [(
+                result["n_decisions"],
+                result["n_candidates"],
+                f"{result['t_baseline_s']:.3f}",
+                f"{result['t_table_s']:.3f}",
+                f"{result['speedup']:.2f}x",
+            )],
+            note=f"gate: >= {DECISION_SPEEDUP_GATE:.1f}x, trees and batch fields array_equal",
+        )
+    )
+    assert result["speedup"] >= DECISION_SPEEDUP_GATE, (
+        f"decision-featurization speedup {result['speedup']:.2f}x below the "
+        f"{DECISION_SPEEDUP_GATE:.1f}x gate"
     )
 
 

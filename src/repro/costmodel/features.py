@@ -4,9 +4,11 @@ Three representations:
 
 - **tree arrays** (:func:`plan_to_tree_arrays`): per-node feature vectors
   plus left/right child indices, consumed by tree-convolution and
-  tree-recurrent models; :func:`prefix_to_tree_arrays` is the same layout
-  for a *partial* left-deep plan (the state a value network scores during
-  plan search);
+  tree-recurrent models, gathered from a :class:`NodeTable` that
+  featurizes each distinct plan node once (one decision's candidates share
+  one table, and its :meth:`~NodeTable.batch` is their inference batch);
+  :func:`prefix_to_tree_arrays` is the same layout for a *partial*
+  left-deep plan (the state a value network scores during plan search);
 - **flat vectors** (:meth:`PlanFeaturizer.flat`): operator counts +
   cardinality aggregates for linear/GBDT models;
 - **transferable vectors** (:meth:`PlanFeaturizer.transferable_node`):
@@ -23,17 +25,19 @@ optimizer's own.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.interfaces import CardinalityEstimator
 from repro.engine.plans import JoinMethod, JoinNode, Plan, PlanNode, ScanMethod, ScanNode
+from repro.ml.treeconv import PlanTreeBatch
 from repro.optimizer.cost import PlanCoster
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
 from repro.sql.query import Query
 from repro.storage.catalog import Database
 
-__all__ = ["PlanFeaturizer", "plan_to_tree_arrays", "prefix_to_tree_arrays"]
+__all__ = ["NodeTable", "PlanFeaturizer", "plan_to_tree_arrays", "prefix_to_tree_arrays"]
 
 _OPS = [
     ("seq", ScanMethod.SEQ),
@@ -42,6 +46,7 @@ _OPS = [
     ("nlj", JoinMethod.NESTED_LOOP),
     ("merge", JoinMethod.MERGE),
 ]
+_OP_COLUMN = {method: i for i, (_, method) in enumerate(_OPS)}
 
 
 class PlanFeaturizer:
@@ -82,10 +87,7 @@ class PlanFeaturizer:
 
     def _op_onehot(self, node: PlanNode) -> np.ndarray:
         onehot = np.zeros(len(_OPS))
-        method = node.method  # type: ignore[attr-defined]
-        for i, (_, m) in enumerate(_OPS):
-            if m is method:
-                onehot[i] = 1.0
+        onehot[_OP_COLUMN[node.method]] = 1.0  # type: ignore[attr-defined]
         return onehot
 
     def _card(self, plan: Plan, node: PlanNode) -> float:
@@ -93,6 +95,7 @@ class PlanFeaturizer:
         return self.coster.estimate_cardinality(plan.node_subquery(node))
 
     def node_features(self, plan: Plan, node: PlanNode) -> np.ndarray:
+        """One node's feature row: the scalar reference of :meth:`node_rows`."""
         est_card = self._card(plan, node)
         table_onehot = np.zeros(len(self.tables))
         n_preds = 0.0
@@ -107,6 +110,32 @@ class PlanFeaturizer:
             ]
         )
         return np.concatenate([self._op_onehot(node), table_onehot, extra])
+
+    def node_rows(self, plan: Plan, nodes: Sequence[PlanNode]) -> np.ndarray:
+        """:meth:`node_features` of each of ``nodes`` (of ``plan``), a
+        float64 row each, filled at once.  The cardinalities are read in
+        ``nodes`` order, one lookup a node, as the per-node path reads them."""
+        n_ops, n_tables, dim = len(_OPS), len(self.tables), self.node_dim
+        subquery = plan.query.subquery
+        cards = self.coster.estimate_cardinalities([subquery(n.tables) for n in nodes])
+        hot, extra = [], []  # flat offsets of the one-hot 1s; the last three columns
+        for at, node, est_card in zip(range(0, len(nodes) * dim, dim), nodes, cards):
+            hot.append(at + _OP_COLUMN[node.method])  # type: ignore[attr-defined]
+            n_preds = 0.0
+            if isinstance(node, ScanNode):
+                hot.append(at + n_ops + self._table_pos[node.table])
+                n_preds = len(node.predicates) / 4.0
+            extra.append(
+                (
+                    math.log1p(est_card) / self._log_total,
+                    len(node.tables) / max(n_tables, 1),
+                    n_preds,
+                )
+            )
+        rows = np.zeros((len(nodes), dim))
+        rows.ravel()[hot] = 1.0
+        rows[:, n_ops + n_tables :] = extra
+        return rows
 
     def transferable_node(self, plan: Plan, node: PlanNode) -> np.ndarray:
         """Database-agnostic node features (zero-shot style [16])."""
@@ -162,46 +191,112 @@ def _tree_depth(node: PlanNode) -> int:
     return 1 + max(_tree_depth(node.left), _tree_depth(node.right))
 
 
+class NodeTable:
+    """The nodes of one decision's plans, featurized once: a float64 row
+    per distinct ``(query, node)``, in the order the plans first reach
+    them (pre-order, plan after plan), so the coster sees the lookups the
+    per-node path made.
+
+    The table is laid out and filled on its first read -- the first
+    :func:`plan_to_tree_arrays` of one of its plans, which so carries the
+    decision's featurization -- with one :meth:`PlanFeaturizer.node_rows`
+    over every node not seen before.  Each plan's tree and the decision's
+    inference batch (:meth:`batch`) are gathers from it.  A node the arm
+    sweep shares is featurized once.  A table must not outlive its
+    decision, whose estimator state its rows reflect.
+    """
+
+    def __init__(self, featurizer: PlanFeaturizer, plans: Sequence[Plan]) -> None:
+        self.featurizer = featurizer
+        self.plans = list(plans)
+        self._at = {id(plan): i for i, plan in enumerate(self.plans)}
+        self._layout: tuple | None = None
+
+    def layout(self) -> tuple:
+        """``(features, rows, left, right, starts, sizes)``: the table, then
+        every plan's nodes in pre-order, plan after plan -- each node's
+        table row and its tree-local child indices (``-1`` = none) -- and
+        each plan's first node and node count."""
+        if self._layout is not None:
+            return self._layout
+        rows: list[int] = []
+        left: list[int] = []
+        right: list[int] = []
+        sizes: list[int] = []
+        seen: dict[Query, dict[PlanNode, int]] = {}  # query -> node -> row
+        runs: list[tuple[Plan, list[PlanNode]]] = []  # unseen nodes, a run per query
+        n_rows, run_of = 0, None
+        for plan in self.plans:
+            row_of = seen.setdefault(plan.query, {})
+            if row_of is not run_of:
+                runs.append((plan, []))
+                run_of = row_of
+            missed = runs[-1][1]
+            first = len(rows)
+            # (node, its parent's index, the parent's child list it fills)
+            stack: list[tuple[PlanNode, int, list[int]]] = [(plan.root, -1, left)]
+            while stack:
+                node, parent, side = stack.pop()
+                index = len(rows) - first
+                if parent >= 0:
+                    side[first + parent] = index
+                row = row_of.get(node)
+                if row is None:
+                    row = row_of[node] = n_rows
+                    n_rows += 1
+                    missed.append(node)
+                rows.append(row)
+                left.append(-1)
+                right.append(-1)
+                if isinstance(node, JoinNode):
+                    stack.append((node.right, index, right))
+                    stack.append((node.left, index, left))
+            sizes.append(len(rows) - first)
+        blocks = [self.featurizer.node_rows(plan, nodes) for plan, nodes in runs if nodes]
+        features = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        sizes_arr = np.array(sizes)
+        self._layout = (
+            features,
+            *np.array((rows, left, right)),
+            np.cumsum(sizes_arr) - sizes_arr,
+            sizes_arr,
+        )
+        return self._layout
+
+    def tree(self, plan: Plan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(features, left, right)`` of ``plan``, one of the table's plans."""
+        features, rows, left, right, starts, sizes = self.layout()
+        i = self._at[id(plan)]
+        cut = slice(starts[i], starts[i] + sizes[i])
+        # Copies: an observed tree outlives the decision's layout arrays.
+        return features[rows[cut]], left[cut].copy(), right[cut].copy()
+
+    def batch(self) -> PlanTreeBatch:
+        """The inference batch of the table's plans, in order: one gather
+        from the table, no tree re-stacked or re-validated."""
+        features, rows, left, right, _, sizes = self.layout()
+        return PlanTreeBatch.gather(features, rows, left, right, sizes)
+
+
 def plan_to_tree_arrays(
     plan: Plan,
     featurizer: PlanFeaturizer,
     *,
-    memo: dict | None = None,
+    table: NodeTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten a plan to ``(features, left, right)`` arrays (pre-order).
 
     Child index ``-1`` marks leaves, matching
     :class:`repro.ml.treeconv.PlanTreeBatch` expectations.
 
-    ``memo`` maps ``(query, node)`` to the node's feature row.  A caller that featurizes several plans of one decision passes
-    one dict to all of them, so a node the plans share (the arm sweep
-    interns them) is featurized once; the dict must not outlive that
-    decision, whose estimator state its rows reflect.
+    The tree is gathered from ``table``, a :class:`NodeTable` of
+    ``featurizer`` that holds ``plan`` (one decision's candidates share
+    one, so a node they share is featurized once); without one, from a
+    table of this plan alone.
     """
-    node_row = featurizer.node_features
-    features: list[np.ndarray] = []
-    left: list[int] = []
-    right: list[int] = []
-
-    def visit(node: PlanNode) -> int:
-        my_index = len(features)
-        if memo is None:
-            features.append(node_row(plan, node))
-        else:
-            key = (plan.query, node)
-            row = memo.get(key)
-            if row is None:
-                row = memo[key] = node_row(plan, node)
-            features.append(row)
-        left.append(-1)
-        right.append(-1)
-        if isinstance(node, JoinNode):
-            left[my_index] = visit(node.left)
-            right[my_index] = visit(node.right)
-        return my_index
-
-    visit(plan.root)
-    return np.stack(features), np.array(left), np.array(right)
+    if table is None:
+        table = NodeTable(featurizer, [plan])
+    return table.tree(plan)
 
 
 def prefix_to_tree_arrays(

@@ -29,13 +29,14 @@ import numpy as np
 
 from repro.core.framework import OBSERVATION_WINDOW, CandidatePlan
 from repro.costmodel.features import (
+    NodeTable,
     PlanFeaturizer,
     plan_to_tree_arrays,
     prefix_to_tree_arrays,
 )
 from repro.engine.plans import Plan
 from repro.ml.nn import Adam
-from repro.ml.treeconv import PlanTreeCorpus, TreeConvNet, shuffles
+from repro.ml.treeconv import PlanTreeBatch, PlanTreeCorpus, TreeConvNet, shuffles
 from repro.sql.query import Query
 
 __all__ = [
@@ -51,29 +52,28 @@ def _default_scores(candidates: Sequence[CandidatePlan]) -> list[float]:
     return [0.0 if c.source == "default" else 1.0 for c in candidates]
 
 
-def _decision_trees(
+def _decision_batch(
     candidates: Sequence[CandidatePlan], featurizer: PlanFeaturizer
-) -> list[tuple]:
-    """Tree arrays of one decision's candidates, featurizing each distinct
-    plan node once: one node memo for the decision, dropped with it.
+) -> PlanTreeBatch:
+    """The inference batch of one decision's candidates, gathered from one
+    node table, which featurizes each distinct plan node once and dies
+    with the decision.
 
     Each candidate keeps its tree, tagged with the featurizer and its
     coster's state, for :func:`_candidate_tree` when the chosen one is
     observed.  A candidate lives for one decision and no model holds it,
-    so no model fingerprint sees the memo or the kept trees.
+    so no model fingerprint sees the table or the kept trees.
     """
-    memo: dict = {}
+    table = NodeTable(featurizer, [c.plan for c in candidates])
     state = featurizer.coster.cache_tag()
-    trees = []
     for c in candidates:
-        tree = plan_to_tree_arrays(c.plan, featurizer, memo=memo)
+        tree = plan_to_tree_arrays(c.plan, featurizer, table=table)
         object.__setattr__(c, "_tree", (featurizer, state, tree))
-        trees.append(tree)
-    return trees
+    return table.batch()
 
 
 def _candidate_tree(candidate: CandidatePlan, featurizer: PlanFeaturizer) -> tuple:
-    """The tree :func:`_decision_trees` kept on ``candidate`` if it was made
+    """The tree :func:`_decision_batch` kept on ``candidate`` if it was made
     by ``featurizer`` in its current state, else a fresh featurization."""
     kept = candidate.__dict__.get("_tree")
     if (
@@ -165,11 +165,11 @@ class TreeConvLatencyModel:
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
         if not self._trained:
             return _default_scores(candidates)
-        trees = _decision_trees(candidates, self.featurizer)
+        batch = _decision_batch(candidates, self.featurizer)
         if self.thompson:
             member = self._member(int(self._rng.integers(len(self._members))))
-            return list(member.predict(trees))
-        preds = np.stack([m.predict(trees) for m in self.members()])
+            return list(member.predict(batch))
+        preds = np.stack([m.predict(batch) for m in self.members()])
         return list(preds.mean(axis=0))
 
 
@@ -285,7 +285,7 @@ class PairwisePlanComparator:
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
         if not self._trained:
             return _default_scores(candidates)
-        return list(self.net.predict(_decision_trees(candidates, self.featurizer)))
+        return list(self.net.predict(_decision_batch(candidates, self.featurizer)))
 
     def compare(self, plan_a, plan_b) -> float:
         """P(plan_a faster than plan_b); 0.5 before training."""
@@ -322,8 +322,8 @@ class EnsembleLatencyModel:
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
         if not self.inner.trained:
             return _default_scores(candidates)
-        trees = _decision_trees(candidates, self.inner.featurizer)
-        preds = np.stack([m.predict(trees) for m in self.inner.members()])
+        batch = _decision_batch(candidates, self.inner.featurizer)
+        preds = np.stack([m.predict(batch) for m in self.inner.members()])
         means = preds.mean(axis=0)
         stds = preds.std(axis=0)
         cutoff = float(np.quantile(stds, self.variance_quantile))
@@ -390,4 +390,4 @@ class PlanValueModel:
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
         if not self.trained:
             return _default_scores(candidates)
-        return list(self.net.predict(_decision_trees(candidates, self.featurizer)))
+        return list(self.net.predict(_decision_batch(candidates, self.featurizer)))

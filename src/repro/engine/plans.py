@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.sql.query import Join, Predicate, Query, hash_once, state_without_hash
+from repro.sql.query import Join, Predicate, Query, hash_once, state_without_hash, str_once
 
 __all__ = ["ScanMethod", "JoinMethod", "PlanNode", "ScanNode", "JoinNode", "Plan"]
 
@@ -33,8 +33,9 @@ class JoinMethod(enum.Enum):
 class PlanNode:
     """Base class for plan nodes; concrete nodes define ``_covered``.
 
-    Nodes are immutable and key every per-node dict, so the table set and
-    the hash are memoized on the instance, outside the dataclass fields.
+    Nodes are immutable and key every per-node dict, so the table set, the
+    hash and the signature are memoized on the instance, outside the
+    dataclass fields.
     """
 
     @property
@@ -76,11 +77,11 @@ class ScanNode(PlanNode):
 
     __hash__ = hash_once
 
+    @str_once
     def signature(self) -> str:
         return f"{self.method.value}({self.table})"
 
-    def __str__(self) -> str:
-        return self.signature()
+    __str__ = signature
 
 
 @dataclass(frozen=True)
@@ -120,13 +121,13 @@ class JoinNode(PlanNode):
         yield from self.left.walk()
         yield from self.right.walk()
 
+    @str_once
     def signature(self) -> str:
         return (
             f"{self.method.value}({self.left.signature()},{self.right.signature()})"
         )
 
-    def __str__(self) -> str:
-        return self.signature()
+    __str__ = signature
 
 
 @dataclass(frozen=True)

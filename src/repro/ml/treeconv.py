@@ -98,19 +98,43 @@ class PlanTreeBatch:
         Each tree supplies node ``features`` of shape ``[n, d]`` and per-node
         child indices ``left``/``right`` in ``[-1, n)``, where ``-1`` means
         "no child"; a node may be the child of at most one node.  The batch
-        carries no parent slots: it is for inference.
+        carries no parent slots: it is for inference.  The trees are
+        validated (:meth:`PlanTreeCorpus.from_trees`), then batched by
+        :meth:`gather` with each node its own row.
         """
-        # Storage order is batch order, so the corpus's child rows only lack
-        # the +1 null-row shift, and layer 1 is one gather through idx3.
         corpus = PlanTreeCorpus.from_trees(trees)
-        first = corpus.starts + 1
-        idx3, pad = _index(corpus.left, corpus.right, corpus.sizes, first)
-        features = corpus.features
-        x = np.concatenate([np.zeros((1, features.shape[1]), features.dtype), features])
+        rows = np.arange(len(corpus.features))
+        return cls.gather(corpus.features, rows, corpus.left, corpus.right, corpus.sizes)
+
+    @classmethod
+    def gather(
+        cls,
+        nodes: np.ndarray,
+        rows: np.ndarray,
+        left: np.ndarray,
+        right: np.ndarray,
+        sizes: np.ndarray,
+    ) -> "PlanTreeBatch":
+        """The inference batch of trees laid out back to back, node ``j``
+        (in layout order) with features ``nodes[rows[j]]``.
+
+        ``left``/``right`` are the tree-local child indices of every node in
+        layout order and ``sizes`` the trees' node counts.  Nothing is
+        validated: this is for trees built from a table of distinct nodes
+        (:class:`repro.costmodel.features.NodeTable`, where trees share
+        rows) and for :meth:`from_trees`, which validated them.  Layer 1 is
+        one gather through ``idx3``, shifted past the null row.
+        """
+        first = np.cumsum(sizes) - sizes + 1
+        idx3, pad = _index(left, right, sizes, first)
+        x = np.zeros((len(nodes) + 1, nodes.shape[1]), DTYPE)
+        x[1:] = nodes
+        src = np.zeros(len(rows) + 1, dtype=int)
+        src[1:] = rows + 1
         return cls(
-            x.take(idx3, axis=0).reshape(len(idx3), 3 * features.shape[1]),
+            x.take(src.take(idx3), axis=0).reshape(len(idx3), 3 * nodes.shape[1]),
             idx3,
-            np.stack([first, first + corpus.sizes], axis=1),
+            np.stack([first, first + sizes], axis=1),
             pad,
         )
 
@@ -604,8 +628,15 @@ class TreeConvNet:
             losses.append(total / max(count, 1))
         return losses
 
-    def predict(self, trees: Sequence[Tree]) -> np.ndarray:
-        if not trees:
+    def predict(self, trees: Sequence[Tree] | PlanTreeBatch) -> np.ndarray:
+        """Predictions for ``trees``, or for a batch already built (one
+        decision's candidates, gathered from its node table, which every
+        ensemble member reads)."""
+        if isinstance(trees, PlanTreeBatch):
+            batch = trees
+        elif not trees:
             return np.zeros((0, self.out_dim), self.flat_params.dtype)
-        out = self.forward(PlanTreeBatch.from_trees(trees))
+        else:
+            batch = PlanTreeBatch.from_trees(trees)
+        out = self.forward(batch)
         return out[:, 0] if self.out_dim == 1 else out

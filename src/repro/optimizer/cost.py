@@ -14,6 +14,8 @@ primes many subsets at once (:meth:`PlanCoster.subquery_cardinalities`).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.cardest.base import sanitize_estimate, sanitize_estimates
 from repro.core.interfaces import (
     CardinalityEstimator,
@@ -87,13 +89,16 @@ class PlanCoster:
         sanitize_estimate`) before use or caching, so arbitrary estimator
         output -- NaN, Inf, negatives -- can never reach cost arithmetic.
         """
+        return self.estimate_cardinalities([query])[0]
+
+    def estimate_cardinalities(self, queries: Sequence[Query]) -> list[float]:
+        """:meth:`estimate_cardinality` of each of ``queries``, in order, one
+        cache lookup each, keyed on one tag read up front."""
         if self.cache is None:
-            return sanitize_estimate(self.estimator.estimate(query))
-        return self.cache.get_or_compute(
-            self.cache_tag(),
-            query,
-            lambda q: sanitize_estimate(self.estimator.estimate(q)),
-        )
+            return [sanitize_estimate(self.estimator.estimate(q)) for q in queries]
+        tag, estimate = self.cache_tag(), self.estimator.estimate
+        compute = lambda q: sanitize_estimate(estimate(q))  # noqa: E731
+        return [self.cache.get_or_compute(tag, q, compute) for q in queries]
 
     def subquery_cardinality(self, query: Query, tables: frozenset[str]) -> float:
         return self.estimate_cardinality(query.subquery(tables))

@@ -89,7 +89,6 @@ class PlanCache(BoundedLRU):
     def __init__(self, capacity: int = 4096) -> None:
         super().__init__(capacity)
         self.invalidations = 0
-        self.last_invalidation_reason: str | None = None
 
     @staticmethod
     def _key(query: Query, tag: tuple, data_version: int) -> tuple:
@@ -118,11 +117,10 @@ class PlanCache(BoundedLRU):
         self.insert(query, tag, data_version, plan)
         return plan, False
 
-    def invalidate(self, reason: str | None = None) -> None:
-        """Drop every entry (stage change, manual flush); keep counters."""
+    def invalidate(self) -> None:
+        """Drop every entry (a deployment's stage change); keep counters."""
         self.clear()
         self.invalidations += 1
-        self.last_invalidation_reason = reason
 
     def stats(self) -> dict[str, float]:
         return {**super().stats(), "invalidations": self.invalidations}

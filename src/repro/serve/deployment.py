@@ -218,7 +218,7 @@ class DeploymentManager:
         self.stage = stage
         self._regressions.clear()
         if self.plan_cache is not None:
-            self.plan_cache.invalidate(reason=f"stage:{stage.value}")
+            self.plan_cache.invalidate()
             self.telemetry.incr("plan_cache.invalidations")
         for policy in self.policies:
             policy.on_transition(self, stage, reason)

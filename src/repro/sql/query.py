@@ -57,7 +57,9 @@ def state_without_hash(self) -> dict:
 def str_once(render):
     """``__str__`` of a frozen value dataclass, memoized outside the fields
     like :func:`hash_once`.  Every ``Query`` sorts its joins and predicates
-    by their text, and ``cache_key`` renders them again.
+    by their text, and ``cache_key`` renders them again; a plan node's
+    ``signature`` (its ``__str__`` too) is rendered by every dedup and
+    every learned-vs-native comparison of its plan.
     The text is the same in every process, so it may travel in a pickle;
     ``dataclasses.replace`` builds a new instance, which renders afresh."""
 

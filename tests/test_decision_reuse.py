@@ -5,9 +5,9 @@
   ``Query`` object, other hints, another algorithm or risk mode, a
   ``data_version`` bump, an estimator refit, another optimizer -- plans
   from scratch.
-- The candidates of one decision are featurized with one node memo, so a
-  node the arm sweep shares is featurized once; every tree equals the
-  unmemoized featurization, the memo dies with the decision, and
+- The candidates of one decision are featurized into one node table, so
+  a node the arm sweep shares is featurized once; every tree equals the
+  featurization of its plan alone, the table dies with the decision, and
   ``observe`` reuses the chosen candidate's tree.
 - Neither the remembered sweep nor what a decision keeps is seen by a
   model fingerprint, so a registered model still verifies.
@@ -24,7 +24,7 @@ from repro.cardest.bounds import MCVJoinBoundEstimator
 from repro.core.framework import CandidatePlan
 from repro.core.interfaces import CardinalityEstimator
 from repro.costmodel import PlanFeaturizer
-from repro.costmodel.features import plan_to_tree_arrays
+from repro.costmodel.features import NodeTable, plan_to_tree_arrays
 from repro.e2e import BaoOptimizer
 from repro.e2e.exploration import HintSetExploration
 from repro.e2e.risk_models import TreeConvLatencyModel
@@ -195,15 +195,16 @@ def _decision(optimizer, q):
 
 
 def _counting(featurizer, monkeypatch):
-    calls = []
-    honest = featurizer.node_features
+    """The ``(query, node)`` of every table row the featurizer fills."""
+    rows = []
+    honest = featurizer.node_rows
 
-    def node_features(plan, node):
-        calls.append((plan.query, node))
-        return honest(plan, node)
+    def node_rows(plan, nodes):
+        rows.extend((plan.query, node) for node in nodes)
+        return honest(plan, nodes)
 
-    monkeypatch.setattr(featurizer, "node_features", node_features)
-    return calls
+    monkeypatch.setattr(featurizer, "node_rows", node_rows)
+    return rows
 
 
 def _trained(featurizer, **kwargs):
@@ -220,14 +221,14 @@ def test_every_candidate_tree_equals_the_unmemoized_one(stats_db, monkeypatch):
     for q in _queries(stats_db):
         candidates = _decision(optimizer, q)
         fresh = [plan_to_tree_arrays(c.plan, featurizer) for c in candidates]
-        calls = _counting(featurizer, monkeypatch)
+        rows = _counting(featurizer, monkeypatch)
         model.scores(candidates)
         monkeypatch.undo()
         kept = [c.__dict__["_tree"][2] for c in candidates]
         assert all(_same_tree(a, b) for a, b in zip(kept, fresh))
         n_nodes = sum(c.plan.root.n_nodes for c in candidates)
         distinct = {(c.plan.query, n) for c in candidates for n in c.plan.walk()}
-        assert len(calls) == len(distinct) <= n_nodes
+        assert len(rows) == len(set(rows)) == len(distinct) <= n_nodes
         shared_nodes += n_nodes - len(distinct)
     assert shared_nodes > 0, "the sweep must share nodes for this test to bite"
 
@@ -243,9 +244,9 @@ def test_a_memo_is_keyed_by_query_and_node(stats_db):
     plan = optimizer.plan(q)
     other = Query(q.tables, q.joins, ())
     twin = Plan(other, plan.root)
-    memo: dict = {}
-    first = plan_to_tree_arrays(plan, featurizer, memo=memo)
-    second = plan_to_tree_arrays(twin, featurizer, memo=memo)
+    table = NodeTable(featurizer, [plan, twin])
+    first = plan_to_tree_arrays(plan, featurizer, table=table)
+    second = plan_to_tree_arrays(twin, featurizer, table=table)
     assert _same_tree(first, plan_to_tree_arrays(plan, featurizer))
     assert _same_tree(second, plan_to_tree_arrays(twin, featurizer))
     assert not np.array_equal(first[0], second[0])

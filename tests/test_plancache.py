@@ -258,14 +258,27 @@ class TestPlanCache:
         cache = PlanCache()
         plan_fn = self._plan_fn(db)
         cache.get_or_plan(template, self.TAG, 0, plan_fn)
-        cache.invalidate(reason="stage:live")
+        cache.invalidate()
         assert len(cache) == 0
         assert cache.invalidations == 1
-        assert cache.last_invalidation_reason == "stage:live"
         _, hit = cache.get_or_plan(binding, self.TAG, 0, plan_fn)
         assert not hit
         # Counters survive the flush.
         assert cache.stats()["misses"] == 2
+
+    def test_a_stage_change_invalidates_and_counts(self):
+        from repro.serve import parameterized_scenario
+
+        scenario = parameterized_scenario(scale=0.1, seed=11)
+        scenario.run()
+        deployment, cache = scenario.deployment, scenario.plan_cache
+        before = cache.invalidations
+        assert len(cache) > 0
+        deployment.promote()
+        assert len(cache) == 0
+        assert cache.invalidations == before + 1
+        counters = deployment.telemetry.snapshot()["counters"]
+        assert counters["plan_cache.invalidations"] == cache.invalidations
 
     def test_stats_shape(self):
         stats = PlanCache().stats()
