@@ -29,8 +29,10 @@ Ten properties are measured and gated:
    >= 3x faster than one full DP per arm (``tests/planner_reference.py``)
    with every arm's ``Plan`` ``==`` the reference's.
 6. **GBDT kernel**: ``GradientBoostedTrees`` as flat node arrays (every
-   feature sorted once per fit, all features of a node scored in one
-   pass, level-wise ensemble predict) against the object-graph model it
+   feature binned once per fit, each node's valid cuts found from per-bin
+   counts and screened from per-bin target sums, only the cuts within the
+   screen's rounding bound of the best verified with the exact prefix
+   sums, level-wise ensemble predict) against the object-graph model it
    replaced (``tests/gbdt_reference.py``) on a query-feature-shaped
    matrix: ``fit`` >= 2.5x, 400-row ``predict`` >= 8x, one-row ``predict``
    >= 3x, with every tree and every prediction ``==``.

@@ -158,7 +158,14 @@ class EvalGate:
         self, model, fingerprint: str | None = None
     ) -> tuple[dict, np.ndarray]:
         """:meth:`_metrics` through the memo; ``fingerprint`` is the model's
-        digest under :attr:`shared` when the caller already took it."""
+        digest under :attr:`shared` when the caller already took it.
+
+        The champion's digest is walked afresh on every evaluation rather
+        than read from the registry: a serving
+        :class:`repro.core.framework.LearnedOptimizer` mutates its risk
+        model in ``record_feedback``, so the fingerprint registered for the
+        live version can be stale, and a stale key would return the memo
+        entry of a model that no longer exists."""
         version = self._db.data_version
         if version != self._memo_version:
             self._memo.clear()

@@ -9,14 +9,18 @@ A fitted tree is four flat arrays in pre-order -- ``feature`` (``-1`` marks
 a leaf), ``threshold``, ``children`` (``[nodes, 2]``; a leaf points at
 itself on both sides) and ``value`` -- and an ensemble is the same four
 arrays stacked over all its trees plus one root index per tree.  Fitting
-stable-sorts every feature once, drops the features no node can cut, hands
-the sorted row lists down the tree by stable partition and scores the
-valid cuts of all features of a node in one pass;
-prediction walks all rows through all trees one level per step.  The
-arithmetic, its order and every tie-break are those of the per-node,
-per-feature, per-row loops this replaced (kept as
+bins every feature once (its sorted distinct values, one int code per row)
+and drops the features no node can cut.  A node finds its valid cuts from
+per-bin row counts, screens them all from per-bin sums of the target
+(``bincount``), and verifies only the cuts whose screened gain is within a
+derived rounding bound of the best one, with the exact prefix sums the
+reference takes; children get their rows by the threshold and their
+counts by one ``bincount`` of the smaller child.  Prediction walks all rows
+through all trees one level per step.  Every tree, threshold and leaf value
+is that of the per-node, per-feature, per-row loops this replaced (kept as
 ``tests/gbdt_reference.py``; ``tests/test_gbdt_kernel.py`` holds the two to
-``==``).  DESIGN.md section 7, "GBDT kernel", has the reasoning.
+``==``).  DESIGN.md section 7, "GBDT kernel", has the reasoning and the
+bound.
 """
 
 from __future__ import annotations
@@ -74,36 +78,116 @@ def _no_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     )
 
 
-def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``x.T`` (contiguous), the features that can ever be cut, and their
-    rows in stable value order (``[cuttable features, rows]``).
+def _bin(
+    x: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """``x.T`` (contiguous), the features that can ever be cut, their bin
+    codes (``[rows, cuttable features]``), the bins per feature and the
+    all-rows count histogram -- the same at every tree's root.
 
-    A feature whose sorted column has no strictly increasing neighbour pair
-    -- one value, or one value and NaNs -- has no valid cut at any node, so
-    it is dropped here, once.  ``min < max`` would also drop a column that
-    holds NaN and two distinct values; the neighbour test keeps it.
+    Feature ``i`` of the cuttable list has its sorted distinct non-NaN
+    values as bins ``0, 1, ...`` and NaN as the last bin, ``width - 1``;
+    its codes are offset by ``i * width``, so one ``bincount`` histograms
+    any set of features.  Equal values share a bin (``-0.0`` and ``0.0``
+    too), so a stable sort of a node's codes is the stable sort of its
+    values.  A feature whose sorted column has no strictly increasing
+    neighbour pair -- one value, or one value and NaNs -- has no valid cut
+    at any node and is dropped here, once.  ``min < max`` would also drop a
+    column that holds NaN and two distinct values; the neighbour test keeps
+    it.
     """
     xt = np.ascontiguousarray(x.T)
     order = np.argsort(xt, axis=1, kind="stable")
     ranked = np.take_along_axis(xt, order, axis=1)
-    cuttable = (ranked[:, :-1] < ranked[:, 1:]).any(axis=1)
-    return xt, np.flatnonzero(cuttable), order[cuttable]
+    # NaN sorts last and fails every comparison, so it never opens a bin.
+    step = ranked[:, :-1] < ranked[:, 1:]
+    cuttable = np.flatnonzero(step.any(axis=1))
+    order, ranked, step = order[cuttable], ranked[cuttable], step[cuttable]
+    width = int(step.sum(axis=1).max(initial=0)) + 2
+    ranked_codes = np.zeros(order.shape, dtype=np.intp)
+    np.cumsum(step, axis=1, out=ranked_codes[:, 1:])
+    ranked_codes[np.isnan(ranked)] = width - 1
+    ranked_codes += (np.arange(cuttable.size) * width)[:, None]
+    codes = np.empty_like(ranked_codes)
+    np.put_along_axis(codes, order, ranked_codes, axis=1)
+    codes = np.ascontiguousarray(codes.T)
+    rows = np.arange(x.shape[0])
+    counts = _histogram(codes, np.arange(cuttable.size), rows, width)
+    return xt, cuttable, codes, width, counts
+
+
+def _histogram(
+    codes: np.ndarray,
+    live: np.ndarray,
+    rows: np.ndarray,
+    width: int,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """``[len(live), width]`` per-bin count (or sum of ``weights``, one per
+    row) of the ``live`` features over ``rows``.
+
+    Every feature's cells are binned (the row gather is one copy); a bin
+    adds its rows' weights one at a time, in ``rows`` order.
+    """
+    cells = codes.take(rows, axis=0).ravel()
+    if weights is not None:
+        weights = np.repeat(weights, codes.shape[1])
+    hist = np.bincount(cells, weights, codes.shape[1] * width)
+    hist = hist.reshape(codes.shape[1], width)
+    return hist if live.size == codes.shape[1] else hist[live]
+
+
+def _exact_gains(
+    codes: np.ndarray,
+    rows: np.ndarray,
+    y: np.ndarray,
+    k: np.ndarray,
+    total_sum: float,
+    total_sq: float,
+    base_sse: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gains of the cuts ``k`` of one feature as the reference scores
+    them, and ``rows`` in that feature's (value, row id) order.
+
+    ``codes`` is the feature's code per row id.  The prefix sums are the
+    sequential ``cumsum`` of ``y`` and ``y**2`` in sorted order and the gain
+    is the reference's expression, operation for operation -- its operands
+    in its order -- so the gains are its gains to the bit.
+    """
+    ranked = rows[np.argsort(codes[rows], kind="stable")]
+    y_sorted = y[ranked]
+    at = k - 1
+    csum = y_sorted.cumsum()[at]
+    csq = (y_sorted**2).cumsum()[at]
+    left_sse = csq - csum**2 / k
+    right_sum = total_sum - csum
+    right_sq = total_sq - csq
+    right_sse = right_sq - right_sum**2 / (rows.shape[0] - k)
+    return base_sse - left_sse - right_sse, ranked
+
+
+#: unit roundoff of float64
+_U = np.finfo(float).eps / 2
+
+#: the screen's error bound in units of ``gamma_m * (sum y**2 + sum |y| * max |y|)``
+#: (DESIGN.md section 7 derives under 50; the rest is margin)
+_SCREEN_SLACK = 128.0
 
 
 def _grow(
     xt: np.ndarray,
+    cuttable: np.ndarray,
+    codes: np.ndarray,
+    width: int,
+    counts: np.ndarray,
     y: np.ndarray,
-    rows: np.ndarray,
-    feats: np.ndarray,
-    order: np.ndarray,
     max_depth: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Grow one tree on ``rows`` and return its pre-order node arrays.
+    """Grow one tree on all rows and return its pre-order node arrays.
 
-    ``xt`` is ``[features, all rows]``, ``y`` is indexed by the same row
-    ids, ``rows`` are the tree's row ids ascending, ``feats`` the column
-    ids that may be cut and ``order`` is ``[len(feats), len(rows)]``: the
-    same row ids in each of those features' stable value order.  Returns
+    ``xt`` is ``[features, rows]``, ``y`` is indexed by the same row ids,
+    ``cuttable`` / ``codes`` / ``width`` are :func:`_bin`'s and ``counts``
+    is the all-rows count histogram of every cuttable feature.  Returns
     ``(feature, threshold, children, value, depth)``.
     """
     feature: list[int] = []
@@ -111,77 +195,115 @@ def _grow(
     children: list[list[int]] = []
     value: list[float] = []
     reached = 0
-    flag = np.zeros(xt.shape[1], dtype=bool)
-    cells = xt.ravel()  # cell (f, row) is f * xt.shape[1] + row
     lo = MIN_SAMPLES_LEAF
+    abs_y = np.abs(y)
     # Pre-order with an explicit stack: right is pushed first, so the left
-    # subtree is numbered before it.  An entry owns its sorted lists; they
-    # are dropped as soon as the node has handed them to its children.
-    stack = [(rows, order, feats, 0, -1, 0)]
+    # subtree is numbered before it.  An entry holds its rows ascending, the
+    # cuttable features still alive there and their count histograms.
+    rows = np.arange(codes.shape[0])
+    stack = [(rows, np.arange(cuttable.size), counts, 0, -1, 0)]
     while stack:
-        rows, order, feats, depth, parent, side = stack.pop()
+        rows, live, counts, depth, parent, side = stack.pop()
         node = len(feature)
         if parent >= 0:
             children[parent][side] = node
+        n = rows.shape[0]
         y_sub = y[rows]
+        total_sum = y_sub.sum()
         feature.append(-1)
         threshold.append(0.0)
         children.append([node, node])
-        value.append(float(y_sub.mean()))
+        value.append(float(total_sum / n))  # what y_sub.mean() computes
         reached = max(reached, depth)
-        n = rows.shape[0]
         hi = n - lo
-        if depth >= max_depth or hi < lo or feats.size == 0:
+        if depth >= max_depth or hi < lo or live.size == 0:
             continue
-        # Every cut k in [lo, hi] of every live feature in one pass; column
-        # i of the slices below is the cut after sorted position lo - 1 + i.
-        values = cells[(feats * xt.shape[1])[:, None] + order[:, lo - 1 : hi + 1]]
-        valid = values[:, :-1] < values[:, 1:]
-        alive = valid.any(axis=1)
-        if not alive.any():
+        # The valid cuts follow from the counts alone: after a non-empty
+        # bin with a later non-empty real bin, leaving lo..hi rows left.
+        # Cell c of the flat [live, width] histograms is bin c % width of
+        # live feature c // width; nonzero lists cells in (feature, bin)
+        # order.  Every feature's bins hold all n rows, so the running count
+        # over the non-empty cells less n per earlier feature is the count
+        # at or below each bin.
+        flat = counts.ravel()
+        cell = flat.nonzero()[0]
+        f_at = cell // width
+        k = flat[cell].cumsum() - f_at * n
+        last = np.minimum(n - 1 - counts[:, -1], hi)
+        ok = (k >= lo) & (k <= last[f_at])
+        if not ok.any():
             continue
+        cell, f_at, k = cell[ok], f_at[ok], k[ok]
+        alive = np.zeros(live.size, dtype=bool)
+        alive[f_at] = True
         if not alive.all():
             # No cut here means none below: the rows on either side of a
             # value boundary only get fewer going down.
-            feats, order = feats[alive], order[alive]
-            values, valid = values[alive], valid[alive]
-        total_sum = y_sub.sum()
-        total_sq = (y_sub**2).sum()
+            f_new = alive.cumsum() - 1
+            cell = cell + (f_new[f_at] - f_at) * width
+            f_at = f_new[f_at]
+            live, counts = live[alive], counts[alive]
+        # Screen: every valid cut scored from per-bin sums of y.  In exact
+        # arithmetic a gain is c1**2 / k + (T - c1)**2 / (n - k) plus a
+        # constant of the node (the sums of squares cancel), so each
+        # screened score is within eps of its exact gain less that
+        # constant, and every exact maximum clears max - 2 * eps.
+        csum = _histogram(codes, live, rows, width, y_sub).cumsum(axis=1).ravel()[cell]
+        screened = csum**2 / k + (total_sum - csum) ** 2 / (n - k)
+        node_abs = abs_y[rows]
+        y_sq = y_sub**2
+        total_sq = y_sq.sum()
+        scale = total_sq + node_abs.sum() * node_abs.max()
+        # Without finite sums that cannot overflow there is no bound: then
+        # every cut is verified.
+        m = n + width
+        eps = (
+            _SCREEN_SLACK * m * _U / (1 - m * _U) * scale + 2.0**-1060
+            if n * scale < 1e300
+            else np.inf
+        )
+        keep = (~(screened < screened.max() - 2 * eps)).nonzero()[0]
+        f_at, k = f_at[keep], k[keep]
+        # Verify: the exact gains of the kept cuts, feature by feature.
+        # Their first maximum in (feature, cut) order is the reference's
+        # pick (its first maximum per feature, then the first feature with
+        # the strictly largest one), and it must beat _MIN_GAIN.
         base_sse = total_sq - total_sum**2 / n
-        y_sorted = y[order]
-        # Score the valid cuts only, listed in (feature, cut) row-major
-        # order: cut c of feature f ends the left side at sorted position
-        # lo - 1 + c, so k = lo + c rows go left.
-        f_at, c_at = np.divmod(np.flatnonzero(valid), valid.shape[1])
-        k = lo + c_at
-        csum = np.cumsum(y_sorted, axis=1)[f_at, k - 1]
-        csq = np.cumsum(y_sorted**2, axis=1)[f_at, k - 1]
-        left_sse = csq - csum**2 / k
-        right_sum = total_sum - csum
-        right_sq = total_sq - csq
-        right_sse = right_sq - right_sum**2 / (n - k)
-        gains = base_sse - left_sse - right_sse
-        # The first maximum in row-major order is the first feature's first
-        # best cut: the old rule (first maximum per feature, then the first
-        # feature with the strictly largest one), which must beat _MIN_GAIN.
-        best = int(gains.argmax())
-        if not gains[best] > _MIN_GAIN:
+        bounds = [0, f_at.size]
+        if f_at[0] != f_at[-1]:
+            bounds[1:1] = (f_at[1:] != f_at[:-1]).nonzero()[0] + 1
+        exact, ranked = [], []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            gains, order = _exact_gains(
+                codes[:, live[f_at[a]]], rows, y, k[a:b], total_sum, total_sq, base_sse
+            )
+            exact.append(gains)
+            ranked.append(order)
+        exact = exact[0] if len(exact) == 1 else np.concatenate(exact)
+        best = int(exact.argmax())
+        if not exact[best] > _MIN_GAIN:
             continue
-        f, cut = f_at[best], c_at[best]
-        thr = float(0.5 * (values[f, cut] + values[f, cut + 1]))
-        go_left = xt[feats[f], rows] <= thr
+        which = sum(a <= best for a in bounds[1:-1])
+        col, cut, order = cuttable[live[f_at[best]]], k[best], ranked[which]
+        thr = float(0.5 * (xt[col, order[cut - 1]] + xt[col, order[cut]]))
+        go_left = xt[col, rows] <= thr
         left_rows, right_rows = rows[go_left], rows[~go_left]
         if left_rows.size == 0 or right_rows.size == 0:
             continue
-        feature[node] = int(feats[f])
+        feature[node] = int(col)
         threshold[node] = thr
-        flag[rows] = go_left
-        # Flat compress, not a 2-D boolean index: the same ids, same order.
-        to_left, order = flag[order].ravel(), order.ravel()
-        right_order = order.compress(~to_left).reshape(feats.size, right_rows.size)
-        left_order = order.compress(to_left).reshape(feats.size, left_rows.size)
-        stack.append((right_rows, right_order, feats, depth + 1, node, 1))
-        stack.append((left_rows, left_order, feats, depth + 1, node, 0))
+        # Count the smaller child; the larger one's counts are the rest.
+        # Children that can only be leaves need no counts.
+        left_counts = right_counts = None
+        if depth + 1 < max_depth and max(left_rows.size, right_rows.size) >= 2 * lo:
+            if left_rows.size <= right_rows.size:
+                left_counts = _histogram(codes, live, left_rows, width)
+                right_counts = counts - left_counts
+            else:
+                right_counts = _histogram(codes, live, right_rows, width)
+                left_counts = counts - right_counts
+        stack.append((right_rows, live, right_counts, depth + 1, node, 1))
+        stack.append((left_rows, live, left_counts, depth + 1, node, 0))
     return (
         np.array(feature, dtype=np.intp),
         np.array(threshold, dtype=float),
@@ -234,14 +356,8 @@ class RegressionTree:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RegressionTree":
         x, y = _check_xy(x, y)
-        xt, feats, order = _presort(x)
         self.feature, self.threshold, self.children, self.value, self.depth_ = _grow(
-            xt,
-            y,
-            np.arange(x.shape[0]),
-            feats,
-            order,
-            self.max_depth,
+            *_bin(x), y, self.max_depth
         )
         self.n_features_ = x.shape[1]
         return self
@@ -293,9 +409,8 @@ class GradientBoostedTrees:
         self.base_ = float(y.mean())
         n = x.shape[0]
         pred = np.full(n, self.base_)
-        # Every stage splits the same matrix, so it is sorted once.
-        xt, feats, order = _presort(x)
-        all_rows = np.arange(n)
+        # Every stage splits the same matrix, so it is binned once.
+        binned = _bin(x)
         root = np.zeros(n, dtype=np.intp)
         # Stacked with global child ids; the leading empty block lets zero
         # estimators concatenate like any other count.
@@ -305,7 +420,7 @@ class GradientBoostedTrees:
         for _ in range(self.n_estimators):
             residual = y - pred
             feature, threshold, children, value, depth = _grow(
-                xt, residual, all_rows, feats, order, self.max_depth
+                *binned, residual, self.max_depth
             )
             leaf = _descend(x, feature, threshold, children, root, depth)
             pred += self.learning_rate * value[leaf]

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lifecycle import model_fingerprint
+from repro.ml import gbdt
 from repro.ml.gbdt import GradientBoostedTrees, RegressionTree
 from tests.gbdt_reference import (
     ReferenceGradientBoostedTrees,
@@ -48,6 +49,50 @@ def make_x(rng, n, d, family):
 def make_y(rng, x):
     d = x.shape[1]
     return 2.0 * x[:, 0] + (x[:, d // 2] > 0.3) + rng.normal(size=x.shape[0])
+
+
+NEAR_TIES = ["complements", "duplicates", "offset", "min_gain"]
+
+
+def make_near_tie(rng, n, d, kind):
+    """``(x, y)`` whose best cuts tie, or differ only in their low bits.
+
+    ``complements`` pairs each indicator column with its complement and
+    ``duplicates`` repeats two heavy-tie columns (equal partitions, so the
+    first feature must win); ``offset`` adds a large common offset to the
+    targets, so every gain is a difference of nearly equal sums; in
+    ``min_gain`` the best gains sit around ``1e-12``, the least a split
+    must beat.
+    """
+    x = (rng.random((n, d)) < rng.uniform(0.1, 0.9, d)).astype(float)
+    y = x[:, 0] - 0.5 * x[:, -1] + 0.1 * rng.normal(size=n)
+    if kind == "complements":
+        x[:, 1::2] = 1.0 - x[:, 0 : 2 * (d // 2) : 2]
+    elif kind == "duplicates":
+        base = np.round(rng.normal(size=(n, 2)) * 1.5)
+        x = base[:, np.arange(d) % 2]
+        y = base[:, 0] + 0.1 * rng.normal(size=n)
+    elif kind == "offset":
+        x = np.round(rng.normal(size=(n, d)) * 1.5)
+        y = 10.0 ** rng.integers(6, 10) + x[:, 0] + rng.normal(size=n)
+    elif kind == "min_gain":
+        # Cutting column 0 gains step**2 * k * (n - k) / n, about 1e-12.
+        k = max(int(x[:, 0].sum()), 1)
+        step = np.sqrt(1e-12 * n / (k * max(n - k, 1))) * rng.uniform(0.5, 2.0)
+        y = step * x[:, 0] + 0.1 * step * x[:, -1]
+    return x, y
+
+
+def query_feature_matrix(seed):
+    """The matrix of ``test_query_feature_shape_at_serving_size``."""
+    rng = np.random.default_rng(seed)
+    n, d = 347, 90
+    x = (rng.random((n, d)) < rng.uniform(0.03, 0.5, d)).astype(float)
+    x[:, :28] = 0.0
+    x[:, 29] = 1.0 - x[:, 28]
+    x[:, 78:] *= rng.random((n, 12))
+    y = 3 + 2 * x[:, 30] - x[:, 40] + 4 * x[:, 80] + rng.normal(scale=0.5, size=n)
+    return x, y
 
 
 def assert_same_trees(ref_trees, table):
@@ -123,6 +168,81 @@ class TestDifferential:
             x, y, n_estimators=60, max_depth=5, learning_rate=0.15, seed=seed
         )
         assert_same_model(ref, new, [x, x[:40] * 0.5, x[7]])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(10, 300),
+        d=st.integers(2, 8),
+        max_depth=st.integers(1, 5),
+        kind=st.sampled_from(NEAR_TIES),
+    )
+    def test_near_ties_match_the_reference(self, seed, n, d, max_depth, kind):
+        """The screen keeps every cut within its error bound of the best
+        and verifies them exactly, so even ties and low-bit differences
+        pick the reference's cut."""
+        rng = np.random.default_rng(seed)
+        x, y = make_near_tie(rng, n, d, kind)
+        ref, new = fit_pair(
+            x, y, n_estimators=4, max_depth=max_depth, learning_rate=0.5, seed=seed
+        )
+        assert_same_model(ref, new, [x, x[0]])
+        ref_tree = ReferenceRegressionTree(max_depth=max_depth).fit(x, y)
+        tree = RegressionTree(max_depth=max_depth).fit(x, y)
+        assert_same_trees([ref_tree], tree_table(tree))
+        assert np.array_equal(ref_tree.predict(x), tree.predict(x))
+
+    def test_the_screen_verifies_at_most_two_features_per_split(self, monkeypatch):
+        """Exact verification runs only on the features whose screened cuts
+        come within the error bound of the best one: on the serving-size
+        query matrix that is at most two per split node, where verifying
+        every feature with a valid cut would be dozens at the root."""
+        calls = []
+        exact = gbdt._exact_gains
+
+        def counting(*args):
+            calls.append(args[3].size)
+            return exact(*args)
+
+        monkeypatch.setattr(gbdt, "_exact_gains", counting)
+        x, y = query_feature_matrix(0)
+        model = GradientBoostedTrees(
+            n_estimators=60, max_depth=5, learning_rate=0.15
+        ).fit(x, y)
+        splits = int((model.feature_ >= 0).sum())
+        assert splits > 0
+        assert len(calls) <= 2 * splits
+
+    @pytest.mark.parametrize("spoil", ["nan", "inf", "huge"])
+    def test_targets_the_screen_cannot_bound(self, spoil):
+        """A NaN or inf target makes every gain NaN: the reference's argmax
+        picks a NaN, which does not beat the least gain, so the node is a
+        leaf.  Targets near 1e150 keep finite gains whose sums of squares
+        leave no room for the screen's bound.  Either way every valid cut
+        is verified, and the trees are the reference's."""
+        rng = np.random.default_rng(9)
+        x = make_x(rng, 80, 4, "ties")
+        y = make_y(rng, x)
+        if spoil == "huge":
+            y = y * 1e150
+        else:
+            y[[3, 50]] = float(spoil)
+        with np.errstate(invalid="ignore", over="ignore"):
+            ref_tree = ReferenceRegressionTree(max_depth=3).fit(x, y)
+            tree = RegressionTree(max_depth=3).fit(x, y)
+            ref, new = fit_pair(x, y, n_estimators=3, max_depth=3, learning_rate=0.5)
+        expect = reference_node_table([ref_tree])
+        for name, got in zip(expect, tree_table(tree)):
+            assert np.array_equal(expect[name], got, equal_nan=True), name
+        expect = reference_node_table(ref.trees_)
+        got = (new.roots_, new.feature_, new.threshold_, new.children_, new.value_)
+        for name, table in zip(expect, got):
+            assert np.array_equal(expect[name], table, equal_nan=True), name
+        assert np.array_equal(ref.predict(x), new.predict(x), equal_nan=True)
+        if spoil != "huge":
+            assert (tree.feature == -1).all() and (new.feature_ == -1).all()
+        else:
+            assert (tree.feature >= 0).any()
 
     @pytest.mark.parametrize("max_depth", [0, 1, 3])
     def test_constant_target_and_no_warning_from_unfiltered_cuts(self, max_depth):
