@@ -82,7 +82,7 @@ class ValuesCatalog:
             self.reuses += 1
             return name, join
         arr = np.array(vals, dtype=base.dtype if base.dtype.kind == "i" else np.float64)
-        self.db.tables[name] = Table(name, [Column("v", arr, is_key=True)])
+        self.db.add_table(Table(name, [Column("v", arr, is_key=True)]))
         self.db.joins.append(
             JoinEdge(column.table, column.column, name, "v").normalized()
         )

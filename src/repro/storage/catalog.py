@@ -62,6 +62,21 @@ class Database:
         for edge in joins:
             self._validate_edge(edge)
         self.joins = [e.normalized() for e in joins]
+        self._data_version = 0
+        for t in tables:
+            self._hold(t)
+
+    def _hold(self, table: Table) -> None:
+        """Count ``table``'s version and every later bump of it."""
+        table._databases.append(self)
+        self._data_version += table.data_version
+
+    def add_table(self, table: Table) -> None:
+        """Attach ``table`` (a name not taken yet) to the live database."""
+        if table.name in self.tables:
+            raise ValueError(f"duplicate table {table.name!r}")
+        self.tables[table.name] = table
+        self._hold(table)
 
     def _validate_edge(self, edge: JoinEdge) -> None:
         for tbl, col in (
@@ -94,8 +109,9 @@ class Database:
 
     @property
     def data_version(self) -> int:
-        """Monotone counter over all table mutations (see Table.data_version)."""
-        return sum(t.data_version for t in self.tables.values())
+        """Monotone counter over all table mutations: the sum of the tables'
+        ``data_version``, kept up to date by :meth:`Table.append_rows`."""
+        return self._data_version
 
     def edges_for(self, table: str) -> list[JoinEdge]:
         return [e for e in self.joins if e.involves(table)]

@@ -77,6 +77,9 @@ class Table:
         # Bumped on every mutation; cardinality caches key on it so cached
         # estimates never survive data drift.
         self.data_version = 0
+        # The databases holding this table: each keeps the sum of its
+        # tables' versions, and a mutation bumps it here.
+        self._databases: list = []
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, rows={self.n_rows}, cols={list(self.columns)})"
@@ -123,3 +126,5 @@ class Table:
                 raise ValueError(f"append violates key uniqueness on {name!r}")
         self.n_rows += next(iter(lengths))
         self.data_version += 1
+        for db in self._databases:
+            db._data_version += 1

@@ -1,8 +1,12 @@
 """Tests for columnar storage, catalog and synthetic data generators."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cardest import SamplingEstimator
 from repro.storage import Column, Database, JoinEdge, Table
 from repro.storage.generate import (
     correlated_column,
@@ -114,6 +118,58 @@ class TestDatabase:
 
     def test_total_rows(self):
         assert self._db().total_rows() == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        before=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        appends=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(1, 3)), max_size=12
+        ),
+        attach_at=st.integers(0, 12),
+    )
+    def test_data_version_is_the_sum_of_its_tables(self, before, appends, attach_at):
+        """Each database's counter equals the sum of its tables' versions:
+        for tables two databases share, for a table attached to a live
+        database, for a sample database over copies (``SamplingEstimator``'s)
+        and for a deep copy, whose tables bump only the copy."""
+
+        def table(name):
+            return Table(name, [Column("v", np.arange(4)), Column("w", np.ones(4))])
+
+        def append(t, n):
+            t.append_rows({"v": np.arange(n), "w": np.zeros(n)})
+
+        tables = [table(f"t{i}") for i in range(5)]
+        for t, n in zip(tables, before):
+            for _ in range(n):
+                append(t, 1)
+        left = Database("left", tables[:3], [])
+        right = Database("right", tables[1:4], [])  # shares t1 and t2
+        sample = SamplingEstimator(left, sample_rows=2)._sample_db
+        clone = copy.deepcopy(right)
+        dbs = [left, right, sample, clone]
+
+        def check():
+            for db in dbs:
+                assert db.data_version == sum(
+                    t.data_version for t in db.tables.values()
+                ), db.name
+
+        check()
+        cloned = clone.data_version
+        for step, (i, n) in enumerate(appends):
+            if step == attach_at:
+                left.add_table(tables[4])  # t4 may already carry appends
+            append(tables[i], n)
+            append(clone.tables[f"t{1 + i % 3}"], 1)
+            check()
+        assert clone.data_version == cloned + len(appends)
+        assert sample.data_version == 0
+
+    def test_add_table_rejects_a_taken_name(self):
+        db = self._db()
+        with pytest.raises(ValueError, match="duplicate table"):
+            db.add_table(Table("a", [Column("x", np.arange(2))]))
 
 
 class TestGenerators:
